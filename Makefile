@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build check vet test test-race test-soak test-stress test-overload test-crash test-thrash test-tiers test-allocs fuzz-short smoke_test bench figs clean \
+.PHONY: all build check vet test test-race test-soak test-stress test-overload test-crash test-thrash test-tiers test-allocs fuzz-short smoke_test bench bench-wall figs clean \
         trackfm_table1 trackfm_table2 trackfm_table3 trackfm_table4 \
         trackfm_fig6 trackfm_fig7 trackfm_fig8 trackfm_fig9 trackfm_fig10 \
         trackfm_fig11 trackfm_fig12 trackfm_fig13 trackfm_fig14a trackfm_fig15 \
@@ -96,13 +96,14 @@ test-tiers:
 # heap allocations per op on the guard fast path and on steady-state
 # demand fetch (clean and dirty) over SimLink, plus the bufpool unit
 # tests (leak/double-release detection, class routing, slab reuse) and
-# the end-to-end wire-lease leak check. Run without -race: the race
-# detector's instrumentation allocates, so the gates skip themselves
-# under it (the -race coverage of the same code lives in `test`).
+# the end-to-end wire-lease leak check and the zero-alloc TCP round trip
+# (fetch and push over loopback, client and server together). Run without
+# -race: the race detector's instrumentation allocates, so the gates skip
+# themselves under it (the -race coverage of the same code lives in `test`).
 test-allocs:
 	$(GO) test -run 'TestGuardFastPathAllocFree|TestSteadyStateFetch|TestSteadyStateTierHit' ./internal/aifm
 	$(GO) test ./internal/mem/...
-	$(GO) test -run 'TestWireLeasesNetZero' ./internal/fabric
+	$(GO) test -run 'TestWireLeasesNetZero|TestTCPRoundTripAllocFree' ./internal/fabric
 
 # The replica-failover soak: 10k ops over three TCP replicas with seeded
 # drops and corruption on every link and one replica killed/restarted
@@ -124,6 +125,19 @@ fuzz-short:
 
 bench:
 	$(GO) test -bench=. -benchmem
+
+# The wall-clock benchmark against itself: every fmbench workload twice
+# (BENCHMARK.json's 8 s each), then -compare, which exits 1 when any
+# workload x end-to-end metric differs by more than its bound. Two runs of
+# one tree should pass; to judge a change, run `--workload all` in a
+# checkout of each commit and -compare the two documents (see
+# benchmarks/README.md). Everything lands under .bench_build/.
+bench-wall:
+	mkdir -p .bench_build
+	d=$$(mktemp -d .bench_build/wall.XXXXXX) && \
+	bash benchmarks/run.sh --workload all --seconds 8 > $$d/a.json && \
+	bash benchmarks/run.sh --workload all --seconds 8 > $$d/b.json && \
+	bash benchmarks/run.sh -compare $$d/a.json $$d/b.json
 
 figs:
 	$(GO) run ./cmd/trackfm-bench -exp all

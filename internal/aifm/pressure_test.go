@@ -254,9 +254,12 @@ func TestEvacuatorRespectsReserveUnderPinSaturation(t *testing.T) {
 			var b [1]byte
 			for i := 0; i < 100; i++ {
 				id := ObjectID(100 + w*100 + i)
-				p.Localize(id, true)
+				// Pinned for the access: an unpinned resident may be
+				// evicted by another worker's localization before Write.
+				p.LocalizePin(id, true)
 				p.Write(id, 0, []byte{byte(i)})
 				p.Read(id, 0, b[:])
+				p.Unpin(id)
 				if b[0] != byte(i) {
 					t.Errorf("worker %d: object %d = %d", w, id, b[0])
 					return

@@ -36,6 +36,11 @@ func (s *Stats) Register(reg *obs.Registry, labels ...obs.Label) {
 		"Operations that failed with ErrDeadlineExceeded (budget exhausted or late result discarded).", s.DeadlineMisses, labels...)
 	reg.CounterFunc("trackfm_fabric_budget_exhausted_total",
 		"Retries denied because the retry budget had no token.", s.BudgetExhausted, labels...)
+	reg.GaugeFunc("trackfm_transport_open_conns",
+		"Sockets the TCP transport holds open, idle or in use (one per concurrent caller, capped).",
+		func() float64 { return float64(s.OpenConns()) }, labels...)
+	reg.CounterFunc("trackfm_transport_conn_waits_total",
+		"Callers that found every connection in use at the cap and waited for one.", s.ConnWaits, labels...)
 }
 
 // Register exposes the retry-budget token balance and denial count on

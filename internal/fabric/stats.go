@@ -22,6 +22,9 @@ type Stats struct {
 	overloads       atomic.Uint64 // overload rejects received (server shed the request)
 	deadlineMisses  atomic.Uint64 // operations that failed with ErrDeadlineExceeded
 	budgetExhausted atomic.Uint64 // retries denied by an empty retry budget
+
+	openConns atomic.Int64  // sockets a TCPTransport currently holds open, idle or in use
+	connWaits atomic.Uint64 // callers that found every connection in use at the cap and waited
 }
 
 // Retries reports operation attempts beyond the first (each backoff-retry).
@@ -70,6 +73,14 @@ func (s *Stats) DeadlineMisses() uint64 { return s.deadlineMisses.Load() }
 // re-issuing it.
 func (s *Stats) BudgetExhausted() uint64 { return s.budgetExhausted.Load() }
 
+// OpenConns reports the sockets a TCPTransport currently holds open, idle
+// or in use: one per caller that has been in flight at once, at most 16.
+func (s *Stats) OpenConns() int64 { return s.openConns.Load() }
+
+// ConnWaits reports callers that found every connection of a TCPTransport
+// in use at the cap and had to wait for one to be returned.
+func (s *Stats) ConnWaits() uint64 { return s.connWaits.Load() }
+
 // StatsSnapshot is a plain-value copy of Stats for reporting.
 type StatsSnapshot struct {
 	Retries            uint64
@@ -83,6 +94,8 @@ type StatsSnapshot struct {
 	Overloads          uint64
 	DeadlineMisses     uint64
 	BudgetExhausted    uint64
+	OpenConns          int64
+	ConnWaits          uint64
 }
 
 // Snapshot copies the current counter values.
@@ -99,6 +112,8 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		Overloads:          s.Overloads(),
 		DeadlineMisses:     s.DeadlineMisses(),
 		BudgetExhausted:    s.BudgetExhausted(),
+		OpenConns:          s.OpenConns(),
+		ConnWaits:          s.ConnWaits(),
 	}
 }
 
@@ -108,8 +123,8 @@ func (s *Stats) String() string { return s.Snapshot().String() }
 
 // String implements fmt.Stringer.
 func (s StatsSnapshot) String() string {
-	return fmt.Sprintf("retries=%d timeouts=%d reconnects=%d degraded=%d shortReads=%d unavailable=%d checksumFaults=%d protoDowngrades=%d overloads=%d deadlineMisses=%d budgetExhausted=%d",
-		s.Retries, s.Timeouts, s.Reconnects, s.DegradedFetches, s.ShortReads, s.Unavailable, s.ChecksumFaults, s.ProtocolDowngrades, s.Overloads, s.DeadlineMisses, s.BudgetExhausted)
+	return fmt.Sprintf("retries=%d timeouts=%d reconnects=%d degraded=%d shortReads=%d unavailable=%d checksumFaults=%d protoDowngrades=%d overloads=%d deadlineMisses=%d budgetExhausted=%d openConns=%d connWaits=%d",
+		s.Retries, s.Timeouts, s.Reconnects, s.DegradedFetches, s.ShortReads, s.Unavailable, s.ChecksumFaults, s.ProtocolDowngrades, s.Overloads, s.DeadlineMisses, s.BudgetExhausted, s.OpenConns, s.ConnWaits)
 }
 
 // record classifies err (already mapped by classify) into the right bucket.

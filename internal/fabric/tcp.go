@@ -112,8 +112,20 @@ const (
 	helloMagic = uint64(0x54464D4641425232)
 )
 
-// crcLen is the width of the CRC32-C payload trailer in v2 frames.
-const crcLen = 4
+// crcLen is the width of the CRC32-C payload trailer in v2 frames; hdrLen
+// and hdrLenV3 are the request header without and with the v3 deadline.
+const (
+	crcLen   = 4
+	hdrLen   = 13
+	hdrLenV3 = hdrLen + 8
+)
+
+// wireBufSize sizes the bufio buffers on both ends of a connection so that
+// a frame with an object-sized payload (objects and pages are at most
+// 16 KiB), its header and its CRC trailer is one write(2) and one read(2)
+// per side; bufio's default 4096 bytes split a 4 KiB object frame into two
+// of each. Larger payloads take bufio's direct path.
+const wireBufSize = 16<<10 + 64
 
 // payloadCRC is the trailer checksum over a payload frame. It deliberately
 // shares remote.Checksum (CRC32-C), so a blob has one checksum identity
@@ -310,12 +322,15 @@ func (s *Server) handle(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
+	r := bufio.NewReaderSize(conn, wireBufSize)
+	w := bufio.NewWriterSize(conn, wireBufSize)
 	ver := protoV1 // until the connection negotiates otherwise
-	var hdr [13]byte
+	// Per-connection scratch: declared per frame, arrays handed to
+	// io.ReadFull and w.Write escape and cost an allocation each.
+	var hdr [hdrLenV3]byte
+	var crc [crcLen]byte
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if _, err := io.ReadFull(r, hdr[:hdrLen]); err != nil {
 			return
 		}
 		op := hdr[0]
@@ -325,11 +340,10 @@ func (s *Server) handle(conn net.Conn) {
 		if ver >= protoV3 && op != opHello {
 			// v3 request headers carry the remaining budget after the
 			// common 13-byte prefix; hello frames never do.
-			var dlb [8]byte
-			if _, err := io.ReadFull(r, dlb[:]); err != nil {
+			if _, err := io.ReadFull(r, hdr[hdrLen:]); err != nil {
 				return
 			}
-			deadlineNs = binary.BigEndian.Uint64(dlb[:])
+			deadlineNs = binary.BigEndian.Uint64(hdr[hdrLen:])
 		}
 		if op != opHello && length > maxPayload {
 			// Answer with an error frame rather than silently
@@ -448,7 +462,6 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			crcOK := true
 			if ver >= protoV2 {
-				var crc [crcLen]byte
 				binary.BigEndian.PutUint32(crc[:], payloadCRC(buf))
 				_, err := w.Write(crc[:])
 				crcOK = err == nil
@@ -465,7 +478,6 @@ func (s *Server) handle(conn net.Conn) {
 				return
 			}
 			if ver >= protoV2 {
-				var crc [crcLen]byte
 				if _, err := io.ReadFull(r, crc[:]); err != nil {
 					lease.Release()
 					return
@@ -650,16 +662,24 @@ type DialOptions struct {
 	Budget *RetryBudget
 }
 
-// TCPTransport is a Transport backed by a real TCP connection to a Server.
+// TCPTransport is a Transport backed by real TCP connections to a Server.
 // It implements ErrorTransport: the Try methods surface typed errors, apply
 // per-operation deadlines, retry with deterministic-jitter backoff, and
-// transparently reconnect after the connection is marked dead. On v2
+// transparently reconnect after a connection is marked dead. On v2
 // connections every payload crossing the wire carries a CRC32-C trailer;
 // corruption in flight is detected on receipt (ErrIntegrity, counted in
 // Stats.ChecksumFaults) and healed by the retry loop instead of being
 // handed to the caller. The legacy Transport methods remain as degrading
 // adapters (errors become not-found / dropped ops, tallied in Stats as
-// degraded). It is safe for concurrent use.
+// degraded).
+//
+// It is safe for concurrent use, and concurrent callers do not wait for
+// each other: an operation checks a connection out of a LIFO stack of idle
+// ones (dialing a new one, up to maxConns, when the stack is empty), runs
+// its whole retry loop on it, and puts it back. One caller keeps reusing
+// one socket; N callers get N sockets and N Server.handle goroutines. mu
+// is a leaf lock over the stack and the shared negotiation state below; it
+// is never held across I/O, a backoff sleep or a dial.
 type TCPTransport struct {
 	addr      string
 	policy    RetryPolicy
@@ -667,18 +687,42 @@ type TCPTransport struct {
 	wire      WireVersion
 	budget    *RetryBudget
 	stats     Stats
+	dial      func(network, addr string, timeout time.Duration) (net.Conn, error) // net.DialTimeout, or a test's counting dialer
+
+	closed atomic.Bool // set under mu (so cond waiters see it), read anywhere
 
 	mu          sync.Mutex
-	conn        net.Conn
-	r           *bufio.Reader
-	w           *bufio.Writer
-	ver         int      // negotiated protocol version of the live connection
-	legacy      bool     // sticky: peer dropped the handshake, speak v1 (WireAuto only)
-	dl          Deadline // deadline of the operation currently holding mu (zero = none)
-	peerGen     uint64   // restart generation from the last v4 hello (0 = never seen)
-	peerDurable bool     // the peer advertised a durable (recovered) store
-	rng         *sim.RNG
-	closed      bool
+	cond        sync.Cond   // callers waiting for a connection at the cap; L is &mu
+	conns       []*wireConn // every connection made, idle or checked out (for Close)
+	idle        []*wireConn // LIFO stack of the ones not checked out
+	ver         int         // protocol version of the newest completed negotiation
+	legacy      bool        // sticky: peer dropped the handshake, speak v1 (WireAuto only)
+	peerGen     uint64      // restart generation from the newest v4 hello (0 = never seen)
+	peerDurable bool        // the peer advertised a durable (recovered) store
+
+	rngMu sync.Mutex // leaf lock: jitter draws stay one sequence per transport
+	rng   *sim.RNG
+}
+
+// maxConns caps a transport's connections; callers beyond it wait for one
+// to be returned (counted in Stats.ConnWaits).
+const maxConns = 16
+
+// wireConn is one connection and everything only its current holder
+// touches. It outlives its socket: markDead clears conn, the next attempt
+// re-dials into the same buffers. conn is written under the transport's mu
+// (Close reads it from another goroutine); the holder reads it freely.
+type wireConn struct {
+	conn   net.Conn
+	r      *bufio.Reader
+	w      *bufio.Writer
+	ver    int      // negotiated version; 0 = hello pending
+	dl     Deadline // deadline of the operation holding the connection (zero = none)
+	dialed bool     // has been connected before: the next dial is a reconnect
+	// Header and trailer scratch: as stack arrays they escape through
+	// io.Writer/io.ReadFull, one heap allocation per frame each.
+	hdr [hdrLenV3]byte
+	crc [crcLen]byte
 }
 
 // IdentityReporter is implemented by transports that learn the peer's
@@ -695,7 +739,7 @@ type IdentityReporter interface {
 
 // PeerIdentity implements IdentityReporter. The values persist across
 // reconnects: they describe the peer as of the most recent completed
-// hello, not the current connection.
+// hello on any connection. It never waits on I/O.
 func (t *TCPTransport) PeerIdentity() (uint64, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -719,22 +763,24 @@ func DialWith(addr string, opts DialOptions) (*TCPTransport, error) {
 		opTimeout: opts.OpTimeout,
 		wire:      opts.Wire,
 		budget:    opts.Budget,
+		dial:      net.DialTimeout,
 		rng:       sim.NewRNG(opts.Seed),
 	}
+	t.cond.L = &t.mu
 	if t.budget == nil {
 		t.budget = NewRetryBudget(0, 0)
 	}
 	if t.opTimeout <= 0 {
 		t.opTimeout = 2 * time.Second
 	}
-	t.mu.Lock()
-	err := t.ensureConn()
-	t.mu.Unlock()
+	c, err := t.checkout()
+	if err == nil {
+		err = t.ensureConn(c)
+		t.release(c)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("fabric: dial %s: %w", addr, err)
 	}
-	// The constructor's dial is not a reconnect.
-	t.stats.reconnects.Store(0)
 	return t, nil
 }
 
@@ -745,130 +791,196 @@ func (t *TCPTransport) Stats() *Stats { return &t.stats }
 // sharing with sibling transports at construction time via DialOptions).
 func (t *TCPTransport) RetryBudget() *RetryBudget { return t.budget }
 
-// WireVersionInUse reports the protocol version of the live connection
-// (0 when disconnected). Mostly useful in tests and stats reporters.
+// WireVersionInUse reports the protocol version of the most recently
+// negotiated connection (0 when none is open). Mostly useful in tests and
+// stats reporters; it never waits on I/O.
 func (t *TCPTransport) WireVersionInUse() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.conn == nil {
+	if t.stats.OpenConns() == 0 {
 		return 0
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return t.ver
 }
 
-func (t *TCPTransport) attach(conn net.Conn, ver int) {
-	t.conn = conn
-	t.r = bufio.NewReader(conn)
-	t.w = bufio.NewWriter(conn)
-	t.ver = ver
-}
-
-// markDead tears down the current connection so the next attempt re-dials.
-// Called under t.mu after any mid-operation error: a partially consumed
-// response would otherwise desynchronize the stream and every later reply
-// would be misparsed against the wrong request.
-func (t *TCPTransport) markDead() {
-	if t.conn != nil {
-		t.conn.Close()
-		t.conn = nil
-		t.r = nil
-		t.w = nil
-		t.ver = 0
+// checkout hands the caller exclusive use of a connection until release:
+// the most recently returned idle one, else a new (not yet dialed) one
+// while under the cap, else it waits for a release.
+func (t *TCPTransport) checkout() (*wireConn, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for waited := false; ; waited = true {
+		if t.closed.Load() {
+			return nil, permanent(ErrClosed)
+		}
+		if n := len(t.idle); n > 0 {
+			c := t.idle[n-1]
+			t.idle = t.idle[:n-1]
+			return c, nil
+		}
+		if len(t.conns) < maxConns {
+			c := &wireConn{r: bufio.NewReaderSize(nil, wireBufSize), w: bufio.NewWriterSize(nil, wireBufSize)}
+			t.conns = append(t.conns, c)
+			return c, nil
+		}
+		if !waited {
+			t.stats.connWaits.Add(1)
+		}
+		t.cond.Wait()
 	}
 }
 
-// ensureConn re-dials if the connection was marked dead. The attached
-// connection starts with version 0 ("handshake pending") unless the
-// transport is configured or stickily downgraded to v1. Caller holds t.mu.
-func (t *TCPTransport) ensureConn() error {
-	if t.conn != nil {
+// release returns a checked-out connection, dead or alive, to the stack.
+func (t *TCPTransport) release(c *wireConn) {
+	c.dl = Deadline{}
+	t.mu.Lock()
+	if t.closed.Load() {
+		t.drop(c) // Close only interrupted the socket; tearing it down is the holder's job
+	} else {
+		t.idle = append(t.idle, c)
+	}
+	t.mu.Unlock()
+	t.cond.Signal()
+}
+
+// drop closes c's socket, if it has one, so that its next use re-dials.
+// Caller holds t.mu and either holds c or knows it idle.
+func (t *TCPTransport) drop(c *wireConn) {
+	if c.conn != nil {
+		c.conn.Close()
+		c.conn, c.ver = nil, 0
+		t.stats.openConns.Add(-1)
+	}
+}
+
+// markDead is drop for c's holder, called after any mid-operation error: a
+// partially consumed response would otherwise desynchronize the stream and
+// every later reply would be misparsed against the wrong request.
+func (t *TCPTransport) markDead(c *wireConn) {
+	t.mu.Lock()
+	t.drop(c)
+	t.mu.Unlock()
+}
+
+// ensureConn re-dials if c has no live socket. The connection starts with
+// version 0 ("handshake pending") unless the transport is configured or
+// stickily downgraded to v1. The first dial of a wireConn grows the pool;
+// every later one replaces a socket that died and counts as a reconnect.
+func (t *TCPTransport) ensureConn(c *wireConn) error {
+	if c.conn != nil {
 		return nil
 	}
-	conn, err := net.DialTimeout("tcp", t.addr, t.opTimeout)
+	conn, err := t.dial("tcp", t.addr, t.opTimeout)
 	if err != nil {
 		return err
 	}
-	ver := 0 // hello pending
-	if t.wire == WireV1 || (t.wire == WireAuto && t.legacy) {
-		ver = protoV1
+	t.mu.Lock()
+	if t.closed.Load() {
+		t.mu.Unlock()
+		conn.Close()
+		return permanent(ErrClosed)
 	}
-	t.attach(conn, ver)
-	t.stats.reconnects.Add(1)
+	c.conn = conn
+	if t.wire == WireV1 || (t.wire == WireAuto && t.legacy) {
+		c.ver, t.ver = protoV1, protoV1
+	}
+	t.mu.Unlock()
+	c.r.Reset(conn)
+	c.w.Reset(conn)
+	t.stats.openConns.Add(1)
+	if c.dialed {
+		t.stats.reconnects.Add(1)
+	}
+	c.dialed = true
 	return nil
 }
 
-// ensureHello negotiates the wire version on a freshly attached connection.
+// ensureHello negotiates the wire version on a freshly dialed connection.
 // It runs lazily on the first operation over each connection (not at dial
 // time), so DialWith stays a pure reachability check and handshake failures
 // flow through the per-operation retry/typed-error machinery. A peer that
 // closes the connection on the hello opcode is an old v1 server: under
 // WireAuto the transport stickily falls back to v1 and redials; under
-// WireV2 that peer is a permanent protocol error. Caller holds t.mu.
-func (t *TCPTransport) ensureHello() error {
-	if t.ver != 0 {
+// WireV2 that peer is a permanent protocol error.
+func (t *TCPTransport) ensureHello(c *wireConn) error {
+	if c.ver != 0 {
 		return nil
 	}
-	t.conn.SetDeadline(time.Now().Add(t.opTimeout))
-	var hdr [13]byte
-	hdr[0] = opHello
-	binary.BigEndian.PutUint64(hdr[1:9], helloMagic)
-	binary.BigEndian.PutUint32(hdr[9:13], protoV4)
-	_, err := t.w.Write(hdr[:])
+	c.conn.SetDeadline(time.Now().Add(t.opTimeout))
+	c.hdr[0] = opHello
+	binary.BigEndian.PutUint64(c.hdr[1:9], helloMagic)
+	binary.BigEndian.PutUint32(c.hdr[9:13], protoV4)
+	_, err := c.w.Write(c.hdr[:hdrLen])
 	if err == nil {
-		err = t.w.Flush()
+		err = c.w.Flush()
 	}
-	var resp [2]byte
+	resp := c.hdr[:2]
 	if err == nil {
-		_, err = io.ReadFull(t.r, resp[:])
+		_, err = io.ReadFull(c.r, resp)
 	}
 	if err != nil {
-		t.markDead()
+		t.markDead(c)
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			if t.wire == WireV2 || t.wire == WireV3 {
 				return permanent(fmt.Errorf("%w: peer does not speak versioned protocol", ErrProtocol))
 			}
-			t.legacy = true
+			t.mu.Lock()
+			// A peer that has negotiated before is restarting, not old.
+			t.legacy = t.ver < protoV2
+			legacy := t.legacy
+			t.mu.Unlock()
+			if !legacy {
+				return err
+			}
 			t.stats.downgrades.Add(1)
-			return t.ensureConn() // redial; legacy is set, so no hello
+			return t.ensureConn(c) // redial; legacy is set, so no hello
 		}
 		return err
 	}
 	if resp[0] != ackHello {
-		t.markDead()
+		t.markDead(c)
 		return permanent(fmt.Errorf("%w: hello ack %#x", ErrProtocol, resp[0]))
 	}
 	ver := int(resp[1])
 	if ver < protoV1 || ver > protoV4 {
-		t.markDead()
+		t.markDead(c)
 		return permanent(fmt.Errorf("%w: hello version %d", ErrProtocol, ver))
 	}
+	var id []byte
 	if ver >= protoV4 {
 		// A v4 hello response carries identity: flags(1) + generation(8).
-		var id [9]byte
-		if _, err := io.ReadFull(t.r, id[:]); err != nil {
-			t.markDead()
+		id = c.hdr[:9]
+		if _, err := io.ReadFull(c.r, id); err != nil {
+			t.markDead(c)
 			return err
 		}
-		t.peerDurable = id[0]&helloGenDurable != 0
-		t.peerGen = binary.BigEndian.Uint64(id[1:9])
 	}
 	if ver < protoV2 && t.wire == WireV2 {
-		t.markDead()
+		t.markDead(c)
 		return permanent(fmt.Errorf("%w: peer negotiated v%d, need v2", ErrProtocol, ver))
 	}
 	if ver < protoV3 && t.wire == WireV3 {
-		t.markDead()
+		t.markDead(c)
 		return permanent(fmt.Errorf("%w: peer negotiated v%d, need v3", ErrProtocol, ver))
 	}
+	c.ver = ver
+	t.mu.Lock()
 	t.ver = ver
+	if id != nil {
+		t.peerDurable = id[0]&helloGenDurable != 0
+		t.peerGen = binary.BigEndian.Uint64(id[1:9])
+	}
+	t.mu.Unlock()
 	return nil
 }
 
-// do runs one operation attempt loop under the retry policy, bounded by
-// the operation deadline and the transport's retry budget. op executes a
-// full request/response exchange on the live connection; any error marks
-// the connection dead (forcing a clean reconnect) and is classified into
-// the typed taxonomy. Permanent errors stop the loop immediately. Three
+// do runs one operation (code, key, buf: see exchange) on a checked-out
+// connection under the retry policy, bounded by the operation deadline and
+// the transport's retry budget. Any error marks the connection dead
+// (forcing a clean reconnect) and is classified into the typed taxonomy.
+// Permanent errors stop the loop immediately. No transport-wide lock is
+// held anywhere in the loop, so one caller's backoff or redial delays
+// nobody else, and Close interrupts it by closing its socket. Three
 // overload-control rules shape the loop:
 //
 //   - an expired deadline stops the loop with ErrDeadlineExceeded, and a
@@ -883,24 +995,25 @@ func (t *TCPTransport) ensureHello() error {
 //     the connection stays up (the reject frame leaves the stream in
 //     sync), the budget is not charged, and the attempt is retried after
 //     the normal backoff.
-func (t *TCPTransport) do(dl Deadline, op func() error) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return permanent(ErrClosed)
+func (t *TCPTransport) do(dl Deadline, code byte, key uint64, buf []byte) (bool, error) {
+	c, err := t.checkout()
+	if err != nil {
+		return false, err
 	}
-	t.dl = dl
-	defer func() { t.dl = Deadline{} }()
+	defer t.release(c)
+	c.dl = dl
 	deposited := false
 	var last error
-	for attempt := 1; attempt <= t.policy.MaxAttempts; attempt++ {
+	for attempt := 1; attempt <= t.policy.MaxAttempts && !t.closed.Load(); attempt++ {
 		if attempt > 1 {
 			if !isOverloaded(last) && !t.budget.TryRetry() {
 				t.stats.budgetExhausted.Add(1)
 				break
 			}
 			t.stats.retries.Add(1)
+			t.rngMu.Lock()
 			d := t.policy.backoff(attempt-1, t.rng)
+			t.rngMu.Unlock()
 			if !dl.IsZero() {
 				if rem := time.Duration(dl.RemainingNanos()); d > rem {
 					d = rem
@@ -913,9 +1026,9 @@ func (t *TCPTransport) do(dl Deadline, op func() error) error {
 			t.stats.record(last)
 			break
 		}
-		err := t.ensureConn()
+		err := t.ensureConn(c)
 		if err == nil {
-			err = t.ensureHello()
+			err = t.ensureHello(c)
 		}
 		if err != nil {
 			last = classify(err)
@@ -931,8 +1044,8 @@ func (t *TCPTransport) do(dl Deadline, op func() error) error {
 				to = rem
 			}
 		}
-		t.conn.SetDeadline(time.Now().Add(to))
-		if err := op(); err == nil {
+		c.conn.SetDeadline(time.Now().Add(to))
+		if found, err := c.exchange(code, key, buf); err == nil {
 			if !deposited {
 				t.budget.OnRequest()
 			}
@@ -943,7 +1056,7 @@ func (t *TCPTransport) do(dl Deadline, op func() error) error {
 				t.stats.record(last)
 				break
 			}
-			return nil
+			return found, nil
 		} else {
 			last = classify(err)
 			t.stats.record(last)
@@ -954,30 +1067,100 @@ func (t *TCPTransport) do(dl Deadline, op func() error) error {
 				deposited = true
 			}
 			if !isOverloaded(last) {
-				t.markDead()
+				t.markDead(c)
+			}
+			if errors.Is(last, ErrRemoteUnavailable) || isShortRead(last) {
+				t.mu.Lock()
+				t.dropIdle()
+				t.mu.Unlock()
 			}
 			if isPermanent(err) {
 				break
 			}
 		}
 	}
-	return last
+	if t.closed.Load() {
+		// Whatever the interrupted attempt reported, the cause is Close.
+		return false, permanent(ErrClosed)
+	}
+	return false, last
 }
 
-func (t *TCPTransport) writeHeader(op byte, key uint64, length uint32) error {
-	var hdr [21]byte
-	hdr[0] = op
-	binary.BigEndian.PutUint64(hdr[1:9], key)
-	binary.BigEndian.PutUint32(hdr[9:13], length)
-	n := 13
-	if t.ver >= protoV3 {
+// exchange is one request/response on c, with the socket deadline already
+// set: code is the opcode, buf the destination of an opFetch, the source
+// of an opPush, nil for opDelete. found is meaningful for opFetch only.
+// Passing the operation as plain values (not a closure over the caller's
+// buffers) keeps a round trip free of heap allocations.
+func (c *wireConn) exchange(code byte, key uint64, buf []byte) (found bool, err error) {
+	c.hdr[0] = code
+	binary.BigEndian.PutUint64(c.hdr[1:9], key)
+	binary.BigEndian.PutUint32(c.hdr[9:13], uint32(len(buf)))
+	n := hdrLen
+	if c.ver >= protoV3 {
 		// v3 request headers carry the operation's remaining budget so
 		// the server can shed requests it cannot finish in time.
-		binary.BigEndian.PutUint64(hdr[13:21], t.dl.RemainingNanos())
-		n = 21
+		binary.BigEndian.PutUint64(c.hdr[hdrLen:], c.dl.RemainingNanos())
+		n = hdrLenV3
 	}
-	_, err := t.w.Write(hdr[:n])
-	return err
+	if _, err := c.w.Write(c.hdr[:n]); err != nil {
+		return false, err
+	}
+	if code == opPush {
+		if _, err := c.w.Write(buf); err != nil {
+			return false, err
+		}
+		if c.ver >= protoV2 {
+			binary.BigEndian.PutUint32(c.crc[:], payloadCRC(buf))
+			if _, err := c.w.Write(c.crc[:]); err != nil {
+				return false, err
+			}
+		}
+	}
+	if err := c.w.Flush(); err != nil {
+		return false, err
+	}
+	switch code {
+	case opPush:
+		return false, c.readAck("push")
+	case opDelete:
+		return false, c.readAck("delete")
+	}
+	flag, err := c.r.ReadByte()
+	if err != nil {
+		return false, err
+	}
+	switch flag {
+	case flagAbsent, flagFound:
+	case ackOverloaded:
+		// Admission control shed the request before service: pure
+		// backpressure. No payload follows, the stream stays in
+		// sync, and do() retries without charging the budget.
+		return false, fmt.Errorf("%w: fetch shed", ErrOverloaded)
+	case ackErr:
+		return false, permanent(fmt.Errorf("%w: server rejected fetch", ErrProtocol))
+	case ackCorrupt:
+		// The blob is corrupt at rest on this node: retrying the
+		// same node cannot help, so the error is permanent here —
+		// a ReplicaSet recovers by reading another replica.
+		return false, permanent(fmt.Errorf("%w: server reports blob corrupt or truncated", ErrIntegrity))
+	default:
+		return false, permanent(fmt.Errorf("%w: fetch flag %#x", ErrProtocol, flag))
+	}
+	if _, err := io.ReadFull(c.r, buf); err != nil {
+		return false, err
+	}
+	if c.ver >= protoV2 {
+		if _, err := io.ReadFull(c.r, c.crc[:]); err != nil {
+			return false, err
+		}
+		if binary.BigEndian.Uint32(c.crc[:]) != payloadCRC(buf) {
+			// In-flight corruption: the connection's framing may
+			// also be suspect, so the conn is torn down (do's
+			// error path) and the retry re-reads over a fresh one.
+			return false, fmt.Errorf("%w: fetch payload CRC mismatch", ErrIntegrity)
+		}
+	}
+	return flag == flagFound, nil
 }
 
 // TryFetch is TryFetchUntil with no deadline, kept for call-site brevity.
@@ -999,57 +1182,7 @@ func (t *TCPTransport) TryFetchUntil(key uint64, dst []byte, dl Deadline) (bool,
 	if len(dst) > maxPayload {
 		return false, fmt.Errorf("%w: fetch of %d bytes", ErrPayloadTooLarge, len(dst))
 	}
-	var found bool
-	err := t.do(dl, func() error {
-		if err := t.writeHeader(opFetch, key, uint32(len(dst))); err != nil {
-			return err
-		}
-		if err := t.w.Flush(); err != nil {
-			return err
-		}
-		flag, err := t.r.ReadByte()
-		if err != nil {
-			return err
-		}
-		switch flag {
-		case flagAbsent, flagFound:
-		case ackOverloaded:
-			// Admission control shed the request before service: pure
-			// backpressure. No payload follows, the stream stays in
-			// sync, and do() retries without charging the budget.
-			return fmt.Errorf("%w: fetch shed", ErrOverloaded)
-		case ackErr:
-			return permanent(fmt.Errorf("%w: server rejected fetch", ErrProtocol))
-		case ackCorrupt:
-			// The blob is corrupt at rest on this node: retrying the
-			// same node cannot help, so the error is permanent here —
-			// a ReplicaSet recovers by reading another replica.
-			return permanent(fmt.Errorf("%w: server reports blob corrupt or truncated", ErrIntegrity))
-		default:
-			return permanent(fmt.Errorf("%w: fetch flag %#x", ErrProtocol, flag))
-		}
-		if _, err := io.ReadFull(t.r, dst); err != nil {
-			return err
-		}
-		if t.ver >= protoV2 {
-			var crc [crcLen]byte
-			if _, err := io.ReadFull(t.r, crc[:]); err != nil {
-				return err
-			}
-			if binary.BigEndian.Uint32(crc[:]) != payloadCRC(dst) {
-				// In-flight corruption: the connection's framing may
-				// also be suspect, so the conn is torn down (do's
-				// error path) and the retry re-reads over a fresh one.
-				return fmt.Errorf("%w: fetch payload CRC mismatch", ErrIntegrity)
-			}
-		}
-		found = flag == flagFound
-		return nil
-	})
-	if err != nil {
-		return false, err
-	}
-	return found, nil
+	return t.do(dl, opFetch, key, dst)
 }
 
 // TryPush is TryPushUntil with no deadline, kept for call-site brevity.
@@ -1062,25 +1195,8 @@ func (t *TCPTransport) TryPushUntil(key uint64, src []byte, dl Deadline) error {
 	if len(src) > maxPayload {
 		return fmt.Errorf("%w: push of %d bytes", ErrPayloadTooLarge, len(src))
 	}
-	return t.do(dl, func() error {
-		if err := t.writeHeader(opPush, key, uint32(len(src))); err != nil {
-			return err
-		}
-		if _, err := t.w.Write(src); err != nil {
-			return err
-		}
-		if t.ver >= protoV2 {
-			var crc [crcLen]byte
-			binary.BigEndian.PutUint32(crc[:], payloadCRC(src))
-			if _, err := t.w.Write(crc[:]); err != nil {
-				return err
-			}
-		}
-		if err := t.w.Flush(); err != nil {
-			return err
-		}
-		return t.readAck("push")
-	})
+	_, err := t.do(dl, opPush, key, src)
+	return err
 }
 
 // TryDelete is TryDeleteUntil with no deadline, kept for call-site
@@ -1091,19 +1207,12 @@ func (t *TCPTransport) TryDelete(key uint64) error {
 
 // TryDeleteUntil implements ErrorTransport (see TryFetchUntil).
 func (t *TCPTransport) TryDeleteUntil(key uint64, dl Deadline) error {
-	return t.do(dl, func() error {
-		if err := t.writeHeader(opDelete, key, 0); err != nil {
-			return err
-		}
-		if err := t.w.Flush(); err != nil {
-			return err
-		}
-		return t.readAck("delete")
-	})
+	_, err := t.do(dl, opDelete, key, nil)
+	return err
 }
 
-func (t *TCPTransport) readAck(op string) error {
-	ack, err := t.r.ReadByte()
+func (c *wireConn) readAck(op string) error {
+	ack, err := c.r.ReadByte()
 	if err != nil {
 		return err
 	}
@@ -1113,7 +1222,7 @@ func (t *TCPTransport) readAck(op string) error {
 	case ackOverloaded:
 		// Backpressure: the request was shed before service (a shed push
 		// was consumed and discarded, never stored). Retryable without a
-		// budget charge; see TryFetchUntil's flag handling.
+		// budget charge; see exchange's flag handling.
 		return fmt.Errorf("%w: %s shed", ErrOverloaded, op)
 	case ackErr:
 		return permanent(fmt.Errorf("%w: server rejected %s", ErrProtocol, op))
@@ -1130,20 +1239,31 @@ func (t *TCPTransport) readAck(op string) error {
 // TCPTransport intentionally has no infallible Fetch/Push/Delete methods:
 // callers that accept best-effort semantics wrap it in Degrading{t}.
 
-// Close closes the underlying connection; all later operations fail with
-// ErrClosed.
+// dropIdle drops the idle connections' sockets (they stay on the stack).
+// When the peer hangs up on one connection the others are as dead, and
+// finding that out one checkout at a time would cost a failed attempt and
+// a retry-budget token each. Caller holds t.mu.
+func (t *TCPTransport) dropIdle() {
+	for _, c := range t.idle {
+		t.drop(c)
+	}
+}
+
+// Close marks the transport closed and closes every socket, idle or
+// checked out, without waiting for the holders: an operation blocked in
+// I/O fails at once and, like all later operations, reports ErrClosed.
 func (t *TCPTransport) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.closed = true
-	if t.conn == nil {
-		return nil
+	t.closed.Store(true)
+	t.cond.Broadcast()
+	t.dropIdle()
+	for _, c := range t.conns {
+		if c.conn != nil {
+			c.conn.Close() // interrupts the holder, whose release tears it down
+		}
 	}
-	err := t.conn.Close()
-	t.conn = nil
-	t.r = nil
-	t.w = nil
-	return err
+	return nil
 }
 
 var _ Transport = Degrading{}
