@@ -22,10 +22,13 @@ smoke_test:
 
 # Static checks: go vet plus the metrics-name lint — every metric
 # registered by any subsystem must match obs.NamePattern
-# (^trackfm_[a-z0-9_]+$), enforced by registering them all in one registry.
+# (^trackfm_[a-z0-9_]+$), enforced by registering them all in one registry —
+# plus the escape lint: no scalar accessor's 8-byte scratch may reach the
+# heap (the compiler says so even under -race, where test-allocs skips).
 vet:
 	$(GO) vet ./...
 	$(GO) test -run TestMetricNamesLint ./internal/obs
+	! $(GO) build -gcflags=-m ./internal/core ./internal/fastswap ./internal/interp ./farmem 2>&1 | grep 'moved to heap: buf'
 
 # Everything a PR must pass: build, vet (incl. metrics lint), the
 # tier-1 suite, and the concurrency stress suite under the race detector.
@@ -53,9 +56,12 @@ test-race:
 # The concurrency stress suite: the N-goroutine mixed read/write/
 # evacuate/prefetch workout, the concurrent-vs-serial-oracle differential
 # check, and the pinned-object barrier test, all under -race with the
-# short-mode reductions disabled.
+# short-mode reductions disabled; then the window-lifetime test — chunked
+# Range/Fill over local memory in place against the background evacuator
+# and a Resize squeeze.
 test-stress:
 	$(GO) test -race -run 'TestConcurrent' -count=2 ./internal/aifm
+	$(GO) test -race -run 'TestWindowLifetimeRace' -count=10 ./farmem
 
 # The overload acceptance gates: the deterministic 4x-capacity soak
 # (bounded queue sheds, p99 of admitted ops within 2x uncontended, goodput
@@ -94,7 +100,9 @@ test-tiers:
 
 # The allocation-regression gates: testing.AllocsPerRun must report zero
 # heap allocations per op on the guard fast path and on steady-state
-# demand fetch (clean and dirty) over SimLink, plus the bufpool unit
+# demand fetch (clean and dirty) over SimLink, on the layer programs call
+# (core's scalar guards and cursor; farmem's Range allocates its Cursor
+# and nothing else, whatever the length), plus the bufpool unit
 # tests (leak/double-release detection, class routing, slab reuse) and
 # the end-to-end wire-lease leak check and the zero-alloc TCP round trip
 # (fetch and push over loopback, client and server together). Run without
@@ -102,6 +110,7 @@ test-tiers:
 # themselves under it (the -race coverage of the same code lives in `test`).
 test-allocs:
 	$(GO) test -run 'TestGuardFastPathAllocFree|TestSteadyStateFetch|TestSteadyStateTierHit' ./internal/aifm
+	$(GO) test -run 'TestScalarGuardAllocFree|TestCursorLoadAllocFree|TestRangeAllocs' ./internal/core ./farmem
 	$(GO) test ./internal/mem/...
 	$(GO) test -run 'TestWireLeasesNetZero|TestTCPRoundTripAllocFree' ./internal/fabric
 

@@ -14,6 +14,7 @@ package trackfm_test
 import (
 	"testing"
 
+	"trackfm/farmem"
 	"trackfm/internal/aifm"
 	"trackfm/internal/bench"
 	"trackfm/internal/core"
@@ -89,6 +90,84 @@ func BenchmarkGuardFastPathStore(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rt.StoreU64(p, uint64(i))
 	}
+}
+
+// The next four are fmbench's per-layer rows (core.load_resident_ns,
+// core.store_resident_ns, core.cursor_load_ns, and scan-far's Range with
+// everything resident) as go-test benchmarks: same access patterns, so a
+// profile taken here explains a ledger row.
+
+const benchElems = 64 << 10
+
+func newFilledArray(b *testing.B) (*core.Runtime, core.Ptr) {
+	rt := newBenchRuntime(b, 4096)
+	p := rt.MustMalloc(benchElems * 8)
+	for i := uint64(0); i < benchElems; i++ {
+		rt.StoreU64(p.Add(i*8), i)
+	}
+	return rt, p
+}
+
+func BenchmarkRuntimeLoadU64(b *testing.B) {
+	rt, p := newFilledArray(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink, j uint64
+	for i := 0; i < b.N; i++ {
+		sink += rt.LoadU64(p.Add(j % benchElems * 8))
+		j += 521
+	}
+	_ = sink
+}
+
+func BenchmarkRuntimeStoreU64(b *testing.B) {
+	rt, p := newFilledArray(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var j uint64
+	for i := 0; i < b.N; i++ {
+		rt.StoreU64(p.Add(j%benchElems*8), j)
+		j += 521
+	}
+}
+
+// BenchmarkCursorLoadU64 opens a cursor per 4096 elements (eight objects),
+// so ChunkInit and the crossings are in the per-element figure.
+func BenchmarkCursorLoadU64(b *testing.B) {
+	rt, p := newFilledArray(b)
+	const pass = 4096
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink uint64
+	for i := 0; i < b.N; i += pass {
+		cur := rt.NewCursor(p, 8, true)
+		for j := uint64(0); j < pass; j++ {
+			sink += cur.LoadU64(j)
+		}
+		cur.Close()
+	}
+	_ = sink
+}
+
+// BenchmarkUint64sRange reports ns per element of a resident Range pass.
+func BenchmarkUint64sRange(b *testing.B) {
+	h, err := farmem.New(farmem.Config{HeapBytes: 1 << 24, LocalBytes: 1 << 24})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer h.Close()
+	xs, err := farmem.NewUint64s(h, benchElems)
+	if err != nil {
+		b.Fatal(err)
+	}
+	xs.Fill(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink uint64
+	for i := 0; i < b.N; i += benchElems {
+		xs.Range(func(_ int, v uint64) bool { sink += v; return true })
+	}
+	_ = sink
 }
 
 func BenchmarkCursorChunkedLoad(b *testing.B) {

@@ -2,6 +2,8 @@ package farmem
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"trackfm/internal/fabric"
@@ -152,13 +154,20 @@ func TestBoundsPanics(t *testing.T) {
 			fn()
 		}()
 	}
+	// A huge offset makes off+len overflow: it must still be farmem's
+	// bounds panic, not an access that reaches the runtime.
 	b, _ := NewBytes(h, 10)
-	defer func() {
-		if recover() == nil {
-			t.Errorf("out-of-range ReadAt did not panic")
-		}
-	}()
-	b.ReadAt(8, make([]byte, 4))
+	const maxInt = int(^uint(0) >> 1)
+	for _, off := range []int{8, 11, maxInt - 3, maxInt} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.HasPrefix(msg, "farmem: range") {
+					t.Errorf("ReadAt(%d, 4 bytes) panicked with %q, want farmem's bounds panic", off, msg)
+				}
+			}()
+			b.ReadAt(off, make([]byte, 4))
+		}()
+	}
 }
 
 func TestNegativeLength(t *testing.T) {

@@ -1,7 +1,9 @@
 package farmem
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"trackfm/internal/core"
 )
@@ -46,14 +48,23 @@ func (s *Uint64s) Set(i int, v uint64) {
 }
 
 // Range iterates elements in order through a chunk cursor with
-// prefetching, stopping early if fn returns false.
+// prefetching, stopping early if fn returns false. The loop body runs over
+// the pinned object's bytes in place, one span per object, and reports
+// what it consumed at the span's end — the chunked loop the compiler
+// emits. fn may call back into the heap; it sees its own stores.
 func (s *Uint64s) Range(fn func(i int, v uint64) bool) {
 	cur := s.h.rt.NewCursor(s.base, 8, true)
 	defer cur.Close()
-	for i := 0; i < s.n; i++ {
-		if !fn(i, cur.LoadU64(uint64(i))) {
-			return
+	for i := 0; i < s.n; {
+		span := cur.Span(uint64(i), uint64(s.n-i), false)
+		for o := 0; o < len(span); o += 8 {
+			if !fn(i+o/8, binary.LittleEndian.Uint64(span[o:])) {
+				cur.Consumed(o/8 + 1)
+				return
+			}
 		}
+		cur.Consumed(len(span) / 8)
+		i += len(span) / 8
 	}
 }
 
@@ -61,18 +72,19 @@ func (s *Uint64s) Range(fn func(i int, v uint64) bool) {
 func (s *Uint64s) Fill(v uint64) {
 	cur := s.h.rt.NewCursor(s.base, 8, true)
 	defer cur.Close()
-	for i := 0; i < s.n; i++ {
-		cur.StoreU64(uint64(i), v)
+	for i := 0; i < s.n; {
+		span := cur.Span(uint64(i), uint64(s.n-i), true)
+		for o := 0; o < len(span); o += 8 {
+			binary.LittleEndian.PutUint64(span[o:], v)
+		}
+		cur.Consumed(len(span) / 8)
+		i += len(span) / 8
 	}
 }
 
-// Float64s is a far-memory slice of float64 with the same access paths
-// as Uint64s.
-type Float64s struct {
-	h    *Heap
-	base core.Ptr
-	n    int
-}
+// Float64s is a far-memory slice of float64: a Uint64s holding IEEE-754
+// bit patterns, with the same access paths.
+type Float64s struct{ bits Uint64s }
 
 // NewFloat64s allocates a far-memory slice of n float64s (zeroed).
 func NewFloat64s(h *Heap, n int) (*Float64s, error) {
@@ -80,41 +92,26 @@ func NewFloat64s(h *Heap, n int) (*Float64s, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Float64s{h: h, base: base, n: n}, nil
+	return &Float64s{bits: Uint64s{h: h, base: base, n: n}}, nil
 }
 
 // Len reports the element count.
-func (s *Float64s) Len() int { return s.n }
-
-func (s *Float64s) check(i int) {
-	if i < 0 || i >= s.n {
-		panic(fmt.Sprintf("farmem: index %d out of range [0,%d)", i, s.n))
-	}
-}
+func (s *Float64s) Len() int { return s.bits.n }
 
 // At reads element i (guarded access).
-func (s *Float64s) At(i int) float64 {
-	s.check(i)
-	return s.h.rt.LoadF64(s.base.Add(uint64(i) * 8))
-}
+func (s *Float64s) At(i int) float64 { return math.Float64frombits(s.bits.At(i)) }
 
 // Set writes element i (guarded access).
-func (s *Float64s) Set(i int, v float64) {
-	s.check(i)
-	s.h.rt.StoreF64(s.base.Add(uint64(i)*8), v)
-}
+func (s *Float64s) Set(i int, v float64) { s.bits.Set(i, math.Float64bits(v)) }
 
 // Range iterates elements in order through a chunk cursor with
 // prefetching, stopping early if fn returns false.
 func (s *Float64s) Range(fn func(i int, v float64) bool) {
-	cur := s.h.rt.NewCursor(s.base, 8, true)
-	defer cur.Close()
-	for i := 0; i < s.n; i++ {
-		if !fn(i, cur.LoadF64(uint64(i))) {
-			return
-		}
-	}
+	s.bits.Range(func(i int, b uint64) bool { return fn(i, math.Float64frombits(b)) })
 }
+
+// Fill writes v to every element through a chunk cursor.
+func (s *Float64s) Fill(v float64) { s.bits.Fill(math.Float64bits(v)) }
 
 // Bytes is a far-memory byte buffer. ReadAt/WriteAt move arbitrary
 // ranges through guarded accesses (one guard per object touched).
@@ -137,8 +134,8 @@ func NewBytes(h *Heap, n int) (*Bytes, error) {
 func (b *Bytes) Len() int { return b.n }
 
 func (b *Bytes) checkRange(off, l int) {
-	if off < 0 || l < 0 || off+l > b.n {
-		panic(fmt.Sprintf("farmem: range [%d,%d) out of [0,%d)", off, off+l, b.n))
+	if off < 0 || l < 0 || off > b.n-l { // not off+l > b.n, which overflows
+		panic(fmt.Sprintf("farmem: range [%d,%d+%d) out of [0,%d)", off, off, l, b.n))
 	}
 }
 

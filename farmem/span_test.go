@@ -1,0 +1,238 @@
+package farmem
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+
+	"trackfm/internal/mem/bufpool"
+	"trackfm/internal/sim"
+)
+
+// scanHeap builds a heap holding a quarter of an n-element slice, filled by
+// scalar Sets and evacuated, so a pass over it fetches, prefetches and
+// evicts from a known state.
+func scanHeap(t *testing.T, n int, phantom bool) (*Heap, *Uint64s) {
+	t.Helper()
+	h, err := New(Config{HeapBytes: uint64(n) * 16, LocalBytes: uint64(n) * 2, ObjectBytes: 256, Phantom: phantom})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewBytes(h, 40); err != nil { // the slice starts mid-object
+		t.Fatal(err)
+	}
+	s, err := NewUint64s(h, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		s.Set(i, uint64(i)*3+1)
+	}
+	h.rt.EvacuateAll()
+	h.ResetStats()
+	return h, s
+}
+
+type ledger struct {
+	cycles   uint64
+	counters sim.Counters
+}
+
+func ledgerOf(h *Heap) ledger {
+	return ledger{h.env.Clock.Cycles(), h.env.Counters.Snapshot()}
+}
+
+// TestRangeCycleIdentity: Range and Fill leave the simulated clock and the
+// whole counter block where the per-element cursor loop they replaced
+// leaves them, on either backing, wherever the callback stops.
+func TestRangeCycleIdentity(t *testing.T) {
+	const n, perObj = 4096, 256 / 8
+	_, s0 := scanHeap(t, n, false)
+	first := int(256-s0.base.HeapOffset()%256) / 8 // elements in the first, partial object
+	if first == perObj {
+		t.Fatalf("the slice is object-aligned; the test wants it skewed")
+	}
+	for _, phantom := range []bool{false, true} {
+		// First element, mid-chunk, the last element of a chunk and the
+		// first of the next (early, and deep into eviction), the whole slice.
+		for _, stop := range []int{0, first / 2, first - 1, first, first + 9*perObj - 1, first + 9*perObj, n - 1} {
+			name := fmt.Sprintf("phantom=%v stop=%d", phantom, stop)
+
+			h, s := scanHeap(t, n, phantom)
+			var want uint64
+			cur := h.rt.NewCursor(s.base, 8, true)
+			for i := 0; i <= stop; i++ {
+				want += cur.LoadU64(uint64(i))
+			}
+			cur.Close()
+			ref := ledgerOf(h)
+
+			h, s = scanHeap(t, n, phantom)
+			var got uint64
+			s.Range(func(i int, v uint64) bool { got += v; return i < stop })
+			if l := ledgerOf(h); l != ref {
+				t.Errorf("%s: Range %d cycles [%s]\nper-element loop %d cycles [%s]",
+					name, l.cycles, l.counters.String(), ref.cycles, ref.counters.String())
+			}
+			if got != want || (!phantom && got == 0) || (phantom && got != 0) {
+				t.Errorf("%s: Range sum %d, per-element sum %d", name, got, want)
+			}
+			if n := h.rt.Pool().PinnedObjects(); n != 0 {
+				t.Errorf("%s: %d objects pinned after Range", name, n)
+			}
+		}
+
+		h, s := scanHeap(t, n, phantom)
+		cur := h.rt.NewCursor(s.base, 8, true)
+		for i := 0; i < n; i++ {
+			cur.StoreU64(uint64(i), 7)
+		}
+		cur.Close()
+		ref := ledgerOf(h)
+		h, s = scanHeap(t, n, phantom)
+		s.Fill(7)
+		if l := ledgerOf(h); l != ref {
+			t.Errorf("phantom=%v: Fill %d cycles [%s]\nper-element loop %d cycles [%s]",
+				phantom, l.cycles, l.counters.String(), ref.cycles, ref.counters.String())
+		}
+		for i := 0; i < n; i += 97 {
+			if got := s.At(i); !phantom && got != 7 {
+				t.Fatalf("At(%d) = %d after Fill(7)", i, got)
+			}
+		}
+	}
+}
+
+// TestRangeCallbackSeesItsOwnStores: the callback may call back into the
+// heap — the cursor holds a pin, not a lock — and a store it makes ahead of
+// the iteration is what the iteration then reads.
+func TestRangeCallbackSeesItsOwnStores(t *testing.T) {
+	h := newTestHeap(t, 1<<20, 1<<13)
+	s, _ := NewUint64s(h, 2000)
+	s.Fill(1)
+	var sum uint64
+	s.Range(func(i int, v uint64) bool {
+		sum += v
+		if i+1 < s.Len() {
+			s.Set(i+1, v+1) // same object or the next: both must be seen
+		}
+		return true
+	})
+	if want := uint64(2000 * 2001 / 2); sum != want {
+		t.Fatalf("sum = %d, want %d", sum, want)
+	}
+}
+
+func TestFloat64sFillAndRange(t *testing.T) {
+	h := newTestHeap(t, 1<<20, 1<<13)
+	s, _ := NewFloat64s(h, 3000)
+	s.Fill(0.25)
+	s.Set(1500, -1)
+	var sum float64
+	seen := 0
+	s.Range(func(i int, v float64) bool { sum += v; seen++; return i < 2000 })
+	if seen != 2001 || sum != 0.25*2000-1 {
+		t.Fatalf("Range saw %d elements summing to %v", seen, sum)
+	}
+}
+
+// TestRangeAllocs: a Range over a resident slice allocates its Cursor and
+// nothing else, whatever the length.
+func TestRangeAllocs(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	h := newTestHeap(t, 1<<22, 1<<22)
+	for _, n := range []int{512, 1 << 17} {
+		s, _ := NewUint64s(h, n)
+		s.Fill(2)
+		var sum uint64
+		if a := testing.AllocsPerRun(20, func() {
+			s.Range(func(_ int, v uint64) bool { sum += v; return true })
+		}); a > 1 {
+			t.Errorf("Range over %d resident elements allocated %v times, want at most 1", n, a)
+		}
+	}
+}
+
+// TestWindowLifetimeRace: spans hand out local memory in place, so this is
+// the proof that a window never outlives its pin. Four goroutines Fill and
+// Range their own slices — which share boundary objects with their
+// neighbours', twice over local memory in total — with scalar accesses in
+// the callbacks, the background evacuator on and a fifth goroutine
+// squeezing the budget to half and back. Every sum must match, and at the
+// end no pin and no buffer lease is left. Run under -race.
+func TestWindowLifetimeRace(t *testing.T) {
+	const workers, per, obj = 4, 5000, 256 // 40 000 B a slice: not whole objects
+	local := uint64(workers * per * 8 / 2)
+	before := bufpool.Outstanding()
+	h, err := New(Config{HeapBytes: 1 << 20, LocalBytes: local, MaxLocalBytes: local,
+		ObjectBytes: obj, BackgroundEvacuate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices := make([]*Uint64s, workers)
+	for k := range slices {
+		if slices[k], err = NewUint64s(h, per); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rounds := 30
+	if testing.Short() {
+		rounds = 8
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for budget := local / 2; ; budget = local*3/2 - budget { // half, full, half, ...
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := h.Resize(budget); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var workersWG sync.WaitGroup
+	for k := 0; k < workers; k++ {
+		workersWG.Add(1)
+		go func(k int) {
+			defer workersWG.Done()
+			s := slices[k]
+			for r := 1; r <= rounds; r++ {
+				v := uint64(k*1000 + r)
+				s.Fill(v)
+				s.Set(per/2, v+5) // scalar store between the chunked passes
+				var sum uint64
+				s.Range(func(i int, x uint64) bool {
+					sum += x
+					if i%1024 == 0 {
+						sum += s.At(i) - x // scalar hit on the pinned object: adds 0
+					}
+					return true
+				})
+				if want := v*per + 5; sum != want {
+					t.Errorf("worker %d round %d: Range sum %d, want %d", k, r, sum, want)
+					return
+				}
+			}
+		}(k)
+	}
+	workersWG.Wait()
+	close(stop)
+	wg.Wait()
+	if n := h.rt.Pool().PinnedObjects(); n != 0 {
+		t.Errorf("%d objects still pinned", n)
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := bufpool.Outstanding() - before; n != 0 {
+		t.Errorf("%d buffer leases outstanding after Close", n)
+	}
+}

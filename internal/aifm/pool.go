@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"trackfm/internal/fabric"
-	"trackfm/internal/mem"
 	"trackfm/internal/mem/bufpool"
 	"trackfm/internal/mem/ctier"
 	"trackfm/internal/obs"
@@ -192,9 +191,8 @@ type Pool struct {
 	stripes    []stripe
 	stripeMask uint64
 
-	arena     mem.Store
-	arenaWin  mem.Windower  // non-nil when arena exposes zero-copy windows
-	slab      *bufpool.Slab // objSize bounce buffers for windowless arenas
+	arena     []byte        // every slot's bytes; nil for BackingPhantom
+	slab      *bufpool.Slab // objSize scratch for a phantom pool's transfers
 	tier      *ctier.Tier   // compressed middle tier; nil when disabled
 	slotOwner []ObjectID    // per-slot owner (atomic); noOwner when empty
 
@@ -344,12 +342,12 @@ func NewPool(cfg Config) (*Pool, error) {
 	// circulating, [nSlots, maxSlots) start retired (grow headroom), and
 	// [maxSlots, maxSlots+reserve) form the reserve floor.
 	totalSlots := maxSlots + uint64(reserve)
-	arenaSize := totalSlots * uint64(cfg.ObjectSize)
-	var arena mem.Store
+	var arena []byte
+	var slab *bufpool.Slab
 	if cfg.Backing == BackingPhantom {
-		arena = mem.NewPhantomStore(arenaSize)
+		slab = bufpool.NewSlab(cfg.ObjectSize)
 	} else {
-		arena = mem.NewRealStore(arenaSize)
+		arena = make([]byte, totalSlots*uint64(cfg.ObjectSize))
 	}
 	thrashWindow := cfg.ThrashWindow
 	if thrashWindow == 0 {
@@ -397,6 +395,7 @@ func NewPool(cfg Config) (*Pool, error) {
 		stripes:      make([]stripe, nStripes),
 		stripeMask:   uint64(nStripes - 1),
 		arena:        arena,
+		slab:         slab,
 		slotOwner:    make([]ObjectID, totalSlots),
 		freeSlots:    make([]uint32, 0, maxSlots),
 		curSlots:     int(nSlots),
@@ -410,11 +409,6 @@ func NewPool(cfg Config) (*Pool, error) {
 	p.targetSlots.Store(int64(nSlots))
 	p.prefetchDepth.Store(int64(depth))
 	p.prefetchHW.Store(math.Float64bits(highWater))
-	if w, ok := arena.(mem.Windower); ok {
-		p.arenaWin = w
-	} else {
-		p.slab = bufpool.NewSlab(cfg.ObjectSize)
-	}
 	if cfg.CompressedBudget > 0 {
 		p.tier = ctier.New(ctier.Config{Budget: cfg.CompressedBudget, Policy: cfg.CompressedPolicy})
 	}
@@ -696,6 +690,23 @@ func (p *Pool) TryLocalizePin(id ObjectID, forWrite bool) (uint64, bool, error) 
 	return p.tryLocalize(id, forWrite, true)
 }
 
+// touchLocked records a demand access to resident object id, whose
+// metadata word the caller loaded as m under the stripe lock: hot, dirty
+// when forWrite, and a prefetched object is consumed (a prefetch hit).
+func (p *Pool) touchLocked(id ObjectID, m Meta, forWrite bool) {
+	nm := m | MetaH
+	if forWrite {
+		nm |= MetaD
+	}
+	if m.Prefetched() {
+		nm &^= MetaPF
+		sim.Inc(&p.env.Counters.PrefetchHits)
+	}
+	if nm != m {
+		p.storeMeta(id, nm)
+	}
+}
+
 // tryLocalize is the shared localize path. Residency checks, metadata
 // updates, and pinning happen under the object's stripe lock; the fetch
 // itself (slot claim + fabric round-trip) runs outside any lock, with an
@@ -708,17 +719,7 @@ func (p *Pool) tryLocalize(id ObjectID, forWrite, pin bool) (uint64, bool, error
 	for {
 		m := p.metaAt(id)
 		if m.Present() {
-			nm := m | MetaH
-			if forWrite {
-				nm |= MetaD
-			}
-			if m.Prefetched() {
-				nm &^= MetaPF
-				sim.Inc(&p.env.Counters.PrefetchHits)
-			}
-			if nm != m {
-				p.storeMeta(id, nm)
-			}
+			p.touchLocked(id, m, forWrite)
 			if pin {
 				p.pinLocked(st, id)
 			}
@@ -775,7 +776,7 @@ func (p *Pool) fetchAndInstall(st *stripe, id ObjectID, m Meta, forWrite, pin bo
 	fresh := m == 0 // never touched: materialize a zeroed object locally
 	fromTier := false
 	if fresh {
-		p.arena.WriteAt(base, mem.Zeros(p.objSize))
+		p.zeroSlot(base)
 	} else {
 		// Demand miss on an evacuated object: tier probe, then blocking
 		// remote fetch.
@@ -829,17 +830,7 @@ func (p *Pool) demoteToTier(id ObjectID, base uint64) {
 	if p.tier == nil {
 		return
 	}
-	var lease bufpool.Lease
-	var buf []byte
-	direct := false
-	if p.arenaWin != nil {
-		buf, direct = p.arenaWin.Window(base, uint64(p.objSize))
-	}
-	if !direct {
-		lease = p.slab.Get()
-		buf = lease.Bytes()
-		p.arena.ReadAt(base, buf)
-	}
+	buf, lease := p.slotBytes(base, true)
 	p.env.Clock.Advance(p.env.Costs.TierCompress(p.objSize))
 	if p.tier.Put(uint64(id), buf) {
 		sim.Inc(&p.env.Counters.TierDemotes)
@@ -925,7 +916,7 @@ func (p *Pool) Prefetch(id ObjectID) {
 	fromTier := false
 	if m == 0 {
 		// Never-touched object: materialize zeros without network.
-		p.arena.WriteAt(base, mem.Zeros(p.objSize))
+		p.zeroSlot(base)
 	} else {
 		var err error
 		fromTier, err = p.fetchInto(id, base, true)
@@ -1053,26 +1044,12 @@ func (p *Pool) noteRemoteErr(err error, start uint64) bool {
 // keep the remote-fetch and thrash accounting honest.
 func (p *Pool) fetchInto(id ObjectID, base uint64, async bool) (bool, error) {
 	start := p.env.Clock.Cycles()
-	// Zero-copy when the arena can window its bytes: the transport (or
-	// the tier's decompressor) fills the claimed slot directly (the slot
-	// is unpublished, so a failed attempt scribbling on it is harmless).
-	// Windowless arenas bounce through a pooled slab buffer instead of a
-	// per-fetch allocation.
-	var lease bufpool.Lease
-	var buf []byte
-	direct := false
-	if p.arenaWin != nil {
-		buf, direct = p.arenaWin.Window(base, uint64(p.objSize))
-	}
-	if !direct {
-		lease = p.slab.Get()
-		buf = lease.Bytes()
-	}
+	// The transport (or the tier's decompressor) fills the claimed slot
+	// directly: it is unpublished, so a failed attempt scribbling on it is
+	// harmless. A phantom pool receives into pooled scratch and drops it.
+	buf, lease := p.slotBytes(base, false)
 	if p.tier.Get(uint64(id), buf) {
 		p.env.Clock.Advance(p.env.Costs.TierDecompress(p.objSize))
-		if !direct {
-			p.arena.WriteAt(base, buf)
-		}
 		lease.Release()
 		sim.Inc(&p.env.Counters.TierHits)
 		p.lat.TierDecompress.Observe(p.env.Clock.Cycles() - start)
@@ -1099,9 +1076,6 @@ func (p *Pool) fetchInto(id ObjectID, base uint64, async bool) (bool, error) {
 			_, err = p.transport.TryFetchUntil(key, buf, dl)
 		}
 		if err == nil {
-			if !direct {
-				p.arena.WriteAt(base, buf)
-			}
 			lease.Release()
 			p.noteRemoteOK()
 			return false, nil
@@ -1418,20 +1392,9 @@ func (p *Pool) evictLocked(slot uint32, id ObjectID) bool {
 			sim.Inc(&p.env.Counters.EvictionStalls)
 			return false
 		}
-		// Push straight from the arena window when the store exposes one
-		// (the victim is unpinned and its stripe lock is held, so the
-		// window is stable); bounce through a pooled slab buffer otherwise.
-		var lease bufpool.Lease
-		var buf []byte
-		direct := false
-		if p.arenaWin != nil {
-			buf, direct = p.arenaWin.Window(base, uint64(p.objSize))
-		}
-		if !direct {
-			lease = p.slab.Get()
-			buf = lease.Bytes()
-			p.arena.ReadAt(base, buf)
-		}
+		// Push straight from the slot: the victim is unpinned and its
+		// stripe lock is held, so its bytes are stable.
+		buf, lease := p.slotBytes(base, true)
 		err := p.pushWithRetry(p.transportKey(id), buf)
 		lease.Release()
 		if err != nil {
@@ -1567,26 +1530,113 @@ func (p *Pool) EvacuateAll() {
 	}
 }
 
+// slotBytes returns the objSize bytes of the slot at arena offset base.
+// A phantom pool has none: it leases pooled scratch instead — zeroed, as a
+// phantom read is, when the caller is about to read it — which the caller
+// releases when done (a no-op for real bytes).
+func (p *Pool) slotBytes(base uint64, read bool) ([]byte, bufpool.Lease) {
+	if p.arena != nil {
+		end := base + uint64(p.objSize)
+		return p.arena[base:end:end], bufpool.Lease{}
+	}
+	lease := p.slab.Get()
+	if read {
+		clear(lease.Bytes())
+	}
+	return lease.Bytes(), lease
+}
+
+// zeroSlot materializes a never-touched object in the slot at base.
+func (p *Pool) zeroSlot(base uint64) {
+	if p.arena != nil {
+		clear(p.arena[base : base+uint64(p.objSize)])
+	}
+}
+
+// residentAddr returns the arena offset of resident object id.
+func (p *Pool) residentAddr(id ObjectID, op string) uint64 {
+	m := p.metaAt(id)
+	if !m.Present() {
+		panic("aifm: " + op + " of non-resident object (guard ordering bug)")
+	}
+	return m.DataAddr()
+}
+
+// readAt and writeAt are the pool's one copy primitive: arena bytes at
+// addr to or from the caller's buffer. A phantom pool reads zeros and
+// drops writes.
+func (p *Pool) readAt(addr uint64, dst []byte) {
+	if p.arena == nil {
+		clear(dst)
+		return
+	}
+	copy(dst, p.arena[addr:addr+uint64(len(dst))])
+}
+
+func (p *Pool) writeAt(addr uint64, src []byte) {
+	if p.arena != nil {
+		copy(p.arena[addr:addr+uint64(len(src))], src)
+	}
+}
+
 // Read copies object bytes [off, off+len(dst)) into dst. The object must
 // be resident (call Localize first) and, under concurrency, pinned for the
 // duration of the copy; the TrackFM guard layer guarantees both.
 func (p *Pool) Read(id ObjectID, off uint64, dst []byte) {
-	m := p.metaAt(id)
-	if !m.Present() {
-		panic("aifm: Read of non-resident object (guard ordering bug)")
-	}
-	p.arena.ReadAt(m.DataAddr()+off, dst)
+	p.readAt(p.residentAddr(id, "Read")+off, dst)
 }
 
 // Write copies src into object bytes starting at off and marks the object
 // dirty. The object must be resident and, under concurrency, pinned.
 func (p *Pool) Write(id ObjectID, off uint64, src []byte) {
-	m := p.metaAt(id)
-	if !m.Present() {
-		panic("aifm: Write of non-resident object (guard ordering bug)")
-	}
-	p.arena.WriteAt(m.DataAddr()+off, src)
+	p.writeAt(p.residentAddr(id, "Write")+off, src)
 	atomic.OrUint64((*uint64)(&p.table[id]), uint64(MetaD))
+}
+
+// Window returns resident object id's bytes in place — nil from a phantom
+// pool, which has none. The slice aliases the arena: it is valid exactly as
+// long as the caller's pin on id, and the caller marks the object dirty
+// (Localize with forWrite) before storing through it.
+func (p *Pool) Window(id ObjectID) []byte {
+	base := p.residentAddr(id, "Window")
+	if p.arena == nil {
+		return nil
+	}
+	win, _ := p.slotBytes(base, false)
+	return win
+}
+
+// Access is the scalar guarded access: it moves len(buf) bytes between buf
+// and object id at byte offset off, localizing the object first. On a
+// resident object the residency check, the metadata update and the copy
+// share one stripe critical section — the lock excludes every evictor for
+// the length of the copy exactly as a pin would, so none is taken. A miss
+// is LocalizePin, the copy, Unpin. Like Localize, it panics on an
+// unrecoverable transport failure.
+func (p *Pool) Access(id ObjectID, off uint64, buf []byte, write bool) {
+	if off+uint64(len(buf)) > uint64(p.objSize) {
+		panic("aifm: Access beyond the object's end") // before the lock is taken
+	}
+	st := p.stripeFor(id)
+	p.lockStripe(st)
+	if m := p.metaAt(id); m.Present() {
+		p.touchLocked(id, m, write)
+		if write {
+			p.writeAt(m.DataAddr()+off, buf)
+		} else {
+			p.readAt(m.DataAddr()+off, buf)
+		}
+		st.mu.Unlock()
+		return
+	}
+	st.mu.Unlock()
+	p.LocalizePin(id, write)
+	if write {
+		p.Write(id, off, buf)
+	} else {
+		p.Read(id, off, buf)
+	}
+	p.Unpin(id)
 }
 
 // Free releases id: drops the local copy, deletes the remote copy, and

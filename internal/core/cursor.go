@@ -29,13 +29,21 @@ type Cursor struct {
 	rt       *Runtime
 	base     Ptr
 	elemSize uint64
-	write    bool
-
-	obj    aifm.ObjectID
-	pinned bool
-
 	prefetch bool
 	closed   bool
+
+	// The pinned chunk: object obj covers heap offsets [lo, hi) and win is
+	// its bytes in place (nil over phantom backing), valid until the pin
+	// is dropped at the next crossing or Close. hi == 0: nothing pinned.
+	obj    aifm.ObjectID
+	lo, hi uint64
+	win    []byte
+	dirty  bool // obj's dirty bit is known set
+
+	// prepaid is the part of the next Consumed charge already on the
+	// clock: the boundary check that detected the last crossing.
+	prepaid uint64
+	scratch []byte // Span's bytes over phantom backing
 }
 
 // NewCursor performs the tfm_init runtime call for a chunked loop over
@@ -54,34 +62,100 @@ func (r *Runtime) NewCursor(base Ptr, elemSize int, prefetch bool) *Cursor {
 	}
 }
 
-// ensure runs the per-iteration boundary check and, when the access at
-// heap offset off crosses into a new object, the locality-invariant guard.
-func (c *Cursor) ensure(off uint64, write bool) aifm.ObjectID {
-	r := c.rt
-	r.env.Clock.Advance(r.env.Costs.BoundaryCheck)
-	sim.Inc(&r.env.Counters.BoundaryChecks)
-	id := aifm.ObjectID(off >> r.shift)
-	if c.pinned && id == c.obj {
-		if write && !aifm.MetaAt(r.ost, id).Dirty() {
-			r.pool.Localize(id, true) // set the dirty bit once; still pinned
+// seek is the per-iteration boundary check for an access to heap offsets
+// [off, off+size): inside the pinned chunk it costs a compare; leaving it
+// runs the locality-invariant guard. It returns the access's offset within
+// the chunk. ok is false, with nothing charged or pinned, when the access
+// straddles an object boundary: the transformation only elides guards for
+// accesses it can prove stay within the pinned chunk, so the caller falls
+// back to a regular guarded access.
+func (c *Cursor) seek(off, size uint64, write bool) (o uint64, ok bool) {
+	if off < c.lo || off+size > c.hi {
+		if !c.cross(off, size, write) {
+			return 0, false
 		}
-		return id
+	} else if write && !c.dirty {
+		c.rt.pool.Localize(c.obj, true) // set the dirty bit once; still pinned
+		c.dirty = true
 	}
-	// Object boundary crossed: locality-invariant guard. Localize and pin
-	// are one critical section so a concurrent evacuator cannot interleave.
-	if c.pinned {
+	return off - c.lo, true
+}
+
+// cross is the locality-invariant guard: it moves the pin to the object
+// holding [off, off+size) and caches its window. Localize and pin are one
+// critical section so a concurrent evacuator cannot interleave. The
+// crossing element's boundary check goes on the clock here, ahead of the
+// fetch and prefetches it may trigger, and Consumed deducts it.
+func (c *Cursor) cross(off, size uint64, write bool) bool {
+	if c.closed {
+		panic("core: access through closed Cursor")
+	}
+	r := c.rt
+	lo := off &^ (uint64(r.objSize) - 1)
+	if off+size > lo+uint64(r.objSize) {
+		return false
+	}
+	if c.hi != 0 {
+		c.hi = 0
 		r.pool.Unpin(c.obj)
 	}
-	r.env.Clock.Advance(r.env.Costs.LocalityInvariantPin)
+	costs := &r.env.Costs
+	r.env.Clock.Advance(costs.BoundaryCheck + costs.LocalityInvariantPin)
+	c.prepaid = costs.BoundaryCheck
 	sim.Inc(&r.env.Counters.LocalityGuards)
+	id := aifm.ObjectID(lo >> r.shift)
 	r.pool.LocalizePin(id, write)
-	c.obj, c.pinned = id, true
+	c.obj, c.lo, c.hi = id, lo, lo+uint64(r.objSize)
+	c.win, c.dirty = r.pool.Window(id), write
 	if c.prefetch {
 		for k := 1; k <= r.prefetchDepth; k++ {
 			r.pool.Prefetch(id + aifm.ObjectID(k))
 		}
 	}
-	return id
+	return true
+}
+
+// Consumed charges n chunked accesses — a boundary check and the load or
+// store itself for each — in one clock advance. Every scalar accessor ends
+// in Consumed(1); a Span caller reports what it consumed before its next
+// call into the cursor, so the clock reads the same at every crossing as
+// if each element had been charged when touched.
+func (c *Cursor) Consumed(n int) {
+	if n == 0 {
+		return
+	}
+	r := c.rt
+	r.env.Clock.Advance(uint64(n)*(r.env.Costs.BoundaryCheck+r.env.Costs.LocalLoadStore) - c.prepaid)
+	c.prepaid = 0
+	sim.Add(&r.env.Counters.BoundaryChecks, uint64(n))
+}
+
+// Span is the body of the chunked loop (Figure 5): after the boundary
+// check for element i — and the crossing guard, if it leaves the pinned
+// chunk — it returns the bytes of elements i, i+1, ... up to the end of
+// the pinned object, at most max (>= 1) of them. The caller works on the
+// raw bytes, then reports how many elements it touched with Consumed.
+// write marks the object dirty before the first store. The slice aliases
+// local memory and dies at the next call into the cursor; over phantom
+// backing it is zeroed scratch. Span returns nil when element i straddles
+// an object boundary: access that one element with Access.
+func (c *Cursor) Span(i, max uint64, write bool) []byte {
+	o, ok := c.seek(c.base.HeapOffset()+i*c.elemSize, c.elemSize, write)
+	if !ok {
+		return nil
+	}
+	n := (c.hi - c.lo - o) / c.elemSize
+	if n > max {
+		n = max
+	}
+	if c.win == nil {
+		if c.scratch == nil {
+			c.scratch = make([]byte, c.rt.objSize)
+		}
+		clear(c.scratch[:n*c.elemSize])
+		return c.scratch[:n*c.elemSize]
+	}
+	return c.win[o : o+n*c.elemSize]
 }
 
 // Access moves len(buf) bytes between buf and element i of the chunked
@@ -93,26 +167,23 @@ func (c *Cursor) Access(i uint64, buf []byte, write bool) {
 // AccessAt moves len(buf) bytes at byte offset byteOff from the cursor
 // base — the form the compiler emits for records accessed at intra-element
 // offsets (e.g. struct fields within a strided stream). Accesses that
-// straddle an object boundary fall back to a regular guarded access; the
-// transformation only elides guards for accesses it can prove stay within
-// the pinned chunk.
+// straddle an object boundary fall back to a regular guarded access.
 func (c *Cursor) AccessAt(byteOff uint64, buf []byte, write bool) {
-	if c.closed {
-		panic("core: access through closed Cursor")
-	}
-	r := c.rt
-	off := c.base.HeapOffset() + byteOff
-	if off+uint64(len(buf)) > ((off>>r.shift)+1)<<r.shift {
-		r.access(c.base.Add(byteOff), buf, write, "Cursor.Access")
+	o, ok := c.seek(c.base.HeapOffset()+byteOff, uint64(len(buf)), write)
+	if !ok {
+		c.rt.access(c.base.Add(byteOff), buf, write, "Cursor.Access")
 		return
 	}
-	id := c.ensure(off, write)
-	r.env.Clock.Advance(r.env.Costs.LocalLoadStore)
-	inObj := off & (uint64(r.objSize) - 1)
-	if write {
-		r.pool.Write(id, inObj, buf)
-	} else {
-		r.pool.Read(id, inObj, buf)
+	c.Consumed(1)
+	switch {
+	case c.win == nil:
+		if !write {
+			clear(buf)
+		}
+	case write:
+		copy(c.win[o:], buf)
+	default:
+		copy(buf, c.win[o:])
 	}
 }
 
@@ -143,8 +214,8 @@ func (c *Cursor) Close() {
 		return
 	}
 	c.closed = true
-	if c.pinned {
+	if c.hi != 0 {
 		c.rt.pool.Unpin(c.obj)
-		c.pinned = false
 	}
+	c.lo, c.hi, c.win = 1, 0, nil // every later access fails the boundary check
 }

@@ -8,16 +8,18 @@ import (
 	"trackfm/internal/sim"
 )
 
-// guardObject is the compiler-injected guard of §3.3 / Figure 4 for the
-// object holding the target address. It performs the OST lookup, takes the
-// fast path when the safety bits allow, and otherwise calls into the
-// runtime (slow path), which localizes the object — possibly with a remote
-// fetch. Costs follow Table 1; the cached/uncached split is decided by the
-// OST warm-line model.
-// It returns with the object pinned; the caller unpins after the data
-// access, closing the race window a concurrent evacuator could otherwise
-// slip into between the residency check and the access.
-func (r *Runtime) guardObject(id aifm.ObjectID, write bool) {
+// guardObject is the compiler-injected guard of §3.3 / Figure 4 around one
+// access to the object holding the target address: it moves len(buf) bytes
+// between buf and object id at byte offset off. It performs the OST
+// lookup, takes the fast path when the safety bits allow, and otherwise
+// calls into the runtime (slow path), which localizes the object —
+// possibly with a remote fetch. Costs follow Table 1; the cached/uncached
+// split is decided by the OST warm-line model.
+// Either way the pool re-checks residency and moves the bytes where no
+// evictor can interleave (Pool.Access): between the safety check and the
+// access the evacuator cannot delocalize the object (out-of-scope barrier,
+// §3.3).
+func (r *Runtime) guardObject(id aifm.ObjectID, off uint64, buf []byte, write bool) {
 	warm := r.cache.touch(uint64(id))
 	m := aifm.MetaAt(r.ost, id)
 	costs := &r.env.Costs
@@ -43,11 +45,7 @@ func (r *Runtime) guardObject(id aifm.ObjectID, write bool) {
 		default:
 			r.env.Clock.Advance(costs.FastGuardReadUncached)
 		}
-		// Between the safety check and the access the evacuator cannot
-		// delocalize the object (out-of-scope barrier, §3.3): the object
-		// is localized and pinned in one critical section, and stays
-		// pinned until the access completes.
-		r.pool.LocalizePin(id, write)
+		r.pool.Access(id, off, buf, write)
 		return
 	}
 	// Slow path: runtime call adhering to AIFM's DerefScope API. The
@@ -65,7 +63,7 @@ func (r *Runtime) guardObject(id aifm.ObjectID, write bool) {
 	default:
 		r.env.Clock.Advance(costs.SlowGuardReadUncached)
 	}
-	r.pool.LocalizePin(id, write) // charges the remote fetch when absent
+	r.pool.Access(id, off, buf, write) // charges the remote fetch when absent
 	r.lat.GuardSlow.Observe(r.env.Clock.Cycles() - slowStart)
 	r.collectPoint()
 }
@@ -125,8 +123,8 @@ func (r *Runtime) Store(p Ptr, src []byte) {
 	r.access(p, src, true, "Store")
 }
 
-// access splits [p, p+len(buf)) into object-bounded segments, guards each
-// object, charges the data-access cost, and moves the bytes.
+// access splits [p, p+len(buf)) into object-bounded segments and, for each,
+// runs the guard — which moves the bytes — and charges the data-access cost.
 func (r *Runtime) access(p Ptr, buf []byte, write bool, op string) {
 	checkManaged(p, op)
 	objSize := uint64(r.objSize)
@@ -143,16 +141,10 @@ func (r *Runtime) access(p Ptr, buf []byte, write bool, op string) {
 		if total-done < n {
 			n = total - done
 		}
-		r.guardObject(id, write)
+		r.guardObject(id, inObj, buf[done:done+n], write)
 		// The target access itself: one load/store per 64B touched.
 		lines := (n + 63) / 64
 		r.env.Clock.Advance(lines * r.env.Costs.LocalLoadStore)
-		if write {
-			r.pool.Write(id, inObj, buf[done:done+n])
-		} else {
-			r.pool.Read(id, inObj, buf[done:done+n])
-		}
-		r.pool.Unpin(id)
 		done += n
 	}
 }

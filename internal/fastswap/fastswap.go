@@ -24,7 +24,6 @@ import (
 	"sync"
 
 	"trackfm/internal/fabric"
-	"trackfm/internal/mem"
 	"trackfm/internal/mem/bufpool"
 	"trackfm/internal/mem/ctier"
 	"trackfm/internal/sim"
@@ -131,9 +130,8 @@ type Swap struct {
 	refd   []bool   // referenced bit for the reclaim clock
 	frame  []uint32 // resident page -> frame index
 
-	arena      mem.Store
-	arenaWin   mem.Windower  // non-nil when arena exposes zero-copy windows
-	slab       *bufpool.Slab // pageSize bounce buffers for windowless arenas
+	arena      []byte        // every frame's bytes; nil for BackingPhantom
+	slab       *bufpool.Slab // pageSize scratch for a phantom swap's transfers
 	tier       *ctier.Tier   // zswap-style compressed swap cache; nil when off
 	frameOwner []uint32      // frame -> page number
 	freeFrames []uint32
@@ -173,11 +171,12 @@ func New(cfg Config) (*Swap, error) {
 			return nil, fmt.Errorf("fastswap: MaxLocalBudget %d below LocalBudget %d", cfg.MaxLocalBudget, cfg.LocalBudget)
 		}
 	}
-	var arena mem.Store
+	var arena []byte
+	var slab *bufpool.Slab
 	if cfg.Backing == BackingPhantom {
-		arena = mem.NewPhantomStore(maxFrames * uint64(cfg.PageSize))
+		slab = bufpool.NewSlab(cfg.PageSize)
 	} else {
-		arena = mem.NewRealStore(maxFrames * uint64(cfg.PageSize))
+		arena = make([]byte, maxFrames*uint64(cfg.PageSize))
 	}
 	link, replicas, closer, err := cfg.Connect(&cfg.Env.Clock)
 	if err != nil {
@@ -209,15 +208,11 @@ func New(cfg Config) (*Swap, error) {
 		refd:       make([]bool, nPages),
 		frame:      make([]uint32, nPages),
 		arena:      arena,
+		slab:       slab,
 		frameOwner: make([]uint32, maxFrames),
 		freeFrames: make([]uint32, 0, maxFrames),
 		readahead:  ra,
 		lastFault:  ^uint64(0),
-	}
-	if w, ok := arena.(mem.Windower); ok {
-		s.arenaWin = w
-	} else {
-		s.slab = bufpool.NewSlab(cfg.PageSize)
 	}
 	if cfg.CompressedBudget > 0 {
 		s.tier = ctier.New(ctier.Config{Budget: cfg.CompressedBudget, Policy: cfg.CompressedPolicy})
@@ -341,7 +336,9 @@ func (s *Swap) fault(pg uint64, write bool) uint64 {
 		sim.Inc(&s.env.Counters.MinorFaults)
 		f := s.takeFrame()
 		base := uint64(f) * uint64(s.pageSize)
-		s.arena.WriteAt(base, mem.Zeros(s.pageSize))
+		if s.arena != nil {
+			clear(s.arena[base : base+uint64(s.pageSize)])
+		}
 		s.install(pg, f, write)
 		return base
 	case PageRemote:
@@ -354,16 +351,13 @@ func (s *Swap) fault(pg uint64, write bool) uint64 {
 		s.env.Clock.Advance(s.env.Costs.SwapFaultLocal)
 		f := s.takeFrame()
 		base := uint64(f) * uint64(s.pageSize)
-		buf, lease, direct := s.frameBuf(base)
+		buf, lease := s.frameBuf(base, false)
 		if s.tier.Get(pg, buf) {
 			start := s.env.Clock.Cycles()
 			s.env.Clock.Advance(s.env.Costs.TierDecompress(s.pageSize))
 			sim.Inc(&s.env.Counters.MinorFaults)
 			sim.Inc(&s.env.Counters.TierHits)
 			s.lat.TierDecompress.Observe(s.env.Clock.Cycles() - start)
-			if !direct {
-				s.arena.WriteAt(base, buf)
-			}
 			lease.Release()
 			s.install(pg, f, write)
 			return base
@@ -378,9 +372,6 @@ func (s *Swap) fault(pg uint64, write bool) uint64 {
 			// simulation analogue — under no circumstances is the
 			// mutator handed a zero-filled page in place of its data.
 			panic(fmt.Sprintf("fastswap: unrecoverable remote fault on page %d: %v", pg, err))
-		}
-		if !direct {
-			s.arena.WriteAt(base, buf)
 		}
 		lease.Release()
 		s.install(pg, f, write)
@@ -420,18 +411,21 @@ func (s *Swap) noteRemoteErr(err error, start uint64) bool {
 	return true
 }
 
-// frameBuf returns a page-size buffer over frame base: the arena's own
-// bytes when the store can window them (zero-copy — direct is true and
-// the zero Lease releases as a no-op), or a pooled slab lease otherwise.
-// The caller holds s.mu, which serializes all arena access.
-func (s *Swap) frameBuf(base uint64) (buf []byte, lease bufpool.Lease, direct bool) {
-	if s.arenaWin != nil {
-		if win, ok := s.arenaWin.Window(base, uint64(s.pageSize)); ok {
-			return win, bufpool.Lease{}, true
-		}
+// frameBuf returns the page-size bytes of the frame at base. A phantom
+// swap has none: it leases pooled scratch instead — zeroed, as a phantom
+// read is, when the caller is about to read it — which the caller releases
+// when done (a no-op for real bytes). The caller holds s.mu, which
+// serializes all arena access.
+func (s *Swap) frameBuf(base uint64, read bool) ([]byte, bufpool.Lease) {
+	if s.arena != nil {
+		end := base + uint64(s.pageSize)
+		return s.arena[base:end:end], bufpool.Lease{}
 	}
 	l := s.slab.Get()
-	return l.Bytes(), l, false
+	if read {
+		clear(l.Bytes())
+	}
+	return l.Bytes(), l
 }
 
 // fetchPage pulls a remote page with the swap system's retry budget,
@@ -491,7 +485,7 @@ func (s *Swap) maybeReadahead(pg uint64) {
 			return
 		}
 		base := uint64(f) * uint64(s.pageSize)
-		buf, lease, direct := s.frameBuf(base)
+		buf, lease := s.frameBuf(base, false)
 		if _, err := fabric.FetchAsync(s.link, next, buf); err != nil {
 			// Readahead is speculation: return the frame and stop the
 			// window rather than installing a zero-filled page.
@@ -499,9 +493,6 @@ func (s *Swap) maybeReadahead(pg uint64) {
 			s.freeFrames = append(s.freeFrames, f)
 			lease.Release()
 			return
-		}
-		if !direct {
-			s.arena.WriteAt(base, buf)
 		}
 		lease.Release()
 		s.install(next, f, false)
@@ -557,10 +548,7 @@ func (s *Swap) evict(f uint32, pg uint64) bool {
 	s.env.Clock.Advance(s.env.Costs.EvictPage)
 	base := uint64(f) * uint64(s.pageSize)
 	if s.dirty[pg] {
-		buf, lease, direct := s.frameBuf(base)
-		if !direct {
-			s.arena.ReadAt(base, buf)
-		}
+		buf, lease := s.frameBuf(base, true)
 		err := s.pushPage(pg, buf)
 		lease.Release()
 		if err != nil {
@@ -585,10 +573,7 @@ func (s *Swap) demoteToTier(pg, base uint64) {
 	if s.tier == nil {
 		return
 	}
-	buf, lease, direct := s.frameBuf(base)
-	if !direct {
-		s.arena.ReadAt(base, buf)
-	}
+	buf, lease := s.frameBuf(base, true)
 	s.env.Clock.Advance(s.env.Costs.TierCompress(s.pageSize))
 	if s.tier.Put(pg, buf) {
 		sim.Inc(&s.env.Counters.TierDemotes)
@@ -660,10 +645,15 @@ func (s *Swap) access(off uint64, buf []byte, write bool) {
 		}
 		lines := (n + 63) / 64
 		s.env.Clock.Advance(lines * s.env.Costs.LocalLoadStore)
-		if write {
-			s.arena.WriteAt(base+inPg, buf[done:done+n])
-		} else {
-			s.arena.ReadAt(base+inPg, buf[done:done+n])
+		switch {
+		case s.arena == nil:
+			if !write {
+				clear(buf[done : done+n])
+			}
+		case write:
+			copy(s.arena[base+inPg:], buf[done:done+n])
+		default:
+			copy(buf[done:done+n], s.arena[base+inPg:])
 		}
 		done += n
 	}
