@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build check vet test test-race test-soak test-stress test-overload test-crash test-thrash test-tiers test-allocs fuzz-short smoke_test bench bench-wall figs clean \
+.PHONY: all build check vet test test-race test-soak test-stress test-overload test-crash test-thrash test-tiers test-allocs test-artifacts fuzz-short smoke_test bench bench-wall figs clean \
         trackfm_table1 trackfm_table2 trackfm_table3 trackfm_table4 \
         trackfm_fig6 trackfm_fig7 trackfm_fig8 trackfm_fig9 trackfm_fig10 \
         trackfm_fig11 trackfm_fig12 trackfm_fig13 trackfm_fig14a trackfm_fig15 \
@@ -41,6 +41,7 @@ check: build
 	$(MAKE) test-thrash
 	$(MAKE) test-tiers
 	$(MAKE) test-allocs
+	$(MAKE) test-artifacts
 
 # Tier-1: the full suite twice in shuffled order (catches inter-test
 # order dependence), plus race mode over the concurrency-bearing packages
@@ -75,7 +76,7 @@ test-overload:
 # acked-write oracle, torn tails exercised, deterministic JSON) plus the
 # durability unit tests and the durable-replica rejoin tests.
 test-crash:
-	$(GO) test -run 'TestCrashSoak|TestDurable|TestWAL|TestReplayWAL|TestReplicaSetDurable|TestServerShutdown|TestHelloV4' ./internal/bench ./internal/remote ./internal/fabric
+	$(GO) test -run 'TestCrashSoak|TestDurable|TestWAL|TestReplayWAL|TestReplicaSetDurable|TestServerShutdown|TestHelloAdvertisesIdentity' ./internal/bench ./internal/remote ./internal/fabric
 
 # The memory-pressure gates: the thrash soak (governed 2x overcommit >=
 # 3x ungoverned throughput, zero lost localizations across a mid-run
@@ -120,17 +121,37 @@ test-allocs:
 test-soak:
 	$(GO) test -race -run TestReplicaFailoverSoak -v ./internal/fabric
 
-# Short deterministic-budget runs of the wire-protocol fuzzers: raw v1
-# framing, then the v2 CRC-trailer frame decoder (go test accepts one
-# -fuzz pattern per invocation, hence two runs).
+# Short fixed-budget runs of the fuzzers, the fabric's one frame decoder
+# first (go test accepts one -fuzz pattern per invocation, hence one run
+# each).
 fuzz-short:
-	$(GO) test -run=^$$ -fuzz=FuzzWireProtocol -fuzztime=30s ./internal/fabric
-	$(GO) test -run=^$$ -fuzz=FuzzCRCFrame -fuzztime=30s ./internal/fabric
-	$(GO) test -run=^$$ -fuzz=FuzzDeadlineFrame -fuzztime=30s ./internal/fabric
+	$(GO) test -run=^$$ -fuzz=FuzzFrame -fuzztime=30s ./internal/fabric
 	$(GO) test -race -run=^$$ -fuzz=FuzzConcurrentScopes -fuzztime=30s ./internal/aifm
 	$(GO) test -run=^$$ -fuzz=FuzzWALRecord -fuzztime=30s ./internal/remote
 	$(GO) test -run=^$$ -fuzz=FuzzCodec -fuzztime=30s ./internal/mem/ctier
 	$(GO) test -run=^$$ -fuzz=FuzzTierOps -fuzztime=30s ./internal/mem/ctier
+
+# The refactoring oracle (ROADMAP aim 2): regenerate the checked-in
+# deterministic artifacts and fail on any difference. The four
+# BENCH_*.json must come back byte-identical; figs_output.txt — every
+# experiment it holds, by its heading, which leaves out the
+# scheduler-dependent `mt` — identical outside the compile table's
+# compile-time column, the one place it prints wall time.
+MASK_COMPILE_TIME = sed -E '/^compile:/,/^note:/ s/ +[0-9.]+(ns|µs|ms|s) *$$//'
+test-artifacts:
+	mkdir -p .bench_build
+	d=$$(mktemp -d .bench_build/artifacts.XXXXXX) && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) build -o $$d/trackfm-bench ./cmd/trackfm-bench && \
+	for e in overload crash thrash tiers; do \
+		$$d/trackfm-bench -exp $$e -json -alloc=false > $$d/BENCH_$$e.json && \
+		cmp BENCH_$$e.json $$d/BENCH_$$e.json || exit 1; \
+	done && \
+	for e in $$(sed -nE '/^note:/! s/^([a-z0-9]+): .*/\1/p' figs_output.txt); do \
+		$$d/trackfm-bench -exp $$e || exit 1; \
+	done > $$d/figs_output.txt && \
+	$(MASK_COMPILE_TIME) figs_output.txt > $$d/want.txt && \
+	$(MASK_COMPILE_TIME) $$d/figs_output.txt > $$d/got.txt && \
+	diff $$d/want.txt $$d/got.txt
 
 bench:
 	$(GO) test -bench=. -benchmem

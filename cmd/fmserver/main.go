@@ -9,8 +9,8 @@
 // the store contents can be considered the node's "memory" (a restarted
 // process with a fresh store serves fetches as not-found, which clients
 // observe as typed errors or misses — never as corrupted data: every blob
-// carries a CRC32-C recorded at push, verified on every fetch, and the v2
-// wire protocol adds a CRC trailer on every payload frame).
+// carries a CRC32-C recorded at push, verified on every fetch, and every
+// payload frame on the wire carries a CRC trailer).
 //
 //	fmserver -addr 127.0.0.1:7070
 //
@@ -48,7 +48,7 @@
 // before the ack, compacting snapshots bound replay work, and on startup
 // the node recovers the latest valid snapshot plus the WAL (truncating a
 // torn or corrupt tail). A recovered node advertises a fresh restart
-// generation with the durable bit set in the v4 hello, so replica-set
+// generation with the durable bit set in its hello reply, so replica-set
 // clients rejoin it by replaying only the writes it missed while down,
 // instead of a full resync:
 //

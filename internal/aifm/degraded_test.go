@@ -31,21 +31,13 @@ func (s *slowLink) TryFetchUntil(key uint64, dst []byte, dl fabric.Deadline) (bo
 	return s.SimLink.TryFetchUntil(key, dst, dl)
 }
 
-func (s *slowLink) TryFetch(key uint64, dst []byte) (bool, error) {
-	return s.TryFetchUntil(key, dst, fabric.Deadline{})
-}
-
 func (s *slowLink) TryFetchAsync(key uint64, dst []byte) (bool, error) {
-	return s.TryFetch(key, dst)
+	return s.TryFetchUntil(key, dst, fabric.Deadline{})
 }
 
 func (s *slowLink) TryPushUntil(key uint64, src []byte, dl fabric.Deadline) error {
 	s.stall()
 	return s.SimLink.TryPushUntil(key, src, dl)
-}
-
-func (s *slowLink) TryPush(key uint64, src []byte) error {
-	return s.TryPushUntil(key, src, fabric.Deadline{})
 }
 
 // degradedPool builds a pool with a 2-slot local budget, a per-op deadline,

@@ -16,8 +16,6 @@ type faultyLink struct {
 	failPush  int // fail this many push attempts, then succeed
 }
 
-// Fault logic lives in the canonical Until forms so the pool's direct
-// Until calls can't bypass it via the embedded SimLink's promoted methods.
 func (f *faultyLink) TryFetchUntil(key uint64, dst []byte, dl fabric.Deadline) (bool, error) {
 	if f.failFetch > 0 {
 		f.failFetch--
@@ -26,12 +24,8 @@ func (f *faultyLink) TryFetchUntil(key uint64, dst []byte, dl fabric.Deadline) (
 	return f.SimLink.TryFetchUntil(key, dst, dl)
 }
 
-func (f *faultyLink) TryFetch(key uint64, dst []byte) (bool, error) {
-	return f.TryFetchUntil(key, dst, fabric.Deadline{})
-}
-
 func (f *faultyLink) TryFetchAsync(key uint64, dst []byte) (bool, error) {
-	return f.TryFetch(key, dst)
+	return f.TryFetchUntil(key, dst, fabric.Deadline{})
 }
 
 func (f *faultyLink) TryPushUntil(key uint64, src []byte, dl fabric.Deadline) error {
@@ -40,10 +34,6 @@ func (f *faultyLink) TryPushUntil(key uint64, src []byte, dl fabric.Deadline) er
 		return fabric.ErrRemoteUnavailable
 	}
 	return f.SimLink.TryPushUntil(key, src, dl)
-}
-
-func (f *faultyLink) TryPush(key uint64, src []byte) error {
-	return f.TryPushUntil(key, src, fabric.Deadline{})
 }
 
 func faultyPool(t *testing.T, link *faultyLink, env *sim.Env, retries int) *Pool {

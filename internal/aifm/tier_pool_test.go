@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"trackfm/internal/fabric"
 	"trackfm/internal/mem/bufpool"
 	"trackfm/internal/mem/ctier"
 	"trackfm/internal/sim"
@@ -57,7 +58,7 @@ func runTierTrace(t *testing.T, tierBudget uint64, policy ctier.Policy) (heap ma
 	remote = make(map[uint64][]byte)
 	for key := ObjectID(0); key < keys; key++ {
 		buf := make([]byte, objSize)
-		if ok, err := link.TryFetch(p.transportKey(key), buf); err != nil {
+		if ok, err := link.TryFetchUntil(p.transportKey(key), buf, fabric.Deadline{}); err != nil {
 			t.Fatalf("remote snapshot key %d: %v", key, err)
 		} else if ok {
 			remote[uint64(key)] = buf

@@ -96,7 +96,7 @@ func (v Verdict) String() string {
 
 // Admission is a CoDel-flavoured admission controller for a far-memory
 // server: a bounded request queue, a measured (EWMA) service time, a
-// deadline-feasibility check against the budget each v3 frame carries,
+// deadline-feasibility check against the budget each request carries,
 // and sustained-queue-delay shedding. It is deliberately clock-dual so
 // the same controller runs inside the real fmserver (wall time) and the
 // deterministic overload soak (sim.Clock).

@@ -89,7 +89,7 @@ func runMixedCallers(t *testing.T, tr *TCPTransport, callers, rounds int, midway
 				}
 			}
 			src, dst := make([]byte, 4096), make([]byte, 4096)
-			if !try("gate fetch", func() error { _, err := tr.TryFetch(gateKey, dst); return err }) {
+			if !try("gate fetch", func() error { _, err := tr.TryFetchUntil(gateKey, dst, Deadline{}); return err }) {
 				return
 			}
 			for r := 0; r < rounds; r++ {
@@ -99,8 +99,8 @@ func runMixedCallers(t *testing.T, tr *TCPTransport, callers, rounds int, midway
 				key, ver := uint64(g*rounds+r+1), uint64(r)
 				keyedPayload(src, key, ver)
 				var found bool
-				fetch := func() (err error) { found, err = tr.TryFetch(key, dst); return }
-				ok := try("push", func() error { return tr.TryPush(key, src) }) && try("fetch", fetch)
+				fetch := func() (err error) { found, err = tr.TryFetchUntil(key, dst, Deadline{}); return }
+				ok := try("push", func() error { return tr.TryPushUntil(key, src, Deadline{}) }) && try("fetch", fetch)
 				if !ok {
 					return
 				}
@@ -112,7 +112,7 @@ func runMixedCallers(t *testing.T, tr *TCPTransport, callers, rounds int, midway
 				if r%4 != 0 {
 					continue
 				}
-				if !try("delete", func() error { return tr.TryDelete(key) }) || !try("fetch after delete", fetch) {
+				if !try("delete", func() error { return tr.TryDeleteUntil(key, Deadline{}) }) || !try("fetch after delete", fetch) {
 					return
 				}
 				if found {
@@ -194,8 +194,8 @@ func TestTCPConcurrentCallersSurviveRestart(t *testing.T) {
 	if got := tr.Stats().Reconnects(); got < 1 {
 		t.Errorf("Reconnects = %d after a server restart, want >= 1", got)
 	}
-	if got := tr.Stats().ProtocolDowngrades(); got != 0 {
-		t.Errorf("ProtocolDowngrades = %d: a hello cut off by the restart was taken for a v1 peer", got)
+	if got := srv2.Stats().BadFrames(); got != 0 {
+		t.Errorf("new server BadFrames = %d: a reconnect skipped its hello", got)
 	}
 	// One more round trip per idle connection would find any socket to
 	// the dead server; the hang-up on the first already dropped them all.
@@ -221,13 +221,13 @@ func TestTCPSingleCallerKeepsOneConnection(t *testing.T) {
 	defer tr.Close()
 	buf := make([]byte, 4096)
 	for i := uint64(0); i < 100; i++ {
-		if err := tr.TryPush(i, buf); err != nil {
+		if err := tr.TryPushUntil(i, buf, Deadline{}); err != nil {
 			t.Fatalf("push: %v", err)
 		}
-		if _, err := tr.TryFetch(i, buf); err != nil {
+		if _, err := tr.TryFetchUntil(i, buf, Deadline{}); err != nil {
 			t.Fatalf("fetch: %v", err)
 		}
-		if err := tr.TryDelete(i); err != nil {
+		if err := tr.TryDeleteUntil(i, Deadline{}); err != nil {
 			t.Fatalf("delete: %v", err)
 		}
 	}
@@ -261,7 +261,7 @@ func TestTCPCallersWaitAtConnCap(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := tr.TryFetch(gateKey, make([]byte, 64)); err != nil {
+			if _, err := tr.TryFetchUntil(gateKey, make([]byte, 64), Deadline{}); err != nil {
 				t.Errorf("gate fetch: %v", err)
 			}
 		}()
@@ -308,7 +308,7 @@ func TestTCPCloseDuringStalledOp(t *testing.T) {
 			}
 			if held = append(held, conn); len(held) == 1 {
 				go func() {
-					if _, err := io.ReadFull(conn, make([]byte, hdrLen)); err == nil {
+					if _, err := io.ReadFull(conn, make([]byte, helloLen)); err == nil {
 						close(gotHello)
 					}
 				}()
@@ -322,7 +322,7 @@ func TestTCPCloseDuringStalledOp(t *testing.T) {
 	}
 	opErr := make(chan error, 1)
 	go func() {
-		_, err := tr.TryFetch(1, make([]byte, 64))
+		_, err := tr.TryFetchUntil(1, make([]byte, 64), Deadline{})
 		opErr <- err
 	}()
 	select {
@@ -333,12 +333,11 @@ func TestTCPCloseDuringStalledOp(t *testing.T) {
 
 	start := time.Now()
 	tr.PeerIdentity()
-	tr.WireVersionInUse()
 	if err := tr.Close(); err != nil {
 		t.Errorf("Close: %v", err)
 	}
 	if d := time.Since(start); d > 200*time.Millisecond {
-		t.Errorf("PeerIdentity + WireVersionInUse + Close took %v beside a stalled operation, want < 200ms", d)
+		t.Errorf("PeerIdentity + Close took %v beside a stalled operation, want < 200ms", d)
 	}
 	select {
 	case err := <-opErr:
@@ -348,7 +347,7 @@ func TestTCPCloseDuringStalledOp(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Error("stalled operation still blocked 2s after Close")
 	}
-	if _, err := tr.TryFetch(1, make([]byte, 64)); !errors.Is(err, ErrClosed) {
+	if _, err := tr.TryFetchUntil(1, make([]byte, 64), Deadline{}); !errors.Is(err, ErrClosed) {
 		t.Errorf("fetch after Close = %v, want ErrClosed", err)
 	}
 	if got := tr.Stats().OpenConns(); got != 0 {
@@ -425,7 +424,7 @@ func TestTCPOneSyscallPerFrame(t *testing.T) {
 
 	buf := make([]byte, 4096)
 	keyedPayload(buf, 9, 1)
-	if err := tr.TryPush(9, buf); err != nil { // also carries the hello
+	if err := tr.TryPushUntil(9, buf, Deadline{}); err != nil { // also carries the hello
 		t.Fatalf("warm-up push: %v", err)
 	}
 	if cw.Load() == 0 {
@@ -435,8 +434,8 @@ func TestTCPOneSyscallPerFrame(t *testing.T) {
 		name string
 		run  func() error
 	}{
-		{"fetch", func() error { _, err := tr.TryFetch(9, buf); return err }},
-		{"push", func() error { return tr.TryPush(9, buf) }},
+		{"fetch", func() error { _, err := tr.TryFetchUntil(9, buf, Deadline{}); return err }},
+		{"push", func() error { return tr.TryPushUntil(9, buf, Deadline{}) }},
 	} {
 		r0, w0, sr0, sw0 := cr.Load(), cw.Load(), sr.Load(), sw.Load()
 		if err := op.run(); err != nil {
@@ -473,7 +472,7 @@ func TestTCPRoundTripAllocFree(t *testing.T) {
 	}
 	defer tr.Close()
 	buf := make([]byte, 4096)
-	if err := tr.TryPush(1, buf); err != nil {
+	if err := tr.TryPushUntil(1, buf, Deadline{}); err != nil {
 		t.Fatalf("push: %v", err)
 	}
 	var opErr error

@@ -18,7 +18,7 @@ import (
 // stamps one per remote operation, the ReplicaSet fits failover and
 // hedging inside the remaining budget, the TCPTransport bounds each
 // attempt's socket deadline and backoff by it and carries the remaining
-// budget to the server in the v3 frame header, and the server's admission
+// budget to the server in the request header, and the server's admission
 // control sheds requests it cannot finish in time.
 type Deadline struct {
 	at  uint64     // absolute expiry in clock units; meaningless when !set
@@ -71,7 +71,7 @@ func (d Deadline) Remaining() uint64 {
 
 // RemainingNanos reports the budget left in nanoseconds regardless of the
 // underlying clock (cycles are converted at the simulated frequency).
-// This is the unit the v3 wire header and net.Conn socket deadlines use.
+// This is the unit the wire header and net.Conn socket deadlines use.
 // Returns 0 when expired or when the Deadline is zero.
 func (d Deadline) RemainingNanos() uint64 {
 	rem := d.Remaining()
@@ -87,28 +87,4 @@ func (d Deadline) RemainingNanos() uint64 {
 // errDeadline wraps ErrDeadlineExceeded with a phase tag for diagnostics.
 func errDeadline(phase string) error {
 	return fmt.Errorf("%w: %s", ErrDeadlineExceeded, phase)
-}
-
-// DeadlineTransport is the historical name for a transport with native
-// per-operation deadlines. Deadlines are now part of the canonical
-// ErrorTransport contract (the zero Deadline meaning "no deadline"), so
-// the two are the same interface; the alias keeps old call sites and
-// documentation references compiling.
-type DeadlineTransport = ErrorTransport
-
-// FetchUntil is a legacy wrapper for t.TryFetchUntil, from the era when
-// deadline enforcement was bolted onto deadline-unaware transports here.
-// Deadline semantics now live in the ErrorTransport contract itself.
-func FetchUntil(t ErrorTransport, key uint64, dst []byte, dl Deadline) (bool, error) {
-	return t.TryFetchUntil(key, dst, dl)
-}
-
-// PushUntil is a legacy wrapper for t.TryPushUntil (see FetchUntil).
-func PushUntil(t ErrorTransport, key uint64, src []byte, dl Deadline) error {
-	return t.TryPushUntil(key, src, dl)
-}
-
-// DeleteUntil is a legacy wrapper for t.TryDeleteUntil (see FetchUntil).
-func DeleteUntil(t ErrorTransport, key uint64, dl Deadline) error {
-	return t.TryDeleteUntil(key, dl)
 }

@@ -30,11 +30,10 @@ func leanDial(t *testing.T, addr string, seed uint64) *TCPTransport {
 	return tr
 }
 
-// TestHelloV4AdvertisesIdentity pins the v4 handshake: a server with a
+// TestHelloAdvertisesIdentity pins the hello exchange: a server with a
 // generation installed hands it (and the durable bit) to the client, and a
-// server without one advertises nothing — both over the same negotiated
-// version, so the exchange is length-unambiguous either way.
-func TestHelloV4AdvertisesIdentity(t *testing.T) {
+// server without one advertises nothing, in a reply of the same length.
+func TestHelloAdvertisesIdentity(t *testing.T) {
 	srv := NewServer(remote.NewStore())
 	srv.SetGeneration(7, true)
 	addr, err := srv.ListenAndServe("127.0.0.1:0")
@@ -44,11 +43,11 @@ func TestHelloV4AdvertisesIdentity(t *testing.T) {
 	defer srv.Close()
 
 	tr := leanDial(t, addr, 1)
-	if err := tr.TryPush(1, []byte("x")); err != nil {
+	if err := tr.TryPushUntil(1, []byte("x"), Deadline{}); err != nil {
 		t.Fatalf("TryPush: %v", err)
 	}
-	if v := tr.WireVersionInUse(); v != protoV4 {
-		t.Fatalf("negotiated v%d, want v%d", v, protoV4)
+	if got := srv.Stats().Hellos(); got != 1 {
+		t.Fatalf("server Hellos = %d after one connection's first op, want 1", got)
 	}
 	gen, durable := tr.PeerIdentity()
 	if gen != 7 || !durable {
@@ -62,7 +61,7 @@ func TestHelloV4AdvertisesIdentity(t *testing.T) {
 	}
 	defer srv2.Close()
 	tr2 := leanDial(t, addr2, 2)
-	if err := tr2.TryPush(1, []byte("x")); err != nil {
+	if err := tr2.TryPushUntil(1, []byte("x"), Deadline{}); err != nil {
 		t.Fatalf("TryPush: %v", err)
 	}
 	if gen, durable := tr2.PeerIdentity(); gen != 0 || durable {
@@ -121,7 +120,7 @@ func TestReplicaSetDurableDeltaRejoin(t *testing.T) {
 
 	for k := uint64(0); k < preKeys; k++ {
 		clock.Advance(10)
-		if err := rs.TryPush(k, payload(k)); err != nil {
+		if err := rs.TryPushUntil(k, payload(k), Deadline{}); err != nil {
 			t.Fatalf("push %d: %v", k, err)
 		}
 	}
@@ -133,7 +132,7 @@ func TestReplicaSetDurableDeltaRejoin(t *testing.T) {
 
 	for k := uint64(preKeys); k < preKeys+downtimeKeys; k++ {
 		clock.Advance(10)
-		if err := rs.TryPush(k, payload(k)); err != nil {
+		if err := rs.TryPushUntil(k, payload(k), Deadline{}); err != nil {
 			t.Fatalf("downtime push %d: %v", k, err)
 		}
 	}
@@ -243,7 +242,7 @@ func TestReplicaSetNonDurableRestartFullResync(t *testing.T) {
 
 	for k := uint64(0); k < preKeys; k++ {
 		clock.Advance(10)
-		if err := rs.TryPush(k, payload(k)); err != nil {
+		if err := rs.TryPushUntil(k, payload(k), Deadline{}); err != nil {
 			t.Fatalf("push %d: %v", k, err)
 		}
 	}
@@ -252,7 +251,7 @@ func TestReplicaSetNonDurableRestartFullResync(t *testing.T) {
 	// A couple of downtime writes so the breaker notices the outage.
 	for k := uint64(0); k < 3; k++ {
 		clock.Advance(10)
-		if err := rs.TryPush(k, payload(k)); err != nil {
+		if err := rs.TryPushUntil(k, payload(k), Deadline{}); err != nil {
 			t.Fatalf("downtime push %d: %v", k, err)
 		}
 	}
@@ -323,7 +322,7 @@ func TestServerShutdownDrains(t *testing.T) {
 	go func() {
 		defer close(acked)
 		for k := uint64(0); ; k++ {
-			if err := tr.TryPush(k, []byte(fmt.Sprintf("payload-%d", k))); err != nil {
+			if err := tr.TryPushUntil(k, []byte(fmt.Sprintf("payload-%d", k)), Deadline{}); err != nil {
 				pushErr <- err
 				return
 			}

@@ -47,7 +47,7 @@ var (
 	ErrIntegrity = errors.New("fabric: integrity check failed")
 
 	// ErrDeadlineExceeded is a per-operation deadline expiry: the caller's
-	// end-to-end budget (carried in the v3 frame header and enforced at
+	// end-to-end budget (carried in the request header and enforced at
 	// every layer — transport attempts, replica failover, runtime retry
 	// loops) ran out before the operation produced a usable result. It is
 	// distinct from ErrTimeout, which is one attempt's socket deadline:

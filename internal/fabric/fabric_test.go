@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"bytes"
+	"errors"
 	"sync"
 	"testing"
 
@@ -9,12 +10,37 @@ import (
 	"trackfm/internal/sim"
 )
 
+// mustPush, mustFetch and mustDelete run one undeadlined operation that
+// the test expects to succeed; mustFetch reports whether the key was found.
+func mustPush(t *testing.T, tr ErrorTransport, key uint64, src []byte) {
+	t.Helper()
+	if err := tr.TryPushUntil(key, src, Deadline{}); err != nil {
+		t.Fatalf("push %d: %v", key, err)
+	}
+}
+
+func mustFetch(t *testing.T, tr ErrorTransport, key uint64, dst []byte) bool {
+	t.Helper()
+	found, err := tr.TryFetchUntil(key, dst, Deadline{})
+	if err != nil {
+		t.Fatalf("fetch %d: %v", key, err)
+	}
+	return found
+}
+
+func mustDelete(t *testing.T, tr ErrorTransport, key uint64) {
+	t.Helper()
+	if err := tr.TryDeleteUntil(key, Deadline{}); err != nil {
+		t.Fatalf("delete %d: %v", key, err)
+	}
+}
+
 func TestSimLinkRoundTrip(t *testing.T) {
 	env := sim.NewEnv()
 	l := NewSimLink(env, BackendTCP)
-	l.Push(42, []byte{1, 2, 3, 4})
+	mustPush(t, l, 42, []byte{1, 2, 3, 4})
 	dst := make([]byte, 4)
-	if !l.Fetch(42, dst) {
+	if !mustFetch(t, l, 42, dst) {
 		t.Fatalf("Fetch missed after Push")
 	}
 	if !bytes.Equal(dst, []byte{1, 2, 3, 4}) {
@@ -26,7 +52,7 @@ func TestSimLinkMissZeroFills(t *testing.T) {
 	env := sim.NewEnv()
 	l := NewSimLink(env, BackendTCP)
 	dst := []byte{7, 7}
-	if l.Fetch(1, dst) {
+	if mustFetch(t, l, 1, dst) {
 		t.Fatalf("Fetch on empty link reported found")
 	}
 	if dst[0] != 0 || dst[1] != 0 {
@@ -39,7 +65,7 @@ func TestSimLinkChargesFetchCost(t *testing.T) {
 	l := NewSimLink(env, BackendTCP)
 	before := env.Clock.Cycles()
 	dst := make([]byte, 4096)
-	l.Fetch(9, dst)
+	mustFetch(t, l, 9, dst)
 	charged := env.Clock.Cycles() - before
 	want := env.Costs.RemoteObjectFetch(4096)
 	if charged != want {
@@ -51,7 +77,7 @@ func TestSimLinkChargesFetchCost(t *testing.T) {
 
 	env2 := sim.NewEnv()
 	r := NewSimLink(env2, BackendRDMA)
-	r.Fetch(9, dst)
+	mustFetch(t, r, 9, dst)
 	if got, want := env2.Clock.Cycles(), env2.Costs.RemotePageFetch(4096); got != want {
 		t.Fatalf("RDMA fetch charged %d cycles, want %d", got, want)
 	}
@@ -60,7 +86,7 @@ func TestSimLinkChargesFetchCost(t *testing.T) {
 func TestSimLinkPushAccounting(t *testing.T) {
 	env := sim.NewEnv()
 	l := NewSimLink(env, BackendTCP)
-	l.Push(1, make([]byte, 100))
+	mustPush(t, l, 1, make([]byte, 100))
 	if env.Counters.BytesEvicted != 100 {
 		t.Fatalf("BytesEvicted = %d", env.Counters.BytesEvicted)
 	}
@@ -69,7 +95,7 @@ func TestSimLinkPushAccounting(t *testing.T) {
 	}
 	l.ChargePush = false
 	before := env.Clock.Cycles()
-	l.Push(2, make([]byte, 100))
+	mustPush(t, l, 2, make([]byte, 100))
 	if env.Clock.Cycles() != before {
 		t.Fatalf("ChargePush=false still charged the clock")
 	}
@@ -79,17 +105,17 @@ func TestSimLinkPushCopiesAndDelete(t *testing.T) {
 	env := sim.NewEnv()
 	l := NewSimLink(env, BackendTCP)
 	src := []byte{1, 2}
-	l.Push(5, src)
+	mustPush(t, l, 5, src)
 	src[0] = 9
 	dst := make([]byte, 2)
-	l.Fetch(5, dst)
+	mustFetch(t, l, 5, dst)
 	if dst[0] != 1 {
 		t.Fatalf("Push aliased caller buffer")
 	}
 	if l.RemoteKeys() != 1 || l.RemoteBytes() != 2 {
 		t.Fatalf("remote inventory wrong: keys=%d bytes=%d", l.RemoteKeys(), l.RemoteBytes())
 	}
-	l.Delete(5)
+	mustDelete(t, l, 5)
 	if l.RemoteKeys() != 0 {
 		t.Fatalf("Delete left key behind")
 	}
@@ -113,18 +139,16 @@ func TestTCPTransportRoundTrip(t *testing.T) {
 	}
 	defer srv.Close()
 
-	tc, err := Dial(addr)
+	tr, err := Dial(addr)
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
-	defer tc.Close()
-	// The legacy best-effort view is now an explicit opt-in.
-	tr := Degrading{T: tc}
+	defer tr.Close()
 
 	payload := []byte("far memory object payload")
-	tr.Push(1234, payload)
+	mustPush(t, tr, 1234, payload)
 	dst := make([]byte, len(payload))
-	if !tr.Fetch(1234, dst) {
+	if !mustFetch(t, tr, 1234, dst) {
 		t.Fatalf("Fetch missed after Push")
 	}
 	if !bytes.Equal(dst, payload) {
@@ -133,7 +157,7 @@ func TestTCPTransportRoundTrip(t *testing.T) {
 
 	// Miss returns found=false and zeros.
 	miss := make([]byte, 8)
-	if tr.Fetch(999, miss) {
+	if mustFetch(t, tr, 999, miss) {
 		t.Fatalf("Fetch of absent key reported found")
 	}
 	for _, b := range miss {
@@ -142,8 +166,8 @@ func TestTCPTransportRoundTrip(t *testing.T) {
 		}
 	}
 
-	tr.Delete(1234)
-	if tr.Fetch(1234, dst) {
+	mustDelete(t, tr, 1234)
+	if mustFetch(t, tr, 1234, dst) {
 		t.Fatalf("Fetch after Delete reported found")
 	}
 }
@@ -162,20 +186,22 @@ func TestTCPTransportConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			tc, err := Dial(addr)
+			tr, err := Dial(addr)
 			if err != nil {
 				t.Errorf("Dial: %v", err)
 				return
 			}
-			defer tc.Close()
-			tr := Degrading{T: tc}
+			defer tr.Close()
 			buf := make([]byte, 16)
 			for i := 0; i < 100; i++ {
 				key := uint64(g<<32 | i)
 				payload := bytes.Repeat([]byte{byte(g + 1)}, 16)
-				tr.Push(key, payload)
-				if !tr.Fetch(key, buf) {
-					t.Errorf("client %d: fetch %d missed", g, key)
+				if err := tr.TryPushUntil(key, payload, Deadline{}); err != nil {
+					t.Errorf("client %d: push %d: %v", g, key, err)
+					return
+				}
+				if found, err := tr.TryFetchUntil(key, buf, Deadline{}); err != nil || !found {
+					t.Errorf("client %d: fetch %d = %v, %v", g, key, found, err)
 					return
 				}
 				if buf[0] != byte(g+1) {
@@ -199,18 +225,20 @@ func TestTCPTransportOversizedPayloadRejected(t *testing.T) {
 		t.Fatalf("ListenAndServe: %v", err)
 	}
 	defer srv.Close()
-	tc, err := Dial(addr)
+	tr, err := Dial(addr)
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
-	defer tc.Close()
-	tr := Degrading{T: tc}
-	// Push above the protocol limit must be dropped client-side.
-	tr.Push(1, make([]byte, maxPayload+1))
-	if store.Len() != 0 {
-		t.Fatalf("oversized push reached the server")
+	defer tr.Close()
+	// An operation above the protocol limit must be refused client-side.
+	big := make([]byte, maxPayload+1)
+	if err := tr.TryPushUntil(1, big, Deadline{}); !errors.Is(err, ErrPayloadTooLarge) {
+		t.Fatalf("oversized push = %v, want ErrPayloadTooLarge", err)
 	}
-	if tr.Fetch(1, make([]byte, maxPayload+1)) {
-		t.Fatalf("oversized fetch reported found")
+	if _, err := tr.TryFetchUntil(1, big, Deadline{}); !errors.Is(err, ErrPayloadTooLarge) {
+		t.Fatalf("oversized fetch = %v, want ErrPayloadTooLarge", err)
+	}
+	if store.Len() != 0 || srv.Stats().Frames() != 0 {
+		t.Fatalf("oversized operation reached the server: %s", srv.Stats())
 	}
 }

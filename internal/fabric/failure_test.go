@@ -2,12 +2,13 @@ package fabric
 
 import (
 	"net"
+	"slices"
 	"testing"
 
 	"trackfm/internal/remote"
 )
 
-// Failure injection: the TCP transport must degrade to "not found" rather
+// Failure injection: the TCP transport must report a typed error rather
 // than corrupt data or hang when the remote node misbehaves or dies.
 
 func TestFetchAfterServerClose(t *testing.T) {
@@ -17,23 +18,25 @@ func TestFetchAfterServerClose(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ListenAndServe: %v", err)
 	}
-	tc, err := Dial(addr)
+	tr, err := DialWith(addr, fastRetry(2))
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
-	defer tc.Close()
-	tr := Degrading{T: tc}
-	tr.Push(1, []byte{1, 2, 3, 4})
+	defer tr.Close()
+	mustPush(t, tr, 1, []byte{1, 2, 3, 4})
 
 	srv.Close()
 
-	dst := []byte{9, 9, 9, 9}
-	if tr.Fetch(1, dst) {
-		t.Fatalf("Fetch after server close reported found")
+	// Every operation after the close must fail, not panic or hang.
+	if found, err := tr.TryFetchUntil(1, make([]byte, 4), Deadline{}); err == nil {
+		t.Fatalf("fetch after server close = %v, nil", found)
 	}
-	// Push and Delete after close must not panic or hang.
-	tr.Push(2, []byte{5})
-	tr.Delete(1)
+	if err := tr.TryPushUntil(2, []byte{5}, Deadline{}); err == nil {
+		t.Fatalf("push after server close succeeded")
+	}
+	if err := tr.TryDeleteUntil(1, Deadline{}); err == nil {
+		t.Fatalf("delete after server close succeeded")
+	}
 }
 
 func TestDialFailure(t *testing.T) {
@@ -58,40 +61,32 @@ func TestServerSurvivesGarbageClient(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// A client that speaks garbage: unknown opcode.
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
+	// Clients that say hello and then speak garbage: an unknown opcode, an
+	// absurd payload length, a half-written request (header only, missing
+	// payload) — and one that never says hello at all.
+	for _, garbage := range [][]byte{
+		slices.Concat(helloFrame(protoVersion), reqFrame(0xFF, 0, 0, 0)),
+		slices.Concat(helloFrame(protoVersion), reqFrame(opPush, 1, 0xFFFFFFFF, 0)),
+		slices.Concat(helloFrame(protoVersion), reqFrame(opPush, 1, 8, 0)),
+		{0xFF, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+	} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		conn.Write(garbage)
+		conn.Close()
 	}
-	conn.Write([]byte{0xFF, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
-	conn.Close()
-
-	// A client advertising an absurd payload length.
-	conn, err = net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	conn.Write([]byte{2, 0, 0, 0, 0, 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF})
-	conn.Close()
-
-	// A half-written request (header only, missing payload).
-	conn, err = net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	conn.Write([]byte{2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 8})
-	conn.Close()
 
 	// The server must still serve well-formed clients.
-	tc, err := Dial(addr)
+	tr, err := Dial(addr)
 	if err != nil {
 		t.Fatalf("Dial after garbage clients: %v", err)
 	}
-	defer tc.Close()
-	tr := Degrading{T: tc}
-	tr.Push(7, []byte{42})
+	defer tr.Close()
+	mustPush(t, tr, 7, []byte{42})
 	dst := make([]byte, 1)
-	if !tr.Fetch(7, dst) || dst[0] != 42 {
+	if !mustFetch(t, tr, 7, dst) || dst[0] != 42 {
 		t.Fatalf("server corrupted by garbage clients")
 	}
 }
@@ -111,7 +106,7 @@ func TestTransportReconnectSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
-	Degrading{T: tr1}.Push(100, []byte{7, 7})
+	mustPush(t, tr1, 100, []byte{7, 7})
 	tr1.Close()
 
 	tr2, err := Dial(addr)
@@ -120,7 +115,7 @@ func TestTransportReconnectSemantics(t *testing.T) {
 	}
 	defer tr2.Close()
 	dst := make([]byte, 2)
-	if !(Degrading{T: tr2}).Fetch(100, dst) || dst[0] != 7 {
+	if !mustFetch(t, tr2, 100, dst) || dst[0] != 7 {
 		t.Fatalf("data lost across reconnect")
 	}
 }

@@ -50,7 +50,7 @@ type FaultStats struct {
 	Ops         uint64 // total operations observed
 }
 
-// FaultLink is a Transport/ErrorTransport decorator that injects faults
+// FaultLink is an ErrorTransport decorator that injects faults
 // against any inner transport: probabilistic drops, payload corruption,
 // simulated-clock delays, and periodic outage windows. Wrap a SimLink to
 // fault-test the deterministic runtimes, or a TCPTransport to stress the
@@ -169,11 +169,6 @@ func (f *FaultLink) TryDeleteUntil(key uint64, dl Deadline) error {
 	return f.inner.TryDeleteUntil(key, dl)
 }
 
-// TryFetch is TryFetchUntil with no deadline, kept for call-site brevity.
-func (f *FaultLink) TryFetch(key uint64, dst []byte) (bool, error) {
-	return f.TryFetchUntil(key, dst, Deadline{})
-}
-
 // TryFetchAsync implements AsyncFetcher: the injector applies its fault
 // schedule, then forwards through the FetchAsync helper so an inner link
 // with an async cost model (SimLink) keeps its overlapped accounting.
@@ -188,17 +183,6 @@ func (f *FaultLink) TryFetchAsync(key uint64, dst []byte) (bool, error) {
 	return found, err
 }
 
-// TryPush is TryPushUntil with no deadline, kept for call-site brevity.
-func (f *FaultLink) TryPush(key uint64, src []byte) error {
-	return f.TryPushUntil(key, src, Deadline{})
-}
-
-// TryDelete is TryDeleteUntil with no deadline, kept for call-site
-// brevity.
-func (f *FaultLink) TryDelete(key uint64) error {
-	return f.TryDeleteUntil(key, Deadline{})
-}
-
 // PeerIdentity delegates to the inner transport when it reports identity
 // (a wrapped TCPTransport does), so fault-injected replica-set members
 // still see restart generations. An inner transport without identity
@@ -209,9 +193,6 @@ func (f *FaultLink) PeerIdentity() (uint64, bool) {
 	}
 	return 0, false
 }
-
-// FaultLink intentionally has no infallible Fetch/Push/Delete methods:
-// callers that accept best-effort semantics wrap it in Degrading{f}.
 
 var _ ErrorTransport = (*FaultLink)(nil)
 var _ AsyncFetcher = (*FaultLink)(nil)

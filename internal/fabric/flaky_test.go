@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -38,7 +37,7 @@ func TestReconnectAfterServerRestart(t *testing.T) {
 	}
 	defer tr.Close()
 	payload := []byte{0xDE, 0xAD, 0xBE, 0xEF}
-	if err := tr.TryPush(7, payload); err != nil {
+	if err := tr.TryPushUntil(7, payload, Deadline{}); err != nil {
 		t.Fatalf("TryPush: %v", err)
 	}
 
@@ -49,7 +48,7 @@ func TestReconnectAfterServerRestart(t *testing.T) {
 	// While down, an error-aware fetch surfaces a typed error after
 	// exhausting the retry budget — never a silent zero-fill.
 	dst := make([]byte, 4)
-	if _, err := tr.TryFetch(7, dst); !errors.Is(err, ErrRemoteUnavailable) {
+	if _, err := tr.TryFetchUntil(7, dst, Deadline{}); !errors.Is(err, ErrRemoteUnavailable) {
 		t.Fatalf("TryFetch while down = %v, want ErrRemoteUnavailable", err)
 	}
 	downRetries := tr.Stats().Retries()
@@ -63,7 +62,7 @@ func TestReconnectAfterServerRestart(t *testing.T) {
 	}
 	defer srv2.Close()
 
-	found, err := tr.TryFetch(7, dst)
+	found, err := tr.TryFetchUntil(7, dst, Deadline{})
 	if err != nil {
 		t.Fatalf("TryFetch after restart: %v", err)
 	}
@@ -98,20 +97,17 @@ func TestMidResponseErrorMarksConnDead(t *testing.T) {
 			}
 			select {
 			case <-truncateFirst:
-				// First connection: complete the version handshake,
-				// then read the request header, answer with the found
-				// flag and half the payload, and die mid-frame.
+				// First connection: answer the hello, then read the
+				// request header, answer with the found flag and half
+				// the payload, and die mid-frame.
 				go func(c net.Conn) {
 					defer c.Close()
-					hdr := make([]byte, 13)
-					if _, err := io.ReadFull(c, hdr); err != nil {
+					if _, err := io.ReadFull(c, make([]byte, helloLen)); err != nil {
 						return
 					}
-					if hdr[0] == opHello {
-						c.Write([]byte{ackHello, protoV2})
-						if _, err := io.ReadFull(c, hdr); err != nil {
-							return
-						}
+					c.Write(helloReply(0, false))
+					if _, err := io.ReadFull(c, make([]byte, hdrLen)); err != nil {
+						return
 					}
 					c.Write([]byte{flagFound, 1, 2, 3, 4})
 				}(c)
@@ -128,7 +124,7 @@ func TestMidResponseErrorMarksConnDead(t *testing.T) {
 	}
 	defer tr.Close()
 	dst := make([]byte, 8)
-	found, err := tr.TryFetch(9, dst)
+	found, err := tr.TryFetchUntil(9, dst, Deadline{})
 	if err != nil {
 		t.Fatalf("TryFetch: %v", err)
 	}
@@ -168,7 +164,7 @@ func TestTryFetchTimeout(t *testing.T) {
 		t.Fatalf("DialWith: %v", err)
 	}
 	defer tr.Close()
-	if _, err := tr.TryFetch(1, make([]byte, 8)); !errors.Is(err, ErrTimeout) {
+	if _, err := tr.TryFetchUntil(1, make([]byte, 8), Deadline{}); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("TryFetch against mute server = %v, want ErrTimeout", err)
 	}
 	if got := tr.Stats().Timeouts(); got < 1 {
@@ -189,10 +185,10 @@ func TestClosedTransportFailsFast(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	tr.Close()
-	if _, err := tr.TryFetch(1, make([]byte, 4)); !errors.Is(err, ErrClosed) {
+	if _, err := tr.TryFetchUntil(1, make([]byte, 4), Deadline{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("TryFetch on closed transport = %v, want ErrClosed", err)
 	}
-	if err := tr.TryPush(1, []byte{1}); !errors.Is(err, ErrClosed) {
+	if err := tr.TryPushUntil(1, []byte{1}, Deadline{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("TryPush on closed transport = %v, want ErrClosed", err)
 	}
 }
@@ -209,36 +205,13 @@ func TestServerAnswersOversizeWithErrorFrame(t *testing.T) {
 	// Hand-craft an oversize fetch: the server must answer an error
 	// frame and keep the connection serving (fetch carries no payload,
 	// so the stream stays in sync).
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	hdr := make([]byte, 13)
-	hdr[0] = opFetch
-	binary.BigEndian.PutUint32(hdr[9:13], maxPayload+1)
-	if _, err := conn.Write(hdr); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	flag := make([]byte, 1)
-	if _, err := io.ReadFull(conn, flag); err != nil {
-		t.Fatalf("read error frame: %v", err)
-	}
-	if flag[0] != ackErr {
-		t.Fatalf("oversize fetch answered %#x, want error frame %#x", flag[0], ackErr)
+	conn := dialRaw(t, addr)
+	if ack, err := sendRaw(t, conn, reqFrame(opFetch, 0, maxPayload+1, 0)); err != nil || ack != ackErr {
+		t.Fatalf("oversize fetch answered %#x, %v; want error frame %#x", ack, err, ackErr)
 	}
 	// The same connection still serves well-formed requests.
-	good := make([]byte, 13)
-	good[0] = opDelete
-	if _, err := conn.Write(good); err != nil {
-		t.Fatalf("write after error frame: %v", err)
-	}
-	if _, err := io.ReadFull(conn, flag); err != nil {
-		t.Fatalf("read ack after error frame: %v", err)
-	}
-	if flag[0] != ackOK {
-		t.Fatalf("delete after error frame answered %#x, want ack", flag[0])
+	if ack, err := sendRaw(t, conn, reqFrame(opDelete, 0, 0, 0)); err != nil || ack != ackOK {
+		t.Fatalf("delete after error frame answered %#x, %v; want ack", ack, err)
 	}
 	if got := srv.Stats().OversizeRejects(); got != 1 {
 		t.Fatalf("OversizeRejects = %d, want 1", got)
@@ -246,23 +219,11 @@ func TestServerAnswersOversizeWithErrorFrame(t *testing.T) {
 
 	// An oversize push is also answered, but its connection closes (the
 	// unread payload cannot be skipped safely).
-	conn2, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
+	conn2 := dialRaw(t, addr)
+	if ack, err := sendRaw(t, conn2, reqFrame(opPush, 0, maxPayload+1, 0)); err != nil || ack != ackErr {
+		t.Fatalf("oversize push answered %#x, %v; want error frame", ack, err)
 	}
-	defer conn2.Close()
-	hdr[0] = opPush
-	if _, err := conn2.Write(hdr); err != nil {
-		t.Fatalf("write oversize push: %v", err)
-	}
-	conn2.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := io.ReadFull(conn2, flag); err != nil {
-		t.Fatalf("read push error frame: %v", err)
-	}
-	if flag[0] != ackErr {
-		t.Fatalf("oversize push answered %#x, want error frame", flag[0])
-	}
-	if _, err := conn2.Read(flag); err != io.EOF {
+	if _, err := sendRaw(t, conn2, nil); err != io.EOF {
 		t.Fatalf("oversize-push connection not closed: %v", err)
 	}
 }
@@ -293,7 +254,7 @@ func TestFaultLinkDeterministicSchedule(t *testing.T) {
 		var outcomes []bool
 		buf := make([]byte, 8)
 		for i := 0; i < 200; i++ {
-			_, err := fl.TryFetch(uint64(i), buf)
+			_, err := fl.TryFetchUntil(uint64(i), buf, Deadline{})
 			outcomes = append(outcomes, err == nil)
 		}
 		return fl.Stats(), outcomes
@@ -319,7 +280,7 @@ func TestFaultLinkOutageWindow(t *testing.T) {
 	buf := make([]byte, 4)
 	var failed []int
 	for i := 1; i <= 25; i++ {
-		if _, err := fl.TryFetch(1, buf); err != nil {
+		if _, err := fl.TryFetchUntil(1, buf, Deadline{}); err != nil {
 			if !errors.Is(err, ErrRemoteUnavailable) {
 				t.Fatalf("op %d: outage error = %v, want ErrRemoteUnavailable", i, err)
 			}
@@ -346,7 +307,7 @@ func TestFaultLinkDelayChargesClock(t *testing.T) {
 	inner.ChargePush = false
 	fl := NewFaultLink(inner, FaultConfig{Seed: 5, DelayRate: 1.0, DelayCycles: 1000, Env: env})
 	before := env.Clock.Cycles()
-	if err := fl.TryPush(1, []byte{1}); err != nil {
+	if err := fl.TryPushUntil(1, []byte{1}, Deadline{}); err != nil {
 		t.Fatalf("TryPush: %v", err)
 	}
 	if got := env.Clock.Cycles() - before; got != 1000 {
@@ -361,9 +322,9 @@ func TestFaultLinkCorruption(t *testing.T) {
 	env := sim.NewEnv()
 	inner := NewSimLink(env, BackendTCP)
 	fl := NewFaultLink(inner, FaultConfig{Seed: 1, CorruptRate: 1.0})
-	Degrading{T: fl}.Push(3, []byte{7, 7, 7, 7})
+	mustPush(t, fl, 3, []byte{7, 7, 7, 7})
 	dst := make([]byte, 4)
-	found, err := fl.TryFetch(3, dst)
+	found, err := fl.TryFetchUntil(3, dst, Deadline{})
 	if err != nil || !found {
 		t.Fatalf("TryFetch = %v %v", found, err)
 	}

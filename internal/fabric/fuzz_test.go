@@ -1,47 +1,53 @@
 package fabric
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
 	"trackfm/internal/remote"
 )
 
-// FuzzWireProtocol throws arbitrary bytes at Server.handle: a 13-byte
-// header (op, key, length) followed by whatever payload the fuzzer
-// invents, possibly truncated, possibly followed by more frames. The
-// server must never panic and never allocate beyond the protocol limit
-// regardless of the advertised length field.
-func FuzzWireProtocol(f *testing.F) {
-	// A well-formed push, fetch, and delete.
-	push := make([]byte, 13+4)
-	push[0] = opPush
-	binary.BigEndian.PutUint64(push[1:9], 42)
-	binary.BigEndian.PutUint32(push[9:13], 4)
-	copy(push[13:], []byte{1, 2, 3, 4})
-	f.Add(push)
-	fetch := make([]byte, 13)
-	fetch[0] = opFetch
-	binary.BigEndian.PutUint64(fetch[1:9], 42)
-	binary.BigEndian.PutUint32(fetch[9:13], 4)
-	f.Add(fetch)
-	del := make([]byte, 13)
-	del[0] = opDelete
-	f.Add(del)
-	// An oversize length field (must be answered with an error frame,
-	// not a 4 GiB allocation), an unknown opcode, and a truncated header.
-	oversize := make([]byte, 13)
-	oversize[0] = opPush
-	binary.BigEndian.PutUint32(oversize[9:13], 0xFFFFFFFF)
-	f.Add(oversize)
-	f.Add([]byte{0xFF, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
-	f.Add([]byte{opPush, 0, 0})
-	// Two frames back to back.
-	f.Add(append(append([]byte{}, fetch...), del...))
+// FuzzFrame throws an arbitrary byte stream at Server.handle, the one frame
+// decoder: frames that are valid, truncated, corrupt in the trailer, behind
+// a hello or not. Whatever arrives, the server must not panic, must return
+// once the client hangs up, must not allocate for an oversize length field
+// (a 4 GiB buffer per exec would not survive the run, and nothing that was
+// never on the wire can be stored), must store only payloads whose trailer
+// verified, and must store nothing from a stream that does not open with a
+// valid hello.
+func FuzzFrame(f *testing.F) {
+	hello := helloFrame(protoVersion)
+	payload := []byte{1, 2, 3, 4}
+	goodPush := pushFrame(42, 0, payload)
+	fetch := reqFrame(opFetch, 42, uint32(len(payload)), 12345)
+	badMagic := helloFrame(protoVersion)
+	badMagic[8] ^= 0xFF
+
+	for _, frames := range [][]byte{
+		goodPush,
+		pushFrame(42, uint64(time.Hour.Nanoseconds()), payload), // the same push carrying a deadline
+		corruptTrailer(goodPush),                                // must be rejected
+		goodPush[:len(goodPush)-2],                              // truncated trailer
+		fetch,                                                   // of the pushed key, with a deadline
+		fetch[:17],                                              // truncated mid-deadline
+		reqFrame(opDelete, 0, 0, 0),
+		reqFrame(opPush, 7, 0xFFFFFFFF, ^uint64(0)),            // oversize length beside a huge deadline
+		reqFrame(0xFF, 1, 2, 3),                                // unknown opcode
+		{opPush, 0, 0},                                         // truncated header
+		slices.Concat(fetch, reqFrame(opDelete, 42, 0, 0)),     // two frames back to back
+		slices.Concat(goodPush, hello),                         // a hello mid-stream
+		slices.Concat(helloFrame(1), corruptTrailer(goodPush)), // one offering an old version
+	} {
+		f.Add(slices.Concat(hello, frames)) // behind a hello
+		f.Add(frames)                       // and bare
+	}
+	f.Add(slices.Concat(badMagic, goodPush))
+	f.Add(hello[:7])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		store := remote.NewStore()
@@ -68,76 +74,11 @@ func FuzzWireProtocol(f *testing.F) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("server.handle did not return after client close")
 		}
-	})
-}
-
-// FuzzCRCFrame throws arbitrary bytes at the v2 (CRC-trailer) frame
-// decoder: every input is prefixed with a well-formed hello so the
-// connection negotiates protocol v2, then the fuzzer's bytes arrive as
-// CRC-trailed frames — valid trailers, corrupt trailers, truncated
-// trailers, trailing garbage after the hello magic. The server must never
-// panic, never hang, and never let a frame whose trailer does not verify
-// reach the store (a stored blob always passes its own checksum, so a
-// wire-corrupt push that slipped through would surface as accepted
-// garbage in later deterministic tests; here we bound the decoder's
-// behaviour under arbitrary framing).
-func FuzzCRCFrame(f *testing.F) {
-	// A hello is a bare 13-byte header: the proposed version rides in the
-	// length field, no payload follows (extra bytes would desync every
-	// frame after it — the seeds below must arrive header-aligned).
-	hello := make([]byte, 13)
-	hello[0] = opHello
-	binary.BigEndian.PutUint64(hello[1:9], helloMagic)
-	binary.BigEndian.PutUint32(hello[9:13], protoV2)
-
-	// A v2 push with a correct CRC trailer.
-	payload := []byte{1, 2, 3, 4}
-	goodPush := make([]byte, 13+len(payload)+crcLen)
-	goodPush[0] = opPush
-	binary.BigEndian.PutUint64(goodPush[1:9], 42)
-	binary.BigEndian.PutUint32(goodPush[9:13], uint32(len(payload)))
-	copy(goodPush[13:], payload)
-	binary.BigEndian.PutUint32(goodPush[13+len(payload):], payloadCRC(payload))
-	f.Add(goodPush)
-
-	// The same push with the trailer flipped (must be rejected), with the
-	// trailer truncated, and a v2 fetch of the pushed key.
-	badPush := append([]byte{}, goodPush...)
-	badPush[len(badPush)-1] ^= 0xFF
-	f.Add(badPush)
-	f.Add(goodPush[:len(goodPush)-2])
-	fetch := make([]byte, 13)
-	fetch[0] = opFetch
-	binary.BigEndian.PutUint64(fetch[1:9], 42)
-	binary.BigEndian.PutUint32(fetch[9:13], uint32(len(payload)))
-	f.Add(fetch)
-	// A second hello mid-stream, and a bad-magic hello after the good one.
-	f.Add(append(append([]byte{}, goodPush...), hello...))
-	badHello := append([]byte{}, hello...)
-	binary.BigEndian.PutUint64(badHello[1:9], 0xDEADBEEF)
-	f.Add(badHello)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		store := remote.NewStore()
-		s := NewServer(store)
-		client, server := net.Pipe()
-		done := make(chan struct{})
-		go func() {
-			s.handle(server)
-			close(done)
-		}()
-		go io.Copy(io.Discard, client)
-		client.SetDeadline(time.Now().Add(2 * time.Second))
-		go func() {
-			// Negotiate v2, then deliver the fuzzed frames.
-			client.Write(hello)
-			client.Write(data)
-			client.Close()
-		}()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("server.handle did not return after client close")
+		if !bytes.HasPrefix(data, hello[:9]) && store.Len() != 0 {
+			t.Fatalf("a stream without a leading hello stored %d blobs", store.Len())
+		}
+		if store.Bytes() > uint64(len(data)) {
+			t.Fatalf("store holds %d bytes from a %d-byte stream", store.Bytes(), len(data))
 		}
 		// Whatever the fuzzer managed to store must verify: the store
 		// recomputes every blob's checksum at Put, so an accepted frame

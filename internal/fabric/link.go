@@ -3,10 +3,10 @@
 //
 // Two transports are provided. SimLink charges cycle costs to a sim.Env and
 // moves data through an in-process remote store — this is the transport all
-// deterministic experiments use. TCPTransport moves the same protocol over
-// real sockets (stdlib net) so the library can also drive an actual remote
-// memory server (see cmd/fmserver); it is used by the examples, not by the
-// calibrated benchmarks.
+// deterministic experiments use. TCPTransport moves the same operations over
+// real sockets (stdlib net) to an actual remote memory server (see
+// cmd/fmserver); the examples and the wall-clock benchmark
+// (benchmarks/fmbench) run on it.
 package fabric
 
 import (
@@ -48,14 +48,12 @@ func (b Backend) String() string {
 // failed" and retry, fail over, or stall instead of silently corrupting
 // the mutator's data.
 //
-// Every operation takes a Deadline; the zero Deadline means "no deadline",
-// so the canonical form subsumes the old TryFetch/TryPush/TryDelete
-// variants (concrete transports keep those names as thin wrappers for
-// call-site brevity). Implementations enforce the deadline natively where
-// they can (TCPTransport bounds socket deadlines, ReplicaSet fits failover
-// and hedging inside the remaining budget) and otherwise refuse to start
-// an expired operation and report ErrDeadlineExceeded for one that
-// completes late.
+// Every operation takes a Deadline; the zero Deadline means "no deadline".
+// Implementations enforce the deadline natively where they can
+// (TCPTransport bounds socket deadlines, ReplicaSet fits failover and
+// hedging inside the remaining budget) and otherwise refuse to start an
+// expired operation and report ErrDeadlineExceeded for one that completes
+// late.
 //
 // Buffer ownership follows one rule — the callee copies. dst and src are
 // caller-owned scratch valid only for the duration of the call: a fetch
@@ -110,83 +108,6 @@ func FetchAsync(t ErrorTransport, key uint64, dst []byte) (bool, error) {
 	return t.TryFetchUntil(key, dst, Deadline{})
 }
 
-// Transport is the legacy infallible interface: the Try methods with
-// errors erased. Only SimLink (which genuinely cannot fail) and the
-// explicit Degrading wrapper implement it; everything inside the
-// repository consumes ErrorTransport.
-type Transport interface {
-	// Fetch is TryFetch with failures degraded into a zero-filled
-	// not-found.
-	Fetch(key uint64, dst []byte) bool
-
-	// Push is TryPush with failures silently dropped.
-	Push(key uint64, src []byte)
-
-	// FetchAsync is TryFetchAsync with failures degraded like Fetch.
-	FetchAsync(key uint64, dst []byte) bool
-
-	// Delete is TryDelete with failures silently dropped.
-	Delete(key uint64)
-}
-
-// Degrading demotes an ErrorTransport to the legacy infallible Transport
-// by design, not by accident: every swallowed error zero-fills the fetch
-// or drops the write, exactly the silent-corruption behaviour the typed
-// errors exist to avoid. It is for callers that explicitly accept
-// best-effort semantics (lossy caches, metrics side-channels, tests).
-// When the wrapped transport exposes a Stats() *Stats block (TCPTransport,
-// ReplicaSet), each swallowed error is tallied as a degraded operation.
-type Degrading struct{ T ErrorTransport }
-
-// degrade tallies one swallowed error when the wrapped transport carries
-// a Stats block.
-func (d Degrading) degrade() {
-	if s, ok := d.T.(interface{ Stats() *Stats }); ok {
-		s.Stats().degraded.Add(1)
-	}
-}
-
-// Fetch implements Transport, degrading errors into a zero-filled
-// not-found.
-func (d Degrading) Fetch(key uint64, dst []byte) bool {
-	found, err := d.T.TryFetchUntil(key, dst, Deadline{})
-	if err != nil {
-		d.degrade()
-		for i := range dst {
-			dst[i] = 0
-		}
-		return false
-	}
-	return found
-}
-
-// FetchAsync implements Transport; errors degrade exactly like Fetch.
-func (d Degrading) FetchAsync(key uint64, dst []byte) bool {
-	found, err := FetchAsync(d.T, key, dst)
-	if err != nil {
-		d.degrade()
-		for i := range dst {
-			dst[i] = 0
-		}
-		return false
-	}
-	return found
-}
-
-// Push implements Transport; errors drop the push.
-func (d Degrading) Push(key uint64, src []byte) {
-	if err := d.T.TryPushUntil(key, src, Deadline{}); err != nil {
-		d.degrade()
-	}
-}
-
-// Delete implements Transport; errors drop the delete.
-func (d Degrading) Delete(key uint64) {
-	if err := d.T.TryDeleteUntil(key, Deadline{}); err != nil {
-		d.degrade()
-	}
-}
-
 // SimLink is the deterministic in-process transport. It stores pushed blobs
 // in a map and charges the calibrated fixed+bandwidth cycle cost of its
 // backend for every operation. It is safe for concurrent use: the blob map
@@ -197,7 +118,7 @@ type SimLink struct {
 	backend Backend
 	mu      sync.Mutex
 	store   map[uint64][]byte
-	// ChargePush controls whether Push charges the clock. Evacuation
+	// ChargePush controls whether a push charges the clock. Evacuation
 	// write-back is charged by default; tests can disable it to isolate
 	// fetch costs.
 	ChargePush bool
@@ -215,9 +136,10 @@ func (l *SimLink) fetchCost(n int) uint64 {
 	return l.env.Costs.RemoteObjectFetch(n)
 }
 
-// Fetch implements Transport.
-func (l *SimLink) Fetch(key uint64, dst []byte) bool {
-	l.env.Clock.Advance(l.fetchCost(len(dst)))
+// fetch copies key's blob into dst, zero-filled when absent (freshly
+// allocated remote memory), and counts the bytes. The caller has charged
+// the clock.
+func (l *SimLink) fetch(key uint64, dst []byte) bool {
 	sim.Add(&l.env.Counters.BytesFetched, uint64(len(dst)))
 	l.mu.Lock()
 	blob, ok := l.store[key]
@@ -229,40 +151,47 @@ func (l *SimLink) Fetch(key uint64, dst []byte) bool {
 		for i := range dst {
 			dst[i] = 0
 		}
-		return false
 	}
-	return true
+	return ok
 }
 
-// FetchAsync implements Transport. The fixed round-trip latency overlaps
-// with computation (how the AIFM prefetcher earns its speedups); what
-// cannot be hidden is the larger of the per-message software cost and the
-// link-occupancy (bandwidth) term — small objects pay per-packet overhead,
-// large objects pay the wire (§3.2's object-size discussion).
-func (l *SimLink) FetchAsync(key uint64, dst []byte) bool {
+// TryFetchUntil implements ErrorTransport. The in-process link cannot
+// fail on the wire, but its cost model advances the simulated clock, so a
+// cycle-denominated deadline can genuinely expire mid-operation; a late
+// result is discarded per the interface contract.
+func (l *SimLink) TryFetchUntil(key uint64, dst []byte, dl Deadline) (bool, error) {
+	if dl.Expired() {
+		return false, errDeadline("fetch not started")
+	}
+	l.env.Clock.Advance(l.fetchCost(len(dst)))
+	found := l.fetch(key, dst)
+	if dl.Expired() {
+		return false, errDeadline("fetch completed past deadline")
+	}
+	return found, nil
+}
+
+// TryFetchAsync implements AsyncFetcher; err is always nil. The fixed
+// round-trip latency overlaps with computation (how the AIFM prefetcher
+// earns its speedups); what cannot be hidden is the larger of the
+// per-message software cost and the link-occupancy (bandwidth) term — small
+// objects pay per-packet overhead, large objects pay the wire (§3.2's
+// object-size discussion).
+func (l *SimLink) TryFetchAsync(key uint64, dst []byte) (bool, error) {
 	charge := l.env.Costs.PrefetchIssue
 	if xfer := l.env.Costs.TransferCycles(len(dst)); xfer > charge {
 		charge = xfer
 	}
 	l.env.Clock.Advance(charge)
-	sim.Add(&l.env.Counters.BytesFetched, uint64(len(dst)))
-	l.mu.Lock()
-	blob, ok := l.store[key]
-	if ok {
-		copy(dst, blob)
-	}
-	l.mu.Unlock()
-	if !ok {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return false
-	}
-	return true
+	return l.fetch(key, dst), nil
 }
 
-// Push implements Transport.
-func (l *SimLink) Push(key uint64, src []byte) {
+// TryPushUntil implements ErrorTransport (see TryFetchUntil; a late push
+// did land remotely, pushes being idempotent last-writer-wins).
+func (l *SimLink) TryPushUntil(key uint64, src []byte, dl Deadline) error {
+	if dl.Expired() {
+		return errDeadline("push not started")
+	}
 	if l.ChargePush {
 		// Evacuation overlaps with computation in AIFM; we charge only
 		// the bandwidth term, not the full round-trip latency.
@@ -280,37 +209,6 @@ func (l *SimLink) Push(key uint64, src []byte) {
 	copy(blob, src)
 	l.store[key] = blob
 	l.mu.Unlock()
-}
-
-// Delete implements Transport.
-func (l *SimLink) Delete(key uint64) {
-	l.mu.Lock()
-	delete(l.store, key)
-	l.mu.Unlock()
-}
-
-// TryFetchUntil implements ErrorTransport. The in-process link cannot
-// fail on the wire, but its cost model advances the simulated clock, so a
-// cycle-denominated deadline can genuinely expire mid-operation; a late
-// result is discarded per the interface contract.
-func (l *SimLink) TryFetchUntil(key uint64, dst []byte, dl Deadline) (bool, error) {
-	if dl.Expired() {
-		return false, errDeadline("fetch not started")
-	}
-	found := l.Fetch(key, dst)
-	if dl.Expired() {
-		return false, errDeadline("fetch completed past deadline")
-	}
-	return found, nil
-}
-
-// TryPushUntil implements ErrorTransport (see TryFetchUntil; a late push
-// did land remotely, pushes being idempotent last-writer-wins).
-func (l *SimLink) TryPushUntil(key uint64, src []byte, dl Deadline) error {
-	if dl.Expired() {
-		return errDeadline("push not started")
-	}
-	l.Push(key, src)
 	if dl.Expired() {
 		return errDeadline("push completed past deadline")
 	}
@@ -322,41 +220,18 @@ func (l *SimLink) TryDeleteUntil(key uint64, dl Deadline) error {
 	if dl.Expired() {
 		return errDeadline("delete not started")
 	}
-	l.Delete(key)
+	l.mu.Lock()
+	delete(l.store, key)
+	l.mu.Unlock()
 	if dl.Expired() {
 		return errDeadline("delete completed past deadline")
 	}
 	return nil
 }
 
-// TryFetch is TryFetchUntil with no deadline, kept for call-site brevity;
-// err is always nil.
-func (l *SimLink) TryFetch(key uint64, dst []byte) (bool, error) {
-	return l.Fetch(key, dst), nil
-}
-
-// TryFetchAsync implements AsyncFetcher with the overlapped prefetch cost
-// model; err is always nil.
-func (l *SimLink) TryFetchAsync(key uint64, dst []byte) (bool, error) {
-	return l.FetchAsync(key, dst), nil
-}
-
-// TryPush is TryPushUntil with no deadline; err is always nil.
-func (l *SimLink) TryPush(key uint64, src []byte) error {
-	l.Push(key, src)
-	return nil
-}
-
-// TryDelete is TryDeleteUntil with no deadline; err is always nil.
-func (l *SimLink) TryDelete(key uint64) error {
-	l.Delete(key)
-	return nil
-}
-
 var (
 	_ ErrorTransport = (*SimLink)(nil)
 	_ AsyncFetcher   = (*SimLink)(nil)
-	_ Transport      = (*SimLink)(nil)
 )
 
 // RemoteBytes reports the total bytes currently resident on the simulated

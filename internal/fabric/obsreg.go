@@ -20,16 +20,12 @@ func (s *Stats) Register(reg *obs.Registry, labels ...obs.Label) {
 		"Attempts that expired their per-operation deadline.", s.Timeouts, labels...)
 	reg.CounterFunc("trackfm_fabric_reconnects_total",
 		"Successful re-dials after a dead connection.", s.Reconnects, labels...)
-	reg.CounterFunc("trackfm_fabric_degraded_total",
-		"Best-effort (Degrading) operations that swallowed a transport error.", s.DegradedFetches, labels...)
 	reg.CounterFunc("trackfm_fabric_short_reads_total",
 		"Responses truncated mid-frame.", s.ShortReads, labels...)
 	reg.CounterFunc("trackfm_fabric_unavailable_total",
 		"Connection-level failures (refused, reset, dial errors).", s.Unavailable, labels...)
 	reg.CounterFunc("trackfm_fabric_checksum_faults_total",
 		"Integrity failures detected (wire CRC, corrupt server blob, replica mismatch).", s.ChecksumFaults, labels...)
-	reg.CounterFunc("trackfm_fabric_protocol_downgrades_total",
-		"Connections negotiated down to the CRC-less v1 protocol.", s.ProtocolDowngrades, labels...)
 	reg.CounterFunc("trackfm_fabric_overloads_total",
 		"Overload rejects received from server-side admission control (backpressure).", s.Overloads, labels...)
 	reg.CounterFunc("trackfm_fabric_deadline_misses_total",
@@ -60,17 +56,17 @@ func (s *ServerStats) Register(reg *obs.Registry, labels ...obs.Label) {
 	reg.CounterFunc("trackfm_server_frames_total",
 		"Well-formed request frames served.", s.Frames, labels...)
 	reg.CounterFunc("trackfm_server_bad_frames_total",
-		"Frames with unknown opcodes or bad hello magic (connection dropped).", s.BadFrames, labels...)
+		"Connections dropped for an unknown opcode, a first frame that is not a valid hello, or a hello elsewhere.", s.BadFrames, labels...)
 	reg.CounterFunc("trackfm_server_oversize_rejects_total",
 		"Requests rejected for advertising a payload above the protocol limit.", s.OversizeRejects, labels...)
 	reg.CounterFunc("trackfm_server_hellos_total",
-		"Connections that negotiated the v2 (CRC-framed) protocol.", s.Hellos, labels...)
+		"Hellos accepted (one opens every connection).", s.Hellos, labels...)
 	reg.CounterFunc("trackfm_server_size_mismatches_total",
 		"Fetches of a truncated blob answered with an integrity error frame.", s.SizeMismatches, labels...)
 	reg.CounterFunc("trackfm_server_corrupt_blobs_total",
 		"Fetches of a checksum-failing blob answered with an integrity error frame.", s.CorruptBlobs, labels...)
 	reg.CounterFunc("trackfm_server_wire_rejects_total",
-		"v2 pushes whose CRC trailer failed verification (payload discarded).", s.WireRejects, labels...)
+		"Pushes whose CRC trailer failed verification (payload discarded).", s.WireRejects, labels...)
 	reg.CounterFunc("trackfm_server_sheds_total",
 		"Requests rejected by admission control with an overload frame.", s.Sheds, labels...)
 	reg.CounterFunc("trackfm_server_store_fails_total",

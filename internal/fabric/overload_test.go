@@ -2,10 +2,7 @@ package fabric
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"io"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -13,72 +10,6 @@ import (
 	"trackfm/internal/remote"
 	"trackfm/internal/sim"
 )
-
-// recordingLink is a minimal ErrorTransport (NOT a DeadlineTransport) whose
-// operations advance a sim clock by a configurable cost, for exercising the
-// FetchUntil/PushUntil/DeleteUntil adapter fallback.
-type recordingLink struct {
-	clk   *sim.Clock
-	cost  uint64
-	calls int
-}
-
-func (r *recordingLink) op() {
-	r.calls++
-	if r.cost > 0 {
-		r.clk.Advance(r.cost)
-	}
-}
-
-func (r *recordingLink) TryFetch(key uint64, dst []byte) (bool, error) {
-	r.op()
-	return true, nil
-}
-func (r *recordingLink) TryFetchAsync(key uint64, dst []byte) (bool, error) {
-	return r.TryFetch(key, dst)
-}
-func (r *recordingLink) TryPush(key uint64, src []byte) error { r.op(); return nil }
-func (r *recordingLink) TryDelete(key uint64) error           { r.op(); return nil }
-
-// The Until forms implement the canonical contract by hand — refuse an
-// expired start, discard a late completion — so the deadline tests can
-// exercise those semantics against a transport with a configurable cost.
-func (r *recordingLink) TryFetchUntil(key uint64, dst []byte, dl Deadline) (bool, error) {
-	if dl.Expired() {
-		return false, errDeadline("fetch not started")
-	}
-	found, err := r.TryFetch(key, dst)
-	if err == nil && dl.Expired() {
-		return false, errDeadline("fetch completed past deadline")
-	}
-	return found, err
-}
-func (r *recordingLink) TryPushUntil(key uint64, src []byte, dl Deadline) error {
-	if dl.Expired() {
-		return errDeadline("push not started")
-	}
-	err := r.TryPush(key, src)
-	if err == nil && dl.Expired() {
-		return errDeadline("push completed past deadline")
-	}
-	return err
-}
-func (r *recordingLink) TryDeleteUntil(key uint64, dl Deadline) error {
-	if dl.Expired() {
-		return errDeadline("delete not started")
-	}
-	err := r.TryDelete(key)
-	if err == nil && dl.Expired() {
-		return errDeadline("delete completed past deadline")
-	}
-	return err
-}
-func (r *recordingLink) Fetch(key uint64, dst []byte) bool    { f, _ := r.TryFetch(key, dst); return f }
-func (r *recordingLink) FetchAsync(key uint64, dst []byte) bool {
-	return r.Fetch(key, dst)
-}
-func (r *recordingLink) Push(key uint64, src []byte) { _ = r.TryPush(key, src) }
-func (r *recordingLink) Delete(key uint64)           { _ = r.TryDelete(key) }
 
 func TestDeadlineClockDual(t *testing.T) {
 	var zero Deadline
@@ -119,51 +50,57 @@ func TestDeadlineClockDual(t *testing.T) {
 	}
 }
 
-func TestDeadlineAdapterFallback(t *testing.T) {
-	var clk sim.Clock
-	link := &recordingLink{clk: &clk, cost: 50}
+// TestDeadlineOnSimLink pins the ErrorTransport deadline contract on the
+// one transport whose cost is a known number of simulated cycles: an
+// expired operation is refused before it starts, one that completes past
+// its deadline reports the miss and its result is withheld.
+func TestDeadlineOnSimLink(t *testing.T) {
+	env := sim.NewEnv()
+	clk := &env.Clock
+	link := NewSimLink(env, BackendTCP)
 	dst := make([]byte, 4)
+	cost := env.Costs.RemoteObjectFetch(len(dst))
+	mustPush(t, link, 1, []byte{1, 2, 3, 4})
 
 	// Within budget: the result is handed through.
-	if found, err := FetchUntil(link, 1, dst, DeadlineAfter(&clk, 100)); !found || err != nil {
-		t.Fatalf("in-budget FetchUntil = %v, %v", found, err)
+	if found, err := link.TryFetchUntil(1, dst, DeadlineAfter(clk, 2*cost)); !found || err != nil {
+		t.Fatalf("in-budget fetch = %v, %v", found, err)
 	}
 
-	// Late completion: the underlying fetch succeeded, but the adapter
-	// reports a deadline miss and withholds the result.
-	link.cost = 200
-	calls := link.calls
-	found, err := FetchUntil(link, 1, dst, DeadlineAfter(&clk, 100))
+	// Late completion: the fetch ran (and was charged), but reports a
+	// deadline miss and withholds the result.
+	before := clk.Cycles()
+	found, err := link.TryFetchUntil(1, dst, DeadlineAfter(clk, cost/2))
 	if found || !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("late FetchUntil = %v, %v; want false, ErrDeadlineExceeded", found, err)
+		t.Fatalf("late fetch = %v, %v; want false, ErrDeadlineExceeded", found, err)
 	}
-	if link.calls != calls+1 {
-		t.Fatalf("late completion did not run the underlying fetch")
-	}
-
-	// Already expired: refused before the transport is touched.
-	calls = link.calls
-	if _, err := FetchUntil(link, 1, dst, DeadlineAfter(&clk, 0)); !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("expired FetchUntil = %v, want ErrDeadlineExceeded", err)
-	}
-	if link.calls != calls {
-		t.Fatalf("expired FetchUntil still issued the fetch")
+	if clk.Cycles() != before+cost {
+		t.Fatalf("late fetch charged %d cycles, want %d", clk.Cycles()-before, cost)
 	}
 
-	// The zero Deadline never interferes.
-	if found, err := FetchUntil(link, 1, dst, Deadline{}); !found || err != nil {
-		t.Fatalf("no-deadline FetchUntil = %v, %v", found, err)
+	// Already expired: refused before the link is touched.
+	before, fetched := clk.Cycles(), env.Counters.BytesFetched
+	if _, err := link.TryFetchUntil(1, dst, DeadlineAfter(clk, 0)); !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("expired fetch = %v, want ErrDeadlineExceeded", err)
+	}
+	if clk.Cycles() != before || env.Counters.BytesFetched != fetched {
+		t.Fatalf("expired fetch still ran")
 	}
 
-	// Push and delete get the same late-completion semantics.
-	if err := PushUntil(link, 1, dst, DeadlineAfter(&clk, 100)); !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("late PushUntil = %v, want ErrDeadlineExceeded", err)
+	// A push gets the same late-completion semantics, and it did land;
+	// push and delete are refused alike once expired.
+	big := make([]byte, 4096)
+	if err := link.TryPushUntil(2, big, DeadlineAfter(clk, 1)); !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("late push = %v, want ErrDeadlineExceeded", err)
 	}
-	if err := DeleteUntil(link, 1, DeadlineAfter(&clk, 100)); !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("late DeleteUntil = %v, want ErrDeadlineExceeded", err)
+	if err := link.TryPushUntil(3, big, DeadlineAfter(clk, 0)); !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("expired push = %v, want ErrDeadlineExceeded", err)
 	}
-	if err := PushUntil(link, 1, dst, Deadline{}); err != nil {
-		t.Fatalf("no-deadline PushUntil = %v", err)
+	if err := link.TryDeleteUntil(1, DeadlineAfter(clk, 0)); !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("expired delete = %v, want ErrDeadlineExceeded", err)
+	}
+	if link.RemoteKeys() != 2 {
+		t.Fatalf("remote holds %d keys, want 2 (the late push landed, the expired push and delete did not run)", link.RemoteKeys())
 	}
 }
 
@@ -343,11 +280,8 @@ func TestOverloadShedBackpressureE2E(t *testing.T) {
 	defer tr.Close()
 
 	blob := []byte("overload e2e payload")
-	if err := tr.TryPush(7, blob); err != nil {
+	if err := tr.TryPushUntil(7, blob, Deadline{}); err != nil {
 		t.Fatalf("TryPush: %v", err)
-	}
-	if v := tr.WireVersionInUse(); v < protoV3 {
-		t.Fatalf("negotiated wire version %d, want >= %d (deadline framing)", v, protoV3)
 	}
 	if adm.Stats().Admitted() == 0 {
 		t.Fatalf("admission control saw no traffic")
@@ -385,7 +319,7 @@ func TestOverloadShedBackpressureE2E(t *testing.T) {
 	}
 
 	// A deadline-free fetch on the same connection is admitted and served.
-	found, err = tr.TryFetch(7, dst)
+	found, err = tr.TryFetchUntil(7, dst, Deadline{})
 	if err != nil || !found {
 		t.Fatalf("deadline-free fetch during overload = %v, %v", found, err)
 	}
@@ -424,7 +358,7 @@ func TestDeadlineExpiredFailsFastNoFrame(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer tr.Close()
-	if err := tr.TryPush(1, []byte{0xAB}); err != nil {
+	if err := tr.TryPushUntil(1, []byte{0xAB}, Deadline{}); err != nil {
 		t.Fatalf("TryPush: %v", err)
 	}
 
@@ -441,83 +375,6 @@ func TestDeadlineExpiredFailsFastNoFrame(t *testing.T) {
 	if got := srv.Stats().Frames(); got != frames {
 		t.Fatalf("server frames went %d -> %d; expired op must not hit the wire", frames, got)
 	}
-}
-
-// FuzzDeadlineFrame throws arbitrary bytes at the v3 frame decoder: every
-// input is prefixed with a hello negotiating protocol v3, so each
-// subsequent frame header grows the 8-byte deadline field and payloads
-// keep their v2 CRC trailers. The server must never panic, never hang on a
-// truncated deadline field, and never let an unverified payload reach the
-// store, whatever the deadline bytes say.
-func FuzzDeadlineFrame(f *testing.F) {
-	hello := make([]byte, 13)
-	hello[0] = opHello
-	binary.BigEndian.PutUint64(hello[1:9], helloMagic)
-	binary.BigEndian.PutUint32(hello[9:13], protoV3)
-
-	// v3 header: op(1) key(8) length(4) deadlineNs(8).
-	v3hdr := func(op byte, key uint64, length uint32, deadlineNs uint64) []byte {
-		h := make([]byte, 21)
-		h[0] = op
-		binary.BigEndian.PutUint64(h[1:9], key)
-		binary.BigEndian.PutUint32(h[9:13], length)
-		binary.BigEndian.PutUint64(h[13:21], deadlineNs)
-		return h
-	}
-
-	// A well-formed v3 push (deadline-free) with a correct CRC trailer.
-	payload := []byte{1, 2, 3, 4}
-	goodPush := v3hdr(opPush, 42, uint32(len(payload)), 0)
-	goodPush = append(goodPush, payload...)
-	goodPush = binary.BigEndian.AppendUint32(goodPush, payloadCRC(payload))
-	f.Add(goodPush)
-
-	// The same push carrying a large deadline, and one whose trailer is
-	// corrupt (must be rejected regardless of the deadline bytes).
-	urgent := v3hdr(opPush, 42, uint32(len(payload)), uint64(time.Hour.Nanoseconds()))
-	urgent = append(urgent, payload...)
-	urgent = binary.BigEndian.AppendUint32(urgent, payloadCRC(payload))
-	f.Add(urgent)
-	badPush := append([]byte{}, goodPush...)
-	badPush[len(badPush)-1] ^= 0xFF
-	f.Add(badPush)
-
-	// A v3 fetch with a deadline, a header truncated mid-deadline, an
-	// oversize length next to a huge deadline, and a hello mid-stream.
-	fetch := v3hdr(opFetch, 42, uint32(len(payload)), 12345)
-	f.Add(fetch)
-	f.Add(v3hdr(opFetch, 42, 4, 12345)[:17])
-	f.Add(v3hdr(opPush, 7, 0xFFFFFFFF, ^uint64(0)))
-	f.Add(append(append([]byte{}, fetch...), hello...))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		store := remote.NewStore()
-		s := NewServer(store)
-		client, server := net.Pipe()
-		done := make(chan struct{})
-		go func() {
-			s.handle(server)
-			close(done)
-		}()
-		go io.Copy(io.Discard, client)
-		client.SetDeadline(time.Now().Add(2 * time.Second))
-		go func() {
-			// Negotiate v3, then deliver the fuzzed frames.
-			client.Write(hello)
-			client.Write(data)
-			client.Close()
-		}()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("server.handle did not return after client close")
-		}
-		// Whatever the fuzzer managed to store must verify on read-back.
-		buf := make([]byte, len(payload))
-		if _, err := store.Get(42, buf); errors.Is(err, remote.ErrChecksum) {
-			t.Fatalf("stored blob failed integrity on read-back: %v", err)
-		}
-	})
 }
 
 // blockLink is an ErrorTransport whose operations can be held on a gate
@@ -562,25 +419,6 @@ func (b *blockLink) TryDeleteUntil(key uint64, dl Deadline) error {
 	}
 	return b.inner.TryDeleteUntil(key, dl)
 }
-func (b *blockLink) TryFetch(key uint64, dst []byte) (bool, error) {
-	return b.TryFetchUntil(key, dst, Deadline{})
-}
-func (b *blockLink) TryFetchAsync(key uint64, dst []byte) (bool, error) {
-	return b.TryFetch(key, dst)
-}
-func (b *blockLink) TryPush(key uint64, src []byte) error {
-	return b.TryPushUntil(key, src, Deadline{})
-}
-func (b *blockLink) TryDelete(key uint64) error {
-	return b.TryDeleteUntil(key, Deadline{})
-}
-func (b *blockLink) Fetch(key uint64, dst []byte) bool {
-	f, err := b.TryFetch(key, dst)
-	return err == nil && f
-}
-func (b *blockLink) FetchAsync(key uint64, dst []byte) bool { return b.Fetch(key, dst) }
-func (b *blockLink) Push(key uint64, src []byte)            { _ = b.TryPush(key, src) }
-func (b *blockLink) Delete(key uint64)                      { _ = b.TryDelete(key) }
 
 func (b *blockLink) set(down bool, gate chan struct{}) {
 	b.mu.Lock()
@@ -610,14 +448,14 @@ func TestReplicaSetHalfOpenProbeSingleFlight(t *testing.T) {
 	rstats := rs.ReplicaStats()
 
 	blob := []byte("probe singleflight payload")
-	if err := rs.TryPush(9, blob); err != nil {
+	if err := rs.TryPushUntil(9, blob, Deadline{}); err != nil {
 		t.Fatalf("TryPush: %v", err)
 	}
 
 	// Fail replica 0 once: threshold 1 opens its breaker.
 	m0.set(true, nil)
 	dst := make([]byte, len(blob))
-	if found, err := rs.TryFetch(9, dst); err != nil || !found {
+	if found, err := rs.TryFetchUntil(9, dst, Deadline{}); err != nil || !found {
 		t.Fatalf("fetch during outage = %v, %v", found, err)
 	}
 	if got := rstats.BreakerOpens(); got != 1 {
@@ -633,7 +471,7 @@ func TestReplicaSetHalfOpenProbeSingleFlight(t *testing.T) {
 	probeDone := make(chan error, 1)
 	go func() {
 		d := make([]byte, len(blob))
-		_, err := rs.TryFetch(9, d) // claims the due probe, blocks on the gate
+		_, err := rs.TryFetchUntil(9, d, Deadline{}) // claims the due probe, blocks on the gate
 		probeDone <- err
 	}()
 	waitFor(t, "probe claimed", func() bool { return rstats.Probes() == 1 })
@@ -644,7 +482,7 @@ func TestReplicaSetHalfOpenProbeSingleFlight(t *testing.T) {
 		got := make([]byte, len(blob))
 		done := make(chan struct{})
 		go func() {
-			if found, err := rs.TryFetch(9, got); err != nil || !found {
+			if found, err := rs.TryFetchUntil(9, got, Deadline{}); err != nil || !found {
 				t.Errorf("concurrent fetch during probe = %v, %v", found, err)
 			}
 			close(done)

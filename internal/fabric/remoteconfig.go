@@ -43,7 +43,7 @@ type RemoteConfig struct {
 	// OpDeadline, when positive, is the end-to-end budget for each remote
 	// operation the runtime issues, in clock units (simulated cycles on
 	// the runtime's sim.Clock). The deadline bounds the whole retry loop,
-	// rides to the server in v3 frame headers, and surfaces as
+	// rides to the server in every request header, and surfaces as
 	// ErrDeadlineExceeded when missed; repeated misses flip an aifm.Pool
 	// into degraded mode. Zero means no deadline — exactly the previous
 	// behaviour.

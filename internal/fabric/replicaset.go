@@ -172,7 +172,7 @@ func NewReplicaSet(cfg ReplicaConfig, members ...ErrorTransport) (*ReplicaSet, e
 }
 
 // Stats exposes the set's transport-level counters (checksum faults,
-// degraded legacy ops, ...).
+// deadline misses, ...).
 func (rs *ReplicaSet) Stats() *Stats { return &rs.stats }
 
 // ReplicaStats exposes the set's replication-level counters.
@@ -313,7 +313,7 @@ func (rs *ReplicaSet) noteIdentity(i int) {
 	}
 	gen, durable := ir.PeerIdentity()
 	if gen == 0 {
-		return // peer does not advertise identity (pre-v4)
+		return // peer does not advertise identity
 	}
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -561,11 +561,6 @@ func (rs *ReplicaSet) okLocked(i int) {
 	rs.brk[i].consecFails = 0
 }
 
-// TryFetch is TryFetchUntil with no deadline, kept for call-site brevity.
-func (rs *ReplicaSet) TryFetch(key uint64, dst []byte) (bool, error) {
-	return rs.TryFetchUntil(key, dst, Deadline{})
-}
-
 // TryFetchUntil implements ErrorTransport: the read is served by the
 // preferred healthy replica, failing over down the candidate list with
 // failover and hedging fitted inside the remaining budget. Every found
@@ -747,15 +742,6 @@ func (rs *ReplicaSet) repairLocked(key uint64, good []byte, found bool, bad []in
 	}
 }
 
-// TryPush is TryPushUntil with no deadline, kept for call-site brevity.
-//
-// There is no TryFetchAsync here: replication has no simulated overlap to
-// model, so prefetchers going through the fabric.FetchAsync helper get an
-// ordinary replicated fetch.
-func (rs *ReplicaSet) TryPush(key uint64, src []byte) error {
-	return rs.TryPushUntil(key, src, Deadline{})
-}
-
 // TryPushUntil implements ErrorTransport: record the new version, fan the
 // write to every closed replica, mark the rest missed, and succeed when
 // the ack quorum is met, the fan-out bounded by dl. Once the budget
@@ -818,12 +804,6 @@ func (rs *ReplicaSet) TryPushUntil(key uint64, src []byte, dl Deadline) error {
 	return fmt.Errorf("%w: write quorum %d/%d", ErrRemoteUnavailable, acks, rs.cfg.Quorum)
 }
 
-// TryDelete is TryDeleteUntil with no deadline, kept for call-site
-// brevity.
-func (rs *ReplicaSet) TryDelete(key uint64) error {
-	return rs.TryDeleteUntil(key, Deadline{})
-}
-
 // TryDeleteUntil implements ErrorTransport: a delete is a write of a
 // tombstone — fan-out, quorum, and missed-key tracking all match
 // TryPushUntil.
@@ -878,8 +858,4 @@ func (rs *ReplicaSet) TryDeleteUntil(key uint64, dl Deadline) error {
 	return fmt.Errorf("%w: delete quorum %d/%d", ErrRemoteUnavailable, acks, rs.cfg.Quorum)
 }
 
-// ReplicaSet intentionally has no infallible Fetch/Push/Delete methods:
-// callers that accept best-effort semantics wrap it in Degrading{rs}.
-
 var _ ErrorTransport = (*ReplicaSet)(nil)
-var _ DeadlineTransport = (*ReplicaSet)(nil)

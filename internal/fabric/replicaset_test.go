@@ -54,31 +54,6 @@ func (g *gateLink) TryDeleteUntil(key uint64, dl Deadline) error {
 	return g.inner.TryDeleteUntil(key, dl)
 }
 
-func (g *gateLink) TryFetch(key uint64, dst []byte) (bool, error) {
-	return g.TryFetchUntil(key, dst, Deadline{})
-}
-
-func (g *gateLink) TryFetchAsync(key uint64, dst []byte) (bool, error) {
-	return g.TryFetch(key, dst)
-}
-
-func (g *gateLink) TryPush(key uint64, src []byte) error {
-	return g.TryPushUntil(key, src, Deadline{})
-}
-
-func (g *gateLink) TryDelete(key uint64) error {
-	return g.TryDeleteUntil(key, Deadline{})
-}
-
-func (g *gateLink) Fetch(key uint64, dst []byte) bool {
-	found, err := g.TryFetch(key, dst)
-	return err == nil && found
-}
-
-func (g *gateLink) FetchAsync(key uint64, dst []byte) bool { return g.Fetch(key, dst) }
-func (g *gateLink) Push(key uint64, src []byte)            { _ = g.TryPush(key, src) }
-func (g *gateLink) Delete(key uint64)                      { _ = g.TryDelete(key) }
-
 func newTestSet(t *testing.T, n int, cfg ReplicaConfig) (*ReplicaSet, []*SimLink) {
 	t.Helper()
 	env := sim.NewEnv()
@@ -98,21 +73,21 @@ func newTestSet(t *testing.T, n int, cfg ReplicaConfig) (*ReplicaSet, []*SimLink
 func TestReplicaSetWriteFanOut(t *testing.T) {
 	rs, links := newTestSet(t, 3, ReplicaConfig{})
 	blob := []byte("replicated payload")
-	if err := rs.TryPush(7, blob); err != nil {
+	if err := rs.TryPushUntil(7, blob, Deadline{}); err != nil {
 		t.Fatalf("TryPush: %v", err)
 	}
 	for i, l := range links {
 		dst := make([]byte, len(blob))
-		if !l.Fetch(7, dst) || !bytes.Equal(dst, blob) {
+		if !mustFetch(t, l, 7, dst) || !bytes.Equal(dst, blob) {
 			t.Fatalf("replica %d did not receive the write", i)
 		}
 	}
 	dst := make([]byte, len(blob))
-	found, err := rs.TryFetch(7, dst)
+	found, err := rs.TryFetchUntil(7, dst, Deadline{})
 	if err != nil || !found || !bytes.Equal(dst, blob) {
 		t.Fatalf("TryFetch = (%v, %v), payload match %v", found, err, bytes.Equal(dst, blob))
 	}
-	if err := rs.TryDelete(7); err != nil {
+	if err := rs.TryDeleteUntil(7, Deadline{}); err != nil {
 		t.Fatalf("TryDelete: %v", err)
 	}
 	for i, l := range links {
@@ -131,7 +106,7 @@ func TestReplicaSetQuorumFailure(t *testing.T) {
 	}
 	gates[1].down = true
 	gates[2].down = true
-	err = rs.TryPush(1, []byte{0xAB})
+	err = rs.TryPushUntil(1, []byte{0xAB}, Deadline{})
 	if !errors.Is(err, ErrRemoteUnavailable) {
 		t.Fatalf("push with 1/2 quorum: err = %v, want ErrRemoteUnavailable", err)
 	}
@@ -139,7 +114,7 @@ func TestReplicaSetQuorumFailure(t *testing.T) {
 		t.Fatal("quorum failure not counted")
 	}
 	gates[1].down = false
-	if err := rs.TryPush(1, []byte{0xAB}); err != nil {
+	if err := rs.TryPushUntil(1, []byte{0xAB}, Deadline{}); err != nil {
 		t.Fatalf("push with 2/2 quorum: %v", err)
 	}
 }
@@ -162,12 +137,12 @@ func TestReplicaSetFailoverRead(t *testing.T) {
 		t.Fatalf("NewReplicaSet: %v", err)
 	}
 	blob := []byte("failover me")
-	if err := rs.TryPush(3, blob); err != nil {
+	if err := rs.TryPushUntil(3, blob, Deadline{}); err != nil {
 		t.Fatalf("TryPush: %v", err)
 	}
 	gates[0].down = true
 	dst := make([]byte, len(blob))
-	found, err := rs.TryFetch(3, dst)
+	found, err := rs.TryFetchUntil(3, dst, Deadline{})
 	if err != nil || !found || !bytes.Equal(dst, blob) {
 		t.Fatalf("failover read = (%v, %v)", found, err)
 	}
@@ -191,14 +166,14 @@ func TestReplicaSetBreakerLifecycle(t *testing.T) {
 		t.Fatalf("NewReplicaSet: %v", err)
 	}
 	blob := []byte("breaker payload")
-	if err := rs.TryPush(9, blob); err != nil {
+	if err := rs.TryPushUntil(9, blob, Deadline{}); err != nil {
 		t.Fatalf("TryPush: %v", err)
 	}
 
 	// Fail replica 0 until its breaker opens.
 	gates[0].down = true
 	for i := 0; i < 3; i++ {
-		if err := rs.TryPush(9, blob); err != nil {
+		if err := rs.TryPushUntil(9, blob, Deadline{}); err != nil {
 			t.Fatalf("push %d should still meet quorum 1: %v", i, err)
 		}
 	}
@@ -216,7 +191,7 @@ func TestReplicaSetBreakerLifecycle(t *testing.T) {
 	// While open, writes skip the replica entirely (no new failures), and
 	// this newest version is what resync must later replay.
 	latest := []byte("BREAKER PAYLOAD")
-	if err := rs.TryPush(9, latest); err != nil {
+	if err := rs.TryPushUntil(9, latest, Deadline{}); err != nil {
 		t.Fatalf("push while open: %v", err)
 	}
 
@@ -250,7 +225,7 @@ func TestReplicaSetBreakerLifecycle(t *testing.T) {
 	// The resynced replica serves the latest version, not the one it
 	// missed first.
 	dst := make([]byte, len(latest))
-	found, err := gates[0].TryFetch(9, dst)
+	found, err := gates[0].TryFetchUntil(9, dst, Deadline{})
 	if err != nil || !found {
 		t.Fatalf("direct fetch from resynced replica = (%v, %v)", found, err)
 	}
@@ -262,16 +237,16 @@ func TestReplicaSetBreakerLifecycle(t *testing.T) {
 func TestReplicaSetChecksumRepairStale(t *testing.T) {
 	rs, links := newTestSet(t, 2, ReplicaConfig{Quorum: 1})
 	blob := []byte("authoritative bytes")
-	if err := rs.TryPush(5, blob); err != nil {
+	if err := rs.TryPushUntil(5, blob, Deadline{}); err != nil {
 		t.Fatalf("TryPush: %v", err)
 	}
 	// Corrupt replica 0's at-rest copy behind the set's back.
 	stale := append([]byte(nil), blob...)
 	stale[0] ^= 0xFF
-	links[0].Push(5, stale)
+	mustPush(t, links[0], 5, stale)
 
 	dst := make([]byte, len(blob))
-	found, err := rs.TryFetch(5, dst)
+	found, err := rs.TryFetchUntil(5, dst, Deadline{})
 	if err != nil || !found || !bytes.Equal(dst, blob) {
 		t.Fatalf("read of corrupted replica = (%v, %v), payload intact %v", found, err, bytes.Equal(dst, blob))
 	}
@@ -283,7 +258,7 @@ func TestReplicaSetChecksumRepairStale(t *testing.T) {
 	}
 	// The bad replica was overwritten in place with the good copy.
 	got := make([]byte, len(blob))
-	if !links[0].Fetch(5, got) || !bytes.Equal(got, blob) {
+	if !mustFetch(t, links[0], 5, got) || !bytes.Equal(got, blob) {
 		t.Fatal("replica 0 not repaired")
 	}
 }
@@ -291,19 +266,19 @@ func TestReplicaSetChecksumRepairStale(t *testing.T) {
 func TestReplicaSetRepairsAbsentBlob(t *testing.T) {
 	rs, links := newTestSet(t, 2, ReplicaConfig{Quorum: 1})
 	blob := []byte("must survive restart")
-	if err := rs.TryPush(11, blob); err != nil {
+	if err := rs.TryPushUntil(11, blob, Deadline{}); err != nil {
 		t.Fatalf("TryPush: %v", err)
 	}
 	// Replica 0 "restarts empty": it acked the write but lost the blob.
-	links[0].Delete(11)
+	mustDelete(t, links[0], 11)
 
 	dst := make([]byte, len(blob))
-	found, err := rs.TryFetch(11, dst)
+	found, err := rs.TryFetchUntil(11, dst, Deadline{})
 	if err != nil || !found || !bytes.Equal(dst, blob) {
 		t.Fatalf("read after replica data loss = (%v, %v)", found, err)
 	}
 	got := make([]byte, len(blob))
-	if !links[0].Fetch(11, got) || !bytes.Equal(got, blob) {
+	if !mustFetch(t, links[0], 11, got) || !bytes.Equal(got, blob) {
 		t.Fatal("absent blob not re-pushed to replica 0")
 	}
 	if rs.ReplicaStats().ReadRepairs() == 0 {
@@ -322,11 +297,11 @@ func TestReplicaSetInFlightCorruptionDetected(t *testing.T) {
 		t.Fatalf("NewReplicaSet: %v", err)
 	}
 	blob := []byte("bytes on a noisy wire")
-	if err := rs.TryPush(2, blob); err != nil {
+	if err := rs.TryPushUntil(2, blob, Deadline{}); err != nil {
 		t.Fatalf("TryPush: %v", err)
 	}
 	dst := make([]byte, len(blob))
-	found, err := rs.TryFetch(2, dst)
+	found, err := rs.TryFetchUntil(2, dst, Deadline{})
 	if err != nil || !found || !bytes.Equal(dst, blob) {
 		t.Fatalf("read over corrupting link = (%v, %v), payload intact %v", found, err, bytes.Equal(dst, blob))
 	}
@@ -341,7 +316,7 @@ func TestReplicaSetInFlightCorruptionDetected(t *testing.T) {
 func TestReplicaSetUntrackedReadIsNotFound(t *testing.T) {
 	rs, _ := newTestSet(t, 3, ReplicaConfig{})
 	dst := make([]byte, 8)
-	found, err := rs.TryFetch(999, dst)
+	found, err := rs.TryFetchUntil(999, dst, Deadline{})
 	if err != nil || found {
 		t.Fatalf("fetch of never-written key = (%v, %v), want (false, nil)", found, err)
 	}
@@ -358,14 +333,14 @@ func TestReplicaSetHedgedRead(t *testing.T) {
 	}
 	blob := []byte("tail latency")
 	slow.slow = 0
-	if err := rs.TryPush(4, blob); err != nil {
+	if err := rs.TryPushUntil(4, blob, Deadline{}); err != nil {
 		t.Fatalf("TryPush: %v", err)
 	}
 	slow.slow = 50 * time.Millisecond
 
 	dst := make([]byte, len(blob))
 	start := time.Now()
-	found, err := rs.TryFetch(4, dst)
+	found, err := rs.TryFetchUntil(4, dst, Deadline{})
 	if err != nil || !found || !bytes.Equal(dst, blob) {
 		t.Fatalf("hedged read = (%v, %v)", found, err)
 	}

@@ -13,11 +13,9 @@ type Stats struct {
 	retries     atomic.Uint64 // operation attempts beyond the first
 	timeouts    atomic.Uint64 // attempts that hit the per-op deadline
 	reconnects  atomic.Uint64 // successful re-dials after a dead connection
-	degraded    atomic.Uint64 // legacy-API ops that swallowed an error (zero-fill / dropped push)
 	shortReads  atomic.Uint64 // responses truncated mid-frame
 	unavailable atomic.Uint64 // connection-level failures (refused/reset/dial)
 	checksum    atomic.Uint64 // integrity failures detected (wire CRC, server corrupt frame, replica blob mismatch)
-	downgrades  atomic.Uint64 // connections negotiated down to the CRC-less v1 protocol
 
 	overloads       atomic.Uint64 // overload rejects received (server shed the request)
 	deadlineMisses  atomic.Uint64 // operations that failed with ErrDeadlineExceeded
@@ -36,11 +34,6 @@ func (s *Stats) Timeouts() uint64 { return s.timeouts.Load() }
 // Reconnects reports successful re-dials after the connection was marked dead.
 func (s *Stats) Reconnects() uint64 { return s.reconnects.Load() }
 
-// DegradedFetches reports legacy-API operations that swallowed a transport
-// error: a Fetch that zero-filled and returned not-found, or a Push/Delete
-// that was dropped. Error-aware callers (Try*) never appear here.
-func (s *Stats) DegradedFetches() uint64 { return s.degraded.Load() }
-
 // ShortReads reports responses truncated mid-frame.
 func (s *Stats) ShortReads() uint64 { return s.shortReads.Load() }
 
@@ -53,10 +46,6 @@ func (s *Stats) Unavailable() uint64 { return s.unavailable.Load() }
 // checksum recorded when it was pushed. Every event here is corruption
 // that was caught instead of being handed to the mutator.
 func (s *Stats) ChecksumFaults() uint64 { return s.checksum.Load() }
-
-// ProtocolDowngrades reports connections that fell back to the v1 (CRC-less)
-// wire protocol because the peer did not answer the version handshake.
-func (s *Stats) ProtocolDowngrades() uint64 { return s.downgrades.Load() }
 
 // Overloads reports overload rejects received from the server's admission
 // control: attempts that were shed before service and retried as
@@ -83,37 +72,33 @@ func (s *Stats) ConnWaits() uint64 { return s.connWaits.Load() }
 
 // StatsSnapshot is a plain-value copy of Stats for reporting.
 type StatsSnapshot struct {
-	Retries            uint64
-	Timeouts           uint64
-	Reconnects         uint64
-	DegradedFetches    uint64
-	ShortReads         uint64
-	Unavailable        uint64
-	ChecksumFaults     uint64
-	ProtocolDowngrades uint64
-	Overloads          uint64
-	DeadlineMisses     uint64
-	BudgetExhausted    uint64
-	OpenConns          int64
-	ConnWaits          uint64
+	Retries         uint64
+	Timeouts        uint64
+	Reconnects      uint64
+	ShortReads      uint64
+	Unavailable     uint64
+	ChecksumFaults  uint64
+	Overloads       uint64
+	DeadlineMisses  uint64
+	BudgetExhausted uint64
+	OpenConns       int64
+	ConnWaits       uint64
 }
 
 // Snapshot copies the current counter values.
 func (s *Stats) Snapshot() StatsSnapshot {
 	return StatsSnapshot{
-		Retries:            s.Retries(),
-		Timeouts:           s.Timeouts(),
-		Reconnects:         s.Reconnects(),
-		DegradedFetches:    s.DegradedFetches(),
-		ShortReads:         s.ShortReads(),
-		Unavailable:        s.Unavailable(),
-		ChecksumFaults:     s.ChecksumFaults(),
-		ProtocolDowngrades: s.ProtocolDowngrades(),
-		Overloads:          s.Overloads(),
-		DeadlineMisses:     s.DeadlineMisses(),
-		BudgetExhausted:    s.BudgetExhausted(),
-		OpenConns:          s.OpenConns(),
-		ConnWaits:          s.ConnWaits(),
+		Retries:         s.Retries(),
+		Timeouts:        s.Timeouts(),
+		Reconnects:      s.Reconnects(),
+		ShortReads:      s.ShortReads(),
+		Unavailable:     s.Unavailable(),
+		ChecksumFaults:  s.ChecksumFaults(),
+		Overloads:       s.Overloads(),
+		DeadlineMisses:  s.DeadlineMisses(),
+		BudgetExhausted: s.BudgetExhausted(),
+		OpenConns:       s.OpenConns(),
+		ConnWaits:       s.ConnWaits(),
 	}
 }
 
@@ -123,8 +108,8 @@ func (s *Stats) String() string { return s.Snapshot().String() }
 
 // String implements fmt.Stringer.
 func (s StatsSnapshot) String() string {
-	return fmt.Sprintf("retries=%d timeouts=%d reconnects=%d degraded=%d shortReads=%d unavailable=%d checksumFaults=%d protoDowngrades=%d overloads=%d deadlineMisses=%d budgetExhausted=%d openConns=%d connWaits=%d",
-		s.Retries, s.Timeouts, s.Reconnects, s.DegradedFetches, s.ShortReads, s.Unavailable, s.ChecksumFaults, s.ProtocolDowngrades, s.Overloads, s.DeadlineMisses, s.BudgetExhausted, s.OpenConns, s.ConnWaits)
+	return fmt.Sprintf("retries=%d timeouts=%d reconnects=%d shortReads=%d unavailable=%d checksumFaults=%d overloads=%d deadlineMisses=%d budgetExhausted=%d openConns=%d connWaits=%d",
+		s.Retries, s.Timeouts, s.Reconnects, s.ShortReads, s.Unavailable, s.ChecksumFaults, s.Overloads, s.DeadlineMisses, s.BudgetExhausted, s.OpenConns, s.ConnWaits)
 }
 
 // record classifies err (already mapped by classify) into the right bucket.

@@ -16,66 +16,36 @@ import (
 	"trackfm/internal/sim"
 )
 
-// Wire protocol: every request is
+// The frame. One wire format, big-endian throughout; a CRC32-C trailer
+// (remote.Checksum) follows every payload.
 //
-//	op(1) key(8, big-endian) length(4, big-endian) payload(length)
+//	client sends                                        server answers
+//	hello  op(1)=4 magic(8) version(4)                  ackHello version(1) flags(1) gen(8)
+//	fetch  op(1)=1 key(8) length(4) deadlineNs(8)       flag(1) payload(length) crc(4)
+//	push   op(1)=2 key(8) length(4) deadlineNs(8)       ack(1)
+//	       payload(length) crc(4)
+//	delete op(1)=3 key(8) length(4)=0 deadlineNs(8)     ack(1)
 //
-// where length/payload are only present for opPush. opFetch carries the
-// requested size in length (no payload) and the server answers
+// The hello is the first frame of every connection and appears nowhere
+// else: a connection that opens with anything but a hello carrying
+// helloMagic, or sends a second one, is counted in badFrames and closed
+// before anything reaches the store. The server answers the one version it
+// speaks, whatever the client offered; a client that reads another version
+// fails with a permanent ErrProtocol. flags bit 0 (helloGenDurable) says the
+// node recovered its store from local durable state; gen is its restart
+// generation, which durably increases on every restart (0 = not advertised).
 //
-//	flag(1) payload(length)
-//
-// with flag 0 (absent, zero payload follows), 1 (found), flagErr (the
-// request was rejected — no payload follows), or flagCorrupt (the stored
-// blob failed its integrity checks — no payload follows). opPush and
-// opDelete are answered with a single ack byte: ackOK, ackErr for a
-// rejected request, or ackCorrupt for a push whose CRC trailer did not
-// survive the wire.
-//
-// Protocol version 2 (negotiated per connection with opHello, see below)
-// adds end-to-end integrity framing: every payload-bearing frame carries a
-// CRC32-C trailer (4 bytes, big-endian) computed over the payload —
-// opPush requests become "header payload crc" and opFetch responses become
-// "flag payload crc". Connections that never send opHello speak version 1
-// unchanged, so old peers interoperate; a v2 client talking to a v1 server
-// detects the dropped handshake and falls back.
-//
-// Protocol version 3 keeps v2's CRC framing and appends a deadline field
-// to every request header except opHello: the 13-byte prefix is followed
-// by deadlineNs(8, big-endian), the operation's remaining budget in
-// nanoseconds (0 = no deadline). Hello frames stay 13 bytes in every
-// version so negotiation itself is version-independent. The deadline lets
-// the server shed requests it cannot finish in time: a v3 server with
-// admission control enabled may answer any request with the single byte
-// ackOverloaded (no payload follows, the stream stays in sync), which
-// clients treat as backpressure — retried after backoff, never charged to
-// the retry budget, never counted against circuit breakers. A v2 server
-// receiving a v3 offer answers v2 (it accepts any version >= 2), so new
-// clients interoperate with old servers and vice versa.
-//
-// Protocol version 4 keeps v3's request framing unchanged and extends only
-// the hello *response*: after the version byte the server appends
-// flags(1) + generation(8, big-endian), its restart generation — a value
-// that durably increases every time the node restarts (bit 0 of flags set
-// when the node recovered its store from local durable state, clear when
-// it came up empty or holds state in memory only). A client that sees a
-// replica's generation change across a reconnect knows the node restarted,
-// and the durability bit tells it whether the node kept its keyspace
-// (rejoin needs only the writes missed during downtime) or lost it (full
-// resync). Hello requests stay 13 bytes; servers answering v3 or below
-// send the old 2-byte response, so the exchange is length-unambiguous in
-// both directions.
+// A fetch's length is the size wanted; its reply's flag is flagAbsent (the
+// payload is zeros) or flagFound. ack is ackOK. In place of a fetch reply or
+// an ack the server may send one of three single bytes, after which nothing
+// follows and the stream stays in sync: ackErr, ackCorrupt or ackOverloaded.
+// deadlineNs is the operation's remaining budget (0 = none), which is what
+// lets admission control shed a request it cannot finish in time.
 const (
 	opFetch  = byte(1)
 	opPush   = byte(2)
 	opDelete = byte(3)
-	// opHello negotiates the protocol version for the connection: key
-	// carries helloMagic (so random bytes cannot accidentally negotiate),
-	// length carries the highest version the client speaks. The server
-	// answers ackHello followed by the agreed version byte. Old servers
-	// drop the connection on the unknown opcode, which the client treats
-	// as "peer speaks v1".
-	opHello = byte(4)
+	opHello  = byte(4)
 
 	flagAbsent = byte(0)
 	flagFound  = byte(1)
@@ -89,35 +59,31 @@ const (
 	// ackCorrupt / flagCorrupt is the integrity error frame: the stored
 	// blob failed its checksum or was shorter than the requested read
 	// (fetch), or a pushed payload's CRC trailer did not verify (push).
-	// It is only sent on v2 connections — v1 peers get ackErr.
 	ackCorrupt = byte(0xC7)
 	// ackOverloaded doubles as the fetch flag and the push/delete ack for
-	// a request shed by server-side admission control before service. No
-	// payload follows. Only sent on v3 connections — earlier protocols
-	// have no deadline field and their clients would not understand the
-	// byte, so admission control never sheds them.
+	// a request shed by server-side admission control before service. The
+	// stream stays in sync; clients treat it as backpressure — retried
+	// after backoff, never charged to the retry budget, never counted
+	// against circuit breakers.
 	ackOverloaded = byte(0xB7)
 
-	protoV1 = 1
-	protoV2 = 2
-	protoV3 = 3
-	protoV4 = 4
+	protoVersion = 4
 
-	// helloGenDurable is the hello-response flags bit advertising that the
+	// helloGenDurable is the hello-reply flags bit advertising that the
 	// node's store survives restarts (WAL + snapshots).
 	helloGenDurable = byte(1)
 
-	// helloMagic guards the handshake opcode: "TFMFABR2" as a big-endian
-	// integer in the key field.
+	// helloMagic guards the handshake opcode, so random bytes cannot pass
+	// for a hello: "TFMFABR2" as a big-endian integer in the key field.
 	helloMagic = uint64(0x54464D4641425232)
 )
 
-// crcLen is the width of the CRC32-C payload trailer in v2 frames; hdrLen
-// and hdrLenV3 are the request header without and with the v3 deadline.
+// Frame part lengths (see the table above).
 const (
-	crcLen   = 4
-	hdrLen   = 13
-	hdrLenV3 = hdrLen + 8
+	helloLen      = 13
+	helloReplyLen = 11
+	hdrLen        = 21
+	crcLen        = 4
 )
 
 // wireBufSize sizes the bufio buffers on both ends of a connection so that
@@ -145,12 +111,12 @@ var ErrPayloadTooLarge = errors.New("fabric: payload exceeds protocol limit")
 type ServerStats struct {
 	conns       atomic.Uint64 // connections accepted
 	frames      atomic.Uint64 // well-formed request frames served
-	badFrames   atomic.Uint64 // unknown opcodes / bad hello magic (connection dropped)
+	badFrames   atomic.Uint64 // unknown opcodes, a first frame that is not a valid hello, a hello anywhere else (connection dropped)
 	oversize    atomic.Uint64 // requests rejected with an error frame
-	hellos      atomic.Uint64 // connections negotiated to protocol v2
+	hellos      atomic.Uint64 // hellos accepted
 	sizeErrs    atomic.Uint64 // fetches of a truncated blob answered with an integrity error frame
 	corrupt     atomic.Uint64 // fetches of a checksum-failing blob answered with an integrity error frame
-	wireRejects atomic.Uint64 // v2 pushes whose CRC trailer failed verification (not stored)
+	wireRejects atomic.Uint64 // pushes whose CRC trailer failed verification (not stored)
 	sheds       atomic.Uint64 // requests rejected by admission control with an overload frame
 	storeFails  atomic.Uint64 // writes the backing store refused (e.g. WAL append failure): answered with an error frame, never acked
 }
@@ -166,14 +132,16 @@ func (s *ServerStats) Conns() uint64 { return s.conns.Load() }
 // Frames reports well-formed request frames served.
 func (s *ServerStats) Frames() uint64 { return s.frames.Load() }
 
-// BadFrames reports frames with unknown opcodes.
+// BadFrames reports connections dropped for an unknown opcode, a first
+// frame that was not a valid hello, or a hello after the first frame.
 func (s *ServerStats) BadFrames() uint64 { return s.badFrames.Load() }
 
 // OversizeRejects reports requests rejected for advertising a payload
 // above the protocol limit.
 func (s *ServerStats) OversizeRejects() uint64 { return s.oversize.Load() }
 
-// Hellos reports connections that negotiated the v2 (CRC-framed) protocol.
+// Hellos reports hellos accepted: one per connection that opened with a
+// valid one.
 func (s *ServerStats) Hellos() uint64 { return s.hellos.Load() }
 
 // SizeMismatches reports fetches that found a stored blob shorter than the
@@ -185,7 +153,7 @@ func (s *ServerStats) SizeMismatches() uint64 { return s.sizeErrs.Load() }
 // checksum and were answered with an integrity error frame.
 func (s *ServerStats) CorruptBlobs() uint64 { return s.corrupt.Load() }
 
-// WireRejects reports v2 pushes whose payload CRC trailer failed
+// WireRejects reports pushes whose payload CRC trailer failed
 // verification; the payload was discarded, never stored.
 func (s *ServerStats) WireRejects() uint64 { return s.wireRejects.Load() }
 
@@ -218,8 +186,8 @@ type Server struct {
 	stats     ServerStats
 	admission atomic.Pointer[Admission]
 
-	// gen/durable are what the v4 hello response advertises (see the
-	// protocol comment above); SetGeneration installs them before serving.
+	// gen/durable are what the hello reply advertises (see the frame table
+	// above); SetGeneration installs them before serving.
 	gen     atomic.Uint64
 	durable atomic.Bool
 
@@ -237,7 +205,7 @@ func NewServer(store BlobStore) *Server {
 }
 
 // SetGeneration installs the restart generation the server advertises in
-// v4 hello responses, and whether the backing store is durable (recovered
+// its hello replies, and whether the backing store is durable (recovered
 // from local WAL + snapshot state rather than starting empty). Call before
 // ListenAndServe; a generation of 0 means "not advertised" and clients
 // ignore it.
@@ -253,10 +221,8 @@ func (s *Server) Stats() *ServerStats { return &s.stats }
 func (s *Server) Store() BlobStore { return s.store }
 
 // EnableAdmission installs an admission controller built from cfg and
-// returns it (for stats registration). Only requests on v3-negotiated
-// connections are subject to shedding — earlier protocols have no
-// overload frame — and with no controller installed the server accepts
-// everything, exactly as before.
+// returns it (for stats registration). With no controller installed the
+// server accepts everything.
 func (s *Server) EnableAdmission(cfg AdmissionConfig) *Admission {
 	a := NewAdmission(cfg)
 	s.admission.Store(a)
@@ -305,6 +271,31 @@ func (s *Server) serve() {
 	}
 }
 
+// acceptHello serves a connection's first frame, which must be a hello: it
+// answers the server's version and identity, whatever version the client
+// offered. It reports false when the connection is to be dropped instead.
+func (s *Server) acceptHello(r *bufio.Reader, w *bufio.Writer) bool {
+	var hello [helloLen]byte
+	if _, err := io.ReadFull(r, hello[:]); err != nil {
+		return false
+	}
+	if hello[0] != opHello || binary.BigEndian.Uint64(hello[1:9]) != helloMagic {
+		s.stats.badFrames.Add(1)
+		return false
+	}
+	reply := [helloReplyLen]byte{ackHello, protoVersion}
+	if s.durable.Load() {
+		reply[2] |= helloGenDurable
+	}
+	binary.BigEndian.PutUint64(reply[3:], s.gen.Load())
+	if _, err := w.Write(reply[:]); err != nil {
+		return false
+	}
+	s.stats.hellos.Add(1)
+	s.stats.frames.Add(1)
+	return w.Flush() == nil
+}
+
 func (s *Server) handle(conn net.Conn) {
 	// admStart/admPending track a frame admitted but not yet finished, so
 	// a connection dying mid-service still releases its admission slot
@@ -324,28 +315,25 @@ func (s *Server) handle(conn net.Conn) {
 	}()
 	r := bufio.NewReaderSize(conn, wireBufSize)
 	w := bufio.NewWriterSize(conn, wireBufSize)
-	ver := protoV1 // until the connection negotiates otherwise
+	if !s.acceptHello(r, w) {
+		return
+	}
 	// Per-connection scratch: declared per frame, arrays handed to
 	// io.ReadFull and w.Write escape and cost an allocation each.
-	var hdr [hdrLenV3]byte
+	var hdr [hdrLen]byte
 	var crc [crcLen]byte
-	for {
-		if _, err := io.ReadFull(r, hdr[:hdrLen]); err != nil {
+	// Once Shutdown starts draining, the frame just served (and acked in
+	// full) is the last: hang up instead of reading the next request. The
+	// client's retry machinery treats that like any other connection loss.
+	for !s.draining.Load() {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return
 		}
 		op := hdr[0]
 		key := binary.BigEndian.Uint64(hdr[1:9])
 		length := binary.BigEndian.Uint32(hdr[9:13])
-		var deadlineNs uint64
-		if ver >= protoV3 && op != opHello {
-			// v3 request headers carry the remaining budget after the
-			// common 13-byte prefix; hello frames never do.
-			if _, err := io.ReadFull(r, hdr[hdrLen:]); err != nil {
-				return
-			}
-			deadlineNs = binary.BigEndian.Uint64(hdr[hdrLen:])
-		}
-		if op != opHello && length > maxPayload {
+		deadlineNs := binary.BigEndian.Uint64(hdr[13:])
+		if length > maxPayload {
 			// Answer with an error frame rather than silently
 			// dropping the connection; the client sees a definite
 			// rejection. After an oversize opPush the stream cannot
@@ -361,11 +349,11 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			continue
 		}
-		if adm := s.admission.Load(); adm != nil && ver >= protoV3 && op != opHello {
+		if adm := s.admission.Load(); adm != nil {
 			if v := adm.OfferEstimate(deadlineNs); v.Shed() {
-				// A shed push's payload (and CRC trailer — v3 implies v2
-				// framing) is already on the wire; consume it so the
-				// stream stays in sync for the next request.
+				// A shed push's payload and CRC trailer are already on the
+				// wire; consume them so the stream stays in sync for the
+				// next request.
 				if op == opPush {
 					if _, err := io.CopyN(io.Discard, r, int64(length)+crcLen); err != nil {
 						return
@@ -384,45 +372,6 @@ func (s *Server) handle(conn net.Conn) {
 			admStart = time.Now()
 		}
 		switch op {
-		case opHello:
-			if key != helloMagic {
-				// A stray frame that happens to use the hello opcode
-				// is a protocol violation, not a handshake.
-				s.stats.badFrames.Add(1)
-				return
-			}
-			agreed := protoV1
-			switch {
-			case length >= protoV4:
-				agreed = protoV4
-			case length == protoV3:
-				agreed = protoV3
-			case length == protoV2:
-				agreed = protoV2
-			}
-			if err := w.WriteByte(ackHello); err != nil {
-				return
-			}
-			if err := w.WriteByte(byte(agreed)); err != nil {
-				return
-			}
-			if agreed >= protoV4 {
-				// v4 hello responses carry identity: flags + restart
-				// generation, so a reconnecting client can tell whether
-				// the node restarted and whether it kept its keyspace.
-				var id [9]byte
-				if s.durable.Load() {
-					id[0] |= helloGenDurable
-				}
-				binary.BigEndian.PutUint64(id[1:9], s.gen.Load())
-				if _, err := w.Write(id[:]); err != nil {
-					return
-				}
-			}
-			ver = agreed
-			if agreed >= protoV2 {
-				s.stats.hellos.Add(1)
-			}
 		case opFetch:
 			lease := bufpool.Get(int(length))
 			buf := lease.Bytes()
@@ -438,12 +387,8 @@ func (s *Server) handle(conn net.Conn) {
 				} else {
 					s.stats.corrupt.Add(1)
 				}
-				errFlag := ackErr
-				if ver >= protoV2 {
-					errFlag = ackCorrupt
-				}
 				lease.Release()
-				if werr := w.WriteByte(errFlag); werr != nil {
+				if werr := w.WriteByte(ackCorrupt); werr != nil {
 					return
 				}
 				break
@@ -460,14 +405,9 @@ func (s *Server) handle(conn net.Conn) {
 				lease.Release()
 				return
 			}
-			crcOK := true
-			if ver >= protoV2 {
-				binary.BigEndian.PutUint32(crc[:], payloadCRC(buf))
-				_, err := w.Write(crc[:])
-				crcOK = err == nil
-			}
+			binary.BigEndian.PutUint32(crc[:], payloadCRC(buf))
 			lease.Release()
-			if !crcOK {
+			if _, err := w.Write(crc[:]); err != nil {
 				return
 			}
 		case opPush:
@@ -477,23 +417,21 @@ func (s *Server) handle(conn net.Conn) {
 				lease.Release()
 				return
 			}
-			if ver >= protoV2 {
-				if _, err := io.ReadFull(r, crc[:]); err != nil {
-					lease.Release()
+			if _, err := io.ReadFull(r, crc[:]); err != nil {
+				lease.Release()
+				return
+			}
+			if binary.BigEndian.Uint32(crc[:]) != payloadCRC(buf) {
+				// The payload was damaged in flight. Discard it —
+				// storing it would turn transient wire corruption
+				// into durable corruption — and tell the client,
+				// which retries the (idempotent) push.
+				s.stats.wireRejects.Add(1)
+				lease.Release()
+				if err := w.WriteByte(ackCorrupt); err != nil {
 					return
 				}
-				if binary.BigEndian.Uint32(crc[:]) != payloadCRC(buf) {
-					// The payload was damaged in flight. Discard it —
-					// storing it would turn transient wire corruption
-					// into durable corruption — and tell the client,
-					// which retries the (idempotent) push.
-					s.stats.wireRejects.Add(1)
-					lease.Release()
-					if err := w.WriteByte(ackCorrupt); err != nil {
-						return
-					}
-					break
-				}
+				break
 			}
 			ack := ackOK
 			err := s.store.Put(key, buf)
@@ -518,6 +456,8 @@ func (s *Server) handle(conn net.Conn) {
 				return
 			}
 		default:
+			// An unknown opcode, or a hello anywhere but at the head of
+			// the connection.
 			s.stats.badFrames.Add(1)
 			return
 		}
@@ -530,13 +470,6 @@ func (s *Server) handle(conn net.Conn) {
 				adm.Done(uint64(time.Since(admStart).Nanoseconds()))
 			}
 			admPending = false
-		}
-		if s.draining.Load() {
-			// Shutdown in progress: the current frame was fully served and
-			// acked; hang up now instead of reading the next request. The
-			// client's retry machinery treats the close like any other
-			// connection loss.
-			return
 		}
 	}
 }
@@ -618,27 +551,6 @@ func (s *Server) Shutdown(grace time.Duration) error {
 	}
 }
 
-// WireVersion selects how a TCPTransport frames payloads.
-type WireVersion int
-
-const (
-	// WireAuto negotiates: the client offers v2 (CRC trailers) and falls
-	// back to v1 when the server drops the handshake (an old peer). The
-	// fallback is sticky per transport so an old server is not re-probed
-	// on every reconnect.
-	WireAuto WireVersion = iota
-	// WireV1 forces the legacy CRC-less protocol (no handshake is sent).
-	WireV1
-	// WireV2 requires CRC framing: a peer that cannot negotiate v2 is a
-	// permanent ErrProtocol. Use when integrity must not silently degrade.
-	WireV2
-	// WireV3 requires deadline framing: a peer that cannot negotiate v3 is
-	// a permanent ErrProtocol. Use when deadline propagation and overload
-	// shedding must not silently degrade; WireAuto clients still offer v3
-	// and use it whenever the server speaks it.
-	WireV3
-)
-
 // DialOptions tunes a TCPTransport's fault handling.
 type DialOptions struct {
 	// Retry bounds per-operation re-issues; zero fields take defaults
@@ -651,10 +563,6 @@ type DialOptions struct {
 	// zero seed selects sim.NewRNG's fixed default, so the schedule is
 	// reproducible even when unset.
 	Seed uint64
-	// Wire selects the payload framing (default WireAuto: negotiate the
-	// highest version the server speaks — v3 deadline + CRC framing —
-	// falling back to v1 against old servers).
-	Wire WireVersion
 	// Budget bounds retries across all operations of the transport (see
 	// RetryBudget). Nil gives the transport a private default budget;
 	// pass a shared one to bound several transports' combined retry
@@ -662,29 +570,25 @@ type DialOptions struct {
 	Budget *RetryBudget
 }
 
-// TCPTransport is a Transport backed by real TCP connections to a Server.
-// It implements ErrorTransport: the Try methods surface typed errors, apply
-// per-operation deadlines, retry with deterministic-jitter backoff, and
-// transparently reconnect after a connection is marked dead. On v2
-// connections every payload crossing the wire carries a CRC32-C trailer;
-// corruption in flight is detected on receipt (ErrIntegrity, counted in
-// Stats.ChecksumFaults) and healed by the retry loop instead of being
-// handed to the caller. The legacy Transport methods remain as degrading
-// adapters (errors become not-found / dropped ops, tallied in Stats as
-// degraded).
+// TCPTransport is an ErrorTransport backed by real TCP connections to a
+// Server: its methods surface typed errors, apply per-operation deadlines,
+// retry with deterministic-jitter backoff, and transparently reconnect after
+// a connection is marked dead. Every payload crossing the wire carries a
+// CRC32-C trailer; corruption in flight is detected on receipt
+// (ErrIntegrity, counted in Stats.ChecksumFaults) and healed by the retry
+// loop instead of being handed to the caller.
 //
 // It is safe for concurrent use, and concurrent callers do not wait for
 // each other: an operation checks a connection out of a LIFO stack of idle
 // ones (dialing a new one, up to maxConns, when the stack is empty), runs
 // its whole retry loop on it, and puts it back. One caller keeps reusing
 // one socket; N callers get N sockets and N Server.handle goroutines. mu
-// is a leaf lock over the stack and the shared negotiation state below; it
-// is never held across I/O, a backoff sleep or a dial.
+// is a leaf lock over the stack and the peer identity below; it is never
+// held across I/O, a backoff sleep or a dial.
 type TCPTransport struct {
 	addr      string
 	policy    RetryPolicy
 	opTimeout time.Duration
-	wire      WireVersion
 	budget    *RetryBudget
 	stats     Stats
 	dial      func(network, addr string, timeout time.Duration) (net.Conn, error) // net.DialTimeout, or a test's counting dialer
@@ -695,9 +599,7 @@ type TCPTransport struct {
 	cond        sync.Cond   // callers waiting for a connection at the cap; L is &mu
 	conns       []*wireConn // every connection made, idle or checked out (for Close)
 	idle        []*wireConn // LIFO stack of the ones not checked out
-	ver         int         // protocol version of the newest completed negotiation
-	legacy      bool        // sticky: peer dropped the handshake, speak v1 (WireAuto only)
-	peerGen     uint64      // restart generation from the newest v4 hello (0 = never seen)
+	peerGen     uint64      // restart generation from the newest hello reply (0 = never seen)
 	peerDurable bool        // the peer advertised a durable (recovered) store
 
 	rngMu sync.Mutex // leaf lock: jitter draws stay one sequence per transport
@@ -713,20 +615,20 @@ const maxConns = 16
 // re-dials into the same buffers. conn is written under the transport's mu
 // (Close reads it from another goroutine); the holder reads it freely.
 type wireConn struct {
-	conn   net.Conn
-	r      *bufio.Reader
-	w      *bufio.Writer
-	ver    int      // negotiated version; 0 = hello pending
-	dl     Deadline // deadline of the operation holding the connection (zero = none)
-	dialed bool     // has been connected before: the next dial is a reconnect
+	conn    net.Conn
+	r       *bufio.Reader
+	w       *bufio.Writer
+	helloed bool     // the socket's hello has been answered
+	dl      Deadline // deadline of the operation holding the connection (zero = none)
+	dialed  bool     // has been connected before: the next dial is a reconnect
 	// Header and trailer scratch: as stack arrays they escape through
 	// io.Writer/io.ReadFull, one heap allocation per frame each.
-	hdr [hdrLenV3]byte
+	hdr [hdrLen]byte
 	crc [crcLen]byte
 }
 
 // IdentityReporter is implemented by transports that learn the peer's
-// restart generation from the v4 hello exchange. A ReplicaSet uses it to
+// restart generation from the hello exchange. A ReplicaSet uses it to
 // tell a restarted replica (generation changed) from a flaky link, and the
 // durable bit to choose between a delta rejoin (repair only the keys
 // written during its downtime) and a full resync.
@@ -755,13 +657,12 @@ func Dial(addr string) (*TCPTransport, error) {
 // options. The initial dial is not retried: an unreachable server at
 // construction time is a configuration error the caller should see
 // immediately. Once constructed, the transport survives server restarts by
-// reconnecting on demand (renegotiating the wire version each time).
+// reconnecting on demand (each new socket opens with its own hello).
 func DialWith(addr string, opts DialOptions) (*TCPTransport, error) {
 	t := &TCPTransport{
 		addr:      addr,
 		policy:    opts.Retry.withDefaults(),
 		opTimeout: opts.OpTimeout,
-		wire:      opts.Wire,
 		budget:    opts.Budget,
 		dial:      net.DialTimeout,
 		rng:       sim.NewRNG(opts.Seed),
@@ -790,18 +691,6 @@ func (t *TCPTransport) Stats() *Stats { return &t.stats }
 // RetryBudget exposes the transport's retry budget (for gauges and for
 // sharing with sibling transports at construction time via DialOptions).
 func (t *TCPTransport) RetryBudget() *RetryBudget { return t.budget }
-
-// WireVersionInUse reports the protocol version of the most recently
-// negotiated connection (0 when none is open). Mostly useful in tests and
-// stats reporters; it never waits on I/O.
-func (t *TCPTransport) WireVersionInUse() int {
-	if t.stats.OpenConns() == 0 {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.ver
-}
 
 // checkout hands the caller exclusive use of a connection until release:
 // the most recently returned idle one, else a new (not yet dialed) one
@@ -848,7 +737,7 @@ func (t *TCPTransport) release(c *wireConn) {
 func (t *TCPTransport) drop(c *wireConn) {
 	if c.conn != nil {
 		c.conn.Close()
-		c.conn, c.ver = nil, 0
+		c.conn, c.helloed = nil, false
 		t.stats.openConns.Add(-1)
 	}
 }
@@ -862,10 +751,9 @@ func (t *TCPTransport) markDead(c *wireConn) {
 	t.mu.Unlock()
 }
 
-// ensureConn re-dials if c has no live socket. The connection starts with
-// version 0 ("handshake pending") unless the transport is configured or
-// stickily downgraded to v1. The first dial of a wireConn grows the pool;
-// every later one replaces a socket that died and counts as a reconnect.
+// ensureConn re-dials if c has no live socket; the new socket's hello is
+// still to be sent. The first dial of a wireConn grows the pool; every
+// later one replaces a socket that died and counts as a reconnect.
 func (t *TCPTransport) ensureConn(c *wireConn) error {
 	if c.conn != nil {
 		return nil
@@ -881,9 +769,6 @@ func (t *TCPTransport) ensureConn(c *wireConn) error {
 		return permanent(ErrClosed)
 	}
 	c.conn = conn
-	if t.wire == WireV1 || (t.wire == WireAuto && t.legacy) {
-		c.ver, t.ver = protoV1, protoV1
-	}
 	t.mu.Unlock()
 	c.r.Reset(conn)
 	c.w.Reset(conn)
@@ -895,81 +780,44 @@ func (t *TCPTransport) ensureConn(c *wireConn) error {
 	return nil
 }
 
-// ensureHello negotiates the wire version on a freshly dialed connection.
-// It runs lazily on the first operation over each connection (not at dial
-// time), so DialWith stays a pure reachability check and handshake failures
-// flow through the per-operation retry/typed-error machinery. A peer that
-// closes the connection on the hello opcode is an old v1 server: under
-// WireAuto the transport stickily falls back to v1 and redials; under
-// WireV2 that peer is a permanent protocol error.
+// ensureHello opens a freshly dialed connection with the hello exchange. It
+// runs lazily on the first operation over each socket (not at dial time), so
+// DialWith stays a pure reachability check and handshake failures flow
+// through the per-operation retry and typed-error machinery: a peer that
+// hangs up mid-hello is an ordinary retryable connection error, one that
+// answers anything but this version's hello ack a permanent ErrProtocol.
 func (t *TCPTransport) ensureHello(c *wireConn) error {
-	if c.ver != 0 {
+	if c.helloed {
 		return nil
 	}
 	c.conn.SetDeadline(time.Now().Add(t.opTimeout))
 	c.hdr[0] = opHello
 	binary.BigEndian.PutUint64(c.hdr[1:9], helloMagic)
-	binary.BigEndian.PutUint32(c.hdr[9:13], protoV4)
-	_, err := c.w.Write(c.hdr[:hdrLen])
+	binary.BigEndian.PutUint32(c.hdr[9:13], protoVersion)
+	_, err := c.w.Write(c.hdr[:helloLen])
 	if err == nil {
 		err = c.w.Flush()
 	}
-	resp := c.hdr[:2]
+	// The version is checked before the rest of the reply is read: only
+	// this version is known to send one of this length.
+	reply := c.hdr[:helloReplyLen]
 	if err == nil {
-		_, err = io.ReadFull(c.r, resp)
+		_, err = io.ReadFull(c.r, reply[:2])
+	}
+	if err == nil && (reply[0] != ackHello || reply[1] != protoVersion) {
+		err = permanent(fmt.Errorf("%w: hello answered %#x, version %d", ErrProtocol, reply[0], reply[1]))
+	}
+	if err == nil {
+		_, err = io.ReadFull(c.r, reply[2:])
 	}
 	if err != nil {
 		t.markDead(c)
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			if t.wire == WireV2 || t.wire == WireV3 {
-				return permanent(fmt.Errorf("%w: peer does not speak versioned protocol", ErrProtocol))
-			}
-			t.mu.Lock()
-			// A peer that has negotiated before is restarting, not old.
-			t.legacy = t.ver < protoV2
-			legacy := t.legacy
-			t.mu.Unlock()
-			if !legacy {
-				return err
-			}
-			t.stats.downgrades.Add(1)
-			return t.ensureConn(c) // redial; legacy is set, so no hello
-		}
 		return err
 	}
-	if resp[0] != ackHello {
-		t.markDead(c)
-		return permanent(fmt.Errorf("%w: hello ack %#x", ErrProtocol, resp[0]))
-	}
-	ver := int(resp[1])
-	if ver < protoV1 || ver > protoV4 {
-		t.markDead(c)
-		return permanent(fmt.Errorf("%w: hello version %d", ErrProtocol, ver))
-	}
-	var id []byte
-	if ver >= protoV4 {
-		// A v4 hello response carries identity: flags(1) + generation(8).
-		id = c.hdr[:9]
-		if _, err := io.ReadFull(c.r, id); err != nil {
-			t.markDead(c)
-			return err
-		}
-	}
-	if ver < protoV2 && t.wire == WireV2 {
-		t.markDead(c)
-		return permanent(fmt.Errorf("%w: peer negotiated v%d, need v2", ErrProtocol, ver))
-	}
-	if ver < protoV3 && t.wire == WireV3 {
-		t.markDead(c)
-		return permanent(fmt.Errorf("%w: peer negotiated v%d, need v3", ErrProtocol, ver))
-	}
-	c.ver = ver
+	c.helloed = true
 	t.mu.Lock()
-	t.ver = ver
-	if id != nil {
-		t.peerDurable = id[0]&helloGenDurable != 0
-		t.peerGen = binary.BigEndian.Uint64(id[1:9])
-	}
+	t.peerDurable = reply[2]&helloGenDurable != 0
+	t.peerGen = binary.BigEndian.Uint64(reply[3:])
 	t.mu.Unlock()
 	return nil
 }
@@ -1095,25 +943,19 @@ func (c *wireConn) exchange(code byte, key uint64, buf []byte) (found bool, err 
 	c.hdr[0] = code
 	binary.BigEndian.PutUint64(c.hdr[1:9], key)
 	binary.BigEndian.PutUint32(c.hdr[9:13], uint32(len(buf)))
-	n := hdrLen
-	if c.ver >= protoV3 {
-		// v3 request headers carry the operation's remaining budget so
-		// the server can shed requests it cannot finish in time.
-		binary.BigEndian.PutUint64(c.hdr[hdrLen:], c.dl.RemainingNanos())
-		n = hdrLenV3
-	}
-	if _, err := c.w.Write(c.hdr[:n]); err != nil {
+	// The operation's remaining budget, so the server can shed a request
+	// it cannot finish in time.
+	binary.BigEndian.PutUint64(c.hdr[13:], c.dl.RemainingNanos())
+	if _, err := c.w.Write(c.hdr[:]); err != nil {
 		return false, err
 	}
 	if code == opPush {
 		if _, err := c.w.Write(buf); err != nil {
 			return false, err
 		}
-		if c.ver >= protoV2 {
-			binary.BigEndian.PutUint32(c.crc[:], payloadCRC(buf))
-			if _, err := c.w.Write(c.crc[:]); err != nil {
-				return false, err
-			}
+		binary.BigEndian.PutUint32(c.crc[:], payloadCRC(buf))
+		if _, err := c.w.Write(c.crc[:]); err != nil {
+			return false, err
 		}
 	}
 	if err := c.w.Flush(); err != nil {
@@ -1149,27 +991,20 @@ func (c *wireConn) exchange(code byte, key uint64, buf []byte) (found bool, err 
 	if _, err := io.ReadFull(c.r, buf); err != nil {
 		return false, err
 	}
-	if c.ver >= protoV2 {
-		if _, err := io.ReadFull(c.r, c.crc[:]); err != nil {
-			return false, err
-		}
-		if binary.BigEndian.Uint32(c.crc[:]) != payloadCRC(buf) {
-			// In-flight corruption: the connection's framing may
-			// also be suspect, so the conn is torn down (do's
-			// error path) and the retry re-reads over a fresh one.
-			return false, fmt.Errorf("%w: fetch payload CRC mismatch", ErrIntegrity)
-		}
+	if _, err := io.ReadFull(c.r, c.crc[:]); err != nil {
+		return false, err
+	}
+	if binary.BigEndian.Uint32(c.crc[:]) != payloadCRC(buf) {
+		// In-flight corruption: the connection's framing may also be
+		// suspect, so the conn is torn down (do's error path) and the
+		// retry re-reads over a fresh one.
+		return false, fmt.Errorf("%w: fetch payload CRC mismatch", ErrIntegrity)
 	}
 	return flag == flagFound, nil
 }
 
-// TryFetch is TryFetchUntil with no deadline, kept for call-site brevity.
-func (t *TCPTransport) TryFetch(key uint64, dst []byte) (bool, error) {
-	return t.TryFetchUntil(key, dst, Deadline{})
-}
-
 // TryFetchUntil implements ErrorTransport: a fetch bounded end to end by
-// dl. The remaining budget rides in each v3 request header, bounds each
+// dl. The remaining budget rides in each request header, bounds each
 // attempt's socket deadline, and clamps retry backoff; an operation whose
 // budget runs out — or whose result arrives late — fails with
 // ErrDeadlineExceeded and the late result is discarded.
@@ -1185,11 +1020,6 @@ func (t *TCPTransport) TryFetchUntil(key uint64, dst []byte, dl Deadline) (bool,
 	return t.do(dl, opFetch, key, dst)
 }
 
-// TryPush is TryPushUntil with no deadline, kept for call-site brevity.
-func (t *TCPTransport) TryPush(key uint64, src []byte) error {
-	return t.TryPushUntil(key, src, Deadline{})
-}
-
 // TryPushUntil implements ErrorTransport (see TryFetchUntil).
 func (t *TCPTransport) TryPushUntil(key uint64, src []byte, dl Deadline) error {
 	if len(src) > maxPayload {
@@ -1197,12 +1027,6 @@ func (t *TCPTransport) TryPushUntil(key uint64, src []byte, dl Deadline) error {
 	}
 	_, err := t.do(dl, opPush, key, src)
 	return err
-}
-
-// TryDelete is TryDeleteUntil with no deadline, kept for call-site
-// brevity.
-func (t *TCPTransport) TryDelete(key uint64) error {
-	return t.TryDeleteUntil(key, Deadline{})
 }
 
 // TryDeleteUntil implements ErrorTransport (see TryFetchUntil).
@@ -1236,9 +1060,6 @@ func (c *wireConn) readAck(op string) error {
 	}
 }
 
-// TCPTransport intentionally has no infallible Fetch/Push/Delete methods:
-// callers that accept best-effort semantics wrap it in Degrading{t}.
-
 // dropIdle drops the idle connections' sockets (they stay on the stack).
 // When the peer hangs up on one connection the others are as dead, and
 // finding that out one checkout at a time would cost a failed attempt and
@@ -1266,7 +1087,6 @@ func (t *TCPTransport) Close() error {
 	return nil
 }
 
-var _ Transport = Degrading{}
 var _ ErrorTransport = (*TCPTransport)(nil)
 var _ IdentityReporter = (*TCPTransport)(nil)
 var _ BlobStore = (*remote.Store)(nil)

@@ -16,9 +16,6 @@ type faultyLink struct {
 	failPush  int
 }
 
-// The Until forms carry the fault logic: the runtime consumes the
-// canonical ErrorTransport, so overriding only the legacy wrappers would
-// let the embedded SimLink's promoted methods bypass the injected faults.
 func (f *faultyLink) TryFetchUntil(key uint64, dst []byte, dl fabric.Deadline) (bool, error) {
 	if f.failFetch > 0 {
 		f.failFetch--
@@ -27,16 +24,12 @@ func (f *faultyLink) TryFetchUntil(key uint64, dst []byte, dl fabric.Deadline) (
 	return f.SimLink.TryFetchUntil(key, dst, dl)
 }
 
-func (f *faultyLink) TryFetch(key uint64, dst []byte) (bool, error) {
-	return f.TryFetchUntil(key, dst, fabric.Deadline{})
-}
-
 func (f *faultyLink) TryFetchAsync(key uint64, dst []byte) (bool, error) {
 	if f.failAsync > 0 {
 		f.failAsync--
 		return false, fabric.ErrRemoteUnavailable
 	}
-	return f.TryFetch(key, dst)
+	return f.TryFetchUntil(key, dst, fabric.Deadline{})
 }
 
 func (f *faultyLink) TryPushUntil(key uint64, src []byte, dl fabric.Deadline) error {
@@ -45,10 +38,6 @@ func (f *faultyLink) TryPushUntil(key uint64, src []byte, dl fabric.Deadline) er
 		return fabric.ErrRemoteUnavailable
 	}
 	return f.SimLink.TryPushUntil(key, src, dl)
-}
-
-func (f *faultyLink) TryPush(key uint64, src []byte) error {
-	return f.TryPushUntil(key, src, fabric.Deadline{})
 }
 
 func faultySwap(t *testing.T, link *faultyLink, env *sim.Env, retries int) *Swap {
