@@ -24,11 +24,16 @@ smoke_test:
 # registered by any subsystem must match obs.NamePattern
 # (^trackfm_[a-z0-9_]+$), enforced by registering them all in one registry —
 # plus the escape lint: no scalar accessor's 8-byte scratch may reach the
-# heap (the compiler says so even under -race, where test-allocs skips).
+# heap (the compiler says so even under -race, where test-allocs skips) —
+# plus the far-engine guard: only internal/far may resolve a RemoteConfig or
+# drive a transport's fetch and push, so the next cross-cutting far-side
+# feature has one place to land.
 vet:
 	$(GO) vet ./...
 	$(GO) test -run TestMetricNamesLint ./internal/obs
 	! $(GO) build -gcflags=-m ./internal/core ./internal/fastswap ./internal/interp ./farmem 2>&1 | grep 'moved to heap: buf'
+	! grep -nE 'TryFetchUntil|TryPushUntil|FetchAsync|\.Connect\(' \
+		$$(ls internal/aifm/*.go internal/fastswap/*.go internal/core/*.go farmem/*.go | grep -v _test.go)
 
 # Everything a PR must pass: build, vet (incl. metrics lint), the
 # tier-1 suite, and the concurrency stress suite under the race detector.
@@ -45,10 +50,10 @@ check: build
 
 # Tier-1: the full suite twice in shuffled order (catches inter-test
 # order dependence), plus race mode over the concurrency-bearing packages
-# (the TCP fabric and the far-memory pool).
+# (the TCP fabric, the far-memory pool and the far engine under it).
 test:
 	$(GO) test -shuffle=on -count=2 ./...
-	$(GO) test -race ./internal/fabric/... ./internal/aifm/... ./internal/mem/... ./internal/remote/...
+	$(GO) test -race ./internal/fabric/... ./internal/aifm/... ./internal/far/... ./internal/mem/... ./internal/remote/...
 
 # The whole tree under the race detector.
 test-race:

@@ -20,6 +20,7 @@
 //	internal/fabric    interconnect: simulated link + real TCP transport
 //	internal/remote    remote memory node (blob store, TCP server)
 //	internal/mem       local backing stores (real and phantom)
+//	internal/far       the far engine under both runtimes (tier, deadlines, retries)
 //	internal/aifm      AIFM object runtime (pool, scopes, prefetch, arrays)
 //	internal/core      the TrackFM runtime (the paper's contribution)
 //	internal/fastswap  kernel-based swap baseline

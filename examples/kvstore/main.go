@@ -56,7 +56,8 @@ func main() {
 		ObjectSize:  64, // small objects: the paper's anti-amplification choice
 		HeapSize:    ws * 4,
 		LocalBudget: ws / 4,
-		Transport:   transport, // evacuations really cross the socket
+		// evacuations really cross the socket
+		RemoteConfig: fabric.RemoteConfig{Transport: transport},
 	})
 	if err != nil {
 		panic(err)

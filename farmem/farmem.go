@@ -22,9 +22,9 @@ package farmem
 import (
 	"fmt"
 
-	"trackfm/internal/aifm"
 	"trackfm/internal/core"
 	"trackfm/internal/fabric"
+	"trackfm/internal/far"
 	"trackfm/internal/obs"
 	"trackfm/internal/sim"
 )
@@ -46,8 +46,9 @@ type Config struct {
 	ObjectBytes int
 	// RemoteConfig selects the remote side: RemoteAddr dials a real
 	// remote-memory node (cmd/fmserver), Replicas spreads the keyspace
-	// over a fault-tolerant replica set, Transport injects one directly.
-	// The zero value keeps the in-process simulated link.
+	// over a fault-tolerant replica set, Transport injects one directly;
+	// RemoteRetries and OpDeadline bound each remote operation. The zero
+	// value keeps the in-process simulated link.
 	fabric.RemoteConfig
 	// DisablePrefetch turns off prefetching in Range iterators.
 	DisablePrefetch bool
@@ -75,9 +76,8 @@ type Config struct {
 // counter snapshots. Each Range iteration runs its own cursor, so separate
 // goroutines may Range concurrently over separate (or the same) slices.
 type Heap struct {
-	rt     *core.Runtime
-	env    *sim.Env
-	closer func() error // non-nil when the heap dialed RemoteAddr itself
+	rt  *core.Runtime
+	env *sim.Env
 }
 
 // New creates a heap.
@@ -86,13 +86,6 @@ func New(cfg Config) (*Heap, error) {
 		return nil, fmt.Errorf("farmem: HeapBytes and LocalBytes are required")
 	}
 	env := sim.NewEnv()
-	transport, replicas, closer, err := cfg.Connect(&env.Clock)
-	if err != nil {
-		return nil, fmt.Errorf("farmem: %w", err)
-	}
-	if replicas != nil {
-		replicas.ObserveFailovers(env.Lat().Failover)
-	}
 	rc := core.Config{
 		Env:                env,
 		ObjectSize:         cfg.ObjectBytes,
@@ -100,33 +93,24 @@ func New(cfg Config) (*Heap, error) {
 		LocalBudget:        cfg.LocalBytes,
 		MaxLocalBudget:     cfg.MaxLocalBytes,
 		NoPrefetch:         cfg.DisablePrefetch,
-		Transport:          transport,
-		RemoteRetries:      cfg.RemoteRetries,
+		RemoteConfig:       cfg.RemoteConfig,
 		BackgroundEvacuate: cfg.BackgroundEvacuate,
 		CompressedBudget:   cfg.CompressedBytes,
 	}
 	if cfg.Phantom {
-		rc.Backing = aifm.BackingPhantom
+		rc.Backing = far.BackingPhantom
 	}
 	rt, err := core.NewRuntime(rc)
 	if err != nil {
-		if closer != nil {
-			closer()
-		}
 		return nil, fmt.Errorf("farmem: %w", err)
 	}
-	return &Heap{rt: rt, env: env, closer: closer}, nil
+	return &Heap{rt: rt, env: env}, nil
 }
 
-// Close stops the background evacuator (if running) and releases the
-// heap's network connection, if any.
-func (h *Heap) Close() error {
-	h.rt.Pool().StopEvacuator()
-	if h.closer != nil {
-		return h.closer()
-	}
-	return nil
-}
+// Close stops the background evacuator (if running), returns the
+// compressed tier's buffers, and releases the heap's network connection,
+// if it dialed one.
+func (h *Heap) Close() error { return h.rt.Pool().Close() }
 
 // Stats reports the runtime's accounting since the last ResetStats.
 type Stats struct {

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"trackfm/internal/fabric"
+	"trackfm/internal/mem/bufpool"
 	"trackfm/internal/remote"
+	"trackfm/internal/sim"
 )
 
 func newTestHeap(t *testing.T, heap, local uint64) *Heap {
@@ -304,5 +306,91 @@ func TestHeapResizeAndPressure(t *testing.T) {
 	}
 	if pr.ThrashRatio <= 0 {
 		t.Fatalf("thrash ratio = %v under cyclic sweep", pr.ThrashRatio)
+	}
+}
+
+// stallLink is a transport that, once armed, burns delay cycles of the
+// heap's own clock before each operation's deadline check.
+type stallLink struct {
+	*fabric.SimLink            // storage only; charges a private env
+	clk             *sim.Clock // the heap's clock, set once the heap exists
+	delay           uint64
+}
+
+func (s *stallLink) stalled(dl fabric.Deadline) error {
+	if s.clk != nil {
+		s.clk.Advance(s.delay)
+	}
+	if dl.Expired() {
+		return fabric.ErrDeadlineExceeded
+	}
+	return nil
+}
+
+func (s *stallLink) TryFetchUntil(key uint64, dst []byte, dl fabric.Deadline) (bool, error) {
+	if err := s.stalled(dl); err != nil {
+		return false, err
+	}
+	return s.SimLink.TryFetchUntil(key, dst, fabric.Deadline{})
+}
+
+func (s *stallLink) TryPushUntil(key uint64, src []byte, dl fabric.Deadline) error {
+	if err := s.stalled(dl); err != nil {
+		return err
+	}
+	return s.SimLink.TryPushUntil(key, src, fabric.Deadline{})
+}
+
+// TestOpDeadlineReachesThePool: Config.OpDeadline set through the public
+// API must stamp every remote operation — a stalling transport then misses
+// deadlines, and a streak of misses degrades the heap's pool.
+func TestOpDeadlineReachesThePool(t *testing.T) {
+	const budget = 1 << 20
+	link := &stallLink{SimLink: fabric.NewSimLink(sim.NewEnv(), fabric.BackendTCP), delay: 2 * budget}
+	h, err := New(Config{HeapBytes: 1 << 20, LocalBytes: 1 << 13,
+		RemoteConfig: fabric.RemoteConfig{Transport: link, OpDeadline: budget}})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer h.Close()
+	s, _ := NewUint64s(h, 2048) // 16 KB over 8 KB local: the head is evicted
+	for i := 0; i < s.Len(); i++ {
+		s.Set(i, uint64(i))
+	}
+	link.clk = &h.env.Clock
+	for i := 0; i < 8; i++ { // the default breaker threshold
+		func() {
+			defer func() { recover() }() // a guard cannot return the fetch error
+			s.At(0)
+		}()
+	}
+	if got := h.Snapshot().Counters.DeadlineMisses; got == 0 {
+		t.Fatalf("OpDeadline was dropped on the way to the pool: no deadline misses")
+	}
+	if !h.rt.Pool().Far().Degraded() {
+		t.Fatalf("pool not degraded after a streak of deadline misses")
+	}
+}
+
+// TestCloseReturnsTierLeases: Close must run the pool's Close, which hands
+// the compressed tier's buffers back.
+func TestCloseReturnsTierLeases(t *testing.T) {
+	bufpool.SetDebug(true)
+	defer bufpool.SetDebug(false)
+	start := bufpool.Outstanding()
+	h, err := New(Config{HeapBytes: 1 << 20, LocalBytes: 1 << 13, CompressedBytes: 1 << 16})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	s, _ := NewUint64s(h, 2048)
+	for i := 0; i < s.Len(); i++ {
+		s.Set(i, uint64(i))
+	}
+	if bufpool.Outstanding() == start {
+		t.Fatalf("no eviction parked a copy in the tier; the test exercises nothing")
+	}
+	h.Close()
+	if got := bufpool.Outstanding(); got != start {
+		t.Fatalf("%d tier buffer leases still out after Close", got-start)
 	}
 }

@@ -121,34 +121,18 @@ func (e *evacuator) sweep() bool {
 
 	// Mark: advance the clock hand, second-chancing hot objects and
 	// tagging cold unpinned residents as evacuation candidates.
-	nSlots := len(p.slotOwner)
 	batch := e.batchSize()
-	for i := 0; i < 2*nSlots && len(cands) < batch; i++ {
-		slot := p.nextHand()
-		id := p.ownerAt(slot)
-		if id == noOwner {
-			continue
-		}
-		st := p.stripeFor(id)
-		if !st.mu.TryLock() {
-			continue // mutator working in this stripe: it is not cold
-		}
-		if p.ownerAt(slot) != id || st.pins[id] > 0 {
-			st.mu.Unlock()
-			continue
-		}
-		m := p.metaAt(id)
-		if !m.Present() {
-			st.mu.Unlock()
+	for i := 0; i < 2*len(p.slotOwner) && len(cands) < batch; i++ {
+		st, slot, id, m := p.probeVictim()
+		if st == nil {
 			continue
 		}
 		if m.Hot() {
 			p.storeMeta(id, m&^MetaH)
-			st.mu.Unlock()
-			continue
+		} else {
+			p.storeMeta(id, m|MetaE)
+			cands = append(cands, candidate{slot, id})
 		}
-		p.storeMeta(id, m|MetaE)
-		cands = append(cands, candidate{uint32(slot), id})
 		st.mu.Unlock()
 	}
 	if len(cands) == 0 {

@@ -1,7 +1,6 @@
 package aifm
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -10,29 +9,10 @@ import (
 	"time"
 
 	"trackfm/internal/fabric"
-	"trackfm/internal/mem/bufpool"
+	"trackfm/internal/far"
 	"trackfm/internal/mem/ctier"
 	"trackfm/internal/obs"
 	"trackfm/internal/sim"
-)
-
-// ErrDegraded is returned by the Try* localize family while the pool is in
-// degraded mode: repeated deadline misses have convinced the pool the
-// fabric cannot currently answer within budget, so remote fetches fail
-// fast instead of queueing behind a deadline they will miss. Resident
-// objects keep serving normally; a trickle of probe fetches still reaches
-// the network and the first success lifts the degradation.
-var ErrDegraded = errors.New("aifm: pool degraded, remote fetch refused")
-
-// Backing selects the data plane for a pool's local arena.
-type Backing int
-
-const (
-	// BackingReal stores actual bytes, so workloads compute real results.
-	BackingReal Backing = iota
-	// BackingPhantom discards data; only the control plane runs. Use for
-	// paper-scale object counts that would not fit in RAM.
-	BackingPhantom
 )
 
 // Config parameterizes a Pool.
@@ -40,8 +20,8 @@ type Config struct {
 	// Env supplies the clock, counters and cost model. Required.
 	Env *sim.Env
 	// RemoteConfig locates the pool's far memory: an explicit Transport,
-	// a Replicas set (the pool builds a fabric.ReplicaSet over them with
-	// Replication.Clock defaulting to Env.Clock), or a RemoteAddr to
+	// a Replicas set (the far engine builds a fabric.ReplicaSet over them
+	// with Replication.Clock defaulting to Env.Clock), or a RemoteAddr to
 	// dial. Leaving it zero selects an in-process SimLink over the TCP
 	// cost model (AIFM's backend).
 	fabric.RemoteConfig
@@ -57,27 +37,19 @@ type Config struct {
 	// LocalBudget is the local memory available for object data, in
 	// bytes. The number of local slots is LocalBudget / ObjectSize.
 	LocalBudget uint64
-	// DSID tags this pool's objects in metadata words (AIFM data
-	// structure id; TrackFM uses a single unified pool, id 0 by default).
-	DSID uint8
 	// Backing selects real or phantom data.
-	Backing Backing
+	Backing far.Backing
 	// AutoPrefetch enables the runtime stride prefetcher: sequential
 	// demand misses trigger asynchronous fetches of the next
 	// PrefetchDepth objects (AIFM's stride prefetcher, §4.3).
 	AutoPrefetch bool
 	// PrefetchDepth is how many objects ahead to prefetch (default 8).
 	PrefetchDepth int
-	// Stripes overrides the lock-stripe count (rounded up to a power of
-	// two; default 64). Metadata, pin counts, and in-flight fetch state
-	// shard by ObjectID across stripes so goroutines touching different
-	// objects rarely contend.
-	Stripes int
 	// DegradeAfter is how many consecutive deadline-missing remote
 	// operations flip the pool into degraded mode (meaningful only with a
 	// positive OpDeadline). Zero selects the default of 8; a negative
 	// value disables degradation entirely. While degraded, remote fetches
-	// fail fast with ErrDegraded (except a 1-in-16 probe trickle), dirty
+	// fail fast with far.ErrDegraded (except a 1-in-16 probe trickle), dirty
 	// evictions stall, and prefetching pauses; the first successful remote
 	// operation restores normal service.
 	DegradeAfter int
@@ -100,16 +72,6 @@ type Config struct {
 	// 100% pinned occupancy. Zero selects the default of 2 per lock
 	// stripe (capped at the slot count); negative disables the reserve.
 	ReserveSlots int
-	// ThrashWindow is the re-fault window in sim cycles: an object
-	// evicted and fetched again within the window counts as a re-fault,
-	// the thrash detector's raw signal. Zero selects a default of four
-	// full-pool refill times (4 x slots x RemoteObjectFetch(ObjectSize)).
-	ThrashWindow uint64
-	// PrefetchHighWater is the occupancy fraction above which prefetch
-	// admission skips rather than evicts (speculation must not displace
-	// residents under pressure). Zero or >=1 disables the gate; the
-	// anti-thrash governor tightens it while throttled.
-	PrefetchHighWater float64
 	// ProtectPrefetch makes demand eviction's first clock pass skip
 	// prefetched-but-unconsumed residents, so a fetch already paid for
 	// is not thrown away before its use arrives. Sensible with ample
@@ -169,32 +131,18 @@ type stripe struct {
 // stable while the object is pinned — concurrent callers must use
 // LocalizePin or a DerefScope rather than bare Localize.
 type Pool struct {
-	env       *sim.Env
-	lat       *sim.Latencies
-	transport fabric.ErrorTransport
-	replicas  *fabric.ReplicaSet // non-nil only when Config.Replicas was set
-	closer    func() error       // non-nil only when the pool dialed RemoteAddr
-	retries   int
-	objSize   int
-	shift     uint // log2(objSize)
-	dsID      uint8
-
-	// Overload-control state (all idle when dlBudget is zero).
-	dlBudget     uint64 // per-op deadline in clock cycles; 0 = none
-	degradeAfter uint32 // consecutive misses before degrading; 0 = never
-	dlStreak     atomic.Uint32
-	degraded     atomic.Bool
-	probeTick    atomic.Uint64 // admits every Nth fetch while degraded
+	env     *sim.Env
+	lat     *sim.Latencies
+	far     *far.Engine // everything past "this object is not local"
+	objSize int
+	shift   uint // log2(objSize)
 
 	table []Meta // object state table, indexed by ObjectID
 
-	stripes    []stripe
-	stripeMask uint64
+	stripes [numStripes]stripe
 
-	arena     []byte        // every slot's bytes; nil for BackingPhantom
-	slab      *bufpool.Slab // objSize scratch for a phantom pool's transfers
-	tier      *ctier.Tier   // compressed middle tier; nil when disabled
-	slotOwner []ObjectID    // per-slot owner (atomic); noOwner when empty
+	arena     []byte     // every slot's bytes; nil for BackingPhantom
+	slotOwner []ObjectID // per-slot owner (atomic); noOwner when empty
 
 	// Slot accounting. freeSlots is the circulating free stack; retired
 	// holds capacity parked outside the current budget (below-target
@@ -233,7 +181,6 @@ type Pool struct {
 	pressureEvict atomic.Bool
 	protectPF     bool
 	prefetchHW    atomic.Uint64
-	forcedDegrade atomic.Bool
 	thrashWindow  uint64
 	thrashMu      sync.Mutex
 	twFetches     uint64
@@ -253,20 +200,20 @@ type Pool struct {
 }
 
 const (
-	noOwner        = ObjectID(^uint64(0))
-	defaultStripes = 64
+	noOwner = ObjectID(^uint64(0))
 
-	// defaultDegradeAfter is the consecutive-deadline-miss streak that
-	// flips a deadline-bearing pool into degraded mode.
-	defaultDegradeAfter = 8
-	// degradedProbeEvery lets one in this many demand fetches through to
-	// the fabric while degraded, so recovery is observed without callers
-	// electing a prober explicitly.
-	degradedProbeEvery = 16
+	// numStripes is the lock-stripe count (a power of two). Metadata, pin
+	// counts, and in-flight fetch state shard by ObjectID across stripes
+	// so goroutines touching different objects rarely contend.
+	numStripes = 64
+
+	// dsID tags the pool's objects in metadata words (AIFM's data
+	// structure id): TrackFM uses a single unified pool, id 0.
+	dsID = 0
 
 	// ghostRing is the per-stripe eviction-history depth of the thrash
-	// detector. With the default 64 stripes that remembers the last
-	// 2048 evictions pool-wide.
+	// detector: with 64 stripes it remembers the last 2048 evictions
+	// pool-wide.
 	ghostRing = 32
 
 	// thrashSampleEvery and thrashAlpha shape the EWMA thrash ratio: the
@@ -319,18 +266,11 @@ func NewPool(cfg Config) (*Pool, error) {
 			depth = 1
 		}
 	}
-	nStripes := cfg.Stripes
-	if nStripes <= 0 {
-		nStripes = defaultStripes
-	}
-	if bits.OnesCount(uint(nStripes)) != 1 {
-		nStripes = 1 << bits.Len(uint(nStripes))
-	}
 	reserve := 0
 	if cfg.ReserveSlots >= 0 {
 		reserve = cfg.ReserveSlots
 		if reserve == 0 {
-			reserve = defaultReservePerStripe * nStripes
+			reserve = defaultReservePerStripe * numStripes
 		}
 		if reserve > int(nSlots) {
 			reserve = int(nSlots)
@@ -343,59 +283,37 @@ func NewPool(cfg Config) (*Pool, error) {
 	// [maxSlots, maxSlots+reserve) form the reserve floor.
 	totalSlots := maxSlots + uint64(reserve)
 	var arena []byte
-	var slab *bufpool.Slab
-	if cfg.Backing == BackingPhantom {
-		slab = bufpool.NewSlab(cfg.ObjectSize)
-	} else {
+	if cfg.Backing == far.BackingReal {
 		arena = make([]byte, totalSlots*uint64(cfg.ObjectSize))
 	}
-	thrashWindow := cfg.ThrashWindow
+	// The re-fault window: an object evicted and fetched again within four
+	// full-pool refill times counts as a re-fault, the thrash detector's
+	// raw signal.
+	thrashWindow := 4 * nSlots * cfg.Env.Costs.RemoteObjectFetch(cfg.ObjectSize)
 	if thrashWindow == 0 {
-		thrashWindow = 4 * nSlots * cfg.Env.Costs.RemoteObjectFetch(cfg.ObjectSize)
-		if thrashWindow == 0 {
-			thrashWindow = 1 << 22
-		}
+		thrashWindow = 1 << 22
 	}
-	highWater := cfg.PrefetchHighWater
-	if highWater <= 0 || highWater >= 1 {
-		highWater = 1 // gate disabled
-	}
-	transport, replicas, closer, err := cfg.Connect(&cfg.Env.Clock)
+	engine, err := far.New(far.Config{
+		Env:              cfg.Env,
+		RemoteConfig:     cfg.RemoteConfig,
+		Backend:          fabric.BackendTCP,
+		UnitSize:         cfg.ObjectSize,
+		Backing:          cfg.Backing,
+		DegradeAfter:     cfg.DegradeAfter,
+		CompressedBudget: cfg.CompressedBudget,
+		CompressedPolicy: cfg.CompressedPolicy,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("aifm: %w", err)
-	}
-	if transport == nil {
-		transport = fabric.NewSimLink(cfg.Env, fabric.BackendTCP)
-	}
-	if replicas != nil {
-		replicas.ObserveFailovers(cfg.Env.Lat().Failover)
-	}
-	degradeAfter := uint32(0)
-	if cfg.OpDeadline > 0 {
-		switch {
-		case cfg.DegradeAfter == 0:
-			degradeAfter = defaultDegradeAfter
-		case cfg.DegradeAfter > 0:
-			degradeAfter = uint32(cfg.DegradeAfter)
-		}
 	}
 	p := &Pool{
 		env:          cfg.Env,
 		lat:          cfg.Env.Lat(),
-		transport:    transport,
-		replicas:     replicas,
-		closer:       closer,
-		retries:      cfg.Retries(),
-		dlBudget:     cfg.OpDeadline,
-		degradeAfter: degradeAfter,
+		far:          engine,
 		objSize:      cfg.ObjectSize,
 		shift:        uint(bits.TrailingZeros(uint(cfg.ObjectSize))),
-		dsID:         cfg.DSID,
 		table:        make([]Meta, nObjects),
-		stripes:      make([]stripe, nStripes),
-		stripeMask:   uint64(nStripes - 1),
 		arena:        arena,
-		slab:         slab,
 		slotOwner:    make([]ObjectID, totalSlots),
 		freeSlots:    make([]uint32, 0, maxSlots),
 		curSlots:     int(nSlots),
@@ -408,10 +326,7 @@ func NewPool(cfg Config) (*Pool, error) {
 	}
 	p.targetSlots.Store(int64(nSlots))
 	p.prefetchDepth.Store(int64(depth))
-	p.prefetchHW.Store(math.Float64bits(highWater))
-	if cfg.CompressedBudget > 0 {
-		p.tier = ctier.New(ctier.Config{Budget: cfg.CompressedBudget, Policy: cfg.CompressedPolicy})
-	}
+	p.prefetchHW.Store(math.Float64bits(1)) // admission gate off until SetPrefetchHighWater
 	for i := range p.stripes {
 		p.stripes[i].pins = make(map[ObjectID]uint32)
 		p.stripes[i].inflight = make(map[ObjectID]struct{})
@@ -453,28 +368,18 @@ func (p *Pool) NumSlots() int { return int(p.targetSlots.Load()) }
 // MaxSlots reports the slot capacity Resize may grow to.
 func (p *Pool) MaxSlots() int { return len(p.slotOwner) - p.reserveFloor }
 
-// ReplicaSet exposes the replica set serving this pool's remote keyspace,
-// or nil when the pool runs on a single transport (Config.Replicas empty).
-// Use it to read replica health and integrity counters.
-func (p *Pool) ReplicaSet() *fabric.ReplicaSet { return p.replicas }
+// Far exposes the pool's far engine: the replica set and compressed tier
+// it owns (health counters, governor resizing) and the degraded-mode
+// breaker the anti-thrash governor forces as its last resort.
+func (p *Pool) Far() *far.Engine { return p.far }
 
-// Close stops the background evacuator (if running) and releases any
-// connection the pool itself opened (the Config.RemoteAddr path). Pools
-// over caller-provided transports close nothing further — the caller owns
-// the transport's lifetime.
+// Close stops the background evacuator (if running) and closes the far
+// engine: the tier's buffer leases go home and a connection the pool
+// itself dialed (the Config.RemoteAddr path) is released.
 func (p *Pool) Close() error {
 	p.StopEvacuator()
-	p.tier.Clear() // return the tier's buffer leases to the pool
-	if p.closer == nil {
-		return nil
-	}
-	return p.closer()
+	return p.far.Close()
 }
-
-// CompressedTier exposes the pool's compressed middle tier, or nil when
-// Config.CompressedBudget was zero. The governor resizes it under
-// pressure; tests and benchmarks inspect or clear it.
-func (p *Pool) CompressedTier() *ctier.Tier { return p.tier }
 
 // Table exposes the contiguous metadata table. The TrackFM layer aliases
 // this slice as its object state table; because it is the same storage,
@@ -511,7 +416,7 @@ func (p *Pool) setOwner(slot int, id ObjectID) {
 }
 
 func (p *Pool) stripeFor(id ObjectID) *stripe {
-	return &p.stripes[uint64(id)&p.stripeMask]
+	return &p.stripes[uint64(id)%numStripes]
 }
 
 // lockStripe acquires a stripe lock, counting and timing the wait when the
@@ -613,33 +518,6 @@ func (p *Pool) SetPrefetchHighWater(hw float64) {
 		hw = 1
 	}
 	p.prefetchHW.Store(math.Float64bits(hw))
-}
-
-// ForceDegrade pins the pool in (or releases it from) degraded mode
-// independently of the deadline-miss tracker; the anti-thrash governor
-// uses it as the last-resort fail-fast stage. While forced, remote
-// fetches fail fast with ErrDegraded exactly like organic degradation,
-// but a successful probe does not lift it — only ForceDegrade(false).
-func (p *Pool) ForceDegrade(on bool) {
-	if on && !p.forcedDegrade.Swap(true) {
-		sim.Inc(&p.env.Counters.DegradedEntries)
-		return
-	}
-	if !on {
-		p.forcedDegrade.Store(false)
-	}
-}
-
-// degradedNow reports whether remote fetches should fail fast, for either
-// cause: organic deadline-miss degradation or a governor ForceDegrade.
-func (p *Pool) degradedNow() bool {
-	return p.degraded.Load() || p.forcedDegrade.Load()
-}
-
-// transportKey namespaces object keys by pool so multiple pools can share
-// one remote node.
-func (p *Pool) transportKey(id ObjectID) uint64 {
-	return uint64(p.dsID)<<56 | uint64(id)
 }
 
 // Localize ensures object id is resident in local memory and returns the
@@ -779,16 +657,16 @@ func (p *Pool) fetchAndInstall(st *stripe, id ObjectID, m Meta, forWrite, pin bo
 		p.zeroSlot(base)
 	} else {
 		// Demand miss on an evacuated object: tier probe, then blocking
-		// remote fetch.
+		// remote fetch, straight into the claimed (unpublished) slot.
 		var err error
-		fromTier, err = p.fetchInto(id, base, false)
+		fromTier, err = p.far.Fetch(uint64(id), p.slotBytes(base), false)
 		if err != nil {
 			p.giveSlot(slot)
 			p.abandonFetch(st, id)
 			return 0, true, err
 		}
 	}
-	nm := LocalMeta(base, p.dsID) | MetaH
+	nm := LocalMeta(base, dsID) | MetaH
 	if forWrite {
 		nm |= MetaD
 	}
@@ -821,21 +699,6 @@ func (p *Pool) fetchAndInstall(st *stripe, id ObjectID, m Meta, forWrite, pin bo
 	sim.Inc(&p.env.Counters.CriticalFetches)
 	p.maybeStridePrefetch(id)
 	return base, true, nil
-}
-
-// demoteToTier compresses the object at base into the middle tier (a
-// no-op without a CompressedBudget). Called on the eviction path with the
-// victim's stripe lock held, after any dirty write-back has succeeded.
-func (p *Pool) demoteToTier(id ObjectID, base uint64) {
-	if p.tier == nil {
-		return
-	}
-	buf, lease := p.slotBytes(base, true)
-	p.env.Clock.Advance(p.env.Costs.TierCompress(p.objSize))
-	if p.tier.Put(uint64(id), buf) {
-		sim.Inc(&p.env.Counters.TierDemotes)
-	}
-	lease.Release()
 }
 
 // consumeGhostLocked reports whether id was evicted within the thrash
@@ -881,7 +744,7 @@ func (p *Pool) Prefetch(id ObjectID) {
 	if id >= ObjectID(len(p.table)) {
 		return
 	}
-	if p.degradedNow() {
+	if p.far.Degraded() {
 		return // no speculation against a fabric that is missing deadlines
 	}
 	// Admission gate: above the high-water mark a prefetch would have to
@@ -919,7 +782,7 @@ func (p *Pool) Prefetch(id ObjectID) {
 		p.zeroSlot(base)
 	} else {
 		var err error
-		fromTier, err = p.fetchInto(id, base, true)
+		fromTier, err = p.far.Fetch(uint64(id), p.slotBytes(base), true)
 		if err != nil {
 			// Prefetch is speculation: on persistent failure, give the
 			// slot back and leave the object remote rather than
@@ -935,7 +798,7 @@ func (p *Pool) Prefetch(id ObjectID) {
 	}
 	p.lockStripe(st)
 	p.setOwner(int(slot), id)
-	p.storeMeta(id, LocalMeta(base, p.dsID)|MetaPF)
+	p.storeMeta(id, LocalMeta(base, dsID)|MetaPF)
 	refault := m != 0 && p.consumeGhostLocked(st, id)
 	delete(st.inflight, id)
 	st.done.Broadcast()
@@ -949,29 +812,12 @@ func (p *Pool) Prefetch(id ObjectID) {
 	}
 }
 
-// Degraded reports whether the pool is currently in degraded mode —
-// serving resident objects only, with remote fetches failing fast (modulo
-// the probe trickle) — whether entered organically after repeated
-// deadline misses or forced by the anti-thrash governor.
-func (p *Pool) Degraded() bool { return p.degradedNow() }
-
-// RegisterObs exposes pool-level health on reg: the degraded-mode flag,
-// the current deadline-miss streak, and the memory-pressure gauges
-// (residency, pins, reserve, thrash ratio, resizes). The Env-wide
-// counters (deadline misses, re-faults, skipped prefetches) are already
-// on Env.Metrics.
+// RegisterObs exposes pool-level health on reg: the far engine's breaker
+// and tier, and the memory-pressure gauges (residency, pins, reserve,
+// thrash ratio, resizes). The Env-wide counters (deadline misses,
+// re-faults, skipped prefetches) are already on Env.Metrics.
 func (p *Pool) RegisterObs(reg *obs.Registry, labels ...obs.Label) {
-	reg.GaugeFunc("trackfm_pool_degraded",
-		"1 while the pool is degraded (residents serve, remote fetches fail fast).",
-		func() float64 {
-			if p.degradedNow() {
-				return 1
-			}
-			return 0
-		}, labels...)
-	reg.GaugeFunc("trackfm_pool_deadline_miss_streak",
-		"Consecutive deadline-missing remote operations (resets on any success).",
-		func() float64 { return float64(p.dlStreak.Load()) }, labels...)
+	p.far.RegisterObs(reg, labels...)
 	reg.GaugeFunc("trackfm_pool_resident_slots",
 		"Slots currently holding object data.",
 		func() float64 { return float64(p.resident.Load()) }, labels...)
@@ -987,131 +833,6 @@ func (p *Pool) RegisterObs(reg *obs.Registry, labels ...obs.Label) {
 	reg.CounterFunc("trackfm_pool_resizes_total",
 		"Runtime budget Resize calls absorbed by the pool.",
 		func() uint64 { return p.resizes.Load() }, labels...)
-	p.tier.Register(reg, labels...)
-}
-
-// opDeadline starts a fresh per-op deadline, or the zero Deadline when the
-// pool runs without a budget.
-func (p *Pool) opDeadline() fabric.Deadline {
-	if p.dlBudget == 0 {
-		return fabric.Deadline{}
-	}
-	return fabric.DeadlineAfter(&p.env.Clock, p.dlBudget)
-}
-
-// noteRemoteOK records a successful remote operation: the miss streak
-// resets and any degradation lifts (a probe got through).
-func (p *Pool) noteRemoteOK() {
-	if p.dlBudget == 0 {
-		return
-	}
-	p.dlStreak.Store(0)
-	p.degraded.CompareAndSwap(true, false)
-}
-
-// noteRemoteErr classifies a failed remote operation that started at
-// cycle start: overload rejects and deadline misses are tallied, a miss
-// extends the streak, and a long-enough streak flips the pool into
-// degraded mode. Reports whether err was a deadline miss.
-func (p *Pool) noteRemoteErr(err error, start uint64) bool {
-	if errors.Is(err, fabric.ErrOverloaded) {
-		sim.Inc(&p.env.Counters.OverloadRejects)
-	}
-	if !errors.Is(err, fabric.ErrDeadlineExceeded) {
-		return false
-	}
-	sim.Inc(&p.env.Counters.DeadlineMisses)
-	if elapsed := p.env.Clock.Cycles() - start; elapsed > p.dlBudget {
-		p.lat.DeadlineMiss.Observe(elapsed - p.dlBudget)
-	}
-	if p.degradeAfter > 0 &&
-		p.dlStreak.Add(1) >= p.degradeAfter &&
-		p.degraded.CompareAndSwap(false, true) {
-		sim.Inc(&p.env.Counters.DegradedEntries)
-	}
-	return true
-}
-
-// fetchInto pulls object id into the arena at base: first by probing the
-// compressed middle tier (a hit decompresses straight into the slot and
-// touches no fabric — it even works while degraded), then by the remote
-// transport, retrying transport failures up to the pool's budget. Every
-// failed attempt is tallied in Counters.RemoteFetchFaults, so injected
-// fault counts reconcile exactly with what the runtime observed. With an
-// OpDeadline configured the deadline bounds the whole retry loop, and
-// while the pool is degraded all but a probe trickle of fetches fail fast
-// with ErrDegraded. The bool result reports a tier hit, so callers can
-// keep the remote-fetch and thrash accounting honest.
-func (p *Pool) fetchInto(id ObjectID, base uint64, async bool) (bool, error) {
-	start := p.env.Clock.Cycles()
-	// The transport (or the tier's decompressor) fills the claimed slot
-	// directly: it is unpublished, so a failed attempt scribbling on it is
-	// harmless. A phantom pool receives into pooled scratch and drops it.
-	buf, lease := p.slotBytes(base, false)
-	if p.tier.Get(uint64(id), buf) {
-		p.env.Clock.Advance(p.env.Costs.TierDecompress(p.objSize))
-		lease.Release()
-		sim.Inc(&p.env.Counters.TierHits)
-		p.lat.TierDecompress.Observe(p.env.Clock.Cycles() - start)
-		return true, nil
-	}
-	if p.tier != nil {
-		sim.Inc(&p.env.Counters.TierMisses)
-	}
-	defer func() { p.lat.RemoteFetch.Observe(p.env.Clock.Cycles() - start) }()
-	if p.degradedNow() && p.probeTick.Add(1)%degradedProbeEvery != 0 {
-		lease.Release()
-		return false, fmt.Errorf("aifm: fetch object %d: %w", id, ErrDegraded)
-	}
-	key := p.transportKey(id)
-	dl := p.opDeadline()
-	var last error
-	attempts := 0
-	for attempt := 1; attempt <= p.retries; attempt++ {
-		attempts = attempt
-		var err error
-		if async {
-			_, err = fabric.FetchAsync(p.transport, key, buf)
-		} else {
-			_, err = p.transport.TryFetchUntil(key, buf, dl)
-		}
-		if err == nil {
-			lease.Release()
-			p.noteRemoteOK()
-			return false, nil
-		}
-		last = err
-		sim.Inc(&p.env.Counters.RemoteFetchFaults)
-		if p.noteRemoteErr(err, start) {
-			break // the deadline bounds the whole retry loop
-		}
-	}
-	lease.Release()
-	return false, fmt.Errorf("aifm: fetch object %d after %d attempts: %w", id, attempts, last)
-}
-
-// pushWithRetry evacuates a dirty object's bytes, retrying transport
-// failures up to the pool's budget; failed attempts are tallied in
-// Counters.RemotePushFaults. Like fetchInto, an OpDeadline bounds the
-// whole loop.
-func (p *Pool) pushWithRetry(key uint64, buf []byte) error {
-	start := p.env.Clock.Cycles()
-	defer func() { p.lat.RemotePush.Observe(p.env.Clock.Cycles() - start) }()
-	dl := p.opDeadline()
-	var last error
-	for attempt := 1; attempt <= p.retries; attempt++ {
-		if err := p.transport.TryPushUntil(key, buf, dl); err == nil {
-			p.noteRemoteOK()
-			return nil
-		} else {
-			last = err
-			sim.Inc(&p.env.Counters.RemotePushFaults)
-			if p.noteRemoteErr(err, start) {
-				break
-			}
-		}
-	}
-	return last
 }
 
 func (p *Pool) maybeStridePrefetch(id ObjectID) {
@@ -1238,131 +959,93 @@ func (p *Pool) freeCount() int {
 	return n
 }
 
-func (p *Pool) nextHand() int {
-	return int((p.hand.Add(1) - 1) % uint64(len(p.slotOwner)))
+// probeVictim advances the clock hand one slot and, if the slot holds a
+// resident, unpinned object whose stripe nobody is working in, returns that
+// object with its stripe locked; st is nil when the slot is no candidate.
+// Victims are taken with TryLock — an evictor never blocks on a stripe
+// someone else holds (a mutator there means the object is not cold), it
+// just moves the hand on — which also rules out lock-order deadlocks: no
+// goroutine ever waits for a second stripe while holding one.
+func (p *Pool) probeVictim() (st *stripe, slot uint32, id ObjectID, m Meta) {
+	slot = uint32((p.hand.Add(1) - 1) % uint64(len(p.slotOwner)))
+	id = p.ownerAt(int(slot))
+	if id == noOwner {
+		return nil, 0, 0, 0
+	}
+	st = p.stripeFor(id)
+	if !st.mu.TryLock() {
+		return nil, 0, 0, 0
+	}
+	if m = p.metaAt(id); p.ownerAt(int(slot)) != id || st.pins[id] > 0 || !m.Present() {
+		st.mu.Unlock()
+		return nil, 0, 0, 0
+	}
+	return st, slot, id, m
 }
 
 // tryTakeSlotGentle returns a free slot, or evicts a cold (H-clear,
 // unpinned) object without clearing anyone's hotness bit. Used by the
-// prefetcher so speculation cannot displace demand-loaded data.
+// prefetcher so speculation cannot displace demand-loaded data — nor
+// another not-yet-consumed prefetch, or a deep prefetch window would churn
+// its own speculative fetches into double work.
 func (p *Pool) tryTakeSlotGentle() (uint32, bool) {
 	if slot, ok := p.popFree(); ok {
 		return slot, true
 	}
-	nSlots := len(p.slotOwner)
-	for i := 0; i < nSlots; i++ {
-		slot := p.nextHand()
-		id := p.ownerAt(slot)
-		if id == noOwner {
+	for i := 0; i < len(p.slotOwner); i++ {
+		st, slot, id, m := p.probeVictim()
+		if st == nil {
 			continue
 		}
-		st := p.stripeFor(id)
-		if !st.mu.TryLock() {
-			continue // busy stripe: a prefetch never waits on a lock
-		}
-		if p.ownerAt(slot) != id || st.pins[id] > 0 {
-			st.mu.Unlock()
-			continue
-		}
-		m := p.metaAt(id)
-		// Never displace hot data, and never displace another not-yet-
-		// consumed prefetch — otherwise a deep prefetch window churns
-		// its own speculative fetches into double work.
-		if !m.Present() || m.Hot() || m.Prefetched() {
-			st.mu.Unlock()
-			continue
-		}
-		ok := p.evictLocked(uint32(slot), id)
+		ok := !m.Hot() && !m.Prefetched() && p.evictLocked(slot, id)
 		st.mu.Unlock()
 		if ok {
-			return uint32(slot), true
+			return slot, true
 		}
 	}
 	return 0, false
 }
 
 // tryTakeSlot returns a free slot if one exists or can be made by evicting
-// an unpinned object (clock with one hotness second chance). Victims in
-// other stripes are taken with TryLock — an evictor never blocks on a
-// stripe someone else is working in, it just moves the clock hand on —
-// which also rules out lock-order deadlocks: no goroutine ever waits for a
-// second stripe while holding one.
+// an unpinned object. Pass 0 runs only in pressure mode and reclaims
+// prefetched-but-unused residents — the cheapest slots to take back while
+// the pool is thrashing, since evicting them can never cost a demand
+// re-fault. Pass 1 is the clock with second chance: hot objects get their
+// H bit cleared, and under Config.ProtectPrefetch a prefetched-but-
+// unconsumed object is skipped too (evicting it would throw away a fetch
+// already paid for before its use arrives). That ranking is reasonable
+// when memory is ample and exactly wrong under pressure — it places
+// speculative fills above the resident working set — which is why pass 0
+// inverts it. Pass 2 evicts any unpinned object regardless.
 func (p *Pool) tryTakeSlot() (uint32, bool) {
 	if slot, ok := p.popFree(); ok {
 		p.kickEvacuator()
 		return slot, true
 	}
-	nSlots := len(p.slotOwner)
-	// Pressure mode: spend one pass reclaiming prefetched-but-unused
-	// residents first — speculative fills are the cheapest slots to take
-	// back while the pool is thrashing, since evicting them can never
-	// cost a demand re-fault.
+	pass := 1
 	if p.pressureEvict.Load() {
-		for i := 0; i < nSlots; i++ {
-			slot := p.nextHand()
-			id := p.ownerAt(slot)
-			if id == noOwner {
-				continue
-			}
-			st := p.stripeFor(id)
-			if !st.mu.TryLock() {
-				continue
-			}
-			if p.ownerAt(slot) != id || st.pins[id] > 0 {
-				st.mu.Unlock()
-				continue
-			}
-			m := p.metaAt(id)
-			if !m.Present() || !m.Prefetched() {
-				st.mu.Unlock()
-				continue
-			}
-			ok := p.evictLocked(uint32(slot), id)
-			st.mu.Unlock()
-			if ok {
-				return uint32(slot), true
-			}
-		}
+		pass = 0
 	}
-	// First pass: clock with second chance — hot objects get their H bit
-	// cleared, and under Config.ProtectPrefetch a prefetched-but-
-	// unconsumed object is skipped too (evicting it would throw away a
-	// fetch already paid for before its use arrives). That ranking is
-	// reasonable when memory is ample and exactly wrong under pressure —
-	// it places speculative fills above the resident working set — which
-	// is why the governor's pressure mode above inverts it. Second pass:
-	// evict any unpinned object regardless.
-	for pass := 0; pass < 2; pass++ {
-		for i := 0; i < nSlots; i++ {
-			slot := p.nextHand()
-			id := p.ownerAt(slot)
-			if id == noOwner {
+	for ; pass <= 2; pass++ {
+		for i := 0; i < len(p.slotOwner); i++ {
+			st, slot, id, m := p.probeVictim()
+			if st == nil {
 				continue
 			}
-			st := p.stripeFor(id)
-			if !st.mu.TryLock() {
-				continue
-			}
-			if p.ownerAt(slot) != id || st.pins[id] > 0 {
-				st.mu.Unlock()
-				continue
-			}
-			m := p.metaAt(id)
-			if !m.Present() {
-				st.mu.Unlock()
-				continue
-			}
-			if pass == 0 && (m.Hot() || (p.protectPF && m.Prefetched())) {
+			take := true
+			switch pass {
+			case 0:
+				take = m.Prefetched()
+			case 1:
+				take = !m.Hot() && !(p.protectPF && m.Prefetched())
 				if m.Hot() {
 					p.storeMeta(id, m&^MetaH)
 				}
-				st.mu.Unlock()
-				continue
 			}
-			ok := p.evictLocked(uint32(slot), id)
+			ok := take && p.evictLocked(slot, id)
 			st.mu.Unlock()
 			if ok {
-				return uint32(slot), true
+				return slot, true
 			}
 		}
 	}
@@ -1381,33 +1064,15 @@ func (p *Pool) tryTakeSlot() (uint32, bool) {
 func (p *Pool) evictLocked(slot uint32, id ObjectID) bool {
 	start := p.env.Clock.Cycles()
 	defer func() { p.lat.Evacuation.Observe(p.env.Clock.Cycles() - start) }()
-	m := p.metaAt(id)
-	base := uint64(slot) * uint64(p.objSize)
 	p.env.Clock.Advance(p.env.Costs.EvacuateObject)
-	if m.Dirty() {
-		if p.degradedNow() {
-			// Degraded mode: don't queue write-backs behind a fabric that
-			// is missing deadlines. The dirty object stays resident (it is
-			// the only copy); clean evictions still make room.
-			sim.Inc(&p.env.Counters.EvictionStalls)
-			return false
-		}
-		// Push straight from the slot: the victim is unpinned and its
-		// stripe lock is held, so its bytes are stable.
-		buf, lease := p.slotBytes(base, true)
-		err := p.pushWithRetry(p.transportKey(id), buf)
-		lease.Release()
-		if err != nil {
-			sim.Inc(&p.env.Counters.EvictionStalls)
-			return false
-		}
+	// Write back and demote straight from the slot: the victim is unpinned
+	// and its stripe lock is held, so its bytes are stable. The engine
+	// refuses a dirty object it cannot push (or will not, while degraded):
+	// clean evictions still make room.
+	if !p.far.Evict(uint64(id), p.slotBytes(uint64(slot)*uint64(p.objSize)), p.metaAt(id).Dirty()) {
+		return false
 	}
-	// Park a compressed copy in the middle tier. Write-through: for a
-	// dirty object the fabric push above has already succeeded, and a
-	// clean object's remote copy is current by definition, so the tier
-	// never holds the only copy and dropping its entry is always safe.
-	p.demoteToTier(id, base)
-	p.storeMeta(id, RemoteMeta(id, uint32(p.objSize), p.dsID))
+	p.storeMeta(id, RemoteMeta(id, uint32(p.objSize), dsID))
 	p.setOwner(int(slot), noOwner)
 	p.resident.Add(-1)
 	// Remember the eviction in the stripe's ghost ring: a re-fetch within
@@ -1468,31 +1133,14 @@ func (p *Pool) Resize(newBudget uint64) error {
 	// stalled) shrinks lazily through giveSlot.
 	for pass := 0; pass < 2 && p.overTarget(); pass++ {
 		for i := 0; i < len(p.slotOwner) && p.overTarget(); i++ {
-			slot := p.nextHand()
-			id := p.ownerAt(slot)
-			if id == noOwner {
-				continue
-			}
-			st := p.stripeFor(id)
-			if !st.mu.TryLock() {
-				continue
-			}
-			if p.ownerAt(slot) != id || st.pins[id] > 0 {
-				st.mu.Unlock()
-				continue
-			}
-			m := p.metaAt(id)
-			if !m.Present() {
-				st.mu.Unlock()
+			st, slot, id, m := p.probeVictim()
+			if st == nil {
 				continue
 			}
 			if pass == 0 && m.Hot() {
 				p.storeMeta(id, m&^MetaH)
-				st.mu.Unlock()
-				continue
-			}
-			if p.evictLocked(uint32(slot), id) {
-				p.giveSlot(uint32(slot)) // over target, so this retires
+			} else if p.evictLocked(slot, id) {
+				p.giveSlot(slot) // over target, so this retires
 			}
 			st.mu.Unlock()
 		}
@@ -1530,20 +1178,15 @@ func (p *Pool) EvacuateAll() {
 	}
 }
 
-// slotBytes returns the objSize bytes of the slot at arena offset base.
-// A phantom pool has none: it leases pooled scratch instead — zeroed, as a
-// phantom read is, when the caller is about to read it — which the caller
-// releases when done (a no-op for real bytes).
-func (p *Pool) slotBytes(base uint64, read bool) ([]byte, bufpool.Lease) {
-	if p.arena != nil {
-		end := base + uint64(p.objSize)
-		return p.arena[base:end:end], bufpool.Lease{}
+// slotBytes returns the objSize bytes of the slot at arena offset base, or
+// nil from a phantom pool, which has none (the far engine moves a nil
+// object through scratch of its own).
+func (p *Pool) slotBytes(base uint64) []byte {
+	if p.arena == nil {
+		return nil
 	}
-	lease := p.slab.Get()
-	if read {
-		clear(lease.Bytes())
-	}
-	return lease.Bytes(), lease
+	end := base + uint64(p.objSize)
+	return p.arena[base:end:end]
 }
 
 // zeroSlot materializes a never-touched object in the slot at base.
@@ -1598,12 +1241,7 @@ func (p *Pool) Write(id ObjectID, off uint64, src []byte) {
 // long as the caller's pin on id, and the caller marks the object dirty
 // (Localize with forWrite) before storing through it.
 func (p *Pool) Window(id ObjectID) []byte {
-	base := p.residentAddr(id, "Window")
-	if p.arena == nil {
-		return nil
-	}
-	win, _ := p.slotBytes(base, false)
-	return win
+	return p.slotBytes(p.residentAddr(id, "Window"))
 }
 
 // Access is the scalar guarded access: it moves len(buf) bytes between buf
@@ -1655,17 +1293,9 @@ func (p *Pool) Free(id ObjectID) {
 		p.resident.Add(-1)
 		p.giveSlot(slot)
 	}
-	p.tier.Delete(uint64(id)) // a freed object must not be revivable
-	// Deletes are idempotent and harmless to lose: a leaked remote blob
-	// is unreachable once the metadata word resets (a reused id is
-	// re-materialized as fresh zeros, and any later push overwrites the
-	// stale blob). Retry within budget, then move on.
-	for attempt := 1; attempt <= p.retries; attempt++ {
-		if err := p.transport.TryDeleteUntil(p.transportKey(id), fabric.Deadline{}); err == nil {
-			break
-		}
-		sim.Inc(&p.env.Counters.RemotePushFaults)
-	}
+	// A lost delete is harmless: once the metadata word resets, a reused
+	// id is re-materialized as fresh zeros.
+	p.far.Delete(uint64(id))
 	p.storeMeta(id, 0)
 	st.mu.Unlock()
 }

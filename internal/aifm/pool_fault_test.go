@@ -62,26 +62,6 @@ func evacuate(t *testing.T, p *Pool, id ObjectID, b byte) {
 	}
 }
 
-func TestTryLocalizeRetriesTransientFetchFault(t *testing.T) {
-	env := sim.NewEnv()
-	link := &faultyLink{SimLink: fabric.NewSimLink(env, fabric.BackendTCP)}
-	p := faultyPool(t, link, env, 4)
-	evacuate(t, p, 3, 0x5A)
-
-	link.failFetch = 2 // two transient failures, third attempt succeeds
-	if _, _, err := p.TryLocalize(3, false); err != nil {
-		t.Fatalf("TryLocalize with transient faults: %v", err)
-	}
-	var got [1]byte
-	p.Read(3, 0, got[:])
-	if got[0] != 0x5A {
-		t.Fatalf("read %#x after retried fetch, want 0x5A", got[0])
-	}
-	if env.Counters.RemoteFetchFaults != 2 {
-		t.Fatalf("RemoteFetchFaults = %d, want 2", env.Counters.RemoteFetchFaults)
-	}
-}
-
 func TestTryLocalizeSurfacesTypedErrorNotZeros(t *testing.T) {
 	env := sim.NewEnv()
 	link := &faultyLink{SimLink: fabric.NewSimLink(env, fabric.BackendTCP)}

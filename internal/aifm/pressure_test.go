@@ -107,8 +107,8 @@ func TestResizeShrinkConvergesLazilyPastPins(t *testing.T) {
 }
 
 func TestPrefetchSkipsAboveHighWater(t *testing.T) {
-	p, env, _ := newTestPool(t, 64, 1<<16, 4*64,
-		func(c *Config) { c.PrefetchHighWater = 0.5 })
+	p, env, _ := newTestPool(t, 64, 1<<16, 4*64)
+	p.SetPrefetchHighWater(0.5)
 	// Seed remote copies so prefetch has real fetches to do.
 	for id := ObjectID(0); id < 8; id++ {
 		p.Localize(id, true)

@@ -58,7 +58,7 @@ func runTierTrace(t *testing.T, tierBudget uint64, policy ctier.Policy) (heap ma
 	remote = make(map[uint64][]byte)
 	for key := ObjectID(0); key < keys; key++ {
 		buf := make([]byte, objSize)
-		if ok, err := link.TryFetchUntil(p.transportKey(key), buf, fabric.Deadline{}); err != nil {
+		if ok, err := link.TryFetchUntil(uint64(key), buf, fabric.Deadline{}); err != nil {
 			t.Fatalf("remote snapshot key %d: %v", key, err)
 		} else if ok {
 			remote[uint64(key)] = buf
@@ -178,7 +178,7 @@ func TestTierConcurrentPoolNoLostUpdates(t *testing.T) {
 			t.Errorf("worker %d: %s", w, e)
 		}
 	}
-	if hits := p.CompressedTier().Stats().Snapshot().Hits; hits == 0 {
+	if hits := p.Far().Tier().Stats().Snapshot().Hits; hits == 0 {
 		t.Errorf("working set never hit the compressed tier; test is not exercising promotion")
 	}
 	p.Close()

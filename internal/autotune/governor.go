@@ -204,7 +204,7 @@ func (g *Governor) enterThrottled() {
 	p.SetPrefetchDepth(0)
 	p.SetPrefetchHighWater(g.cfg.ThrottleHighWater)
 	p.SetPressureEvict(true)
-	if tier := p.CompressedTier(); tier != nil {
+	if tier := p.Far().Tier(); tier != nil {
 		g.savedTier = tier.Budget()
 		tier.Resize(g.savedTier / 2)
 	}
@@ -220,7 +220,7 @@ func (g *Governor) exitThrottled() {
 	p.SetPrefetchDepth(g.savedDepth)
 	p.SetPrefetchHighWater(g.savedHW)
 	p.SetPressureEvict(false)
-	if tier := p.CompressedTier(); tier != nil && g.savedTier > 0 {
+	if tier := p.Far().Tier(); tier != nil && g.savedTier > 0 {
 		tier.Resize(g.savedTier)
 	}
 	g.calm = 0
@@ -234,8 +234,8 @@ func (g *Governor) exitThrottled() {
 // being served. Caller holds g.mu.
 func (g *Governor) enterDegraded() {
 	p := g.cfg.Pool
-	p.ForceDegrade(true)
-	if tier := p.CompressedTier(); tier != nil && g.savedTier > 0 {
+	p.Far().ForceDegrade(true)
+	if tier := p.Far().Tier(); tier != nil && g.savedTier > 0 {
 		tier.Resize(g.savedTier / 4)
 	}
 	g.calm = 0
@@ -248,8 +248,8 @@ func (g *Governor) enterDegraded() {
 // re-expands the tier to the throttled half-budget. Caller holds g.mu.
 func (g *Governor) exitDegraded() {
 	p := g.cfg.Pool
-	p.ForceDegrade(false)
-	if tier := p.CompressedTier(); tier != nil && g.savedTier > 0 {
+	p.Far().ForceDegrade(false)
+	if tier := p.Far().Tier(); tier != nil && g.savedTier > 0 {
 		tier.Resize(g.savedTier / 2)
 	}
 	g.calm = 0

@@ -135,14 +135,14 @@ func TestGovernorDegradeLadder(t *testing.T) {
 	if g.State() != GovDegraded {
 		t.Fatalf("state = %v, want degraded", g.State())
 	}
-	if !p.Degraded() {
+	if !p.Far().Degraded() {
 		t.Fatalf("pool not forced degraded")
 	}
 	// Recovery retraces the ladder one state per calm hold.
 	ratio = 0.0
 	tickAt(g, env)
-	if g.State() != GovThrottled || p.Degraded() {
-		t.Fatalf("degrade not lifted: state=%v degraded=%v", g.State(), p.Degraded())
+	if g.State() != GovThrottled || p.Far().Degraded() {
+		t.Fatalf("degrade not lifted: state=%v degraded=%v", g.State(), p.Far().Degraded())
 	}
 	tickAt(g, env)
 	if g.State() != GovNormal {
@@ -193,7 +193,7 @@ func TestGovernorShrinksTierFirst(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewPool: %v", err)
 	}
-	tier := p.CompressedTier()
+	tier := p.Far().Tier()
 	if tier == nil {
 		t.Fatalf("pool with CompressedBudget has no tier")
 	}

@@ -105,7 +105,7 @@ func runTiersPhase(ph tiersPhase, n int) tiersResult {
 		p.Localize(aifm.ObjectID(zipf.Next()), false)
 	}
 	env.Reset()
-	tier := p.CompressedTier()
+	tier := p.Far().Tier()
 	tierBase := tier.Stats().Snapshot()
 
 	var res tiersResult

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 
-	"trackfm/internal/aifm"
+	"trackfm/internal/far"
 	"trackfm/internal/sim"
 )
 
@@ -59,7 +59,7 @@ type MultiConfig struct {
 	// Weights optionally skews the local-budget split (len == Classes).
 	Weights []float64
 	// Backing, NoPrefetch as in Config.
-	Backing    aifm.Backing
+	Backing    far.Backing
 	NoPrefetch bool
 }
 

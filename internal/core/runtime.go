@@ -8,6 +8,7 @@ import (
 
 	"trackfm/internal/aifm"
 	"trackfm/internal/fabric"
+	"trackfm/internal/far"
 	"trackfm/internal/mem/ctier"
 	"trackfm/internal/sim"
 )
@@ -31,14 +32,15 @@ type Config struct {
 	// allocates this much capacity up front. Zero means LocalBudget.
 	MaxLocalBudget uint64
 	// Backing selects real or phantom object data.
-	Backing aifm.Backing
-	// Transport overrides the default in-process simulated TCP link;
-	// used by the examples to run against a real fmserver.
+	Backing far.Backing
+	// RemoteConfig locates far memory and bounds each remote operation
+	// (retries, deadline); it is handed to the pool's far engine
+	// untouched. The zero value is an in-process simulated TCP link.
+	fabric.RemoteConfig
+	// Transport, when non-nil, is RemoteConfig.Transport under its old
+	// spelling. It survives only because benchmarks/fmbench — frozen by
+	// BENCHMARK.json — sets it by name; nothing else may.
 	Transport fabric.ErrorTransport
-	// RemoteRetries caps attempts per remote operation on a fallible
-	// transport (0 selects the fabric default; see
-	// fabric.RemoteConfig.RemoteRetries).
-	RemoteRetries int
 	// PrefetchDepth is how many objects ahead compiler-directed streams
 	// prefetch (default 8; 0 keeps the default, use NoPrefetch to
 	// disable).
@@ -90,9 +92,8 @@ type Runtime struct {
 
 	heapSize uint64
 	allocMu  sync.Mutex
-	brk      uint64          // bump pointer, heap offset of next free byte
-	allocs   map[Ptr]uint64  // live allocation sizes, for free/realloc
-	link     *fabric.SimLink // nil when an external transport is used
+	brk      uint64         // bump pointer, heap offset of next free byte
+	allocs   map[Ptr]uint64 // live allocation sizes, for free/realloc
 
 	prefetchDepth int
 	noPrefetch    bool
@@ -118,15 +119,12 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	if cfg.LocalBudget == 0 {
 		return nil, fmt.Errorf("core: Config.LocalBudget is required")
 	}
-	transport := cfg.Transport
-	var link *fabric.SimLink
-	if transport == nil {
-		link = fabric.NewSimLink(cfg.Env, fabric.BackendTCP)
-		transport = link
+	if cfg.Transport != nil {
+		cfg.RemoteConfig.Transport = cfg.Transport
 	}
 	pool, err := aifm.NewPool(aifm.Config{
 		Env:                cfg.Env,
-		RemoteConfig:       fabric.RemoteConfig{Transport: transport, RemoteRetries: cfg.RemoteRetries},
+		RemoteConfig:       cfg.RemoteConfig,
 		ObjectSize:         cfg.ObjectSize,
 		HeapSize:           cfg.HeapSize,
 		LocalBudget:        cfg.LocalBudget,
@@ -168,7 +166,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		shift:         uint(bits.TrailingZeros(uint(cfg.ObjectSize))),
 		heapSize:      cfg.HeapSize,
 		allocs:        make(map[Ptr]uint64),
-		link:          link,
 		prefetchDepth: depth,
 		noPrefetch:    cfg.NoPrefetch,
 		collectEvery:  collect,

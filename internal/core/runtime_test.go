@@ -3,7 +3,7 @@ package core
 import (
 	"testing"
 
-	"trackfm/internal/aifm"
+	"trackfm/internal/far"
 	"trackfm/internal/sim"
 )
 
@@ -337,7 +337,7 @@ func TestPhantomBackingRuns(t *testing.T) {
 	rt, err := NewRuntime(Config{
 		Env: sim.NewEnv(), ObjectSize: 4096,
 		HeapSize: 1 << 30, LocalBudget: 1 << 20,
-		Backing: aifm.BackingPhantom,
+		Backing: far.BackingPhantom,
 	})
 	if err != nil {
 		t.Fatalf("NewRuntime: %v", err)

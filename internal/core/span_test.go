@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"testing"
 
-	"trackfm/internal/aifm"
+	"trackfm/internal/far"
 	"trackfm/internal/mem/bufpool"
 	"trackfm/internal/sim"
 )
@@ -14,7 +14,7 @@ import (
 // memory, so the walk fetches, prefetches, evicts and stamps ghosts — every
 // place the simulated clock is read.
 type chunkedCase struct {
-	backing  aifm.Backing
+	backing  far.Backing
 	objSize  int
 	elemSize int
 	skew     uint64 // base offset within its first object
@@ -24,7 +24,7 @@ type chunkedCase struct {
 
 func (tc chunkedCase) String() string {
 	b := "real"
-	if tc.backing == aifm.BackingPhantom {
+	if tc.backing == far.BackingPhantom {
 		b = "phantom"
 	}
 	return fmt.Sprintf("%s/obj%d/elem%d/skew%d/write=%v", b, tc.objSize, tc.elemSize, tc.skew, tc.write)
@@ -135,7 +135,7 @@ func (tc chunkedCase) run(t *testing.T, walk func(*Runtime, Ptr, uint64) uint64,
 	if n := rt.Pool().PinnedObjects(); n != 0 {
 		t.Errorf("%v: %d objects still pinned after Close", tc, n)
 	}
-	if tc.write && tc.backing == aifm.BackingReal {
+	if tc.write && tc.backing == far.BackingReal {
 		// What the walk stored must be what scalar guards read back.
 		elem, want := make([]byte, tc.elemSize), make([]byte, tc.elemSize)
 		for i := uint64(0); i <= stop; i++ {
@@ -155,7 +155,7 @@ func (tc chunkedCase) run(t *testing.T, walk func(*Runtime, Ptr, uint64) uint64,
 // loop stops.
 func TestSpanCycleIdentity(t *testing.T) {
 	var cases []chunkedCase
-	for _, backing := range []aifm.Backing{aifm.BackingReal, aifm.BackingPhantom} {
+	for _, backing := range []far.Backing{far.BackingReal, far.BackingPhantom} {
 		for _, write := range []bool{false, true} {
 			cases = append(cases,
 				chunkedCase{backing: backing, objSize: 256, elemSize: 8, skew: 0, n: 4096, write: write},
@@ -190,7 +190,7 @@ func TestSpanCycleIdentity(t *testing.T) {
 			if a.sum != b.sum {
 				t.Errorf("%v stop %d: sums differ: per-element %d, spans %d", tc, stop, a.sum, b.sum)
 			}
-			if tc.backing == aifm.BackingPhantom && a.sum != 0 {
+			if tc.backing == far.BackingPhantom && a.sum != 0 {
 				t.Errorf("%v: phantom read returned data (sum %d)", tc, a.sum)
 			}
 			if tc.elemSize == 12 && stop > perObj && a.counters.Guards() == 0 {

@@ -106,7 +106,7 @@ func TestReplicaFailoverSoak(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewPool: %v", err)
 	}
-	rs := pool.ReplicaSet()
+	rs := pool.Far().ReplicaSet()
 	if rs == nil {
 		t.Fatal("pool built from Replicas did not expose a ReplicaSet")
 	}

@@ -1,0 +1,357 @@
+// Package far is the far half shared by both residency runtimes: everything
+// between "this unit (an aifm object, a fastswap page) is not local" and
+// the wire. An Engine resolves the fabric.RemoteConfig into a transport,
+// probes the compressed middle tier, stamps per-operation deadlines, runs
+// the retry loops, keeps the fault and overload accounting and the
+// deadline-miss breaker, and writes a unit back and demotes it on eviction.
+// What distinguishes the runtimes — object slots, stripes and pins against
+// page frames and one mmap_lock — stays in aifm and fastswap, which call
+// the engine directly.
+package far
+
+import (
+	"errors"
+	"fmt"
+	"sync/atomic"
+
+	"trackfm/internal/fabric"
+	"trackfm/internal/mem/bufpool"
+	"trackfm/internal/mem/ctier"
+	"trackfm/internal/obs"
+	"trackfm/internal/sim"
+)
+
+// ErrDegraded is returned by Fetch while the engine is in degraded mode:
+// repeated deadline misses (or a governor's ForceDegrade) have established
+// that the fabric cannot currently answer within budget, so remote fetches
+// fail fast instead of queueing behind a deadline they will miss. Tier
+// hits keep serving; a trickle of probe fetches still reaches the network
+// and the first success lifts an organic degradation.
+var ErrDegraded = errors.New("far: engine degraded, remote fetch refused")
+
+// Backing selects the data plane of a runtime's local arena.
+type Backing int
+
+const (
+	// BackingReal stores actual bytes, so workloads compute real results.
+	BackingReal Backing = iota
+	// BackingPhantom discards data; only the control plane runs. Use for
+	// paper-scale unit counts that would not fit in RAM. The engine moves
+	// a phantom unit (a nil buffer) through pooled scratch instead.
+	BackingPhantom
+)
+
+const (
+	// defaultDegradeAfter is the consecutive-deadline-miss streak that
+	// trips the breaker of a deadline-bearing engine.
+	defaultDegradeAfter = 8
+	// degradedProbeEvery lets one in this many fetches through to the
+	// fabric while degraded, so recovery is observed without callers
+	// electing a prober explicitly.
+	degradedProbeEvery = 16
+)
+
+// Config parameterizes an Engine. Every field is fed from a field the
+// owning runtime's own Config already has.
+type Config struct {
+	// Env supplies the clock, counters, cost model and histograms.
+	Env *sim.Env
+	// RemoteConfig locates far memory; when it names no transport the
+	// engine runs over an in-process SimLink charging Backend's costs.
+	fabric.RemoteConfig
+	Backend fabric.Backend
+	// UnitSize is the fixed transfer unit in bytes (object or page size).
+	UnitSize int
+	// Backing says whether units have bytes; a phantom engine keeps a
+	// scratch slab to stand in for them.
+	Backing Backing
+	// DegradeAfter is how many consecutive deadline-missing operations
+	// trip the breaker (meaningful only with a positive OpDeadline): zero
+	// selects 8, a negative value disables it.
+	DegradeAfter int
+	// CompressedBudget, when positive, enables the compressed middle tier
+	// with this compressed-byte budget under CompressedPolicy.
+	CompressedBudget uint64
+	CompressedPolicy ctier.Policy
+}
+
+// Engine is the far side of one runtime. Safe for concurrent use; the
+// caller guarantees a unit's buffer is stable for the length of a call
+// (aifm: an unpublished slot or a locked, unpinned victim; fastswap: the
+// mmap_lock).
+type Engine struct {
+	env       *sim.Env
+	lat       *sim.Latencies
+	transport fabric.ErrorTransport
+	replicas  *fabric.ReplicaSet // non-nil only when Config.Replicas was set
+	closer    func() error       // non-nil only when the engine dialed RemoteAddr
+	retries   int
+	unit      int
+	slab      *bufpool.Slab // unit-size scratch; non-nil only when phantom
+	tier      *ctier.Tier   // nil when disabled
+
+	// Overload control, idle when dlBudget is zero.
+	dlBudget     uint64 // per-op deadline in clock cycles; 0 = none
+	degradeAfter uint32 // consecutive misses before degrading; 0 = never
+	dlStreak     atomic.Uint32
+	degraded     atomic.Bool
+	forced       atomic.Bool
+	probeTick    atomic.Uint64 // admits every Nth fetch while degraded
+}
+
+// New resolves cfg into a connected engine.
+func New(cfg Config) (*Engine, error) {
+	transport, replicas, closer, err := cfg.Connect(&cfg.Env.Clock)
+	if err != nil {
+		return nil, err
+	}
+	if transport == nil {
+		transport = fabric.NewSimLink(cfg.Env, cfg.Backend)
+	}
+	if replicas != nil {
+		replicas.ObserveFailovers(cfg.Env.Lat().Failover)
+	}
+	e := &Engine{
+		env:       cfg.Env,
+		lat:       cfg.Env.Lat(),
+		transport: transport,
+		replicas:  replicas,
+		closer:    closer,
+		retries:   cfg.Retries(),
+		unit:      cfg.UnitSize,
+		dlBudget:  cfg.OpDeadline,
+	}
+	if cfg.OpDeadline > 0 && cfg.DegradeAfter >= 0 {
+		e.degradeAfter = defaultDegradeAfter
+		if cfg.DegradeAfter > 0 {
+			e.degradeAfter = uint32(cfg.DegradeAfter)
+		}
+	}
+	if cfg.Backing == BackingPhantom {
+		e.slab = bufpool.NewSlab(cfg.UnitSize)
+	}
+	if cfg.CompressedBudget > 0 {
+		e.tier = ctier.New(ctier.Config{Budget: cfg.CompressedBudget, Policy: cfg.CompressedPolicy})
+	}
+	return e, nil
+}
+
+// Close returns the tier's buffer leases and releases the connection the
+// engine itself opened (the RemoteAddr path); a caller-provided transport
+// stays open — the caller owns its lifetime.
+func (e *Engine) Close() error {
+	e.tier.Clear()
+	if e.closer == nil {
+		return nil
+	}
+	return e.closer()
+}
+
+// ReplicaSet exposes the replica set serving the remote keyspace, or nil
+// when the engine runs on a single transport.
+func (e *Engine) ReplicaSet() *fabric.ReplicaSet { return e.replicas }
+
+// Tier exposes the compressed middle tier, or nil when disabled. The
+// governor resizes it under pressure; tests and benchmarks inspect it.
+func (e *Engine) Tier() *ctier.Tier { return e.tier }
+
+// Degraded reports whether remote fetches currently fail fast, for either
+// cause: the deadline-miss breaker or ForceDegrade.
+func (e *Engine) Degraded() bool { return e.degraded.Load() || e.forced.Load() }
+
+// ForceDegrade pins the engine in (or releases it from) degraded mode
+// independently of the deadline-miss breaker; the anti-thrash governor
+// uses it as the last-resort fail-fast stage. A successful probe does not
+// lift a forced degradation — only ForceDegrade(false).
+func (e *Engine) ForceDegrade(on bool) {
+	if on && !e.forced.Swap(true) {
+		sim.Inc(&e.env.Counters.DegradedEntries)
+		return
+	}
+	if !on {
+		e.forced.Store(false)
+	}
+}
+
+// RegisterObs exposes the breaker state and the tier's counters on reg.
+// The Env-wide counters (deadline misses, fetch faults) are already on
+// Env.Metrics.
+func (e *Engine) RegisterObs(reg *obs.Registry, labels ...obs.Label) {
+	reg.GaugeFunc("trackfm_pool_degraded",
+		"1 while the pool is degraded (residents serve, remote fetches fail fast).",
+		func() float64 {
+			if e.Degraded() {
+				return 1
+			}
+			return 0
+		}, labels...)
+	reg.GaugeFunc("trackfm_pool_deadline_miss_streak",
+		"Consecutive deadline-missing remote operations (resets on any success).",
+		func() float64 { return float64(e.dlStreak.Load()) }, labels...)
+	e.tier.Register(reg, labels...)
+}
+
+// scratch stands in for a phantom unit's bytes: buf itself when the unit
+// is real, otherwise a slab lease — zeroed, as a phantom read is, when the
+// caller is about to read it — which the caller releases (a no-op for the
+// zero Lease of a real unit).
+func (e *Engine) scratch(buf []byte, read bool) ([]byte, bufpool.Lease) {
+	if buf != nil {
+		return buf, bufpool.Lease{}
+	}
+	lease := e.slab.Get()
+	if read {
+		clear(lease.Bytes())
+	}
+	return lease.Bytes(), lease
+}
+
+// deadline starts a fresh per-op deadline, or the zero Deadline when the
+// engine runs without a budget.
+func (e *Engine) deadline() fabric.Deadline {
+	if e.dlBudget == 0 {
+		return fabric.Deadline{}
+	}
+	return fabric.DeadlineAfter(&e.env.Clock, e.dlBudget)
+}
+
+// noteOK records a successful remote operation: the miss streak resets and
+// an organic degradation lifts (a probe got through).
+func (e *Engine) noteOK() {
+	if e.dlBudget == 0 {
+		return
+	}
+	e.dlStreak.Store(0)
+	e.degraded.CompareAndSwap(true, false)
+}
+
+// noteErr classifies a failed remote operation that started at cycle
+// start: overload rejects and deadline misses are tallied, a miss extends
+// the streak, and a long-enough streak trips the breaker. Reports whether
+// err was a deadline miss, which ends the caller's retry loop — the
+// deadline bounds the whole loop.
+func (e *Engine) noteErr(err error, start uint64) bool {
+	if errors.Is(err, fabric.ErrOverloaded) {
+		sim.Inc(&e.env.Counters.OverloadRejects)
+	}
+	if !errors.Is(err, fabric.ErrDeadlineExceeded) {
+		return false
+	}
+	sim.Inc(&e.env.Counters.DeadlineMisses)
+	if elapsed := e.env.Clock.Cycles() - start; elapsed > e.dlBudget {
+		e.lat.DeadlineMiss.Observe(elapsed - e.dlBudget)
+	}
+	if e.degradeAfter > 0 &&
+		e.dlStreak.Add(1) >= e.degradeAfter &&
+		e.degraded.CompareAndSwap(false, true) {
+		sim.Inc(&e.env.Counters.DegradedEntries)
+	}
+	return true
+}
+
+// Fetch fills dst (one unit; nil for a phantom unit) with the bytes stored
+// under key: first by probing the compressed tier — a hit decompresses
+// straight into dst, touches no fabric and works even while degraded —
+// then over the transport, retrying failures up to the retry budget inside
+// one deadline. A speculative fetch (prefetch, readahead) uses the
+// transport's overlapped cost model when it has one. Every failed attempt
+// is tallied in Counters.RemoteFetchFaults, so injected fault counts
+// reconcile exactly with what the runtime observed. dst must not be
+// visible to anyone else: a failed attempt may scribble on it. The bool
+// reports a tier hit, so callers keep their remote-fetch accounting honest.
+func (e *Engine) Fetch(key uint64, dst []byte, speculative bool) (fromTier bool, err error) {
+	start := e.env.Clock.Cycles()
+	dst, lease := e.scratch(dst, false)
+	defer lease.Release()
+	if e.tier.Get(key, dst) {
+		e.env.Clock.Advance(e.env.Costs.TierDecompress(e.unit))
+		sim.Inc(&e.env.Counters.TierHits)
+		e.lat.TierDecompress.Observe(e.env.Clock.Cycles() - start)
+		return true, nil
+	}
+	if e.tier != nil {
+		sim.Inc(&e.env.Counters.TierMisses)
+	}
+	defer func() { e.lat.RemoteFetch.Observe(e.env.Clock.Cycles() - start) }()
+	if e.Degraded() && e.probeTick.Add(1)%degradedProbeEvery != 0 {
+		return false, fmt.Errorf("far: fetch key %d: %w", key, ErrDegraded)
+	}
+	dl := e.deadline()
+	attempt := 0
+	for attempt < e.retries {
+		attempt++
+		if speculative {
+			_, err = fabric.FetchAsync(e.transport, key, dst)
+		} else {
+			_, err = e.transport.TryFetchUntil(key, dst, dl)
+		}
+		if err == nil {
+			e.noteOK()
+			return false, nil
+		}
+		sim.Inc(&e.env.Counters.RemoteFetchFaults)
+		if e.noteErr(err, start) {
+			break
+		}
+	}
+	return false, fmt.Errorf("far: fetch key %d after %d attempts: %w", key, attempt, err)
+}
+
+// Evict makes the unit in src (nil for a phantom unit, which reads as
+// zeros) droppable from local memory and reports whether it now is: a
+// dirty unit is pushed first — retried inside one deadline, failed
+// attempts tallied in Counters.RemotePushFaults — and refused outright
+// while degraded, then a compressed copy is parked in the tier. The tier
+// is write-through: the push has succeeded or the far copy was already
+// current, so the tier never holds the only copy. A refusal is counted in
+// Counters.EvictionStalls and the caller keeps the unit resident — it is
+// the only copy of the data.
+func (e *Engine) Evict(key uint64, src []byte, dirty bool) bool {
+	if !dirty && e.tier == nil {
+		return true
+	}
+	src, lease := e.scratch(src, true)
+	defer lease.Release()
+	if dirty && (e.Degraded() || e.push(key, src) != nil) {
+		sim.Inc(&e.env.Counters.EvictionStalls)
+		return false
+	}
+	if e.tier != nil {
+		e.env.Clock.Advance(e.env.Costs.TierCompress(e.unit))
+		if e.tier.Put(key, src) {
+			sim.Inc(&e.env.Counters.TierDemotes)
+		}
+	}
+	return true
+}
+
+func (e *Engine) push(key uint64, src []byte) (err error) {
+	start := e.env.Clock.Cycles()
+	defer func() { e.lat.RemotePush.Observe(e.env.Clock.Cycles() - start) }()
+	dl := e.deadline()
+	for attempt := 0; attempt < e.retries; attempt++ {
+		if err = e.transport.TryPushUntil(key, src, dl); err == nil {
+			e.noteOK()
+			return nil
+		}
+		sim.Inc(&e.env.Counters.RemotePushFaults)
+		if e.noteErr(err, start) {
+			break
+		}
+	}
+	return err
+}
+
+// Delete drops key from the tier and the far node. Deletes are idempotent
+// and harmless to lose — the caller resets its own metadata, so a leaked
+// far blob is unreachable and any later push overwrites it — so failures
+// are retried within budget, tallied with the push faults, and dropped.
+func (e *Engine) Delete(key uint64) {
+	e.tier.Delete(key) // a freed unit must not be revivable
+	for attempt := 0; attempt < e.retries; attempt++ {
+		if e.transport.TryDeleteUntil(key, fabric.Deadline{}) == nil {
+			return
+		}
+		sim.Inc(&e.env.Counters.RemotePushFaults)
+	}
+}

@@ -1,0 +1,290 @@
+package far
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+
+	"trackfm/internal/fabric"
+	"trackfm/internal/mem/bufpool"
+	"trackfm/internal/obs"
+	"trackfm/internal/sim"
+)
+
+// scriptLink is a SimLink whose operations fail or stall on command.
+type scriptLink struct {
+	*fabric.SimLink
+	env       *sim.Env
+	failFetch int    // fail this many fetch attempts with err, then succeed
+	failPush  int    // likewise for push attempts
+	err       error  // what a scripted failure returns
+	delay     uint64 // cycles burned before each op's deadline check
+	ops       int    // attempts that reached the link
+}
+
+func (l *scriptLink) gate(fail *int) error {
+	l.ops++
+	l.env.Clock.Advance(l.delay)
+	if *fail > 0 {
+		*fail--
+		return l.err
+	}
+	return nil
+}
+
+func (l *scriptLink) TryFetchUntil(key uint64, dst []byte, dl fabric.Deadline) (bool, error) {
+	if err := l.gate(&l.failFetch); err != nil {
+		return false, err
+	}
+	return l.SimLink.TryFetchUntil(key, dst, dl)
+}
+
+func (l *scriptLink) TryFetchAsync(key uint64, dst []byte) (bool, error) {
+	return l.TryFetchUntil(key, dst, fabric.Deadline{})
+}
+
+func (l *scriptLink) TryPushUntil(key uint64, src []byte, dl fabric.Deadline) error {
+	if err := l.gate(&l.failPush); err != nil {
+		return err
+	}
+	return l.SimLink.TryPushUntil(key, src, dl)
+}
+
+const (
+	unit    = 64
+	retries = 3
+	forever = 1 << 30
+)
+
+// rig is one engine over a scripted link, with a unit of recognizable data
+// already far under key 7.
+type rig struct {
+	*testing.T
+	e    *Engine
+	l    *scriptLink
+	c    *sim.Counters
+	data []byte
+}
+
+func (r *rig) fetch(key uint64, speculative bool) (bool, error) {
+	dst := make([]byte, unit)
+	fromTier, err := r.e.Fetch(key, dst, speculative)
+	if err == nil && key == 7 && !bytes.Equal(dst, r.data) {
+		r.Fatalf("fetched bytes differ from what was evicted")
+	}
+	return fromTier, err
+}
+
+func (r *rig) mustFail(key uint64, want error) {
+	r.Helper()
+	if _, err := r.fetch(key, false); !errors.Is(err, want) {
+		r.Fatalf("Fetch = %v, want %v", err, want)
+	}
+}
+
+func (r *rig) want(name string, got, want uint64) {
+	r.Helper()
+	if got != want {
+		r.Fatalf("%s = %d, want %d", name, got, want)
+	}
+}
+
+func TestEngine(t *testing.T) {
+	budget := 4 * sim.NewEnv().Costs.RemoteObjectFetch(unit)
+	deadline := func(c *Config) { c.OpDeadline, c.DegradeAfter = budget, 4 }
+	tier := func(c *Config) { c.CompressedBudget = 1 << 16 }
+	for _, tc := range []struct {
+		name string
+		cfg  func(*Config)
+		run  func(r *rig)
+	}{
+		{"transient faults are retried inside the budget", nil, func(r *rig) {
+			r.l.failFetch = retries - 1
+			if _, err := r.fetch(7, false); err != nil {
+				r.Fatalf("Fetch: %v", err)
+			}
+			r.l.failFetch = 1
+			if _, err := r.fetch(7, true); err != nil {
+				r.Fatalf("speculative Fetch: %v", err)
+			}
+			r.want("RemoteFetchFaults", r.c.RemoteFetchFaults, retries)
+		}},
+		{"an exhausted budget surfaces the typed error", nil, func(r *rig) {
+			r.l.failFetch, r.l.ops = forever, 0
+			r.mustFail(7, fabric.ErrRemoteUnavailable)
+			r.want("attempts", uint64(r.l.ops), retries)
+			r.want("RemoteFetchFaults", r.c.RemoteFetchFaults, retries)
+			r.l.failFetch = 0
+			if _, err := r.fetch(7, false); err != nil {
+				r.Fatalf("Fetch after heal: %v", err)
+			}
+		}},
+		{"the deadline bounds the whole retry loop", deadline, func(r *rig) {
+			r.l.delay, r.l.ops = 2*budget, 0
+			r.mustFail(7, fabric.ErrDeadlineExceeded)
+			if r.e.Evict(7, r.data, true) {
+				r.Fatalf("dirty Evict past its deadline reported success")
+			}
+			r.want("attempts", uint64(r.l.ops), 2) // one each, not retries each
+			r.want("DeadlineMisses", r.c.DeadlineMisses, 2)
+			r.want("RemoteFetchFaults", r.c.RemoteFetchFaults, 1)
+			r.want("RemotePushFaults", r.c.RemotePushFaults, 1)
+			r.want("EvictionStalls", r.c.EvictionStalls, 1)
+			if _, err := r.fetch(7, true); err != nil {
+				r.Fatalf("speculative Fetch carries no deadline, got %v", err)
+			}
+		}},
+		{"overload rejects are tallied and never trip the breaker", deadline, func(r *rig) {
+			r.l.err, r.l.failFetch = fabric.ErrOverloaded, forever
+			for i := 0; i < 5; i++ {
+				r.mustFail(7, fabric.ErrOverloaded)
+			}
+			r.want("OverloadRejects", r.c.OverloadRejects, 5*retries)
+			r.want("DeadlineMisses", r.c.DeadlineMisses, 0)
+			if r.e.Degraded() {
+				r.Fatalf("overload rejects degraded the engine")
+			}
+		}},
+		{"a miss streak trips the breaker, a probe heals it", deadline, func(r *rig) {
+			reg := obs.NewRegistry()
+			r.e.RegisterObs(reg)
+			r.l.delay = 2 * budget
+			for i := 0; i < 4; i++ {
+				if r.e.Degraded() {
+					r.Fatalf("degraded after only %d misses, threshold is 4", i)
+				}
+				r.mustFail(7, fabric.ErrDeadlineExceeded)
+			}
+			g := reg.Snapshot().Gauges
+			if !r.e.Degraded() || g["trackfm_pool_degraded"] != 1 || g["trackfm_pool_deadline_miss_streak"] < 4 {
+				r.Fatalf("not degraded after 4 consecutive misses (gauges %v)", g)
+			}
+			r.want("DegradedEntries", r.c.DegradedEntries, 1)
+			// Fail fast: of 16 fetches exactly one (the probe) reaches the link.
+			r.l.ops = 0
+			refused := 0
+			for i := 0; i < degradedProbeEvery; i++ {
+				if _, err := r.fetch(7, false); errors.Is(err, ErrDegraded) {
+					refused++
+				}
+			}
+			r.want("ErrDegraded refusals", uint64(refused), degradedProbeEvery-1)
+			r.want("probes on the link", uint64(r.l.ops), 1)
+			// Heal the link: the next probe succeeds and lifts the degradation.
+			r.l.delay = 0
+			for i := 0; i < degradedProbeEvery && r.e.Degraded(); i++ {
+				r.fetch(7, false)
+			}
+			if r.e.Degraded() || reg.Snapshot().Gauges["trackfm_pool_degraded"] != 0 {
+				r.Fatalf("still degraded a full probe window after the link healed")
+			}
+		}},
+		{"a forced degradation outlives successful probes", deadline, func(r *rig) {
+			r.e.ForceDegrade(true)
+			r.e.ForceDegrade(true)
+			r.want("DegradedEntries", r.c.DegradedEntries, 1)
+			r.l.ops = 0
+			for i := 0; i < 2*degradedProbeEvery; i++ {
+				r.fetch(7, false)
+			}
+			r.want("probes on the link", uint64(r.l.ops), 2)
+			if !r.e.Degraded() {
+				r.Fatalf("a successful probe lifted a forced degradation")
+			}
+			if r.e.Evict(7, r.data, true) || r.l.ops != 2 {
+				r.Fatalf("dirty Evict went to the link while degraded")
+			}
+			if !r.e.Evict(7, r.data, false) {
+				r.Fatalf("clean Evict refused while degraded")
+			}
+			r.e.ForceDegrade(false)
+			if r.e.Degraded() {
+				r.Fatalf("ForceDegrade(false) left the engine degraded")
+			}
+		}},
+		{"a tier hit touches no fabric, even while degraded", tier, func(r *rig) {
+			r.want("TierDemotes", r.c.TierDemotes, 1) // the rig's own eviction
+			r.e.ForceDegrade(true)
+			r.l.ops = 0
+			if fromTier, err := r.fetch(7, false); err != nil || !fromTier {
+				r.Fatalf("Fetch = tier %v, %v; want a tier hit", fromTier, err)
+			}
+			r.want("link ops", uint64(r.l.ops), 0)
+			r.want("TierHits", r.c.TierHits, 1)
+			r.mustFail(8, ErrDegraded) // a tier miss still fails fast
+			r.want("TierMisses", r.c.TierMisses, 1)
+		}},
+		{"a failed push demotes nothing", tier, func(r *rig) {
+			r.l.failPush = forever
+			if r.e.Evict(9, r.data, true) {
+				r.Fatalf("dirty Evict with a dead push path reported success")
+			}
+			r.want("RemotePushFaults", r.c.RemotePushFaults, retries)
+			r.want("EvictionStalls", r.c.EvictionStalls, 1)
+			if r.e.Tier().Contains(9) {
+				r.Fatalf("tier holds a unit whose only other copy is local")
+			}
+			r.l.failPush = 0
+			if !r.e.Evict(9, r.data, true) || !r.e.Tier().Contains(9) {
+				r.Fatalf("Evict after heal did not push and demote")
+			}
+			r.e.Delete(9)
+			if r.e.Tier().Contains(9) {
+				r.Fatalf("Delete left the unit revivable from the tier")
+			}
+		}},
+		{"zero RemoteConfig, zero budget: the default SimLink and no tier traffic", func(c *Config) { c.Transport = nil }, func(r *rig) {
+			if _, err := r.fetch(7, false); err != nil {
+				r.Fatalf("Fetch over the default SimLink: %v", err)
+			}
+			if r.e.Tier() != nil || r.c.TierHits+r.c.TierMisses+r.c.TierDemotes != 0 {
+				r.Fatalf("a zero CompressedBudget built a tier or recorded tier traffic")
+			}
+			pushed := r.c.BytesEvicted
+			if !r.e.Evict(7, r.data, false) || r.c.BytesEvicted != pushed {
+				r.Fatalf("clean Evict without a tier moved bytes")
+			}
+		}},
+		{"phantom scratch leases all come home", func(c *Config) { c.Backing = BackingPhantom; c.CompressedBudget = 1 << 16 }, func(r *rig) {
+			bufpool.SetDebug(true)
+			defer bufpool.SetDebug(false)
+			start := bufpool.Outstanding()
+			r.e.Evict(1, nil, true)
+			if fromTier, err := r.e.Fetch(1, nil, false); err != nil || !fromTier {
+				r.Fatalf("phantom Fetch = tier %v, %v", fromTier, err)
+			}
+			r.l.failFetch, r.l.failPush = forever, forever
+			if _, err := r.e.Fetch(2, nil, false); err == nil || r.e.Evict(2, nil, true) {
+				r.Fatalf("phantom ops succeeded over a dead link")
+			}
+			r.e.Close()
+			if got := bufpool.Outstanding(); got != start {
+				r.Fatalf("%d buffer leases still out after Close", got-start)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := sim.NewEnv()
+			l := &scriptLink{SimLink: fabric.NewSimLink(env, fabric.BackendTCP), env: env, err: fabric.ErrRemoteUnavailable}
+			cfg := Config{
+				Env:          env,
+				RemoteConfig: fabric.RemoteConfig{Transport: l, RemoteRetries: retries},
+				Backend:      fabric.BackendTCP,
+				UnitSize:     unit,
+			}
+			if tc.cfg != nil {
+				tc.cfg(&cfg)
+			}
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			defer e.Close()
+			r := &rig{T: t, e: e, l: l, c: &env.Counters, data: bytes.Repeat([]byte{0x5A, 7}, unit/2)}
+			if cfg.Backing == BackingReal && !e.Evict(7, r.data, true) {
+				t.Fatalf("seeding Evict failed")
+			}
+			tc.run(r)
+		})
+	}
+}

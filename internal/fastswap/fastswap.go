@@ -18,14 +18,12 @@ package fastswap
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/bits"
 	"sync"
 
 	"trackfm/internal/fabric"
-	"trackfm/internal/mem/bufpool"
-	"trackfm/internal/mem/ctier"
+	"trackfm/internal/far"
 	"trackfm/internal/sim"
 )
 
@@ -60,7 +58,7 @@ type Config struct {
 	// runtime but not grow past its starting size).
 	MaxLocalBudget uint64
 	// Backing selects real or phantom page data.
-	Backing Backing
+	Backing far.Backing
 	// ReadaheadPages is the kernel readahead window on sequential major
 	// faults (vm.page-cluster-like behaviour). Default 0: swap-in
 	// readahead reads by swap-slot order, which rarely matches virtual
@@ -76,7 +74,11 @@ type Config struct {
 	// Leaving it zero selects an in-process SimLink over the RDMA cost
 	// model (Fastswap's backend). A remote fault whose fetch still fails
 	// after the RemoteRetries budget panics — the moral equivalent of the
-	// SIGBUS the kernel delivers when swap-in I/O fails.
+	// SIGBUS the kernel delivers when swap-in I/O fails. Unlike the object
+	// pool there is no degraded mode: the kernel analogue has no
+	// application-visible fallback, so a missed OpDeadline simply bounds
+	// the retry loop and surfaces (that SIGBUS for swap-in, a stalled
+	// reclaim for swap-out).
 	fabric.RemoteConfig
 	// CompressedBudget enables a zswap-style compressed swap cache:
 	// reclaimed pages park an LZ-compressed copy locally (write-through
@@ -86,21 +88,7 @@ type Config struct {
 	// and is accounted as a minor fault (page present in the swap
 	// cache). Zero disables it.
 	CompressedBudget uint64
-	// CompressedPolicy selects the cache's eviction scheme (default
-	// S3-FIFO; ctier.PolicyClock is the ablation).
-	CompressedPolicy ctier.Policy
 }
-
-// Backing mirrors aifm.Backing without importing it, keeping the two
-// runtimes dependency-free of each other.
-type Backing int
-
-const (
-	// BackingReal stores actual bytes.
-	BackingReal Backing = iota
-	// BackingPhantom runs only the control plane.
-	BackingPhantom
-)
 
 // Swap is a Fastswap-style kernel swap system for one application.
 //
@@ -114,11 +102,7 @@ type Swap struct {
 	mu       sync.Mutex
 	env      *sim.Env
 	lat      *sim.Latencies
-	link     fabric.ErrorTransport
-	replicas *fabric.ReplicaSet // non-nil only when Config.Replicas was set
-	closer   func() error       // non-nil only when the swap dialed RemoteAddr
-	retries  int
-	dlBudget uint64 // per-op deadline in clock cycles; 0 = none
+	far      *far.Engine // the swap device, and the zswap-style cache before it
 	pageSize int
 	shift    uint
 
@@ -130,10 +114,8 @@ type Swap struct {
 	refd   []bool   // referenced bit for the reclaim clock
 	frame  []uint32 // resident page -> frame index
 
-	arena      []byte        // every frame's bytes; nil for BackingPhantom
-	slab       *bufpool.Slab // pageSize scratch for a phantom swap's transfers
-	tier       *ctier.Tier   // zswap-style compressed swap cache; nil when off
-	frameOwner []uint32      // frame -> page number
+	arena      []byte   // every frame's bytes; nil for BackingPhantom
+	frameOwner []uint32 // frame -> page number
 	freeFrames []uint32
 	retired    []uint32 // capacity parked outside the current cgroup limit
 	hand       int
@@ -172,21 +154,20 @@ func New(cfg Config) (*Swap, error) {
 		}
 	}
 	var arena []byte
-	var slab *bufpool.Slab
-	if cfg.Backing == BackingPhantom {
-		slab = bufpool.NewSlab(cfg.PageSize)
-	} else {
+	if cfg.Backing == far.BackingReal {
 		arena = make([]byte, maxFrames*uint64(cfg.PageSize))
 	}
-	link, replicas, closer, err := cfg.Connect(&cfg.Env.Clock)
+	engine, err := far.New(far.Config{
+		Env:              cfg.Env,
+		RemoteConfig:     cfg.RemoteConfig,
+		Backend:          fabric.BackendRDMA,
+		UnitSize:         cfg.PageSize,
+		Backing:          cfg.Backing,
+		DegradeAfter:     -1, // no degraded mode: see Config.RemoteConfig
+		CompressedBudget: cfg.CompressedBudget,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("fastswap: %w", err)
-	}
-	if link == nil {
-		link = fabric.NewSimLink(cfg.Env, fabric.BackendRDMA)
-	}
-	if replicas != nil {
-		replicas.ObserveFailovers(cfg.Env.Lat().Failover)
 	}
 	ra := cfg.ReadaheadPages
 	if ra < 0 {
@@ -195,11 +176,7 @@ func New(cfg Config) (*Swap, error) {
 	s := &Swap{
 		env:        cfg.Env,
 		lat:        cfg.Env.Lat(),
-		link:       link,
-		replicas:   replicas,
-		closer:     closer,
-		retries:    cfg.Retries(),
-		dlBudget:   cfg.OpDeadline,
+		far:        engine,
 		pageSize:   cfg.PageSize,
 		shift:      uint(bits.TrailingZeros(uint(cfg.PageSize))),
 		heapSize:   cfg.HeapSize,
@@ -208,14 +185,10 @@ func New(cfg Config) (*Swap, error) {
 		refd:       make([]bool, nPages),
 		frame:      make([]uint32, nPages),
 		arena:      arena,
-		slab:       slab,
 		frameOwner: make([]uint32, maxFrames),
 		freeFrames: make([]uint32, 0, maxFrames),
 		readahead:  ra,
 		lastFault:  ^uint64(0),
-	}
-	if cfg.CompressedBudget > 0 {
-		s.tier = ctier.New(ctier.Config{Budget: cfg.CompressedBudget, Policy: cfg.CompressedPolicy})
 	}
 	for i := range s.frameOwner {
 		s.frameOwner[i] = noPage
@@ -234,24 +207,14 @@ func (s *Swap) Env() *sim.Env { return s.env }
 // PageSize reports the architected page size.
 func (s *Swap) PageSize() int { return s.pageSize }
 
-// ReplicaSet exposes the replica set serving as the swap device, or nil
-// when the swap runs on a single transport (Config.Replicas empty).
-func (s *Swap) ReplicaSet() *fabric.ReplicaSet { return s.replicas }
+// Far exposes the swap's far engine: the replica set serving as the swap
+// device and the zswap-style compressed cache, when configured.
+func (s *Swap) Far() *far.Engine { return s.far }
 
-// Close releases any connection the swap itself opened (the
-// Config.RemoteAddr path). Swaps over caller-provided transports close
-// nothing — the caller owns the transport's lifetime.
-func (s *Swap) Close() error {
-	s.tier.Clear() // return the swap cache's buffer leases to the pool
-	if s.closer == nil {
-		return nil
-	}
-	return s.closer()
-}
-
-// CompressedTier exposes the zswap-style compressed swap cache, or nil
-// when Config.CompressedBudget was zero.
-func (s *Swap) CompressedTier() *ctier.Tier { return s.tier }
+// Close closes the far engine: the swap cache's buffer leases go home and
+// a connection the swap itself dialed (the Config.RemoteAddr path) is
+// released.
+func (s *Swap) Close() error { return s.far.Close() }
 
 // ResidentBytes reports bytes of resident pages (cgroup usage).
 func (s *Swap) ResidentBytes() uint64 {
@@ -351,105 +314,42 @@ func (s *Swap) fault(pg uint64, write bool) uint64 {
 		s.env.Clock.Advance(s.env.Costs.SwapFaultLocal)
 		f := s.takeFrame()
 		base := uint64(f) * uint64(s.pageSize)
-		buf, lease := s.frameBuf(base, false)
-		if s.tier.Get(pg, buf) {
-			start := s.env.Clock.Cycles()
-			s.env.Clock.Advance(s.env.Costs.TierDecompress(s.pageSize))
+		fromTier, err := s.far.Fetch(pg, s.frameBuf(base), false)
+		if fromTier {
 			sim.Inc(&s.env.Counters.MinorFaults)
-			sim.Inc(&s.env.Counters.TierHits)
-			s.lat.TierDecompress.Observe(s.env.Clock.Cycles() - start)
-			lease.Release()
-			s.install(pg, f, write)
-			return base
+		} else {
+			sim.Inc(&s.env.Counters.MajorFaults)
 		}
-		if s.tier != nil {
-			sim.Inc(&s.env.Counters.TierMisses)
-		}
-		sim.Inc(&s.env.Counters.MajorFaults)
-		if err := s.fetchPage(pg, buf); err != nil {
+		if err != nil {
 			// The kernel's swap-in I/O-error path: the process gets
 			// SIGBUS. Panicking with the typed fabric error is the
 			// simulation analogue — under no circumstances is the
 			// mutator handed a zero-filled page in place of its data.
+			// The claimed frame goes back first: interp.Run recovers
+			// such panics, and the swap must still have every frame.
+			s.freeFrames = append(s.freeFrames, f)
 			panic(fmt.Sprintf("fastswap: unrecoverable remote fault on page %d: %v", pg, err))
 		}
-		lease.Release()
 		s.install(pg, f, write)
-		s.maybeReadahead(pg)
+		if !fromTier {
+			s.maybeReadahead(pg)
+		}
 		return base
 	default:
 		panic("fastswap: fault on mapped page")
 	}
 }
 
-// opDeadline starts a fresh per-op deadline, or the zero Deadline when the
-// swap runs without a budget. Unlike the object pool there is no degraded
-// mode: the kernel analogue has no application-visible fallback, so a
-// missed deadline simply bounds the retry loop and surfaces (a SIGBUS
-// analogue for swap-in, a stalled reclaim for swap-out).
-func (s *Swap) opDeadline() fabric.Deadline {
-	if s.dlBudget == 0 {
-		return fabric.Deadline{}
+// frameBuf returns the page-size bytes of the frame at base, or nil from a
+// phantom swap, which has none (the far engine moves a nil page through
+// scratch of its own). The caller holds s.mu, which serializes all arena
+// access.
+func (s *Swap) frameBuf(base uint64) []byte {
+	if s.arena == nil {
+		return nil
 	}
-	return fabric.DeadlineAfter(&s.env.Clock, s.dlBudget)
-}
-
-// noteRemoteErr tallies overload rejects and deadline misses on a failed
-// remote operation that started at cycle start, reporting whether err was
-// a deadline miss (which ends the retry loop).
-func (s *Swap) noteRemoteErr(err error, start uint64) bool {
-	if errors.Is(err, fabric.ErrOverloaded) {
-		sim.Inc(&s.env.Counters.OverloadRejects)
-	}
-	if !errors.Is(err, fabric.ErrDeadlineExceeded) {
-		return false
-	}
-	sim.Inc(&s.env.Counters.DeadlineMisses)
-	if elapsed := s.env.Clock.Cycles() - start; elapsed > s.dlBudget {
-		s.lat.DeadlineMiss.Observe(elapsed - s.dlBudget)
-	}
-	return true
-}
-
-// frameBuf returns the page-size bytes of the frame at base. A phantom
-// swap has none: it leases pooled scratch instead — zeroed, as a phantom
-// read is, when the caller is about to read it — which the caller releases
-// when done (a no-op for real bytes). The caller holds s.mu, which
-// serializes all arena access.
-func (s *Swap) frameBuf(base uint64, read bool) ([]byte, bufpool.Lease) {
-	if s.arena != nil {
-		end := base + uint64(s.pageSize)
-		return s.arena[base:end:end], bufpool.Lease{}
-	}
-	l := s.slab.Get()
-	if read {
-		clear(l.Bytes())
-	}
-	return l.Bytes(), l
-}
-
-// fetchPage pulls a remote page with the swap system's retry budget,
-// tallying each failed attempt in Counters.RemoteFetchFaults. An
-// OpDeadline bounds the whole retry loop.
-func (s *Swap) fetchPage(pg uint64, buf []byte) error {
-	start := s.env.Clock.Cycles()
-	defer func() { s.lat.RemoteFetch.Observe(s.env.Clock.Cycles() - start) }()
-	dl := s.opDeadline()
-	var last error
-	attempts := 0
-	for attempt := 1; attempt <= s.retries; attempt++ {
-		attempts = attempt
-		if _, err := s.link.TryFetchUntil(pg, buf, dl); err == nil {
-			return nil
-		} else {
-			last = err
-			sim.Inc(&s.env.Counters.RemoteFetchFaults)
-			if s.noteRemoteErr(err, start) {
-				break
-			}
-		}
-	}
-	return fmt.Errorf("fastswap: fetch page %d after %d attempts: %w", pg, attempts, last)
+	end := base + uint64(s.pageSize)
+	return s.arena[base:end:end]
 }
 
 func (s *Swap) install(pg uint64, f uint32, write bool) {
@@ -484,19 +384,17 @@ func (s *Swap) maybeReadahead(pg uint64) {
 		if !ok {
 			return
 		}
-		base := uint64(f) * uint64(s.pageSize)
-		buf, lease := s.frameBuf(base, false)
-		if _, err := fabric.FetchAsync(s.link, next, buf); err != nil {
+		fromTier, err := s.far.Fetch(next, s.frameBuf(uint64(f)*uint64(s.pageSize)), true)
+		if err != nil {
 			// Readahead is speculation: return the frame and stop the
 			// window rather than installing a zero-filled page.
-			sim.Inc(&s.env.Counters.RemoteFetchFaults)
 			s.freeFrames = append(s.freeFrames, f)
-			lease.Release()
 			return
 		}
-		lease.Release()
 		s.install(next, f, false)
-		sim.Inc(&s.env.Counters.PrefetchIssued)
+		if !fromTier {
+			sim.Inc(&s.env.Counters.PrefetchIssued)
+		}
 	}
 }
 
@@ -546,61 +444,15 @@ func (s *Swap) evict(f uint32, pg uint64) bool {
 	start := s.env.Clock.Cycles()
 	defer func() { s.lat.Evacuation.Observe(s.env.Clock.Cycles() - start) }()
 	s.env.Clock.Advance(s.env.Costs.EvictPage)
-	base := uint64(f) * uint64(s.pageSize)
-	if s.dirty[pg] {
-		buf, lease := s.frameBuf(base, true)
-		err := s.pushPage(pg, buf)
-		lease.Release()
-		if err != nil {
-			sim.Inc(&s.env.Counters.EvictionStalls)
-			return false
-		}
-		s.dirty[pg] = false
+	// Write back if dirty, then park a compressed copy in the swap cache.
+	if !s.far.Evict(pg, s.frameBuf(uint64(f)*uint64(s.pageSize)), s.dirty[pg]) {
+		return false
 	}
-	// Park a compressed copy in the swap cache (write-through: the
-	// remote copy is already current, so dropping the cache entry is
-	// always safe).
-	s.demoteToTier(pg, base)
+	s.dirty[pg] = false
 	s.states[pg] = PageRemote
 	s.frameOwner[f] = noPage
 	sim.Inc(&s.env.Counters.PageEvictions)
 	return true
-}
-
-// demoteToTier compresses the page at base into the zswap-style cache
-// (a no-op without a CompressedBudget).
-func (s *Swap) demoteToTier(pg, base uint64) {
-	if s.tier == nil {
-		return
-	}
-	buf, lease := s.frameBuf(base, true)
-	s.env.Clock.Advance(s.env.Costs.TierCompress(s.pageSize))
-	if s.tier.Put(pg, buf) {
-		sim.Inc(&s.env.Counters.TierDemotes)
-	}
-	lease.Release()
-}
-
-// pushPage writes a page back with the swap system's retry budget,
-// tallying each failed attempt in Counters.RemotePushFaults. An
-// OpDeadline bounds the whole retry loop.
-func (s *Swap) pushPage(pg uint64, buf []byte) error {
-	start := s.env.Clock.Cycles()
-	defer func() { s.lat.RemotePush.Observe(s.env.Clock.Cycles() - start) }()
-	dl := s.opDeadline()
-	var last error
-	for attempt := 1; attempt <= s.retries; attempt++ {
-		if err := s.link.TryPushUntil(pg, buf, dl); err == nil {
-			return nil
-		} else {
-			last = err
-			sim.Inc(&s.env.Counters.RemotePushFaults)
-			if s.noteRemoteErr(err, start) {
-				break
-			}
-		}
-	}
-	return last
 }
 
 // EvacuateAll reclaims every resident page, starting measurement cold.

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"trackfm/internal/fabric"
+	"trackfm/internal/far"
+	"trackfm/internal/mem/bufpool"
 	"trackfm/internal/sim"
 )
 
@@ -40,55 +42,70 @@ func (f *faultyLink) TryPushUntil(key uint64, src []byte, dl fabric.Deadline) er
 	return f.SimLink.TryPushUntil(key, src, dl)
 }
 
-func faultySwap(t *testing.T, link *faultyLink, env *sim.Env, retries int) *Swap {
+func faultySwap(t *testing.T, link *faultyLink, env *sim.Env, retries int, opts ...func(*Config)) *Swap {
 	t.Helper()
-	s, err := New(Config{
+	cfg := Config{
 		Env:          env,
 		PageSize:     512,
 		HeapSize:     512 * 16,
 		LocalBudget:  512 * 2,
 		RemoteConfig: fabric.RemoteConfig{Transport: link, RemoteRetries: retries},
-	})
+	}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	return s
 }
 
-func TestMajorFaultRetriesTransientFetchFault(t *testing.T) {
-	env := sim.NewEnv()
-	link := &faultyLink{SimLink: fabric.NewSimLink(env, fabric.BackendRDMA)}
-	s := faultySwap(t, link, env, 4)
-	s.StoreU64(0, 0xCAFE)
-	s.EvacuateAll()
-
-	link.failFetch = 2
-	if got := s.LoadU64(0); got != 0xCAFE {
-		t.Fatalf("LoadU64 after retried major fault = %#x, want 0xCAFE", got)
-	}
-	if env.Counters.RemoteFetchFaults != 2 {
-		t.Fatalf("RemoteFetchFaults = %d, want 2", env.Counters.RemoteFetchFaults)
-	}
-}
-
-func TestMajorFaultPanicsOnUnrecoverableFetch(t *testing.T) {
-	env := sim.NewEnv()
-	link := &faultyLink{SimLink: fabric.NewSimLink(env, fabric.BackendRDMA)}
-	s := faultySwap(t, link, env, 2)
-	s.StoreU64(0, 77)
-	s.EvacuateAll()
-
-	link.failFetch = 1 << 30
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatalf("major fault with dead fabric did not panic (zero-filled page handed out)")
+// TestFailedMajorFaultReturnsItsFrame: a major fault whose fetch is
+// unrecoverable panics — the SIGBUS analogue, never a zero-filled page —
+// and since interp.Run recovers such panics the swap must come out whole:
+// the frame it claimed for the page goes back to the free list and, on a
+// phantom swap, so does the scratch lease. After as many failed faults as
+// there are frames, a healed link must serve faults again.
+func TestFailedMajorFaultReturnsItsFrame(t *testing.T) {
+	bufpool.SetDebug(true)
+	defer bufpool.SetDebug(false)
+	const frames = 2
+	for _, backing := range []far.Backing{far.BackingReal, far.BackingPhantom} {
+		leases := bufpool.Outstanding()
+		env := sim.NewEnv()
+		link := &faultyLink{SimLink: fabric.NewSimLink(env, fabric.BackendRDMA)}
+		s := faultySwap(t, link, env, 2, func(c *Config) { c.Backing = backing })
+		for pg := uint64(0); pg < 2*frames; pg++ {
+			s.StoreU64(pg*512, pg+100)
 		}
-		if !strings.Contains(r.(string), "unrecoverable remote fault") {
-			t.Fatalf("panic = %v", r)
+		s.EvacuateAll()
+
+		link.failFetch = 1 << 30
+		for pg := uint64(0); pg < frames; pg++ {
+			func() {
+				defer func() {
+					if r, _ := recover().(string); !strings.Contains(r, "unrecoverable remote fault") {
+						t.Fatalf("backing %d: major fault with dead fabric: panic = %q", backing, r)
+					}
+				}()
+				s.LoadU64(pg * 512)
+			}()
 		}
-	}()
-	s.LoadU64(0)
+		link.failFetch = 0
+		for pg := uint64(0); pg < 2*frames; pg++ {
+			want := pg + 100
+			if backing == far.BackingPhantom {
+				want = 0
+			}
+			if got := s.LoadU64(pg * 512); got != want {
+				t.Fatalf("backing %d: page %d = %d after heal, want %d", backing, pg, got, want)
+			}
+		}
+		if got := bufpool.Outstanding(); got != leases {
+			t.Fatalf("backing %d: %d scratch leases never released", backing, got-leases)
+		}
+	}
 }
 
 func TestReclaimStallsKeepDirtyPageMapped(t *testing.T) {

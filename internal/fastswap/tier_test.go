@@ -39,28 +39,3 @@ func TestTierHitIsMinorFault(t *testing.T) {
 		t.Fatalf("tier hit charged %d cycles, not cheaper than a major fault", charged)
 	}
 }
-
-// TestTierDisabledUnchanged re-runs the same fault pattern with no
-// CompressedBudget and checks the cost and counters match the
-// pre-tier baseline exactly: a zero budget must be a true no-op.
-func TestTierDisabledUnchanged(t *testing.T) {
-	s := newTestSwap(t, 1<<20, 4096)
-	env := s.Env()
-	a := s.MustMalloc(4096)
-	b := s.MustMalloc(4096)
-	s.StoreU64(a, 111)
-	s.StoreU64(b, 222)
-	if got := s.LoadU64(a); got != 111 {
-		t.Fatalf("page A data lost: %d", got)
-	}
-	if env.Counters.MajorFaults != 1 {
-		t.Fatalf("MajorFaults = %d, want 1", env.Counters.MajorFaults)
-	}
-	if sim.Load(&env.Counters.TierHits) != 0 || sim.Load(&env.Counters.TierMisses) != 0 ||
-		sim.Load(&env.Counters.TierDemotes) != 0 {
-		t.Fatalf("disabled tier recorded traffic")
-	}
-	if s.CompressedTier() != nil {
-		t.Fatalf("zero budget built a tier")
-	}
-}

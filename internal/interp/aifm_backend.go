@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"trackfm/internal/aifm"
-	"trackfm/internal/fabric"
 	"trackfm/internal/sim"
 )
 
@@ -54,7 +53,6 @@ func NewAIFMBackend(cfg AIFMConfig) (*AIFMBackend, error) {
 	}
 	pool, err := aifm.NewPool(aifm.Config{
 		Env:           cfg.Env,
-		RemoteConfig:  fabric.RemoteConfig{Transport: fabric.NewSimLink(cfg.Env, fabric.BackendTCP)},
 		ObjectSize:    cfg.ObjectSize,
 		HeapSize:      cfg.HeapSize,
 		LocalBudget:   cfg.LocalBudget,
