@@ -20,15 +20,17 @@ smoke_test:
 	$(GO) vet ./...
 	$(GO) test ./internal/sim ./internal/core ./internal/compiler
 
-# Static checks: go vet plus the metrics-name lint — every metric
-# registered by any subsystem must match obs.NamePattern
-# (^trackfm_[a-z0-9_]+$), enforced by registering them all in one registry —
+# Static checks: gofmt (any file it would rewrite fails the target), go vet
+# plus the metrics-name lint — every metric registered by any subsystem
+# must match obs.NamePattern (^trackfm_[a-z0-9_]+$), enforced by
+# registering them all in one registry —
 # plus the escape lint: no scalar accessor's 8-byte scratch may reach the
 # heap (the compiler says so even under -race, where test-allocs skips) —
 # plus the far-engine guard: only internal/far may resolve a RemoteConfig or
 # drive a transport's fetch and push, so the next cross-cutting far-side
 # feature has one place to land.
 vet:
+	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	$(GO) vet ./...
 	$(GO) test -run TestMetricNamesLint ./internal/obs
 	! $(GO) build -gcflags=-m ./internal/core ./internal/fastswap ./internal/interp ./farmem 2>&1 | grep 'moved to heap: buf'
@@ -79,7 +81,9 @@ test-overload:
 # The crash-consistency gates: the fixed-seed crash-injection soak (>= 100
 # kills at randomized WAL offsets, recovered state byte-identical to the
 # acked-write oracle, torn tails exercised, deterministic JSON) plus the
-# durability unit tests and the durable-replica rejoin tests.
+# durability unit tests (among them the durable × compressed composition
+# and the fsync-policy table) and the durable-replica rejoin tests (a
+# plain member, and a compressing one restarted plain).
 test-crash:
 	$(GO) test -run 'TestCrashSoak|TestDurable|TestWAL|TestReplayWAL|TestReplicaSetDurable|TestServerShutdown|TestHelloAdvertisesIdentity' ./internal/bench ./internal/remote ./internal/fabric
 
@@ -97,10 +101,13 @@ test-thrash:
 # S3-FIFO vs clock ablation comparable), the oracle-differential battery
 # (tier sizes {0, small, large} leave byte-identical heap and remote
 # state), the governor's tier-shrinks-first ladder, and the compressed
-# tier and compressed-at-rest store unit suites; the concurrent
-# no-lost-updates test runs under -race.
+# tier's and the remote store's unit suites — the store's contract table,
+# run over the plain and the compressed-at-rest constructor, plus what is
+# specific to the latter; the concurrent no-lost-updates test runs under
+# -race.
 test-tiers:
-	$(GO) test -run 'TestTiers|TestTierOracleDifferential|TestGovernorShrinksTierFirst|TestCompressedStore' ./internal/bench ./internal/aifm ./internal/autotune ./internal/remote
+	$(GO) test -run 'TestTiers|TestTierOracleDifferential|TestGovernorShrinksTierFirst' ./internal/bench ./internal/aifm ./internal/autotune
+	$(GO) test -run 'TestStore|TestCompressedStore' ./internal/remote
 	$(GO) test ./internal/mem/ctier
 	$(GO) test -race -run 'TestTierConcurrent' ./internal/aifm ./internal/mem/ctier
 

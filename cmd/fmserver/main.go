@@ -55,9 +55,9 @@
 //	fmserver -addr 127.0.0.1:7070 -data-dir /var/lib/fm0 -fsync always
 //
 // -fsync selects the WAL durability policy: "always" fsyncs every append
-// (zero acked-write loss on power failure), "interval" fsyncs every
-// -fsync-every appends (bounded loss window, much cheaper), "never" leaves
-// flushing to the OS. -snapshot-every sets the WAL size that triggers a
+// (zero acked-write loss on power failure), "interval" fsyncs every 32
+// appends (bounded loss window, much cheaper), "never" leaves flushing to
+// the OS. -snapshot-every sets the WAL size that triggers a
 // compacting snapshot. On SIGINT/SIGTERM the node drains gracefully:
 // stops accepting, lets in-flight requests finish (bounded by -drain),
 // writes a final snapshot, and exits 0.
@@ -65,12 +65,16 @@
 // # Compressed-at-rest storage
 //
 // With -compress the node keeps every blob LZ-compressed in memory
-// (remote.CompressedStore), trading server CPU on each push/fetch for an
+// (remote.NewCompressedStore), trading server CPU on each push/fetch for an
 // effective memory multiplier reported as the
 // trackfm_store_compression_ratio gauge. The wire contract is unchanged
 // — clients see raw bytes and the same CRC32-C identity — so the flag
-// composes with replica sets (members may mix store variants). It is
-// incompatible with -data-dir, whose WAL records raw payloads.
+// composes with replica sets (members may mix it) and with -data-dir: the
+// WAL and the snapshot record raw payloads whatever the memory holds, so a
+// data directory written under one setting of -compress recovers under
+// the other:
+//
+//	fmserver -addr 127.0.0.1:7070 -compress -data-dir /var/lib/fm0
 package main
 
 import (
@@ -98,10 +102,9 @@ func main() {
 	maxQueue := flag.Int("max-queue", 256, "admission control: max requests in flight before shedding (0 disables admission control)")
 	codelTarget := flag.Duration("codel-target", 5*time.Millisecond, "admission control: queue-delay target; sustained delay above it sheds")
 	codelInterval := flag.Duration("codel-interval", 100*time.Millisecond, "admission control: how long delay must stay above target before shedding")
-	compress := flag.Bool("compress", false, "store blobs compressed at rest (LZ codec); incompatible with -data-dir")
+	compress := flag.Bool("compress", false, "hold blobs compressed at rest in memory (LZ codec)")
 	dataDir := flag.String("data-dir", "", "directory for the write-ahead log and snapshots (empty = in-memory only, state lost on exit)")
-	fsync := flag.String("fsync", "always", "WAL fsync policy: always | interval | never")
-	fsyncEvery := flag.Int("fsync-every", 32, "appends between fsyncs under -fsync interval")
+	fsync := flag.String("fsync", "always", "WAL fsync policy: always | interval (every 32 appends) | never")
 	snapshotEvery := flag.Int64("snapshot-every", 4<<20, "WAL bytes that trigger a compacting snapshot (<0 disables)")
 	drain := flag.Duration("drain", 5*time.Second, "graceful-shutdown grace: how long in-flight requests get to finish on SIGINT/SIGTERM")
 	flag.Parse()
@@ -111,40 +114,25 @@ func main() {
 		tag = fmt.Sprintf("fmserver[%s]", *replica)
 	}
 
-	// The server fronts a plain in-memory store, a compressed-at-rest one
-	// (-compress), or, with -data-dir, a durable one; mem is the shared
-	// in-memory core for the first and last, so the stats ticker and
-	// metrics below work unchanged.
-	mem := remote.NewStore()
-	var ds *remote.DurableStore
-	var cs *remote.CompressedStore
-	var backing fabric.BlobStore = mem
-	if *compress && *dataDir != "" {
-		log.Fatal("fmserver: -compress is incompatible with -data-dir (the WAL records raw payloads)")
+	policy, err := remote.ParseFsyncPolicy(*fsync)
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *compress {
-		cs = remote.NewCompressedStore()
-		backing = cs
+	mem, ds, err := openStore(*compress, remote.DurableConfig{Dir: *dataDir, Fsync: policy, SnapshotEvery: *snapshotEvery})
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *dataDir != "" {
-		policy, err := remote.ParseFsyncPolicy(*fsync)
-		if err != nil {
-			log.Fatal(err)
-		}
-		ds, err = remote.OpenDurable(remote.DurableConfig{
-			Dir:           *dataDir,
-			Fsync:         policy,
-			FsyncEvery:    *fsyncEvery,
-			SnapshotEvery: *snapshotEvery,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		mem = ds.Store
-		backing = ds
+	// node is what the server serves and the registry exposes: the store,
+	// or the log around it.
+	var node interface {
+		fabric.BlobStore
+		Register(*obs.Registry, ...obs.Label)
+	} = mem
+	if ds != nil {
+		node = ds
 		fmt.Printf("%s: recovered %s: %s\n", tag, *dataDir, ds.Recovery())
 	}
-	srv := fabric.NewServer(backing)
+	srv := fabric.NewServer(node)
 	if ds != nil {
 		srv.SetGeneration(ds.Generation(), true)
 	}
@@ -172,14 +160,7 @@ func main() {
 			labels = append(labels, obs.L("replica", *replica))
 		}
 		srv.Stats().Register(reg, labels...)
-		switch {
-		case ds != nil:
-			ds.Register(reg, labels...) // includes the store gauges plus WAL/snapshot/recovery series
-		case cs != nil:
-			cs.Register(reg, labels...) // store gauges plus compression ratio
-		default:
-			mem.Register(reg, labels...)
-		}
+		node.Register(reg, labels...) // store gauges; around a data dir also the WAL/snapshot/recovery series
 		if adm != nil {
 			adm.Stats().Register(reg, labels...)
 		}
@@ -204,24 +185,7 @@ func main() {
 	if *stats > 0 {
 		go func() {
 			for range time.Tick(*stats) {
-				var line string
-				if cs != nil {
-					ss := cs.Stats()
-					line = fmt.Sprintf("%s: %d objects, %d bytes compressed (%d raw) | %s | store sizeMismatches=%d checksumFails=%d",
-						tag, cs.Len(), cs.Bytes(), cs.RawBytes(), srv.Stats(), ss.SizeMismatches, ss.ChecksumFails)
-					fmt.Println(line)
-					continue
-				}
-				ss := mem.Stats()
-				line = fmt.Sprintf("%s: %d objects, %d bytes resident | %s | store sizeMismatches=%d checksumFails=%d",
-					tag, mem.Len(), mem.Bytes(), srv.Stats(), ss.SizeMismatches, ss.ChecksumFails)
-				if ds != nil {
-					line += " | wal " + ds.DurableStats().String()
-				}
-				if adm != nil {
-					line += " | adm " + adm.Stats().String()
-				}
-				fmt.Println(line)
+				fmt.Println(statsLine(tag, mem, srv.Stats(), ds, adm))
 			}
 		}()
 	}
@@ -241,4 +205,36 @@ func main() {
 		}
 	}
 	fmt.Printf("%s: drained, exiting\n", tag)
+}
+
+// openStore builds the node's store from its two storage flags, which are
+// independent: one in-memory blob map, holding bytes verbatim or
+// compressed, and — when cfg names a data directory — a write-ahead log
+// and snapshots around it, recovered into it. ds is nil without one.
+func openStore(compress bool, cfg remote.DurableConfig) (mem *remote.Store, ds *remote.DurableStore, err error) {
+	mem = remote.NewStore()
+	if compress {
+		mem = remote.NewCompressedStore()
+	}
+	if cfg.Dir != "" {
+		ds, err = remote.Durable(mem, cfg)
+	}
+	return mem, ds, err
+}
+
+// statsLine renders the stats ticker's line. Every node reports objects,
+// bytes at rest, the raw bytes they represent, the server's counters and
+// the store's integrity counters; a durable one adds its log, an admitting
+// one its queue.
+func statsLine(tag string, mem *remote.Store, srv *fabric.ServerStats, ds *remote.DurableStore, adm *fabric.Admission) string {
+	ss := mem.Stats()
+	line := fmt.Sprintf("%s: %d objects, %d bytes at rest (%d raw) | %s | store sizeMismatches=%d checksumFails=%d",
+		tag, mem.Len(), mem.Bytes(), mem.RawBytes(), srv, ss.SizeMismatches, ss.ChecksumFails)
+	if ds != nil {
+		line += " | wal " + ds.DurableStats().String()
+	}
+	if adm != nil {
+		line += " | adm " + adm.Stats().String()
+	}
+	return line
 }

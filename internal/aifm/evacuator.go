@@ -33,7 +33,7 @@ type evacuator struct {
 // evacuator tracks its budget. The evacuator only ever refills the free
 // stack (giveSlot repays the reserve floor first) — it never draws the
 // reserve down, so the floor is respected by construction.
-func (e *evacuator) lowWater() int { return e.p.NumSlots()/8 + 1 }
+func (e *evacuator) lowWater() int  { return e.p.NumSlots()/8 + 1 }
 func (e *evacuator) batchSize() int { return e.p.NumSlots()/8 + 1 }
 
 // scopeBarrierTimeout bounds the out-of-scope barrier wait. Scopes that

@@ -74,7 +74,22 @@ func TestHelloAdvertisesIdentity(t *testing.T) {
 // from WAL + snapshot, and comes back with a bumped generation and the
 // durable bit set. The set must recognize the restart and repair ONLY the
 // keys written during its downtime — the recovered state covers the rest.
+// What the member's memory holds at rest is not part of that story: the
+// second row kills a compressing node and brings its data directory back
+// under a plain one.
 func TestReplicaSetDurableDeltaRejoin(t *testing.T) {
+	for _, row := range []struct {
+		name          string
+		before, after func() *remote.Store
+	}{
+		{"plain", remote.NewStore, remote.NewStore},
+		{"compressed, restarted plain", remote.NewCompressedStore, remote.NewStore},
+	} {
+		t.Run(row.name, func(t *testing.T) { durableDeltaRejoin(t, row.before, row.after) })
+	}
+}
+
+func durableDeltaRejoin(t *testing.T, before, after func() *remote.Store) {
 	const (
 		preKeys      = 32
 		downtimeKeys = 8
@@ -86,9 +101,9 @@ func TestReplicaSetDurableDeltaRejoin(t *testing.T) {
 		return bytes.Repeat([]byte{byte(k + 1)}, objSize)
 	}
 
-	ds, err := remote.OpenDurable(remote.DurableConfig{Dir: dir})
+	ds, err := remote.Durable(before(), remote.DurableConfig{Dir: dir})
 	if err != nil {
-		t.Fatalf("OpenDurable: %v", err)
+		t.Fatalf("Durable: %v", err)
 	}
 	srv0 := NewServer(ds)
 	srv0.SetGeneration(ds.Generation(), true)
@@ -142,9 +157,9 @@ func TestReplicaSetDurableDeltaRejoin(t *testing.T) {
 
 	// Recover on the same address: the reopened store replays its WAL and
 	// the new server advertises the bumped generation with the durable bit.
-	ds2, err := remote.OpenDurable(remote.DurableConfig{Dir: dir})
+	ds2, err := remote.Durable(after(), remote.DurableConfig{Dir: dir})
 	if err != nil {
-		t.Fatalf("reopen OpenDurable: %v", err)
+		t.Fatalf("reopen Durable: %v", err)
 	}
 	defer ds2.Close()
 	if ds2.Generation() <= ds.Generation() {

@@ -168,10 +168,11 @@ func (s *ServerStats) String() string {
 }
 
 // BlobStore is what a Server needs from its backing store. *remote.Store
-// (in-memory) and *remote.DurableStore (WAL + snapshots) both satisfy it;
-// a store may refuse a write — a durable store whose log append failed
-// must not let the server ack — which the server answers with an error
-// frame.
+// (the node's one blob map, holding bytes verbatim or compressed at rest)
+// and *remote.DurableStore (a WAL and snapshots around one) are the two
+// things that satisfy it; a store may refuse a write — a durable store
+// whose log append failed must not let the server ack — which the server
+// answers with an error frame.
 type BlobStore interface {
 	Put(key uint64, src []byte) error
 	Get(key uint64, dst []byte) (bool, error)

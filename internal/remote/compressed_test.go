@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"trackfm/internal/mem/bufpool"
+	"trackfm/internal/mem/ctier"
 	"trackfm/internal/obs"
 )
+
+// What is specific to the compressing store; everything it shares with the
+// plain one is store_test.go's table, which runs over both.
 
 func TestCompressedStorePutGet(t *testing.T) {
 	s := NewCompressedStore()
@@ -32,12 +37,17 @@ func TestCompressedStorePutGet(t *testing.T) {
 	}
 }
 
+// Input the codec cannot shrink rests verbatim behind the stream header,
+// never larger than that.
 func TestCompressedStoreIncompressible(t *testing.T) {
 	s := NewCompressedStore()
 	src := make([]byte, 4096)
 	rand.New(rand.NewSource(1)).Read(src)
 	if err := s.Put(1, src); err != nil {
 		t.Fatalf("Put: %v", err)
+	}
+	if got, want := s.Bytes(), uint64(ctier.MaxEncodedLen(len(src))); got != want {
+		t.Fatalf("incompressible payload rests in %d bytes, want the verbatim fallback's %d", got, want)
 	}
 	dst := make([]byte, len(src))
 	if ok, err := s.Get(1, dst); err != nil || !ok {
@@ -48,57 +58,20 @@ func TestCompressedStoreIncompressible(t *testing.T) {
 	}
 }
 
-func TestCompressedStoreGetMissingZeroFills(t *testing.T) {
-	s := NewCompressedStore()
-	dst := []byte{1, 2, 3, 4}
-	ok, err := s.Get(42, dst)
-	if ok || err != nil {
-		t.Fatalf("Get missing = %v, %v", ok, err)
-	}
-	for _, b := range dst {
-		if b != 0 {
-			t.Fatalf("missing key did not zero-fill: %v", dst)
-		}
-	}
-}
-
-func TestCompressedStorePrefixAndMismatch(t *testing.T) {
-	s := NewCompressedStore()
-	src := bytes.Repeat([]byte{0xAB, 0xCD}, 512)
-	if err := s.Put(3, src); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	// Narrower read serves the decoded prefix.
-	dst := make([]byte, 100)
-	if ok, err := s.Get(3, dst); err != nil || !ok {
-		t.Fatalf("prefix Get = %v, %v", ok, err)
-	}
-	if !bytes.Equal(dst, src[:100]) {
-		t.Fatalf("prefix mismatch")
-	}
-	// Wider read is corruption, not a miss.
-	wide := make([]byte, len(src)+1)
-	ok, err := s.Get(3, wide)
-	if !ok || !errors.Is(err, ErrSizeMismatch) {
-		t.Fatalf("wide Get = %v, %v, want true/ErrSizeMismatch", ok, err)
-	}
-	if st := s.Stats(); st.SizeMismatches != 1 {
-		t.Fatalf("SizeMismatches = %d, want 1", st.SizeMismatches)
-	}
-}
-
 func TestCompressedStoreDetectsCorruptStream(t *testing.T) {
 	s := NewCompressedStore()
 	src := bytes.Repeat([]byte("abcdefgh"), 128)
 	if err := s.Put(9, src); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	// Flip a byte of the stored (compressed) stream behind the store's
-	// back: either the decode fails or the decoded bytes miss the CRC.
-	s.mu.Lock()
-	b := s.blobs[9]
-	b.data[len(b.data)/2] ^= 0xFF
-	s.mu.Unlock()
+	// Flip a byte in the middle of the stream at rest: either the decode
+	// fails or the decoded bytes miss the CRC.
+	if !s.FlipByte(9, int(s.Bytes())/2) {
+		t.Fatalf("FlipByte missed the stream")
+	}
+	if s.FlipByte(9, int(s.Bytes())) {
+		t.Fatalf("FlipByte reached past the %d bytes at rest", s.Bytes())
+	}
 	dst := make([]byte, len(src))
 	ok, err := s.Get(9, dst)
 	if !ok || !errors.Is(err, ErrChecksum) {
@@ -120,8 +93,8 @@ func TestCompressedStoreReplaceAndDeleteAccounting(t *testing.T) {
 	if err := s.Put(1, bytes.Repeat([]byte{2}, 2048)); err != nil {
 		t.Fatalf("replace Put: %v", err)
 	}
-	if s.Len() != 1 || s.RawBytes() != 2048 {
-		t.Fatalf("after replace Len=%d RawBytes=%d, want 1/2048", s.Len(), s.RawBytes())
+	if s.Len() != 1 || s.RawBytes() != 2048 || s.Bytes() >= 2048 {
+		t.Fatalf("after replace Len=%d RawBytes=%d Bytes=%d, want 1/2048/less", s.Len(), s.RawBytes(), s.Bytes())
 	}
 	dst := make([]byte, 2048)
 	if ok, err := s.Get(1, dst); err != nil || !ok || dst[0] != 2 {
@@ -129,9 +102,6 @@ func TestCompressedStoreReplaceAndDeleteAccounting(t *testing.T) {
 	}
 	if err := s.Delete(1); err != nil {
 		t.Fatalf("Delete: %v", err)
-	}
-	if err := s.Delete(1); err != nil { // absent delete is a no-op
-		t.Fatalf("second Delete: %v", err)
 	}
 	if s.Len() != 0 || s.Bytes() != 0 || s.RawBytes() != 0 {
 		t.Fatalf("after delete Len=%d Bytes=%d RawBytes=%d, want zeros", s.Len(), s.Bytes(), s.RawBytes())
@@ -141,24 +111,34 @@ func TestCompressedStoreReplaceAndDeleteAccounting(t *testing.T) {
 	}
 }
 
+// The raw-bytes and ratio gauges exist on a compressing store only: a
+// plain node exposes the series it always did.
 func TestCompressedStoreRegister(t *testing.T) {
-	s := NewCompressedStore()
-	if err := s.Put(1, bytes.Repeat([]byte{7}, 4096)); err != nil {
-		t.Fatalf("Put: %v", err)
+	dump := func(s *Store) string {
+		if err := s.Put(1, bytes.Repeat([]byte{7}, 4096)); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+		reg := obs.NewRegistry()
+		s.Register(reg)
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatalf("WritePrometheus: %v", err)
+		}
+		return b.String()
 	}
-	reg := obs.NewRegistry()
-	s.Register(reg)
-	var dump bytes.Buffer
-	if err := reg.WritePrometheus(&dump); err != nil {
-		t.Fatalf("WritePrometheus: %v", err)
-	}
-	for _, name := range []string{
+	compressed, plain := dump(NewCompressedStore()), dump(NewStore())
+	for _, series := range []string{
 		"trackfm_store_blobs 1",
 		"trackfm_store_raw_bytes 4096",
 		"trackfm_store_compression_ratio",
 	} {
-		if !bytes.Contains(dump.Bytes(), []byte(name)) {
-			t.Fatalf("metric %q missing from dump:\n%s", name, dump.String())
+		if !strings.Contains(compressed, series) {
+			t.Fatalf("metric %q missing from dump:\n%s", series, compressed)
+		}
+	}
+	for _, series := range []string{"trackfm_store_raw_bytes", "trackfm_store_compression_ratio"} {
+		if strings.Contains(plain, series) {
+			t.Fatalf("plain store exposes %s:\n%s", series, plain)
 		}
 	}
 }

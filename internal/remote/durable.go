@@ -21,10 +21,6 @@ type DurableConfig struct {
 	// FsyncAlways: an acknowledged write is durable before the ack).
 	Fsync FsyncPolicy
 
-	// FsyncEvery is the appends between syncs under FsyncInterval
-	// (default 32).
-	FsyncEvery int
-
 	// SnapshotEvery triggers a compacting snapshot once the WAL grows past
 	// this many bytes (default 4 MiB; negative disables automatic
 	// compaction — Compact and Close still snapshot on demand).
@@ -32,16 +28,13 @@ type DurableConfig struct {
 }
 
 func (c DurableConfig) withDefaults() DurableConfig {
-	if c.FsyncEvery <= 0 {
-		c.FsyncEvery = 32
-	}
 	if c.SnapshotEvery == 0 {
 		c.SnapshotEvery = 4 << 20
 	}
 	return c
 }
 
-// RecoveryReport describes what OpenDurable found and rebuilt.
+// RecoveryReport describes what Durable found and rebuilt.
 type RecoveryReport struct {
 	SnapshotLoaded  bool   // a valid snapshot seeded the store
 	SnapshotCorrupt bool   // a snapshot existed but failed validation (recovery fell back to the WAL alone)
@@ -66,13 +59,13 @@ func (r RecoveryReport) String() string {
 // DurableStats counts durability events; all fields are atomic so a stats
 // ticker or the obs registry can read them concurrently with writers.
 type DurableStats struct {
-	walAppends    atomic.Uint64 // records appended to the WAL
-	walBytes      atomic.Uint64 // bytes appended to the WAL
-	walFsyncs     atomic.Uint64 // fsync calls issued by the WAL
-	walAppendErrs atomic.Uint64 // appends that failed (op not acknowledged)
-	snapshots     atomic.Uint64 // compacting snapshots written
-	snapshotBytes atomic.Uint64 // bytes written across all snapshots
-	snapshotFails atomic.Uint64 // snapshot attempts that failed (WAL kept)
+	walAppends    atomic.Uint64  // records appended to the WAL
+	walBytes      atomic.Uint64  // bytes appended to the WAL
+	walFsyncs     *atomic.Uint64 // fsync calls issued by the WAL: its own count
+	walAppendErrs atomic.Uint64  // appends that failed (op not acknowledged)
+	snapshots     atomic.Uint64  // compacting snapshots written
+	snapshotBytes atomic.Uint64  // bytes written across all snapshots
+	snapshotFails atomic.Uint64  // snapshot attempts that failed (WAL kept)
 }
 
 // WALAppends reports records appended to the WAL.
@@ -105,18 +98,22 @@ func (s *DurableStats) String() string {
 		s.Snapshots(), s.SnapshotBytes(), s.SnapshotFails())
 }
 
-// DurableStore is a Store whose mutations survive process crashes: every
-// Put, Delete, and Clear is appended to a CRC-framed write-ahead log before
-// it is applied and acknowledged, and the log is periodically compacted
-// into an atomically renamed snapshot. OpenDurable recovers the state from
-// disk — latest valid snapshot plus WAL replay, tolerating a torn or
-// corrupt tail — and bumps a restart generation the fabric layer advertises
-// to peers so replica sets can rejoin a recovered node with a delta resync
-// instead of a full-keyspace replay.
+// DurableStore is a log and a snapshot around a Store, so its mutations
+// survive process crashes: every Put, Delete, and Clear is appended to a
+// CRC-framed write-ahead log before it is applied and acknowledged, and the
+// log is periodically compacted into an atomically renamed snapshot. Durable
+// recovers the state from disk — latest valid snapshot plus WAL replay,
+// tolerating a torn or corrupt tail — and bumps a restart generation the
+// fabric layer advertises to peers so replica sets can rejoin a recovered
+// node with a delta resync instead of a full-keyspace replay.
+//
+// Both files record raw payloads and the raw CRC32-C, never what the store
+// holds at rest, so whether the wrapped store compresses is invisible on
+// disk and may differ from one boot of a data directory to the next.
 //
 // Reads are served by the embedded Store exactly as before; mutations are
 // serialized by the durability mutex so WAL order always equals apply
-// order. The zero value is not ready; use OpenDurable.
+// order. The zero value is not ready; use Durable or OpenDurable.
 type DurableStore struct {
 	*Store
 
@@ -139,12 +136,15 @@ var recoveryBounds = []uint64{
 	100_000, 1_000_000, 10_000_000, 100_000_000, 1_000_000_000, 10_000_000_000,
 }
 
-// OpenDurable opens (creating if needed) the durable store rooted at
-// cfg.Dir and recovers its state: load the latest valid snapshot, replay
-// the WAL on top of it, truncate any torn or corrupt tail, and durably
-// bump the restart generation. The report of what was recovered is
-// available via Recovery.
-func OpenDurable(cfg DurableConfig) (*DurableStore, error) {
+// OpenDurable is Durable around a new plain store.
+func OpenDurable(cfg DurableConfig) (*DurableStore, error) { return Durable(NewStore(), cfg) }
+
+// Durable opens (creating if needed) the data directory cfg.Dir around mem
+// — empty, and not yet shared — and recovers its state into it: load the
+// latest valid snapshot, replay the WAL on top of it, truncate any torn or
+// corrupt tail, and durably bump the restart generation. The report of what
+// was recovered is available via Recovery.
+func Durable(mem *Store, cfg DurableConfig) (*DurableStore, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("remote: DurableConfig.Dir is required")
@@ -154,20 +154,18 @@ func OpenDurable(cfg DurableConfig) (*DurableStore, error) {
 	}
 	start := time.Now()
 	ds := &DurableStore{
-		Store:        NewStore(),
+		Store:        mem,
 		cfg:          cfg,
 		recoveryHist: obs.NewHistogram(recoveryBounds),
 	}
 
 	// Seed from the latest valid snapshot, if any.
-	recoveredGen := uint64(0)
-	blobs, snapGen, err := loadSnapshot(cfg.Dir)
+	blobs, snapGen, err := loadSnapshot(cfg.Dir, mem)
 	switch {
 	case err == nil:
 		ds.rec.SnapshotLoaded = true
-		ds.rec.SnapshotBlobs = len(blobs)
-		recoveredGen = snapGen
-		ds.Store.install(blobs)
+		ds.rec.SnapshotBlobs = blobs
+		ds.gen = snapGen
 	case os.IsNotExist(err):
 		// First boot: nothing to load.
 	default:
@@ -183,22 +181,7 @@ func OpenDurable(cfg DurableConfig) (*DurableStore, error) {
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("remote: read WAL: %w", err)
 	}
-	rep := replayWAL(raw, func(op byte, key uint64, payload []byte) {
-		switch op {
-		case walOpPut:
-			ds.Store.Put(key, payload)
-		case walOpDelete:
-			ds.Store.Delete(key)
-		case walOpClear:
-			ds.Store.Clear()
-		case walOpGen:
-			if key > recoveredGen {
-				recoveredGen = key
-			}
-		}
-		// Unknown ops decode fine (their CRC verified) and are skipped:
-		// a newer writer's record must not wedge an older reader.
-	})
+	rep := replayWAL(raw, ds.apply)
 	ds.rec.ReplayedRecords = rep.records
 	ds.rec.ReplayedBytes = rep.bytes
 	ds.rec.TruncatedTail = rep.dropped
@@ -210,27 +193,27 @@ func OpenDurable(cfg DurableConfig) (*DurableStore, error) {
 		}
 	}
 
-	w, err := openWAL(walPath, cfg.Fsync, cfg.FsyncEvery)
+	w, err := openWAL(walPath, cfg.Fsync)
 	if err != nil {
 		return nil, err
 	}
 	ds.wal = w
+	ds.stats.walFsyncs = &w.fsyncs
 
 	// Durably bump the restart generation: peers use it to tell "same
 	// node, recovered" from "fresh node" in the hello exchange. The bump
 	// record is always synced, whatever the policy — a generation that
 	// could repeat after a crash would defeat restart detection.
-	ds.gen = recoveredGen + 1
-	if err := w.append(walOpGen, ds.gen, nil); err != nil {
-		w.close()
-		return nil, err
+	ds.gen++
+	err = w.append(walOpGen, ds.gen, nil)
+	if err == nil && w.sinceSync > 0 {
+		err = w.sync()
 	}
-	if err := w.sync(); err != nil {
+	if err != nil {
 		w.close()
 		return nil, err
 	}
 	ds.stats.walAppends.Add(1)
-	ds.stats.walFsyncs.Add(1)
 
 	ds.rec.Generation = ds.gen
 	ds.rec.DurationNs = uint64(time.Since(start).Nanoseconds())
@@ -238,7 +221,25 @@ func OpenDurable(cfg DurableConfig) (*DurableStore, error) {
 	return ds, nil
 }
 
-// Recovery reports what OpenDurable found and rebuilt.
+// apply performs one logged mutation on the in-memory store: the one place
+// an opcode becomes a store call, for recovery's replay and for a live
+// mutation whose record has just been appended. Unknown ops decode fine
+// (their CRC verified) and are skipped: a newer writer's record must not
+// wedge an older reader.
+func (ds *DurableStore) apply(op byte, key uint64, payload []byte) {
+	switch op {
+	case walOpPut:
+		ds.Store.Put(key, payload)
+	case walOpDelete:
+		ds.Store.Delete(key)
+	case walOpClear:
+		ds.Store.Clear()
+	case walOpGen:
+		ds.gen = max(ds.gen, key)
+	}
+}
+
+// Recovery reports what Durable found and rebuilt.
 func (ds *DurableStore) Recovery() RecoveryReport { return ds.rec }
 
 // Generation reports this boot's restart generation: monotonically
@@ -263,84 +264,51 @@ func (ds *DurableStore) WALWritten() int64 {
 	return ds.wal.written
 }
 
-// append logs one record, tallying stats and latching the crash state.
-// Caller holds ds.dmu.
-func (ds *DurableStore) append(op byte, key uint64, payload []byte) error {
+// mutate logs one mutation, then applies it: on error nothing was applied
+// and the operation must not be acknowledged to any client. Put and Delete
+// then compact an outgrown log; Clear leaves that to the write after it.
+func (ds *DurableStore) mutate(op byte, key uint64, payload []byte) error {
+	if ds.crashed.Load() {
+		return ErrCrashed
+	}
+	ds.dmu.Lock()
+	defer ds.dmu.Unlock()
 	before := ds.wal.written
-	fsyncsBefore := ds.wal.sinceSync
 	err := ds.wal.append(op, key, payload)
 	ds.stats.walBytes.Add(uint64(ds.wal.written - before))
-	if err == nil {
+	switch {
+	case err == nil:
 		ds.stats.walAppends.Add(1)
-		if ds.cfg.Fsync == FsyncAlways || (ds.cfg.Fsync == FsyncInterval && ds.wal.sinceSync <= fsyncsBefore) {
-			ds.stats.walFsyncs.Add(1)
-		}
-		return nil
-	}
-	if err == ErrCrashed {
+	case err == ErrCrashed:
 		ds.crashed.Store(true)
 		return err
-	}
-	ds.stats.walAppendErrs.Add(1)
-	return err
-}
-
-// Put logs then stores src under key. On error nothing was applied and the
-// write must not be acknowledged to any client.
-func (ds *DurableStore) Put(key uint64, src []byte) error {
-	if ds.crashed.Load() {
-		return ErrCrashed
-	}
-	ds.dmu.Lock()
-	defer ds.dmu.Unlock()
-	if err := ds.append(walOpPut, key, src); err != nil {
+	default:
+		ds.stats.walAppendErrs.Add(1)
 		return err
 	}
-	ds.Store.Put(key, src)
-	ds.maybeCompactLocked()
+	ds.apply(op, key, payload)
+	if op != walOpClear {
+		ds.maybeCompactLocked()
+	}
 	return nil
 }
+
+// Put logs then stores src under key.
+func (ds *DurableStore) Put(key uint64, src []byte) error { return ds.mutate(walOpPut, key, src) }
 
 // Delete logs then removes key.
-func (ds *DurableStore) Delete(key uint64) error {
-	if ds.crashed.Load() {
-		return ErrCrashed
-	}
-	ds.dmu.Lock()
-	defer ds.dmu.Unlock()
-	if err := ds.append(walOpDelete, key, nil); err != nil {
-		return err
-	}
-	ds.Store.Delete(key)
-	ds.maybeCompactLocked()
-	return nil
-}
+func (ds *DurableStore) Delete(key uint64) error { return ds.mutate(walOpDelete, key, nil) }
 
 // Clear logs then drops every blob (and, via the embedded Store, resets
 // the integrity counters — see Store.Clear).
-func (ds *DurableStore) Clear() error {
-	if ds.crashed.Load() {
-		return ErrCrashed
-	}
-	ds.dmu.Lock()
-	defer ds.dmu.Unlock()
-	if err := ds.append(walOpClear, 0, nil); err != nil {
-		return err
-	}
-	ds.Store.Clear()
-	return nil
-}
+func (ds *DurableStore) Clear() error { return ds.mutate(walOpClear, 0, nil) }
 
 // Sync forces the WAL to stable storage, establishing a durable point
 // under the interval and never policies.
 func (ds *DurableStore) Sync() error {
 	ds.dmu.Lock()
 	defer ds.dmu.Unlock()
-	if err := ds.wal.sync(); err != nil {
-		return err
-	}
-	ds.stats.walFsyncs.Add(1)
-	return nil
+	return ds.wal.sync()
 }
 
 // maybeCompactLocked snapshots and truncates the WAL once it outgrows the
@@ -367,9 +335,9 @@ func (ds *DurableStore) Compact() error {
 }
 
 // compactLocked does the snapshot + WAL reset under ds.dmu. Mutators all
-// hold ds.dmu, so the blob map is stable for the duration.
+// hold ds.dmu, so the store is stable for the duration.
 func (ds *DurableStore) compactLocked() error {
-	n, err := writeSnapshot(ds.cfg.Dir, ds.gen, ds.Store.blobsRef())
+	n, err := writeSnapshot(ds.cfg.Dir, ds.gen, ds.Store)
 	if err != nil {
 		return err
 	}

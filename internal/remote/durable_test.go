@@ -3,9 +3,12 @@ package remote
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"trackfm/internal/mem/bufpool"
 )
 
 func openTestDurable(t *testing.T, dir string, cfg DurableConfig) *DurableStore {
@@ -236,4 +239,250 @@ func TestDurableClearIsLogged(t *testing.T) {
 	}
 	mustDurableGet(t, ds2, 2, []byte("survivor"))
 	ds2.Close()
+}
+
+// composeWorkload drives a seeded mix of puts (half compressible, half
+// not), deletes and rare clears into ds until the schedule ends or the
+// store crashes, keeping in oracle exactly what was acknowledged. It is a
+// pure function of the seed, so every run of one seed appends the same
+// records.
+func composeWorkload(ds *DurableStore, seed int64, oracle map[uint64][]byte) {
+	rng := rand.New(rand.NewSource(seed))
+	for op := 0; op < 240; op++ {
+		key := uint64(rng.Intn(48))
+		switch roll := rng.Intn(100); {
+		case roll < 70:
+			payload := make([]byte, 16+rng.Intn(500))
+			if rng.Intn(2) == 0 {
+				rng.Read(payload)
+			} else {
+				for i := range payload {
+					payload[i] = byte(key) + byte(i%7)
+				}
+			}
+			if ds.Put(key, payload) != nil {
+				return
+			}
+			oracle[key] = payload
+		case roll < 96:
+			if ds.Delete(key) != nil {
+				return
+			}
+			delete(oracle, key)
+		default:
+			if ds.Clear() != nil {
+				return
+			}
+			clear(oracle)
+		}
+	}
+}
+
+// mustHoldExactly fails unless ds holds oracle's keys with oracle's bytes
+// and nothing else.
+func mustHoldExactly(t *testing.T, ds *DurableStore, oracle map[uint64][]byte) {
+	t.Helper()
+	if ds.Len() != len(oracle) {
+		t.Fatalf("store holds %d blobs, the acked-write oracle %d", ds.Len(), len(oracle))
+	}
+	for key, want := range oracle {
+		mustDurableGet(t, ds, key, want)
+	}
+}
+
+// Compression is how the wrapped store holds bytes in memory; the log and
+// the snapshot record raw payloads. So a compressing durable node must
+// write the very files a plain one writes, survive a kill at any WAL
+// offset, and recover under either kind of store — the crossing fmserver
+// used to refuse.
+func TestDurableComposesWithCompression(t *testing.T) {
+	const seed = 17
+	cfg := DurableConfig{Fsync: FsyncNever, SnapshotEvery: 4 << 10} // several compactions per run
+	open := func(dir string, compress bool) *DurableStore {
+		t.Helper()
+		mem := NewStore()
+		if compress {
+			mem = NewCompressedStore()
+		}
+		cfg.Dir = dir
+		ds, err := Durable(mem, cfg)
+		if err != nil {
+			t.Fatalf("Durable(%s, compress=%v): %v", dir, compress, err)
+		}
+		return ds
+	}
+
+	// The whole schedule under each store, abandoned without a final
+	// snapshot: the same log, the same snapshot, byte for byte.
+	var dirs [2]string
+	var walTotal int64
+	for i, compress := range []bool{false, true} {
+		dirs[i] = t.TempDir()
+		ds := open(dirs[i], compress)
+		composeWorkload(ds, seed, map[uint64][]byte{})
+		if compress && ds.Bytes() >= ds.RawBytes() {
+			t.Fatalf("the compressing run held %d bytes at rest for %d raw: nothing was compressed", ds.Bytes(), ds.RawBytes())
+		}
+		if ds.DurableStats().Snapshots() < 2 {
+			t.Fatalf("only %d compactions in the run; the schedule should cross several", ds.DurableStats().Snapshots())
+		}
+		walTotal = ds.WALWritten()
+		ds.Crash()
+	}
+	for _, name := range []string{walFile, snapshotFile} {
+		plain, err := os.ReadFile(filepath.Join(dirs[0], name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		compressed, err := os.ReadFile(filepath.Join(dirs[1], name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plain) == 0 || !bytes.Equal(plain, compressed) {
+			t.Fatalf("%s: %d bytes from the plain run, %d from the compressing run, not identical", name, len(plain), len(compressed))
+		}
+	}
+
+	// Kill the compressing node at seeded lifetime-WAL offsets — most land
+	// mid-record, some inside a compaction window — and recover it
+	// alternately plain and compressed.
+	offsets := rand.New(rand.NewSource(seed * 7919))
+	for i := 0; i < 24; i++ {
+		off := 1 + offsets.Int63n(walTotal-1)
+		dir := t.TempDir()
+		ds := open(dir, true)
+		ds.SetCrashPoint(off)
+		oracle := map[uint64][]byte{}
+		composeWorkload(ds, seed, oracle)
+		if err := ds.Put(1<<32, []byte("late")); !errors.Is(err, ErrCrashed) {
+			t.Fatalf("offset %d of %d: the schedule ended without crashing (Put err=%v)", off, walTotal, err)
+		}
+		ds.Crash()
+
+		rec := open(dir, i%2 == 0)
+		mustHoldExactly(t, rec, oracle)
+		// And back: a graceful close under this store, a reopen under the
+		// other kind, from the snapshot alone.
+		if err := rec.Close(); err != nil {
+			t.Fatalf("offset %d: Close: %v", off, err)
+		}
+		back := open(dir, i%2 != 0)
+		if rep := back.Recovery(); !rep.SnapshotLoaded || rep.ReplayedRecords != 0 {
+			t.Fatalf("offset %d: reopen after a graceful close: %+v, want the snapshot alone", off, rep)
+		}
+		mustHoldExactly(t, back, oracle)
+		back.Crash()
+	}
+}
+
+// A snapshot is applied only once every entry has checked out: one flipped
+// payload byte deep in the file leaves the store empty for the WAL replay
+// that follows — nothing half-loaded, no buffer lease taken and lost — and
+// recovery falls back to the log.
+func TestDurableBadSnapshotEntryLeavesStoreEmpty(t *testing.T) {
+	const blobs, size, bad = 9, 64, 5
+	dir := t.TempDir()
+	ds := openTestDurable(t, dir, DurableConfig{SnapshotEvery: -1})
+	for k := uint64(0); k < blobs; k++ {
+		if err := ds.Put(k, bytes.Repeat([]byte{byte(k)}, size)); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+	}
+	if err := ds.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	if err := ds.Put(100, []byte("logged after the snapshot")); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	ds.Crash()
+
+	path := filepath.Join(dir, snapshotFile)
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img[24+bad*(16+size)+16+size/2] ^= 0xFF // header, whole entries before it, its own header, mid-payload
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	bufpool.SetDebug(true)
+	defer bufpool.SetDebug(false)
+	for _, s := range []*Store{NewStore(), NewCompressedStore()} {
+		out := bufpool.Outstanding()
+		if _, _, err := loadSnapshot(dir, s); !errors.Is(err, errSnapshotInvalid) {
+			t.Fatalf("loadSnapshot: err=%v, want errSnapshotInvalid", err)
+		}
+		if s.Len() != 0 || s.Bytes() != 0 {
+			t.Fatalf("rejected snapshot left %d blobs, %d bytes in the store", s.Len(), s.Bytes())
+		}
+		if got := bufpool.Outstanding(); got != out {
+			t.Fatalf("rejected snapshot left %d buffer leases out", got-out)
+		}
+	}
+
+	ds2, err := Durable(NewCompressedStore(), DurableConfig{Dir: dir, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatalf("Durable: %v", err)
+	}
+	defer ds2.Close()
+	if rep := ds2.Recovery(); !rep.SnapshotCorrupt || rep.SnapshotLoaded {
+		t.Fatalf("recovery: %+v, want SnapshotCorrupt", rep)
+	}
+	mustHoldExactly(t, ds2, map[uint64][]byte{100: []byte("logged after the snapshot")})
+}
+
+// The WAL counts the fsyncs it issues. Every boot's generation bump is
+// synced exactly once whatever the policy; after that N appends cost N
+// syncs, one per 32, or none — and an explicit Sync and Close's final one
+// are counted like the rest.
+func TestWALFsyncPolicies(t *testing.T) {
+	const n = 70
+	for _, row := range []struct {
+		flag   string
+		policy FsyncPolicy
+		want   uint64
+	}{
+		{"always", FsyncAlways, n + 1},
+		{"interval", FsyncInterval, 1 + n/32},
+		{"never", FsyncNever, 1},
+	} {
+		t.Run(row.flag, func(t *testing.T) {
+			policy, err := ParseFsyncPolicy(row.flag)
+			if err != nil || policy != row.policy || policy.String() != row.flag {
+				t.Fatalf("ParseFsyncPolicy(%q) = %v (%q), %v", row.flag, policy, policy, err)
+			}
+			ds := openTestDurable(t, t.TempDir(), DurableConfig{Fsync: policy, SnapshotEvery: -1})
+			fsyncs := ds.DurableStats().WALFsyncs
+			for i := uint64(0); i < n; i++ {
+				var err error
+				switch i % 10 {
+				case 8:
+					err = ds.Delete(i - 1)
+				case 9:
+					err = ds.Clear()
+				default:
+					err = ds.Put(i, []byte("payload"))
+				}
+				if err != nil {
+					t.Fatalf("append %d: %v", i, err)
+				}
+			}
+			if got := fsyncs(); got != row.want {
+				t.Fatalf("WALFsyncs = %d after the generation bump and %d appends, want %d", got, n, row.want)
+			}
+			if err := ds.Sync(); err != nil {
+				t.Fatalf("Sync: %v", err)
+			}
+			if err := ds.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			if got := fsyncs(); got != row.want+2 {
+				t.Fatalf("WALFsyncs = %d after Sync and Close, want %d", got, row.want+2)
+			}
+		})
+	}
+	if p, err := ParseFsyncPolicy("sometimes"); err == nil {
+		t.Fatalf("ParseFsyncPolicy(\"sometimes\") = %v, want an error", p)
+	}
 }

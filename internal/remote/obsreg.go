@@ -4,7 +4,9 @@ import "trackfm/internal/obs"
 
 // Register exposes the store's inventory gauges and integrity counters on
 // reg. Reads go through the store's lock, so a scrape observes a coherent
-// (blobs, bytes) pair per metric read.
+// (blobs, bytes) pair per metric read. A compressing store adds the raw
+// bytes its blobs represent and the ratio between the two; a plain one,
+// where they would be the byte gauge again and 1, does not.
 func (s *Store) Register(reg *obs.Registry, labels ...obs.Label) {
 	reg.GaugeFunc("trackfm_store_blobs",
 		"Blobs currently held by the remote node.",
@@ -12,6 +14,21 @@ func (s *Store) Register(reg *obs.Registry, labels ...obs.Label) {
 	reg.GaugeFunc("trackfm_store_bytes",
 		"Total payload bytes currently held by the remote node.",
 		func() float64 { return float64(s.Bytes()) }, labels...)
+	if s.enc != nil {
+		reg.GaugeFunc("trackfm_store_raw_bytes",
+			"Decoded payload bytes the compressed blobs represent.",
+			func() float64 { return float64(s.RawBytes()) }, labels...)
+		reg.GaugeFunc("trackfm_store_compression_ratio",
+			"Raw bytes divided by stored bytes across all blobs (effective memory multiplier).",
+			func() float64 {
+				s.mu.RLock()
+				defer s.mu.RUnlock()
+				if s.bytes == 0 {
+					return 1
+				}
+				return float64(s.raw) / float64(s.bytes)
+			}, labels...)
+	}
 	reg.CounterFunc("trackfm_store_size_mismatches_total",
 		"Gets that found a stored blob shorter than the requested read.",
 		func() uint64 { return s.Stats().SizeMismatches }, labels...)

@@ -50,8 +50,13 @@ func TestDurableMetricsExposition(t *testing.T) {
 		}
 	}
 
-	// The WAL counters reflect the acknowledged put (gen record + put).
+	// The WAL counters reflect the acknowledged put (gen record + put),
+	// each synced once under the default policy; the fsync series is the
+	// log's own count.
 	if ds.DurableStats().WALAppends() < 2 {
 		t.Fatalf("WALAppends = %d, want >= 2", ds.DurableStats().WALAppends())
+	}
+	if !strings.Contains(page, "\ntrackfm_wal_fsyncs 2\n") {
+		t.Errorf("exposition does not report 2 WAL fsyncs:\n%s", page)
 	}
 }

@@ -7,9 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-
-	"trackfm/internal/mem/bufpool"
 )
 
 // A snapshot is a compact, self-checking image of the whole store at one
@@ -40,10 +37,12 @@ var snapMagic = [8]byte{'T', 'F', 'M', 'S', 'N', 'A', 'P', '1'}
 // validation; recovery falls back to replaying the full WAL from empty.
 var errSnapshotInvalid = errors.New("remote: snapshot invalid")
 
-// writeSnapshot atomically replaces dir's snapshot with an image of blobs
-// at generation gen, returning the bytes written. Keys are emitted in
-// sorted order so identical states produce identical files.
-func writeSnapshot(dir string, gen uint64, blobs map[uint64]blob) (int64, error) {
+// writeSnapshot atomically replaces dir's snapshot with an image of s at
+// generation gen, returning the bytes written. Entries are s.each's: raw
+// payloads in sorted key order, so identical states produce identical
+// files whichever way the store holds them at rest. The caller keeps
+// mutators out for the duration.
+func writeSnapshot(dir string, gen uint64, s *Store) (int64, error) {
 	tmp := filepath.Join(dir, snapshotTmp)
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -53,31 +52,24 @@ func writeSnapshot(dir string, gen uint64, blobs map[uint64]blob) (int64, error)
 	var hdr [24]byte
 	copy(hdr[:8], snapMagic[:])
 	binary.BigEndian.PutUint64(hdr[8:16], gen)
-	binary.BigEndian.PutUint64(hdr[16:24], uint64(len(blobs)))
+	binary.BigEndian.PutUint64(hdr[16:24], uint64(s.Len()))
 	written := int64(0)
 	write := func(p []byte) error {
 		n, err := w.Write(p)
 		written += int64(n)
 		return err
 	}
-	err = write(hdr[:])
-	keys := make([]uint64, 0, len(blobs))
-	for k := range blobs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	var ent [16]byte
-	for _, k := range keys {
-		if err != nil {
-			break
-		}
-		b := blobs[k]
-		binary.BigEndian.PutUint64(ent[0:8], k)
-		binary.BigEndian.PutUint32(ent[8:12], uint32(len(b.data)))
-		binary.BigEndian.PutUint32(ent[12:16], b.crc)
-		if err = write(ent[:]); err == nil {
-			err = write(b.data)
-		}
+	if err = write(hdr[:]); err == nil {
+		var ent [16]byte
+		err = s.each(func(key uint64, raw []byte, crc uint32) error {
+			binary.BigEndian.PutUint64(ent[0:8], key)
+			binary.BigEndian.PutUint32(ent[8:12], uint32(len(raw)))
+			binary.BigEndian.PutUint32(ent[12:16], crc)
+			if err := write(ent[:]); err != nil {
+				return err
+			}
+			return write(raw)
+		})
 	}
 	if err == nil {
 		err = w.Flush()
@@ -113,59 +105,57 @@ func syncDir(dir string) {
 	d.Close()
 }
 
-// loadSnapshot reads and validates dir's snapshot, returning its blobs and
-// generation. A missing snapshot returns (nil, 0, os.ErrNotExist); any
-// structural damage or checksum failure returns errSnapshotInvalid.
-func loadSnapshot(dir string) (map[uint64]blob, uint64, error) {
+// loadSnapshot reads and validates dir's snapshot and, only once every
+// entry has checked out, puts its blobs into s — through the Put WAL replay
+// uses, so s holds them at rest its own way. It returns the blob count and
+// the snapshot's generation. A missing snapshot returns os.ErrNotExist; any
+// structural damage or checksum failure returns errSnapshotInvalid with s
+// untouched, however deep in the file the damage sits.
+func loadSnapshot(dir string, s *Store) (int, uint64, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, snapshotFile))
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, 0, os.ErrNotExist
+			return 0, 0, os.ErrNotExist
 		}
-		return nil, 0, fmt.Errorf("remote: snapshot read: %w", err)
+		return 0, 0, fmt.Errorf("remote: snapshot read: %w", err)
 	}
 	if len(raw) < 24 || [8]byte(raw[:8]) != snapMagic {
-		return nil, 0, fmt.Errorf("%w: bad header", errSnapshotInvalid)
+		return 0, 0, fmt.Errorf("%w: bad header", errSnapshotInvalid)
 	}
 	gen := binary.BigEndian.Uint64(raw[8:16])
 	count := binary.BigEndian.Uint64(raw[16:24])
-	blobs := make(map[uint64]blob, count)
-	// Decoded payloads are pool-backed so the store can release them when
-	// blobs are later overwritten or cleared; a rejected snapshot must
-	// release what it decoded before bailing, or those leases leak.
-	fail := func(err error) (map[uint64]blob, uint64, error) {
-		for _, b := range blobs {
-			b.lease.Release()
-		}
-		return nil, 0, err
+	if count > uint64(len(raw)-24)/16 {
+		return 0, 0, fmt.Errorf("%w: %d entries cannot fit in %d bytes", errSnapshotInvalid, count, len(raw))
 	}
+	type entry struct {
+		key     uint64
+		payload []byte // aliases raw
+	}
+	entries := make([]entry, 0, count)
 	off := 24
 	for i := uint64(0); i < count; i++ {
 		if len(raw)-off < 16 {
-			return fail(fmt.Errorf("%w: truncated entry header", errSnapshotInvalid))
+			return 0, 0, fmt.Errorf("%w: truncated entry header", errSnapshotInvalid)
 		}
 		key := binary.BigEndian.Uint64(raw[off : off+8])
 		size := binary.BigEndian.Uint32(raw[off+8 : off+12])
 		crc := binary.BigEndian.Uint32(raw[off+12 : off+16])
 		off += 16
 		if size > maxWALPayload || len(raw)-off < int(size) {
-			return fail(fmt.Errorf("%w: truncated entry payload", errSnapshotInvalid))
+			return 0, 0, fmt.Errorf("%w: truncated entry payload", errSnapshotInvalid)
 		}
-		lease := bufpool.Get(int(size))
-		data := lease.Bytes()
-		copy(data, raw[off:off+int(size)])
+		payload := raw[off : off+int(size)]
 		off += int(size)
-		if Checksum(data) != crc {
-			lease.Release()
-			return fail(fmt.Errorf("%w: entry checksum (key %d)", errSnapshotInvalid, key))
+		if Checksum(payload) != crc {
+			return 0, 0, fmt.Errorf("%w: entry checksum (key %d)", errSnapshotInvalid, key)
 		}
-		if old, ok := blobs[key]; ok {
-			old.lease.Release()
-		}
-		blobs[key] = blob{data: data, crc: crc, lease: lease}
+		entries = append(entries, entry{key, payload})
 	}
 	if off != len(raw) {
-		return fail(fmt.Errorf("%w: %d trailing bytes", errSnapshotInvalid, len(raw)-off))
+		return 0, 0, fmt.Errorf("%w: %d trailing bytes", errSnapshotInvalid, len(raw)-off)
 	}
-	return blobs, gen, nil
+	for _, e := range entries {
+		s.Put(e.key, e.payload)
+	}
+	return s.Len(), gen, nil
 }

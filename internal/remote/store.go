@@ -1,14 +1,24 @@
 // Package remote implements the remote memory node: a keyed blob store
 // holding evacuated objects (TrackFM/AIFM) or swapped-out pages (Fastswap),
 // and a TCP server exposing it over the wire protocol in package fabric.
+//
+// There is one blob map, Store. How it holds bytes at rest — verbatim, or
+// as ctier codec streams — is fixed by its constructor; durability is a
+// write-ahead log and snapshots around it (DurableStore). The two are
+// independent: the log and the snapshot record raw payloads, so a data
+// directory does not care which constructor built the store it recovers
+// into.
 package remote
 
 import (
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
 
 	"trackfm/internal/mem/bufpool"
+	"trackfm/internal/mem/ctier"
 )
 
 // Integrity errors surfaced by Get. A far-memory blob is written exactly as
@@ -37,28 +47,35 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // definition of "intact".
 func Checksum(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
 
-// blob is a stored payload plus the checksum computed at Put time. The
-// payload is backed by a bufpool lease when it came through Put or a
-// snapshot load; blobs installed from other sources carry a zero lease,
-// whose Release is a no-op, so the release-on-evict paths below need no
-// case analysis.
+// blob is one stored payload. data is the bytes at rest in a bufpool
+// lease: the payload itself, or on a compressing store a ctier codec
+// stream (which degrades to a flagged verbatim copy for incompressible
+// input). rawLen is the payload's width and crc the CRC32-C over the RAW
+// bytes recorded at Put — one checksum identity whatever the codec, shared
+// with the wire trailer, the WAL, the snapshot and replica-set read-repair,
+// so corruption of the stored stream or of the decompressor's output is
+// caught before a client sees it.
 type blob struct {
-	data  []byte
-	crc   uint32
-	lease bufpool.Lease
+	data   []byte
+	rawLen int
+	crc    uint32
+	lease  bufpool.Lease
 }
 
 // Store is a thread-safe blob store keyed by object or page ID. It is the
 // memory of the remote node. Every blob carries a CRC32-C computed at Put
 // time and verified at Get time, so corruption of stored bytes is detected
 // at the node instead of being served to a client. The zero value is not
-// ready; use NewStore.
+// ready; use NewStore or NewCompressedStore.
 type Store struct {
-	mu     sync.RWMutex
-	blobs  map[uint64]blob
-	bytes  uint64
-	stats  StoreStats
-	clears uint64 // lifetime Clear calls; deliberately NOT reset by Clear
+	mu      sync.RWMutex
+	blobs   map[uint64]blob
+	enc     *ctier.Encoder // non-nil: blobs rest as ctier streams; fixed at construction
+	scratch []byte         // Put-side encode buffer, reused under mu
+	bytes   uint64         // payload bytes at rest
+	raw     uint64         // payload bytes the blobs represent
+	stats   StoreStats
+	clears  uint64 // lifetime Clear calls; deliberately NOT reset by Clear
 }
 
 // StoreStats counts integrity events observed by the store.
@@ -67,9 +84,22 @@ type StoreStats struct {
 	ChecksumFails  uint64 // Gets that found a blob failing its CRC
 }
 
-// NewStore returns an empty store.
+// NewStore returns an empty store that holds payloads verbatim.
 func NewStore() *Store {
 	return &Store{blobs: make(map[uint64]blob)}
+}
+
+// NewCompressedStore returns an empty store that holds every payload
+// compressed at rest: the server-side sibling of the client's compressed
+// middle tier (internal/mem/ctier). Where the tier trades local CPU for
+// avoided fabric round trips, this trades remote CPU for remote DRAM — a
+// node with N bytes of physical memory advertises roughly N×ratio bytes of
+// far memory (RawBytes over Bytes). Its contract is Store's, unchanged:
+// clients, the WAL and the snapshot see raw bytes and the raw CRC32-C.
+func NewCompressedStore() *Store {
+	s := NewStore()
+	s.enc = new(ctier.Encoder)
+	return s
 }
 
 // Put stores a copy of src under key, replacing any previous blob, and
@@ -77,31 +107,34 @@ func NewStore() *Store {
 // the signature exists so *Store and *DurableStore (whose Put can fail on
 // a WAL append) satisfy one store interface.
 //
-// A same-size overwrite — the steady state of write-back traffic, where
-// every push of an object or page is exactly as wide as the last — reuses
-// the stored payload in place instead of allocating; new keys and size
-// changes draw from the wire buffer pool and release the displaced blob
-// back to it. Because blobs can now be rewritten after publication, Get
-// reads under the lock rather than after it.
+// An overwrite that is as wide at rest as the blob it replaces — the steady
+// state of write-back traffic, where every push of an object or page is
+// exactly as wide as the last — reuses the stored buffer in place instead
+// of allocating; new keys and size changes draw from the wire buffer pool
+// and release the displaced blob back to it. Because blobs are rewritten
+// after publication, Get reads under the lock rather than after it. A
+// compressing store encodes under the lock too: the encoder and its
+// scratch are the store's, not the caller's.
 func (s *Store) Put(key uint64, src []byte) error {
 	crc := Checksum(src)
 	s.mu.Lock()
-	if old, ok := s.blobs[key]; ok && len(old.data) == len(src) {
-		copy(old.data, src)
-		old.crc = crc
-		s.blobs[key] = old
-		s.mu.Unlock()
-		return nil
+	rest := src
+	if s.enc != nil {
+		rest = s.enc.Encode(s.scratch, src)
+		s.scratch = rest[:0]
 	}
-	lease := bufpool.Get(len(src))
-	data := lease.Bytes()
-	copy(data, src)
-	if old, ok := s.blobs[key]; ok {
-		s.bytes -= uint64(len(old.data))
+	old, ok := s.blobs[key] // absent: the zero blob, whose lease releases as a no-op
+	b := old
+	if !ok || len(old.data) != len(rest) {
 		old.lease.Release()
+		b.lease = bufpool.Get(len(rest))
+		b.data = b.lease.Bytes()
 	}
-	s.blobs[key] = blob{data: data, crc: crc, lease: lease}
-	s.bytes += uint64(len(src))
+	copy(b.data, rest)
+	b.rawLen, b.crc = len(src), crc
+	s.blobs[key] = b
+	s.bytes += uint64(len(b.data)) - uint64(len(old.data))
+	s.raw += uint64(b.rawLen) - uint64(old.rawLen)
 	s.mu.Unlock()
 	return nil
 }
@@ -109,42 +142,109 @@ func (s *Store) Put(key uint64, src []byte) error {
 // Get copies the blob under key into dst and reports whether it existed.
 // An absent key zero-fills dst and returns (false, nil) — freshly
 // allocated remote memory reads as zeros. A present blob is verified
-// against its stored CRC32-C and its length: a checksum failure returns
-// ErrChecksum, a blob shorter than dst returns ErrSizeMismatch (a
-// truncated blob is corruption, not a miss). On error the contents of dst
-// are unspecified. A blob longer than dst serves the prefix: a sub-object
-// read is well-formed.
+// against its stored CRC32-C and its length: a checksum failure (on a
+// compressing store also a stream that fails to decode, or decodes to the
+// wrong width) returns ErrChecksum, a blob shorter than dst returns
+// ErrSizeMismatch (a truncated blob is corruption, not a miss). On error
+// the contents of dst are unspecified. A blob longer than dst serves the
+// prefix: a sub-object read is well-formed.
 func (s *Store) Get(key uint64, dst []byte) (bool, error) {
 	// Verify and copy while holding the read lock: since Put rewrites
-	// same-size blobs in place, published payload bytes are no longer
-	// immutable and must not be touched outside the lock. Readers still
-	// proceed in parallel with each other.
+	// blobs in place, published bytes are not immutable and must not be
+	// touched outside the lock. Readers still proceed in parallel with
+	// each other.
 	s.mu.RLock()
 	b, ok := s.blobs[key]
 	if !ok {
 		s.mu.RUnlock()
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
 		return false, nil
 	}
-	if Checksum(b.data) != b.crc {
-		s.mu.RUnlock()
-		s.mu.Lock()
-		s.stats.ChecksumFails++
-		s.mu.Unlock()
-		return true, ErrChecksum
-	}
-	if len(b.data) < len(dst) {
-		s.mu.RUnlock()
-		s.mu.Lock()
-		s.stats.SizeMismatches++
-		s.mu.Unlock()
-		return true, ErrSizeMismatch
-	}
-	copy(dst, b.data)
+	err := s.read(b, dst)
 	s.mu.RUnlock()
-	return true, nil
+	if err != nil {
+		s.mu.Lock()
+		if err == ErrChecksum {
+			s.stats.ChecksumFails++
+		} else {
+			s.stats.SizeMismatches++
+		}
+		s.mu.Unlock()
+	}
+	return true, err
+}
+
+// payload returns b's raw bytes: b.data itself on a plain store, otherwise
+// its stream decoded into buf (which Decode replaces if it is too small). A
+// stream that fails to decode, or decodes to another width than the one
+// recorded, is ErrChecksum. The caller holds s.mu.
+func (s *Store) payload(b blob, buf []byte) ([]byte, error) {
+	if s.enc == nil {
+		return b.data, nil
+	}
+	raw, err := ctier.Decode(buf[:0], b.data)
+	if err != nil || len(raw) != b.rawLen {
+		return nil, ErrChecksum
+	}
+	return raw, nil
+}
+
+// read verifies b — checksum first, then length — and copies its first
+// len(dst) raw bytes into dst. The caller holds s.mu for reading.
+func (s *Store) read(b blob, dst []byte) error {
+	// On a compressing store a read exactly as wide as the blob — every
+	// fetch of a whole object or page — decodes straight into dst; any
+	// other width decodes the whole blob into pooled scratch first.
+	buf, inPlace := dst, s.enc != nil && b.rawLen == len(dst)
+	if s.enc != nil && !inPlace {
+		lease := bufpool.Get(b.rawLen)
+		defer lease.Release()
+		buf = lease.Bytes()
+	}
+	raw, err := s.payload(b, buf)
+	switch {
+	case err != nil:
+		return err
+	case Checksum(raw) != b.crc:
+		return ErrChecksum
+	case len(raw) < len(dst):
+		return ErrSizeMismatch
+	}
+	if !inPlace {
+		copy(dst, raw)
+	}
+	return nil
+}
+
+// each calls fn with every blob's key, raw payload and recorded CRC32-C —
+// what a snapshot entry holds — in ascending key order, so identical
+// states walk identically, and stops at fn's first error. raw is valid
+// only during the call; on a compressing store it is decoded into one
+// reused buffer, and a stream that no longer decodes fails the walk
+// instead of reaching disk. The read lock is held throughout.
+func (s *Store) each(fn func(key uint64, raw []byte, crc uint32) error) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	keys := make([]uint64, 0, len(s.blobs))
+	for k := range s.blobs {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	var scratch []byte
+	for _, k := range keys {
+		b := s.blobs[k]
+		raw, err := s.payload(b, scratch)
+		if err != nil {
+			return fmt.Errorf("remote: blob %d: %w", k, err)
+		}
+		if s.enc != nil {
+			scratch = raw
+		}
+		if err := fn(k, raw, b.crc); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Stats returns a copy of the store's integrity counters.
@@ -160,6 +260,7 @@ func (s *Store) Delete(key uint64) error {
 	s.mu.Lock()
 	if old, ok := s.blobs[key]; ok {
 		s.bytes -= uint64(len(old.data))
+		s.raw -= uint64(old.rawLen)
 		delete(s.blobs, key)
 		old.lease.Release()
 	}
@@ -169,17 +270,17 @@ func (s *Store) Delete(key uint64) error {
 
 // Clear resets the node between experiment phases (e.g. a fault-injection
 // harness reusing one server across scenarios): every blob is dropped —
-// taking the per-blob CRCs and any FlipByte/Truncate fault-hook corruption
-// with it — and the integrity counters are zeroed, so events from one
-// phase cannot bleed into the next phase's assertions. Only the lifetime
-// clear count (Clears) survives, so observers can tell resets happened.
+// taking the per-blob CRCs and any FlipByte fault-hook corruption with it —
+// and the integrity counters are zeroed, so events from one phase cannot
+// bleed into the next phase's assertions. Only the lifetime clear count
+// (Clears) survives, so observers can tell resets happened.
 func (s *Store) Clear() {
 	s.mu.Lock()
 	for _, b := range s.blobs {
 		b.lease.Release()
 	}
 	s.blobs = make(map[uint64]blob)
-	s.bytes = 0
+	s.bytes, s.raw = 0, 0
 	s.stats = StoreStats{}
 	s.clears++
 	s.mu.Unlock()
@@ -193,36 +294,12 @@ func (s *Store) Clears() uint64 {
 	return s.clears
 }
 
-// install replaces the store's contents with blobs (no copies taken):
-// recovery seeding a just-built store from a snapshot. Not for concurrent
-// use — the store must not be visible to other goroutines yet.
-func (s *Store) install(blobs map[uint64]blob) {
-	s.mu.Lock()
-	for _, b := range s.blobs {
-		b.lease.Release()
-	}
-	s.blobs = blobs
-	s.bytes = 0
-	for _, b := range blobs {
-		s.bytes += uint64(len(b.data))
-	}
-	s.mu.Unlock()
-}
-
-// blobsRef returns the live blob map for snapshotting. The caller must
-// hold the mutation path exclusive (the DurableStore's durability mutex):
-// concurrent Gets only read, so iterating the map is then safe.
-func (s *Store) blobsRef() map[uint64]blob {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.blobs
-}
-
-// FlipByte XORs 0xFF into byte i of key's stored blob without updating its
-// recorded checksum. It is a fault-injection hook modelling bit rot on the
-// remote node (the counterpart of fabric.FaultLink's in-flight corruption);
-// a later Get of the blob fails with ErrChecksum. It reports whether the
-// blob existed and was wide enough to corrupt.
+// FlipByte XORs 0xFF into byte i of whatever key's blob holds at rest,
+// without updating its recorded checksum. It is a fault-injection hook
+// modelling bit rot on the remote node (the counterpart of
+// fabric.FaultLink's in-flight corruption); a later Get of the blob fails
+// with ErrChecksum. It reports whether the blob existed and was wide
+// enough at rest to corrupt.
 func (s *Store) FlipByte(key uint64, i int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -234,23 +311,6 @@ func (s *Store) FlipByte(key uint64, i int) bool {
 	return true
 }
 
-// Truncate shortens key's stored blob to n bytes, recomputing its checksum
-// so only the length — not the bytes — is wrong. It is a fault-injection
-// hook modelling a torn write; a later Get wider than n fails with
-// ErrSizeMismatch. It reports whether the blob existed and was longer
-// than n.
-func (s *Store) Truncate(key uint64, n int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.blobs[key]
-	if !ok || n < 0 || n >= len(b.data) {
-		return false
-	}
-	s.bytes -= uint64(len(b.data) - n)
-	s.blobs[key] = blob{data: b.data[:n], crc: Checksum(b.data[:n]), lease: b.lease}
-	return true
-}
-
 // Len reports the number of stored blobs.
 func (s *Store) Len() int {
 	s.mu.RLock()
@@ -258,9 +318,19 @@ func (s *Store) Len() int {
 	return len(s.blobs)
 }
 
-// Bytes reports the total stored payload bytes.
+// Bytes reports the payload bytes held at rest: what the blobs cost the
+// node in memory.
 func (s *Store) Bytes() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.bytes
+}
+
+// RawBytes reports the payload bytes the blobs represent: equal to Bytes
+// on a plain store; on a compressing one RawBytes/Bytes is the node's
+// effective memory multiplier.
+func (s *Store) RawBytes() uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.raw
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"sync/atomic"
 )
 
 // The write-ahead log is the durability backbone of the remote node: every
@@ -111,12 +112,16 @@ const (
 	// FsyncAlways syncs after every append: an acknowledged write is
 	// durable before the ack. The safest and slowest policy.
 	FsyncAlways FsyncPolicy = iota
-	// FsyncInterval syncs every FsyncEvery appends: a crash can lose up
-	// to one interval of acknowledged writes.
+	// FsyncInterval syncs every 32 appends: a crash can lose up to one
+	// interval of acknowledged writes.
 	FsyncInterval
 	// FsyncNever leaves flushing to the OS: fastest, weakest.
 	FsyncNever
 )
+
+// fsyncEvery is the appends between syncs under FsyncInterval: a constant,
+// since no caller, experiment or test asks for another value.
+const fsyncEvery = 32
 
 // String implements fmt.Stringer.
 func (p FsyncPolicy) String() string {
@@ -152,10 +157,13 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 type wal struct {
 	f         *os.File
 	policy    FsyncPolicy
-	every     int   // appends between syncs under FsyncInterval
-	sinceSync int   // appends since the last sync
+	sinceSync int   // appends since the last sync, whatever the policy
 	size      int64 // current end offset of the file
 	written   int64 // lifetime bytes appended (monotonic across resets)
+
+	// fsyncs counts the syncs this log issued. sync is its only writer;
+	// it is atomic because stats readers do not hold the owner's mutex.
+	fsyncs atomic.Uint64
 
 	// crashAfter is the injected crash point in lifetime-written bytes
 	// (-1 = disabled): an append that would carry written past it writes
@@ -168,7 +176,7 @@ type wal struct {
 
 // openWAL opens (creating if absent) the log at path and positions appends
 // at its current end.
-func openWAL(path string, policy FsyncPolicy, every int) (*wal, error) {
+func openWAL(path string, policy FsyncPolicy) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("remote: open WAL: %w", err)
@@ -178,7 +186,7 @@ func openWAL(path string, policy FsyncPolicy, every int) (*wal, error) {
 		f.Close()
 		return nil, fmt.Errorf("remote: seek WAL: %w", err)
 	}
-	return &wal{f: f, policy: policy, every: every, size: end, written: end, crashAfter: -1}, nil
+	return &wal{f: f, policy: policy, size: end, written: end, crashAfter: -1}, nil
 }
 
 // append encodes and writes one record, honoring the fsync policy and the
@@ -202,21 +210,18 @@ func (w *wal) append(op byte, key uint64, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("remote: WAL append: %w", err)
 	}
-	switch w.policy {
-	case FsyncAlways:
+	w.sinceSync++
+	if w.policy == FsyncAlways || (w.policy == FsyncInterval && w.sinceSync >= fsyncEvery) {
 		return w.sync()
-	case FsyncInterval:
-		w.sinceSync++
-		if w.sinceSync >= w.every {
-			return w.sync()
-		}
 	}
 	return nil
 }
 
-// sync flushes the log to stable storage and resets the interval counter.
+// sync flushes the log to stable storage, counts the flush and resets the
+// interval counter.
 func (w *wal) sync() error {
 	w.sinceSync = 0
+	w.fsyncs.Add(1)
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("remote: WAL fsync: %w", err)
 	}
