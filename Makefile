@@ -27,14 +27,15 @@ smoke_test:
 # plus the escape lint: no scalar accessor's 8-byte scratch may reach the
 # heap (the compiler says so even under -race, where test-allocs skips) —
 # plus the far-engine guard: only internal/far may resolve a RemoteConfig or
-# drive a transport's fetch and push, so the next cross-cutting far-side
-# feature has one place to land.
+# drive a transport's fetch and push — blocking or split-phase (StartFetch,
+# fabric.Ticket; not ".Wait()", which sync.Cond and WaitGroup share) — so
+# the next cross-cutting far-side feature has one place to land.
 vet:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	$(GO) vet ./...
 	$(GO) test -run TestMetricNamesLint ./internal/obs
 	! $(GO) build -gcflags=-m ./internal/core ./internal/fastswap ./internal/interp ./farmem 2>&1 | grep 'moved to heap: buf'
-	! grep -nE 'TryFetchUntil|TryPushUntil|FetchAsync|\.Connect\(' \
+	! grep -nE 'TryFetchUntil|TryPushUntil|StartFetch|fabric\.Ticket|\.Connect\(' \
 		$$(ls internal/aifm/*.go internal/fastswap/*.go internal/core/*.go farmem/*.go | grep -v _test.go)
 
 # Everything a PR must pass: build, vet (incl. metrics lint), the
@@ -66,7 +67,9 @@ test-race:
 # check, and the pinned-object barrier test, all under -race with the
 # short-mode reductions disabled; then the window-lifetime test — chunked
 # Range/Fill over local memory in place against the background evacuator
-# and a Resize squeeze.
+# and a Resize squeeze, over SimLink, over a loopback server (prefetches in
+# flight throughout, finished by whichever goroutine gets there) and with
+# that server killed and replaced mid-run.
 test-stress:
 	$(GO) test -race -run 'TestConcurrent' -count=2 ./internal/aifm
 	$(GO) test -race -run 'TestWindowLifetimeRace' -count=10 ./farmem
@@ -115,17 +118,19 @@ test-tiers:
 # heap allocations per op on the guard fast path and on steady-state
 # demand fetch (clean and dirty) over SimLink, on the layer programs call
 # (core's scalar guards and cursor; farmem's Range allocates its Cursor
-# and nothing else, whatever the length), plus the bufpool unit
+# and nothing else, whatever the length — resident, or far over loopback
+# with every object riding the prefetch stream), plus the bufpool unit
 # tests (leak/double-release detection, class routing, slab reuse) and
 # the end-to-end wire-lease leak check and the zero-alloc TCP round trip
-# (fetch and push over loopback, client and server together). Run without
+# (fetch and push over loopback, client and server together; a pipelined
+# fetch alone and at depth 8). Run without
 # -race: the race detector's instrumentation allocates, so the gates skip
 # themselves under it (the -race coverage of the same code lives in `test`).
 test-allocs:
 	$(GO) test -run 'TestGuardFastPathAllocFree|TestSteadyStateFetch|TestSteadyStateTierHit' ./internal/aifm
-	$(GO) test -run 'TestScalarGuardAllocFree|TestCursorLoadAllocFree|TestRangeAllocs' ./internal/core ./farmem
+	$(GO) test -run 'TestScalarGuardAllocFree|TestCursorLoadAllocFree|TestRangeAllocs|TestRangeLoopbackAllocs' ./internal/core ./farmem
 	$(GO) test ./internal/mem/...
-	$(GO) test -run 'TestWireLeasesNetZero|TestTCPRoundTripAllocFree' ./internal/fabric
+	$(GO) test -run 'TestWireLeasesNetZero|TestTCPRoundTripAllocFree|TestStreamAllocFree' ./internal/fabric
 
 # The replica-failover soak: 10k ops over three TCP replicas with seeded
 # drops and corruption on every link and one replica killed/restarted

@@ -13,6 +13,7 @@ package trackfm_test
 
 import (
 	"testing"
+	"time"
 
 	"trackfm/farmem"
 	"trackfm/internal/aifm"
@@ -20,6 +21,7 @@ import (
 	"trackfm/internal/core"
 	"trackfm/internal/fabric"
 	"trackfm/internal/fastswap"
+	"trackfm/internal/remote"
 	"trackfm/internal/sim"
 	"trackfm/internal/workloads"
 	"trackfm/internal/workloads/dist"
@@ -168,6 +170,52 @@ func BenchmarkUint64sRange(b *testing.B) {
 		xs.Range(func(_ int, v uint64) bool { sink += v; return true })
 	}
 	_ = sink
+}
+
+// BenchmarkRangeLoopback crosses the real TCP path: a heap dialed by
+// RemoteAddr to an in-process fabric.Server (admission on, as fmserver
+// runs it) holds 64 slices of 128 objects at 4x overcommit, and one
+// iteration is one checked Range pass over the next slice — every object
+// far, every one prefetched. frames/flush is the server's replies per
+// socket write: 1 when each fetch is its own round trip.
+func BenchmarkRangeLoopback(b *testing.B) {
+	const slices, objs, obj = 64, 128, 4096
+	const per = objs * obj / 8
+	srv := fabric.NewServer(remote.NewStore())
+	srv.EnableAdmission(fabric.AdmissionConfig{MaxQueue: 256, Target: uint64(5 * time.Millisecond), Interval: uint64(100 * time.Millisecond)})
+	addr, err := srv.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	h, err := farmem.New(farmem.Config{HeapBytes: slices*objs*obj + obj, LocalBytes: slices * objs * obj / 4,
+		ObjectBytes: obj, RemoteConfig: fabric.RemoteConfig{RemoteAddr: addr}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer h.Close()
+	xs := make([]*farmem.Uint64s, slices)
+	for k := range xs {
+		if xs[k], err = farmem.NewUint64s(h, per); err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < per; i++ {
+			xs[k].Set(i, uint64(k+i))
+		}
+	}
+	b.ReportAllocs()
+	frames, flushes := srv.Stats().Frames(), srv.Stats().Flushes()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % slices
+		var sum uint64
+		xs[k].Range(func(_ int, v uint64) bool { sum += v; return true })
+		if want := uint64(per*k + per*(per-1)/2); sum != want {
+			b.Fatalf("slice %d: sum %d, want %d", k, sum, want)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(srv.Stats().Frames()-frames)/float64(srv.Stats().Flushes()-flushes), "frames/flush")
 }
 
 func BenchmarkCursorChunkedLoad(b *testing.B) {

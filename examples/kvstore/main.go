@@ -9,6 +9,12 @@
 //	go run ./examples/kvstore
 //	go run ./cmd/fmserver -addr 127.0.0.1:7070 &
 //	go run ./examples/kvstore -server 127.0.0.1:7070
+//
+// After the gets it scans a far array with a chunked, prefetching loop:
+// where a get is one blocking round trip per miss, the scan's fetches are
+// written ahead on the transport's prefetch stream, and the client's
+// pipelined=/streamFlushes= and the server's frames=/flushes= show how many
+// shared a write.
 package main
 
 import (
@@ -23,6 +29,10 @@ import (
 	"trackfm/internal/workloads"
 	"trackfm/internal/workloads/kv"
 )
+
+// scanElems is the length, in 8-byte elements, of the far array scanned
+// after the gets.
+const scanElems = 1 << 16
 
 func main() {
 	server := flag.String("server", "", "fmserver address (empty: start one in-process)")
@@ -54,7 +64,7 @@ func main() {
 	rt, err := core.NewRuntime(core.Config{
 		Env:         env,
 		ObjectSize:  64, // small objects: the paper's anti-amplification choice
-		HeapSize:    ws * 4,
+		HeapSize:    ws*4 + scanElems*8,
 		LocalBudget: ws / 4,
 		// evacuations really cross the socket
 		RemoteConfig: fabric.RemoteConfig{Transport: transport},
@@ -77,4 +87,25 @@ func main() {
 		elapsed.Round(time.Millisecond),
 		env.Counters.Guards(), env.Counters.SlowPathGuards,
 		env.Counters.Evacuations, float64(env.Counters.BytesEvicted)/1024)
+
+	arr := rt.MustMalloc(scanElems * 8)
+	var want uint64
+	for i := uint64(0); i < scanElems; i++ {
+		rt.StoreU64(arr.Add(i*8), i*3)
+		want += i * 3
+	}
+	rt.EvacuateAll() // every object of the array is now far
+	hits := env.Counters.PrefetchHits
+	start = time.Now()
+	var sum uint64
+	cur := rt.NewCursor(arr, 8, true)
+	for i := uint64(0); i < scanElems; i++ {
+		sum += cur.LoadU64(i)
+	}
+	cur.Close()
+	if sum != want {
+		panic(fmt.Sprintf("scan sum %d, want %d", sum, want))
+	}
+	fmt.Printf("scan: %d far elements in %v, %d prefetch hits | client %s\n",
+		scanElems, time.Since(start).Round(time.Microsecond), env.Counters.PrefetchHits-hits, transport.Stats())
 }

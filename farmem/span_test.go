@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
+	"trackfm/internal/fabric"
 	"trackfm/internal/mem/bufpool"
+	"trackfm/internal/remote"
 	"trackfm/internal/sim"
 )
 
@@ -155,19 +158,98 @@ func TestRangeAllocs(t *testing.T) {
 	}
 }
 
+// loopbackServer serves store on loopback as fmserver does, admission on.
+func loopbackServer(t testing.TB, store *remote.Store, addr string) (*fabric.Server, string) {
+	t.Helper()
+	srv := fabric.NewServer(store)
+	srv.EnableAdmission(fabric.AdmissionConfig{})
+	var err error
+	for try := 0; ; try++ { // a restart may find the port not yet free
+		if addr, err = srv.ListenAndServe(addr); err == nil || try == 200 {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err != nil {
+		t.Fatalf("ListenAndServe: %v", err)
+	}
+	return srv, addr
+}
+
+// leasesOut reports the buffer leases outstanding beyond base, once a
+// closed server's handlers have had a moment to release theirs: a release
+// can trail the hang-up by a scheduler beat.
+func leasesOut(base int) int {
+	for deadline := time.Now().Add(2 * time.Second); bufpool.Outstanding() != base && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	return bufpool.Outstanding() - base
+}
+
 // TestWindowLifetimeRace: spans hand out local memory in place, so this is
 // the proof that a window never outlives its pin. Four goroutines Fill and
 // Range their own slices — which share boundary objects with their
 // neighbours', twice over local memory in total — with scalar accesses in
 // the callbacks, the background evacuator on and a fifth goroutine
 // squeezing the budget to half and back. Every sum must match, and at the
-// end no pin and no buffer lease is left. Run under -race.
+// end no pin and no buffer lease is left. Over a loopback server the
+// prefetches of those passes are in flight while all of that goes on — any
+// goroutine may end up finishing any of them — and in the last row the
+// server is killed and replaced mid-run, failing whatever was in flight.
+// Run under -race.
 func TestWindowLifetimeRace(t *testing.T) {
+	for _, row := range []struct {
+		name                    string
+		loopback, restart, tier bool
+	}{
+		{"simlink", false, false, false},
+		{"loopback", true, false, false},
+		{"loopback, server restarted", true, true, false},
+		{"loopback, compressed tier", true, false, true}, // a prefetch probes the tier first and may never start
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			before := bufpool.Outstanding()
+			cfg := Config{}
+			if row.tier {
+				cfg.CompressedBytes = 16 << 10
+			}
+			var midway func()
+			if row.loopback {
+				store := remote.NewStore()
+				srv, addr := loopbackServer(t, store, "127.0.0.1:0")
+				defer func() {
+					srv.Close()
+					store.Clear()
+					if n := leasesOut(before); n != 0 {
+						t.Errorf("%d buffer leases outstanding after the server closed", n)
+					}
+				}()
+				cfg.RemoteAddr = addr
+				if row.restart {
+					midway = func() {
+						srv.Close() // the successor serves the same store: nothing acked is lost
+						srv, _ = loopbackServer(t, store, addr)
+					}
+				}
+			}
+			windowLifetimeRace(t, cfg, midway)
+			if !row.loopback {
+				if n := bufpool.Outstanding() - before; n != 0 {
+					t.Errorf("%d buffer leases outstanding after Close", n)
+				}
+			}
+		})
+	}
+}
+
+// windowLifetimeRace is TestWindowLifetimeRace's body over the far memory
+// cfg names; midway, if set, runs once, on worker 0, halfway through.
+func windowLifetimeRace(t *testing.T, cfg Config, midway func()) {
 	const workers, per, obj = 4, 5000, 256 // 40 000 B a slice: not whole objects
 	local := uint64(workers * per * 8 / 2)
-	before := bufpool.Outstanding()
-	h, err := New(Config{HeapBytes: 1 << 20, LocalBytes: local, MaxLocalBytes: local,
-		ObjectBytes: obj, BackgroundEvacuate: true})
+	cfg.HeapBytes, cfg.LocalBytes, cfg.MaxLocalBytes = 1<<20, local, local
+	cfg.ObjectBytes, cfg.BackgroundEvacuate = obj, true
+	h, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,6 +262,8 @@ func TestWindowLifetimeRace(t *testing.T) {
 	rounds := 30
 	if testing.Short() {
 		rounds = 8
+	} else if cfg.RemoteAddr != "" {
+		rounds = 12 // a round over a socket is several times a round over SimLink
 	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -205,6 +289,9 @@ func TestWindowLifetimeRace(t *testing.T) {
 			defer workersWG.Done()
 			s := slices[k]
 			for r := 1; r <= rounds; r++ {
+				if k == 0 && r == rounds/2 && midway != nil {
+					midway()
+				}
 				v := uint64(k*1000 + r)
 				s.Fill(v)
 				s.Set(per/2, v+5) // scalar store between the chunked passes
@@ -232,7 +319,101 @@ func TestWindowLifetimeRace(t *testing.T) {
 	if err := h.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := bufpool.Outstanding() - before; n != 0 {
-		t.Errorf("%d buffer leases outstanding after Close", n)
+	if n := h.rt.Pool().PendingPrefetches(); n != 0 {
+		t.Errorf("%d prefetches still pending after Close", n)
+	}
+}
+
+// TestRangeStoppedEarlyStrandsNothing: a Range over a far slice that stops
+// at its first element has already started the prefetches of the objects
+// behind it, and nobody will ask for them. They hold their slots only until
+// the next squeeze, which lands them like any resident; nothing is lost to
+// the pool and the slice still reads whole.
+func TestRangeStoppedEarlyStrandsNothing(t *testing.T) {
+	store := remote.NewStore()
+	srv, addr := loopbackServer(t, store, "127.0.0.1:0")
+	defer srv.Close()
+	const n, local = 16 << 10, 32 << 10 // 128 KiB of elements over 32 KiB of local memory
+	h, err := New(Config{HeapBytes: 1 << 20, LocalBytes: local, MaxLocalBytes: local, ObjectBytes: 1 << 10,
+		RemoteConfig: fabric.RemoteConfig{RemoteAddr: addr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	s, _ := NewUint64s(h, n)
+	var want uint64
+	for i := 0; i < n; i++ {
+		s.Set(i, uint64(i)*7)
+		want += uint64(i) * 7
+	}
+	h.rt.EvacuateAll()
+	pool := h.rt.Pool()
+
+	s.Range(func(int, uint64) bool { return false })
+	if got := pool.PendingPrefetches(); got == 0 {
+		t.Fatalf("a chunked pass over a far slice left no prefetch in flight; the test exercises nothing")
+	}
+	if err := h.Resize(local / 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := pool.PendingPrefetches(); got != 0 {
+		t.Errorf("%d prefetches still pending after the squeeze", got)
+	}
+	if got, max := pool.ResidentSlots(), pool.NumSlots(); got > max {
+		t.Errorf("%d slots resident under a budget of %d", got, max)
+	}
+	if err := h.Resize(local); err != nil {
+		t.Fatal(err)
+	}
+	var sum uint64
+	s.Range(func(_ int, v uint64) bool { sum += v; return true })
+	if sum != want {
+		t.Errorf("Range sum %d after the squeeze, want %d", sum, want)
+	}
+	if n := pool.PinnedObjects(); n != 0 {
+		t.Errorf("%d objects still pinned", n)
+	}
+}
+
+// TestRangeLoopbackAllocs: a Range pass over a far slice on loopback —
+// every object fetched through the prefetch stream, client and server in
+// this process — allocates its Cursor and nothing else, and leaks no wire
+// lease.
+func TestRangeLoopbackAllocs(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	store := remote.NewStore()
+	srv, addr := loopbackServer(t, store, "127.0.0.1:0")
+	const n, local = 64 << 10, 128 << 10 // 512 KiB of elements over 128 KiB of local memory
+	h, err := New(Config{HeapBytes: 1 << 20, LocalBytes: local, ObjectBytes: 4096,
+		RemoteConfig: fabric.RemoteConfig{RemoteAddr: addr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := NewUint64s(h, n)
+	s.Fill(3)
+	var sum uint64
+	pass := func() { s.Range(func(_ int, v uint64) bool { sum += v; return true }) }
+	pass() // warm: the stream's connection, the pool's free lists
+	hits := h.Snapshot().Counters.PrefetchHits
+	if a := testing.AllocsPerRun(10, pass); a > 1 {
+		t.Errorf("a Range pass over %d far elements allocated %v times, want at most 1", n, a)
+	}
+	if got := h.Snapshot().Counters.PrefetchHits - hits; got < 11*(n*8/4096)/2 {
+		t.Errorf("only %d prefetch hits in 11 passes: the passes did not ride the prefetch stream", got)
+	}
+	if sum != 12*3*n {
+		t.Errorf("sum %d over 12 passes, want %d", sum, 12*3*n)
+	}
+
+	bufpool.SetDebug(true)
+	defer bufpool.SetDebug(false)
+	base := bufpool.Outstanding()
+	pass()
+	h.Close()
+	srv.Close()
+	if got := leasesOut(base); got != 0 {
+		t.Errorf("%d wire leases outstanding after a pass and Close", got)
 	}
 }

@@ -188,6 +188,11 @@ type Pool struct {
 	thrashEWMA    atomic.Uint64
 	thrashSamples atomic.Uint64
 
+	// Prefetches in flight, oldest first; at most pendingWindow. pendMu is
+	// a leaf lock and is never held across a wait for bytes.
+	pendMu  sync.Mutex
+	pending []pendingPrefetch
+
 	// Live DerefScopes, for the evacuator's out-of-scope barrier.
 	scopesMu sync.Mutex
 	scopes   map[*DerefScope]struct{}
@@ -323,6 +328,7 @@ func NewPool(cfg Config) (*Pool, error) {
 		lastMiss:     noOwner,
 		thrashWindow: thrashWindow,
 		scopes:       make(map[*DerefScope]struct{}),
+		pending:      make([]pendingPrefetch, 0, pendingWindow),
 	}
 	p.targetSlots.Store(int64(nSlots))
 	p.prefetchDepth.Store(int64(depth))
@@ -378,6 +384,7 @@ func (p *Pool) Far() *far.Engine { return p.far }
 // itself dialed (the Config.RemoteAddr path) is released.
 func (p *Pool) Close() error {
 	p.StopEvacuator()
+	p.drainPending() // the transport owns those slots until its tickets are waited on
 	return p.far.Close()
 }
 
@@ -605,6 +612,12 @@ func (p *Pool) tryLocalize(id ObjectID, forWrite, pin bool) (uint64, bool, error
 			return m.DataAddr(), false, nil
 		}
 		if _, ok := st.inflight[id]; ok {
+			// The claim may be a prefetch still in flight with nobody
+			// driving it: take it over, finish it and re-check — the object
+			// is then resident and prefetched, and this access its hit.
+			if p.finishPendingLocked(st, id) {
+				continue
+			}
 			// Another goroutine is already fetching this object: wait on
 			// the stripe's rendezvous and re-check (the broadcast may have
 			// been for a different object in the stripe, or the leader may
@@ -639,6 +652,11 @@ func (p *Pool) abandonFetch(st *stripe, id ObjectID) {
 // stripe lock to publish the object and wake the waiters.
 func (p *Pool) fetchAndInstall(st *stripe, id ObjectID, m Meta, forWrite, pin bool) (uint64, bool, error) {
 	slot, ok := p.tryTakeSlot()
+	if !ok && p.drainPending() {
+		// Slots held by prefetches in flight are invisible to the clock;
+		// landed, they are residents like any other.
+		slot, ok = p.tryTakeSlot()
+	}
 	if !ok {
 		// Every circulating slot is pinned: borrow from the reserve floor
 		// so demand localization keeps making forward progress instead of
@@ -659,7 +677,7 @@ func (p *Pool) fetchAndInstall(st *stripe, id ObjectID, m Meta, forWrite, pin bo
 		// Demand miss on an evacuated object: tier probe, then blocking
 		// remote fetch, straight into the claimed (unpublished) slot.
 		var err error
-		fromTier, err = p.far.Fetch(uint64(id), p.slotBytes(base), false)
+		fromTier, err = p.far.Fetch(uint64(id), p.slotBytes(base))
 		if err != nil {
 			p.giveSlot(slot)
 			p.abandonFetch(st, id)
@@ -776,38 +794,59 @@ func (p *Pool) Prefetch(id ObjectID) {
 		return // nothing cold to displace; skip rather than pollute
 	}
 	base := uint64(slot) * uint64(p.objSize)
-	fromTier := false
 	if m == 0 {
 		// Never-touched object: materialize zeros without network.
 		p.zeroSlot(base)
-	} else {
-		var err error
-		fromTier, err = p.far.Fetch(uint64(id), p.slotBytes(base), true)
-		if err != nil {
-			// Prefetch is speculation: on persistent failure, give the
-			// slot back and leave the object remote rather than
-			// installing a zero-filled ghost.
-			p.giveSlot(slot)
-			p.abandonFetch(st, id)
-			return
-		}
-		if !fromTier {
-			sim.Inc(&p.env.Counters.PrefetchIssued)
-			sim.Inc(&p.env.Counters.RemoteFetches)
-		}
+		p.installPrefetched(st, id, slot, true, false)
+		return
+	}
+	// The window is FIFO: a full one gives up its oldest prefetch — landed
+	// now, whether or not anyone still wants it — before another starts.
+	if oldest, full := p.popPending(true); full {
+		p.finishPending(oldest)
+	}
+	pf, err := p.far.StartPrefetch(uint64(id), p.slotBytes(base))
+	if err != nil {
+		// Prefetch is speculation: on persistent failure, give the
+		// slot back and leave the object remote rather than
+		// installing a zero-filled ghost.
+		p.giveSlot(slot)
+		p.abandonFetch(st, id)
+		return
+	}
+	if pf.Pending() {
+		// The bytes are on their way into the slot. The object keeps its
+		// inflight claim and the slot stays unpublished until whoever
+		// finishes the prefetch installs it.
+		p.parkPending(pendingPrefetch{id: id, slot: slot, pf: pf})
+		return
+	}
+	fromTier, _ := p.far.FinishPrefetch(pf)
+	p.installPrefetched(st, id, slot, false, fromTier)
+}
+
+// installPrefetched publishes a prefetched object in its slot — resident,
+// marked MetaPF until a demand access consumes it — releases its inflight
+// claim and wakes the stripe's waiters. It is the one tail of every
+// prefetch, whether it completed on the spot or was finished later.
+func (p *Pool) installPrefetched(st *stripe, id ObjectID, slot uint32, fresh, fromTier bool) {
+	remote := !fresh && !fromTier
+	if remote {
+		sim.Inc(&p.env.Counters.PrefetchIssued)
+		sim.Inc(&p.env.Counters.RemoteFetches)
 	}
 	p.lockStripe(st)
 	p.setOwner(int(slot), id)
-	p.storeMeta(id, LocalMeta(base, dsID)|MetaPF)
-	refault := m != 0 && p.consumeGhostLocked(st, id)
+	p.storeMeta(id, LocalMeta(uint64(slot)*uint64(p.objSize), dsID)|MetaPF)
+	refault := !fresh && p.consumeGhostLocked(st, id)
 	delete(st.inflight, id)
 	st.done.Broadcast()
 	st.mu.Unlock()
 	p.resident.Add(1)
-	if refault && !fromTier {
+	if refault && remote {
 		sim.Inc(&p.env.Counters.Refaults)
 	}
-	if m != 0 && !fromTier {
+	if remote {
 		p.noteFetchSample(refault)
 	}
 }
@@ -830,6 +869,9 @@ func (p *Pool) RegisterObs(reg *obs.Registry, labels ...obs.Label) {
 	reg.GaugeFunc("trackfm_thrash_ratio",
 		"EWMA fraction of remote fetches that re-fetched a recently evicted object.",
 		func() float64 { return p.ThrashRatio() }, labels...)
+	reg.GaugeFunc("trackfm_pool_pending_prefetches",
+		"Prefetches whose bytes are still in flight (slot claimed, object not yet resident).",
+		func() float64 { return float64(p.PendingPrefetches()) }, labels...)
 	reg.CounterFunc("trackfm_pool_resizes_total",
 		"Runtime budget Resize calls absorbed by the pool.",
 		func() uint64 { return p.resizes.Load() }, labels...)
@@ -1104,6 +1146,7 @@ func (p *Pool) Resize(newBudget uint64) error {
 	}
 	p.resizeMu.Lock()
 	defer p.resizeMu.Unlock()
+	p.drainPending() // a shrink can reclaim a landed prefetch, not one in flight
 	p.targetSlots.Store(newSlots)
 	p.resizes.Add(1)
 	p.freeMu.Lock()
@@ -1160,6 +1203,7 @@ func (p *Pool) overTarget() bool {
 // EvacuateAll force-evacuates every unpinned resident object; tests and
 // experiment setup use it to start measurement phases fully cold.
 func (p *Pool) EvacuateAll() {
+	p.drainPending()
 	for slot := range p.slotOwner {
 		id := p.ownerAt(slot)
 		if id == noOwner {
@@ -1282,6 +1326,18 @@ func (p *Pool) Access(id ObjectID, off uint64, buf []byte, write bool) {
 func (p *Pool) Free(id ObjectID) {
 	st := p.stripeFor(id)
 	p.lockStripe(st)
+	// A prefetch of id still in flight would land old bytes in a freed
+	// object: finish it first (it is then resident, and dropped below). If
+	// it is not in the window its prefetcher is still driving it and will
+	// install, abandon or park it — each ends in a broadcast.
+	for {
+		if _, claimed := st.inflight[id]; !claimed {
+			break
+		}
+		if !p.finishPendingLocked(st, id) {
+			st.done.Wait()
+		}
+	}
 	if st.pins[id] > 0 {
 		st.mu.Unlock()
 		panic("aifm: Free of pinned object")

@@ -24,8 +24,9 @@ func (f *faultyLink) TryFetchUntil(key uint64, dst []byte, dl fabric.Deadline) (
 	return f.SimLink.TryFetchUntil(key, dst, dl)
 }
 
-func (f *faultyLink) TryFetchAsync(key uint64, dst []byte) (bool, error) {
-	return f.TryFetchUntil(key, dst, fabric.Deadline{})
+func (f *faultyLink) StartFetch(key uint64, dst []byte) (fabric.Ticket, error) {
+	found, err := f.TryFetchUntil(key, dst, fabric.Deadline{})
+	return fabric.CompleteTicket(found), err
 }
 
 func (f *faultyLink) TryPushUntil(key uint64, src []byte, dl fabric.Deadline) error {

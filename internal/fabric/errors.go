@@ -87,6 +87,14 @@ func isIntegrity(err error) bool  { return errors.Is(err, ErrIntegrity) }
 func isOverloaded(err error) bool { return errors.Is(err, ErrOverloaded) }
 func isDeadline(err error) bool   { return errors.Is(err, ErrDeadlineExceeded) }
 
+// corruptAtRest tells the two integrity failures apart. A node that answers
+// ackCorrupt is alive and says its own copy of the blob is bad: retrying it
+// cannot help (hence permanent), and a ReplicaSet reads another replica and
+// repairs this one. Any other ErrIntegrity is a payload damaged on the wire
+// that outlived the transport's retries — a fault of the path to the node,
+// and to a breaker a failure like a timeout or a hang-up.
+func corruptAtRest(err error) bool { return isIntegrity(err) && isPermanent(err) }
+
 // classify maps a raw network error onto the typed taxonomy, preserving the
 // original error in the wrap chain for diagnostics.
 func classify(err error) error {
@@ -96,10 +104,11 @@ func classify(err error) error {
 	if isPermanent(err) {
 		return err
 	}
-	if isOverloaded(err) || isDeadline(err) {
-		// Already typed by the overload-control layer; re-wrapping as
-		// ErrRemoteUnavailable would hide the class the retry loop and
-		// breakers branch on.
+	if isOverloaded(err) || isDeadline(err) || isIntegrity(err) {
+		// Already typed by the overload-control layer or the checksum
+		// check; re-wrapping as ErrRemoteUnavailable would hide the class
+		// the retry loop and Stats branch on. (A ReplicaSet's breaker still
+		// counts a wire ErrIntegrity as a failure: see corruptAtRest.)
 		return err
 	}
 	var ne net.Error

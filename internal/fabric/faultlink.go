@@ -169,18 +169,24 @@ func (f *FaultLink) TryDeleteUntil(key uint64, dl Deadline) error {
 	return f.inner.TryDeleteUntil(key, dl)
 }
 
-// TryFetchAsync implements AsyncFetcher: the injector applies its fault
-// schedule, then forwards through the FetchAsync helper so an inner link
-// with an async cost model (SimLink) keeps its overlapped accounting.
-func (f *FaultLink) TryFetchAsync(key uint64, dst []byte) (bool, error) {
+// StartFetch implements AsyncFetcher: the injector applies its fault
+// schedule, then forwards through the StartFetch helper so an inner link
+// with an overlapped cost model (SimLink) keeps it. Corruption needs the
+// payload, so the inner ticket is completed here and the one handed out
+// is born complete.
+func (f *FaultLink) StartFetch(key uint64, dst []byte) (Ticket, error) {
 	if err := f.inject(); err != nil {
-		return false, err
+		return Ticket{}, err
 	}
-	found, err := FetchAsync(f.inner, key, dst)
+	tk, err := StartFetch(f.inner, key, dst)
+	if err != nil {
+		return Ticket{}, err
+	}
+	found, err := tk.Wait()
 	if err == nil && found {
 		f.maybeCorrupt(dst)
 	}
-	return found, err
+	return Ticket{found: found}, err
 }
 
 // PeerIdentity delegates to the inner transport when it reports identity

@@ -10,8 +10,9 @@ import (
 
 // TestWireLeasesNetZero enforces the buffer-ownership contract end to end:
 // with the bufpool leak detector armed, a real TCP server and client are
-// driven through pushes, fetches, overwrites (same-size and resizing), a
-// miss, and a delete, then torn down and the store cleared. Every pooled
+// driven through pushes, fetches (blocking and pipelined), overwrites
+// (same-size and resizing), a miss, and a delete, then torn down and the
+// store cleared. Every pooled
 // buffer issued for frame payloads and stored blobs must have been
 // released — a nonzero delta means some path kept a lease past the
 // callee-copies boundary.
@@ -52,6 +53,22 @@ func TestWireLeasesNetZero(t *testing.T) {
 			if dst[j] != payload[j] {
 				t.Fatalf("key %d byte %d = %#x, want %#x", key, j, dst[j], payload[j])
 			}
+		}
+	}
+
+	// The same fetches written ahead on the prefetch stream: the server
+	// holds one lease per request it is serving, however many are buffered.
+	var tickets []Ticket
+	for i, n := range sizes {
+		tk, err := tc.StartFetch(uint64(i+1), make([]byte, n))
+		if err != nil {
+			t.Fatalf("StartFetch key %d: %v", i+1, err)
+		}
+		tickets = append(tickets, tk)
+	}
+	for i, tk := range tickets {
+		if found, err := tk.Wait(); err != nil || !found {
+			t.Fatalf("pipelined fetch key %d = %v, %v", i+1, found, err)
 		}
 	}
 

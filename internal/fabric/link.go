@@ -61,7 +61,8 @@ func (b Backend) String() string {
 // by the time it returns, and no implementation may retain a reference to
 // either afterwards. This is what lets callers pass pooled bufpool leases
 // or zero-copy arena windows and release or reuse them the moment the call
-// returns.
+// returns. (AsyncFetcher.StartFetch, below, is the one operation that
+// outlives its call, and says who owns dst meanwhile.)
 type ErrorTransport interface {
 	// TryFetchUntil retrieves the n-byte blob stored under key into dst
 	// (len(dst) == n), bounded by dl: found reports key presence only
@@ -86,26 +87,66 @@ type ErrorTransport interface {
 	TryDeleteUntil(key uint64, dl Deadline) error
 }
 
-// AsyncFetcher is the optional interface of transports that model an
-// asynchronous prefetch distinctly from a demand fetch: the fixed network
-// latency overlaps with computation, so only the issue cost and the
-// bandwidth term are charged (SimLink; FaultLink forwards to its inner
-// link). Use the FetchAsync helper rather than asserting directly.
+// AsyncFetcher is the optional interface of transports that can start a
+// fetch and complete it later, so a prefetcher overlaps the round trip with
+// the caller's computation. TCPTransport pipelines such fetches on one
+// connection; SimLink and FaultLink complete at once and charge the
+// overlapped cost model instead (only the issue cost and the bandwidth
+// term, the fixed latency hidden). Use the StartFetch helper rather than
+// asserting directly.
 type AsyncFetcher interface {
-	// TryFetchAsync is TryFetchUntil with no deadline and the overlapped
-	// prefetch cost model. The callee-copies ownership rule applies.
-	TryFetchAsync(key uint64, dst []byte) (found bool, err error)
+	// StartFetch issues a speculative, undeadlined fetch of key into dst
+	// and may return before the bytes arrive. It is the one exception to
+	// the callee-copies rule: dst belongs to the transport from the call
+	// until the ticket's Wait returns, and the caller must neither read,
+	// write nor reuse it in between. An error means nothing was started
+	// and dst is the caller's again.
+	StartFetch(key uint64, dst []byte) (Ticket, error)
 }
 
-// FetchAsync issues a prefetch-flavoured fetch: the overlapped cost model
-// when t implements AsyncFetcher, an ordinary undeadlined fetch otherwise.
-// Prefetchers call this so they work — with honest, merely less favourable
-// accounting — over transports with no async path.
-func FetchAsync(t ErrorTransport, key uint64, dst []byte) (bool, error) {
-	if af, ok := t.(AsyncFetcher); ok {
-		return af.TryFetchAsync(key, dst)
+// Ticket is one started fetch. It is a small value: copy it freely, but
+// call a pending ticket's Wait exactly once — that is what hands dst back
+// to the caller. A ticket born complete (and the zero Ticket is one,
+// reporting the key absent) has nothing to hand back: its Wait only repeats
+// the result.
+type Ticket struct {
+	s     *fetchStream // nil: complete when it was issued
+	seq   uint64       // position in s's issue order
+	found bool         // the result of a ticket born complete
+}
+
+// CompleteTicket returns a ticket whose fetch has already finished with
+// the given result: what a transport with nothing to overlap hands out.
+func CompleteTicket(found bool) Ticket { return Ticket{found: found} }
+
+// Pending reports whether Wait still has a reply to collect, which may
+// block. A ticket born complete is never pending.
+func (t Ticket) Pending() bool { return t.s != nil }
+
+// Wait completes the fetch: found reports key presence only when err is
+// nil, and on error the contents of dst are unspecified and must not be
+// used. Replies complete in issue order, so waiting on a ticket also
+// collects every earlier one still outstanding (their own Waits then
+// return at once).
+func (t Ticket) Wait() (found bool, err error) {
+	if t.s == nil {
+		return t.found, nil
 	}
-	return t.TryFetchUntil(key, dst, Deadline{})
+	return t.s.wait(t.seq)
+}
+
+// StartFetch starts a speculative fetch on t: split-phase when t is an
+// AsyncFetcher, otherwise an ordinary blocking undeadlined fetch whose
+// ticket is born complete. Prefetchers call this so they work — merely
+// without overlap — over transports with no async path (ReplicaSet, whose
+// hedged legs stay blocking, and decorators that forward only the
+// blocking methods).
+func StartFetch(t ErrorTransport, key uint64, dst []byte) (Ticket, error) {
+	if af, ok := t.(AsyncFetcher); ok {
+		return af.StartFetch(key, dst)
+	}
+	found, err := t.TryFetchUntil(key, dst, Deadline{})
+	return Ticket{found: found}, err
 }
 
 // SimLink is the deterministic in-process transport. It stores pushed blobs
@@ -171,19 +212,19 @@ func (l *SimLink) TryFetchUntil(key uint64, dst []byte, dl Deadline) (bool, erro
 	return found, nil
 }
 
-// TryFetchAsync implements AsyncFetcher; err is always nil. The fixed
-// round-trip latency overlaps with computation (how the AIFM prefetcher
-// earns its speedups); what cannot be hidden is the larger of the
-// per-message software cost and the link-occupancy (bandwidth) term — small
-// objects pay per-packet overhead, large objects pay the wire (§3.2's
-// object-size discussion).
-func (l *SimLink) TryFetchAsync(key uint64, dst []byte) (bool, error) {
+// StartFetch implements AsyncFetcher; the ticket is born complete and err
+// is always nil. The fixed round-trip latency overlaps with computation
+// (how the AIFM prefetcher earns its speedups); what cannot be hidden is
+// the larger of the per-message software cost and the link-occupancy
+// (bandwidth) term — small objects pay per-packet overhead, large objects
+// pay the wire (§3.2's object-size discussion).
+func (l *SimLink) StartFetch(key uint64, dst []byte) (Ticket, error) {
 	charge := l.env.Costs.PrefetchIssue
 	if xfer := l.env.Costs.TransferCycles(len(dst)); xfer > charge {
 		charge = xfer
 	}
 	l.env.Clock.Advance(charge)
-	return l.fetch(key, dst), nil
+	return Ticket{found: l.fetch(key, dst)}, nil
 }
 
 // TryPushUntil implements ErrorTransport (see TryFetchUntil; a late push

@@ -37,6 +37,10 @@ func (s *Stats) Register(reg *obs.Registry, labels ...obs.Label) {
 		func() float64 { return float64(s.OpenConns()) }, labels...)
 	reg.CounterFunc("trackfm_transport_conn_waits_total",
 		"Callers that found every connection in use at the cap and waited for one.", s.ConnWaits, labels...)
+	reg.CounterFunc("trackfm_transport_pipelined_fetches_total",
+		"Fetches issued on the TCP transport's prefetch stream (requests written ahead of their replies).", s.PipelinedFetches, labels...)
+	reg.CounterFunc("trackfm_transport_stream_flushes_total",
+		"Writes of corked prefetch-stream requests to the socket (pipelined fetches / flushes = requests per write).", s.StreamFlushes, labels...)
 }
 
 // Register exposes the retry-budget token balance and denial count on
@@ -71,6 +75,8 @@ func (s *ServerStats) Register(reg *obs.Registry, labels ...obs.Label) {
 		"Requests rejected by admission control with an overload frame.", s.Sheds, labels...)
 	reg.CounterFunc("trackfm_server_store_fails_total",
 		"Writes the backing store refused (e.g. WAL append failure); answered with an error frame, never acked.", s.StoreFails, labels...)
+	reg.CounterFunc("trackfm_server_flushes_total",
+		"Writes of buffered replies to a socket (frames / flushes = replies per write; 1 for clients with one request in flight).", s.Flushes, labels...)
 }
 
 // Register exposes the replication-level counters on reg.

@@ -480,13 +480,13 @@ func (rs *ReplicaSet) readVerified(key uint64, e blobVer, exclude int, buf []byt
 		var err error
 		for a := 0; a < resyncAttempts; a++ {
 			found, err = rs.members[d].TryFetchUntil(key, buf, Deadline{})
-			if err == nil || isIntegrity(err) {
+			if err == nil || corruptAtRest(err) {
 				break
 			}
 		}
 		rs.mu.Lock()
 		if err != nil {
-			if isIntegrity(err) {
+			if corruptAtRest(err) {
 				rs.stats.checksum.Add(1)
 				rs.missed[d][key] = struct{}{}
 			} else {
@@ -603,9 +603,11 @@ func (rs *ReplicaSet) TryFetchUntil(key uint64, dst []byte, dl Deadline) (bool, 
 			} else if isDeadline(err) {
 				rs.stats.record(err)
 				return false, err
-			} else if isIntegrity(err) {
+			} else if corruptAtRest(err) {
 				// The node reports its blob corrupt/truncated (alive,
-				// so the breaker is untouched) — repair it below.
+				// so the breaker is untouched) — repair it below. A
+				// payload damaged on the wire is the else: the link's
+				// fault, counted against the breaker.
 				rs.stats.checksum.Add(1)
 				bad = append(bad, i)
 			} else {

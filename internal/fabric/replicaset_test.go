@@ -17,6 +17,8 @@ type gateLink struct {
 	inner ErrorTransport
 	down  bool
 	slow  time.Duration // wall-clock delay per op, for hedging tests
+
+	fetchErr error // when set, what every fetch reports
 }
 
 func newGateLink(env *sim.Env) *gateLink {
@@ -36,6 +38,9 @@ func (g *gateLink) op() error {
 func (g *gateLink) TryFetchUntil(key uint64, dst []byte, dl Deadline) (bool, error) {
 	if err := g.op(); err != nil {
 		return false, err
+	}
+	if g.fetchErr != nil {
+		return false, g.fetchErr
 	}
 	return g.inner.TryFetchUntil(key, dst, dl)
 }
@@ -313,6 +318,70 @@ func TestReplicaSetInFlightCorruptionDetected(t *testing.T) {
 	}
 }
 
+// TestReplicaSetIntegrityAtRestVersusOnTheWire pins what a ReplicaSet makes
+// of a member's ErrIntegrity. The permanent one is the node's own verdict
+// on its blob (ackCorrupt): the node is alive, so its breaker is untouched,
+// and the replica is repaired from a healthy copy. A transient one is a
+// payload damaged on the wire that outlived the member's retries: the path
+// to that node is failing, so it counts toward the breaker like any other
+// failed read and nothing is "repaired" over the same bad link.
+func TestReplicaSetIntegrityAtRestVersusOnTheWire(t *testing.T) {
+	atRest := permanent(fmt.Errorf("%w: server reports blob corrupt or truncated", ErrIntegrity))
+	onWire := classify(fmt.Errorf("%w: fetch payload CRC mismatch", ErrIntegrity))
+	if !isIntegrity(onWire) || isPermanent(onWire) {
+		t.Fatalf("classify(%v) = %v: a wire CRC mismatch stays a retryable ErrIntegrity", ErrIntegrity, onWire)
+	}
+	for _, row := range []struct {
+		name        string
+		err         error
+		wantFails   int
+		wantRepairs uint64
+	}{
+		{"corrupt at rest", atRest, 0, 1},
+		{"damaged on the wire", onWire, 1, 0},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			env := sim.NewEnv()
+			gates := []*gateLink{newGateLink(env), newGateLink(env)}
+			rs, err := NewReplicaSet(ReplicaConfig{Quorum: 1, FailureThreshold: 3}, gates[0], gates[1])
+			if err != nil {
+				t.Fatalf("NewReplicaSet: %v", err)
+			}
+			blob := []byte("integrity, twice")
+			if err := rs.TryPushUntil(4, blob, Deadline{}); err != nil {
+				t.Fatalf("TryPush: %v", err)
+			}
+			gates[0].fetchErr = row.err
+			dst := make([]byte, len(blob))
+			found, err := rs.TryFetchUntil(4, dst, Deadline{})
+			if err != nil || !found || !bytes.Equal(dst, blob) {
+				t.Fatalf("read past the bad replica = (%v, %v)", found, err)
+			}
+			h := rs.Health()[0]
+			if h.ConsecFails != row.wantFails {
+				t.Errorf("replica 0: %d consecutive failures, want %d", h.ConsecFails, row.wantFails)
+			}
+			if got := rs.ReplicaStats().ReadRepairs(); got != row.wantRepairs {
+				t.Errorf("ReadRepairs = %d, want %d", got, row.wantRepairs)
+			}
+			// Three reads over the damaged path open the breaker; a node
+			// that keeps saying "corrupt at rest" never does.
+			for i := 0; i < 2; i++ {
+				if _, err := rs.TryFetchUntil(4, dst, Deadline{}); err != nil {
+					t.Fatalf("read %d: %v", i+2, err)
+				}
+			}
+			want := BreakerClosed
+			if row.wantFails > 0 {
+				want = BreakerOpen
+			}
+			if got := rs.Health()[0].State; got != want {
+				t.Errorf("replica 0 breaker = %v after three such reads, want %v", got, want)
+			}
+		})
+	}
+}
+
 func TestReplicaSetUntrackedReadIsNotFound(t *testing.T) {
 	rs, _ := newTestSet(t, 3, ReplicaConfig{})
 	dst := make([]byte, 8)
@@ -353,14 +422,14 @@ func TestReplicaSetHedgedRead(t *testing.T) {
 	}
 }
 
-// TestFetchAsyncHelperFallback pins the canonical prefetch entry point:
-// fabric.FetchAsync uses the overlapped-cost TryFetchAsync when the
-// transport implements AsyncFetcher (SimLink) and falls back to an
-// ordinary undeadlined fetch — same result, same payload — on transports
-// without an async path (ReplicaSet, TCPTransport, whose old TryFetchAsync
-// aliases were deleted with the Until-only redesign).
+// TestFetchAsyncHelperFallback pins the canonical prefetch entry point,
+// fabric.StartFetch: over a transport with no StartFetch of its own
+// (ReplicaSet) it is an ordinary undeadlined fetch — same result, same
+// payload — behind a ticket born complete; TCPTransport's tickets are
+// pending until waited on; SimLink's are born complete and charge the
+// overlapped cost model.
 func TestFetchAsyncHelperFallback(t *testing.T) {
-	check := func(t *testing.T, tr ErrorTransport) {
+	check := func(t *testing.T, tr ErrorTransport, wantPending bool) {
 		t.Helper()
 		blob := []byte("helper contract")
 		if err := tr.TryPushUntil(6, blob, Deadline{}); err != nil {
@@ -369,9 +438,16 @@ func TestFetchAsyncHelperFallback(t *testing.T) {
 		a := make([]byte, len(blob))
 		b := make([]byte, len(blob))
 		fs, errS := tr.TryFetchUntil(6, a, Deadline{})
-		fa, errA := FetchAsync(tr, 6, b)
+		tk, err := StartFetch(tr, 6, b)
+		if err != nil {
+			t.Fatalf("StartFetch: %v", err)
+		}
+		if tk.Pending() != wantPending {
+			t.Fatalf("ticket pending = %v, want %v", tk.Pending(), wantPending)
+		}
+		fa, errA := tk.Wait()
 		if fs != fa || (errS == nil) != (errA == nil) || !bytes.Equal(a, b) {
-			t.Fatalf("FetchAsync diverged from TryFetchUntil: (%v,%v) vs (%v,%v)", fs, errS, fa, errA)
+			t.Fatalf("StartFetch + Wait diverged from TryFetchUntil: (%v,%v) vs (%v,%v)", fs, errS, fa, errA)
 		}
 		if !fs || errS != nil {
 			t.Fatalf("pushed key not served: (%v, %v)", fs, errS)
@@ -379,15 +455,12 @@ func TestFetchAsyncHelperFallback(t *testing.T) {
 	}
 	t.Run("ReplicaSet", func(t *testing.T) {
 		if _, ok := interface{}(&ReplicaSet{}).(AsyncFetcher); ok {
-			t.Fatalf("ReplicaSet grew a TryFetchAsync; replication has no overlap to model")
+			t.Fatalf("ReplicaSet grew a StartFetch; its hedged legs are to stay blocking")
 		}
 		rs, _ := newTestSet(t, 2, ReplicaConfig{})
-		check(t, rs)
+		check(t, rs, false)
 	})
 	t.Run("TCPTransport", func(t *testing.T) {
-		if _, ok := interface{}(&TCPTransport{}).(AsyncFetcher); ok {
-			t.Fatalf("TCPTransport grew a TryFetchAsync; a real network has no simulated overlap")
-		}
 		srv := NewServer(remote.NewStore())
 		addr, err := srv.ListenAndServe("127.0.0.1:0")
 		if err != nil {
@@ -399,7 +472,7 @@ func TestFetchAsyncHelperFallback(t *testing.T) {
 			t.Fatalf("Dial: %v", err)
 		}
 		defer tr.Close()
-		check(t, tr)
+		check(t, tr, true)
 	})
 	t.Run("SimLinkUsesAsyncCostModel", func(t *testing.T) {
 		env := sim.NewEnv()
@@ -410,17 +483,24 @@ func TestFetchAsyncHelperFallback(t *testing.T) {
 		}
 		dst := make([]byte, len(blob))
 		before := env.Clock.Cycles()
-		if _, err := FetchAsync(link, 7, dst); err != nil {
-			t.Fatalf("FetchAsync: %v", err)
+		tk, err := StartFetch(link, 7, dst)
+		if err != nil || tk.Pending() {
+			t.Fatalf("StartFetch = pending %v, %v; a SimLink ticket is born complete", tk.Pending(), err)
 		}
 		asyncCost := env.Clock.Cycles() - before
+		if found, err := tk.Wait(); !found || err != nil {
+			t.Fatalf("Wait = (%v, %v)", found, err)
+		}
+		if env.Clock.Cycles()-before != asyncCost {
+			t.Fatalf("Wait on a ticket born complete charged the clock")
+		}
 		before = env.Clock.Cycles()
 		if _, err := link.TryFetchUntil(7, dst, Deadline{}); err != nil {
 			t.Fatalf("TryFetchUntil: %v", err)
 		}
 		demandCost := env.Clock.Cycles() - before
 		if asyncCost >= demandCost {
-			t.Fatalf("FetchAsync charged %d cycles, demand fetch %d; overlap model lost", asyncCost, demandCost)
+			t.Fatalf("StartFetch charged %d cycles, demand fetch %d; overlap model lost", asyncCost, demandCost)
 		}
 	})
 }

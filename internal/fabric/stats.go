@@ -23,6 +23,9 @@ type Stats struct {
 
 	openConns atomic.Int64  // sockets a TCPTransport currently holds open, idle or in use
 	connWaits atomic.Uint64 // callers that found every connection in use at the cap and waited
+
+	pipelined     atomic.Uint64 // fetches issued on a TCPTransport's prefetch stream
+	streamFlushes atomic.Uint64 // writes of corked stream requests to the socket
 }
 
 // Retries reports operation attempts beyond the first (each backoff-retry).
@@ -70,6 +73,16 @@ func (s *Stats) OpenConns() int64 { return s.openConns.Load() }
 // in use at the cap and had to wait for one to be returned.
 func (s *Stats) ConnWaits() uint64 { return s.connWaits.Load() }
 
+// PipelinedFetches reports fetches a TCPTransport issued on its prefetch
+// stream: requests written ahead of their replies (StartFetch), as opposed
+// to the blocking round trips of the demand path.
+func (s *Stats) PipelinedFetches() uint64 { return s.pipelined.Load() }
+
+// StreamFlushes reports how many times the prefetch stream wrote its
+// corked requests to the socket; PipelinedFetches ÷ StreamFlushes is the
+// requests that shared one write.
+func (s *Stats) StreamFlushes() uint64 { return s.streamFlushes.Load() }
+
 // StatsSnapshot is a plain-value copy of Stats for reporting.
 type StatsSnapshot struct {
 	Retries         uint64
@@ -83,6 +96,9 @@ type StatsSnapshot struct {
 	BudgetExhausted uint64
 	OpenConns       int64
 	ConnWaits       uint64
+
+	PipelinedFetches uint64
+	StreamFlushes    uint64
 }
 
 // Snapshot copies the current counter values.
@@ -99,6 +115,9 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		BudgetExhausted: s.BudgetExhausted(),
 		OpenConns:       s.OpenConns(),
 		ConnWaits:       s.ConnWaits(),
+
+		PipelinedFetches: s.PipelinedFetches(),
+		StreamFlushes:    s.StreamFlushes(),
 	}
 }
 
@@ -108,8 +127,8 @@ func (s *Stats) String() string { return s.Snapshot().String() }
 
 // String implements fmt.Stringer.
 func (s StatsSnapshot) String() string {
-	return fmt.Sprintf("retries=%d timeouts=%d reconnects=%d shortReads=%d unavailable=%d checksumFaults=%d overloads=%d deadlineMisses=%d budgetExhausted=%d openConns=%d connWaits=%d",
-		s.Retries, s.Timeouts, s.Reconnects, s.ShortReads, s.Unavailable, s.ChecksumFaults, s.Overloads, s.DeadlineMisses, s.BudgetExhausted, s.OpenConns, s.ConnWaits)
+	return fmt.Sprintf("retries=%d timeouts=%d reconnects=%d shortReads=%d unavailable=%d checksumFaults=%d overloads=%d deadlineMisses=%d budgetExhausted=%d openConns=%d connWaits=%d pipelined=%d streamFlushes=%d",
+		s.Retries, s.Timeouts, s.Reconnects, s.ShortReads, s.Unavailable, s.ChecksumFaults, s.Overloads, s.DeadlineMisses, s.BudgetExhausted, s.OpenConns, s.ConnWaits, s.PipelinedFetches, s.StreamFlushes)
 }
 
 // record classifies err (already mapped by classify) into the right bucket.

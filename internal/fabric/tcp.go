@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -41,6 +42,11 @@ import (
 // follows and the stream stays in sync: ackErr, ackCorrupt or ackOverloaded.
 // deadlineNs is the operation's remaining budget (0 = none), which is what
 // lets admission control shed a request it cannot finish in time.
+//
+// A connection's requests are answered strictly in the order they arrive,
+// one reply (or one-byte refusal) each. That order is all that matches a
+// reply to its request, and a client may rely on it to write several
+// requests before reading the first reply (the prefetch stream, stream.go).
 const (
 	opFetch  = byte(1)
 	opPush   = byte(2)
@@ -111,6 +117,7 @@ var ErrPayloadTooLarge = errors.New("fabric: payload exceeds protocol limit")
 type ServerStats struct {
 	conns       atomic.Uint64 // connections accepted
 	frames      atomic.Uint64 // well-formed request frames served
+	flushes     atomic.Uint64 // writes of buffered replies to a socket (beside frames: a handler bumps the two back to back, so they share a cache line)
 	badFrames   atomic.Uint64 // unknown opcodes, a first frame that is not a valid hello, a hello anywhere else (connection dropped)
 	oversize    atomic.Uint64 // requests rejected with an error frame
 	hellos      atomic.Uint64 // hellos accepted
@@ -161,10 +168,15 @@ func (s *ServerStats) WireRejects() uint64 { return s.wireRejects.Load() }
 // frame instead of being queued.
 func (s *ServerStats) Sheds() uint64 { return s.sheds.Load() }
 
+// Flushes reports how many times buffered replies were written to a
+// socket. A client with one request in flight gets a flush per frame;
+// Frames ÷ Flushes above 1 is a pipelining client's replies sharing writes.
+func (s *ServerStats) Flushes() uint64 { return s.flushes.Load() }
+
 // String implements fmt.Stringer.
 func (s *ServerStats) String() string {
-	return fmt.Sprintf("conns=%d frames=%d badFrames=%d oversize=%d hellos=%d sizeMismatch=%d corruptBlobs=%d wireRejects=%d sheds=%d storeFails=%d",
-		s.Conns(), s.Frames(), s.BadFrames(), s.OversizeRejects(), s.Hellos(), s.SizeMismatches(), s.CorruptBlobs(), s.WireRejects(), s.Sheds(), s.StoreFails())
+	return fmt.Sprintf("conns=%d frames=%d flushes=%d badFrames=%d oversize=%d hellos=%d sizeMismatch=%d corruptBlobs=%d wireRejects=%d sheds=%d storeFails=%d",
+		s.Conns(), s.Frames(), s.Flushes(), s.BadFrames(), s.OversizeRejects(), s.Hellos(), s.SizeMismatches(), s.CorruptBlobs(), s.WireRejects(), s.Sheds(), s.StoreFails())
 }
 
 // BlobStore is what a Server needs from its backing store. *remote.Store
@@ -274,7 +286,8 @@ func (s *Server) serve() {
 
 // acceptHello serves a connection's first frame, which must be a hello: it
 // answers the server's version and identity, whatever version the client
-// offered. It reports false when the connection is to be dropped instead.
+// offered (the caller flushes, as for any reply). It reports false when the
+// connection is to be dropped instead.
 func (s *Server) acceptHello(r *bufio.Reader, w *bufio.Writer) bool {
 	var hello [helloLen]byte
 	if _, err := io.ReadFull(r, hello[:]); err != nil {
@@ -294,28 +307,52 @@ func (s *Server) acceptHello(r *bufio.Reader, w *bufio.Writer) bool {
 	}
 	s.stats.hellos.Add(1)
 	s.stats.frames.Add(1)
-	return w.Flush() == nil
+	return true
+}
+
+// flushUnless writes the replies buffered in w to the socket, unless the
+// next need bytes of the request stream are already buffered in r. It is
+// the one place the handler flushes, and it is called wherever the handler
+// is about to read: a read that cannot be satisfied from r may park, and
+// nothing already served may wait behind a parked read. Skipping the flush
+// when the next request is already here is what lets a client that writes
+// requests ahead (TCPTransport's prefetch stream) get its replies back in
+// one write; a client with one request in flight never has one buffered,
+// and gets a flush per frame as before.
+func (s *Server) flushUnless(r *bufio.Reader, w *bufio.Writer, need int) error {
+	if w.Buffered() == 0 || r.Buffered() >= need {
+		return nil
+	}
+	s.stats.flushes.Add(1)
+	return w.Flush()
 }
 
 func (s *Server) handle(conn net.Conn) {
+	r := bufio.NewReaderSize(conn, wireBufSize)
+	w := bufio.NewWriterSize(conn, wireBufSize)
 	// admStart/admPending track a frame admitted but not yet finished, so
 	// a connection dying mid-service still releases its admission slot
 	// (a leaked slot would shrink the bounded queue forever).
 	var admStart time.Time
 	admPending := false
-	defer func() {
+	admDone := func() {
 		if admPending {
 			if adm := s.admission.Load(); adm != nil {
 				adm.Done(uint64(time.Since(admStart).Nanoseconds()))
 			}
+			admPending = false
 		}
+	}
+	defer func() {
+		// However the loop ended — drain, error, unknown opcode — a reply
+		// already served goes out before the hang-up.
+		s.flushUnless(r, w, math.MaxInt)
+		admDone()
 		conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	r := bufio.NewReaderSize(conn, wireBufSize)
-	w := bufio.NewWriterSize(conn, wireBufSize)
 	if !s.acceptHello(r, w) {
 		return
 	}
@@ -327,6 +364,10 @@ func (s *Server) handle(conn net.Conn) {
 	// full) is the last: hang up instead of reading the next request. The
 	// client's retry machinery treats that like any other connection loss.
 	for !s.draining.Load() {
+		if err := s.flushUnless(r, w, hdrLen); err != nil {
+			return
+		}
+		admDone()
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return
 		}
@@ -343,12 +384,16 @@ func (s *Server) handle(conn net.Conn) {
 			// opFetch/opDelete carry no payload and the stream stays
 			// in sync, so those connections keep serving.
 			s.stats.oversize.Add(1)
-			w.WriteByte(ackErr)
-			w.Flush()
-			if op == opPush {
+			if err := w.WriteByte(ackErr); err != nil || op == opPush {
 				return
 			}
 			continue
+		}
+		if op == opPush {
+			// The payload read below (or its discard, if shed) may park.
+			if err := s.flushUnless(r, w, int(length)+crcLen); err != nil {
+				return
+			}
 		}
 		if adm := s.admission.Load(); adm != nil {
 			if v := adm.OfferEstimate(deadlineNs); v.Shed() {
@@ -362,9 +407,6 @@ func (s *Server) handle(conn net.Conn) {
 				}
 				s.stats.sheds.Add(1)
 				if err := w.WriteByte(ackOverloaded); err != nil {
-					return
-				}
-				if err := w.Flush(); err != nil {
 					return
 				}
 				continue
@@ -463,15 +505,6 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 		s.stats.frames.Add(1)
-		if err := w.Flush(); err != nil {
-			return
-		}
-		if admPending {
-			if adm := s.admission.Load(); adm != nil {
-				adm.Done(uint64(time.Since(admStart).Nanoseconds()))
-			}
-			admPending = false
-		}
 	}
 }
 
@@ -586,6 +619,11 @@ type DialOptions struct {
 // one socket; N callers get N sockets and N Server.handle goroutines. mu
 // is a leaf lock over the stack and the peer identity below; it is never
 // held across I/O, a backoff sleep or a dial.
+//
+// Speculative fetches do not take that path: StartFetch (stream.go) writes
+// them ahead on one further connection, the prefetch stream, which a
+// transport that prefetches keeps checked out for good — such a transport
+// serves 15 concurrent demand callers without waiting, not 16.
 type TCPTransport struct {
 	addr      string
 	policy    RetryPolicy
@@ -605,6 +643,8 @@ type TCPTransport struct {
 
 	rngMu sync.Mutex // leaf lock: jitter draws stay one sequence per transport
 	rng   *sim.RNG
+
+	stream fetchStream // the prefetch stream (stream.go); its own mutex, taken before mu
 }
 
 // maxConns caps a transport's connections; callers beyond it wait for one
@@ -669,6 +709,7 @@ func DialWith(addr string, opts DialOptions) (*TCPTransport, error) {
 		rng:       sim.NewRNG(opts.Seed),
 	}
 	t.cond.L = &t.mu
+	t.stream.t = t
 	if t.budget == nil {
 		t.budget = NewRetryBudget(0, 0)
 	}
@@ -935,19 +976,25 @@ func (t *TCPTransport) do(dl Deadline, code byte, key uint64, buf []byte) (bool,
 	return false, last
 }
 
+// writeHeader appends one request header to c's write buffer. It carries
+// the remaining budget of the operation holding c (0 = none), so the server
+// can shed a request it cannot finish in time.
+func (c *wireConn) writeHeader(code byte, key uint64, length int) error {
+	c.hdr[0] = code
+	binary.BigEndian.PutUint64(c.hdr[1:9], key)
+	binary.BigEndian.PutUint32(c.hdr[9:13], uint32(length))
+	binary.BigEndian.PutUint64(c.hdr[13:], c.dl.RemainingNanos())
+	_, err := c.w.Write(c.hdr[:])
+	return err
+}
+
 // exchange is one request/response on c, with the socket deadline already
 // set: code is the opcode, buf the destination of an opFetch, the source
 // of an opPush, nil for opDelete. found is meaningful for opFetch only.
 // Passing the operation as plain values (not a closure over the caller's
 // buffers) keeps a round trip free of heap allocations.
 func (c *wireConn) exchange(code byte, key uint64, buf []byte) (found bool, err error) {
-	c.hdr[0] = code
-	binary.BigEndian.PutUint64(c.hdr[1:9], key)
-	binary.BigEndian.PutUint32(c.hdr[9:13], uint32(len(buf)))
-	// The operation's remaining budget, so the server can shed a request
-	// it cannot finish in time.
-	binary.BigEndian.PutUint64(c.hdr[13:], c.dl.RemainingNanos())
-	if _, err := c.w.Write(c.hdr[:]); err != nil {
+	if err := c.writeHeader(code, key, len(buf)); err != nil {
 		return false, err
 	}
 	if code == opPush {
@@ -968,9 +1015,21 @@ func (c *wireConn) exchange(code byte, key uint64, buf []byte) (found bool, err 
 	case opDelete:
 		return false, c.readAck("delete")
 	}
+	found, _, err = c.readFetchReply(buf)
+	return found, err
+}
+
+// readFetchReply reads the reply to one fetch request into dst. It is the
+// only reader of fetch replies: a blocking exchange and the prefetch stream
+// both come through here, so every reply meets the same flag switch,
+// length and CRC32-C check. After an error, inSync reports whether the
+// connection is still framed: a one-byte refusal is a whole reply and the
+// next one follows it, while an I/O error, an unknown flag or a payload
+// that fails its checksum leaves the rest of the stream untrustworthy.
+func (c *wireConn) readFetchReply(dst []byte) (found, inSync bool, err error) {
 	flag, err := c.r.ReadByte()
 	if err != nil {
-		return false, err
+		return false, false, err
 	}
 	switch flag {
 	case flagAbsent, flagFound:
@@ -978,30 +1037,30 @@ func (c *wireConn) exchange(code byte, key uint64, buf []byte) (found bool, err 
 		// Admission control shed the request before service: pure
 		// backpressure. No payload follows, the stream stays in
 		// sync, and do() retries without charging the budget.
-		return false, fmt.Errorf("%w: fetch shed", ErrOverloaded)
+		return false, true, fmt.Errorf("%w: fetch shed", ErrOverloaded)
 	case ackErr:
-		return false, permanent(fmt.Errorf("%w: server rejected fetch", ErrProtocol))
+		return false, true, permanent(fmt.Errorf("%w: server rejected fetch", ErrProtocol))
 	case ackCorrupt:
 		// The blob is corrupt at rest on this node: retrying the
 		// same node cannot help, so the error is permanent here —
 		// a ReplicaSet recovers by reading another replica.
-		return false, permanent(fmt.Errorf("%w: server reports blob corrupt or truncated", ErrIntegrity))
+		return false, true, permanent(fmt.Errorf("%w: server reports blob corrupt or truncated", ErrIntegrity))
 	default:
-		return false, permanent(fmt.Errorf("%w: fetch flag %#x", ErrProtocol, flag))
+		return false, false, permanent(fmt.Errorf("%w: fetch flag %#x", ErrProtocol, flag))
 	}
-	if _, err := io.ReadFull(c.r, buf); err != nil {
-		return false, err
+	if _, err := io.ReadFull(c.r, dst); err != nil {
+		return false, false, err
 	}
 	if _, err := io.ReadFull(c.r, c.crc[:]); err != nil {
-		return false, err
+		return false, false, err
 	}
-	if binary.BigEndian.Uint32(c.crc[:]) != payloadCRC(buf) {
+	if binary.BigEndian.Uint32(c.crc[:]) != payloadCRC(dst) {
 		// In-flight corruption: the connection's framing may also be
-		// suspect, so the conn is torn down (do's error path) and the
-		// retry re-reads over a fresh one.
-		return false, fmt.Errorf("%w: fetch payload CRC mismatch", ErrIntegrity)
+		// suspect, so the conn is torn down (the caller's error path)
+		// and a retry re-reads over a fresh one.
+		return false, false, fmt.Errorf("%w: fetch payload CRC mismatch", ErrIntegrity)
 	}
-	return flag == flagFound, nil
+	return flag == flagFound, true, nil
 }
 
 // TryFetchUntil implements ErrorTransport: a fetch bounded end to end by
@@ -1009,11 +1068,6 @@ func (c *wireConn) exchange(code byte, key uint64, buf []byte) (found bool, err 
 // attempt's socket deadline, and clamps retry backoff; an operation whose
 // budget runs out — or whose result arrives late — fails with
 // ErrDeadlineExceeded and the late result is discarded.
-//
-// There is no TryFetchAsync here: over a real network there is no
-// simulated overlap to model, so prefetchers going through the
-// fabric.FetchAsync helper get an ordinary blocking fetch with identical
-// retry and stat accounting.
 func (t *TCPTransport) TryFetchUntil(key uint64, dst []byte, dl Deadline) (bool, error) {
 	if len(dst) > maxPayload {
 		return false, fmt.Errorf("%w: fetch of %d bytes", ErrPayloadTooLarge, len(dst))
@@ -1076,7 +1130,6 @@ func (t *TCPTransport) dropIdle() {
 // I/O fails at once and, like all later operations, reports ErrClosed.
 func (t *TCPTransport) Close() error {
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.closed.Store(true)
 	t.cond.Broadcast()
 	t.dropIdle()
@@ -1085,10 +1138,23 @@ func (t *TCPTransport) Close() error {
 			c.conn.Close() // interrupts the holder, whose release tears it down
 		}
 	}
+	t.mu.Unlock()
+	// The prefetch stream never releases its connection. If it is idle,
+	// fail its outstanding tickets and tear the socket down here; if it is
+	// mid-operation (TryLock fails) that operation has just been
+	// interrupted and does the same on its way out. Never a blocking Lock:
+	// Close does not wait behind a holder.
+	if s := &t.stream; s.mu.TryLock() {
+		if s.c != nil {
+			s.fail(ErrClosed)
+		}
+		s.mu.Unlock()
+	}
 	return nil
 }
 
 var _ ErrorTransport = (*TCPTransport)(nil)
+var _ AsyncFetcher = (*TCPTransport)(nil)
 var _ IdentityReporter = (*TCPTransport)(nil)
 var _ BlobStore = (*remote.Store)(nil)
 var _ BlobStore = (*remote.DurableStore)(nil)

@@ -253,48 +253,121 @@ func (e *Engine) noteErr(err error, start uint64) bool {
 // under key: first by probing the compressed tier — a hit decompresses
 // straight into dst, touches no fabric and works even while degraded —
 // then over the transport, retrying failures up to the retry budget inside
-// one deadline. A speculative fetch (prefetch, readahead) uses the
-// transport's overlapped cost model when it has one. Every failed attempt
-// is tallied in Counters.RemoteFetchFaults, so injected fault counts
-// reconcile exactly with what the runtime observed. dst must not be
-// visible to anyone else: a failed attempt may scribble on it. The bool
-// reports a tier hit, so callers keep their remote-fetch accounting honest.
-func (e *Engine) Fetch(key uint64, dst []byte, speculative bool) (fromTier bool, err error) {
+// one deadline. Every failed attempt is tallied in
+// Counters.RemoteFetchFaults, so injected fault counts reconcile exactly
+// with what the runtime observed. dst must not be visible to anyone else: a
+// failed attempt may scribble on it. The bool reports a tier hit, so callers
+// keep their remote-fetch accounting honest.
+func (e *Engine) Fetch(key uint64, dst []byte) (fromTier bool, err error) {
+	pf, err := e.start(key, dst, false)
+	return pf.fromTier, err
+}
+
+// Prefetch is a speculative fetch begun by StartPrefetch: done already (a tier
+// hit, or a transport with nothing to overlap), or waiting for its bytes. A
+// small value; hand it to FinishPrefetch exactly once.
+type Prefetch struct {
+	ticket   fabric.Ticket
+	lease    bufpool.Lease // a phantom unit's scratch, held while the transport owns it
+	key      uint64
+	waited   uint64 // cycles StartPrefetch took: the first part of what the mutator waits
+	fromTier bool
+}
+
+// Pending reports whether the bytes are still on their way: dst then
+// belongs to the transport until FinishPrefetch returns. A prefetch that is
+// not pending has succeeded, and FinishPrefetch only reports where from.
+func (pf Prefetch) Pending() bool { return pf.ticket.Pending() }
+
+// StartPrefetch is the speculative flavour of Fetch (prefetch, readahead),
+// split in two so the round trip overlaps with the caller's computation:
+// the same tier probe and degraded refusal, then a fetch started on the
+// transport with no deadline. A start the transport refuses outright is
+// retried here, to the retry budget, as a demand fetch's attempts are; once
+// started, the rest is FinishPrefetch's.
+func (e *Engine) StartPrefetch(key uint64, dst []byte) (Prefetch, error) {
+	return e.start(key, dst, true)
+}
+
+// FinishPrefetch completes a prefetch and reports whether the bytes came from
+// the tier. A fetch that fails after it started is one
+// Counters.RemoteFetchFaults and is not retried: the caller leaves the unit
+// far, and recovery belongs to the demand fetch that eventually wants it.
+func (e *Engine) FinishPrefetch(pf Prefetch) (fromTier bool, err error) {
+	if !pf.Pending() {
+		return pf.fromTier, nil
+	}
+	start := e.env.Clock.Cycles()
+	_, err = pf.ticket.Wait()
+	e.finished(pf.lease, pf.waited+e.env.Clock.Cycles()-start)
+	if err != nil {
+		sim.Inc(&e.env.Counters.RemoteFetchFaults)
+		e.noteErr(err, start)
+		return false, fmt.Errorf("far: prefetch of key %d: %w", pf.key, err)
+	}
+	e.noteOK()
+	return false, nil
+}
+
+// finished closes the books on a fetch that went to the transport: the
+// phantom scratch goes home and the RemoteFetch histogram gets the cycles
+// the mutator spent waiting on it (for a prefetch, start plus finish — not
+// the computation in between).
+func (e *Engine) finished(lease bufpool.Lease, waited uint64) {
+	lease.Release()
+	e.lat.RemoteFetch.Observe(waited)
+}
+
+// start is both flavours of fetch up to the point the bytes are asked for:
+// a demand fetch (TryFetchUntil under the per-op deadline) returns done or
+// failed, a speculative one may return pending.
+func (e *Engine) start(key uint64, dst []byte, speculative bool) (Prefetch, error) {
 	start := e.env.Clock.Cycles()
 	dst, lease := e.scratch(dst, false)
-	defer lease.Release()
 	if e.tier.Get(key, dst) {
+		lease.Release()
 		e.env.Clock.Advance(e.env.Costs.TierDecompress(e.unit))
 		sim.Inc(&e.env.Counters.TierHits)
 		e.lat.TierDecompress.Observe(e.env.Clock.Cycles() - start)
-		return true, nil
+		return Prefetch{fromTier: true}, nil
 	}
 	if e.tier != nil {
 		sim.Inc(&e.env.Counters.TierMisses)
 	}
-	defer func() { e.lat.RemoteFetch.Observe(e.env.Clock.Cycles() - start) }()
 	if e.Degraded() && e.probeTick.Add(1)%degradedProbeEvery != 0 {
-		return false, fmt.Errorf("far: fetch key %d: %w", key, ErrDegraded)
+		e.finished(lease, e.env.Clock.Cycles()-start)
+		return Prefetch{}, fmt.Errorf("far: fetch key %d: %w", key, ErrDegraded)
 	}
-	dl := e.deadline()
+	var dl fabric.Deadline
+	if !speculative {
+		dl = e.deadline()
+	}
+	var err error
 	attempt := 0
 	for attempt < e.retries {
 		attempt++
+		var ticket fabric.Ticket
 		if speculative {
-			_, err = fabric.FetchAsync(e.transport, key, dst)
+			ticket, err = fabric.StartFetch(e.transport, key, dst)
 		} else {
 			_, err = e.transport.TryFetchUntil(key, dst, dl)
 		}
 		if err == nil {
+			waited := e.env.Clock.Cycles() - start
+			if ticket.Pending() {
+				return Prefetch{ticket: ticket, lease: lease, key: key, waited: waited}, nil
+			}
 			e.noteOK()
-			return false, nil
+			e.finished(lease, waited)
+			return Prefetch{}, nil
 		}
 		sim.Inc(&e.env.Counters.RemoteFetchFaults)
 		if e.noteErr(err, start) {
 			break
 		}
 	}
-	return false, fmt.Errorf("far: fetch key %d after %d attempts: %w", key, attempt, err)
+	e.finished(lease, e.env.Clock.Cycles()-start)
+	return Prefetch{}, fmt.Errorf("far: fetch key %d after %d attempts: %w", key, attempt, err)
 }
 
 // Evict makes the unit in src (nil for a phantom unit, which reads as

@@ -8,6 +8,7 @@ import (
 	"trackfm/internal/fabric"
 	"trackfm/internal/mem/bufpool"
 	"trackfm/internal/obs"
+	"trackfm/internal/remote"
 	"trackfm/internal/sim"
 )
 
@@ -39,8 +40,9 @@ func (l *scriptLink) TryFetchUntil(key uint64, dst []byte, dl fabric.Deadline) (
 	return l.SimLink.TryFetchUntil(key, dst, dl)
 }
 
-func (l *scriptLink) TryFetchAsync(key uint64, dst []byte) (bool, error) {
-	return l.TryFetchUntil(key, dst, fabric.Deadline{})
+func (l *scriptLink) StartFetch(key uint64, dst []byte) (fabric.Ticket, error) {
+	found, err := l.TryFetchUntil(key, dst, fabric.Deadline{})
+	return fabric.CompleteTicket(found), err
 }
 
 func (l *scriptLink) TryPushUntil(key uint64, src []byte, dl fabric.Deadline) error {
@@ -68,7 +70,17 @@ type rig struct {
 
 func (r *rig) fetch(key uint64, speculative bool) (bool, error) {
 	dst := make([]byte, unit)
-	fromTier, err := r.e.Fetch(key, dst, speculative)
+	fetch := r.e.Fetch
+	if speculative {
+		fetch = func(key uint64, dst []byte) (bool, error) {
+			pf, err := r.e.StartPrefetch(key, dst)
+			if err != nil {
+				return false, err
+			}
+			return r.e.FinishPrefetch(pf)
+		}
+	}
+	fromTier, err := fetch(key, dst)
 	if err == nil && key == 7 && !bytes.Equal(dst, r.data) {
 		r.Fatalf("fetched bytes differ from what was evicted")
 	}
@@ -214,6 +226,37 @@ func TestEngine(t *testing.T) {
 			r.mustFail(8, ErrDegraded) // a tier miss still fails fast
 			r.want("TierMisses", r.c.TierMisses, 1)
 		}},
+		{"a speculative tier hit is complete at start, with no link op", tier, func(r *rig) {
+			r.l.ops = 0
+			pf, err := r.e.StartPrefetch(7, make([]byte, unit))
+			if err != nil || pf.Pending() {
+				r.Fatalf("StartPrefetch = pending %v, %v; want done", pf.Pending(), err)
+			}
+			if fromTier, err := r.e.FinishPrefetch(pf); err != nil || !fromTier {
+				r.Fatalf("FinishPrefetch = tier %v, %v; want a tier hit", fromTier, err)
+			}
+			r.want("link ops", uint64(r.l.ops), 0)
+			r.want("TierHits", r.c.TierHits, 1)
+		}},
+		{"a degraded engine refuses a speculative fetch before the link", deadline, func(r *rig) {
+			r.e.ForceDegrade(true)
+			r.l.ops = 0
+			for i := 1; i < degradedProbeEvery; i++ {
+				if _, err := r.e.StartPrefetch(7, make([]byte, unit)); !errors.Is(err, ErrDegraded) {
+					r.Fatalf("StartPrefetch while degraded = %v, want ErrDegraded", err)
+				}
+			}
+			r.want("link ops", uint64(r.l.ops), 0)
+			r.want("RemoteFetchFaults", r.c.RemoteFetchFaults, 0)
+		}},
+		{"a start the link refuses is retried to the budget", nil, func(r *rig) {
+			r.l.failFetch, r.l.ops = forever, 0
+			if _, err := r.e.StartPrefetch(7, make([]byte, unit)); !errors.Is(err, fabric.ErrRemoteUnavailable) {
+				r.Fatalf("StartPrefetch over a dead link = %v, want ErrRemoteUnavailable", err)
+			}
+			r.want("attempts", uint64(r.l.ops), retries)
+			r.want("RemoteFetchFaults", r.c.RemoteFetchFaults, retries)
+		}},
 		{"a failed push demotes nothing", tier, func(r *rig) {
 			r.l.failPush = forever
 			if r.e.Evict(9, r.data, true) {
@@ -250,11 +293,11 @@ func TestEngine(t *testing.T) {
 			defer bufpool.SetDebug(false)
 			start := bufpool.Outstanding()
 			r.e.Evict(1, nil, true)
-			if fromTier, err := r.e.Fetch(1, nil, false); err != nil || !fromTier {
+			if fromTier, err := r.e.Fetch(1, nil); err != nil || !fromTier {
 				r.Fatalf("phantom Fetch = tier %v, %v", fromTier, err)
 			}
 			r.l.failFetch, r.l.failPush = forever, forever
-			if _, err := r.e.Fetch(2, nil, false); err == nil || r.e.Evict(2, nil, true) {
+			if _, err := r.e.Fetch(2, nil); err == nil || r.e.Evict(2, nil, true) {
 				r.Fatalf("phantom ops succeeded over a dead link")
 			}
 			r.e.Close()
@@ -286,5 +329,60 @@ func TestEngine(t *testing.T) {
 			}
 			tc.run(r)
 		})
+	}
+}
+
+// refusingStore answers every Get with a checksum failure, which the
+// server turns into a one-byte refusal: a fetch that starts fine and fails
+// when its reply is read.
+type refusingStore struct{ *remote.Store }
+
+func (refusingStore) Get(uint64, []byte) (bool, error) { return false, remote.ErrChecksum }
+
+// TestPrefetchFailingAtFinish: over a transport with a real async path a
+// started prefetch is pending, and one whose reply is a refusal fails at
+// FinishPrefetch — one fetch fault, no second request on the wire (recovery is
+// the demand path's), and the phantom unit's scratch lease home.
+func TestPrefetchFailingAtFinish(t *testing.T) {
+	bufpool.SetDebug(true)
+	defer bufpool.SetDebug(false)
+	srv := fabric.NewServer(refusingStore{remote.NewStore()})
+	addr, err := srv.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("ListenAndServe: %v", err)
+	}
+	defer srv.Close()
+	tr, err := fabric.Dial(addr)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer tr.Close()
+	env := sim.NewEnv()
+	e, err := New(Config{Env: env, RemoteConfig: fabric.RemoteConfig{Transport: tr, RemoteRetries: retries},
+		Backend: fabric.BackendTCP, UnitSize: unit, Backing: BackingPhantom})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer e.Close()
+
+	start := bufpool.Outstanding()
+	pf, err := e.StartPrefetch(7, nil)
+	if err != nil || !pf.Pending() {
+		t.Fatalf("StartPrefetch = pending %v, %v; want a pending prefetch", pf.Pending(), err)
+	}
+	if got := bufpool.Outstanding() - start; got != 1 {
+		t.Fatalf("%d leases out while the transport owns the phantom unit's scratch, want 1", got)
+	}
+	if _, err := e.FinishPrefetch(pf); !errors.Is(err, fabric.ErrIntegrity) {
+		t.Fatalf("FinishPrefetch = %v, want the refusal's ErrIntegrity", err)
+	}
+	if got := env.Counters.RemoteFetchFaults; got != 1 {
+		t.Errorf("RemoteFetchFaults = %d, want 1", got)
+	}
+	if got := srv.Stats().Frames(); got != 2 { // the hello and the one fetch
+		t.Errorf("server served %d frames, want 2: a failed ticket is not retried", got)
+	}
+	if got := bufpool.Outstanding() - start; got != 0 {
+		t.Errorf("%d leases still out after FinishPrefetch", got)
 	}
 }

@@ -314,7 +314,7 @@ func (s *Swap) fault(pg uint64, write bool) uint64 {
 		s.env.Clock.Advance(s.env.Costs.SwapFaultLocal)
 		f := s.takeFrame()
 		base := uint64(f) * uint64(s.pageSize)
-		fromTier, err := s.far.Fetch(pg, s.frameBuf(base), false)
+		fromTier, err := s.far.Fetch(pg, s.frameBuf(base))
 		if fromTier {
 			sim.Inc(&s.env.Counters.MinorFaults)
 		} else {
@@ -384,7 +384,13 @@ func (s *Swap) maybeReadahead(pg uint64) {
 		if !ok {
 			return
 		}
-		fromTier, err := s.far.Fetch(next, s.frameBuf(uint64(f)*uint64(s.pageSize)), true)
+		// The fault handler holds mmap_lock, so nothing could overlap with
+		// a fetch left in flight: finish each one before moving on.
+		fromTier := false
+		pf, err := s.far.StartPrefetch(next, s.frameBuf(uint64(f)*uint64(s.pageSize)))
+		if err == nil {
+			fromTier, err = s.far.FinishPrefetch(pf)
+		}
 		if err != nil {
 			// Readahead is speculation: return the frame and stop the
 			// window rather than installing a zero-filled page.

@@ -26,12 +26,13 @@ func (f *faultyLink) TryFetchUntil(key uint64, dst []byte, dl fabric.Deadline) (
 	return f.SimLink.TryFetchUntil(key, dst, dl)
 }
 
-func (f *faultyLink) TryFetchAsync(key uint64, dst []byte) (bool, error) {
+func (f *faultyLink) StartFetch(key uint64, dst []byte) (fabric.Ticket, error) {
 	if f.failAsync > 0 {
 		f.failAsync--
-		return false, fabric.ErrRemoteUnavailable
+		return fabric.Ticket{}, fabric.ErrRemoteUnavailable
 	}
-	return f.TryFetchUntil(key, dst, fabric.Deadline{})
+	found, err := f.TryFetchUntil(key, dst, fabric.Deadline{})
+	return fabric.CompleteTicket(found), err
 }
 
 func (f *faultyLink) TryPushUntil(key uint64, src []byte, dl fabric.Deadline) error {

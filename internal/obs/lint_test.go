@@ -112,4 +112,20 @@ func TestMetricNamesLint(t *testing.T) {
 	}
 	check(envSnap)
 	check(reg.Snapshot())
+
+	// The prefetch stream's series are what a perf claim about it quotes
+	// (requests and frames per flush); they must stay registered.
+	snap := reg.Snapshot()
+	for _, id := range []string{
+		`trackfm_transport_pipelined_fetches_total{transport="tcp"}`,
+		`trackfm_transport_stream_flushes_total{transport="tcp"}`,
+		`trackfm_server_flushes_total`,
+	} {
+		if _, ok := snap.Counters[id]; !ok {
+			t.Errorf("counter %s is not registered", id)
+		}
+	}
+	if _, ok := snap.Gauges["trackfm_pool_pending_prefetches"]; !ok {
+		t.Errorf("gauge trackfm_pool_pending_prefetches is not registered")
+	}
 }

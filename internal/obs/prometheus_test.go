@@ -29,6 +29,17 @@ func goldenRegistry() *Registry {
 	for _, v := range []uint64{50, 150, 150, 5000, 123456} {
 		h.Observe(v)
 	}
+	// The prefetch stream's series, as fabric.Stats, fabric.ServerStats and
+	// aifm.Pool register them: a depth-8 scan's cork (128/32 requests per
+	// client write) and coalescing factors, read off the exposition.
+	r.CounterFunc("trackfm_transport_pipelined_fetches_total", "Fetches issued on the TCP transport's prefetch stream (requests written ahead of their replies).",
+		func() uint64 { return 128 }, L("transport", "tcp"))
+	r.CounterFunc("trackfm_transport_stream_flushes_total", "Writes of corked prefetch-stream requests to the socket (pipelined fetches / flushes = requests per write).",
+		func() uint64 { return 32 }, L("transport", "tcp"))
+	r.CounterFunc("trackfm_server_flushes_total", "Writes of buffered replies to a socket (frames / flushes = replies per write; 1 for clients with one request in flight).",
+		func() uint64 { return 33 })
+	r.GaugeFunc("trackfm_pool_pending_prefetches", "Prefetches whose bytes are still in flight (slot claimed, object not yet resident).",
+		func() float64 { return 8 })
 	return r
 }
 

@@ -106,8 +106,8 @@ func syncDir(dir string) {
 }
 
 // loadSnapshot reads and validates dir's snapshot and, only once every
-// entry has checked out, puts its blobs into s — through the Put WAL replay
-// uses, so s holds them at rest its own way. It returns the blob count and
+// entry has checked out, puts its blobs into s — through the put WAL replay's
+// Put uses, so s holds them at rest its own way. It returns the blob count and
 // the snapshot's generation. A missing snapshot returns os.ErrNotExist; any
 // structural damage or checksum failure returns errSnapshotInvalid with s
 // untouched, however deep in the file the damage sits.
@@ -129,6 +129,7 @@ func loadSnapshot(dir string, s *Store) (int, uint64, error) {
 	}
 	type entry struct {
 		key     uint64
+		crc     uint32
 		payload []byte // aliases raw
 	}
 	entries := make([]entry, 0, count)
@@ -149,13 +150,14 @@ func loadSnapshot(dir string, s *Store) (int, uint64, error) {
 		if Checksum(payload) != crc {
 			return 0, 0, fmt.Errorf("%w: entry checksum (key %d)", errSnapshotInvalid, key)
 		}
-		entries = append(entries, entry{key, payload})
+		entries = append(entries, entry{key, crc, payload})
 	}
 	if off != len(raw) {
 		return 0, 0, fmt.Errorf("%w: %d trailing bytes", errSnapshotInvalid, len(raw)-off)
 	}
+	s.reserve(len(entries))
 	for _, e := range entries {
-		s.Put(e.key, e.payload)
+		s.put(e.key, e.payload, e.crc) // verified above: not summed twice
 	}
 	return s.Len(), gen, nil
 }

@@ -116,7 +116,13 @@ func NewCompressedStore() *Store {
 // compressing store encodes under the lock too: the encoder and its
 // scratch are the store's, not the caller's.
 func (s *Store) Put(key uint64, src []byte) error {
-	crc := Checksum(src)
+	s.put(key, src, Checksum(src))
+	return nil
+}
+
+// put is Put for a caller that already knows src's CRC32-C: the snapshot
+// loader, which has just verified it.
+func (s *Store) put(key uint64, src []byte, crc uint32) {
 	s.mu.Lock()
 	rest := src
 	if s.enc != nil {
@@ -136,7 +142,16 @@ func (s *Store) Put(key uint64, src []byte) error {
 	s.bytes += uint64(len(b.data)) - uint64(len(old.data))
 	s.raw += uint64(b.rawLen) - uint64(old.rawLen)
 	s.mu.Unlock()
-	return nil
+}
+
+// reserve sizes an empty store's map for n blobs, so that loading that many
+// does not grow it a doubling at a time.
+func (s *Store) reserve(n int) {
+	s.mu.Lock()
+	if len(s.blobs) == 0 {
+		s.blobs = make(map[uint64]blob, n)
+	}
+	s.mu.Unlock()
 }
 
 // Get copies the blob under key into dst and reports whether it existed.
