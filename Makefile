@@ -29,11 +29,14 @@ smoke_test:
 # plus the far-engine guard: only internal/far may resolve a RemoteConfig or
 # drive a transport's fetch and push — blocking or split-phase (StartFetch,
 # fabric.Ticket; not ".Wait()", which sync.Cond and WaitGroup share) — so
-# the next cross-cutting far-side feature has one place to land.
+# the next cross-cutting far-side feature has one place to land —
+# plus the census: every exported func and type under internal/ is named by
+# non-test code other than itself, or allowlisted with its reason.
 vet:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	$(GO) vet ./...
 	$(GO) test -run TestMetricNamesLint ./internal/obs
+	$(GO) test -run TestConstructorCensus .
 	! $(GO) build -gcflags=-m ./internal/core ./internal/fastswap ./internal/interp ./farmem 2>&1 | grep 'moved to heap: buf'
 	! grep -nE 'TryFetchUntil|TryPushUntil|StartFetch|fabric\.Ticket|\.Connect\(' \
 		$$(ls internal/aifm/*.go internal/fastswap/*.go internal/core/*.go farmem/*.go | grep -v _test.go)
@@ -143,7 +146,7 @@ test-soak:
 # each).
 fuzz-short:
 	$(GO) test -run=^$$ -fuzz=FuzzFrame -fuzztime=30s ./internal/fabric
-	$(GO) test -race -run=^$$ -fuzz=FuzzConcurrentScopes -fuzztime=30s ./internal/aifm
+	$(GO) test -race -run=^$$ -fuzz=FuzzConcurrentPins -fuzztime=30s ./internal/aifm
 	$(GO) test -run=^$$ -fuzz=FuzzWALRecord -fuzztime=30s ./internal/remote
 	$(GO) test -run=^$$ -fuzz=FuzzCodec -fuzztime=30s ./internal/mem/ctier
 	$(GO) test -run=^$$ -fuzz=FuzzTierOps -fuzztime=30s ./internal/mem/ctier

@@ -21,7 +21,7 @@
 //	internal/remote    remote memory node (blob store, TCP server)
 //	internal/mem       local backing stores (real and phantom)
 //	internal/far       the far engine under both runtimes (tier, deadlines, retries)
-//	internal/aifm      AIFM object runtime (pool, scopes, prefetch, arrays)
+//	internal/aifm      AIFM object runtime (pool, pins, evacuator, prefetch)
 //	internal/core      the TrackFM runtime (the paper's contribution)
 //	internal/fastswap  kernel-based swap baseline
 //	internal/ir        mini-IR standing in for LLVM bitcode

@@ -66,7 +66,7 @@ func main() {
 	// The runtime is safe for concurrent use: guarded accesses ride
 	// lock-striped pool state and pin objects across the data copy, so
 	// goroutines can share one heap. Each goroutine gets its own cursor
-	// (cursors, like scopes, are single-goroutine objects); here four
+	// (a cursor is a single-goroutine object); here four
 	// workers sum disjoint quarters of the same far-memory array.
 	const workers = 4
 	parts := make([]uint64, workers)

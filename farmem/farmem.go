@@ -57,7 +57,7 @@ type Config struct {
 	// full fidelity. For capacity planning with huge heaps.
 	Phantom bool
 	// BackgroundEvacuate runs a background evacuator goroutine that keeps
-	// a reserve of free local slots behind the out-of-scope barrier, so
+	// a reserve of free local slots (it never moves a pinned object), so
 	// demand misses rarely pay for an eviction inline. Intended for
 	// multi-goroutine use; trades a strictly deterministic eviction
 	// schedule for latency.

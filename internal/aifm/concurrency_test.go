@@ -22,12 +22,11 @@ func newConcurrentPool(t *testing.T, workers, perWorker int) *Pool {
 		t.Fatalf("pool too small: need %d objects, have %d", need, p.NumObjects())
 	}
 	// Stamp the shared range with a recognizable per-object marker byte.
-	sc := NewScope(p)
-	for id := 0; id < sharedIDs; id++ {
-		sc.Deref(ObjectID(id), true)
-		p.Write(ObjectID(id), 1, []byte{marker(ObjectID(id))})
+	for id := ObjectID(0); id < sharedIDs; id++ {
+		p.LocalizePin(id, true)
+		p.Write(id, 1, []byte{marker(id)})
+		p.Unpin(id)
 	}
-	sc.Close()
 	return p
 }
 
@@ -35,10 +34,10 @@ const sharedIDs = 64
 
 func marker(id ObjectID) byte { return byte(id)*31 + 7 }
 
-// stressWorker runs one goroutine's mixed workload: scoped writes and
+// stressWorker runs one goroutine's mixed workload: pinned writes and
 // read-back checks on a private id range (no other goroutine touches it,
 // so values must survive any interleaving of eviction, prefetch, and
-// re-fetch), scoped reads of the immutable shared range, prefetches, and
+// re-fetch), pinned reads of the immutable shared range, prefetches, and
 // frees. Returns an error message instead of calling t.Fatalf because it
 // runs off the test goroutine.
 func stressWorker(p *Pool, seed uint64, lo, perWorker, iters int, evacuate bool) string {
@@ -47,38 +46,35 @@ func stressWorker(p *Pool, seed uint64, lo, perWorker, iters int, evacuate bool)
 	written := make([]bool, perWorker)
 	for i := 0; i < iters; i++ {
 		switch rng.Intn(16) {
-		case 0, 1, 2, 3, 4: // scoped write + same-scope read-back
+		case 0, 1, 2, 3, 4: // pinned write + read-back under the same pin
 			k := rng.Intn(perWorker)
 			id := ObjectID(lo + k)
 			v := byte(rng.Uint64())
-			sc := NewScope(p)
-			sc.Deref(id, true)
+			p.LocalizePin(id, true)
 			p.Write(id, 1, []byte{v})
 			var got [1]byte
 			p.Read(id, 1, got[:])
-			sc.Close()
+			p.Unpin(id)
 			if got[0] != v {
-				return "same-scope read-back lost a write"
+				return "same-pin read-back lost a write"
 			}
 			expected[k], written[k] = v, true
-		case 5, 6, 7, 8, 9: // scoped read of private id
+		case 5, 6, 7, 8, 9: // pinned read of private id
 			k := rng.Intn(perWorker)
 			id := ObjectID(lo + k)
-			sc := NewScope(p)
-			sc.Deref(id, false)
+			p.LocalizePin(id, false)
 			var got [1]byte
 			p.Read(id, 1, got[:])
-			sc.Close()
+			p.Unpin(id)
 			if got[0] != expected[k] {
 				return "private value changed under another goroutine's feet"
 			}
-		case 10, 11, 12: // scoped read of the immutable shared range
+		case 10, 11, 12: // pinned read of the immutable shared range
 			id := ObjectID(rng.Intn(sharedIDs))
-			sc := NewScope(p)
-			sc.Deref(id, false)
+			p.LocalizePin(id, false)
 			var got [1]byte
 			p.Read(id, 1, got[:])
-			sc.Close()
+			p.Unpin(id)
 			if got[0] != marker(id) {
 				return "shared read-only object corrupted"
 			}
@@ -100,11 +96,10 @@ func stressWorker(p *Pool, seed uint64, lo, perWorker, iters int, evacuate bool)
 			continue
 		}
 		id := ObjectID(lo + k)
-		sc := NewScope(p)
-		sc.Deref(id, false)
+		p.LocalizePin(id, false)
 		var got [1]byte
 		p.Read(id, 1, got[:])
-		sc.Close()
+		p.Unpin(id)
 		if got[0] != expected[k] {
 			return "final private value does not match last write"
 		}
@@ -113,10 +108,10 @@ func stressWorker(p *Pool, seed uint64, lo, perWorker, iters int, evacuate bool)
 }
 
 // TestConcurrentStress is the suite's race detector workout: eight
-// goroutines hammer one pool with scoped reads, writes, frees, and
+// goroutines hammer one pool with pinned reads, writes, frees, and
 // prefetches while one of them periodically forces full evacuation and
-// the background evacuator reclaims slots behind the out-of-scope
-// barrier. Run it under -race (make test-stress does).
+// the background evacuator reclaims whatever is cold and unpinned. Run it
+// under -race (make test-stress does).
 func TestConcurrentStress(t *testing.T) {
 	const workers, perWorker = 8, 16
 	iters := 8000
@@ -183,10 +178,9 @@ func TestConcurrentMatchesSerialOracle(t *testing.T) {
 					if int(o.key)%workers != w {
 						continue
 					}
-					sc := NewScope(p)
-					sc.Deref(o.key, true)
+					p.LocalizePin(o.key, true)
 					p.Write(o.key, 2, []byte{o.val})
-					sc.Close()
+					p.Unpin(o.key)
 				}
 			}(w)
 		}
@@ -196,11 +190,10 @@ func TestConcurrentMatchesSerialOracle(t *testing.T) {
 		// before comparing, so the comparison covers remote round-trips.
 		p.EvacuateAll()
 		for key := ObjectID(0); key < keys; key++ {
-			sc := NewScope(p)
-			sc.Deref(key, false)
+			p.LocalizePin(key, false)
 			var got [1]byte
 			p.Read(key, 2, got[:])
-			sc.Close()
+			p.Unpin(key)
 			if got[0] != oracle[key] {
 				t.Errorf("seed %#x key %d: pool=%d oracle=%d", seed, key, got[0], oracle[key])
 			}
@@ -209,15 +202,14 @@ func TestConcurrentMatchesSerialOracle(t *testing.T) {
 	}
 }
 
-// TestConcurrentScopesBlockEvacuation pins one object from several
+// TestConcurrentPinsBlockEvacuation pins one object from several
 // goroutines at once and asserts the evacuator never steals it while any
-// scope holds it.
-func TestConcurrentScopesBlockEvacuation(t *testing.T) {
+// pin holds it.
+func TestConcurrentPinsBlockEvacuation(t *testing.T) {
 	p, _, _ := newTestPool(t, 64, 1<<14, 1<<12)
 	t.Cleanup(func() { p.Close() })
 	const id = ObjectID(7)
-	sc := NewScope(p)
-	sc.Deref(id, true)
+	p.LocalizePin(id, true)
 	p.Write(id, 0, []byte{42})
 
 	var wg sync.WaitGroup
@@ -226,12 +218,11 @@ func TestConcurrentScopesBlockEvacuation(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				inner := NewScope(p)
-				inner.Deref(id, false)
+				p.LocalizePin(id, false)
 				p.EvacuateAll() // must skip the pinned object
 				var got [1]byte
 				p.Read(id, 0, got[:])
-				inner.Close()
+				p.Unpin(id)
 				if got[0] != 42 {
 					t.Error("pinned object evacuated or corrupted")
 					return
@@ -241,7 +232,7 @@ func TestConcurrentScopesBlockEvacuation(t *testing.T) {
 	}
 	wg.Wait()
 	if !p.Meta(id).Present() {
-		t.Fatalf("object evacuated while the outer scope still held it")
+		t.Fatalf("object evacuated while the outer pin still held it")
 	}
-	sc.Close()
+	p.Unpin(id)
 }

@@ -1,7 +1,6 @@
 package aifm
 
 import (
-	"runtime"
 	"time"
 
 	"trackfm/internal/sim"
@@ -13,13 +12,15 @@ import (
 //
 //  1. mark: sweep the clock hand, tag cold unpinned residents with MetaE
 //     (the evacuation-candidate bit the guard fast path tests);
-//  2. barrier: wait for every live DerefScope to pass a deref boundary
-//     (epoch advance) or close — the out-of-scope barrier, bounded by a
-//     timeout because an idle long-lived scope already protects its
-//     objects with pins;
-//  3. finalize: re-check each candidate under its stripe lock and evict
+//  2. finalize: re-check each candidate under its stripe lock and evict
 //     it, unless it was pinned or touched (went hot) since the mark — in
 //     which case the E bit is cleared and the abort counted.
+//
+// Nothing waits between the two. AIFM's out-of-scope barrier exists so
+// that no thread is mid-dereference when an object moves; here every
+// access either holds a pin or copies under the object's stripe lock, and
+// finalize takes that lock and honours those pins, so the re-check is the
+// whole safety argument and a wait would only delay the free slot.
 type evacuator struct {
 	p    *Pool
 	kick chan struct{}
@@ -35,12 +36,6 @@ type evacuator struct {
 // reserve down, so the floor is respected by construction.
 func (e *evacuator) lowWater() int  { return e.p.NumSlots()/8 + 1 }
 func (e *evacuator) batchSize() int { return e.p.NumSlots()/8 + 1 }
-
-// scopeBarrierTimeout bounds the out-of-scope barrier wait. Scopes that
-// stay idle past it are skipped: their pins already protect their objects,
-// so the barrier is a progress heuristic, not a safety requirement. It is
-// a variable only so tests can shorten the stall they provoke.
-var scopeBarrierTimeout = 500 * time.Microsecond
 
 // StartEvacuator launches the background evacuator goroutine; it is a
 // no-op when one is already running. NewPool calls it for
@@ -102,25 +97,25 @@ func (e *evacuator) run() {
 				return
 			default:
 			}
-			if !e.sweep() {
+			if !e.finalize(e.mark()) {
 				break // nothing evictable right now; wait for the next kick
 			}
 		}
 	}
 }
 
-// sweep runs one mark → barrier → finalize round and reports whether it
-// freed at least one slot.
-func (e *evacuator) sweep() bool {
-	p := e.p
-	type candidate struct {
-		slot uint32
-		id   ObjectID
-	}
-	var cands []candidate
+// candidate is a resident the mark step tagged with MetaE.
+type candidate struct {
+	slot uint32
+	id   ObjectID
+}
 
-	// Mark: advance the clock hand, second-chancing hot objects and
-	// tagging cold unpinned residents as evacuation candidates.
+// mark advances the clock hand, second-chancing hot objects and tagging
+// cold unpinned residents as evacuation candidates. Every guard that
+// consults the safety mask from here on sees E set and takes the slow path.
+func (e *evacuator) mark() []candidate {
+	p := e.p
+	var cands []candidate
 	batch := e.batchSize()
 	for i := 0; i < 2*len(p.slotOwner) && len(cands) < batch; i++ {
 		st, slot, id, m := p.probeVictim()
@@ -135,17 +130,14 @@ func (e *evacuator) sweep() bool {
 		}
 		st.mu.Unlock()
 	}
-	if len(cands) == 0 {
-		return false
-	}
+	return cands
+}
 
-	// Barrier: every guard that consults the safety mask after this point
-	// sees E set and takes the slow path; scopes that were mid-deref at
-	// mark time are drained by waiting for an epoch advance (or close).
-	p.scopeBarrier()
-
-	// Finalize: evict survivors, abort candidates that were pinned or
-	// re-touched during the barrier window.
+// finalize evicts the candidates that survived, aborts those that were
+// pinned or re-touched since the mark, and reports whether it freed at
+// least one slot.
+func (e *evacuator) finalize(cands []candidate) bool {
+	p := e.p
 	freed := 0
 	for _, c := range cands {
 		st := p.stripeFor(c.id)
@@ -177,26 +169,4 @@ func (e *evacuator) sweep() bool {
 		st.mu.Unlock()
 	}
 	return freed > 0
-}
-
-// scopeBarrier waits until every scope live at entry has either advanced
-// its epoch (passed through a deref boundary, where it would observe the E
-// bits just published) or closed, bounded by scopeBarrierTimeout.
-func (p *Pool) scopeBarrier() {
-	waiting := p.scopeEpochs()
-	if len(waiting) == 0 {
-		return
-	}
-	deadline := time.Now().Add(scopeBarrierTimeout)
-	for {
-		for s, epoch := range waiting {
-			if s.epoch.Load() != epoch {
-				delete(waiting, s)
-			}
-		}
-		if len(waiting) == 0 || time.Now().After(deadline) {
-			return
-		}
-		runtime.Gosched()
-	}
 }

@@ -81,13 +81,13 @@ func FuzzPoolAccessPattern(f *testing.F) {
 	})
 }
 
-// FuzzConcurrentScopes interprets the input as per-goroutine op scripts
+// FuzzConcurrentPins interprets the input as per-goroutine op scripts
 // (worker w executes bytes w, w+nWorkers, w+2*nWorkers, ...) against one
 // shared pool with the background evacuator running. Each worker owns a
 // private id range and shadows its own writes; invariants: private values
-// always read back as last written, pins always balance (Close never
+// always read back as last written, pins always balance (Unpin never
 // panics), and the local budget holds. Run under -race via make fuzz-short.
-func FuzzConcurrentScopes(f *testing.F) {
+func FuzzConcurrentPins(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(2))
 	f.Add([]byte{0, 255, 0, 255, 128, 64, 32, 16, 8, 4, 2, 1}, uint8(4))
 	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9, 9, 9}, uint8(3))
@@ -114,17 +114,15 @@ func FuzzConcurrentScopes(f *testing.F) {
 					id := ObjectID(lo + int(b)%perWorker)
 					switch b % 4 {
 					case 0:
-						sc := NewScope(p)
-						sc.Deref(id, true)
+						p.LocalizePin(id, true)
 						p.Write(id, 5, []byte{b})
-						sc.Close()
+						p.Unpin(id)
 						shadow[id] = b
 					case 1:
-						sc := NewScope(p)
-						sc.Deref(id, false)
+						p.LocalizePin(id, false)
 						var got [1]byte
 						p.Read(id, 5, got[:])
-						sc.Close()
+						p.Unpin(id)
 						if got[0] != shadow[id] {
 							fail[w] = "private value lost"
 							return
@@ -137,11 +135,10 @@ func FuzzConcurrentScopes(f *testing.F) {
 					}
 				}
 				for id, v := range shadow {
-					sc := NewScope(p)
-					sc.Deref(id, false)
+					p.LocalizePin(id, false)
 					var got [1]byte
 					p.Read(id, 5, got[:])
-					sc.Close()
+					p.Unpin(id)
 					if got[0] != v {
 						fail[w] = "final private value lost"
 						return

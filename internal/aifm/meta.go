@@ -1,9 +1,9 @@
 // Package aifm implements the far-memory object runtime TrackFM builds on:
 // an object pool with local/remote object states, the 8-byte metadata
-// formats from the paper's Figure 3, a clock evacuator with DerefScope
-// pinning (the out-of-scope barrier), a stride prefetcher, and the
-// library-mode remote data structures (Array) that the paper's AIFM
-// comparator uses.
+// formats from the paper's Figure 3, a clock evacuator that honours pin
+// counts (the pin is what AIFM's DerefScope holds on an object), and a
+// stride prefetcher. The paper's AIFM comparator is interp.AIFMBackend
+// over this same pool.
 //
 // AIFM (Ruan et al., OSDI '20) manages remotable memory at the granularity
 // of fixed-size objects. Each object is either local (resident in the local

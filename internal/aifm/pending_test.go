@@ -252,12 +252,12 @@ func TestPendingWindowDrains(t *testing.T) {
 
 // TestPendingWindowDrainsBeforeExhaustion: half the slots are pinned and
 // prefetches in flight hold all the others, so the clock finds no victim.
-// Before concluding that local memory is exhausted — there is no reserve
-// here to fall back on — a demand miss lands those prefetches and evicts
-// one of them.
+// Before concluding that every circulating slot is pinned — and borrowing
+// from the reserve — a demand miss lands those prefetches and evicts one of
+// them: the reserve is never touched.
 func TestPendingWindowDrainsBeforeExhaustion(t *testing.T) {
 	const slots = 2 * pendingWindow
-	p, _, _ := loopbackPool(t, 3*slots, slots, func(c *Config) { c.ReserveSlots = -1 })
+	p, _, _ := loopbackPool(t, 3*slots, slots)
 	for id := ObjectID(0); id < pendingWindow; id++ {
 		p.LocalizePin(id, false)
 	}
@@ -270,6 +270,9 @@ func TestPendingWindowDrainsBeforeExhaustion(t *testing.T) {
 	id := ObjectID(2 * slots)
 	if _, missed := p.LocalizePin(id, false); !missed {
 		t.Errorf("object %d was not fetched", id)
+	}
+	if free, floor := p.ReserveFree(), p.ReserveFloor(); free != floor {
+		t.Errorf("reserve borrowed (%d of %d free) while landed prefetches could be evicted", free, floor)
 	}
 	wantObject(t, p, id)
 	p.Unpin(id)

@@ -54,11 +54,11 @@ type Config struct {
 	// operation restores normal service.
 	DegradeAfter int
 	// BackgroundEvacuate starts a background evacuator goroutine that
-	// reclaims cold slots behind the out-of-scope barrier (§4.2-4.4)
-	// whenever the free-slot count drops below a low watermark. The
-	// evacuator runs on wall time, so enabling it trades strict
-	// determinism of the eviction schedule for demand-miss latency that
-	// no longer pays for eviction inline. Stopped by Close.
+	// reclaims cold, unpinned slots (§4.2-4.4) whenever the free-slot
+	// count drops below a low watermark. The evacuator runs on wall
+	// time, so enabling it trades strict determinism of the eviction
+	// schedule for demand-miss latency that no longer pays for eviction
+	// inline. Stopped by Close.
 	BackgroundEvacuate bool
 	// MaxLocalBudget is the largest budget Resize may grow to, in bytes.
 	// The arena and slot table are allocated at this capacity up front so
@@ -66,12 +66,6 @@ type Config struct {
 	// means LocalBudget (the pool can shrink but not grow past its
 	// starting size).
 	MaxLocalBudget uint64
-	// ReserveSlots is the emergency slot floor kept outside the
-	// circulating budget: demand localization dips into it only when
-	// every circulating slot is pinned, guaranteeing forward progress at
-	// 100% pinned occupancy. Zero selects the default of 2 per lock
-	// stripe (capped at the slot count); negative disables the reserve.
-	ReserveSlots int
 	// ProtectPrefetch makes demand eviction's first clock pass skip
 	// prefetched-but-unconsumed residents, so a fetch already paid for
 	// is not thrown away before its use arrives. Sensible with ample
@@ -121,7 +115,8 @@ type stripe struct {
 // Pool is an AIFM-style far-memory object pool: a contiguous metadata table
 // (one 8-byte word per object — this very table is what TrackFM exposes as
 // its object state table), a local arena divided into object-size slots, a
-// clock evacuator, and pin counts implementing the DerefScope barrier.
+// clock evacuator, and pin counts — what an AIFM DerefScope holds on an
+// object while it is in scope.
 //
 // Pool is safe for concurrent use. State shards into lock stripes by
 // ObjectID; metadata words are read with single atomic loads on the guard
@@ -129,13 +124,12 @@ type stripe struct {
 // demand fetches of the same object collapse into one fabric round-trip
 // (singleflight). Object data returned by the localize family is only
 // stable while the object is pinned — concurrent callers must use
-// LocalizePin or a DerefScope rather than bare Localize.
+// LocalizePin rather than bare Localize.
 type Pool struct {
 	env     *sim.Env
 	lat     *sim.Latencies
 	far     *far.Engine // everything past "this object is not local"
 	objSize int
-	shift   uint // log2(objSize)
 
 	table []Meta // object state table, indexed by ObjectID
 
@@ -186,22 +180,13 @@ type Pool struct {
 	twFetches     uint64
 	twRefaults    uint64
 	thrashEWMA    atomic.Uint64
-	thrashSamples atomic.Uint64
 
 	// Prefetches in flight, oldest first; at most pendingWindow. pendMu is
 	// a leaf lock and is never held across a wait for bytes.
 	pendMu  sync.Mutex
 	pending []pendingPrefetch
 
-	// Live DerefScopes, for the evacuator's out-of-scope barrier.
-	scopesMu sync.Mutex
-	scopes   map[*DerefScope]struct{}
-
 	evac atomic.Pointer[evacuator]
-
-	// Evacuations counts objects this pool evacuated (atomic), mirrored
-	// into the shared counters as well.
-	Evacuations uint64
 }
 
 const (
@@ -227,10 +212,13 @@ const (
 	thrashSampleEvery = 32
 	thrashAlpha       = 0.3
 
-	// defaultReservePerStripe sizes the reserve floor: 2 slots per lock
-	// stripe, the maximum demand localizations one stripe can have
-	// simultaneously borrowing before a freed slot repays the floor.
-	defaultReservePerStripe = 2
+	// reservePerStripe sizes the reserve floor, the emergency slots kept
+	// outside the circulating budget: demand localization dips into them
+	// only when every circulating slot is pinned, guaranteeing forward
+	// progress at 100% pinned occupancy. 2 slots per lock stripe is the
+	// maximum demand localizations one stripe can have simultaneously
+	// borrowing before a freed slot repays the floor.
+	reservePerStripe = 2
 )
 
 // NewPool validates cfg and builds a pool.
@@ -271,15 +259,9 @@ func NewPool(cfg Config) (*Pool, error) {
 			depth = 1
 		}
 	}
-	reserve := 0
-	if cfg.ReserveSlots >= 0 {
-		reserve = cfg.ReserveSlots
-		if reserve == 0 {
-			reserve = defaultReservePerStripe * numStripes
-		}
-		if reserve > int(nSlots) {
-			reserve = int(nSlots)
-		}
+	reserve := reservePerStripe * numStripes
+	if reserve > int(nSlots) {
+		reserve = int(nSlots)
 	}
 	// The arena holds the full Resize capacity plus the reserve floor, so
 	// slot indices are stable for the pool's lifetime and lock-free
@@ -316,7 +298,6 @@ func NewPool(cfg Config) (*Pool, error) {
 		lat:          cfg.Env.Lat(),
 		far:          engine,
 		objSize:      cfg.ObjectSize,
-		shift:        uint(bits.TrailingZeros(uint(cfg.ObjectSize))),
 		table:        make([]Meta, nObjects),
 		arena:        arena,
 		slotOwner:    make([]ObjectID, totalSlots),
@@ -327,7 +308,6 @@ func NewPool(cfg Config) (*Pool, error) {
 		protectPF:    cfg.ProtectPrefetch,
 		lastMiss:     noOwner,
 		thrashWindow: thrashWindow,
-		scopes:       make(map[*DerefScope]struct{}),
 		pending:      make([]pendingPrefetch, 0, pendingWindow),
 	}
 	p.targetSlots.Store(int64(nSlots))
@@ -451,7 +431,7 @@ func (p *Pool) ResidentSlots() int { return int(p.resident.Load()) }
 // PinnedObjects reports how many distinct resident objects are pinned.
 func (p *Pool) PinnedObjects() int { return int(p.pinnedObjs.Load()) }
 
-// ReserveFloor reports the configured emergency-slot floor.
+// ReserveFloor reports the emergency-slot floor.
 func (p *Pool) ReserveFloor() int { return p.reserveFloor }
 
 // ReserveFree reports how many reserve-floor slots are currently
@@ -486,10 +466,6 @@ func (p *Pool) ThrashWindow() uint64 { return p.thrashWindow }
 func (p *Pool) ThrashRatio() float64 {
 	return math.Float64frombits(p.thrashEWMA.Load())
 }
-
-// ThrashSamples reports how many remote fetches have fed the thrash
-// detector; a governor uses deltas to recognize a quiescent pool.
-func (p *Pool) ThrashSamples() uint64 { return p.thrashSamples.Load() }
 
 // PrefetchDepth reports the current stride-prefetch depth.
 func (p *Pool) PrefetchDepth() int { return int(p.prefetchDepth.Load()) }
@@ -537,8 +513,8 @@ func (p *Pool) SetPrefetchHighWater(hw float64) {
 // persistent failure (after the pool's retry budget) panics with the typed
 // transport error rather than handing the mutator zeroed memory. Callers
 // running over a real network should prefer TryLocalize; concurrent
-// callers should prefer LocalizePin (or a DerefScope), since an unpinned
-// object's returned offset can be invalidated by a concurrent eviction.
+// callers should prefer LocalizePin, since an unpinned object's returned
+// offset can be invalidated by a concurrent eviction.
 func (p *Pool) Localize(id ObjectID, forWrite bool) (uint64, bool) {
 	addr, missed, err := p.tryLocalize(id, forWrite, false)
 	if err != nil {
@@ -567,12 +543,6 @@ func (p *Pool) LocalizePin(id ObjectID, forWrite bool) (uint64, bool) {
 		panic(fmt.Sprintf("aifm: unrecoverable remote fetch for object %d: %v", id, err))
 	}
 	return addr, missed
-}
-
-// TryLocalizePin is LocalizePin with remote-fetch failures surfaced. On
-// error the object is not pinned.
-func (p *Pool) TryLocalizePin(id ObjectID, forWrite bool) (uint64, bool, error) {
-	return p.tryLocalize(id, forWrite, true)
 }
 
 // touchLocked records a demand access to resident object id, whose
@@ -737,7 +707,6 @@ func (p *Pool) consumeGhostLocked(st *stripe, id ObjectID) bool {
 // ratio. Remote-fetch slow path only — a round-trip was already paid, so
 // the small mutex adds nothing observable.
 func (p *Pool) noteFetchSample(refault bool) {
-	p.thrashSamples.Add(1)
 	p.thrashMu.Lock()
 	p.twFetches++
 	if refault {
@@ -898,9 +867,9 @@ func (p *Pool) maybeStridePrefetch(id ObjectID) {
 	}
 }
 
-// Pin increments id's pin count, preventing evacuation. This is the
-// DerefScope / out-of-scope barrier: while any application goroutine holds
-// an object in scope, the evacuator cannot converge on it.
+// Pin increments id's pin count, preventing evacuation. The pin is AIFM's
+// scope: while any application goroutine holds an object pinned, no
+// evictor converges on it.
 func (p *Pool) Pin(id ObjectID) {
 	st := p.stripeFor(id)
 	p.lockStripe(st)
@@ -918,7 +887,7 @@ func (p *Pool) pinLocked(st *stripe, id ObjectID) {
 }
 
 // Unpin decrements id's pin count. Unpinning an unpinned object panics:
-// it indicates a scope bookkeeping bug.
+// it indicates a pin bookkeeping bug.
 func (p *Pool) Unpin(id ObjectID) {
 	st := p.stripeFor(id)
 	p.lockStripe(st)
@@ -1124,7 +1093,6 @@ func (p *Pool) evictLocked(slot uint32, id ObjectID) bool {
 	st.ghostCyc[st.ghostPos] = p.env.Clock.Cycles()
 	st.ghostPos = (st.ghostPos + 1) % ghostRing
 	sim.Inc(&p.env.Counters.Evacuations)
-	atomic.AddUint64(&p.Evacuations, 1)
 	return true
 }
 
@@ -1354,29 +1322,4 @@ func (p *Pool) Free(id ObjectID) {
 	p.far.Delete(uint64(id))
 	p.storeMeta(id, 0)
 	st.mu.Unlock()
-}
-
-// registerScope and unregisterScope maintain the live-scope set the
-// background evacuator's out-of-scope barrier snapshots.
-func (p *Pool) registerScope(s *DerefScope) {
-	p.scopesMu.Lock()
-	p.scopes[s] = struct{}{}
-	p.scopesMu.Unlock()
-}
-
-func (p *Pool) unregisterScope(s *DerefScope) {
-	p.scopesMu.Lock()
-	delete(p.scopes, s)
-	p.scopesMu.Unlock()
-}
-
-// scopeEpochs snapshots every live scope's epoch counter.
-func (p *Pool) scopeEpochs() map[*DerefScope]uint64 {
-	p.scopesMu.Lock()
-	snap := make(map[*DerefScope]uint64, len(p.scopes))
-	for s := range p.scopes {
-		snap[s] = s.epoch.Load()
-	}
-	p.scopesMu.Unlock()
-	return snap
 }

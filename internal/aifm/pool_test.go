@@ -185,15 +185,22 @@ func TestAllPinnedUsesReserve(t *testing.T) {
 }
 
 func TestAllPinnedPanicsWithoutReserve(t *testing.T) {
-	p, _, _ := newTestPool(t, 64, 1<<16, 64, func(c *Config) { c.ReserveSlots = -1 })
-	p.Localize(0, false)
-	p.Pin(0)
+	// Every circulating slot and the whole reserve pinned: nothing is left
+	// to borrow, and the next demand miss must say so.
+	p, _, _ := newTestPool(t, 64, 1<<16, 64)
+	n := ObjectID(p.NumSlots() + p.ReserveFloor())
+	for id := ObjectID(0); id < n; id++ {
+		p.LocalizePin(id, false)
+	}
+	if p.ReserveFree() != 0 {
+		t.Fatalf("%d reserve slots still free with %d objects pinned", p.ReserveFree(), n)
+	}
 	defer func() {
 		if recover() == nil {
-			t.Fatalf("Localize with all slots pinned and no reserve did not panic")
+			t.Fatalf("Localize with every slot and the reserve pinned did not panic")
 		}
 	}()
-	p.Localize(1, false)
+	p.Localize(n, false)
 }
 
 func TestUnpinUnpinnedPanics(t *testing.T) {

@@ -3,7 +3,6 @@ package aifm
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"trackfm/internal/sim"
 )
@@ -183,38 +182,22 @@ func TestThrashDetectorTracksRefaults(t *testing.T) {
 }
 
 func TestEvacuatorAbortsPinnedCandidates(t *testing.T) {
-	oldTimeout := scopeBarrierTimeout
-	scopeBarrierTimeout = 2 * time.Second
-	defer func() { scopeBarrierTimeout = oldTimeout }()
-
 	p, env, _ := newTestPool(t, 64, 1<<16, 4*64)
 	p.Localize(0, true)
 	p.Write(0, 0, []byte{9})
 	p.Localize(1, false)
 
-	// An idle live scope holds the sweep's out-of-scope barrier open long
-	// enough for the pins below to land between mark and finalize.
-	sc := NewScope(p)
-	defer sc.Close()
-
+	// Pins that land between mark and finalize: finalize must abort the
+	// candidates instead of evicting them.
 	e := &evacuator{p: p}
-	swept := make(chan bool)
-	go func() { swept <- e.sweep() }()
-
-	// Wait for mark to publish at least one E bit, then pin both objects:
-	// finalize must abort the candidates instead of evicting them.
-	deadline := time.Now().Add(time.Second)
-	for p.Meta(0)&MetaE == 0 && p.Meta(1)&MetaE == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("sweep never marked a candidate")
-		}
+	cands := e.mark()
+	if len(cands) == 0 || p.Meta(cands[0].id)&MetaE == 0 {
+		t.Fatalf("mark published no candidate: %v", cands)
 	}
 	p.Pin(0)
 	p.Pin(1)
-	sc.Close() // release the barrier
-
-	if freed := <-swept; freed {
-		t.Fatalf("sweep claimed to free slots from a pinned pool")
+	if e.finalize(cands) {
+		t.Fatalf("finalize claimed to free slots from a pinned pool")
 	}
 	if n := sim.Load(&env.Counters.EvacAborts); n == 0 {
 		t.Fatalf("no EvacAborts recorded for pinned candidates")
@@ -225,13 +208,30 @@ func TestEvacuatorAbortsPinnedCandidates(t *testing.T) {
 			t.Fatalf("object %d after abort: present=%v E=%v", id, m.Present(), m&MetaE != 0)
 		}
 	}
-	// A fully pinned pool yields no candidates at all: sweep reports
+	// A fully pinned pool yields no candidates at all: the round reports
 	// false immediately (the run loop's signal to stop, not spin).
-	if e.sweep() {
-		t.Fatalf("sweep freed slots with every resident pinned")
+	if e.finalize(e.mark()) {
+		t.Fatalf("evacuator freed slots with every resident pinned")
 	}
 	p.Unpin(0)
 	p.Unpin(1)
+
+	// Re-touched, not pinned: a candidate that went hot again between mark
+	// and finalize is aborted and counted the same way.
+	aborts := sim.Load(&env.Counters.EvacAborts)
+	cands = e.mark()
+	if len(cands) == 0 {
+		t.Fatalf("mark published no candidate from an unpinned pool")
+	}
+	id := cands[0].id
+	p.Localize(id, false)
+	if e.finalize(cands) {
+		t.Fatalf("finalize evicted a candidate that was touched after the mark")
+	}
+	if m := p.Meta(id); !m.Present() || m&MetaE != 0 || sim.Load(&env.Counters.EvacAborts) != aborts+1 {
+		t.Fatalf("re-touched object %d: present=%v E=%v aborts %d -> %d",
+			id, m.Present(), m&MetaE != 0, aborts, sim.Load(&env.Counters.EvacAborts))
+	}
 }
 
 func TestEvacuatorRespectsReserveUnderPinSaturation(t *testing.T) {

@@ -34,17 +34,15 @@ func runTierTrace(t *testing.T, tierBudget uint64, policy ctier.Policy) (heap ma
 		case 0, 1, 2, 3:
 			val := byte(rng.Uint64())
 			off := uint64(rng.Intn(objSize))
-			sc := NewScope(p)
-			sc.Deref(key, true)
+			p.LocalizePin(key, true)
 			p.Write(key, off, []byte{val})
-			sc.Close()
+			p.Unpin(key)
 		case 4, 5, 6:
 			off := uint64(rng.Intn(objSize))
 			var got [1]byte
-			sc := NewScope(p)
-			sc.Deref(key, false)
+			p.LocalizePin(key, false)
 			p.Read(key, off, got[:])
-			sc.Close()
+			p.Unpin(key)
 		case 7:
 			if rng.Intn(16) == 0 {
 				p.EvacuateAll()
@@ -67,10 +65,9 @@ func runTierTrace(t *testing.T, tierBudget uint64, policy ctier.Policy) (heap ma
 	heap = make(map[ObjectID][]byte)
 	for key := ObjectID(0); key < keys; key++ {
 		buf := make([]byte, objSize)
-		sc := NewScope(p)
-		sc.Deref(key, false)
+		p.LocalizePin(key, false)
 		p.Read(key, 0, buf)
-		sc.Close()
+		p.Unpin(key)
 		heap[key] = buf
 	}
 	return heap, remote
@@ -154,16 +151,14 @@ func TestTierConcurrentPoolNoLostUpdates(t *testing.T) {
 				if i%3 == 0 || last[key] == 0 {
 					seq := uint64(i)<<8 | uint64(w) | 1<<63
 					binary.LittleEndian.PutUint64(stamp[:], seq)
-					sc := NewScope(p)
-					sc.Deref(key, true)
+					p.LocalizePin(key, true)
 					p.Write(key, 0, stamp[:])
-					sc.Close()
+					p.Unpin(key)
 					last[key] = seq
 				} else {
-					sc := NewScope(p)
-					sc.Deref(key, false)
+					p.LocalizePin(key, false)
 					p.Read(key, 0, stamp[:])
-					sc.Close()
+					p.Unpin(key)
 					if got := binary.LittleEndian.Uint64(stamp[:]); got != last[key] {
 						errs[w] = "lost update: read a stamp that is not the last write"
 						return

@@ -33,8 +33,9 @@ func MTScan() *Table {
 // mtWorkers is the worker-count sweep for the mt experiment.
 var mtWorkers = []int{1, 2, 4, 8}
 
-// mtScopeBatch bounds how many objects one scope pins before reopening, so
-// concurrent workers never pin more than a sliver of the local budget.
+// mtScopeBatch bounds how many objects a worker holds pinned at once — one
+// AIFM scope's worth — so concurrent workers never pin more than a sliver
+// of the local budget.
 const mtScopeBatch = 16
 
 func mtScan(s Scale) *Table {
@@ -59,13 +60,10 @@ func mtScan(s Scale) *Table {
 	// Populate every object so scans read real data, then push the heap
 	// remote so each phase starts cold.
 	var buf [8]byte
-	for start := 0; start < nObjects; start += mtScopeBatch {
-		sc := aifm.NewScope(pool)
-		for id := start; id < start+mtScopeBatch && id < nObjects; id++ {
-			sc.Deref(aifm.ObjectID(id), true)
-			pool.Write(aifm.ObjectID(id), 0, buf[:])
-		}
-		sc.Close()
+	for id := aifm.ObjectID(0); id < aifm.ObjectID(nObjects); id++ {
+		pool.LocalizePin(id, true)
+		pool.Write(id, 0, buf[:])
+		pool.Unpin(id)
 	}
 
 	t := &Table{
@@ -128,10 +126,10 @@ func mtPhase(env *sim.Env, pool *aifm.Pool, nObjects, objSize, w int, shared boo
 			var clock, ops uint64
 			var dst [8]byte
 			for start := lo; start < hi; start += mtScopeBatch {
-				sc := aifm.NewScope(pool)
+				end := min(start+mtScopeBatch, hi)
 				clock += costs.DerefScopeCost
-				for id := start; id < start+mtScopeBatch && id < hi; id++ {
-					_, missed := sc.DerefMiss(aifm.ObjectID(id), false)
+				for id := start; id < end; id++ {
+					_, missed := pool.LocalizePin(aifm.ObjectID(id), false)
 					pool.Read(aifm.ObjectID(id), 0, dst[:])
 					clock += costs.SmartPointerIndirection + costs.LocalLoadStore
 					if missed {
@@ -139,7 +137,9 @@ func mtPhase(env *sim.Env, pool *aifm.Pool, nObjects, objSize, w int, shared boo
 					}
 					ops++
 				}
-				sc.Close()
+				for id := start; id < end; id++ {
+					pool.Unpin(aifm.ObjectID(id))
+				}
 			}
 			clocks[worker] = clock
 			totalOps.Add(ops)

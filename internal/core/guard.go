@@ -17,8 +17,8 @@ import (
 // split is decided by the OST warm-line model.
 // Either way the pool re-checks residency and moves the bytes where no
 // evictor can interleave (Pool.Access): between the safety check and the
-// access the evacuator cannot delocalize the object (out-of-scope barrier,
-// §3.3).
+// access the evacuator cannot delocalize the object (what AIFM's
+// out-of-scope barrier guarantees, §3.3).
 func (r *Runtime) guardObject(id aifm.ObjectID, off uint64, buf []byte, write bool) {
 	warm := r.cache.touch(uint64(id))
 	m := aifm.MetaAt(r.ost, id)
@@ -48,9 +48,10 @@ func (r *Runtime) guardObject(id aifm.ObjectID, off uint64, buf []byte, write bo
 		r.pool.Access(id, off, buf, write)
 		return
 	}
-	// Slow path: runtime call adhering to AIFM's DerefScope API. The
-	// measured slow-guard constants (Table 1) already include the scope
-	// enter/exit work, so no separate scope cost is charged here.
+	// Slow path: the runtime call that, in the paper, enters an AIFM
+	// DerefScope. The measured slow-guard constants (Table 1) already
+	// include the scope enter/exit work, so no separate scope cost is
+	// charged here; the pin Pool.Access takes on a miss is the scope.
 	slowStart := r.env.Clock.Cycles()
 	sim.Inc(&r.env.Counters.SlowPathGuards)
 	switch {
@@ -65,7 +66,6 @@ func (r *Runtime) guardObject(id aifm.ObjectID, off uint64, buf []byte, write bo
 	}
 	r.pool.Access(id, off, buf, write) // charges the remote fetch when absent
 	r.lat.GuardSlow.Observe(r.env.Clock.Cycles() - slowStart)
-	r.collectPoint()
 }
 
 // checkManaged panics on unmanaged pointers: by construction the compiler
@@ -146,19 +146,5 @@ func (r *Runtime) access(p Ptr, buf []byte, write bool, op string) {
 		lines := (n + 63) / 64
 		r.env.Clock.Advance(lines * r.env.Costs.LocalLoadStore)
 		done += n
-	}
-}
-
-// PrefetchFrom issues compiler-directed prefetches for the `objects`
-// objects following the one containing p (exclusive). The loop-chunking
-// pass plants these for pointers governed by induction variables (§3.4).
-func (r *Runtime) PrefetchFrom(p Ptr, objects int) {
-	if r.noPrefetch {
-		return
-	}
-	checkManaged(p, "PrefetchFrom")
-	id, _ := p.object(r.shift)
-	for k := 1; k <= objects; k++ {
-		r.pool.Prefetch(id + aifm.ObjectID(k))
 	}
 }

@@ -25,10 +25,11 @@ type ostCache struct {
 // objectsPerLine is how many 8-byte OST entries share a 64-byte line.
 const objectsPerLine = 8
 
+// ostCacheLines is a runtime's warm-line capacity: ~16 MB of OST coverage,
+// LLC-like.
+const ostCacheLines = 1 << 18
+
 func newOSTCache(capacityLines int) *ostCache {
-	if capacityLines <= 0 {
-		capacityLines = 1 << 18 // ~16 MB of OST coverage, LLC-like
-	}
 	return &ostCache{
 		resident: make(map[uint64]struct{}, capacityLines),
 		order:    make([]uint64, capacityLines),

@@ -42,7 +42,7 @@ func TestOSTCacheFlush(t *testing.T) {
 }
 
 func TestOSTCacheDefaultCapacity(t *testing.T) {
-	c := newOSTCache(0)
+	c := newTestRuntime(t, 64, 1<<16, 1<<16).cache
 	if c.capacity != 1<<18 {
 		t.Fatalf("default capacity = %d", c.capacity)
 	}
@@ -51,16 +51,8 @@ func TestOSTCacheDefaultCapacity(t *testing.T) {
 func TestUncachedGuardsReappearUnderOSTPressure(t *testing.T) {
 	// A working set whose OST lines exceed the modeled cache must keep
 	// paying uncached guard costs even in steady state.
-	rt, err := NewRuntime(Config{
-		Env:           newTestRuntime(t, 64, 1<<16, 1<<16).Env(), // fresh env holder
-		ObjectSize:    64,
-		HeapSize:      1 << 16,
-		LocalBudget:   1 << 16,
-		OSTCacheLines: 4, // covers 32 objects; heap has 1024
-	})
-	if err != nil {
-		t.Fatalf("NewRuntime: %v", err)
-	}
+	rt := newTestRuntime(t, 64, 1<<16, 1<<16)
+	rt.cache = newOSTCache(4) // covers 32 objects; heap has 1024
 	env := rt.Env()
 	p := rt.MustMalloc(1 << 15) // 512 objects
 	for i := uint64(0); i < 512; i++ {

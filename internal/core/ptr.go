@@ -3,7 +3,7 @@
 // the TrackFM compiler injects into applications:
 //
 //   - non-canonical far-memory pointers flagged in bit 60 (§3.1),
-//   - a custom malloc/realloc/free replacing libc allocation (§3.1),
+//   - a custom malloc/free replacing libc allocation (§3.1),
 //   - the object state table caching AIFM metadata contiguously (§3.2),
 //   - fast-path/slow-path guards around every heap load/store (§3.3),
 //   - chunked-loop cursors and the loop-chunking cost model (§3.4).

@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"trackfm/internal/aifm"
 	"trackfm/internal/fabric"
 	"trackfm/internal/far"
-	"trackfm/internal/mem/ctier"
 	"trackfm/internal/sim"
 )
 
@@ -47,13 +45,6 @@ type Config struct {
 	PrefetchDepth int
 	// NoPrefetch disables all prefetching (for the Fig. 11 ablation).
 	NoPrefetch bool
-	// OSTCacheLines sizes the warm-line model for cached/uncached guard
-	// costs; 0 selects an LLC-like default.
-	OSTCacheLines int
-	// CollectEvery triggers a runtime collection point after this many
-	// slow-path guards (0 selects a default). Collection lets the
-	// evacuator make progress at guard boundaries, as in §3.3.
-	CollectEvery int
 	// NoOST disables the object state table (ablation): every guard
 	// pays AIFM's second, indirect metadata reference instead of the
 	// single table-indexed load (§3.2).
@@ -64,9 +55,6 @@ type Config struct {
 	// CompressedBudget enables the pool's compressed-RAM middle tier
 	// with this byte budget (see aifm.Config.CompressedBudget).
 	CompressedBudget uint64
-	// CompressedPolicy selects the tier's eviction scheme (default
-	// S3-FIFO; ctier.PolicyClock is the ablation).
-	CompressedPolicy ctier.Policy
 }
 
 // Runtime is the TrackFM runtime attached to one transformed application.
@@ -78,8 +66,8 @@ type Config struct {
 // friends) ride the pool's lock striping and pin objects across the data
 // copy, the allocator serializes under its own mutex, and OST reads on the
 // guard fast path are single atomic loads. A Cursor remains a
-// single-goroutine object (one per worker, like a DerefScope). The
-// simulated clock stays one logical timeline shared by all goroutines.
+// single-goroutine object (one per worker). The simulated clock stays one
+// logical timeline shared by all goroutines.
 type Runtime struct {
 	env   *sim.Env
 	lat   *sim.Latencies
@@ -93,13 +81,10 @@ type Runtime struct {
 	heapSize uint64
 	allocMu  sync.Mutex
 	brk      uint64         // bump pointer, heap offset of next free byte
-	allocs   map[Ptr]uint64 // live allocation sizes, for free/realloc
+	allocs   map[Ptr]uint64 // live allocation sizes, for free
 
 	prefetchDepth int
 	noPrefetch    bool
-
-	collectEvery int
-	sinceCollect atomic.Int64
 
 	noOST bool
 }
@@ -134,7 +119,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		PrefetchDepth:      cfg.PrefetchDepth,
 		BackgroundEvacuate: cfg.BackgroundEvacuate,
 		CompressedBudget:   cfg.CompressedBudget,
-		CompressedPolicy:   cfg.CompressedPolicy,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -152,23 +136,18 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			depth = 1
 		}
 	}
-	collect := cfg.CollectEvery
-	if collect <= 0 {
-		collect = 64
-	}
 	return &Runtime{
 		env:           cfg.Env,
 		lat:           cfg.Env.Lat(),
 		pool:          pool,
 		ost:           pool.Table(),
-		cache:         newOSTCache(cfg.OSTCacheLines),
+		cache:         newOSTCache(ostCacheLines),
 		objSize:       cfg.ObjectSize,
 		shift:         uint(bits.TrailingZeros(uint(cfg.ObjectSize))),
 		heapSize:      cfg.HeapSize,
 		allocs:        make(map[Ptr]uint64),
 		prefetchDepth: depth,
 		noPrefetch:    cfg.NoPrefetch,
-		collectEvery:  collect,
 		noOST:         cfg.NoOST,
 	}, nil
 }
@@ -261,49 +240,6 @@ func (r *Runtime) Free(p Ptr) {
 	for id := firstFull; id < lastFull; id++ {
 		r.pool.Free(aifm.ObjectID(id))
 	}
-}
-
-// Realloc grows or shrinks an allocation, copying min(old,new) bytes
-// through guarded accesses exactly as the transformed libc realloc does.
-func (r *Runtime) Realloc(p Ptr, n uint64) (Ptr, error) {
-	r.allocMu.Lock()
-	old, ok := r.allocs[p]
-	r.allocMu.Unlock()
-	if !ok {
-		return 0, fmt.Errorf("core: Realloc of unknown pointer %#x", uint64(p))
-	}
-	np, err := r.Malloc(n)
-	if err != nil {
-		return 0, err
-	}
-	cpy := old
-	if n < cpy {
-		cpy = n
-	}
-	buf := make([]byte, 256)
-	for off := uint64(0); off < cpy; {
-		chunk := uint64(len(buf))
-		if cpy-off < chunk {
-			chunk = cpy - off
-		}
-		r.Load(p.Add(off), buf[:chunk])
-		r.Store(np.Add(off), buf[:chunk])
-		off += chunk
-	}
-	r.Free(p)
-	return np, nil
-}
-
-// collectPoint gives the evacuator a chance to run at guard boundaries
-// (§3.3: the slow path "triggers a periodic collection point to allow
-// stale objects to be evacuated"). Under memory pressure eviction already
-// happens on demand; the collection point only decays hotness so cold
-// objects become eviction candidates sooner.
-func (r *Runtime) collectPoint() {
-	if r.sinceCollect.Add(1) < int64(r.collectEvery) {
-		return
-	}
-	r.sinceCollect.Store(0)
 }
 
 // FlushOSTCache empties the warm-line model so subsequent guards pay

@@ -285,39 +285,6 @@ func TestFreeUnknownPanics(t *testing.T) {
 	rt.Free(ptrBase + 123)
 }
 
-func TestReallocPreservesData(t *testing.T) {
-	rt := newTestRuntime(t, 64, 1<<16, 1<<12)
-	p := rt.MustMalloc(32)
-	rt.StoreU64(p, 42)
-	rt.StoreU64(p.Add(8), 43)
-	q, err := rt.Realloc(p, 512)
-	if err != nil {
-		t.Fatalf("Realloc: %v", err)
-	}
-	if rt.LoadU64(q) != 42 || rt.LoadU64(q.Add(8)) != 43 {
-		t.Fatalf("Realloc lost data")
-	}
-	if _, err := rt.Realloc(ptrBase+9999, 8); err == nil {
-		t.Fatalf("Realloc of unknown pointer succeeded")
-	}
-}
-
-func TestPrefetchFromAvoidsCriticalFetch(t *testing.T) {
-	rt := newTestRuntime(t, 64, 1<<16, 1<<12)
-	env := rt.Env()
-	p := rt.MustMalloc(64 * 8) // 8 objects
-	rt.StoreU64(p, 1)          // object 0 local
-	rt.PrefetchFrom(p, 3)      // objects 1..3
-	crit := env.Counters.CriticalFetches
-	rt.LoadU64(p.Add(64)) // object 1: prefetched
-	if env.Counters.CriticalFetches != crit {
-		t.Fatalf("prefetched access still blocked")
-	}
-	if env.Counters.PrefetchHits == 0 {
-		t.Fatalf("no prefetch hit recorded")
-	}
-}
-
 func TestNoPrefetchConfig(t *testing.T) {
 	rt, err := NewRuntime(Config{
 		Env: sim.NewEnv(), ObjectSize: 64,
@@ -326,8 +293,19 @@ func TestNoPrefetchConfig(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRuntime: %v", err)
 	}
-	p := rt.MustMalloc(64 * 4)
-	rt.PrefetchFrom(p, 3)
+	// A far array walked by a cursor that asks for prefetch: the runtime
+	// switch wins over the compiler's request.
+	const n = 64 // 8 objects of 8 elements
+	p := rt.MustMalloc(n * 8)
+	for i := uint64(0); i < n; i++ {
+		rt.StoreU64(p.Add(i*8), 1)
+	}
+	rt.EvacuateAll()
+	cur := rt.NewCursor(p, 8, true)
+	for i := uint64(0); i < n; i++ {
+		cur.LoadU64(i)
+	}
+	cur.Close()
 	if rt.Env().Counters.PrefetchIssued != 0 {
 		t.Fatalf("NoPrefetch runtime issued prefetches")
 	}

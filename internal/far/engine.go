@@ -279,8 +279,8 @@ type Prefetch struct {
 // not pending has succeeded, and FinishPrefetch only reports where from.
 func (pf Prefetch) Pending() bool { return pf.ticket.Pending() }
 
-// StartPrefetch is the speculative flavour of Fetch (prefetch, readahead),
-// split in two so the round trip overlaps with the caller's computation:
+// StartPrefetch is the speculative flavour of Fetch, split in two so the
+// round trip overlaps with the caller's computation:
 // the same tier probe and degraded refusal, then a fetch started on the
 // transport with no deadline. A start the transport refuses outright is
 // retried here, to the retry budget, as a demand fetch's attempts are; once

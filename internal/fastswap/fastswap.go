@@ -11,8 +11,10 @@
 //     amortizes fault costs (§5 "Lessons"),
 //   - fault costs from Table 2 (1.3 K cycles for a fault satisfied
 //     locally, ~34 K plus the transfer for a remote fault),
-//   - kernel readahead: a major fault on a sequential stream pulls a
-//     window of pages, with the trailing pages fetched asynchronously,
+//   - no readahead: swap-in readahead reads by swap-slot order, which
+//     rarely matches virtual order, and the paper's Fastswap results
+//     reflect per-page fault costs on sequential sweeps ("weaker ability
+//     to discern high-level knowledge about the access pattern", §4.3),
 //   - LRU-style reclaim with cgroup accounting overhead.
 package fastswap
 
@@ -59,14 +61,6 @@ type Config struct {
 	MaxLocalBudget uint64
 	// Backing selects real or phantom page data.
 	Backing far.Backing
-	// ReadaheadPages is the kernel readahead window on sequential major
-	// faults (vm.page-cluster-like behaviour). Default 0: swap-in
-	// readahead reads by swap-slot order, which rarely matches virtual
-	// order, and the paper's Fastswap results reflect per-page fault
-	// costs on sequential sweeps ("weaker ability to discern high-level
-	// knowledge about the access pattern", §4.3). Set it explicitly to
-	// model an ideal readahead.
-	ReadaheadPages int
 	// RemoteConfig locates the swap device: an explicit Transport, a
 	// Replicas set (page-outs fan to every replica quorum-acked, page-ins
 	// fail over between them, every page-in checksum-verified end to end;
@@ -119,10 +113,6 @@ type Swap struct {
 	freeFrames []uint32
 	retired    []uint32 // capacity parked outside the current cgroup limit
 	hand       int
-
-	readahead int
-	lastFault uint64
-	faultRun  int
 }
 
 const noPage = ^uint32(0)
@@ -169,10 +159,6 @@ func New(cfg Config) (*Swap, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fastswap: %w", err)
 	}
-	ra := cfg.ReadaheadPages
-	if ra < 0 {
-		ra = 0
-	}
 	s := &Swap{
 		env:        cfg.Env,
 		lat:        cfg.Env.Lat(),
@@ -187,8 +173,6 @@ func New(cfg Config) (*Swap, error) {
 		arena:      arena,
 		frameOwner: make([]uint32, maxFrames),
 		freeFrames: make([]uint32, 0, maxFrames),
-		readahead:  ra,
-		lastFault:  ^uint64(0),
 	}
 	for i := range s.frameOwner {
 		s.frameOwner[i] = noPage
@@ -331,9 +315,6 @@ func (s *Swap) fault(pg uint64, write bool) uint64 {
 			panic(fmt.Sprintf("fastswap: unrecoverable remote fault on page %d: %v", pg, err))
 		}
 		s.install(pg, f, write)
-		if !fromTier {
-			s.maybeReadahead(pg)
-		}
 		return base
 	default:
 		panic("fastswap: fault on mapped page")
@@ -359,48 +340,6 @@ func (s *Swap) install(pg uint64, f uint32, write bool) {
 	s.refd[pg] = true
 	if write {
 		s.dirty[pg] = true
-	}
-}
-
-// maybeReadahead pulls the readahead window behind a sequential fault
-// stream. The lead page already paid the blocking cost; trailing pages
-// overlap with execution (bandwidth term only).
-func (s *Swap) maybeReadahead(pg uint64) {
-	if pg == s.lastFault+1 {
-		s.faultRun++
-	} else {
-		s.faultRun = 0
-	}
-	s.lastFault = pg
-	if s.faultRun < 2 {
-		return
-	}
-	for k := uint64(1); k <= uint64(s.readahead); k++ {
-		next := pg + k
-		if next >= uint64(len(s.states)) || s.states[next] != PageRemote {
-			continue
-		}
-		f, ok := s.tryTakeFrame()
-		if !ok {
-			return
-		}
-		// The fault handler holds mmap_lock, so nothing could overlap with
-		// a fetch left in flight: finish each one before moving on.
-		fromTier := false
-		pf, err := s.far.StartPrefetch(next, s.frameBuf(uint64(f)*uint64(s.pageSize)))
-		if err == nil {
-			fromTier, err = s.far.FinishPrefetch(pf)
-		}
-		if err != nil {
-			// Readahead is speculation: return the frame and stop the
-			// window rather than installing a zero-filled page.
-			s.freeFrames = append(s.freeFrames, f)
-			return
-		}
-		s.install(next, f, false)
-		if !fromTier {
-			sim.Inc(&s.env.Counters.PrefetchIssued)
-		}
 	}
 }
 

@@ -136,49 +136,6 @@ func TestDataIntegrityAcrossEvictions(t *testing.T) {
 	}
 }
 
-func TestReadaheadOnSequentialMajorFaults(t *testing.T) {
-	s := newTestSwap(t, 1<<22, 64*4096, func(c *Config) { c.ReadaheadPages = 8 })
-	env := s.Env()
-	base := s.MustMalloc(32 * 4096)
-	// Touch all pages, then evacuate so they are remote.
-	for pg := uint64(0); pg < 32; pg++ {
-		s.StoreU64(base+pg*4096, pg)
-	}
-	s.EvacuateAll()
-	env.Counters.Reset()
-	// Sequential scan: after the detector arms, readahead should turn
-	// most major faults into async prefetches.
-	for pg := uint64(0); pg < 32; pg++ {
-		s.LoadU64(base + pg*4096)
-	}
-	if env.Counters.MajorFaults >= 32 {
-		t.Fatalf("readahead ineffective: %d major faults", env.Counters.MajorFaults)
-	}
-	if env.Counters.PrefetchIssued == 0 {
-		t.Fatalf("no readahead issued")
-	}
-}
-
-func TestNoReadaheadOnRandomFaults(t *testing.T) {
-	s := newTestSwap(t, 1<<22, 64*4096)
-	env := s.Env()
-	base := s.MustMalloc(64 * 4096)
-	for pg := uint64(0); pg < 64; pg++ {
-		s.StoreU64(base+pg*4096, pg)
-	}
-	s.EvacuateAll()
-	env.Counters.Reset()
-	for _, pg := range []uint64{3, 40, 11, 57, 22, 8} {
-		s.LoadU64(base + pg*4096)
-	}
-	if env.Counters.PrefetchIssued != 0 {
-		t.Fatalf("random faults triggered readahead: %d", env.Counters.PrefetchIssued)
-	}
-	if env.Counters.MajorFaults != 6 {
-		t.Fatalf("MajorFaults = %d, want 6", env.Counters.MajorFaults)
-	}
-}
-
 func TestIOAmplification(t *testing.T) {
 	// Touch one u64 per remote page: Fastswap must transfer the full
 	// 4 KB page each time — the paper's I/O amplification story.

@@ -14,7 +14,6 @@ import (
 type faultyLink struct {
 	*fabric.SimLink
 	failFetch int
-	failAsync int
 	failPush  int
 }
 
@@ -24,15 +23,6 @@ func (f *faultyLink) TryFetchUntil(key uint64, dst []byte, dl fabric.Deadline) (
 		return false, fabric.ErrRemoteUnavailable
 	}
 	return f.SimLink.TryFetchUntil(key, dst, dl)
-}
-
-func (f *faultyLink) StartFetch(key uint64, dst []byte) (fabric.Ticket, error) {
-	if f.failAsync > 0 {
-		f.failAsync--
-		return fabric.Ticket{}, fabric.ErrRemoteUnavailable
-	}
-	found, err := f.TryFetchUntil(key, dst, fabric.Deadline{})
-	return fabric.CompleteTicket(found), err
 }
 
 func (f *faultyLink) TryPushUntil(key uint64, src []byte, dl fabric.Deadline) error {
@@ -134,54 +124,5 @@ func TestReclaimStallsKeepDirtyPageMapped(t *testing.T) {
 	s.EvacuateAll()
 	if got := s.LoadU64(0); got != 11 {
 		t.Fatalf("page 0 = %d after heal, want 11", got)
-	}
-}
-
-func TestReadaheadSkipsOnFetchFault(t *testing.T) {
-	env := sim.NewEnv()
-	link := &faultyLink{SimLink: fabric.NewSimLink(env, fabric.BackendRDMA)}
-	s, err := New(Config{
-		Env:            env,
-		PageSize:       512,
-		HeapSize:       512 * 16,
-		LocalBudget:    512 * 8,
-		RemoteConfig:   fabric.RemoteConfig{Transport: link, RemoteRetries: 2},
-		ReadaheadPages: 4,
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	for pg := uint64(0); pg < 8; pg++ {
-		s.StoreU64(pg*512, pg+100)
-	}
-	s.EvacuateAll()
-
-	// Sequential major faults arm the readahead window (page 0 already
-	// counts as sequential). The demand fetch stays healthy while the
-	// asynchronous readahead fetches fail: the window must be skipped
-	// (no zero-filled pages installed), not silently degraded.
-	if got := s.LoadU64(0); got != 100 {
-		t.Fatalf("page 0 = %d", got)
-	}
-	link.failAsync = 1 << 30
-	if got := s.LoadU64(512); got != 101 {
-		t.Fatalf("page 1 = %d", got)
-	}
-	if env.Counters.PrefetchIssued != 0 {
-		t.Fatalf("failed readahead still counted as issued")
-	}
-	if env.Counters.RemoteFetchFaults == 0 {
-		t.Fatalf("failed readahead not tallied as a fetch fault")
-	}
-	// Heal: every trailing page still reads its own data — nothing was
-	// replaced with zeros by the failed speculation.
-	link.failAsync = 0
-	for pg := uint64(3); pg < 8; pg++ {
-		if got := s.LoadU64(pg * 512); got != pg+100 {
-			t.Fatalf("page %d corrupted by readahead: %d", pg, got)
-		}
-	}
-	if env.Counters.PrefetchIssued == 0 {
-		t.Fatalf("readahead never issued after heal")
 	}
 }

@@ -12,9 +12,10 @@ import (
 // comparator runs them (§4.5, Fig. 14): the programmer has hand-ported the
 // application onto AIFM's remote data structures, so there are no
 // compiler-injected guards. Every access pays the smart-pointer
-// indirection plus a DerefScope pin when the object needs localizing;
-// sequential streams run through library iterators (per-object pin +
-// prefetch), which is what the compiler's chunk annotations stand in for.
+// indirection plus the DerefScope cost when the object needs localizing;
+// sequential streams run through a model of the library iterators
+// (per-object pin + prefetch), which is what the compiler's chunk
+// annotations stand in for.
 //
 // This backend represents the performance ceiling TrackFM is measured
 // against: identical runtime mechanics, zero guard instructions.
@@ -39,9 +40,11 @@ type AIFMConfig struct {
 	ObjectSize  int
 	HeapSize    uint64
 	LocalBudget uint64
-	// PrefetchDepth for library iterators (default 8).
-	PrefetchDepth int
 }
+
+// aifmIteratorDepth is how many objects ahead the library iterators
+// prefetch.
+const aifmIteratorDepth = 8
 
 // NewAIFMBackend builds the comparator backend.
 func NewAIFMBackend(cfg AIFMConfig) (*AIFMBackend, error) {
@@ -52,12 +55,11 @@ func NewAIFMBackend(cfg AIFMConfig) (*AIFMBackend, error) {
 		cfg.ObjectSize = 4096
 	}
 	pool, err := aifm.NewPool(aifm.Config{
-		Env:           cfg.Env,
-		ObjectSize:    cfg.ObjectSize,
-		HeapSize:      cfg.HeapSize,
-		LocalBudget:   cfg.LocalBudget,
-		AutoPrefetch:  true, // library data structures prefetch internally
-		PrefetchDepth: cfg.PrefetchDepth,
+		Env:          cfg.Env,
+		ObjectSize:   cfg.ObjectSize,
+		HeapSize:     cfg.HeapSize,
+		LocalBudget:  cfg.LocalBudget,
+		AutoPrefetch: true, // library data structures prefetch internally
 	})
 	if err != nil {
 		return nil, err
@@ -183,7 +185,7 @@ func (it *aifmIterator) ensure(addr uint64, write bool) (aifm.ObjectID, uint64) 
 		b.pool.Pin(id)
 		it.cur, it.pinned = id, true
 		if it.prefetch {
-			for k := aifm.ObjectID(1); k <= 8; k++ {
+			for k := aifm.ObjectID(1); k <= aifmIteratorDepth; k++ {
 				b.pool.Prefetch(id + k)
 			}
 		}

@@ -123,18 +123,16 @@ func (b *TrackFMBackend) OpenCursor(firstAddr uint64, stride int64, prefetch boo
 		return &passthroughCursor{b: b}
 	}
 	return &tfmCursor{
-		b:      b,
-		cur:    b.RT.NewCursor(p, int(stride), prefetch),
-		base:   firstAddr,
-		stride: uint64(stride),
+		b:    b,
+		cur:  b.RT.NewCursor(p, int(stride), prefetch),
+		base: firstAddr,
 	}
 }
 
 type tfmCursor struct {
-	b      *TrackFMBackend
-	cur    *core.Cursor
-	base   uint64
-	stride uint64
+	b    *TrackFMBackend
+	cur  *core.Cursor
+	base uint64
 }
 
 // Load implements Cursor. Addresses before the stream base fall off the

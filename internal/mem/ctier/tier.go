@@ -561,26 +561,3 @@ func (t *Tier) evictS3FIFO() bool {
 		return true
 	}
 }
-
-// Touch marks key as referenced without promoting it (prefetch probes and
-// re-demotions use it to feed the policies' frequency signal).
-func (t *Tier) Touch(key uint64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if e, ok := t.entries[key]; ok {
-		if e.freq < 3 {
-			e.freq++
-			t.entries[key] = e
-		}
-	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -111,15 +111,6 @@ func (s HistogramSnapshot) Count() uint64 {
 	return n
 }
 
-// Mean returns the average observed value, or 0 with no observations.
-func (s HistogramSnapshot) Mean() float64 {
-	n := s.Count()
-	if n == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(n)
-}
-
 // Quantile estimates the q-th quantile (0 <= q <= 1) by linear
 // interpolation within the containing bucket. Values in the +Inf bucket
 // report the largest finite bound (the standard Prometheus convention).

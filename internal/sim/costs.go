@@ -83,7 +83,8 @@ type CostModel struct {
 	FreeCost   uint64
 
 	// DerefScopeCost charges entering+leaving an AIFM DerefScope, paid by
-	// library-mode (AIFM) accesses and by slow-path guards.
+	// the library-mode comparator (interp.AIFMBackend) when it localizes an
+	// object; the slow-guard constants above already include it.
 	DerefScopeCost uint64
 
 	// SmartPointerIndirection is AIFM's per-access overhead in library

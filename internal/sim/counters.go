@@ -147,10 +147,6 @@ func (c *Counters) Guards() uint64 { return c.FastPathGuards + c.SlowPathGuards 
 // Faults reports the total Fastswap page faults (minor + major).
 func (c *Counters) Faults() uint64 { return c.MinorFaults + c.MajorFaults }
 
-// TotalFetched reports bytes moved from the remote node to local memory,
-// used for the I/O-amplification figures (13b, 16c).
-func (c *Counters) TotalFetched() uint64 { return c.BytesFetched }
-
 // Amplification reports BytesFetched divided by the working-set size, the
 // paper's I/O-amplification metric (e.g. "Fastswap transfers 43x the
 // working set"). Returns 0 when workingSet is 0.

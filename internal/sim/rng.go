@@ -35,14 +35,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Fork derives an independent generator from this one's stream. Components
-// that each need private randomness (e.g. a transport's retry jitter and a
-// fault injector sharing one experiment seed) fork the experiment RNG so
-// their draws do not interleave and perturb each other's sequences.
-func (r *RNG) Fork() *RNG {
-	return NewRNG(r.Uint64())
-}
-
 // Float64 returns a pseudo-random float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)

@@ -2,9 +2,12 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"trackfm/internal/obs"
 )
 
 func TestClockAdvance(t *testing.T) {
@@ -231,5 +234,40 @@ func TestRNGFloat64Uniformish(t *testing.T) {
 	mean := sum / n
 	if math.Abs(mean-0.5) > 0.01 {
 		t.Fatalf("Float64 mean = %v, want ~0.5", mean)
+	}
+}
+
+// TestCountersFieldListsAgree holds the position-coupled lists to the
+// struct: a field added to Counters but not to fields() would read 0
+// through Snapshot (and so through Heap.Snapshot and /metrics), and one
+// missing from metricDefs would export under its neighbour's name.
+func TestCountersFieldListsAgree(t *testing.T) {
+	var c Counters
+	v := reflect.ValueOf(&c).Elem()
+	fields := c.fields()
+	if v.NumField() != len(fields) {
+		t.Fatalf("Counters has %d fields, fields() lists %d", v.NumField(), len(fields))
+	}
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		if f.Type.Kind() != reflect.Uint64 {
+			t.Fatalf("Counters.%s is %s; every field must be a uint64 counter", f.Name, f.Type)
+		}
+		if fields[i] != v.Field(i).Addr().Interface().(*uint64) {
+			t.Errorf("fields()[%d] is not &Counters.%s: the list is out of declaration order", i, f.Name)
+		}
+	}
+	if len(metricDefs) != len(fields) {
+		t.Fatalf("metricDefs names %d counters, fields() lists %d", len(metricDefs), len(fields))
+	}
+	seen := make(map[string]bool)
+	for _, d := range metricDefs {
+		if !obs.ValidName(d.name) {
+			t.Errorf("metric %q violates %s", d.name, obs.NamePattern)
+		}
+		if seen[d.name] {
+			t.Errorf("metric %q named twice", d.name)
+		}
+		seen[d.name] = true
 	}
 }

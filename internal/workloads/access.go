@@ -34,7 +34,7 @@ type Accessor interface {
 	Store(addr uint64, src []byte)
 	// SeqReader returns an optimized sequential cursor over fixed-size
 	// elements starting at base — chunking+prefetch for TrackFM, plain
-	// accesses elsewhere (the kernel gets its own readahead on faults).
+	// accesses elsewhere.
 	SeqReader(base uint64, elemSize int) SeqReader
 	// Reset evacuates all cached state so a measurement starts cold.
 	Reset()
@@ -107,8 +107,8 @@ func (a *FastswapAccessor) Load(addr uint64, dst []byte) { a.Swap.Load(addr, dst
 // Store implements Accessor.
 func (a *FastswapAccessor) Store(addr uint64, src []byte) { a.Swap.Store(addr, src) }
 
-// SeqReader implements Accessor; the kernel has no cursor machinery, its
-// readahead engages on the fault stream instead.
+// SeqReader implements Accessor; the kernel has no cursor machinery: every
+// page of the stream faults on its own.
 func (a *FastswapAccessor) SeqReader(base uint64, elemSize int) SeqReader {
 	return &fsSeqReader{a: a, base: base, elem: uint64(elemSize)}
 }
