@@ -27,9 +27,10 @@ smoke_test:
 # plus the escape lint: no scalar accessor's 8-byte scratch may reach the
 # heap (the compiler says so even under -race, where test-allocs skips) —
 # plus the far-engine guard: only internal/far may resolve a RemoteConfig or
-# drive a transport's fetch and push — blocking or split-phase (StartFetch,
-# fabric.Ticket; not ".Wait()", which sync.Cond and WaitGroup share) — so
-# the next cross-cutting far-side feature has one place to land —
+# drive a transport's fetch and push — blocking, split-phase (StartFetch,
+# fabric.Ticket; not ".Wait()", which sync.Cond and WaitGroup share) or
+# carried (fabric.PushCarrier's two methods) — so the next cross-cutting
+# far-side feature has one place to land —
 # plus the census: every exported func and type under internal/ is named by
 # non-test code other than itself, or allowlisted with its reason.
 vet:
@@ -38,7 +39,7 @@ vet:
 	$(GO) test -run TestMetricNamesLint ./internal/obs
 	$(GO) test -run TestConstructorCensus .
 	! $(GO) build -gcflags=-m ./internal/core ./internal/fastswap ./internal/interp ./farmem 2>&1 | grep 'moved to heap: buf'
-	! grep -nE 'TryFetchUntil|TryPushUntil|StartFetch|fabric\.Ticket|\.Connect\(' \
+	! grep -nE 'TryFetchUntil|TryPushUntil|StartFetch|fabric\.Ticket|TryFetchAfterPushes|TryPushAll|fabric\.Push|\.Connect\(' \
 		$$(ls internal/aifm/*.go internal/fastswap/*.go internal/core/*.go farmem/*.go | grep -v _test.go)
 
 # Everything a PR must pass: build, vet (incl. metrics lint), the
@@ -72,10 +73,15 @@ test-race:
 # Range/Fill over local memory in place against the background evacuator
 # and a Resize squeeze, over SimLink, over a loopback server (prefetches in
 # flight throughout, finished by whichever goroutine gets there) and with
-# that server killed and replaced mid-run.
+# that server killed and replaced mid-run, both again with random scalar
+# stores and loads in every round (pushes riding ahead of fetches, loads
+# served from the write-behind window, re-sent across the restart); then
+# that window's own: owners evicting and fetching a shared key set through
+# each other's exchanges, the server end checking order.
 test-stress:
 	$(GO) test -race -run 'TestConcurrent' -count=2 ./internal/aifm
 	$(GO) test -race -run 'TestWindowLifetimeRace' -count=10 ./farmem
+	$(GO) test -race -run 'TestWindowConcurrentOwners' -count=10 ./internal/far
 
 # The overload acceptance gates: the deterministic 4x-capacity soak
 # (bounded queue sheds, p99 of admitted ops within 2x uncontended, goodput
@@ -88,10 +94,11 @@ test-overload:
 # kills at randomized WAL offsets, recovered state byte-identical to the
 # acked-write oracle, torn tails exercised, deterministic JSON) plus the
 # durability unit tests (among them the durable × compressed composition
-# and the fsync-policy table) and the durable-replica rejoin tests (a
-# plain member, and a compressing one restarted plain).
+# and the fsync-policy table), the durable-replica rejoin tests (a
+# plain member, and a compressing one restarted plain) and the server
+# killed under an exchange that carries pushes (all re-sent, none lost).
 test-crash:
-	$(GO) test -run 'TestCrashSoak|TestDurable|TestWAL|TestReplayWAL|TestReplicaSetDurable|TestServerShutdown|TestHelloAdvertisesIdentity' ./internal/bench ./internal/remote ./internal/fabric
+	$(GO) test -run 'TestCrashSoak|TestDurable|TestWAL|TestReplayWAL|TestReplicaSetDurable|TestServerShutdown|TestHelloAdvertisesIdentity|TestCarryServerKilledMidExchange' ./internal/bench ./internal/remote ./internal/fabric
 
 # The memory-pressure gates: the thrash soak (governed 2x overcommit >=
 # 3x ungoverned throughput, zero lost localizations across a mid-run
@@ -125,8 +132,9 @@ test-tiers:
 # with every object riding the prefetch stream), plus the bufpool unit
 # tests (leak/double-release detection, class routing, slab reuse) and
 # the end-to-end wire-lease leak check and the zero-alloc TCP round trip
-# (fetch and push over loopback, client and server together; a pipelined
-# fetch alone and at depth 8). Run without
+# (fetch and push over loopback, alone and as one exchange of pushes and a
+# fetch, client and server together; a pipelined fetch alone and at depth
+# 8). Run without
 # -race: the race detector's instrumentation allocates, so the gates skip
 # themselves under it (the -race coverage of the same code lives in `test`).
 test-allocs:

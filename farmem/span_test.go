@@ -8,6 +8,7 @@ import (
 
 	"trackfm/internal/fabric"
 	"trackfm/internal/mem/bufpool"
+	"trackfm/internal/obs"
 	"trackfm/internal/remote"
 	"trackfm/internal/sim"
 )
@@ -194,18 +195,24 @@ func leasesOut(base int) int {
 // squeezing the budget to half and back. Every sum must match, and at the
 // end no pin and no buffer lease is left. Over a loopback server the
 // prefetches of those passes are in flight while all of that goes on — any
-// goroutine may end up finishing any of them — and in the last row the
+// goroutine may end up finishing any of them — and in the restart rows the
 // server is killed and replaced mid-run, failing whatever was in flight.
+// The write-heavy rows add a phase of random scalar stores and loads to
+// every round: demand misses that evict dirty objects, so that pushes ride
+// ahead of fetches, a reload of an object just evicted is served from the
+// write-behind window, and the restart fails exchanges that carry pushes.
 // Run under -race.
 func TestWindowLifetimeRace(t *testing.T) {
 	for _, row := range []struct {
-		name                    string
-		loopback, restart, tier bool
+		name                                string
+		loopback, restart, tier, writeHeavy bool
 	}{
-		{"simlink", false, false, false},
-		{"loopback", true, false, false},
-		{"loopback, server restarted", true, true, false},
-		{"loopback, compressed tier", true, false, true}, // a prefetch probes the tier first and may never start
+		{"simlink", false, false, false, false},
+		{"loopback", true, false, false, false},
+		{"loopback, server restarted", true, true, false, false},
+		{"loopback, compressed tier", true, false, true, false}, // a prefetch probes the tier first and may never start
+		{"loopback, write-heavy", true, false, false, true},
+		{"loopback, write-heavy, server restarted", true, true, false, true},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			before := bufpool.Outstanding()
@@ -232,7 +239,7 @@ func TestWindowLifetimeRace(t *testing.T) {
 					}
 				}
 			}
-			windowLifetimeRace(t, cfg, midway)
+			windowLifetimeRace(t, cfg, midway, row.writeHeavy)
 			if !row.loopback {
 				if n := bufpool.Outstanding() - before; n != 0 {
 					t.Errorf("%d buffer leases outstanding after Close", n)
@@ -244,7 +251,9 @@ func TestWindowLifetimeRace(t *testing.T) {
 
 // windowLifetimeRace is TestWindowLifetimeRace's body over the far memory
 // cfg names; midway, if set, runs once, on worker 0, halfway through.
-func windowLifetimeRace(t *testing.T, cfg Config, midway func()) {
+// writeHeavy adds the scalar phase, checked against a shadow copy, and
+// expects the write-behind window to have forwarded and carried.
+func windowLifetimeRace(t *testing.T, cfg Config, midway func(), writeHeavy bool) {
 	const workers, per, obj = 4, 5000, 256 // 40 000 B a slice: not whole objects
 	local := uint64(workers * per * 8 / 2)
 	cfg.HeapBytes, cfg.LocalBytes, cfg.MaxLocalBytes = 1<<20, local, local
@@ -307,12 +316,42 @@ func windowLifetimeRace(t *testing.T, cfg Config, midway func()) {
 					t.Errorf("worker %d round %d: Range sum %d, want %d", k, r, sum, want)
 					return
 				}
+				if !writeHeavy {
+					continue
+				}
+				shadow := make(map[int]uint64)
+				rng := sim.NewRNG(v)
+				for op := 0; op < 300; op++ {
+					i := rng.Intn(per)
+					if op%2 == 0 {
+						shadow[i] = rng.Uint64()
+						s.Set(i, shadow[i])
+						continue
+					}
+					want, written := shadow[i]
+					if !written {
+						if want = v; i == per/2 {
+							want = v + 5
+						}
+					}
+					if got := s.At(i); got != want {
+						t.Errorf("worker %d round %d: element %d = %d, want %d", k, r, i, got, want)
+						return
+					}
+				}
 			}
 		}(k)
 	}
 	workersWG.Wait()
 	close(stop)
 	wg.Wait()
+	if writeHeavy {
+		reg := obs.NewRegistry()
+		h.rt.Pool().RegisterObs(reg)
+		if snap := reg.Snapshot(); snap.Counters["trackfm_pool_write_behind_forwards_total"] == 0 {
+			t.Errorf("no load was served from the write-behind window: the row exercised nothing")
+		}
+	}
 	if n := h.rt.Pool().PinnedObjects(); n != 0 {
 		t.Errorf("%d objects still pinned", n)
 	}

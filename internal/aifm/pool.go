@@ -1188,6 +1188,9 @@ func (p *Pool) EvacuateAll() {
 		}
 		st.mu.Unlock()
 	}
+	// Evacuated means far. A flush that fails leaves the copies where a
+	// fetch still finds them, to be pushed with the next exchange.
+	_ = p.far.Flush()
 }
 
 // slotBytes returns the objSize bytes of the slot at arena offset base, or

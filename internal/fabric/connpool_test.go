@@ -453,9 +453,10 @@ func TestTCPOneSyscallPerFrame(t *testing.T) {
 	}
 }
 
-// TestTCPRoundTripAllocFree: a steady-state fetch or push over loopback
-// allocates nothing on either side (client and in-process server share
-// the heap AllocsPerRun watches).
+// TestTCPRoundTripAllocFree: a steady-state fetch or push over loopback —
+// alone, or as one exchange of pushes and a fetch behind them — allocates
+// nothing on either side (client and in-process server share the heap
+// AllocsPerRun watches).
 func TestTCPRoundTripAllocFree(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -489,6 +490,21 @@ func TestTCPRoundTripAllocFree(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("push round trip: %v allocs, want 0", n)
+	}
+	pushes := []Push{{Key: 2, Src: make([]byte, 4096)}, {Key: 3, Src: make([]byte, 4096)}}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := tr.TryFetchAfterPushes(pushes, 1, buf, Deadline{}); err != nil {
+			opErr = err
+		}
+	}); n != 0 {
+		t.Errorf("two pushes and a fetch in one exchange: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if err := tr.TryPushAll(pushes, Deadline{}); err != nil {
+			opErr = err
+		}
+	}); n != 0 {
+		t.Errorf("two pushes in one exchange: %v allocs, want 0", n)
 	}
 	if opErr != nil {
 		t.Fatal(opErr)

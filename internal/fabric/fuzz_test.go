@@ -167,6 +167,16 @@ func FuzzFrame(f *testing.F) {
 	f.Add(slices.Concat(hello, ahead, fetch[:9]))                                  // a truncated header
 	f.Add(slices.Concat(hello, ahead, goodPush[:hdrLen+2]))                        // a push whose payload never comes
 	f.Add(slices.Concat(hello, ahead, corruptTrailer(goodPush), ahead))            // a push rejected in the middle
+	// What an exchange that carries pushes writes in one go: pushes of
+	// different keys and lengths and the fetch behind them, or pushes alone;
+	// one of them rejected; the last one cut short.
+	other := pushFrame(7, 0, bytes.Repeat([]byte{0xA7}, 600))
+	carry := slices.Concat(goodPush, other, pushFrame(9, 0, nil), reqFrame(opFetch, 7, 600, 0))
+	f.Add(slices.Concat(hello, carry))
+	f.Add(slices.Concat(hello, carry, carry))
+	f.Add(slices.Concat(hello, goodPush, other, goodPush))
+	f.Add(slices.Concat(hello, goodPush, corruptTrailer(other), goodPush, fetch))
+	f.Add(slices.Concat(hello, other, goodPush, other[:len(other)-crcLen-100]))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		store := remote.NewStore()

@@ -62,7 +62,8 @@ func (b Backend) String() string {
 // either afterwards. This is what lets callers pass pooled bufpool leases
 // or zero-copy arena windows and release or reuse them the moment the call
 // returns. (AsyncFetcher.StartFetch, below, is the one operation that
-// outlives its call, and says who owns dst meanwhile.)
+// outlives its call, and says who owns dst meanwhile; PushCarrier's methods
+// follow the rule for every Push.Src they are handed, as TryPushUntil does.)
 type ErrorTransport interface {
 	// TryFetchUntil retrieves the n-byte blob stored under key into dst
 	// (len(dst) == n), bounded by dl: found reports key presence only
@@ -102,6 +103,35 @@ type AsyncFetcher interface {
 	// write nor reuse it in between. An error means nothing was started
 	// and dst is the caller's again.
 	StartFetch(key uint64, dst []byte) (Ticket, error)
+}
+
+// Push is one unit to write back: Src is to be stored under Key.
+type Push struct {
+	Key uint64
+	Src []byte
+}
+
+// PushCarrier is the optional interface of transports on which several
+// pushes — and a fetch behind them — cost one round trip instead of one
+// each: a write-behind window (far.Engine's) hands over the dirty units it
+// has parked when the next miss goes to the wire. TCPTransport writes the
+// lot into one buffer and flushes once. SimLink, FaultLink, ReplicaSet and
+// decorators that forward only the blocking triple are not carriers, and
+// over them every push stays a TryPushUntil of its own.
+//
+// Each call is all or nothing to its caller: nil means every push was
+// acknowledged (and the fetch answered); on error any of the pushes may or
+// may not have been stored — pushes are idempotent last-writer-wins, so the
+// caller keeps its copies and sends them again. dl bounds the whole call,
+// retries included, as it bounds TryPushUntil. The pushes slice and every
+// Src in it are the caller's again when the call returns.
+type PushCarrier interface {
+	// TryFetchAfterPushes stores every push, then fetches key into dst as
+	// TryFetchUntil does; the server sees the pushes before the fetch.
+	TryFetchAfterPushes(pushes []Push, key uint64, dst []byte, dl Deadline) (found bool, err error)
+
+	// TryPushAll stores every push.
+	TryPushAll(pushes []Push, dl Deadline) error
 }
 
 // Ticket is one started fetch. It is a small value: copy it freely, but

@@ -26,6 +26,9 @@ type Stats struct {
 
 	pipelined     atomic.Uint64 // fetches issued on a TCPTransport's prefetch stream
 	streamFlushes atomic.Uint64 // writes of corked stream requests to the socket
+
+	carried atomic.Uint64 // pushes a TCPTransport wrote ahead of another request in one exchange
+	carries atomic.Uint64 // exchanges that carried at least one push ahead
 }
 
 // Retries reports operation attempts beyond the first (each backoff-retry).
@@ -83,6 +86,15 @@ func (s *Stats) PipelinedFetches() uint64 { return s.pipelined.Load() }
 // requests that shared one write.
 func (s *Stats) StreamFlushes() uint64 { return s.streamFlushes.Load() }
 
+// CarriedPushes reports pushes a TCPTransport wrote ahead of another
+// request in the same exchange (PushCarrier): each shared that request's
+// round trip instead of paying its own.
+func (s *Stats) CarriedPushes() uint64 { return s.carried.Load() }
+
+// CarryExchanges reports exchanges that carried at least one push ahead of
+// their own request; CarriedPushes ÷ CarryExchanges is the pushes per carry.
+func (s *Stats) CarryExchanges() uint64 { return s.carries.Load() }
+
 // StatsSnapshot is a plain-value copy of Stats for reporting.
 type StatsSnapshot struct {
 	Retries         uint64
@@ -99,6 +111,9 @@ type StatsSnapshot struct {
 
 	PipelinedFetches uint64
 	StreamFlushes    uint64
+
+	CarriedPushes  uint64
+	CarryExchanges uint64
 }
 
 // Snapshot copies the current counter values.
@@ -118,6 +133,9 @@ func (s *Stats) Snapshot() StatsSnapshot {
 
 		PipelinedFetches: s.PipelinedFetches(),
 		StreamFlushes:    s.StreamFlushes(),
+
+		CarriedPushes:  s.CarriedPushes(),
+		CarryExchanges: s.CarryExchanges(),
 	}
 }
 
@@ -127,8 +145,8 @@ func (s *Stats) String() string { return s.Snapshot().String() }
 
 // String implements fmt.Stringer.
 func (s StatsSnapshot) String() string {
-	return fmt.Sprintf("retries=%d timeouts=%d reconnects=%d shortReads=%d unavailable=%d checksumFaults=%d overloads=%d deadlineMisses=%d budgetExhausted=%d openConns=%d connWaits=%d pipelined=%d streamFlushes=%d",
-		s.Retries, s.Timeouts, s.Reconnects, s.ShortReads, s.Unavailable, s.ChecksumFaults, s.Overloads, s.DeadlineMisses, s.BudgetExhausted, s.OpenConns, s.ConnWaits, s.PipelinedFetches, s.StreamFlushes)
+	return fmt.Sprintf("retries=%d timeouts=%d reconnects=%d shortReads=%d unavailable=%d checksumFaults=%d overloads=%d deadlineMisses=%d budgetExhausted=%d openConns=%d connWaits=%d pipelined=%d streamFlushes=%d carriedPushes=%d carryExchanges=%d",
+		s.Retries, s.Timeouts, s.Reconnects, s.ShortReads, s.Unavailable, s.ChecksumFaults, s.Overloads, s.DeadlineMisses, s.BudgetExhausted, s.OpenConns, s.ConnWaits, s.PipelinedFetches, s.StreamFlushes, s.CarriedPushes, s.CarryExchanges)
 }
 
 // record classifies err (already mapped by classify) into the right bucket.

@@ -46,7 +46,8 @@ import (
 // A connection's requests are answered strictly in the order they arrive,
 // one reply (or one-byte refusal) each. That order is all that matches a
 // reply to its request, and a client may rely on it to write several
-// requests before reading the first reply (the prefetch stream, stream.go).
+// requests before reading the first reply: the prefetch stream (stream.go),
+// and an exchange that carries pushes ahead of its own request (exchange).
 const (
 	opFetch  = byte(1)
 	opPush   = byte(2)
@@ -864,14 +865,18 @@ func (t *TCPTransport) ensureHello(c *wireConn) error {
 	return nil
 }
 
-// do runs one operation (code, key, buf: see exchange) on a checked-out
-// connection under the retry policy, bounded by the operation deadline and
-// the transport's retry budget. Any error marks the connection dead
-// (forcing a clean reconnect) and is classified into the typed taxonomy.
-// Permanent errors stop the loop immediately. No transport-wide lock is
-// held anywhere in the loop, so one caller's backoff or redial delays
-// nobody else, and Close interrupts it by closing its socket. Three
-// overload-control rules shape the loop:
+// do runs one operation (ahead, code, key, buf: see exchange) on a
+// checked-out connection under the retry policy, bounded by the operation
+// deadline and the transport's retry budget. Pushes written ahead belong to
+// the operation: a retry re-sends every one of them (pushes are idempotent
+// last-writer-wins), and it succeeds only when every frame of one attempt
+// did. Every error is classified into the typed taxonomy, and one that
+// leaves the stream unframed marks the connection dead (forcing a clean
+// reconnect); a one-byte refusal is a whole reply, and the connection that
+// delivered it is kept. Permanent errors stop the loop immediately. No
+// transport-wide lock is held anywhere in the loop, so one caller's backoff
+// or redial delays nobody else, and Close interrupts it by closing its
+// socket. Three overload-control rules shape the loop:
 //
 //   - an expired deadline stops the loop with ErrDeadlineExceeded, and a
 //     result that arrives past the deadline is reported the same way (the
@@ -882,16 +887,19 @@ func (t *TCPTransport) ensureHello(c *wireConn) error {
 //     bucket surfaces the last error instead of re-issuing, so a
 //     struggling server sees load shrink instead of multiply;
 //   - an overload reject (ackOverloaded) is backpressure, not failure:
-//     the connection stays up (the reject frame leaves the stream in
-//     sync), the budget is not charged, and the attempt is retried after
-//     the normal backoff.
-func (t *TCPTransport) do(dl Deadline, code byte, key uint64, buf []byte) (bool, error) {
+//     the budget is not charged, and the attempt is retried after the
+//     normal backoff.
+func (t *TCPTransport) do(dl Deadline, ahead []Push, code byte, key uint64, buf []byte) (bool, error) {
 	c, err := t.checkout()
 	if err != nil {
 		return false, err
 	}
 	defer t.release(c)
 	c.dl = dl
+	if len(ahead) > 0 {
+		t.stats.carried.Add(uint64(len(ahead)))
+		t.stats.carries.Add(1)
+	}
 	deposited := false
 	var last error
 	for attempt := 1; attempt <= t.policy.MaxAttempts && !t.closed.Load(); attempt++ {
@@ -935,7 +943,7 @@ func (t *TCPTransport) do(dl Deadline, code byte, key uint64, buf []byte) (bool,
 			}
 		}
 		c.conn.SetDeadline(time.Now().Add(to))
-		if found, err := c.exchange(code, key, buf); err == nil {
+		if found, inSync, err := c.exchange(ahead, code, key, buf); err == nil {
 			if !deposited {
 				t.budget.OnRequest()
 			}
@@ -956,7 +964,7 @@ func (t *TCPTransport) do(dl Deadline, code byte, key uint64, buf []byte) (bool,
 				t.budget.OnRequest()
 				deposited = true
 			}
-			if !isOverloaded(last) {
+			if !inSync {
 				t.markDead(c)
 			}
 			if errors.Is(last, ErrRemoteUnavailable) || isShortRead(last) {
@@ -988,35 +996,77 @@ func (c *wireConn) writeHeader(code byte, key uint64, length int) error {
 	return err
 }
 
-// exchange is one request/response on c, with the socket deadline already
-// set: code is the opcode, buf the destination of an opFetch, the source
-// of an opPush, nil for opDelete. found is meaningful for opFetch only.
+// writePush appends one whole push frame — header, payload, CRC trailer —
+// to c's write buffer.
+func (c *wireConn) writePush(key uint64, src []byte) error {
+	if err := c.writeHeader(opPush, key, len(src)); err != nil {
+		return err
+	}
+	if _, err := c.w.Write(src); err != nil {
+		return err
+	}
+	binary.BigEndian.PutUint32(c.crc[:], payloadCRC(src))
+	_, err := c.w.Write(c.crc[:])
+	return err
+}
+
+// exchange is one trip to the server on c, with the socket deadline already
+// set. Its own request is code: buf is the destination of an opFetch, the
+// source of an opPush, nil for opDelete; found is meaningful for opFetch
+// only. The pushes in ahead are written in front of it into the same
+// buffer and the lot is flushed once; the server answers a connection in
+// order (and holds an ack back while the next request is already in its
+// buffer), so their acks are read first, in order, and then the reply.
+//
+// The exchange fails as a whole — the caller re-sends all of it — and after
+// an error inSync reports whether c is still framed. A one-byte refusal of
+// one frame leaves the rest readable, and they are read: a shed frame in
+// the middle must not cost the connection. The first refusal is then the
+// error. One that leaves the stream untrustworthy (readFetchReply) ends
+// the exchange at once and is the one reported.
+//
 // Passing the operation as plain values (not a closure over the caller's
 // buffers) keeps a round trip free of heap allocations.
-func (c *wireConn) exchange(code byte, key uint64, buf []byte) (found bool, err error) {
-	if err := c.writeHeader(code, key, len(buf)); err != nil {
-		return false, err
+func (c *wireConn) exchange(ahead []Push, code byte, key uint64, buf []byte) (found, inSync bool, err error) {
+	for i := range ahead {
+		if err := c.writePush(ahead[i].Key, ahead[i].Src); err != nil {
+			return false, false, err
+		}
 	}
 	if code == opPush {
-		if _, err := c.w.Write(buf); err != nil {
-			return false, err
-		}
-		binary.BigEndian.PutUint32(c.crc[:], payloadCRC(buf))
-		if _, err := c.w.Write(c.crc[:]); err != nil {
-			return false, err
-		}
+		err = c.writePush(key, buf)
+	} else {
+		err = c.writeHeader(code, key, len(buf))
 	}
-	if err := c.w.Flush(); err != nil {
-		return false, err
+	if err == nil {
+		err = c.w.Flush()
+	}
+	if err != nil {
+		return false, false, err
+	}
+	var refused error
+	for range ahead {
+		if inSync, err := c.readAck("push"); err != nil {
+			if !inSync {
+				return false, false, err
+			}
+			if refused == nil {
+				refused = err
+			}
+		}
 	}
 	switch code {
 	case opPush:
-		return false, c.readAck("push")
+		inSync, err = c.readAck("push")
 	case opDelete:
-		return false, c.readAck("delete")
+		inSync, err = c.readAck("delete")
+	default:
+		found, inSync, err = c.readFetchReply(buf)
 	}
-	found, _, err = c.readFetchReply(buf)
-	return found, err
+	if refused != nil && inSync {
+		return false, true, refused
+	}
+	return found, inSync, err
 }
 
 // readFetchReply reads the reply to one fetch request into dst. It is the
@@ -1072,7 +1122,7 @@ func (t *TCPTransport) TryFetchUntil(key uint64, dst []byte, dl Deadline) (bool,
 	if len(dst) > maxPayload {
 		return false, fmt.Errorf("%w: fetch of %d bytes", ErrPayloadTooLarge, len(dst))
 	}
-	return t.do(dl, opFetch, key, dst)
+	return t.do(dl, nil, opFetch, key, dst)
 }
 
 // TryPushUntil implements ErrorTransport (see TryFetchUntil).
@@ -1080,38 +1130,75 @@ func (t *TCPTransport) TryPushUntil(key uint64, src []byte, dl Deadline) error {
 	if len(src) > maxPayload {
 		return fmt.Errorf("%w: push of %d bytes", ErrPayloadTooLarge, len(src))
 	}
-	_, err := t.do(dl, opPush, key, src)
+	_, err := t.do(dl, nil, opPush, key, src)
 	return err
 }
 
 // TryDeleteUntil implements ErrorTransport (see TryFetchUntil).
 func (t *TCPTransport) TryDeleteUntil(key uint64, dl Deadline) error {
-	_, err := t.do(dl, opDelete, key, nil)
+	_, err := t.do(dl, nil, opDelete, key, nil)
 	return err
 }
 
-func (c *wireConn) readAck(op string) error {
+// TryFetchAfterPushes implements PushCarrier: the pushes and the fetch are
+// one exchange on one connection — one write, their acks and the reply read
+// in order — retried as one under dl (see do and exchange).
+func (t *TCPTransport) TryFetchAfterPushes(pushes []Push, key uint64, dst []byte, dl Deadline) (bool, error) {
+	if err := checkPushSizes(pushes); err != nil {
+		return false, err
+	}
+	if len(dst) > maxPayload {
+		return false, fmt.Errorf("%w: fetch of %d bytes", ErrPayloadTooLarge, len(dst))
+	}
+	return t.do(dl, pushes, opFetch, key, dst)
+}
+
+// TryPushAll implements PushCarrier: one exchange whose own request is the
+// last push, the others written ahead of it.
+func (t *TCPTransport) TryPushAll(pushes []Push, dl Deadline) error {
+	if err := checkPushSizes(pushes); err != nil || len(pushes) == 0 {
+		return err
+	}
+	last := pushes[len(pushes)-1]
+	_, err := t.do(dl, pushes[:len(pushes)-1], opPush, last.Key, last.Src)
+	return err
+}
+
+func checkPushSizes(pushes []Push) error {
+	for i := range pushes {
+		if n := len(pushes[i].Src); n > maxPayload {
+			return fmt.Errorf("%w: push of %d bytes", ErrPayloadTooLarge, n)
+		}
+	}
+	return nil
+}
+
+// readAck reads the one-byte answer to a push or a delete. As for
+// readFetchReply, inSync reports after an error whether the connection is
+// still framed: the three refusals are whole replies and the next one
+// follows; an I/O error or an unknown byte leaves the rest untrustworthy.
+func (c *wireConn) readAck(op string) (inSync bool, err error) {
 	ack, err := c.r.ReadByte()
 	if err != nil {
-		return err
+		return false, err
 	}
 	switch ack {
 	case ackOK:
-		return nil
+		return true, nil
 	case ackOverloaded:
 		// Backpressure: the request was shed before service (a shed push
 		// was consumed and discarded, never stored). Retryable without a
-		// budget charge; see exchange's flag handling.
-		return fmt.Errorf("%w: %s shed", ErrOverloaded, op)
+		// budget charge; see readFetchReply's flag handling.
+		return true, fmt.Errorf("%w: %s shed", ErrOverloaded, op)
 	case ackErr:
-		return permanent(fmt.Errorf("%w: server rejected %s", ErrProtocol, op))
+		return true, permanent(fmt.Errorf("%w: server rejected %s", ErrProtocol, op))
 	case ackCorrupt:
 		// The server saw a damaged CRC trailer: the payload was
 		// corrupted in flight and discarded. Retrying re-sends the
 		// intact source buffer, so this is retryable.
-		return fmt.Errorf("%w: server rejected %s payload CRC", ErrIntegrity, op)
+		return true, fmt.Errorf("%w: server rejected %s payload CRC", ErrIntegrity, op)
 	default:
-		return permanent(fmt.Errorf("%w: %s ack %#x", ErrProtocol, op, ack))
+		return false, permanent(fmt.Errorf("%w: %s ack %#x", ErrProtocol, op, ack))
 	}
 }
 
@@ -1155,6 +1242,7 @@ func (t *TCPTransport) Close() error {
 
 var _ ErrorTransport = (*TCPTransport)(nil)
 var _ AsyncFetcher = (*TCPTransport)(nil)
+var _ PushCarrier = (*TCPTransport)(nil)
 var _ IdentityReporter = (*TCPTransport)(nil)
 var _ BlobStore = (*remote.Store)(nil)
 var _ BlobStore = (*remote.DurableStore)(nil)

@@ -3,7 +3,9 @@
 // the wire. An Engine resolves the fabric.RemoteConfig into a transport,
 // probes the compressed middle tier, stamps per-operation deadlines, runs
 // the retry loops, keeps the fault and overload accounting and the
-// deadline-miss breaker, and writes a unit back and demotes it on eviction.
+// deadline-miss breaker, and writes a unit back and demotes it on eviction —
+// behind the mutator's back where the transport can carry a push along with
+// the next fetch (the write-behind window, window.go).
 // What distinguishes the runtimes — object slots, stripes and pins against
 // page frames and one mmap_lock — stays in aifm and fastswap, which call
 // the engine directly.
@@ -89,6 +91,7 @@ type Engine struct {
 	unit      int
 	slab      *bufpool.Slab // unit-size scratch; non-nil only when phantom
 	tier      *ctier.Tier   // nil when disabled
+	wb        *window       // write-behind window; nil unless the transport is a fabric.PushCarrier
 
 	// Overload control, idle when dlBudget is zero.
 	dlBudget     uint64 // per-op deadline in clock cycles; 0 = none
@@ -133,13 +136,20 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.CompressedBudget > 0 {
 		e.tier = ctier.New(ctier.Config{Budget: cfg.CompressedBudget, Policy: cfg.CompressedPolicy})
 	}
+	if carrier, ok := transport.(fabric.PushCarrier); ok {
+		e.wb = newWindow(carrier, cfg.UnitSize)
+	}
 	return e, nil
 }
 
-// Close returns the tier's buffer leases and releases the connection the
-// engine itself opened (the RemoteAddr path); a caller-provided transport
-// stays open — the caller owns its lifetime.
+// Close pushes what the write-behind window still holds (everything
+// evicted is then far; what cannot be pushed now is dropped like the rest
+// of local memory), returns the window's and the tier's buffer leases and
+// releases the connection the engine itself opened (the RemoteAddr path); a
+// caller-provided transport stays open — the caller owns its lifetime.
 func (e *Engine) Close() error {
+	_ = e.Flush() // the error is the outage's; Close has nobody to keep the copies for
+	e.wb.clear()
 	e.tier.Clear()
 	if e.closer == nil {
 		return nil
@@ -188,6 +198,12 @@ func (e *Engine) RegisterObs(reg *obs.Registry, labels ...obs.Label) {
 	reg.GaugeFunc("trackfm_pool_deadline_miss_streak",
 		"Consecutive deadline-missing remote operations (resets on any success).",
 		func() float64 { return float64(e.dlStreak.Load()) }, labels...)
+	reg.GaugeFunc("trackfm_pool_write_behind_parked",
+		"Evicted dirty units whose push has not been acknowledged yet (write-behind window depth; 0 over transports that cannot carry pushes).",
+		func() float64 { return float64(e.wb.parked()) }, labels...)
+	reg.CounterFunc("trackfm_pool_write_behind_forwards_total",
+		"Fetches served from a copy still parked in the write-behind window (no round trip).",
+		e.wb.forwarded, labels...)
 	e.tier.Register(reg, labels...)
 }
 
@@ -252,26 +268,31 @@ func (e *Engine) noteErr(err error, start uint64) bool {
 // Fetch fills dst (one unit; nil for a phantom unit) with the bytes stored
 // under key: first by probing the compressed tier — a hit decompresses
 // straight into dst, touches no fabric and works even while degraded —
-// then over the transport, retrying failures up to the retry budget inside
-// one deadline. Every failed attempt is tallied in
-// Counters.RemoteFetchFaults, so injected fault counts reconcile exactly
-// with what the runtime observed. dst must not be visible to anyone else: a
-// failed attempt may scribble on it. The bool reports a tier hit, so callers
-// keep their remote-fetch accounting honest.
-func (e *Engine) Fetch(key uint64, dst []byte) (fromTier bool, err error) {
+// then the write-behind window, which still holds the unit if its push has
+// not been acknowledged (likewise no fabric), then over the transport,
+// retrying failures up to the retry budget inside one deadline. Over a
+// fabric.PushCarrier that exchange carries ahead of the fetch every dirty
+// unit parked since the last one. Every failed attempt is tallied in
+// Counters.RemoteFetchFaults (and once in RemotePushFaults for each push it
+// carried), so injected fault counts reconcile exactly with what the
+// runtime observed. dst must not be visible to anyone else: a failed
+// attempt may scribble on it. The bool reports that the bytes never left
+// local memory — a tier hit or a parked copy — so callers keep their
+// remote-fetch accounting honest.
+func (e *Engine) Fetch(key uint64, dst []byte) (local bool, err error) {
 	pf, err := e.start(key, dst, false)
-	return pf.fromTier, err
+	return pf.local, err
 }
 
 // Prefetch is a speculative fetch begun by StartPrefetch: done already (a tier
-// hit, or a transport with nothing to overlap), or waiting for its bytes. A
-// small value; hand it to FinishPrefetch exactly once.
+// hit, a parked copy, or a transport with nothing to overlap), or waiting for
+// its bytes. A small value; hand it to FinishPrefetch exactly once.
 type Prefetch struct {
-	ticket   fabric.Ticket
-	lease    bufpool.Lease // a phantom unit's scratch, held while the transport owns it
-	key      uint64
-	waited   uint64 // cycles StartPrefetch took: the first part of what the mutator waits
-	fromTier bool
+	ticket fabric.Ticket
+	lease  bufpool.Lease // a phantom unit's scratch, held while the transport owns it
+	key    uint64
+	waited uint64 // cycles StartPrefetch took: the first part of what the mutator waits
+	local  bool   // served from the tier or the write-behind window
 }
 
 // Pending reports whether the bytes are still on their way: dst then
@@ -281,21 +302,22 @@ func (pf Prefetch) Pending() bool { return pf.ticket.Pending() }
 
 // StartPrefetch is the speculative flavour of Fetch, split in two so the
 // round trip overlaps with the caller's computation:
-// the same tier probe and degraded refusal, then a fetch started on the
-// transport with no deadline. A start the transport refuses outright is
+// the same tier and window probes and degraded refusal, then a fetch started
+// on the transport with no deadline (it carries no pushes: the prefetch
+// stream is another connection). A start the transport refuses outright is
 // retried here, to the retry budget, as a demand fetch's attempts are; once
 // started, the rest is FinishPrefetch's.
 func (e *Engine) StartPrefetch(key uint64, dst []byte) (Prefetch, error) {
 	return e.start(key, dst, true)
 }
 
-// FinishPrefetch completes a prefetch and reports whether the bytes came from
-// the tier. A fetch that fails after it started is one
+// FinishPrefetch completes a prefetch and reports, as Fetch does, whether the
+// bytes never left local memory. A fetch that fails after it started is one
 // Counters.RemoteFetchFaults and is not retried: the caller leaves the unit
 // far, and recovery belongs to the demand fetch that eventually wants it.
-func (e *Engine) FinishPrefetch(pf Prefetch) (fromTier bool, err error) {
+func (e *Engine) FinishPrefetch(pf Prefetch) (local bool, err error) {
 	if !pf.Pending() {
-		return pf.fromTier, nil
+		return pf.local, nil
 	}
 	start := e.env.Clock.Cycles()
 	_, err = pf.ticket.Wait()
@@ -329,10 +351,14 @@ func (e *Engine) start(key uint64, dst []byte, speculative bool) (Prefetch, erro
 		e.env.Clock.Advance(e.env.Costs.TierDecompress(e.unit))
 		sim.Inc(&e.env.Counters.TierHits)
 		e.lat.TierDecompress.Observe(e.env.Clock.Cycles() - start)
-		return Prefetch{fromTier: true}, nil
+		return Prefetch{local: true}, nil
 	}
 	if e.tier != nil {
 		sim.Inc(&e.env.Counters.TierMisses)
+	}
+	if e.wb.forward(key, dst) {
+		lease.Release()
+		return Prefetch{local: true}, nil
 	}
 	if e.Degraded() && e.probeTick.Add(1)%degradedProbeEvery != 0 {
 		e.finished(lease, e.env.Clock.Cycles()-start)
@@ -349,6 +375,10 @@ func (e *Engine) start(key uint64, dst []byte, speculative bool) (Prefetch, erro
 		var ticket fabric.Ticket
 		if speculative {
 			ticket, err = fabric.StartFetch(e.transport, key, dst)
+		} else if b := e.wb.claim(); b != nil {
+			sent := e.env.Clock.Cycles()
+			_, err = e.wb.carrier.TryFetchAfterPushes(b.pushes[:b.n], key, dst, dl)
+			e.settle(b, err, sent)
 		} else {
 			_, err = e.transport.TryFetchUntil(key, dst, dl)
 		}
@@ -372,12 +402,15 @@ func (e *Engine) start(key uint64, dst []byte, speculative bool) (Prefetch, erro
 
 // Evict makes the unit in src (nil for a phantom unit, which reads as
 // zeros) droppable from local memory and reports whether it now is: a
-// dirty unit is pushed first — retried inside one deadline, failed
-// attempts tallied in Counters.RemotePushFaults — and refused outright
-// while degraded, then a compressed copy is parked in the tier. The tier
-// is write-through: the push has succeeded or the far copy was already
-// current, so the tier never holds the only copy. A refusal is counted in
-// Counters.EvictionStalls and the caller keeps the unit resident — it is
+// dirty unit is written back first — refused outright while degraded —
+// then a compressed copy is parked in the tier. Written back means pushed,
+// retried inside one deadline with failed attempts tallied in
+// Counters.RemotePushFaults; or, over a fabric.PushCarrier, copied into the
+// write-behind window, from where the next exchange carries it (a full
+// window first flushes itself: the pushes it holds, as one exchange). The
+// tier is write-through: the far copy is current or its push is parked in
+// the window, so the tier never holds the only copy. A refusal is counted
+// in Counters.EvictionStalls and the caller keeps the unit resident — it is
 // the only copy of the data.
 func (e *Engine) Evict(key uint64, src []byte, dirty bool) bool {
 	if !dirty && e.tier == nil {
@@ -385,7 +418,7 @@ func (e *Engine) Evict(key uint64, src []byte, dirty bool) bool {
 	}
 	src, lease := e.scratch(src, true)
 	defer lease.Release()
-	if dirty && (e.Degraded() || e.push(key, src) != nil) {
+	if dirty && (e.Degraded() || !e.writeBack(key, src)) {
 		sim.Inc(&e.env.Counters.EvictionStalls)
 		return false
 	}
@@ -396,6 +429,23 @@ func (e *Engine) Evict(key uint64, src []byte, dirty bool) bool {
 		}
 	}
 	return true
+}
+
+// writeBack makes sure the dirty unit in src will survive being dropped
+// from local memory, and reports whether it will.
+func (e *Engine) writeBack(key uint64, src []byte) bool {
+	if e.wb == nil {
+		return e.push(key, src) == nil
+	}
+	if e.wb.park(key, src) {
+		return true
+	}
+	// Full, and no fetch came by to carry it. Whatever the flush achieves,
+	// the second try decides: during an outage, or while other callers'
+	// exchanges hold every entry, the window stays full and the unit stays
+	// with the caller.
+	_ = e.Flush()
+	return e.wb.park(key, src)
 }
 
 func (e *Engine) push(key uint64, src []byte) (err error) {
@@ -415,12 +465,56 @@ func (e *Engine) push(key uint64, src []byte) (err error) {
 	return err
 }
 
-// Delete drops key from the tier and the far node. Deletes are idempotent
+// Flush pushes what the write-behind window holds, as one exchange,
+// retried inside one deadline like a push of one unit. When it returns nil
+// every unit evicted before the call is on the far node, unless another
+// caller's exchange is carrying it there at this moment; on error the
+// copies stay parked — still fetchable, and sent again with the next
+// exchange. Over a transport with no window there is nothing to do.
+func (e *Engine) Flush() error {
+	start := e.env.Clock.Cycles()
+	dl := e.deadline()
+	failed := 0
+	// A failed batch is parked again and claimed again; an acknowledged one
+	// can uncover copies that waited behind it.
+	for b := e.wb.claim(); b != nil; b = e.wb.claim() {
+		sent := e.env.Clock.Cycles()
+		err := e.wb.carrier.TryPushAll(b.pushes[:b.n], dl)
+		e.settle(b, err, sent)
+		if err == nil {
+			e.noteOK()
+			continue
+		}
+		if failed++; e.noteErr(err, start) || failed == e.retries {
+			return fmt.Errorf("far: flush of the write-behind window: %w", err)
+		}
+	}
+	return nil
+}
+
+// settle ends the exchange that carried b, begun at cycle sent: every push
+// in it was acknowledged, or every one is a push fault. The exchange's own
+// request, and noteOK/noteErr for the exchange as a whole, are the
+// caller's: one failed exchange is one deadline miss or overload reject,
+// however many pushes rode in it.
+func (e *Engine) settle(b *wbBatch, err error, sent uint64) {
+	elapsed := e.env.Clock.Cycles() - sent
+	for i := 0; i < b.n; i++ {
+		e.lat.RemotePush.Observe(elapsed)
+	}
+	if err != nil {
+		sim.Add(&e.env.Counters.RemotePushFaults, uint64(b.n))
+	}
+	e.wb.settle(b, err == nil)
+}
+
+// Delete drops key from the tier, the write-behind window and the far node. Deletes are idempotent
 // and harmless to lose — the caller resets its own metadata, so a leaked
 // far blob is unreachable and any later push overwrites it — so failures
 // are retried within budget, tallied with the push faults, and dropped.
 func (e *Engine) Delete(key uint64) {
 	e.tier.Delete(key) // a freed unit must not be revivable
+	e.wb.drop(key)
 	for attempt := 0; attempt < e.retries; attempt++ {
 		if e.transport.TryDeleteUntil(key, fabric.Deadline{}) == nil {
 			return

@@ -412,6 +412,9 @@ func (s *Swap) EvacuateAll() {
 			s.freeFrames = append(s.freeFrames, uint32(f))
 		}
 	}
+	// Reclaimed means far. A flush that fails leaves the copies where a
+	// fault still finds them, to be pushed with the next exchange.
+	_ = s.far.Flush()
 }
 
 // access moves len(buf) bytes at heap offset off, faulting as needed.

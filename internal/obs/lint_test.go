@@ -120,12 +120,18 @@ func TestMetricNamesLint(t *testing.T) {
 		`trackfm_transport_pipelined_fetches_total{transport="tcp"}`,
 		`trackfm_transport_stream_flushes_total{transport="tcp"}`,
 		`trackfm_server_flushes_total`,
+		// Likewise the write-behind window's: pushes per carry, forwards.
+		`trackfm_transport_carried_pushes_total{transport="tcp"}`,
+		`trackfm_transport_carry_exchanges_total{transport="tcp"}`,
+		`trackfm_pool_write_behind_forwards_total`,
 	} {
 		if _, ok := snap.Counters[id]; !ok {
 			t.Errorf("counter %s is not registered", id)
 		}
 	}
-	if _, ok := snap.Gauges["trackfm_pool_pending_prefetches"]; !ok {
-		t.Errorf("gauge trackfm_pool_pending_prefetches is not registered")
+	for _, id := range []string{"trackfm_pool_pending_prefetches", "trackfm_pool_write_behind_parked"} {
+		if _, ok := snap.Gauges[id]; !ok {
+			t.Errorf("gauge %s is not registered", id)
+		}
 	}
 }

@@ -40,6 +40,17 @@ func goldenRegistry() *Registry {
 		func() uint64 { return 33 })
 	r.GaugeFunc("trackfm_pool_pending_prefetches", "Prefetches whose bytes are still in flight (slot claimed, object not yet resident).",
 		func() float64 { return 8 })
+	// The write-behind window's series, as fabric.Stats and far.Engine
+	// register them: a 50 %-Set miss mix, nearly every push riding ahead of
+	// the fetch that evicted it.
+	r.CounterFunc("trackfm_transport_carried_pushes_total", "Pushes the TCP transport wrote ahead of another request in the same exchange (no round trip of their own).",
+		func() uint64 { return 430 }, L("transport", "tcp"))
+	r.CounterFunc("trackfm_transport_carry_exchanges_total", "Exchanges that carried at least one push ahead of their own request (carried pushes / carry exchanges = pushes per carry).",
+		func() uint64 { return 420 }, L("transport", "tcp"))
+	r.GaugeFunc("trackfm_pool_write_behind_parked", "Evicted dirty units whose push has not been acknowledged yet (write-behind window depth; 0 over transports that cannot carry pushes).",
+		func() float64 { return 1 })
+	r.CounterFunc("trackfm_pool_write_behind_forwards_total", "Fetches served from a copy still parked in the write-behind window (no round trip).",
+		func() uint64 { return 3 })
 	return r
 }
 
