@@ -134,7 +134,10 @@ test-tiers:
 # the end-to-end wire-lease leak check and the zero-alloc TCP round trip
 # (fetch and push over loopback, alone and as one exchange of pushes and a
 # fetch, client and server together; a pipelined fetch alone and at depth
-# 8). Run without
+# 8); then the two gates on what the emulator itself costs: a 64-object
+# core.NewRuntime allocates a bounded number of bytes (nothing sized by
+# what the OST warm-line model could hold), and an interpreted loop of
+# Assign/Var/Bin allocates nothing per trip. Run without
 # -race: the race detector's instrumentation allocates, so the gates skip
 # themselves under it (the -race coverage of the same code lives in `test`).
 test-allocs:
@@ -142,6 +145,7 @@ test-allocs:
 	$(GO) test -run 'TestScalarGuardAllocFree|TestCursorLoadAllocFree|TestRangeAllocs|TestRangeLoopbackAllocs' ./internal/core ./farmem
 	$(GO) test ./internal/mem/...
 	$(GO) test -run 'TestWireLeasesNetZero|TestTCPRoundTripAllocFree|TestStreamAllocFree' ./internal/fabric
+	$(GO) test -run 'TestNewRuntimeFootprint|TestLoopBodyAllocFree' ./internal/core ./internal/interp
 
 # The replica-failover soak: 10k ops over three TCP replicas with seeded
 # drops and corruption on every link and one replica killed/restarted

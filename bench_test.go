@@ -18,14 +18,20 @@ import (
 	"trackfm/farmem"
 	"trackfm/internal/aifm"
 	"trackfm/internal/bench"
+	"trackfm/internal/compiler"
 	"trackfm/internal/core"
 	"trackfm/internal/fabric"
 	"trackfm/internal/fastswap"
+	"trackfm/internal/interp"
+	"trackfm/internal/ir"
 	"trackfm/internal/remote"
 	"trackfm/internal/sim"
 	"trackfm/internal/workloads"
 	"trackfm/internal/workloads/dist"
 	"trackfm/internal/workloads/hashmap"
+	"trackfm/internal/workloads/kmeans"
+	"trackfm/internal/workloads/nas"
+	"trackfm/internal/workloads/stream"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -297,6 +303,100 @@ func BenchmarkHashmapGet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, ok := tbl.Get(uint64(i%10_000) + 1); !ok {
 			b.Fatal("miss")
+		}
+	}
+}
+
+// --- What the emulator itself costs: the fmbench compiled-run op, from
+// here, so `go test -bench CompiledRun -cpuprofile` profiles it without
+// touching benchmarks/ ---
+
+// compiledBenchProg is one compiled program with the runtime sizes
+// compiled-run gives it: heap = working set + 16 objects, 25 % local.
+type compiledBenchProg struct {
+	prog        *ir.Program
+	heap, local uint64
+}
+
+// compiledBenchProgs compiles compiled-run's three programs — STREAM
+// Triad, k-means, NAS IS — at its base sizes.
+func compiledBenchProgs(b *testing.B) []compiledBenchProg {
+	b.Helper()
+	km := kmeans.Config{Points: 112, Dims: 8, K: 4, Iterations: 2}
+	is := nas.Scale{N: 1408, Iterations: 2}
+	isProg, err := nas.Program(nas.IS, is)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var out []compiledBenchProg
+	for _, p := range []struct {
+		prog *ir.Program
+		ws   uint64
+	}{
+		{stream.Program(stream.Triad, 2048), 2048 * 24},
+		{kmeans.Program(km), km.WorkingSetBytes()},
+		{isProg, nas.WorkingSetBytes(nas.IS, is)},
+	} {
+		if _, err := compiler.Compile(p.prog, compiler.Options{Chunking: compiler.ChunkCostModel, ObjectSize: 4096, Prefetch: true}); err != nil {
+			b.Fatal(err)
+		}
+		local := (p.ws / 4) &^ 4095
+		if local < 8*4096 {
+			local = 8 * 4096
+		}
+		out = append(out, compiledBenchProg{p.prog, (p.ws + 16*4096) &^ 4095, local})
+	}
+	return out
+}
+
+func (p compiledBenchProg) newRuntime(b *testing.B) *core.Runtime {
+	rt, err := core.NewRuntime(core.Config{Env: sim.NewEnv(), ObjectSize: 4096, HeapSize: p.heap, LocalBudget: p.local})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rt
+}
+
+// BenchmarkCompiledRun is one compiled-run op per iteration: each program
+// on a fresh runtime over SimLink.
+func BenchmarkCompiledRun(b *testing.B) {
+	progs := compiledBenchProgs(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range progs {
+			rt := p.newRuntime(b)
+			if _, err := interp.Run(p.prog, interp.NewTrackFMBackend(rt), interp.Options{}); err != nil {
+				b.Fatal(err)
+			}
+			rt.Pool().Close()
+		}
+	}
+}
+
+// BenchmarkNewRuntime is the set-up half of that op alone.
+func BenchmarkNewRuntime(b *testing.B) {
+	progs := compiledBenchProgs(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range progs {
+			p.newRuntime(b).Pool().Close()
+		}
+	}
+}
+
+// BenchmarkInterpRun is the interpreter alone: the same three programs
+// on plain local memory (a fresh backend each, as its arena only grows).
+func BenchmarkInterpRun(b *testing.B) {
+	progs := compiledBenchProgs(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range progs {
+			if _, err := interp.Run(p.prog, interp.NewLocalBackend(sim.NewEnv()), interp.Options{}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

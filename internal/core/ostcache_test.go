@@ -1,9 +1,117 @@
 package core
 
-import "testing"
+import (
+	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"trackfm/internal/far"
+	"trackfm/internal/mem/bufpool"
+	"trackfm/internal/sim"
+)
+
+// refOSTCache is the model ostCache must agree with touch by touch: a
+// set of line tags with FIFO replacement, as a map and a ring.
+type refOSTCache struct {
+	resident map[uint64]struct{}
+	order    []uint64
+	head     int
+}
+
+func newRefOSTCache(capacityLines int) *refOSTCache {
+	return &refOSTCache{resident: map[uint64]struct{}{}, order: make([]uint64, capacityLines)}
+}
+
+func (c *refOSTCache) touch(id uint64) bool {
+	line := id / objectsPerLine
+	if _, ok := c.resident[line]; ok {
+		return true
+	}
+	if len(c.resident) >= len(c.order) {
+		delete(c.resident, c.order[c.head])
+		c.order[c.head] = line
+		c.head = (c.head + 1) % len(c.order)
+	} else {
+		c.order[(c.head+len(c.resident))%len(c.order)] = line
+	}
+	c.resident[line] = struct{}{}
+	return false
+}
+
+func (c *refOSTCache) flush() {
+	c.resident = map[uint64]struct{}{}
+	c.head = 0
+}
+
+func TestOSTCacheMatchesReference(t *testing.T) {
+	for _, tc := range []struct{ objects, capacity int }{
+		{64, 1 << 18},  // 8 lines, all fit: no ring
+		{64, 8},        // exactly fits
+		{61, 7},        // 8 lines (the last one short), one too many
+		{1000, 16},     // heavy eviction
+		{4096, 1},      // a one-line cache
+		{4096, 1 << 9}, // 512 lines of 512: the boundary again
+	} {
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			got, want := newOSTCache(tc.objects, tc.capacity), newRefOSTCache(tc.capacity)
+			id := uint64(0)
+			for i := 0; i < 20000; i++ {
+				switch r := rng.Intn(1000); {
+				case r == 0:
+					got.flush()
+					want.flush()
+					continue
+				case r < 300: // sequential, as a streaming loop
+					id = (id + 1) % uint64(tc.objects)
+				case r < 500: // first or last entry of a line
+					line := uint64(rng.Intn((tc.objects + objectsPerLine - 1) / objectsPerLine))
+					id = line*objectsPerLine + uint64(rng.Intn(2))*(objectsPerLine-1)
+					if id >= uint64(tc.objects) {
+						id = uint64(tc.objects) - 1
+					}
+				default:
+					id = uint64(rng.Intn(tc.objects))
+				}
+				if g, w := got.touch(id), want.touch(id); g != w {
+					t.Fatalf("objects=%d capacity=%d seed=%d touch #%d of id %d: warm=%v, reference says %v",
+						tc.objects, tc.capacity, seed, i, id, g, w)
+				}
+			}
+		}
+	}
+}
+
+// Run under -race: when every line fits, each line is reported cold to
+// exactly one of the goroutines racing to touch it.
+func TestOSTCacheConcurrentColdOnce(t *testing.T) {
+	const objects, workers = 1 << 12, 8
+	c := newOSTCache(objects, ostCacheLines)
+	var cold [objects / objectsPerLine]atomic.Int32
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			for _, i := range rand.New(rand.NewSource(seed)).Perm(objects) {
+				if !c.touch(uint64(i)) {
+					cold[i/objectsPerLine].Add(1)
+				}
+			}
+		}(int64(w))
+	}
+	wg.Wait()
+	for line := range cold {
+		if n := cold[line].Load(); n != 1 {
+			t.Fatalf("line %d reported cold %d times, want exactly once", line, n)
+		}
+	}
+}
 
 func TestOSTCacheLineSharing(t *testing.T) {
-	c := newOSTCache(4)
+	c := newOSTCache(2*objectsPerLine, 4)
 	if c.touch(0) {
 		t.Fatalf("first touch reported warm")
 	}
@@ -19,7 +127,7 @@ func TestOSTCacheLineSharing(t *testing.T) {
 }
 
 func TestOSTCacheCapacityEviction(t *testing.T) {
-	c := newOSTCache(2)
+	c := newOSTCache(3*objectsPerLine, 2)
 	c.touch(0 * objectsPerLine) // line 0
 	c.touch(1 * objectsPerLine) // line 1
 	c.touch(2 * objectsPerLine) // line 2: evicts line 0 (FIFO)
@@ -33,7 +141,7 @@ func TestOSTCacheCapacityEviction(t *testing.T) {
 }
 
 func TestOSTCacheFlush(t *testing.T) {
-	c := newOSTCache(8)
+	c := newOSTCache(objectsPerLine, 8)
 	c.touch(0)
 	c.flush()
 	if c.touch(0) {
@@ -42,9 +150,21 @@ func TestOSTCacheFlush(t *testing.T) {
 }
 
 func TestOSTCacheDefaultCapacity(t *testing.T) {
-	c := newTestRuntime(t, 64, 1<<16, 1<<16).cache
-	if c.capacity != 1<<18 {
-		t.Fatalf("default capacity = %d", c.capacity)
+	// A runtime's model holds 1<<18 lines (~16 MB of OST): a sweep of
+	// that many leaves the first one warm, one line more evicts it.
+	if ostCacheLines != 1<<18 {
+		t.Fatalf("default capacity = %d lines", ostCacheLines)
+	}
+	c := newOSTCache((ostCacheLines+1)*objectsPerLine, ostCacheLines)
+	for line := uint64(0); line < ostCacheLines; line++ {
+		c.touch(line * objectsPerLine)
+	}
+	if !c.touch(0) {
+		t.Fatalf("line 0 cold after touching exactly the capacity")
+	}
+	c.touch(ostCacheLines * objectsPerLine)
+	if c.touch(0) {
+		t.Fatalf("line 0 still warm after capacity+1 distinct lines")
 	}
 }
 
@@ -52,7 +172,7 @@ func TestUncachedGuardsReappearUnderOSTPressure(t *testing.T) {
 	// A working set whose OST lines exceed the modeled cache must keep
 	// paying uncached guard costs even in steady state.
 	rt := newTestRuntime(t, 64, 1<<16, 1<<16)
-	rt.cache = newOSTCache(4) // covers 32 objects; heap has 1024
+	rt.cache = newOSTCache(1024, 4) // covers 32 objects; heap has 1024
 	env := rt.Env()
 	p := rt.MustMalloc(1 << 15) // 512 objects
 	for i := uint64(0); i < 512; i++ {
@@ -68,5 +188,39 @@ func TestUncachedGuardsReappearUnderOSTPressure(t *testing.T) {
 	if perAccess <= warmCost {
 		t.Fatalf("per-access %d cycles; OST pressure should exceed warm cost %d",
 			perAccess, warmCost)
+	}
+}
+
+// TestNewRuntimeFootprint is the gate against a structure sized by what
+// the model could hold rather than by the heap. A phantom pool has no
+// arena, so everything a 64-object runtime allocates is bookkeeping:
+// ~64 KB, most of it the pool's stripes and the env's metric registry.
+func TestNewRuntimeFootprint(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const objSize, objects, bound = 4096, 64, 256 << 10
+	newRuntime := func() {
+		rt, err := NewRuntime(Config{
+			Env: sim.NewEnv(), ObjectSize: objSize, Backing: far.BackingPhantom,
+			HeapSize: objects * objSize, LocalBudget: objects * objSize,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.Pool().Close()
+	}
+	newRuntime() // one-time initialisation is not the runtime's
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const rounds = 8
+	for i := 0; i < rounds; i++ {
+		newRuntime()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / rounds
+	t.Logf("NewRuntime for a %d-object phantom heap allocates %d bytes", objects, per)
+	if per > bound {
+		t.Fatalf("NewRuntime for a %d-object phantom heap allocates %d bytes, want <= %d", objects, per, bound)
 	}
 }

@@ -141,7 +141,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		lat:           cfg.Env.Lat(),
 		pool:          pool,
 		ost:           pool.Table(),
-		cache:         newOSTCache(ostCacheLines),
+		cache:         newOSTCache(int(pool.NumObjects()), ostCacheLines),
 		objSize:       cfg.ObjectSize,
 		shift:         uint(bits.TrailingZeros(uint(cfg.ObjectSize))),
 		heapSize:      cfg.HeapSize,

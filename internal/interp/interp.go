@@ -84,16 +84,22 @@ func Run(prog *ir.Program, backend Backend, opts Options) (res Result, err error
 	if prog.RuntimeInit {
 		backend.Init()
 	}
-	ex := &executor{prog: prog, backend: backend, opts: opts}
-	v := ex.call(main, nil)
+	ex := &executor{prog: prog, backend: backend, opts: opts, funcs: make(map[*ir.Func]*function)}
+	v := ex.call(ex.function(main), nil, nil)
 	return Result{Return: v}, nil
 }
 
+// The executor runs its own form of the program, lowered from the IR one
+// function at a time on the function's first call: a variable is a slot
+// in its function's frame (parameters first, then every other name in
+// order of appearance), so reading one is an index, not a map probe by
+// name. The lowered form belongs to one Run; the *ir.Program is only read.
 type executor struct {
 	prog    *ir.Program
 	backend Backend
 	opts    Options
 	steps   uint64
+	funcs   map[*ir.Func]*function
 
 	// allocRanges maps addresses back to allocation sites during
 	// profiling runs, for the PGO remotability pruning pass.
@@ -116,22 +122,181 @@ func (ex *executor) recordAccess(addr uint64) {
 	}
 }
 
+// function is a lowered ir.Func.
+type function struct {
+	name    string
+	nparams int
+	nslots  int // frame size: parameters plus every other variable named
+	body    []stmt
+}
+
+// expr and stmt are the lowered nodes; each mirrors the ir node it was
+// lowered from, names replaced by slots.
+type (
+	expr interface {
+		eval(ex *executor, fr *frame) int64
+	}
+	stmt interface {
+		exec(ex *executor, fr *frame)
+	}
+
+	constExpr struct{ v int64 }
+	varExpr   struct{ slot int }
+	binExpr   struct {
+		op   ir.BinOp
+		l, r expr
+	}
+	loadExpr struct {
+		addr    expr
+		guarded bool
+		chunk   *ir.ChunkInfo
+	}
+
+	assignStmt struct {
+		slot int
+		e    expr
+	}
+	storeStmt struct {
+		addr, val expr
+		guarded   bool
+		chunk     *ir.ChunkInfo
+	}
+	ifStmt struct {
+		cond         expr
+		then, orElse []stmt
+	}
+	forStmt struct {
+		src          *ir.For // the profile's key; Step and StreamIDs
+		iv           int
+		start, limit expr
+		body         []stmt
+	}
+	mallocStmt struct {
+		src  *ir.Malloc // the profile's key; PinLocal
+		dst  int
+		size expr
+	}
+	freeStmt       struct{ ptr expr }
+	localAllocStmt struct {
+		dst  int
+		size expr
+	}
+	callStmt struct {
+		name   string
+		dst    int // -1: result dropped
+		args   []expr
+		callee *function // resolved by the first execution
+	}
+	resetStatsStmt struct{}
+	returnStmt     struct{ e expr } // e is nil for a bare return
+)
+
+// function returns f lowered, lowering it on first use.
+func (ex *executor) function(f *ir.Func) *function {
+	if fn, ok := ex.funcs[f]; ok {
+		return fn
+	}
+	lw := lowerer{slots: make(map[string]int, len(f.Params))}
+	for _, p := range f.Params {
+		lw.slot(p)
+	}
+	fn := &function{name: f.Name, nparams: len(f.Params), body: lw.block(f.Body)}
+	fn.nslots = len(lw.slots)
+	ex.funcs[f] = fn
+	return fn
+}
+
+// lowerer assigns one function's variable names their frame slots.
+type lowerer struct{ slots map[string]int }
+
+func (lw *lowerer) slot(name string) int {
+	s, ok := lw.slots[name]
+	if !ok {
+		s = len(lw.slots)
+		lw.slots[name] = s
+	}
+	return s
+}
+
+func (lw *lowerer) block(body []ir.Stmt) []stmt {
+	out := make([]stmt, len(body))
+	for i, s := range body {
+		out[i] = lw.stmt(s)
+	}
+	return out
+}
+
+func (lw *lowerer) stmt(s ir.Stmt) stmt {
+	switch n := s.(type) {
+	case *ir.Assign:
+		return &assignStmt{slot: lw.slot(n.Name), e: lw.expr(n.E)}
+	case *ir.Store:
+		return &storeStmt{addr: lw.expr(n.Addr), val: lw.expr(n.Val), guarded: n.Guarded, chunk: n.Chunk}
+	case *ir.If:
+		return &ifStmt{cond: lw.expr(n.Cond), then: lw.block(n.Then), orElse: lw.block(n.Else)}
+	case *ir.For:
+		return &forStmt{src: n, iv: lw.slot(n.IV), start: lw.expr(n.Start), limit: lw.expr(n.Limit), body: lw.block(n.Body)}
+	case *ir.Malloc:
+		return &mallocStmt{src: n, dst: lw.slot(n.Dst), size: lw.expr(n.Size)}
+	case *ir.Free:
+		return &freeStmt{ptr: lw.expr(n.Ptr)}
+	case *ir.LocalAlloc:
+		return &localAllocStmt{dst: lw.slot(n.Dst), size: lw.expr(n.Size)}
+	case *ir.Call:
+		if n.Name == ResetStatsCall {
+			return resetStatsStmt{}
+		}
+		c := &callStmt{name: n.Name, dst: -1, args: make([]expr, len(n.Args))}
+		if n.Dst != "" {
+			c.dst = lw.slot(n.Dst)
+		}
+		for i, a := range n.Args {
+			c.args[i] = lw.expr(a)
+		}
+		return c
+	case *ir.Return:
+		if n.E == nil {
+			return &returnStmt{}
+		}
+		return &returnStmt{e: lw.expr(n.E)}
+	default:
+		panic(fmt.Sprintf("unknown statement %T", s))
+	}
+}
+
+func (lw *lowerer) expr(e ir.Expr) expr {
+	switch n := e.(type) {
+	case *ir.Const:
+		return &constExpr{v: n.V}
+	case *ir.Var:
+		return &varExpr{slot: lw.slot(n.Name)}
+	case *ir.Bin:
+		return &binExpr{op: n.Op, l: lw.expr(n.L), r: lw.expr(n.R)}
+	case *ir.Load:
+		return &loadExpr{addr: lw.expr(n.Addr), guarded: n.Guarded, chunk: n.Chunk}
+	default:
+		panic(fmt.Sprintf("unknown expression %T", e))
+	}
+}
+
 type frame struct {
-	vars    map[string]int64
-	cursors map[int]Cursor
+	vars    []int64        // by slot; a variable never assigned reads 0
+	cursors map[int]Cursor // open chunk cursors by stream; made on first use
 	ret     int64
 	done    bool
 }
 
-func (ex *executor) call(f *ir.Func, args []int64) int64 {
-	if len(args) != len(f.Params) {
-		panic(fmt.Sprintf("call of %s with %d args, want %d", f.Name, len(args), len(f.Params)))
+// call runs fn with its parameters evaluated from args in the caller's
+// frame.
+func (ex *executor) call(fn *function, args []expr, caller *frame) int64 {
+	if len(args) != fn.nparams {
+		panic(fmt.Sprintf("call of %s with %d args, want %d", fn.name, len(args), fn.nparams))
 	}
-	fr := &frame{vars: make(map[string]int64), cursors: make(map[int]Cursor)}
-	for i, p := range f.Params {
-		fr.vars[p] = args[i]
+	fr := frame{vars: make([]int64, fn.nslots)}
+	for i, a := range args {
+		fr.vars[i] = ex.eval(a, caller)
 	}
-	ex.execBlock(f.Body, fr)
+	ex.execBlock(fn.body, &fr)
 	return fr.ret
 }
 
@@ -142,119 +307,131 @@ func (ex *executor) step() {
 	}
 }
 
-func (ex *executor) execBlock(body []ir.Stmt, fr *frame) {
+func (ex *executor) execBlock(body []stmt, fr *frame) {
 	for _, s := range body {
 		if fr.done {
 			return
 		}
-		ex.execStmt(s, fr)
+		ex.step()
+		s.exec(ex, fr)
 	}
 }
 
-func (ex *executor) execStmt(s ir.Stmt, fr *frame) {
+// eval evaluates e; every node visited is one step.
+func (ex *executor) eval(e expr, fr *frame) int64 {
 	ex.step()
-	switch n := s.(type) {
-	case *ir.Assign:
-		fr.vars[n.Name] = ex.eval(n.E, fr)
-	case *ir.Store:
-		v := ex.eval(n.Val, fr)
-		addr := uint64(ex.eval(n.Addr, fr))
-		if ex.opts.Profile != nil {
-			ex.recordAccess(addr)
-		}
-		if n.Chunk != nil {
-			ex.cursorFor(n.Chunk, addr, fr).Store(addr, uint64(v))
-		} else {
-			ex.backend.Store(addr, uint64(v), n.Guarded)
-		}
-	case *ir.If:
-		if ex.eval(n.Cond, fr) != 0 {
-			ex.execBlock(n.Then, fr)
-		} else {
-			ex.execBlock(n.Else, fr)
-		}
-	case *ir.For:
-		ex.execFor(n, fr)
-	case *ir.Malloc:
-		size := uint64(ex.eval(n.Size, fr))
-		var addr uint64
-		if n.PinLocal {
-			// PGO-pruned site: the allocation lives in non-swappable
-			// local memory on every backend.
-			addr = ex.backend.LocalAlloc(size)
-		} else {
-			addr = ex.backend.Malloc(size)
-		}
-		if ex.opts.Profile != nil {
-			ex.opts.Profile.RecordAlloc(n, size)
-			ex.allocRanges = append(ex.allocRanges, allocRange{addr, addr + size, n})
-		}
-		fr.vars[n.Dst] = int64(addr)
-	case *ir.Free:
-		ex.backend.Free(uint64(ex.eval(n.Ptr, fr)))
-	case *ir.LocalAlloc:
-		fr.vars[n.Dst] = int64(ex.backend.LocalAlloc(uint64(ex.eval(n.Size, fr))))
-	case *ir.Call:
-		if n.Name == ResetStatsCall {
-			env := ex.backend.Env()
-			env.Clock.Reset()
-			env.Counters.Reset()
-			return
-		}
-		callee, ok := ex.prog.Funcs[n.Name]
-		if !ok {
-			panic(fmt.Sprintf("call of undefined function %q", n.Name))
-		}
-		args := make([]int64, len(n.Args))
-		for i, a := range n.Args {
-			args[i] = ex.eval(a, fr)
-		}
-		v := ex.call(callee, args)
-		if n.Dst != "" {
-			fr.vars[n.Dst] = v
-		}
-	case *ir.Return:
-		if n.E != nil {
-			fr.ret = ex.eval(n.E, fr)
-		}
-		fr.done = true
-	default:
-		panic(fmt.Sprintf("unknown statement %T", s))
+	return e.eval(ex, fr)
+}
+
+func (n *assignStmt) exec(ex *executor, fr *frame) { fr.vars[n.slot] = ex.eval(n.e, fr) }
+
+func (n *storeStmt) exec(ex *executor, fr *frame) {
+	v := ex.eval(n.val, fr)
+	addr := uint64(ex.eval(n.addr, fr))
+	if ex.opts.Profile != nil {
+		ex.recordAccess(addr)
+	}
+	if n.chunk != nil {
+		ex.cursorFor(n.chunk, addr, fr).Store(addr, uint64(v))
+	} else {
+		ex.backend.Store(addr, uint64(v), n.guarded)
 	}
 }
 
-func (ex *executor) execFor(n *ir.For, fr *frame) {
-	if n.Step <= 0 {
-		panic(fmt.Sprintf("loop %s has non-positive step %d", n.IV, n.Step))
+func (n *ifStmt) exec(ex *executor, fr *frame) {
+	if ex.eval(n.cond, fr) != 0 {
+		ex.execBlock(n.then, fr)
+	} else {
+		ex.execBlock(n.orElse, fr)
 	}
-	start := ex.eval(n.Start, fr)
-	limit := ex.eval(n.Limit, fr)
+}
+
+func (n *mallocStmt) exec(ex *executor, fr *frame) {
+	size := uint64(ex.eval(n.size, fr))
+	var addr uint64
+	if n.src.PinLocal {
+		// PGO-pruned site: the allocation lives in non-swappable
+		// local memory on every backend.
+		addr = ex.backend.LocalAlloc(size)
+	} else {
+		addr = ex.backend.Malloc(size)
+	}
 	if ex.opts.Profile != nil {
-		ex.opts.Profile.RecordEntry(n)
+		ex.opts.Profile.RecordAlloc(n.src, size)
+		ex.allocRanges = append(ex.allocRanges, allocRange{addr, addr + size, n.src})
+	}
+	fr.vars[n.dst] = int64(addr)
+}
+
+func (n *freeStmt) exec(ex *executor, fr *frame) {
+	ex.backend.Free(uint64(ex.eval(n.ptr, fr)))
+}
+
+func (n *localAllocStmt) exec(ex *executor, fr *frame) {
+	fr.vars[n.dst] = int64(ex.backend.LocalAlloc(uint64(ex.eval(n.size, fr))))
+}
+
+func (resetStatsStmt) exec(ex *executor, _ *frame) {
+	env := ex.backend.Env()
+	env.Clock.Reset()
+	env.Counters.Reset()
+}
+
+func (n *callStmt) exec(ex *executor, fr *frame) {
+	if n.callee == nil {
+		f, ok := ex.prog.Funcs[n.name]
+		if !ok {
+			panic(fmt.Sprintf("call of undefined function %q", n.name))
+		}
+		n.callee = ex.function(f)
+	}
+	v := ex.call(n.callee, n.args, fr)
+	if n.dst >= 0 {
+		fr.vars[n.dst] = v
+	}
+}
+
+func (n *returnStmt) exec(ex *executor, fr *frame) {
+	if n.e != nil {
+		fr.ret = ex.eval(n.e, fr)
+	}
+	fr.done = true
+}
+
+func (n *forStmt) exec(ex *executor, fr *frame) {
+	if n.src.Step <= 0 {
+		panic(fmt.Sprintf("loop %s has non-positive step %d", n.src.IV, n.src.Step))
+	}
+	start := ex.eval(n.start, fr)
+	limit := ex.eval(n.limit, fr)
+	if ex.opts.Profile != nil {
+		ex.opts.Profile.RecordEntry(n.src)
 	}
 	// Cursors owned by this loop are (re)opened lazily inside the body
 	// and must close on every exit path, including Return.
-	if len(n.StreamIDs) > 0 {
-		defer func() {
-			for _, id := range n.StreamIDs {
-				if c, ok := fr.cursors[id]; ok {
-					c.Close()
-					delete(fr.cursors, id)
-				}
-			}
-		}()
+	if len(n.src.StreamIDs) > 0 {
+		defer fr.closeCursors(n.src.StreamIDs)
 	}
 	trips := uint64(0)
-	for i := start; i < limit; i += n.Step {
-		fr.vars[n.IV] = i
+	for i := start; i < limit; i += n.src.Step {
+		fr.vars[n.iv] = i
 		trips++
-		ex.execBlock(n.Body, fr)
+		ex.execBlock(n.body, fr)
 		if fr.done {
 			break
 		}
 	}
 	if ex.opts.Profile != nil {
-		ex.opts.Profile.RecordTrips(n, trips)
+		ex.opts.Profile.RecordTrips(n.src, trips)
+	}
+}
+
+func (fr *frame) closeCursors(ids []int) {
+	for _, id := range ids {
+		if c, ok := fr.cursors[id]; ok {
+			c.Close()
+			delete(fr.cursors, id)
+		}
 	}
 }
 
@@ -263,33 +440,32 @@ func (ex *executor) cursorFor(ci *ir.ChunkInfo, firstAddr uint64, fr *frame) Cur
 		return c
 	}
 	c := ex.backend.OpenCursor(firstAddr, ci.Stride, ci.Prefetch)
+	if fr.cursors == nil {
+		fr.cursors = make(map[int]Cursor)
+	}
 	fr.cursors[ci.StreamID] = c
 	return c
 }
 
-func (ex *executor) eval(e ir.Expr, fr *frame) int64 {
-	ex.step()
-	switch n := e.(type) {
-	case *ir.Const:
-		return n.V
-	case *ir.Var:
-		return fr.vars[n.Name]
-	case *ir.Bin:
-		l := ex.eval(n.L, fr)
-		r := ex.eval(n.R, fr)
-		return evalBin(n.Op, l, r)
-	case *ir.Load:
-		addr := uint64(ex.eval(n.Addr, fr))
-		if ex.opts.Profile != nil {
-			ex.recordAccess(addr)
-		}
-		if n.Chunk != nil {
-			return int64(ex.cursorFor(n.Chunk, addr, fr).Load(addr))
-		}
-		return int64(ex.backend.Load(addr, n.Guarded))
-	default:
-		panic(fmt.Sprintf("unknown expression %T", e))
+func (n *constExpr) eval(*executor, *frame) int64 { return n.v }
+
+func (n *varExpr) eval(_ *executor, fr *frame) int64 { return fr.vars[n.slot] }
+
+func (n *binExpr) eval(ex *executor, fr *frame) int64 {
+	l := ex.eval(n.l, fr)
+	r := ex.eval(n.r, fr)
+	return evalBin(n.op, l, r)
+}
+
+func (n *loadExpr) eval(ex *executor, fr *frame) int64 {
+	addr := uint64(ex.eval(n.addr, fr))
+	if ex.opts.Profile != nil {
+		ex.recordAccess(addr)
 	}
+	if n.chunk != nil {
+		return int64(ex.cursorFor(n.chunk, addr, fr).Load(addr))
+	}
+	return int64(ex.backend.Load(addr, n.guarded))
 }
 
 func evalBin(op ir.BinOp, l, r int64) int64 {

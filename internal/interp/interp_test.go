@@ -1,12 +1,14 @@
 package interp
 
 import (
+	"sync"
 	"testing"
 
 	"trackfm/internal/compiler"
 	"trackfm/internal/core"
 	"trackfm/internal/fastswap"
 	"trackfm/internal/ir"
+	"trackfm/internal/mem/bufpool"
 	"trackfm/internal/sim"
 )
 
@@ -281,5 +283,72 @@ func TestFastswapFaultsCounted(t *testing.T) {
 	}
 	if c.Guards() != 0 {
 		t.Fatalf("fastswap run executed guards")
+	}
+}
+
+// arithProgram: trips iterations of a body that only assigns, reads
+// variables and computes; a callee's parameter and an unset variable ride
+// along so the slot layout is exercised.
+func arithProgram(trips int64) *ir.Program {
+	p := ir.NewProgram()
+	p.AddFunc(ir.Fn("scale", []string{"x", "k"},
+		&ir.Return{E: ir.Add(ir.Mul(ir.V("x"), ir.V("k")), ir.V("unset"))}))
+	p.AddFunc(ir.Fn("main", nil,
+		ir.Let("acc", ir.C(1)),
+		ir.Loop("i", ir.C(0), ir.C(trips),
+			ir.Let("t", ir.B(ir.OpXor, ir.V("acc"), ir.V("i"))),
+			ir.Let("acc", ir.Add(ir.Mul(ir.V("t"), ir.C(31)), ir.B(ir.OpShr, ir.V("t"), ir.C(3)))),
+		),
+		&ir.Call{Dst: "acc", Name: "scale", Args: []ir.Expr{ir.V("acc"), ir.C(3)}},
+		&ir.Return{E: ir.V("acc")},
+	))
+	return p
+}
+
+// TestLoopBodyAllocFree: what a Run allocates does not depend on how many
+// times a loop of Assign/Var/Bin goes round — a frame is indexed, not
+// hashed into, and no step boxes a value.
+func TestLoopBodyAllocFree(t *testing.T) {
+	if bufpool.RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	backend := NewLocalBackend(sim.NewEnv())
+	allocs := func(trips int64) float64 {
+		prog := arithProgram(trips)
+		return testing.AllocsPerRun(10, func() {
+			if _, err := Run(prog, backend, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, long := allocs(1), allocs(5000); short != long {
+		t.Fatalf("Run allocates %v times with a 1-trip loop and %v with a 5000-trip one", short, long)
+	}
+}
+
+// TestRunLeavesProgramAlone: the lowered form is the executor's own, so
+// two concurrent Runs of one program are independent (run under -race)
+// and the program prints the same afterwards.
+func TestRunLeavesProgramAlone(t *testing.T) {
+	prog := arithProgram(200)
+	before := prog.String()
+	want, err := Run(prog, NewLocalBackend(sim.NewEnv()), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := Run(prog, NewLocalBackend(sim.NewEnv()), Options{})
+			if err != nil || got != want {
+				t.Errorf("concurrent Run = %v, %v; want %v", got, err, want)
+			}
+		}()
+	}
+	wg.Wait()
+	if after := prog.String(); after != before {
+		t.Fatalf("Run changed the program:\n%s\nbecame\n%s", before, after)
 	}
 }

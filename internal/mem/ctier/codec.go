@@ -161,6 +161,11 @@ func (e *Encoder) compress(dst, src []byte) int {
 	return d
 }
 
+// move8 copies eight bytes from the front of src to the front of dst.
+func move8(dst, src []byte) {
+	binary.LittleEndian.PutUint64(dst, binary.LittleEndian.Uint64(src))
+}
+
 // Decode decompresses the encoded block src into dst (reallocating only
 // if cap(dst) is smaller than the decoded length) and returns the decoded
 // bytes. Any malformed input — truncated stream, out-of-range copy,
@@ -204,7 +209,15 @@ func Decode(dst, src []byte) ([]byte, error) {
 				if s+run > len(src) || d+run > rawLen {
 					return nil, ErrCorrupt
 				}
-				copy(dst[d:], src[s:s+run])
+				if run <= 16 && s+16 <= len(src) && d+16 <= rawLen {
+					// Short literal with room to overshoot: sixteen
+					// bytes flat; what lands past run is overwritten
+					// by the ops that follow.
+					move8(dst[d:], src[s:])
+					move8(dst[d+8:], src[s+8:])
+				} else {
+					copy(dst[d:], src[s:s+run])
+				}
 				s += run
 				d += run
 				continue
@@ -218,10 +231,21 @@ func Decode(dst, src []byte) ([]byte, error) {
 			if off == 0 || off > d || d+length > rawLen {
 				return nil, ErrCorrupt
 			}
-			// Byte-at-a-time: copies may overlap their own output
-			// (off < length encodes a run), which copy() would break.
-			for k := 0; k < length; k++ {
-				dst[d+k] = dst[d-off+k]
+			switch {
+			case length <= 16 && off >= 8 && d+16 <= rawLen:
+				// Two 8-byte moves in order: with off >= 8 neither
+				// reads what it writes, and the second may read
+				// what the first wrote, as the format intends.
+				move8(dst[d:], dst[d-off:])
+				move8(dst[d+8:], dst[d-off+8:])
+			case off >= length:
+				copy(dst[d:d+length], dst[d-off:])
+			default:
+				// The copy overlaps its own output (off < length
+				// encodes a run), which copy() would break.
+				for k := 0; k < length; k++ {
+					dst[d+k] = dst[d-off+k]
+				}
 			}
 			d += length
 		}

@@ -2,6 +2,7 @@ package ctier
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -118,9 +119,127 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
+// decodeRef is the decoder Decode must agree with: the LZ stream taken
+// one op at a time, every match copied a byte at a time.
+func decodeRef(src []byte) ([]byte, error) {
+	v, n := binary.Uvarint(src)
+	if n <= 0 || v > maxBlock {
+		return nil, ErrCorrupt
+	}
+	dst := make([]byte, int(v))
+	src = src[n:]
+	if len(dst) == 0 {
+		if len(src) != 0 {
+			return nil, ErrCorrupt
+		}
+		return dst, nil
+	}
+	if len(src) < 1 {
+		return nil, ErrCorrupt
+	}
+	flag := src[0]
+	src = src[1:]
+	switch flag {
+	case flagRaw:
+		if len(src) != len(dst) {
+			return nil, ErrCorrupt
+		}
+		copy(dst, src)
+		return dst, nil
+	case flagLZ:
+		d, s := 0, 0
+		for s < len(src) {
+			c := src[s]
+			s++
+			if c&1 == 0 {
+				run := int(c>>1) + 1
+				if s+run > len(src) || d+run > len(dst) {
+					return nil, ErrCorrupt
+				}
+				copy(dst[d:], src[s:s+run])
+				s += run
+				d += run
+				continue
+			}
+			length := int(c>>1) + minCopy
+			if s+2 > len(src) {
+				return nil, ErrCorrupt
+			}
+			off := int(src[s]) | int(src[s+1])<<8
+			s += 2
+			if off == 0 || off > d || d+length > len(dst) {
+				return nil, ErrCorrupt
+			}
+			for k := 0; k < length; k++ {
+				dst[d+k] = dst[d-off+k]
+			}
+			d += length
+		}
+		if d != len(dst) {
+			return nil, ErrCorrupt
+		}
+		return dst, nil
+	default:
+		return nil, ErrCorrupt
+	}
+}
+
+// checkAgainstRef decodes block with both decoders: same verdict, and on
+// success the same bytes.
+func checkAgainstRef(t *testing.T, block []byte) {
+	t.Helper()
+	got, err := Decode(nil, block)
+	want, werr := decodeRef(block)
+	if err != werr {
+		t.Fatalf("Decode error %v, reference decoder %v", err, werr)
+	}
+	if err == nil && !bytes.Equal(got, want) {
+		t.Fatal("Decode and the reference decoder disagree on the bytes")
+	}
+}
+
+// TestDecodeMatchesReference covers the copy shapes Decode special-cases —
+// short and long literals and matches, offsets under 8, between 8 and the
+// length, and past it, with and without 16 bytes of slack at the end —
+// on valid blocks and on the same blocks corrupted.
+func TestDecodeMatchesReference(t *testing.T) {
+	var enc Encoder
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 400; i++ {
+		src := make([]byte, 0, 4096)
+		for len(src) < 1+rng.Intn(4096) {
+			switch rng.Intn(3) {
+			case 0: // a literal stretch
+				b := make([]byte, 1+rng.Intn(40))
+				rng.Read(b)
+				src = append(src, b...)
+			case 1: // a run of period 1..24: overlapping matches
+				period, n := 1+rng.Intn(24), 4+rng.Intn(150)
+				for k := 0; k < n && len(src) >= period; k++ {
+					src = append(src, src[len(src)-period])
+				}
+			default: // a far match
+				if len(src) > 32 {
+					from := rng.Intn(len(src) - 20)
+					src = append(src, src[from:from+4+rng.Intn(16)]...)
+				}
+			}
+		}
+		block := enc.Encode(nil, src)
+		checkAgainstRef(t, block)
+		for k := 0; k < 8; k++ {
+			bad := append([]byte(nil), block...)
+			bad[rng.Intn(len(bad))] ^= 1 << rng.Intn(8)
+			checkAgainstRef(t, bad)
+			checkAgainstRef(t, bad[:rng.Intn(len(bad))])
+		}
+	}
+}
+
 // FuzzCodec checks both directions: Encode output must round-trip
 // byte-identically, and Decode of arbitrary bytes must either succeed or
-// return ErrCorrupt — never panic, never read or write out of bounds.
+// return ErrCorrupt — never panic, never read or write out of bounds —
+// and either way agree with decodeRef.
 func FuzzCodec(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte("hello hello hello"))
@@ -140,6 +259,8 @@ func FuzzCodec(f *testing.F) {
 		if !bytes.Equal(got, data) {
 			t.Fatal("round trip mismatch")
 		}
+		checkAgainstRef(t, e)
+		checkAgainstRef(t, data)
 		// Treat the input as a (likely corrupt) encoded block: must not
 		// panic, and on success must honour the claimed length.
 		if out, err := Decode(nil, data); err == nil {
