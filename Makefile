@@ -32,27 +32,36 @@ smoke_test:
 # carried (fabric.PushCarrier's two methods) — so the next cross-cutting
 # far-side feature has one place to land —
 # plus the census: every exported func and type under internal/ is named by
-# non-test code other than itself, or allowlisted with its reason.
+# non-test code other than itself, and every exported field of a *Config,
+# *Options or *Policy struct is set by non-test code outside its own
+# defaults — or allowlisted with its reason —
+# plus the doc test: every backticked pkg.Name in README.md, DESIGN.md and
+# EXPERIMENTS.md resolves to a declaration in that package.
 vet:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	$(GO) vet ./...
 	$(GO) test -run TestMetricNamesLint ./internal/obs
-	$(GO) test -run TestConstructorCensus .
+	$(GO) test -run 'TestConstructorCensus|TestFieldCensus|TestDocNamesResolve' .
 	! $(GO) build -gcflags=-m ./internal/core ./internal/fastswap ./internal/interp ./farmem 2>&1 | grep 'moved to heap: buf'
 	! grep -nE 'TryFetchUntil|TryPushUntil|StartFetch|fabric\.Ticket|TryFetchAfterPushes|TryPushAll|fabric\.Push|\.Connect\(' \
 		$$(ls internal/aifm/*.go internal/fastswap/*.go internal/core/*.go farmem/*.go | grep -v _test.go)
 
-# Everything a PR must pass: build, vet (incl. metrics lint), the
-# tier-1 suite, and the concurrency stress suite under the race detector.
+# The two gates of test-thrash and test-tiers that run under -race.
+RACE_PIN_SATURATION  = $(GO) test -race -run 'TestEvacuatorRespectsReserveUnderPinSaturation' ./internal/aifm
+RACE_TIER_CONCURRENT = $(GO) test -race -run 'TestTierConcurrent' ./internal/aifm ./internal/mem/ctier
+
+# Everything a PR must pass, each gate once: build, vet (incl. the lints,
+# the censuses and the doc test), the tier-1 suite, the concurrency stress
+# suite and the two pressure gates under the race detector, and the
+# refactoring oracle. The overload, crash, thrash, tiers and allocs gates
+# that run without -race or -count are tests `make test` has already run,
+# twice, as part of ./...; their targets stay for running one battery alone.
 check: build
 	$(MAKE) vet
 	$(MAKE) test
 	$(MAKE) test-stress
-	$(MAKE) test-overload
-	$(MAKE) test-crash
-	$(MAKE) test-thrash
-	$(MAKE) test-tiers
-	$(MAKE) test-allocs
+	$(RACE_PIN_SATURATION)
+	$(RACE_TIER_CONCURRENT)
 	$(MAKE) test-artifacts
 
 # Tier-1: the full suite twice in shuffled order (catches inter-test
@@ -107,13 +116,13 @@ test-crash:
 # the elastic fastswap baseline.
 test-thrash:
 	$(GO) test -run 'TestThrashSoak|TestThrashTable|TestResize|TestPrefetchSkips|TestThrashDetector|TestEvacuator|TestGuardFastPath|TestHeapResize' ./internal/bench ./internal/aifm ./internal/fastswap ./farmem
-	$(GO) test -race -run 'TestEvacuatorRespectsReserveUnderPinSaturation' ./internal/aifm
+	$(RACE_PIN_SATURATION)
 
 # The multi-tier caching gates: the overcommit crossover sweep (warm 1x
 # tier >= 2x tierless throughput at 2x overcommit, zero corrupt reads,
 # S3-FIFO vs clock ablation comparable), the oracle-differential battery
 # (tier sizes {0, small, large} leave byte-identical heap and remote
-# state), the governor's tier-shrinks-first ladder, and the compressed
+# state), the governor's tier-shrinks-first squeeze, and the compressed
 # tier's and the remote store's unit suites — the store's contract table,
 # run over the plain and the compressed-at-rest constructor, plus what is
 # specific to the latter; the concurrent no-lost-updates test runs under
@@ -122,7 +131,7 @@ test-tiers:
 	$(GO) test -run 'TestTiers|TestTierOracleDifferential|TestGovernorShrinksTierFirst' ./internal/bench ./internal/aifm ./internal/autotune
 	$(GO) test -run 'TestStore|TestCompressedStore' ./internal/remote
 	$(GO) test ./internal/mem/ctier
-	$(GO) test -race -run 'TestTierConcurrent' ./internal/aifm ./internal/mem/ctier
+	$(RACE_TIER_CONCURRENT)
 
 # The allocation-regression gates: testing.AllocsPerRun must report zero
 # heap allocations per op on the guard fast path and on steady-state

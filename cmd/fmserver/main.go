@@ -16,9 +16,10 @@
 //
 // # Running as a replica-set member
 //
-// A replicated deployment runs one fmserver per replica; the client builds
-// a fabric.ReplicaSet over one TCPTransport per address and hands it to
-// aifm.Pool or fastswap.Swap via Config.Replicas:
+// A replicated deployment runs one fmserver per replica; the client dials
+// one TCPTransport per address (fabric.Dial) and lists them in the
+// Replicas of its aifm.Pool or fastswap.Swap Config, and the runtime's far
+// engine builds the fabric.ReplicaSet over them:
 //
 //	fmserver -addr 10.0.0.1:7070 -replica r0
 //	fmserver -addr 10.0.0.2:7070 -replica r1

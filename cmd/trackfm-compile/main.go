@@ -105,7 +105,7 @@ func main() {
 		}
 		opts.Profile = prof
 		if *prune {
-			n := compiler.PruneRemotable(p, prof, compiler.PruneOptions{})
+			n := compiler.PruneRemotable(p, prof)
 			fmt.Printf("PGO pruning pinned %d allocation site(s) local\n", n)
 		}
 	}

@@ -50,8 +50,6 @@ type Config struct {
 	// RemoteRetries and OpDeadline bound each remote operation. The zero
 	// value keeps the in-process simulated link.
 	fabric.RemoteConfig
-	// DisablePrefetch turns off prefetching in Range iterators.
-	DisablePrefetch bool
 	// Phantom disables the data plane: reads return zeros, but the
 	// control plane (budgets, evacuation, transfer accounting) runs at
 	// full fidelity. For capacity planning with huge heaps.
@@ -92,7 +90,6 @@ func New(cfg Config) (*Heap, error) {
 		HeapSize:           cfg.HeapBytes,
 		LocalBudget:        cfg.LocalBytes,
 		MaxLocalBudget:     cfg.MaxLocalBytes,
-		NoPrefetch:         cfg.DisablePrefetch,
 		RemoteConfig:       cfg.RemoteConfig,
 		BackgroundEvacuate: cfg.BackgroundEvacuate,
 		CompressedBudget:   cfg.CompressedBytes,

@@ -1,0 +1,362 @@
+package trackfm_test
+
+import (
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+)
+
+// tree is every non-test package of the module, type-checked from source.
+// The field census and the doc test both read it.
+type tree struct {
+	fset  *token.FileSet
+	info  *types.Info
+	pkgs  map[string]*types.Package // by directory, slash-separated
+	files map[string][]*ast.File    // by directory
+	std   types.Importer
+	err   error
+}
+
+const modulePath = "trackfm"
+
+var (
+	treeOnce sync.Once
+	theTree  *tree
+)
+
+// loadTree type-checks the non-test files of every package under the
+// directories non-test code lives in. Standard-library imports come from
+// the compiler's export data; the module's own packages are checked once
+// each, so a field is one *types.Var wherever it is named.
+func loadTree(t *testing.T) *tree {
+	t.Helper()
+	treeOnce.Do(func() {
+		tr := &tree{
+			fset:  token.NewFileSet(),
+			pkgs:  map[string]*types.Package{},
+			files: map[string][]*ast.File{},
+			std:   importer.Default(),
+			info: &types.Info{
+				Types:      map[ast.Expr]types.TypeAndValue{},
+				Defs:       map[*ast.Ident]types.Object{},
+				Uses:       map[*ast.Ident]types.Object{},
+				Selections: map[*ast.SelectorExpr]*types.Selection{},
+			},
+		}
+		theTree = tr
+		for _, root := range []string{"cmd", "examples", "internal", "farmem", "benchmarks/fmbench"} {
+			err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+				if err != nil || !d.IsDir() {
+					return err
+				}
+				_, err = tr.importDir(filepath.ToSlash(path))
+				return err
+			})
+			if err != nil {
+				tr.err = err
+				return
+			}
+		}
+	})
+	if theTree.err != nil {
+		t.Fatalf("type-checking the tree: %v", theTree.err)
+	}
+	return theTree
+}
+
+// Import implements types.Importer.
+func (tr *tree) Import(path string) (*types.Package, error) {
+	if !strings.HasPrefix(path, modulePath+"/") {
+		return tr.std.Import(path)
+	}
+	pkg, err := tr.importDir(strings.TrimPrefix(path, modulePath+"/"))
+	if err == nil && pkg == nil {
+		err = fmt.Errorf("no Go files in %s", path)
+	}
+	return pkg, err
+}
+
+// importDir checks the package in dir, or returns nil when dir holds no
+// non-test Go file.
+func (tr *tree) importDir(dir string) (*types.Package, error) {
+	if pkg, ok := tr.pkgs[dir]; ok {
+		return pkg, nil
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+			continue // the other side of a build tag
+		}
+		f, err := parser.ParseFile(tr.fset, dir+"/"+name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	if len(files) == 0 {
+		tr.pkgs[dir] = nil
+		return nil, nil
+	}
+	pkg, err := (&types.Config{Importer: tr}).Check(modulePath+"/"+dir, tr.fset, files, tr.info)
+	if err != nil {
+		return nil, err
+	}
+	tr.pkgs[dir] = pkg
+	tr.files[dir] = files
+	return pkg, nil
+}
+
+// fieldAllow lists the settable values no non-test code sets, each with
+// the reason it stays a field: a whole type ("pkg.Type") or one field
+// ("pkg.Type.Field"). Anything else the census names becomes a constant.
+var fieldAllow = map[string]string{
+	"fabric.FaultConfig":      "fault-injection fixture: every field is a fault a test schedules through NewFaultLink",
+	"fastswap.Config":         "the comparator, held to the pool's contract on equal terms: Backing, CompressedBudget and MaxLocalBudget mirror core.Config's for the phantom, swap-cache and Resize tests; every figure runs it on their zero values",
+	"interp.Options.MaxSteps": "safety bound FuzzDifferential and the interpreter's runaway-loop tests run under",
+
+	// The deployment surface: what a farmem user reaches through the
+	// embedded RemoteConfig, exercised by the soak, failover and overload
+	// suites rather than by a binary's flag.
+	"fabric.RemoteConfig.Replicas":          "farmem deployment surface: the failover soak and the durable-rejoin tests run on it",
+	"fabric.RemoteConfig.Replication":       "farmem deployment surface: carries the ReplicaConfig rows below",
+	"fabric.RemoteConfig.RemoteRetries":     "farmem deployment surface: the retry-budget and fault-parity tests sweep it",
+	"fabric.RemoteConfig.OpDeadline":        "farmem deployment surface: the deadline and degraded-mode tests set it",
+	"fabric.ReplicaConfig.Quorum":           "deployment surface: durability against availability, swept by the quorum tests",
+	"fabric.ReplicaConfig.FailureThreshold": "deployment surface: breaker sensitivity, set by the failover soak",
+	"fabric.ReplicaConfig.OpenTimeout":      "deployment surface: quarantine length, in the deployment's clock units",
+	"fabric.ReplicaConfig.Seed":             "deployment surface: de-correlates breaker jitter between clients",
+	"farmem.Config.Phantom":                 "library surface: metadata-only heaps for capacity planning (TestPhantomHeap)",
+	"farmem.Config.MaxLocalBytes":           "library surface: head-room for Heap.Resize (TestHeapResizeAndPressure)",
+	"farmem.Config.BackgroundEvacuate":      "library surface: the evacuator goroutine for multi-goroutine heaps (-exp mt runs it through core.Config; TestWindowLifetimeRace races it against Range windows)",
+}
+
+// fieldAllowCap is the length of the allowlist the census was introduced
+// with; it may shrink.
+const fieldAllowCap = 14
+
+// TestFieldCensus holds config fields to the rule TestConstructorCensus
+// holds constructors to: a settable value is set by non-test code or it is
+// a constant. Every exported field of a struct named *Config, *Options or
+// *Policy under internal/ and farmem/ must be written somewhere in
+// non-test code — as a key of a composite literal of its type (an unkeyed
+// literal writes them all), as the target of an assignment, or by having
+// its address taken (flag.IntVar(&cfg.N, ...)) — outside the functions
+// that only fill in its defaults: those of the struct's own package that
+// have the struct in their signature. Resolved with go/types, because
+// Interval, Seed and Clock are fields of several configs. make vet runs it.
+func TestFieldCensus(t *testing.T) {
+	tr := loadTree(t)
+
+	// The fields under census, by the type that declares them.
+	type owner struct {
+		pkg  *types.Package
+		name string // "pkg.Type"
+		typ  *types.Named
+	}
+	owners := map[*types.Var]owner{}
+	var fields []*types.Var
+	for dir, pkg := range tr.pkgs {
+		if pkg == nil || !(strings.HasPrefix(dir, "internal/") || dir == "farmem") {
+			continue
+		}
+		scope := pkg.Scope()
+		for _, n := range scope.Names() {
+			tn, ok := scope.Lookup(n).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() || !(strings.HasSuffix(n, "Config") || strings.HasSuffix(n, "Options") || strings.HasSuffix(n, "Policy")) {
+				continue
+			}
+			named := tn.Type().(*types.Named)
+			st, ok := named.Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				// An embedded config is not a value of its own: its
+				// fields are counted where they are declared.
+				if f := st.Field(i); f.Exported() && !f.Embedded() {
+					owners[f] = owner{pkg, pkg.Name() + "." + n, named}
+					fields = append(fields, f)
+				}
+			}
+		}
+	}
+
+	set := map[*types.Var]bool{}
+	mentions := func(sig *types.Signature, typ *types.Named) bool {
+		is := func(t types.Type) bool {
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			return types.Identical(t, typ)
+		}
+		if r := sig.Recv(); r != nil && is(r.Type()) {
+			return true
+		}
+		for _, tup := range []*types.Tuple{sig.Params(), sig.Results()} {
+			for i := 0; i < tup.Len(); i++ {
+				if is(tup.At(i).Type()) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	for dir, files := range tr.files {
+		pkg := tr.pkgs[dir]
+		for _, file := range files {
+			for _, d := range file.Decls {
+				var sig *types.Signature
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					sig = tr.info.Defs[fd.Name].Type().(*types.Signature)
+				}
+				write := func(f *types.Var) {
+					o, ok := owners[f]
+					if !ok || (sig != nil && o.pkg == pkg && mentions(sig, o.typ)) {
+						return
+					}
+					set[f] = true
+				}
+				writeExpr := func(e ast.Expr) {
+					if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+						if s := tr.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+							write(s.Obj().(*types.Var))
+						}
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CompositeLit:
+						typ := tr.info.Types[n].Type
+						if p, ok := typ.Underlying().(*types.Pointer); ok { // an elided &T{...}
+							typ = p.Elem()
+						}
+						st, ok := typ.Underlying().(*types.Struct)
+						if !ok {
+							break
+						}
+						for i, el := range n.Elts {
+							if kv, ok := el.(*ast.KeyValueExpr); ok {
+								if f, ok := tr.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+									write(f)
+								}
+							} else {
+								write(st.Field(i))
+							}
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							writeExpr(lhs)
+						}
+					case *ast.IncDecStmt:
+						writeExpr(n.X)
+					case *ast.UnaryExpr:
+						if n.Op == token.AND {
+							writeExpr(n.X)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	var unset []string
+	exists, needed := map[string]bool{}, map[string]bool{} // by allowlist key
+	for _, f := range fields {
+		o := owners[f]
+		key := o.name + "." + f.Name()
+		exists[o.name], exists[key] = true, true
+		if set[f] {
+			continue
+		}
+		if _, ok := fieldAllow[key]; ok {
+			needed[key] = true
+		} else if _, ok := fieldAllow[o.name]; ok {
+			needed[o.name] = true
+		} else {
+			unset = append(unset, fmt.Sprintf("%s (%s)", key, tr.fset.Position(f.Pos())))
+		}
+	}
+	sort.Strings(unset)
+	for _, u := range unset {
+		t.Errorf("%s: settable, but no non-test code sets it — make it a constant, or allowlist it with its reason", u)
+	}
+	for key := range fieldAllow {
+		if !exists[key] {
+			t.Errorf("field allowlist names %s, which no longer exists", key)
+		} else if !needed[key] {
+			t.Errorf("%s is on the field allowlist but non-test code sets all of it: drop the entry", key)
+		}
+	}
+	if len(fieldAllow) > fieldAllowCap {
+		t.Errorf("field allowlist has %d entries; the cap is %d", len(fieldAllow), fieldAllowCap)
+	}
+}
+
+// docName matches a package-qualified exported name in prose, with any
+// members after it: fabric.Dial, core.Config.Transport, aifm.Pool.Access.
+var docName = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z]\w*(?:\.[A-Za-z_]\w*)*)`)
+
+// TestDocNamesResolve keeps the prose honest about the code: every
+// backticked pkg.Name (and pkg.Type.Member) in README.md, DESIGN.md and
+// EXPERIMENTS.md, for pkg a package under internal/ or farmem, must
+// resolve to a declaration — a field or method for each member — in the
+// tree as it is. A deletion that leaves a document describing what is
+// gone fails here. make vet runs it.
+func TestDocNamesResolve(t *testing.T) {
+	tr := loadTree(t)
+	pkgs := map[string]*types.Package{}
+	for dir, pkg := range tr.pkgs {
+		if pkg != nil && (strings.HasPrefix(dir, "internal/") || dir == "farmem") {
+			pkgs[pkg.Name()] = pkg
+		}
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n, line := range strings.Split(string(text), "\n") {
+			spans := strings.Split(line, "`")
+			for i := 1; i < len(spans); i += 2 { // the odd pieces are inside backticks
+				for _, m := range docName.FindAllStringSubmatch(spans[i], -1) {
+					pkg, ok := pkgs[m[1]]
+					if !ok {
+						continue
+					}
+					parts := strings.Split(m[2], ".")
+					obj := pkg.Scope().Lookup(parts[0])
+					for _, member := range parts[1:] {
+						if obj == nil {
+							break
+						}
+						obj, _, _ = types.LookupFieldOrMethod(obj.Type(), true, pkg, member)
+					}
+					if obj == nil {
+						t.Errorf("%s:%d: `%s` names nothing in the tree", doc, n+1, m[0])
+					}
+				}
+			}
+		}
+	}
+}

@@ -23,7 +23,12 @@ type Config struct {
 	// a Replicas set (the far engine builds a fabric.ReplicaSet over them
 	// with Replication.Clock defaulting to Env.Clock), or a RemoteAddr to
 	// dial. Leaving it zero selects an in-process SimLink over the TCP
-	// cost model (AIFM's backend).
+	// cost model (AIFM's backend). With a positive OpDeadline, eight
+	// consecutive deadline-missing remote operations flip the pool into
+	// degraded mode: remote fetches fail fast with far.ErrDegraded
+	// (except a 1-in-16 probe trickle), dirty evictions stall, and
+	// prefetching pauses; the first successful remote operation restores
+	// normal service.
 	fabric.RemoteConfig
 	// ObjectSize is the fixed object (chunk) size in bytes. Must be a
 	// power of two in [64, 65536]. The paper argues only powers of two
@@ -45,14 +50,6 @@ type Config struct {
 	AutoPrefetch bool
 	// PrefetchDepth is how many objects ahead to prefetch (default 8).
 	PrefetchDepth int
-	// DegradeAfter is how many consecutive deadline-missing remote
-	// operations flip the pool into degraded mode (meaningful only with a
-	// positive OpDeadline). Zero selects the default of 8; a negative
-	// value disables degradation entirely. While degraded, remote fetches
-	// fail fast with far.ErrDegraded (except a 1-in-16 probe trickle), dirty
-	// evictions stall, and prefetching pauses; the first successful remote
-	// operation restores normal service.
-	DegradeAfter int
 	// BackgroundEvacuate starts a background evacuator goroutine that
 	// reclaims cold, unpinned slots (§4.2-4.4) whenever the free-slot
 	// count drops below a low watermark. The evacuator runs on wall
@@ -286,7 +283,6 @@ func NewPool(cfg Config) (*Pool, error) {
 		Backend:          fabric.BackendTCP,
 		UnitSize:         cfg.ObjectSize,
 		Backing:          cfg.Backing,
-		DegradeAfter:     cfg.DegradeAfter,
 		CompressedBudget: cfg.CompressedBudget,
 		CompressedPolicy: cfg.CompressedPolicy,
 	})
@@ -903,15 +899,6 @@ func (p *Pool) Unpin(id ObjectID) {
 		st.pins[id] = n - 1
 	}
 	st.mu.Unlock()
-}
-
-// Pinned reports whether id is currently pinned.
-func (p *Pool) Pinned(id ObjectID) bool {
-	st := p.stripeFor(id)
-	p.lockStripe(st)
-	pinned := st.pins[id] > 0
-	st.mu.Unlock()
-	return pinned
 }
 
 // popFree pops the most recently freed slot (LIFO, preserving the

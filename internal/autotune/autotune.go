@@ -33,16 +33,6 @@ type Config struct {
 	// HeapSize and LocalBudget describe the target deployment.
 	HeapSize    uint64
 	LocalBudget uint64
-	// Sizes overrides the search space (default SearchSpace).
-	Sizes []int
-	// Chunking, Prefetch, O1 mirror compiler.Options (chunking defaults
-	// to the cost model, prefetch on).
-	Chunking compiler.ChunkMode
-	Prefetch bool
-	O1       bool
-	// Profile enables a profiling run per candidate so the cost model
-	// sees real trip counts.
-	Profile bool
 }
 
 // Trial records one candidate's outcome.
@@ -71,34 +61,13 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.HeapSize == 0 || cfg.LocalBudget == 0 {
 		return nil, fmt.Errorf("autotune: HeapSize and LocalBudget are required")
 	}
-	sizes := cfg.Sizes
-	if len(sizes) == 0 {
-		sizes = SearchSpace
-	}
-	if cfg.Chunking == 0 && !cfg.Prefetch {
-		cfg.Chunking = compiler.ChunkCostModel
-		cfg.Prefetch = true
-	}
-
 	res := &Result{Best: -1}
 	var wantChecksum int64
 	var haveChecksum bool
 	var bestCycles uint64
-	for _, size := range sizes {
+	for _, size := range SearchSpace {
 		prog := cfg.Build()
-		opts := compiler.Options{
-			Chunking:   cfg.Chunking,
-			ObjectSize: size,
-			Prefetch:   cfg.Prefetch,
-			O1:         cfg.O1,
-		}
-		if cfg.Profile {
-			prof := compiler.NewProfile()
-			if _, err := interp.Run(prog, interp.NewLocalBackend(sim.NewEnv()), interp.Options{Profile: prof}); err != nil {
-				return nil, fmt.Errorf("autotune: profiling run: %w", err)
-			}
-			opts.Profile = prof
-		}
+		opts := compiler.Options{Chunking: compiler.ChunkCostModel, ObjectSize: size, Prefetch: true}
 		if _, err := compiler.Compile(prog, opts); err != nil {
 			return nil, fmt.Errorf("autotune: compile at %dB: %w", size, err)
 		}

@@ -2,19 +2,19 @@
 // counterpart to this package's compile-time object-size search. Where
 // the tuner picks a configuration once, the governor is a control loop on
 // the simulated clock that watches the pool's EWMA thrash ratio and steps
-// through three states:
+// between two states:
 //
 //	Normal    — full prefetch depth, normal eviction.
 //	Throttled — stride prefetch paused, prefetch admission gated at a
 //	            tight high-water mark, eviction in pressure mode
-//	            (prefetched-but-unused residents reclaimed first).
-//	Degraded  — optionally (DegradeAt > 0), the pool is forced into the
-//	            fail-fast degraded state: resident objects keep serving
-//	            and remote fetches shed, bounding the thrash spiral.
+//	            (prefetched-but-unused residents reclaimed first), the
+//	            compressed tier halved.
 //
 // Escalation is immediate (one hot reading steps up); recovery is
-// hysteretic (Hold consecutive calm readings per step down), so the
+// hysteretic (govHold consecutive calm readings step down), so the
 // governor does not flap across the threshold while the ratio decays.
+// The thresholds are constants: every run of -exp thrash has used these
+// values, and BENCH_thrash.json is what they were judged by.
 package autotune
 
 import (
@@ -33,7 +33,18 @@ type GovernorState int32
 const (
 	GovNormal GovernorState = iota
 	GovThrottled
-	GovDegraded
+)
+
+const (
+	// govHigh is the thrash ratio at or above which the governor
+	// throttles; a reading at or below govLow counts as calm.
+	govHigh = 0.35
+	govLow  = govHigh / 3
+	// govHold is how many consecutive calm readings precede recovery.
+	govHold = 3
+	// govThrottleHighWater is the prefetch-admission gate imposed while
+	// throttled; the pool's own configured gate is restored on recovery.
+	govThrottleHighWater = 0.75
 )
 
 func (s GovernorState) String() string {
@@ -42,8 +53,6 @@ func (s GovernorState) String() string {
 		return "normal"
 	case GovThrottled:
 		return "throttled"
-	case GovDegraded:
-		return "degraded"
 	default:
 		return fmt.Sprintf("GovernorState(%d)", int32(s))
 	}
@@ -53,30 +62,10 @@ func (s GovernorState) String() string {
 type GovernorConfig struct {
 	// Pool is the pool under control. Required.
 	Pool *aifm.Pool
-	// Clock paces Tick decisions. Required.
+	// Clock paces Tick decisions, at most one per eighth of the pool's
+	// thrash window, so several EWMA samples land between readings.
+	// Required.
 	Clock *sim.Clock
-	// High is the thrash ratio at or above which the governor throttles
-	// (default 0.35).
-	High float64
-	// Low is the thrash ratio at or below which a reading counts as calm
-	// (default High/3).
-	Low float64
-	// DegradeAt is the ratio at or above which a throttled pool is forced
-	// into the fail-fast degraded state. Zero or negative disables the
-	// degrade stage (the default): shedding fetches is a last resort the
-	// deployment must opt into.
-	DegradeAt float64
-	// Interval is the minimum simulated cycles between decisions; zero
-	// selects 1/8 of the pool's thrash window, so several EWMA samples
-	// land between readings.
-	Interval uint64
-	// Hold is how many consecutive calm readings precede each recovery
-	// step (default 3).
-	Hold int
-	// ThrottleHighWater is the prefetch-admission gate imposed while
-	// throttled (default 0.75); the pool's own configured gate is
-	// restored on recovery.
-	ThrottleHighWater float64
 
 	// ratio overrides the thrash signal, for tests; nil reads
 	// Pool.ThrashRatio.
@@ -89,8 +78,9 @@ type GovernorConfig struct {
 // deterministic workload yields a deterministic control trace. Tick is
 // safe for concurrent use.
 type Governor struct {
-	cfg   GovernorConfig
-	state atomic.Int32
+	cfg      GovernorConfig
+	interval uint64 // minimum simulated cycles between decisions
+	state    atomic.Int32
 
 	mu          sync.Mutex // serializes decisions and knob flips
 	lastTick    uint64
@@ -100,7 +90,6 @@ type Governor struct {
 	savedTier   uint64
 	transitions atomic.Uint64
 	throttles   atomic.Uint64
-	degrades    atomic.Uint64
 }
 
 // NewGovernor validates cfg and returns a governor in GovNormal. It does
@@ -112,34 +101,14 @@ func NewGovernor(cfg GovernorConfig) (*Governor, error) {
 	if cfg.Clock == nil {
 		return nil, fmt.Errorf("autotune: GovernorConfig.Clock is required")
 	}
-	if cfg.High <= 0 {
-		cfg.High = 0.35
-	}
-	if cfg.Low <= 0 {
-		cfg.Low = cfg.High / 3
-	}
-	if cfg.Low >= cfg.High {
-		return nil, fmt.Errorf("autotune: governor Low %.2f must be below High %.2f", cfg.Low, cfg.High)
-	}
-	if cfg.DegradeAt > 0 && cfg.DegradeAt < cfg.High {
-		return nil, fmt.Errorf("autotune: governor DegradeAt %.2f must be at or above High %.2f", cfg.DegradeAt, cfg.High)
-	}
-	if cfg.Interval == 0 {
-		cfg.Interval = cfg.Pool.ThrashWindow() / 8
-		if cfg.Interval == 0 {
-			cfg.Interval = 1
-		}
-	}
-	if cfg.Hold <= 0 {
-		cfg.Hold = 3
-	}
-	if cfg.ThrottleHighWater <= 0 || cfg.ThrottleHighWater >= 1 {
-		cfg.ThrottleHighWater = 0.75
+	interval := cfg.Pool.ThrashWindow() / 8
+	if interval == 0 {
+		interval = 1
 	}
 	if cfg.ratio == nil {
 		cfg.ratio = cfg.Pool.ThrashRatio
 	}
-	return &Governor{cfg: cfg}, nil
+	return &Governor{cfg: cfg, interval: interval}, nil
 }
 
 // State reports the current control state.
@@ -150,40 +119,28 @@ func (g *Governor) State() GovernorState {
 // Transitions reports how many state changes the governor has made.
 func (g *Governor) Transitions() uint64 { return g.transitions.Load() }
 
-// Tick runs at most one control decision, rate-limited to the configured
+// Tick runs at most one control decision, rate-limited to the governor's
 // interval on the simulated clock. Call it from the access loop; between
 // decisions it is a single atomic load plus a mutex-guarded compare.
 func (g *Governor) Tick() {
 	now := g.cfg.Clock.Cycles()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if now-g.lastTick < g.cfg.Interval {
+	if now-g.lastTick < g.interval {
 		return
 	}
 	g.lastTick = now
 	ratio := g.cfg.ratio()
 	switch g.State() {
 	case GovNormal:
-		if ratio >= g.cfg.High {
+		if ratio >= govHigh {
 			g.enterThrottled()
 		}
 	case GovThrottled:
-		switch {
-		case g.cfg.DegradeAt > 0 && ratio >= g.cfg.DegradeAt:
-			g.enterDegraded()
-		case ratio <= g.cfg.Low:
+		if ratio <= govLow {
 			g.calm++
-			if g.calm >= g.cfg.Hold {
+			if g.calm >= govHold {
 				g.exitThrottled()
-			}
-		default:
-			g.calm = 0
-		}
-	case GovDegraded:
-		if ratio <= g.cfg.Low {
-			g.calm++
-			if g.calm >= g.cfg.Hold {
-				g.exitDegraded()
 			}
 		} else {
 			g.calm = 0
@@ -192,7 +149,7 @@ func (g *Governor) Tick() {
 }
 
 // enterThrottled quiets speculation and tightens eviction: stride
-// prefetch pauses, prefetch admission gates at ThrottleHighWater,
+// prefetch pauses, prefetch admission gates at govThrottleHighWater,
 // eviction switches to pressure mode, and the compressed tier — the
 // most expendable consumer of local bytes — is halved before anything
 // else gives ground. The pool's own settings are saved for recovery.
@@ -202,7 +159,7 @@ func (g *Governor) enterThrottled() {
 	g.savedDepth = p.PrefetchDepth()
 	g.savedHW = p.PrefetchHighWater()
 	p.SetPrefetchDepth(0)
-	p.SetPrefetchHighWater(g.cfg.ThrottleHighWater)
+	p.SetPrefetchHighWater(govThrottleHighWater)
 	p.SetPressureEvict(true)
 	if tier := p.Far().Tier(); tier != nil {
 		g.savedTier = tier.Budget()
@@ -227,45 +184,16 @@ func (g *Governor) exitThrottled() {
 	g.setState(GovNormal)
 }
 
-// enterDegraded trips the pool into fail-fast degraded mode on top of
-// the throttled knobs and squeezes the compressed tier to a quarter of
-// its configured budget. The tier is deliberately not zeroed: degraded
-// pools shed fabric fetches, so tier hits are the only remote data still
-// being served. Caller holds g.mu.
-func (g *Governor) enterDegraded() {
-	p := g.cfg.Pool
-	p.Far().ForceDegrade(true)
-	if tier := p.Far().Tier(); tier != nil && g.savedTier > 0 {
-		tier.Resize(g.savedTier / 4)
-	}
-	g.calm = 0
-	g.setState(GovDegraded)
-	g.degrades.Add(1)
-}
-
-// exitDegraded lifts the forced degradation, stepping back to Throttled
-// (recovery retraces the escalation ladder one state at a time), and
-// re-expands the tier to the throttled half-budget. Caller holds g.mu.
-func (g *Governor) exitDegraded() {
-	p := g.cfg.Pool
-	p.Far().ForceDegrade(false)
-	if tier := p.Far().Tier(); tier != nil && g.savedTier > 0 {
-		tier.Resize(g.savedTier / 2)
-	}
-	g.calm = 0
-	g.setState(GovThrottled)
-}
-
 func (g *Governor) setState(s GovernorState) {
 	g.state.Store(int32(s))
 	g.transitions.Add(1)
 }
 
 // RegisterObs exposes the governor on reg: the numeric control state
-// (0 normal, 1 throttled, 2 degraded) and transition counters.
+// (0 normal, 1 throttled) and transition counters.
 func (g *Governor) RegisterObs(reg *obs.Registry, labels ...obs.Label) {
 	reg.GaugeFunc("trackfm_governor_state",
-		"Anti-thrash governor state: 0 normal, 1 throttled, 2 degraded.",
+		"Anti-thrash governor state: 0 normal, 1 throttled.",
 		func() float64 { return float64(g.state.Load()) }, labels...)
 	reg.CounterFunc("trackfm_governor_transitions_total",
 		"Anti-thrash governor state changes.",
@@ -273,7 +201,4 @@ func (g *Governor) RegisterObs(reg *obs.Registry, labels ...obs.Label) {
 	reg.CounterFunc("trackfm_governor_throttles_total",
 		"Times the governor entered the throttled state.",
 		func() uint64 { return g.throttles.Load() }, labels...)
-	reg.CounterFunc("trackfm_governor_degrades_total",
-		"Times the governor forced the pool into degraded mode.",
-		func() uint64 { return g.degrades.Load() }, labels...)
 }

@@ -26,7 +26,7 @@ func govPool(t *testing.T) (*aifm.Pool, *sim.Env) {
 
 // tickAt advances the clock past the governor interval and ticks once.
 func tickAt(g *Governor, env *sim.Env) {
-	env.Clock.Advance(g.cfg.Interval)
+	env.Clock.Advance(g.interval)
 	g.Tick()
 }
 
@@ -37,12 +37,6 @@ func TestGovernorValidation(t *testing.T) {
 	}
 	if _, err := NewGovernor(GovernorConfig{Pool: p}); err == nil {
 		t.Fatalf("missing Clock accepted")
-	}
-	if _, err := NewGovernor(GovernorConfig{Pool: p, Clock: &env.Clock, High: 0.2, Low: 0.3}); err == nil {
-		t.Fatalf("Low above High accepted")
-	}
-	if _, err := NewGovernor(GovernorConfig{Pool: p, Clock: &env.Clock, High: 0.4, DegradeAt: 0.2}); err == nil {
-		t.Fatalf("DegradeAt below High accepted")
 	}
 	g, err := NewGovernor(GovernorConfig{Pool: p, Clock: &env.Clock})
 	if err != nil {
@@ -58,7 +52,6 @@ func TestGovernorThrottleAndRecover(t *testing.T) {
 	ratio := 0.0
 	g, err := NewGovernor(GovernorConfig{
 		Pool: p, Clock: &env.Clock,
-		High: 0.3, Low: 0.1, Hold: 2,
 		ratio: func() float64 { return ratio },
 	})
 	if err != nil {
@@ -87,23 +80,25 @@ func TestGovernorThrottleAndRecover(t *testing.T) {
 		t.Fatalf("throttled high water = %v, want 0.75", hw)
 	}
 
-	// Recovery is hysteretic: Hold consecutive calm readings required.
+	// Recovery is hysteretic: govHold consecutive calm readings required.
 	ratio = 0.05
+	tickAt(g, env)
 	tickAt(g, env)
 	if g.State() != GovThrottled {
-		t.Fatalf("recovered after one calm reading (Hold=2)")
+		t.Fatalf("recovered after two calm readings (govHold=%d)", govHold)
 	}
 	// A hot blip resets the calm streak.
-	ratio = 0.2 // between Low and High: not calm, not escalating
+	ratio = 0.2 // between govLow and govHigh: not calm, not escalating
 	tickAt(g, env)
 	ratio = 0.05
+	tickAt(g, env)
 	tickAt(g, env)
 	if g.State() != GovThrottled {
 		t.Fatalf("calm streak not reset by mid-band reading")
 	}
 	tickAt(g, env)
 	if g.State() != GovNormal {
-		t.Fatalf("did not recover after Hold calm readings: %v", g.State())
+		t.Fatalf("did not recover after govHold calm readings: %v", g.State())
 	}
 	if d := p.PrefetchDepth(); d != baseDepth {
 		t.Fatalf("recovered prefetch depth = %d, want %d", d, baseDepth)
@@ -119,65 +114,35 @@ func TestGovernorThrottleAndRecover(t *testing.T) {
 	}
 }
 
-func TestGovernorDegradeLadder(t *testing.T) {
-	p, env := govPool(t)
-	ratio := 0.9
-	g, err := NewGovernor(GovernorConfig{
-		Pool: p, Clock: &env.Clock,
-		High: 0.3, Low: 0.1, DegradeAt: 0.8, Hold: 1,
-		ratio: func() float64 { return ratio },
-	})
-	if err != nil {
-		t.Fatalf("NewGovernor: %v", err)
-	}
-	tickAt(g, env) // Normal -> Throttled
-	tickAt(g, env) // Throttled -> Degraded
-	if g.State() != GovDegraded {
-		t.Fatalf("state = %v, want degraded", g.State())
-	}
-	if !p.Far().Degraded() {
-		t.Fatalf("pool not forced degraded")
-	}
-	// Recovery retraces the ladder one state per calm hold.
-	ratio = 0.0
-	tickAt(g, env)
-	if g.State() != GovThrottled || p.Far().Degraded() {
-		t.Fatalf("degrade not lifted: state=%v degraded=%v", g.State(), p.Far().Degraded())
-	}
-	tickAt(g, env)
-	if g.State() != GovNormal {
-		t.Fatalf("state = %v, want normal", g.State())
-	}
-}
-
 func TestGovernorTickRateLimited(t *testing.T) {
 	p, env := govPool(t)
 	ratio := 0.9
 	g, err := NewGovernor(GovernorConfig{
 		Pool: p, Clock: &env.Clock,
-		High: 0.3, Interval: 1000,
 		ratio: func() float64 { return ratio },
 	})
 	if err != nil {
 		t.Fatalf("NewGovernor: %v", err)
 	}
+	if want := p.ThrashWindow() / 8; g.interval != want || want < 2 {
+		t.Fatalf("interval = %d, want an eighth of the thrash window (%d)", g.interval, want)
+	}
 	// Within one interval of construction, Tick is a no-op.
-	env.Clock.Advance(10)
+	env.Clock.Advance(g.interval - 1)
 	g.Tick()
 	if g.State() != GovNormal {
 		t.Fatalf("tick inside the interval made a decision")
 	}
-	env.Clock.Advance(1000)
+	env.Clock.Advance(1)
 	g.Tick()
 	if g.State() != GovThrottled {
 		t.Fatalf("tick past the interval made no decision")
 	}
 }
 
-// TestGovernorShrinksTierFirst verifies the escalation ladder squeezes
-// the compressed middle tier before anything else gives ground: half the
-// budget when throttled, a quarter when degraded, full restore on
-// recovery to Normal.
+// TestGovernorShrinksTierFirst verifies that throttling squeezes the
+// compressed middle tier — the most expendable consumer of local bytes —
+// to half its budget, and that recovery to Normal restores it in full.
 func TestGovernorShrinksTierFirst(t *testing.T) {
 	env := sim.NewEnv()
 	const tierBudget = 1 << 16
@@ -200,7 +165,6 @@ func TestGovernorShrinksTierFirst(t *testing.T) {
 	ratio := 0.9
 	g, err := NewGovernor(GovernorConfig{
 		Pool: p, Clock: &env.Clock,
-		High: 0.3, Low: 0.1, DegradeAt: 0.8, Hold: 1,
 		ratio: func() float64 { return ratio },
 	})
 	if err != nil {
@@ -214,24 +178,57 @@ func TestGovernorShrinksTierFirst(t *testing.T) {
 	if b := tier.Budget(); b != tierBudget/2 {
 		t.Fatalf("throttled tier budget = %d, want %d", b, tierBudget/2)
 	}
-	tickAt(g, env) // Throttled -> Degraded
-	if g.State() != GovDegraded {
-		t.Fatalf("state = %v, want degraded", g.State())
-	}
-	if b := tier.Budget(); b != tierBudget/4 {
-		t.Fatalf("degraded tier budget = %d, want %d", b, tierBudget/4)
+	tickAt(g, env) // still hot: no further squeeze
+	if b := tier.Budget(); b != tierBudget/2 {
+		t.Fatalf("tier budget after a second hot reading = %d, want %d", b, tierBudget/2)
 	}
 
 	ratio = 0.05
-	tickAt(g, env) // Degraded -> Throttled
-	if b := tier.Budget(); b != tierBudget/2 {
-		t.Fatalf("re-throttled tier budget = %d, want %d", b, tierBudget/2)
+	for i := 0; i < govHold; i++ {
+		tickAt(g, env)
 	}
-	tickAt(g, env) // Throttled -> Normal
 	if g.State() != GovNormal {
 		t.Fatalf("state = %v, want normal", g.State())
 	}
 	if b := tier.Budget(); b != tierBudget {
 		t.Fatalf("recovered tier budget = %d, want %d", b, tierBudget)
+	}
+}
+
+// TestGovernorThresholds pins the constants every -exp thrash run has
+// used (until now only BENCH_thrash.json held them, implicitly): a reading
+// of 0.35 throttles and 0.34 does not; three readings at High/3 recover
+// and two do not, nor do three just above it.
+func TestGovernorThresholds(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		hot        float64
+		calm       float64
+		calmTicks  int
+		wantHot    GovernorState
+		wantSettle GovernorState
+	}{
+		{"0.34 stays normal", 0.34, 0, 0, GovNormal, GovNormal},
+		{"0.35 throttles; two calm readings do not recover", 0.35, 0.35 / 3, 2, GovThrottled, GovThrottled},
+		{"three calm readings recover", 0.35, 0.35 / 3, 3, GovThrottled, GovNormal},
+		{"three readings above High/3 do not", 0.35, 0.12, 3, GovThrottled, GovThrottled},
+	} {
+		p, env := govPool(t)
+		ratio := c.hot
+		g, err := NewGovernor(GovernorConfig{Pool: p, Clock: &env.Clock, ratio: func() float64 { return ratio }})
+		if err != nil {
+			t.Fatalf("NewGovernor: %v", err)
+		}
+		tickAt(g, env)
+		if g.State() != c.wantHot {
+			t.Errorf("%s: after a reading of %v state = %v, want %v", c.name, c.hot, g.State(), c.wantHot)
+		}
+		ratio = c.calm
+		for i := 0; i < c.calmTicks; i++ {
+			tickAt(g, env)
+		}
+		if g.State() != c.wantSettle {
+			t.Errorf("%s: after %d readings of %v state = %v, want %v", c.name, c.calmTicks, c.calm, g.State(), c.wantSettle)
+		}
 	}
 }

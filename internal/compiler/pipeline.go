@@ -23,9 +23,6 @@ type Options struct {
 	// Profile supplies loop coverage from a profiling run; nil falls
 	// back to static trip estimates.
 	Profile *Profile
-	// Costs is the cost model for chunking decisions (default: paper
-	// calibration).
-	Costs *sim.CostModel
 }
 
 // Stats reports what the pipeline did — the §4.6 compilation-cost metrics
@@ -85,11 +82,7 @@ func Compile(prog *ir.Program, opts Options) (*Stats, error) {
 	if opts.ObjectSize == 0 {
 		opts.ObjectSize = 4096
 	}
-	costs := opts.Costs
-	if costs == nil {
-		c := sim.DefaultCosts()
-		costs = &c
-	}
+	costs := sim.DefaultCosts() // chunking decisions use the paper's calibration
 	if prog.RuntimeInit {
 		return nil, fmt.Errorf("compiler: program already compiled")
 	}
@@ -128,7 +121,7 @@ func Compile(prog *ir.Program, opts Options) (*Stats, error) {
 	nextStream := 0
 	for _, f := range prog.Funcs {
 		cs := chunkingPass(f, opts.Chunking, opts.ObjectSize, opts.Prefetch,
-			costs, opts.Profile, &nextStream)
+			&costs, opts.Profile, &nextStream)
 		stats.LoopsSeen += cs.LoopsSeen
 		stats.LoopsChunked += cs.LoopsChunked
 		stats.StreamsDetected += cs.StreamsDetected

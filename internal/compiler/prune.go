@@ -14,36 +14,24 @@ import "trackfm/internal/ir"
 // Run PruneRemotable BEFORE Compile: the guard-check analysis consumes
 // the PinLocal marks it plants.
 
-// PruneOptions bounds the pruning decision.
-type PruneOptions struct {
-	// MinAccessesPerWord is the hotness threshold: sites whose profiled
-	// access density is at or above it become pin candidates
-	// (default 8 — every word touched several times).
-	MinAccessesPerWord float64
-	// MaxPinBytes caps how much memory may be pinned in total; local
-	// memory is precious, so only small hot allocations qualify
-	// (default 64 KB).
-	MaxPinBytes uint64
-}
-
-func (o PruneOptions) withDefaults() PruneOptions {
-	if o.MinAccessesPerWord <= 0 {
-		o.MinAccessesPerWord = 8
-	}
-	if o.MaxPinBytes == 0 {
-		o.MaxPinBytes = 64 << 10
-	}
-	return o
-}
+// The pruning decision's two bounds.
+const (
+	// pruneMinAccessesPerWord is the hotness threshold: sites whose
+	// profiled access density is at or above it become pin candidates —
+	// every word touched several times.
+	pruneMinAccessesPerWord = 8
+	// pruneMaxPinBytes caps how much memory may be pinned in total; local
+	// memory is precious, so only small hot allocations qualify.
+	pruneMaxPinBytes = 64 << 10
+)
 
 // PruneRemotable marks hot, small allocation sites PinLocal, hottest
 // first, until the pin budget is spent. It returns the number of sites
 // pinned. Sites the profile never saw stay remotable.
-func PruneRemotable(prog *ir.Program, prof *Profile, opts PruneOptions) int {
+func PruneRemotable(prog *ir.Program, prof *Profile) int {
 	if prof == nil {
 		return 0
 	}
-	opts = opts.withDefaults()
 
 	type cand struct {
 		site  *ir.Malloc
@@ -58,11 +46,11 @@ func PruneRemotable(prog *ir.Program, prof *Profile, opts PruneOptions) int {
 				return
 			}
 			bytes := prof.AllocBytes[m]
-			if bytes == 0 || bytes > opts.MaxPinBytes {
+			if bytes == 0 || bytes > pruneMaxPinBytes {
 				return
 			}
 			dens := prof.AccessesPerWord(m)
-			if dens >= opts.MinAccessesPerWord {
+			if dens >= pruneMinAccessesPerWord {
 				cands = append(cands, cand{m, dens, bytes})
 			}
 		}, nil)
@@ -76,7 +64,7 @@ func PruneRemotable(prog *ir.Program, prof *Profile, opts PruneOptions) int {
 	var pinnedBytes uint64
 	pinned := 0
 	for _, c := range cands {
-		if pinnedBytes+c.bytes > opts.MaxPinBytes {
+		if pinnedBytes+c.bytes > pruneMaxPinBytes {
 			continue
 		}
 		c.site.PinLocal = true

@@ -58,7 +58,7 @@ func fakeProfile(p *ir.Program, hotElems, coldElems, reps int64) *Profile {
 func TestPruneMarksHotSmallSites(t *testing.T) {
 	p := pruneProgram(64, 4096, 100)
 	prof := fakeProfile(p, 64, 4096, 100)
-	n := PruneRemotable(p, prof, PruneOptions{})
+	n := PruneRemotable(p, prof)
 	if n != 1 {
 		t.Fatalf("pinned %d sites, want 1", n)
 	}
@@ -75,7 +75,7 @@ func TestPruneRespectsPinBudget(t *testing.T) {
 	// A hot allocation larger than the pin budget must stay remotable.
 	p := pruneProgram(64<<10, 128, 100) // hot array is 512 KB
 	prof := fakeProfile(p, 64<<10, 128, 100)
-	if n := PruneRemotable(p, prof, PruneOptions{MaxPinBytes: 64 << 10}); n != 0 {
+	if n := PruneRemotable(p, prof); n != 0 {
 		t.Fatalf("pinned %d sites, want 0 (over budget)", n)
 	}
 }
@@ -84,14 +84,14 @@ func TestPruneColdSitesStay(t *testing.T) {
 	p := pruneProgram(64, 4096, 0) // nothing hot
 	prof := fakeProfile(p, 64, 4096, 0)
 	prof.AllocAccesses[p.Funcs["main"].Body[0].(*ir.Malloc)] = 64 // 1 access/word
-	if n := PruneRemotable(p, prof, PruneOptions{}); n != 0 {
+	if n := PruneRemotable(p, prof); n != 0 {
 		t.Fatalf("pinned %d cold sites", n)
 	}
 }
 
 func TestPruneNilProfile(t *testing.T) {
 	p := pruneProgram(64, 128, 1)
-	if n := PruneRemotable(p, nil, PruneOptions{}); n != 0 {
+	if n := PruneRemotable(p, nil); n != 0 {
 		t.Fatalf("nil profile pinned %d sites", n)
 	}
 }

@@ -201,12 +201,6 @@ func (c *Cursor) StoreU64(i uint64, v uint64) {
 	c.Access(i, buf[:], true)
 }
 
-// LoadF64 reads element i as a float64.
-func (c *Cursor) LoadF64(i uint64) float64 { return float64frombits(c.LoadU64(i)) }
-
-// StoreF64 writes element i as a float64.
-func (c *Cursor) StoreF64(i uint64, v float64) { c.StoreU64(i, float64bits(v)) }
-
 // Close releases the pinned chunk. Closing twice is a no-op, matching the
 // compiler emitting Close on every loop exit edge.
 func (c *Cursor) Close() {

@@ -100,16 +100,6 @@ func (r *Runtime) StoreU64(p Ptr, v uint64) {
 	r.access(p, buf[:], true, "StoreU64")
 }
 
-// LoadF64 performs a guarded 8-byte float load at p.
-func (r *Runtime) LoadF64(p Ptr) float64 {
-	return float64frombits(r.LoadU64(p))
-}
-
-// StoreF64 performs a guarded 8-byte float store at p.
-func (r *Runtime) StoreF64(p Ptr, v float64) {
-	r.StoreU64(p, float64bits(v))
-}
-
 // Load performs a guarded read of len(dst) bytes starting at p. Reads
 // spanning multiple objects are guarded once per object, matching the
 // per-access guards the compiler emits for the element loop a bulk copy

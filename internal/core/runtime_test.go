@@ -107,10 +107,6 @@ func TestLoadStoreRoundTrip(t *testing.T) {
 	if got := rt.LoadU64(p); got != 0xDEAD_BEEF {
 		t.Fatalf("LoadU64 = %#x", got)
 	}
-	rt.StoreF64(p.Add(8), 3.5)
-	if got := rt.LoadF64(p.Add(8)); got != 3.5 {
-		t.Fatalf("LoadF64 = %v", got)
-	}
 }
 
 func TestLoadStoreSurvivesEviction(t *testing.T) {

@@ -293,8 +293,6 @@ func TestCursorEveryAccessorPanicsAfterClose(t *testing.T) {
 	for name, use := range map[string]func(*Cursor){
 		"LoadU64":  func(c *Cursor) { c.LoadU64(0) },
 		"StoreU64": func(c *Cursor) { c.StoreU64(0, 1) },
-		"LoadF64":  func(c *Cursor) { c.LoadF64(0) },
-		"StoreF64": func(c *Cursor) { c.StoreF64(0, 1) },
 		"Access":   func(c *Cursor) { c.Access(1, buf, false) },
 		"AccessAt": func(c *Cursor) { c.AccessAt(60, buf, true) }, // straddles, too
 		"Span":     func(c *Cursor) { c.Span(0, 8, false) },

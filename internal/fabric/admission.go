@@ -40,18 +40,10 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 		c.MaxQueue = 256
 	}
 	if c.Target == 0 {
-		if c.Clock != nil {
-			c.Target = 5 * sim.Frequency / 1000 // 5ms of cycles
-		} else {
-			c.Target = uint64(5 * time.Millisecond)
-		}
+		c.Target = clockUnits(c.Clock, 5*sim.Frequency/1000, 5*time.Millisecond)
 	}
 	if c.Interval == 0 {
-		if c.Clock != nil {
-			c.Interval = 100 * sim.Frequency / 1000
-		} else {
-			c.Interval = uint64(100 * time.Millisecond)
-		}
+		c.Interval = clockUnits(c.Clock, 100*sim.Frequency/1000, 100*time.Millisecond)
 	}
 	return c
 }
@@ -128,13 +120,6 @@ func (a *Admission) Stats() *AdmissionStats { return &a.stats }
 // Inflight reports requests admitted but not yet finished.
 func (a *Admission) Inflight() int { return int(a.inflight.Load()) }
 
-func (a *Admission) now() uint64 {
-	if a.cfg.Clock != nil {
-		return a.cfg.Clock.Cycles()
-	}
-	return uint64(time.Now().UnixNano())
-}
-
 // ServiceEstimate reports the EWMA service time in clock units (0 before
 // the first sample).
 func (a *Admission) ServiceEstimate() uint64 {
@@ -167,7 +152,7 @@ func (a *Admission) Offer(queueDelay, budget uint64) Verdict {
 	}
 	a.mu.Lock()
 	ewma := a.ewma
-	now := a.now()
+	now := clockNow(a.cfg.Clock)
 	var codel bool
 	if queueDelay > a.cfg.Target {
 		if !a.above {

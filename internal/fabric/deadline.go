@@ -15,8 +15,8 @@ import (
 // everywhere a Deadline is.
 //
 // Deadlines propagate end to end: the runtime (aifm.Pool, fastswap.Swap)
-// stamps one per remote operation, the ReplicaSet fits failover and
-// hedging inside the remaining budget, the TCPTransport bounds each
+// stamps one per remote operation, the ReplicaSet fits its failover
+// walk inside the remaining budget, the TCPTransport bounds each
 // attempt's socket deadline and backoff by it and carries the remaining
 // budget to the server in the request header, and the server's admission
 // control sheds requests it cannot finish in time.
@@ -29,9 +29,7 @@ type Deadline struct {
 // DeadlineAfter returns a deadline budget clock-units from now: simulated
 // cycles when clk is non-nil, nanoseconds of wall time otherwise.
 func DeadlineAfter(clk *sim.Clock, budget uint64) Deadline {
-	d := Deadline{clk: clk, set: true}
-	d.at = d.now() + budget
-	return d
+	return Deadline{at: clockNow(clk) + budget, clk: clk, set: true}
 }
 
 // WallDeadlineAfter returns a wall-clock deadline budget from now.
@@ -42,17 +40,29 @@ func WallDeadlineAfter(budget time.Duration) Deadline {
 // IsZero reports whether d is the no-deadline zero value.
 func (d Deadline) IsZero() bool { return !d.set }
 
-func (d Deadline) now() uint64 {
-	if d.clk != nil {
-		return d.clk.Cycles()
+// clockNow reads a clock-dual timeline — a Deadline's, the admission
+// controller's, a ReplicaSet's breakers': simulated cycles when clk is
+// set, wall-clock nanoseconds otherwise.
+func clockNow(clk *sim.Clock) uint64 {
+	if clk != nil {
+		return clk.Cycles()
 	}
 	return uint64(time.Now().UnixNano())
+}
+
+// clockUnits picks the form of a default that is stated on both
+// timelines: cycles when clk is set, wall's nanoseconds otherwise.
+func clockUnits(clk *sim.Clock, cycles uint64, wall time.Duration) uint64 {
+	if clk != nil {
+		return cycles
+	}
+	return uint64(wall)
 }
 
 // Expired reports whether the deadline has passed. A zero Deadline never
 // expires.
 func (d Deadline) Expired() bool {
-	return d.set && d.now() >= d.at
+	return d.set && clockNow(d.clk) >= d.at
 }
 
 // Remaining reports the budget left in the deadline's own clock units
@@ -62,7 +72,7 @@ func (d Deadline) Remaining() uint64 {
 	if !d.set {
 		return 0
 	}
-	now := d.now()
+	now := clockNow(d.clk)
 	if now >= d.at {
 		return 0
 	}

@@ -82,8 +82,6 @@ type ReplicaSetStats struct {
 	resyncedKeys atomic.Uint64 // missed writes replayed onto a returning replica
 	readRepairs  atomic.Uint64 // stale/corrupt/absent replica blobs overwritten from a healthy peer
 	failovers    atomic.Uint64 // reads served after at least one replica failed the op
-	hedgedReads  atomic.Uint64 // hedged second reads launched
-	hedgeWins    atomic.Uint64 // hedged reads whose secondary answered first
 	quorumFails  atomic.Uint64 // writes that could not reach the ack quorum
 	restarts     atomic.Uint64 // replica restarts detected via a changed hello generation
 	deltaRejoins atomic.Uint64 // restarts of a durable replica: repair only the writes it missed
@@ -110,13 +108,6 @@ func (s *ReplicaSetStats) ReadRepairs() uint64 { return s.readRepairs.Load() }
 // replica failed the operation.
 func (s *ReplicaSetStats) Failovers() uint64 { return s.failovers.Load() }
 
-// HedgedReads reports hedged second reads launched after the latency
-// threshold.
-func (s *ReplicaSetStats) HedgedReads() uint64 { return s.hedgedReads.Load() }
-
-// HedgeWins reports hedged reads where the secondary answered first.
-func (s *ReplicaSetStats) HedgeWins() uint64 { return s.hedgeWins.Load() }
-
 // QuorumFails reports writes that could not gather the configured ack
 // quorum.
 func (s *ReplicaSetStats) QuorumFails() uint64 { return s.quorumFails.Load() }
@@ -135,6 +126,6 @@ func (s *ReplicaSetStats) FullResyncs() uint64 { return s.fullResyncs.Load() }
 
 // String implements fmt.Stringer.
 func (s *ReplicaSetStats) String() string {
-	return fmt.Sprintf("breakerOpens=%d probes=%d probeFails=%d resynced=%d readRepairs=%d failovers=%d hedged=%d hedgeWins=%d quorumFails=%d restarts=%d deltaRejoins=%d fullResyncs=%d",
-		s.BreakerOpens(), s.Probes(), s.ProbeFails(), s.ResyncedKeys(), s.ReadRepairs(), s.Failovers(), s.HedgedReads(), s.HedgeWins(), s.QuorumFails(), s.Restarts(), s.DeltaRejoins(), s.FullResyncs())
+	return fmt.Sprintf("breakerOpens=%d probes=%d probeFails=%d resynced=%d readRepairs=%d failovers=%d quorumFails=%d restarts=%d deltaRejoins=%d fullResyncs=%d",
+		s.BreakerOpens(), s.Probes(), s.ProbeFails(), s.ResyncedKeys(), s.ReadRepairs(), s.Failovers(), s.QuorumFails(), s.Restarts(), s.DeltaRejoins(), s.FullResyncs())
 }

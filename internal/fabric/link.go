@@ -168,9 +168,9 @@ func (t Ticket) Wait() (found bool, err error) {
 // StartFetch starts a speculative fetch on t: split-phase when t is an
 // AsyncFetcher, otherwise an ordinary blocking undeadlined fetch whose
 // ticket is born complete. Prefetchers call this so they work — merely
-// without overlap — over transports with no async path (ReplicaSet, whose
-// hedged legs stay blocking, and decorators that forward only the
-// blocking methods).
+// without overlap — over transports with no async path (ReplicaSet, for
+// which none is built yet, and decorators that forward only the blocking
+// methods).
 func StartFetch(t ErrorTransport, key uint64, dst []byte) (Ticket, error) {
 	if af, ok := t.(AsyncFetcher); ok {
 		return af.StartFetch(key, dst)

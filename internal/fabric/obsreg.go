@@ -97,10 +97,6 @@ func (s *ReplicaSetStats) Register(reg *obs.Registry, labels ...obs.Label) {
 		"Stale, corrupt, or absent replica blobs overwritten from a healthy peer.", s.ReadRepairs, labels...)
 	reg.CounterFunc("trackfm_replica_failovers_total",
 		"Reads served only after at least one replica failed the operation.", s.Failovers, labels...)
-	reg.CounterFunc("trackfm_replica_hedged_reads_total",
-		"Hedged second reads launched after the latency threshold.", s.HedgedReads, labels...)
-	reg.CounterFunc("trackfm_replica_hedge_wins_total",
-		"Hedged reads whose secondary answered first.", s.HedgeWins, labels...)
 	reg.CounterFunc("trackfm_replica_quorum_fails_total",
 		"Writes that could not gather the configured ack quorum.", s.QuorumFails, labels...)
 	reg.CounterFunc("trackfm_replica_restarts_total",

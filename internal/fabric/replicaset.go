@@ -37,25 +37,15 @@ type ReplicaConfig struct {
 	// nanoseconds otherwise. Zero selects 1e6 cycles / 500ms. The actual
 	// deadline is jittered into [3/4, 5/4) of the nominal value by the
 	// seeded RNG so replicas sharing a config do not probe in lockstep.
-	OpenTimeout uint64
-
-	// ResyncInterval throttles background resync attempts for a replica
+	// The same timeout throttles background resync attempts for a replica
 	// that is closed but still owes missed writes (it failed a write
-	// without tripping its breaker). Same units as OpenTimeout; zero
-	// selects OpenTimeout.
-	ResyncInterval uint64
+	// without tripping its breaker).
+	OpenTimeout uint64
 
 	// Clock, when set, drives breaker timing off the deterministic
 	// simulated clock — fault-injection experiments replay bit-identically.
 	// When nil, wall-clock time is used.
 	Clock *sim.Clock
-
-	// HedgeDelay, when positive, launches a hedged second read against
-	// the next healthy replica if the preferred replica has not answered
-	// within this wall-clock delay; the first answer wins. Hedging is
-	// wall-clock by nature (it exists to cut real tail latency), so
-	// deterministic experiments should leave it off.
-	HedgeDelay time.Duration
 
 	// Seed seeds the deterministic RNG behind breaker-deadline jitter
 	// (zero selects sim.NewRNG's fixed default).
@@ -70,14 +60,7 @@ func (c ReplicaConfig) withDefaults(n int) ReplicaConfig {
 		c.FailureThreshold = 3
 	}
 	if c.OpenTimeout == 0 {
-		if c.Clock != nil {
-			c.OpenTimeout = 1_000_000
-		} else {
-			c.OpenTimeout = uint64(500 * time.Millisecond)
-		}
-	}
-	if c.ResyncInterval == 0 {
-		c.ResyncInterval = c.OpenTimeout
+		c.OpenTimeout = clockUnits(c.Clock, 1_000_000, 500*time.Millisecond)
 	}
 	return c
 }
@@ -101,8 +84,7 @@ type blobVer struct {
 //     or the write failed) are recorded and resynced before they serve
 //     reads again.
 //   - Reads are served by the preferred (lowest-index) healthy replica,
-//     with automatic failover down the replica list and an optional hedged
-//     second read after a latency threshold.
+//     with automatic failover down the replica list.
 //   - Each replica runs a circuit breaker: consecutive failures open it,
 //     an open breaker quarantines the replica until a timeout, and a
 //     half-open probe (liveness check plus full replay of missed writes)
@@ -115,8 +97,9 @@ type blobVer struct {
 //     healthy copy — corruption is never handed to the mutator.
 //
 // ReplicaSet is safe for concurrent use; operations are serialized by one
-// mutex (the runtimes above it are single-timeline, so the coarse lock is
-// not a bottleneck — hedged reads still overlap their network legs).
+// mutex, held across a read's one network leg and a write's fan-out (the
+// runtimes above it are single-timeline, so the coarse lock is not a
+// bottleneck); only probe and resync I/O runs with it released.
 type ReplicaSet struct {
 	cfg     ReplicaConfig
 	members []ErrorTransport
@@ -194,54 +177,28 @@ func (rs *ReplicaSet) Health() []ReplicaHealth {
 	return out
 }
 
-// HealthString renders Health as one line for stats tickers.
-func (rs *ReplicaSet) HealthString() string {
-	h := rs.Health()
-	s := ""
-	for i, r := range h {
-		if i > 0 {
-			s += " "
-		}
-		s += fmt.Sprintf("r%d=%s", i, r)
+// retryAt is the clock reading at which a breaker is next due — an open
+// one for its half-open probe, a closed one owing writes for its next
+// resync: now plus OpenTimeout, jittered into [3/4, 5/4) of itself by the
+// seeded RNG (the shared jitterWindow helper, same rule as retry backoff's
+// [1/2, 1) window).
+func (rs *ReplicaSet) retryAt() uint64 {
+	d := rs.cfg.OpenTimeout
+	if d >= 4 {
+		d = jitterWindow(d, 0.75, 1.25, rs.rng)
 	}
-	return s
+	return clockNow(rs.cfg.Clock) + d
 }
 
-// now reads the breaker clock: simulated cycles when configured, else
-// wall-clock nanoseconds.
-func (rs *ReplicaSet) now() uint64 {
-	if rs.cfg.Clock != nil {
-		return rs.cfg.Clock.Cycles()
-	}
-	return uint64(time.Now().UnixNano())
-}
-
-// jitteredTimeout draws a deadline offset in [3/4, 5/4) of nominal from
-// the seeded RNG (the shared jitterWindow helper, same rule as retry
-// backoff's [1/2, 1) window).
-func (rs *ReplicaSet) jitteredTimeout(nominal uint64) uint64 {
-	if nominal < 4 {
-		return nominal
-	}
-	return jitterWindow(nominal, 0.75, 1.25, rs.rng)
-}
-
-// Probe advances the health state machine: open breakers whose timeout
+// advance moves the health state machine on: open breakers whose timeout
 // expired are probed (resync + liveness) and rejoin or re-open, and closed
-// replicas owing missed writes get a throttled background resync. It is
-// called implicitly at the start of every operation; a background ticker
-// (e.g. in a server-side stats loop) may also call it so recovery is not
-// gated on traffic. Probe work runs with the set's mutex released: the
-// caller that claims a due probe runs it synchronously, while concurrent
-// callers see the per-breaker probing flag and proceed straight to their
-// own operation — they fail over past the quarantined replica instead of
-// queueing behind its probe I/O.
-func (rs *ReplicaSet) Probe() {
-	rs.advance()
-}
-
-// advance claims due probe/resync work under the mutex, then performs the
-// I/O unlocked. At most one prober per replica is ever in flight.
+// replicas owing missed writes get a throttled background resync. Every
+// operation starts with it. Due work is claimed under the mutex and its
+// I/O runs with the mutex released: the caller that claims a due probe
+// runs it synchronously, while concurrent callers see the per-breaker
+// probing flag and proceed straight to their own operation — they fail
+// over past the quarantined replica instead of queueing behind its probe
+// I/O. At most one prober per replica is ever in flight.
 func (rs *ReplicaSet) advance() {
 	// Refresh each member's advertised identity first: reading the
 	// transport's last-seen hello is two atomic-cheap loads, and doing it
@@ -267,7 +224,7 @@ func (rs *ReplicaSet) advance() {
 // deadline become background-resync tasks. Replicas already being probed
 // are skipped.
 func (rs *ReplicaSet) claimDueLocked() (probes, resyncs []int) {
-	now := rs.now()
+	now := clockNow(rs.cfg.Clock)
 	for i := range rs.members {
 		b := &rs.brk[i]
 		if b.probing {
@@ -365,7 +322,7 @@ func (rs *ReplicaSet) runProbe(i int) {
 	} else {
 		rs.rstats.probeFails.Add(1)
 		b.state = BreakerOpen
-		b.deadline = rs.now() + rs.jitteredTimeout(rs.cfg.OpenTimeout)
+		b.deadline = rs.retryAt()
 	}
 	rs.mu.Unlock()
 }
@@ -379,7 +336,7 @@ func (rs *ReplicaSet) runResync(i int) {
 	b := &rs.brk[i]
 	b.probing = false
 	if !ok && b.state == BreakerClosed {
-		b.deadline = rs.now() + rs.jitteredTimeout(rs.cfg.ResyncInterval)
+		b.deadline = rs.retryAt()
 	}
 	rs.mu.Unlock()
 }
@@ -548,11 +505,11 @@ func (rs *ReplicaSet) failLocked(i int) {
 	b.consecFails++
 	if b.state == BreakerClosed && b.consecFails >= rs.cfg.FailureThreshold {
 		b.state = BreakerOpen
-		b.deadline = rs.now() + rs.jitteredTimeout(rs.cfg.OpenTimeout)
+		b.deadline = rs.retryAt()
 		rs.rstats.breakerOpens.Add(1)
 	} else if b.state == BreakerHalfOpen {
 		b.state = BreakerOpen
-		b.deadline = rs.now() + rs.jitteredTimeout(rs.cfg.OpenTimeout)
+		b.deadline = rs.retryAt()
 	}
 }
 
@@ -562,21 +519,20 @@ func (rs *ReplicaSet) okLocked(i int) {
 }
 
 // TryFetchUntil implements ErrorTransport: the read is served by the
-// preferred healthy replica, failing over down the candidate list with
-// failover and hedging fitted inside the remaining budget. Every found
+// preferred healthy replica, failing over down the candidate list inside
+// the remaining budget — one blocking leg at a time. Every found
 // payload is verified against the version record; replicas serving
 // corrupt, stale, or unexpectedly absent data are repaired from the
 // healthy copy before the (correct) result is returned. The deadline
 // propagates to every member leg; once it expires the failover walk stops
-// with ErrDeadlineExceeded instead of grinding down the candidate list,
-// and a hedge is only launched when the remaining budget can still cover
-// it. An overload reject from a member is backpressure, not failure: the
+// with ErrDeadlineExceeded instead of grinding down the candidate list.
+// An overload reject from a member is backpressure, not failure: the
 // read fails over past that replica without charging its breaker.
 func (rs *ReplicaSet) TryFetchUntil(key uint64, dst []byte, dl Deadline) (bool, error) {
 	rs.advance()
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	start := rs.now()
+	start := clockNow(rs.cfg.Clock)
 	e, tracked := rs.vers[key]
 	verify := tracked && e.size == len(dst)
 	order := rs.readOrderLocked(key, -1)
@@ -591,7 +547,7 @@ func (rs *ReplicaSet) TryFetchUntil(key uint64, dst []byte, dl Deadline) (bool, 
 		if n > 0 {
 			rs.rstats.failovers.Add(1)
 		}
-		found, err := rs.fetchMaybeHedged(order[n:], key, dst, dl)
+		found, err := rs.members[i].TryFetchUntil(key, dst, dl)
 		if err != nil {
 			if isOverloaded(err) {
 				// Backpressure from this member's server: skip it
@@ -635,7 +591,7 @@ func (rs *ReplicaSet) TryFetchUntil(key uint64, dst []byte, dl Deadline) (bool, 
 		}
 		rs.repairLocked(key, dst, found, bad)
 		if n > 0 && rs.failoverHist != nil {
-			rs.failoverHist.Observe(rs.now() - start)
+			rs.failoverHist.Observe(clockNow(rs.cfg.Clock) - start)
 		}
 		return found, nil
 	}
@@ -643,84 +599,6 @@ func (rs *ReplicaSet) TryFetchUntil(key uint64, dst []byte, dl Deadline) (bool, 
 		firstErr = fmt.Errorf("%w: no replica could serve key %d intact", ErrIntegrity, key)
 	}
 	return false, firstErr
-}
-
-// fetchMaybeHedged performs the fetch against candidates[0], optionally
-// hedging with candidates[1] after the configured delay. Only the winning
-// payload is copied into dst. A hedge is skipped when the remaining
-// deadline budget could not cover the hedge delay anyway.
-func (rs *ReplicaSet) fetchMaybeHedged(candidates []int, key uint64, dst []byte, dl Deadline) (bool, error) {
-	primary := rs.members[candidates[0]]
-	hedgeable := rs.cfg.HedgeDelay > 0 && len(candidates) >= 2
-	if hedgeable && !dl.IsZero() && time.Duration(dl.RemainingNanos()) <= rs.cfg.HedgeDelay {
-		hedgeable = false
-	}
-	if !hedgeable {
-		return primary.TryFetchUntil(key, dst, dl)
-	}
-	type result struct {
-		found     bool
-		err       error
-		lease     bufpool.Lease
-		secondary bool
-	}
-	// Each leg fetches into its own pooled lease so the loser cannot
-	// scribble over dst after the winner's payload is returned; only the
-	// winning payload is copied out. The channel is buffered to the leg
-	// count, so a straggler's send never blocks, and the drainer below
-	// releases its lease once it lands.
-	ch := make(chan result, 2)
-	launch := func(m ErrorTransport, secondary bool) {
-		lease := bufpool.Get(len(dst))
-		found, err := m.TryFetchUntil(key, lease.Bytes(), dl)
-		ch <- result{found: found, err: err, lease: lease, secondary: secondary}
-	}
-	go launch(primary, false)
-	timer := time.NewTimer(rs.cfg.HedgeDelay)
-	defer timer.Stop()
-	outstanding := 1
-	hedged := false
-	var first *result
-	for {
-		select {
-		case r := <-ch:
-			outstanding--
-			if r.err != nil {
-				r.lease.Release()
-				if outstanding > 0 {
-					first = &r // one leg failed; wait for the other
-					continue
-				}
-				if first != nil {
-					r = *first // prefer the earlier failure for attribution
-				}
-				return r.found, r.err
-			}
-			if r.secondary {
-				rs.rstats.hedgeWins.Add(1)
-			}
-			copy(dst, r.lease.Bytes())
-			r.lease.Release()
-			if n := outstanding; n > 0 {
-				// The losing leg is still in flight: drain its result off
-				// the buffered channel and return its buffer to the pool.
-				go func() {
-					for j := 0; j < n; j++ {
-						s := <-ch
-						s.lease.Release()
-					}
-				}()
-			}
-			return r.found, nil
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				rs.rstats.hedgedReads.Add(1)
-				outstanding++
-				go launch(rs.members[candidates[1]], true)
-			}
-		}
-	}
 }
 
 // repairLocked overwrites every replica in bad with the verified payload

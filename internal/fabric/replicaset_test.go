@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"trackfm/internal/remote"
 	"trackfm/internal/sim"
@@ -16,7 +15,6 @@ import (
 type gateLink struct {
 	inner ErrorTransport
 	down  bool
-	slow  time.Duration // wall-clock delay per op, for hedging tests
 
 	fetchErr error // when set, what every fetch reports
 }
@@ -26,9 +24,6 @@ func newGateLink(env *sim.Env) *gateLink {
 }
 
 func (g *gateLink) op() error {
-	if g.slow > 0 {
-		time.Sleep(g.slow)
-	}
 	if g.down {
 		return fmt.Errorf("%w: gate closed", ErrRemoteUnavailable)
 	}
@@ -391,37 +386,6 @@ func TestReplicaSetUntrackedReadIsNotFound(t *testing.T) {
 	}
 }
 
-func TestReplicaSetHedgedRead(t *testing.T) {
-	env := sim.NewEnv()
-	slow := newGateLink(env)
-	slow.slow = 50 * time.Millisecond
-	fast := newGateLink(env)
-	rs, err := NewReplicaSet(ReplicaConfig{Quorum: 1, HedgeDelay: time.Millisecond}, slow, fast)
-	if err != nil {
-		t.Fatalf("NewReplicaSet: %v", err)
-	}
-	blob := []byte("tail latency")
-	slow.slow = 0
-	if err := rs.TryPushUntil(4, blob, Deadline{}); err != nil {
-		t.Fatalf("TryPush: %v", err)
-	}
-	slow.slow = 50 * time.Millisecond
-
-	dst := make([]byte, len(blob))
-	start := time.Now()
-	found, err := rs.TryFetchUntil(4, dst, Deadline{})
-	if err != nil || !found || !bytes.Equal(dst, blob) {
-		t.Fatalf("hedged read = (%v, %v)", found, err)
-	}
-	if d := time.Since(start); d > 40*time.Millisecond {
-		t.Fatalf("hedged read took %v — hedge did not cut the slow primary", d)
-	}
-	if rs.ReplicaStats().HedgedReads() == 0 || rs.ReplicaStats().HedgeWins() == 0 {
-		t.Fatalf("hedge counters = %d launched / %d wins, want both > 0",
-			rs.ReplicaStats().HedgedReads(), rs.ReplicaStats().HedgeWins())
-	}
-}
-
 // TestFetchAsyncHelperFallback pins the canonical prefetch entry point,
 // fabric.StartFetch: over a transport with no StartFetch of its own
 // (ReplicaSet) it is an ordinary undeadlined fetch — same result, same
@@ -455,7 +419,7 @@ func TestFetchAsyncHelperFallback(t *testing.T) {
 	}
 	t.Run("ReplicaSet", func(t *testing.T) {
 		if _, ok := interface{}(&ReplicaSet{}).(AsyncFetcher); ok {
-			t.Fatalf("ReplicaSet grew a StartFetch; its hedged legs are to stay blocking")
+			t.Fatalf("ReplicaSet grew a StartFetch: this subtest pins the blocking fallback, which needs a transport that has none")
 		}
 		rs, _ := newTestSet(t, 2, ReplicaConfig{})
 		check(t, rs, false)

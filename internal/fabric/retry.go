@@ -6,12 +6,12 @@ import (
 	"trackfm/internal/sim"
 )
 
-// RetryPolicy bounds how a transport re-issues failed operations. Backoff
+// retryPolicy bounds how a transport re-issues failed operations. Backoff
 // is exponential (BaseBackoff doubled per retry, capped at MaxBackoff) with
 // deterministic jitter: the sleep is scaled into [1/2, 1) of the nominal
 // value by a seeded sim.RNG, so two runs with the same seed produce the
 // same retry schedule — experiments with fault injection stay reproducible.
-type RetryPolicy struct {
+type retryPolicy struct {
 	// MaxAttempts is the total number of tries per operation, including
 	// the first. Values below 1 mean the default (4).
 	MaxAttempts int
@@ -23,7 +23,7 @@ type RetryPolicy struct {
 }
 
 // withDefaults fills zero fields with the default policy.
-func (p RetryPolicy) withDefaults() RetryPolicy {
+func (p retryPolicy) withDefaults() retryPolicy {
 	if p.MaxAttempts < 1 {
 		p.MaxAttempts = 4
 	}
@@ -64,7 +64,7 @@ func jitterWindow(nominal uint64, lo, hi float64, rng *sim.RNG) uint64 {
 // backoff returns the jittered sleep before retry number retry (1-based).
 // It consumes one value from rng, which makes the schedule deterministic
 // for a fixed seed.
-func (p RetryPolicy) backoff(retry int, rng *sim.RNG) time.Duration {
+func (p retryPolicy) backoff(retry int, rng *sim.RNG) time.Duration {
 	d := expClamp(p.BaseBackoff, p.MaxBackoff, retry)
 	// Jitter into [d/2, d): decorrelates competing clients while staying
 	// deterministic per seed.

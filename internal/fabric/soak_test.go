@@ -233,7 +233,7 @@ func TestReplicaFailoverSoak(t *testing.T) {
 		}
 	}
 
-	t.Logf("soak done: rs=%v replica=%v health=%s", rs.Stats(), rst, rs.HealthString())
+	t.Logf("soak done: rs=%v replica=%v health=%v", rs.Stats(), rst, rs.Health())
 	for i := range servers {
 		servers[i].Close()
 	}

@@ -586,15 +586,17 @@ func (s *Server) Shutdown(grace time.Duration) error {
 	}
 }
 
-// DialOptions tunes a TCPTransport's fault handling.
-type DialOptions struct {
+// dialOptions tunes a TCPTransport's fault handling. Dial runs every
+// transport a binary makes on the zero value; the tests that time safety
+// properties shorten the backoffs through export_test.go.
+type dialOptions struct {
 	// Retry bounds per-operation re-issues; zero fields take defaults
 	// (4 attempts, 1ms base backoff, 50ms cap).
-	Retry RetryPolicy
+	Retry retryPolicy
 	// OpTimeout is the per-operation deadline covering the request write
 	// and response read of one attempt (default 2s).
 	OpTimeout time.Duration
-	// Seed seeds the deterministic backoff jitter (see RetryPolicy). The
+	// Seed seeds the deterministic backoff jitter (see retryPolicy). The
 	// zero seed selects sim.NewRNG's fixed default, so the schedule is
 	// reproducible even when unset.
 	Seed uint64
@@ -627,7 +629,7 @@ type DialOptions struct {
 // serves 15 concurrent demand callers without waiting, not 16.
 type TCPTransport struct {
 	addr      string
-	policy    RetryPolicy
+	policy    retryPolicy
 	opTimeout time.Duration
 	budget    *RetryBudget
 	stats     Stats
@@ -692,15 +694,15 @@ func (t *TCPTransport) PeerIdentity() (uint64, bool) {
 
 // Dial connects to a Server at addr with default fault-handling options.
 func Dial(addr string) (*TCPTransport, error) {
-	return DialWith(addr, DialOptions{})
+	return dialWith(addr, dialOptions{})
 }
 
-// DialWith connects to a Server at addr with explicit fault-handling
+// dialWith connects to a Server at addr with explicit fault-handling
 // options. The initial dial is not retried: an unreachable server at
 // construction time is a configuration error the caller should see
 // immediately. Once constructed, the transport survives server restarts by
 // reconnecting on demand (each new socket opens with its own hello).
-func DialWith(addr string, opts DialOptions) (*TCPTransport, error) {
+func dialWith(addr string, opts dialOptions) (*TCPTransport, error) {
 	t := &TCPTransport{
 		addr:      addr,
 		policy:    opts.Retry.withDefaults(),
@@ -731,8 +733,7 @@ func DialWith(addr string, opts DialOptions) (*TCPTransport, error) {
 // Stats exposes the transport's fault-handling counters.
 func (t *TCPTransport) Stats() *Stats { return &t.stats }
 
-// RetryBudget exposes the transport's retry budget (for gauges and for
-// sharing with sibling transports at construction time via DialOptions).
+// RetryBudget exposes the transport's retry budget (for gauges).
 func (t *TCPTransport) RetryBudget() *RetryBudget { return t.budget }
 
 // checkout hands the caller exclusive use of a connection until release:
@@ -825,7 +826,7 @@ func (t *TCPTransport) ensureConn(c *wireConn) error {
 
 // ensureHello opens a freshly dialed connection with the hello exchange. It
 // runs lazily on the first operation over each socket (not at dial time), so
-// DialWith stays a pure reachability check and handshake failures flow
+// dialWith stays a pure reachability check and handshake failures flow
 // through the per-operation retry and typed-error machinery: a peer that
 // hangs up mid-hello is an ordinary retryable connection error, one that
 // answers anything but this version's hello ack a permanent ErrProtocol.

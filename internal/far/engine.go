@@ -24,7 +24,7 @@ import (
 )
 
 // ErrDegraded is returned by Fetch while the engine is in degraded mode:
-// repeated deadline misses (or a governor's ForceDegrade) have established
+// repeated deadline misses (or a test's ForceDegrade) have established
 // that the fabric cannot currently answer within budget, so remote fetches
 // fail fast instead of queueing behind a deadline they will miss. Tier
 // hits keep serving; a trickle of probe fetches still reaches the network
@@ -170,8 +170,8 @@ func (e *Engine) Tier() *ctier.Tier { return e.tier }
 func (e *Engine) Degraded() bool { return e.degraded.Load() || e.forced.Load() }
 
 // ForceDegrade pins the engine in (or releases it from) degraded mode
-// independently of the deadline-miss breaker; the anti-thrash governor
-// uses it as the last-resort fail-fast stage. A successful probe does not
+// independently of the deadline-miss breaker: the fault hook safety tests
+// use to drive the mode that breaker reaches. A successful probe does not
 // lift a forced degradation — only ForceDegrade(false).
 func (e *Engine) ForceDegrade(on bool) {
 	if on && !e.forced.Swap(true) {

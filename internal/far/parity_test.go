@@ -44,7 +44,7 @@ func (o *overloadEvery) TryPushUntil(key uint64, src []byte, dl fabric.Deadline)
 // link sees the same operation sequence and the far engine must account
 // for it identically, whichever residency policy sits on top.
 func TestFaultAccountingParity(t *testing.T) {
-	const unit, units, slots, sweeps = 512, 48, 8, 12
+	const unit, units, slots, sweeps = 4096, 48, 8, 12 // the swap's page size, which is not a choice
 	for _, seed := range []uint64{1, 2, 3} {
 		run := func(build func(*sim.Env, fabric.RemoteConfig) func(u uint64)) sim.Counters {
 			env := sim.NewEnv()
@@ -71,14 +71,14 @@ func TestFaultAccountingParity(t *testing.T) {
 		}
 		pool := run(func(env *sim.Env, rc fabric.RemoteConfig) func(uint64) {
 			p, err := aifm.NewPool(aifm.Config{Env: env, RemoteConfig: rc, ObjectSize: unit,
-				HeapSize: units * unit, LocalBudget: slots * unit, DegradeAfter: -1})
+				HeapSize: units * unit, LocalBudget: slots * unit})
 			if err != nil {
 				t.Fatalf("NewPool: %v", err)
 			}
 			return func(u uint64) { p.Localize(aifm.ObjectID(u), true) }
 		})
 		swap := run(func(env *sim.Env, rc fabric.RemoteConfig) func(uint64) {
-			s, err := fastswap.New(fastswap.Config{Env: env, RemoteConfig: rc, PageSize: unit,
+			s, err := fastswap.New(fastswap.Config{Env: env, RemoteConfig: rc,
 				HeapSize: units * unit, LocalBudget: slots * unit})
 			if err != nil {
 				t.Fatalf("fastswap.New: %v", err)

@@ -21,7 +21,6 @@ package fastswap
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"sync"
 
 	"trackfm/internal/fabric"
@@ -47,12 +46,9 @@ const (
 type Config struct {
 	// Env supplies clock, counters, and cost model. Required.
 	Env *sim.Env
-	// PageSize is the architected page size (default 4096). Fastswap is
-	// "constrained by the page size" — this knob exists only for tests.
-	PageSize int
 	// HeapSize caps the swappable heap.
 	HeapSize uint64
-	// LocalBudget is the cgroup memory limit: resident pages × PageSize
+	// LocalBudget is the cgroup memory limit: resident pages × pageSize
 	// never exceeds it.
 	LocalBudget uint64
 	// MaxLocalBudget caps Resize growth; frames are allocated at this
@@ -93,12 +89,10 @@ type Config struct {
 // contrast is part of the model: under many goroutines the TrackFM pool
 // scales while the swap baseline queues.
 type Swap struct {
-	mu       sync.Mutex
-	env      *sim.Env
-	lat      *sim.Latencies
-	far      *far.Engine // the swap device, and the zswap-style cache before it
-	pageSize int
-	shift    uint
+	mu  sync.Mutex
+	env *sim.Env
+	lat *sim.Latencies
+	far *far.Engine // the swap device, and the zswap-style cache before it
 
 	heapSize uint64
 	brk      uint64
@@ -117,41 +111,42 @@ type Swap struct {
 
 const noPage = ^uint32(0)
 
+// pageSize is the architected page size: Fastswap is "constrained by the
+// page size" (§4.3), so unlike the pool's object size it is not a choice.
+const (
+	pageShift = 12
+	pageSize  = 1 << pageShift
+)
+
 // New validates cfg and builds the swap system.
 func New(cfg Config) (*Swap, error) {
 	if cfg.Env == nil {
 		return nil, fmt.Errorf("fastswap: Config.Env is required")
 	}
-	if cfg.PageSize == 0 {
-		cfg.PageSize = 4096
-	}
-	if cfg.PageSize < 512 || bits.OnesCount(uint(cfg.PageSize)) != 1 {
-		return nil, fmt.Errorf("fastswap: PageSize %d must be a power of two >= 512", cfg.PageSize)
-	}
 	if cfg.HeapSize == 0 {
 		return nil, fmt.Errorf("fastswap: HeapSize is required")
 	}
-	nPages := (cfg.HeapSize + uint64(cfg.PageSize) - 1) / uint64(cfg.PageSize)
-	nFrames := cfg.LocalBudget / uint64(cfg.PageSize)
+	nPages := (cfg.HeapSize + pageSize - 1) / pageSize
+	nFrames := cfg.LocalBudget / pageSize
 	if nFrames == 0 {
 		return nil, fmt.Errorf("fastswap: LocalBudget %d holds no pages", cfg.LocalBudget)
 	}
 	maxFrames := nFrames
 	if cfg.MaxLocalBudget > 0 {
-		maxFrames = cfg.MaxLocalBudget / uint64(cfg.PageSize)
+		maxFrames = cfg.MaxLocalBudget / pageSize
 		if maxFrames < nFrames {
 			return nil, fmt.Errorf("fastswap: MaxLocalBudget %d below LocalBudget %d", cfg.MaxLocalBudget, cfg.LocalBudget)
 		}
 	}
 	var arena []byte
 	if cfg.Backing == far.BackingReal {
-		arena = make([]byte, maxFrames*uint64(cfg.PageSize))
+		arena = make([]byte, maxFrames*pageSize)
 	}
 	engine, err := far.New(far.Config{
 		Env:              cfg.Env,
 		RemoteConfig:     cfg.RemoteConfig,
 		Backend:          fabric.BackendRDMA,
-		UnitSize:         cfg.PageSize,
+		UnitSize:         pageSize,
 		Backing:          cfg.Backing,
 		DegradeAfter:     -1, // no degraded mode: see Config.RemoteConfig
 		CompressedBudget: cfg.CompressedBudget,
@@ -163,8 +158,6 @@ func New(cfg Config) (*Swap, error) {
 		env:        cfg.Env,
 		lat:        cfg.Env.Lat(),
 		far:        engine,
-		pageSize:   cfg.PageSize,
-		shift:      uint(bits.TrailingZeros(uint(cfg.PageSize))),
 		heapSize:   cfg.HeapSize,
 		states:     make([]PageState, nPages),
 		dirty:      make([]bool, nPages),
@@ -188,9 +181,6 @@ func New(cfg Config) (*Swap, error) {
 // Env returns the simulation environment.
 func (s *Swap) Env() *sim.Env { return s.env }
 
-// PageSize reports the architected page size.
-func (s *Swap) PageSize() int { return s.pageSize }
-
 // Far exposes the swap's far engine: the replica set serving as the swap
 // device and the zswap-style compressed cache, when configured.
 func (s *Swap) Far() *far.Engine { return s.far }
@@ -204,7 +194,7 @@ func (s *Swap) Close() error { return s.far.Close() }
 func (s *Swap) ResidentBytes() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return uint64(len(s.frameOwner)-len(s.freeFrames)-len(s.retired)) * uint64(s.pageSize)
+	return uint64(len(s.frameOwner)-len(s.freeFrames)-len(s.retired)) * pageSize
 }
 
 // Resize adjusts the cgroup memory limit at runtime, in bytes — the
@@ -217,7 +207,7 @@ func (s *Swap) ResidentBytes() uint64 {
 // budget, which surfaces as an error with the limit left partially
 // applied.
 func (s *Swap) Resize(newBudget uint64) error {
-	newFrames := int(newBudget / uint64(s.pageSize))
+	newFrames := int(newBudget / pageSize)
 	if newFrames < 1 {
 		return fmt.Errorf("fastswap: Resize budget %d holds no pages", newBudget)
 	}
@@ -282,9 +272,9 @@ func (s *Swap) fault(pg uint64, write bool) uint64 {
 		s.env.Clock.Advance(s.env.Costs.SwapFaultLocal)
 		sim.Inc(&s.env.Counters.MinorFaults)
 		f := s.takeFrame()
-		base := uint64(f) * uint64(s.pageSize)
+		base := uint64(f) * pageSize
 		if s.arena != nil {
-			clear(s.arena[base : base+uint64(s.pageSize)])
+			clear(s.arena[base : base+pageSize])
 		}
 		s.install(pg, f, write)
 		return base
@@ -297,7 +287,7 @@ func (s *Swap) fault(pg uint64, write bool) uint64 {
 		// as a minor fault (the page never left local memory).
 		s.env.Clock.Advance(s.env.Costs.SwapFaultLocal)
 		f := s.takeFrame()
-		base := uint64(f) * uint64(s.pageSize)
+		base := uint64(f) * pageSize
 		fromTier, err := s.far.Fetch(pg, s.frameBuf(base))
 		if fromTier {
 			sim.Inc(&s.env.Counters.MinorFaults)
@@ -329,7 +319,7 @@ func (s *Swap) frameBuf(base uint64) []byte {
 	if s.arena == nil {
 		return nil
 	}
-	end := base + uint64(s.pageSize)
+	end := base + pageSize
 	return s.arena[base:end:end]
 }
 
@@ -390,7 +380,7 @@ func (s *Swap) evict(f uint32, pg uint64) bool {
 	defer func() { s.lat.Evacuation.Observe(s.env.Clock.Cycles() - start) }()
 	s.env.Clock.Advance(s.env.Costs.EvictPage)
 	// Write back if dirty, then park a compressed copy in the swap cache.
-	if !s.far.Evict(pg, s.frameBuf(uint64(f)*uint64(s.pageSize)), s.dirty[pg]) {
+	if !s.far.Evict(pg, s.frameBuf(uint64(f)*pageSize), s.dirty[pg]) {
 		return false
 	}
 	s.dirty[pg] = false
@@ -427,15 +417,15 @@ func (s *Swap) access(off uint64, buf []byte, write bool) {
 	defer s.mu.Unlock()
 	done, total := uint64(0), uint64(len(buf))
 	for done < total {
-		pg := (off + done) >> s.shift
-		inPg := (off + done) & (uint64(s.pageSize) - 1)
-		n := uint64(s.pageSize) - inPg
+		pg := (off + done) >> pageShift
+		inPg := (off + done) & (pageSize - 1)
+		n := pageSize - inPg
 		if total-done < n {
 			n = total - done
 		}
 		var base uint64
 		if s.states[pg] == PageMapped {
-			base = uint64(s.frame[pg]) * uint64(s.pageSize)
+			base = uint64(s.frame[pg]) * pageSize
 			s.refd[pg] = true
 			if write {
 				s.dirty[pg] = true
@@ -477,14 +467,4 @@ func (s *Swap) StoreU64(off uint64, v uint64) {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], v)
 	s.access(off, buf[:], true)
-}
-
-// LoadF64 reads a float64 at off.
-func (s *Swap) LoadF64(off uint64) float64 {
-	return float64FromBits(s.LoadU64(off))
-}
-
-// StoreF64 writes a float64 at off.
-func (s *Swap) StoreF64(off uint64, v float64) {
-	s.StoreU64(off, float64Bits(v))
 }

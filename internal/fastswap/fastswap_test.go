@@ -28,18 +28,13 @@ func TestNewValidation(t *testing.T) {
 		{HeapSize: 1 << 16, LocalBudget: 1 << 13},
 		{Env: env, LocalBudget: 1 << 13},
 		{Env: env, HeapSize: 1 << 16},
-		{Env: env, HeapSize: 1 << 16, LocalBudget: 1 << 13, PageSize: 1000},
-		{Env: env, HeapSize: 1 << 16, LocalBudget: 1 << 13, PageSize: 256},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("config %d accepted", i)
 		}
 	}
-	s := newTestSwap(t, 1<<16, 1<<13)
-	if s.PageSize() != 4096 {
-		t.Errorf("default page size = %d", s.PageSize())
-	}
+	newTestSwap(t, 1<<16, 1<<13)
 }
 
 func TestFirstTouchIsMinorFault(t *testing.T) {

@@ -37,9 +37,8 @@ func faultySwap(t *testing.T, link *faultyLink, env *sim.Env, retries int, opts 
 	t.Helper()
 	cfg := Config{
 		Env:          env,
-		PageSize:     512,
-		HeapSize:     512 * 16,
-		LocalBudget:  512 * 2,
+		HeapSize:     pageSize * 16,
+		LocalBudget:  pageSize * 2,
 		RemoteConfig: fabric.RemoteConfig{Transport: link, RemoteRetries: retries},
 	}
 	for _, o := range opts {
@@ -68,7 +67,7 @@ func TestFailedMajorFaultReturnsItsFrame(t *testing.T) {
 		link := &faultyLink{SimLink: fabric.NewSimLink(env, fabric.BackendRDMA)}
 		s := faultySwap(t, link, env, 2, func(c *Config) { c.Backing = backing })
 		for pg := uint64(0); pg < 2*frames; pg++ {
-			s.StoreU64(pg*512, pg+100)
+			s.StoreU64(pg*pageSize, pg+100)
 		}
 		s.EvacuateAll()
 
@@ -80,7 +79,7 @@ func TestFailedMajorFaultReturnsItsFrame(t *testing.T) {
 						t.Fatalf("backing %d: major fault with dead fabric: panic = %q", backing, r)
 					}
 				}()
-				s.LoadU64(pg * 512)
+				s.LoadU64(pg * pageSize)
 			}()
 		}
 		link.failFetch = 0
@@ -89,7 +88,7 @@ func TestFailedMajorFaultReturnsItsFrame(t *testing.T) {
 			if backing == far.BackingPhantom {
 				want = 0
 			}
-			if got := s.LoadU64(pg * 512); got != want {
+			if got := s.LoadU64(pg * pageSize); got != want {
 				t.Fatalf("backing %d: page %d = %d after heal, want %d", backing, pg, got, want)
 			}
 		}
@@ -104,7 +103,7 @@ func TestReclaimStallsKeepDirtyPageMapped(t *testing.T) {
 	link := &faultyLink{SimLink: fabric.NewSimLink(env, fabric.BackendRDMA)}
 	s := faultySwap(t, link, env, 2)
 	s.StoreU64(0, 11)
-	s.StoreU64(512, 22)
+	s.StoreU64(pageSize, 22)
 
 	link.failPush = 1 << 30
 	s.EvacuateAll()
@@ -115,7 +114,7 @@ func TestReclaimStallsKeepDirtyPageMapped(t *testing.T) {
 	if got := s.LoadU64(0); got != 11 {
 		t.Fatalf("page 0 = %d after stalled reclaim, want 11", got)
 	}
-	if got := s.LoadU64(512); got != 22 {
+	if got := s.LoadU64(pageSize); got != 22 {
 		t.Fatalf("page 1 = %d after stalled reclaim, want 22", got)
 	}
 	// Heal and reclaim for real; the data round-trips through the

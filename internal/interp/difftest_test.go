@@ -22,7 +22,7 @@ const diffSeeds = 40
 
 func diffReference(t *testing.T, seed uint64) int64 {
 	t.Helper()
-	prog := irgen.Generate(seed, irgen.Config{})
+	prog := irgen.Generate(seed)
 	res, err := Run(prog, NewLocalBackend(sim.NewEnv()), Options{MaxSteps: 100_000_000})
 	if err != nil {
 		t.Fatalf("seed %d local: %v", seed, err)
@@ -31,7 +31,7 @@ func diffReference(t *testing.T, seed uint64) int64 {
 }
 
 func TestDifferentialTrackFMAllModes(t *testing.T) {
-	heap := irgen.HeapBytes(irgen.Config{})
+	heap := irgen.HeapBytes()
 	for seed := uint64(0); seed < diffSeeds; seed++ {
 		want := diffReference(t, seed)
 		for _, mode := range []compiler.ChunkMode{compiler.ChunkNone, compiler.ChunkAll, compiler.ChunkCostModel} {
@@ -39,7 +39,7 @@ func TestDifferentialTrackFMAllModes(t *testing.T) {
 				for _, objSize := range []int{256, 4096} {
 					// Tight budget forces evictions and write-backs.
 					for _, budget := range []uint64{heap / 16, heap} {
-						prog := irgen.Generate(seed, irgen.Config{})
+						prog := irgen.Generate(seed)
 						if _, err := compiler.Compile(prog, compiler.Options{
 							Chunking: mode, ObjectSize: objSize, Prefetch: true, O1: o1,
 						}); err != nil {
@@ -69,11 +69,11 @@ func TestDifferentialTrackFMAllModes(t *testing.T) {
 }
 
 func TestDifferentialFastswap(t *testing.T) {
-	heap := irgen.HeapBytes(irgen.Config{})
+	heap := irgen.HeapBytes()
 	for seed := uint64(0); seed < diffSeeds; seed++ {
 		want := diffReference(t, seed)
 		for _, budget := range []uint64{heap / 8, heap} {
-			prog := irgen.Generate(seed, irgen.Config{})
+			prog := irgen.Generate(seed)
 			if _, err := compiler.Compile(prog, compiler.Options{Chunking: compiler.ChunkNone}); err != nil {
 				t.Fatalf("seed %d: compile: %v", seed, err)
 			}
@@ -95,10 +95,10 @@ func TestDifferentialFastswap(t *testing.T) {
 }
 
 func TestDifferentialAIFM(t *testing.T) {
-	heap := irgen.HeapBytes(irgen.Config{})
+	heap := irgen.HeapBytes()
 	for seed := uint64(0); seed < diffSeeds; seed++ {
 		want := diffReference(t, seed)
-		prog := irgen.Generate(seed, irgen.Config{})
+		prog := irgen.Generate(seed)
 		if _, err := compiler.Compile(prog, compiler.Options{
 			Chunking: compiler.ChunkCostModel, ObjectSize: 4096, Prefetch: true,
 		}); err != nil {

@@ -50,7 +50,7 @@ func runPruned(t *testing.T, prune bool) (int64, *sim.Env) {
 		t.Fatalf("profiling run: %v", err)
 	}
 	if prune {
-		if n := compiler.PruneRemotable(prog, prof, compiler.PruneOptions{}); n != 1 {
+		if n := compiler.PruneRemotable(prog, prof); n != 1 {
 			t.Fatalf("pinned %d sites, want 1 (the hot table)", n)
 		}
 	}

@@ -19,20 +19,20 @@ func FuzzDifferential(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {
-		ref := Generate(seed, Config{})
+		ref := Generate(seed)
 		res, err := interp.Run(ref, interp.NewLocalBackend(sim.NewEnv()),
 			interp.Options{MaxSteps: 100_000_000})
 		if err != nil {
 			t.Fatalf("seed %d local: %v", seed, err)
 		}
 
-		prog := Generate(seed, Config{})
+		prog := Generate(seed)
 		if _, err := compiler.Compile(prog, compiler.Options{
 			Chunking: compiler.ChunkCostModel, ObjectSize: 256, Prefetch: true, O1: true,
 		}); err != nil {
 			t.Fatalf("seed %d compile: %v", seed, err)
 		}
-		heap := HeapBytes(Config{})
+		heap := HeapBytes()
 		rt, err := core.NewRuntime(core.Config{
 			Env: sim.NewEnv(), ObjectSize: 256,
 			HeapSize: heap, LocalBudget: heap / 16,

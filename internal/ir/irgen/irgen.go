@@ -16,37 +16,16 @@ import (
 	"trackfm/internal/sim"
 )
 
-// Config bounds the generated program's shape.
-type Config struct {
-	// MaxArrays caps heap arrays (1..MaxArrays, at least 1).
-	MaxArrays int
-	// MaxLoopDepth caps loop nesting (default 3).
-	MaxLoopDepth int
-	// MaxTopStmts caps top-level statement groups (default 4).
-	MaxTopStmts int
-	// MaxElems caps array length (power of two; default 1024).
-	MaxElems int64
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxArrays <= 0 {
-		c.MaxArrays = 3
-	}
-	if c.MaxLoopDepth <= 0 {
-		c.MaxLoopDepth = 3
-	}
-	if c.MaxTopStmts <= 0 {
-		c.MaxTopStmts = 4
-	}
-	if c.MaxElems <= 0 {
-		c.MaxElems = 1024
-	}
-	return c
-}
+// The bounds on a generated program's shape.
+const (
+	maxArrays    = 3    // heap arrays: 1..maxArrays
+	maxLoopDepth = 3    // loop nesting
+	maxTopStmts  = 4    // top-level statement groups
+	maxElems     = 1024 // array length (a power of two)
+)
 
 type gen struct {
 	rng    *sim.RNG
-	cfg    Config
 	arrays []array // heap arrays
 	local  array   // one stack array
 	temps  int
@@ -65,17 +44,14 @@ type iv struct {
 }
 
 // Generate builds a deterministic random program for seed.
-func Generate(seed uint64, cfg Config) *ir.Program {
-	g := &gen{rng: sim.NewRNG(seed ^ 0xD1FF), cfg: cfg.withDefaults()}
+func Generate(seed uint64) *ir.Program {
+	g := &gen{rng: sim.NewRNG(seed ^ 0xD1FF)}
 	var body []ir.Stmt
 
 	// Heap arrays, power-of-two sizes so gathers can be masked.
-	nArrays := 1 + g.rng.Intn(g.cfg.MaxArrays)
+	nArrays := 1 + g.rng.Intn(maxArrays)
 	for i := 0; i < nArrays; i++ {
-		elems := int64(64) << g.rng.Intn(5) // 64..1024
-		if elems > g.cfg.MaxElems {
-			elems = g.cfg.MaxElems
-		}
+		elems := int64(64) << g.rng.Intn(5) // 64..maxElems
 		a := array{name: "h" + letter(i), elems: elems, heap: true}
 		g.arrays = append(g.arrays, a)
 		body = append(body, &ir.Malloc{Dst: a.name, Size: ir.C(elems * 8)})
@@ -87,7 +63,7 @@ func Generate(seed uint64, cfg Config) *ir.Program {
 	body = append(body, g.fillLoop(g.local, 7))
 
 	body = append(body, ir.Let("acc", ir.C(0)))
-	n := 1 + g.rng.Intn(g.cfg.MaxTopStmts)
+	n := 1 + g.rng.Intn(maxTopStmts)
 	for i := 0; i < n; i++ {
 		body = append(body, g.loopNest(1))
 	}
@@ -148,7 +124,7 @@ func (g *gen) loopNest(depth int) ir.Stmt {
 	stmts := 1 + g.rng.Intn(3)
 	for s := 0; s < stmts; s++ {
 		switch {
-		case depth < g.cfg.MaxLoopDepth && g.rng.Intn(3) == 0:
+		case depth < maxLoopDepth && g.rng.Intn(3) == 0:
 			body = append(body, g.loopNest(depth+1))
 		case g.rng.Intn(2) == 0:
 			body = append(body, g.storeStmt())
@@ -260,8 +236,5 @@ func (g *gen) accumStmt() ir.Stmt {
 }
 
 // HeapBytes reports a safe heap size for any program Generate can
-// produce under cfg.
-func HeapBytes(cfg Config) uint64 {
-	cfg = cfg.withDefaults()
-	return uint64(cfg.MaxArrays+1) * uint64(cfg.MaxElems) * 8 * 2
-}
+// produce.
+func HeapBytes() uint64 { return (maxArrays + 1) * maxElems * 8 * 2 }

@@ -9,12 +9,12 @@ import (
 )
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := Generate(42, Config{})
-	b := Generate(42, Config{})
+	a := Generate(42)
+	b := Generate(42)
 	if a.String() != b.String() {
 		t.Fatalf("same seed produced different programs")
 	}
-	c := Generate(43, Config{})
+	c := Generate(43)
 	if a.String() == c.String() {
 		t.Fatalf("different seeds produced identical programs")
 	}
@@ -22,7 +22,7 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestGeneratedProgramsRunAndTerminate(t *testing.T) {
 	for seed := uint64(0); seed < 50; seed++ {
-		prog := Generate(seed, Config{})
+		prog := Generate(seed)
 		res, err := interp.Run(prog, interp.NewLocalBackend(sim.NewEnv()),
 			interp.Options{MaxSteps: 50_000_000})
 		if err != nil {
@@ -35,7 +35,7 @@ func TestGeneratedProgramsRunAndTerminate(t *testing.T) {
 func TestGeneratedProgramsHaveMemoryTraffic(t *testing.T) {
 	withLoads := 0
 	for seed := uint64(0); seed < 20; seed++ {
-		prog := Generate(seed, Config{})
+		prog := Generate(seed)
 		if ir.CountMemAccesses(prog.Funcs["main"].Body) > 4 {
 			withLoads++
 		}
@@ -46,7 +46,7 @@ func TestGeneratedProgramsHaveMemoryTraffic(t *testing.T) {
 }
 
 func TestHeapBytesSufficient(t *testing.T) {
-	if HeapBytes(Config{}) < 4*1024*8 {
-		t.Fatalf("HeapBytes too small: %d", HeapBytes(Config{}))
+	if HeapBytes() < 4*1024*8 {
+		t.Fatalf("HeapBytes too small: %d", HeapBytes())
 	}
 }

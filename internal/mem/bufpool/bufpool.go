@@ -1,6 +1,6 @@
 // Package bufpool provides the tiered buffer pool behind every hot-path
 // scratch buffer in the tree: wire frames on the fabric server, replica
-// read-repair and hedge scratch, remote blob storage, and the object/page
+// resync scratch, remote blob storage, and the object/page
 // evacuation buffers of the aifm and fastswap runtimes.
 //
 // Two tiers serve two allocation patterns. A Pool holds power-of-two size
@@ -195,8 +195,8 @@ func (l *Lease) Release() {
 	if l.cls != nil {
 		l.cls.put(l.buf)
 	} else {
-		// Adopted or oversize: the pool never issued this storage and has
-		// no class to recycle it into — it returns to the collector.
+		// Oversize: a plain allocation with no class to recycle it into —
+		// it returns to the collector.
 		l.stats.foreignFrees.Add(1)
 	}
 	l.buf = nil
@@ -251,22 +251,6 @@ func (p *Pool) Get(n int) Lease {
 	return l
 }
 
-// Adopt wraps externally allocated storage (e.g. a blob loaded from a
-// snapshot) in a Lease so it flows through the same ownership rule as
-// pooled buffers. If the buffer's capacity is exactly a class size it
-// joins that class on Release; otherwise its release counts as a foreign
-// free and drops it.
-func (p *Pool) Adopt(b []byte) Lease {
-	l := Lease{buf: &b, stats: &p.stats, n: len(b)}
-	if ci := classIndex(cap(b)); ci >= 0 && p.classes[ci].size == cap(b) {
-		b = b[:cap(b)]
-		l.buf = &b
-		l.cls = &p.classes[ci]
-	}
-	l.dbg = debugTrack(l.buf)
-	return l
-}
-
 // Stats snapshots the pool's counters.
 func (p *Pool) Stats() StatsSnapshot { return p.stats.Snapshot() }
 
@@ -312,7 +296,7 @@ func (s *Slab) Register(reg *obs.Registry, labels ...obs.Label) {
 }
 
 // Wire is the process-wide shared pool for wire frames and blob storage:
-// the fabric server's frame scratch, ReplicaSet repair/hedge buffers, and
+// the fabric server's frame scratch, ReplicaSet resync buffers, and
 // remote.Store blob storage all draw from it, so a payload's storage can
 // hand from one layer to the next without changing pools.
 var Wire = New()

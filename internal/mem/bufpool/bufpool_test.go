@@ -105,26 +105,6 @@ func TestOutstandingTracksLeaks(t *testing.T) {
 	}
 }
 
-func TestAdopt(t *testing.T) {
-	p := New()
-	// Exact class size: joins the pool on release.
-	cls := make([]byte, 1024)
-	l := p.Adopt(cls)
-	first := &l.Bytes()[0]
-	l.Release()
-	got := p.Get(1024)
-	defer got.Release()
-	if &got.Bytes()[0] != first {
-		t.Fatalf("adopted class-size buffer was not recycled")
-	}
-	// Odd size: dropped as a foreign free.
-	odd := p.Adopt(make([]byte, 100))
-	odd.Release()
-	if s := p.Stats(); s.ForeignFrees != 1 {
-		t.Fatalf("odd-size adopt release: %+v", s)
-	}
-}
-
 func TestSlabExactSize(t *testing.T) {
 	s := NewSlab(4096)
 	l := s.Get()

@@ -1,14 +1,9 @@
 package obs
 
 import (
-	"math"
 	"sort"
 	"sync/atomic"
 )
-
-// floatBits / floatFromBits let Gauge store a float64 in an atomic.Uint64.
-func floatBits(v float64) uint64     { return math.Float64bits(v) }
-func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
 
 // DefaultCycleBuckets are the histogram upper bounds used for latency
 // metrics measured in simulated clock cycles. They span ~0.4µs to ~7ms at

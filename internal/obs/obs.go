@@ -32,6 +32,7 @@ package obs
 
 import (
 	"fmt"
+	"math"
 	"regexp"
 	"sort"
 	"strings"
@@ -124,10 +125,10 @@ func (c *Counter) Load() uint64 { return c.v.Load() }
 type Gauge struct{ bits atomic.Uint64 }
 
 // Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(floatBits(v)) }
+func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Load reads the current value.
-func (g *Gauge) Load() float64 { return floatFromBits(g.bits.Load()) }
+func (g *Gauge) Load() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Registry holds a set of uniquely named metrics. It is safe for
 // concurrent registration and reading, though in practice subsystems
