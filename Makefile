@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build check vet test test-race test-soak test-stress test-overload test-crash test-thrash test-tiers test-allocs test-artifacts fuzz-short smoke_test bench bench-wall figs clean \
+.PHONY: all build check vet test test-race test-soak test-stress test-overload test-crash test-thrash test-tiers test-allocs test-artifacts test-examples fuzz-short smoke_test bench bench-wall figs clean \
         trackfm_table1 trackfm_table2 trackfm_table3 trackfm_table4 \
         trackfm_fig6 trackfm_fig7 trackfm_fig8 trackfm_fig9 trackfm_fig10 \
         trackfm_fig11 trackfm_fig12 trackfm_fig13 trackfm_fig14a trackfm_fig15 \
@@ -52,8 +52,8 @@ RACE_TIER_CONCURRENT = $(GO) test -race -run 'TestTierConcurrent' ./internal/aif
 
 # Everything a PR must pass, each gate once: build, vet (incl. the lints,
 # the censuses and the doc test), the tier-1 suite, the concurrency stress
-# suite and the two pressure gates under the race detector, and the
-# refactoring oracle. The overload, crash, thrash, tiers and allocs gates
+# suite and the two pressure gates under the race detector, the examples,
+# and the refactoring oracle. The overload, crash, thrash, tiers and allocs gates
 # that run without -race or -count are tests `make test` has already run,
 # twice, as part of ./...; their targets stay for running one battery alone.
 check: build
@@ -62,6 +62,7 @@ check: build
 	$(MAKE) test-stress
 	$(RACE_PIN_SATURATION)
 	$(RACE_TIER_CONCURRENT)
+	$(MAKE) test-examples
 	$(MAKE) test-artifacts
 
 # Tier-1: the full suite twice in shuffled order (catches inter-test
@@ -70,6 +71,16 @@ check: build
 test:
 	$(GO) test -shuffle=on -count=2 ./...
 	$(GO) test -race ./internal/fabric/... ./internal/aifm/... ./internal/far/... ./internal/mem/... ./internal/remote/...
+
+# The four examples, run (go build ./... only compiles them) at sizes that
+# take a few seconds together. Each holds its result to a reference — a
+# closed form, the local-only run, the same store in local memory — and
+# exits non-zero on a mismatch.
+test-examples:
+	$(GO) run ./examples/quickstart > /dev/null
+	$(GO) run ./examples/stream -n 4096 > /dev/null
+	$(GO) run ./examples/analytics -rows 500 > /dev/null
+	$(GO) run ./examples/kvstore -keys 500 -gets 2000 > /dev/null
 
 # The whole tree under the race detector.
 test-race:

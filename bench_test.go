@@ -41,7 +41,7 @@ func benchExperiment(b *testing.B, id string) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if t := e.Run(); len(t.Rows) == 0 {
+		if t := e.Run(bench.Scale{Factor: 1}); len(t.Rows) == 0 {
 			b.Fatalf("experiment %s produced no rows", id)
 		}
 	}

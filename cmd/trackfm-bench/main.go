@@ -37,7 +37,6 @@ func main() {
 		}
 		return
 	}
-	bench.DefaultScale = bench.Scale{Factor: *scale}
 
 	run := func(e bench.Experiment) {
 		// Heap cost of regenerating the table, normalised per workload op.
@@ -46,7 +45,7 @@ func main() {
 		// deterministic, so in-process table output must not carry them.
 		var before runtime.MemStats
 		runtime.ReadMemStats(&before)
-		t := e.Run()
+		t := e.Run(bench.Scale{Factor: *scale})
 		if *asJSON {
 			if *withAlloc && t.Ops > 0 {
 				var after runtime.MemStats

@@ -19,7 +19,6 @@ import (
 	"trackfm/internal/compiler"
 	"trackfm/internal/interp"
 	"trackfm/internal/ir"
-	"trackfm/internal/sim"
 	"trackfm/internal/workloads/analytics"
 	"trackfm/internal/workloads/kmeans"
 	"trackfm/internal/workloads/nas"
@@ -99,7 +98,7 @@ func main() {
 	}
 	if *profile || *prune {
 		prof := compiler.NewProfile()
-		if _, err := interp.Run(p, interp.NewLocalBackend(sim.NewEnv()), interp.Options{Profile: prof}); err != nil {
+		if _, _, _, err := interp.RunOn(interp.Local, p, compiler.Options{Profile: prof}, 0, 0); err != nil {
 			fmt.Fprintf(os.Stderr, "profiling run failed: %v\n", err)
 			os.Exit(1)
 		}

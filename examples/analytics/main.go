@@ -12,8 +12,6 @@ import (
 	"fmt"
 
 	"trackfm/internal/compiler"
-	"trackfm/internal/core"
-	"trackfm/internal/fastswap"
 	"trackfm/internal/interp"
 	"trackfm/internal/sim"
 	"trackfm/internal/workloads/analytics"
@@ -27,80 +25,38 @@ func main() {
 	cfg := analytics.Config{Rows: *rows}
 	ws := cfg.WorkingSetBytes()
 	budget := uint64(float64(ws) * *local)
-	heap := ws * 2
 	fmt.Printf("analytics over %d trips (%d KB working set, %.0f%% local)\n\n",
 		*rows, ws/1024, *local*100)
 
-	// Local-only reference.
-	localEnv := sim.NewEnv()
-	ref, err := interp.Run(analytics.Program(cfg), interp.NewLocalBackend(localEnv), interp.Options{})
-	if err != nil {
-		panic(err)
-	}
-	base := float64(localEnv.Clock.Cycles())
-
-	report := func(name string, env *sim.Env, checksum int64, extra string) {
-		if checksum != ref.Return {
-			panic(fmt.Sprintf("%s produced wrong results: %d != %d", name, checksum, ref.Return))
+	// One fresh program per system, each put on it by the same call; the
+	// compile options matter where the system compiles. The local-only run
+	// comes first: it is the checksum and the clock the others are held to.
+	opts := compiler.Options{Chunking: compiler.ChunkCostModel, ObjectSize: 4096, Prefetch: true}
+	var want int64
+	var base float64
+	report := func(name string, sys interp.System, extra func(*sim.Env) string) {
+		res, env, _, err := interp.RunOn(sys, analytics.Program(cfg), opts, ws*2, budget)
+		if err != nil {
+			panic(err)
+		}
+		if sys == interp.Local {
+			want, base = res.Return, float64(env.Clock.Cycles())
+		}
+		if res.Return != want {
+			panic(fmt.Sprintf("%s produced wrong results: %d != %d", name, res.Return, want))
 		}
 		fmt.Printf("%-10s %6.2fx slowdown  (%.3fs simulated)  %s\n",
-			name, float64(env.Clock.Cycles())/base, env.Clock.Seconds(), extra)
+			name, float64(env.Clock.Cycles())/base, env.Clock.Seconds(), extra(env))
 	}
-	report("local", localEnv, ref.Return, "")
-
+	report("local", interp.Local, func(*sim.Env) string { return "" })
 	// TrackFM: just recompile.
-	prog := analytics.Program(cfg)
-	if _, err := compiler.Compile(prog, compiler.Options{
-		Chunking: compiler.ChunkCostModel, ObjectSize: 4096, Prefetch: true,
-	}); err != nil {
-		panic(err)
-	}
-	tfmEnv := sim.NewEnv()
-	rt, err := core.NewRuntime(core.Config{Env: tfmEnv, ObjectSize: 4096, HeapSize: heap, LocalBudget: budget})
-	if err != nil {
-		panic(err)
-	}
-	res, err := interp.Run(prog, interp.NewTrackFMBackend(rt), interp.Options{})
-	if err != nil {
-		panic(err)
-	}
-	report("TrackFM", tfmEnv, res.Return,
-		fmt.Sprintf("%d guards", tfmEnv.Counters.Guards()))
-
-	// Fastswap: unmodified binary, kernel paging.
-	prog = analytics.Program(cfg)
-	if _, err := compiler.Compile(prog, compiler.Options{Chunking: compiler.ChunkNone}); err != nil {
-		panic(err)
-	}
-	fsEnv := sim.NewEnv()
-	sw, err := fastswap.New(fastswap.Config{Env: fsEnv, HeapSize: heap, LocalBudget: budget})
-	if err != nil {
-		panic(err)
-	}
-	res, err = interp.Run(prog, interp.NewFastswapBackend(sw), interp.Options{})
-	if err != nil {
-		panic(err)
-	}
-	report("Fastswap", fsEnv, res.Return,
-		fmt.Sprintf("%d faults", fsEnv.Counters.Faults()))
-
-	// AIFM: the hand-ported library version (no guards).
-	prog = analytics.Program(cfg)
-	if _, err := compiler.Compile(prog, compiler.Options{
-		Chunking: compiler.ChunkCostModel, ObjectSize: 4096, Prefetch: true,
-	}); err != nil {
-		panic(err)
-	}
-	aEnv := sim.NewEnv()
-	be, err := interp.NewAIFMBackend(interp.AIFMConfig{
-		Env: aEnv, ObjectSize: 4096, HeapSize: heap, LocalBudget: budget,
+	report("TrackFM", interp.TrackFM, func(env *sim.Env) string {
+		return fmt.Sprintf("%d guards", env.Counters.Guards())
 	})
-	if err != nil {
-		panic(err)
-	}
-	res, err = interp.Run(prog, be, interp.Options{})
-	if err != nil {
-		panic(err)
-	}
-	report("AIFM", aEnv, res.Return, "hand-ported, no guards")
+	// Fastswap: unmodified binary, kernel paging.
+	report("Fastswap", interp.Fastswap, func(env *sim.Env) string {
+		return fmt.Sprintf("%d faults", env.Counters.Faults())
+	})
+	// AIFM: the hand-ported library version (no guards).
+	report("AIFM", interp.AIFM, func(*sim.Env) string { return "hand-ported, no guards" })
 }

@@ -14,7 +14,9 @@
 // where a get is one blocking round trip per miss, the scan's fetches are
 // written ahead on the transport's prefetch stream, and the client's
 // pipelined=/streamFlushes= and the server's frames=/flushes= show how many
-// shared a write.
+// shared a write. The client's figures are read off the runtime's metrics
+// registry (the transport the runtime dialed registers there, as it does
+// for a farmem.Heap's Metrics), not off a transport held on the side.
 package main
 
 import (
@@ -52,35 +54,35 @@ func main() {
 		addr = bound
 		fmt.Printf("started in-process fmserver on %s\n", addr)
 	}
-	transport, err := fabric.Dial(addr)
-	if err != nil {
-		panic(err)
-	}
-	defer transport.Close()
-
 	itemBytes := kv.EstimatedItemBytes(1, 4096)
 	ws := uint64(*keys) * (itemBytes + 16)
 	env := sim.NewEnv()
 	rt, err := core.NewRuntime(core.Config{
-		Env:         env,
-		ObjectSize:  64, // small objects: the paper's anti-amplification choice
-		HeapSize:    ws*4 + scanElems*8,
+		Env:        env,
+		ObjectSize: 64, // small objects: the paper's anti-amplification choice
+		// the scan array, and as much again for slab rounding at small -keys
+		HeapSize:    ws*4 + 2*scanElems*8,
 		LocalBudget: ws / 4,
 		// evacuations really cross the socket
-		RemoteConfig: fabric.RemoteConfig{Transport: transport},
+		RemoteConfig: fabric.RemoteConfig{RemoteAddr: addr},
 	})
 	if err != nil {
 		panic(err)
 	}
+	defer rt.Pool().Close() // hangs up the connection the runtime dialed
+	rt.Pool().RegisterObs(env.Metrics())
 
 	start := time.Now()
-	res, err := kv.Run(&workloads.TrackFMAccessor{RT: rt}, kv.Config{
-		Keys: *keys, Gets: *gets, Skew: *skew, Seed: 7,
-	})
+	cfg := kv.Config{Keys: *keys, Gets: *gets, Skew: *skew, Seed: 7}
+	res, err := kv.Run(&workloads.TrackFMAccessor{RT: rt}, cfg)
 	if err != nil {
 		panic(err)
 	}
 	elapsed := time.Since(start)
+	// The same store in plain local memory is the reference.
+	if ref, err := kv.Run(workloads.NewLocalAccessor(sim.NewEnv()), cfg); err != nil || *ref != *res {
+		panic(fmt.Sprintf("far-memory run %+v, local reference %+v (%v)", *res, ref, err))
+	}
 
 	fmt.Printf("done: %d hits, %d misses (checksum %d)\n", res.Hits, res.Misses, res.CheckSum)
 	fmt.Printf("wall time %v; %d guards (%d slow), %d evacuations over TCP, %.1f KB pushed\n",
@@ -106,6 +108,11 @@ func main() {
 	if sum != want {
 		panic(fmt.Sprintf("scan sum %d, want %d", sum, want))
 	}
-	fmt.Printf("scan: %d far elements in %v, %d prefetch hits | client %s\n",
-		scanElems, time.Since(start).Round(time.Microsecond), env.Counters.PrefetchHits-hits, transport.Stats())
+	m := env.Metrics().Snapshot()
+	fmt.Printf("scan: %d far elements in %v, %d prefetch hits | client retries=%d reconnects=%d openConns=%.0f pipelined=%d streamFlushes=%d carriedPushes=%d carryExchanges=%d\n",
+		scanElems, time.Since(start).Round(time.Microsecond), env.Counters.PrefetchHits-hits,
+		m.Counter("trackfm_fabric_retries_total"), m.Counter("trackfm_fabric_reconnects_total"),
+		m.Gauge("trackfm_transport_open_conns"),
+		m.Counter("trackfm_transport_pipelined_fetches_total"), m.Counter("trackfm_transport_stream_flushes_total"),
+		m.Counter("trackfm_transport_carried_pushes_total"), m.Counter("trackfm_transport_carry_exchanges_total"))
 }

@@ -89,4 +89,7 @@ func main() {
 	}
 	fmt.Printf("parallel sum  = %d across %d goroutines (matches: %v)\n",
 		parSum, workers, parSum == sum)
+	if want := uint64(n) * (n - 1) / 2; sum != want || parSum != want {
+		panic(fmt.Sprintf("sums %d and %d, want %d", sum, parSum, want))
+	}
 }

@@ -13,9 +13,7 @@ import (
 	"fmt"
 
 	"trackfm/internal/compiler"
-	"trackfm/internal/core"
 	"trackfm/internal/interp"
-	"trackfm/internal/sim"
 	"trackfm/internal/workloads/stream"
 )
 
@@ -28,21 +26,7 @@ func main() {
 	budget := uint64(float64(ws) * *local)
 
 	run := func(name string, opts compiler.Options) uint64 {
-		prog := stream.Program(stream.Sum, *n)
-		stats, err := compiler.Compile(prog, opts)
-		if err != nil {
-			panic(err)
-		}
-		env := sim.NewEnv()
-		rt, err := core.NewRuntime(core.Config{
-			Env: env, ObjectSize: 4096,
-			HeapSize: ws * 2, LocalBudget: budget,
-			NoPrefetch: !opts.Prefetch,
-		})
-		if err != nil {
-			panic(err)
-		}
-		res, err := interp.Run(prog, interp.NewTrackFMBackend(rt), interp.Options{})
+		res, env, stats, err := interp.RunOn(interp.TrackFM, stream.Program(stream.Sum, *n), opts, ws*2, budget)
 		if err != nil {
 			panic(err)
 		}

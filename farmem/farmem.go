@@ -21,6 +21,7 @@ package farmem
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"trackfm/internal/core"
 	"trackfm/internal/fabric"
@@ -76,6 +77,9 @@ type Config struct {
 type Heap struct {
 	rt  *core.Runtime
 	env *sim.Env
+	// epoch is the clock reading at the last ResetStats: simulated time is
+	// reported since it, and the clock itself only moves forward.
+	epoch atomic.Uint64
 }
 
 // New creates a heap.
@@ -101,6 +105,10 @@ func New(cfg Config) (*Heap, error) {
 	if err != nil {
 		return nil, fmt.Errorf("farmem: %w", err)
 	}
+	// Everything this heap built reports through the heap's one registry:
+	// the pool, its far engine and tier, and the transport or replica set
+	// the engine resolved.
+	rt.Pool().RegisterObs(env.Metrics())
 	return &Heap{rt: rt, env: env}, nil
 }
 
@@ -134,8 +142,14 @@ func (h *Heap) Stats() Stats {
 		BytesFetched:     c.BytesFetched,
 		BytesEvicted:     c.BytesEvicted,
 		PrefetchHits:     c.PrefetchHits,
-		SimulatedSeconds: h.env.Clock.Seconds(),
+		SimulatedSeconds: h.simulatedSeconds(),
 	}
+}
+
+// simulatedSeconds is the modeled time since the last ResetStats.
+func (h *Heap) simulatedSeconds() float64 {
+	epoch := h.epoch.Load() // before the clock, which may pass a newer epoch
+	return float64(h.env.Clock.Cycles()-epoch) / sim.Frequency
 }
 
 // HeapSnapshot is a typed, race-free, point-in-time view of everything the
@@ -166,7 +180,7 @@ func (h *Heap) Snapshot() HeapSnapshot {
 	fetch := m.Histogram("trackfm_remote_fetch_cycles")
 	return HeapSnapshot{
 		Counters:         h.env.Counters.Snapshot(),
-		SimulatedSeconds: h.env.Clock.Seconds(),
+		SimulatedSeconds: h.simulatedSeconds(),
 		RemoteFetchP50:   fetch.Quantile(0.50),
 		RemoteFetchP99:   fetch.Quantile(0.99),
 		Metrics:          m,
@@ -174,12 +188,23 @@ func (h *Heap) Snapshot() HeapSnapshot {
 }
 
 // Metrics exposes the heap's metrics registry, e.g. for mounting its
-// Prometheus Handler in an HTTP server.
+// Prometheus Handler in an HTTP server. It carries the runtime counters
+// and latency histograms Stats and Snapshot read, and the series of
+// everything the heap is built from: the pool (trackfm_pool_*,
+// trackfm_thrash_ratio), the compressed tier when enabled
+// (trackfm_ctier_*), and the remote side — a dialed transport's
+// trackfm_fabric_*, trackfm_transport_* and trackfm_retry_budget_*, or a
+// replica set's trackfm_replica_*.
 func (h *Heap) Metrics() *obs.Registry { return h.env.Metrics() }
 
-// ResetStats zeroes the counters, latency histograms, and the simulated
-// clock.
-func (h *Heap) ResetStats() { h.env.Reset() }
+// ResetStats zeroes the counters and latency histograms and starts a new
+// epoch for SimulatedSeconds. The simulated clock itself is not rewound:
+// replica breakers, in-flight operation deadlines and eviction ages keep
+// time by it.
+func (h *Heap) ResetStats() {
+	h.epoch.Store(h.env.Clock.Cycles())
+	h.env.ResetStats()
+}
 
 // Resize changes the local-memory budget at runtime, in bytes — the
 // far-memory answer to a co-tenant squeezing this application's share of

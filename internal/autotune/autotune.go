@@ -6,20 +6,18 @@
 // cache-line size (64 B) to the base page size (4 KB).
 //
 // For each candidate size the tuner rebuilds the program (compiler
-// annotations are per-object-size decisions), recompiles it with the full
-// pipeline, executes it against a TrackFM runtime under the deployment's
-// local-memory constraint, and picks the size with the fewest simulated
-// cycles.
+// annotations are per-object-size decisions) and puts it on TrackFM through
+// interp.RunOn — the full pipeline at that size, a runtime built for it,
+// the deployment's local-memory constraint — and picks the size with the
+// fewest simulated cycles.
 package autotune
 
 import (
 	"fmt"
 
 	"trackfm/internal/compiler"
-	"trackfm/internal/core"
 	"trackfm/internal/interp"
 	"trackfm/internal/ir"
-	"trackfm/internal/sim"
 )
 
 // SearchSpace is the paper's candidate set: 2^6 .. 2^12 bytes.
@@ -66,26 +64,10 @@ func Run(cfg Config) (*Result, error) {
 	var haveChecksum bool
 	var bestCycles uint64
 	for _, size := range SearchSpace {
-		prog := cfg.Build()
 		opts := compiler.Options{Chunking: compiler.ChunkCostModel, ObjectSize: size, Prefetch: true}
-		if _, err := compiler.Compile(prog, opts); err != nil {
-			return nil, fmt.Errorf("autotune: compile at %dB: %w", size, err)
-		}
-		env := sim.NewEnv()
-		budget := cfg.LocalBudget
-		if budget < uint64(size)*8 {
-			budget = uint64(size) * 8 // room for pinned chunks
-		}
-		rt, err := core.NewRuntime(core.Config{
-			Env: env, ObjectSize: size,
-			HeapSize: cfg.HeapSize, LocalBudget: budget,
-		})
+		out, env, _, err := interp.RunOn(interp.TrackFM, cfg.Build(), opts, cfg.HeapSize, cfg.LocalBudget)
 		if err != nil {
-			return nil, fmt.Errorf("autotune: runtime at %dB: %w", size, err)
-		}
-		out, err := interp.Run(prog, interp.NewTrackFMBackend(rt), interp.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("autotune: run at %dB: %w", size, err)
+			return nil, fmt.Errorf("autotune: at %dB: %w", size, err)
 		}
 		if haveChecksum && out.Return != wantChecksum {
 			return nil, fmt.Errorf("autotune: result differs at %dB: %d vs %d",

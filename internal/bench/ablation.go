@@ -12,7 +12,7 @@ import (
 	"trackfm/internal/workloads/stream"
 )
 
-// Ablation quantifies the design choices DESIGN.md calls out, beyond what
+// ablation quantifies the design choices DESIGN.md calls out, beyond what
 // the paper's own figures isolate:
 //
 //   - the object state table (vs AIFM's two-reference metadata lookup),
@@ -20,9 +20,10 @@ import (
 //   - the three chunking policies side by side on one workload.
 //
 // Everything runs STREAM Sum at 25% local memory, the regime where both
-// guard and fetch costs matter.
-func Ablation() *Table { return ablation(DefaultScale) }
-
+// guard and fetch costs matter. The table and the window depth are the
+// runtime's alone — no compile option expresses them — so this is the one
+// experiment that builds its runtime by hand instead of through run; the
+// object size still comes from the compiled program.
 func ablation(s Scale) *Table {
 	t := &Table{
 		ID:      "ablation",
@@ -34,26 +35,24 @@ func ablation(s Scale) *Table {
 	heap := ws * 2
 	bud := budget(ws, 0.25)
 
-	type cfg struct {
-		name  string
-		opts  compiler.Options
-		tune  func(*core.Config)
-		depth int // prefetch depth override (-1: keep default)
-	}
-	base := compiler.Options{Chunking: compiler.ChunkCostModel, ObjectSize: 4096, Prefetch: true}
+	base := fullTrackFM
 	noPf := base
 	noPf.Prefetch = false
 	naive := compiler.Options{Chunking: compiler.ChunkNone, ObjectSize: 4096}
 	all := base
 	all.Chunking = compiler.ChunkAll
 
-	cfgs := []cfg{
-		{"full TrackFM (OST, chunk, prefetch d=8)", base, nil, -1},
-		{"prefetch depth 1", base, nil, 1},
-		{"no prefetch", noPf, func(c *core.Config) { c.NoPrefetch = true }, -1},
-		{"chunk all loops", all, nil, -1},
-		{"no chunking (naive guards, OST)", naive, nil, -1},
-		{"no chunking, no object state table", naive, func(c *core.Config) { c.NoOST = true }, -1},
+	cfgs := []struct {
+		name string
+		opts compiler.Options
+		rt   core.Config // the runtime-only knobs; the rest is filled in below
+	}{
+		{"full TrackFM (OST, chunk, prefetch d=8)", base, core.Config{}},
+		{"prefetch depth 1", base, core.Config{PrefetchDepth: 1}},
+		{"no prefetch", noPf, core.Config{}},
+		{"chunk all loops", all, core.Config{}},
+		{"no chunking (naive guards, OST)", naive, core.Config{}},
+		{"no chunking, no object state table", naive, core.Config{NoOST: true}},
 	}
 	t.Notes = "the OST effect shows on guard-heavy (unchunked) runs; prefetch depth >= 1 " +
 		"is equivalent here because the latency model hides the full fixed cost once any " +
@@ -62,17 +61,11 @@ func ablation(s Scale) *Table {
 	results := make([]uint64, len(cfgs))
 	best := ^uint64(0)
 	for i, c := range cfgs {
-		prog := compiled(stream.Program(stream.Sum, n), c.opts)
+		prog := stream.Program(stream.Sum, n)
+		mustCompile(prog, c.opts)
 		env := sim.NewEnv()
-		rc := core.Config{
-			Env: env, ObjectSize: 4096, HeapSize: heap, LocalBudget: bud,
-		}
-		if c.depth > 0 {
-			rc.PrefetchDepth = c.depth
-		}
-		if c.tune != nil {
-			c.tune(&rc)
-		}
+		rc := c.rt
+		rc.Env, rc.ObjectSize, rc.HeapSize, rc.LocalBudget = env, prog.ObjectSize, heap, bud
 		rt, err := core.NewRuntime(rc)
 		if err != nil {
 			panic(fmt.Sprintf("bench: %v", err))
@@ -91,12 +84,10 @@ func ablation(s Scale) *Table {
 	return t
 }
 
-// Autotune regenerates the §3.2 autotuning proposal: exhaustive search
+// autotuneTable regenerates the §3.2 autotuning proposal: exhaustive search
 // over the paper's object-size space for a streaming and a fine-grained
 // random workload, showing the tuner lands on the Fig. 9/Fig. 10 winners
 // automatically.
-func Autotune() *Table { return autotuneTable(DefaultScale) }
-
 func autotuneTable(s Scale) *Table {
 	t := &Table{
 		ID:      "autotune",

@@ -26,7 +26,7 @@ func TestAblationShapes(t *testing.T) {
 }
 
 func TestNASExtendedShapes(t *testing.T) {
-	tb := NASExtended()
+	tb := nasExtended(Scale{Factor: 1})
 	if len(tb.Rows) != 8 { // 7 kernels + geomean
 		t.Fatalf("nasx rows = %d", len(tb.Rows))
 	}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"trackfm/internal/compiler"
+	"trackfm/internal/interp"
 	"trackfm/internal/workloads/analytics"
 )
 
@@ -14,11 +15,9 @@ func analyticsConfig(s Scale) analytics.Config {
 // extends below 20%.
 var analyticsSweep = []float64{0.1, 0.25, 0.5, 0.75, 1.0}
 
-// Fig14 regenerates Figure 14: analytics slowdown versus local-only for
+// fig14 regenerates Figure 14: analytics slowdown versus local-only for
 // TrackFM, Fastswap, and AIFM (a), plus TrackFM guard counts and Fastswap
 // fault counts (b).
-func Fig14() *Table { return fig14(DefaultScale) }
-
 func fig14(s Scale) *Table {
 	t := &Table{
 		ID:    "fig14",
@@ -31,15 +30,11 @@ func fig14(s Scale) *Table {
 	ws := cfg.WorkingSetBytes()
 	heap := ws * 2
 	localCycles := float64(runLocal(analytics.Program(cfg)).Clock.Cycles())
-	opts := func() compiler.Options {
-		return compiler.Options{Chunking: compiler.ChunkCostModel, ObjectSize: 4096, Prefetch: true}
-	}
 	for _, f := range analyticsSweep {
 		b := budget(ws, f)
-		tfm := runTrackFM(compiled(analytics.Program(cfg), opts()), 4096, heap, b, false)
-		fs := runFastswap(compiled(analytics.Program(cfg),
-			compiler.Options{Chunking: compiler.ChunkNone}), heap, b)
-		aifm := runAIFM(compiled(analytics.Program(cfg), opts()), 4096, heap, b)
+		tfm := run(interp.TrackFM, analytics.Program(cfg), fullTrackFM, heap, b)
+		fs := run(interp.Fastswap, analytics.Program(cfg), compiler.Options{}, heap, b)
+		aifm := run(interp.AIFM, analytics.Program(cfg), fullTrackFM, heap, b)
 		t.AddRow(f2(f),
 			f2(float64(tfm.Clock.Cycles())/localCycles),
 			f2(float64(fs.Clock.Cycles())/localCycles),
@@ -50,11 +45,9 @@ func fig14(s Scale) *Table {
 	return t
 }
 
-// Fig15 regenerates Figure 15: the loop-chunking policy comparison on the
+// fig15 regenerates Figure 15: the loop-chunking policy comparison on the
 // analytics application — baseline (no chunking), all loops, and
 // high-density loops only — as slowdown versus local-only.
-func Fig15() *Table { return fig15(DefaultScale) }
-
 func fig15(s Scale) *Table {
 	t := &Table{
 		ID:      "fig15",
@@ -68,17 +61,15 @@ func fig15(s Scale) *Table {
 	localCycles := float64(runLocal(analytics.Program(cfg)).Clock.Cycles())
 	for _, f := range analyticsSweep {
 		b := budget(ws, f)
-		baseline := runTrackFM(compiled(analytics.Program(cfg),
-			compiler.Options{Chunking: compiler.ChunkNone, ObjectSize: 4096, Prefetch: true}),
-			4096, heap, b, false)
-		all := runTrackFM(compiled(analytics.Program(cfg),
-			compiler.Options{Chunking: compiler.ChunkAll, ObjectSize: 4096, Prefetch: true}),
-			4096, heap, b, false)
-		prog := analytics.Program(cfg)
-		prof := profileProgram(prog)
-		sel := runTrackFM(compiled(prog, compiler.Options{
-			Chunking: compiler.ChunkCostModel, ObjectSize: 4096, Prefetch: true, Profile: prof,
-		}), 4096, heap, b, false)
+		baseline := run(interp.TrackFM, analytics.Program(cfg),
+			compiler.Options{Chunking: compiler.ChunkNone, ObjectSize: 4096, Prefetch: true}, heap, b)
+		all := run(interp.TrackFM, analytics.Program(cfg),
+			compiler.Options{Chunking: compiler.ChunkAll, ObjectSize: 4096, Prefetch: true}, heap, b)
+		// Profile-guided: RunOn fills the profile from a local run of the
+		// instance it then compiles.
+		sel := run(interp.TrackFM, analytics.Program(cfg), compiler.Options{
+			Chunking: compiler.ChunkCostModel, ObjectSize: 4096, Prefetch: true, Profile: compiler.NewProfile(),
+		}, heap, b)
 		t.AddRow(f2(f),
 			f2(float64(baseline.Clock.Cycles())/localCycles),
 			f2(float64(all.Clock.Cycles())/localCycles),

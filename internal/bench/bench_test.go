@@ -33,7 +33,7 @@ func row(t *testing.T, tb *Table, key string) []string {
 }
 
 func TestTable1MatchesPaper(t *testing.T) {
-	tb := Table1()
+	tb := table1(Scale{})
 	want := [][2]float64{{21, 297}, {21, 309}, {144, 453}, {159, 432}}
 	if len(tb.Rows) != 4 {
 		t.Fatalf("Table1 has %d rows", len(tb.Rows))
@@ -46,7 +46,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 }
 
 func TestTable2MatchesPaperBands(t *testing.T) {
-	tb := Table2()
+	tb := table2(Scale{})
 	fr := row(t, tb, "Fastswap read fault")
 	if cellF(t, fr[1]) != 1300 {
 		t.Errorf("Fastswap local fault = %s, want 1300", fr[1])
@@ -64,7 +64,7 @@ func TestTable2MatchesPaperBands(t *testing.T) {
 }
 
 func TestFig6CrossoverNear730(t *testing.T) {
-	tb := Fig6()
+	tb := fig6(Scale{})
 	// Below the predicted crossover chunking must lose; above, win.
 	if cellF(t, row(t, tb, "650")[1]) >= 1.0 {
 		t.Errorf("chunking won below the crossover")
@@ -243,7 +243,7 @@ func TestFig17NASShapes(t *testing.T) {
 }
 
 func TestTable3Inventory(t *testing.T) {
-	tb := Table3()
+	tb := table3(Scale{})
 	if len(tb.Rows) != 5 {
 		t.Fatalf("Table3 has %d rows", len(tb.Rows))
 	}
@@ -253,7 +253,7 @@ func TestTable3Inventory(t *testing.T) {
 }
 
 func TestTable4Comparison(t *testing.T) {
-	tb := Table4()
+	tb := table4(Scale{})
 	last := tb.Rows[len(tb.Rows)-1]
 	if !strings.HasPrefix(last[0], "TrackFM") {
 		t.Fatalf("last row %q", last[0])
@@ -266,7 +266,7 @@ func TestTable4Comparison(t *testing.T) {
 }
 
 func TestCompileCostsBands(t *testing.T) {
-	tb := CompileCosts()
+	tb := compileCosts(Scale{Factor: 1})
 	if len(tb.Rows) < 8 {
 		t.Fatalf("CompileCosts covers %d workloads", len(tb.Rows))
 	}

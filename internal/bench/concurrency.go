@@ -9,7 +9,15 @@ import (
 	"trackfm/internal/sim"
 )
 
-// MTScan measures how the striped pool scales when several goroutines scan
+// mtWorkers is the worker-count sweep for the mt experiment.
+var mtWorkers = []int{1, 2, 4, 8}
+
+// mtScopeBatch bounds how many objects a worker holds pinned at once — one
+// AIFM scope's worth — so concurrent workers never pin more than a sliver
+// of the local budget.
+const mtScopeBatch = 16
+
+// mtScan measures how the striped pool scales when several goroutines scan
 // far memory concurrently. The container this suite runs in is frequently a
 // single-core machine, so wall-clock speedup would measure the Go scheduler
 // rather than the runtime; instead each worker accrues a private virtual
@@ -26,18 +34,6 @@ import (
 // ops/sec at 8 workers vs 1) and "shared" (all workers scan the same range,
 // so concurrent misses on one object collapse into a single fabric fetch —
 // the singleflight path).
-func MTScan() *Table {
-	return mtScan(DefaultScale)
-}
-
-// mtWorkers is the worker-count sweep for the mt experiment.
-var mtWorkers = []int{1, 2, 4, 8}
-
-// mtScopeBatch bounds how many objects a worker holds pinned at once — one
-// AIFM scope's worth — so concurrent workers never pin more than a sliver
-// of the local budget.
-const mtScopeBatch = 16
-
 func mtScan(s Scale) *Table {
 	const objSize = 4096
 	nObjects := int(s.n(2048)) // 8 MB far heap at factor 1

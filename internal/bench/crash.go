@@ -177,11 +177,11 @@ func runCrashPoint(seed uint64, walOffset int64, res *crashSeedResult) {
 	}
 }
 
-// Crash regenerates the crash-consistency soak table: crashSeeds seeded
+// crash regenerates the crash-consistency soak table: crashSeeds seeded
 // schedules, each killed at crashesPerSeed randomized WAL offsets
 // (including mid-record), each recovery checked byte-for-byte against the
 // acked-only oracle.
-func Crash() *Table {
+func crash(Scale) *Table {
 	t := &Table{
 		ID:    "crash",
 		Title: "crash-consistency soak: WAL + snapshot recovery vs acked-write oracle",

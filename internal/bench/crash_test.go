@@ -10,7 +10,7 @@ import (
 // acked-write loss, zero byte mismatches, and mid-record crashes (torn
 // tails) actually exercised.
 func TestCrashSoakAcceptance(t *testing.T) {
-	tbl := Crash()
+	tbl := crash(Scale{})
 	totalRow := tbl.Rows[len(tbl.Rows)-1]
 	if totalRow[0] != "total" {
 		t.Fatalf("last row is %q, want the total row", totalRow[0])
@@ -59,8 +59,8 @@ func TestCrashSoakAcceptance(t *testing.T) {
 // The table is a pure function of its seeds: two runs must serialize to
 // identical JSON (this is what makes BENCH_crash.json reviewable in git).
 func TestCrashSoakDeterministic(t *testing.T) {
-	a := Crash().JSON()
-	b := Crash().JSON()
+	a := crash(Scale{}).JSON()
+	b := crash(Scale{}).JSON()
 	if a != b {
 		t.Fatalf("two runs produced different JSON:\n%s\n---\n%s", a, b)
 	}

@@ -16,29 +16,17 @@ func hashmapConfig(s Scale) hashmap.Config {
 	}
 }
 
-func runHashmapTFM(cfg hashmap.Config, objSize int, heap, b uint64) *sim.Env {
-	env := sim.NewEnv()
-	acc := &workloads.TrackFMAccessor{RT: newRuntime(env, objSize, heap, b, false)}
+// runHashmap runs the workload on acc and returns the env it charged.
+func runHashmap(acc workloads.Accessor, cfg hashmap.Config) *sim.Env {
 	if _, err := hashmap.Run(acc, cfg); err != nil {
-		panic("bench: hashmap trackfm: " + err.Error())
+		panic("bench: hashmap: " + err.Error())
 	}
-	return env
+	return acc.Env()
 }
 
-func runHashmapFS(cfg hashmap.Config, heap, b uint64) *sim.Env {
-	env := sim.NewEnv()
-	acc := &workloads.FastswapAccessor{Swap: newSwap(env, heap, b)}
-	if _, err := hashmap.Run(acc, cfg); err != nil {
-		panic("bench: hashmap fastswap: " + err.Error())
-	}
-	return env
-}
-
-// Fig9 regenerates Figure 9: throughput of the zipfian STL-map workload
+// fig9 regenerates Figure 9: throughput of the zipfian STL-map workload
 // by object size, (a) sweeping local memory and (b) the bar chart at 25%
 // local (the final row).
-func Fig9() *Table { return fig9(DefaultScale) }
-
 func fig9(s Scale) *Table {
 	t := &Table{
 		ID:      "fig9",
@@ -57,7 +45,7 @@ func fig9(s Scale) *Table {
 		}
 		row := []string{label}
 		for _, obj := range objectSizes {
-			env := runHashmapTFM(cfg, obj, heap, budget(ws, f))
+			env := runHashmap(tfmAccessor(obj, heap, budget(ws, f)), cfg)
 			mops := float64(cfg.Lookups) / env.Clock.Seconds() / 1e6
 			row = append(row, f3(mops))
 		}
@@ -66,11 +54,9 @@ func fig9(s Scale) *Table {
 	return t
 }
 
-// Fig13 regenerates Figure 13: the I/O-amplification comparison between
+// fig13 regenerates Figure 13: the I/O-amplification comparison between
 // TrackFM with 64B objects and Fastswap's 4KB pages on the hashmap —
 // execution time (a) and total data fetched (b).
-func Fig13() *Table { return fig13(DefaultScale) }
-
 func fig13(s Scale) *Table {
 	t := &Table{
 		ID:    "fig13",
@@ -84,8 +70,8 @@ func fig13(s Scale) *Table {
 	heap := ws * 4
 	for _, f := range []float64{0.05, 0.25, 0.5, 0.75, 1.0} {
 		b := budget(ws, f)
-		tfm := runHashmapTFM(cfg, 64, heap, b)
-		fs := runHashmapFS(cfg, heap, b)
+		tfm := runHashmap(tfmAccessor(64, heap, b), cfg)
+		fs := runHashmap(fsAccessor(heap, b), cfg)
 		t.AddRow(f2(f),
 			f3(tfm.Clock.Seconds()), f3(fs.Clock.Seconds()),
 			mb(tfm.Counters.BytesFetched), mb(fs.Counters.BytesFetched),

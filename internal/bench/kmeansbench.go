@@ -2,6 +2,7 @@ package bench
 
 import (
 	"trackfm/internal/compiler"
+	"trackfm/internal/interp"
 	"trackfm/internal/workloads/kmeans"
 )
 
@@ -17,11 +18,9 @@ func kmeansConfig(s Scale) kmeans.Config {
 	}
 }
 
-// Fig8 regenerates Figure 8: speedup over the no-chunking baseline for
+// fig8 regenerates Figure 8: speedup over the no-chunking baseline for
 // (a) chunking applied to all loops indiscriminately and (b) chunking
 // applied only to loops the profiler + cost model approve.
-func Fig8() *Table { return fig8(DefaultScale) }
-
 func fig8(s Scale) *Table {
 	t := &Table{
 		ID:      "fig8",
@@ -36,21 +35,17 @@ func fig8(s Scale) *Table {
 	for _, f := range localFractions {
 		b := budget(ws, f)
 
-		baseline := runTrackFM(compiled(kmeans.Program(cfg),
-			compiler.Options{Chunking: compiler.ChunkNone, ObjectSize: 4096, Prefetch: true}),
-			4096, heap, b, false)
+		baseline := run(interp.TrackFM, kmeans.Program(cfg),
+			compiler.Options{Chunking: compiler.ChunkNone, ObjectSize: 4096, Prefetch: true}, heap, b)
 
-		all := runTrackFM(compiled(kmeans.Program(cfg),
-			compiler.Options{Chunking: compiler.ChunkAll, ObjectSize: 4096, Prefetch: true}),
-			4096, heap, b, false)
+		all := run(interp.TrackFM, kmeans.Program(cfg),
+			compiler.Options{Chunking: compiler.ChunkAll, ObjectSize: 4096, Prefetch: true}, heap, b)
 
-		// Profile-guided selective chunking: profile and compile the
-		// same program instance.
-		prog := kmeans.Program(cfg)
-		prof := profileProgram(prog)
-		selective := runTrackFM(compiled(prog, compiler.Options{
-			Chunking: compiler.ChunkCostModel, ObjectSize: 4096, Prefetch: true, Profile: prof,
-		}), 4096, heap, b, false)
+		// Profile-guided selective chunking: RunOn fills the profile from
+		// a local run of the instance it then compiles.
+		selective := run(interp.TrackFM, kmeans.Program(cfg), compiler.Options{
+			Chunking: compiler.ChunkCostModel, ObjectSize: 4096, Prefetch: true, Profile: compiler.NewProfile(),
+		}, heap, b)
 
 		base := float64(baseline.Clock.Cycles())
 		t.AddRow(f2(f),

@@ -23,11 +23,9 @@ func kvWorkingSet(cfg kv.Config) uint64 {
 	return uint64(cfg.Keys) * (kv.EstimatedItemBytes(cfg.Seed, 4096) + 16)
 }
 
-// Fig16 regenerates Figure 16: memcached throughput vs Zipf skew for
+// fig16 regenerates Figure 16: memcached throughput vs Zipf skew for
 // TrackFM, Fastswap, and all-local (a); guards vs faults (b); and total
 // data transferred (c).
-func Fig16() *Table { return fig16(DefaultScale) }
-
 func fig16(s Scale) *Table {
 	t := &Table{
 		ID:    "fig16",
@@ -46,22 +44,15 @@ func fig16(s Scale) *Table {
 		// representable at all.
 		b := budget(ws, 1.0/6.0)
 
-		envT := sim.NewEnv()
-		accT := &workloads.TrackFMAccessor{RT: newRuntime(envT, 64, heap, b, false)}
-		if _, err := kv.Run(accT, cfg); err != nil {
-			panic("bench: kv trackfm: " + err.Error())
+		runKV := func(acc workloads.Accessor) *sim.Env {
+			if _, err := kv.Run(acc, cfg); err != nil {
+				panic("bench: kv: " + err.Error())
+			}
+			return acc.Env()
 		}
-
-		envF := sim.NewEnv()
-		accF := &workloads.FastswapAccessor{Swap: newSwap(envF, heap, b)}
-		if _, err := kv.Run(accF, cfg); err != nil {
-			panic("bench: kv fastswap: " + err.Error())
-		}
-
-		envL := sim.NewEnv()
-		if _, err := kv.Run(workloads.NewLocalAccessor(envL), cfg); err != nil {
-			panic("bench: kv local: " + err.Error())
-		}
+		envT := runKV(tfmAccessor(64, heap, b))
+		envF := runKV(fsAccessor(heap, b))
+		envL := runKV(workloads.NewLocalAccessor(sim.NewEnv()))
 
 		kops := func(env *sim.Env) float64 {
 			return float64(cfg.Gets) / env.Clock.Seconds() / 1e3

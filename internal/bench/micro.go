@@ -6,11 +6,11 @@ import (
 	"trackfm/internal/sim"
 )
 
-// Table1 regenerates Table 1: TrackFM fast-path vs slow-path guard costs
+// table1 regenerates Table 1: TrackFM fast-path vs slow-path guard costs
 // with the object local, cached vs uncached OST lines. Costs are measured
 // by executing one guarded access in each configuration and subtracting
 // the raw load/store cost.
-func Table1() *Table {
+func table1(Scale) *Table {
 	t := &Table{
 		ID:      "table1",
 		Title:   "TrackFM guard costs when the object is local (cycles)",
@@ -20,7 +20,7 @@ func Table1() *Table {
 
 	measure := func(write, slow, cached bool) uint64 {
 		env := sim.NewEnv()
-		rt := newRuntime(env, 4096, 1<<20, 1<<20, true)
+		rt := newRuntime(env, 4096, 1<<20, 1<<20)
 		p := rt.MustMalloc(8)
 		// Localize the object so the guard finds it local.
 		rt.StoreU64(p, 1)
@@ -58,9 +58,9 @@ func Table1() *Table {
 	return t
 }
 
-// Table2 regenerates Table 2: primitive overheads of TrackFM vs Fastswap
+// table2 regenerates Table 2: primitive overheads of TrackFM vs Fastswap
 // with the data local vs remote.
-func Table2() *Table {
+func table2(Scale) *Table {
 	t := &Table{
 		ID:      "table2",
 		Title:   "Primitive overheads, TrackFM vs Fastswap (cycles)",
@@ -95,7 +95,7 @@ func Table2() *Table {
 
 	tfmSlow := func(write bool) (uint64, uint64) {
 		env := sim.NewEnv()
-		rt := newRuntime(env, 4096, 1<<20, 1<<20, true)
+		rt := newRuntime(env, 4096, 1<<20, 1<<20)
 		p := rt.MustMalloc(8)
 		rt.StoreU64(p, 1)
 		// Local slow path: object resident but flagged for evacuation;
@@ -135,11 +135,11 @@ func Table2() *Table {
 	return t
 }
 
-// Fig6 regenerates Figure 6: the loop-chunking cost-model crossover. For
+// fig6 regenerates Figure 6: the loop-chunking cost-model crossover. For
 // each element count (a loop confined to a single 8 KB object), it
 // measures the speedup of the chunked transformation over the naive one
 // and reports the model's predicted crossover.
-func Fig6() *Table {
+func fig6(Scale) *Table {
 	costs := sim.DefaultCosts()
 	t := &Table{
 		ID:      "fig6",
@@ -152,7 +152,7 @@ func Fig6() *Table {
 		// 8 KB objects hold up to 1024 8-byte elements; everything
 		// resident so only guard costs differ.
 		env := sim.NewEnv()
-		rt := newRuntime(env, 8192, 1<<20, 1<<20, true)
+		rt := newRuntime(env, 8192, 1<<20, 1<<20)
 		p := rt.MustMalloc(8192)
 		for i := uint64(0); i < elems; i++ {
 			rt.StoreU64(p.Add(i*8), i)
@@ -184,18 +184,18 @@ func Fig6() *Table {
 	return t
 }
 
-// CompileCosts regenerates the §4.6 compilation-cost observations: code
+// compileCosts regenerates the §4.6 compilation-cost observations: code
 // size growth (paper: average 2.4x) and compile-time expansion (paper:
 // under 6x) across the IR workloads.
-func CompileCosts() *Table {
+func compileCosts(s Scale) *Table {
 	t := &Table{
 		ID:      "compile",
 		Title:   "Compilation costs per workload (§4.6)",
 		Columns: []string{"workload", "mem accesses", "guarded", "code size", "compile time"},
 		Notes:   "paper: code size x2.4 average, compile time < 6x standard LLVM",
 	}
-	for _, w := range irWorkloads(DefaultScale) {
-		stats := mustCompileStats(w.build(), w.opts())
+	for _, w := range irWorkloads(s) {
+		stats := mustCompile(w.build(), fullTrackFM)
 		t.AddRow(w.name,
 			d(uint64(stats.MemAccessesAfter)),
 			d(uint64(stats.GuardedAccesses)),

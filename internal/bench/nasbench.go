@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"trackfm/internal/compiler"
+	"trackfm/internal/interp"
 	"trackfm/internal/ir"
 	"trackfm/internal/workloads/nas"
 )
@@ -40,17 +41,15 @@ func nasProgram(b nas.Benchmark, s Scale) *ir.Program {
 	return prog
 }
 
-// Fig17 regenerates Figure 17a: slowdown versus local-only at 25% local
+// fig17 regenerates Figure 17a: slowdown versus local-only at 25% local
 // memory for Fastswap and TrackFM across the NAS subset, with the
 // geometric mean, plus the Fig. 17b O1 comparison for FT and SP.
-func Fig17() *Table { return fig17(DefaultScale) }
-
 func fig17(s Scale) *Table { return nasTable(s, "fig17", nas.All) }
 
-// NASExtended extends Fig. 17 with the EP and LU kernels the paper
+// nasExtended extends Fig. 17 with the EP and LU kernels the paper
 // skipped "due to time constraints".
-func NASExtended() *Table {
-	t := nasTable(DefaultScale, "nasx",
+func nasExtended(s Scale) *Table {
+	t := nasTable(s, "nasx",
 		append(append([]nas.Benchmark{}, nas.All...), nas.Extended...))
 	t.Title = "NAS (paper subset + EP/LU extensions) @ 25% local memory"
 	return t
@@ -72,17 +71,13 @@ func nasTable(s Scale, id string, benches []nas.Benchmark) *Table {
 
 		local := float64(runLocal(nasProgram(b, s)).Clock.Cycles())
 
-		fs := float64(runFastswap(compiled(nasProgram(b, s),
-			compiler.Options{Chunking: compiler.ChunkNone}), heap, bud).Clock.Cycles()) / local
+		fs := float64(run(interp.Fastswap, nasProgram(b, s), compiler.Options{}, heap, bud).Clock.Cycles()) / local
 
-		tfmOpts := compiler.Options{Chunking: compiler.ChunkCostModel, ObjectSize: 4096, Prefetch: true}
-		tfm := float64(runTrackFM(compiled(nasProgram(b, s), tfmOpts),
-			4096, heap, bud, false).Clock.Cycles()) / local
+		tfm := float64(run(interp.TrackFM, nasProgram(b, s), fullTrackFM, heap, bud).Clock.Cycles()) / local
 
-		o1Opts := tfmOpts
+		o1Opts := fullTrackFM
 		o1Opts.O1 = true
-		o1 := float64(runTrackFM(compiled(nasProgram(b, s), o1Opts),
-			4096, heap, bud, false).Clock.Cycles()) / local
+		o1 := float64(run(interp.TrackFM, nasProgram(b, s), o1Opts, heap, bud).Clock.Cycles()) / local
 
 		fsProd *= fs
 		tfmProd *= tfm
@@ -94,8 +89,8 @@ func nasTable(s Scale, id string, benches []nas.Benchmark) *Table {
 	return t
 }
 
-// Table3 regenerates Table 3: the NAS benchmark inventory.
-func Table3() *Table {
+// table3 regenerates Table 3: the NAS benchmark inventory.
+func table3(Scale) *Table {
 	t := &Table{
 		ID:      "table3",
 		Title:   "NAS benchmarks (C++ versions) run on TrackFM",
@@ -110,8 +105,8 @@ func Table3() *Table {
 	return t
 }
 
-// Table4 regenerates Table 4: the qualitative comparison with prior work.
-func Table4() *Table {
+// table4 regenerates Table 4: the qualitative comparison with prior work.
+func table4(Scale) *Table {
 	t := &Table{
 		ID:    "table4",
 		Title: "Comparison of TrackFM with prior work",

@@ -183,9 +183,7 @@ func runBrownout(n int, budgeted bool) (ops, sends uint64) {
 	return ops, sends
 }
 
-// Overload runs the overload soak at the default scale.
-func Overload() *Table { return overloadTable(DefaultScale) }
-
+// overloadTable runs the overload soak.
 func overloadTable(s Scale) *Table {
 	env := sim.NewEnv()
 	svc := env.Costs.RemoteObjectFetch(4096)

@@ -4,43 +4,32 @@ import (
 	"fmt"
 	"io"
 
-	"trackfm/internal/obs"
 	"trackfm/internal/sim"
 )
 
 // PhaseWriter, when non-nil, receives one summary line per backend run
-// ("phase"): the counter deltas the phase produced plus p50/p99 remote-fetch
+// ("phase"): the counters the phase produced plus p50/p99 remote-fetch
 // latency from the environment's sim-clock histograms. The benchmark CLI
 // wires it to stdout under -phase-stats; experiments run unchanged, the
-// reporting reads through obs.Snapshot.Delta on the side.
+// reporting reads an obs.Snapshot on the side.
 var PhaseWriter io.Writer
 
-// phaseStart snapshots env's registry when phase reporting is enabled; the
-// returned snapshot is the Delta baseline for reportPhase.
-func phaseStart(env *sim.Env) obs.Snapshot {
-	if PhaseWriter == nil {
-		return obs.Snapshot{}
-	}
-	return env.Metrics().Snapshot()
-}
-
-// reportPhase prints the delta since start for one named backend run. A
-// delta against the zero snapshot (fresh env) is the phase's totals.
-func reportPhase(name string, env *sim.Env, start obs.Snapshot) {
+// reportPhase prints one named backend run's totals; env is the run's own.
+func reportPhase(name string, env *sim.Env) {
 	if PhaseWriter == nil {
 		return
 	}
-	d := env.Metrics().Snapshot().Delta(start)
-	fetch := d.Histogram("trackfm_remote_fetch_cycles")
+	m := env.Metrics().Snapshot()
+	fetch := m.Histogram("trackfm_remote_fetch_cycles")
 	fmt.Fprintf(PhaseWriter,
 		"phase %-9s guards=%d/%d fetches=%d bytesFetched=%d bytesEvicted=%d evacuations=%d fetch_p50=%.0fcyc fetch_p99=%.0fcyc\n",
 		name,
-		d.Counter("trackfm_guard_fast_total"),
-		d.Counter("trackfm_guard_slow_total"),
-		d.Counter("trackfm_remote_fetches_total"),
-		d.Counter("trackfm_bytes_fetched_total"),
-		d.Counter("trackfm_bytes_evicted_total"),
-		d.Counter("trackfm_evacuations_total"),
+		m.Counter("trackfm_guard_fast_total"),
+		m.Counter("trackfm_guard_slow_total"),
+		m.Counter("trackfm_remote_fetches_total"),
+		m.Counter("trackfm_bytes_fetched_total"),
+		m.Counter("trackfm_bytes_evicted_total"),
+		m.Counter("trackfm_evacuations_total"),
 		fetch.Quantile(0.50),
 		fetch.Quantile(0.99),
 	)

@@ -16,37 +16,38 @@ import (
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func() *Table
+	// Run regenerates the table at the given problem-size scale.
+	Run func(Scale) *Table
 }
 
 // Experiments lists every experiment in paper order.
 func Experiments() []Experiment {
 	return []Experiment{
-		{"table1", "guard costs", Table1},
-		{"table2", "primitive overheads vs Fastswap", Table2},
-		{"table3", "NAS inventory", Table3},
-		{"table4", "comparison with prior work", Table4},
-		{"fig6", "cost-model crossover", Fig6},
-		{"fig7", "loop chunking on STREAM", Fig7},
-		{"fig8", "selective chunking on k-means", Fig8},
-		{"fig9", "object size on hashmap", Fig9},
-		{"fig10", "object size on STREAM", Fig10},
-		{"fig11", "prefetching on STREAM", Fig11},
-		{"fig12", "TrackFM vs Fastswap on STREAM", Fig12},
-		{"fig13", "I/O amplification on hashmap", Fig13},
-		{"fig14", "analytics vs Fastswap and AIFM", Fig14},
-		{"fig15", "chunking policies on analytics", Fig15},
-		{"fig16", "memcached vs Fastswap", Fig16},
-		{"fig17", "NAS benchmarks", Fig17},
-		{"compile", "compilation costs", CompileCosts},
-		{"ablation", "design ablations (extension)", Ablation},
-		{"autotune", "object-size autotuning (extension)", Autotune},
-		{"nasx", "NAS incl. EP/LU (extension)", NASExtended},
-		{"mt", "multi-goroutine scaling (extension)", MTScan},
-		{"overload", "overload soak: admission control (extension)", Overload},
-		{"crash", "crash-consistency soak: WAL + recovery (extension)", Crash},
-		{"thrash", "memory-pressure soak: anti-thrash governor (extension)", Thrash},
-		{"tiers", "multi-tier caching: compressed-RAM crossover (extension)", Tiers},
+		{"table1", "guard costs", table1},
+		{"table2", "primitive overheads vs Fastswap", table2},
+		{"table3", "NAS inventory", table3},
+		{"table4", "comparison with prior work", table4},
+		{"fig6", "cost-model crossover", fig6},
+		{"fig7", "loop chunking on STREAM", fig7},
+		{"fig8", "selective chunking on k-means", fig8},
+		{"fig9", "object size on hashmap", fig9},
+		{"fig10", "object size on STREAM", fig10},
+		{"fig11", "prefetching on STREAM", fig11},
+		{"fig12", "TrackFM vs Fastswap on STREAM", fig12},
+		{"fig13", "I/O amplification on hashmap", fig13},
+		{"fig14", "analytics vs Fastswap and AIFM", fig14},
+		{"fig15", "chunking policies on analytics", fig15},
+		{"fig16", "memcached vs Fastswap", fig16},
+		{"fig17", "NAS benchmarks", fig17},
+		{"compile", "compilation costs", compileCosts},
+		{"ablation", "design ablations (extension)", ablation},
+		{"autotune", "object-size autotuning (extension)", autotuneTable},
+		{"nasx", "NAS incl. EP/LU (extension)", nasExtended},
+		{"mt", "multi-goroutine scaling (extension)", mtScan},
+		{"overload", "overload soak: admission control (extension)", overloadTable},
+		{"crash", "crash-consistency soak: WAL + recovery (extension)", crash},
+		{"thrash", "memory-pressure soak: anti-thrash governor (extension)", thrashTable},
+		{"tiers", "multi-tier caching: compressed-RAM crossover (extension)", tiersTable},
 	}
 }
 
@@ -69,31 +70,26 @@ func Lookup(id string) (Experiment, error) {
 type irWorkload struct {
 	name  string
 	build func() *ir.Program
-	opts  func() compiler.Options
 }
 
 func irWorkloads(s Scale) []irWorkload {
-	std := func() compiler.Options {
-		return compiler.Options{Chunking: compiler.ChunkCostModel, ObjectSize: 4096, Prefetch: true}
-	}
 	ws := []irWorkload{
-		{"stream-sum", func() *ir.Program { return stream.Program(stream.Sum, s.n(1<<14)) }, std},
-		{"stream-copy", func() *ir.Program { return stream.Program(stream.Copy, s.n(1<<14)) }, std},
-		{"kmeans", func() *ir.Program { return kmeans.Program(kmeansConfig(s)) }, std},
-		{"analytics", func() *ir.Program { return analytics.Program(analyticsConfig(s)) }, std},
+		{"stream-sum", func() *ir.Program { return stream.Program(stream.Sum, s.n(1<<14)) }},
+		{"stream-copy", func() *ir.Program { return stream.Program(stream.Copy, s.n(1<<14)) }},
+		{"kmeans", func() *ir.Program { return kmeans.Program(kmeansConfig(s)) }},
+		{"analytics", func() *ir.Program { return analytics.Program(analyticsConfig(s)) }},
 	}
 	for _, b := range nas.All {
 		b := b
 		ws = append(ws, irWorkload{
 			"nas-" + b.String(),
 			func() *ir.Program { return nasProgram(b, s) },
-			std,
 		})
 	}
 	return ws
 }
 
-func mustCompileStats(prog *ir.Program, opts compiler.Options) *compiler.Stats {
+func mustCompile(prog *ir.Program, opts compiler.Options) *compiler.Stats {
 	stats, err := compiler.Compile(prog, opts)
 	if err != nil {
 		panic(fmt.Sprintf("bench: compile: %v", err))

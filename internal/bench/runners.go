@@ -9,6 +9,7 @@ import (
 	"trackfm/internal/interp"
 	"trackfm/internal/ir"
 	"trackfm/internal/sim"
+	"trackfm/internal/workloads"
 )
 
 // Scale controls experiment sizing. Experiments multiply their default
@@ -17,9 +18,6 @@ import (
 type Scale struct {
 	Factor float64
 }
-
-// DefaultScale is the calibration every test and CLI default uses.
-var DefaultScale = Scale{Factor: 1.0}
 
 func (s Scale) n(base int64) int64 {
 	if s.Factor <= 0 {
@@ -32,18 +30,37 @@ func (s Scale) n(base int64) int64 {
 	return v
 }
 
+// fullTrackFM is the configuration the comparison figures run TrackFM in:
+// cost-model chunking with prefetch, for the paper's 4 KiB objects.
+var fullTrackFM = compiler.Options{Chunking: compiler.ChunkCostModel, ObjectSize: 4096, Prefetch: true}
+
 // localFractions is the local-memory sweep most figures share.
 var localFractions = []float64{0.2, 0.4, 0.6, 0.8, 1.0}
 
-// newRuntime builds a TrackFM runtime or panics (experiment configs are
-// static, so failures are programming errors).
-func newRuntime(env *sim.Env, objSize int, heap, budget uint64, noPrefetch bool) *core.Runtime {
-	if budget < uint64(objSize) {
-		budget = uint64(objSize)
+// run puts a freshly built prog on sys (interp.RunOn: compile where the
+// system compiles, the runtime the program was compiled for, one run) and
+// returns the run's env. Experiment configurations are static, so a
+// failure is a programming error.
+func run(sys interp.System, prog *ir.Program, opts compiler.Options, heap, local uint64) *sim.Env {
+	_, env, _, err := interp.RunOn(sys, prog, opts, heap, local)
+	if err != nil {
+		panic(fmt.Sprintf("bench: %v run: %v", sys, err))
 	}
+	reportPhase(sys.String(), env)
+	return env
+}
+
+// runLocal executes prog entirely in local memory (the normalization
+// baseline of the slowdown figures).
+func runLocal(prog *ir.Program) *sim.Env {
+	return run(interp.Local, prog, compiler.Options{}, 0, 0)
+}
+
+// newRuntime builds the TrackFM runtime a direct workload runs on, or
+// panics.
+func newRuntime(env *sim.Env, objSize int, heap, budget uint64) *core.Runtime {
 	rt, err := core.NewRuntime(core.Config{
-		Env: env, ObjectSize: objSize, HeapSize: heap,
-		LocalBudget: budget, NoPrefetch: noPrefetch,
+		Env: env, ObjectSize: objSize, HeapSize: heap, LocalBudget: budget,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("bench: %v", err))
@@ -51,11 +68,9 @@ func newRuntime(env *sim.Env, objSize int, heap, budget uint64, noPrefetch bool)
 	return rt
 }
 
-// newSwap builds a Fastswap baseline or panics.
+// newSwap builds the Fastswap baseline a direct workload runs on, or
+// panics.
 func newSwap(env *sim.Env, heap, budget uint64) *fastswap.Swap {
-	if budget < 4096 {
-		budget = 4096
-	}
 	s, err := fastswap.New(fastswap.Config{Env: env, HeapSize: heap, LocalBudget: budget})
 	if err != nil {
 		panic(fmt.Sprintf("bench: %v", err))
@@ -63,89 +78,21 @@ func newSwap(env *sim.Env, heap, budget uint64) *fastswap.Swap {
 	return s
 }
 
-// compiled compiles a fresh program with opts, panicking on error.
-func compiled(prog *ir.Program, opts compiler.Options) *ir.Program {
-	if _, err := compiler.Compile(prog, opts); err != nil {
-		panic(fmt.Sprintf("bench: compile: %v", err))
-	}
-	return prog
+// tfmAccessor and fsAccessor put a direct workload (hashmap, kv) on a fresh
+// runtime with an env of its own.
+func tfmAccessor(objSize int, heap, budget uint64) workloads.Accessor {
+	return &workloads.TrackFMAccessor{RT: newRuntime(sim.NewEnv(), objSize, heap, budget)}
 }
 
-// runTrackFM executes prog on a TrackFM runtime and returns its env.
-func runTrackFM(prog *ir.Program, objSize int, heap, budget uint64, noPrefetch bool) *sim.Env {
-	env := sim.NewEnv()
-	rt := newRuntime(env, objSize, heap, budget, noPrefetch)
-	start := phaseStart(env)
-	if _, err := interp.Run(prog, interp.NewTrackFMBackend(rt), interp.Options{}); err != nil {
-		panic(fmt.Sprintf("bench: trackfm run: %v", err))
-	}
-	reportPhase("trackfm", env, start)
-	return env
+func fsAccessor(heap, budget uint64) workloads.Accessor {
+	return &workloads.FastswapAccessor{Swap: newSwap(sim.NewEnv(), heap, budget)}
 }
 
-// runFastswap executes prog on the swap baseline and returns its env.
-func runFastswap(prog *ir.Program, heap, budget uint64) *sim.Env {
-	env := sim.NewEnv()
-	sw := newSwap(env, heap, budget)
-	start := phaseStart(env)
-	if _, err := interp.Run(prog, interp.NewFastswapBackend(sw), interp.Options{}); err != nil {
-		panic(fmt.Sprintf("bench: fastswap run: %v", err))
-	}
-	reportPhase("fastswap", env, start)
-	return env
-}
-
-// runAIFM executes prog on the library-mode comparator.
-func runAIFM(prog *ir.Program, objSize int, heap, budget uint64) *sim.Env {
-	env := sim.NewEnv()
-	if budget < uint64(objSize) {
-		budget = uint64(objSize)
-	}
-	be, err := interp.NewAIFMBackend(interp.AIFMConfig{
-		Env: env, ObjectSize: objSize, HeapSize: heap, LocalBudget: budget,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("bench: %v", err))
-	}
-	start := phaseStart(env)
-	if _, err := interp.Run(prog, be, interp.Options{}); err != nil {
-		panic(fmt.Sprintf("bench: aifm run: %v", err))
-	}
-	reportPhase("aifm", env, start)
-	return env
-}
-
-// runLocal executes prog entirely in local memory (the normalization
-// baseline of the slowdown figures).
-func runLocal(prog *ir.Program) *sim.Env {
-	env := sim.NewEnv()
-	start := phaseStart(env)
-	if _, err := interp.Run(prog, interp.NewLocalBackend(env), interp.Options{}); err != nil {
-		panic(fmt.Sprintf("bench: local run: %v", err))
-	}
-	reportPhase("local", env, start)
-	return env
-}
-
-// profileProgram runs prog once on the local backend collecting loop
-// coverage; the returned profile is tied to prog's loop nodes, so it must
-// be passed to a Compile of the same prog instance.
-func profileProgram(prog *ir.Program) *compiler.Profile {
-	prof := compiler.NewProfile()
-	if _, err := interp.Run(prog, interp.NewLocalBackend(sim.NewEnv()), interp.Options{Profile: prof}); err != nil {
-		panic(fmt.Sprintf("bench: profiling run: %v", err))
-	}
-	return prof
-}
-
-// budget computes fraction*workingSet, floored to eight pages/objects —
-// a run must always be able to hold the handful of chunks its active
-// cursors pin simultaneously (the paper's smallest configurations still
-// hold tens of thousands of pages).
+// budget computes fraction*workingSet, floored to interp.MinLocal.
 func budget(workingSet uint64, fraction float64) uint64 {
 	b := uint64(float64(workingSet) * fraction)
-	if b < 8*4096 {
-		b = 8 * 4096
+	if b < interp.MinLocal {
+		b = interp.MinLocal
 	}
 	return b
 }

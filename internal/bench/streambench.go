@@ -2,6 +2,7 @@ package bench
 
 import (
 	"trackfm/internal/compiler"
+	"trackfm/internal/interp"
 	"trackfm/internal/workloads/stream"
 )
 
@@ -9,11 +10,9 @@ import (
 // to a few MB with identical local-memory ratios.
 func streamN(s Scale) int64 { return s.n(1 << 16) }
 
-// Fig7 regenerates Figure 7: speedup of the loop-chunking transformation
+// fig7 regenerates Figure 7: speedup of the loop-chunking transformation
 // over the naive transformation on STREAM Sum and Copy, sweeping local
 // memory (prefetching disabled in both, isolating guard elimination).
-func Fig7() *Table { return fig7(DefaultScale) }
-
 func fig7(s Scale) *Table {
 	t := &Table{
 		ID:      "fig7",
@@ -28,12 +27,10 @@ func fig7(s Scale) *Table {
 			ws := stream.WorkingSetBytes(k, n)
 			heap := ws * 2
 			b := budget(ws, f)
-			naive := runTrackFM(compiled(stream.Program(k, n),
-				compiler.Options{Chunking: compiler.ChunkNone, ObjectSize: 4096}),
-				4096, heap, b, true)
-			chunked := runTrackFM(compiled(stream.Program(k, n),
-				compiler.Options{Chunking: compiler.ChunkCostModel, ObjectSize: 4096}),
-				4096, heap, b, true)
+			naive := run(interp.TrackFM, stream.Program(k, n),
+				compiler.Options{Chunking: compiler.ChunkNone, ObjectSize: 4096}, heap, b)
+			chunked := run(interp.TrackFM, stream.Program(k, n),
+				compiler.Options{Chunking: compiler.ChunkCostModel, ObjectSize: 4096}, heap, b)
 			row = append(row, f2(float64(naive.Clock.Cycles())/float64(chunked.Clock.Cycles())))
 		}
 		t.AddRow(row...)
@@ -41,11 +38,9 @@ func fig7(s Scale) *Table {
 	return t
 }
 
-// Fig10 regenerates Figure 10: far-memory bandwidth of STREAM Copy as a
+// fig10 regenerates Figure 10: far-memory bandwidth of STREAM Copy as a
 // function of object size and local memory. High spatial locality rewards
 // large objects.
-func Fig10() *Table { return fig10(DefaultScale) }
-
 var objectSizes = []int{4096, 2048, 1024, 512, 256}
 
 func fig10(s Scale) *Table {
@@ -61,9 +56,9 @@ func fig10(s Scale) *Table {
 	for _, f := range localFractions {
 		row := []string{f2(f)}
 		for _, obj := range objectSizes {
-			env := runTrackFM(compiled(stream.Program(stream.Copy, n),
-				compiler.Options{Chunking: compiler.ChunkCostModel, ObjectSize: obj, Prefetch: true}),
-				obj, ws*2, budget(ws, f), false)
+			env := run(interp.TrackFM, stream.Program(stream.Copy, n),
+				compiler.Options{Chunking: compiler.ChunkCostModel, ObjectSize: obj, Prefetch: true},
+				ws*2, budget(ws, f))
 			mbps := bytesMoved / (1 << 20) / env.Clock.Seconds()
 			row = append(row, f1(mbps))
 		}
@@ -72,10 +67,8 @@ func fig10(s Scale) *Table {
 	return t
 }
 
-// Fig11 regenerates Figure 11: speedup of prefetching coupled with loop
+// fig11 regenerates Figure 11: speedup of prefetching coupled with loop
 // chunking over loop chunking alone, on STREAM Sum and Copy.
-func Fig11() *Table { return fig11(DefaultScale) }
-
 func fig11(s Scale) *Table {
 	t := &Table{
 		ID:      "fig11",
@@ -90,12 +83,9 @@ func fig11(s Scale) *Table {
 			ws := stream.WorkingSetBytes(k, n)
 			heap := ws * 2
 			b := budget(ws, f)
-			noPf := runTrackFM(compiled(stream.Program(k, n),
-				compiler.Options{Chunking: compiler.ChunkCostModel, ObjectSize: 4096}),
-				4096, heap, b, true)
-			withPf := runTrackFM(compiled(stream.Program(k, n),
-				compiler.Options{Chunking: compiler.ChunkCostModel, ObjectSize: 4096, Prefetch: true}),
-				4096, heap, b, false)
+			noPf := run(interp.TrackFM, stream.Program(k, n),
+				compiler.Options{Chunking: compiler.ChunkCostModel, ObjectSize: 4096}, heap, b)
+			withPf := run(interp.TrackFM, stream.Program(k, n), fullTrackFM, heap, b)
 			row = append(row, f2(float64(noPf.Clock.Cycles())/float64(withPf.Clock.Cycles())))
 		}
 		t.AddRow(row...)
@@ -103,10 +93,8 @@ func fig11(s Scale) *Table {
 	return t
 }
 
-// Fig12 regenerates Figure 12: TrackFM (chunking + prefetching) speedup
+// fig12 regenerates Figure 12: TrackFM (chunking + prefetching) speedup
 // over Fastswap on STREAM.
-func Fig12() *Table { return fig12(DefaultScale) }
-
 func fig12(s Scale) *Table {
 	t := &Table{
 		ID:      "fig12",
@@ -121,11 +109,8 @@ func fig12(s Scale) *Table {
 			ws := stream.WorkingSetBytes(k, n)
 			heap := ws * 2
 			b := budget(ws, f)
-			tfm := runTrackFM(compiled(stream.Program(k, n),
-				compiler.Options{Chunking: compiler.ChunkCostModel, ObjectSize: 4096, Prefetch: true}),
-				4096, heap, b, false)
-			fs := runFastswap(compiled(stream.Program(k, n),
-				compiler.Options{Chunking: compiler.ChunkNone}), heap, b)
+			tfm := run(interp.TrackFM, stream.Program(k, n), fullTrackFM, heap, b)
+			fs := run(interp.Fastswap, stream.Program(k, n), compiler.Options{}, heap, b)
 			row = append(row, f2(float64(fs.Clock.Cycles())/float64(tfm.Clock.Cycles())))
 		}
 		t.AddRow(row...)

@@ -189,9 +189,7 @@ func runThrashPhase(ph thrashPhase, n int) thrashResult {
 	return res
 }
 
-// Thrash runs the memory-pressure soak at the default scale.
-func Thrash() *Table { return thrashTable(DefaultScale) }
-
+// thrashTable runs the memory-pressure soak.
 func thrashTable(s Scale) *Table {
 	n := int(s.n(24000))
 	if n < 4000 {

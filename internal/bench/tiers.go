@@ -153,9 +153,7 @@ func runTiersPhase(ph tiersPhase, n int) tiersResult {
 	return res
 }
 
-// Tiers runs the multi-tier crossover sweep at the default scale.
-func Tiers() *Table { return tiersTable(DefaultScale) }
-
+// tiersTable runs the multi-tier crossover sweep.
 func tiersTable(s Scale) *Table {
 	n := int(s.n(20000))
 	if n < 4000 {

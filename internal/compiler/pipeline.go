@@ -107,8 +107,10 @@ func Compile(prog *ir.Program, opts Options) (*Stats, error) {
 		stats.NodesBefore += ir.CountNodes(f.Body)
 	}
 
-	// Runtime initialization pass: hooks in main (§3.1).
+	// Runtime initialization pass: hooks in main (§3.1), which hand the
+	// runtime the one object size everything below is priced against.
 	prog.RuntimeInit = true
+	prog.ObjectSize = opts.ObjectSize
 
 	// Guard check analysis + transform (§3.1, §3.3).
 	for _, f := range prog.Funcs {

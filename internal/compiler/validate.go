@@ -31,10 +31,6 @@ func Validate(prog *ir.Program) error {
 	return nil
 }
 
-// resetStatsBuiltin must match interp.ResetStatsCall; the literal avoids
-// an import cycle and is pinned by a test.
-const resetStatsBuiltin = "tfm_reset_stats"
-
 func validateBody(prog *ir.Program, fn string, body []ir.Stmt) error {
 	for _, s := range body {
 		switch n := s.(type) {
@@ -99,7 +95,7 @@ func validateBody(prog *ir.Program, fn string, body []ir.Stmt) error {
 				return err
 			}
 		case *ir.Call:
-			if n.Name != resetStatsBuiltin {
+			if n.Name != ir.ResetStatsCall {
 				if _, ok := prog.Funcs[n.Name]; !ok {
 					return fmt.Errorf("compiler: %s: call of undefined function %q", fn, n.Name)
 				}

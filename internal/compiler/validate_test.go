@@ -15,12 +15,8 @@ func TestValidateAcceptsWellFormed(t *testing.T) {
 }
 
 func TestValidateBuiltinMatchesInterp(t *testing.T) {
-	// The literal here must stay in sync with interp.ResetStatsCall.
-	if resetStatsBuiltin != "tfm_reset_stats" {
-		t.Fatalf("builtin name drifted: %q", resetStatsBuiltin)
-	}
 	p := ir.NewProgram()
-	p.AddFunc(ir.Fn("main", nil, &ir.Call{Name: resetStatsBuiltin}))
+	p.AddFunc(ir.Fn("main", nil, &ir.Call{Name: ir.ResetStatsCall}))
 	if err := Validate(p); err != nil {
 		t.Fatalf("builtin call rejected: %v", err)
 	}

@@ -58,7 +58,7 @@ func (r *Runtime) NewCursor(base Ptr, elemSize int, prefetch bool) *Cursor {
 		rt:       r,
 		base:     base,
 		elemSize: uint64(elemSize),
-		prefetch: prefetch && !r.noPrefetch,
+		prefetch: prefetch,
 	}
 }
 
@@ -108,7 +108,9 @@ func (c *Cursor) cross(off, size uint64, write bool) bool {
 	c.obj, c.lo, c.hi = id, lo, lo+uint64(r.objSize)
 	c.win, c.dirty = r.pool.Window(id), write
 	if c.prefetch {
-		for k := 1; k <= r.prefetchDepth; k++ {
+		// The pool's depth, read at each crossing: the anti-thrash
+		// governor's SetPrefetchDepth reaches a stream already open.
+		for k, depth := 1, r.pool.PrefetchDepth(); k <= depth; k++ {
 			r.pool.Prefetch(id + aifm.ObjectID(k))
 		}
 	}

@@ -40,11 +40,10 @@ type Config struct {
 	// BENCHMARK.json — sets it by name; nothing else may.
 	Transport fabric.ErrorTransport
 	// PrefetchDepth is how many objects ahead compiler-directed streams
-	// prefetch (default 8; 0 keeps the default, use NoPrefetch to
-	// disable).
+	// prefetch (see aifm.Config.PrefetchDepth; zero is the default, 8).
+	// Whether a stream prefetches at all is the compiler's decision,
+	// carried by its ChunkInfo to NewCursor.
 	PrefetchDepth int
-	// NoPrefetch disables all prefetching (for the Fig. 11 ablation).
-	NoPrefetch bool
 	// NoOST disables the object state table (ablation): every guard
 	// pays AIFM's second, indirect metadata reference instead of the
 	// single table-indexed load (§3.2).
@@ -83,9 +82,6 @@ type Runtime struct {
 	brk      uint64         // bump pointer, heap offset of next free byte
 	allocs   map[Ptr]uint64 // live allocation sizes, for free
 
-	prefetchDepth int
-	noPrefetch    bool
-
 	noOST bool
 }
 
@@ -123,32 +119,17 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	depth := cfg.PrefetchDepth
-	if depth <= 0 {
-		depth = 8
-	}
-	// The prefetch window must fit comfortably within local memory:
-	// with only a handful of resident slots, a deep window would evict
-	// data ahead of its own consumption.
-	if slots := pool.NumSlots() / 4; depth > slots {
-		depth = slots
-		if depth < 1 {
-			depth = 1
-		}
-	}
 	return &Runtime{
-		env:           cfg.Env,
-		lat:           cfg.Env.Lat(),
-		pool:          pool,
-		ost:           pool.Table(),
-		cache:         newOSTCache(int(pool.NumObjects()), ostCacheLines),
-		objSize:       cfg.ObjectSize,
-		shift:         uint(bits.TrailingZeros(uint(cfg.ObjectSize))),
-		heapSize:      cfg.HeapSize,
-		allocs:        make(map[Ptr]uint64),
-		prefetchDepth: depth,
-		noPrefetch:    cfg.NoPrefetch,
-		noOST:         cfg.NoOST,
+		env:      cfg.Env,
+		lat:      cfg.Env.Lat(),
+		pool:     pool,
+		ost:      pool.Table(),
+		cache:    newOSTCache(int(pool.NumObjects()), ostCacheLines),
+		objSize:  cfg.ObjectSize,
+		shift:    uint(bits.TrailingZeros(uint(cfg.ObjectSize))),
+		heapSize: cfg.HeapSize,
+		allocs:   make(map[Ptr]uint64),
+		noOST:    cfg.NoOST,
 	}, nil
 }
 

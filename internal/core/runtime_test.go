@@ -281,29 +281,32 @@ func TestFreeUnknownPanics(t *testing.T) {
 	rt.Free(ptrBase + 123)
 }
 
-func TestNoPrefetchConfig(t *testing.T) {
-	rt, err := NewRuntime(Config{
-		Env: sim.NewEnv(), ObjectSize: 64,
-		HeapSize: 1 << 16, LocalBudget: 1 << 12, NoPrefetch: true,
-	})
-	if err != nil {
-		t.Fatalf("NewRuntime: %v", err)
-	}
-	// A far array walked by a cursor that asks for prefetch: the runtime
-	// switch wins over the compiler's request.
-	const n = 64 // 8 objects of 8 elements
-	p := rt.MustMalloc(n * 8)
-	for i := uint64(0); i < n; i++ {
-		rt.StoreU64(p.Add(i*8), 1)
-	}
-	rt.EvacuateAll()
-	cur := rt.NewCursor(p, 8, true)
-	for i := uint64(0); i < n; i++ {
-		cur.LoadU64(i)
-	}
-	cur.Close()
-	if rt.Env().Counters.PrefetchIssued != 0 {
-		t.Fatalf("NoPrefetch runtime issued prefetches")
+// TestCursorPrefetchFlag: whether a stream prefetches is the compiler's
+// decision, carried by NewCursor's argument and by nothing else — a cursor
+// opened without it issues no prefetch, the same walk with it does.
+func TestCursorPrefetchFlag(t *testing.T) {
+	for _, prefetch := range []bool{false, true} {
+		rt, err := NewRuntime(Config{
+			Env: sim.NewEnv(), ObjectSize: 64,
+			HeapSize: 1 << 16, LocalBudget: 1 << 12,
+		})
+		if err != nil {
+			t.Fatalf("NewRuntime: %v", err)
+		}
+		const n = 64 // 8 objects of 8 elements
+		p := rt.MustMalloc(n * 8)
+		for i := uint64(0); i < n; i++ {
+			rt.StoreU64(p.Add(i*8), 1)
+		}
+		rt.EvacuateAll()
+		cur := rt.NewCursor(p, 8, prefetch)
+		for i := uint64(0); i < n; i++ {
+			cur.LoadU64(i)
+		}
+		cur.Close()
+		if issued := rt.Env().Counters.PrefetchIssued; (issued != 0) != prefetch {
+			t.Fatalf("prefetch=%v: cursor issued %d prefetches", prefetch, issued)
+		}
 	}
 }
 

@@ -183,10 +183,18 @@ func (e *Engine) ForceDegrade(on bool) {
 	}
 }
 
-// RegisterObs exposes the breaker state and the tier's counters on reg.
-// The Env-wide counters (deadline misses, fetch faults) are already on
-// Env.Metrics.
+// RegisterObs exposes the breaker state, the tier's counters and the
+// remote side the engine resolved — a replica set's series, or a TCP
+// transport's counters and retry budget — on reg. The Env-wide counters
+// (deadline misses, fetch faults) are already on Env.Metrics.
 func (e *Engine) RegisterObs(reg *obs.Registry, labels ...obs.Label) {
+	switch t := e.transport.(type) {
+	case *fabric.ReplicaSet:
+		t.Register(reg, labels...)
+	case *fabric.TCPTransport:
+		t.Stats().Register(reg, labels...)
+		t.RetryBudget().Register(reg, labels...)
+	}
 	reg.GaugeFunc("trackfm_pool_degraded",
 		"1 while the pool is degraded (residents serve, remote fetches fail fast).",
 		func() float64 {

@@ -2,7 +2,6 @@ package interp
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"trackfm/internal/aifm"
 	"trackfm/internal/sim"
@@ -34,31 +33,19 @@ type AIFMBackend struct {
 // non-canonical range and the local arena.
 const aifmHeapBase = 1 << 59
 
-// AIFMConfig parameterizes the comparator.
-type AIFMConfig struct {
-	Env         *sim.Env
-	ObjectSize  int
-	HeapSize    uint64
-	LocalBudget uint64
-}
-
 // aifmIteratorDepth is how many objects ahead the library iterators
 // prefetch.
 const aifmIteratorDepth = 8
 
-// NewAIFMBackend builds the comparator backend.
-func NewAIFMBackend(cfg AIFMConfig) (*AIFMBackend, error) {
-	if cfg.Env == nil {
-		return nil, fmt.Errorf("interp: AIFMConfig.Env is required")
-	}
-	if cfg.ObjectSize == 0 {
-		cfg.ObjectSize = 4096
-	}
+// NewAIFMBackend builds the comparator backend over a pool of its own:
+// objSize-byte objects, a far heap of heap bytes, local bytes of them
+// allowed local.
+func NewAIFMBackend(env *sim.Env, objSize int, heap, local uint64) (*AIFMBackend, error) {
 	pool, err := aifm.NewPool(aifm.Config{
-		Env:          cfg.Env,
-		ObjectSize:   cfg.ObjectSize,
-		HeapSize:     cfg.HeapSize,
-		LocalBudget:  cfg.LocalBudget,
+		Env:          env,
+		ObjectSize:   objSize,
+		HeapSize:     heap,
+		LocalBudget:  local,
 		AutoPrefetch: true, // library data structures prefetch internally
 	})
 	if err != nil {
@@ -66,22 +53,21 @@ func NewAIFMBackend(cfg AIFMConfig) (*AIFMBackend, error) {
 	}
 	return &AIFMBackend{
 		pool:     pool,
-		env:      cfg.Env,
-		local:    newLocalArena(localArenaBase, cfg.Env),
+		env:      env,
+		local:    newLocalArena(localArenaBase, env),
 		heapBase: aifmHeapBase,
-		heapSize: cfg.HeapSize,
-		objSize:  uint64(cfg.ObjectSize),
+		heapSize: heap,
+		objSize:  uint64(objSize),
 	}, nil
 }
 
 // Env exposes the backend's environment.
 func (b *AIFMBackend) Env() *sim.Env { return b.env }
 
-// Pool exposes the underlying object pool.
-func (b *AIFMBackend) Pool() *aifm.Pool { return b.pool }
-
 // Init implements Backend.
-func (b *AIFMBackend) Init() {}
+func (b *AIFMBackend) Init(objectSize int) error {
+	return sameObjectSize(objectSize, int(b.objSize))
+}
 
 // Malloc implements Backend: allocations become AIFM remote data
 // structures; like the TrackFM allocator it avoids straddling objects

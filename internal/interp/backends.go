@@ -73,7 +73,20 @@ func NewTrackFMBackend(rt *core.Runtime) *TrackFMBackend {
 func (b *TrackFMBackend) Env() *sim.Env { return b.RT.Env() }
 
 // Init implements Backend.
-func (b *TrackFMBackend) Init() {}
+func (b *TrackFMBackend) Init(objectSize int) error {
+	return sameObjectSize(objectSize, b.RT.ObjectSize())
+}
+
+// sameObjectSize is the check behind Init on the backends whose runtime
+// has an object size: every chunking decision in the program was priced
+// against compiled bytes per object, so it only holds on a runtime built
+// with the same.
+func sameObjectSize(compiled, runtime int) error {
+	if compiled != runtime {
+		return fmt.Errorf("interp: program compiled for %d-byte objects, runtime built for %d-byte objects", compiled, runtime)
+	}
+	return nil
+}
 
 // Malloc implements Backend via the TrackFM allocator.
 func (b *TrackFMBackend) Malloc(n uint64) uint64 {
@@ -197,8 +210,8 @@ func NewFastswapBackend(s *fastswap.Swap) *FastswapBackend {
 // Env implements Backend.
 func (b *FastswapBackend) Env() *sim.Env { return b.Swap.Env() }
 
-// Init implements Backend.
-func (b *FastswapBackend) Init() {}
+// Init implements Backend; pages have no compile-time size to agree on.
+func (b *FastswapBackend) Init(int) error { return nil }
 
 // Malloc implements Backend.
 func (b *FastswapBackend) Malloc(n uint64) uint64 {
@@ -266,7 +279,7 @@ func NewLocalBackend(env *sim.Env) *LocalBackend {
 func (b *LocalBackend) Env() *sim.Env { return b.env }
 
 // Init implements Backend.
-func (b *LocalBackend) Init() {}
+func (b *LocalBackend) Init(int) error { return nil }
 
 // Malloc implements Backend.
 func (b *LocalBackend) Malloc(n uint64) uint64 { return b.heap.alloc(n) }

@@ -104,9 +104,7 @@ func TestDifferentialAIFM(t *testing.T) {
 		}); err != nil {
 			t.Fatalf("seed %d: compile: %v", seed, err)
 		}
-		be, err := NewAIFMBackend(AIFMConfig{
-			Env: sim.NewEnv(), ObjectSize: 4096, HeapSize: heap, LocalBudget: heap / 8,
-		})
+		be, err := NewAIFMBackend(sim.NewEnv(), 4096, heap, heap/8)
 		if err != nil {
 			t.Fatalf("seed %d: aifm: %v", seed, err)
 		}

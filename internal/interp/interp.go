@@ -22,11 +22,6 @@ type Cursor interface {
 	Close()
 }
 
-// ResetStatsCall is the builtin function name programs call to reset the
-// backend's clock and counters — the boundary between an untimed setup
-// phase and the measured region (STREAM reports kernel bandwidth only).
-const ResetStatsCall = "tfm_reset_stats"
-
 // Backend is the execution target for IR programs. Addresses are opaque
 // 64-bit values minted by Malloc/LocalAlloc; TrackFM backends mint
 // non-canonical pointers for heap allocations, so custody semantics follow
@@ -34,8 +29,10 @@ const ResetStatsCall = "tfm_reset_stats"
 type Backend interface {
 	// Env exposes the backend's simulation environment.
 	Env() *sim.Env
-	// Init runs the runtime-initialization hooks the compiler planted.
-	Init()
+	// Init runs the runtime-initialization hooks the compiler planted,
+	// which carry the object size the program was compiled for; a backend
+	// whose runtime was built for another size refuses the program.
+	Init(objectSize int) error
 	// Malloc allocates heap memory (the libc-transformed path).
 	Malloc(n uint64) uint64
 	// Free releases heap memory.
@@ -82,7 +79,9 @@ func Run(prog *ir.Program, backend Backend, opts Options) (res Result, err error
 		}
 	}()
 	if prog.RuntimeInit {
-		backend.Init()
+		if err := backend.Init(prog.ObjectSize); err != nil {
+			return Result{}, err
+		}
 	}
 	ex := &executor{prog: prog, backend: backend, opts: opts, funcs: make(map[*ir.Func]*function)}
 	v := ex.call(ex.function(main), nil, nil)
@@ -243,7 +242,7 @@ func (lw *lowerer) stmt(s ir.Stmt) stmt {
 	case *ir.LocalAlloc:
 		return &localAllocStmt{dst: lw.slot(n.Dst), size: lw.expr(n.Size)}
 	case *ir.Call:
-		if n.Name == ResetStatsCall {
+		if n.Name == ir.ResetStatsCall {
 			return resetStatsStmt{}
 		}
 		c := &callStmt{name: n.Name, dst: -1, args: make([]expr, len(n.Args))}

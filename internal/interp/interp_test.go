@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -172,7 +174,7 @@ func TestLocalAccessesSkipGuards(t *testing.T) {
 		),
 		&ir.Return{E: ir.Ld(ir.V("s"))},
 	))
-	compileWith(t, prog, compiler.Options{Chunking: compiler.ChunkNone})
+	compileWith(t, prog, compiler.Options{Chunking: compiler.ChunkNone, ObjectSize: 64})
 	tfm := newTFMBackend(t, 64, 1<<16, 1<<12)
 	if _, err := Run(prog, tfm, Options{}); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -205,7 +207,7 @@ func TestFreeStatement(t *testing.T) {
 		&ir.Free{Ptr: ir.V("a")},
 		&ir.Return{E: ir.C(0)},
 	))
-	compileWith(t, prog, compiler.Options{})
+	compileWith(t, prog, compiler.Options{ObjectSize: 64})
 	tfm := newTFMBackend(t, 64, 1<<16, 1<<12)
 	if _, err := Run(prog, tfm, Options{}); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -350,5 +352,48 @@ func TestRunLeavesProgramAlone(t *testing.T) {
 	wg.Wait()
 	if after := prog.String(); after != before {
 		t.Fatalf("Run changed the program:\n%s\nbecame\n%s", before, after)
+	}
+}
+
+// TestObjectSizeMismatchRefused: a program carries the object size it was
+// compiled for, and a TrackFM or AIFM backend built for another refuses it
+// with an error naming both — in either direction; a backend with no
+// object size takes any program.
+func TestObjectSizeMismatchRefused(t *testing.T) {
+	for _, c := range []struct{ compiled, runtime int }{{256, 4096}, {4096, 256}} {
+		opts := compiler.Options{Chunking: compiler.ChunkCostModel, ObjectSize: c.compiled, Prefetch: true}
+		aifm, err := NewAIFMBackend(sim.NewEnv(), c.runtime, 1<<20, 1<<16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, be := range map[string]Backend{
+			"trackfm": newTFMBackend(t, c.runtime, 1<<20, 1<<16),
+			"aifm":    aifm,
+		} {
+			prog := compileWith(t, sumProgram(100), opts)
+			if prog.ObjectSize != c.compiled {
+				t.Fatalf("Compile recorded object size %d, want %d", prog.ObjectSize, c.compiled)
+			}
+			_, err := Run(prog, be, Options{})
+			if err == nil {
+				t.Fatalf("%s: program compiled at %d B ran on a %d B runtime", name, c.compiled, c.runtime)
+			}
+			for _, size := range []int{c.compiled, c.runtime} {
+				if !strings.Contains(err.Error(), fmt.Sprint(size)) {
+					t.Errorf("%s: error %q does not name %d", name, err, size)
+				}
+			}
+			if be.Env().Clock.Cycles() != 0 {
+				t.Errorf("%s: the refused program ran (%d cycles)", name, be.Env().Clock.Cycles())
+			}
+		}
+		for name, be := range map[string]Backend{
+			"fastswap": newFSBackend(t, 1<<20, 1<<16),
+			"local":    NewLocalBackend(sim.NewEnv()),
+		} {
+			if _, err := Run(compileWith(t, sumProgram(100), opts), be, Options{}); err != nil {
+				t.Errorf("%s refused a compiled program: %v", name, err)
+			}
+		}
 	}
 }

@@ -20,6 +20,10 @@ type Program struct {
 	// RuntimeInit is set by the compiler's runtime-initialization pass;
 	// backends initialize their runtime before executing Main.
 	RuntimeInit bool
+	// ObjectSize is the object size the compiler priced its chunking
+	// decisions against, recorded by the same pass (zero until compiled).
+	// The runtime the program runs on must be built for it.
+	ObjectSize int
 }
 
 // NewProgram returns an empty program with entry point "main".
@@ -186,6 +190,11 @@ type LocalAlloc struct {
 	Dst  string
 	Size Expr
 }
+
+// ResetStatsCall is the builtin a program calls to reset its backend's
+// clock and counters: the boundary between an untimed setup phase and the
+// measured region (STREAM reports kernel bandwidth only).
+const ResetStatsCall = "tfm_reset_stats"
 
 // Call invokes a function, assigning its return value to Dst (ignored if
 // Dst is empty).

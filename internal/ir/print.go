@@ -17,7 +17,7 @@ func (p *Program) String() string {
 	}
 	sort.Strings(names)
 	if p.RuntimeInit {
-		b.WriteString("// runtime-init hooks inserted\n")
+		fmt.Fprintf(&b, "// runtime-init hooks inserted (object size %d)\n", p.ObjectSize)
 	}
 	for _, name := range names {
 		f := p.Funcs[name]

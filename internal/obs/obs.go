@@ -6,10 +6,9 @@
 //
 // Three metric kinds are supported:
 //
-//   - counters: monotonic uint64 event tallies, either owned by the
-//     registry (Counter) or read through a callback from an existing
-//     atomic counter block (CounterFunc);
-//   - gauges: point-in-time float64 levels (Gauge / GaugeFunc);
+//   - counters: monotonic uint64 event tallies, read through a callback
+//     from the subsystem's own atomic counter block (CounterFunc);
+//   - gauges: point-in-time float64 levels, read the same way (GaugeFunc);
 //   - histograms: fixed-bucket latency distributions in simulated clock
 //     units (Histogram), from which p50/p99 quantiles are derived.
 //
@@ -32,12 +31,10 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"regexp"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // NamePattern is the regular expression every registered metric name must
@@ -107,29 +104,6 @@ type metric struct {
 // id is the metric's identity within a registry: name plus labels.
 func (m *metric) id() string { return m.name + m.labels }
 
-// Counter is a registry-owned monotonic counter. The zero value is unusable;
-// obtain one from Registry.Counter.
-type Counter struct{ v atomic.Uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Load reads the current value.
-func (c *Counter) Load() uint64 { return c.v.Load() }
-
-// Gauge is a registry-owned level. The zero value is unusable; obtain one
-// from Registry.Gauge.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Load reads the current value.
-func (g *Gauge) Load() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // Registry holds a set of uniquely named metrics. It is safe for
 // concurrent registration and reading, though in practice subsystems
 // register once at construction and only reads are concurrent.
@@ -161,14 +135,6 @@ func (r *Registry) register(m *metric) {
 	r.ordered = append(r.ordered, m)
 }
 
-// Counter registers and returns a registry-owned counter.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	c := &Counter{}
-	r.register(&metric{name: name, labels: renderLabels(labels), help: help,
-		kind: kindCounter, readCounter: c.Load})
-	return c
-}
-
 // CounterFunc registers a counter whose value is read through fn. This is
 // how existing atomic counter blocks (sim.Counters, fabric.Stats, ...)
 // join the registry without moving their storage: fn must be race-free
@@ -176,14 +142,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...Label) {
 	r.register(&metric{name: name, labels: renderLabels(labels), help: help,
 		kind: kindCounter, readCounter: fn})
-}
-
-// Gauge registers and returns a registry-owned gauge.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	g := &Gauge{}
-	r.register(&metric{name: name, labels: renderLabels(labels), help: help,
-		kind: kindGauge, readGauge: g.Load})
-	return g
 }
 
 // GaugeFunc registers a gauge whose value is read through fn (race-free,

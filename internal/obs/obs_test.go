@@ -2,6 +2,7 @@ package obs
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -31,21 +32,23 @@ func TestRegisterPanics(t *testing.T) {
 		f()
 	}
 	r := NewRegistry()
-	mustPanic("invalid name", func() { r.Counter("Bad_Name", "") })
-	r.Counter("trackfm_dup_total", "")
-	mustPanic("duplicate id", func() { r.Counter("trackfm_dup_total", "") })
+	zero := func() uint64 { return 0 }
+	mustPanic("invalid name", func() { r.CounterFunc("Bad_Name", "", zero) })
+	r.CounterFunc("trackfm_dup_total", "", zero)
+	mustPanic("duplicate id", func() { r.CounterFunc("trackfm_dup_total", "", zero) })
 	// Same name with different labels is a distinct series, not a duplicate.
-	r.CounterFunc("trackfm_dup_total", "", func() uint64 { return 0 }, L("replica", "r0"))
+	r.CounterFunc("trackfm_dup_total", "", zero, L("replica", "r0"))
 }
 
 func TestSnapshotAndDelta(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("trackfm_events_total", "events")
-	g := r.Gauge("trackfm_level", "level")
+	var c atomic.Uint64
+	level := 2.5
+	r.CounterFunc("trackfm_events_total", "events", c.Load)
+	r.GaugeFunc("trackfm_level", "level", func() float64 { return level })
 	h := r.Histogram("trackfm_lat_cycles", "latency", []uint64{10, 100})
 
 	c.Add(5)
-	g.Set(2.5)
 	h.Observe(7)
 	h.Observe(70)
 	h.Observe(700)
@@ -61,7 +64,7 @@ func TestSnapshotAndDelta(t *testing.T) {
 	}
 
 	c.Add(2)
-	g.Set(1.0)
+	level = 1.0
 	h.Observe(7)
 	d := r.Snapshot().Delta(s1)
 	if d.Counter("trackfm_events_total") != 2 {
@@ -97,7 +100,8 @@ func TestHistogramQuantile(t *testing.T) {
 // snapshot must equal exactly what the writers produced.
 func TestConcurrentSnapshotDelta(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("trackfm_events_total", "")
+	var c atomic.Uint64
+	r.CounterFunc("trackfm_events_total", "", c.Load)
 	h := r.Histogram("trackfm_lat_cycles", "", []uint64{8, 64, 512})
 
 	const writers, perWriter = 8, 5000
@@ -143,7 +147,7 @@ func TestConcurrentSnapshotDelta(t *testing.T) {
 		go func(w int) {
 			defer ww.Done()
 			for i := 0; i < perWriter; i++ {
-				c.Inc()
+				c.Add(1)
 				h.Observe(uint64(w*perWriter + i))
 			}
 		}(w)

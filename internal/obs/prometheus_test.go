@@ -14,14 +14,12 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // fixed values, so the exposition is fully deterministic.
 func goldenRegistry() *Registry {
 	r := NewRegistry()
-	c := r.Counter("trackfm_events_total", "Events observed.")
-	c.Add(7)
+	r.CounterFunc("trackfm_events_total", "Events observed.", func() uint64 { return 7 })
 	r.CounterFunc("trackfm_replica_failovers_total", "Reads that failed over.",
 		func() uint64 { return 2 }, L("replica", "r1"))
 	r.CounterFunc("trackfm_replica_failovers_total", "Reads that failed over.",
 		func() uint64 { return 9 }, L("replica", "r0"))
-	g := r.Gauge("trackfm_store_bytes", "Bytes resident on the node.")
-	g.Set(4096.5)
+	r.GaugeFunc("trackfm_store_bytes", "Bytes resident on the node.", func() float64 { return 4096.5 })
 	r.GaugeFunc("trackfm_governor_state", "Anti-thrash governor state (0 normal, 1 throttled, 2 degraded).",
 		func() float64 { return 1 })
 	h := r.Histogram("trackfm_remote_fetch_cycles", "Remote fetch latency.",

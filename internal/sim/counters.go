@@ -217,8 +217,17 @@ func NewEnv() *Env {
 
 // Reset clears the clock, counters, and latency histograms but keeps the
 // cost model and the registry (registered metrics simply read zero again).
+// Rewinding the clock is only for an Env nothing else keeps time by: a
+// replica set's breaker deadlines, a fabric.Deadline in flight and the
+// pool's eviction ages are absolute readings of it (see ResetStats).
 func (e *Env) Reset() {
 	e.Clock.Reset()
+	e.ResetStats()
+}
+
+// ResetStats clears the counters and latency histograms and leaves the
+// clock where it is.
+func (e *Env) ResetStats() {
 	e.Counters.Reset()
 	e.resetObs()
 }

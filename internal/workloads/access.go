@@ -14,6 +14,8 @@
 package workloads
 
 import (
+	"encoding/binary"
+
 	"trackfm/internal/core"
 	"trackfm/internal/fastswap"
 	"trackfm/internal/sim"
@@ -159,13 +161,13 @@ func (a *LocalAccessor) charge(n int) {
 // LoadU64 implements Accessor.
 func (a *LocalAccessor) LoadU64(addr uint64) uint64 {
 	a.charge(8)
-	return le64(a.buf[addr : addr+8])
+	return binary.LittleEndian.Uint64(a.buf[addr : addr+8])
 }
 
 // StoreU64 implements Accessor.
 func (a *LocalAccessor) StoreU64(addr uint64, v uint64) {
 	a.charge(8)
-	putLE64(a.buf[addr:addr+8], v)
+	binary.LittleEndian.PutUint64(a.buf[addr:addr+8], v)
 }
 
 // Load implements Accessor.
@@ -196,17 +198,6 @@ type localSeqReader struct {
 
 func (r *localSeqReader) Next(i uint64, dst []byte) { r.a.Load(r.base+i*r.elem, dst) }
 func (r *localSeqReader) Close()                    {}
-
-func le64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func putLE64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
 
 var (
 	_ Accessor = (*TrackFMAccessor)(nil)

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"trackfm/internal/core"
@@ -60,7 +61,7 @@ func TestAccessorContract(t *testing.T) {
 			var buf [8]byte
 			for i := uint64(0); i < 64; i++ {
 				r.Next(i, buf[:])
-				v := le64(buf[:])
+				v := binary.LittleEndian.Uint64(buf[:])
 				if v != i*3 {
 					t.Fatalf("SeqReader[%d] = %d, want %d", i, v, i*3)
 				}

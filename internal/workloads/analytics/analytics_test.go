@@ -4,42 +4,26 @@ import (
 	"testing"
 
 	"trackfm/internal/compiler"
-	"trackfm/internal/core"
-	"trackfm/internal/fastswap"
 	"trackfm/internal/interp"
 	"trackfm/internal/sim"
 )
 
 var small = Config{Rows: 3000}
 
-func localChecksum(t *testing.T, cfg Config) int64 {
+// runOn puts a fresh Program(cfg) on sys over a 64 MiB heap.
+func runOn(t *testing.T, sys interp.System, cfg Config, opts compiler.Options, budget uint64) (int64, *sim.Env) {
 	t.Helper()
-	prog := Program(cfg)
-	res, err := interp.Run(prog, interp.NewLocalBackend(sim.NewEnv()), interp.Options{})
+	res, env, _, err := interp.RunOn(sys, Program(cfg), opts, 1<<26, budget)
 	if err != nil {
-		t.Fatalf("local run: %v", err)
-	}
-	return res.Return
-}
-
-func runTFM(t *testing.T, cfg Config, opts compiler.Options, budget uint64) (int64, *sim.Env) {
-	t.Helper()
-	prog := Program(cfg)
-	if _, err := compiler.Compile(prog, opts); err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	env := sim.NewEnv()
-	rt, err := core.NewRuntime(core.Config{
-		Env: env, ObjectSize: opts.ObjectSize, HeapSize: 1 << 26, LocalBudget: budget,
-	})
-	if err != nil {
-		t.Fatalf("NewRuntime: %v", err)
-	}
-	res, err := interp.Run(prog, interp.NewTrackFMBackend(rt), interp.Options{})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("%v run: %v", sys, err)
 	}
 	return res.Return, env
+}
+
+func localChecksum(t *testing.T, cfg Config) int64 {
+	t.Helper()
+	got, _ := runOn(t, interp.Local, cfg, compiler.Options{}, 0)
+	return got
 }
 
 func TestChecksumStableAcrossBackends(t *testing.T) {
@@ -48,51 +32,26 @@ func TestChecksumStableAcrossBackends(t *testing.T) {
 		t.Fatalf("degenerate checksum 0")
 	}
 
-	got, _ := runTFM(t, small, compiler.Options{Chunking: compiler.ChunkCostModel, ObjectSize: 4096, Prefetch: true}, 1<<20)
+	got, _ := runOn(t, interp.TrackFM, small, compiler.Options{Chunking: compiler.ChunkCostModel, ObjectSize: 4096, Prefetch: true}, 1<<20)
 	if got != want {
 		t.Fatalf("trackfm checksum %d != local %d", got, want)
 	}
 
-	prog := Program(small)
-	if _, err := compiler.Compile(prog, compiler.Options{Chunking: compiler.ChunkNone}); err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	sw, err := fastswap.New(fastswap.Config{Env: sim.NewEnv(), HeapSize: 1 << 26, LocalBudget: 1 << 20})
-	if err != nil {
-		t.Fatalf("fastswap.New: %v", err)
-	}
-	res, err := interp.Run(prog, interp.NewFastswapBackend(sw), interp.Options{})
-	if err != nil {
-		t.Fatalf("fastswap run: %v", err)
-	}
-	if res.Return != want {
-		t.Fatalf("fastswap checksum %d != local %d", res.Return, want)
+	if got, _ := runOn(t, interp.Fastswap, small, compiler.Options{}, 1<<20); got != want {
+		t.Fatalf("fastswap checksum %d != local %d", got, want)
 	}
 }
 
 func TestAIFMBackendAgrees(t *testing.T) {
 	want := localChecksum(t, small)
-	prog := Program(small)
 	// The AIFM comparator runs the hand-ported version: no guards, but
 	// the chunk annotations mark where the programmer would use library
 	// iterators.
-	if _, err := compiler.Compile(prog, compiler.Options{Chunking: compiler.ChunkCostModel, ObjectSize: 4096, Prefetch: true}); err != nil {
-		t.Fatalf("Compile: %v", err)
+	got, env := runOn(t, interp.AIFM, small, compiler.Options{Chunking: compiler.ChunkCostModel, ObjectSize: 4096, Prefetch: true}, 1<<20)
+	if got != want {
+		t.Fatalf("aifm checksum %d != local %d", got, want)
 	}
-	be, err := interp.NewAIFMBackend(interp.AIFMConfig{
-		Env: sim.NewEnv(), ObjectSize: 4096, HeapSize: 1 << 26, LocalBudget: 1 << 20,
-	})
-	if err != nil {
-		t.Fatalf("NewAIFMBackend: %v", err)
-	}
-	res, err := interp.Run(prog, be, interp.Options{})
-	if err != nil {
-		t.Fatalf("aifm run: %v", err)
-	}
-	if res.Return != want {
-		t.Fatalf("aifm checksum %d != local %d", res.Return, want)
-	}
-	if be.Env().Counters.Guards() != 0 {
+	if env.Counters.Guards() != 0 {
 		t.Fatalf("AIFM comparator executed guards")
 	}
 }
@@ -105,24 +64,12 @@ func TestAIFMFasterThanTrackFMButWithin2x(t *testing.T) {
 	cfg := Config{Rows: 4000}
 	budget := cfg.WorkingSetBytes() / 4
 
-	_, envT := runTFM(t, cfg, compiler.Options{Chunking: compiler.ChunkCostModel, ObjectSize: 4096, Prefetch: true}, budget)
-
-	prog := Program(cfg)
-	if _, err := compiler.Compile(prog, compiler.Options{Chunking: compiler.ChunkCostModel, ObjectSize: 4096, Prefetch: true}); err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	be, err := interp.NewAIFMBackend(interp.AIFMConfig{
-		Env: sim.NewEnv(), ObjectSize: 4096, HeapSize: 1 << 26, LocalBudget: budget,
-	})
-	if err != nil {
-		t.Fatalf("NewAIFMBackend: %v", err)
-	}
-	if _, err := interp.Run(prog, be, interp.Options{}); err != nil {
-		t.Fatalf("aifm run: %v", err)
-	}
+	opts := compiler.Options{Chunking: compiler.ChunkCostModel, ObjectSize: 4096, Prefetch: true}
+	_, envT := runOn(t, interp.TrackFM, cfg, opts, budget)
+	_, envA := runOn(t, interp.AIFM, cfg, opts, budget)
 
 	tfm := float64(envT.Clock.Cycles())
-	aifm := float64(be.Env().Clock.Cycles())
+	aifm := float64(envA.Clock.Cycles())
 	// TrackFM pays guards AIFM does not, so it cannot be more than
 	// marginally faster (its compiler-directed prefetch can slightly
 	// beat AIFM's runtime stride detector), and the paper's headline
@@ -141,8 +88,8 @@ func TestIndiscriminateChunkingHurtsAggregations(t *testing.T) {
 	cfg := Config{Rows: 3000}
 	budget := cfg.WorkingSetBytes() // all local: isolates guard effects
 
-	_, envAll := runTFM(t, cfg, compiler.Options{Chunking: compiler.ChunkAll, ObjectSize: 4096}, budget)
-	_, envCM := runTFM(t, cfg, compiler.Options{Chunking: compiler.ChunkCostModel, ObjectSize: 4096}, budget)
+	_, envAll := runOn(t, interp.TrackFM, cfg, compiler.Options{Chunking: compiler.ChunkAll, ObjectSize: 4096}, budget)
+	_, envCM := runOn(t, interp.TrackFM, cfg, compiler.Options{Chunking: compiler.ChunkCostModel, ObjectSize: 4096}, budget)
 
 	if envCM.Clock.Cycles() >= envAll.Clock.Cycles() {
 		t.Fatalf("cost-model chunking (%d) not faster than all-loops (%d)",

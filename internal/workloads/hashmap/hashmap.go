@@ -11,6 +11,7 @@
 package hashmap
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"trackfm/internal/workloads"
@@ -155,7 +156,7 @@ func Run(acc workloads.Accessor, cfg Config) (*Result, error) {
 	var buf [8]byte
 	for i := 0; i < cfg.Lookups; i++ {
 		reader.Next(uint64(i), buf[:])
-		key := le64(buf[:])
+		key := binary.LittleEndian.Uint64(buf[:])
 		v, ok := t.Get(key)
 		if ok {
 			res.Hits++
@@ -163,9 +164,4 @@ func Run(acc workloads.Accessor, cfg Config) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-func le64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }

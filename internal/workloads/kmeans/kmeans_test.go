@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"trackfm/internal/compiler"
-	"trackfm/internal/core"
 	"trackfm/internal/interp"
 	"trackfm/internal/ir"
 	"trackfm/internal/sim"
@@ -14,35 +13,18 @@ var small = Config{Points: 400, Dims: 4, K: 5, Iterations: 3}
 
 func compileAndRunTFM(t *testing.T, cfg Config, opts compiler.Options, budget uint64) (int64, *sim.Env, *compiler.Stats) {
 	t.Helper()
-	prog := Program(cfg)
-	stats, err := compiler.Compile(prog, opts)
+	res, env, stats, err := interp.RunOn(interp.TrackFM, Program(cfg), opts, 1<<24, budget)
 	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	env := sim.NewEnv()
-	rt, err := core.NewRuntime(core.Config{
-		Env: env, ObjectSize: opts.ObjectSize, HeapSize: 1 << 24, LocalBudget: budget,
-	})
-	if err != nil {
-		t.Fatalf("NewRuntime: %v", err)
-	}
-	res, err := interp.Run(prog, interp.NewTrackFMBackend(rt), interp.Options{})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunOn: %v", err)
 	}
 	return res.Return, env, stats
 }
 
+// profileOf returns the profile a profile-guided run of cfg collected.
 func profileOf(t *testing.T, cfg Config) *compiler.Profile {
 	t.Helper()
-	prog := Program(cfg)
 	prof := compiler.NewProfile()
-	if _, err := interp.Run(prog, interp.NewLocalBackend(sim.NewEnv()), interp.Options{Profile: prof}); err != nil {
-		t.Fatalf("profiling run: %v", err)
-	}
-	// Profiles key loops by node pointer, so the profile only helps a
-	// program built identically; rebuild in the caller and match by
-	// structure via a fresh profile-aware compile below.
+	compileAndRunTFM(t, cfg, compiler.Options{ObjectSize: 4096, Profile: prof}, 1<<22)
 	return prof
 }
 
@@ -59,8 +41,7 @@ func TestResultStableAcrossChunkModes(t *testing.T) {
 }
 
 func TestResultMatchesLocalReference(t *testing.T) {
-	prog := Program(small)
-	res, err := interp.Run(prog, interp.NewLocalBackend(sim.NewEnv()), interp.Options{})
+	res, _, _, err := interp.RunOn(interp.Local, Program(small), compiler.Options{}, 0, 0)
 	if err != nil {
 		t.Fatalf("local run: %v", err)
 	}
@@ -98,33 +79,15 @@ func TestIndiscriminateChunkingHurts(t *testing.T) {
 func TestCostModelFiltersLowDensityLoops(t *testing.T) {
 	cfg := Config{Points: 600, Dims: 4, K: 6, Iterations: 2}
 
-	// Build a profile on the same (structurally identical) program and
-	// compile with it.
-	prog := Program(cfg)
-	prof := compiler.NewProfile()
-	if _, err := interp.Run(prog, interp.NewLocalBackend(sim.NewEnv()), interp.Options{Profile: prof}); err != nil {
-		t.Fatalf("profiling run: %v", err)
-	}
-	stats, err := compiler.Compile(prog, compiler.Options{
-		Chunking: compiler.ChunkCostModel, ObjectSize: 4096, Profile: prof,
-	})
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
+	// Profile-guided: the profile is of the instance then compiled.
+	_, env, stats := compileAndRunTFM(t, cfg, compiler.Options{
+		Chunking: compiler.ChunkCostModel, ObjectSize: 4096, Profile: compiler.NewProfile(),
+	}, 1<<20)
 	// The Dims=4 inner loops must be rejected; k-means has no stream
 	// that survives the model at this shape except possibly the long
 	// point-major generation scans.
 	if stats.StreamsRejected == 0 {
 		t.Fatalf("cost model rejected nothing: %+v", stats)
-	}
-
-	env := sim.NewEnv()
-	rt, err := core.NewRuntime(core.Config{Env: env, ObjectSize: 4096, HeapSize: 1 << 24, LocalBudget: 1 << 20})
-	if err != nil {
-		t.Fatalf("NewRuntime: %v", err)
-	}
-	if _, err := interp.Run(prog, interp.NewTrackFMBackend(rt), interp.Options{}); err != nil {
-		t.Fatalf("Run: %v", err)
 	}
 	selective := env.Clock.Cycles()
 

@@ -4,10 +4,7 @@ import (
 	"testing"
 
 	"trackfm/internal/compiler"
-	"trackfm/internal/core"
-	"trackfm/internal/fastswap"
 	"trackfm/internal/interp"
-	"trackfm/internal/sim"
 )
 
 func extTestScale(b Benchmark) Scale {
@@ -32,19 +29,9 @@ func TestExtendedKernelsAgreeAcrossBackends(t *testing.T) {
 			}
 
 			prog, _ := Program(b, s)
-			if _, err := compiler.Compile(prog, compiler.Options{
+			res, _, _, err := interp.RunOn(interp.TrackFM, prog, compiler.Options{
 				Chunking: compiler.ChunkCostModel, ObjectSize: 4096, Prefetch: true,
-			}); err != nil {
-				t.Fatalf("Compile: %v", err)
-			}
-			env := sim.NewEnv()
-			rt, err := core.NewRuntime(core.Config{
-				Env: env, ObjectSize: 4096, HeapSize: 1 << 24, LocalBudget: 1 << 18,
-			})
-			if err != nil {
-				t.Fatalf("NewRuntime: %v", err)
-			}
-			res, err := interp.Run(prog, interp.NewTrackFMBackend(rt), interp.Options{})
+			}, 1<<24, 1<<18)
 			if err != nil {
 				t.Fatalf("trackfm run: %v", err)
 			}
@@ -53,14 +40,7 @@ func TestExtendedKernelsAgreeAcrossBackends(t *testing.T) {
 			}
 
 			prog2, _ := Program(b, s)
-			if _, err := compiler.Compile(prog2, compiler.Options{Chunking: compiler.ChunkNone}); err != nil {
-				t.Fatalf("Compile: %v", err)
-			}
-			sw, err := fastswap.New(fastswap.Config{Env: sim.NewEnv(), HeapSize: 1 << 24, LocalBudget: 1 << 19})
-			if err != nil {
-				t.Fatalf("fastswap.New: %v", err)
-			}
-			res, err = interp.Run(prog2, interp.NewFastswapBackend(sw), interp.Options{})
+			res, _, _, err = interp.RunOn(interp.Fastswap, prog2, compiler.Options{}, 1<<24, 1<<19)
 			if err != nil {
 				t.Fatalf("fastswap run: %v", err)
 			}
@@ -77,24 +57,11 @@ func TestEPHasTinyFarMemoryFootprint(t *testing.T) {
 	slowdown := func(b Benchmark, s Scale) float64 {
 		local := float64(localResult2(t, b, s))
 		prog, _ := Program(b, s)
-		if _, err := compiler.Compile(prog, compiler.Options{
-			Chunking: compiler.ChunkCostModel, ObjectSize: 4096, Prefetch: true,
-		}); err != nil {
-			t.Fatalf("Compile: %v", err)
-		}
 		ws := WorkingSetBytes(b, s)
-		env := sim.NewEnv()
-		bud := ws / 4
-		if bud < 8*4096 {
-			bud = 8 * 4096
-		}
-		rt, err := core.NewRuntime(core.Config{
-			Env: env, ObjectSize: 4096, HeapSize: ws * 2, LocalBudget: bud,
-		})
+		_, env, _, err := interp.RunOn(interp.TrackFM, prog, compiler.Options{
+			Chunking: compiler.ChunkCostModel, ObjectSize: 4096, Prefetch: true,
+		}, ws*2, ws/4)
 		if err != nil {
-			t.Fatalf("NewRuntime: %v", err)
-		}
-		if _, err := interp.Run(prog, interp.NewTrackFMBackend(rt), interp.Options{}); err != nil {
 			t.Fatalf("run: %v", err)
 		}
 		return float64(env.Clock.Cycles()) / local
@@ -115,8 +82,8 @@ func localResult2(t *testing.T, b Benchmark, s Scale) uint64 {
 	if err != nil {
 		t.Fatalf("Program: %v", err)
 	}
-	env := sim.NewEnv()
-	if _, err := interp.Run(prog, interp.NewLocalBackend(env), interp.Options{}); err != nil {
+	_, env, _, err := interp.RunOn(interp.Local, prog, compiler.Options{}, 0, 0)
+	if err != nil {
 		t.Fatalf("local run: %v", err)
 	}
 	return env.Clock.Cycles()

@@ -4,11 +4,8 @@ import (
 	"testing"
 
 	"trackfm/internal/compiler"
-	"trackfm/internal/core"
-	"trackfm/internal/fastswap"
 	"trackfm/internal/interp"
 	"trackfm/internal/ir"
-	"trackfm/internal/sim"
 )
 
 // testScale shrinks every kernel for unit tests.
@@ -35,7 +32,7 @@ func localResult(t *testing.T, b Benchmark, s Scale) int64 {
 	if err != nil {
 		t.Fatalf("Program(%v): %v", b, err)
 	}
-	res, err := interp.Run(prog, interp.NewLocalBackend(sim.NewEnv()), interp.Options{})
+	res, _, _, err := interp.RunOn(interp.Local, prog, compiler.Options{}, 0, 0)
 	if err != nil {
 		t.Fatalf("%v local run: %v", b, err)
 	}
@@ -55,19 +52,9 @@ func TestKernelsAgreeAcrossBackendsAndModes(t *testing.T) {
 					if err != nil {
 						t.Fatalf("Program: %v", err)
 					}
-					if _, err := compiler.Compile(prog, compiler.Options{
+					res, _, _, err := interp.RunOn(interp.TrackFM, prog, compiler.Options{
 						Chunking: mode, ObjectSize: 4096, Prefetch: true, O1: o1,
-					}); err != nil {
-						t.Fatalf("Compile: %v", err)
-					}
-					env := sim.NewEnv()
-					rt, err := core.NewRuntime(core.Config{
-						Env: env, ObjectSize: 4096, HeapSize: 1 << 26, LocalBudget: 1 << 20,
-					})
-					if err != nil {
-						t.Fatalf("NewRuntime: %v", err)
-					}
-					res, err := interp.Run(prog, interp.NewTrackFMBackend(rt), interp.Options{})
+					}, 1<<26, 1<<20)
 					if err != nil {
 						t.Fatalf("%v o1=%v mode=%v run: %v", b, o1, mode, err)
 					}
@@ -79,14 +66,7 @@ func TestKernelsAgreeAcrossBackendsAndModes(t *testing.T) {
 
 			// Fastswap agreement.
 			prog, _ := Program(b, s)
-			if _, err := compiler.Compile(prog, compiler.Options{Chunking: compiler.ChunkNone}); err != nil {
-				t.Fatalf("Compile: %v", err)
-			}
-			sw, err := fastswap.New(fastswap.Config{Env: sim.NewEnv(), HeapSize: 1 << 26, LocalBudget: 1 << 21})
-			if err != nil {
-				t.Fatalf("fastswap.New: %v", err)
-			}
-			res, err := interp.Run(prog, interp.NewFastswapBackend(sw), interp.Options{})
+			res, _, _, err := interp.RunOn(interp.Fastswap, prog, compiler.Options{}, 1<<26, 1<<21)
 			if err != nil {
 				t.Fatalf("%v fastswap run: %v", b, err)
 			}
@@ -127,15 +107,9 @@ func TestO1ReducesFTGuardsDynamically(t *testing.T) {
 	s := testScale(FT)
 	run := func(o1 bool) uint64 {
 		prog, _ := Program(FT, s)
-		if _, err := compiler.Compile(prog, compiler.Options{O1: o1, Chunking: compiler.ChunkNone}); err != nil {
-			t.Fatalf("Compile: %v", err)
-		}
-		env := sim.NewEnv()
-		rt, err := core.NewRuntime(core.Config{Env: env, ObjectSize: 4096, HeapSize: 1 << 24, LocalBudget: 1 << 22})
+		_, env, _, err := interp.RunOn(interp.TrackFM, prog,
+			compiler.Options{O1: o1, Chunking: compiler.ChunkNone}, 1<<24, 1<<22)
 		if err != nil {
-			t.Fatalf("NewRuntime: %v", err)
-		}
-		if _, err := interp.Run(prog, interp.NewTrackFMBackend(rt), interp.Options{}); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 		return env.Counters.Guards()
@@ -192,7 +166,7 @@ func TestProgramUnknownBenchmark(t *testing.T) {
 	}
 }
 
-func TestDefaultScalesBuild(t *testing.T) {
+func TestZeroScaleBuilds(t *testing.T) {
 	for _, b := range All {
 		prog, err := Program(b, Scale{})
 		if err != nil {

@@ -11,11 +11,6 @@ import (
 	"trackfm/internal/ir"
 )
 
-// ResetStatsCall marks the boundary between array initialization and the
-// timed kernel; it must match the interpreter's builtin name (kept as a
-// literal here so the workload package does not depend on the backend).
-const ResetStatsCall = "tfm_reset_stats"
-
 // Kernel selects a STREAM kernel.
 type Kernel int
 
@@ -104,7 +99,7 @@ func Program(k Kernel, n int64) *ir.Program {
 
 	// Initialization done: reset the clock so the run measures the
 	// kernel only, as STREAM itself reports kernel bandwidth.
-	body = append(body, &ir.Call{Name: ResetStatsCall})
+	body = append(body, &ir.Call{Name: ir.ResetStatsCall})
 
 	const q = 3
 	switch k {

@@ -4,25 +4,16 @@ import (
 	"testing"
 
 	"trackfm/internal/compiler"
-	"trackfm/internal/core"
-	"trackfm/internal/fastswap"
 	"trackfm/internal/interp"
 	"trackfm/internal/ir"
 	"trackfm/internal/sim"
 )
 
-func runTFM(t *testing.T, prog *ir.Program, objSize int, heap, budget uint64) (int64, *sim.Env) {
+func runOn(t *testing.T, sys interp.System, prog *ir.Program, opts compiler.Options, heap, budget uint64) (int64, *sim.Env) {
 	t.Helper()
-	env := sim.NewEnv()
-	rt, err := core.NewRuntime(core.Config{
-		Env: env, ObjectSize: objSize, HeapSize: heap, LocalBudget: budget,
-	})
+	res, env, _, err := interp.RunOn(sys, prog, opts, heap, budget)
 	if err != nil {
-		t.Fatalf("NewRuntime: %v", err)
-	}
-	res, err := interp.Run(prog, interp.NewTrackFMBackend(rt), interp.Options{})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("%v run: %v", sys, err)
 	}
 	return res.Return, env
 }
@@ -34,41 +25,19 @@ func TestKernelChecksumsAllBackends(t *testing.T) {
 		t.Run(k.String(), func(t *testing.T) {
 			want := Expected(k, n)
 
-			prog := Program(k, n)
-			if _, err := compiler.Compile(prog, compiler.Options{
+			got, _ := runOn(t, interp.TrackFM, Program(k, n), compiler.Options{
 				Chunking: compiler.ChunkCostModel, ObjectSize: 256, Prefetch: true,
-			}); err != nil {
-				t.Fatalf("Compile: %v", err)
-			}
-			got, _ := runTFM(t, prog, 256, 1<<22, 1<<14)
+			}, 1<<22, 1<<14)
 			if got != want {
 				t.Fatalf("trackfm checksum = %d, want %d", got, want)
 			}
 
 			// Fastswap and local agree.
-			prog2 := Program(k, n)
-			if _, err := compiler.Compile(prog2, compiler.Options{Chunking: compiler.ChunkNone}); err != nil {
-				t.Fatalf("Compile: %v", err)
+			if got, _ := runOn(t, interp.Fastswap, Program(k, n), compiler.Options{}, 1<<22, 1<<15); got != want {
+				t.Fatalf("fastswap checksum = %d, want %d", got, want)
 			}
-			env := sim.NewEnv()
-			sw, err := fastswap.New(fastswap.Config{Env: env, HeapSize: 1 << 22, LocalBudget: 1 << 15})
-			if err != nil {
-				t.Fatalf("fastswap.New: %v", err)
-			}
-			res, err := interp.Run(prog2, interp.NewFastswapBackend(sw), interp.Options{})
-			if err != nil {
-				t.Fatalf("fastswap run: %v", err)
-			}
-			if res.Return != want {
-				t.Fatalf("fastswap checksum = %d, want %d", res.Return, want)
-			}
-
-			res, err = interp.Run(prog2, interp.NewLocalBackend(sim.NewEnv()), interp.Options{})
-			if err != nil {
-				t.Fatalf("local run: %v", err)
-			}
-			if res.Return != want {
-				t.Fatalf("local checksum = %d, want %d", res.Return, want)
+			if got, _ := runOn(t, interp.Local, Program(k, n), compiler.Options{}, 0, 0); got != want {
+				t.Fatalf("local checksum = %d, want %d", got, want)
 			}
 		})
 	}
@@ -79,13 +48,9 @@ func TestChunkingSpeedsUpSum(t *testing.T) {
 	// the naive transformation.
 	const n = 1 << 15
 	run := func(mode compiler.ChunkMode) uint64 {
-		prog := Program(Sum, n)
-		if _, err := compiler.Compile(prog, compiler.Options{
+		_, env := runOn(t, interp.TrackFM, Program(Sum, n), compiler.Options{
 			Chunking: mode, ObjectSize: 4096,
-		}); err != nil {
-			t.Fatalf("Compile: %v", err)
-		}
-		_, env := runTFM(t, prog, 4096, 1<<22, 1<<19) // 50% local
+		}, 1<<22, 1<<19) // 50% local
 		return env.Clock.Cycles()
 	}
 	naive := run(compiler.ChunkNone)
