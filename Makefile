@@ -31,6 +31,9 @@ smoke_test:
 # fabric.Ticket; not ".Wait()", which sync.Cond and WaitGroup share) or
 # carried (fabric.PushCarrier's two methods) — so the next cross-cutting
 # far-side feature has one place to land —
+# plus the workload guard: no non-test file under internal/workloads imports
+# a runtime (core, fastswap, aifm), so a workload only ever takes an
+# interp.Backend —
 # plus the census: every exported func and type under internal/ is named by
 # non-test code other than itself, and every exported field of a *Config,
 # *Options or *Policy struct is set by non-test code outside its own
@@ -45,6 +48,7 @@ vet:
 	! $(GO) build -gcflags=-m ./internal/core ./internal/fastswap ./internal/interp ./farmem 2>&1 | grep 'moved to heap: buf'
 	! grep -nE 'TryFetchUntil|TryPushUntil|StartFetch|fabric\.Ticket|TryFetchAfterPushes|TryPushAll|fabric\.Push|\.Connect\(' \
 		$$(ls internal/aifm/*.go internal/fastswap/*.go internal/core/*.go farmem/*.go | grep -v _test.go)
+	! grep -nE '"trackfm/internal/(core|fastswap|aifm)"' $$(find internal/workloads -name '*.go' ! -name '*_test.go')
 
 # The two gates of test-thrash and test-tiers that run under -race.
 RACE_PIN_SATURATION  = $(GO) test -race -run 'TestEvacuatorRespectsReserveUnderPinSaturation' ./internal/aifm

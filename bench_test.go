@@ -26,7 +26,6 @@ import (
 	"trackfm/internal/ir"
 	"trackfm/internal/remote"
 	"trackfm/internal/sim"
-	"trackfm/internal/workloads"
 	"trackfm/internal/workloads/dist"
 	"trackfm/internal/workloads/hashmap"
 	"trackfm/internal/workloads/kmeans"
@@ -293,8 +292,7 @@ func BenchmarkZipfNext(b *testing.B) {
 }
 
 func BenchmarkHashmapGet(b *testing.B) {
-	acc := &workloads.TrackFMAccessor{RT: newBenchRuntime(b, 256)}
-	tbl, err := hashmap.Build(acc, 10_000)
+	tbl, err := hashmap.Build(interp.NewTrackFMBackend(newBenchRuntime(b, 256)), 10_000)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -26,7 +26,7 @@
 //	internal/fastswap  kernel-based swap baseline
 //	internal/ir        mini-IR standing in for LLVM bitcode
 //	internal/compiler  the five-pass pipeline of the paper's Figure 2
-//	internal/interp    IR execution against any backend
+//	internal/interp    the backends every workload runs on; IR execution
 //	internal/workloads STREAM, k-means, hashmap, analytics, memcached, NAS
 //	internal/bench     one experiment per paper table/figure
 //	cmd/trackfm-bench  regenerate experiments from the command line

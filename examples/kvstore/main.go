@@ -26,9 +26,9 @@ import (
 
 	"trackfm/internal/core"
 	"trackfm/internal/fabric"
+	"trackfm/internal/interp"
 	"trackfm/internal/remote"
 	"trackfm/internal/sim"
-	"trackfm/internal/workloads"
 	"trackfm/internal/workloads/kv"
 )
 
@@ -74,13 +74,13 @@ func main() {
 
 	start := time.Now()
 	cfg := kv.Config{Keys: *keys, Gets: *gets, Skew: *skew, Seed: 7}
-	res, err := kv.Run(&workloads.TrackFMAccessor{RT: rt}, cfg)
+	res, err := kv.Run(interp.NewTrackFMBackend(rt), cfg)
 	if err != nil {
 		panic(err)
 	}
 	elapsed := time.Since(start)
 	// The same store in plain local memory is the reference.
-	if ref, err := kv.Run(workloads.NewLocalAccessor(sim.NewEnv()), cfg); err != nil || *ref != *res {
+	if ref, err := kv.Run(interp.NewLocalBackend(sim.NewEnv()), cfg); err != nil || *ref != *res {
 		panic(fmt.Sprintf("far-memory run %+v, local reference %+v (%v)", *res, ref, err))
 	}
 

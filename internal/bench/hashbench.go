@@ -1,8 +1,8 @@
 package bench
 
 import (
+	"trackfm/internal/interp"
 	"trackfm/internal/sim"
-	"trackfm/internal/workloads"
 	"trackfm/internal/workloads/hashmap"
 )
 
@@ -16,12 +16,12 @@ func hashmapConfig(s Scale) hashmap.Config {
 	}
 }
 
-// runHashmap runs the workload on acc and returns the env it charged.
-func runHashmap(acc workloads.Accessor, cfg hashmap.Config) *sim.Env {
-	if _, err := hashmap.Run(acc, cfg); err != nil {
+// runHashmap runs the workload on be and returns the env it charged.
+func runHashmap(be interp.Backend, cfg hashmap.Config) *sim.Env {
+	if _, err := hashmap.Run(be, cfg); err != nil {
 		panic("bench: hashmap: " + err.Error())
 	}
-	return acc.Env()
+	return be.Env()
 }
 
 // fig9 regenerates Figure 9: throughput of the zipfian STL-map workload
@@ -45,7 +45,7 @@ func fig9(s Scale) *Table {
 		}
 		row := []string{label}
 		for _, obj := range objectSizes {
-			env := runHashmap(tfmAccessor(obj, heap, budget(ws, f)), cfg)
+			env := runHashmap(direct(interp.TrackFM, obj, heap, budget(ws, f)), cfg)
 			mops := float64(cfg.Lookups) / env.Clock.Seconds() / 1e6
 			row = append(row, f3(mops))
 		}
@@ -70,8 +70,8 @@ func fig13(s Scale) *Table {
 	heap := ws * 4
 	for _, f := range []float64{0.05, 0.25, 0.5, 0.75, 1.0} {
 		b := budget(ws, f)
-		tfm := runHashmap(tfmAccessor(64, heap, b), cfg)
-		fs := runHashmap(fsAccessor(heap, b), cfg)
+		tfm := runHashmap(direct(interp.TrackFM, 64, heap, b), cfg)
+		fs := runHashmap(direct(interp.Fastswap, 0, heap, b), cfg)
 		t.AddRow(f2(f),
 			f3(tfm.Clock.Seconds()), f3(fs.Clock.Seconds()),
 			mb(tfm.Counters.BytesFetched), mb(fs.Counters.BytesFetched),

@@ -1,8 +1,8 @@
 package bench
 
 import (
+	"trackfm/internal/interp"
 	"trackfm/internal/sim"
-	"trackfm/internal/workloads"
 	"trackfm/internal/workloads/kv"
 )
 
@@ -44,15 +44,16 @@ func fig16(s Scale) *Table {
 		// representable at all.
 		b := budget(ws, 1.0/6.0)
 
-		runKV := func(acc workloads.Accessor) *sim.Env {
-			if _, err := kv.Run(acc, cfg); err != nil {
+		runKV := func(sys interp.System) *sim.Env {
+			be := direct(sys, 64, heap, b)
+			if _, err := kv.Run(be, cfg); err != nil {
 				panic("bench: kv: " + err.Error())
 			}
-			return acc.Env()
+			return be.Env()
 		}
-		envT := runKV(tfmAccessor(64, heap, b))
-		envF := runKV(fsAccessor(heap, b))
-		envL := runKV(workloads.NewLocalAccessor(sim.NewEnv()))
+		envT := runKV(interp.TrackFM)
+		envF := runKV(interp.Fastswap)
+		envL := runKV(interp.Local)
 
 		kops := func(env *sim.Env) float64 {
 			return float64(cfg.Gets) / env.Clock.Seconds() / 1e3

@@ -9,7 +9,6 @@ import (
 	"trackfm/internal/interp"
 	"trackfm/internal/ir"
 	"trackfm/internal/sim"
-	"trackfm/internal/workloads"
 )
 
 // Scale controls experiment sizing. Experiments multiply their default
@@ -56,7 +55,7 @@ func runLocal(prog *ir.Program) *sim.Env {
 	return run(interp.Local, prog, compiler.Options{}, 0, 0)
 }
 
-// newRuntime builds the TrackFM runtime a direct workload runs on, or
+// newRuntime builds the TrackFM runtime a microbenchmark runs on, or
 // panics.
 func newRuntime(env *sim.Env, objSize int, heap, budget uint64) *core.Runtime {
 	rt, err := core.NewRuntime(core.Config{
@@ -68,7 +67,7 @@ func newRuntime(env *sim.Env, objSize int, heap, budget uint64) *core.Runtime {
 	return rt
 }
 
-// newSwap builds the Fastswap baseline a direct workload runs on, or
+// newSwap builds the Fastswap baseline a microbenchmark runs on, or
 // panics.
 func newSwap(env *sim.Env, heap, budget uint64) *fastswap.Swap {
 	s, err := fastswap.New(fastswap.Config{Env: env, HeapSize: heap, LocalBudget: budget})
@@ -78,14 +77,14 @@ func newSwap(env *sim.Env, heap, budget uint64) *fastswap.Swap {
 	return s
 }
 
-// tfmAccessor and fsAccessor put a direct workload (hashmap, kv) on a fresh
-// runtime with an env of its own.
-func tfmAccessor(objSize int, heap, budget uint64) workloads.Accessor {
-	return &workloads.TrackFMAccessor{RT: newRuntime(sim.NewEnv(), objSize, heap, budget)}
-}
-
-func fsAccessor(heap, budget uint64) workloads.Accessor {
-	return &workloads.FastswapAccessor{Swap: newSwap(sim.NewEnv(), heap, budget)}
+// direct puts a direct workload (hashmap, kv) on a fresh sys with an env
+// of its own (interp.NewBackend, as RunOn does), or panics.
+func direct(sys interp.System, objSize int, heap, budget uint64) interp.Backend {
+	be, err := interp.NewBackend(sys, sim.NewEnv(), objSize, heap, budget)
+	if err != nil {
+		panic(fmt.Sprintf("bench: %v: %v", sys, err))
+	}
+	return be
 }
 
 // budget computes fraction*workingSet, floored to interp.MinLocal.

@@ -157,9 +157,8 @@ func (r *Runtime) HeapBytesInUse() uint64 {
 
 // Malloc allocates n bytes of far memory and returns a TrackFM
 // (non-canonical) pointer. This is the entry point the libc
-// transformation pass rewires malloc to (§3.1). Allocations are 16-byte
-// aligned; allocations no larger than one object never straddle an object
-// boundary, so sub-word accesses always hit a single object.
+// transformation pass rewires malloc to (§3.1); Place decides where the
+// allocation lands.
 func (r *Runtime) Malloc(n uint64) (Ptr, error) {
 	if n == 0 {
 		n = 1
@@ -169,15 +168,7 @@ func (r *Runtime) Malloc(n uint64) (Ptr, error) {
 
 	r.allocMu.Lock()
 	defer r.allocMu.Unlock()
-	const align = 16
-	start := (r.brk + align - 1) &^ (align - 1)
-	if n <= uint64(r.objSize) {
-		// Group small allocations within a single object (§3.2).
-		objEnd := (start &^ (uint64(r.objSize) - 1)) + uint64(r.objSize)
-		if start+n > objEnd {
-			start = objEnd
-		}
-	}
+	start := Place(r.brk, n, uint64(r.objSize))
 	if start+n > r.heapSize {
 		return 0, fmt.Errorf("core: far heap exhausted (%d of %d bytes in use)", r.brk, r.heapSize)
 	}
@@ -185,6 +176,24 @@ func (r *Runtime) Malloc(n uint64) (Ptr, error) {
 	p := ptrBase + Ptr(start)
 	r.allocs[p] = n
 	return p, nil
+}
+
+// Place returns where a bump allocator whose next free byte is brk puts an
+// n-byte allocation in a heap of objSize-byte objects: 16-byte aligned, and
+// an allocation no larger than one object never straddles an object
+// boundary — small allocations are grouped within a single object (§3.2),
+// so sub-word accesses always hit one. Malloc places this way, and so does
+// the AIFM comparator's allocator.
+func Place(brk, n, objSize uint64) uint64 {
+	const align = 16
+	start := (brk + align - 1) &^ (align - 1)
+	if n <= objSize {
+		objEnd := (start &^ (objSize - 1)) + objSize
+		if start+n > objEnd {
+			start = objEnd
+		}
+	}
+	return start
 }
 
 // MustMalloc is Malloc for callers holding a sized heap by construction

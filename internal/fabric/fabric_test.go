@@ -93,12 +93,6 @@ func TestSimLinkPushAccounting(t *testing.T) {
 	if env.Clock.Cycles() != env.Costs.TransferCycles(100) {
 		t.Fatalf("push charged %d cycles", env.Clock.Cycles())
 	}
-	l.ChargePush = false
-	before := env.Clock.Cycles()
-	mustPush(t, l, 2, make([]byte, 100))
-	if env.Clock.Cycles() != before {
-		t.Fatalf("ChargePush=false still charged the clock")
-	}
 }
 
 func TestSimLinkPushCopiesAndDelete(t *testing.T) {

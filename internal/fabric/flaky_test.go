@@ -304,14 +304,13 @@ func TestFaultLinkOutageWindow(t *testing.T) {
 func TestFaultLinkDelayChargesClock(t *testing.T) {
 	env := sim.NewEnv()
 	inner := NewSimLink(env, BackendTCP)
-	inner.ChargePush = false
 	fl := NewFaultLink(inner, FaultConfig{Seed: 5, DelayRate: 1.0, DelayCycles: 1000, Env: env})
 	before := env.Clock.Cycles()
 	if err := fl.TryPushUntil(1, []byte{1}, Deadline{}); err != nil {
 		t.Fatalf("TryPush: %v", err)
 	}
-	if got := env.Clock.Cycles() - before; got != 1000 {
-		t.Fatalf("delay charged %d cycles, want 1000", got)
+	if got, want := env.Clock.Cycles()-before, 1000+env.Costs.TransferCycles(1); got != want {
+		t.Fatalf("delayed push charged %d cycles, want %d", got, want)
 	}
 	if fl.Stats().Delays != 1 {
 		t.Fatalf("Delays = %d, want 1", fl.Stats().Delays)

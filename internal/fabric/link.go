@@ -189,15 +189,11 @@ type SimLink struct {
 	backend Backend
 	mu      sync.Mutex
 	store   map[uint64][]byte
-	// ChargePush controls whether a push charges the clock. Evacuation
-	// write-back is charged by default; tests can disable it to isolate
-	// fetch costs.
-	ChargePush bool
 }
 
 // NewSimLink returns a link charging env with the given backend's costs.
 func NewSimLink(env *sim.Env, backend Backend) *SimLink {
-	return &SimLink{env: env, backend: backend, store: make(map[uint64][]byte), ChargePush: true}
+	return &SimLink{env: env, backend: backend, store: make(map[uint64][]byte)}
 }
 
 func (l *SimLink) fetchCost(n int) uint64 {
@@ -263,11 +259,9 @@ func (l *SimLink) TryPushUntil(key uint64, src []byte, dl Deadline) error {
 	if dl.Expired() {
 		return errDeadline("push not started")
 	}
-	if l.ChargePush {
-		// Evacuation overlaps with computation in AIFM; we charge only
-		// the bandwidth term, not the full round-trip latency.
-		l.env.Clock.Advance(l.env.Costs.TransferCycles(len(src)))
-	}
+	// Evacuation overlaps with computation in AIFM; we charge only the
+	// bandwidth term, not the full round-trip latency.
+	l.env.Clock.Advance(l.env.Costs.TransferCycles(len(src)))
 	sim.Add(&l.env.Counters.BytesEvicted, uint64(len(src)))
 	l.mu.Lock()
 	// Reuse the stored blob when the size matches: a steady-state

@@ -606,13 +606,7 @@ func (rs *ReplicaSet) TryFetchUntil(key uint64, dst []byte, dl Deadline) (bool, 
 // healed in place instead of lingering until the next outage.
 func (rs *ReplicaSet) repairLocked(key uint64, good []byte, found bool, bad []int) {
 	for _, i := range bad {
-		var err error
-		if found {
-			err = rs.members[i].TryPushUntil(key, good, Deadline{})
-		} else {
-			err = rs.members[i].TryDeleteUntil(key, Deadline{})
-		}
-		if err != nil {
+		if err := rs.writeTo(i, key, good, found, Deadline{}); err != nil {
 			// Leave it recorded as missed; resync will replay it.
 			rs.missed[i][key] = struct{}{}
 			continue
@@ -622,80 +616,53 @@ func (rs *ReplicaSet) repairLocked(key uint64, good []byte, found bool, bad []in
 	}
 }
 
-// TryPushUntil implements ErrorTransport: record the new version, fan the
-// write to every closed replica, mark the rest missed, and succeed when
-// the ack quorum is met, the fan-out bounded by dl. Once the budget
-// expires, remaining members are marked missed (resync replays the write
-// later) instead of being pushed past the deadline; a quorum shortfall
-// caused by the deadline surfaces as ErrDeadlineExceeded. An overload
-// reject marks the member missed without charging its breaker.
+// TryPushUntil implements ErrorTransport: record the new version and
+// write it through the fan-out.
 func (rs *ReplicaSet) TryPushUntil(key uint64, src []byte, dl Deadline) error {
-	rs.advance()
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	e := rs.vers[key]
-	e.ver++
-	e.crc = remote.Checksum(src)
-	e.size = len(src)
-	rs.vers[key] = e
-	acks := 0
-	expired := false
-	var firstErr error
-	for i, m := range rs.members {
-		if rs.brk[i].state != BreakerClosed {
-			rs.missed[i][key] = struct{}{}
-			continue
-		}
-		if dl.Expired() {
-			expired = true
-			rs.missed[i][key] = struct{}{}
-			continue
-		}
-		if err := m.TryPushUntil(key, src, dl); err != nil {
-			if isOverloaded(err) {
-				rs.stats.overloads.Add(1)
-			} else if isDeadline(err) {
-				expired = true
-			} else {
-				rs.failLocked(i)
-			}
-			rs.missed[i][key] = struct{}{}
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		rs.okLocked(i)
-		delete(rs.missed[i], key)
-		acks++
-	}
-	if acks >= rs.cfg.Quorum {
-		return nil
-	}
-	rs.rstats.quorumFails.Add(1)
-	if expired {
-		err := fmt.Errorf("%w: write quorum %d/%d", ErrDeadlineExceeded, acks, rs.cfg.Quorum)
-		rs.stats.record(err)
-		return err
-	}
-	if firstErr != nil {
-		return fmt.Errorf("%w: write quorum %d/%d (first failure: %v)", ErrRemoteUnavailable, acks, rs.cfg.Quorum, firstErr)
-	}
-	return fmt.Errorf("%w: write quorum %d/%d", ErrRemoteUnavailable, acks, rs.cfg.Quorum)
+	return rs.write(key, src, true, dl)
 }
 
 // TryDeleteUntil implements ErrorTransport: a delete is a write of a
-// tombstone — fan-out, quorum, and missed-key tracking all match
-// TryPushUntil.
+// tombstone — the version record dropped, then the same fan-out.
 func (rs *ReplicaSet) TryDeleteUntil(key uint64, dl Deadline) error {
+	return rs.write(key, nil, false, dl)
+}
+
+// writeTo sends one write to replica i: src when live, the tombstone (a
+// delete) otherwise.
+func (rs *ReplicaSet) writeTo(i int, key uint64, src []byte, live bool, dl Deadline) error {
+	if live {
+		return rs.members[i].TryPushUntil(key, src, dl)
+	}
+	return rs.members[i].TryDeleteUntil(key, dl)
+}
+
+// write records a write of key — a new version of src when live, the
+// tombstone otherwise — fans it to every closed replica, marks the rest
+// missed, and succeeds when the ack quorum is met, the fan-out bounded by
+// dl. Once the budget expires, remaining members are marked missed (resync
+// replays the write later) instead of being written past the deadline; a
+// quorum shortfall caused by the deadline surfaces as ErrDeadlineExceeded.
+// An overload reject marks the member missed without charging its breaker.
+func (rs *ReplicaSet) write(key uint64, src []byte, live bool, dl Deadline) error {
 	rs.advance()
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	delete(rs.vers, key)
+	what := "delete"
+	if live {
+		what = "write"
+		e := rs.vers[key]
+		e.ver++
+		e.crc = remote.Checksum(src)
+		e.size = len(src)
+		rs.vers[key] = e
+	} else {
+		delete(rs.vers, key)
+	}
 	acks := 0
 	expired := false
 	var firstErr error
-	for i, m := range rs.members {
+	for i := range rs.members {
 		if rs.brk[i].state != BreakerClosed {
 			rs.missed[i][key] = struct{}{}
 			continue
@@ -705,7 +672,7 @@ func (rs *ReplicaSet) TryDeleteUntil(key uint64, dl Deadline) error {
 			rs.missed[i][key] = struct{}{}
 			continue
 		}
-		if err := m.TryDeleteUntil(key, dl); err != nil {
+		if err := rs.writeTo(i, key, src, live, dl); err != nil {
 			if isOverloaded(err) {
 				rs.stats.overloads.Add(1)
 			} else if isDeadline(err) {
@@ -728,14 +695,14 @@ func (rs *ReplicaSet) TryDeleteUntil(key uint64, dl Deadline) error {
 	}
 	rs.rstats.quorumFails.Add(1)
 	if expired {
-		err := fmt.Errorf("%w: delete quorum %d/%d", ErrDeadlineExceeded, acks, rs.cfg.Quorum)
+		err := fmt.Errorf("%w: %s quorum %d/%d", ErrDeadlineExceeded, what, acks, rs.cfg.Quorum)
 		rs.stats.record(err)
 		return err
 	}
 	if firstErr != nil {
-		return fmt.Errorf("%w: delete quorum %d/%d (first failure: %v)", ErrRemoteUnavailable, acks, rs.cfg.Quorum, firstErr)
+		return fmt.Errorf("%w: %s quorum %d/%d (first failure: %v)", ErrRemoteUnavailable, what, acks, rs.cfg.Quorum, firstErr)
 	}
-	return fmt.Errorf("%w: delete quorum %d/%d", ErrRemoteUnavailable, acks, rs.cfg.Quorum)
+	return fmt.Errorf("%w: %s quorum %d/%d", ErrRemoteUnavailable, what, acks, rs.cfg.Quorum)
 }
 
 var _ ErrorTransport = (*ReplicaSet)(nil)

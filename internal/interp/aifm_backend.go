@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 
 	"trackfm/internal/aifm"
+	"trackfm/internal/core"
 	"trackfm/internal/sim"
 )
 
@@ -70,21 +71,13 @@ func (b *AIFMBackend) Init(objectSize int) error {
 }
 
 // Malloc implements Backend: allocations become AIFM remote data
-// structures; like the TrackFM allocator it avoids straddling objects
-// with small allocations (the library developer lays structures out this
-// way by construction).
+// structures, placed as the TrackFM allocator places them (the library
+// developer lays structures out that way by construction).
 func (b *AIFMBackend) Malloc(n uint64) uint64 {
 	if n == 0 {
 		n = 1
 	}
-	const align = 16
-	start := (b.brk + align - 1) &^ (align - 1)
-	if n <= b.objSize {
-		objEnd := (start &^ (b.objSize - 1)) + b.objSize
-		if start+n > objEnd {
-			start = objEnd
-		}
-	}
+	start := core.Place(b.brk, n, b.objSize)
 	if start+n > b.heapSize {
 		panic("interp: AIFM heap exhausted")
 	}
@@ -141,6 +134,27 @@ func (b *AIFMBackend) Store(addr uint64, v uint64, guarded bool) {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], v)
 	b.pool.Write(id, off, buf[:])
+}
+
+// LoadBytes implements Backend: one dereference per object the range
+// touches.
+func (b *AIFMBackend) LoadBytes(addr uint64, dst []byte) { b.copyBytes(addr, dst, false) }
+
+// StoreBytes implements Backend.
+func (b *AIFMBackend) StoreBytes(addr uint64, src []byte) { b.copyBytes(addr, src, true) }
+
+func (b *AIFMBackend) copyBytes(addr uint64, buf []byte, write bool) {
+	for len(buf) > 0 {
+		id, off := b.access(addr, write)
+		seg := buf[:min(uint64(len(buf)), b.objSize-off)]
+		if write {
+			b.pool.Write(id, off, seg)
+		} else {
+			b.pool.Read(id, off, seg)
+		}
+		addr += uint64(len(seg))
+		buf = buf[len(seg):]
+	}
 }
 
 // OpenCursor implements Backend: the library iterator — per-object pin,

@@ -36,20 +36,22 @@ func (a *localArena) contains(addr uint64) bool {
 	return addr >= a.base && addr+8 <= a.base+uint64(len(a.buf))
 }
 
-func (a *localArena) load(addr uint64) uint64 {
-	if !a.contains(addr) {
-		panic(fmt.Sprintf("interp: local load at %#x outside arena", addr))
+// span returns the n bytes at addr, charging one local load/store per 64
+// bytes touched.
+func (a *localArena) span(addr, n uint64, op string) []byte {
+	if addr < a.base || addr+n > a.base+uint64(len(a.buf)) {
+		panic(fmt.Sprintf("interp: local %s at %#x+%d outside arena", op, addr, n))
 	}
-	a.env.Clock.Advance(a.env.Costs.LocalLoadStore)
-	return binary.LittleEndian.Uint64(a.buf[addr-a.base:])
+	a.env.Clock.Advance((n + 63) / 64 * a.env.Costs.LocalLoadStore)
+	return a.buf[addr-a.base:][:n]
+}
+
+func (a *localArena) load(addr uint64) uint64 {
+	return binary.LittleEndian.Uint64(a.span(addr, 8, "load"))
 }
 
 func (a *localArena) store(addr uint64, v uint64) {
-	if !a.contains(addr) {
-		panic(fmt.Sprintf("interp: local store at %#x outside arena", addr))
-	}
-	a.env.Clock.Advance(a.env.Costs.LocalLoadStore)
-	binary.LittleEndian.PutUint64(a.buf[addr-a.base:], v)
+	binary.LittleEndian.PutUint64(a.span(addr, 8, "store"), v)
 }
 
 // localArenaBase places stack/global memory; it is canonical (custody
@@ -125,6 +127,12 @@ func (b *TrackFMBackend) Store(addr uint64, v uint64, guarded bool) {
 	}
 	b.local.store(addr, v)
 }
+
+// LoadBytes implements Backend: one guard per object the range touches.
+func (b *TrackFMBackend) LoadBytes(addr uint64, dst []byte) { b.RT.Load(core.Ptr(addr), dst) }
+
+// StoreBytes implements Backend.
+func (b *TrackFMBackend) StoreBytes(addr uint64, src []byte) { b.RT.Store(core.Ptr(addr), src) }
 
 // OpenCursor implements Backend.
 func (b *TrackFMBackend) OpenCursor(firstAddr uint64, stride int64, prefetch bool) Cursor {
@@ -251,6 +259,13 @@ func (b *FastswapBackend) Store(addr uint64, v uint64, guarded bool) {
 	b.local.store(addr, v)
 }
 
+// LoadBytes implements Backend: one fault per non-resident page the range
+// touches.
+func (b *FastswapBackend) LoadBytes(addr uint64, dst []byte) { b.Swap.Load(addr-b.heapBase, dst) }
+
+// StoreBytes implements Backend.
+func (b *FastswapBackend) StoreBytes(addr uint64, src []byte) { b.Swap.Store(addr-b.heapBase, src) }
+
 // OpenCursor implements Backend; the kernel approach has no chunk
 // machinery, so streams run as plain accesses.
 func (b *FastswapBackend) OpenCursor(uint64, int64, bool) Cursor {
@@ -305,6 +320,16 @@ func (b *LocalBackend) Store(addr uint64, v uint64, guarded bool) {
 		return
 	}
 	b.local.store(addr, v)
+}
+
+// LoadBytes implements Backend: one local load per 64 bytes.
+func (b *LocalBackend) LoadBytes(addr uint64, dst []byte) {
+	copy(dst, b.heap.span(addr, uint64(len(dst)), "load"))
+}
+
+// StoreBytes implements Backend.
+func (b *LocalBackend) StoreBytes(addr uint64, src []byte) {
+	copy(b.heap.span(addr, uint64(len(src)), "store"), src)
 }
 
 // OpenCursor implements Backend.

@@ -1,7 +1,9 @@
 // Package interp executes compiled mini-IR programs against a far-memory
 // backend: the TrackFM runtime (guards + cursors), the Fastswap baseline
-// (page faults), or plain local memory. It also hosts the profiling run
-// that feeds loop coverage back into the compiler's cost model.
+// (page faults), or plain local memory. Its Backend is also what the
+// direct workloads (hashmap, kv) run on, built by the same NewBackend. It
+// also hosts the profiling run that feeds loop coverage back into the
+// compiler's cost model.
 package interp
 
 import (
@@ -22,8 +24,10 @@ type Cursor interface {
 	Close()
 }
 
-// Backend is the execution target for IR programs. Addresses are opaque
-// 64-bit values minted by Malloc/LocalAlloc; TrackFM backends mint
+// Backend is the one memory interface every workload runs on: the IR
+// programs Run interprets, and the direct workloads (hashmap, kv) that call
+// it as an already-transformed application would. Addresses are opaque
+// 64-bit values minted by Malloc/LocalAlloc, never 0; TrackFM backends mint
 // non-canonical pointers for heap allocations, so custody semantics follow
 // the value, exactly as in the transformed binaries.
 type Backend interface {
@@ -44,6 +48,11 @@ type Backend interface {
 	Load(addr uint64, guarded bool) uint64
 	// Store writes 8 bytes.
 	Store(addr uint64, v uint64, guarded bool)
+	// LoadBytes reads len(dst) bytes of heap memory at addr, guarded: a
+	// direct workload's value copies.
+	LoadBytes(addr uint64, dst []byte)
+	// StoreBytes writes src to heap memory at addr, guarded.
+	StoreBytes(addr uint64, src []byte)
 	// OpenCursor starts a chunked stream whose first access is at
 	// firstAddr with the given byte stride.
 	OpenCursor(firstAddr uint64, stride int64, prefetch bool) Cursor

@@ -69,7 +69,7 @@ func RunOn(sys System, prog *ir.Program, opts compiler.Options, heap, local uint
 		local = MinLocal
 	}
 	env = sim.NewEnv()
-	backend, err := newBackend(sys, env, prog.ObjectSize, heap, local)
+	backend, err := NewBackend(sys, env, prog.ObjectSize, heap, local)
 	if err != nil {
 		return Result{}, nil, stats, err
 	}
@@ -81,9 +81,11 @@ func RunOn(sys System, prog *ir.Program, opts compiler.Options, heap, local uint
 	return res, env, stats, err
 }
 
-// newBackend builds sys's runtime for objSize-byte objects (where it has
-// objects) on env and wraps it.
-func newBackend(sys System, env *sim.Env, objSize int, heap, local uint64) (Backend, error) {
+// NewBackend builds sys's runtime for objSize-byte objects (where it has
+// objects) with a far heap of heap bytes, local of them resident, on env,
+// and wraps it: the one constructor behind RunOn and every direct
+// workload's system (objSize, heap and local are ignored on Local).
+func NewBackend(sys System, env *sim.Env, objSize int, heap, local uint64) (Backend, error) {
 	switch sys {
 	case Local:
 		return NewLocalBackend(env), nil

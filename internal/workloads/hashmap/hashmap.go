@@ -8,13 +8,19 @@
 // The table is open-addressing with linear probing, 16-byte slots
 // (key, value). As in the paper, the access trace itself is also stored in
 // a heap array and read sequentially during the run.
+//
+// It is a direct workload: where the IR workloads (stream, kmeans,
+// analytics, nas) are mini-IR programs the compiler transforms, hashmap
+// calls an interp.Backend itself, playing an already-transformed
+// application — every heap access a guarded one, the trace scan a chunked
+// stream. It runs on the same backends, built by the same
+// interp.NewBackend, as the compiled programs.
 package hashmap
 
 import (
-	"encoding/binary"
 	"fmt"
 
-	"trackfm/internal/workloads"
+	"trackfm/internal/interp"
 	"trackfm/internal/workloads/dist"
 )
 
@@ -54,21 +60,21 @@ func hashKey(k uint64) uint64 {
 	return k
 }
 
-// Table is a far-memory hash table over an Accessor.
+// Table is a far-memory hash table over a Backend.
 type Table struct {
-	acc   workloads.Accessor
+	be    interp.Backend
 	base  uint64
 	slots uint64
 }
 
 // Build allocates and populates a table with entries pairs: key i+1 maps
 // to value 2*(i+1)+1 (key 0 marks an empty slot).
-func Build(acc workloads.Accessor, entries int) (*Table, error) {
+func Build(be interp.Backend, entries int) (*Table, error) {
 	if entries <= 0 {
 		return nil, fmt.Errorf("hashmap: entries must be positive")
 	}
 	slots := tableSlots(entries)
-	t := &Table{acc: acc, base: acc.Malloc(slots * 16), slots: slots}
+	t := &Table{be: be, base: be.Malloc(slots * 16), slots: slots}
 	for i := 0; i < entries; i++ {
 		key := uint64(i) + 1
 		t.put(key, 2*key+1)
@@ -82,10 +88,10 @@ func (t *Table) put(key, val uint64) {
 	s := hashKey(key) & (t.slots - 1)
 	for {
 		addr := t.slotAddr(s)
-		k := t.acc.LoadU64(addr)
+		k := t.be.Load(addr, true)
 		if k == 0 || k == key {
-			t.acc.StoreU64(addr, key)
-			t.acc.StoreU64(addr+8, val)
+			t.be.Store(addr, key, true)
+			t.be.Store(addr+8, val, true)
 			return
 		}
 		s = (s + 1) & (t.slots - 1)
@@ -97,9 +103,9 @@ func (t *Table) Get(key uint64) (uint64, bool) {
 	s := hashKey(key) & (t.slots - 1)
 	for {
 		addr := t.slotAddr(s)
-		k := t.acc.LoadU64(addr)
+		k := t.be.Load(addr, true)
 		if k == key {
-			return t.acc.LoadU64(addr + 8), true
+			return t.be.Load(addr+8, true), true
 		}
 		if k == 0 {
 			return 0, false
@@ -116,18 +122,17 @@ type Result struct {
 	CheckSum uint64
 }
 
-// Run builds the table and trace, resets the accessor cold, then executes
-// the Zipfian lookups. The caller reads cycles/counters from the
-// accessor's Env (resetting its counters beforehand if it wants the
-// lookup phase isolated — Run resets them after the build phase).
-func Run(acc workloads.Accessor, cfg Config) (*Result, error) {
+// Run builds the table and trace, then executes the Zipfian lookups. The
+// caller reads cycles/counters from the backend's Env, which Run resets
+// after the build phase so they cover the lookups alone.
+func Run(be interp.Backend, cfg Config) (*Result, error) {
 	if cfg.Lookups <= 0 {
 		return nil, fmt.Errorf("hashmap: lookups must be positive")
 	}
 	if cfg.Skew <= 0 {
 		cfg.Skew = 1.02
 	}
-	t, err := Build(acc, cfg.Entries)
+	t, err := Build(be, cfg.Entries)
 	if err != nil {
 		return nil, err
 	}
@@ -138,26 +143,23 @@ func Run(acc workloads.Accessor, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	traceBase := acc.Malloc(uint64(cfg.Lookups) * 8)
+	traceBase := be.Malloc(uint64(cfg.Lookups) * 8)
 	for i := 0; i < cfg.Lookups; i++ {
-		acc.StoreU64(traceBase+uint64(i)*8, z.Next()+1)
+		be.Store(traceBase+uint64(i)*8, z.Next()+1, true)
 	}
 
 	// Isolate the measurement phase. As in the paper, the table build is
 	// untimed but its residual locality carries over: whatever fit in
 	// local memory during construction is still local when the lookups
 	// start (at 100% local memory nothing ever leaves).
-	acc.Env().Clock.Reset()
-	acc.Env().Counters.Reset()
+	be.Env().Clock.Reset()
+	be.Env().Counters.Reset()
 
 	res := &Result{}
-	reader := acc.SeqReader(traceBase, 8)
-	defer reader.Close()
-	var buf [8]byte
+	trace := be.OpenCursor(traceBase, 8, true)
+	defer trace.Close()
 	for i := 0; i < cfg.Lookups; i++ {
-		reader.Next(uint64(i), buf[:])
-		key := binary.LittleEndian.Uint64(buf[:])
-		v, ok := t.Get(key)
+		v, ok := t.Get(trace.Load(traceBase + uint64(i)*8))
 		if ok {
 			res.Hits++
 			res.CheckSum += v

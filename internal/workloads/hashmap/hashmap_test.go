@@ -3,34 +3,23 @@ package hashmap
 import (
 	"testing"
 
-	"trackfm/internal/core"
-	"trackfm/internal/fastswap"
+	"trackfm/internal/interp"
 	"trackfm/internal/sim"
-	"trackfm/internal/workloads"
 )
 
-func tfmAccessor(t *testing.T, objSize int, heap, budget uint64) *workloads.TrackFMAccessor {
+func backend(t *testing.T, sys interp.System, objSize int, heap, local uint64) interp.Backend {
 	t.Helper()
-	rt, err := core.NewRuntime(core.Config{
-		Env: sim.NewEnv(), ObjectSize: objSize, HeapSize: heap, LocalBudget: budget,
-	})
+	be, err := interp.NewBackend(sys, sim.NewEnv(), objSize, heap, local)
 	if err != nil {
-		t.Fatalf("NewRuntime: %v", err)
+		t.Fatalf("NewBackend(%v): %v", sys, err)
 	}
-	return &workloads.TrackFMAccessor{RT: rt}
+	return be
 }
 
-func fsAccessor(t *testing.T, heap, budget uint64) *workloads.FastswapAccessor {
-	t.Helper()
-	sw, err := fastswap.New(fastswap.Config{Env: sim.NewEnv(), HeapSize: heap, LocalBudget: budget})
-	if err != nil {
-		t.Fatalf("fastswap.New: %v", err)
-	}
-	return &workloads.FastswapAccessor{Swap: sw}
-}
+func localBackend(t *testing.T) interp.Backend { return backend(t, interp.Local, 0, 0, 0) }
 
 func TestTablePutGet(t *testing.T) {
-	acc := workloads.NewLocalAccessor(sim.NewEnv())
+	acc := localBackend(t)
 	tbl, err := Build(acc, 100)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
@@ -50,7 +39,7 @@ func TestTablePutGet(t *testing.T) {
 }
 
 func TestBuildValidation(t *testing.T) {
-	acc := workloads.NewLocalAccessor(sim.NewEnv())
+	acc := localBackend(t)
 	if _, err := Build(acc, 0); err == nil {
 		t.Fatalf("zero entries accepted")
 	}
@@ -62,7 +51,7 @@ func TestBuildValidation(t *testing.T) {
 func TestRunChecksumsAgreeAcrossBackends(t *testing.T) {
 	cfg := Config{Entries: 500, Lookups: 3000, Skew: 1.02, Seed: 7}
 
-	local, err := Run(workloads.NewLocalAccessor(sim.NewEnv()), cfg)
+	local, err := Run(localBackend(t), cfg)
 	if err != nil {
 		t.Fatalf("local run: %v", err)
 	}
@@ -70,7 +59,7 @@ func TestRunChecksumsAgreeAcrossBackends(t *testing.T) {
 		t.Fatalf("local hits = %d, want %d", local.Hits, cfg.Lookups)
 	}
 
-	tfm, err := Run(tfmAccessor(t, 64, 1<<22, 1<<14), cfg)
+	tfm, err := Run(backend(t, interp.TrackFM, 64, 1<<22, 1<<14), cfg)
 	if err != nil {
 		t.Fatalf("trackfm run: %v", err)
 	}
@@ -78,7 +67,7 @@ func TestRunChecksumsAgreeAcrossBackends(t *testing.T) {
 		t.Fatalf("trackfm result %+v != local %+v", tfm, local)
 	}
 
-	fs, err := Run(fsAccessor(t, 1<<22, 1<<15), cfg)
+	fs, err := Run(backend(t, interp.Fastswap, 0, 1<<22, 1<<15), cfg)
 	if err != nil {
 		t.Fatalf("fastswap run: %v", err)
 	}
@@ -94,13 +83,13 @@ func TestSmallObjectsReduceDataTransferred(t *testing.T) {
 	heap := uint64(1 << 24)
 	budget := cfg.WorkingSetBytes() / 4 // 25% local
 
-	accSmall := tfmAccessor(t, 64, heap, budget)
+	accSmall := backend(t, interp.TrackFM, 64, heap, budget)
 	if _, err := Run(accSmall, cfg); err != nil {
 		t.Fatalf("trackfm 64B run: %v", err)
 	}
 	smallBytes := accSmall.Env().Counters.BytesFetched
 
-	accFS := fsAccessor(t, heap, budget)
+	accFS := backend(t, interp.Fastswap, 0, heap, budget)
 	if _, err := Run(accFS, cfg); err != nil {
 		t.Fatalf("fastswap run: %v", err)
 	}
@@ -121,7 +110,7 @@ func TestSmallObjectsFasterForZipfianAccess(t *testing.T) {
 	budget := cfg.WorkingSetBytes() / 4
 
 	run := func(objSize int) uint64 {
-		acc := tfmAccessor(t, objSize, heap, budget)
+		acc := backend(t, interp.TrackFM, objSize, heap, budget)
 		if _, err := Run(acc, cfg); err != nil {
 			t.Fatalf("run(%d): %v", objSize, err)
 		}

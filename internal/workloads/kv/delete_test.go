@@ -4,11 +4,10 @@ import (
 	"testing"
 
 	"trackfm/internal/sim"
-	"trackfm/internal/workloads"
 )
 
 func TestDeleteBasics(t *testing.T) {
-	acc := workloads.NewLocalAccessor(sim.NewEnv())
+	acc := localBackend(t)
 	st, _ := NewStore(acc, 100)
 	st.Set(1, 16, 25)
 	st.Set(2, 16, 25)
@@ -31,7 +30,7 @@ func TestDeleteBasics(t *testing.T) {
 }
 
 func TestDeleteRecyclesSlabItems(t *testing.T) {
-	acc := workloads.NewLocalAccessor(sim.NewEnv())
+	acc := localBackend(t)
 	st, _ := NewStore(acc, 100)
 	st.Set(1, 16, 10) // class 64
 	itemAddr := func(key uint64) uint64 {
@@ -39,8 +38,8 @@ func TestDeleteRecyclesSlabItems(t *testing.T) {
 		slot := h & (st.idxSlots - 1)
 		for {
 			addr := st.idxBase + slot*16
-			if st.acc.LoadU64(addr) == h {
-				return st.acc.LoadU64(addr + 8)
+			if st.be.Load(addr, true) == h {
+				return st.be.Load(addr+8, true)
 			}
 			slot = (slot + 1) & (st.idxSlots - 1)
 		}
@@ -56,7 +55,7 @@ func TestDeleteRecyclesSlabItems(t *testing.T) {
 func TestDeleteTombstoneProbing(t *testing.T) {
 	// Force a probe chain, delete the middle element, and verify keys
 	// beyond the tombstone remain reachable and reinsertions reuse it.
-	acc := workloads.NewLocalAccessor(sim.NewEnv())
+	acc := localBackend(t)
 	st, _ := NewStore(acc, 4) // 8 slots: collisions guaranteed
 	for key := uint64(1); key <= 6; key++ {
 		if err := st.Set(key, 16, 2); err != nil {
@@ -88,7 +87,7 @@ func TestDeleteTombstoneProbing(t *testing.T) {
 
 func TestDeleteChurnAgainstModel(t *testing.T) {
 	// Random set/get/delete churn, cross-checked against a Go map.
-	acc := workloads.NewLocalAccessor(sim.NewEnv())
+	acc := localBackend(t)
 	st, _ := NewStore(acc, 256)
 	model := map[uint64]int{}
 	rng := sim.NewRNG(31)

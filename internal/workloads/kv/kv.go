@@ -8,12 +8,17 @@
 // memcached 1.2.7 — including the paper's observation (§5 Lessons) that
 // slab batching *limits* TrackFM's ability to mitigate I/O amplification
 // compared to naive small allocations.
+//
+// Like hashmap it is a direct workload: it calls an interp.Backend itself,
+// as an already-transformed application would, because a slab allocator's
+// variable-size allocation pattern is the point of it. Heap addresses are
+// never 0 on any backend, so 0 can mean "no slab chunk yet".
 package kv
 
 import (
 	"fmt"
 
-	"trackfm/internal/workloads"
+	"trackfm/internal/interp"
 	"trackfm/internal/workloads/dist"
 )
 
@@ -24,9 +29,9 @@ var slabClasses = []int{64, 128, 256, 512, 1024, 2048}
 // slabChunkItems is how many items each slab chunk batches.
 const slabChunkItems = 64
 
-// Store is the KV store over an Accessor.
+// Store is the KV store over a Backend.
 type Store struct {
-	acc workloads.Accessor
+	be interp.Backend
 
 	// Hash index: open addressing, 16B slots (keyHash, itemAddr).
 	idxBase  uint64
@@ -48,7 +53,7 @@ type Store struct {
 const itemHeaderSize = 32
 
 // NewStore sizes the index for capacity items.
-func NewStore(acc workloads.Accessor, capacity int) (*Store, error) {
+func NewStore(be interp.Backend, capacity int) (*Store, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("kv: capacity must be positive")
 	}
@@ -57,8 +62,8 @@ func NewStore(acc workloads.Accessor, capacity int) (*Store, error) {
 		slots <<= 1
 	}
 	return &Store{
-		acc:      acc,
-		idxBase:  acc.Malloc(slots * 16),
+		be:       be,
+		idxBase:  be.Malloc(slots * 16),
 		idxSlots: slots,
 		slabBase: make([]uint64, len(slabClasses)),
 		slabNext: make([]int, len(slabClasses)),
@@ -88,7 +93,7 @@ func (s *Store) allocItem(n int) (uint64, error) {
 		return addr, nil
 	}
 	if s.slabBase[ci] == 0 || s.slabNext[ci] == slabChunkItems {
-		s.slabBase[ci] = s.acc.Malloc(uint64(slabClasses[ci]) * slabChunkItems)
+		s.slabBase[ci] = s.be.Malloc(uint64(slabClasses[ci]) * slabChunkItems)
 		s.slabNext[ci] = 0
 	}
 	addr := s.slabBase[ci] + uint64(s.slabNext[ci])*uint64(slabClasses[ci])
@@ -130,7 +135,7 @@ func (s *Store) Set(key uint64, keyLen, valLen int) error {
 	haveReuse := false
 	for {
 		addr := s.idxBase + slot*16
-		k := s.acc.LoadU64(addr)
+		k := s.be.Load(addr, true)
 		if k == tombstone {
 			if !haveReuse {
 				reuse, haveReuse = addr, true
@@ -147,16 +152,16 @@ func (s *Store) Set(key uint64, keyLen, valLen int) error {
 				return err
 			}
 			// Item header: hash, lengths.
-			s.acc.StoreU64(item, h)
-			s.acc.StoreU64(item+8, uint64(valLen)<<16|uint64(keyLen))
+			s.be.Store(item, h, true)
+			s.be.Store(item+8, uint64(valLen)<<16|uint64(keyLen), true)
 			// Value payload: deterministic bytes derived from the key.
 			payload := make([]byte, valLen)
 			for i := range payload {
 				payload[i] = byte(key + uint64(i))
 			}
-			s.acc.Store(item+itemHeaderSize+uint64(keyLen), payload)
-			s.acc.StoreU64(addr, h)
-			s.acc.StoreU64(addr+8, item)
+			s.be.StoreBytes(item+itemHeaderSize+uint64(keyLen), payload)
+			s.be.Store(addr, h, true)
+			s.be.Store(addr+8, item, true)
 			if k == 0 {
 				s.items++
 			}
@@ -173,20 +178,20 @@ func (s *Store) Get(key uint64, dst []byte) (int, bool) {
 	slot := h & (s.idxSlots - 1)
 	for {
 		addr := s.idxBase + slot*16
-		k := s.acc.LoadU64(addr)
+		k := s.be.Load(addr, true)
 		if k == 0 {
 			return 0, false
 		}
 		if k == h {
-			item := s.acc.LoadU64(addr + 8)
-			lens := s.acc.LoadU64(item + 8)
+			item := s.be.Load(addr+8, true)
+			lens := s.be.Load(item+8, true)
 			keyLen := int(lens & 0xFFFF)
 			valLen := int(lens >> 16)
 			n := valLen
 			if n > len(dst) {
 				n = len(dst)
 			}
-			s.acc.Load(item+itemHeaderSize+uint64(keyLen), dst[:n])
+			s.be.LoadBytes(item+itemHeaderSize+uint64(keyLen), dst[:n])
 			return valLen, true
 		}
 		slot = (slot + 1) & (s.idxSlots - 1)
@@ -200,17 +205,17 @@ func (s *Store) Delete(key uint64) bool {
 	slot := h & (s.idxSlots - 1)
 	for {
 		addr := s.idxBase + slot*16
-		k := s.acc.LoadU64(addr)
+		k := s.be.Load(addr, true)
 		if k == 0 {
 			return false
 		}
 		if k == h {
-			item := s.acc.LoadU64(addr + 8)
-			lens := s.acc.LoadU64(item + 8)
+			item := s.be.Load(addr+8, true)
+			lens := s.be.Load(item+8, true)
 			keyLen := int(lens & 0xFFFF)
 			valLen := int(lens >> 16)
 			s.freeItem(item, itemHeaderSize+keyLen+valLen)
-			s.acc.StoreU64(addr, tombstone)
+			s.be.Store(addr, tombstone, true)
 			s.items--
 			return true
 		}
@@ -241,16 +246,16 @@ type Result struct {
 }
 
 // Run populates the store with USR-sized items and executes the Zipfian
-// get workload, resetting the accessor's clock and counters after the
+// get workload, resetting the backend's clock and counters after the
 // populate phase so measurements cover only gets.
-func Run(acc workloads.Accessor, cfg Config) (*Result, error) {
+func Run(be interp.Backend, cfg Config) (*Result, error) {
 	if cfg.Keys <= 0 || cfg.Gets <= 0 {
 		return nil, fmt.Errorf("kv: Keys and Gets must be positive")
 	}
 	if cfg.Skew <= 0 {
 		cfg.Skew = 1.02
 	}
-	st, err := NewStore(acc, cfg.Keys)
+	st, err := NewStore(be, cfg.Keys)
 	if err != nil {
 		return nil, err
 	}
@@ -267,8 +272,8 @@ func Run(acc workloads.Accessor, cfg Config) (*Result, error) {
 
 	// The populate phase is untimed; its residual locality carries over,
 	// as in the paper's methodology.
-	acc.Env().Clock.Reset()
-	acc.Env().Counters.Reset()
+	be.Env().Clock.Reset()
+	be.Env().Counters.Reset()
 
 	res := &Result{}
 	buf := make([]byte, 1024)

@@ -3,34 +3,23 @@ package kv
 import (
 	"testing"
 
-	"trackfm/internal/core"
-	"trackfm/internal/fastswap"
+	"trackfm/internal/interp"
 	"trackfm/internal/sim"
-	"trackfm/internal/workloads"
 )
 
-func tfmAccessor(t *testing.T, objSize int, heap, budget uint64) *workloads.TrackFMAccessor {
+func backend(t *testing.T, sys interp.System, objSize int, heap, local uint64) interp.Backend {
 	t.Helper()
-	rt, err := core.NewRuntime(core.Config{
-		Env: sim.NewEnv(), ObjectSize: objSize, HeapSize: heap, LocalBudget: budget,
-	})
+	be, err := interp.NewBackend(sys, sim.NewEnv(), objSize, heap, local)
 	if err != nil {
-		t.Fatalf("NewRuntime: %v", err)
+		t.Fatalf("NewBackend(%v): %v", sys, err)
 	}
-	return &workloads.TrackFMAccessor{RT: rt}
+	return be
 }
 
-func fsAccessor(t *testing.T, heap, budget uint64) *workloads.FastswapAccessor {
-	t.Helper()
-	sw, err := fastswap.New(fastswap.Config{Env: sim.NewEnv(), HeapSize: heap, LocalBudget: budget})
-	if err != nil {
-		t.Fatalf("fastswap.New: %v", err)
-	}
-	return &workloads.FastswapAccessor{Swap: sw}
-}
+func localBackend(t *testing.T) interp.Backend { return backend(t, interp.Local, 0, 0, 0) }
 
 func TestStoreSetGet(t *testing.T) {
-	acc := workloads.NewLocalAccessor(sim.NewEnv())
+	acc := localBackend(t)
 	st, err := NewStore(acc, 100)
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
@@ -58,7 +47,7 @@ func TestStoreSetGet(t *testing.T) {
 }
 
 func TestStoreOverwrite(t *testing.T) {
-	acc := workloads.NewLocalAccessor(sim.NewEnv())
+	acc := localBackend(t)
 	st, _ := NewStore(acc, 10)
 	st.Set(1, 16, 2)
 	st.Set(1, 16, 100)
@@ -73,7 +62,7 @@ func TestStoreOverwrite(t *testing.T) {
 }
 
 func TestStoreOversizedItemRejected(t *testing.T) {
-	acc := workloads.NewLocalAccessor(sim.NewEnv())
+	acc := localBackend(t)
 	st, _ := NewStore(acc, 10)
 	if err := st.Set(1, 16, 4000); err == nil {
 		t.Fatalf("item above largest slab class accepted")
@@ -83,7 +72,7 @@ func TestStoreOversizedItemRejected(t *testing.T) {
 func TestSlabBatching(t *testing.T) {
 	// Two same-class items must land in the same slab chunk,
 	// consecutively spaced by the class size.
-	acc := workloads.NewLocalAccessor(sim.NewEnv())
+	acc := localBackend(t)
 	st, _ := NewStore(acc, 10)
 	a, err := st.allocItem(40) // class 64
 	if err != nil {
@@ -101,21 +90,21 @@ func TestSlabBatching(t *testing.T) {
 
 func TestRunAgreesAcrossBackends(t *testing.T) {
 	cfg := Config{Keys: 400, Gets: 2000, Skew: 1.05, Seed: 9}
-	local, err := Run(workloads.NewLocalAccessor(sim.NewEnv()), cfg)
+	local, err := Run(localBackend(t), cfg)
 	if err != nil {
 		t.Fatalf("local: %v", err)
 	}
 	if local.Misses != 0 {
 		t.Fatalf("local misses = %d", local.Misses)
 	}
-	tfm, err := Run(tfmAccessor(t, 64, 1<<22, 1<<15), cfg)
+	tfm, err := Run(backend(t, interp.TrackFM, 64, 1<<22, 1<<15), cfg)
 	if err != nil {
 		t.Fatalf("trackfm: %v", err)
 	}
 	if tfm.CheckSum != local.CheckSum {
 		t.Fatalf("trackfm checksum %d != local %d", tfm.CheckSum, local.CheckSum)
 	}
-	fs, err := Run(fsAccessor(t, 1<<22, 1<<16), cfg)
+	fs, err := Run(backend(t, interp.Fastswap, 0, 1<<22, 1<<16), cfg)
 	if err != nil {
 		t.Fatalf("fastswap: %v", err)
 	}
@@ -133,11 +122,11 @@ func TestTrackFMTransfersLessThanFastswap(t *testing.T) {
 	heap := uint64(1 << 26)
 	budget := ws / 12 // heavy pressure
 
-	tfm := tfmAccessor(t, 64, heap, budget)
+	tfm := backend(t, interp.TrackFM, 64, heap, budget)
 	if _, err := Run(tfm, cfg); err != nil {
 		t.Fatalf("trackfm: %v", err)
 	}
-	fs := fsAccessor(t, heap, budget)
+	fs := backend(t, interp.Fastswap, 0, heap, budget)
 	if _, err := Run(fs, cfg); err != nil {
 		t.Fatalf("fastswap: %v", err)
 	}
@@ -156,7 +145,7 @@ func TestHigherSkewHelpsFastswap(t *testing.T) {
 	// faults and Fastswap closes the gap (throughput rises).
 	run := func(skew float64) uint64 {
 		cfg := Config{Keys: 3000, Gets: 6000, Skew: skew, Seed: 5}
-		fs := fsAccessor(t, 1<<26, 1<<18)
+		fs := backend(t, interp.Fastswap, 0, 1<<26, 1<<18)
 		if _, err := Run(fs, cfg); err != nil {
 			t.Fatalf("fastswap: %v", err)
 		}
@@ -179,7 +168,7 @@ func TestEstimatedItemBytes(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	acc := workloads.NewLocalAccessor(sim.NewEnv())
+	acc := localBackend(t)
 	if _, err := Run(acc, Config{Keys: 0, Gets: 10}); err == nil {
 		t.Fatalf("zero keys accepted")
 	}
