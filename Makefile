@@ -37,14 +37,16 @@ smoke_test:
 # plus the census: every exported func and type under internal/ is named by
 # non-test code other than itself, and every exported field of a *Config,
 # *Options or *Policy struct is set by non-test code outside its own
-# defaults — or allowlisted with its reason —
+# defaults — or allowlisted with its reason — and no type switch outside
+# an allowlist names two or more ir statement kinds (ir.Parts states a
+# statement's shape once) —
 # plus the doc test: every backticked pkg.Name in README.md, DESIGN.md and
 # EXPERIMENTS.md resolves to a declaration in that package.
 vet:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	$(GO) vet ./...
 	$(GO) test -run TestMetricNamesLint ./internal/obs
-	$(GO) test -run 'TestConstructorCensus|TestFieldCensus|TestDocNamesResolve' .
+	$(GO) test -run 'TestConstructorCensus|TestFieldCensus|TestStmtSwitchCensus|TestDocNamesResolve' .
 	! $(GO) build -gcflags=-m ./internal/core ./internal/fastswap ./internal/interp ./farmem 2>&1 | grep 'moved to heap: buf'
 	! grep -nE 'TryFetchUntil|TryPushUntil|StartFetch|fabric\.Ticket|TryFetchAfterPushes|TryPushAll|fabric\.Push|\.Connect\(' \
 		$$(ls internal/aifm/*.go internal/fastswap/*.go internal/core/*.go farmem/*.go | grep -v _test.go)

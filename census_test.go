@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"sort"
@@ -168,5 +169,81 @@ func TestConstructorCensus(t *testing.T) {
 	}
 	if len(censusAllow) > 12 {
 		t.Errorf("census allowlist has %d entries; the cap is 12", len(censusAllow))
+	}
+}
+
+// stmtSwitchAllow lists the functions whose type switches may name two or
+// more ir statement kinds, each with what its switch gives every kind. A
+// switch anywhere else re-derives a statement's shape, which ir.Parts
+// states once.
+var stmtSwitchAllow = map[string]string{
+	"ir.Parts":                   "the shape itself: each kind's operands, nested bodies and assigned variable",
+	"ir.printStmts":              "the printer: each kind's own syntax",
+	"interp.lowerer.stmt":        "the interpreter: each kind's own lowered form",
+	"compiler.validateStmt":      "validation: the checks particular to each kind",
+	"compiler.analyzeProvenance": "provenance: what each kind's assignment may hold",
+	"compiler.o1Rewriter.block":  "O1: the kinds that may change memory and so clear every available load",
+}
+
+// TestStmtSwitchCensus keeps a statement's shape stated once: no non-test
+// type switch names two or more ir statement kinds (pointers to types that
+// implement ir.Stmt) outside the functions stmtSwitchAllow lists. A walk
+// that needs a statement's operands, bodies or assigned variable takes
+// them from ir.Parts. Resolved with go/types; make vet runs it.
+func TestStmtSwitchCensus(t *testing.T) {
+	tr := loadTree(t)
+	stmt := tr.pkgs["internal/ir"].Scope().Lookup("Stmt").Type().Underlying().(*types.Interface)
+	found := map[string]bool{}
+	for dir, files := range tr.files {
+		for _, f := range files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				owner := tr.pkgs[dir].Name() + "."
+				if fd.Recv != nil {
+					rt := fd.Recv.List[0].Type
+					if star, ok := rt.(*ast.StarExpr); ok {
+						rt = star.X
+					}
+					if id, ok := rt.(*ast.Ident); ok {
+						owner += id.Name + "."
+					}
+				}
+				owner += fd.Name.Name
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					sw, ok := n.(*ast.TypeSwitchStmt)
+					if !ok {
+						return true
+					}
+					kinds := map[string]bool{}
+					for _, c := range sw.Body.List {
+						for _, e := range c.(*ast.CaseClause).List {
+							if p, ok := tr.info.Types[e].Type.(*types.Pointer); ok && types.Implements(p, stmt) {
+								kinds[p.String()] = true
+							}
+						}
+					}
+					if len(kinds) < 2 {
+						return true
+					}
+					found[owner] = true
+					if _, ok := stmtSwitchAllow[owner]; !ok {
+						t.Errorf("%s: a type switch in %s names %d ir statement kinds: take the statement's shape from ir.Parts, or allowlist %s with its reason",
+							tr.fset.Position(sw.Pos()), owner, len(kinds), owner)
+					}
+					return true
+				})
+			}
+		}
+	}
+	for owner := range stmtSwitchAllow {
+		if !found[owner] {
+			t.Errorf("stmtSwitchAllow names %s, which has no statement-kind switch: drop the entry", owner)
+		}
+	}
+	if len(stmtSwitchAllow) > 6 {
+		t.Errorf("stmtSwitchAllow has %d entries; the cap is 6", len(stmtSwitchAllow))
 	}
 }

@@ -138,8 +138,8 @@ func TestHeapMetricsCoverWhatTheHeapBuilt(t *testing.T) {
 
 // TestPoolPrefetchDepthReachesRange: there is one prefetch depth, the
 // pool's, and a chunked stream reads it at every crossing — so the
-// anti-thrash governor's SetPrefetchDepth(0) quiets a Range, and restoring
-// the depth restores its prefetches.
+// anti-thrash governor's Throttle(true), which reads the depth as 0,
+// quiets a Range, and lifting the throttle restores its prefetches.
 func TestPoolPrefetchDepthReachesRange(t *testing.T) {
 	h, s := scanHeap(t, 4096, false)
 	issued := func() uint64 {
@@ -151,12 +151,12 @@ func TestPoolPrefetchDepthReachesRange(t *testing.T) {
 	if got := issued(); got == 0 {
 		t.Fatalf("a Range over a far slice issued no prefetch; the test exercises nothing")
 	}
-	h.rt.Pool().SetPrefetchDepth(0)
+	h.rt.Pool().Throttle(true)
 	if got := issued(); got != 0 {
-		t.Errorf("Range issued %d prefetches with the pool's depth at 0", got)
+		t.Errorf("Range issued %d prefetches on a throttled pool", got)
 	}
-	h.rt.Pool().SetPrefetchDepth(8)
+	h.rt.Pool().Throttle(false)
 	if got := issued(); got == 0 {
-		t.Errorf("Range issued no prefetch after the pool's depth went back to 8")
+		t.Errorf("Range issued no prefetch after the throttle lifted")
 	}
 }

@@ -67,7 +67,7 @@ type Config struct {
 	// prefetched-but-unconsumed residents, so a fetch already paid for
 	// is not thrown away before its use arrives. Sensible with ample
 	// memory; under pressure it ranks speculation above the working set
-	// (the inversion the anti-thrash governor's pressure mode exists to
+	// (the inversion the anti-thrash governor's throttle exists to
 	// break), so it is off by default.
 	ProtectPrefetch bool
 	// CompressedBudget enables the compressed-RAM middle tier: evictions
@@ -157,26 +157,24 @@ type Pool struct {
 
 	hand atomic.Uint64 // clock hand over slots
 
-	// Stride-prefetch state. prefetchDepth is atomic so the anti-thrash
-	// governor can pause (0) or depth-limit the prefetcher at runtime.
+	// Stride-prefetch state.
 	autoPrefetch  bool
-	prefetchDepth atomic.Int64
+	prefetchDepth int
 	strideMu      sync.Mutex
 	lastMiss      ObjectID
 	missStreak    int
 
-	// Memory-pressure state: governor-controlled knobs and the windowed
-	// re-fault (thrash) detector. thrashEWMA and prefetchHW hold float64
+	// Memory-pressure state: the governor's throttle (see Throttle) and
+	// the windowed re-fault (thrash) detector. thrashEWMA holds float64
 	// bits; thrashMu guards only the window accumulators and is taken on
 	// the remote-fetch slow path, never on a hit.
-	pressureEvict atomic.Bool
-	protectPF     bool
-	prefetchHW    atomic.Uint64
-	thrashWindow  uint64
-	thrashMu      sync.Mutex
-	twFetches     uint64
-	twRefaults    uint64
-	thrashEWMA    atomic.Uint64
+	throttled    atomic.Bool
+	protectPF    bool
+	thrashWindow uint64
+	thrashMu     sync.Mutex
+	twFetches    uint64
+	twRefaults   uint64
+	thrashEWMA   atomic.Uint64
 
 	// Prefetches in flight, oldest first; at most pendingWindow. pendMu is
 	// a leaf lock and is never held across a wait for bytes.
@@ -216,6 +214,10 @@ const (
 	// maximum demand localizations one stripe can have simultaneously
 	// borrowing before a freed slot repays the floor.
 	reservePerStripe = 2
+
+	// throttleHighWater is the prefetch-admission gate while throttled:
+	// above this occupancy fraction a prefetch is skipped.
+	throttleHighWater = 0.75
 )
 
 // NewPool validates cfg and builds a pool.
@@ -307,8 +309,7 @@ func NewPool(cfg Config) (*Pool, error) {
 		pending:      make([]pendingPrefetch, 0, pendingWindow),
 	}
 	p.targetSlots.Store(int64(nSlots))
-	p.prefetchDepth.Store(int64(depth))
-	p.prefetchHW.Store(math.Float64bits(1)) // admission gate off until SetPrefetchHighWater
+	p.prefetchDepth = depth
 	for i := range p.stripes {
 		p.stripes[i].pins = make(map[ObjectID]uint32)
 		p.stripes[i].inflight = make(map[ObjectID]struct{})
@@ -463,41 +464,25 @@ func (p *Pool) ThrashRatio() float64 {
 	return math.Float64frombits(p.thrashEWMA.Load())
 }
 
-// PrefetchDepth reports the current stride-prefetch depth.
-func (p *Pool) PrefetchDepth() int { return int(p.prefetchDepth.Load()) }
-
-// SetPrefetchDepth adjusts the stride-prefetch depth at runtime; 0 pauses
-// the stride prefetcher. The anti-thrash governor uses it to quiet
-// speculation while the pool thrashes.
-func (p *Pool) SetPrefetchDepth(d int) {
-	if d < 0 {
-		d = 0
+// PrefetchDepth reports the stride-prefetch depth: the configured one, or
+// 0 while the pool is throttled.
+func (p *Pool) PrefetchDepth() int {
+	if p.throttled.Load() {
+		return 0
 	}
-	p.prefetchDepth.Store(int64(d))
+	return p.prefetchDepth
 }
 
-// PressureEvict reports whether pressure-mode eviction is on.
-func (p *Pool) PressureEvict() bool { return p.pressureEvict.Load() }
+// Throttle switches the pool into (or out of) its answer to memory
+// pressure, the anti-thrash governor's one lever on it. While throttled,
+// stride prefetch pauses (PrefetchDepth reads 0), a prefetch above
+// throttleHighWater occupancy is skipped rather than allowed to evict,
+// and eviction reclaims prefetched-but-unused residents first, so
+// speculation already in memory goes before anything demand-loaded.
+func (p *Pool) Throttle(on bool) { p.throttled.Store(on) }
 
-// SetPressureEvict switches eviction into (or out of) pressure mode:
-// prefetched-but-unused residents are evicted first, so speculation
-// already in memory is reclaimed before anything demand-loaded.
-func (p *Pool) SetPressureEvict(on bool) { p.pressureEvict.Store(on) }
-
-// PrefetchHighWater reports the prefetch-admission occupancy gate (1 =
-// disabled).
-func (p *Pool) PrefetchHighWater() float64 {
-	return math.Float64frombits(p.prefetchHW.Load())
-}
-
-// SetPrefetchHighWater adjusts the prefetch-admission gate at runtime;
-// values <= 0 or >= 1 disable it.
-func (p *Pool) SetPrefetchHighWater(hw float64) {
-	if hw <= 0 || hw >= 1 {
-		hw = 1
-	}
-	p.prefetchHW.Store(math.Float64bits(hw))
-}
+// Throttled reports whether the pool is throttled.
+func (p *Pool) Throttled() bool { return p.throttled.Load() }
 
 // Localize ensures object id is resident in local memory and returns the
 // arena offset of its first byte. forWrite marks the object dirty. The
@@ -733,9 +718,9 @@ func (p *Pool) Prefetch(id ObjectID) {
 	// Admission gate: above the high-water mark a prefetch would have to
 	// evict to make room, and under pressure speculation must not displace
 	// residents — skip, don't evict.
-	if hw := math.Float64frombits(p.prefetchHW.Load()); hw < 1 {
+	if p.throttled.Load() {
 		if target := p.targetSlots.Load(); target > 0 &&
-			1-float64(p.freeCount())/float64(target) > hw {
+			1-float64(p.freeCount())/float64(target) > throttleHighWater {
 			sim.Inc(&p.env.Counters.PrefetchSkippedPressure)
 			return
 		}
@@ -855,7 +840,7 @@ func (p *Pool) maybeStridePrefetch(id ObjectID) {
 	p.lastMiss = id
 	issue := p.missStreak >= 2
 	p.strideMu.Unlock()
-	depth := int(p.prefetchDepth.Load())
+	depth := p.PrefetchDepth()
 	if issue && depth > 0 {
 		for k := 1; k <= depth; k++ {
 			p.Prefetch(id + ObjectID(k))
@@ -1005,7 +990,7 @@ func (p *Pool) tryTakeSlotGentle() (uint32, bool) {
 }
 
 // tryTakeSlot returns a free slot if one exists or can be made by evicting
-// an unpinned object. Pass 0 runs only in pressure mode and reclaims
+// an unpinned object. Pass 0 runs only while throttled and reclaims
 // prefetched-but-unused residents — the cheapest slots to take back while
 // the pool is thrashing, since evicting them can never cost a demand
 // re-fault. Pass 1 is the clock with second chance: hot objects get their
@@ -1021,7 +1006,7 @@ func (p *Pool) tryTakeSlot() (uint32, bool) {
 		return slot, true
 	}
 	pass := 1
-	if p.pressureEvict.Load() {
+	if p.throttled.Load() {
 		pass = 0
 	}
 	for ; pass <= 2; pass++ {

@@ -106,16 +106,18 @@ func TestResizeShrinkConvergesLazilyPastPins(t *testing.T) {
 }
 
 func TestPrefetchSkipsAboveHighWater(t *testing.T) {
-	p, env, _ := newTestPool(t, 64, 1<<16, 4*64)
-	p.SetPrefetchHighWater(0.5)
+	// 8 slots, so occupancy can sit on either side of the throttled
+	// pool's 0.75 admission gate.
+	p, env, _ := newTestPool(t, 64, 1<<16, 8*64)
 	// Seed remote copies so prefetch has real fetches to do.
-	for id := ObjectID(0); id < 8; id++ {
+	for id := ObjectID(0); id < 16; id++ {
 		p.Localize(id, true)
 		p.Write(id, 0, []byte{1})
 	}
 	p.EvacuateAll()
+	p.Throttle(true)
 
-	// Below the mark (1 of 4 slots used) prefetch is admitted.
+	// Below the mark (1 of 8 slots used) prefetch is admitted.
 	p.Localize(0, false)
 	p.Prefetch(1)
 	if !p.Meta(1).Present() {
@@ -125,11 +127,13 @@ func TestPrefetchSkipsAboveHighWater(t *testing.T) {
 		t.Fatalf("admitted prefetch counted as skipped: %d", n)
 	}
 
-	// Above the mark (3 of 4 slots used) prefetch must skip — not evict.
-	p.Localize(2, false)
+	// Above the mark (7 of 8 slots used) prefetch must skip — not evict.
+	for id := ObjectID(2); id < 7; id++ {
+		p.Localize(id, false)
+	}
 	evBefore := sim.Load(&env.Counters.Evacuations)
-	p.Prefetch(3)
-	if p.Meta(3).Present() {
+	p.Prefetch(7)
+	if p.Meta(7).Present() {
 		t.Fatalf("prefetch above the high-water mark installed an object")
 	}
 	if n := sim.Load(&env.Counters.PrefetchSkippedPressure); n != 1 {
@@ -139,11 +143,12 @@ func TestPrefetchSkipsAboveHighWater(t *testing.T) {
 		t.Fatalf("pressured prefetch evicted a resident")
 	}
 
-	// The gate is a runtime knob: disabling it admits the same prefetch.
-	p.SetPrefetchHighWater(1)
-	p.Prefetch(3)
-	if !p.Meta(3).Present() {
-		t.Fatalf("prefetch with the gate disabled not admitted")
+	// The gate holds only while throttled: lifted, the same prefetch is
+	// admitted.
+	p.Throttle(false)
+	p.Prefetch(7)
+	if !p.Meta(7).Present() {
+		t.Fatalf("prefetch on an unthrottled pool not admitted")
 	}
 }
 

@@ -5,10 +5,10 @@
 // between two states:
 //
 //	Normal    — full prefetch depth, normal eviction.
-//	Throttled — stride prefetch paused, prefetch admission gated at a
-//	            tight high-water mark, eviction in pressure mode
-//	            (prefetched-but-unused residents reclaimed first), the
-//	            compressed tier halved.
+//	Throttled — the pool throttled (aifm.Pool.Throttle: stride prefetch
+//	            paused, prefetch admission gated at a tight high-water
+//	            mark, prefetched-but-unused residents evicted first),
+//	            the compressed tier halved.
 //
 // Escalation is immediate (one hot reading steps up); recovery is
 // hysteretic (govHold consecutive calm readings step down), so the
@@ -42,9 +42,6 @@ const (
 	govLow  = govHigh / 3
 	// govHold is how many consecutive calm readings precede recovery.
 	govHold = 3
-	// govThrottleHighWater is the prefetch-admission gate imposed while
-	// throttled; the pool's own configured gate is restored on recovery.
-	govThrottleHighWater = 0.75
 )
 
 func (s GovernorState) String() string {
@@ -85,8 +82,6 @@ type Governor struct {
 	mu          sync.Mutex // serializes decisions and knob flips
 	lastTick    uint64
 	calm        int
-	savedDepth  int
-	savedHW     float64
 	savedTier   uint64
 	transitions atomic.Uint64
 	throttles   atomic.Uint64
@@ -148,19 +143,14 @@ func (g *Governor) Tick() {
 	}
 }
 
-// enterThrottled quiets speculation and tightens eviction: stride
-// prefetch pauses, prefetch admission gates at govThrottleHighWater,
-// eviction switches to pressure mode, and the compressed tier — the
-// most expendable consumer of local bytes — is halved before anything
-// else gives ground. The pool's own settings are saved for recovery.
-// Caller holds g.mu.
+// enterThrottled throttles the pool (see aifm.Pool.Throttle: stride
+// prefetch pauses, prefetch admission gates, eviction reclaims
+// speculation first) and halves the compressed tier — the most
+// expendable consumer of local bytes — before anything else gives
+// ground. Its budget is saved for recovery. Caller holds g.mu.
 func (g *Governor) enterThrottled() {
 	p := g.cfg.Pool
-	g.savedDepth = p.PrefetchDepth()
-	g.savedHW = p.PrefetchHighWater()
-	p.SetPrefetchDepth(0)
-	p.SetPrefetchHighWater(govThrottleHighWater)
-	p.SetPressureEvict(true)
+	p.Throttle(true)
 	if tier := p.Far().Tier(); tier != nil {
 		g.savedTier = tier.Budget()
 		tier.Resize(g.savedTier / 2)
@@ -170,13 +160,11 @@ func (g *Governor) enterThrottled() {
 	g.throttles.Add(1)
 }
 
-// exitThrottled restores the saved prefetch depth, admission gate, and
-// compressed-tier budget, and leaves pressure mode. Caller holds g.mu.
+// exitThrottled lifts the pool's throttle and restores the compressed
+// tier's budget. Caller holds g.mu.
 func (g *Governor) exitThrottled() {
 	p := g.cfg.Pool
-	p.SetPrefetchDepth(g.savedDepth)
-	p.SetPrefetchHighWater(g.savedHW)
-	p.SetPressureEvict(false)
+	p.Throttle(false)
 	if tier := p.Far().Tier(); tier != nil && g.savedTier > 0 {
 		tier.Resize(g.savedTier)
 	}

@@ -70,14 +70,11 @@ func TestGovernorThrottleAndRecover(t *testing.T) {
 	if g.State() != GovThrottled {
 		t.Fatalf("hot reading did not throttle: %v", g.State())
 	}
+	if !p.Throttled() {
+		t.Fatalf("governor throttled but the pool is not")
+	}
 	if d := p.PrefetchDepth(); d != 0 {
 		t.Fatalf("throttled prefetch depth = %d, want 0", d)
-	}
-	if !p.PressureEvict() {
-		t.Fatalf("throttled pool not in pressure-evict mode")
-	}
-	if hw := p.PrefetchHighWater(); hw != 0.75 {
-		t.Fatalf("throttled high water = %v, want 0.75", hw)
 	}
 
 	// Recovery is hysteretic: govHold consecutive calm readings required.
@@ -100,14 +97,11 @@ func TestGovernorThrottleAndRecover(t *testing.T) {
 	if g.State() != GovNormal {
 		t.Fatalf("did not recover after govHold calm readings: %v", g.State())
 	}
+	if p.Throttled() {
+		t.Fatalf("governor recovered but the pool is still throttled")
+	}
 	if d := p.PrefetchDepth(); d != baseDepth {
 		t.Fatalf("recovered prefetch depth = %d, want %d", d, baseDepth)
-	}
-	if p.PressureEvict() {
-		t.Fatalf("recovered pool still in pressure-evict mode")
-	}
-	if hw := p.PrefetchHighWater(); hw != 1 {
-		t.Fatalf("recovered high water = %v, want 1 (disabled)", hw)
 	}
 	if g.Transitions() != 2 {
 		t.Fatalf("transitions = %d, want 2", g.Transitions())

@@ -154,56 +154,45 @@ func chunkingPass(f *ir.Func, mode ChunkMode, objectSize int, prefetch bool,
 		}
 	}
 
-	var walk func(body []ir.Stmt)
-	visitExpr := func(e ir.Expr) {
-		ir.VisitExprs(e, func(x ir.Expr) {
-			if ld, ok := x.(*ir.Load); ok && ld.Guarded && ld.Chunk == nil {
-				tryChunk(ld.Addr, func(ci *ir.ChunkInfo) { ld.Chunk = ci })
-			}
-		})
-	}
-	walk = func(body []ir.Stmt) {
-		for _, s := range body {
-			switch n := s.(type) {
-			case *ir.Assign:
-				visitExpr(n.E)
-			case *ir.Store:
-				visitExpr(n.Val)
-				// Chunk the store itself before descending into its
-				// address (whose nested loads may also chunk).
-				if n.Guarded && n.Chunk == nil {
-					tryChunk(n.Addr, func(ci *ir.ChunkInfo) { n.Chunk = ci })
-				}
-				visitExpr(n.Addr)
-			case *ir.If:
-				visitExpr(n.Cond)
-				walk(n.Then)
-				walk(n.Else)
-			case *ir.For:
-				stats.LoopsSeen++
-				visitExpr(n.Start)
-				visitExpr(n.Limit)
-				mutated, nested := loopVars(n)
-				stack = append(stack, loopCtx{loop: n, mutated: mutated, nestedIVs: nested})
-				walk(n.Body)
-				stack = stack[:len(stack)-1]
-			case *ir.Malloc:
-				visitExpr(n.Size)
-			case *ir.Free:
-				visitExpr(n.Ptr)
-			case *ir.LocalAlloc:
-				visitExpr(n.Size)
-			case *ir.Call:
-				for _, a := range n.Args {
-					visitExpr(a)
-				}
-			case *ir.Return:
-				if n.E != nil {
-					visitExpr(n.E)
-				}
-			}
+	// The walk visits every operand in evaluation order; cur is the
+	// statement whose parts are being visited (nil at the function's body).
+	var cur ir.Stmt
+	visitLoad := func(x ir.Expr) {
+		if ld, ok := x.(*ir.Load); ok && ld.Guarded && ld.Chunk == nil {
+			tryChunk(ld.Addr, func(ci *ir.ChunkInfo) { ld.Chunk = ci })
 		}
 	}
-	walk(f.Body)
+	expr := func(e *ir.Expr) {
+		// Chunk a store itself after its value and before descending into
+		// its address (whose nested loads may also chunk).
+		if st, ok := cur.(*ir.Store); ok && e == &st.Addr && st.Guarded && st.Chunk == nil {
+			tryChunk(st.Addr, func(ci *ir.ChunkInfo) { st.Chunk = ci })
+		}
+		ir.VisitExprs(*e, visitLoad)
+	}
+	enter := func(l *ir.For) {
+		stats.LoopsSeen++
+		mutated, nestedIVs := loopVars(l)
+		stack = append(stack, loopCtx{loop: l, mutated: mutated, nestedIVs: nestedIVs})
+	}
+	// walk visits a body of cur's; a loop's body is walked with the loop's
+	// context pushed.
+	var walk func(*[]ir.Stmt)
+	walk = func(body *[]ir.Stmt) {
+		outer := cur
+		l, isLoop := outer.(*ir.For)
+		if isLoop {
+			enter(l)
+		}
+		for _, s := range *body {
+			cur = s
+			ir.Parts(s, expr, walk)
+		}
+		if isLoop {
+			stack = stack[:len(stack)-1]
+		}
+		cur = outer
+	}
+	walk(&f.Body)
 	return stats
 }

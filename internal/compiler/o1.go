@@ -42,76 +42,31 @@ func (r *o1Rewriter) newTemp() string {
 	return fmt.Sprintf(".t%d", r.temps)
 }
 
-// block processes one statement list with a fresh availability map.
+// block processes one statement list with a fresh availability map: it
+// rewrites each statement's operands, hoisting loads into temps emitted
+// ahead of it, and its nested bodies, each a block of its own.
 func (r *o1Rewriter) block(body []ir.Stmt) []ir.Stmt {
 	avail := availMap{}
 	var out []ir.Stmt
 	emit := func(s ir.Stmt) { out = append(out, s) }
-
-	invalidateVar := func(name string) {
-		for k := range avail {
-			if keyMentionsVar(k, name) {
-				delete(avail, k)
-			}
-		}
-	}
-	clobberMemory := func() {
-		for k := range avail {
-			delete(avail, k)
-		}
-	}
+	expr := func(e *ir.Expr) { *e = r.rewriteExpr(*e, avail, emit) }
+	nested := func(b *[]ir.Stmt) { *b = r.block(*b) }
 
 	for _, s := range body {
-		switch n := s.(type) {
-		case *ir.Assign:
-			n.E = r.rewriteExpr(n.E, avail, emit)
-			emit(n)
-			invalidateVar(n.Name)
-		case *ir.Store:
-			n.Val = r.rewriteExpr(n.Val, avail, emit)
-			n.Addr = r.rewriteExpr(n.Addr, avail, emit)
-			emit(n)
-			clobberMemory()
-		case *ir.If:
-			n.Cond = r.rewriteExpr(n.Cond, avail, emit)
-			n.Then = r.block(n.Then)
-			n.Else = r.block(n.Else)
-			emit(n)
-			clobberMemory() // branches may have stored
-		case *ir.For:
-			n.Start = r.rewriteExpr(n.Start, avail, emit)
-			n.Limit = r.rewriteExpr(n.Limit, avail, emit)
-			n.Body = r.block(n.Body)
-			emit(n)
-			clobberMemory()
-		case *ir.Malloc:
-			n.Size = r.rewriteExpr(n.Size, avail, emit)
-			emit(n)
-			invalidateVar(n.Dst)
-		case *ir.Free:
-			n.Ptr = r.rewriteExpr(n.Ptr, avail, emit)
-			emit(n)
-			clobberMemory()
-		case *ir.LocalAlloc:
-			n.Size = r.rewriteExpr(n.Size, avail, emit)
-			emit(n)
-			invalidateVar(n.Dst)
-		case *ir.Call:
-			for i := range n.Args {
-				n.Args[i] = r.rewriteExpr(n.Args[i], avail, emit)
+		def := ir.Parts(s, expr, nested)
+		emit(s)
+		switch s.(type) {
+		case *ir.Store, *ir.Free, *ir.If, *ir.For, *ir.Call:
+			// Memory may have changed: a store, a free, a branch or loop
+			// body that may have stored, a callee that may store anywhere.
+			clear(avail)
+		}
+		if def != "" {
+			for k := range avail {
+				if keyMentionsVar(k, def) {
+					delete(avail, k)
+				}
 			}
-			emit(n)
-			clobberMemory() // callee may store anywhere
-			if n.Dst != "" {
-				invalidateVar(n.Dst)
-			}
-		case *ir.Return:
-			if n.E != nil {
-				n.E = r.rewriteExpr(n.E, avail, emit)
-			}
-			emit(n)
-		default:
-			emit(s)
 		}
 	}
 	return out

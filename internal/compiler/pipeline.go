@@ -96,14 +96,17 @@ func Compile(prog *ir.Program, opts Options) (*Stats, error) {
 	}
 
 	// O1 pre-optimization (optional, §4.5): fewer loads survive to the
-	// guard pass, so fewer guards are injected.
+	// guard pass, so fewer guards are injected. Without it the bodies, and
+	// so their count, are unchanged.
+	stats.MemAccessesAfter = stats.MemAccessesBefore
 	if opts.O1 {
+		stats.MemAccessesAfter = 0
 		for _, f := range prog.Funcs {
 			stats.LoadsEliminated += o1Eliminate(f)
+			stats.MemAccessesAfter += ir.CountMemAccesses(f.Body)
 		}
 	}
 	for _, f := range prog.Funcs {
-		stats.MemAccessesAfter += ir.CountMemAccesses(f.Body)
 		stats.NodesBefore += ir.CountNodes(f.Body)
 	}
 

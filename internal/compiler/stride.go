@@ -96,23 +96,19 @@ type substMap map[string]ir.Expr
 // defining expression is pure (no loads) and not self-referencing. Such
 // definitions are safe to substitute symbolically during stride analysis.
 func buildSubstMap(f *ir.Func) substMap {
-	counts := make(map[string]int)
-	exprs := make(map[string]ir.Expr)
+	// Sized past the small-map case, which a function's variables outgrow
+	// anyway, so neither map is laid out on this frame: it sits on the
+	// compile's deepest call path.
+	counts := make(map[string]int, 9)
+	exprs := make(map[string]ir.Expr, 9)
 	ir.VisitStmts(f.Body, func(s ir.Stmt) {
-		switch n := s.(type) {
-		case *ir.Assign:
-			counts[n.Name]++
-			exprs[n.Name] = n.E
-		case *ir.Malloc:
-			counts[n.Dst] += 2 // never substitute allocation results
-		case *ir.LocalAlloc:
-			counts[n.Dst] += 2
-		case *ir.Call:
-			if n.Dst != "" {
-				counts[n.Dst] += 2
-			}
-		case *ir.For:
-			counts[n.IV] += 2 // IVs are handled directly
+		if a, ok := s.(*ir.Assign); ok {
+			counts[a.Name]++
+			exprs[a.Name] = a.E
+		} else if def := assignedVar(s); def != "" {
+			// Never substitute an allocation or call result; IVs are
+			// handled directly.
+			counts[def] += 2
 		}
 	}, nil)
 	out := make(substMap)
@@ -149,6 +145,11 @@ func exprMentions(e ir.Expr, name string) bool {
 	return found
 }
 
+// assignedVar returns the variable s assigns, or "".
+func assignedVar(s ir.Stmt) string {
+	return ir.Parts(s, func(*ir.Expr) {}, func(*[]ir.Stmt) {})
+}
+
 // loopVars partitions the variables that change within l's body into
 // plain mutations (assignments, allocation destinations, call results —
 // these defeat linearity) and nested loop IVs (bounded, iv-independent
@@ -158,19 +159,11 @@ func loopVars(l *ir.For) (mutated, nestedIVs map[string]bool) {
 	mutated = make(map[string]bool)
 	nestedIVs = make(map[string]bool)
 	ir.VisitStmts(l.Body, func(s ir.Stmt) {
-		switch n := s.(type) {
-		case *ir.Assign:
-			mutated[n.Name] = true
-		case *ir.Malloc:
-			mutated[n.Dst] = true
-		case *ir.LocalAlloc:
-			mutated[n.Dst] = true
-		case *ir.Call:
-			if n.Dst != "" {
-				mutated[n.Dst] = true
-			}
-		case *ir.For:
-			nestedIVs[n.IV] = true
+		def := assignedVar(s)
+		if _, isLoop := s.(*ir.For); isLoop {
+			nestedIVs[def] = true
+		} else if def != "" {
+			mutated[def] = true
 		}
 	}, nil)
 	for v := range mutated {

@@ -24,100 +24,76 @@ func Validate(prog *ir.Program) error {
 		if name == "" || f == nil {
 			return fmt.Errorf("compiler: unnamed or nil function")
 		}
-		if err := validateBody(prog, f.Name, f.Body); err != nil {
+		if err := validateBody(prog, f); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func validateBody(prog *ir.Program, fn string, body []ir.Stmt) error {
-	for _, s := range body {
-		switch n := s.(type) {
-		case nil:
-			return fmt.Errorf("compiler: %s: nil statement", fn)
-		case *ir.Assign:
-			if n.Name == "" {
-				return fmt.Errorf("compiler: %s: assignment without a destination", fn)
-			}
-			if err := validateExpr(fn, n.E); err != nil {
-				return err
-			}
-		case *ir.Store:
-			if err := validateExpr(fn, n.Addr); err != nil {
-				return err
-			}
-			if err := validateExpr(fn, n.Val); err != nil {
-				return err
-			}
-		case *ir.If:
-			if err := validateExpr(fn, n.Cond); err != nil {
-				return err
-			}
-			if err := validateBody(prog, fn, n.Then); err != nil {
-				return err
-			}
-			if err := validateBody(prog, fn, n.Else); err != nil {
-				return err
-			}
-		case *ir.For:
-			if n.IV == "" {
-				return fmt.Errorf("compiler: %s: loop without an induction variable", fn)
-			}
-			if n.Step <= 0 {
-				return fmt.Errorf("compiler: %s: loop %q has non-positive step %d", fn, n.IV, n.Step)
-			}
-			if err := validateExpr(fn, n.Start); err != nil {
-				return err
-			}
-			if err := validateExpr(fn, n.Limit); err != nil {
-				return err
-			}
-			if err := validateBody(prog, fn, n.Body); err != nil {
-				return err
-			}
-		case *ir.Malloc:
-			if n.Dst == "" {
-				return fmt.Errorf("compiler: %s: malloc without a destination", fn)
-			}
-			if err := validateExpr(fn, n.Size); err != nil {
-				return err
-			}
-		case *ir.LocalAlloc:
-			if n.Dst == "" {
-				return fmt.Errorf("compiler: %s: alloca without a destination", fn)
-			}
-			if err := validateExpr(fn, n.Size); err != nil {
-				return err
-			}
-		case *ir.Free:
-			if err := validateExpr(fn, n.Ptr); err != nil {
-				return err
-			}
-		case *ir.Call:
-			if n.Name != ir.ResetStatsCall {
-				if _, ok := prog.Funcs[n.Name]; !ok {
-					return fmt.Errorf("compiler: %s: call of undefined function %q", fn, n.Name)
-				}
-				if got, want := len(n.Args), len(prog.Funcs[n.Name].Params); got != want {
-					return fmt.Errorf("compiler: %s: call of %q with %d args, want %d",
-						fn, n.Name, got, want)
-				}
-			}
-			for _, a := range n.Args {
-				if err := validateExpr(fn, a); err != nil {
-					return err
-				}
-			}
-		case *ir.Return:
-			if n.E != nil {
-				if err := validateExpr(fn, n.E); err != nil {
-					return err
-				}
-			}
-		default:
-			return fmt.Errorf("compiler: %s: unknown statement %T", fn, s)
+// validateBody checks each statement of f's body, then its operands and
+// nested bodies, stopping at the first error.
+func validateBody(prog *ir.Program, f *ir.Func) error {
+	var err error
+	expr := func(e *ir.Expr) {
+		if err == nil {
+			err = validateExpr(f.Name, *e)
 		}
+	}
+	var walk func(*[]ir.Stmt)
+	walk = func(body *[]ir.Stmt) {
+		for _, s := range *body {
+			if err == nil {
+				err = validateStmt(prog, f.Name, s)
+			}
+			if err != nil {
+				return
+			}
+			ir.Parts(s, expr, walk)
+		}
+	}
+	walk(&f.Body)
+	return err
+}
+
+// validateStmt holds the checks particular to one statement's kind.
+func validateStmt(prog *ir.Program, fn string, s ir.Stmt) error {
+	switch n := s.(type) {
+	case nil:
+		return fmt.Errorf("compiler: %s: nil statement", fn)
+	case *ir.Assign:
+		if n.Name == "" {
+			return fmt.Errorf("compiler: %s: assignment without a destination", fn)
+		}
+	case *ir.For:
+		if n.IV == "" {
+			return fmt.Errorf("compiler: %s: loop without an induction variable", fn)
+		}
+		if n.Step <= 0 {
+			return fmt.Errorf("compiler: %s: loop %q has non-positive step %d", fn, n.IV, n.Step)
+		}
+	case *ir.Malloc:
+		if n.Dst == "" {
+			return fmt.Errorf("compiler: %s: malloc without a destination", fn)
+		}
+	case *ir.LocalAlloc:
+		if n.Dst == "" {
+			return fmt.Errorf("compiler: %s: alloca without a destination", fn)
+		}
+	case *ir.Call:
+		if n.Name == ir.ResetStatsCall {
+			return nil
+		}
+		callee, ok := prog.Funcs[n.Name]
+		if !ok {
+			return fmt.Errorf("compiler: %s: call of undefined function %q", fn, n.Name)
+		}
+		if got, want := len(n.Args), len(callee.Params); got != want {
+			return fmt.Errorf("compiler: %s: call of %q with %d args, want %d", fn, n.Name, got, want)
+		}
+	case *ir.Store, *ir.If, *ir.Free, *ir.Return:
+	default:
+		return fmt.Errorf("compiler: %s: unknown statement %T", fn, s)
 	}
 	return nil
 }

@@ -109,7 +109,7 @@ func (c *Cursor) cross(off, size uint64, write bool) bool {
 	c.win, c.dirty = r.pool.Window(id), write
 	if c.prefetch {
 		// The pool's depth, read at each crossing: the anti-thrash
-		// governor's SetPrefetchDepth reaches a stream already open.
+		// governor's throttle (depth 0) reaches a stream already open.
 		for k, depth := 1, r.pool.PrefetchDepth(); k <= depth; k++ {
 			r.pool.Prefetch(id + aifm.ObjectID(k))
 		}

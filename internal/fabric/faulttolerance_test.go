@@ -132,5 +132,5 @@ func TestFaultyFabricWorkloadIntegrity(t *testing.T) {
 		t.Fatalf("Reconnects = %d, want >= 1 after server restart", got)
 	}
 	t.Logf("workload done: injector=%+v transport=%v pool: fetchFaults=%d pushFaults=%d evictions=%d",
-		fs, tr.Stats().Snapshot(), env.Counters.RemoteFetchFaults, env.Counters.RemotePushFaults, env.Counters.Evacuations)
+		fs, tr.Stats(), env.Counters.RemoteFetchFaults, env.Counters.RemotePushFaults, env.Counters.Evacuations)
 }

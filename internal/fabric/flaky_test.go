@@ -131,12 +131,12 @@ func TestMidResponseErrorMarksConnDead(t *testing.T) {
 	if !found || !bytes.Equal(dst, []byte{1, 2, 3, 4, 5, 6, 7, 8}) {
 		t.Fatalf("fetch after truncated response = %v %v", found, dst)
 	}
-	st := tr.Stats().Snapshot()
-	if st.ShortReads < 1 {
-		t.Fatalf("ShortReads = %d, want >= 1 (stats: %v)", st.ShortReads, st)
+	st := tr.Stats()
+	if st.ShortReads() < 1 {
+		t.Fatalf("ShortReads = %d, want >= 1 (stats: %v)", st.ShortReads(), st)
 	}
-	if st.Reconnects < 1 {
-		t.Fatalf("Reconnects = %d, want >= 1 (stats: %v)", st.Reconnects, st)
+	if st.Reconnects() < 1 {
+		t.Fatalf("Reconnects = %d, want >= 1 (stats: %v)", st.Reconnects(), st)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 // Stats is the transport-level fault-handling counter block. All fields are
 // updated atomically so a transport shared by concurrent goroutines (and
 // observed by a stats reporter) is race-free. Read individual counters with
-// the accessor methods or grab a consistent-enough view with Snapshot.
+// the accessor methods.
 type Stats struct {
 	retries     atomic.Uint64 // operation attempts beyond the first
 	timeouts    atomic.Uint64 // attempts that hit the per-op deadline
@@ -95,58 +95,11 @@ func (s *Stats) CarriedPushes() uint64 { return s.carried.Load() }
 // their own request; CarriedPushes ÷ CarryExchanges is the pushes per carry.
 func (s *Stats) CarryExchanges() uint64 { return s.carries.Load() }
 
-// StatsSnapshot is a plain-value copy of Stats for reporting.
-type StatsSnapshot struct {
-	Retries         uint64
-	Timeouts        uint64
-	Reconnects      uint64
-	ShortReads      uint64
-	Unavailable     uint64
-	ChecksumFaults  uint64
-	Overloads       uint64
-	DeadlineMisses  uint64
-	BudgetExhausted uint64
-	OpenConns       int64
-	ConnWaits       uint64
-
-	PipelinedFetches uint64
-	StreamFlushes    uint64
-
-	CarriedPushes  uint64
-	CarryExchanges uint64
-}
-
-// Snapshot copies the current counter values.
-func (s *Stats) Snapshot() StatsSnapshot {
-	return StatsSnapshot{
-		Retries:         s.Retries(),
-		Timeouts:        s.Timeouts(),
-		Reconnects:      s.Reconnects(),
-		ShortReads:      s.ShortReads(),
-		Unavailable:     s.Unavailable(),
-		ChecksumFaults:  s.ChecksumFaults(),
-		Overloads:       s.Overloads(),
-		DeadlineMisses:  s.DeadlineMisses(),
-		BudgetExhausted: s.BudgetExhausted(),
-		OpenConns:       s.OpenConns(),
-		ConnWaits:       s.ConnWaits(),
-
-		PipelinedFetches: s.PipelinedFetches(),
-		StreamFlushes:    s.StreamFlushes(),
-
-		CarriedPushes:  s.CarriedPushes(),
-		CarryExchanges: s.CarryExchanges(),
-	}
-}
-
 // String implements fmt.Stringer on the live counter block, so a stats
-// ticker can print a transport's health without building a snapshot first.
-func (s *Stats) String() string { return s.Snapshot().String() }
-
-// String implements fmt.Stringer.
-func (s StatsSnapshot) String() string {
+// ticker can print a transport's health.
+func (s *Stats) String() string {
 	return fmt.Sprintf("retries=%d timeouts=%d reconnects=%d shortReads=%d unavailable=%d checksumFaults=%d overloads=%d deadlineMisses=%d budgetExhausted=%d openConns=%d connWaits=%d pipelined=%d streamFlushes=%d carriedPushes=%d carryExchanges=%d",
-		s.Retries, s.Timeouts, s.Reconnects, s.ShortReads, s.Unavailable, s.ChecksumFaults, s.Overloads, s.DeadlineMisses, s.BudgetExhausted, s.OpenConns, s.ConnWaits, s.PipelinedFetches, s.StreamFlushes, s.CarriedPushes, s.CarryExchanges)
+		s.Retries(), s.Timeouts(), s.Reconnects(), s.ShortReads(), s.Unavailable(), s.ChecksumFaults(), s.Overloads(), s.DeadlineMisses(), s.BudgetExhausted(), s.OpenConns(), s.ConnWaits(), s.PipelinedFetches(), s.StreamFlushes(), s.CarriedPushes(), s.CarryExchanges())
 }
 
 // record classifies err (already mapped by classify) into the right bucket.

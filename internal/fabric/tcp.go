@@ -243,9 +243,6 @@ func (s *Server) EnableAdmission(cfg AdmissionConfig) *Admission {
 	return a
 }
 
-// Admission reports the installed admission controller, nil if disabled.
-func (s *Server) Admission() *Admission { return s.admission.Load() }
-
 // ListenAndServe binds addr (e.g. "127.0.0.1:0") and serves in a background
 // goroutine. It returns the bound address so callers using port 0 can find
 // the ephemeral port.

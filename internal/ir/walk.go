@@ -2,6 +2,53 @@ package ir
 
 // Walk infrastructure shared by every compiler pass.
 
+// Parts names the pieces of statement s — the one statement of what each
+// kind holds, so a pass that needs only a statement's shape never
+// switches on its kind. It calls expr with a pointer to each operand
+// expression, in the order the interpreter evaluates them (a Store's Val
+// before its Addr, a loop's Start before its Limit, a call's arguments in
+// order), then body with a pointer to each nested body, so a rewriting
+// pass can replace either. It returns the variable s assigns (an
+// Assign's Name, a loop's IV, the Dst of a Malloc, LocalAlloc or Call),
+// or "". A Return without a value has no operand.
+func Parts(s Stmt, expr func(*Expr), body func(*[]Stmt)) (def string) {
+	switch n := s.(type) {
+	case *Assign:
+		expr(&n.E)
+		return n.Name
+	case *Store:
+		expr(&n.Val)
+		expr(&n.Addr)
+	case *If:
+		expr(&n.Cond)
+		body(&n.Then)
+		body(&n.Else)
+	case *For:
+		expr(&n.Start)
+		expr(&n.Limit)
+		body(&n.Body)
+		return n.IV
+	case *Malloc:
+		expr(&n.Size)
+		return n.Dst
+	case *Free:
+		expr(&n.Ptr)
+	case *LocalAlloc:
+		expr(&n.Size)
+		return n.Dst
+	case *Call:
+		for i := range n.Args {
+			expr(&n.Args[i])
+		}
+		return n.Dst
+	case *Return:
+		if n.E != nil {
+			expr(&n.E)
+		}
+	}
+	return ""
+}
+
 // VisitExprs calls fn for every expression node reachable from e,
 // children first.
 func VisitExprs(e Expr, fn func(Expr)) {
@@ -19,42 +66,29 @@ func VisitExprs(e Expr, fn func(Expr)) {
 // outermost first, and visits contained expressions with efn (children
 // first) when efn is non-nil.
 func VisitStmts(body []Stmt, fn func(Stmt), efn func(Expr)) {
-	visitE := func(e Expr) {
-		if e != nil && efn != nil {
-			VisitExprs(e, efn)
+	expr := func(*Expr) {}
+	if efn != nil {
+		expr = func(e *Expr) {
+			if *e != nil {
+				VisitExprs(*e, efn)
+			}
 		}
 	}
-	for _, s := range body {
-		if fn != nil {
-			fn(s)
-		}
-		switch n := s.(type) {
-		case *Assign:
-			visitE(n.E)
-		case *Store:
-			visitE(n.Addr)
-			visitE(n.Val)
-		case *If:
-			visitE(n.Cond)
-			VisitStmts(n.Then, fn, efn)
-			VisitStmts(n.Else, fn, efn)
-		case *For:
-			visitE(n.Start)
-			visitE(n.Limit)
-			VisitStmts(n.Body, fn, efn)
-		case *Malloc:
-			visitE(n.Size)
-		case *Free:
-			visitE(n.Ptr)
-		case *LocalAlloc:
-			visitE(n.Size)
-		case *Call:
-			for _, a := range n.Args {
-				visitE(a)
+	var walk func(*[]Stmt)
+	walk = func(b *[]Stmt) {
+		for i := range *b {
+			if fn != nil {
+				fn((*b)[i])
 			}
-		case *Return:
-			visitE(n.E)
+			Parts((*b)[i], expr, walk)
 		}
+	}
+	// The top level is walked here: walk(&body) would move body to the heap.
+	for i := range body {
+		if fn != nil {
+			fn(body[i])
+		}
+		Parts(body[i], expr, walk)
 	}
 }
 
@@ -87,19 +121,8 @@ func CountNodes(body []Stmt) int {
 func AssignedVars(body []Stmt) map[string]bool {
 	out := make(map[string]bool)
 	VisitStmts(body, func(s Stmt) {
-		switch n := s.(type) {
-		case *Assign:
-			out[n.Name] = true
-		case *For:
-			out[n.IV] = true
-		case *Malloc:
-			out[n.Dst] = true
-		case *LocalAlloc:
-			out[n.Dst] = true
-		case *Call:
-			if n.Dst != "" {
-				out[n.Dst] = true
-			}
+		if def := Parts(s, func(*Expr) {}, func(*[]Stmt) {}); def != "" {
+			out[def] = true
 		}
 	}, nil)
 	return out

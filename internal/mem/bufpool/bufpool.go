@@ -277,9 +277,6 @@ func NewSlab(size int) *Slab {
 	return s
 }
 
-// Size reports the slab's fixed buffer size.
-func (s *Slab) Size() int { return s.cls.size }
-
 // Get leases one size-byte buffer.
 func (s *Slab) Get() Lease {
 	l := s.cls.lease(s.cls.size)
