@@ -41,10 +41,14 @@ smoke_test:
 # an allowlist names two or more ir statement kinds (ir.Parts states a
 # statement's shape once) —
 # plus the doc test: every backticked pkg.Name in README.md, DESIGN.md and
-# EXPERIMENTS.md resolves to a declaration in that package.
+# EXPERIMENTS.md resolves to a declaration in that package —
+# plus go vet over benchmarks/fmbench, its own module (replace trackfm =>
+# ../.., no other dependency), so an API change that breaks the wall-clock
+# benchmark fails here rather than when the benchmark runs.
 vet:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	$(GO) vet ./...
+	cd benchmarks/fmbench && $(GO) vet ./...
 	$(GO) test -run TestMetricNamesLint ./internal/obs
 	$(GO) test -run 'TestConstructorCensus|TestFieldCensus|TestStmtSwitchCensus|TestDocNamesResolve' .
 	! $(GO) build -gcflags=-m ./internal/core ./internal/fastswap ./internal/interp ./farmem 2>&1 | grep 'moved to heap: buf'
@@ -136,8 +140,8 @@ test-thrash:
 	$(RACE_PIN_SATURATION)
 
 # The multi-tier caching gates: the overcommit crossover sweep (warm 1x
-# tier >= 2x tierless throughput at 2x overcommit, zero corrupt reads,
-# S3-FIFO vs clock ablation comparable), the oracle-differential battery
+# tier >= 2x tierless throughput at 2x overcommit, zero corrupt reads),
+# the oracle-differential battery
 # (tier sizes {0, small, large} leave byte-identical heap and remote
 # state), the governor's tier-shrinks-first squeeze, and the compressed
 # tier's and the remote store's unit suites — the store's contract table,

@@ -10,7 +10,6 @@ import (
 
 	"trackfm/internal/fabric"
 	"trackfm/internal/far"
-	"trackfm/internal/mem/ctier"
 	"trackfm/internal/obs"
 	"trackfm/internal/sim"
 )
@@ -75,11 +74,9 @@ type Config struct {
 	// push — the tier is write-through, so remote state is identical
 	// with or without it) and demand localization probes the tier before
 	// paying a fabric round trip. The value is the tier's compressed-byte
-	// budget; zero disables the tier entirely.
+	// budget; zero disables the tier entirely. The tier evicts with one
+	// CLOCK ring (see ctier.Tier).
 	CompressedBudget uint64
-	// CompressedPolicy selects the tier's admission/eviction scheme
-	// (default S3-FIFO; ctier.PolicyClock is the ablation).
-	CompressedPolicy ctier.Policy
 }
 
 // stripe is one lock shard of the pool. All mutation of an object's
@@ -286,7 +283,6 @@ func NewPool(cfg Config) (*Pool, error) {
 		UnitSize:         cfg.ObjectSize,
 		Backing:          cfg.Backing,
 		CompressedBudget: cfg.CompressedBudget,
-		CompressedPolicy: cfg.CompressedPolicy,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("aifm: %w", err)

@@ -8,22 +8,20 @@ import (
 
 	"trackfm/internal/fabric"
 	"trackfm/internal/mem/bufpool"
-	"trackfm/internal/mem/ctier"
 	"trackfm/internal/sim"
 )
 
 // runTierTrace drives one seeded mixed read/write/free/evacuate trace
-// through a pool configured with the given compressed-tier budget and
-// policy, then returns the final heap contents (full read-back of every
+// through a pool configured with the given compressed-tier budget, then
+// returns the final heap contents (full read-back of every
 // key) and a snapshot of the remote store taken straight off the
 // transport, before the read-back can disturb it.
-func runTierTrace(t *testing.T, tierBudget uint64, policy ctier.Policy) (heap map[ObjectID][]byte, remote map[uint64][]byte) {
+func runTierTrace(t *testing.T, tierBudget uint64) (heap map[ObjectID][]byte, remote map[uint64][]byte) {
 	t.Helper()
 	const objSize = 256
 	const keys = 96
 	p, _, link := newTestPool(t, objSize, keys*objSize, 16*objSize, func(c *Config) {
 		c.CompressedBudget = tierBudget
-		c.CompressedPolicy = policy
 	})
 	defer p.Close()
 
@@ -78,19 +76,17 @@ func runTierTrace(t *testing.T, tierBudget uint64, policy ctier.Policy) (heap ma
 // never instead of — the fabric push), the compressed budget is a pure
 // performance knob. The same seeded trace must therefore leave a
 // byte-identical final heap AND a byte-identical remote store whether
-// the tier is disabled, tiny, large, or running the clock ablation.
+// the tier is disabled, tiny or large.
 func TestTierOracleDifferential(t *testing.T) {
-	baseHeap, baseRemote := runTierTrace(t, 0, ctier.PolicyS3FIFO)
+	baseHeap, baseRemote := runTierTrace(t, 0)
 	for _, tc := range []struct {
 		name   string
 		budget uint64
-		policy ctier.Policy
 	}{
-		{"small-s3fifo", 4 << 10, ctier.PolicyS3FIFO},
-		{"large-s3fifo", 1 << 20, ctier.PolicyS3FIFO},
-		{"large-clock", 1 << 20, ctier.PolicyClock},
+		{"small", 4 << 10},
+		{"large", 1 << 20},
 	} {
-		heap, remote := runTierTrace(t, tc.budget, tc.policy)
+		heap, remote := runTierTrace(t, tc.budget)
 		if len(remote) != len(baseRemote) {
 			t.Errorf("%s: remote holds %d keys, tier-disabled run holds %d", tc.name, len(remote), len(baseRemote))
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"trackfm/internal/aifm"
-	"trackfm/internal/mem/ctier"
 	"trackfm/internal/obs"
 	"trackfm/internal/sim"
 	"trackfm/internal/workloads/dist"
@@ -17,10 +16,9 @@ import (
 // (~35K cycles for a 4 KiB object) can a decompress-from-local-DRAM hit
 // (~2.4K cycles) buy back, and where is the crossover — the tier budget
 // below which the spill set no longer fits compressed and the hit rate
-// (and with it the speedup) collapses toward the tierless baseline. The
-// S3-FIFO row pair against the clock ablation isolates the admission
-// policy's contribution under one-hit-wonder traffic. Everything runs on
-// simulated cycles, so the table reproduces bit-identically.
+// (and with it the speedup) collapses toward the tierless baseline.
+// Everything runs on simulated cycles, so the table reproduces
+// bit-identically.
 
 const (
 	tiersObjSize = 4096
@@ -29,12 +27,11 @@ const (
 	tiersSeed    = 7
 )
 
-// tiersPhase is one (tier budget, skew, policy) point of the sweep.
+// tiersPhase is one (tier budget, skew) point of the sweep.
 type tiersPhase struct {
 	name       string
 	budgetFrac float64 // tier budget as a fraction of the local budget
 	skew       float64
-	policy     ctier.Policy
 }
 
 // tiersResult is the measured outcome of one phase.
@@ -80,7 +77,6 @@ func runTiersPhase(ph tiersPhase, n int) tiersResult {
 		HeapSize:         8 << 20,
 		LocalBudget:      budget,
 		CompressedBudget: tierBudget,
-		CompressedPolicy: ph.policy,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("bench: tiers pool: %v", err))
@@ -172,17 +168,12 @@ func tiersTable(s Scale) *Table {
 		{name: "1x flat", budgetFrac: 1, skew: 0.8},
 		{name: "off hot", budgetFrac: 0, skew: 1.3},
 		{name: "1x hot", budgetFrac: 1, skew: 1.3},
-		// Admission-policy ablation at the contended points, where the
-		// tier actually has to choose what to keep (at 1x and above both
-		// policies converge: nothing evicts).
-		{name: "1/4x clock", budgetFrac: 0.25, skew: 1.1, policy: ctier.PolicyClock},
-		{name: "1/2x clock", budgetFrac: 0.5, skew: 1.1, policy: ctier.PolicyClock},
 	}
 	us := func(cycles float64) string { return f1(cycles / sim.Frequency * 1e6) }
 	t := &Table{
 		ID:    "tiers",
-		Title: "multi-tier caching: compressed-RAM crossover and admission ablation (extension)",
-		Columns: []string{"tier", "skew", "policy", "ops/s", "ram %", "tier %",
+		Title: "multi-tier caching: compressed-RAM crossover (extension)",
+		Columns: []string{"tier", "skew", "ops/s", "ram %", "tier %",
 			"remote %", "comp ratio", "p50 us", "p99 us", "corrupt"},
 		Notes: fmt.Sprintf(
 			"pool of %d %dB slots, working set %dx the local budget, zipf point reads, %d accesses per phase after a warm-up lap; tier column is the compressed budget as a fraction of the local budget; gate: 1x tier >= 2x the ops/s of the off row at skew 1.1, corrupt = 0",
@@ -190,7 +181,7 @@ func tiersTable(s Scale) *Table {
 	}
 	for _, ph := range phases {
 		r := runTiersPhase(ph, n)
-		t.AddRow(ph.name, f2(ph.skew), ph.policy.String(), f1(r.opsPerSec),
+		t.AddRow(ph.name, f2(ph.skew), f1(r.opsPerSec),
 			f1(100*r.ramRate), f1(100*r.tierRate), f1(100*r.remRate),
 			f2(r.ratio), us(r.p50), us(r.p99), d(r.corrupt))
 	}

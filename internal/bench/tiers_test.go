@@ -1,10 +1,6 @@
 package bench
 
-import (
-	"testing"
-
-	"trackfm/internal/mem/ctier"
-)
+import "testing"
 
 // The headline acceptance gate for the multi-tier sweep, at a small fixed
 // scale: with the working set at 2x the local budget and a warm tier
@@ -37,25 +33,5 @@ func TestTiersOvercommitAcceptance(t *testing.T) {
 	// above the tierless run, whose tail is a fabric round trip.
 	if on.p99 > off.p99 {
 		t.Fatalf("tiered p99 %.0f cycles above tierless p99 %.0f", on.p99, off.p99)
-	}
-}
-
-// The clock ablation must run the same workload envelope: identical
-// ram-resident rate (the arena in front is unchanged) and zero corrupt
-// reads, so policy rows in the table differ only in what the tier kept.
-func TestTiersClockAblationComparable(t *testing.T) {
-	const n = 8000
-	s3 := runTiersPhase(tiersPhase{budgetFrac: 0.25, skew: 1.1}, n)
-	ck := runTiersPhase(tiersPhase{budgetFrac: 0.25, skew: 1.1, policy: ctier.PolicyClock}, n)
-	if s3.corrupt != 0 || ck.corrupt != 0 {
-		t.Fatalf("corrupt reads: s3fifo %d, clock %d", s3.corrupt, ck.corrupt)
-	}
-	if s3.ramRate != ck.ramRate {
-		t.Fatalf("resident hit rate diverged across policies: s3fifo %.3f, clock %.3f",
-			s3.ramRate, ck.ramRate)
-	}
-	if s3.tierRate == 0 || ck.tierRate == 0 {
-		t.Fatalf("a contended 1/4x tier recorded no hits (s3fifo %.3f, clock %.3f)",
-			s3.tierRate, ck.tierRate)
 	}
 }

@@ -72,9 +72,8 @@ type Config struct {
 	// selects 8, a negative value disables it.
 	DegradeAfter int
 	// CompressedBudget, when positive, enables the compressed middle tier
-	// with this compressed-byte budget under CompressedPolicy.
+	// with this compressed-byte budget.
 	CompressedBudget uint64
-	CompressedPolicy ctier.Policy
 }
 
 // Engine is the far side of one runtime. Safe for concurrent use; the
@@ -134,7 +133,7 @@ func New(cfg Config) (*Engine, error) {
 		e.slab = bufpool.NewSlab(cfg.UnitSize)
 	}
 	if cfg.CompressedBudget > 0 {
-		e.tier = ctier.New(ctier.Config{Budget: cfg.CompressedBudget, Policy: cfg.CompressedPolicy})
+		e.tier = ctier.New(ctier.Config{Budget: cfg.CompressedBudget})
 	}
 	if carrier, ok := transport.(fabric.PushCarrier); ok {
 		e.wb = newWindow(carrier, cfg.UnitSize)

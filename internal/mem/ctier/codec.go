@@ -1,8 +1,7 @@
 // Package ctier implements the compressed-RAM middle tier between the
 // resident arena and the remote store: a byte-budgeted cache of
 // evacuated-but-warm objects, compressed with an in-repo byte-oriented
-// LZ codec, keyed by ObjectID, with an S3-FIFO admission/eviction policy
-// (and a clock-style one for the ablation).
+// LZ codec, keyed by ObjectID, with a CLOCK eviction ring.
 //
 // The codec is deliberately snappy-shaped but self-contained — no
 // dependencies beyond the standard library. An encoded block is:

@@ -8,33 +8,11 @@ import (
 	"trackfm/internal/obs"
 )
 
-// Policy selects the tier's admission/eviction scheme.
-type Policy uint8
-
-const (
-	// PolicyS3FIFO is the default: a small probationary FIFO in front of
-	// a main FIFO, with a ghost set of recently-evicted keys that routes
-	// returning objects straight into main (S3-FIFO, SOSP'23 flavour).
-	PolicyS3FIFO Policy = iota
-	// PolicyClock is the ablation: one ring with a reference bit and
-	// second chance, matching the arena's clock-style evacuation.
-	PolicyClock
-)
-
-func (p Policy) String() string {
-	if p == PolicyClock {
-		return "clock"
-	}
-	return "s3fifo"
-}
-
 // Config parameterises a Tier.
 type Config struct {
 	// Budget is the compressed-byte budget. The tier holds entries whose
 	// summed encoded sizes never exceed it.
 	Budget uint64
-	// Policy selects the eviction scheme (default S3-FIFO).
-	Policy Policy
 }
 
 // Stats is the tier's atomic counter block.
@@ -73,27 +51,20 @@ func (s *Stats) Snapshot() StatsSnapshot {
 	}
 }
 
-const (
-	queueSmall = iota
-	queueMain
-	queueClock
-)
-
 // entry is one compressed-resident object. data is either an encoded
 // block (raw=false) or the verbatim object bytes (raw=true: the codec
 // could not shrink it, and storing it header-less keeps the lease within
-// bufpool.MaxSize for 64 KiB objects).
+// bufpool.MaxSize for 64 KiB objects). chance is the clock's second
+// chance, given to a key the ghost set remembers.
 type entry struct {
 	lease  bufpool.Lease
 	data   []byte
 	rawLen int
-	queue  uint8
-	freq   uint8
+	chance bool
 }
 
 // ring is a growable FIFO deque of keys. Stale keys (no longer in the
-// map, or moved to another queue) are tolerated and skipped lazily, so
-// pushes never have to search.
+// map) are tolerated and skipped lazily, so pushes never have to search.
 type ring struct {
 	buf        []uint64
 	head, tail int
@@ -123,6 +94,18 @@ func (r *ring) pop() (uint64, bool) {
 	return k, true
 }
 
+// keep drops, in place and in order, every key live rejects.
+func (r *ring) keep(live func(uint64) bool) {
+	n := 0
+	for i := 0; i < r.n; i++ {
+		if k := r.buf[(r.head+i)%len(r.buf)]; live(k) {
+			r.buf[(r.head+n)%len(r.buf)] = k
+			n++
+		}
+	}
+	r.n, r.tail = n, (r.head+n)%len(r.buf)
+}
+
 // Tier is a byte-budgeted compressed object cache. It is write-through
 // with respect to the remote store: callers demote a copy here *in
 // addition to* (never instead of) the fabric push, so dropping an entry
@@ -130,6 +113,10 @@ func (r *ring) pop() (uint64, bool) {
 // or not a tier is configured. Get has move semantics — a promoted object
 // leaves the tier, mirroring the invariant that an object is resident in
 // at most one place locally.
+//
+// Eviction is one CLOCK ring: entries leave in demotion order, except that
+// a key the ghost set remembers (it was promoted or evicted recently) gets
+// one second chance — one more lap of the ring.
 type Tier struct {
 	mu      sync.Mutex
 	cfg     Config
@@ -138,8 +125,7 @@ type Tier struct {
 	entries map[uint64]entry
 	bytes   uint64 // summed len(entry.data)
 
-	small, main ring // S3-FIFO queues (small = probation)
-	clock       ring // clock ring (ablation policy)
+	clock ring
 
 	ghost     map[uint64]struct{} // recently evicted/promoted keys
 	ghostFIFO ring
@@ -198,24 +184,14 @@ func (t *Tier) Put(key uint64, raw []byte) bool {
 	lease := bufpool.Get(len(data))
 	buf := lease.Bytes()
 	copy(buf, data)
-	e := entry{lease: lease, data: buf, rawLen: len(raw)}
-	switch t.cfg.Policy {
-	case PolicyClock:
-		e.queue = queueClock
-		if _, returning := t.ghost[key]; returning {
-			e.freq = 1 // second chance for keys that were hot before
-		}
-		t.clock.push(key)
-	default:
-		if _, returning := t.ghost[key]; returning {
-			e.queue = queueMain
-			t.main.push(key)
-		} else {
-			e.queue = queueSmall
-			t.small.push(key)
-		}
+	_, returning := t.ghost[key]
+	if t.clock.n > 2*len(t.entries)+16 {
+		// Only eviction pops, so a tier that never fills would keep
+		// every stale slot its demote/promote cycles leave behind.
+		t.clock.keep(func(k uint64) bool { _, ok := t.entries[k]; return ok })
 	}
-	t.entries[key] = e
+	t.clock.push(key)
+	t.entries[key] = entry{lease: lease, data: buf, rawLen: len(raw), chance: returning}
 	t.bytes += need
 	t.stats.demotes.Add(1)
 	return true
@@ -239,8 +215,8 @@ func (t *Tier) Get(key uint64, dst []byte) bool {
 		return false
 	}
 	t.removeLocked(key, e)
-	// A promoted key is hot: remember it so the next demotion goes
-	// straight to the main queue (S3-FIFO re-admission signal).
+	// A promoted key is hot: remember it so its next demotion gets a
+	// second chance.
 	t.noteGhost(key)
 	t.mu.Unlock()
 
@@ -306,7 +282,7 @@ func (t *Tier) Resize(budget uint64) {
 	defer t.mu.Unlock()
 	t.cfg.Budget = budget
 	for t.bytes > t.cfg.Budget {
-		if !t.evictOne() {
+		if !t.evictClock() {
 			break
 		}
 	}
@@ -372,7 +348,7 @@ func (t *Tier) Clear() {
 		delete(t.ghost, k)
 	}
 	t.ghostFIFO = ring{}
-	t.small, t.main, t.clock = ring{}, ring{}, ring{}
+	t.clock = ring{}
 }
 
 // Stats exposes the tier's counter block.
@@ -427,8 +403,8 @@ func (t *Tier) Register(reg *obs.Registry, labels ...obs.Label) {
 		}, labels...)
 }
 
-// removeLocked unlinks key from the map and byte accounting. The queues
-// keep their (now stale) copy of the key; pops skip it lazily. The
+// removeLocked unlinks key from the map and byte accounting. The ring
+// keeps its (now stale) copy of the key; pops skip it lazily. The
 // caller owns releasing the entry's lease.
 func (t *Tier) removeLocked(key uint64, e entry) {
 	delete(t.entries, key)
@@ -456,102 +432,30 @@ func (t *Tier) noteGhost(key uint64) {
 // pathological empty-tier case).
 func (t *Tier) evictToFit(need uint64) bool {
 	for t.bytes+need > t.cfg.Budget {
-		if !t.evictOne() {
+		if !t.evictClock() {
 			return false
 		}
 	}
 	return true
 }
 
-// evictOne drops one entry according to the policy. Returns false when
-// the tier is empty.
-func (t *Tier) evictOne() bool {
-	if t.cfg.Policy == PolicyClock {
-		return t.evictClock()
-	}
-	return t.evictS3FIFO()
-}
-
+// evictClock drops the first live entry in the ring without a second
+// chance, spending the chances it passes. Nothing sets a chance here, so
+// one lap always ends in an eviction. Returns false when the tier is empty.
 func (t *Tier) evictClock() bool {
-	// Second chance: a set freq bit buys one lap of the ring.
-	for spins := t.clock.n; spins > 0; spins-- {
+	for {
 		k, ok := t.clock.pop()
 		if !ok {
 			return false
 		}
 		e, live := t.entries[k]
-		if !live || e.queue != queueClock {
+		if !live {
 			continue // stale ring slot
 		}
-		if e.freq > 0 {
-			e.freq = 0
+		if e.chance {
+			e.chance = false
 			t.entries[k] = e
 			t.clock.push(k)
-			continue
-		}
-		t.removeLocked(k, e)
-		e.lease.Release()
-		t.stats.evictions.Add(1)
-		t.noteGhost(k)
-		return true
-	}
-	// All survivors spent their second chance; take the next live one.
-	for {
-		k, ok := t.clock.pop()
-		if !ok {
-			return false
-		}
-		e, live := t.entries[k]
-		if !live || e.queue != queueClock {
-			continue
-		}
-		t.removeLocked(k, e)
-		e.lease.Release()
-		t.stats.evictions.Add(1)
-		t.noteGhost(k)
-		return true
-	}
-}
-
-func (t *Tier) evictS3FIFO() bool {
-	// Drain the small (probationary) queue first: one-hit-wonders leave
-	// cheaply, anything re-referenced graduates to main.
-	for {
-		k, ok := t.small.pop()
-		if !ok {
-			break
-		}
-		e, live := t.entries[k]
-		if !live || e.queue != queueSmall {
-			continue
-		}
-		if e.freq > 0 {
-			e.freq = 0
-			e.queue = queueMain
-			t.entries[k] = e
-			t.main.push(k)
-			continue
-		}
-		t.removeLocked(k, e)
-		e.lease.Release()
-		t.stats.evictions.Add(1)
-		t.noteGhost(k)
-		return true
-	}
-	// Main queue: FIFO with a frequency second chance.
-	for {
-		k, ok := t.main.pop()
-		if !ok {
-			return false
-		}
-		e, live := t.entries[k]
-		if !live || e.queue != queueMain {
-			continue
-		}
-		if e.freq > 0 {
-			e.freq--
-			t.entries[k] = e
-			t.main.push(k)
 			continue
 		}
 		t.removeLocked(k, e)

@@ -56,42 +56,41 @@ func TestTierPutGetMoveSemantics(t *testing.T) {
 }
 
 func TestTierBudgetEnforced(t *testing.T) {
-	for _, pol := range []Policy{PolicyS3FIFO, PolicyClock} {
-		t.Run(pol.String(), func(t *testing.T) {
-			const objSize = 1024
-			tr := New(Config{Budget: 8 * objSize, Policy: pol})
-			obj := make([]byte, objSize)
-			for k := uint64(0); k < 64; k++ {
-				fill(obj, k, false) // incompressible: stored at full size
-				if !tr.Put(k, obj) {
-					t.Fatalf("Put(%d) rejected", k)
-				}
-				if tr.Bytes() > tr.Budget() {
-					t.Fatalf("bytes %d exceed budget %d", tr.Bytes(), tr.Budget())
-				}
+	// The subtest names the eviction policy the tier runs: the CLOCK ring.
+	t.Run("clock", func(t *testing.T) {
+		const objSize = 1024
+		tr := New(Config{Budget: 8 * objSize})
+		obj := make([]byte, objSize)
+		for k := uint64(0); k < 64; k++ {
+			fill(obj, k, false) // incompressible: stored at full size
+			if !tr.Put(k, obj) {
+				t.Fatalf("Put(%d) rejected", k)
 			}
-			if tr.Len() == 0 || tr.Len() > 8 {
-				t.Fatalf("resident count %d outside (0, 8]", tr.Len())
+			if tr.Bytes() > tr.Budget() {
+				t.Fatalf("bytes %d exceed budget %d", tr.Bytes(), tr.Budget())
 			}
-			if ev := tr.Stats().Snapshot().Evictions; ev < 56 {
-				t.Fatalf("evictions = %d, want >= 56", ev)
+		}
+		if tr.Len() == 0 || tr.Len() > 8 {
+			t.Fatalf("resident count %d outside (0, 8]", tr.Len())
+		}
+		if ev := tr.Stats().Snapshot().Evictions; ev < 56 {
+			t.Fatalf("evictions = %d, want >= 56", ev)
+		}
+		// Every surviving entry must still round-trip.
+		got := make([]byte, objSize)
+		for k := uint64(0); k < 64; k++ {
+			if !tr.Contains(k) {
+				continue
 			}
-			// Every surviving entry must still round-trip.
-			got := make([]byte, objSize)
-			for k := uint64(0); k < 64; k++ {
-				if !tr.Contains(k) {
-					continue
-				}
-				if !tr.Get(k, got) {
-					t.Fatalf("resident key %d failed to promote", k)
-				}
-				fill(obj, k, false)
-				if !bytes.Equal(got, obj) {
-					t.Fatalf("key %d corrupted in tier", k)
-				}
+			if !tr.Get(k, got) {
+				t.Fatalf("resident key %d failed to promote", k)
 			}
-		})
-	}
+			fill(obj, k, false)
+			if !bytes.Equal(got, obj) {
+				t.Fatalf("key %d corrupted in tier", k)
+			}
+		}
+	})
 }
 
 func TestTierOversizeObjectRejected(t *testing.T) {
@@ -149,25 +148,71 @@ func TestTierResizeShrinksImmediately(t *testing.T) {
 	}
 }
 
-func TestTierGhostReadmitsToMain(t *testing.T) {
+// TestTierGhostGetsSecondChance pins down the clock's one promise in a
+// 4-entry tier: a key that comes back after a promotion survives one
+// eviction at the head of the ring, and only one; a fresh key gets none.
+func TestTierGhostGetsSecondChance(t *testing.T) {
 	const objSize = 1024
 	tr := New(Config{Budget: 4 * objSize})
 	obj := make([]byte, objSize)
-	// Demote, promote (hit → ghost), demote again: the key must land in
-	// the main queue and outlive a stream of one-hit wonders.
-	fill(obj, 100, false)
-	tr.Put(100, obj)
 	got := make([]byte, objSize)
+	put := func(k uint64) {
+		t.Helper()
+		fill(obj, k, false) // incompressible: four entries fill the tier
+		if !tr.Put(k, obj) {
+			t.Fatalf("Put(%d) rejected", k)
+		}
+	}
+	resident := func(want ...uint64) {
+		t.Helper()
+		for _, k := range want {
+			if !tr.Contains(k) {
+				t.Fatalf("key %d evicted; want resident %v", k, want)
+			}
+		}
+		if tr.Len() != len(want) {
+			t.Fatalf("%d entries resident, want %v", tr.Len(), want)
+		}
+	}
+	// Demote 100, promote it (the ghost set remembers it), and demote it
+	// again once its first ring slot has been popped.
+	for _, k := range []uint64{100, 0, 1, 2} {
+		put(k)
+	}
 	if !tr.Get(100, got) {
-		t.Fatal("warmup promote missed")
+		t.Fatal("warm-up promote missed")
 	}
-	tr.Put(100, obj)
-	for k := uint64(0); k < 16; k++ {
-		fill(obj, k, false)
-		tr.Put(k, obj)
+	put(3)
+	put(100) // evicts 0, the fresh key at the head
+	resident(1, 2, 3, 100)
+	for _, k := range []uint64{4, 5, 6} {
+		put(k) // evict 1, 2, 3: fresh keys get no second chance
 	}
-	if !tr.Contains(100) {
-		t.Fatal("returning key evicted by one-hit wonders; ghost re-admission broken")
+	resident(100, 4, 5, 6)
+	put(7) // 100 is at the head: it spends its chance, 4 goes instead
+	resident(100, 5, 6, 7)
+	put(8)
+	put(9)
+	resident(100, 7, 8, 9)
+	put(10) // the following lap takes 100: its chance is spent
+	resident(7, 8, 9, 10)
+}
+
+// TestTierRingStaysBounded cycles one key through Put and Get in a tier
+// that never fills: only eviction pops the ring, so without the rebuild
+// every cycle would leave one more stale slot behind.
+func TestTierRingStaysBounded(t *testing.T) {
+	tr := New(Config{Budget: 1 << 20})
+	obj := make([]byte, 512)
+	fill(obj, 1, true)
+	for i := 0; i < 100_000; i++ {
+		tr.Put(1, obj)
+		if n := tr.clock.n; n > 2*tr.Len()+16 {
+			t.Fatalf("cycle %d: ring holds %d slots for %d entries", i, n, tr.Len())
+		}
+		if !tr.Get(1, obj) {
+			t.Fatalf("cycle %d: Get missed", i)
+		}
 	}
 }
 
@@ -290,24 +335,22 @@ func TestTierConcurrent(t *testing.T) {
 
 // FuzzTierOps drives a tier through randomized demote/promote/evict/
 // resize/delete sequences against a shadow map, checking the byte budget
-// and payload fidelity after every step, and net-zero leases at the end.
+// payload fidelity and the ring's size after every step, and net-zero
+// leases at the end.
 func FuzzTierOps(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 250, 6, 7}, uint16(4), uint8(0))
-	f.Add([]byte{9, 9, 9, 9, 200, 1, 1}, uint16(64), uint8(1))
-	f.Fuzz(func(t *testing.T, ops []byte, budgetKiB uint16, pol uint8) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 250, 6, 7}, uint16(4))
+	f.Add([]byte{9, 9, 9, 9, 200, 1, 1}, uint16(64))
+	f.Fuzz(func(t *testing.T, ops []byte, budgetKiB uint16) {
 		bufpool.SetDebug(true)
 		defer bufpool.SetDebug(bufpool.RaceEnabled)
 		base := bufpool.Outstanding()
-		policy := PolicyS3FIFO
-		if pol%2 == 1 {
-			policy = PolicyClock
-		}
-		tr := New(Config{Budget: uint64(budgetKiB) * 1024, Policy: policy})
+		const keys = 16
+		tr := New(Config{Budget: uint64(budgetKiB) * 1024})
 		shadow := map[uint64][]byte{} // what each key held when last demoted
 		obj := make([]byte, 512)
 		got := make([]byte, 512)
 		for i, op := range ops {
-			k := uint64(op % 16)
+			k := uint64(op % keys)
 			switch op % 5 {
 			case 0, 1: // demote
 				binary.LittleEndian.PutUint64(obj, k)
@@ -331,6 +374,11 @@ func FuzzTierOps(f *testing.F) {
 			}
 			if tr.Bytes() > tr.Budget() {
 				t.Fatalf("op %d: bytes %d exceed budget %d", i, tr.Bytes(), tr.Budget())
+			}
+			// A Put rebuilds the ring past 2*len+16 slots, and at most
+			// keys-1 other keys are resident when it does.
+			if n := tr.clock.n; n > 2*(keys-1)+16+1 {
+				t.Fatalf("op %d: ring holds %d slots", i, n)
 			}
 		}
 		tr.Clear()
