@@ -58,8 +58,10 @@
 // -fsync selects the WAL durability policy: "always" fsyncs every append
 // (zero acked-write loss on power failure), "interval" fsyncs every 32
 // appends (bounded loss window, much cheaper), "never" leaves flushing to
-// the OS. -snapshot-every sets the WAL size that triggers a
-// compacting snapshot. On SIGINT/SIGTERM the node drains gracefully:
+// the OS. A compacting snapshot is taken once the WAL outgrows the larger
+// of -snapshot-every (the floor) and the store's live raw bytes, so a
+// snapshot never writes more payload than the log it replaces. On
+// SIGINT/SIGTERM the node drains gracefully:
 // stops accepting, lets in-flight requests finish (bounded by -drain),
 // writes a final snapshot, and exits 0.
 //
@@ -106,7 +108,7 @@ func main() {
 	compress := flag.Bool("compress", false, "hold blobs compressed at rest in memory (LZ codec)")
 	dataDir := flag.String("data-dir", "", "directory for the write-ahead log and snapshots (empty = in-memory only, state lost on exit)")
 	fsync := flag.String("fsync", "always", "WAL fsync policy: always | interval (every 32 appends) | never")
-	snapshotEvery := flag.Int64("snapshot-every", 4<<20, "WAL bytes that trigger a compacting snapshot (<0 disables)")
+	snapshotEvery := flag.Int64("snapshot-every", 4<<20, "floor of the WAL bytes that trigger a compacting snapshot; the trigger is the larger of this and the store's live bytes (<0 disables)")
 	drain := flag.Duration("drain", 5*time.Second, "graceful-shutdown grace: how long in-flight requests get to finish on SIGINT/SIGTERM")
 	flag.Parse()
 

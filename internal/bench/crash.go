@@ -48,6 +48,8 @@ const (
 	crashMaxPayload = 512
 	// crashSnapshotEvery keeps compaction in play: several snapshots land
 	// inside each schedule, so crash offsets hit post-compaction WALs too.
+	// The schedule's live bytes stay under this floor, so the trigger's
+	// other term (the store's raw size) never engages here.
 	crashSnapshotEvery = 16 << 10
 )
 

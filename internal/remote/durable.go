@@ -21,9 +21,11 @@ type DurableConfig struct {
 	// FsyncAlways: an acknowledged write is durable before the ack).
 	Fsync FsyncPolicy
 
-	// SnapshotEvery triggers a compacting snapshot once the WAL grows past
-	// this many bytes (default 4 MiB; negative disables automatic
-	// compaction — Compact and Close still snapshot on demand).
+	// SnapshotEvery is the floor of the compaction trigger: a compacting
+	// snapshot is taken once the WAL grows past the larger of this many
+	// bytes and the live store's raw size, so a snapshot never writes more
+	// payload than the log it replaces (default 4 MiB; negative disables
+	// automatic compaction — Compact and Close still snapshot on demand).
 	SnapshotEvery int64
 }
 
@@ -120,11 +122,12 @@ type DurableStore struct {
 	cfg DurableConfig
 	rec RecoveryReport
 
-	dmu     sync.Mutex // serializes WAL append + apply + compaction
-	wal     *wal
-	gen     uint64
-	crashed atomic.Bool
-	stats   DurableStats
+	dmu      sync.Mutex // serializes WAL append + apply + compaction
+	wal      *wal
+	failedAt int64 // WAL size at the last failed automatic snapshot; 0 once one lands
+	gen      uint64
+	crashed  atomic.Bool
+	stats    DurableStats
 
 	// recoveryHist holds the single recovery-duration observation (wall
 	// nanoseconds) for the obs registry.
@@ -311,15 +314,25 @@ func (ds *DurableStore) Sync() error {
 	return ds.wal.sync()
 }
 
-// maybeCompactLocked snapshots and truncates the WAL once it outgrows the
-// configured bound. A failed snapshot keeps the WAL in full — durability
-// is never traded for compaction — and is only counted.
+// maybeCompactLocked snapshots and truncates the WAL once it outgrows
+// max(SnapshotEvery, the store's raw bytes): a snapshot then writes no
+// more payload than the log it replaces, and the log on disk stays within
+// the larger of the floor and the live data, whatever the store's size. A
+// failed snapshot keeps the WAL in full — durability is never traded for
+// compaction — and is counted; the next attempt waits until the WAL has
+// grown by another trigger's worth, so a full or failing disk is not
+// handed a whole store image on every mutation.
 func (ds *DurableStore) maybeCompactLocked() {
-	if ds.cfg.SnapshotEvery <= 0 || ds.wal.size < ds.cfg.SnapshotEvery {
+	if ds.cfg.SnapshotEvery <= 0 {
+		return
+	}
+	trigger := max(ds.cfg.SnapshotEvery, int64(ds.Store.RawBytes()))
+	if ds.wal.size-ds.failedAt < trigger {
 		return
 	}
 	if err := ds.compactLocked(); err != nil {
 		ds.stats.snapshotFails.Add(1)
+		ds.failedAt = ds.wal.size
 	}
 }
 
@@ -346,7 +359,11 @@ func (ds *DurableStore) compactLocked() error {
 	// The snapshot covers every applied record; the WAL restarts empty. A
 	// crash before the reset leaves stale records that replay harmlessly
 	// (log order ends at the snapshot state).
-	return ds.wal.reset()
+	if err := ds.wal.reset(); err != nil {
+		return err
+	}
+	ds.failedAt = 0
+	return nil
 }
 
 // Close gracefully shuts the store down: final compacting snapshot, WAL

@@ -199,6 +199,91 @@ func TestDurableAutoCompaction(t *testing.T) {
 	ds2.Close()
 }
 
+// Once live bytes pass the SnapshotEvery floor, the trigger follows them: a
+// snapshot waits for a live store's worth of log, so snapshots cost no more
+// bytes than the log they replace and the log on disk stays within the live
+// data, however small the floor.
+func TestDurableCompactionTracksLiveBytes(t *testing.T) {
+	const keys, size, floor, total = 64, 4 << 10, 16 << 10, 2 << 20
+	dir := t.TempDir()
+	ds := openTestDurable(t, dir, DurableConfig{Fsync: FsyncNever, SnapshotEvery: floor})
+	oracle := map[uint64][]byte{}
+	for i := 0; i < total/size; i++ {
+		key := uint64(i % keys)
+		payload := bytes.Repeat([]byte{byte(i)}, size)
+		if err := ds.Put(key, payload); err != nil {
+			t.Fatalf("Put %d: %v", i, err)
+		}
+		oracle[key] = payload
+		if bound := max(floor, int64(ds.RawBytes())); ds.WALSize() >= bound {
+			t.Fatalf("put %d: WAL holds %d bytes, the trigger is %d", i, ds.WALSize(), bound)
+		}
+	}
+	st := ds.DurableStats()
+	if st.Snapshots() == 0 || st.Snapshots() > 9 {
+		t.Fatalf("%d snapshots for %d MiB written over %d KiB live, want 1..9", st.Snapshots(), total>>20, keys*size>>10)
+	}
+	if ratio := float64(st.SnapshotBytes()) / float64(st.WALBytes()); ratio > 1.1 {
+		t.Fatalf("snapshots wrote %d bytes for %d of WAL (%.2f per WAL byte), want <= 1.1", st.SnapshotBytes(), st.WALBytes(), ratio)
+	}
+	ds.Crash()
+	ds2 := openTestDurable(t, dir, DurableConfig{SnapshotEvery: floor})
+	mustHoldExactly(t, ds2, oracle)
+	ds2.Close()
+}
+
+// A snapshot that fails keeps the whole WAL and is retried only once the
+// log has grown by another trigger's worth, not on every later mutation.
+// A directory where the snapshot's temp file goes makes the create fail
+// with EISDIR, whoever runs the test.
+func TestDurableFailedCompactionBacksOff(t *testing.T) {
+	const floor, size, keys, past = 4 << 10, 100, 8, 10
+	dir := t.TempDir()
+	blocker := filepath.Join(dir, snapshotTmp)
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ds := openTestDurable(t, dir, DurableConfig{Fsync: FsyncNever, SnapshotEvery: floor})
+	oracle := map[uint64][]byte{}
+	n := 0
+	put := func() {
+		t.Helper()
+		key := uint64(n % keys)
+		payload := bytes.Repeat([]byte{byte(n)}, size)
+		if err := ds.Put(key, payload); err != nil {
+			t.Fatalf("Put %d: %v", n, err)
+		}
+		oracle[key] = payload
+		n++
+	}
+	for ds.DurableStats().SnapshotFails() == 0 {
+		put()
+	}
+	for i := 0; i < past; i++ {
+		put()
+	}
+	st := ds.DurableStats()
+	if st.SnapshotFails() != 1 || st.Snapshots() != 0 {
+		t.Fatalf("%d puts past the trigger: %d failed snapshots, %d written; want 1 failed, none written",
+			past+1, st.SnapshotFails(), st.Snapshots())
+	}
+
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	for start := ds.WALWritten(); ds.WALWritten()-start < floor; {
+		put()
+	}
+	if st.Snapshots() != 1 || st.SnapshotFails() != 1 {
+		t.Fatalf("one trigger's worth of WAL after the disk recovered: %d snapshots, %d failed; want 1 and 1",
+			st.Snapshots(), st.SnapshotFails())
+	}
+	ds.Crash()
+	ds2 := openTestDurable(t, dir, DurableConfig{SnapshotEvery: floor})
+	mustHoldExactly(t, ds2, oracle)
+	ds2.Close()
+}
+
 func TestDurableCloseSnapshotsEverything(t *testing.T) {
 	dir := t.TempDir()
 	ds := openTestDurable(t, dir, DurableConfig{SnapshotEvery: -1})
@@ -484,6 +569,34 @@ func TestWALFsyncPolicies(t *testing.T) {
 	}
 	if p, err := ParseFsyncPolicy("sometimes"); err == nil {
 		t.Fatalf("ParseFsyncPolicy(\"sometimes\") = %v, want an error", p)
+	}
+}
+
+// BenchmarkDurableCompact times one compacting snapshot of 8192 4 KiB
+// blobs (the store fmbench's miss-write-durable builds): the walk, the
+// writes, the fsync and the rename. Its MB/s is the snapshot's write rate.
+func BenchmarkDurableCompact(b *testing.B) {
+	const blobs, size = 8192, 4096
+	ds, err := OpenDurable(DurableConfig{Dir: b.TempDir(), Fsync: FsyncNever, SnapshotEvery: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ds.Crash()
+	payload := make([]byte, size)
+	for k := uint64(0); k < blobs; k++ {
+		for i := range payload {
+			payload[i] = byte(k + uint64(i))
+		}
+		if err := ds.Put(k, payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(blobs * size)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ds.Compact(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
