@@ -137,6 +137,11 @@ func TestConcurrentStress(t *testing.T) {
 	if lb, budget := p.LocalBytes(), uint64(1<<12); lb > budget {
 		t.Errorf("local budget exceeded: %d > %d", lb, budget)
 	}
+	// Quiesce, then hold the cold count to the table it summarizes.
+	p.StopEvacuator()
+	if got, want := p.cold.Load(), recountCold(p); got != want {
+		t.Errorf("cold count %d after quiesce, table holds %d", got, want)
+	}
 }
 
 // TestConcurrentMatchesSerialOracle is the differential check: a seeded

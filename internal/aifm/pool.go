@@ -96,14 +96,7 @@ type stripe struct {
 	// 64-way striping already makes rare.
 	done sync.Cond
 
-	// Ghost ring: the stripe's most recent evictions (id + eviction
-	// cycle), consulted on install to detect re-faults. Fixed arrays so
-	// the eviction path stays allocation-free; all access is under mu,
-	// which both the evictor and the installing fetch leader already
-	// hold.
-	ghostID  [ghostRing]ObjectID
-	ghostCyc [ghostRing]uint64
-	ghostPos int
+	ghosts // the thrash detector's eviction history
 }
 
 // Pool is an AIFM-style far-memory object pool: a contiguous metadata table
@@ -152,7 +145,7 @@ type Pool struct {
 	pinnedObjs   atomic.Int64 // distinct resident objects with pins > 0
 	resizes      atomic.Uint64
 
-	hand atomic.Uint64 // clock hand over slots
+	evictClock // the clock hand and the cold-resident count
 
 	// Stride-prefetch state.
 	autoPrefetch  bool
@@ -192,17 +185,6 @@ const (
 	// dsID tags the pool's objects in metadata words (AIFM's data
 	// structure id): TrackFM uses a single unified pool, id 0.
 	dsID = 0
-
-	// ghostRing is the per-stripe eviction-history depth of the thrash
-	// detector: with 64 stripes it remembers the last 2048 evictions
-	// pool-wide.
-	ghostRing = 32
-
-	// thrashSampleEvery and thrashAlpha shape the EWMA thrash ratio: the
-	// re-fault fraction of every thrashSampleEvery remote fetches folds
-	// into the ratio with weight thrashAlpha.
-	thrashSampleEvery = 32
-	thrashAlpha       = 0.3
 
 	// reservePerStripe sizes the reserve floor, the emergency slots kept
 	// outside the circulating budget: demand localization dips into them
@@ -381,10 +363,6 @@ func (p *Pool) Meta(id ObjectID) Meta { return MetaAt(p.table, id) }
 
 func (p *Pool) metaAt(id ObjectID) Meta {
 	return Meta(atomic.LoadUint64((*uint64)(&p.table[id])))
-}
-
-func (p *Pool) storeMeta(id ObjectID, m Meta) {
-	atomic.StoreUint64((*uint64)(&p.table[id]), uint64(m))
 }
 
 func (p *Pool) ownerAt(slot int) ObjectID {
@@ -666,38 +644,6 @@ func (p *Pool) fetchAndInstall(st *stripe, id ObjectID, m Meta, forWrite, pin bo
 	return base, true, nil
 }
 
-// consumeGhostLocked reports whether id was evicted within the thrash
-// window, consuming its ghost entry so one eviction yields at most one
-// re-fault. The caller holds id's stripe lock.
-func (p *Pool) consumeGhostLocked(st *stripe, id ObjectID) bool {
-	for i := range st.ghostID {
-		if st.ghostID[i] == id {
-			st.ghostID[i] = noOwner
-			return p.env.Clock.Cycles()-st.ghostCyc[i] <= p.thrashWindow
-		}
-	}
-	return false
-}
-
-// noteFetchSample feeds the thrash detector: every thrashSampleEvery
-// remote fetches, the window's re-fault fraction folds into the EWMA
-// ratio. Remote-fetch slow path only — a round-trip was already paid, so
-// the small mutex adds nothing observable.
-func (p *Pool) noteFetchSample(refault bool) {
-	p.thrashMu.Lock()
-	p.twFetches++
-	if refault {
-		p.twRefaults++
-	}
-	if p.twFetches >= thrashSampleEvery {
-		ratio := float64(p.twRefaults) / float64(p.twFetches)
-		old := math.Float64frombits(p.thrashEWMA.Load())
-		p.thrashEWMA.Store(math.Float64bits(old + thrashAlpha*(ratio-old)))
-		p.twFetches, p.twRefaults = 0, 0
-	}
-	p.thrashMu.Unlock()
-}
-
 // Prefetch asynchronously localizes id if it is remote and a slot can be
 // found without displacing hot data: a prefetch may reuse free slots or
 // evict cold objects, but never steals a slot whose object was accessed
@@ -936,132 +882,6 @@ func (p *Pool) freeCount() int {
 	n := len(p.freeSlots)
 	p.freeMu.Unlock()
 	return n
-}
-
-// probeVictim advances the clock hand one slot and, if the slot holds a
-// resident, unpinned object whose stripe nobody is working in, returns that
-// object with its stripe locked; st is nil when the slot is no candidate.
-// Victims are taken with TryLock — an evictor never blocks on a stripe
-// someone else holds (a mutator there means the object is not cold), it
-// just moves the hand on — which also rules out lock-order deadlocks: no
-// goroutine ever waits for a second stripe while holding one.
-func (p *Pool) probeVictim() (st *stripe, slot uint32, id ObjectID, m Meta) {
-	slot = uint32((p.hand.Add(1) - 1) % uint64(len(p.slotOwner)))
-	id = p.ownerAt(int(slot))
-	if id == noOwner {
-		return nil, 0, 0, 0
-	}
-	st = p.stripeFor(id)
-	if !st.mu.TryLock() {
-		return nil, 0, 0, 0
-	}
-	if m = p.metaAt(id); p.ownerAt(int(slot)) != id || st.pins[id] > 0 || !m.Present() {
-		st.mu.Unlock()
-		return nil, 0, 0, 0
-	}
-	return st, slot, id, m
-}
-
-// tryTakeSlotGentle returns a free slot, or evicts a cold (H-clear,
-// unpinned) object without clearing anyone's hotness bit. Used by the
-// prefetcher so speculation cannot displace demand-loaded data — nor
-// another not-yet-consumed prefetch, or a deep prefetch window would churn
-// its own speculative fetches into double work.
-func (p *Pool) tryTakeSlotGentle() (uint32, bool) {
-	if slot, ok := p.popFree(); ok {
-		return slot, true
-	}
-	for i := 0; i < len(p.slotOwner); i++ {
-		st, slot, id, m := p.probeVictim()
-		if st == nil {
-			continue
-		}
-		ok := !m.Hot() && !m.Prefetched() && p.evictLocked(slot, id)
-		st.mu.Unlock()
-		if ok {
-			return slot, true
-		}
-	}
-	return 0, false
-}
-
-// tryTakeSlot returns a free slot if one exists or can be made by evicting
-// an unpinned object. Pass 0 runs only while throttled and reclaims
-// prefetched-but-unused residents — the cheapest slots to take back while
-// the pool is thrashing, since evicting them can never cost a demand
-// re-fault. Pass 1 is the clock with second chance: hot objects get their
-// H bit cleared, and under Config.ProtectPrefetch a prefetched-but-
-// unconsumed object is skipped too (evicting it would throw away a fetch
-// already paid for before its use arrives). That ranking is reasonable
-// when memory is ample and exactly wrong under pressure — it places
-// speculative fills above the resident working set — which is why pass 0
-// inverts it. Pass 2 evicts any unpinned object regardless.
-func (p *Pool) tryTakeSlot() (uint32, bool) {
-	if slot, ok := p.popFree(); ok {
-		p.kickEvacuator()
-		return slot, true
-	}
-	pass := 1
-	if p.throttled.Load() {
-		pass = 0
-	}
-	for ; pass <= 2; pass++ {
-		for i := 0; i < len(p.slotOwner); i++ {
-			st, slot, id, m := p.probeVictim()
-			if st == nil {
-				continue
-			}
-			take := true
-			switch pass {
-			case 0:
-				take = m.Prefetched()
-			case 1:
-				take = !m.Hot() && !(p.protectPF && m.Prefetched())
-				if m.Hot() {
-					p.storeMeta(id, m&^MetaH)
-				}
-			}
-			ok := take && p.evictLocked(slot, id)
-			st.mu.Unlock()
-			if ok {
-				return slot, true
-			}
-		}
-	}
-	return 0, false
-}
-
-// evictLocked evacuates the object owning slot to the remote node. The
-// caller holds id's stripe lock and has verified ownership and a zero pin
-// count. It reports whether the eviction completed: when a dirty object's
-// write-back fails past the retry budget, the object stays resident and
-// dirty (it is the only copy of the data — dropping it would be silent
-// corruption), the stall is counted, and the caller moves on to another
-// victim. This is the "pin and degrade" path: under a persistent remote
-// outage every dirty object effectively pins itself until the fabric
-// heals.
-func (p *Pool) evictLocked(slot uint32, id ObjectID) bool {
-	start := p.env.Clock.Cycles()
-	defer func() { p.lat.Evacuation.Observe(p.env.Clock.Cycles() - start) }()
-	p.env.Clock.Advance(p.env.Costs.EvacuateObject)
-	// Write back and demote straight from the slot: the victim is unpinned
-	// and its stripe lock is held, so its bytes are stable. The engine
-	// refuses a dirty object it cannot push (or will not, while degraded):
-	// clean evictions still make room.
-	if !p.far.Evict(uint64(id), p.slotBytes(uint64(slot)*uint64(p.objSize)), p.metaAt(id).Dirty()) {
-		return false
-	}
-	p.storeMeta(id, RemoteMeta(id, uint32(p.objSize), dsID))
-	p.setOwner(int(slot), noOwner)
-	p.resident.Add(-1)
-	// Remember the eviction in the stripe's ghost ring: a re-fetch within
-	// the thrash window is the detector's re-fault signal.
-	st := p.stripeFor(id)
-	st.ghostID[st.ghostPos] = id
-	st.ghostCyc[st.ghostPos] = p.env.Clock.Cycles()
-	st.ghostPos = (st.ghostPos + 1) % ghostRing
-	sim.Inc(&p.env.Counters.Evacuations)
-	return true
 }
 
 // Resize changes the pool's local budget at runtime, in bytes. Growth

@@ -220,7 +220,7 @@ func TestHotnessSecondChance(t *testing.T) {
 	// Make object 0 cold (as a completed clock sweep would); object 1
 	// keeps its H bit. The next eviction must pick the cold object even
 	// though the clock hand reaches the hot one first.
-	p.Table()[0] &^= MetaH
+	p.storeMeta(0, p.Meta(0)&^MetaH)
 	p.Localize(2, false)
 	if !p.Meta(1).Present() {
 		t.Fatalf("hot object evicted before cold object")
