@@ -166,8 +166,9 @@ test-tiers:
 # fetch, client and server together; a pipelined fetch alone and at depth
 # 8); then the two gates on what the emulator itself costs: a 64-object
 # core.NewRuntime allocates a bounded number of bytes (nothing sized by
-# what the OST warm-line model could hold), and an interpreted loop of
-# Assign/Var/Bin allocates nothing per trip. Run without
+# what the OST warm-line model could hold), and an interpreted loop —
+# Assign/Var/Bin on local memory, or a chunked Triad on a TrackFM runtime —
+# allocates nothing per trip. Run without
 # -race: the race detector's instrumentation allocates, so the gates skip
 # themselves under it (the -race coverage of the same code lives in `test`).
 test-allocs:
@@ -184,14 +185,15 @@ test-soak:
 	$(GO) test -race -run TestReplicaFailoverSoak -v ./internal/fabric
 
 # Short fixed-budget runs of the fuzzers, the fabric's one frame decoder
-# first (go test accepts one -fuzz pattern per invocation, hence one run
-# each).
+# first and the compiler/interpreter differential last (go test accepts
+# one -fuzz pattern per invocation, hence one run each).
 fuzz-short:
 	$(GO) test -run=^$$ -fuzz=FuzzFrame -fuzztime=30s ./internal/fabric
 	$(GO) test -race -run=^$$ -fuzz=FuzzConcurrentPins -fuzztime=30s ./internal/aifm
 	$(GO) test -run=^$$ -fuzz=FuzzWALRecord -fuzztime=30s ./internal/remote
 	$(GO) test -run=^$$ -fuzz=FuzzCodec -fuzztime=30s ./internal/mem/ctier
 	$(GO) test -run=^$$ -fuzz=FuzzTierOps -fuzztime=30s ./internal/mem/ctier
+	$(GO) test -run=^$$ -fuzz=FuzzDifferential -fuzztime=30s ./internal/ir/irgen
 
 # The refactoring oracle (ROADMAP aim 2): regenerate the checked-in
 # deterministic artifacts and fail on any difference. The four

@@ -19,6 +19,10 @@ import (
 // evictor can interleave (Pool.Access): between the safety check and the
 // access the evacuator cannot delocalize the object (what AIFM's
 // out-of-scope barrier guarantees, §3.3).
+// The guard also charges the access it guards, one load/store per 64
+// bytes touched: on the fast path in the guard's own clock add, on the
+// slow path after the slow-guard latency is observed, so that latency
+// stays the guard's alone.
 func (r *Runtime) guardObject(id aifm.ObjectID, off uint64, buf []byte, write bool) {
 	warm := r.cache.touch(uint64(id))
 	m := aifm.MetaAt(r.ost, id)
@@ -33,18 +37,19 @@ func (r *Runtime) guardObject(id aifm.ObjectID, off uint64, buf []byte, write bo
 			r.env.Clock.Advance(costs.MetaIndirectUncached)
 		}
 	}
+	data := uint64(len(buf)+63) / 64 * costs.LocalLoadStore
 	if m.Safe() {
 		sim.Inc(&r.env.Counters.FastPathGuards)
+		guard := costs.FastGuardReadUncached
 		switch {
 		case write && warm:
-			r.env.Clock.Advance(costs.FastGuardWriteCached)
+			guard = costs.FastGuardWriteCached
 		case write:
-			r.env.Clock.Advance(costs.FastGuardWriteUncached)
+			guard = costs.FastGuardWriteUncached
 		case warm:
-			r.env.Clock.Advance(costs.FastGuardReadCached)
-		default:
-			r.env.Clock.Advance(costs.FastGuardReadUncached)
+			guard = costs.FastGuardReadCached
 		}
+		r.env.Clock.Advance(guard + data)
 		r.pool.Access(id, off, buf, write)
 		return
 	}
@@ -66,6 +71,7 @@ func (r *Runtime) guardObject(id aifm.ObjectID, off uint64, buf []byte, write bo
 	}
 	r.pool.Access(id, off, buf, write) // charges the remote fetch when absent
 	r.lat.GuardSlow.Observe(r.env.Clock.Cycles() - slowStart)
+	r.env.Clock.Advance(data)
 }
 
 // checkManaged panics on unmanaged pointers: by construction the compiler
@@ -114,7 +120,7 @@ func (r *Runtime) Store(p Ptr, src []byte) {
 }
 
 // access splits [p, p+len(buf)) into object-bounded segments and, for each,
-// runs the guard — which moves the bytes — and charges the data-access cost.
+// runs the guard, which moves the bytes and charges their access.
 func (r *Runtime) access(p Ptr, buf []byte, write bool, op string) {
 	checkManaged(p, op)
 	objSize := uint64(r.objSize)
@@ -132,9 +138,6 @@ func (r *Runtime) access(p Ptr, buf []byte, write bool, op string) {
 			n = total - done
 		}
 		r.guardObject(id, inObj, buf[done:done+n], write)
-		// The target access itself: one load/store per 64B touched.
-		lines := (n + 63) / 64
-		r.env.Clock.Advance(lines * r.env.Costs.LocalLoadStore)
 		done += n
 	}
 }

@@ -69,7 +69,11 @@ type Options struct {
 	// Profile, when non-nil, records loop coverage during the run (the
 	// compiler's profiling pass uses a cheap local-backend run).
 	Profile *compiler.Profile
-	// MaxSteps aborts runaway programs (0 means a generous default).
+	// MaxSteps aborts runaway programs (0 means a generous default). A
+	// run takes one step per statement executed plus one per expression
+	// node that statement evaluates; a statement's steps are charged
+	// before it runs, so a run that would exceed MaxSteps stops at the
+	// start of the statement that crosses it.
 	MaxSteps uint64
 }
 
@@ -101,7 +105,9 @@ func Run(prog *ir.Program, backend Backend, opts Options) (res Result, err error
 // function at a time on the function's first call: a variable is a slot
 // in its function's frame (parameters first, then every other name in
 // order of appearance), so reading one is an index, not a map probe by
-// name. The lowered form belongs to one Run; the *ir.Program is only read.
+// name; a chunked stream is a slot in the frame's cursors, numbered the
+// same way. The lowered form belongs to one Run; the *ir.Program is only
+// read.
 type executor struct {
 	prog    *ir.Program
 	backend Backend
@@ -132,14 +138,28 @@ func (ex *executor) recordAccess(addr uint64) {
 
 // function is a lowered ir.Func.
 type function struct {
-	name    string
-	nparams int
-	nslots  int // frame size: parameters plus every other variable named
-	body    []stmt
+	name     string
+	nparams  int
+	nslots   int // frame size: parameters plus every other variable named
+	nstreams int // cursor slots: every chunked stream the body names
+	body     block
 }
 
-// expr and stmt are the lowered nodes; each mirrors the ir node it was
-// lowered from, names replaced by slots.
+// block is a lowered body: each statement with its step cost, 1 plus the
+// expression nodes the statement evaluates itself (a nested body's
+// statements pay their own).
+type block []costedStmt
+
+type costedStmt struct {
+	s    stmt
+	cost uint64
+}
+
+// expr and stmt are the lowered nodes, names replaced by slots. Each
+// mirrors the ir node it was lowered from, except the fused expressions:
+// one node for an arithmetic shape the compiler and the workloads emit
+// on every access, which evaluates through evalBin exactly as the tree it
+// replaces.
 type (
 	expr interface {
 		eval(ex *executor, fr *frame) int64
@@ -154,10 +174,31 @@ type (
 		op   ir.BinOp
 		l, r expr
 	}
+	binVarConstExpr struct { // Bin(op, Var, Const)
+		op   ir.BinOp
+		slot int
+		c    int64
+	}
+	binVarVarExpr struct { // Bin(op, Var, Var)
+		op   ir.BinOp
+		l, r int
+	}
+	idxExpr struct { // ir.Idx off a variable: Add(Var, Mul(index, Const))
+		base  int
+		i     expr
+		scale int64
+	}
 	loadExpr struct {
 		addr    expr
 		guarded bool
-		chunk   *ir.ChunkInfo
+		chunk   *chunkStream // nil: not chunked
+	}
+	// chunkStream is a lowered ir.ChunkInfo: the cursor slot of its
+	// stream and how to open the cursor.
+	chunkStream struct {
+		slot     int
+		stride   int64
+		prefetch bool
 	}
 
 	assignStmt struct {
@@ -167,17 +208,18 @@ type (
 	storeStmt struct {
 		addr, val expr
 		guarded   bool
-		chunk     *ir.ChunkInfo
+		chunk     *chunkStream
 	}
 	ifStmt struct {
 		cond         expr
-		then, orElse []stmt
+		then, orElse block
 	}
 	forStmt struct {
-		src          *ir.For // the profile's key; Step and StreamIDs
+		src          *ir.For // the profile's key; Step
 		iv           int
 		start, limit expr
-		body         []stmt
+		streams      []int // the cursor slots of src.StreamIDs, closed on exit
+		body         block
 	}
 	mallocStmt struct {
 		src  *ir.Malloc // the profile's key; PinLocal
@@ -204,18 +246,23 @@ func (ex *executor) function(f *ir.Func) *function {
 	if fn, ok := ex.funcs[f]; ok {
 		return fn
 	}
-	lw := lowerer{slots: make(map[string]int, len(f.Params))}
+	lw := lowerer{slots: make(map[string]int, len(f.Params)), streams: make(map[int]int)}
 	for _, p := range f.Params {
 		lw.slot(p)
 	}
 	fn := &function{name: f.Name, nparams: len(f.Params), body: lw.block(f.Body)}
 	fn.nslots = len(lw.slots)
+	fn.nstreams = len(lw.streams)
 	ex.funcs[f] = fn
 	return fn
 }
 
-// lowerer assigns one function's variable names their frame slots.
-type lowerer struct{ slots map[string]int }
+// lowerer assigns one function's variable names their frame slots and its
+// chunked streams their cursor slots.
+type lowerer struct {
+	slots   map[string]int
+	streams map[int]int // by ir.ChunkInfo.StreamID
+}
 
 func (lw *lowerer) slot(name string) int {
 	s, ok := lw.slots[name]
@@ -226,10 +273,28 @@ func (lw *lowerer) slot(name string) int {
 	return s
 }
 
-func (lw *lowerer) block(body []ir.Stmt) []stmt {
-	out := make([]stmt, len(body))
+func (lw *lowerer) streamSlot(id int) int {
+	s, ok := lw.streams[id]
+	if !ok {
+		s = len(lw.streams)
+		lw.streams[id] = s
+	}
+	return s
+}
+
+func (lw *lowerer) chunk(ci *ir.ChunkInfo) *chunkStream {
+	if ci == nil {
+		return nil
+	}
+	return &chunkStream{slot: lw.streamSlot(ci.StreamID), stride: ci.Stride, prefetch: ci.Prefetch}
+}
+
+func (lw *lowerer) block(body []ir.Stmt) block {
+	out := make(block, len(body))
 	for i, s := range body {
-		out[i] = lw.stmt(s)
+		cost := uint64(1)
+		ir.Parts(s, func(e *ir.Expr) { ir.VisitExprs(*e, func(ir.Expr) { cost++ }) }, func(*[]ir.Stmt) {})
+		out[i] = costedStmt{lw.stmt(s), cost}
 	}
 	return out
 }
@@ -239,11 +304,15 @@ func (lw *lowerer) stmt(s ir.Stmt) stmt {
 	case *ir.Assign:
 		return &assignStmt{slot: lw.slot(n.Name), e: lw.expr(n.E)}
 	case *ir.Store:
-		return &storeStmt{addr: lw.expr(n.Addr), val: lw.expr(n.Val), guarded: n.Guarded, chunk: n.Chunk}
+		return &storeStmt{addr: lw.expr(n.Addr), val: lw.expr(n.Val), guarded: n.Guarded, chunk: lw.chunk(n.Chunk)}
 	case *ir.If:
 		return &ifStmt{cond: lw.expr(n.Cond), then: lw.block(n.Then), orElse: lw.block(n.Else)}
 	case *ir.For:
-		return &forStmt{src: n, iv: lw.slot(n.IV), start: lw.expr(n.Start), limit: lw.expr(n.Limit), body: lw.block(n.Body)}
+		loop := &forStmt{src: n, iv: lw.slot(n.IV), start: lw.expr(n.Start), limit: lw.expr(n.Limit), body: lw.block(n.Body)}
+		for _, id := range n.StreamIDs {
+			loop.streams = append(loop.streams, lw.streamSlot(id))
+		}
+		return loop
 	case *ir.Malloc:
 		return &mallocStmt{src: n, dst: lw.slot(n.Dst), size: lw.expr(n.Size)}
 	case *ir.Free:
@@ -279,17 +348,29 @@ func (lw *lowerer) expr(e ir.Expr) expr {
 	case *ir.Var:
 		return &varExpr{slot: lw.slot(n.Name)}
 	case *ir.Bin:
+		if l, ok := n.L.(*ir.Var); ok {
+			switch r := n.R.(type) {
+			case *ir.Const:
+				return &binVarConstExpr{op: n.Op, slot: lw.slot(l.Name), c: r.V}
+			case *ir.Var:
+				return &binVarVarExpr{op: n.Op, l: lw.slot(l.Name), r: lw.slot(r.Name)}
+			case *ir.Bin:
+				if scale, ok := r.R.(*ir.Const); ok && n.Op == ir.OpAdd && r.Op == ir.OpMul {
+					return &idxExpr{base: lw.slot(l.Name), i: lw.expr(r.L), scale: scale.V}
+				}
+			}
+		}
 		return &binExpr{op: n.Op, l: lw.expr(n.L), r: lw.expr(n.R)}
 	case *ir.Load:
-		return &loadExpr{addr: lw.expr(n.Addr), guarded: n.Guarded, chunk: n.Chunk}
+		return &loadExpr{addr: lw.expr(n.Addr), guarded: n.Guarded, chunk: lw.chunk(n.Chunk)}
 	default:
 		panic(fmt.Sprintf("unknown expression %T", e))
 	}
 }
 
 type frame struct {
-	vars    []int64        // by slot; a variable never assigned reads 0
-	cursors map[int]Cursor // open chunk cursors by stream; made on first use
+	vars    []int64  // by slot; a variable never assigned reads 0
+	cursors []Cursor // open chunk cursors by stream slot
 	ret     int64
 	done    bool
 }
@@ -300,42 +381,33 @@ func (ex *executor) call(fn *function, args []expr, caller *frame) int64 {
 	if len(args) != fn.nparams {
 		panic(fmt.Sprintf("call of %s with %d args, want %d", fn.name, len(args), fn.nparams))
 	}
-	fr := frame{vars: make([]int64, fn.nslots)}
+	fr := frame{vars: make([]int64, fn.nslots), cursors: make([]Cursor, fn.nstreams)}
 	for i, a := range args {
-		fr.vars[i] = ex.eval(a, caller)
+		fr.vars[i] = a.eval(ex, caller)
 	}
 	ex.execBlock(fn.body, &fr)
 	return fr.ret
 }
 
-func (ex *executor) step() {
-	ex.steps++
-	if ex.steps > ex.opts.MaxSteps {
-		panic("step budget exhausted")
-	}
-}
-
-func (ex *executor) execBlock(body []stmt, fr *frame) {
+// execBlock runs body, charging each statement's steps before it runs.
+func (ex *executor) execBlock(body block, fr *frame) {
 	for _, s := range body {
 		if fr.done {
 			return
 		}
-		ex.step()
-		s.exec(ex, fr)
+		ex.steps += s.cost
+		if ex.steps > ex.opts.MaxSteps {
+			panic("step budget exhausted")
+		}
+		s.s.exec(ex, fr)
 	}
 }
 
-// eval evaluates e; every node visited is one step.
-func (ex *executor) eval(e expr, fr *frame) int64 {
-	ex.step()
-	return e.eval(ex, fr)
-}
-
-func (n *assignStmt) exec(ex *executor, fr *frame) { fr.vars[n.slot] = ex.eval(n.e, fr) }
+func (n *assignStmt) exec(ex *executor, fr *frame) { fr.vars[n.slot] = n.e.eval(ex, fr) }
 
 func (n *storeStmt) exec(ex *executor, fr *frame) {
-	v := ex.eval(n.val, fr)
-	addr := uint64(ex.eval(n.addr, fr))
+	v := n.val.eval(ex, fr)
+	addr := uint64(n.addr.eval(ex, fr))
 	if ex.opts.Profile != nil {
 		ex.recordAccess(addr)
 	}
@@ -347,7 +419,7 @@ func (n *storeStmt) exec(ex *executor, fr *frame) {
 }
 
 func (n *ifStmt) exec(ex *executor, fr *frame) {
-	if ex.eval(n.cond, fr) != 0 {
+	if n.cond.eval(ex, fr) != 0 {
 		ex.execBlock(n.then, fr)
 	} else {
 		ex.execBlock(n.orElse, fr)
@@ -355,7 +427,7 @@ func (n *ifStmt) exec(ex *executor, fr *frame) {
 }
 
 func (n *mallocStmt) exec(ex *executor, fr *frame) {
-	size := uint64(ex.eval(n.size, fr))
+	size := uint64(n.size.eval(ex, fr))
 	var addr uint64
 	if n.src.PinLocal {
 		// PGO-pruned site: the allocation lives in non-swappable
@@ -372,11 +444,11 @@ func (n *mallocStmt) exec(ex *executor, fr *frame) {
 }
 
 func (n *freeStmt) exec(ex *executor, fr *frame) {
-	ex.backend.Free(uint64(ex.eval(n.ptr, fr)))
+	ex.backend.Free(uint64(n.ptr.eval(ex, fr)))
 }
 
 func (n *localAllocStmt) exec(ex *executor, fr *frame) {
-	fr.vars[n.dst] = int64(ex.backend.LocalAlloc(uint64(ex.eval(n.size, fr))))
+	fr.vars[n.dst] = int64(ex.backend.LocalAlloc(uint64(n.size.eval(ex, fr))))
 }
 
 func (resetStatsStmt) exec(ex *executor, _ *frame) {
@@ -401,7 +473,7 @@ func (n *callStmt) exec(ex *executor, fr *frame) {
 
 func (n *returnStmt) exec(ex *executor, fr *frame) {
 	if n.e != nil {
-		fr.ret = ex.eval(n.e, fr)
+		fr.ret = n.e.eval(ex, fr)
 	}
 	fr.done = true
 }
@@ -410,15 +482,15 @@ func (n *forStmt) exec(ex *executor, fr *frame) {
 	if n.src.Step <= 0 {
 		panic(fmt.Sprintf("loop %s has non-positive step %d", n.src.IV, n.src.Step))
 	}
-	start := ex.eval(n.start, fr)
-	limit := ex.eval(n.limit, fr)
+	start := n.start.eval(ex, fr)
+	limit := n.limit.eval(ex, fr)
 	if ex.opts.Profile != nil {
 		ex.opts.Profile.RecordEntry(n.src)
 	}
 	// Cursors owned by this loop are (re)opened lazily inside the body
 	// and must close on every exit path, including Return.
-	if len(n.src.StreamIDs) > 0 {
-		defer fr.closeCursors(n.src.StreamIDs)
+	if len(n.streams) > 0 {
+		defer fr.closeCursors(n.streams)
 	}
 	trips := uint64(0)
 	for i := start; i < limit; i += n.src.Step {
@@ -434,24 +506,21 @@ func (n *forStmt) exec(ex *executor, fr *frame) {
 	}
 }
 
-func (fr *frame) closeCursors(ids []int) {
-	for _, id := range ids {
-		if c, ok := fr.cursors[id]; ok {
+func (fr *frame) closeCursors(slots []int) {
+	for _, s := range slots {
+		if c := fr.cursors[s]; c != nil {
 			c.Close()
-			delete(fr.cursors, id)
+			fr.cursors[s] = nil
 		}
 	}
 }
 
-func (ex *executor) cursorFor(ci *ir.ChunkInfo, firstAddr uint64, fr *frame) Cursor {
-	if c, ok := fr.cursors[ci.StreamID]; ok {
-		return c
+func (ex *executor) cursorFor(st *chunkStream, firstAddr uint64, fr *frame) Cursor {
+	c := fr.cursors[st.slot]
+	if c == nil {
+		c = ex.backend.OpenCursor(firstAddr, st.stride, st.prefetch)
+		fr.cursors[st.slot] = c
 	}
-	c := ex.backend.OpenCursor(firstAddr, ci.Stride, ci.Prefetch)
-	if fr.cursors == nil {
-		fr.cursors = make(map[int]Cursor)
-	}
-	fr.cursors[ci.StreamID] = c
 	return c
 }
 
@@ -460,13 +529,25 @@ func (n *constExpr) eval(*executor, *frame) int64 { return n.v }
 func (n *varExpr) eval(_ *executor, fr *frame) int64 { return fr.vars[n.slot] }
 
 func (n *binExpr) eval(ex *executor, fr *frame) int64 {
-	l := ex.eval(n.l, fr)
-	r := ex.eval(n.r, fr)
+	l := n.l.eval(ex, fr)
+	r := n.r.eval(ex, fr)
 	return evalBin(n.op, l, r)
 }
 
+func (n *binVarConstExpr) eval(_ *executor, fr *frame) int64 {
+	return evalBin(n.op, fr.vars[n.slot], n.c)
+}
+
+func (n *binVarVarExpr) eval(_ *executor, fr *frame) int64 {
+	return evalBin(n.op, fr.vars[n.l], fr.vars[n.r])
+}
+
+func (n *idxExpr) eval(ex *executor, fr *frame) int64 {
+	return evalBin(ir.OpAdd, fr.vars[n.base], evalBin(ir.OpMul, n.i.eval(ex, fr), n.scale))
+}
+
 func (n *loadExpr) eval(ex *executor, fr *frame) int64 {
-	addr := uint64(ex.eval(n.addr, fr))
+	addr := uint64(n.addr.eval(ex, fr))
 	if ex.opts.Profile != nil {
 		ex.recordAccess(addr)
 	}

@@ -307,15 +307,37 @@ func arithProgram(trips int64) *ir.Program {
 	return p
 }
 
+// triadProgram: trips iterations of STREAM Triad, a[i] = b[i] + 3*c[i],
+// over three 5000-element arrays (40 000 bytes each).
+func triadProgram(trips int64) *ir.Program {
+	const n = 5000
+	p := ir.NewProgram()
+	p.AddFunc(ir.Fn("main", nil,
+		&ir.Malloc{Dst: "a", Size: ir.C(n * 8)},
+		&ir.Malloc{Dst: "b", Size: ir.C(n * 8)},
+		&ir.Malloc{Dst: "c", Size: ir.C(n * 8)},
+		ir.Loop("i", ir.C(0), ir.C(trips),
+			ir.St(ir.Idx(ir.V("a"), ir.V("i"), 8), ir.Add(
+				ir.Ld(ir.Idx(ir.V("b"), ir.V("i"), 8)),
+				ir.Mul(ir.C(3), ir.Ld(ir.Idx(ir.V("c"), ir.V("i"), 8))))),
+		),
+		&ir.Return{E: ir.C(0)},
+	))
+	return p
+}
+
 // TestLoopBodyAllocFree: what a Run allocates does not depend on how many
-// times a loop of Assign/Var/Bin goes round — a frame is indexed, not
-// hashed into, and no step boxes a value.
+// times a loop goes round — a frame is indexed, not hashed into, no step
+// boxes a value, and a chunked loop's cursor slots are made with its frame.
+// Two loops: Assign/Var/Bin on local memory, and a chunked, prefetching
+// Triad on a fresh TrackFM runtime whose 64 KiB objects hold each array
+// whole, so the runtime does the same work at any trip count.
 func TestLoopBodyAllocFree(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
 	backend := NewLocalBackend(sim.NewEnv())
-	allocs := func(trips int64) float64 {
+	arith := func(trips int64) float64 {
 		prog := arithProgram(trips)
 		return testing.AllocsPerRun(10, func() {
 			if _, err := Run(prog, backend, Options{}); err != nil {
@@ -323,8 +345,24 @@ func TestLoopBodyAllocFree(t *testing.T) {
 			}
 		})
 	}
-	if short, long := allocs(1), allocs(5000); short != long {
+	if short, long := arith(1), arith(5000); short != long {
 		t.Fatalf("Run allocates %v times with a 1-trip loop and %v with a 5000-trip one", short, long)
+	}
+	triad := func(trips int64) float64 {
+		prog := compileWith(t, triadProgram(trips), compiler.Options{Chunking: compiler.ChunkAll, ObjectSize: 1 << 16, Prefetch: true})
+		return testing.AllocsPerRun(10, func() {
+			tfm := newTFMBackend(t, 1<<16, 1<<20, 1<<20)
+			if _, err := Run(prog, tfm, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			if tfm.RT.Env().Counters.ChunkInits != 3 {
+				t.Fatalf("Triad loop opened %d cursors, want 3", tfm.RT.Env().Counters.ChunkInits)
+			}
+			tfm.RT.Pool().Close()
+		})
+	}
+	if short, long := triad(1), triad(5000); short != long {
+		t.Fatalf("Run allocates %v times with a 1-trip chunked Triad loop and %v with a 5000-trip one", short, long)
 	}
 }
 
