@@ -26,6 +26,8 @@ package ctier
 import (
 	"encoding/binary"
 	"errors"
+	"math"
+	"math/bits"
 )
 
 const (
@@ -66,9 +68,17 @@ func DecodedLen(src []byte) (int, error) {
 
 // An Encoder holds the match-finding hash table so steady-state encoding
 // is allocation-free. Encoders are not safe for concurrent use; the tier
-// owns one and calls it under its lock.
+// owns one and calls it under its lock. The zero Encoder is ready to use.
+//
+// The table is never reset per block: a call stamps position i as gen+i,
+// and an entry below gen — left by an earlier call — reads as empty, so
+// each block sees an empty table without storing 32 KiB to get one. gen
+// advances by len(src) per call; the table is cleared only when the next
+// block's stamps would overflow int32.
 type Encoder struct {
 	table [tableSize]int32
+	gen   int32
+	warm  int32 // what the warming pass read; kept so its loads are not dropped
 }
 
 func hash4(v uint32) uint32 {
@@ -78,6 +88,10 @@ func hash4(v uint32) uint32 {
 
 func load32(b []byte, i int) uint32 {
 	return binary.LittleEndian.Uint32(b[i:])
+}
+
+func load64(b []byte, i int) uint64 {
+	return binary.LittleEndian.Uint64(b[i:])
 }
 
 // Encode compresses src into dst (reallocating only if cap(dst) <
@@ -110,40 +124,62 @@ func (e *Encoder) Encode(dst, src []byte) []byte {
 // compress writes the LZ op stream for src into dst and returns the bytes
 // written, or -1 if the stream would not fit in dst.
 func (e *Encoder) compress(dst, src []byte) int {
-	for i := range e.table {
-		e.table[i] = -1
+	if e.gen <= 0 || int(e.gen) > math.MaxInt32-len(src) {
+		clear(e.table[:])
+		e.gen = 1
 	}
+	gen := e.gen
+	e.gen += int32(len(src))
+	// Read one entry per cache line first. Between two demotions the
+	// caller's own work (a fetch over the network) evicts the table from
+	// the near caches; the probes would then miss it one line at a time,
+	// where this pass streams all 512 lines in. Without it the stamped
+	// table encodes a cold block slower than the per-block reset did.
+	var w int32
+	for k := 0; k < tableSize; k += 64 / 4 {
+		w |= e.table[k]
+	}
+	e.warm = w
 	d, litStart, i := 0, 0, 0
-	emitLiterals := func(end int) bool {
-		for litStart < end {
-			run := end - litStart
-			if run > maxLiteral {
-				run = maxLiteral
-			}
-			if d+1+run > len(dst) {
-				return false
-			}
-			dst[d] = byte((run - 1) << 1)
-			d++
-			copy(dst[d:], src[litStart:litStart+run])
-			d += run
-			litStart += run
-		}
-		return true
-	}
 	for i+minCopy <= len(src) {
-		h := hash4(load32(src, i))
-		cand := int(e.table[h])
-		e.table[h] = int32(i)
-		if cand < 0 || i-cand > maxOffset || load32(src, cand) != load32(src, i) {
+		cur := load32(src, i)
+		h := hash4(cur)
+		cand := int(e.table[h] - gen)
+		e.table[h] = gen + int32(i)
+		if cand < 0 || i-cand > maxOffset || load32(src, cand) != cur {
 			i++
 			continue
 		}
-		length := minCopy
-		for length < maxCopy && i+length < len(src) && src[cand+length] == src[i+length] {
-			length++
+		// Extend the match a word at a time up to the first differing
+		// byte, and byte by byte over the last few the bound leaves.
+		length, limit := minCopy, min(maxCopy, len(src)-i)
+		for {
+			if length+8 > limit {
+				for length < limit && src[cand+length] == src[i+length] {
+					length++
+				}
+				break
+			}
+			if x := load64(src, i+length) ^ load64(src, cand+length); x != 0 {
+				length += bits.TrailingZeros64(x) >> 3
+				break
+			}
+			length += 8
 		}
-		if !emitLiterals(i) || d+3 > len(dst) {
+		if run := i - litStart; run > 0 && run <= 16 && d+17 <= len(dst) && litStart+16 <= len(src) {
+			// A short literal with room to overshoot: sixteen bytes
+			// flat; what lands past run is overwritten by the ops that
+			// follow.
+			dst[d] = byte((run - 1) << 1)
+			move8(dst[d+1:], src[litStart:])
+			move8(dst[d+9:], src[litStart+8:])
+			d += 1 + run
+		} else if run > 0 {
+			if d = literals(dst, src, d, litStart, i); d < 0 {
+				return -1
+			}
+		}
+		if d+3 > len(dst) {
 			return -1
 		}
 		off := i - cand
@@ -154,8 +190,21 @@ func (e *Encoder) compress(dst, src []byte) int {
 		i += length
 		litStart = i
 	}
-	if !emitLiterals(len(src)) {
-		return -1
+	return literals(dst, src, d, litStart, len(src))
+}
+
+// literals writes src[from:to] into dst at d as literal ops and returns
+// the new end of dst, or -1 if they do not fit.
+func literals(dst, src []byte, d, from, to int) int {
+	for from < to {
+		run := min(to-from, maxLiteral)
+		if d+1+run > len(dst) {
+			return -1
+		}
+		dst[d] = byte((run - 1) << 1)
+		copy(dst[d+1:], src[from:from+run])
+		d += 1 + run
+		from += run
 	}
 	return d
 }
@@ -231,6 +280,11 @@ func Decode(dst, src []byte) ([]byte, error) {
 				return nil, ErrCorrupt
 			}
 			switch {
+			case length <= 8 && off >= 8 && d+8 <= rawLen:
+				// One 8-byte move does. A second, at off < 16, would
+				// read back part of what the first just stored, which
+				// the store buffer cannot forward.
+				move8(dst[d:], dst[d-off:])
 			case length <= 16 && off >= 8 && d+16 <= rawLen:
 				// Two 8-byte moves in order: with off >= 8 neither
 				// reads what it writes, and the second may read

@@ -3,6 +3,7 @@ package ctier
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -26,8 +27,8 @@ func roundTrip(t *testing.T, enc *Encoder, src []byte) {
 	}
 }
 
-func TestCodecRoundTrip(t *testing.T) {
-	var enc Encoder
+// roundTripCorpus is TestCodecRoundTrip's inputs.
+func roundTripCorpus() [][]byte {
 	rng := rand.New(rand.NewSource(42))
 	cases := [][]byte{
 		nil,
@@ -52,9 +53,13 @@ func TestCodecRoundTrip(t *testing.T) {
 		copy(b[n/2:], bytes.Repeat([]byte{0xAB}, n/2))
 		cases = append(cases, b)
 	}
-	for i, src := range cases {
+	return cases
+}
+
+func TestCodecRoundTrip(t *testing.T) {
+	var enc Encoder
+	for _, src := range roundTripCorpus() {
 		roundTrip(t, &enc, src)
-		_ = i
 	}
 }
 
@@ -80,6 +85,8 @@ func TestCodecScratchReuseNoAlloc(t *testing.T) {
 	dst := make([]byte, len(src))
 	e := enc.Encode(scratch, src)
 	allocs := testing.AllocsPerRun(100, func() {
+		enc.gen = math.MaxInt32 - 100 // every encode clears the table
+		e = enc.Encode(scratch, src)
 		e = enc.Encode(scratch, src)
 		out, err := Decode(dst, e)
 		if err != nil || len(out) != len(src) {
@@ -116,6 +123,162 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	bad := append([]byte{4, 9}, 1, 2, 3, 4)
 	if _, err := Decode(nil, bad); err == nil {
 		t.Fatal("unknown flag decoded cleanly")
+	}
+}
+
+// encodeRef is the encoder Encode must agree with byte for byte: the table
+// reset to -1 for every block, matches extended a byte at a time.
+func encodeRef(src []byte) []byte {
+	dst := make([]byte, MaxEncodedLen(len(src)))
+	n := binary.PutUvarint(dst, uint64(len(src)))
+	if len(src) == 0 {
+		return dst[:n]
+	}
+	w := compressRef(dst[n+1:n+1+len(src)-1], src)
+	if w < 0 {
+		dst[n] = flagRaw
+		copy(dst[n+1:], src)
+		return dst[:n+1+len(src)]
+	}
+	dst[n] = flagLZ
+	return dst[:n+1+w]
+}
+
+func compressRef(dst, src []byte) int {
+	var table [tableSize]int32
+	for i := range table {
+		table[i] = -1
+	}
+	d, litStart, i := 0, 0, 0
+	emitLiterals := func(end int) bool {
+		for litStart < end {
+			run := end - litStart
+			if run > maxLiteral {
+				run = maxLiteral
+			}
+			if d+1+run > len(dst) {
+				return false
+			}
+			dst[d] = byte((run - 1) << 1)
+			d++
+			copy(dst[d:], src[litStart:litStart+run])
+			d += run
+			litStart += run
+		}
+		return true
+	}
+	for i+minCopy <= len(src) {
+		h := hash4(load32(src, i))
+		cand := int(table[h])
+		table[h] = int32(i)
+		if cand < 0 || i-cand > maxOffset || load32(src, cand) != load32(src, i) {
+			i++
+			continue
+		}
+		length := minCopy
+		for length < maxCopy && i+length < len(src) && src[cand+length] == src[i+length] {
+			length++
+		}
+		if !emitLiterals(i) || d+3 > len(dst) {
+			return -1
+		}
+		off := i - cand
+		dst[d] = byte((length-minCopy)<<1) | 1
+		dst[d+1] = byte(off)
+		dst[d+2] = byte(off >> 8)
+		d += 3
+		i += length
+		litStart = i
+	}
+	if !emitLiterals(len(src)) {
+		return -1
+	}
+	return d
+}
+
+// checkEncodeRef encodes src with enc and with encodeRef: the same bytes.
+func checkEncodeRef(t *testing.T, enc *Encoder, src []byte) {
+	t.Helper()
+	if got, want := enc.Encode(nil, src), encodeRef(src); !bytes.Equal(got, want) {
+		t.Fatalf("%d-byte input: Encode gave %d bytes, the reference encoder %d, and they differ", len(src), len(got), len(want))
+	}
+}
+
+// valueObject fills a 4 KiB object with fmbench's element pattern: a
+// 24-bit hash per pair of 8-byte elements, so a 16-byte period.
+func valueObject(seed uint64) []byte {
+	b := make([]byte, 4096)
+	for i := 0; i < len(b)/8; i++ {
+		x := (uint64(i>>1)<<8)*0x9E3779B97F4A7C15 ^ seed
+		x ^= x >> 32
+		x *= 0xD6E8FEB86659FD93
+		x ^= x >> 32
+		binary.LittleEndian.PutUint64(b[i*8:], x>>40)
+	}
+	return b
+}
+
+// decodeCorpus is TestDecodeMatchesReference's generator: literal
+// stretches, short-period runs and far matches, up to 4 KiB.
+func decodeCorpus(rng *rand.Rand) []byte {
+	src := make([]byte, 0, 4096)
+	for len(src) < 1+rng.Intn(4096) {
+		switch rng.Intn(3) {
+		case 0: // a literal stretch
+			b := make([]byte, 1+rng.Intn(40))
+			rng.Read(b)
+			src = append(src, b...)
+		case 1: // a run of period 1..24: overlapping matches
+			period, n := 1+rng.Intn(24), 4+rng.Intn(150)
+			for k := 0; k < n && len(src) >= period; k++ {
+				src = append(src, src[len(src)-period])
+			}
+		default: // a far match
+			if len(src) > 32 {
+				from := rng.Intn(len(src) - 20)
+				src = append(src, src[from:from+4+rng.Intn(16)]...)
+			}
+		}
+	}
+	return src
+}
+
+// TestEncodeMatchesReference pins Encode's output to encodeRef: one
+// Encoder, reused across every input as the tier reuses its own, so
+// positions stamped by earlier blocks must never leak into later ones.
+func TestEncodeMatchesReference(t *testing.T) {
+	var enc Encoder
+	for seed := uint64(0); seed < 256; seed++ {
+		checkEncodeRef(t, &enc, valueObject(seed*0x2545F4914F6CDD1D))
+	}
+	for _, src := range roundTripCorpus() {
+		checkEncodeRef(t, &enc, src)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 400; i++ {
+		checkEncodeRef(t, &enc, decodeCorpus(rng))
+	}
+	// Every size 0..5000, half of each input periodic, so matches reach
+	// the end of the input and stop short of it by every remainder.
+	for n := 0; n <= 5000; n++ {
+		src := make([]byte, n)
+		rng.Read(src[:n/2])
+		for k := n / 2; k < n; k++ {
+			src[k] = src[k%13]
+		}
+		checkEncodeRef(t, &enc, src)
+	}
+	// Across a generation wrap: the stamps of the next block would
+	// overflow int32 after one, two or three more 4 KiB blocks, or at once.
+	srcs := [][]byte{valueObject(1), valueObject(2), bytes.Repeat([]byte("abcdefgh"), 512), valueObject(1)}
+	for _, start := range []int32{math.MaxInt32 - 3*4096 - 1, math.MaxInt32 - 4096, math.MaxInt32 - 1, math.MaxInt32} {
+		enc.gen = start
+		for _, src := range srcs {
+			checkEncodeRef(t, &enc, src)
+		}
+		if enc.gen <= 0 || enc.gen > 1+4*4096 {
+			t.Fatalf("gen %d after wrapping from %d", enc.gen, start)
+		}
 	}
 }
 
@@ -206,26 +369,7 @@ func TestDecodeMatchesReference(t *testing.T) {
 	var enc Encoder
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 400; i++ {
-		src := make([]byte, 0, 4096)
-		for len(src) < 1+rng.Intn(4096) {
-			switch rng.Intn(3) {
-			case 0: // a literal stretch
-				b := make([]byte, 1+rng.Intn(40))
-				rng.Read(b)
-				src = append(src, b...)
-			case 1: // a run of period 1..24: overlapping matches
-				period, n := 1+rng.Intn(24), 4+rng.Intn(150)
-				for k := 0; k < n && len(src) >= period; k++ {
-					src = append(src, src[len(src)-period])
-				}
-			default: // a far match
-				if len(src) > 32 {
-					from := rng.Intn(len(src) - 20)
-					src = append(src, src[from:from+4+rng.Intn(16)]...)
-				}
-			}
-		}
-		block := enc.Encode(nil, src)
+		block := enc.Encode(nil, decodeCorpus(rng))
 		checkAgainstRef(t, block)
 		for k := 0; k < 8; k++ {
 			bad := append([]byte(nil), block...)
@@ -249,6 +393,10 @@ func FuzzCodec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var enc Encoder
 		e := enc.Encode(nil, data)
+		// The second encode runs over the first one's stamps.
+		if !bytes.Equal(e, encodeRef(data)) || !bytes.Equal(enc.Encode(nil, data), e) {
+			t.Fatal("Encode and the reference encoder disagree")
+		}
 		if len(e) > MaxEncodedLen(len(data)) {
 			t.Fatalf("encode overflow: %d > %d", len(e), MaxEncodedLen(len(data)))
 		}
@@ -269,4 +417,64 @@ func FuzzCodec(f *testing.F) {
 			}
 		}
 	})
+}
+
+// benchShapes are 4 KiB inputs of the three shapes the tier sees: a
+// freshly filled fmbench object, a zeroed page and incompressible bytes.
+func benchShapes() []struct {
+	name string
+	src  []byte
+} {
+	random := make([]byte, 4096)
+	rand.New(rand.NewSource(1)).Read(random)
+	return []struct {
+		name string
+		src  []byte
+	}{
+		{"value", valueObject(7)},
+		{"zeros", make([]byte, 4096)},
+		{"random", random},
+	}
+}
+
+func BenchmarkEncode(b *testing.B) {
+	for _, s := range benchShapes() {
+		b.Run(s.name, func(b *testing.B) {
+			var enc Encoder
+			dst := make([]byte, MaxEncodedLen(len(s.src)))
+			b.SetBytes(int64(len(s.src)))
+			for i := 0; i < b.N; i++ {
+				enc.Encode(dst, s.src)
+			}
+		})
+	}
+}
+
+func BenchmarkDecode(b *testing.B) {
+	for _, s := range benchShapes() {
+		b.Run(s.name, func(b *testing.B) {
+			var enc Encoder
+			block := enc.Encode(nil, s.src)
+			dst := make([]byte, len(s.src))
+			b.SetBytes(int64(len(s.src)))
+			for i := 0; i < b.N; i++ {
+				if _, err := Decode(dst, block); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEncodeColdTable encodes the value shape with 128 Encoders in
+// turn, 4 MiB of tables, so each block finds its table out of the near
+// caches, as a demotion in the far engine does.
+func BenchmarkEncodeColdTable(b *testing.B) {
+	encs := make([]Encoder, 128)
+	src := valueObject(7)
+	dst := make([]byte, MaxEncodedLen(len(src)))
+	b.SetBytes(int64(len(src)))
+	for i := 0; i < b.N; i++ {
+		encs[i%len(encs)].Encode(dst, src)
+	}
 }

@@ -118,12 +118,13 @@ func (r *ring) keep(live func(uint64) bool) {
 // a key the ghost set remembers (it was promoted or evicted recently) gets
 // one second chance — one more lap of the ring.
 type Tier struct {
-	mu      sync.Mutex
-	cfg     Config
-	enc     Encoder
-	scratch []byte // encode destination, reused under mu
-	entries map[uint64]entry
-	bytes   uint64 // summed len(entry.data)
+	mu       sync.Mutex
+	cfg      Config
+	enc      Encoder
+	scratch  []byte // encode destination, reused under mu
+	entries  map[uint64]entry
+	bytes    uint64 // summed len(entry.data)
+	rawBytes uint64 // summed entry.rawLen
 
 	clock ring
 
@@ -148,13 +149,19 @@ func New(cfg Config) *Tier {
 // fit the budget. It reports whether the object was admitted; a false
 // return means the caller's copy is the only local one (the fabric copy
 // already exists either way — the tier is write-through). Re-putting an
-// existing key replaces its payload in place.
+// existing key replaces its payload; a rejected re-put drops it.
 func (t *Tier) Put(key uint64, raw []byte) bool {
 	if t == nil {
 		return false
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	// The old payload goes first: a rejected re-put must not leave it
+	// to be served as a hit.
+	if old, ok := t.entries[key]; ok {
+		t.removeLocked(key, old)
+		old.lease.Release()
+	}
 	if t.cfg.Budget == 0 {
 		t.stats.rejects.Add(1)
 		return false
@@ -173,10 +180,6 @@ func (t *Tier) Put(key uint64, raw []byte) bool {
 		t.stats.rejects.Add(1)
 		return false
 	}
-	if old, ok := t.entries[key]; ok {
-		t.removeLocked(key, old)
-		old.lease.Release()
-	}
 	if !t.evictToFit(need) {
 		t.stats.rejects.Add(1)
 		return false
@@ -193,6 +196,7 @@ func (t *Tier) Put(key uint64, raw []byte) bool {
 	t.clock.push(key)
 	t.entries[key] = entry{lease: lease, data: buf, rawLen: len(raw), chance: returning}
 	t.bytes += need
+	t.rawBytes += uint64(len(raw))
 	t.stats.demotes.Add(1)
 	return true
 }
@@ -326,11 +330,7 @@ func (t *Tier) RawBytes() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var raw uint64
-	for _, e := range t.entries {
-		raw += uint64(e.rawLen)
-	}
-	return raw
+	return t.rawBytes
 }
 
 // Clear drops every entry (and the ghost history), releasing all leases.
@@ -395,11 +395,12 @@ func (t *Tier) Register(reg *obs.Registry, labels ...obs.Label) {
 	reg.GaugeFunc("trackfm_ctier_compression_ratio",
 		"Raw bytes over compressed bytes across resident entries.",
 		func() float64 {
-			b := t.Bytes()
-			if b == 0 {
+			t.mu.Lock()
+			defer t.mu.Unlock()
+			if t.bytes == 0 {
 				return 0
 			}
-			return float64(t.RawBytes()) / float64(b)
+			return float64(t.rawBytes) / float64(t.bytes)
 		}, labels...)
 }
 
@@ -409,6 +410,7 @@ func (t *Tier) Register(reg *obs.Registry, labels ...obs.Label) {
 func (t *Tier) removeLocked(key uint64, e entry) {
 	delete(t.entries, key)
 	t.bytes -= uint64(len(e.data))
+	t.rawBytes -= uint64(e.rawLen)
 }
 
 // noteGhost records key in the bounded ghost set.

@@ -105,6 +105,27 @@ func TestTierOversizeObjectRejected(t *testing.T) {
 	}
 }
 
+// TestTierRejectedReputDropsOldPayload: a re-put the budget rejects must
+// not leave the key's previous payload behind to be served as a hit.
+func TestTierRejectedReputDropsOldPayload(t *testing.T) {
+	tr := New(Config{Budget: 1 << 20})
+	if !tr.Put(1, make([]byte, 4096)) {
+		t.Fatal("zeroed object not admitted")
+	}
+	tr.Resize(tr.Bytes() + 100)
+	random := make([]byte, 4096)
+	rand.New(rand.NewSource(1)).Read(random)
+	if tr.Put(1, random) {
+		t.Fatal("incompressible object admitted past the budget")
+	}
+	if tr.Get(1, make([]byte, 4096)) {
+		t.Fatal("rejected re-put left the old payload to be served")
+	}
+	if tr.Len() != 0 || tr.Bytes() != 0 || tr.RawBytes() != 0 {
+		t.Fatalf("after the rejected re-put: %d entries, %d bytes, %d raw", tr.Len(), tr.Bytes(), tr.RawBytes())
+	}
+}
+
 func TestTierZeroBudgetRejectsAll(t *testing.T) {
 	tr := New(Config{})
 	if tr.Put(1, []byte("abcd")) {
@@ -357,6 +378,8 @@ func FuzzTierOps(f *testing.F) {
 				fill(obj[8:], k^uint64(i), op%2 == 0)
 				if tr.Put(k, obj) {
 					shadow[k] = append([]byte(nil), obj...)
+				} else {
+					delete(shadow, k) // a rejected re-put drops the old payload
 				}
 			case 2: // promote
 				if tr.Get(k, got) {
@@ -374,6 +397,13 @@ func FuzzTierOps(f *testing.F) {
 			}
 			if tr.Bytes() > tr.Budget() {
 				t.Fatalf("op %d: bytes %d exceed budget %d", i, tr.Bytes(), tr.Budget())
+			}
+			var raw uint64
+			for _, e := range tr.entries {
+				raw += uint64(e.rawLen)
+			}
+			if got := tr.RawBytes(); got != raw {
+				t.Fatalf("op %d: RawBytes %d, entries hold %d", i, got, raw)
 			}
 			// A Put rebuilds the ring past 2*len+16 slots, and at most
 			// keys-1 other keys are resident when it does.

@@ -98,7 +98,14 @@ type CostModel struct {
 	// single-core LZ-class codecs (compress ~2 GB/s, decompress ~5 GB/s
 	// at 2.4 GHz ⇒ ~0.8 and ~2.0 B/cycle): a 4 KiB tier hit lands near
 	// 2.4K cycles against ~35K for the TCP fetch it replaces, which is
-	// the entire economics of the middle tier.
+	// the entire economics of the middle tier. The in-repo codec
+	// (ctier.BenchmarkEncode/Decode on a 4 KiB fmbench object, medians
+	// of 12 runs on a 2-vCPU Xeon VM, read as B/cycle at 2.4 GHz) does
+	// not reach these rates: encode 204 → 301 MB/s ≈ 0.085 → 0.125 and
+	// decode 530 → 637 MB/s ≈ 0.22 → 0.27 B/cycle, before → after the
+	// encoder's generation-stamped table and the decoder's one-move short
+	// copy. The modelled rates are a target for the codec, not a
+	// measurement of it.
 	TierAccessFixed         uint64  // map/queue bookkeeping per tier op
 	CompressBytesPerCycle   float64 // demotion (compression) bandwidth
 	DecompressBytesPerCycle float64 // promotion (decompression) bandwidth
