@@ -56,13 +56,13 @@ vet:
 		$$(ls internal/aifm/*.go internal/fastswap/*.go internal/core/*.go farmem/*.go | grep -v _test.go)
 	! grep -nE '"trackfm/internal/(core|fastswap|aifm)"' $$(find internal/workloads -name '*.go' ! -name '*_test.go')
 
-# The two gates of test-thrash and test-tiers that run under -race.
-RACE_PIN_SATURATION  = $(GO) test -race -run 'TestEvacuatorRespectsReserveUnderPinSaturation' ./internal/aifm
-RACE_TIER_CONCURRENT = $(GO) test -race -run 'TestTierConcurrent' ./internal/aifm ./internal/mem/ctier
+# The gate of test-thrash that runs under -race. test-tiers' race run is
+# a subset of the one in test.
+RACE_PIN_SATURATION = $(GO) test -race -run 'TestEvacuatorRespectsReserveUnderPinSaturation' ./internal/aifm
 
 # Everything a PR must pass, each gate once: build, vet (incl. the lints,
 # the censuses and the doc test), the tier-1 suite, the concurrency stress
-# suite and the two pressure gates under the race detector, the examples,
+# suite and the pin-saturation gate under the race detector, the examples,
 # and the refactoring oracle. The overload, crash, thrash, tiers and allocs gates
 # that run without -race or -count are tests `make test` has already run,
 # twice, as part of ./...; their targets stay for running one battery alone.
@@ -71,16 +71,15 @@ check: build
 	$(MAKE) test
 	$(MAKE) test-stress
 	$(RACE_PIN_SATURATION)
-	$(RACE_TIER_CONCURRENT)
 	$(MAKE) test-examples
 	$(MAKE) test-artifacts
 
 # Tier-1: the full suite twice in shuffled order (catches inter-test
 # order dependence), plus race mode over the concurrency-bearing packages
-# (the TCP fabric, the far-memory pool and the far engine under it).
+# (the TCP fabric, both runtimes and the far engine under them).
 test:
 	$(GO) test -shuffle=on -count=2 ./...
-	$(GO) test -race ./internal/fabric/... ./internal/aifm/... ./internal/far/... ./internal/mem/... ./internal/remote/...
+	$(GO) test -race ./internal/fabric/... ./internal/aifm/... ./internal/fastswap/... ./internal/far/... ./internal/mem/... ./internal/remote/...
 
 # The four examples, run (go build ./... only compiles them) at sizes that
 # take a few seconds together. Each holds its result to a reference — a
@@ -146,13 +145,15 @@ test-thrash:
 # state), the governor's tier-shrinks-first squeeze, and the compressed
 # tier's and the remote store's unit suites — the store's contract table,
 # run over the plain and the compressed-at-rest constructor, plus what is
-# specific to the latter; the concurrent no-lost-updates test runs under
-# -race.
+# specific to the latter; the runtimes' held-copy tests (a clean
+# re-demotion re-admits the copy its promotion kept, a written object is
+# encoded again); then the tier, the far engine and both runtimes under
+# -race, the concurrent no-lost-updates test among them.
 test-tiers:
-	$(GO) test -run 'TestTiers|TestTierOracleDifferential|TestGovernorShrinksTierFirst' ./internal/bench ./internal/aifm ./internal/autotune
+	$(GO) test -run 'TestTiers|TestTierOracleDifferential|TestGovernorShrinksTierFirst|TestCleanRedemotionReusesEncoding|TestDirtiedPromotionReencodes|TestDirtiedSwapInReencodes' ./internal/bench ./internal/aifm ./internal/autotune ./internal/fastswap
 	$(GO) test -run 'TestStore|TestCompressedStore' ./internal/remote
 	$(GO) test ./internal/mem/ctier
-	$(RACE_TIER_CONCURRENT)
+	$(GO) test -race ./internal/mem/ctier ./internal/far ./internal/aifm ./internal/fastswap
 
 # The allocation-regression gates: testing.AllocsPerRun must report zero
 # heap allocations per op on the guard fast path and on steady-state

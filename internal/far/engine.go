@@ -410,8 +410,10 @@ func (e *Engine) start(key uint64, dst []byte, speculative bool) (Prefetch, erro
 // Evict makes the unit in src (nil for a phantom unit, which reads as
 // zeros) droppable from local memory and reports whether it now is: a
 // dirty unit is written back first — refused outright while degraded —
-// then a compressed copy is parked in the tier. Written back means pushed,
-// retried inside one deadline with failed attempts tallied in
+// then a compressed copy is parked in the tier: a clean unit's bytes are
+// those it was fetched with, so when it was promoted from the tier, the
+// block the tier kept is re-admitted instead of encoded. Written back
+// means pushed, retried inside one deadline with failed attempts tallied in
 // Counters.RemotePushFaults; or, over a fabric.PushCarrier, copied into the
 // write-behind window, from where the next exchange carries it (a full
 // window first flushes itself: the pushes it holds, as one exchange). The
@@ -430,8 +432,18 @@ func (e *Engine) Evict(key uint64, src []byte, dirty bool) bool {
 		return false
 	}
 	if e.tier != nil {
+		// The model charges the encode either way, so a clean unit costs
+		// the same cycles whether the tier re-admits its held copy (the
+		// unit is unchanged since its promotion: the copy is the encoding)
+		// or encodes it.
 		e.env.Clock.Advance(e.env.Costs.TierCompress(e.unit))
-		if e.tier.Put(key, src) {
+		var admitted bool
+		if dirty {
+			admitted = e.tier.Put(key, src)
+		} else {
+			admitted = e.tier.Readmit(key, src)
+		}
+		if admitted {
 			sim.Inc(&e.env.Counters.TierDemotes)
 		}
 	}

@@ -105,7 +105,10 @@ type CostModel struct {
 	// decode 530 → 637 MB/s ≈ 0.22 → 0.27 B/cycle, before → after the
 	// encoder's generation-stamped table and the decoder's one-move short
 	// copy. The modelled rates are a target for the codec, not a
-	// measurement of it.
+	// measurement of it. A clean re-demotion of an object promoted from
+	// the tier still pays TierCompress, although the tier re-admits the
+	// block it kept instead of encoding: a wall-below-sim gap, kept so
+	// that the model does not move.
 	TierAccessFixed         uint64  // map/queue bookkeeping per tier op
 	CompressBytesPerCycle   float64 // demotion (compression) bandwidth
 	DecompressBytesPerCycle float64 // promotion (decompression) bandwidth
