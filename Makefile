@@ -158,7 +158,8 @@ test-tiers:
 # The allocation-regression gates: testing.AllocsPerRun must report zero
 # heap allocations per op on the guard fast path and on steady-state
 # demand fetch (clean and dirty) over SimLink, on the layer programs call
-# (core's scalar guards and cursor; farmem's Range allocates its Cursor
+# (core's scalar guards and cursor, on TrackFM's runtime and on the library
+# runtime the AIFM comparator runs on; farmem's Range allocates its Cursor
 # and nothing else, whatever the length — resident, or far over loopback
 # with every object riding the prefetch stream), plus the bufpool unit
 # tests (leak/double-release detection, class routing, slab reuse) and

@@ -2,8 +2,8 @@
 // an object pool with local/remote object states, the 8-byte metadata
 // formats from the paper's Figure 3, a clock evacuator that honours pin
 // counts (the pin is what AIFM's DerefScope holds on an object), and a
-// stride prefetcher. The paper's AIFM comparator is interp.AIFMBackend
-// over this same pool.
+// stride prefetcher. The paper's AIFM comparator runs over this same pool,
+// through core.NewLibraryRuntime.
 //
 // AIFM (Ruan et al., OSDI '20) manages remotable memory at the granularity
 // of fixed-size objects. Each object is either local (resident in the local

@@ -52,8 +52,8 @@ type Cursor struct {
 // Close the cursor when the loop exits so the pinned chunk is released.
 func (r *Runtime) NewCursor(base Ptr, elemSize int, prefetch bool) *Cursor {
 	checkManaged(base, "NewCursor")
-	r.env.Clock.Advance(r.env.Costs.ChunkInit)
-	sim.Inc(&r.env.Counters.ChunkInits)
+	r.env.Clock.Advance(r.costs.ChunkInit)
+	sim.Inc(&r.counts.ChunkInits)
 	return &Cursor{
 		rt:       r,
 		base:     base,
@@ -99,10 +99,10 @@ func (c *Cursor) cross(off, size uint64, write bool) bool {
 		c.hi = 0
 		r.pool.Unpin(c.obj)
 	}
-	costs := &r.env.Costs
+	costs := r.costs
 	r.env.Clock.Advance(costs.BoundaryCheck + costs.LocalityInvariantPin)
 	c.prepaid = costs.BoundaryCheck
-	sim.Inc(&r.env.Counters.LocalityGuards)
+	sim.Inc(&r.counts.LocalityGuards)
 	id := aifm.ObjectID(lo >> r.shift)
 	r.pool.LocalizePin(id, write)
 	c.obj, c.lo, c.hi = id, lo, lo+uint64(r.objSize)
@@ -127,9 +127,9 @@ func (c *Cursor) Consumed(n int) {
 		return
 	}
 	r := c.rt
-	r.env.Clock.Advance(uint64(n)*(r.env.Costs.BoundaryCheck+r.env.Costs.LocalLoadStore) - c.prepaid)
+	r.env.Clock.Advance(uint64(n)*(r.costs.BoundaryCheck+r.costs.LocalLoadStore) - c.prepaid)
 	c.prepaid = 0
-	sim.Add(&r.env.Counters.BoundaryChecks, uint64(n))
+	sim.Add(&r.counts.BoundaryChecks, uint64(n))
 }
 
 // Span is the body of the chunked loop (Figure 5): after the boundary

@@ -26,7 +26,7 @@ import (
 func (r *Runtime) guardObject(id aifm.ObjectID, off uint64, buf []byte, write bool) {
 	warm := r.cache.touch(uint64(id))
 	m := aifm.MetaAt(r.ost, id)
-	costs := &r.env.Costs
+	costs := r.costs
 	if r.noOST {
 		// Ablation: without the contiguous object state table the guard
 		// performs AIFM's two-reference lookup — find the object, then
@@ -39,7 +39,7 @@ func (r *Runtime) guardObject(id aifm.ObjectID, off uint64, buf []byte, write bo
 	}
 	data := uint64(len(buf)+63) / 64 * costs.LocalLoadStore
 	if m.Safe() {
-		sim.Inc(&r.env.Counters.FastPathGuards)
+		sim.Inc(&r.counts.FastPathGuards)
 		guard := costs.FastGuardReadUncached
 		switch {
 		case write && warm:
@@ -58,7 +58,7 @@ func (r *Runtime) guardObject(id aifm.ObjectID, off uint64, buf []byte, write bo
 	// include the scope enter/exit work, so no separate scope cost is
 	// charged here; the pin Pool.Access takes on a miss is the scope.
 	slowStart := r.env.Clock.Cycles()
-	sim.Inc(&r.env.Counters.SlowPathGuards)
+	sim.Inc(&r.counts.SlowPathGuards)
 	switch {
 	case write && warm:
 		r.env.Clock.Advance(costs.SlowGuardWriteCached)
@@ -88,8 +88,8 @@ func checkManaged(p Ptr, op string) {
 // unguarded). Callers — the IR interpreter, mainly — then perform the
 // access against their own local memory.
 func (r *Runtime) CustodyReject() {
-	r.env.Clock.Advance(r.env.Costs.CustodyCheck)
-	sim.Inc(&r.env.Counters.CustodyRejects)
+	r.env.Clock.Advance(r.costs.CustodyCheck)
+	sim.Inc(&r.counts.CustodyRejects)
 }
 
 // LoadU64 performs a guarded 8-byte load at p.

@@ -8,6 +8,7 @@ import (
 	"trackfm/internal/aifm"
 	"trackfm/internal/fabric"
 	"trackfm/internal/far"
+	"trackfm/internal/obs"
 	"trackfm/internal/sim"
 )
 
@@ -68,8 +69,13 @@ type Config struct {
 // single-goroutine object (one per worker). The simulated clock stays one
 // logical timeline shared by all goroutines.
 type Runtime struct {
-	env   *sim.Env
-	lat   *sim.Latencies
+	env *sim.Env
+	// The guard layer's charges, counts and slow-path latencies: the env's
+	// own, or a library runtime's (NewLibraryRuntime).
+	costs  *sim.CostModel
+	counts *sim.Counters
+	lat    *sim.Latencies
+
 	pool  *aifm.Pool
 	ost   []aifm.Meta // alias of pool.Table(): coherent by construction
 	cache *ostCache
@@ -87,7 +93,17 @@ type Runtime struct {
 
 // NewRuntime validates cfg and initializes the runtime — the work the
 // compiler's runtime-initialization pass injects into main (§3.1).
-func NewRuntime(cfg Config) (*Runtime, error) {
+func NewRuntime(cfg Config) (*Runtime, error) { return newRuntime(cfg, false) }
+
+// NewLibraryRuntime builds the runtime the hand-ported AIFM comparator runs
+// on (§4.5, Fig. 14): the same guards, cursors and allocator, so the
+// comparison differs from TrackFM in the guard layer alone. Its guard
+// layer charges the env's cost model's Library table, counts into a sink
+// of its own rather than the env's counters (a hand port executes no
+// guards), and its pool runs the library's stride prefetcher.
+func NewLibraryRuntime(cfg Config) (*Runtime, error) { return newRuntime(cfg, true) }
+
+func newRuntime(cfg Config, library bool) (*Runtime, error) {
 	if cfg.Env == nil {
 		return nil, fmt.Errorf("core: Config.Env is required")
 	}
@@ -111,7 +127,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		LocalBudget:        cfg.LocalBudget,
 		MaxLocalBudget:     cfg.MaxLocalBudget,
 		Backing:            cfg.Backing,
-		AutoPrefetch:       false, // TrackFM prefetch is compiler-directed
+		AutoPrefetch:       library, // the library's stride prefetcher; TrackFM's is compiler-directed
 		PrefetchDepth:      cfg.PrefetchDepth,
 		BackgroundEvacuate: cfg.BackgroundEvacuate,
 		CompressedBudget:   cfg.CompressedBudget,
@@ -119,8 +135,10 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return &Runtime{
+	r := &Runtime{
 		env:      cfg.Env,
+		costs:    &cfg.Env.Costs,
+		counts:   &cfg.Env.Counters,
 		lat:      cfg.Env.Lat(),
 		pool:     pool,
 		ost:      pool.Table(),
@@ -130,14 +148,20 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		heapSize: cfg.HeapSize,
 		allocs:   make(map[Ptr]uint64),
 		noOST:    cfg.NoOST,
-	}, nil
+	}
+	if library {
+		costs := cfg.Env.Costs.Library()
+		r.costs, r.counts = &costs, new(sim.Counters)
+		r.lat = &sim.Latencies{GuardSlow: obs.NewHistogram(nil)}
+	}
+	return r, nil
 }
 
 // Env returns the runtime's simulation environment.
 func (r *Runtime) Env() *sim.Env { return r.env }
 
-// Pool exposes the underlying AIFM pool (tests and the AIFM-comparator
-// configurations use it directly).
+// Pool exposes the underlying AIFM pool (tests, and callers that resize
+// or throttle it, use it directly).
 func (r *Runtime) Pool() *aifm.Pool { return r.pool }
 
 // ObjectSize reports the compile-time object size.
@@ -157,18 +181,18 @@ func (r *Runtime) HeapBytesInUse() uint64 {
 
 // Malloc allocates n bytes of far memory and returns a TrackFM
 // (non-canonical) pointer. This is the entry point the libc
-// transformation pass rewires malloc to (§3.1); Place decides where the
+// transformation pass rewires malloc to (§3.1); place decides where the
 // allocation lands.
 func (r *Runtime) Malloc(n uint64) (Ptr, error) {
 	if n == 0 {
 		n = 1
 	}
-	r.env.Clock.Advance(r.env.Costs.MallocCost)
-	sim.Inc(&r.env.Counters.Mallocs)
+	r.env.Clock.Advance(r.costs.MallocCost)
+	sim.Inc(&r.counts.Mallocs)
 
 	r.allocMu.Lock()
 	defer r.allocMu.Unlock()
-	start := Place(r.brk, n, uint64(r.objSize))
+	start := place(r.brk, n, uint64(r.objSize))
 	if start+n > r.heapSize {
 		return 0, fmt.Errorf("core: far heap exhausted (%d of %d bytes in use)", r.brk, r.heapSize)
 	}
@@ -178,13 +202,12 @@ func (r *Runtime) Malloc(n uint64) (Ptr, error) {
 	return p, nil
 }
 
-// Place returns where a bump allocator whose next free byte is brk puts an
+// place returns where a bump allocator whose next free byte is brk puts an
 // n-byte allocation in a heap of objSize-byte objects: 16-byte aligned, and
 // an allocation no larger than one object never straddles an object
 // boundary — small allocations are grouped within a single object (§3.2),
-// so sub-word accesses always hit one. Malloc places this way, and so does
-// the AIFM comparator's allocator.
-func Place(brk, n, objSize uint64) uint64 {
+// so sub-word accesses always hit one.
+func place(brk, n, objSize uint64) uint64 {
 	const align = 16
 	start := (brk + align - 1) &^ (align - 1)
 	if n <= objSize {
@@ -220,8 +243,8 @@ func (r *Runtime) Free(p Ptr) {
 	}
 	delete(r.allocs, p)
 	r.allocMu.Unlock()
-	r.env.Clock.Advance(r.env.Costs.FreeCost)
-	sim.Inc(&r.env.Counters.Frees)
+	r.env.Clock.Advance(r.costs.FreeCost)
+	sim.Inc(&r.counts.Frees)
 
 	start := p.HeapOffset()
 	end := start + n

@@ -315,43 +315,60 @@ func TestCursorEveryAccessorPanicsAfterClose(t *testing.T) {
 }
 
 // TestScalarGuardAllocFree and TestCursorLoadAllocFree gate the layer that
-// compiled programs and farmem call: a guarded access to a resident object
-// and a chunked access in steady state allocate nothing.
+// compiled programs and farmem call, on TrackFM's runtime and on the
+// library runtime the AIFM comparator runs on: a guarded access to a
+// resident object and a chunked access in steady state allocate nothing.
 func TestScalarGuardAllocFree(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	rt := newTestRuntime(t, 4096, 1<<20, 1<<20)
-	p := rt.MustMalloc(1 << 16)
-	for i := uint64(0); i < 1<<13; i++ {
-		rt.StoreU64(p.Add(i*8), i)
-	}
-	var i, sink uint64
-	if n := testing.AllocsPerRun(1000, func() {
-		sink += rt.LoadU64(p.Add(i % (1 << 13) * 8))
-		rt.StoreU64(p.Add(i%(1<<13)*8), sink)
-		i += 521
-	}); n != 0 {
-		t.Fatalf("resident LoadU64+StoreU64 allocated %v times per run, want 0", n)
-	}
+	forEachRuntime(t, func(t *testing.T, newRuntime func(Config) (*Runtime, error)) {
+		rt, err := newRuntime(Config{Env: sim.NewEnv(), ObjectSize: 4096, HeapSize: 1 << 20, LocalBudget: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := rt.MustMalloc(1 << 16)
+		for i := uint64(0); i < 1<<13; i++ {
+			rt.StoreU64(p.Add(i*8), i)
+		}
+		var i, sink uint64
+		if n := testing.AllocsPerRun(1000, func() {
+			sink += rt.LoadU64(p.Add(i % (1 << 13) * 8))
+			rt.StoreU64(p.Add(i%(1<<13)*8), sink)
+			i += 521
+		}); n != 0 {
+			t.Fatalf("resident LoadU64+StoreU64 allocated %v times per run, want 0", n)
+		}
+	})
 }
 
 func TestCursorLoadAllocFree(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	rt := newTestRuntime(t, 4096, 1<<20, 1<<20)
-	p := rt.MustMalloc(1 << 16)
-	cur := rt.NewCursor(p, 8, true)
-	defer cur.Close()
-	var i, sink uint64
-	if n := testing.AllocsPerRun(1000, func() {
-		for k := 0; k < 600; k++ { // more than one object per run
-			sink += cur.LoadU64(i % (1 << 13))
-			cur.StoreU64(i%(1<<13), sink)
-			i++
+	forEachRuntime(t, func(t *testing.T, newRuntime func(Config) (*Runtime, error)) {
+		rt, err := newRuntime(Config{Env: sim.NewEnv(), ObjectSize: 4096, HeapSize: 1 << 20, LocalBudget: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}); n != 0 {
-		t.Fatalf("steady-state Cursor.LoadU64+StoreU64 allocated %v times per run, want 0", n)
-	}
+		p := rt.MustMalloc(1 << 16)
+		cur := rt.NewCursor(p, 8, true)
+		defer cur.Close()
+		var i, sink uint64
+		if n := testing.AllocsPerRun(1000, func() {
+			for k := 0; k < 600; k++ { // more than one object per run
+				sink += cur.LoadU64(i % (1 << 13))
+				cur.StoreU64(i%(1<<13), sink)
+				i++
+			}
+		}); n != 0 {
+			t.Fatalf("steady-state Cursor.LoadU64+StoreU64 allocated %v times per run, want 0", n)
+		}
+	})
+}
+
+// forEachRuntime runs f as a subtest on each runtime constructor.
+func forEachRuntime(t *testing.T, f func(t *testing.T, newRuntime func(Config) (*Runtime, error))) {
+	t.Run("trackfm", func(t *testing.T) { f(t, NewRuntime) })
+	t.Run("library", func(t *testing.T) { f(t, NewLibraryRuntime) })
 }

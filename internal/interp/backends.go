@@ -61,6 +61,8 @@ const localArenaBase = 1 << 32
 // TrackFMBackend executes transformed programs against the TrackFM
 // runtime: heap pointers are non-canonical, guarded accesses run the
 // guard of Fig. 4, chunked streams run the cursor protocol of Fig. 5.
+// Over a library runtime (core.NewLibraryRuntime) it is the AIFM
+// comparator.
 type TrackFMBackend struct {
 	RT    *core.Runtime
 	local *localArena

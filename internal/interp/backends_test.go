@@ -2,8 +2,11 @@ package interp
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
+	"trackfm/internal/aifm"
+	"trackfm/internal/core"
 	"trackfm/internal/sim"
 )
 
@@ -12,7 +15,8 @@ import (
 // 0, a scalar and a byte range spanning objects and pages read back what
 // was written, and a cursor reads what scalar loads read. Local charges a
 // byte range one load/store per 64 bytes; TrackFM interposes with guards,
-// Fastswap with faults.
+// Fastswap with faults, and AIFM with smart-pointer dereferences that
+// count no guard.
 func TestBackendContract(t *testing.T) {
 	for _, sys := range []System{Local, TrackFM, Fastswap, AIFM} {
 		t.Run(sys.String(), func(t *testing.T) {
@@ -72,10 +76,77 @@ func TestBackendContract(t *testing.T) {
 				if env.Counters.Guards() == 0 {
 					t.Errorf("no guards charged")
 				}
+			case AIFM:
+				if env.Counters.Guards() != 0 {
+					t.Errorf("hand port counted %d guards", env.Counters.Guards())
+				}
+				be.Load(base+8, true)
+				before := env.Clock.Cycles()
+				be.Load(base+8, true)
+				if charged, want := env.Clock.Cycles()-before, env.Costs.SmartPointerIndirection+env.Costs.LocalLoadStore; charged != want {
+					t.Errorf("resident scalar load charged %d cycles, want %d (indirection + load)", charged, want)
+				}
 			case Fastswap:
 				if env.Counters.Faults() == 0 {
 					t.Errorf("no faults charged")
 				}
+			}
+		})
+	}
+}
+
+// TestAIFMPrefetchFollowsPool: the comparator's library iterators prefetch
+// through the pool's PrefetchDepth, the same as a TrackFM cursor — not at
+// all while the pool is throttled, and never further ahead than the depth
+// the pool caps at a quarter of its slots. A chunked stream runs over a
+// far array on an 8-slot budget.
+func TestAIFMPrefetchFollowsPool(t *testing.T) {
+	const objSize, objects = 256, 32
+	for _, throttled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("throttled=%v", throttled), func(t *testing.T) {
+			env := sim.NewEnv()
+			be, err := NewBackend(AIFM, env, objSize, 2*objects*objSize, 8*objSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool := be.(*TrackFMBackend).RT.Pool()
+			const n = objects * objSize / 8
+			arr := be.Malloc(n * 8)
+			for i := uint64(0); i < n; i++ {
+				be.Store(arr+i*8, i, true)
+			}
+			pool.EvacuateAll()
+			pool.Throttle(throttled)
+			issued := env.Counters.PrefetchIssued
+			first := aifm.ObjectID(core.Ptr(arr).HeapOffset() / objSize)
+			cur := be.OpenCursor(arr, 8, true)
+			maxAhead, at := 0, uint64(0)
+			for i := uint64(0); i < n; i++ {
+				if got := cur.Load(arr + i*8); got != i {
+					t.Fatalf("element %d = %d", i, got)
+				}
+				// Speculation ahead of the stream: prefetches in flight, and
+				// prefetched objects past the current one not yet demanded.
+				ahead := pool.PendingPrefetches()
+				for id := first + aifm.ObjectID(i*8/objSize) + 1; id < aifm.ObjectID(pool.NumObjects()); id++ {
+					if pool.Meta(id).Prefetched() {
+						ahead++
+					}
+				}
+				if ahead > maxAhead {
+					maxAhead, at = ahead, i
+				}
+			}
+			cur.Close()
+			if depth := pool.PrefetchDepth(); maxAhead > depth {
+				t.Errorf("%d objects prefetched ahead of element %d, pool depth %d", maxAhead, at, depth)
+			}
+			got := env.Counters.PrefetchIssued - issued
+			switch {
+			case throttled && got != 0:
+				t.Errorf("throttled stream issued %d prefetches, want 0", got)
+			case !throttled && got == 0:
+				t.Errorf("stream issued no prefetches")
 			}
 		})
 	}

@@ -104,7 +104,7 @@ func TestDifferentialAIFM(t *testing.T) {
 		}); err != nil {
 			t.Fatalf("seed %d: compile: %v", seed, err)
 		}
-		be, err := NewAIFMBackend(sim.NewEnv(), 4096, heap, heap/8)
+		be, err := NewBackend(AIFM, sim.NewEnv(), 4096, heap, heap/8)
 		if err != nil {
 			t.Fatalf("seed %d: aifm: %v", seed, err)
 		}

@@ -400,7 +400,7 @@ func TestRunLeavesProgramAlone(t *testing.T) {
 func TestObjectSizeMismatchRefused(t *testing.T) {
 	for _, c := range []struct{ compiled, runtime int }{{256, 4096}, {4096, 256}} {
 		opts := compiler.Options{Chunking: compiler.ChunkCostModel, ObjectSize: c.compiled, Prefetch: true}
-		aifm, err := NewAIFMBackend(sim.NewEnv(), c.runtime, 1<<20, 1<<16)
+		aifm, err := NewBackend(AIFM, sim.NewEnv(), c.runtime, 1<<20, 1<<16)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,7 +23,9 @@ const (
 	// Fastswap runs the program as built on the kernel-swap baseline.
 	Fastswap
 	// AIFM compiles the program, its chunk annotations standing in for the
-	// library iterators of a hand port, and runs it guard-free on a pool.
+	// library iterators of a hand port, and runs it on the TrackFM runtime
+	// with the library's costs in place of its guards
+	// (core.NewLibraryRuntime).
 	AIFM
 )
 
@@ -89,8 +91,12 @@ func NewBackend(sys System, env *sim.Env, objSize int, heap, local uint64) (Back
 	switch sys {
 	case Local:
 		return NewLocalBackend(env), nil
-	case TrackFM:
-		rt, err := core.NewRuntime(core.Config{Env: env, ObjectSize: objSize, HeapSize: heap, LocalBudget: local})
+	case TrackFM, AIFM:
+		newRuntime := core.NewRuntime
+		if sys == AIFM {
+			newRuntime = core.NewLibraryRuntime
+		}
+		rt, err := newRuntime(core.Config{Env: env, ObjectSize: objSize, HeapSize: heap, LocalBudget: local})
 		if err != nil {
 			return nil, err
 		}
@@ -101,8 +107,6 @@ func NewBackend(sys System, env *sim.Env, objSize int, heap, local uint64) (Back
 			return nil, err
 		}
 		return NewFastswapBackend(sw), nil
-	case AIFM:
-		return NewAIFMBackend(env, objSize, heap, local)
 	default:
 		return nil, fmt.Errorf("interp: unknown system %v", sys)
 	}

@@ -83,8 +83,8 @@ type CostModel struct {
 	FreeCost   uint64
 
 	// DerefScopeCost charges entering+leaving an AIFM DerefScope, paid by
-	// the library-mode comparator (interp.AIFMBackend) when it localizes an
-	// object; the slow-guard constants above already include it.
+	// the library-mode comparator when it localizes an object (see
+	// Library); the slow-guard constants above already include it.
 	DerefScopeCost uint64
 
 	// SmartPointerIndirection is AIFM's per-access overhead in library
@@ -166,6 +166,28 @@ func DefaultCosts() CostModel {
 		CompressBytesPerCycle:   0.8,
 		DecompressBytesPerCycle: 2.0,
 	}
+}
+
+// Library returns m as the hand-ported AIFM comparator pays it (§4.5): the
+// same fetch, transfer, eviction and tier costs, but no compiler-injected
+// guard layer. Every access pays the smart-pointer indirection; one that
+// finds its object remote — a slow guard's case — or moves a chunked
+// stream to its next object also enters a DerefScope. The boundary check,
+// the chunk set-up, the custody check and the allocator calls are free: a
+// library iterator compares nothing per element, and a hand port knows
+// which pointers are remotable and allocates them itself.
+func (m *CostModel) Library() CostModel {
+	lib := *m
+	deref := m.SmartPointerIndirection
+	scope := deref + m.DerefScopeCost
+	lib.FastGuardReadCached, lib.FastGuardWriteCached = deref, deref
+	lib.FastGuardReadUncached, lib.FastGuardWriteUncached = deref, deref
+	lib.SlowGuardReadCached, lib.SlowGuardWriteCached = scope, scope
+	lib.SlowGuardReadUncached, lib.SlowGuardWriteUncached = scope, scope
+	lib.LocalityInvariantPin = scope
+	lib.BoundaryCheck, lib.ChunkInit, lib.CustodyCheck = 0, 0, 0
+	lib.MallocCost, lib.FreeCost = 0, 0
+	return lib
 }
 
 // TransferCycles returns the bandwidth term for moving n bytes across the

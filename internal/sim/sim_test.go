@@ -97,6 +97,46 @@ func TestRemoteFetchCalibration(t *testing.T) {
 	}
 }
 
+// TestLibraryCostsReplaceGuardLayerOnly pins the comparator's cost table:
+// Library differs from DefaultCosts in the fourteen guard-layer fields and
+// nowhere else — every fetch, transfer, eviction and tier cost is shared —
+// and each of the fourteen reads its library price.
+func TestLibraryCostsReplaceGuardLayerOnly(t *testing.T) {
+	def := DefaultCosts()
+	lib := def.Library()
+	deref := def.SmartPointerIndirection
+	scope := deref + def.DerefScopeCost
+	want := map[string]uint64{
+		"FastGuardReadCached": deref, "FastGuardWriteCached": deref,
+		"FastGuardReadUncached": deref, "FastGuardWriteUncached": deref,
+		"SlowGuardReadCached": scope, "SlowGuardWriteCached": scope,
+		"SlowGuardReadUncached": scope, "SlowGuardWriteUncached": scope,
+		"LocalityInvariantPin": scope,
+		"BoundaryCheck":        0, "ChunkInit": 0, "CustodyCheck": 0,
+		"MallocCost": 0, "FreeCost": 0,
+	}
+	dv, lv := reflect.ValueOf(def), reflect.ValueOf(lib)
+	seen := 0
+	for i := 0; i < dv.NumField(); i++ {
+		name := dv.Type().Field(i).Name
+		price, guard := want[name]
+		if guard {
+			seen++
+		}
+		switch {
+		case guard && lv.Field(i).Uint() != price:
+			t.Errorf("Library().%s = %d, want %d", name, lv.Field(i).Uint(), price)
+		case guard && dv.Field(i).Uint() == price:
+			t.Errorf("DefaultCosts().%s is already %d: the library table does not replace it", name, price)
+		case !guard && dv.Field(i).Interface() != lv.Field(i).Interface():
+			t.Errorf("Library().%s = %v, DefaultCosts() has %v: not a guard-layer cost", name, lv.Field(i), dv.Field(i))
+		}
+	}
+	if seen != len(want) || seen != 14 {
+		t.Fatalf("%d of the %d listed guard-layer fields exist, want 14", seen, len(want))
+	}
+}
+
 func TestTransferCyclesMonotone(t *testing.T) {
 	m := DefaultCosts()
 	if m.TransferCycles(0) != 0 {
