@@ -131,11 +131,10 @@ test-crash:
 
 # The memory-pressure gates: the thrash soak (governed 2x overcommit >=
 # 3x ungoverned throughput, zero lost localizations across a mid-run
-# budget squeeze, deterministic JSON), the pool's Resize/detector/
-# admission/reserve-floor tests (the pin-saturation one under -race), and
-# the elastic fastswap baseline.
+# budget squeeze, deterministic JSON) and the pool's Resize/detector/
+# admission/reserve-floor tests (the pin-saturation one under -race).
 test-thrash:
-	$(GO) test -run 'TestThrashSoak|TestThrashTable|TestResize|TestPrefetchSkips|TestThrashDetector|TestEvacuator|TestGuardFastPath|TestHeapResize' ./internal/bench ./internal/aifm ./internal/fastswap ./farmem
+	$(GO) test -run 'TestThrashSoak|TestThrashTable|TestResize|TestPrefetchSkips|TestThrashDetector|TestEvacuator|TestGuardFastPath|TestHeapResize' ./internal/bench ./internal/aifm ./farmem
 	$(RACE_PIN_SATURATION)
 
 # The multi-tier caching gates: the overcommit crossover sweep (warm 1x
@@ -145,15 +144,15 @@ test-thrash:
 # state), the governor's tier-shrinks-first squeeze, and the compressed
 # tier's and the remote store's unit suites — the store's contract table,
 # run over the plain and the compressed-at-rest constructor, plus what is
-# specific to the latter; the runtimes' held-copy tests (a clean
-# re-demotion re-admits the copy its promotion kept, a written object is
-# encoded again); then the tier, the far engine and both runtimes under
-# -race, the concurrent no-lost-updates test among them.
+# specific to the latter; the pool's held-copy tests (a clean re-demotion
+# re-admits the copy its promotion kept, a written object is encoded
+# again); then the tier, the far engine and the pool under -race, the
+# concurrent no-lost-updates test among them.
 test-tiers:
-	$(GO) test -run 'TestTiers|TestTierOracleDifferential|TestGovernorShrinksTierFirst|TestCleanRedemotionReusesEncoding|TestDirtiedPromotionReencodes|TestDirtiedSwapInReencodes' ./internal/bench ./internal/aifm ./internal/autotune ./internal/fastswap
+	$(GO) test -run 'TestTiers|TestTierOracleDifferential|TestGovernorShrinksTierFirst|TestCleanRedemotionReusesEncoding|TestDirtiedPromotionReencodes' ./internal/bench ./internal/aifm ./internal/autotune
 	$(GO) test -run 'TestStore|TestCompressedStore' ./internal/remote
 	$(GO) test ./internal/mem/ctier
-	$(GO) test -race ./internal/mem/ctier ./internal/far ./internal/aifm ./internal/fastswap
+	$(GO) test -race ./internal/mem/ctier ./internal/far ./internal/aifm
 
 # The allocation-regression gates: testing.AllocsPerRun must report zero
 # heap allocations per op on the guard fast path and on steady-state

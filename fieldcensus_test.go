@@ -128,10 +128,12 @@ func (tr *tree) importDir(dir string) (*types.Package, error) {
 
 // fieldAllow lists the settable values no non-test code sets, each with
 // the reason it stays a field: a whole type ("pkg.Type") or one field
-// ("pkg.Type.Field"). Anything else the census names becomes a constant.
+// ("pkg.Type.Field"). A whole type may be listed only while non-test code
+// sets none of its fields. Anything else the census names becomes a
+// constant.
 var fieldAllow = map[string]string{
 	"fabric.FaultConfig":      "fault-injection fixture: every field is a fault a test schedules through NewFaultLink",
-	"fastswap.Config":         "the comparator, held to the pool's contract on equal terms: Backing, CompressedBudget and MaxLocalBudget mirror core.Config's for the phantom, swap-cache and Resize tests; every figure runs it on their zero values",
+	"fastswap.Config.Backing": "phantom pages for paper-scale runs: the comparator's metadata-only swap, as core.Config.Backing is the pool's",
 	"interp.Options.MaxSteps": "safety bound FuzzDifferential and the interpreter's runaway-loop tests run under",
 
 	// The deployment surface: what a farmem user reaches through the
@@ -162,8 +164,11 @@ const fieldAllowCap = 14
 // literal writes them all), as the target of an assignment, or by having
 // its address taken (flag.IntVar(&cfg.N, ...)) — outside the functions
 // that only fill in its defaults: those of the struct's own package that
-// have the struct in their signature. Resolved with go/types, because
-// Interval, Seed and Clock are fields of several configs. make vet runs it.
+// have the struct in their signature. A type that non-test code
+// configures is allowlisted field by field, never whole, so a knob no
+// caller sets cannot hide behind the ones they do. Resolved with go/types,
+// because Interval, Seed and Clock are fields of several configs. make
+// vet runs it.
 func TestFieldCensus(t *testing.T) {
 	tr := loadTree(t)
 
@@ -282,11 +287,13 @@ func TestFieldCensus(t *testing.T) {
 
 	var unset []string
 	exists, needed := map[string]bool{}, map[string]bool{} // by allowlist key
+	configured := map[string][]string{}                    // by type: the fields non-test code sets
 	for _, f := range fields {
 		o := owners[f]
 		key := o.name + "." + f.Name()
 		exists[o.name], exists[key] = true, true
 		if set[f] {
+			configured[o.name] = append(configured[o.name], f.Name())
 			continue
 		}
 		if _, ok := fieldAllow[key]; ok {
@@ -302,6 +309,10 @@ func TestFieldCensus(t *testing.T) {
 		t.Errorf("%s: settable, but no non-test code sets it — make it a constant, or allowlist it with its reason", u)
 	}
 	for key := range fieldAllow {
+		if by := configured[key]; len(by) > 0 && strings.Count(key, ".") == 1 {
+			sort.Strings(by)
+			t.Errorf("%s is allowlisted as a whole type, but non-test code sets %s: allowlist its unset fields one by one", key, strings.Join(by, ", "))
+		}
 		if !exists[key] {
 			t.Errorf("field allowlist names %s, which no longer exists", key)
 		} else if !needed[key] {

@@ -9,8 +9,10 @@
 //   - hardware page faults as the only interposition mechanism — accesses
 //     to mapped pages are free of software overhead, so temporal locality
 //     amortizes fault costs (§5 "Lessons"),
-//   - fault costs from Table 2 (1.3 K cycles for a fault satisfied
-//     locally, ~34 K plus the transfer for a remote fault),
+//   - fault costs from Table 2: 1.3 K cycles for a minor fault, which
+//     here is only the zero-fill first touch of a page, and ~34 K plus
+//     the transfer for a major fault, which every swap-in is (there is
+//     no compressed swap cache in front of the swap device),
 //   - no readahead: swap-in readahead reads by swap-slot order, which
 //     rarely matches virtual order, and the paper's Fastswap results
 //     reflect per-page fault costs on sequential sweeps ("weaker ability
@@ -51,10 +53,6 @@ type Config struct {
 	// LocalBudget is the cgroup memory limit: resident pages × pageSize
 	// never exceeds it.
 	LocalBudget uint64
-	// MaxLocalBudget caps Resize growth; frames are allocated at this
-	// capacity up front. Zero means LocalBudget (the limit can shrink at
-	// runtime but not grow past its starting size).
-	MaxLocalBudget uint64
 	// Backing selects real or phantom page data.
 	Backing far.Backing
 	// RemoteConfig locates the swap device: an explicit Transport, a
@@ -70,14 +68,6 @@ type Config struct {
 	// the retry loop and surfaces (that SIGBUS for swap-in, a stalled
 	// reclaim for swap-out).
 	fabric.RemoteConfig
-	// CompressedBudget enables a zswap-style compressed swap cache:
-	// reclaimed pages park an LZ-compressed copy locally (write-through
-	// — the remote push still happens, so remote state is identical with
-	// or without the cache) and a major fault probes it before the RDMA
-	// pull; a hit costs a decompression instead of a network round trip
-	// and is accounted as a minor fault (page present in the swap
-	// cache). Zero disables it.
-	CompressedBudget uint64
 }
 
 // Swap is a Fastswap-style kernel swap system for one application.
@@ -92,7 +82,7 @@ type Swap struct {
 	mu  sync.Mutex
 	env *sim.Env
 	lat *sim.Latencies
-	far *far.Engine // the swap device, and the zswap-style cache before it
+	far *far.Engine // the swap device
 
 	heapSize uint64
 	brk      uint64
@@ -105,7 +95,6 @@ type Swap struct {
 	arena      []byte   // every frame's bytes; nil for BackingPhantom
 	frameOwner []uint32 // frame -> page number
 	freeFrames []uint32
-	retired    []uint32 // capacity parked outside the current cgroup limit
 	hand       int
 }
 
@@ -131,25 +120,17 @@ func New(cfg Config) (*Swap, error) {
 	if nFrames == 0 {
 		return nil, fmt.Errorf("fastswap: LocalBudget %d holds no pages", cfg.LocalBudget)
 	}
-	maxFrames := nFrames
-	if cfg.MaxLocalBudget > 0 {
-		maxFrames = cfg.MaxLocalBudget / pageSize
-		if maxFrames < nFrames {
-			return nil, fmt.Errorf("fastswap: MaxLocalBudget %d below LocalBudget %d", cfg.MaxLocalBudget, cfg.LocalBudget)
-		}
-	}
 	var arena []byte
 	if cfg.Backing == far.BackingReal {
-		arena = make([]byte, maxFrames*pageSize)
+		arena = make([]byte, nFrames*pageSize)
 	}
 	engine, err := far.New(far.Config{
-		Env:              cfg.Env,
-		RemoteConfig:     cfg.RemoteConfig,
-		Backend:          fabric.BackendRDMA,
-		UnitSize:         pageSize,
-		Backing:          cfg.Backing,
-		DegradeAfter:     -1, // no degraded mode: see Config.RemoteConfig
-		CompressedBudget: cfg.CompressedBudget,
+		Env:          cfg.Env,
+		RemoteConfig: cfg.RemoteConfig,
+		Backend:      fabric.BackendRDMA,
+		UnitSize:     pageSize,
+		Backing:      cfg.Backing,
+		DegradeAfter: -1, // no degraded mode: see Config.RemoteConfig
 	})
 	if err != nil {
 		return nil, fmt.Errorf("fastswap: %w", err)
@@ -164,16 +145,12 @@ func New(cfg Config) (*Swap, error) {
 		refd:       make([]bool, nPages),
 		frame:      make([]uint32, nPages),
 		arena:      arena,
-		frameOwner: make([]uint32, maxFrames),
-		freeFrames: make([]uint32, 0, maxFrames),
+		frameOwner: make([]uint32, nFrames),
+		freeFrames: make([]uint32, nFrames),
 	}
 	for i := range s.frameOwner {
 		s.frameOwner[i] = noPage
-		if uint64(i) < nFrames {
-			s.freeFrames = append(s.freeFrames, uint32(i))
-		} else {
-			s.retired = append(s.retired, uint32(i))
-		}
+		s.freeFrames[i] = uint32(i)
 	}
 	return s, nil
 }
@@ -181,60 +158,15 @@ func New(cfg Config) (*Swap, error) {
 // Env returns the simulation environment.
 func (s *Swap) Env() *sim.Env { return s.env }
 
-// Far exposes the swap's far engine: the replica set serving as the swap
-// device and the zswap-style compressed cache, when configured.
-func (s *Swap) Far() *far.Engine { return s.far }
-
-// Close closes the far engine: the swap cache's buffer leases go home and
-// a connection the swap itself dialed (the Config.RemoteAddr path) is
-// released.
+// Close closes the far engine: a connection the swap itself dialed (the
+// Config.RemoteAddr path) is released.
 func (s *Swap) Close() error { return s.far.Close() }
 
 // ResidentBytes reports bytes of resident pages (cgroup usage).
 func (s *Swap) ResidentBytes() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return uint64(len(s.frameOwner)-len(s.freeFrames)-len(s.retired)) * pageSize
-}
-
-// Resize adjusts the cgroup memory limit at runtime, in bytes — the
-// kernel analogue of rewriting memory.limit_in_bytes under co-tenant
-// pressure. Growth reactivates retired frames up to MaxLocalBudget.
-// Shrink retires free frames first, then reclaims mapped pages with the
-// normal referenced-bit clock until residency fits the new limit; unlike
-// the object pool there is no pinning, so a shrink completes
-// synchronously unless dirty write-backs are failing past the retry
-// budget, which surfaces as an error with the limit left partially
-// applied.
-func (s *Swap) Resize(newBudget uint64) error {
-	newFrames := int(newBudget / pageSize)
-	if newFrames < 1 {
-		return fmt.Errorf("fastswap: Resize budget %d holds no pages", newBudget)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if newFrames > len(s.frameOwner) {
-		return fmt.Errorf("fastswap: Resize to %d frames exceeds the MaxLocalBudget capacity of %d", newFrames, len(s.frameOwner))
-	}
-	cur := func() int { return len(s.frameOwner) - len(s.retired) }
-	for cur() < newFrames && len(s.retired) > 0 {
-		n := len(s.retired) - 1
-		s.freeFrames = append(s.freeFrames, s.retired[n])
-		s.retired = s.retired[:n]
-	}
-	for cur() > newFrames && len(s.freeFrames) > 0 {
-		n := len(s.freeFrames) - 1
-		s.retired = append(s.retired, s.freeFrames[n])
-		s.freeFrames = s.freeFrames[:n]
-	}
-	for cur() > newFrames {
-		f, ok := s.tryTakeFrame()
-		if !ok {
-			return fmt.Errorf("fastswap: Resize shrink stalled %d frames over target (dirty write-backs failing)", cur()-newFrames)
-		}
-		s.retired = append(s.retired, f)
-	}
-	return nil
+	return uint64(len(s.frameOwner)-len(s.freeFrames)) * pageSize
 }
 
 // Malloc bump-allocates n bytes and returns its heap offset. Fastswap
@@ -279,22 +211,15 @@ func (s *Swap) fault(pg uint64, write bool) uint64 {
 		s.install(pg, f, write)
 		return base
 	case PageRemote:
-		// Fault on a reclaimed page: the kernel fault path (mapping +
-		// cgroups), then the zswap-style compressed cache, then the
-		// frontswap RDMA pull, which the link charges. The remote path
-		// lands on the paper's ~34K-cycle remote fault (Table 2); a
-		// compressed-cache hit pays a decompression instead and counts
-		// as a minor fault (the page never left local memory).
+		// Major fault on a reclaimed page: the kernel fault path
+		// (mapping + cgroups), then the frontswap RDMA pull, which the
+		// link charges. Together they land on the paper's ~34K-cycle
+		// remote fault (Table 2).
 		s.env.Clock.Advance(s.env.Costs.SwapFaultLocal)
+		sim.Inc(&s.env.Counters.MajorFaults)
 		f := s.takeFrame()
 		base := uint64(f) * pageSize
-		fromTier, err := s.far.Fetch(pg, s.frameBuf(base))
-		if fromTier {
-			sim.Inc(&s.env.Counters.MinorFaults)
-		} else {
-			sim.Inc(&s.env.Counters.MajorFaults)
-		}
-		if err != nil {
+		if _, err := s.far.Fetch(pg, s.frameBuf(base)); err != nil {
 			// The kernel's swap-in I/O-error path: the process gets
 			// SIGBUS. Panicking with the typed fabric error is the
 			// simulation analogue — under no circumstances is the
@@ -379,7 +304,6 @@ func (s *Swap) evict(f uint32, pg uint64) bool {
 	start := s.env.Clock.Cycles()
 	defer func() { s.lat.Evacuation.Observe(s.env.Clock.Cycles() - start) }()
 	s.env.Clock.Advance(s.env.Costs.EvictPage)
-	// Write back if dirty, then park a compressed copy in the swap cache.
 	if !s.far.Evict(pg, s.frameBuf(uint64(f)*pageSize), s.dirty[pg]) {
 		return false
 	}

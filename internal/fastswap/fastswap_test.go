@@ -6,16 +6,9 @@ import (
 	"trackfm/internal/sim"
 )
 
-func newTestSwap(t *testing.T, heap, budget uint64, opts ...func(*Config)) *Swap {
+func newTestSwap(t *testing.T, heap, budget uint64) *Swap {
 	t.Helper()
-	cfg := Config{
-		Env:      sim.NewEnv(),
-		HeapSize: heap, LocalBudget: budget,
-	}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	s, err := New(cfg)
+	s, err := New(Config{Env: sim.NewEnv(), HeapSize: heap, LocalBudget: budget})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -184,65 +177,6 @@ func TestCrossPageAccess(t *testing.T) {
 	for i := range dst {
 		if dst[i] != byte(i*7) {
 			t.Fatalf("byte %d mismatch", i)
-		}
-	}
-}
-
-func TestResizeShrinkAndGrow(t *testing.T) {
-	// 8 frames now, capacity for 16.
-	s := newTestSwap(t, 1<<22, 8*4096, func(c *Config) { c.MaxLocalBudget = 16 * 4096 })
-	base := s.MustMalloc(16 * 4096)
-	for pg := uint64(0); pg < 16; pg++ {
-		s.StoreU64(base+pg*4096, pg) // dirty every page
-	}
-	if got := s.ResidentBytes(); got != 8*4096 {
-		t.Fatalf("resident = %d, want %d", got, 8*4096)
-	}
-	// Shrink to 3 frames: clock reclaim must write back and retire
-	// mapped pages synchronously.
-	if err := s.Resize(3 * 4096); err != nil {
-		t.Fatalf("shrink: %v", err)
-	}
-	if got := s.ResidentBytes(); got > 3*4096 {
-		t.Fatalf("post-shrink resident = %d, want <= %d", got, 3*4096)
-	}
-	// Grow to the full capacity and beyond it.
-	if err := s.Resize(16 * 4096); err != nil {
-		t.Fatalf("grow: %v", err)
-	}
-	if err := s.Resize(17 * 4096); err == nil {
-		t.Fatalf("grow past MaxLocalBudget accepted")
-	}
-	if err := s.Resize(0); err == nil {
-		t.Fatalf("zero-frame budget accepted")
-	}
-	// No data lost across the squeeze.
-	for pg := uint64(0); pg < 16; pg++ {
-		if got := s.LoadU64(base + pg*4096); got != pg {
-			t.Fatalf("page %d = %d after resize", pg, got)
-		}
-	}
-	if s.ResidentBytes() > 16*4096 {
-		t.Fatalf("resident %d exceeds grown budget", s.ResidentBytes())
-	}
-}
-
-func TestResizeBudgetInvariantUnderLoad(t *testing.T) {
-	s := newTestSwap(t, 1<<22, 8*4096, func(c *Config) { c.MaxLocalBudget = 8 * 4096 })
-	s.MustMalloc(1 << 20)
-	rng := sim.NewRNG(7)
-	budget := uint64(8 * 4096)
-	for i := 0; i < 2000; i++ {
-		if i%500 == 250 {
-			budget = uint64(2+rng.Intn(7)) * 4096
-			if err := s.Resize(budget); err != nil {
-				t.Fatalf("Resize(%d): %v", budget, err)
-			}
-		}
-		off := uint64(rng.Intn(1<<20)) &^ 7
-		s.StoreU64(off, uint64(i))
-		if got := s.ResidentBytes(); got > budget {
-			t.Fatalf("iter %d: resident %d exceeds budget %d", i, got, budget)
 		}
 	}
 }

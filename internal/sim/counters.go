@@ -28,7 +28,7 @@ type Counters struct {
 	CriticalFetches uint64 // loads/stores that blocked on a remote fetch
 
 	// Fastswap events.
-	MinorFaults uint64 // page present in swap cache
+	MinorFaults uint64 // first touch of a page: zero-filled locally
 	MajorFaults uint64 // page fetched from the remote node
 
 	// Data movement.

@@ -33,7 +33,7 @@ var metricDefs = []struct{ name, help string }{
 	{"trackfm_chunk_inits_total", "Loop-chunking tfm_init runtime calls."},
 	{"trackfm_remote_fetches_total", "Slow paths that required a remote fetch."},
 	{"trackfm_critical_fetches_total", "Loads/stores that blocked on a remote fetch."},
-	{"trackfm_minor_faults_total", "Fastswap faults served from the swap cache."},
+	{"trackfm_minor_faults_total", "Fastswap first-touch faults, zero-filled locally."},
 	{"trackfm_major_faults_total", "Fastswap faults fetched from the remote node."},
 	{"trackfm_bytes_fetched_total", "Bytes moved remote to local."},
 	{"trackfm_bytes_evicted_total", "Bytes moved local to remote."},
