@@ -19,7 +19,7 @@
 //	internal/sim       cycle clock, counters, calibrated cost model
 //	internal/fabric    interconnect: simulated link + real TCP transport
 //	internal/remote    remote memory node (blob store, TCP server)
-//	internal/mem       local backing stores (real and phantom)
+//	internal/mem       buffer pool and compressed middle tier
 //	internal/far       the far engine under both runtimes (tier, deadlines, retries)
 //	internal/aifm      AIFM object runtime (pool, pins, evacuator, prefetch)
 //	internal/core      the TrackFM runtime (the paper's contribution)

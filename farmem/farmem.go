@@ -25,7 +25,6 @@ import (
 
 	"trackfm/internal/core"
 	"trackfm/internal/fabric"
-	"trackfm/internal/far"
 	"trackfm/internal/obs"
 	"trackfm/internal/sim"
 )
@@ -36,10 +35,6 @@ type Config struct {
 	HeapBytes uint64
 	// LocalBytes is the local-memory budget (required).
 	LocalBytes uint64
-	// MaxLocalBytes caps runtime growth via Resize; local capacity is
-	// allocated at this size up front. Zero means LocalBytes (the heap
-	// can shrink at runtime but not grow past its starting budget).
-	MaxLocalBytes uint64
 	// ObjectBytes is the far-memory object (chunk) size: a power of two
 	// in [64, 65536]. Default 4096. Small objects suit fine-grained
 	// random access; large objects suit streaming (see the paper's
@@ -51,10 +46,6 @@ type Config struct {
 	// RemoteRetries and OpDeadline bound each remote operation. The zero
 	// value keeps the in-process simulated link.
 	fabric.RemoteConfig
-	// Phantom disables the data plane: reads return zeros, but the
-	// control plane (budgets, evacuation, transfer accounting) runs at
-	// full fidelity. For capacity planning with huge heaps.
-	Phantom bool
 	// BackgroundEvacuate runs a background evacuator goroutine that keeps
 	// a reserve of free local slots (it never moves a pinned object), so
 	// demand misses rarely pay for an eviction inline. Intended for
@@ -88,20 +79,15 @@ func New(cfg Config) (*Heap, error) {
 		return nil, fmt.Errorf("farmem: HeapBytes and LocalBytes are required")
 	}
 	env := sim.NewEnv()
-	rc := core.Config{
+	rt, err := core.NewRuntime(core.Config{
 		Env:                env,
 		ObjectSize:         cfg.ObjectBytes,
 		HeapSize:           cfg.HeapBytes,
 		LocalBudget:        cfg.LocalBytes,
-		MaxLocalBudget:     cfg.MaxLocalBytes,
 		RemoteConfig:       cfg.RemoteConfig,
 		BackgroundEvacuate: cfg.BackgroundEvacuate,
 		CompressedBudget:   cfg.CompressedBytes,
-	}
-	if cfg.Phantom {
-		rc.Backing = far.BackingPhantom
-	}
-	rt, err := core.NewRuntime(rc)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("farmem: %w", err)
 	}
@@ -210,8 +196,9 @@ func (h *Heap) ResetStats() {
 // far-memory answer to a co-tenant squeezing this application's share of
 // local DRAM. Shrinking evicts the coldest resident objects until the
 // heap fits (pinned objects and a small reserve floor are never taken,
-// so in-flight accesses keep making progress); growth is bounded by
-// Config.MaxLocalBytes.
+// so in-flight accesses keep making progress); growth reclaims what a
+// shrink gave up, up to the starting Config.LocalBytes, which is all the
+// local memory the heap ever allocates.
 func (h *Heap) Resize(localBytes uint64) error {
 	if err := h.rt.Pool().Resize(localBytes); err != nil {
 		return fmt.Errorf("farmem: %w", err)
@@ -222,7 +209,9 @@ func (h *Heap) Resize(localBytes uint64) error {
 // Pressure reports the heap's memory-pressure signals.
 type Pressure struct {
 	// LocalBytes is the current local budget; MaxLocalBytes the Resize
-	// growth cap; ResidentBytes the bytes of locally resident objects.
+	// growth cap, which is the starting budget (Config.LocalBytes rounded
+	// down to whole objects); ResidentBytes the bytes of locally resident
+	// objects.
 	LocalBytes, MaxLocalBytes, ResidentBytes uint64
 	// ThrashRatio is the EWMA fraction of remote fetches that re-fetch
 	// an object evicted within the recent thrash window. Near zero when

@@ -190,27 +190,6 @@ func TestInUseAccounting(t *testing.T) {
 	}
 }
 
-func TestPhantomHeap(t *testing.T) {
-	// A 1 GB heap with a 1 MB local budget; the object state table (8 B
-	// per 4 KB object, like a single-level page table) is the only real
-	// allocation.
-	h, err := New(Config{HeapBytes: 1 << 30, LocalBytes: 1 << 20, Phantom: true})
-	if err != nil {
-		t.Fatalf("New phantom: %v", err)
-	}
-	s, err := NewUint64s(h, 1<<24) // 128 MB of elements, no real storage
-	if err != nil {
-		t.Fatalf("NewUint64s: %v", err)
-	}
-	s.Set(1<<23, 7)
-	if s.At(1<<23) != 0 {
-		t.Fatalf("phantom heap retained data")
-	}
-	if h.Stats().FastGuards+h.Stats().SlowGuards == 0 {
-		t.Fatalf("phantom heap charged no guards")
-	}
-}
-
 func TestRealRemoteNode(t *testing.T) {
 	srv := fabric.NewServer(remote.NewStore())
 	addr, err := srv.ListenAndServe("127.0.0.1:0")
@@ -242,11 +221,11 @@ func TestRealRemoteNode(t *testing.T) {
 }
 
 func TestHeapResizeAndPressure(t *testing.T) {
-	h, err := New(Config{HeapBytes: 1 << 20, LocalBytes: 1 << 14, MaxLocalBytes: 1 << 15})
+	h, err := New(Config{HeapBytes: 1 << 20, LocalBytes: 1 << 15})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	s, err := NewUint64s(h, 1<<13) // 64 KB, 4x the local budget
+	s, err := NewUint64s(h, 1<<13) // 64 KB, 2x the local budget
 	if err != nil {
 		t.Fatalf("NewUint64s: %v", err)
 	}
@@ -254,14 +233,14 @@ func TestHeapResizeAndPressure(t *testing.T) {
 		s.Set(i, uint64(i))
 	}
 	pr := h.Pressure()
-	if pr.LocalBytes != 1<<14 || pr.MaxLocalBytes != 1<<15 {
+	if pr.LocalBytes != 1<<15 || pr.MaxLocalBytes != 1<<15 {
 		t.Fatalf("pressure budgets = %d/%d", pr.LocalBytes, pr.MaxLocalBytes)
 	}
 	if pr.ResidentBytes == 0 || pr.ResidentBytes > pr.LocalBytes {
 		t.Fatalf("resident %d outside (0, %d]", pr.ResidentBytes, pr.LocalBytes)
 	}
 
-	// Shrink to half, verify the budget holds and no data was lost.
+	// Shrink to a quarter, verify the budget holds and no data was lost.
 	if err := h.Resize(1 << 13); err != nil {
 		t.Fatalf("Resize: %v", err)
 	}
@@ -271,8 +250,8 @@ func TestHeapResizeAndPressure(t *testing.T) {
 		}
 	}
 	pr = h.Pressure()
-	if pr.LocalBytes != 1<<13 {
-		t.Fatalf("post-shrink budget = %d", pr.LocalBytes)
+	if pr.LocalBytes != 1<<13 || pr.MaxLocalBytes != 1<<15 {
+		t.Fatalf("post-shrink budgets = %d/%d", pr.LocalBytes, pr.MaxLocalBytes)
 	}
 	if pr.ResidentBytes > pr.LocalBytes {
 		t.Fatalf("resident %d exceeds shrunk budget %d", pr.ResidentBytes, pr.LocalBytes)
@@ -281,15 +260,25 @@ func TestHeapResizeAndPressure(t *testing.T) {
 		t.Fatalf("resizes = %d", pr.Resizes)
 	}
 
-	// Grow to the cap; beyond it is an error.
+	// Grow back to the starting budget; beyond it is an error.
 	if err := h.Resize(1 << 15); err != nil {
 		t.Fatalf("grow: %v", err)
 	}
 	if err := h.Resize(1 << 16); err == nil {
-		t.Fatalf("grow past MaxLocalBytes accepted")
+		t.Fatalf("grow past the starting budget accepted")
+	}
+	// The slots the shrink retired are back in use: eight objects, one
+	// touch each, are all resident at once, and still hold their data.
+	for i := 0; i < 8*512; i += 512 {
+		if got := s.At(i); got != uint64(i) {
+			t.Fatalf("At(%d) = %d after regrow", i, got)
+		}
+	}
+	if pr = h.Pressure(); pr.ResidentBytes != 1<<15 {
+		t.Fatalf("resident %d after regrow, want the full %d", pr.ResidentBytes, 1<<15)
 	}
 
-	// A sweep over 4x the (original) budget with a tiny thrash window
+	// A sweep over 8x the shrunk budget with a tiny thrash window
 	// disabled is still measured: the refault counter and thrash ratio
 	// respond to the squeeze.
 	if err := h.Resize(1 << 13); err != nil {

@@ -141,7 +141,7 @@ func TestHeapMetricsCoverWhatTheHeapBuilt(t *testing.T) {
 // anti-thrash governor's Throttle(true), which reads the depth as 0,
 // quiets a Range, and lifting the throttle restores its prefetches.
 func TestPoolPrefetchDepthReachesRange(t *testing.T) {
-	h, s := scanHeap(t, 4096, false)
+	h, s := scanHeap(t, 4096)
 	issued := func() uint64 {
 		h.rt.EvacuateAll()
 		h.ResetStats()

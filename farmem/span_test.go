@@ -16,9 +16,9 @@ import (
 // scanHeap builds a heap holding a quarter of an n-element slice, filled by
 // scalar Sets and evacuated, so a pass over it fetches, prefetches and
 // evicts from a known state.
-func scanHeap(t *testing.T, n int, phantom bool) (*Heap, *Uint64s) {
+func scanHeap(t *testing.T, n int) (*Heap, *Uint64s) {
 	t.Helper()
-	h, err := New(Config{HeapBytes: uint64(n) * 16, LocalBytes: uint64(n) * 2, ObjectBytes: 256, Phantom: phantom})
+	h, err := New(Config{HeapBytes: uint64(n) * 16, LocalBytes: uint64(n) * 2, ObjectBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,61 +48,59 @@ func ledgerOf(h *Heap) ledger {
 
 // TestRangeCycleIdentity: Range and Fill leave the simulated clock and the
 // whole counter block where the per-element cursor loop they replaced
-// leaves them, on either backing, wherever the callback stops.
+// leaves them, wherever the callback stops.
 func TestRangeCycleIdentity(t *testing.T) {
 	const n, perObj = 4096, 256 / 8
-	_, s0 := scanHeap(t, n, false)
+	_, s0 := scanHeap(t, n)
 	first := int(256-s0.base.HeapOffset()%256) / 8 // elements in the first, partial object
 	if first == perObj {
 		t.Fatalf("the slice is object-aligned; the test wants it skewed")
 	}
-	for _, phantom := range []bool{false, true} {
-		// First element, mid-chunk, the last element of a chunk and the
-		// first of the next (early, and deep into eviction), the whole slice.
-		for _, stop := range []int{0, first / 2, first - 1, first, first + 9*perObj - 1, first + 9*perObj, n - 1} {
-			name := fmt.Sprintf("phantom=%v stop=%d", phantom, stop)
+	// First element, mid-chunk, the last element of a chunk and the first
+	// of the next (early, and deep into eviction), the whole slice.
+	for _, stop := range []int{0, first / 2, first - 1, first, first + 9*perObj - 1, first + 9*perObj, n - 1} {
+		name := fmt.Sprintf("stop=%d", stop)
 
-			h, s := scanHeap(t, n, phantom)
-			var want uint64
-			cur := h.rt.NewCursor(s.base, 8, true)
-			for i := 0; i <= stop; i++ {
-				want += cur.LoadU64(uint64(i))
-			}
-			cur.Close()
-			ref := ledgerOf(h)
-
-			h, s = scanHeap(t, n, phantom)
-			var got uint64
-			s.Range(func(i int, v uint64) bool { got += v; return i < stop })
-			if l := ledgerOf(h); l != ref {
-				t.Errorf("%s: Range %d cycles [%s]\nper-element loop %d cycles [%s]",
-					name, l.cycles, l.counters.String(), ref.cycles, ref.counters.String())
-			}
-			if got != want || (!phantom && got == 0) || (phantom && got != 0) {
-				t.Errorf("%s: Range sum %d, per-element sum %d", name, got, want)
-			}
-			if n := h.rt.Pool().PinnedObjects(); n != 0 {
-				t.Errorf("%s: %d objects pinned after Range", name, n)
-			}
-		}
-
-		h, s := scanHeap(t, n, phantom)
+		h, s := scanHeap(t, n)
+		var want uint64
 		cur := h.rt.NewCursor(s.base, 8, true)
-		for i := 0; i < n; i++ {
-			cur.StoreU64(uint64(i), 7)
+		for i := 0; i <= stop; i++ {
+			want += cur.LoadU64(uint64(i))
 		}
 		cur.Close()
 		ref := ledgerOf(h)
-		h, s = scanHeap(t, n, phantom)
-		s.Fill(7)
+
+		h, s = scanHeap(t, n)
+		var got uint64
+		s.Range(func(i int, v uint64) bool { got += v; return i < stop })
 		if l := ledgerOf(h); l != ref {
-			t.Errorf("phantom=%v: Fill %d cycles [%s]\nper-element loop %d cycles [%s]",
-				phantom, l.cycles, l.counters.String(), ref.cycles, ref.counters.String())
+			t.Errorf("%s: Range %d cycles [%s]\nper-element loop %d cycles [%s]",
+				name, l.cycles, l.counters.String(), ref.cycles, ref.counters.String())
 		}
-		for i := 0; i < n; i += 97 {
-			if got := s.At(i); !phantom && got != 7 {
-				t.Fatalf("At(%d) = %d after Fill(7)", i, got)
-			}
+		if got != want || got == 0 {
+			t.Errorf("%s: Range sum %d, per-element sum %d", name, got, want)
+		}
+		if n := h.rt.Pool().PinnedObjects(); n != 0 {
+			t.Errorf("%s: %d objects pinned after Range", name, n)
+		}
+	}
+
+	h, s := scanHeap(t, n)
+	cur := h.rt.NewCursor(s.base, 8, true)
+	for i := 0; i < n; i++ {
+		cur.StoreU64(uint64(i), 7)
+	}
+	cur.Close()
+	ref := ledgerOf(h)
+	h, s = scanHeap(t, n)
+	s.Fill(7)
+	if l := ledgerOf(h); l != ref {
+		t.Errorf("Fill %d cycles [%s]\nper-element loop %d cycles [%s]",
+			l.cycles, l.counters.String(), ref.cycles, ref.counters.String())
+	}
+	for i := 0; i < n; i += 97 {
+		if got := s.At(i); got != 7 {
+			t.Fatalf("At(%d) = %d after Fill(7)", i, got)
 		}
 	}
 }
@@ -256,7 +254,7 @@ func TestWindowLifetimeRace(t *testing.T) {
 func windowLifetimeRace(t *testing.T, cfg Config, midway func(), writeHeavy bool) {
 	const workers, per, obj = 4, 5000, 256 // 40 000 B a slice: not whole objects
 	local := uint64(workers * per * 8 / 2)
-	cfg.HeapBytes, cfg.LocalBytes, cfg.MaxLocalBytes = 1<<20, local, local
+	cfg.HeapBytes, cfg.LocalBytes = 1<<20, local
 	cfg.ObjectBytes, cfg.BackgroundEvacuate = obj, true
 	h, err := New(cfg)
 	if err != nil {
@@ -373,7 +371,7 @@ func TestRangeStoppedEarlyStrandsNothing(t *testing.T) {
 	srv, addr := loopbackServer(t, store, "127.0.0.1:0")
 	defer srv.Close()
 	const n, local = 16 << 10, 32 << 10 // 128 KiB of elements over 32 KiB of local memory
-	h, err := New(Config{HeapBytes: 1 << 20, LocalBytes: local, MaxLocalBytes: local, ObjectBytes: 1 << 10,
+	h, err := New(Config{HeapBytes: 1 << 20, LocalBytes: local, ObjectBytes: 1 << 10,
 		RemoteConfig: fabric.RemoteConfig{RemoteAddr: addr}})
 	if err != nil {
 		t.Fatal(err)

@@ -133,7 +133,6 @@ func (tr *tree) importDir(dir string) (*types.Package, error) {
 // constant.
 var fieldAllow = map[string]string{
 	"fabric.FaultConfig":      "fault-injection fixture: every field is a fault a test schedules through NewFaultLink",
-	"fastswap.Config.Backing": "phantom pages for paper-scale runs: the comparator's metadata-only swap, as core.Config.Backing is the pool's",
 	"interp.Options.MaxSteps": "safety bound FuzzDifferential and the interpreter's runaway-loop tests run under",
 
 	// The deployment surface: what a farmem user reaches through the
@@ -147,14 +146,13 @@ var fieldAllow = map[string]string{
 	"fabric.ReplicaConfig.FailureThreshold": "deployment surface: breaker sensitivity, set by the failover soak",
 	"fabric.ReplicaConfig.OpenTimeout":      "deployment surface: quarantine length, in the deployment's clock units",
 	"fabric.ReplicaConfig.Seed":             "deployment surface: de-correlates breaker jitter between clients",
-	"farmem.Config.Phantom":                 "library surface: metadata-only heaps for capacity planning (TestPhantomHeap)",
-	"farmem.Config.MaxLocalBytes":           "library surface: head-room for Heap.Resize (TestHeapResizeAndPressure)",
-	"farmem.Config.BackgroundEvacuate":      "library surface: the evacuator goroutine for multi-goroutine heaps (-exp mt runs it through core.Config; TestWindowLifetimeRace races it against Range windows)",
+	"farmem.Config.BackgroundEvacuate":      "library surface: the evacuator goroutine for multi-goroutine heaps (-exp mt sets aifm.Config.BackgroundEvacuate directly; TestWindowLifetimeRace races this one against Range windows)",
+	"core.Config.BackgroundEvacuate":        "pass-through: farmem.Config.BackgroundEvacuate's only way to the pool; it goes when that switch does",
 }
 
-// fieldAllowCap is the length of the allowlist the census was introduced
-// with; it may shrink.
-const fieldAllowCap = 14
+// fieldAllowCap is the length of the allowlist as it last shrank; it may
+// shrink further.
+const fieldAllowCap = 12
 
 // TestFieldCensus holds config fields to the rule TestConstructorCensus
 // holds constructors to: a settable value is set by non-test code or it is
@@ -164,11 +162,13 @@ const fieldAllowCap = 14
 // literal writes them all), as the target of an assignment, or by having
 // its address taken (flag.IntVar(&cfg.N, ...)) — outside the functions
 // that only fill in its defaults: those of the struct's own package that
-// have the struct in their signature. A type that non-test code
-// configures is allowlisted field by field, never whole, so a knob no
-// caller sets cannot hide behind the ones they do. Resolved with go/types,
-// because Interval, Seed and Clock are fields of several configs. make
-// vet runs it.
+// have the struct in their signature. A write whose value is another
+// censused field (BackgroundEvacuate: cfg.BackgroundEvacuate) only passes
+// a setting through, so a field written only that way counts as set if
+// one of the fields it copies is. A type that non-test code configures is
+// allowlisted field by field, never whole, so a knob no caller sets cannot
+// hide behind the ones they do. Resolved with go/types, because Interval,
+// Seed and Clock are fields of several configs. make vet runs it.
 func TestFieldCensus(t *testing.T) {
 	tr := loadTree(t)
 
@@ -207,6 +207,7 @@ func TestFieldCensus(t *testing.T) {
 	}
 
 	set := map[*types.Var]bool{}
+	copies := map[*types.Var][]*types.Var{} // the censused fields a pass-through write copies
 	mentions := func(sig *types.Signature, typ *types.Named) bool {
 		is := func(t types.Type) bool {
 			if p, ok := t.(*types.Pointer); ok {
@@ -234,18 +235,33 @@ func TestFieldCensus(t *testing.T) {
 				if fd, ok := d.(*ast.FuncDecl); ok {
 					sig = tr.info.Defs[fd.Name].Type().(*types.Signature)
 				}
-				write := func(f *types.Var) {
+				// field resolves e to the struct field it selects, if any.
+				field := func(e ast.Expr) *types.Var {
+					if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+						if s := tr.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+							return s.Obj().(*types.Var)
+						}
+					}
+					return nil
+				}
+				// write records a write of f; val is the value written,
+				// nil when the write is not a plain copy of one value.
+				write := func(f *types.Var, val ast.Expr) {
 					o, ok := owners[f]
 					if !ok || (sig != nil && o.pkg == pkg && mentions(sig, o.typ)) {
 						return
 					}
+					if src := field(val); src != nil {
+						if _, ok := owners[src]; ok {
+							copies[f] = append(copies[f], src)
+							return
+						}
+					}
 					set[f] = true
 				}
-				writeExpr := func(e ast.Expr) {
-					if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
-						if s := tr.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
-							write(s.Obj().(*types.Var))
-						}
+				writeExpr := func(e, val ast.Expr) {
+					if f := field(e); f != nil {
+						write(f, val)
 					}
 				}
 				ast.Inspect(d, func(n ast.Node) bool {
@@ -262,25 +278,43 @@ func TestFieldCensus(t *testing.T) {
 						for i, el := range n.Elts {
 							if kv, ok := el.(*ast.KeyValueExpr); ok {
 								if f, ok := tr.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
-									write(f)
+									write(f, kv.Value)
 								}
 							} else {
-								write(st.Field(i))
+								write(st.Field(i), el)
 							}
 						}
 					case *ast.AssignStmt:
-						for _, lhs := range n.Lhs {
-							writeExpr(lhs)
+						copying := n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs)
+						for i, lhs := range n.Lhs {
+							var val ast.Expr
+							if copying {
+								val = n.Rhs[i]
+							}
+							writeExpr(lhs, val)
 						}
 					case *ast.IncDecStmt:
-						writeExpr(n.X)
+						writeExpr(n.X, nil)
 					case *ast.UnaryExpr:
 						if n.Op == token.AND {
-							writeExpr(n.X)
+							writeExpr(n.X, nil)
 						}
 					}
 					return true
 				})
+			}
+		}
+	}
+
+	// A pass-through write sets its field once a field it copies is set,
+	// however long the chain (farmem to core to aifm).
+	for grew := true; grew; {
+		grew = false
+		for f, srcs := range copies {
+			for _, src := range srcs {
+				if set[src] && !set[f] {
+					set[f], grew = true, true
+				}
 			}
 		}
 	}
@@ -301,7 +335,16 @@ func TestFieldCensus(t *testing.T) {
 		} else if _, ok := fieldAllow[o.name]; ok {
 			needed[o.name] = true
 		} else {
-			unset = append(unset, fmt.Sprintf("%s (%s)", key, tr.fset.Position(f.Pos())))
+			var via string
+			if srcs := copies[f]; len(srcs) > 0 {
+				names := make([]string, len(srcs))
+				for i, src := range srcs {
+					names[i] = owners[src].name + "." + src.Name()
+				}
+				sort.Strings(names)
+				via = "; its only writes copy " + strings.Join(names, ", ") + ", which nothing sets"
+			}
+			unset = append(unset, fmt.Sprintf("%s (%s%s)", key, tr.fset.Position(f.Pos()), via))
 		}
 	}
 	sort.Strings(unset)

@@ -25,9 +25,12 @@ func recountCold(p *Pool) int64 {
 // the table after each operation.
 func TestColdCountMatchesTable(t *testing.T) {
 	const slots, objects = 16, 64
-	p, _, _ := newTestPool(t, 64, objects*64, slots*64, func(c *Config) {
-		c.MaxLocalBudget = 2 * slots * 64
-	})
+	// Built at twice the working budget, then shrunk to it, so the mix's
+	// resizes both shrink and grow back.
+	p, _, _ := newTestPool(t, 64, objects*64, 2*slots*64)
+	if err := p.Resize(slots * 64); err != nil {
+		t.Fatal(err)
+	}
 	ev := &evacuator{p: p}
 	rng := sim.NewRNG(30)
 	var buf [8]byte

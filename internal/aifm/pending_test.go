@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"trackfm/internal/fabric"
-	"trackfm/internal/far"
 	"trackfm/internal/mem/bufpool"
 	"trackfm/internal/remote"
 	"trackfm/internal/sim"
@@ -71,15 +70,12 @@ func loopbackPool(t *testing.T, objs, slots int, opts ...func(*Config)) (*Pool, 
 }
 
 // wantObject checks resident, pinned object id against what loopbackPool
-// wrote (a phantom pool reads zeros).
+// wrote.
 func wantObject(t *testing.T, p *Pool, id ObjectID) {
 	t.Helper()
 	got := make([]byte, pendObj)
 	p.Read(id, 0, got)
 	want := byte(id)
-	if p.arena == nil {
-		want = 0
-	}
 	for i, b := range got {
 		if b != want {
 			t.Fatalf("object %d byte %d = %#x, want %#x", id, i, b, want)
@@ -185,68 +181,56 @@ func TestFailedPendingPrefetchLeavesObjectRemote(t *testing.T) {
 
 // TestPendingWindowDrains: with the window full, each of the operations
 // that must not leave a slot stranded — Free of the prefetched objects, a
-// Resize to half, EvacuateAll, Close — settles every prefetch first. On a
-// phantom pool the in-flight fetches also hold scratch leases, which must
-// all come home.
+// Resize to half, EvacuateAll, Close — settles every prefetch first, and
+// every buffer lease comes home.
 func TestPendingWindowDrains(t *testing.T) {
 	const objs, slots = 64, 32
-	for _, phantom := range []bool{false, true} {
-		for _, row := range []struct {
-			name     string
-			op       func(p *Pool)
-			resident int
-		}{
-			{"Free", func(p *Pool) {
-				for id := ObjectID(0); id < pendingWindow+2; id++ {
-					p.Free(id)
-				}
-			}, 0},
-			{"Resize to half", func(p *Pool) {
-				if err := p.Resize(slots / 2 * pendObj); err != nil {
-					t.Fatal(err)
-				}
-			}, slots / 2},
-			{"EvacuateAll", func(p *Pool) { p.EvacuateAll() }, 0},
-			{"Close", func(p *Pool) { p.Close() }, pendingWindow + 2},
-		} {
-			name := row.name
-			if phantom {
-				name += ", phantom"
+	for _, row := range []struct {
+		name     string
+		op       func(p *Pool)
+		resident int
+	}{
+		{"Free", func(p *Pool) {
+			for id := ObjectID(0); id < pendingWindow+2; id++ {
+				p.Free(id)
 			}
-			t.Run(name, func(t *testing.T) {
-				bufpool.SetDebug(true)
-				defer bufpool.SetDebug(bufpool.RaceEnabled)
-				leases := bufpool.Outstanding()
-				p, _, store := loopbackPool(t, objs, slots, func(c *Config) {
-					c.MaxLocalBudget = slots * pendObj
-					if phantom {
-						c.Backing = far.BackingPhantom
-					}
-				})
-				for id := ObjectID(0); id < pendingWindow+2; id++ {
-					p.Prefetch(id) // the last two push the oldest two out of the window
-				}
-				if n := p.PendingPrefetches(); n != pendingWindow {
-					t.Fatalf("PendingPrefetches = %d, want a full window of %d", n, pendingWindow)
-				}
-				if !p.Meta(0).Present() || !p.Meta(1).Present() || p.Meta(2).Present() {
-					t.Fatalf("a full window makes room by finishing its oldest prefetch first")
-				}
-				row.op(p)
-				checkSettled(t, p)
-				if got := p.ResidentSlots(); got != row.resident {
-					t.Errorf("ResidentSlots = %d, want %d", got, row.resident)
-				}
-				if row.name == "Free" && p.Meta(5) != 0 {
-					t.Errorf("a freed object's metadata survived its pending prefetch: %v", p.Meta(5))
-				}
-				p.Close()
-				store.Clear() // the far copies hold leases of their own
-				if n := bufpool.Outstanding() - leases; n != 0 {
-					t.Errorf("%d buffer leases outstanding after Close", n)
-				}
-			})
-		}
+		}, 0},
+		{"Resize to half", func(p *Pool) {
+			if err := p.Resize(slots / 2 * pendObj); err != nil {
+				t.Fatal(err)
+			}
+		}, slots / 2},
+		{"EvacuateAll", func(p *Pool) { p.EvacuateAll() }, 0},
+		{"Close", func(p *Pool) { p.Close() }, pendingWindow + 2},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			bufpool.SetDebug(true)
+			defer bufpool.SetDebug(bufpool.RaceEnabled)
+			leases := bufpool.Outstanding()
+			p, _, store := loopbackPool(t, objs, slots)
+			for id := ObjectID(0); id < pendingWindow+2; id++ {
+				p.Prefetch(id) // the last two push the oldest two out of the window
+			}
+			if n := p.PendingPrefetches(); n != pendingWindow {
+				t.Fatalf("PendingPrefetches = %d, want a full window of %d", n, pendingWindow)
+			}
+			if !p.Meta(0).Present() || !p.Meta(1).Present() || p.Meta(2).Present() {
+				t.Fatalf("a full window makes room by finishing its oldest prefetch first")
+			}
+			row.op(p)
+			checkSettled(t, p)
+			if got := p.ResidentSlots(); got != row.resident {
+				t.Errorf("ResidentSlots = %d, want %d", got, row.resident)
+			}
+			if row.name == "Free" && p.Meta(5) != 0 {
+				t.Errorf("a freed object's metadata survived its pending prefetch: %v", p.Meta(5))
+			}
+			p.Close()
+			store.Clear() // the far copies hold leases of their own
+			if n := bufpool.Outstanding() - leases; n != 0 {
+				t.Errorf("%d buffer leases outstanding after Close", n)
+			}
+		})
 	}
 }
 

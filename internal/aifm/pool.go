@@ -41,8 +41,6 @@ type Config struct {
 	// LocalBudget is the local memory available for object data, in
 	// bytes. The number of local slots is LocalBudget / ObjectSize.
 	LocalBudget uint64
-	// Backing selects real or phantom data.
-	Backing far.Backing
 	// AutoPrefetch enables the runtime stride prefetcher: sequential
 	// demand misses trigger asynchronous fetches of the next
 	// PrefetchDepth objects (AIFM's stride prefetcher, §4.3).
@@ -56,12 +54,6 @@ type Config struct {
 	// schedule for demand-miss latency that no longer pays for eviction
 	// inline. Stopped by Close.
 	BackgroundEvacuate bool
-	// MaxLocalBudget is the largest budget Resize may grow to, in bytes.
-	// The arena and slot table are allocated at this capacity up front so
-	// a grow never reallocates under concurrent lock-free readers. Zero
-	// means LocalBudget (the pool can shrink but not grow past its
-	// starting size).
-	MaxLocalBudget uint64
 	// ProtectPrefetch makes demand eviction's first clock pass skip
 	// prefetched-but-unconsumed residents, so a fetch already paid for
 	// is not thrown away before its use arrives. Sensible with ample
@@ -122,12 +114,12 @@ type Pool struct {
 
 	stripes [numStripes]stripe
 
-	arena     []byte     // every slot's bytes; nil for BackingPhantom
+	arena     []byte     // every slot's bytes
 	slotOwner []ObjectID // per-slot owner (atomic); noOwner when empty
 
 	// Slot accounting. freeSlots is the circulating free stack; retired
-	// holds capacity parked outside the current budget (below-target
-	// after a shrink, above-budget headroom before a grow); reserveFree
+	// holds capacity a shrink parked outside the current budget, which a
+	// grow back toward the starting budget reactivates; reserveFree
 	// is the emergency floor demand localization may borrow from when
 	// every circulating slot is pinned. curSlots counts circulating
 	// slots (free + resident, excluding the reserve) and converges to
@@ -218,13 +210,6 @@ func NewPool(cfg Config) (*Pool, error) {
 	if nSlots == 0 {
 		return nil, fmt.Errorf("aifm: LocalBudget %d holds no %dB objects", cfg.LocalBudget, cfg.ObjectSize)
 	}
-	maxSlots := nSlots
-	if cfg.MaxLocalBudget > 0 {
-		maxSlots = cfg.MaxLocalBudget / uint64(cfg.ObjectSize)
-		if maxSlots < nSlots {
-			return nil, fmt.Errorf("aifm: MaxLocalBudget %d below LocalBudget %d", cfg.MaxLocalBudget, cfg.LocalBudget)
-		}
-	}
 	depth := cfg.PrefetchDepth
 	if depth <= 0 {
 		depth = 8
@@ -241,16 +226,11 @@ func NewPool(cfg Config) (*Pool, error) {
 	if reserve > int(nSlots) {
 		reserve = int(nSlots)
 	}
-	// The arena holds the full Resize capacity plus the reserve floor, so
-	// slot indices are stable for the pool's lifetime and lock-free
-	// slotOwner readers never race a reallocation. Slots [0, nSlots) start
-	// circulating, [nSlots, maxSlots) start retired (grow headroom), and
-	// [maxSlots, maxSlots+reserve) form the reserve floor.
-	totalSlots := maxSlots + uint64(reserve)
-	var arena []byte
-	if cfg.Backing == far.BackingReal {
-		arena = make([]byte, totalSlots*uint64(cfg.ObjectSize))
-	}
+	// The arena holds the starting budget plus the reserve floor, so slot
+	// indices are stable for the pool's lifetime and lock-free slotOwner
+	// readers never race a reallocation. Slots [0, nSlots) start
+	// circulating and [nSlots, nSlots+reserve) form the reserve floor.
+	totalSlots := nSlots + uint64(reserve)
 	// The re-fault window: an object evicted and fetched again within four
 	// full-pool refill times counts as a re-fault, the thrash detector's
 	// raw signal.
@@ -263,7 +243,6 @@ func NewPool(cfg Config) (*Pool, error) {
 		RemoteConfig:     cfg.RemoteConfig,
 		Backend:          fabric.BackendTCP,
 		UnitSize:         cfg.ObjectSize,
-		Backing:          cfg.Backing,
 		CompressedBudget: cfg.CompressedBudget,
 	})
 	if err != nil {
@@ -275,9 +254,9 @@ func NewPool(cfg Config) (*Pool, error) {
 		far:          engine,
 		objSize:      cfg.ObjectSize,
 		table:        make([]Meta, nObjects),
-		arena:        arena,
+		arena:        make([]byte, totalSlots*uint64(cfg.ObjectSize)),
 		slotOwner:    make([]ObjectID, totalSlots),
-		freeSlots:    make([]uint32, 0, maxSlots),
+		freeSlots:    make([]uint32, 0, nSlots),
 		curSlots:     int(nSlots),
 		reserveFloor: reserve,
 		autoPrefetch: cfg.AutoPrefetch,
@@ -304,10 +283,7 @@ func NewPool(cfg Config) (*Pool, error) {
 	for i := 0; i < int(nSlots); i++ {
 		p.freeSlots = append(p.freeSlots, uint32(i))
 	}
-	for i := int(nSlots); i < int(maxSlots); i++ {
-		p.retired = append(p.retired, uint32(i))
-	}
-	for i := int(maxSlots); i < int(totalSlots); i++ {
+	for i := int(nSlots); i < int(totalSlots); i++ {
 		p.reserveFree = append(p.reserveFree, uint32(i))
 	}
 	if cfg.BackgroundEvacuate {
@@ -326,7 +302,8 @@ func (p *Pool) NumObjects() uint64 { return uint64(len(p.table)) }
 // current budget (the Resize target, excluding the reserve floor).
 func (p *Pool) NumSlots() int { return int(p.targetSlots.Load()) }
 
-// MaxSlots reports the slot capacity Resize may grow to.
+// MaxSlots reports the slot capacity Resize may grow to: the starting
+// budget's.
 func (p *Pool) MaxSlots() int { return len(p.slotOwner) - p.reserveFloor }
 
 // Far exposes the pool's far engine: the replica set and compressed tier
@@ -885,7 +862,8 @@ func (p *Pool) freeCount() int {
 }
 
 // Resize changes the pool's local budget at runtime, in bytes. Growth
-// reactivates retired capacity up to MaxLocalBudget and is immediate.
+// reactivates capacity an earlier shrink retired, up to the starting
+// budget, and is immediate.
 // Shrink first retires free slots, then evicts cold unpinned residents
 // under the existing stripe locks (clock order, one hotness second
 // chance); pinned residents are never touched, so a shrink below the
@@ -898,7 +876,7 @@ func (p *Pool) Resize(newBudget uint64) error {
 		return fmt.Errorf("aifm: Resize budget %d holds no %dB objects", newBudget, p.objSize)
 	}
 	if max := int64(p.MaxSlots()); newSlots > max {
-		return fmt.Errorf("aifm: Resize to %d slots exceeds the MaxLocalBudget capacity of %d", newSlots, max)
+		return fmt.Errorf("aifm: Resize to %d slots exceeds the starting capacity of %d", newSlots, max)
 	}
 	p.resizeMu.Lock()
 	defer p.resizeMu.Unlock()
@@ -981,22 +959,15 @@ func (p *Pool) EvacuateAll() {
 	_ = p.far.Flush()
 }
 
-// slotBytes returns the objSize bytes of the slot at arena offset base, or
-// nil from a phantom pool, which has none (the far engine moves a nil
-// object through scratch of its own).
+// slotBytes returns the objSize bytes of the slot at arena offset base.
 func (p *Pool) slotBytes(base uint64) []byte {
-	if p.arena == nil {
-		return nil
-	}
 	end := base + uint64(p.objSize)
 	return p.arena[base:end:end]
 }
 
 // zeroSlot materializes a never-touched object in the slot at base.
 func (p *Pool) zeroSlot(base uint64) {
-	if p.arena != nil {
-		clear(p.arena[base : base+uint64(p.objSize)])
-	}
+	clear(p.arena[base : base+uint64(p.objSize)])
 }
 
 // residentAddr returns the arena offset of resident object id.
@@ -1009,20 +980,13 @@ func (p *Pool) residentAddr(id ObjectID, op string) uint64 {
 }
 
 // readAt and writeAt are the pool's one copy primitive: arena bytes at
-// addr to or from the caller's buffer. A phantom pool reads zeros and
-// drops writes.
+// addr to or from the caller's buffer.
 func (p *Pool) readAt(addr uint64, dst []byte) {
-	if p.arena == nil {
-		clear(dst)
-		return
-	}
 	copy(dst, p.arena[addr:addr+uint64(len(dst))])
 }
 
 func (p *Pool) writeAt(addr uint64, src []byte) {
-	if p.arena != nil {
-		copy(p.arena[addr:addr+uint64(len(src))], src)
-	}
+	copy(p.arena[addr:addr+uint64(len(src))], src)
 }
 
 // Read copies object bytes [off, off+len(dst)) into dst. The object must
@@ -1039,8 +1003,7 @@ func (p *Pool) Write(id ObjectID, off uint64, src []byte) {
 	atomic.OrUint64((*uint64)(&p.table[id]), uint64(MetaD))
 }
 
-// Window returns resident object id's bytes in place — nil from a phantom
-// pool, which has none. The slice aliases the arena: it is valid exactly as
+// Window returns resident object id's bytes in place. The slice aliases the arena: it is valid exactly as
 // long as the caller's pin on id, and the caller marks the object dirty
 // (Localize with forWrite) before storing through it.
 func (p *Pool) Window(id ObjectID) []byte {

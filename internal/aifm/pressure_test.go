@@ -12,27 +12,20 @@ func TestResizeValidation(t *testing.T) {
 	if err := p.Resize(0); err == nil {
 		t.Fatalf("zero-slot budget accepted")
 	}
-	// Without MaxLocalBudget the pool cannot grow past its starting size.
+	// The pool cannot grow past its starting size.
 	if err := p.Resize(1<<12 + 64); err == nil {
 		t.Fatalf("grow past capacity accepted")
-	}
-	if _, err := NewPool(Config{
-		Env: sim.NewEnv(), ObjectSize: 64, HeapSize: 1 << 16,
-		LocalBudget: 1 << 12, MaxLocalBudget: 1 << 10,
-	}); err == nil {
-		t.Fatalf("MaxLocalBudget below LocalBudget accepted")
 	}
 }
 
 func TestResizeShrinkEvictsAndGrowReactivates(t *testing.T) {
-	p, _, _ := newTestPool(t, 64, 1<<16, 16*64,
-		func(c *Config) { c.MaxLocalBudget = 32 * 64 })
-	for id := ObjectID(0); id < 16; id++ {
+	p, _, _ := newTestPool(t, 64, 1<<16, 32*64)
+	for id := ObjectID(0); id < 32; id++ {
 		p.Localize(id, true)
 		p.Write(id, 0, []byte{byte(id) + 1})
 	}
-	if got := p.ResidentSlots(); got != 16 {
-		t.Fatalf("resident = %d, want 16", got)
+	if got := p.ResidentSlots(); got != 32 {
+		t.Fatalf("resident = %d, want 32", got)
 	}
 	// Shrink to half: the coldest unpinned residents are evicted and their
 	// slots retired synchronously (nothing is pinned here).
@@ -48,7 +41,8 @@ func TestResizeShrinkEvictsAndGrowReactivates(t *testing.T) {
 	if got := p.ResidentSlots(); got > 8 {
 		t.Fatalf("resident %d exceeds shrunk budget", got)
 	}
-	// Grow to full capacity; retired slots come back into circulation.
+	// Grow back to the starting budget; retired slots come back into
+	// circulation.
 	if err := p.Resize(32 * 64); err != nil {
 		t.Fatalf("grow: %v", err)
 	}
@@ -56,16 +50,20 @@ func TestResizeShrinkEvictsAndGrowReactivates(t *testing.T) {
 		t.Fatalf("NumSlots = %d, want 32", got)
 	}
 	if err := p.Resize(33 * 64); err == nil {
-		t.Fatalf("grow past MaxLocalBudget accepted")
+		t.Fatalf("grow past the starting budget accepted")
 	}
-	// No data lost across the squeeze: evicted objects re-fetch intact.
+	// No data lost across the squeeze: evicted objects re-fetch intact,
+	// and all of them fit again — into the slots the shrink retired.
 	var b [1]byte
-	for id := ObjectID(0); id < 16; id++ {
+	for id := ObjectID(0); id < 32; id++ {
 		p.Localize(id, false)
 		p.Read(id, 0, b[:])
 		if b[0] != byte(id)+1 {
 			t.Fatalf("object %d = %d after resize", id, b[0])
 		}
+	}
+	if got := p.ResidentSlots(); got != 32 {
+		t.Fatalf("resident = %d after regrow, want 32", got)
 	}
 	if got := p.Resizes(); got != 2 {
 		t.Fatalf("resizes = %d, want 2", got)

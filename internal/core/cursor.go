@@ -33,8 +33,8 @@ type Cursor struct {
 	closed   bool
 
 	// The pinned chunk: object obj covers heap offsets [lo, hi) and win is
-	// its bytes in place (nil over phantom backing), valid until the pin
-	// is dropped at the next crossing or Close. hi == 0: nothing pinned.
+	// its bytes in place, valid until the pin is dropped at the next
+	// crossing or Close. hi == 0: nothing pinned.
 	obj    aifm.ObjectID
 	lo, hi uint64
 	win    []byte
@@ -43,7 +43,6 @@ type Cursor struct {
 	// prepaid is the part of the next Consumed charge already on the
 	// clock: the boundary check that detected the last crossing.
 	prepaid uint64
-	scratch []byte // Span's bytes over phantom backing
 }
 
 // NewCursor performs the tfm_init runtime call for a chunked loop over
@@ -138,9 +137,9 @@ func (c *Cursor) Consumed(n int) {
 // the pinned object, at most max (>= 1) of them. The caller works on the
 // raw bytes, then reports how many elements it touched with Consumed.
 // write marks the object dirty before the first store. The slice aliases
-// local memory and dies at the next call into the cursor; over phantom
-// backing it is zeroed scratch. Span returns nil when element i straddles
-// an object boundary: access that one element with Access.
+// local memory and dies at the next call into the cursor. Span returns nil
+// when element i straddles an object boundary: access that one element
+// with Access.
 func (c *Cursor) Span(i, max uint64, write bool) []byte {
 	o, ok := c.seek(c.base.HeapOffset()+i*c.elemSize, c.elemSize, write)
 	if !ok {
@@ -149,13 +148,6 @@ func (c *Cursor) Span(i, max uint64, write bool) []byte {
 	n := (c.hi - c.lo - o) / c.elemSize
 	if n > max {
 		n = max
-	}
-	if c.win == nil {
-		if c.scratch == nil {
-			c.scratch = make([]byte, c.rt.objSize)
-		}
-		clear(c.scratch[:n*c.elemSize])
-		return c.scratch[:n*c.elemSize]
 	}
 	return c.win[o : o+n*c.elemSize]
 }
@@ -177,14 +169,9 @@ func (c *Cursor) AccessAt(byteOff uint64, buf []byte, write bool) {
 		return
 	}
 	c.Consumed(1)
-	switch {
-	case c.win == nil:
-		if !write {
-			clear(buf)
-		}
-	case write:
+	if write {
 		copy(c.win[o:], buf)
-	default:
+	} else {
 		copy(buf, c.win[o:])
 	}
 }

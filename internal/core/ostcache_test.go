@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"trackfm/internal/far"
 	"trackfm/internal/mem/bufpool"
 	"trackfm/internal/sim"
 )
@@ -192,23 +191,27 @@ func TestUncachedGuardsReappearUnderOSTPressure(t *testing.T) {
 }
 
 // TestNewRuntimeFootprint is the gate against a structure sized by what
-// the model could hold rather than by the heap. A phantom pool has no
-// arena, so everything a 64-object runtime allocates is bookkeeping:
-// ~64 KB, most of it the pool's stripes and the env's metric registry.
+// the model could hold rather than by the heap. The arena — one object's
+// bytes per slot, reserve floor included — is the local budget itself;
+// everything else a 64-object runtime allocates is bookkeeping: ~64 KB,
+// most of it the pool's stripes and the env's metric registry.
 func TestNewRuntimeFootprint(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
 	const objSize, objects, bound = 4096, 64, 256 << 10
+	var arena uint64
 	newRuntime := func() {
 		rt, err := NewRuntime(Config{
-			Env: sim.NewEnv(), ObjectSize: objSize, Backing: far.BackingPhantom,
+			Env: sim.NewEnv(), ObjectSize: objSize,
 			HeapSize: objects * objSize, LocalBudget: objects * objSize,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt.Pool().Close()
+		p := rt.Pool()
+		arena = uint64(p.NumSlots()+p.ReserveFloor()) * objSize
+		p.Close()
 	}
 	newRuntime() // one-time initialisation is not the runtime's
 	var before, after runtime.MemStats
@@ -219,8 +222,11 @@ func TestNewRuntimeFootprint(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	per := (after.TotalAlloc - before.TotalAlloc) / rounds
-	t.Logf("NewRuntime for a %d-object phantom heap allocates %d bytes", objects, per)
-	if per > bound {
-		t.Fatalf("NewRuntime for a %d-object phantom heap allocates %d bytes, want <= %d", objects, per, bound)
+	rest := int64(per) - int64(arena)
+	t.Logf("NewRuntime for a %d-object heap allocates %d bytes: a %d-byte arena and %d bytes besides",
+		objects, per, arena, rest)
+	if rest > bound {
+		t.Fatalf("NewRuntime for a %d-object heap allocates %d bytes besides its %d-byte arena, want <= %d",
+			objects, rest, arena, bound)
 	}
 }

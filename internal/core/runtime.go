@@ -7,7 +7,6 @@ import (
 
 	"trackfm/internal/aifm"
 	"trackfm/internal/fabric"
-	"trackfm/internal/far"
 	"trackfm/internal/obs"
 	"trackfm/internal/sim"
 )
@@ -27,11 +26,6 @@ type Config struct {
 	// the "local mem %" axis of the paper's figures (metadata excluded,
 	// as in the paper).
 	LocalBudget uint64
-	// MaxLocalBudget caps runtime growth via Pool.Resize; the pool
-	// allocates this much capacity up front. Zero means LocalBudget.
-	MaxLocalBudget uint64
-	// Backing selects real or phantom object data.
-	Backing far.Backing
 	// RemoteConfig locates far memory and bounds each remote operation
 	// (retries, deadline); it is handed to the pool's far engine
 	// untouched. The zero value is an in-process simulated TCP link.
@@ -125,8 +119,6 @@ func newRuntime(cfg Config, library bool) (*Runtime, error) {
 		ObjectSize:         cfg.ObjectSize,
 		HeapSize:           cfg.HeapSize,
 		LocalBudget:        cfg.LocalBudget,
-		MaxLocalBudget:     cfg.MaxLocalBudget,
-		Backing:            cfg.Backing,
 		AutoPrefetch:       library, // the library's stride prefetcher; TrackFM's is compiler-directed
 		PrefetchDepth:      cfg.PrefetchDepth,
 		BackgroundEvacuate: cfg.BackgroundEvacuate,

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"trackfm/internal/far"
 	"trackfm/internal/sim"
 )
 
@@ -307,25 +306,5 @@ func TestCursorPrefetchFlag(t *testing.T) {
 		if issued := rt.Env().Counters.PrefetchIssued; (issued != 0) != prefetch {
 			t.Fatalf("prefetch=%v: cursor issued %d prefetches", prefetch, issued)
 		}
-	}
-}
-
-func TestPhantomBackingRuns(t *testing.T) {
-	rt, err := NewRuntime(Config{
-		Env: sim.NewEnv(), ObjectSize: 4096,
-		HeapSize: 1 << 30, LocalBudget: 1 << 20,
-		Backing: far.BackingPhantom,
-	})
-	if err != nil {
-		t.Fatalf("NewRuntime: %v", err)
-	}
-	p := rt.MustMalloc(1 << 24) // 16 MB with no real storage
-	rt.StoreU64(p.Add(12345*8), 7)
-	// Phantom reads are zeros; the point is the control plane works.
-	if rt.LoadU64(p.Add(12345*8)) != 0 {
-		t.Fatalf("phantom store retained data")
-	}
-	if rt.Env().Counters.Guards() == 0 {
-		t.Fatalf("no guards charged under phantom backing")
 	}
 }

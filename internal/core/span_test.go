@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"trackfm/internal/far"
 	"trackfm/internal/mem/bufpool"
 	"trackfm/internal/sim"
 )
@@ -14,7 +13,6 @@ import (
 // memory, so the walk fetches, prefetches, evicts and stamps ghosts — every
 // place the simulated clock is read.
 type chunkedCase struct {
-	backing  far.Backing
 	objSize  int
 	elemSize int
 	skew     uint64 // base offset within its first object
@@ -23,11 +21,7 @@ type chunkedCase struct {
 }
 
 func (tc chunkedCase) String() string {
-	b := "real"
-	if tc.backing == far.BackingPhantom {
-		b = "phantom"
-	}
-	return fmt.Sprintf("%s/obj%d/elem%d/skew%d/write=%v", b, tc.objSize, tc.elemSize, tc.skew, tc.write)
+	return fmt.Sprintf("obj%d/elem%d/skew%d/write=%v", tc.objSize, tc.elemSize, tc.skew, tc.write)
 }
 
 // setup builds a runtime holding a quarter of the array, fills the array
@@ -41,7 +35,6 @@ func (tc chunkedCase) setup(t *testing.T) (*Runtime, Ptr) {
 		ObjectSize:  tc.objSize,
 		HeapSize:    2 * bytes,
 		LocalBudget: bytes / 4 &^ uint64(tc.objSize-1),
-		Backing:     tc.backing,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +128,7 @@ func (tc chunkedCase) run(t *testing.T, walk func(*Runtime, Ptr, uint64) uint64,
 	if n := rt.Pool().PinnedObjects(); n != 0 {
 		t.Errorf("%v: %d objects still pinned after Close", tc, n)
 	}
-	if tc.write && tc.backing == far.BackingReal {
+	if tc.write {
 		// What the walk stored must be what scalar guards read back.
 		elem, want := make([]byte, tc.elemSize), make([]byte, tc.elemSize)
 		for i := uint64(0); i <= stop; i++ {
@@ -151,20 +144,17 @@ func (tc chunkedCase) run(t *testing.T, walk func(*Runtime, Ptr, uint64) uint64,
 
 // TestSpanCycleIdentity is the differential half of the refactoring oracle:
 // the span loop must leave the simulated clock and every counter exactly
-// where the per-element loop leaves them, on either backing, wherever the
-// loop stops.
+// where the per-element loop leaves them, wherever the loop stops.
 func TestSpanCycleIdentity(t *testing.T) {
 	var cases []chunkedCase
-	for _, backing := range []far.Backing{far.BackingReal, far.BackingPhantom} {
-		for _, write := range []bool{false, true} {
-			cases = append(cases,
-				chunkedCase{backing: backing, objSize: 256, elemSize: 8, skew: 0, n: 4096, write: write},
-				chunkedCase{backing: backing, objSize: 256, elemSize: 8, skew: 24, n: 4096, write: write},
-				// 12 does not divide 64: every sixth element or so straddles.
-				chunkedCase{backing: backing, objSize: 64, elemSize: 12, skew: 0, n: 1000, write: write},
-				chunkedCase{backing: backing, objSize: 64, elemSize: 12, skew: 20, n: 1000, write: write},
-			)
-		}
+	for _, write := range []bool{false, true} {
+		cases = append(cases,
+			chunkedCase{objSize: 256, elemSize: 8, skew: 0, n: 4096, write: write},
+			chunkedCase{objSize: 256, elemSize: 8, skew: 24, n: 4096, write: write},
+			// 12 does not divide 64: every sixth element or so straddles.
+			chunkedCase{objSize: 64, elemSize: 12, skew: 0, n: 1000, write: write},
+			chunkedCase{objSize: 64, elemSize: 12, skew: 20, n: 1000, write: write},
+		)
 	}
 	for _, tc := range cases {
 		perObj := uint64(tc.objSize / tc.elemSize)
@@ -189,9 +179,6 @@ func TestSpanCycleIdentity(t *testing.T) {
 			}
 			if a.sum != b.sum {
 				t.Errorf("%v stop %d: sums differ: per-element %d, spans %d", tc, stop, a.sum, b.sum)
-			}
-			if tc.backing == far.BackingPhantom && a.sum != 0 {
-				t.Errorf("%v: phantom read returned data (sum %d)", tc, a.sum)
 			}
 			if tc.elemSize == 12 && stop > perObj && a.counters.Guards() == 0 {
 				t.Errorf("%v stop %d: no straddler fell back to a scalar guard", tc, stop)

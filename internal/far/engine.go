@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 
 	"trackfm/internal/fabric"
-	"trackfm/internal/mem/bufpool"
 	"trackfm/internal/mem/ctier"
 	"trackfm/internal/obs"
 	"trackfm/internal/sim"
@@ -31,18 +30,6 @@ import (
 // and the first success lifts an organic degradation.
 var ErrDegraded = errors.New("far: engine degraded, remote fetch refused")
 
-// Backing selects the data plane of a runtime's local arena.
-type Backing int
-
-const (
-	// BackingReal stores actual bytes, so workloads compute real results.
-	BackingReal Backing = iota
-	// BackingPhantom discards data; only the control plane runs. Use for
-	// paper-scale unit counts that would not fit in RAM. The engine moves
-	// a phantom unit (a nil buffer) through pooled scratch instead.
-	BackingPhantom
-)
-
 const (
 	// defaultDegradeAfter is the consecutive-deadline-miss streak that
 	// trips the breaker of a deadline-bearing engine.
@@ -53,8 +40,11 @@ const (
 	degradedProbeEvery = 16
 )
 
-// Config parameterizes an Engine. Every field is fed from a field the
-// owning runtime's own Config already has.
+// Config parameterizes an Engine. The owning runtime builds it: Env and
+// RemoteConfig come from the runtime's own Config, as does aifm's
+// CompressedBudget (fastswap has no tier); UnitSize is its object or page
+// size; Backend and DegradeAfter are the runtime's constants (aifm: TCP
+// costs and the default breaker; fastswap: RDMA costs and no breaker).
 type Config struct {
 	// Env supplies the clock, counters, cost model and histograms.
 	Env *sim.Env
@@ -64,9 +54,6 @@ type Config struct {
 	Backend fabric.Backend
 	// UnitSize is the fixed transfer unit in bytes (object or page size).
 	UnitSize int
-	// Backing says whether units have bytes; a phantom engine keeps a
-	// scratch slab to stand in for them.
-	Backing Backing
 	// DegradeAfter is how many consecutive deadline-missing operations
 	// trip the breaker (meaningful only with a positive OpDeadline): zero
 	// selects 8, a negative value disables it.
@@ -88,9 +75,8 @@ type Engine struct {
 	closer    func() error       // non-nil only when the engine dialed RemoteAddr
 	retries   int
 	unit      int
-	slab      *bufpool.Slab // unit-size scratch; non-nil only when phantom
-	tier      *ctier.Tier   // nil when disabled
-	wb        *window       // write-behind window; nil unless the transport is a fabric.PushCarrier
+	tier      *ctier.Tier // nil when disabled
+	wb        *window     // write-behind window; nil unless the transport is a fabric.PushCarrier
 
 	// Overload control, idle when dlBudget is zero.
 	dlBudget     uint64 // per-op deadline in clock cycles; 0 = none
@@ -128,9 +114,6 @@ func New(cfg Config) (*Engine, error) {
 		if cfg.DegradeAfter > 0 {
 			e.degradeAfter = uint32(cfg.DegradeAfter)
 		}
-	}
-	if cfg.Backing == BackingPhantom {
-		e.slab = bufpool.NewSlab(cfg.UnitSize)
 	}
 	if cfg.CompressedBudget > 0 {
 		e.tier = ctier.New(ctier.Config{Budget: cfg.CompressedBudget})
@@ -214,21 +197,6 @@ func (e *Engine) RegisterObs(reg *obs.Registry, labels ...obs.Label) {
 	e.tier.Register(reg, labels...)
 }
 
-// scratch stands in for a phantom unit's bytes: buf itself when the unit
-// is real, otherwise a slab lease — zeroed, as a phantom read is, when the
-// caller is about to read it — which the caller releases (a no-op for the
-// zero Lease of a real unit).
-func (e *Engine) scratch(buf []byte, read bool) ([]byte, bufpool.Lease) {
-	if buf != nil {
-		return buf, bufpool.Lease{}
-	}
-	lease := e.slab.Get()
-	if read {
-		clear(lease.Bytes())
-	}
-	return lease.Bytes(), lease
-}
-
 // deadline starts a fresh per-op deadline, or the zero Deadline when the
 // engine runs without a budget.
 func (e *Engine) deadline() fabric.Deadline {
@@ -272,20 +240,19 @@ func (e *Engine) noteErr(err error, start uint64) bool {
 	return true
 }
 
-// Fetch fills dst (one unit; nil for a phantom unit) with the bytes stored
-// under key: first by probing the compressed tier — a hit decompresses
-// straight into dst, touches no fabric and works even while degraded —
-// then the write-behind window, which still holds the unit if its push has
-// not been acknowledged (likewise no fabric), then over the transport,
-// retrying failures up to the retry budget inside one deadline. Over a
-// fabric.PushCarrier that exchange carries ahead of the fetch every dirty
-// unit parked since the last one. Every failed attempt is tallied in
-// Counters.RemoteFetchFaults (and once in RemotePushFaults for each push it
-// carried), so injected fault counts reconcile exactly with what the
-// runtime observed. dst must not be visible to anyone else: a failed
-// attempt may scribble on it. The bool reports that the bytes never left
-// local memory — a tier hit or a parked copy — so callers keep their
-// remote-fetch accounting honest.
+// Fetch fills dst (one unit) with the bytes stored under key: first by
+// probing the compressed tier — a hit decompresses straight into dst,
+// touches no fabric and works even while degraded — then the write-behind
+// window, which still holds the unit if its push has not been acknowledged
+// (likewise no fabric), then over the transport, retrying failures up to the
+// retry budget inside one deadline. Over a fabric.PushCarrier that exchange
+// carries ahead of the fetch every dirty unit parked since the last one.
+// Every failed attempt is tallied in Counters.RemoteFetchFaults (and once in
+// RemotePushFaults for each push it carried), so injected fault counts
+// reconcile exactly with what the runtime observed. dst must not be visible
+// to anyone else: a failed attempt may scribble on it. The bool reports that
+// the bytes never left local memory — a tier hit or a parked copy — so
+// callers keep their remote-fetch accounting honest.
 func (e *Engine) Fetch(key uint64, dst []byte) (local bool, err error) {
 	pf, err := e.start(key, dst, false)
 	return pf.local, err
@@ -296,7 +263,6 @@ func (e *Engine) Fetch(key uint64, dst []byte) (local bool, err error) {
 // its bytes. A small value; hand it to FinishPrefetch exactly once.
 type Prefetch struct {
 	ticket fabric.Ticket
-	lease  bufpool.Lease // a phantom unit's scratch, held while the transport owns it
 	key    uint64
 	waited uint64 // cycles StartPrefetch took: the first part of what the mutator waits
 	local  bool   // served from the tier or the write-behind window
@@ -328,7 +294,7 @@ func (e *Engine) FinishPrefetch(pf Prefetch) (local bool, err error) {
 	}
 	start := e.env.Clock.Cycles()
 	_, err = pf.ticket.Wait()
-	e.finished(pf.lease, pf.waited+e.env.Clock.Cycles()-start)
+	e.finished(pf.waited + e.env.Clock.Cycles() - start)
 	if err != nil {
 		sim.Inc(&e.env.Counters.RemoteFetchFaults)
 		e.noteErr(err, start)
@@ -339,11 +305,9 @@ func (e *Engine) FinishPrefetch(pf Prefetch) (local bool, err error) {
 }
 
 // finished closes the books on a fetch that went to the transport: the
-// phantom scratch goes home and the RemoteFetch histogram gets the cycles
-// the mutator spent waiting on it (for a prefetch, start plus finish — not
-// the computation in between).
-func (e *Engine) finished(lease bufpool.Lease, waited uint64) {
-	lease.Release()
+// RemoteFetch histogram gets the cycles the mutator spent waiting on it
+// (for a prefetch, start plus finish — not the computation in between).
+func (e *Engine) finished(waited uint64) {
 	e.lat.RemoteFetch.Observe(waited)
 }
 
@@ -352,9 +316,7 @@ func (e *Engine) finished(lease bufpool.Lease, waited uint64) {
 // failed, a speculative one may return pending.
 func (e *Engine) start(key uint64, dst []byte, speculative bool) (Prefetch, error) {
 	start := e.env.Clock.Cycles()
-	dst, lease := e.scratch(dst, false)
 	if e.tier.Get(key, dst) {
-		lease.Release()
 		e.env.Clock.Advance(e.env.Costs.TierDecompress(e.unit))
 		sim.Inc(&e.env.Counters.TierHits)
 		e.lat.TierDecompress.Observe(e.env.Clock.Cycles() - start)
@@ -364,11 +326,10 @@ func (e *Engine) start(key uint64, dst []byte, speculative bool) (Prefetch, erro
 		sim.Inc(&e.env.Counters.TierMisses)
 	}
 	if e.wb.forward(key, dst) {
-		lease.Release()
 		return Prefetch{local: true}, nil
 	}
 	if e.Degraded() && e.probeTick.Add(1)%degradedProbeEvery != 0 {
-		e.finished(lease, e.env.Clock.Cycles()-start)
+		e.finished(e.env.Clock.Cycles() - start)
 		return Prefetch{}, fmt.Errorf("far: fetch key %d: %w", key, ErrDegraded)
 	}
 	var dl fabric.Deadline
@@ -392,10 +353,10 @@ func (e *Engine) start(key uint64, dst []byte, speculative bool) (Prefetch, erro
 		if err == nil {
 			waited := e.env.Clock.Cycles() - start
 			if ticket.Pending() {
-				return Prefetch{ticket: ticket, lease: lease, key: key, waited: waited}, nil
+				return Prefetch{ticket: ticket, key: key, waited: waited}, nil
 			}
 			e.noteOK()
-			e.finished(lease, waited)
+			e.finished(waited)
 			return Prefetch{}, nil
 		}
 		sim.Inc(&e.env.Counters.RemoteFetchFaults)
@@ -403,30 +364,27 @@ func (e *Engine) start(key uint64, dst []byte, speculative bool) (Prefetch, erro
 			break
 		}
 	}
-	e.finished(lease, e.env.Clock.Cycles()-start)
+	e.finished(e.env.Clock.Cycles() - start)
 	return Prefetch{}, fmt.Errorf("far: fetch key %d after %d attempts: %w", key, attempt, err)
 }
 
-// Evict makes the unit in src (nil for a phantom unit, which reads as
-// zeros) droppable from local memory and reports whether it now is: a
-// dirty unit is written back first — refused outright while degraded —
-// then a compressed copy is parked in the tier: a clean unit's bytes are
-// those it was fetched with, so when it was promoted from the tier, the
-// block the tier kept is re-admitted instead of encoded. Written back
-// means pushed, retried inside one deadline with failed attempts tallied in
-// Counters.RemotePushFaults; or, over a fabric.PushCarrier, copied into the
-// write-behind window, from where the next exchange carries it (a full
-// window first flushes itself: the pushes it holds, as one exchange). The
-// tier is write-through: the far copy is current or its push is parked in
-// the window, so the tier never holds the only copy. A refusal is counted
-// in Counters.EvictionStalls and the caller keeps the unit resident — it is
-// the only copy of the data.
+// Evict makes the unit in src droppable from local memory and reports
+// whether it now is: a dirty unit is written back first — refused outright
+// while degraded — then a compressed copy is parked in the tier: a clean
+// unit's bytes are those it was fetched with, so when it was promoted from
+// the tier, the block the tier kept is re-admitted instead of encoded.
+// Written back means pushed, retried inside one deadline with failed
+// attempts tallied in Counters.RemotePushFaults; or, over a
+// fabric.PushCarrier, copied into the write-behind window, from where the
+// next exchange carries it (a full window first flushes itself: the pushes
+// it holds, as one exchange). The tier is write-through: the far copy is
+// current or its push is parked in the window, so the tier never holds the
+// only copy. A refusal is counted in Counters.EvictionStalls and the caller
+// keeps the unit resident — it is the only copy of the data.
 func (e *Engine) Evict(key uint64, src []byte, dirty bool) bool {
 	if !dirty && e.tier == nil {
 		return true
 	}
-	src, lease := e.scratch(src, true)
-	defer lease.Release()
 	if dirty && (e.Degraded() || !e.writeBack(key, src)) {
 		sim.Inc(&e.env.Counters.EvictionStalls)
 		return false

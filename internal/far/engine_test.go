@@ -288,23 +288,6 @@ func TestEngine(t *testing.T) {
 				r.Fatalf("clean Evict without a tier moved bytes")
 			}
 		}},
-		{"phantom scratch leases all come home", func(c *Config) { c.Backing = BackingPhantom; c.CompressedBudget = 1 << 16 }, func(r *rig) {
-			bufpool.SetDebug(true)
-			defer bufpool.SetDebug(false)
-			start := bufpool.Outstanding()
-			r.e.Evict(1, nil, true)
-			if fromTier, err := r.e.Fetch(1, nil); err != nil || !fromTier {
-				r.Fatalf("phantom Fetch = tier %v, %v", fromTier, err)
-			}
-			r.l.failFetch, r.l.failPush = forever, forever
-			if _, err := r.e.Fetch(2, nil); err == nil || r.e.Evict(2, nil, true) {
-				r.Fatalf("phantom ops succeeded over a dead link")
-			}
-			r.e.Close()
-			if got := bufpool.Outstanding(); got != start {
-				r.Fatalf("%d buffer leases still out after Close", got-start)
-			}
-		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			env := sim.NewEnv()
@@ -324,7 +307,7 @@ func TestEngine(t *testing.T) {
 			}
 			defer e.Close()
 			r := &rig{T: t, e: e, l: l, c: &env.Counters, data: bytes.Repeat([]byte{0x5A, 7}, unit/2)}
-			if cfg.Backing == BackingReal && !e.Evict(7, r.data, true) {
+			if !e.Evict(7, r.data, true) {
 				t.Fatalf("seeding Evict failed")
 			}
 			tc.run(r)
@@ -342,7 +325,7 @@ func (refusingStore) Get(uint64, []byte) (bool, error) { return false, remote.Er
 // TestPrefetchFailingAtFinish: over a transport with a real async path a
 // started prefetch is pending, and one whose reply is a refusal fails at
 // FinishPrefetch — one fetch fault, no second request on the wire (recovery is
-// the demand path's), and the phantom unit's scratch lease home.
+// the demand path's), and every buffer lease the transport took home.
 func TestPrefetchFailingAtFinish(t *testing.T) {
 	bufpool.SetDebug(true)
 	defer bufpool.SetDebug(false)
@@ -359,19 +342,16 @@ func TestPrefetchFailingAtFinish(t *testing.T) {
 	defer tr.Close()
 	env := sim.NewEnv()
 	e, err := New(Config{Env: env, RemoteConfig: fabric.RemoteConfig{Transport: tr, RemoteRetries: retries},
-		Backend: fabric.BackendTCP, UnitSize: unit, Backing: BackingPhantom})
+		Backend: fabric.BackendTCP, UnitSize: unit})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	defer e.Close()
 
 	start := bufpool.Outstanding()
-	pf, err := e.StartPrefetch(7, nil)
+	pf, err := e.StartPrefetch(7, make([]byte, unit))
 	if err != nil || !pf.Pending() {
 		t.Fatalf("StartPrefetch = pending %v, %v; want a pending prefetch", pf.Pending(), err)
-	}
-	if got := bufpool.Outstanding() - start; got != 1 {
-		t.Fatalf("%d leases out while the transport owns the phantom unit's scratch, want 1", got)
 	}
 	if _, err := e.FinishPrefetch(pf); !errors.Is(err, fabric.ErrIntegrity) {
 		t.Fatalf("FinishPrefetch = %v, want the refusal's ErrIntegrity", err)

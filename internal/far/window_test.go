@@ -441,43 +441,35 @@ func TestWindow(t *testing.T) {
 		r.want("key 1 on the server", r.far(1), 0)
 	})
 
-	t.Run("Close drains, and every lease comes home, phantom units' too", func(t *testing.T) {
+	t.Run("Close drains, and every lease comes home", func(t *testing.T) {
 		bufpool.SetDebug(true)
 		defer bufpool.SetDebug(false)
-		for _, backing := range []Backing{BackingReal, BackingPhantom} {
-			start := bufpool.Outstanding()
-			r := newWrig(t, func(c *Config) { c.Backing = backing; c.CompressedBudget = 1 << 16 })
-			var src []byte
-			if backing == BackingReal {
-				src = versioned(1, 1)
-			}
-			r.e.Evict(1, src, true)
-			r.e.Evict(2, src, true)
-			if local, err := r.e.Fetch(1, src); err != nil || !local {
-				t.Fatalf("Fetch = local %v, %v", local, err)
-			}
-			r.e.Tier().Clear()
-			if local, err := r.e.Fetch(1, src); err != nil || !local { // the window's copy now
-				t.Fatalf("Fetch past the tier = local %v, %v", local, err)
-			}
-			r.l.fail = 1
-			if _, err := r.e.Fetch(9, src); err != nil {
-				t.Fatalf("Fetch: %v", err)
-			}
-			r.e.Evict(3, src, true)
-			if got := bufpool.Outstanding() - start; got < 1 {
-				t.Fatalf("%d leases out with a unit parked, want at least its own", got)
-			}
-			r.e.Close()
-			if _, ok := r.l.store[3]; !ok {
-				t.Fatalf("Close left key 3 parked")
-			}
-			if backing == BackingPhantom && !bytes.Equal(r.l.store[3], make([]byte, unit)) {
-				t.Fatalf("a phantom unit was pushed as something other than zeros")
-			}
-			if got := bufpool.Outstanding() - start; got != 0 {
-				t.Fatalf("backing %v: %d buffer leases still out after Close", backing, got)
-			}
+		start := bufpool.Outstanding()
+		r := newWrig(t, func(c *Config) { c.CompressedBudget = 1 << 16 })
+		src := versioned(1, 1)
+		r.e.Evict(1, src, true)
+		r.e.Evict(2, src, true)
+		if local, err := r.e.Fetch(1, src); err != nil || !local {
+			t.Fatalf("Fetch = local %v, %v", local, err)
+		}
+		r.e.Tier().Clear()
+		if local, err := r.e.Fetch(1, src); err != nil || !local { // the window's copy now
+			t.Fatalf("Fetch past the tier = local %v, %v", local, err)
+		}
+		r.l.fail = 1
+		if _, err := r.e.Fetch(9, src); err != nil {
+			t.Fatalf("Fetch: %v", err)
+		}
+		r.e.Evict(3, src, true)
+		if got := bufpool.Outstanding() - start; got < 1 {
+			t.Fatalf("%d leases out with a unit parked, want at least its own", got)
+		}
+		r.e.Close()
+		if _, ok := r.l.store[3]; !ok {
+			t.Fatalf("Close left key 3 parked")
+		}
+		if got := bufpool.Outstanding() - start; got != 0 {
+			t.Fatalf("%d buffer leases still out after Close", got)
 		}
 	})
 }

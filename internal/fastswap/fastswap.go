@@ -53,8 +53,6 @@ type Config struct {
 	// LocalBudget is the cgroup memory limit: resident pages × pageSize
 	// never exceeds it.
 	LocalBudget uint64
-	// Backing selects real or phantom page data.
-	Backing far.Backing
 	// RemoteConfig locates the swap device: an explicit Transport, a
 	// Replicas set (page-outs fan to every replica quorum-acked, page-ins
 	// fail over between them, every page-in checksum-verified end to end;
@@ -92,7 +90,7 @@ type Swap struct {
 	refd   []bool   // referenced bit for the reclaim clock
 	frame  []uint32 // resident page -> frame index
 
-	arena      []byte   // every frame's bytes; nil for BackingPhantom
+	arena      []byte   // every frame's bytes
 	frameOwner []uint32 // frame -> page number
 	freeFrames []uint32
 	hand       int
@@ -120,16 +118,11 @@ func New(cfg Config) (*Swap, error) {
 	if nFrames == 0 {
 		return nil, fmt.Errorf("fastswap: LocalBudget %d holds no pages", cfg.LocalBudget)
 	}
-	var arena []byte
-	if cfg.Backing == far.BackingReal {
-		arena = make([]byte, nFrames*pageSize)
-	}
 	engine, err := far.New(far.Config{
 		Env:          cfg.Env,
 		RemoteConfig: cfg.RemoteConfig,
 		Backend:      fabric.BackendRDMA,
 		UnitSize:     pageSize,
-		Backing:      cfg.Backing,
 		DegradeAfter: -1, // no degraded mode: see Config.RemoteConfig
 	})
 	if err != nil {
@@ -144,7 +137,7 @@ func New(cfg Config) (*Swap, error) {
 		dirty:      make([]bool, nPages),
 		refd:       make([]bool, nPages),
 		frame:      make([]uint32, nPages),
-		arena:      arena,
+		arena:      make([]byte, nFrames*pageSize),
 		frameOwner: make([]uint32, nFrames),
 		freeFrames: make([]uint32, nFrames),
 	}
@@ -205,9 +198,7 @@ func (s *Swap) fault(pg uint64, write bool) uint64 {
 		sim.Inc(&s.env.Counters.MinorFaults)
 		f := s.takeFrame()
 		base := uint64(f) * pageSize
-		if s.arena != nil {
-			clear(s.arena[base : base+pageSize])
-		}
+		clear(s.frameBuf(base))
 		s.install(pg, f, write)
 		return base
 	case PageRemote:
@@ -236,14 +227,9 @@ func (s *Swap) fault(pg uint64, write bool) uint64 {
 	}
 }
 
-// frameBuf returns the page-size bytes of the frame at base, or nil from a
-// phantom swap, which has none (the far engine moves a nil page through
-// scratch of its own). The caller holds s.mu, which serializes all arena
-// access.
+// frameBuf returns the page-size bytes of the frame at base. The caller
+// holds s.mu, which serializes all arena access.
 func (s *Swap) frameBuf(base uint64) []byte {
-	if s.arena == nil {
-		return nil
-	}
 	end := base + pageSize
 	return s.arena[base:end:end]
 }
@@ -359,14 +345,9 @@ func (s *Swap) access(off uint64, buf []byte, write bool) {
 		}
 		lines := (n + 63) / 64
 		s.env.Clock.Advance(lines * s.env.Costs.LocalLoadStore)
-		switch {
-		case s.arena == nil:
-			if !write {
-				clear(buf[done : done+n])
-			}
-		case write:
+		if write {
 			copy(s.arena[base+inPg:], buf[done:done+n])
-		default:
+		} else {
 			copy(buf[done:done+n], s.arena[base+inPg:])
 		}
 		done += n

@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"trackfm/internal/fabric"
-	"trackfm/internal/far"
-	"trackfm/internal/mem/bufpool"
 	"trackfm/internal/sim"
 )
 
@@ -33,18 +31,14 @@ func (f *faultyLink) TryPushUntil(key uint64, src []byte, dl fabric.Deadline) er
 	return f.SimLink.TryPushUntil(key, src, dl)
 }
 
-func faultySwap(t *testing.T, link *faultyLink, env *sim.Env, retries int, opts ...func(*Config)) *Swap {
+func faultySwap(t *testing.T, link *faultyLink, env *sim.Env, retries int) *Swap {
 	t.Helper()
-	cfg := Config{
+	s, err := New(Config{
 		Env:          env,
 		HeapSize:     pageSize * 16,
 		LocalBudget:  pageSize * 2,
 		RemoteConfig: fabric.RemoteConfig{Transport: link, RemoteRetries: retries},
-	}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	s, err := New(cfg)
+	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -54,46 +48,34 @@ func faultySwap(t *testing.T, link *faultyLink, env *sim.Env, retries int, opts 
 // TestFailedMajorFaultReturnsItsFrame: a major fault whose fetch is
 // unrecoverable panics — the SIGBUS analogue, never a zero-filled page —
 // and since interp.Run recovers such panics the swap must come out whole:
-// the frame it claimed for the page goes back to the free list and, on a
-// phantom swap, so does the scratch lease. After as many failed faults as
-// there are frames, a healed link must serve faults again.
+// the frame it claimed for the page goes back to the free list. After as
+// many failed faults as there are frames, a healed link must serve faults
+// again.
 func TestFailedMajorFaultReturnsItsFrame(t *testing.T) {
-	bufpool.SetDebug(true)
-	defer bufpool.SetDebug(false)
 	const frames = 2
-	for _, backing := range []far.Backing{far.BackingReal, far.BackingPhantom} {
-		leases := bufpool.Outstanding()
-		env := sim.NewEnv()
-		link := &faultyLink{SimLink: fabric.NewSimLink(env, fabric.BackendRDMA)}
-		s := faultySwap(t, link, env, 2, func(c *Config) { c.Backing = backing })
-		for pg := uint64(0); pg < 2*frames; pg++ {
-			s.StoreU64(pg*pageSize, pg+100)
-		}
-		s.EvacuateAll()
+	env := sim.NewEnv()
+	link := &faultyLink{SimLink: fabric.NewSimLink(env, fabric.BackendRDMA)}
+	s := faultySwap(t, link, env, 2)
+	for pg := uint64(0); pg < 2*frames; pg++ {
+		s.StoreU64(pg*pageSize, pg+100)
+	}
+	s.EvacuateAll()
 
-		link.failFetch = 1 << 30
-		for pg := uint64(0); pg < frames; pg++ {
-			func() {
-				defer func() {
-					if r, _ := recover().(string); !strings.Contains(r, "unrecoverable remote fault") {
-						t.Fatalf("backing %d: major fault with dead fabric: panic = %q", backing, r)
-					}
-				}()
-				s.LoadU64(pg * pageSize)
+	link.failFetch = 1 << 30
+	for pg := uint64(0); pg < frames; pg++ {
+		func() {
+			defer func() {
+				if r, _ := recover().(string); !strings.Contains(r, "unrecoverable remote fault") {
+					t.Fatalf("major fault with dead fabric: panic = %q", r)
+				}
 			}()
-		}
-		link.failFetch = 0
-		for pg := uint64(0); pg < 2*frames; pg++ {
-			want := pg + 100
-			if backing == far.BackingPhantom {
-				want = 0
-			}
-			if got := s.LoadU64(pg * pageSize); got != want {
-				t.Fatalf("backing %d: page %d = %d after heal, want %d", backing, pg, got, want)
-			}
-		}
-		if got := bufpool.Outstanding(); got != leases {
-			t.Fatalf("backing %d: %d scratch leases never released", backing, got-leases)
+			s.LoadU64(pg * pageSize)
+		}()
+	}
+	link.failFetch = 0
+	for pg := uint64(0); pg < 2*frames; pg++ {
+		if got, want := s.LoadU64(pg*pageSize), pg+100; got != want {
+			t.Fatalf("page %d = %d after heal, want %d", pg, got, want)
 		}
 	}
 }
