@@ -58,7 +58,7 @@ vet:
 
 # The gate of test-thrash that runs under -race. test-tiers' race run is
 # a subset of the one in test.
-RACE_PIN_SATURATION = $(GO) test -race -run 'TestEvacuatorRespectsReserveUnderPinSaturation' ./internal/aifm
+RACE_PIN_SATURATION = $(GO) test -race -run 'TestDemandMissesRespectReserveUnderPinSaturation' ./internal/aifm
 
 # Everything a PR must pass, each gate once: build, vet (incl. the lints,
 # the censuses and the doc test), the tier-1 suite, the concurrency stress
@@ -99,8 +99,8 @@ test-race:
 # evacuate/prefetch workout, the concurrent-vs-serial-oracle differential
 # check, and the pinned-object barrier test, all under -race with the
 # short-mode reductions disabled; then the window-lifetime test — chunked
-# Range/Fill over local memory in place against the background evacuator
-# and a Resize squeeze, over SimLink, over a loopback server (prefetches in
+# Range/Fill over local memory in place against the workers' own demand
+# evictions and a Resize squeeze, over SimLink, over a loopback server (prefetches in
 # flight throughout, finished by whichever goroutine gets there) and with
 # that server killed and replaced mid-run, both again with random scalar
 # stores and loads in every round (pushes riding ahead of fetches, loads
@@ -134,7 +134,7 @@ test-crash:
 # budget squeeze, deterministic JSON) and the pool's Resize/detector/
 # admission/reserve-floor tests (the pin-saturation one under -race).
 test-thrash:
-	$(GO) test -run 'TestThrashSoak|TestThrashTable|TestResize|TestPrefetchSkips|TestThrashDetector|TestEvacuator|TestGuardFastPath|TestHeapResize' ./internal/bench ./internal/aifm ./farmem
+	$(GO) test -run 'TestThrashSoak|TestThrashTable|TestResize|TestPrefetchSkips|TestThrashDetector|TestDemandMisses|TestGuardFastPath|TestHeapResize' ./internal/bench ./internal/aifm ./farmem
 	$(RACE_PIN_SATURATION)
 
 # The multi-tier caching gates: the overcommit crossover sweep (warm 1x

@@ -46,12 +46,6 @@ type Config struct {
 	// RemoteRetries and OpDeadline bound each remote operation. The zero
 	// value keeps the in-process simulated link.
 	fabric.RemoteConfig
-	// BackgroundEvacuate runs a background evacuator goroutine that keeps
-	// a reserve of free local slots (it never moves a pinned object), so
-	// demand misses rarely pay for an eviction inline. Intended for
-	// multi-goroutine use; trades a strictly deterministic eviction
-	// schedule for latency.
-	BackgroundEvacuate bool
 	// CompressedBytes enables the compressed-RAM middle tier between
 	// local memory and the remote store: evicted objects park an
 	// LZ-compressed copy locally (bounded by this byte budget) and a
@@ -80,13 +74,12 @@ func New(cfg Config) (*Heap, error) {
 	}
 	env := sim.NewEnv()
 	rt, err := core.NewRuntime(core.Config{
-		Env:                env,
-		ObjectSize:         cfg.ObjectBytes,
-		HeapSize:           cfg.HeapBytes,
-		LocalBudget:        cfg.LocalBytes,
-		RemoteConfig:       cfg.RemoteConfig,
-		BackgroundEvacuate: cfg.BackgroundEvacuate,
-		CompressedBudget:   cfg.CompressedBytes,
+		Env:              env,
+		ObjectSize:       cfg.ObjectBytes,
+		HeapSize:         cfg.HeapBytes,
+		LocalBudget:      cfg.LocalBytes,
+		RemoteConfig:     cfg.RemoteConfig,
+		CompressedBudget: cfg.CompressedBytes,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("farmem: %w", err)
@@ -98,9 +91,8 @@ func New(cfg Config) (*Heap, error) {
 	return &Heap{rt: rt, env: env}, nil
 }
 
-// Close stops the background evacuator (if running), returns the
-// compressed tier's buffers, and releases the heap's network connection,
-// if it dialed one.
+// Close returns the compressed tier's buffers and releases the heap's
+// network connection, if it dialed one.
 func (h *Heap) Close() error { return h.rt.Pool().Close() }
 
 // Stats reports the runtime's accounting since the last ResetStats.

@@ -189,12 +189,13 @@ func leasesOut(base int) int {
 // the proof that a window never outlives its pin. Four goroutines Fill and
 // Range their own slices — which share boundary objects with their
 // neighbours', twice over local memory in total — with scalar accesses in
-// the callbacks, the background evacuator on and a fifth goroutine
-// squeezing the budget to half and back. Every sum must match, and at the
-// end no pin and no buffer lease is left. Over a loopback server the
-// prefetches of those passes are in flight while all of that goes on — any
-// goroutine may end up finishing any of them — and in the restart rows the
-// server is killed and replaced mid-run, failing whatever was in flight.
+// the callbacks, their demand misses evicting each other's objects, and a
+// fifth goroutine squeezing the budget to half and back. Every sum must
+// match, and at the end no pin and no buffer lease is left. Over a
+// loopback server the prefetches of those passes are in flight while all
+// of that goes on — any goroutine may end up finishing any of them — and
+// in the restart rows the server is killed and replaced mid-run, failing
+// whatever was in flight.
 // The write-heavy rows add a phase of random scalar stores and loads to
 // every round: demand misses that evict dirty objects, so that pushes ride
 // ahead of fetches, a reload of an object just evicted is served from the
@@ -255,7 +256,7 @@ func windowLifetimeRace(t *testing.T, cfg Config, midway func(), writeHeavy bool
 	const workers, per, obj = 4, 5000, 256 // 40 000 B a slice: not whole objects
 	local := uint64(workers * per * 8 / 2)
 	cfg.HeapBytes, cfg.LocalBytes = 1<<20, local
-	cfg.ObjectBytes, cfg.BackgroundEvacuate = obj, true
+	cfg.ObjectBytes = obj
 	h, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -29,8 +29,8 @@ func (s *puttingStore) Put(key uint64, src []byte) error {
 // the frames it always served but answers a dirty miss's two with one
 // write, and nearly every push is carried. (Nothing is served from the
 // window here: with one caller a parked victim leaves with the very next
-// fetch. TestWindowLifetimeRace's write-heavy rows have the callers, the
-// evacuator and the squeezes that make loads meet parked copies.)
+// fetch. TestWindowLifetimeRace's write-heavy rows have the callers and
+// the squeezes that make loads meet parked copies.)
 func TestDirtyMissIsOneExchange(t *testing.T) {
 	store := &puttingStore{Store: remote.NewStore()}
 	srv := fabric.NewServer(store)

@@ -146,13 +146,11 @@ var fieldAllow = map[string]string{
 	"fabric.ReplicaConfig.FailureThreshold": "deployment surface: breaker sensitivity, set by the failover soak",
 	"fabric.ReplicaConfig.OpenTimeout":      "deployment surface: quarantine length, in the deployment's clock units",
 	"fabric.ReplicaConfig.Seed":             "deployment surface: de-correlates breaker jitter between clients",
-	"farmem.Config.BackgroundEvacuate":      "library surface: the evacuator goroutine for multi-goroutine heaps (-exp mt sets aifm.Config.BackgroundEvacuate directly; TestWindowLifetimeRace races this one against Range windows)",
-	"core.Config.BackgroundEvacuate":        "pass-through: farmem.Config.BackgroundEvacuate's only way to the pool; it goes when that switch does",
 }
 
 // fieldAllowCap is the length of the allowlist as it last shrank; it may
 // shrink further.
-const fieldAllowCap = 12
+const fieldAllowCap = 10
 
 // TestFieldCensus holds config fields to the rule TestConstructorCensus
 // holds constructors to: a settable value is set by non-test code or it is
@@ -163,7 +161,7 @@ const fieldAllowCap = 12
 // its address taken (flag.IntVar(&cfg.N, ...)) — outside the functions
 // that only fill in its defaults: those of the struct's own package that
 // have the struct in their signature. A write whose value is another
-// censused field (BackgroundEvacuate: cfg.BackgroundEvacuate) only passes
+// censused field (CompressedBudget: cfg.CompressedBudget) only passes
 // a setting through, so a field written only that way counts as set if
 // one of the fields it copies is. A type that non-test code configures is
 // allowlisted field by field, never whole, so a knob no caller sets cannot
@@ -371,18 +369,45 @@ func TestFieldCensus(t *testing.T) {
 // members after it: fabric.Dial, core.Config.Transport, aifm.Pool.Access.
 var docName = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z]\w*(?:\.[A-Za-z_]\w*)*)`)
 
+// docMember matches an unqualified Type.Member path in prose: Config.Replicas,
+// Stats.Reused, Pool.Far. It counts only when Type is an exported type
+// declared under internal/ or farmem and the match does not continue a
+// qualified name (the . before aifm.Config.X's Config).
+var docMember = regexp.MustCompile(`\b([A-Z]\w*)((?:\.[A-Za-z_]\w*)+)`)
+
+// resolves reports whether obj has the member path parts, each a field or
+// method of the one before.
+func resolves(obj types.Object, parts []string) bool {
+	for _, member := range parts {
+		if obj == nil {
+			return false
+		}
+		obj, _, _ = types.LookupFieldOrMethod(obj.Type(), true, obj.Pkg(), member)
+	}
+	return obj != nil
+}
+
 // TestDocNamesResolve keeps the prose honest about the code: every
 // backticked pkg.Name (and pkg.Type.Member) in README.md, DESIGN.md and
 // EXPERIMENTS.md, for pkg a package under internal/ or farmem, must
 // resolve to a declaration — a field or method for each member — in the
-// tree as it is. A deletion that leaves a document describing what is
-// gone fails here. make vet runs it.
+// tree as it is. So must every backticked Type.Member whose Type is an
+// exported type declared there; several packages declare a Config or a
+// Stats, so it resolves if any type of that name has the member path. A
+// deletion that leaves a document describing what is gone fails here.
+// make vet runs it.
 func TestDocNamesResolve(t *testing.T) {
 	tr := loadTree(t)
 	pkgs := map[string]*types.Package{}
+	typesNamed := map[string][]types.Object{}
 	for dir, pkg := range tr.pkgs {
 		if pkg != nil && (strings.HasPrefix(dir, "internal/") || dir == "farmem") {
 			pkgs[pkg.Name()] = pkg
+			for _, name := range pkg.Scope().Names() {
+				if obj, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && obj.Exported() {
+					typesNamed[name] = append(typesNamed[name], obj)
+				}
+			}
 		}
 	}
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
@@ -393,21 +418,32 @@ func TestDocNamesResolve(t *testing.T) {
 		for n, line := range strings.Split(string(text), "\n") {
 			spans := strings.Split(line, "`")
 			for i := 1; i < len(spans); i += 2 { // the odd pieces are inside backticks
-				for _, m := range docName.FindAllStringSubmatch(spans[i], -1) {
+				span := spans[i]
+				for _, m := range docName.FindAllStringSubmatch(span, -1) {
 					pkg, ok := pkgs[m[1]]
 					if !ok {
 						continue
 					}
 					parts := strings.Split(m[2], ".")
-					obj := pkg.Scope().Lookup(parts[0])
-					for _, member := range parts[1:] {
-						if obj == nil {
-							break
-						}
-						obj, _, _ = types.LookupFieldOrMethod(obj.Type(), true, pkg, member)
-					}
-					if obj == nil {
+					if !resolves(pkg.Scope().Lookup(parts[0]), parts[1:]) {
 						t.Errorf("%s:%d: `%s` names nothing in the tree", doc, n+1, m[0])
+					}
+				}
+				for _, m := range docMember.FindAllStringSubmatchIndex(span, -1) {
+					if m[0] > 0 && span[m[0]-1] == '.' {
+						continue // part of a qualified name, checked above
+					}
+					heads := typesNamed[span[m[2]:m[3]]]
+					if len(heads) == 0 {
+						continue
+					}
+					parts := strings.Split(span[m[4]+1:m[5]], ".")
+					found := false
+					for _, head := range heads {
+						found = found || resolves(head, parts)
+					}
+					if !found {
+						t.Errorf("%s:%d: `%s` names no member of any type %s in the tree", doc, n+1, span[m[0]:m[1]], span[m[2]:m[3]])
 					}
 				}
 			}

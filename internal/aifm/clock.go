@@ -127,7 +127,6 @@ func (p *Pool) tryTakeSlotGentle() (uint32, bool) {
 // inverts it. Pass 2 evicts any unpinned object regardless.
 func (p *Pool) tryTakeSlot() (uint32, bool) {
 	if slot, ok := p.popFree(); ok {
-		p.kickEvacuator()
 		return slot, true
 	}
 	pass := 1

@@ -20,9 +20,8 @@ func recountCold(p *Pool) int64 {
 
 // TestColdCountMatchesTable drives every path that publishes a metadata
 // word — hits, misses, prefetches, frees, both halves of Resize,
-// EvacuateAll, demand eviction throttled and not, and the background
-// evacuator's mark and finalize — and holds the cold count to a recount of
-// the table after each operation.
+// EvacuateAll, and demand eviction throttled and not — and holds the cold
+// count to a recount of the table after each operation.
 func TestColdCountMatchesTable(t *testing.T) {
 	const slots, objects = 16, 64
 	// Built at twice the working budget, then shrunk to it, so the mix's
@@ -31,7 +30,6 @@ func TestColdCountMatchesTable(t *testing.T) {
 	if err := p.Resize(slots * 64); err != nil {
 		t.Fatal(err)
 	}
-	ev := &evacuator{p: p}
 	rng := sim.NewRNG(30)
 	var buf [8]byte
 	var sawCold, sawNoneCold bool
@@ -59,12 +57,9 @@ func TestColdCountMatchesTable(t *testing.T) {
 		case r < 60:
 			op = "throttle"
 			p.Throttle(!p.Throttled())
-		case r < 61:
+		default:
 			op = "evacuate-all"
 			p.EvacuateAll()
-		default:
-			op = "evacuator pass"
-			ev.finalize(ev.mark())
 		}
 		got, want := p.cold.Load(), recountCold(p)
 		if got != want {

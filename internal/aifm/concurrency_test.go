@@ -8,15 +8,12 @@ import (
 )
 
 // newConcurrentPool builds a pool sized for the concurrency suite: shared
-// read-only ids in [0, sharedIDs), one private id range per worker, a
-// local budget far smaller than the heap (so eviction runs constantly),
-// and the background evacuator on. The pool is closed by test cleanup so
-// the evacuator goroutine never outlives the test.
+// read-only ids in [0, sharedIDs), one private id range per worker, and a
+// local budget far smaller than the heap, so the workers' own demand misses
+// evict constantly. The pool is closed by test cleanup.
 func newConcurrentPool(t *testing.T, workers, perWorker int) *Pool {
 	t.Helper()
-	p, _, _ := newTestPool(t, 64, 1<<14, 1<<12, func(c *Config) {
-		c.BackgroundEvacuate = true
-	})
+	p, _, _ := newTestPool(t, 64, 1<<14, 1<<12)
 	t.Cleanup(func() { p.Close() })
 	if need := sharedIDs + workers*perWorker; need > int(p.NumObjects()) {
 		t.Fatalf("pool too small: need %d objects, have %d", need, p.NumObjects())
@@ -110,7 +107,7 @@ func stressWorker(p *Pool, seed uint64, lo, perWorker, iters int, evacuate bool)
 // TestConcurrentStress is the suite's race detector workout: eight
 // goroutines hammer one pool with pinned reads, writes, frees, and
 // prefetches while one of them periodically forces full evacuation and
-// the background evacuator reclaims whatever is cold and unpinned. Run it
+// every miss evicts whatever the clock finds cold and unpinned. Run it
 // under -race (make test-stress does).
 func TestConcurrentStress(t *testing.T) {
 	const workers, perWorker = 8, 16
@@ -137,8 +134,7 @@ func TestConcurrentStress(t *testing.T) {
 	if lb, budget := p.LocalBytes(), uint64(1<<12); lb > budget {
 		t.Errorf("local budget exceeded: %d > %d", lb, budget)
 	}
-	// Quiesce, then hold the cold count to the table it summarizes.
-	p.StopEvacuator()
+	// Quiesced: hold the cold count to the table it summarizes.
 	if got, want := p.cold.Load(), recountCold(p); got != want {
 		t.Errorf("cold count %d after quiesce, table holds %d", got, want)
 	}
@@ -149,8 +145,8 @@ func TestConcurrentStress(t *testing.T) {
 // worker goroutines sharing the pool (keys partitioned by key %% workers,
 // so each key's writes stay in trace order while different keys interleave
 // arbitrarily). The pool's final bytes must match the oracle exactly —
-// eviction, singleflight, and the background evacuator may reorder work
-// but never change what the heap holds.
+// demand eviction and singleflight may reorder work but never change what
+// the heap holds.
 func TestConcurrentMatchesSerialOracle(t *testing.T) {
 	const workers, keys = 8, 128
 	nOps := 4096
@@ -158,9 +154,7 @@ func TestConcurrentMatchesSerialOracle(t *testing.T) {
 		nOps = 1024
 	}
 	for _, seed := range []uint64{1, 0xBEEF, 0x5EED5EED} {
-		p, _, _ := newTestPool(t, 64, 1<<14, 1<<12, func(c *Config) {
-			c.BackgroundEvacuate = true
-		})
+		p, _, _ := newTestPool(t, 64, 1<<14, 1<<12)
 
 		type op struct {
 			key ObjectID
@@ -208,8 +202,8 @@ func TestConcurrentMatchesSerialOracle(t *testing.T) {
 }
 
 // TestConcurrentPinsBlockEvacuation pins one object from several
-// goroutines at once and asserts the evacuator never steals it while any
-// pin holds it.
+// goroutines at once and asserts eviction never steals it while any pin
+// holds it.
 func TestConcurrentPinsBlockEvacuation(t *testing.T) {
 	p, _, _ := newTestPool(t, 64, 1<<14, 1<<12)
 	t.Cleanup(func() { p.Close() })

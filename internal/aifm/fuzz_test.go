@@ -83,7 +83,7 @@ func FuzzPoolAccessPattern(f *testing.F) {
 
 // FuzzConcurrentPins interprets the input as per-goroutine op scripts
 // (worker w executes bytes w, w+nWorkers, w+2*nWorkers, ...) against one
-// shared pool with the background evacuator running. Each worker owns a
+// shared pool whose workers evict each other's objects. Each worker owns a
 // private id range and shadows its own writes; invariants: private values
 // always read back as last written, pins always balance (Unpin never
 // panics), and the local budget holds. Run under -race via make fuzz-short.
@@ -97,9 +97,7 @@ func FuzzConcurrentPins(f *testing.F) {
 		}
 		workers := int(nWorkers)%4 + 1
 		const perWorker = 8
-		p, _, _ := newTestPool(t, 64, 1<<13, 1<<10, func(c *Config) {
-			c.BackgroundEvacuate = true
-		})
+		p, _, _ := newTestPool(t, 64, 1<<13, 1<<10)
 		defer p.Close()
 		var wg sync.WaitGroup
 		fail := make([]string, workers)

@@ -33,10 +33,16 @@ type ObjectID uint64
 type Meta uint64
 
 // Local-format bit assignments.
+//
+// MetaE is Fig. 3's "being evacuated" bit, and the guard tests it through
+// SafeMask as Fig. 4 does. Nothing in the runtime sets it: an evictor
+// moves an object only under its stripe lock and never while it is
+// pinned, and every access holds that lock or a pin. Only Table 1's
+// pricing of the E-bit slow path sets it, by hand.
 const (
 	MetaP  Meta = 1 << 63 // present (local)
 	MetaD  Meta = 1 << 62 // dirty
-	MetaE  Meta = 1 << 61 // being evacuated / evacuation candidate
+	MetaE  Meta = 1 << 61 // being evacuated
 	MetaH  Meta = 1 << 60 // hot (accessed since last clock sweep)
 	MetaPF Meta = 1 << 59 // localized by prefetch, not yet demanded
 

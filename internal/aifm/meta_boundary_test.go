@@ -3,7 +3,7 @@ package aifm
 import "testing"
 
 // TestMetaBitBoundaries pins the exact Figure-3 bit assignments the guard
-// and evacuator rely on: the flag bits must sit where SafeMask expects
+// and the clock rely on: the flag bits must sit where SafeMask expects
 // them, and the topmost address bit (55) must stay inside the address
 // field rather than leaking into PF (59) or beyond.
 func TestMetaBitBoundaries(t *testing.T) {

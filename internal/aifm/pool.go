@@ -47,13 +47,6 @@ type Config struct {
 	AutoPrefetch bool
 	// PrefetchDepth is how many objects ahead to prefetch (default 8).
 	PrefetchDepth int
-	// BackgroundEvacuate starts a background evacuator goroutine that
-	// reclaims cold, unpinned slots (§4.2-4.4) whenever the free-slot
-	// count drops below a low watermark. The evacuator runs on wall
-	// time, so enabling it trades strict determinism of the eviction
-	// schedule for demand-miss latency that no longer pays for eviction
-	// inline. Stopped by Close.
-	BackgroundEvacuate bool
 	// ProtectPrefetch makes demand eviction's first clock pass skip
 	// prefetched-but-unconsumed residents, so a fetch already paid for
 	// is not thrown away before its use arrives. Sensible with ample
@@ -162,8 +155,6 @@ type Pool struct {
 	// a leaf lock and is never held across a wait for bytes.
 	pendMu  sync.Mutex
 	pending []pendingPrefetch
-
-	evac atomic.Pointer[evacuator]
 }
 
 const (
@@ -286,9 +277,6 @@ func NewPool(cfg Config) (*Pool, error) {
 	for i := int(nSlots); i < int(totalSlots); i++ {
 		p.reserveFree = append(p.reserveFree, uint32(i))
 	}
-	if cfg.BackgroundEvacuate {
-		p.StartEvacuator()
-	}
 	return p, nil
 }
 
@@ -311,11 +299,10 @@ func (p *Pool) MaxSlots() int { return len(p.slotOwner) - p.reserveFloor }
 // breaker the anti-thrash governor forces as its last resort.
 func (p *Pool) Far() *far.Engine { return p.far }
 
-// Close stops the background evacuator (if running) and closes the far
-// engine: the tier's buffer leases go home and a connection the pool
-// itself dialed (the Config.RemoteAddr path) is released.
+// Close closes the far engine: the tier's buffer leases go home and a
+// connection the pool itself dialed (the Config.RemoteAddr path) is
+// released.
 func (p *Pool) Close() error {
-	p.StopEvacuator()
 	p.drainPending() // the transport owns those slots until its tickets are waited on
 	return p.far.Close()
 }
@@ -456,10 +443,13 @@ func (p *Pool) Localize(id ObjectID, forWrite bool) (uint64, bool) {
 }
 
 // TryLocalize is Localize with remote-fetch failures surfaced. A failed
-// fetch is retried up to the pool's RemoteRetries budget; if the transport
-// still fails, the claimed slot is returned to the free list, the object's
-// metadata is left untouched (still remote), and the typed fabric error is
-// returned — the caller never observes a zero-filled ghost of its data.
+// fetch is retried up to the pool's RemoteRetries budget, and not at all
+// if its error is permanent. The budget counts the far engine's attempts;
+// over a TCPTransport each is up to 4 transport attempts (see
+// fabric.RemoteConfig.RemoteRetries). If the transport still fails, the
+// claimed slot is returned to the free list, the object's metadata is left
+// untouched (still remote), and the typed fabric error is returned — the
+// caller never observes a zero-filled ghost of its data.
 func (p *Pool) TryLocalize(id ObjectID, forWrite bool) (uint64, bool, error) {
 	return p.tryLocalize(id, forWrite, false)
 }

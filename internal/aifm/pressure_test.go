@@ -184,66 +184,12 @@ func TestThrashDetectorTracksRefaults(t *testing.T) {
 	}
 }
 
-func TestEvacuatorAbortsPinnedCandidates(t *testing.T) {
-	p, env, _ := newTestPool(t, 64, 1<<16, 4*64)
-	p.Localize(0, true)
-	p.Write(0, 0, []byte{9})
-	p.Localize(1, false)
-
-	// Pins that land between mark and finalize: finalize must abort the
-	// candidates instead of evicting them.
-	e := &evacuator{p: p}
-	cands := e.mark()
-	if len(cands) == 0 || p.Meta(cands[0].id)&MetaE == 0 {
-		t.Fatalf("mark published no candidate: %v", cands)
-	}
-	p.Pin(0)
-	p.Pin(1)
-	if e.finalize(cands) {
-		t.Fatalf("finalize claimed to free slots from a pinned pool")
-	}
-	if n := sim.Load(&env.Counters.EvacAborts); n == 0 {
-		t.Fatalf("no EvacAborts recorded for pinned candidates")
-	}
-	for id := ObjectID(0); id < 2; id++ {
-		m := p.Meta(id)
-		if !m.Present() || m&MetaE != 0 {
-			t.Fatalf("object %d after abort: present=%v E=%v", id, m.Present(), m&MetaE != 0)
-		}
-	}
-	// A fully pinned pool yields no candidates at all: the round reports
-	// false immediately (the run loop's signal to stop, not spin).
-	if e.finalize(e.mark()) {
-		t.Fatalf("evacuator freed slots with every resident pinned")
-	}
-	p.Unpin(0)
-	p.Unpin(1)
-
-	// Re-touched, not pinned: a candidate that went hot again between mark
-	// and finalize is aborted and counted the same way.
-	aborts := sim.Load(&env.Counters.EvacAborts)
-	cands = e.mark()
-	if len(cands) == 0 {
-		t.Fatalf("mark published no candidate from an unpinned pool")
-	}
-	id := cands[0].id
-	p.Localize(id, false)
-	if e.finalize(cands) {
-		t.Fatalf("finalize evicted a candidate that was touched after the mark")
-	}
-	if m := p.Meta(id); !m.Present() || m&MetaE != 0 || sim.Load(&env.Counters.EvacAborts) != aborts+1 {
-		t.Fatalf("re-touched object %d: present=%v E=%v aborts %d -> %d",
-			id, m.Present(), m&MetaE != 0, aborts, sim.Load(&env.Counters.EvacAborts))
-	}
-}
-
-func TestEvacuatorRespectsReserveUnderPinSaturation(t *testing.T) {
-	// LocalBudget == pinned set, background evacuator running: demand
-	// localization must keep making progress through the reserve floor,
-	// and the evacuator must never draw the reserve down. Run under
-	// -race this doubles as the deadlock-freedom test.
-	p, _, _ := newTestPool(t, 64, 1<<16, 8*64,
-		func(c *Config) { c.BackgroundEvacuate = true })
+func TestDemandMissesRespectReserveUnderPinSaturation(t *testing.T) {
+	// LocalBudget == pinned set: four workers' demand localizations must
+	// keep making progress through the reserve floor, and every borrowed
+	// slot must be repaid when its object is freed. Run under -race this
+	// doubles as the deadlock-freedom test.
+	p, _, _ := newTestPool(t, 64, 1<<16, 8*64)
 	t.Cleanup(func() { p.Close() })
 	for id := ObjectID(0); id < 8; id++ {
 		p.Localize(id, false)

@@ -108,8 +108,8 @@ func TestTierOracleDifferential(t *testing.T) {
 // TestTierConcurrentPoolNoLostUpdates runs eight goroutines over a
 // working set sized to live mostly in the compressed tier (local budget
 // holds 8 of 64 objects; the tier holds the rest) and checks that every
-// read observes the owner's last write — demotion, promotion, and the
-// background evacuator may move an object between arena, tier, and
+// read observes the owner's last write — demotion by the workers' demand
+// misses and promotion may move an object between arena, tier, and
 // fabric, but never lose or duplicate an update. Run under -race (make
 // test-stress does); the bufpool ledger must net to zero after Close.
 func TestTierConcurrentPoolNoLostUpdates(t *testing.T) {
@@ -130,7 +130,6 @@ func TestTierConcurrentPoolNoLostUpdates(t *testing.T) {
 	// tier, so promotion traffic does not depend on interleaving luck.
 	p, _, _ := newTestPool(t, objSize, keys*objSize, workers*objSize, func(c *Config) {
 		c.CompressedBudget = 1 << 20
-		c.BackgroundEvacuate = true
 	})
 
 	errs := make([]string, workers)

@@ -25,9 +25,9 @@ const mtScopeBatch = 16
 // indirection, load, and a full remote round-trip per miss), and a phase
 // completes when its slowest worker's clock does. With W workers splitting
 // the same scan, perfect scaling halves the critical path each doubling;
-// lock contention, singleflight collisions, and evacuator interference are
-// the only things that can take it away, and the table reports those
-// counters alongside the throughput.
+// lock contention, singleflight collisions, and workers evicting each
+// other's objects on their misses are the only things that can take it
+// away, and the table reports those counters alongside the throughput.
 //
 // Two phases run per worker count: "disjoint" (workers scan disjoint object
 // ranges — the striped table's best case, and the acceptance gate: >= 3x
@@ -42,11 +42,10 @@ func mtScan(s Scale) *Table {
 	}
 	env := sim.NewEnv()
 	pool, err := aifm.NewPool(aifm.Config{
-		Env:                env,
-		ObjectSize:         objSize,
-		HeapSize:           uint64(nObjects) * objSize,
-		LocalBudget:        uint64(nObjects) * objSize / 4,
-		BackgroundEvacuate: true,
+		Env:         env,
+		ObjectSize:  objSize,
+		HeapSize:    uint64(nObjects) * objSize,
+		LocalBudget: uint64(nObjects) * objSize / 4,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("bench: mt pool: %v", err))

@@ -43,9 +43,6 @@ type Config struct {
 	// pays AIFM's second, indirect metadata reference instead of the
 	// single table-indexed load (§3.2).
 	NoOST bool
-	// BackgroundEvacuate runs the pool's background evacuator goroutine
-	// (see aifm.Config.BackgroundEvacuate).
-	BackgroundEvacuate bool
 	// CompressedBudget enables the pool's compressed-RAM middle tier
 	// with this byte budget (see aifm.Config.CompressedBudget).
 	CompressedBudget uint64
@@ -114,15 +111,14 @@ func newRuntime(cfg Config, library bool) (*Runtime, error) {
 		cfg.RemoteConfig.Transport = cfg.Transport
 	}
 	pool, err := aifm.NewPool(aifm.Config{
-		Env:                cfg.Env,
-		RemoteConfig:       cfg.RemoteConfig,
-		ObjectSize:         cfg.ObjectSize,
-		HeapSize:           cfg.HeapSize,
-		LocalBudget:        cfg.LocalBudget,
-		AutoPrefetch:       library, // the library's stride prefetcher; TrackFM's is compiler-directed
-		PrefetchDepth:      cfg.PrefetchDepth,
-		BackgroundEvacuate: cfg.BackgroundEvacuate,
-		CompressedBudget:   cfg.CompressedBudget,
+		Env:              cfg.Env,
+		RemoteConfig:     cfg.RemoteConfig,
+		ObjectSize:       cfg.ObjectSize,
+		HeapSize:         cfg.HeapSize,
+		LocalBudget:      cfg.LocalBudget,
+		AutoPrefetch:     library, // the library's stride prefetcher; TrackFM's is compiler-directed
+		PrefetchDepth:    cfg.PrefetchDepth,
+		CompressedBudget: cfg.CompressedBudget,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)

@@ -76,7 +76,11 @@ func (p permanentError) Unwrap() error { return p.err }
 // permanent wraps err so the retry loop surfaces it immediately.
 func permanent(err error) error { return permanentError{err} }
 
-func isPermanent(err error) bool {
+// Permanent reports whether err is one no retry can cure: the transport
+// has stopped retrying it, and so should a caller with a retry loop of its
+// own. A closed transport, a protocol violation, and a blob the node
+// reports corrupt at rest are permanent.
+func Permanent(err error) bool {
 	var p permanentError
 	return errors.As(err, &p)
 }
@@ -93,7 +97,7 @@ func isDeadline(err error) bool   { return errors.Is(err, ErrDeadlineExceeded) }
 // repairs this one. Any other ErrIntegrity is a payload damaged on the wire
 // that outlived the transport's retries — a fault of the path to the node,
 // and to a breaker a failure like a timeout or a hang-up.
-func corruptAtRest(err error) bool { return isIntegrity(err) && isPermanent(err) }
+func corruptAtRest(err error) bool { return isIntegrity(err) && Permanent(err) }
 
 // classify maps a raw network error onto the typed taxonomy, preserving the
 // original error in the wrap chain for diagnostics.
@@ -101,7 +105,7 @@ func classify(err error) error {
 	if err == nil {
 		return nil
 	}
-	if isPermanent(err) {
+	if Permanent(err) {
 		return err
 	}
 	if isOverloaded(err) || isDeadline(err) || isIntegrity(err) {

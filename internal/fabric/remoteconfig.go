@@ -34,10 +34,16 @@ type RemoteConfig struct {
 	// passed to Connect so breaker timing follows the simulation.
 	Replication ReplicaConfig
 
-	// RemoteRetries is the total attempts per remote operation: a failed
-	// fetch or evacuation push is re-issued up to RemoteRetries-1 times
-	// before the runtime gives up (default 4). The in-process SimLink
-	// never fails, so deterministic experiments are unaffected.
+	// RemoteRetries is the runtime's attempts per remote operation: its
+	// far engine re-issues a failed fetch or evacuation push up to
+	// RemoteRetries-1 times before it gives up (default 4), and never
+	// re-issues an error the transport marks Permanent. These are not
+	// wire attempts: over a TCPTransport each one is itself up to 4
+	// transport attempts, the transport's own retry policy, which the
+	// transport's retry budget may cut short; so a fetch that keeps
+	// failing can reach the wire up to 4 × RemoteRetries times. The
+	// in-process SimLink never fails, so deterministic experiments are
+	// unaffected.
 	RemoteRetries int
 
 	// OpDeadline, when positive, is the end-to-end budget for each remote

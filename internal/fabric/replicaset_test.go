@@ -323,7 +323,7 @@ func TestReplicaSetInFlightCorruptionDetected(t *testing.T) {
 func TestReplicaSetIntegrityAtRestVersusOnTheWire(t *testing.T) {
 	atRest := permanent(fmt.Errorf("%w: server reports blob corrupt or truncated", ErrIntegrity))
 	onWire := classify(fmt.Errorf("%w: fetch payload CRC mismatch", ErrIntegrity))
-	if !isIntegrity(onWire) || isPermanent(onWire) {
+	if !isIntegrity(onWire) || Permanent(onWire) {
 		t.Fatalf("classify(%v) = %v: a wire CRC mismatch stays a retryable ErrIntegrity", ErrIntegrity, onWire)
 	}
 	for _, row := range []struct {

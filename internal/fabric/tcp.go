@@ -929,7 +929,7 @@ func (t *TCPTransport) do(dl Deadline, ahead []Push, code byte, key uint64, buf 
 		if err != nil {
 			last = classify(err)
 			t.stats.record(last)
-			if isPermanent(err) {
+			if Permanent(err) {
 				break
 			}
 			continue
@@ -970,7 +970,7 @@ func (t *TCPTransport) do(dl Deadline, ahead []Push, code byte, key uint64, buf 
 				t.dropIdle()
 				t.mu.Unlock()
 			}
-			if isPermanent(err) {
+			if Permanent(err) {
 				break
 			}
 		}

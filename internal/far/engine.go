@@ -245,7 +245,10 @@ func (e *Engine) noteErr(err error, start uint64) bool {
 // touches no fabric and works even while degraded — then the write-behind
 // window, which still holds the unit if its push has not been acknowledged
 // (likewise no fabric), then over the transport, retrying failures up to the
-// retry budget inside one deadline. Over a fabric.PushCarrier that exchange
+// retry budget inside one deadline, except one the transport marks
+// fabric.Permanent. Those are this engine's attempts: over a TCPTransport
+// each is up to 4 attempts of the transport's own (see
+// fabric.RemoteConfig.RemoteRetries). Over a fabric.PushCarrier that exchange
 // carries ahead of the fetch every dirty unit parked since the last one.
 // Every failed attempt is tallied in Counters.RemoteFetchFaults (and once in
 // RemotePushFaults for each push it carried), so injected fault counts
@@ -360,7 +363,7 @@ func (e *Engine) start(key uint64, dst []byte, speculative bool) (Prefetch, erro
 			return Prefetch{}, nil
 		}
 		sim.Inc(&e.env.Counters.RemoteFetchFaults)
-		if e.noteErr(err, start) {
+		if e.noteErr(err, start) || fabric.Permanent(err) {
 			break
 		}
 	}
@@ -435,7 +438,7 @@ func (e *Engine) push(key uint64, src []byte) (err error) {
 			return nil
 		}
 		sim.Inc(&e.env.Counters.RemotePushFaults)
-		if e.noteErr(err, start) {
+		if e.noteErr(err, start) || fabric.Permanent(err) {
 			break
 		}
 	}
@@ -462,7 +465,7 @@ func (e *Engine) Flush() error {
 			e.noteOK()
 			continue
 		}
-		if failed++; e.noteErr(err, start) || failed == e.retries {
+		if failed++; e.noteErr(err, start) || fabric.Permanent(err) || failed == e.retries {
 			return fmt.Errorf("far: flush of the write-behind window: %w", err)
 		}
 	}

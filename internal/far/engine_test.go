@@ -366,3 +366,63 @@ func TestPrefetchFailingAtFinish(t *testing.T) {
 		t.Errorf("%d leases still out after FinishPrefetch", got)
 	}
 }
+
+// TestPermanentErrorsEndTheRetryLoop: an error the transport marks
+// permanent (fabric.Permanent) is not tried again by the engine either. A
+// blob the node reports corrupt at rest is one fetch frame on the wire and
+// one fetch fault, not one per attempt of the retry budget; over a closed
+// transport a fetch, a push and a flush of the write-behind window each
+// fail once.
+func TestPermanentErrorsEndTheRetryLoop(t *testing.T) {
+	srv := fabric.NewServer(refusingStore{remote.NewStore()})
+	addr, err := srv.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("ListenAndServe: %v", err)
+	}
+	defer srv.Close()
+	tr, err := fabric.Dial(addr)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	env := sim.NewEnv()
+	e, err := New(Config{Env: env, RemoteConfig: fabric.RemoteConfig{Transport: tr, RemoteRetries: retries},
+		Backend: fabric.BackendTCP, UnitSize: unit})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer e.Close()
+	buf := make([]byte, unit)
+
+	if _, err := e.Fetch(7, buf); !errors.Is(err, fabric.ErrIntegrity) || !fabric.Permanent(err) {
+		t.Fatalf("Fetch of a corrupt blob = %v, want a permanent ErrIntegrity", err)
+	}
+	if got := srv.Stats().Frames(); got != 2 { // the hello and the one fetch
+		t.Errorf("server served %d frames, want 2: the corrupt blob's fetch is sent once", got)
+	}
+	if got := env.Counters.RemoteFetchFaults; got != 1 {
+		t.Errorf("RemoteFetchFaults = %d after the corrupt blob, want 1", got)
+	}
+
+	tr.Close()
+	if _, err := e.Fetch(8, buf); !errors.Is(err, fabric.ErrClosed) {
+		t.Fatalf("Fetch over a closed transport = %v, want ErrClosed", err)
+	}
+	if got := env.Counters.RemoteFetchFaults; got != 2 {
+		t.Errorf("RemoteFetchFaults = %d after a fetch over a closed transport, want 2", got)
+	}
+	if err := e.push(9, buf); !errors.Is(err, fabric.ErrClosed) {
+		t.Fatalf("push over a closed transport = %v, want ErrClosed", err)
+	}
+	if got := env.Counters.RemotePushFaults; got != 1 {
+		t.Errorf("RemotePushFaults = %d after a push over a closed transport, want 1", got)
+	}
+	if !e.Evict(10, buf, true) {
+		t.Fatalf("a dirty eviction was not parked in the write-behind window")
+	}
+	if err := e.Flush(); !errors.Is(err, fabric.ErrClosed) {
+		t.Fatalf("Flush over a closed transport = %v, want ErrClosed", err)
+	}
+	if got := env.Counters.RemotePushFaults; got != 2 {
+		t.Errorf("RemotePushFaults = %d after a flush of one parked unit, want 2", got)
+	}
+}

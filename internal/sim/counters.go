@@ -64,7 +64,6 @@ type Counters struct {
 	// single-goroutine run).
 	StripeContention   uint64 // pool stripe-lock acquisitions that had to wait
 	SingleflightShared uint64 // localize calls served by another caller's in-flight fetch
-	EvacAborts         uint64 // background-evacuation candidates aborted (pinned or re-touched)
 
 	// Memory pressure (elastic budget + thrash detection).
 	Refaults                uint64 // fetches of an object evicted within the thrash window
@@ -96,7 +95,7 @@ func (c *Counters) Reset() {
 
 // fields enumerates every counter field, in declaration order. Snapshot,
 // Reset, and the obs registration iterate this single list so a new field
-// only needs to be added here (and named in metricNames) once.
+// only needs to be added here (and named in metricDefs) once.
 func (c *Counters) fields() []*uint64 {
 	return []*uint64{
 		&c.CustodyRejects, &c.FastPathGuards, &c.SlowPathGuards,
@@ -108,7 +107,7 @@ func (c *Counters) fields() []*uint64 {
 		&c.Mallocs, &c.Frees,
 		&c.RemoteFetchFaults, &c.RemotePushFaults, &c.EvictionStalls,
 		&c.DeadlineMisses, &c.OverloadRejects, &c.DegradedEntries,
-		&c.StripeContention, &c.SingleflightShared, &c.EvacAborts,
+		&c.StripeContention, &c.SingleflightShared,
 		&c.Refaults, &c.PrefetchSkippedPressure,
 		&c.TierHits, &c.TierMisses, &c.TierDemotes,
 	}
@@ -187,7 +186,6 @@ func (c *Counters) String() string {
 	add("degraded", c.DegradedEntries)
 	add("lockWait", c.StripeContention)
 	add("sfShared", c.SingleflightShared)
-	add("evacAbort", c.EvacAborts)
 	add("refault", c.Refaults)
 	add("pfSkip", c.PrefetchSkippedPressure)
 	add("tierHit", c.TierHits)

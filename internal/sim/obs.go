@@ -51,7 +51,6 @@ var metricDefs = []struct{ name, help string }{
 	{"trackfm_degraded_entries_total", "Times a pool entered degraded mode after repeated deadline misses."},
 	{"trackfm_stripe_contention_total", "Pool stripe-lock acquisitions that had to wait."},
 	{"trackfm_singleflight_shared_total", "Localize calls served by another caller's in-flight fetch."},
-	{"trackfm_evac_aborts_total", "Background-evacuation candidates aborted (pinned or re-touched)."},
 	{"trackfm_refaults_total", "Fetches that re-localized an object evicted within the thrash window."},
 	{"trackfm_prefetch_skipped_pressure_total", "Prefetches skipped because pool occupancy exceeded the admission high-water mark."},
 	{"trackfm_tier_hits_total", "Localizations served by decompressing from the compressed middle tier."},
