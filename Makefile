@@ -106,11 +106,15 @@ test-race:
 # stores and loads in every round (pushes riding ahead of fetches, loads
 # served from the write-behind window, re-sent across the restart); then
 # that window's own: owners evicting and fetching a shared key set through
-# each other's exchanges, the server end checking order.
+# each other's exchanges, the server end checking order; then Access's
+# torn-read test — writers, lock-free readers and evictions over 8 slots —
+# under -race and, so the unchecked copy runs at full speed, without it.
 test-stress:
 	$(GO) test -race -run 'TestConcurrent' -count=2 ./internal/aifm
 	$(GO) test -race -run 'TestWindowLifetimeRace' -count=10 ./farmem
 	$(GO) test -race -run 'TestWindowConcurrentOwners' -count=10 ./internal/far
+	$(GO) test -race -run 'TestAccessNoTornReadsUnderEviction' -count=3 ./internal/aifm
+	$(GO) test -run 'TestAccessNoTornReadsUnderEviction' -count=3 ./internal/aifm
 
 # The overload acceptance gates: the deterministic 4x-capacity soak
 # (bounded queue sheds, p99 of admitted ops within 2x uncontended, goodput

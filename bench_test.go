@@ -12,6 +12,8 @@ package trackfm_test
 // cmd/trackfm-bench and asserted by the internal/bench tests).
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -125,6 +127,27 @@ func BenchmarkRuntimeLoadU64(b *testing.B) {
 		j += 521
 	}
 	_ = sink
+}
+
+// BenchmarkRuntimeLoadU64Parallel is BenchmarkRuntimeLoadU64 from every
+// b.RunParallel goroutine at once, each striding over its own range of the
+// array, so the goroutines share the pool's stripes but no element.
+func BenchmarkRuntimeLoadU64Parallel(b *testing.B) {
+	rt, p := newFilledArray(b)
+	span := uint64(benchElems / runtime.GOMAXPROCS(0))
+	var next atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		base := next.Add(1) - 1
+		base = base % (benchElems / span) * span
+		var sink, j uint64
+		for pb.Next() {
+			sink += rt.LoadU64(p.Add((base + j%span) * 8))
+			j += 521
+		}
+		_ = sink
+	})
 }
 
 func BenchmarkRuntimeStoreU64(b *testing.B) {

@@ -37,8 +37,9 @@ type Meta uint64
 // MetaE is Fig. 3's "being evacuated" bit, and the guard tests it through
 // SafeMask as Fig. 4 does. Nothing in the runtime sets it: an evictor
 // moves an object only under its stripe lock and never while it is
-// pinned, and every access holds that lock or a pin. Only Table 1's
-// pricing of the E-bit slow path sets it, by hand.
+// pinned, and every access holds that lock or a pin — or, for a lock-free
+// resident read, discards its copy if the stripe's sequence moved. Only
+// Table 1's pricing of the E-bit slow path sets it, by hand.
 const (
 	MetaP  Meta = 1 << 63 // present (local)
 	MetaD  Meta = 1 << 62 // dirty

@@ -1,9 +1,11 @@
 package aifm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,10 +68,12 @@ type Config struct {
 
 // stripe is one lock shard of the pool. All mutation of an object's
 // metadata word, pin count, and fetch in-flight state happens under its
-// stripe's mutex; the guard fast path reads the metadata word with a single
-// atomic load and never takes the lock.
+// stripe's lock, and so does every eviction and every Free. The guard's
+// safety check reads the metadata word with a single atomic load; a read
+// of a resident, hot object (Access) then copies with no lock and
+// validates against the lock's sequence (seqMutex) afterwards.
 type stripe struct {
-	mu       sync.Mutex
+	mu       seqMutex
 	pins     map[ObjectID]uint32
 	inflight map[ObjectID]struct{}
 
@@ -84,6 +88,83 @@ type stripe struct {
 	ghosts // the thrash detector's eviction history
 }
 
+// seqMutex is a stripe's lock, whose word is also a sequence number: seq
+// is odd while the lock is held and each critical section adds 2 to it. A
+// reader that saw the same even seq before and after a copy knows no
+// critical section ran in between — no store, eviction or Free touched the
+// stripe — so it may copy without taking the lock (see Pool.Access).
+// Writers pay what a sync.Mutex costs them, one CAS and one add; a Lock
+// that finds the lock held sleeps on cond, and Unlock wakes the sleepers
+// only when there are any.
+type seqMutex struct {
+	seq     atomic.Uint64
+	waiters atomic.Int32
+	mu      sync.Mutex // guards cond's sleepers
+	cond    sync.Cond
+}
+
+// TryLock takes the lock if it is free.
+func (l *seqMutex) TryLock() bool {
+	s := l.seq.Load()
+	return s&1 == 0 && l.seq.CompareAndSwap(s, s+1)
+}
+
+// Lock takes the lock, sleeping until it is free. A sleeper is counted in
+// waiters before its last TryLock, so an Unlock either lets that TryLock
+// succeed or sees the count and wakes it: no wake-up is lost.
+func (l *seqMutex) Lock() {
+	if l.TryLock() {
+		return
+	}
+	l.mu.Lock()
+	if l.cond.L == nil {
+		l.cond.L = &l.mu
+	}
+	l.waiters.Add(1)
+	for !l.TryLock() {
+		l.cond.Wait()
+	}
+	l.waiters.Add(-1)
+	l.mu.Unlock()
+}
+
+// Unlock releases the lock, ending the critical section's sequence. Like
+// the sync.Mutex it replaces it must pair with a Lock or TryLock; an
+// unpaired Unlock is not caught here — the one check it could afford
+// would stop Unlock inlining — and leaves the word odd, so the next Lock
+// sleeps for good.
+func (l *seqMutex) Unlock() {
+	l.seq.Add(1)
+	if l.waiters.Load() != 0 {
+		l.wake()
+	}
+}
+
+// wake is Unlock's rare half, kept out of line so Unlock inlines.
+func (l *seqMutex) wake() {
+	l.mu.Lock()
+	l.cond.Broadcast()
+	l.mu.Unlock()
+}
+
+// readBegin returns the sequence a lock-free read validates against, and
+// false while a critical section is running.
+func (l *seqMutex) readBegin() (uint64, bool) {
+	s := l.seq.Load()
+	return s, s&1 == 0
+}
+
+// readValid reports whether no critical section began since readBegin
+// returned s. The load must not be satisfied before the reader's copy: on
+// amd64 (x86-TSO) loads are not reordered with earlier loads, so a plain
+// load is enough; elsewhere the CAS, a full barrier, orders it.
+func (l *seqMutex) readValid(s uint64) bool {
+	if runtime.GOARCH == "amd64" {
+		return l.seq.Load() == s
+	}
+	return l.seq.CompareAndSwap(s, s)
+}
+
 // Pool is an AIFM-style far-memory object pool: a contiguous metadata table
 // (one 8-byte word per object — this very table is what TrackFM exposes as
 // its object state table), a local arena divided into object-size slots, a
@@ -92,9 +173,10 @@ type stripe struct {
 //
 // Pool is safe for concurrent use. State shards into lock stripes by
 // ObjectID; metadata words are read with single atomic loads on the guard
-// fast path and written only under the owning stripe's lock; concurrent
-// demand fetches of the same object collapse into one fabric round-trip
-// (singleflight). Object data returned by the localize family is only
+// fast path and written only under the owning stripe's lock; a resident
+// read (Access) copies with no lock and validates against the stripe's
+// sequence; concurrent demand fetches of the same object collapse into one
+// fabric round-trip (singleflight). Object data returned by the localize family is only
 // stable while the object is pinned — concurrent callers must use
 // LocalizePin rather than bare Localize.
 type Pool struct {
@@ -781,6 +863,13 @@ func (p *Pool) pinLocked(st *stripe, id ObjectID) {
 func (p *Pool) Unpin(id ObjectID) {
 	st := p.stripeFor(id)
 	p.lockStripe(st)
+	p.unpinLocked(st, id)
+	st.mu.Unlock()
+}
+
+// unpinLocked is Unpin for a caller that holds id's stripe lock; on a
+// bookkeeping bug it releases the lock before it panics.
+func (p *Pool) unpinLocked(st *stripe, id ObjectID) {
 	n, ok := st.pins[id]
 	switch {
 	case !ok:
@@ -792,7 +881,6 @@ func (p *Pool) Unpin(id ObjectID) {
 	default:
 		st.pins[id] = n - 1
 	}
-	st.mu.Unlock()
 }
 
 // popFree pops the most recently freed slot (LIFO, preserving the
@@ -981,13 +1069,17 @@ func (p *Pool) writeAt(addr uint64, src []byte) {
 
 // Read copies object bytes [off, off+len(dst)) into dst. The object must
 // be resident (call Localize first) and, under concurrency, pinned for the
-// duration of the copy; the TrackFM guard layer guarantees both.
+// duration of the copy. The copy holds no lock, so a concurrent Access of
+// the same bytes may change part of it; the TrackFM guard layer uses
+// Access instead.
 func (p *Pool) Read(id ObjectID, off uint64, dst []byte) {
 	p.readAt(p.residentAddr(id, "Read")+off, dst)
 }
 
 // Write copies src into object bytes starting at off and marks the object
-// dirty. The object must be resident and, under concurrency, pinned.
+// dirty. The object must be resident and, under concurrency, pinned. Like
+// Read it holds no lock, so a concurrent Access of the same bytes may see
+// part of it; the TrackFM guard layer uses Access instead.
 func (p *Pool) Write(id ObjectID, off uint64, src []byte) {
 	p.writeAt(p.residentAddr(id, "Write")+off, src)
 	atomic.OrUint64((*uint64)(&p.table[id]), uint64(MetaD))
@@ -1001,36 +1093,81 @@ func (p *Pool) Window(id ObjectID) []byte {
 }
 
 // Access is the scalar guarded access: it moves len(buf) bytes between buf
-// and object id at byte offset off, localizing the object first. On a
-// resident object the residency check, the metadata update and the copy
-// share one stripe critical section — the lock excludes every evictor for
-// the length of the copy exactly as a pin would, so none is taken. A miss
-// is LocalizePin, the copy, Unpin. Like Localize, it panics on an
-// unrecoverable transport failure.
+// and object id at byte offset off, localizing the object first.
+//
+// A read of a resident, hot object takes no lock: it notes its stripe's
+// sequence, loads the metadata word, copies, and keeps the bytes if the
+// sequence has not moved — no store, eviction or Free ran in the stripe
+// meanwhile. It runs only when the locked path would write nothing (P and
+// H set, E and PF clear), so no metadata bit or counter depends on which
+// path served it. Validating with the sequence rather than the metadata
+// word matters: an object evicted and fetched back into the same slot can
+// restore an identical word.
+//
+// Otherwise, on a resident object the residency check, the metadata update
+// and the copy share one stripe critical section — the lock excludes every
+// evictor for the length of the copy exactly as a pin would, so none is
+// taken. A miss is LocalizePin, then the copy and the unpin in one
+// critical section, so the copy is atomic with respect to every other
+// Access of the object. Like Localize, it panics on an unrecoverable
+// transport failure.
 func (p *Pool) Access(id ObjectID, off uint64, buf []byte, write bool) {
 	if off+uint64(len(buf)) > uint64(p.objSize) {
 		panic("aifm: Access beyond the object's end") // before the lock is taken
 	}
 	st := p.stripeFor(id)
-	p.lockStripe(st)
+	if !write {
+		if s, ok := st.mu.readBegin(); ok {
+			if m := p.metaAt(id); m&(MetaP|MetaE|MetaH|MetaPF) == MetaP|MetaH {
+				addr := m.DataAddr() + off
+				racyCopy(buf, p.arena[addr:addr+uint64(len(buf))])
+				if st.mu.readValid(s) {
+					return
+				}
+			}
+		}
+	}
+	if !st.mu.TryLock() { // lockStripe's fast path, inlined in its hottest caller
+		p.lockStripe(st)
+	}
 	if m := p.metaAt(id); m.Present() {
 		p.touchLocked(id, m, write)
-		if write {
-			p.writeAt(m.DataAddr()+off, buf)
-		} else {
-			p.readAt(m.DataAddr()+off, buf)
-		}
+		p.copyLocked(m.DataAddr()+off, buf, write)
 		st.mu.Unlock()
 		return
 	}
 	st.mu.Unlock()
-	p.LocalizePin(id, write)
+	addr, _ := p.LocalizePin(id, write) // a write has set D
+	p.lockStripe(st)
+	p.copyLocked(addr+off, buf, write)
+	p.unpinLocked(st, id)
+	st.mu.Unlock()
+}
+
+// copyLocked is Access's copy between buf and arena bytes at addr.
+func (p *Pool) copyLocked(addr uint64, buf []byte, write bool) {
 	if write {
-		p.Write(id, off, buf)
+		p.writeAt(addr, buf)
 	} else {
-		p.Read(id, off, buf)
+		p.readAt(addr, buf)
 	}
-	p.Unpin(id)
+}
+
+// racyCopy copies src to dst for Access's lock-free read, which may race
+// a store into src; the caller discards the bytes unless its sequence
+// check shows no store ran. It is hidden from the race detector for that
+// reason, and must not call copy: runtime.slicecopy instruments itself.
+//
+//go:norace
+func racyCopy(dst, src []byte) {
+	n := len(dst)
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(src[i:]))
+	}
+	for ; i < n; i++ {
+		dst[i] = src[i]
+	}
 }
 
 // Free releases id: drops the local copy, deletes the remote copy, and

@@ -15,9 +15,12 @@ import (
 // calls into the runtime (slow path), which localizes the object —
 // possibly with a remote fetch. Costs follow Table 1; the cached/uncached
 // split is decided by the OST warm-line model.
-// Either way the pool re-checks residency and moves the bytes where no
-// evictor can interleave (Pool.Access): between the safety check and the
-// access the evacuator cannot delocalize the object (what AIFM's
+// Either way the pool re-checks residency and moves the bytes so that no
+// eviction can interleave (Pool.Access): a resident read copies with no
+// lock and keeps the bytes only if its stripe's sequence shows no
+// eviction ran, like the paper's lock-free fast guard; anything else
+// copies under the stripe lock. Between the safety check and the access
+// the evacuator cannot delocalize the object unseen (what AIFM's
 // out-of-scope barrier guarantees, §3.3).
 // The guard also charges the access it guards, one load/store per 64
 // bytes touched: on the fast path in the guard's own clock add, on the

@@ -53,10 +53,12 @@ type Config struct {
 // holding every remotable allocation), the object state table, and the
 // allocator.
 //
-// Runtime is safe for concurrent use: guarded accesses (Load/Store and
-// friends) ride the pool's lock striping and pin objects across the data
-// copy, the allocator serializes under its own mutex, and OST reads on the
-// guard fast path are single atomic loads. A Cursor remains a
+// Runtime is safe for concurrent use: a guarded access (Load/Store and
+// friends) is atomic with respect to every other (see aifm.Pool.Access —
+// a resident read copies with no lock and validates against its stripe's
+// sequence, anything else holds the stripe lock or a pin across the copy),
+// the allocator serializes under its own mutex, and OST reads on the guard
+// fast path are single atomic loads. A Cursor remains a
 // single-goroutine object (one per worker). The simulated clock stays one
 // logical timeline shared by all goroutines.
 type Runtime struct {
