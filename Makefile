@@ -108,20 +108,26 @@ test-race:
 # that window's own: owners evicting and fetching a shared key set through
 # each other's exchanges, the server end checking order; then Access's
 # torn-read test — writers, lock-free readers and evictions over 8 slots —
-# under -race and, so the unchecked copy runs at full speed, without it.
+# under -race and, so the unchecked copy runs at full speed, without it
+# (a -race build takes the locked read, see aifm's raceEnabled); then the
+# check that -race still reports a program's own race: a guarded load
+# against a cursor store on the same word, in a child process that must
+# print the detector's report.
 test-stress:
 	$(GO) test -race -run 'TestConcurrent' -count=2 ./internal/aifm
 	$(GO) test -race -run 'TestWindowLifetimeRace' -count=10 ./farmem
 	$(GO) test -race -run 'TestWindowConcurrentOwners' -count=10 ./internal/far
 	$(GO) test -race -run 'TestAccessNoTornReadsUnderEviction' -count=3 ./internal/aifm
 	$(GO) test -run 'TestAccessNoTornReadsUnderEviction' -count=3 ./internal/aifm
+	$(GO) test -race -run 'TestRaceDetectorSeesGuardedLoads' ./internal/core
 
 # The overload acceptance gates: the deterministic 4x-capacity soak
 # (bounded queue sheds, p99 of admitted ops within 2x uncontended, goodput
 # >= 60% of capacity, no silent late completions) and the retry-budget
-# brownout amplification bound, plus the end-to-end TCP overload test.
+# brownout amplification bound — on the one-loop model and on the far
+# engine's loop that runs — plus the end-to-end TCP overload test.
 test-overload:
-	$(GO) test -run 'TestOverload|TestAdmission|TestRetryBudget|TestDeadline' ./internal/bench ./internal/fabric
+	$(GO) test -run 'TestOverload|TestAdmission|TestRetryBudget|TestDeadline' ./internal/bench ./internal/fabric ./internal/far
 
 # The crash-consistency gates: the fixed-seed crash-injection soak (>= 100
 # kills at randomized WAL offsets, recovered state byte-identical to the

@@ -5,8 +5,11 @@
 // against it.
 //
 // Clients survive an fmserver crash as long as a replacement comes back on
-// the same address: the TCPTransport reconnects with bounded backoff, and
-// the store contents can be considered the node's "memory" (a restarted
+// the same address: the TCPTransport re-dials on the next attempt (an
+// operation that finds its idle socket closed by the restart is resent
+// once on a fresh one), the client's far engine re-issues what failed
+// under its retry budget, and the store contents can be considered the
+// node's "memory" (a restarted
 // process with a fresh store serves fetches as not-found, which clients
 // observe as typed errors or misses — never as corrupted data: every blob
 // carries a CRC32-C recorded at push, verified on every fetch, and every

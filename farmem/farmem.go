@@ -170,9 +170,10 @@ func (h *Heap) Snapshot() HeapSnapshot {
 // and latency histograms Stats and Snapshot read, and the series of
 // everything the heap is built from: the pool (trackfm_pool_*,
 // trackfm_thrash_ratio), the compressed tier when enabled
-// (trackfm_ctier_*), and the remote side — a dialed transport's
-// trackfm_fabric_*, trackfm_transport_* and trackfm_retry_budget_*, or a
-// replica set's trackfm_replica_*.
+// (trackfm_ctier_*), the far engine's retry budget
+// (trackfm_retry_budget_*), and the remote side — a dialed transport's
+// trackfm_fabric_* and trackfm_transport_*, or a replica set's
+// trackfm_replica_*.
 func (h *Heap) Metrics() *obs.Registry { return h.env.Metrics() }
 
 // ResetStats zeroes the counters and latency histograms and starts a new

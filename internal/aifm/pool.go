@@ -511,7 +511,7 @@ func (p *Pool) Throttled() bool { return p.throttled.Load() }
 //
 // Localize is the legacy infallible entry point: over the deterministic
 // SimLink a remote fetch cannot fail, and over an error-aware transport a
-// persistent failure (after the pool's retry budget) panics with the typed
+// failure the far engine does not re-issue panics with the typed
 // transport error rather than handing the mutator zeroed memory. Callers
 // running over a real network should prefer TryLocalize; concurrent
 // callers should prefer LocalizePin, since an unpinned object's returned
@@ -525,10 +525,11 @@ func (p *Pool) Localize(id ObjectID, forWrite bool) (uint64, bool) {
 }
 
 // TryLocalize is Localize with remote-fetch failures surfaced. A failed
-// fetch is retried up to the pool's RemoteRetries budget, and not at all
-// if its error is permanent. The budget counts the far engine's attempts;
-// over a TCPTransport each is up to 4 transport attempts (see
-// fabric.RemoteConfig.RemoteRetries). If the transport still fails, the
+// fetch is re-issued by the far engine: at most RemoteRetries wire
+// attempts in all, each re-issue paid from the engine's retry budget, and
+// none if its error is permanent (see fabric.RemoteConfig.RemoteRetries).
+// Under sustained faults the budget runs dry and a fetch then fails after
+// its first attempt. If the transport still fails, the
 // claimed slot is returned to the free list, the object's metadata is left
 // untouched (still remote), and the typed fabric error is returned — the
 // caller never observes a zero-filled ghost of its data.
@@ -1102,7 +1103,8 @@ func (p *Pool) Window(id ObjectID) []byte {
 // H set, E and PF clear), so no metadata bit or counter depends on which
 // path served it. Validating with the sequence rather than the metadata
 // word matters: an object evicted and fetched back into the same slot can
-// restore an identical word.
+// restore an identical word. A -race build skips it (raceEnabled): its copy
+// is invisible to the detector, which would hide the program's own races.
 //
 // Otherwise, on a resident object the residency check, the metadata update
 // and the copy share one stripe critical section — the lock excludes every
@@ -1116,7 +1118,7 @@ func (p *Pool) Access(id ObjectID, off uint64, buf []byte, write bool) {
 		panic("aifm: Access beyond the object's end") // before the lock is taken
 	}
 	st := p.stripeFor(id)
-	if !write {
+	if !write && !raceEnabled {
 		if s, ok := st.mu.readBegin(); ok {
 			if m := p.metaAt(id); m&(MetaP|MetaE|MetaH|MetaPF) == MetaP|MetaH {
 				addr := m.DataAddr() + off
@@ -1157,6 +1159,11 @@ func (p *Pool) copyLocked(addr uint64, buf []byte, write bool) {
 // a store into src; the caller discards the bytes unless its sequence
 // check shows no store ran. It is hidden from the race detector for that
 // reason, and must not call copy: runtime.slicecopy instruments itself.
+// Being hidden, it would also hide a race the program itself has on those
+// bytes — a guarded load against a Cursor store into the same word — so a
+// -race build never calls it (raceEnabled) and every read there takes the
+// locked, instrumented path; the torn-read test runs without -race to
+// cover this one.
 //
 //go:norace
 func racyCopy(dst, src []byte) {

@@ -137,21 +137,24 @@ func TestCarryIsOneWriteOneFlush(t *testing.T) {
 // byte — shed by admission control, or its CRC trailer rejected — at the
 // head, in the middle, and as the last push before the fetch. The client
 // reads the other acks and the reply behind the refusal in order, keeps
-// the connection, and retries the whole exchange on it; nothing is lost
-// and nothing is delivered to the wrong place.
+// the connection, and reports the refusal after its one attempt; the
+// caller's re-issue of the whole exchange (the far engine's) goes through
+// on the same connection. Nothing is lost and nothing is delivered to the
+// wrong place.
 func TestCarryRefusalMidExchange(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		edit func(frame []byte)
+		want error
 		errs func(*Stats) uint64
 		srv  func(*ServerStats) uint64
 	}{
 		// The primed controller believes service takes a second: a frame
 		// with a nanosecond to live is infeasible, one with no deadline is not.
 		{"shed", func(f []byte) { binary.BigEndian.PutUint64(f[13:hdrLen], 1) },
-			(*Stats).Overloads, (*ServerStats).Sheds},
+			ErrOverloaded, (*Stats).Overloads, (*ServerStats).Sheds},
 		{"trailer rejected", func(f []byte) { f[len(f)-1] ^= 0xFF },
-			(*Stats).ChecksumFaults, (*ServerStats).WireRejects},
+			ErrIntegrity, (*Stats).ChecksumFaults, (*ServerStats).WireRejects},
 	} {
 		for _, k := range []int{0, 1, 2} {
 			t.Run(fmt.Sprintf("%s, frame %d", tc.name, k), func(t *testing.T) {
@@ -168,20 +171,23 @@ func TestCarryRefusalMidExchange(t *testing.T) {
 
 				armed.Store(true)
 				pushes := keyedPushes(100, 3, 2) // with the fetch, one Write
-				found, err := tr.TryFetchAfterPushes(pushes, 5, buf, Deadline{})
-				if err != nil || !found {
-					t.Fatalf("TryFetchAfterPushes = %v, %v", found, err)
+				if _, err := tr.TryFetchAfterPushes(pushes, 5, buf, Deadline{}); !errors.Is(err, tc.want) {
+					t.Fatalf("refused TryFetchAfterPushes = %v, want %v", err, tc.want)
 				}
 				if armed.Load() {
 					t.Fatal("no exchange went through the editing dialer")
+				}
+				found, err := tr.TryFetchAfterPushes(pushes, 5, buf, Deadline{})
+				if err != nil || !found {
+					t.Fatalf("re-issued TryFetchAfterPushes = %v, %v", found, err)
 				}
 				if err := checkKeyedPayload(buf, 5, 1); err != nil {
 					t.Error(err)
 				}
 				checkStored(t, store, pushes, 2)
 				st := tr.Stats()
-				if tc.errs(st) != 1 || st.Retries() != 1 || st.Reconnects() != re {
-					t.Errorf("refusals seen = %d, retries = %d, reconnects = %d; want 1, 1, 0: the exchange is retried once, on the same connection",
+				if tc.errs(st) != 1 || st.Retries() != 0 || st.Reconnects() != re {
+					t.Errorf("refusals seen = %d, resends = %d, reconnects = %d; want 1, 0, 0: one attempt, refused, on a connection that stays",
 						tc.errs(st), st.Retries(), st.Reconnects()-re)
 				}
 				if got := tc.srv(srv.Stats()); got != 1 {
@@ -201,8 +207,9 @@ func TestCarryRefusalMidExchange(t *testing.T) {
 
 // TestCarryReplyCorruptionTearsDown: the fetch reply behind three acked
 // pushes fails its checksum. Framing behind a damaged payload cannot be
-// trusted, so — unlike a one-byte refusal — the connection is replaced, and
-// the retry re-sends the pushes with the fetch.
+// trusted, so — unlike a one-byte refusal — the connection is torn down:
+// the attempt fails, and the caller's re-issue re-sends the pushes with the
+// fetch over a fresh one.
 func TestCarryReplyCorruptionTearsDown(t *testing.T) {
 	store := keyedStore(t, 8)
 	srv, tr := serveAndDial(t, store)
@@ -216,19 +223,22 @@ func TestCarryReplyCorruptionTearsDown(t *testing.T) {
 	buf := make([]byte, 4096)
 	mustFetch(t, tr, 7, buf) // the corrupting dialer's connection, one whole reply in
 	frames, re := srv.Stats().Frames(), tr.Stats().Reconnects()
-	found, err := tr.TryFetchAfterPushes(pushes, 5, buf, Deadline{})
-	if err != nil || !found {
-		t.Fatalf("TryFetchAfterPushes = %v, %v", found, err)
+	if _, err := tr.TryFetchAfterPushes(pushes, 5, buf, Deadline{}); !errors.Is(err, ErrIntegrity) {
+		t.Fatalf("TryFetchAfterPushes with a corrupted reply = %v, want ErrIntegrity", err)
 	}
 	if armed.Load() {
 		t.Fatal("no reply went through the corrupting dialer")
+	}
+	found, err := tr.TryFetchAfterPushes(pushes, 5, buf, Deadline{})
+	if err != nil || !found {
+		t.Fatalf("re-issued TryFetchAfterPushes = %v, %v", found, err)
 	}
 	if err := checkKeyedPayload(buf, 5, 1); err != nil {
 		t.Error(err)
 	}
 	checkStored(t, store, pushes, 2)
-	if st := tr.Stats(); st.ChecksumFaults() != 1 || st.Retries() != 1 || st.Reconnects()-re != 1 {
-		t.Errorf("checksumFaults = %d, retries = %d, reconnects = %d; want 1, 1, 1",
+	if st := tr.Stats(); st.ChecksumFaults() != 1 || st.Retries() != 0 || st.Reconnects()-re != 1 {
+		t.Errorf("checksumFaults = %d, resends = %d, reconnects = %d; want 1, 0, 1",
 			st.ChecksumFaults(), st.Retries(), st.Reconnects()-re)
 	}
 	if got := srv.Stats().Frames() - frames; got != 2*(uint64(len(pushes))+1)+1 {
@@ -238,8 +248,10 @@ func TestCarryReplyCorruptionTearsDown(t *testing.T) {
 
 // TestCarryServerKilledMidExchange: the server dies with an exchange's
 // pushes stored and its fetch being served, and an empty successor takes
-// its place. The retry goes out on a fresh socket and sends the pushes
-// again: the successor ends up with every one of them.
+// its place. The socket died inside the exchange, so the transport does not
+// resend it: the attempt fails with a typed connection error, and the
+// caller's re-issue goes out on a fresh socket and sends the pushes again —
+// the successor ends up with every one of them.
 func TestCarryServerKilledMidExchange(t *testing.T) {
 	old := &gateStore{Store: keyedStore(t, 8), open: make(chan struct{})}
 	srv := NewServer(old)
@@ -247,7 +259,7 @@ func TestCarryServerKilledMidExchange(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ListenAndServe: %v", err)
 	}
-	tr, err := DialWith(addr, fastRetry(8))
+	tr, err := DialWith(addr, fastRetry())
 	if err != nil {
 		t.Fatalf("DialWith: %v", err)
 	}
@@ -278,15 +290,19 @@ func TestCarryServerKilledMidExchange(t *testing.T) {
 
 	select {
 	case r := <-done:
-		if r.err != nil || r.found {
-			t.Fatalf("exchange across the restart = found %v, %v; want key 5 absent on the empty successor", r.found, r.err)
+		if !errors.Is(r.err, ErrRemoteUnavailable) && !errors.Is(r.err, ErrShortRead) {
+			t.Fatalf("exchange cut by the kill = found %v, %v; want a connection error", r.found, r.err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("exchange still blocked 5s after the restart")
 	}
+	found, err := tr.TryFetchAfterPushes(pushes, 5, buf, Deadline{})
+	if err != nil || found {
+		t.Fatalf("re-issued exchange = found %v, %v; want key 5 absent on the empty successor", found, err)
+	}
 	checkStored(t, fresh, pushes, 2)
-	if st := tr.Stats(); st.Reconnects() < 1 || st.Retries() < 1 {
-		t.Errorf("reconnects = %d, retries = %d; want at least one of each", st.Reconnects(), st.Retries())
+	if st := tr.Stats(); st.Reconnects() < 1 || st.Retries() != 0 {
+		t.Errorf("reconnects = %d, resends = %d; want at least 1 and 0", st.Reconnects(), st.Retries())
 	}
 }
 

@@ -135,7 +135,7 @@ func TestTCPConcurrentCallersNoCrossTalk(t *testing.T) {
 		t.Fatalf("ListenAndServe: %v", err)
 	}
 	defer srv.Close()
-	tr, err := DialWith(addr, fastRetry(4))
+	tr, err := DialWith(addr, fastRetry())
 	if err != nil {
 		t.Fatalf("DialWith: %v", err)
 	}
@@ -171,7 +171,7 @@ func TestTCPConcurrentCallersSurviveRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ListenAndServe: %v", err)
 	}
-	tr, err := DialWith(addr, fastRetry(4))
+	tr, err := DialWith(addr, fastRetry())
 	if err != nil {
 		t.Fatalf("DialWith: %v", err)
 	}

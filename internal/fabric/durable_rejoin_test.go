@@ -16,7 +16,6 @@ func leanDial(t *testing.T, addr string, seed uint64) *TCPTransport {
 	t.Helper()
 	tr, err := DialWith(addr, DialOptions{
 		Retry: RetryPolicy{
-			MaxAttempts: 3,
 			BaseBackoff: time.Millisecond,
 			MaxBackoff:  4 * time.Millisecond,
 		},

@@ -18,7 +18,7 @@ func TestFetchAfterServerClose(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ListenAndServe: %v", err)
 	}
-	tr, err := DialWith(addr, fastRetry(2))
+	tr, err := DialWith(addr, fastRetry())
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}

@@ -4,11 +4,13 @@
 package fabric_test
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"trackfm/internal/aifm"
 	"trackfm/internal/fabric"
+	"trackfm/internal/obs"
 	"trackfm/internal/remote"
 	"trackfm/internal/sim"
 )
@@ -20,7 +22,10 @@ import (
 // restarted mid-run. The workload must complete with zero silent
 // zero-fills — every op either sees exactly the bytes it last wrote or a
 // typed error — and the runtime's fault counters must reconcile exactly
-// with the injector's.
+// with the injector's. A 10% drop rate outruns what the retry budget earns
+// (0.1 token per operation), so the bucket drains: from then on an op whose
+// attempt is dropped fails with its typed error instead of being re-issued,
+// and every such failure must be one the budget denied.
 func TestFaultyFabricWorkloadIntegrity(t *testing.T) {
 	store := remote.NewStore()
 	srv := fabric.NewServer(store)
@@ -30,11 +35,11 @@ func TestFaultyFabricWorkloadIntegrity(t *testing.T) {
 	}
 
 	tr, err := fabric.DialWith(addr, fabric.DialOptions{
-		// Generous transport-level budget: server-restart outages are
-		// absorbed here, below the fault injector, so they never show
-		// up in the pool's (reconciled) fault counters.
+		// The server restart is absorbed here, below the fault injector,
+		// by the transport's one resend over a socket the peer closed
+		// while it sat idle, so it never shows up in the pool's
+		// (reconciled) fault counters.
 		Retry: fabric.RetryPolicy{
-			MaxAttempts: 10,
 			BaseBackoff: 2 * time.Millisecond,
 			MaxBackoff:  20 * time.Millisecond,
 		},
@@ -59,10 +64,9 @@ func TestFaultyFabricWorkloadIntegrity(t *testing.T) {
 		Env: env,
 		RemoteConfig: fabric.RemoteConfig{
 			Transport: fl,
-			// 8 attempts at 10% drop: the chance any op exhausts the
-			// budget is 1e-8, negligible over 10k ops — so every
-			// injected drop is followed by a successful retry and the
-			// counters reconcile exactly.
+			// 8 attempts at 10% drop: an op that keeps its tokens
+			// practically never runs out of attempts (1e-8), so every
+			// op that fails is one the retry budget refused.
 			RemoteRetries: 8,
 		},
 		ObjectSize:  objSize,
@@ -72,13 +76,15 @@ func TestFaultyFabricWorkloadIntegrity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewPool: %v", err)
 	}
+	reg := obs.NewRegistry()
+	pool.RegisterObs(reg)
 
 	// expected mirrors what each object's first byte must read back as;
 	// version 0 means never written (reads as fresh zeros).
 	expected := make([]byte, nObjects)
 	rng := sim.NewRNG(2024)
 	restartAt := nOps / 2
-	zeroFills := 0
+	zeroFills, refused := 0, uint64(0)
 	for op := 0; op < nOps; op++ {
 		if op == restartAt {
 			// Remote-node crash: kill the server mid-workload and
@@ -93,11 +99,15 @@ func TestFaultyFabricWorkloadIntegrity(t *testing.T) {
 		}
 		id := aifm.ObjectID(rng.Intn(nObjects))
 		write := rng.Intn(2) == 0
-		addrOff, _, err := pool.TryLocalize(id, write)
-		if err != nil {
-			t.Fatalf("op %d: TryLocalize(%d) surfaced %v — transient faults should have been retried", op, id, err)
+		if _, _, err := pool.TryLocalize(id, write); err != nil {
+			// Not re-issued: the object stays far, unchanged, and later
+			// ops still read back exactly what it holds.
+			if !errors.Is(err, fabric.ErrRemoteUnavailable) {
+				t.Fatalf("op %d: TryLocalize(%d) surfaced %v, want a typed ErrRemoteUnavailable", op, id, err)
+			}
+			refused++
+			continue
 		}
-		_ = addrOff
 		var got [1]byte
 		pool.Read(id, 0, got[:])
 		if got[0] != expected[id] {
@@ -131,6 +141,15 @@ func TestFaultyFabricWorkloadIntegrity(t *testing.T) {
 	if got := tr.Stats().Reconnects(); got < 1 {
 		t.Fatalf("Reconnects = %d, want >= 1 after server restart", got)
 	}
-	t.Logf("workload done: injector=%+v transport=%v pool: fetchFaults=%d pushFaults=%d evictions=%d",
-		fs, tr.Stats(), env.Counters.RemoteFetchFaults, env.Counters.RemotePushFaults, env.Counters.Evacuations)
+	// Every op that surfaced an error did so because the retry budget
+	// refused its re-issue, and at this drop rate the budget must refuse.
+	denied := reg.Snapshot().Counter("trackfm_retry_budget_denied_total")
+	if denied == 0 {
+		t.Fatalf("retry budget denied nothing at a 10%% drop rate — the bypass is back")
+	}
+	if refused > denied {
+		t.Fatalf("%d ops failed, but the retry budget denied only %d re-issues", refused, denied)
+	}
+	t.Logf("workload done: injector=%+v transport=%v pool: fetchFaults=%d pushFaults=%d evictions=%d failedOps=%d budgetDenied=%d",
+		fs, tr.Stats(), env.Counters.RemoteFetchFaults, env.Counters.RemotePushFaults, env.Counters.Evacuations, refused, denied)
 }

@@ -15,7 +15,7 @@ import (
 // multiple transports sharing a registry (e.g. obs.L("transport", "tcp")).
 func (s *Stats) Register(reg *obs.Registry, labels ...obs.Label) {
 	reg.CounterFunc("trackfm_fabric_retries_total",
-		"Operation attempts beyond the first (backoff retries).", s.Retries, labels...)
+		"Operations resent once because the peer had closed their idle socket (server restart).", s.Retries, labels...)
 	reg.CounterFunc("trackfm_fabric_timeouts_total",
 		"Attempts that expired their per-operation deadline.", s.Timeouts, labels...)
 	reg.CounterFunc("trackfm_fabric_reconnects_total",
@@ -30,8 +30,6 @@ func (s *Stats) Register(reg *obs.Registry, labels ...obs.Label) {
 		"Overload rejects received from server-side admission control (backpressure).", s.Overloads, labels...)
 	reg.CounterFunc("trackfm_fabric_deadline_misses_total",
 		"Operations that failed with ErrDeadlineExceeded (budget exhausted or late result discarded).", s.DeadlineMisses, labels...)
-	reg.CounterFunc("trackfm_fabric_budget_exhausted_total",
-		"Retries denied because the retry budget had no token.", s.BudgetExhausted, labels...)
 	reg.GaugeFunc("trackfm_transport_open_conns",
 		"Sockets the TCP transport holds open, idle or in use (one per concurrent caller, capped).",
 		func() float64 { return float64(s.OpenConns()) }, labels...)
@@ -48,7 +46,7 @@ func (s *Stats) Register(reg *obs.Registry, labels ...obs.Label) {
 }
 
 // Register exposes the retry-budget token balance and denial count on
-// reg, alongside the Stats counters.
+// reg; a far engine registers its budget whatever its transport.
 func (b *RetryBudget) Register(reg *obs.Registry, labels ...obs.Label) {
 	reg.GaugeFunc("trackfm_retry_budget_tokens",
 		"Current retry-budget token balance (a retry costs 1; requests earn the configured ratio).",

@@ -259,9 +259,8 @@ func TestAdmissionServiceEWMA(t *testing.T) {
 // path over a real socket: the v3 handshake carries each operation's
 // deadline to the server, admission control sheds the infeasible request
 // with an overload reject, and the client treats the reject as
-// backpressure — typed ErrOverloaded, no reconnect, no retry-budget
-// charge — while deadline-free traffic on the same connection keeps
-// flowing.
+// backpressure — typed ErrOverloaded after one attempt, no reconnect —
+// while deadline-free traffic on the same connection keeps flowing.
 func TestOverloadShedBackpressureE2E(t *testing.T) {
 	srv := NewServer(remote.NewStore())
 	adm := srv.EnableAdmission(AdmissionConfig{MaxQueue: 64})
@@ -272,7 +271,7 @@ func TestOverloadShedBackpressureE2E(t *testing.T) {
 	defer srv.Close()
 
 	tr, err := DialWith(addr, DialOptions{
-		Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: 200 * time.Microsecond, MaxBackoff: time.Millisecond},
+		Retry: RetryPolicy{BaseBackoff: 200 * time.Microsecond, MaxBackoff: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatalf("DialWith: %v", err)
@@ -286,7 +285,6 @@ func TestOverloadShedBackpressureE2E(t *testing.T) {
 	if adm.Stats().Admitted() == 0 {
 		t.Fatalf("admission control saw no traffic")
 	}
-	budgetBefore := tr.RetryBudget().Balance()
 
 	// Poison the service-time estimate: with an hour-long EWMA, any request
 	// carrying a deadline is infeasible and must be shed, while deadline-free
@@ -309,13 +307,11 @@ func TestOverloadShedBackpressureE2E(t *testing.T) {
 	if got := tr.Stats().Overloads(); got == 0 {
 		t.Fatalf("client overload counter = 0")
 	}
-	// Backpressure, not failure: the connection was never torn down and the
-	// retry budget was not charged for the shed attempts.
+	// Backpressure, not failure: the connection was never torn down. (That
+	// a shed attempt is re-issued without a retry-budget token is the far
+	// engine's contract, tested there.)
 	if got := tr.Stats().Reconnects(); got != 0 {
 		t.Fatalf("Reconnects = %d after overload rejects, want 0", got)
-	}
-	if got := tr.RetryBudget().Balance(); got < budgetBefore {
-		t.Fatalf("retry budget fell from %v to %v on overload rejects", budgetBefore, got)
 	}
 
 	// A deadline-free fetch on the same connection is admitted and served.

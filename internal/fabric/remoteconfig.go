@@ -34,16 +34,15 @@ type RemoteConfig struct {
 	// passed to Connect so breaker timing follows the simulation.
 	Replication ReplicaConfig
 
-	// RemoteRetries is the runtime's attempts per remote operation: its
-	// far engine re-issues a failed fetch or evacuation push up to
-	// RemoteRetries-1 times before it gives up (default 4), and never
-	// re-issues an error the transport marks Permanent. These are not
-	// wire attempts: over a TCPTransport each one is itself up to 4
-	// transport attempts, the transport's own retry policy, which the
-	// transport's retry budget may cut short; so a fetch that keeps
-	// failing can reach the wire up to 4 × RemoteRetries times. The
-	// in-process SimLink never fails, so deterministic experiments are
-	// unaffected.
+	// RemoteRetries is the wire attempts per remote operation (default
+	// 4): the runtime's far engine, the one place that re-issues a failed
+	// fetch, push, flush or delete, makes at most RemoteRetries of them.
+	// Every re-issue after the first attempt draws a token from the
+	// engine's retry budget (except after an overload reject), so under
+	// sustained faults an operation fails with its typed error once the
+	// bucket is empty; an error the transport marks Permanent, or a missed
+	// deadline, is never re-issued. The in-process SimLink never fails, so
+	// deterministic experiments are unaffected.
 	RemoteRetries int
 
 	// OpDeadline, when positive, is the end-to-end budget for each remote

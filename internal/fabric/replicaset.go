@@ -341,11 +341,13 @@ func (rs *ReplicaSet) runResync(i int) {
 	rs.mu.Unlock()
 }
 
-// resyncAttempts is the per-key retry budget resync and probe traffic get
-// against a replica's transport: over a lossy link (the failover tests run
-// 10% injected drops) a single attempt per key would make a large resync
-// effectively never complete (0.9^n), while a small budget makes per-key
-// success overwhelmingly likely without masking a genuinely dead replica.
+// resyncAttempts is the per-key attempts resync and probe traffic get
+// against a replica's transport — wire tries, since a transport makes one
+// attempt per call and no far engine sits above this traffic to re-issue
+// it: over a lossy link (the failover tests run 10% injected drops) a
+// single attempt per key would make a large resync effectively never
+// complete (0.9^n), while three make per-key success overwhelmingly likely
+// without masking a genuinely dead replica.
 const resyncAttempts = 3
 
 // tryN runs op up to n times, returning nil on the first success.

@@ -6,17 +6,16 @@ import (
 	"trackfm/internal/sim"
 )
 
-// retryPolicy bounds how a transport re-issues failed operations. Backoff
-// is exponential (BaseBackoff doubled per retry, capped at MaxBackoff) with
-// deterministic jitter: the sleep is scaled into [1/2, 1) of the nominal
-// value by a seeded sim.RNG, so two runs with the same seed produce the
-// same retry schedule — experiments with fault injection stay reproducible.
+// retryPolicy paces a TCPTransport connection that keeps failing: an
+// attempt after a streak of n failed ones first sleeps backoff(n). Backoff
+// is exponential (BaseBackoff doubled per failure, capped at MaxBackoff)
+// with deterministic jitter: the sleep is scaled into [1/2, 1) of the
+// nominal value by a seeded sim.RNG, so two runs with the same seed
+// produce the same schedule — experiments with fault injection stay
+// reproducible. How many attempts an operation gets is not the policy's
+// business: that is far.Engine's RemoteRetries, under its retry budget.
 type retryPolicy struct {
-	// MaxAttempts is the total number of tries per operation, including
-	// the first. Values below 1 mean the default (4).
-	MaxAttempts int
-	// BaseBackoff is the nominal sleep before the first retry
-	// (default 1ms).
+	// BaseBackoff is the nominal sleep after one failure (default 1ms).
 	BaseBackoff time.Duration
 	// MaxBackoff caps the exponential growth (default 50ms).
 	MaxBackoff time.Duration
@@ -24,9 +23,6 @@ type retryPolicy struct {
 
 // withDefaults fills zero fields with the default policy.
 func (p retryPolicy) withDefaults() retryPolicy {
-	if p.MaxAttempts < 1 {
-		p.MaxAttempts = 4
-	}
 	if p.BaseBackoff <= 0 {
 		p.BaseBackoff = time.Millisecond
 	}
@@ -61,11 +57,11 @@ func jitterWindow(nominal uint64, lo, hi float64, rng *sim.RNG) uint64 {
 	return uint64(float64(nominal) * (lo + rng.Float64()*(hi-lo)))
 }
 
-// backoff returns the jittered sleep before retry number retry (1-based).
-// It consumes one value from rng, which makes the schedule deterministic
-// for a fixed seed.
-func (p retryPolicy) backoff(retry int, rng *sim.RNG) time.Duration {
-	d := expClamp(p.BaseBackoff, p.MaxBackoff, retry)
+// backoff returns the jittered sleep after a streak of fails failed
+// attempts (1-based). It consumes one value from rng, which makes the
+// schedule deterministic for a fixed seed.
+func (p retryPolicy) backoff(fails int, rng *sim.RNG) time.Duration {
+	d := expClamp(p.BaseBackoff, p.MaxBackoff, fails)
 	// Jitter into [d/2, d): decorrelates competing clients while staying
 	// deterministic per seed.
 	return time.Duration(jitterWindow(uint64(d), 0.5, 1.0, rng))

@@ -18,15 +18,13 @@ const (
 )
 
 // RetryBudget is a token-bucket bound on retries across all operations of
-// one transport. Every first attempt deposits Ratio tokens (capped at
-// Cap); every retry withdraws one whole token, and a retry with no token
-// available is denied — the operation surfaces its last error instead of
-// re-issuing. The bucket starts full so cold-start failure bursts keep
-// the bounded-backoff behaviour the fault-tolerance suite pins down.
-//
-// RetryBudget is safe for concurrent use and may be shared by several
-// transports (e.g. the members of a ReplicaSet) to bound the client's
-// total retry volume; each TCPTransport otherwise owns a private one.
+// one far engine, which owns it: every re-issue of a remote operation is
+// decided there and nowhere below. Every operation's first attempt deposits
+// Ratio tokens (capped at Cap); every re-issue withdraws one whole token,
+// and a re-issue with no token available is denied — the operation
+// surfaces its last error instead. The bucket starts full so cold-start
+// failure bursts (a restarting server, a dropped connection) are retried
+// freely. RetryBudget is safe for concurrent use.
 type RetryBudget struct {
 	mu     sync.Mutex
 	tokens float64

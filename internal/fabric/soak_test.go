@@ -63,10 +63,9 @@ func TestReplicaFailoverSoak(t *testing.T) {
 		}
 		addrs[i] = addr
 		tr, err := fabric.DialWith(addr, fabric.DialOptions{
-			// Lean budget: a dead replica must fail fast so the breaker
+			// Lean pacing: a dead replica must fail fast so the breaker
 			// sees it, not burn seconds in transport-level backoff.
 			Retry: fabric.RetryPolicy{
-				MaxAttempts: 3,
 				BaseBackoff: time.Millisecond,
 				MaxBackoff:  4 * time.Millisecond,
 			},

@@ -10,16 +10,15 @@ import (
 // observed by a stats reporter) is race-free. Read individual counters with
 // the accessor methods.
 type Stats struct {
-	retries     atomic.Uint64 // operation attempts beyond the first
+	retries     atomic.Uint64 // resends of an operation whose idle socket the peer had closed
 	timeouts    atomic.Uint64 // attempts that hit the per-op deadline
 	reconnects  atomic.Uint64 // successful re-dials after a dead connection
 	shortReads  atomic.Uint64 // responses truncated mid-frame
 	unavailable atomic.Uint64 // connection-level failures (refused/reset/dial)
 	checksum    atomic.Uint64 // integrity failures detected (wire CRC, server corrupt frame, replica blob mismatch)
 
-	overloads       atomic.Uint64 // overload rejects received (server shed the request)
-	deadlineMisses  atomic.Uint64 // operations that failed with ErrDeadlineExceeded
-	budgetExhausted atomic.Uint64 // retries denied by an empty retry budget
+	overloads      atomic.Uint64 // overload rejects received (server shed the request)
+	deadlineMisses atomic.Uint64 // operations that failed with ErrDeadlineExceeded
 
 	openConns atomic.Int64  // sockets a TCPTransport currently holds open, idle or in use
 	connWaits atomic.Uint64 // callers that found every connection in use at the cap and waited
@@ -31,7 +30,10 @@ type Stats struct {
 	carries atomic.Uint64 // exchanges that carried at least one push ahead
 }
 
-// Retries reports operation attempts beyond the first (each backoff-retry).
+// Retries reports operations a TCPTransport sent a second time because the
+// socket they found idle had been closed by the peer (a server restart).
+// It is the transport's only resend: re-issuing a failed operation is the
+// far engine's decision, under its retry budget.
 func (s *Stats) Retries() uint64 { return s.retries.Load() }
 
 // Timeouts reports attempts that expired their per-operation deadline.
@@ -54,19 +56,15 @@ func (s *Stats) Unavailable() uint64 { return s.unavailable.Load() }
 func (s *Stats) ChecksumFaults() uint64 { return s.checksum.Load() }
 
 // Overloads reports overload rejects received from the server's admission
-// control: attempts that were shed before service and retried as
-// backpressure (no retry-budget charge, no breaker count).
+// control: attempts that were shed before service — backpressure, which
+// the far engine re-issues without a retry-budget token and a breaker
+// does not count.
 func (s *Stats) Overloads() uint64 { return s.overloads.Load() }
 
 // DeadlineMisses reports operations that failed with ErrDeadlineExceeded:
 // the end-to-end budget ran out before a usable result, or the result
 // arrived late and was discarded.
 func (s *Stats) DeadlineMisses() uint64 { return s.deadlineMisses.Load() }
-
-// BudgetExhausted reports retries denied because the retry budget had no
-// token; each denial surfaced the operation's last error instead of
-// re-issuing it.
-func (s *Stats) BudgetExhausted() uint64 { return s.budgetExhausted.Load() }
 
 // OpenConns reports the sockets a TCPTransport currently holds open, idle
 // or in use: one per caller that has been in flight at once, at most 16.
@@ -98,8 +96,8 @@ func (s *Stats) CarryExchanges() uint64 { return s.carries.Load() }
 // String implements fmt.Stringer on the live counter block, so a stats
 // ticker can print a transport's health.
 func (s *Stats) String() string {
-	return fmt.Sprintf("retries=%d timeouts=%d reconnects=%d shortReads=%d unavailable=%d checksumFaults=%d overloads=%d deadlineMisses=%d budgetExhausted=%d openConns=%d connWaits=%d pipelined=%d streamFlushes=%d carriedPushes=%d carryExchanges=%d",
-		s.Retries(), s.Timeouts(), s.Reconnects(), s.ShortReads(), s.Unavailable(), s.ChecksumFaults(), s.Overloads(), s.DeadlineMisses(), s.BudgetExhausted(), s.OpenConns(), s.ConnWaits(), s.PipelinedFetches(), s.StreamFlushes(), s.CarriedPushes(), s.CarryExchanges())
+	return fmt.Sprintf("retries=%d timeouts=%d reconnects=%d shortReads=%d unavailable=%d checksumFaults=%d overloads=%d deadlineMisses=%d openConns=%d connWaits=%d pipelined=%d streamFlushes=%d carriedPushes=%d carryExchanges=%d",
+		s.Retries(), s.Timeouts(), s.Reconnects(), s.ShortReads(), s.Unavailable(), s.ChecksumFaults(), s.Overloads(), s.DeadlineMisses(), s.OpenConns(), s.ConnWaits(), s.PipelinedFetches(), s.StreamFlushes(), s.CarriedPushes(), s.CarryExchanges())
 }
 
 // record classifies err (already mapped by classify) into the right bucket.

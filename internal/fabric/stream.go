@@ -166,11 +166,6 @@ func (s *fetchStream) receive() {
 	s.recvd++
 	slot.state, slot.found, slot.err = slotDone, found, err
 	s.t.stats.record(err)
-	if !isOverloaded(err) {
-		// Served, even if refused: it earns retry budget as a blocking
-		// exchange does. The stream itself never retries, so never spends.
-		s.t.budget.OnRequest()
-	}
 }
 
 // fail ends the stream's connection: every ticket still waiting for a

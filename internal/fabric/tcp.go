@@ -69,7 +69,7 @@ const (
 	ackCorrupt = byte(0xC7)
 	// ackOverloaded doubles as the fetch flag and the push/delete ack for
 	// a request shed by server-side admission control before service. The
-	// stream stays in sync; clients treat it as backpressure — retried
+	// stream stays in sync; clients treat it as backpressure — re-issued
 	// after backoff, never charged to the retry budget, never counted
 	// against circuit breakers.
 	ackOverloaded = byte(0xB7)
@@ -587,8 +587,8 @@ func (s *Server) Shutdown(grace time.Duration) error {
 // transport a binary makes on the zero value; the tests that time safety
 // properties shorten the backoffs through export_test.go.
 type dialOptions struct {
-	// Retry bounds per-operation re-issues; zero fields take defaults
-	// (4 attempts, 1ms base backoff, 50ms cap).
+	// Retry paces a connection's attempts after a failure; zero fields
+	// take the defaults (1ms base backoff, 50ms cap).
 	Retry retryPolicy
 	// OpTimeout is the per-operation deadline covering the request write
 	// and response read of one attempt (default 2s).
@@ -597,25 +597,21 @@ type dialOptions struct {
 	// zero seed selects sim.NewRNG's fixed default, so the schedule is
 	// reproducible even when unset.
 	Seed uint64
-	// Budget bounds retries across all operations of the transport (see
-	// RetryBudget). Nil gives the transport a private default budget;
-	// pass a shared one to bound several transports' combined retry
-	// volume (e.g. the members of a ReplicaSet).
-	Budget *RetryBudget
 }
 
 // TCPTransport is an ErrorTransport backed by real TCP connections to a
-// Server: its methods surface typed errors, apply per-operation deadlines,
-// retry with deterministic-jitter backoff, and transparently reconnect after
-// a connection is marked dead. Every payload crossing the wire carries a
+// Server: its methods make one attempt each (see do), surface typed errors,
+// apply per-operation deadlines, pace a failing connection with
+// deterministic-jitter backoff, and transparently reconnect after a
+// connection is marked dead. Every payload crossing the wire carries a
 // CRC32-C trailer; corruption in flight is detected on receipt
-// (ErrIntegrity, counted in Stats.ChecksumFaults) and healed by the retry
-// loop instead of being handed to the caller.
+// (ErrIntegrity, counted in Stats.ChecksumFaults) and reported, never
+// handed to the caller as data; re-issuing it is the far engine's call.
 //
 // It is safe for concurrent use, and concurrent callers do not wait for
 // each other: an operation checks a connection out of a LIFO stack of idle
 // ones (dialing a new one, up to maxConns, when the stack is empty), runs
-// its whole retry loop on it, and puts it back. One caller keeps reusing
+// its attempt on it, and puts it back. One caller keeps reusing
 // one socket; N callers get N sockets and N Server.handle goroutines. mu
 // is a leaf lock over the stack and the peer identity below; it is never
 // held across I/O, a backoff sleep or a dial.
@@ -628,7 +624,6 @@ type TCPTransport struct {
 	addr      string
 	policy    retryPolicy
 	opTimeout time.Duration
-	budget    *RetryBudget
 	stats     Stats
 	dial      func(network, addr string, timeout time.Duration) (net.Conn, error) // net.DialTimeout, or a test's counting dialer
 
@@ -662,6 +657,7 @@ type wireConn struct {
 	helloed bool     // the socket's hello has been answered
 	dl      Deadline // deadline of the operation holding the connection (zero = none)
 	dialed  bool     // has been connected before: the next dial is a reconnect
+	fails   int      // consecutive failed attempts: the next one is paced
 	// Header and trailer scratch: as stack arrays they escape through
 	// io.Writer/io.ReadFull, one heap allocation per frame each.
 	hdr [hdrLen]byte
@@ -704,15 +700,11 @@ func dialWith(addr string, opts dialOptions) (*TCPTransport, error) {
 		addr:      addr,
 		policy:    opts.Retry.withDefaults(),
 		opTimeout: opts.OpTimeout,
-		budget:    opts.Budget,
 		dial:      net.DialTimeout,
 		rng:       sim.NewRNG(opts.Seed),
 	}
 	t.cond.L = &t.mu
 	t.stream.t = t
-	if t.budget == nil {
-		t.budget = NewRetryBudget(0, 0)
-	}
 	if t.opTimeout <= 0 {
 		t.opTimeout = 2 * time.Second
 	}
@@ -729,9 +721,6 @@ func dialWith(addr string, opts dialOptions) (*TCPTransport, error) {
 
 // Stats exposes the transport's fault-handling counters.
 func (t *TCPTransport) Stats() *Stats { return &t.stats }
-
-// RetryBudget exposes the transport's retry budget (for gauges).
-func (t *TCPTransport) RetryBudget() *RetryBudget { return t.budget }
 
 // checkout hands the caller exclusive use of a connection until release:
 // the most recently returned idle one, else a new (not yet dialed) one
@@ -824,7 +813,7 @@ func (t *TCPTransport) ensureConn(c *wireConn) error {
 // ensureHello opens a freshly dialed connection with the hello exchange. It
 // runs lazily on the first operation over each socket (not at dial time), so
 // dialWith stays a pure reachability check and handshake failures flow
-// through the per-operation retry and typed-error machinery: a peer that
+// through the per-operation attempt and typed-error machinery: a peer that
 // hangs up mid-hello is an ordinary retryable connection error, one that
 // answers anything but this version's hello ack a permanent ErrProtocol.
 func (t *TCPTransport) ensureHello(c *wireConn) error {
@@ -864,29 +853,17 @@ func (t *TCPTransport) ensureHello(c *wireConn) error {
 }
 
 // do runs one operation (ahead, code, key, buf: see exchange) on a
-// checked-out connection under the retry policy, bounded by the operation
-// deadline and the transport's retry budget. Pushes written ahead belong to
-// the operation: a retry re-sends every one of them (pushes are idempotent
-// last-writer-wins), and it succeeds only when every frame of one attempt
-// did. Every error is classified into the typed taxonomy, and one that
-// leaves the stream unframed marks the connection dead (forcing a clean
-// reconnect); a one-byte refusal is a whole reply, and the connection that
-// delivered it is kept. Permanent errors stop the loop immediately. No
-// transport-wide lock is held anywhere in the loop, so one caller's backoff
-// or redial delays nobody else, and Close interrupts it by closing its
-// socket. Three overload-control rules shape the loop:
-//
-//   - an expired deadline stops the loop with ErrDeadlineExceeded, and a
-//     result that arrives past the deadline is reported the same way (the
-//     caller never consumes it); each attempt's socket deadline and each
-//     backoff sleep are clamped to the remaining budget;
-//   - a retry (any attempt past the first, except after an overload
-//     reject) must withdraw a token from the retry budget — an empty
-//     bucket surfaces the last error instead of re-issuing, so a
-//     struggling server sees load shrink instead of multiply;
-//   - an overload reject (ackOverloaded) is backpressure, not failure:
-//     the budget is not charged, and the attempt is retried after the
-//     normal backoff.
+// checked-out connection, bounded by the operation deadline. It makes one
+// attempt: whether a failed operation is tried again is the caller's
+// decision (far.Engine's, under its retry budget). The one exception is a
+// socket that came off the idle stack live and helloed and then failed at
+// the connection level: the peer closed it while it sat idle (a server
+// restart), so the operation never reached a live peer, and it is sent once
+// more on a fresh socket. That resend draws no retry-budget token and is
+// counted in Stats.Retries; a socket that dies inside the operation that
+// used it gets none. No transport-wide lock is held across the attempt, so
+// one caller's pacing or redial delays nobody else, and Close interrupts it
+// by closing its socket.
 func (t *TCPTransport) do(dl Deadline, ahead []Push, code byte, key uint64, buf []byte) (bool, error) {
 	c, err := t.checkout()
 	if err != nil {
@@ -898,88 +875,83 @@ func (t *TCPTransport) do(dl Deadline, ahead []Push, code byte, key uint64, buf 
 		t.stats.carried.Add(uint64(len(ahead)))
 		t.stats.carries.Add(1)
 	}
-	deposited := false
-	var last error
-	for attempt := 1; attempt <= t.policy.MaxAttempts && !t.closed.Load(); attempt++ {
-		if attempt > 1 {
-			if !isOverloaded(last) && !t.budget.TryRetry() {
-				t.stats.budgetExhausted.Add(1)
-				break
+	idle := c.helloed
+	found, err := t.attempt(c, ahead, code, key, buf)
+	if idle && errors.Is(err, ErrRemoteUnavailable) && !t.closed.Load() {
+		t.stats.retries.Add(1)
+		found, err = t.attempt(c, ahead, code, key, buf)
+	}
+	if err != nil && t.closed.Load() {
+		// Whatever the interrupted attempt reported, the cause is Close.
+		return false, permanent(ErrClosed)
+	}
+	return found, err
+}
+
+// attempt is one try of an operation on c: a re-dial and hello if c has no
+// live socket, then the exchange. Pushes written ahead belong to the
+// operation: the attempt succeeds only when every frame of it did, and a
+// re-issue re-sends every one of them (pushes are idempotent
+// last-writer-wins). Every error is classified into the typed taxonomy,
+// and one that leaves the stream unframed marks the connection dead
+// (forcing a clean reconnect); a one-byte refusal is a whole reply, and the
+// connection that delivered it is kept.
+//
+// Pacing lives here, on the socket, because this is where wall time
+// passes: an attempt on a connection whose last attempt failed first
+// sleeps the retry policy's backoff for its failure streak — an overload
+// reject and a dead peer alike — clamped to the remaining deadline; a
+// success resets the streak. An expired deadline fails the attempt with
+// ErrDeadlineExceeded before it starts, each socket deadline is clamped to
+// the remaining budget, and a result that arrives past the deadline is
+// reported the same way (the caller never consumes it).
+func (t *TCPTransport) attempt(c *wireConn, ahead []Push, code byte, key uint64, buf []byte) (found bool, err error) {
+	if c.fails > 0 {
+		t.rngMu.Lock()
+		d := t.policy.backoff(c.fails, t.rng)
+		t.rngMu.Unlock()
+		if !c.dl.IsZero() {
+			if rem := time.Duration(c.dl.RemainingNanos()); d > rem {
+				d = rem
 			}
-			t.stats.retries.Add(1)
-			t.rngMu.Lock()
-			d := t.policy.backoff(attempt-1, t.rng)
-			t.rngMu.Unlock()
-			if !dl.IsZero() {
-				if rem := time.Duration(dl.RemainingNanos()); d > rem {
-					d = rem
-				}
-			}
-			time.Sleep(d)
 		}
-		if dl.Expired() {
-			last = errDeadline("budget exhausted before attempt")
-			t.stats.record(last)
-			break
-		}
-		err := t.ensureConn(c)
-		if err == nil {
-			err = t.ensureHello(c)
-		}
-		if err != nil {
-			last = classify(err)
-			t.stats.record(last)
-			if Permanent(err) {
-				break
-			}
-			continue
-		}
+		time.Sleep(d)
+	}
+	if c.dl.Expired() {
+		err = errDeadline("budget exhausted before attempt")
+	} else if err = t.ensureConn(c); err == nil {
+		err = t.ensureHello(c)
+	}
+	if err == nil {
 		to := t.opTimeout
-		if !dl.IsZero() {
-			if rem := time.Duration(dl.RemainingNanos()); rem < to {
+		if !c.dl.IsZero() {
+			if rem := time.Duration(c.dl.RemainingNanos()); rem < to {
 				to = rem
 			}
 		}
 		c.conn.SetDeadline(time.Now().Add(to))
-		if found, inSync, err := c.exchange(ahead, code, key, buf); err == nil {
-			if !deposited {
-				t.budget.OnRequest()
+		var inSync bool
+		if found, inSync, err = c.exchange(ahead, code, key, buf); err == nil {
+			if !c.dl.Expired() {
+				c.fails = 0
+				return found, nil
 			}
-			if dl.Expired() {
-				// The exchange succeeded but past its budget: the result
-				// must not be consumed. The connection itself is healthy.
-				last = errDeadline("completed past deadline")
-				t.stats.record(last)
-				break
-			}
-			return found, nil
-		} else {
-			last = classify(err)
-			t.stats.record(last)
-			if !deposited && !isOverloaded(last) {
-				// A serviced-and-failed exchange still earns budget; an
-				// overload reject is backpressure and earns nothing.
-				t.budget.OnRequest()
-				deposited = true
-			}
-			if !inSync {
-				t.markDead(c)
-			}
-			if errors.Is(last, ErrRemoteUnavailable) || isShortRead(last) {
-				t.mu.Lock()
-				t.dropIdle()
-				t.mu.Unlock()
-			}
-			if Permanent(err) {
-				break
-			}
+			// The exchange succeeded but past its budget: the result
+			// must not be consumed. The connection itself is healthy.
+			err = errDeadline("completed past deadline")
+		} else if !inSync {
+			t.markDead(c)
 		}
 	}
-	if t.closed.Load() {
-		// Whatever the interrupted attempt reported, the cause is Close.
-		return false, permanent(ErrClosed)
+	c.fails++
+	err = classify(err)
+	t.stats.record(err)
+	if errors.Is(err, ErrRemoteUnavailable) || isShortRead(err) {
+		t.mu.Lock()
+		t.dropIdle()
+		t.mu.Unlock()
 	}
-	return false, last
+	return false, err
 }
 
 // writeHeader appends one request header to c's write buffer. It carries
@@ -1084,7 +1056,7 @@ func (c *wireConn) readFetchReply(dst []byte) (found, inSync bool, err error) {
 	case ackOverloaded:
 		// Admission control shed the request before service: pure
 		// backpressure. No payload follows, the stream stays in
-		// sync, and do() retries without charging the budget.
+		// sync, and the engine may re-issue it without a budget token.
 		return false, true, fmt.Errorf("%w: fetch shed", ErrOverloaded)
 	case ackErr:
 		return false, true, permanent(fmt.Errorf("%w: server rejected fetch", ErrProtocol))
@@ -1112,8 +1084,8 @@ func (c *wireConn) readFetchReply(dst []byte) (found, inSync bool, err error) {
 }
 
 // TryFetchUntil implements ErrorTransport: a fetch bounded end to end by
-// dl. The remaining budget rides in each request header, bounds each
-// attempt's socket deadline, and clamps retry backoff; an operation whose
+// dl. The remaining budget rides in each request header, bounds the
+// socket deadline, and clamps the pacing sleep; an operation whose
 // budget runs out — or whose result arrives late — fails with
 // ErrDeadlineExceeded and the late result is discarded.
 func (t *TCPTransport) TryFetchUntil(key uint64, dst []byte, dl Deadline) (bool, error) {
@@ -1140,7 +1112,7 @@ func (t *TCPTransport) TryDeleteUntil(key uint64, dl Deadline) error {
 
 // TryFetchAfterPushes implements PushCarrier: the pushes and the fetch are
 // one exchange on one connection — one write, their acks and the reply read
-// in order — retried as one under dl (see do and exchange).
+// in order — one attempt under dl (see do and exchange).
 func (t *TCPTransport) TryFetchAfterPushes(pushes []Push, key uint64, dst []byte, dl Deadline) (bool, error) {
 	if err := checkPushSizes(pushes); err != nil {
 		return false, err
@@ -1185,8 +1157,8 @@ func (c *wireConn) readAck(op string) (inSync bool, err error) {
 		return true, nil
 	case ackOverloaded:
 		// Backpressure: the request was shed before service (a shed push
-		// was consumed and discarded, never stored). Retryable without a
-		// budget charge; see readFetchReply's flag handling.
+		// was consumed and discarded, never stored). Re-issued without a
+		// budget token; see readFetchReply's flag handling.
 		return true, fmt.Errorf("%w: %s shed", ErrOverloaded, op)
 	case ackErr:
 		return true, permanent(fmt.Errorf("%w: server rejected %s", ErrProtocol, op))
@@ -1202,8 +1174,8 @@ func (c *wireConn) readAck(op string) (inSync bool, err error) {
 
 // dropIdle drops the idle connections' sockets (they stay on the stack).
 // When the peer hangs up on one connection the others are as dead, and
-// finding that out one checkout at a time would cost a failed attempt and
-// a retry-budget token each. Caller holds t.mu.
+// finding that out one checkout at a time would cost a failed attempt each
+// (and the engine a retry-budget token each). Caller holds t.mu.
 func (t *TCPTransport) dropIdle() {
 	for _, c := range t.idle {
 		t.drop(c)

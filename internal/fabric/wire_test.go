@@ -119,7 +119,7 @@ func TestTCPFirstHelloCutOff(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ListenAndServe: %v", err)
 	}
-	tr, err := DialWith(addr, fastRetry(4))
+	tr, err := DialWith(addr, fastRetry())
 	if err != nil {
 		t.Fatalf("DialWith: %v", err)
 	}
@@ -142,7 +142,13 @@ func TestTCPFirstHelloCutOff(t *testing.T) {
 	}
 	defer srv2.Close()
 
+	// The socket Dial made never said its hello, so the hang-up is not
+	// resent below the caller: the first attempt may fail, with a
+	// connection error and nothing else, and the next one dials afresh.
 	payload := []byte("first hello cut off")
+	if err := tr.TryPushUntil(1, payload, Deadline{}); err != nil && !errors.Is(err, ErrRemoteUnavailable) {
+		t.Fatalf("push over the cut-off socket = %v, want nil or ErrRemoteUnavailable", err)
+	}
 	mustPush(t, tr, 1, payload)
 	dst := make([]byte, len(payload))
 	if !mustFetch(t, tr, 1, dst) || !bytes.Equal(dst, payload) {
@@ -155,18 +161,24 @@ func TestTCPFirstHelloCutOff(t *testing.T) {
 		t.Errorf("server Hellos = %d, want >= 1", got)
 	}
 
-	// A push damaged in flight is refused by the server and healed by the
-	// client's retry, never stored.
+	// A push damaged in flight is refused by the server, never stored, and
+	// reported as ErrIntegrity; the caller's re-issue stores the intact bytes.
 	flip.Store(true)
-	mustPush(t, tr, 2, payload)
+	if err := tr.TryPushUntil(2, payload, Deadline{}); !errors.Is(err, ErrIntegrity) {
+		t.Fatalf("corrupted push = %v, want ErrIntegrity", err)
+	}
 	if flip.Load() {
 		t.Fatal("no push frame went through the corrupting dialer")
 	}
 	if got := srv2.Stats().WireRejects(); got != 1 {
 		t.Errorf("WireRejects = %d after one corrupted push, want 1", got)
 	}
-	if !mustFetch(t, tr, 2, dst) || !bytes.Equal(dst, payload) {
+	if mustFetch(t, tr, 2, dst) {
 		t.Errorf("the corrupted push was stored: %q", dst)
+	}
+	mustPush(t, tr, 2, payload)
+	if !mustFetch(t, tr, 2, dst) || !bytes.Equal(dst, payload) {
+		t.Errorf("the re-issued push = %q, want %q", dst, payload)
 	}
 }
 
@@ -237,7 +249,7 @@ func TestClientRefusesOtherVersion(t *testing.T) {
 			}()
 		}
 	}()
-	tr, err := DialWith(ln.Addr().String(), fastRetry(4))
+	tr, err := DialWith(ln.Addr().String(), fastRetry())
 	if err != nil {
 		t.Fatalf("DialWith: %v", err)
 	}

@@ -1,8 +1,9 @@
 // Package far is the far half shared by both residency runtimes: everything
 // between "this unit (an aifm object, a fastswap page) is not local" and
 // the wire. An Engine resolves the fabric.RemoteConfig into a transport,
-// probes the compressed middle tier, stamps per-operation deadlines, runs
-// the retry loops, keeps the fault and overload accounting and the
+// probes the compressed middle tier, stamps per-operation deadlines, decides
+// every re-issue of a failed remote operation under one retry budget (no
+// layer below it retries), keeps the fault and overload accounting and the
 // deadline-miss breaker, and writes a unit back and demotes it on eviction —
 // behind the mutator's back where the transport can carry a push along with
 // the next fetch (the write-behind window, window.go).
@@ -73,7 +74,8 @@ type Engine struct {
 	transport fabric.ErrorTransport
 	replicas  *fabric.ReplicaSet // non-nil only when Config.Replicas was set
 	closer    func() error       // non-nil only when the engine dialed RemoteAddr
-	retries   int
+	retries   int                // wire attempts per operation
+	budget    *fabric.RetryBudget
 	unit      int
 	tier      *ctier.Tier // nil when disabled
 	wb        *window     // write-behind window; nil unless the transport is a fabric.PushCarrier
@@ -106,6 +108,7 @@ func New(cfg Config) (*Engine, error) {
 		replicas:  replicas,
 		closer:    closer,
 		retries:   cfg.Retries(),
+		budget:    fabric.NewRetryBudget(0, 0),
 		unit:      cfg.UnitSize,
 		dlBudget:  cfg.OpDeadline,
 	}
@@ -165,9 +168,9 @@ func (e *Engine) ForceDegrade(on bool) {
 	}
 }
 
-// RegisterObs exposes the breaker state, the tier's counters and the
-// remote side the engine resolved — a replica set's series, or a TCP
-// transport's counters and retry budget — on reg. The Env-wide counters
+// RegisterObs exposes the breaker state, the retry budget, the tier's
+// counters and the remote side the engine resolved — a replica set's
+// series, or a TCP transport's counters — on reg. The Env-wide counters
 // (deadline misses, fetch faults) are already on Env.Metrics.
 func (e *Engine) RegisterObs(reg *obs.Registry, labels ...obs.Label) {
 	switch t := e.transport.(type) {
@@ -175,8 +178,8 @@ func (e *Engine) RegisterObs(reg *obs.Registry, labels ...obs.Label) {
 		t.Register(reg, labels...)
 	case *fabric.TCPTransport:
 		t.Stats().Register(reg, labels...)
-		t.RetryBudget().Register(reg, labels...)
 	}
+	e.budget.Register(reg, labels...)
 	reg.GaugeFunc("trackfm_pool_degraded",
 		"1 while the pool is degraded (residents serve, remote fetches fail fast).",
 		func() float64 {
@@ -219,8 +222,8 @@ func (e *Engine) noteOK() {
 // noteErr classifies a failed remote operation that started at cycle
 // start: overload rejects and deadline misses are tallied, a miss extends
 // the streak, and a long-enough streak trips the breaker. Reports whether
-// err was a deadline miss, which ends the caller's retry loop — the
-// deadline bounds the whole loop.
+// err was a deadline miss, which ends the operation — the deadline bounds
+// all of its attempts.
 func (e *Engine) noteErr(err error, start uint64) bool {
 	if errors.Is(err, fabric.ErrOverloaded) {
 		sim.Inc(&e.env.Counters.OverloadRejects)
@@ -240,15 +243,43 @@ func (e *Engine) noteErr(err error, start uint64) bool {
 	return true
 }
 
+// again books attempt number attempt of a remote operation begun at cycle
+// start, which ended in err (a failure adds one to *faults, unless faults
+// is nil), and reports whether the operation is tried again. It is the
+// engine's one retry decision — start, push, Flush and Delete all ask it —
+// and no layer below re-issues an operation (a TCPTransport resends only
+// over a socket the peer closed while it sat idle). The first attempt
+// earns the retry budget its deposit unless the server shed it: an
+// overload reject is backpressure, not demand. A failed operation is
+// re-issued only while it has made fewer than RemoteRetries attempts, did
+// not miss its deadline and did not fail permanently, and then only if it
+// was shed — re-issued token-free, paced by the transport — or a token can
+// be drawn from the budget.
+func (e *Engine) again(attempt int, err error, start uint64, faults *uint64) bool {
+	shed := errors.Is(err, fabric.ErrOverloaded)
+	if attempt == 1 && !shed {
+		e.budget.OnRequest()
+	}
+	if err == nil {
+		return false
+	}
+	if faults != nil {
+		sim.Inc(faults)
+	}
+	if e.noteErr(err, start) || fabric.Permanent(err) || attempt >= e.retries {
+		return false
+	}
+	return shed || e.budget.TryRetry()
+}
+
 // Fetch fills dst (one unit) with the bytes stored under key: first by
 // probing the compressed tier — a hit decompresses straight into dst,
 // touches no fabric and works even while degraded — then the write-behind
 // window, which still holds the unit if its push has not been acknowledged
-// (likewise no fabric), then over the transport, retrying failures up to the
-// retry budget inside one deadline, except one the transport marks
-// fabric.Permanent. Those are this engine's attempts: over a TCPTransport
-// each is up to 4 attempts of the transport's own (see
-// fabric.RemoteConfig.RemoteRetries). Over a fabric.PushCarrier that exchange
+// (likewise no fabric), then over the transport: up to RemoteRetries wire
+// attempts inside one deadline, each re-issue paid from the engine's retry
+// budget, none after an error the transport marks fabric.Permanent (see
+// again). Over a fabric.PushCarrier that exchange
 // carries ahead of the fetch every dirty unit parked since the last one.
 // Every failed attempt is tallied in Counters.RemoteFetchFaults (and once in
 // RemotePushFaults for each push it carried), so injected fault counts
@@ -281,8 +312,8 @@ func (pf Prefetch) Pending() bool { return pf.ticket.Pending() }
 // the same tier and window probes and degraded refusal, then a fetch started
 // on the transport with no deadline (it carries no pushes: the prefetch
 // stream is another connection). A start the transport refuses outright is
-// retried here, to the retry budget, as a demand fetch's attempts are; once
-// started, the rest is FinishPrefetch's.
+// re-issued here, under the retry budget, as a demand fetch's attempts are;
+// once started, the rest is FinishPrefetch's.
 func (e *Engine) StartPrefetch(key uint64, dst []byte) (Prefetch, error) {
 	return e.start(key, dst, true)
 }
@@ -341,7 +372,7 @@ func (e *Engine) start(key uint64, dst []byte, speculative bool) (Prefetch, erro
 	}
 	var err error
 	attempt := 0
-	for attempt < e.retries {
+	for {
 		attempt++
 		var ticket fabric.Ticket
 		if speculative {
@@ -353,19 +384,19 @@ func (e *Engine) start(key uint64, dst []byte, speculative bool) (Prefetch, erro
 		} else {
 			_, err = e.transport.TryFetchUntil(key, dst, dl)
 		}
-		if err == nil {
-			waited := e.env.Clock.Cycles() - start
-			if ticket.Pending() {
-				return Prefetch{ticket: ticket, key: key, waited: waited}, nil
-			}
-			e.noteOK()
-			e.finished(waited)
-			return Prefetch{}, nil
+		if e.again(attempt, err, start, &e.env.Counters.RemoteFetchFaults) {
+			continue
 		}
-		sim.Inc(&e.env.Counters.RemoteFetchFaults)
-		if e.noteErr(err, start) || fabric.Permanent(err) {
+		if err != nil {
 			break
 		}
+		waited := e.env.Clock.Cycles() - start
+		if ticket.Pending() {
+			return Prefetch{ticket: ticket, key: key, waited: waited}, nil
+		}
+		e.noteOK()
+		e.finished(waited)
+		return Prefetch{}, nil
 	}
 	e.finished(e.env.Clock.Cycles() - start)
 	return Prefetch{}, fmt.Errorf("far: fetch key %d after %d attempts: %w", key, attempt, err)
@@ -376,8 +407,8 @@ func (e *Engine) start(key uint64, dst []byte, speculative bool) (Prefetch, erro
 // while degraded — then a compressed copy is parked in the tier: a clean
 // unit's bytes are those it was fetched with, so when it was promoted from
 // the tier, the block the tier kept is re-admitted instead of encoded.
-// Written back means pushed, retried inside one deadline with failed
-// attempts tallied in Counters.RemotePushFaults; or, over a
+// Written back means pushed, re-issued inside one deadline under the retry
+// budget with failed attempts tallied in Counters.RemotePushFaults; or, over a
 // fabric.PushCarrier, copied into the write-behind window, from where the
 // next exchange carries it (a full window first flushes itself: the pushes
 // it holds, as one exchange). The tier is write-through: the far copy is
@@ -432,25 +463,25 @@ func (e *Engine) push(key uint64, src []byte) (err error) {
 	start := e.env.Clock.Cycles()
 	defer func() { e.lat.RemotePush.Observe(e.env.Clock.Cycles() - start) }()
 	dl := e.deadline()
-	for attempt := 0; attempt < e.retries; attempt++ {
-		if err = e.transport.TryPushUntil(key, src, dl); err == nil {
-			e.noteOK()
-			return nil
-		}
-		sim.Inc(&e.env.Counters.RemotePushFaults)
-		if e.noteErr(err, start) || fabric.Permanent(err) {
+	for attempt := 1; ; attempt++ {
+		err = e.transport.TryPushUntil(key, src, dl)
+		if !e.again(attempt, err, start, &e.env.Counters.RemotePushFaults) {
 			break
 		}
+	}
+	if err == nil {
+		e.noteOK()
 	}
 	return err
 }
 
 // Flush pushes what the write-behind window holds, as one exchange,
-// retried inside one deadline like a push of one unit. When it returns nil
-// every unit evicted before the call is on the far node, unless another
-// caller's exchange is carrying it there at this moment; on error the
-// copies stay parked — still fetchable, and sent again with the next
-// exchange. Over a transport with no window there is nothing to do.
+// re-issued inside one deadline under the retry budget like a push of one
+// unit. When it returns nil every unit evicted before the call is on the
+// far node, unless another caller's exchange is carrying it there at this
+// moment; on error the copies stay parked — still fetchable, and sent
+// again with the next exchange. Over a transport with no window there is
+// nothing to do.
 func (e *Engine) Flush() error {
 	start := e.env.Clock.Cycles()
 	dl := e.deadline()
@@ -461,11 +492,12 @@ func (e *Engine) Flush() error {
 		sent := e.env.Clock.Cycles()
 		err := e.wb.carrier.TryPushAll(b.pushes[:b.n], dl)
 		e.settle(b, err, sent)
+		again := e.again(failed+1, err, start, nil) // settle tallied the batch's push faults
 		if err == nil {
 			e.noteOK()
 			continue
 		}
-		if failed++; e.noteErr(err, start) || fabric.Permanent(err) || failed == e.retries {
+		if failed++; !again {
 			return fmt.Errorf("far: flush of the write-behind window: %w", err)
 		}
 	}
@@ -491,14 +523,16 @@ func (e *Engine) settle(b *wbBatch, err error, sent uint64) {
 // Delete drops key from the tier, the write-behind window and the far node. Deletes are idempotent
 // and harmless to lose — the caller resets its own metadata, so a leaked
 // far blob is unreachable and any later push overwrites it — so failures
-// are retried within budget, tallied with the push faults, and dropped.
+// are re-issued like any operation's (see again), tallied with the push
+// faults, and dropped.
 func (e *Engine) Delete(key uint64) {
 	e.tier.Delete(key) // a freed unit must not be revivable
 	e.wb.drop(key)
-	for attempt := 0; attempt < e.retries; attempt++ {
-		if e.transport.TryDeleteUntil(key, fabric.Deadline{}) == nil {
+	start := e.env.Clock.Cycles()
+	for attempt := 1; ; attempt++ {
+		err := e.transport.TryDeleteUntil(key, fabric.Deadline{})
+		if !e.again(attempt, err, start, &e.env.Counters.RemotePushFaults) {
 			return
 		}
-		sim.Inc(&e.env.Counters.RemotePushFaults)
 	}
 }

@@ -153,6 +153,10 @@ func TestEngine(t *testing.T) {
 			}
 			r.want("OverloadRejects", r.c.OverloadRejects, 5*retries)
 			r.want("DeadlineMisses", r.c.DeadlineMisses, 0)
+			// Re-issued token-free, and a shed attempt earns nothing.
+			if b := r.e.budget.Balance(); b != 16 || r.e.budget.Exhausted() != 0 {
+				r.Fatalf("retry budget at %v with %d denials after overload rejects, want 16 and 0", b, r.e.budget.Exhausted())
+			}
 			if r.e.Degraded() {
 				r.Fatalf("overload rejects degraded the engine")
 			}
@@ -371,8 +375,8 @@ func TestPrefetchFailingAtFinish(t *testing.T) {
 // permanent (fabric.Permanent) is not tried again by the engine either. A
 // blob the node reports corrupt at rest is one fetch frame on the wire and
 // one fetch fault, not one per attempt of the retry budget; over a closed
-// transport a fetch, a push and a flush of the write-behind window each
-// fail once.
+// transport a fetch, a push, a flush of the write-behind window and a
+// delete each fail once.
 func TestPermanentErrorsEndTheRetryLoop(t *testing.T) {
 	srv := fabric.NewServer(refusingStore{remote.NewStore()})
 	addr, err := srv.ListenAndServe("127.0.0.1:0")
@@ -424,5 +428,9 @@ func TestPermanentErrorsEndTheRetryLoop(t *testing.T) {
 	}
 	if got := env.Counters.RemotePushFaults; got != 2 {
 		t.Errorf("RemotePushFaults = %d after a flush of one parked unit, want 2", got)
+	}
+	e.Delete(11)
+	if got := env.Counters.RemotePushFaults; got != 3 {
+		t.Errorf("RemotePushFaults = %d after a delete over a closed transport, want 3", got)
 	}
 }

@@ -59,12 +59,13 @@ type Config struct {
 	// Replication.Clock defaults to Env.Clock), or a RemoteAddr to dial.
 	// Leaving it zero selects an in-process SimLink over the RDMA cost
 	// model (Fastswap's backend). A remote fault whose fetch still fails
-	// after the RemoteRetries budget panics — the moral equivalent of the
-	// SIGBUS the kernel delivers when swap-in I/O fails. Unlike the object
-	// pool there is no degraded mode: the kernel analogue has no
-	// application-visible fallback, so a missed OpDeadline simply bounds
-	// the retry loop and surfaces (that SIGBUS for swap-in, a stalled
-	// reclaim for swap-out).
+	// after RemoteRetries wire attempts — or sooner, when the far engine's
+	// retry budget refuses a re-issue under sustained faults — panics: the
+	// moral equivalent of the SIGBUS the kernel delivers when swap-in I/O
+	// fails. Unlike the object pool there is no degraded mode: the kernel
+	// analogue has no application-visible fallback, so a missed
+	// OpDeadline simply ends the attempts and surfaces (that SIGBUS for
+	// swap-in, a stalled reclaim for swap-out).
 	fabric.RemoteConfig
 }
 
@@ -283,7 +284,7 @@ func (s *Swap) tryTakeFrame() (uint32, bool) {
 }
 
 // evict reclaims frame f, reporting whether it completed. A dirty page
-// whose write-back fails past the retry budget stays mapped (it is the
+// whose write-back fails for good (see Config) stays mapped (it is the
 // only copy of the data); the reclaim clock moves on to another victim,
 // mirroring a kernel that cannot free a page while its swap-out I/O fails.
 func (s *Swap) evict(f uint32, pg uint64) bool {
