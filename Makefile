@@ -76,10 +76,12 @@ check: build
 
 # Tier-1: the full suite twice in shuffled order (catches inter-test
 # order dependence), plus race mode over the concurrency-bearing packages
-# (the TCP fabric, both runtimes and the far engine under them).
+# (the TCP fabric, both runtimes, the far engine under them, and the guard
+# layer, whose meters charge one runtime from many goroutines).
+# internal/interp is left out: it takes minutes under -race.
 test:
 	$(GO) test -shuffle=on -count=2 ./...
-	$(GO) test -race ./internal/fabric/... ./internal/aifm/... ./internal/fastswap/... ./internal/far/... ./internal/mem/... ./internal/remote/...
+	$(GO) test -race ./internal/fabric/... ./internal/aifm/... ./internal/fastswap/... ./internal/far/... ./internal/mem/... ./internal/remote/... ./internal/core/...
 
 # The four examples, run (go build ./... only compiles them) at sizes that
 # take a few seconds together. Each holds its result to a reference — a
@@ -167,8 +169,8 @@ test-tiers:
 # The allocation-regression gates: testing.AllocsPerRun must report zero
 # heap allocations per op on the guard fast path and on steady-state
 # demand fetch (clean and dirty) over SimLink, on the layer programs call
-# (core's scalar guards and cursor, on TrackFM's runtime and on the library
-# runtime the AIFM comparator runs on; farmem's Range allocates its Cursor
+# (core's scalar guards and cursor, unmetered and charged to a Meter, on
+# TrackFM's runtime and on the library runtime the AIFM comparator runs on; farmem's Range allocates its Cursor
 # and nothing else, whatever the length — resident, or far over loopback
 # with every object riding the prefetch stream), plus the bufpool unit
 # tests (leak/double-release detection, class routing, slab reuse) and

@@ -150,6 +150,44 @@ func BenchmarkRuntimeLoadU64Parallel(b *testing.B) {
 	})
 }
 
+// BenchmarkMeterLoadU64 and BenchmarkMeterLoadU64Parallel are the pair
+// above for a caller that owns a core.Meter, as a compiled program's
+// backend does: the guard's charges are plain adds, one meter per
+// goroutine, flushed when the loop ends.
+func BenchmarkMeterLoadU64(b *testing.B) {
+	rt, p := newFilledArray(b)
+	m := rt.NewMeter()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink, j uint64
+	for i := 0; i < b.N; i++ {
+		sink += m.LoadU64(p.Add(j % benchElems * 8))
+		j += 521
+	}
+	m.Flush()
+	_ = sink
+}
+
+func BenchmarkMeterLoadU64Parallel(b *testing.B) {
+	rt, p := newFilledArray(b)
+	span := uint64(benchElems / runtime.GOMAXPROCS(0))
+	var next atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		base := next.Add(1) - 1
+		base = base % (benchElems / span) * span
+		m := rt.NewMeter()
+		var sink, j uint64
+		for pb.Next() {
+			sink += m.LoadU64(p.Add((base + j%span) * 8))
+			j += 521
+		}
+		m.Flush()
+		_ = sink
+	})
+}
+
 func BenchmarkRuntimeStoreU64(b *testing.B) {
 	rt, p := newFilledArray(b)
 	b.ReportAllocs()

@@ -74,7 +74,8 @@ func main() {
 
 	start := time.Now()
 	cfg := kv.Config{Keys: *keys, Gets: *gets, Skew: *skew, Seed: 7}
-	res, err := kv.Run(interp.NewTrackFMBackend(rt), cfg)
+	be := interp.NewTrackFMBackend(rt)
+	res, err := kv.Run(be, cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -85,10 +86,10 @@ func main() {
 	}
 
 	fmt.Printf("done: %d hits, %d misses (checksum %d)\n", res.Hits, res.Misses, res.CheckSum)
+	c := be.Env().Counters.Snapshot() // through the backend: with its pending charges
 	fmt.Printf("wall time %v; %d guards (%d slow), %d evacuations over TCP, %.1f KB pushed\n",
-		elapsed.Round(time.Millisecond),
-		env.Counters.Guards(), env.Counters.SlowPathGuards,
-		env.Counters.Evacuations, float64(env.Counters.BytesEvicted)/1024)
+		elapsed.Round(time.Millisecond), c.Guards(), c.SlowPathGuards,
+		c.Evacuations, float64(c.BytesEvicted)/1024)
 
 	arr := rt.MustMalloc(scanElems * 8)
 	var want uint64

@@ -25,6 +25,11 @@ import (
 // boundary pays the locality-invariant guard, which pins the new object in
 // local memory for the duration of the chunk (so the evacuator cannot
 // delocalize mid-chunk) and optionally prefetches the objects ahead.
+//
+// A cursor from Meter.NewCursor charges its boundary checks to that meter,
+// which it flushes at every crossing, at Close and at the first store into
+// a chunk; one from Runtime.NewCursor has no meter and charges the shared
+// clock directly.
 type Cursor struct {
 	rt       *Runtime
 	base     Ptr
@@ -43,6 +48,8 @@ type Cursor struct {
 	// prepaid is the part of the next Consumed charge already on the
 	// clock: the boundary check that detected the last crossing.
 	prepaid uint64
+
+	meter *Meter // the opener's; nil from Runtime.NewCursor
 }
 
 // NewCursor performs the tfm_init runtime call for a chunked loop over
@@ -50,7 +57,13 @@ type Cursor struct {
 // compiler-directed stride prefetch at boundary crossings. The caller must
 // Close the cursor when the loop exits so the pinned chunk is released.
 func (r *Runtime) NewCursor(base Ptr, elemSize int, prefetch bool) *Cursor {
+	return r.newCursor(nil, base, elemSize, prefetch)
+}
+
+// newCursor is NewCursor for a cursor charging m (nil: no meter).
+func (r *Runtime) newCursor(m *Meter, base Ptr, elemSize int, prefetch bool) *Cursor {
 	checkManaged(base, "NewCursor")
+	m.Flush()
 	r.env.Clock.Advance(r.costs.ChunkInit)
 	sim.Inc(&r.counts.ChunkInits)
 	return &Cursor{
@@ -58,6 +71,7 @@ func (r *Runtime) NewCursor(base Ptr, elemSize int, prefetch bool) *Cursor {
 		base:     base,
 		elemSize: uint64(elemSize),
 		prefetch: prefetch,
+		meter:    m,
 	}
 }
 
@@ -74,6 +88,7 @@ func (c *Cursor) seek(off, size uint64, write bool) (o uint64, ok bool) {
 			return 0, false
 		}
 	} else if write && !c.dirty {
+		c.meter.Flush()
 		c.rt.pool.Localize(c.obj, true) // set the dirty bit once; still pinned
 		c.dirty = true
 	}
@@ -83,8 +98,9 @@ func (c *Cursor) seek(off, size uint64, write bool) (o uint64, ok bool) {
 // cross is the locality-invariant guard: it moves the pin to the object
 // holding [off, off+size) and caches its window. Localize and pin are one
 // critical section so a concurrent evacuator cannot interleave. The
-// crossing element's boundary check goes on the clock here, ahead of the
-// fetch and prefetches it may trigger, and Consumed deducts it.
+// crossing element's boundary check goes on the clock here, after the
+// meter's pending charges, ahead of the fetch and prefetches it may
+// trigger, and Consumed deducts it.
 func (c *Cursor) cross(off, size uint64, write bool) bool {
 	if c.closed {
 		panic("core: access through closed Cursor")
@@ -94,6 +110,7 @@ func (c *Cursor) cross(off, size uint64, write bool) bool {
 	if off+size > lo+uint64(r.objSize) {
 		return false
 	}
+	c.meter.Flush()
 	if c.hi != 0 {
 		c.hi = 0
 		r.pool.Unpin(c.obj)
@@ -117,18 +134,18 @@ func (c *Cursor) cross(off, size uint64, write bool) bool {
 }
 
 // Consumed charges n chunked accesses — a boundary check and the load or
-// store itself for each — in one clock advance. Every scalar accessor ends
-// in Consumed(1); a Span caller reports what it consumed before its next
-// call into the cursor, so the clock reads the same at every crossing as
-// if each element had been charged when touched.
+// store itself for each — in one add, to the cursor's meter if it has
+// one. Every scalar accessor ends in Consumed(1); a Span caller reports
+// what it consumed before its next call into the cursor, so the clock
+// reads the same at every crossing as if each element had been charged
+// when touched.
 func (c *Cursor) Consumed(n int) {
 	if n == 0 {
 		return
 	}
 	r := c.rt
-	r.env.Clock.Advance(uint64(n)*(r.costs.BoundaryCheck+r.costs.LocalLoadStore) - c.prepaid)
+	c.meter.checks(r, uint64(n), uint64(n)*(r.costs.BoundaryCheck+r.costs.LocalLoadStore)-c.prepaid)
 	c.prepaid = 0
-	sim.Add(&r.counts.BoundaryChecks, uint64(n))
 }
 
 // Span is the body of the chunked loop (Figure 5): after the boundary
@@ -165,7 +182,7 @@ func (c *Cursor) Access(i uint64, buf []byte, write bool) {
 func (c *Cursor) AccessAt(byteOff uint64, buf []byte, write bool) {
 	o, ok := c.seek(c.base.HeapOffset()+byteOff, uint64(len(buf)), write)
 	if !ok {
-		c.rt.access(c.base.Add(byteOff), buf, write, "Cursor.Access")
+		c.rt.access(c.meter, c.base.Add(byteOff), buf, write, "Cursor.Access")
 		return
 	}
 	c.Consumed(1)
@@ -197,6 +214,7 @@ func (c *Cursor) Close() {
 		return
 	}
 	c.closed = true
+	c.meter.Flush()
 	if c.hi != 0 {
 		c.rt.pool.Unpin(c.obj)
 	}

@@ -23,26 +23,27 @@ import (
 // the evacuator cannot delocalize the object unseen (what AIFM's
 // out-of-scope barrier guarantees, §3.3).
 // The guard also charges the access it guards, one load/store per 64
-// bytes touched: on the fast path in the guard's own clock add, on the
-// slow path after the slow-guard latency is observed, so that latency
-// stays the guard's alone.
-func (r *Runtime) guardObject(id aifm.ObjectID, off uint64, buf []byte, write bool) {
+// bytes touched: on the fast path in the same meter charge as the guard,
+// on the slow path after the slow-guard latency is observed, so that
+// latency stays the guard's alone. Fast-path charges go to m (nil: the
+// shared clock); the slow path flushes m first, since its latency is a
+// reading of the clock.
+func (r *Runtime) guardObject(m *Meter, id aifm.ObjectID, off uint64, buf []byte, write bool) {
 	warm := r.cache.touch(uint64(id))
-	m := aifm.MetaAt(r.ost, id)
+	meta := aifm.MetaAt(r.ost, id)
 	costs := r.costs
 	if r.noOST {
 		// Ablation: without the contiguous object state table the guard
 		// performs AIFM's two-reference lookup — find the object, then
 		// chase its metadata pointer.
 		if warm {
-			r.env.Clock.Advance(costs.MetaIndirectCached)
+			m.add(r, costs.MetaIndirectCached)
 		} else {
-			r.env.Clock.Advance(costs.MetaIndirectUncached)
+			m.add(r, costs.MetaIndirectUncached)
 		}
 	}
 	data := uint64(len(buf)+63) / 64 * costs.LocalLoadStore
-	if m.Safe() {
-		sim.Inc(&r.counts.FastPathGuards)
+	if meta.Safe() {
 		guard := costs.FastGuardReadUncached
 		switch {
 		case write && warm:
@@ -52,7 +53,7 @@ func (r *Runtime) guardObject(id aifm.ObjectID, off uint64, buf []byte, write bo
 		case warm:
 			guard = costs.FastGuardReadCached
 		}
-		r.env.Clock.Advance(guard + data)
+		m.guard(r, guard+data)
 		r.pool.Access(id, off, buf, write)
 		return
 	}
@@ -60,6 +61,7 @@ func (r *Runtime) guardObject(id aifm.ObjectID, off uint64, buf []byte, write bo
 	// DerefScope. The measured slow-guard constants (Table 1) already
 	// include the scope enter/exit work, so no separate scope cost is
 	// charged here; the pin Pool.Access takes on a miss is the scope.
+	m.Flush()
 	slowStart := r.env.Clock.Cycles()
 	sim.Inc(&r.counts.SlowPathGuards)
 	switch {
@@ -98,7 +100,7 @@ func (r *Runtime) CustodyReject() {
 // LoadU64 performs a guarded 8-byte load at p.
 func (r *Runtime) LoadU64(p Ptr) uint64 {
 	var buf [8]byte
-	r.access(p, buf[:], false, "LoadU64")
+	r.access(nil, p, buf[:], false, "LoadU64")
 	return binary.LittleEndian.Uint64(buf[:])
 }
 
@@ -106,7 +108,7 @@ func (r *Runtime) LoadU64(p Ptr) uint64 {
 func (r *Runtime) StoreU64(p Ptr, v uint64) {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], v)
-	r.access(p, buf[:], true, "StoreU64")
+	r.access(nil, p, buf[:], true, "StoreU64")
 }
 
 // Load performs a guarded read of len(dst) bytes starting at p. Reads
@@ -114,17 +116,18 @@ func (r *Runtime) StoreU64(p Ptr, v uint64) {
 // per-access guards the compiler emits for the element loop a bulk copy
 // lowers to.
 func (r *Runtime) Load(p Ptr, dst []byte) {
-	r.access(p, dst, false, "Load")
+	r.access(nil, p, dst, false, "Load")
 }
 
 // Store performs a guarded write of src starting at p.
 func (r *Runtime) Store(p Ptr, src []byte) {
-	r.access(p, src, true, "Store")
+	r.access(nil, p, src, true, "Store")
 }
 
 // access splits [p, p+len(buf)) into object-bounded segments and, for each,
-// runs the guard, which moves the bytes and charges their access.
-func (r *Runtime) access(p Ptr, buf []byte, write bool, op string) {
+// runs the guard, which moves the bytes and charges their access to m
+// (nil: the shared clock).
+func (r *Runtime) access(m *Meter, p Ptr, buf []byte, write bool, op string) {
 	checkManaged(p, op)
 	objSize := uint64(r.objSize)
 	off := p.HeapOffset()
@@ -140,7 +143,7 @@ func (r *Runtime) access(p Ptr, buf []byte, write bool, op string) {
 		if total-done < n {
 			n = total - done
 		}
-		r.guardObject(id, inObj, buf[done:done+n], write)
+		r.guardObject(m, id, inObj, buf[done:done+n], write)
 		done += n
 	}
 }

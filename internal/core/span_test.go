@@ -304,7 +304,8 @@ func TestCursorEveryAccessorPanicsAfterClose(t *testing.T) {
 // TestScalarGuardAllocFree and TestCursorLoadAllocFree gate the layer that
 // compiled programs and farmem call, on TrackFM's runtime and on the
 // library runtime the AIFM comparator runs on: a guarded access to a
-// resident object and a chunked access in steady state allocate nothing.
+// resident object and a chunked access in steady state allocate nothing,
+// through the Runtime's own methods and through a Meter alike.
 func TestScalarGuardAllocFree(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -326,6 +327,15 @@ func TestScalarGuardAllocFree(t *testing.T) {
 		}); n != 0 {
 			t.Fatalf("resident LoadU64+StoreU64 allocated %v times per run, want 0", n)
 		}
+		m := rt.NewMeter()
+		if n := testing.AllocsPerRun(1000, func() {
+			sink += m.LoadU64(p.Add(i % (1 << 13) * 8))
+			m.StoreU64(p.Add(i%(1<<13)*8), sink)
+			i += 521
+		}); n != 0 {
+			t.Fatalf("resident Meter.LoadU64+StoreU64 allocated %v times per run, want 0", n)
+		}
+		m.Flush()
 	})
 }
 
@@ -339,17 +349,22 @@ func TestCursorLoadAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := rt.MustMalloc(1 << 16)
-		cur := rt.NewCursor(p, 8, true)
-		defer cur.Close()
-		var i, sink uint64
-		if n := testing.AllocsPerRun(1000, func() {
-			for k := 0; k < 600; k++ { // more than one object per run
-				sink += cur.LoadU64(i % (1 << 13))
-				cur.StoreU64(i%(1<<13), sink)
-				i++
+		m := rt.NewMeter()
+		for name, cur := range map[string]*Cursor{
+			"Runtime": rt.NewCursor(p, 8, true),
+			"Meter":   m.NewCursor(p, 8, true),
+		} {
+			var i, sink uint64
+			if n := testing.AllocsPerRun(1000, func() {
+				for k := 0; k < 600; k++ { // more than one object per run
+					sink += cur.LoadU64(i % (1 << 13))
+					cur.StoreU64(i%(1<<13), sink)
+					i++
+				}
+			}); n != 0 {
+				t.Fatalf("steady-state Cursor.LoadU64+StoreU64 from %s.NewCursor allocated %v times per run, want 0", name, n)
 			}
-		}); n != 0 {
-			t.Fatalf("steady-state Cursor.LoadU64+StoreU64 allocated %v times per run, want 0", n)
+			cur.Close()
 		}
 	})
 }

@@ -63,18 +63,26 @@ const localArenaBase = 1 << 32
 // guard of Fig. 4, chunked streams run the cursor protocol of Fig. 5.
 // Over a library runtime (core.NewLibraryRuntime) it is the AIFM
 // comparator.
+//
+// A TrackFMBackend serves one goroutine: its guards and cursors charge the
+// meter it holds, which reaches the runtime's Env at the next slow path
+// and whenever Env is called.
 type TrackFMBackend struct {
 	RT    *core.Runtime
+	meter core.Meter
 	local *localArena
 }
 
 // NewTrackFMBackend wraps rt.
 func NewTrackFMBackend(rt *core.Runtime) *TrackFMBackend {
-	return &TrackFMBackend{RT: rt, local: newLocalArena(localArenaBase, rt.Env())}
+	return &TrackFMBackend{RT: rt, meter: rt.NewMeter(), local: newLocalArena(localArenaBase, rt.Env())}
 }
 
-// Env implements Backend.
-func (b *TrackFMBackend) Env() *sim.Env { return b.RT.Env() }
+// Env implements Backend: the runtime's Env with every charge so far on it.
+func (b *TrackFMBackend) Env() *sim.Env {
+	b.meter.Flush()
+	return b.RT.Env()
+}
 
 // Init implements Backend.
 func (b *TrackFMBackend) Init(objectSize int) error {
@@ -94,11 +102,15 @@ func sameObjectSize(compiled, runtime int) error {
 
 // Malloc implements Backend via the TrackFM allocator.
 func (b *TrackFMBackend) Malloc(n uint64) uint64 {
+	b.meter.Flush()
 	return uint64(b.RT.MustMalloc(n))
 }
 
 // Free implements Backend.
-func (b *TrackFMBackend) Free(addr uint64) { b.RT.Free(core.Ptr(addr)) }
+func (b *TrackFMBackend) Free(addr uint64) {
+	b.meter.Flush()
+	b.RT.Free(core.Ptr(addr))
+}
 
 // LocalAlloc implements Backend.
 func (b *TrackFMBackend) LocalAlloc(n uint64) uint64 { return b.local.alloc(n) }
@@ -109,7 +121,7 @@ func (b *TrackFMBackend) Load(addr uint64, guarded bool) uint64 {
 	if p.Managed() {
 		// Guarded by construction: the analysis marks every access that
 		// may see a heap pointer, and only Malloc mints managed values.
-		return b.RT.LoadU64(p)
+		return b.meter.LoadU64(p)
 	}
 	if guarded {
 		b.RT.CustodyReject() // guard ran, custody check said "not ours"
@@ -121,7 +133,7 @@ func (b *TrackFMBackend) Load(addr uint64, guarded bool) uint64 {
 func (b *TrackFMBackend) Store(addr uint64, v uint64, guarded bool) {
 	p := core.Ptr(addr)
 	if p.Managed() {
-		b.RT.StoreU64(p, v)
+		b.meter.StoreU64(p, v)
 		return
 	}
 	if guarded {
@@ -131,10 +143,16 @@ func (b *TrackFMBackend) Store(addr uint64, v uint64, guarded bool) {
 }
 
 // LoadBytes implements Backend: one guard per object the range touches.
-func (b *TrackFMBackend) LoadBytes(addr uint64, dst []byte) { b.RT.Load(core.Ptr(addr), dst) }
+func (b *TrackFMBackend) LoadBytes(addr uint64, dst []byte) {
+	b.meter.Flush()
+	b.RT.Load(core.Ptr(addr), dst)
+}
 
 // StoreBytes implements Backend.
-func (b *TrackFMBackend) StoreBytes(addr uint64, src []byte) { b.RT.Store(core.Ptr(addr), src) }
+func (b *TrackFMBackend) StoreBytes(addr uint64, src []byte) {
+	b.meter.Flush()
+	b.RT.Store(core.Ptr(addr), src)
+}
 
 // OpenCursor implements Backend.
 func (b *TrackFMBackend) OpenCursor(firstAddr uint64, stride int64, prefetch bool) Cursor {
@@ -147,7 +165,7 @@ func (b *TrackFMBackend) OpenCursor(firstAddr uint64, stride int64, prefetch boo
 	}
 	return &tfmCursor{
 		b:    b,
-		cur:  b.RT.NewCursor(p, int(stride), prefetch),
+		cur:  b.meter.NewCursor(p, int(stride), prefetch),
 		base: firstAddr,
 	}
 }
@@ -165,7 +183,7 @@ type tfmCursor struct {
 // the cursor's byte-offset form.
 func (c *tfmCursor) Load(addr uint64) uint64 {
 	if addr < c.base {
-		return c.b.RT.LoadU64(core.Ptr(addr))
+		return c.b.meter.LoadU64(core.Ptr(addr))
 	}
 	var buf [8]byte
 	c.cur.AccessAt(addr-c.base, buf[:], false)
@@ -175,7 +193,7 @@ func (c *tfmCursor) Load(addr uint64) uint64 {
 // Store implements Cursor.
 func (c *tfmCursor) Store(addr uint64, v uint64) {
 	if addr < c.base {
-		c.b.RT.StoreU64(core.Ptr(addr), v)
+		c.b.meter.StoreU64(core.Ptr(addr), v)
 		return
 	}
 	var buf [8]byte

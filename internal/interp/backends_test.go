@@ -16,7 +16,8 @@ import (
 // was written, and a cursor reads what scalar loads read. Local charges a
 // byte range one load/store per 64 bytes; TrackFM interposes with guards,
 // Fastswap with faults, and AIFM with smart-pointer dereferences that
-// count no guard.
+// count no guard. The clock and counters are read through be.Env(), the
+// one reading the contract promises carries every charge so far.
 func TestBackendContract(t *testing.T) {
 	for _, sys := range []System{Local, TrackFM, Fastswap, AIFM} {
 		t.Run(sys.String(), func(t *testing.T) {
@@ -64,30 +65,30 @@ func TestBackendContract(t *testing.T) {
 			switch sys {
 			case Local:
 				for _, n := range []int{1, 64, 65, 200} {
-					before := env.Clock.Cycles()
+					before := be.Env().Clock.Cycles()
 					be.LoadBytes(base, make([]byte, n))
 					be.StoreBytes(base, make([]byte, n))
 					want := 2 * uint64((n+63)/64) * env.Costs.LocalLoadStore
-					if charged := env.Clock.Cycles() - before; charged != want {
+					if charged := be.Env().Clock.Cycles() - before; charged != want {
 						t.Errorf("%d-byte load+store charged %d cycles, want %d", n, charged, want)
 					}
 				}
 			case TrackFM:
-				if env.Counters.Guards() == 0 {
+				if be.Env().Counters.Guards() == 0 {
 					t.Errorf("no guards charged")
 				}
 			case AIFM:
-				if env.Counters.Guards() != 0 {
-					t.Errorf("hand port counted %d guards", env.Counters.Guards())
+				if be.Env().Counters.Guards() != 0 {
+					t.Errorf("hand port counted %d guards", be.Env().Counters.Guards())
 				}
 				be.Load(base+8, true)
-				before := env.Clock.Cycles()
+				before := be.Env().Clock.Cycles()
 				be.Load(base+8, true)
-				if charged, want := env.Clock.Cycles()-before, env.Costs.SmartPointerIndirection+env.Costs.LocalLoadStore; charged != want {
+				if charged, want := be.Env().Clock.Cycles()-before, env.Costs.SmartPointerIndirection+env.Costs.LocalLoadStore; charged != want {
 					t.Errorf("resident scalar load charged %d cycles, want %d (indirection + load)", charged, want)
 				}
 			case Fastswap:
-				if env.Counters.Faults() == 0 {
+				if be.Env().Counters.Faults() == 0 {
 					t.Errorf("no faults charged")
 				}
 			}

@@ -31,7 +31,10 @@ type Cursor interface {
 // non-canonical pointers for heap allocations, so custody semantics follow
 // the value, exactly as in the transformed binaries.
 type Backend interface {
-	// Env exposes the backend's simulation environment.
+	// Env returns the backend's simulation environment with every charge
+	// so far on it. A backend may hold its fast-path charges back
+	// (core.Meter) until this call, so a caller that reads the clock or
+	// the counters between its calls into the backend reads them here.
 	Env() *sim.Env
 	// Init runs the runtime-initialization hooks the compiler planted,
 	// which carry the object size the program was compiled for; a backend
@@ -77,7 +80,8 @@ type Options struct {
 	MaxSteps uint64
 }
 
-// Run executes prog against backend.
+// Run executes prog against backend. When it returns, even with a fault,
+// every charge the run made is on the backend's Env.
 func Run(prog *ir.Program, backend Backend, opts Options) (res Result, err error) {
 	main, ok := prog.Funcs[prog.Main]
 	if !ok {
@@ -87,6 +91,7 @@ func Run(prog *ir.Program, backend Backend, opts Options) (res Result, err error
 		opts.MaxSteps = 1 << 40
 	}
 	defer func() {
+		backend.Env() // flushes what the backend holds back
 		if r := recover(); r != nil {
 			err = fmt.Errorf("interp: runtime fault: %v", r)
 		}

@@ -7,6 +7,7 @@
 package obs_test
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 
@@ -18,6 +19,9 @@ import (
 	"trackfm/internal/remote"
 	"trackfm/internal/sim"
 )
+
+// nameRE is the oracle ValidName's byte loop is held to.
+var nameRE = regexp.MustCompile(obs.NamePattern)
 
 func TestMetricNamesLint(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -107,6 +111,9 @@ func TestMetricNamesLint(t *testing.T) {
 			}
 			if !obs.ValidName(name) {
 				t.Errorf("metric %q violates %s", name, obs.NamePattern)
+			}
+			if !nameRE.MatchString(name) {
+				t.Errorf("ValidName accepted %q, which %s rejects", name, obs.NamePattern)
 			}
 		}
 	}

@@ -31,7 +31,6 @@ package obs
 
 import (
 	"fmt"
-	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -42,10 +41,21 @@ import (
 // `make vet` asserts that every subsystem's registration conforms.
 const NamePattern = `^trackfm_[a-z0-9_]+$`
 
-var nameRE = regexp.MustCompile(NamePattern)
-
-// ValidName reports whether name conforms to NamePattern.
-func ValidName(name string) bool { return nameRE.MatchString(name) }
+// ValidName reports whether name conforms to NamePattern. It checks the
+// bytes itself, since every fresh runtime registers dozens of names; the
+// tests hold it to the regular expression.
+func ValidName(name string) bool {
+	rest, ok := strings.CutPrefix(name, "trackfm_")
+	if !ok || rest == "" {
+		return false
+	}
+	for i := 0; i < len(rest); i++ {
+		if c := rest[i]; !('a' <= c && c <= 'z' || '0' <= c && c <= '9' || c == '_') {
+			return false
+		}
+	}
+	return true
+}
 
 // Label is one constant key="value" pair attached to a metric at
 // registration time (e.g. a replica index). Labels distinguish multiple

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"math/rand"
+	"regexp"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,6 +20,42 @@ func TestValidName(t *testing.T) {
 		if got := ValidName(name); got != want {
 			t.Errorf("ValidName(%q) = %v, want %v", name, got, want)
 		}
+	}
+}
+
+// TestValidNameMatchesPattern holds ValidName's byte loop to NamePattern's
+// regular expression over a generated corpus: every string of up to three
+// bytes drawn from the edges of the accepted set, behind each of a few
+// prefixes around "trackfm_", plus random strings.
+func TestValidNameMatchesPattern(t *testing.T) {
+	re := regexp.MustCompile(NamePattern)
+	check := func(name string) {
+		if got, want := ValidName(name), re.MatchString(name); got != want {
+			t.Errorf("ValidName(%q) = %v, NamePattern says %v", name, got, want)
+		}
+	}
+	alphabet := []byte("az09_AZ/`{:-.\x00\n\x7f\x80\xc3\xff ")
+	prefixes := []string{"", "t", "trackfm", "trackfm_", "Trackfm_", "trackfm-", "trackfm__", "xtrackfm_", "trackfm_ok"}
+	var tails func(prefix string, depth int)
+	tails = func(prefix string, depth int) {
+		check(prefix)
+		if depth == 0 {
+			return
+		}
+		for _, c := range alphabet {
+			tails(prefix+string([]byte{c}), depth-1)
+		}
+	}
+	for _, p := range prefixes {
+		tails(p, 3)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		b := make([]byte, rng.Intn(24))
+		for j := range b {
+			b[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		check(prefixes[rng.Intn(len(prefixes))] + string(b))
 	}
 }
 

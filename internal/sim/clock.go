@@ -22,11 +22,19 @@ import (
 const Frequency = 2_400_000_000
 
 // Clock accumulates simulated cycles. The zero value is a clock at cycle
-// zero, ready to use. All charging is serialized by the simulation engine
-// (see package aifm for how concurrency is modelled), but the accumulator
-// is maintained atomically so that observers — stats tickers, the metrics
-// registry, breaker deadlines read from probe goroutines — can sample it
-// concurrently without racing the mutator.
+// zero, ready to use. It is one logical timeline that every goroutine of a
+// run charges: Advance is an atomic add, so concurrent chargers (farmem's
+// callers, the pool's) and observers (stats tickers, the metrics registry,
+// breaker deadlines read from probe goroutines) never race.
+//
+// A charger may also hold cycles back and add them later in one sum — the
+// guard layer's core.Meter does, for the fast-path guards and chunked
+// accesses of one goroutine. The contract that keeps the simulation exact
+// is the charger's: it flushes what it holds before anything on its
+// goroutine reads the clock (a slow path timing itself, a reader handed
+// the Env), so every reading it can cause is the one charging each access
+// as it ran would have given. A reader on another goroutine may see such a
+// charger's cycles late, never lost.
 type Clock struct {
 	cycles uint64 // accessed atomically; plain uint64 keeps Clock copyable
 }

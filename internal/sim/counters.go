@@ -13,7 +13,9 @@ import (
 //
 // Concurrency contract: writers increment fields with Inc/Add (atomic);
 // concurrent observers (stats tickers, the obs registry, per-phase bench
-// reporting) read through Snapshot. The fields stay plain uint64 so the
+// reporting) read through Snapshot. FastPathGuards and BoundaryChecks may
+// arrive in sums from a core.Meter, under the flush contract of Clock. The
+// fields stay plain uint64 so the
 // struct remains copyable and the aggregate accessors below keep working
 // on quiescent copies — Snapshot returns exactly such a copy.
 type Counters struct {
