@@ -44,7 +44,10 @@ smoke_test:
 # EXPERIMENTS.md resolves to a declaration in that package —
 # plus go vet over benchmarks/fmbench, its own module (replace trackfm =>
 # ../.., no other dependency), so an API change that breaks the wall-clock
-# benchmark fails here rather than when the benchmark runs.
+# benchmark fails here rather than when the benchmark runs —
+# plus a grep that no non-test code under internal/, farmem/, cmd/ or
+# examples/ calls aifm.Pool.Localize, kept for benchmarks/fmbench alone: the
+# tree moves an object's bytes with Access or Pin.
 vet:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	$(GO) vet ./...
@@ -55,6 +58,7 @@ vet:
 	! grep -nE 'TryFetchUntil|TryPushUntil|StartFetch|fabric\.Ticket|TryFetchAfterPushes|TryPushAll|fabric\.Push|\.Connect\(' \
 		$$(ls internal/aifm/*.go internal/fastswap/*.go internal/core/*.go farmem/*.go | grep -v _test.go)
 	! grep -nE '"trackfm/internal/(core|fastswap|aifm)"' $$(find internal/workloads -name '*.go' ! -name '*_test.go')
+	! grep -nE '\.Localize\(' $$(find internal farmem cmd examples -name '*.go' ! -name '*_test.go')
 
 # The gate of test-thrash that runs under -race. test-tiers' race run is
 # a subset of the one in test.
@@ -220,7 +224,7 @@ test-artifacts:
 	d=$$(mktemp -d .bench_build/artifacts.XXXXXX) && trap 'rm -rf "$$d"' EXIT && \
 	$(GO) build -o $$d/trackfm-bench ./cmd/trackfm-bench && \
 	for e in overload crash thrash tiers; do \
-		$$d/trackfm-bench -exp $$e -json -alloc=false > $$d/BENCH_$$e.json && \
+		$$d/trackfm-bench -exp $$e -json > $$d/BENCH_$$e.json && \
 		cmp BENCH_$$e.json $$d/BENCH_$$e.json || exit 1; \
 	done && \
 	for e in $$(sed -nE '/^note:/! s/^([a-z0-9]+): .*/\1/p' figs_output.txt); do \
@@ -269,12 +273,10 @@ trackfm_compile:  ; $(GO) run ./cmd/trackfm-bench -exp compile
 trackfm_ablation: ; $(GO) run ./cmd/trackfm-bench -exp ablation
 trackfm_autotune: ; $(GO) run ./cmd/trackfm-bench -exp autotune
 trackfm_mt:       ; $(GO) run ./cmd/trackfm-bench -exp mt
-# -alloc=false keeps the checked-in artifacts bit-reproducible; run with
-# -json (alloc on by default) to also record allocs_per_op/bytes_per_op.
-trackfm_overload: ; $(GO) run ./cmd/trackfm-bench -exp overload -json -alloc=false > BENCH_overload.json
-trackfm_crash:    ; $(GO) run ./cmd/trackfm-bench -exp crash -json -alloc=false > BENCH_crash.json
-trackfm_thrash:   ; $(GO) run ./cmd/trackfm-bench -exp thrash -json -alloc=false > BENCH_thrash.json
-trackfm_tiers:    ; $(GO) run ./cmd/trackfm-bench -exp tiers -json -alloc=false > BENCH_tiers.json
+trackfm_overload: ; $(GO) run ./cmd/trackfm-bench -exp overload -json > BENCH_overload.json
+trackfm_crash:    ; $(GO) run ./cmd/trackfm-bench -exp crash -json > BENCH_crash.json
+trackfm_thrash:   ; $(GO) run ./cmd/trackfm-bench -exp thrash -json > BENCH_thrash.json
+trackfm_tiers:    ; $(GO) run ./cmd/trackfm-bench -exp tiers -json > BENCH_tiers.json
 
 clean:
 	$(GO) clean ./...

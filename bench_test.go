@@ -302,7 +302,7 @@ func BenchmarkCursorChunkedLoad(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkPoolLocalizeResident(b *testing.B) {
+func BenchmarkPoolAccessResident(b *testing.B) {
 	env := sim.NewEnv()
 	link := fabric.NewSimLink(env, fabric.BackendTCP)
 	pool, err := aifm.NewPool(aifm.Config{
@@ -312,11 +312,16 @@ func BenchmarkPoolLocalizeResident(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool.Localize(0, false)
+	var buf [8]byte
+	if err := pool.Access(0, 0, buf[:], false); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pool.Localize(0, false)
+		if err := pool.Access(0, 0, buf[:], false); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

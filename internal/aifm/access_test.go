@@ -72,12 +72,12 @@ func TestAccessNoTornReadsUnderEviction(t *testing.T) {
 	var buf [recordWords * 8]byte
 	for id := ObjectID(1); id <= records; id++ {
 		encodeRecord(buf[:], id, 1)
-		p.Access(id, recordOff(id), buf[:], true)
+		access(t, p, id, recordOff(id), buf[:], true)
 	}
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	errs := make(chan error, readers+writers+1)
+	errs := make(chan error, readers+writers+2) // one per goroutine, and the first torn read
 	last := make([][records + 1]uint64, writers)
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -92,7 +92,10 @@ func TestAccessNoTornReadsUnderEviction(t *testing.T) {
 				}
 				ver[id]++
 				encodeRecord(rec[:], id, ver[id])
-				p.Access(id, recordOff(id), rec[:], true)
+				if err := p.Access(id, recordOff(id), rec[:], true); err != nil {
+					errs <- err
+					return
+				}
 			}
 		}(w)
 	}
@@ -106,7 +109,10 @@ func TestAccessNoTornReadsUnderEviction(t *testing.T) {
 			var seen [records + 1]uint64
 			for !stop.Load() {
 				id := ObjectID(1 + rng.Intn(records))
-				p.Access(id, recordOff(id), rec[:], false)
+				if err := p.Access(id, recordOff(id), rec[:], false); err != nil {
+					errs <- err
+					return
+				}
 				reads.Add(1)
 				ver, err := decodeRecord(rec[:], id)
 				if err == nil && ver < seen[id] {
@@ -129,7 +135,10 @@ func TestAccessNoTornReadsUnderEviction(t *testing.T) {
 		var word [8]byte
 		for i := 1; !stop.Load(); i++ {
 			id := ObjectID(1 + records + rng.Intn(others))
-			p.Access(id, uint64(rng.Intn(objSize/8))*8, word[:], rng.Intn(2) == 0)
+			if err := p.Access(id, uint64(rng.Intn(objSize/8))*8, word[:], rng.Intn(2) == 0); err != nil {
+				errs <- err
+				return
+			}
 			if i%64 == 0 {
 				p.EvacuateAll()
 			}
@@ -154,7 +163,7 @@ func TestAccessNoTornReadsUnderEviction(t *testing.T) {
 		if want == 0 {
 			want = 1
 		}
-		p.Access(id, recordOff(id), buf[:], false)
+		access(t, p, id, recordOff(id), buf[:], false)
 		ver, err := decodeRecord(buf[:], id)
 		if err != nil {
 			t.Fatalf("after the run: %v", err)
@@ -252,7 +261,7 @@ func TestResidentReadKeepsItsEffects(t *testing.T) {
 		t.Fatalf("object %d not a resident prefetch: %#x", pf, uint64(m))
 	}
 	for i := 0; i < 2; i++ {
-		p.Access(pf, 0, buf[:], false)
+		access(t, p, pf, 0, buf[:], false)
 		if got := env.Counters.PrefetchHits; got != 1 {
 			t.Fatalf("read %d of a prefetched object: %d prefetch hits, want 1", i+1, got)
 		}
@@ -262,12 +271,12 @@ func TestResidentReadKeepsItsEffects(t *testing.T) {
 	}
 
 	const cold = ObjectID(9)
-	p.Access(cold, 0, buf[:], true)
+	access(t, p, cold, 0, buf[:], true)
 	st := p.stripeFor(cold)
 	p.lockStripe(st)
 	p.storeMeta(cold, p.metaAt(cold)&^MetaH) // what a clock sweep does
 	st.mu.Unlock()
-	p.Access(cold, 0, buf[:], false)
+	access(t, p, cold, 0, buf[:], false)
 	if m := p.Meta(cold); !m.Hot() {
 		t.Fatal("a read of an H-clear resident left H clear")
 	}

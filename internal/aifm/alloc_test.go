@@ -22,11 +22,13 @@ func TestSteadyStateFetchAllocFree(t *testing.T) {
 	// misses and must evict a clean resident.
 	p, _, _ := newTestPool(t, objSize, 64*objSize, 16*objSize)
 	for id := ObjectID(0); id < 64; id++ {
-		p.Localize(id, false) // first touch: zero-fill materialization
+		touch(t, p, id, false) // first touch: zero-fill materialization
 	}
 	next := ObjectID(0)
 	if n := testing.AllocsPerRun(300, func() {
-		p.Localize(next, false)
+		if err := p.Access(next, 0, nil, false); err != nil {
+			t.Fatal(err)
+		}
 		next = (next + 1) % 64
 	}); n != 0 {
 		t.Fatalf("steady-state demand fetch allocated %v times per run, want 0", n)
@@ -44,11 +46,13 @@ func TestSteadyStateDirtyEvictAllocFree(t *testing.T) {
 	const objSize = 4096
 	p, _, _ := newTestPool(t, objSize, 64*objSize, 16*objSize)
 	for id := ObjectID(0); id < 64; id++ {
-		p.Localize(id, true) // dirty: every eviction writes back
+		touch(t, p, id, true) // dirty: every eviction writes back
 	}
 	next := ObjectID(0)
 	if n := testing.AllocsPerRun(300, func() {
-		p.Localize(next, true)
+		if err := p.Access(next, 0, nil, true); err != nil {
+			t.Fatal(err)
+		}
 		next = (next + 1) % 64
 	}); n != 0 {
 		t.Fatalf("steady-state dirty fetch+evict allocated %v times per run, want 0", n)
@@ -61,13 +65,15 @@ func BenchmarkSteadyFetch(b *testing.B) {
 	const objSize = 4096
 	p, _, _ := newTestPool(b, objSize, 64*objSize, 16*objSize)
 	for id := ObjectID(0); id < 64; id++ {
-		p.Localize(id, false)
+		touch(b, p, id, false)
 	}
 	next := ObjectID(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Localize(next, false)
+		if err := p.Access(next, 0, nil, false); err != nil {
+			b.Fatal(err)
+		}
 		next = (next + 1) % 64
 	}
 }
@@ -77,13 +83,15 @@ func BenchmarkSteadyFetchDirty(b *testing.B) {
 	const objSize = 4096
 	p, _, _ := newTestPool(b, objSize, 64*objSize, 16*objSize)
 	for id := ObjectID(0); id < 64; id++ {
-		p.Localize(id, true)
+		touch(b, p, id, true)
 	}
 	next := ObjectID(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Localize(next, true)
+		if err := p.Access(next, 0, nil, true); err != nil {
+			b.Fatal(err)
+		}
 		next = (next + 1) % 64
 	}
 }

@@ -30,9 +30,8 @@ type evictClock struct {
 
 	// cold counts the residents a gentle take may evict: present, neither
 	// hot nor prefetched (pins aside). storeMeta keeps it, comparing the
-	// word it replaces with the one it publishes; every change of those
-	// three bits goes through storeMeta under the object's stripe lock.
-	// Write's unlocked dirty bit cannot change coldness.
+	// word it replaces with the one it publishes; it is the pool's one
+	// writer of a metadata word, and runs under the object's stripe lock.
 	cold atomic.Int64
 }
 

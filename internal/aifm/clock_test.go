@@ -39,10 +39,10 @@ func TestColdCountMatchesTable(t *testing.T) {
 		switch r := rng.Intn(64); {
 		case r < 20:
 			op = "read"
-			p.Access(id, 0, buf[:], false)
+			access(t, p, id, 0, buf[:], false)
 		case r < 36:
 			op = "write"
-			p.Access(id, 0, buf[:], true)
+			access(t, p, id, 0, buf[:], true)
 		case r < 52:
 			op = "prefetch"
 			p.Prefetch(id)
@@ -79,10 +79,10 @@ func TestColdCountMatchesTable(t *testing.T) {
 func allHotPool(tb testing.TB, slots int) (*Pool, *sim.Env, ObjectID) {
 	p, env, _ := newTestPool(tb, 64, uint64(4*slots*64), uint64(slots*64))
 	remote := ObjectID(3 * slots)
-	p.Localize(remote, true)
+	touch(tb, p, remote, true)
 	p.EvacuateAll()
 	for id := ObjectID(0); id < ObjectID(slots); id++ {
-		p.Localize(id, false)
+		touch(tb, p, id, false)
 	}
 	return p, env, remote
 }
@@ -116,7 +116,7 @@ func TestGentleTakeWithNothingColdIsANoOp(t *testing.T) {
 	// 0, which holds object 7 (the free stack hands out slots top down).
 	twin, _, _ := allHotPool(t, slots)
 	victim := func(p *Pool) ObjectID {
-		p.Localize(slots, false)
+		touch(t, p, slots, false)
 		for id := ObjectID(0); id < slots; id++ {
 			if !p.Meta(id).Present() {
 				return id

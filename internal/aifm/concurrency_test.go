@@ -20,9 +20,7 @@ func newConcurrentPool(t *testing.T, workers, perWorker int) *Pool {
 	}
 	// Stamp the shared range with a recognizable per-object marker byte.
 	for id := ObjectID(0); id < sharedIDs; id++ {
-		p.LocalizePin(id, true)
-		p.Write(id, 1, []byte{marker(id)})
-		p.Unpin(id)
+		access(t, p, id, 1, []byte{marker(id)}, true)
 	}
 	return p
 }
@@ -34,9 +32,9 @@ func marker(id ObjectID) byte { return byte(id)*31 + 7 }
 // stressWorker runs one goroutine's mixed workload: pinned writes and
 // read-back checks on a private id range (no other goroutine touches it,
 // so values must survive any interleaving of eviction, prefetch, and
-// re-fetch), pinned reads of the immutable shared range, prefetches, and
-// frees. Returns an error message instead of calling t.Fatalf because it
-// runs off the test goroutine.
+// re-fetch), guarded reads of that range, pinned reads of the immutable
+// shared range, prefetches, and frees. Returns an error message instead of
+// calling t.Fatalf because it runs off the test goroutine.
 func stressWorker(p *Pool, seed uint64, lo, perWorker, iters int, evacuate bool) string {
 	rng := sim.NewRNG(seed)
 	expected := make([]byte, perWorker)
@@ -47,32 +45,35 @@ func stressWorker(p *Pool, seed uint64, lo, perWorker, iters int, evacuate bool)
 			k := rng.Intn(perWorker)
 			id := ObjectID(lo + k)
 			v := byte(rng.Uint64())
-			p.LocalizePin(id, true)
-			p.Write(id, 1, []byte{v})
-			var got [1]byte
-			p.Read(id, 1, got[:])
+			win, _, err := p.Pin(id, true)
+			if err != nil {
+				return err.Error()
+			}
+			win[1] = v
+			got := win[1]
 			p.Unpin(id)
-			if got[0] != v {
+			if got != v {
 				return "same-pin read-back lost a write"
 			}
 			expected[k], written[k] = v, true
-		case 5, 6, 7, 8, 9: // pinned read of private id
+		case 5, 6, 7, 8, 9: // guarded read of private id
 			k := rng.Intn(perWorker)
-			id := ObjectID(lo + k)
-			p.LocalizePin(id, false)
 			var got [1]byte
-			p.Read(id, 1, got[:])
-			p.Unpin(id)
+			if err := p.Access(ObjectID(lo+k), 1, got[:], false); err != nil {
+				return err.Error()
+			}
 			if got[0] != expected[k] {
 				return "private value changed under another goroutine's feet"
 			}
 		case 10, 11, 12: // pinned read of the immutable shared range
 			id := ObjectID(rng.Intn(sharedIDs))
-			p.LocalizePin(id, false)
-			var got [1]byte
-			p.Read(id, 1, got[:])
+			win, _, err := p.Pin(id, false)
+			if err != nil {
+				return err.Error()
+			}
+			got := win[1]
 			p.Unpin(id)
-			if got[0] != marker(id) {
+			if got != marker(id) {
 				return "shared read-only object corrupted"
 			}
 		case 13: // free a private id: next touch re-materializes zeros
@@ -92,11 +93,10 @@ func stressWorker(p *Pool, seed uint64, lo, perWorker, iters int, evacuate bool)
 		if !written[k] {
 			continue
 		}
-		id := ObjectID(lo + k)
-		p.LocalizePin(id, false)
 		var got [1]byte
-		p.Read(id, 1, got[:])
-		p.Unpin(id)
+		if err := p.Access(ObjectID(lo+k), 1, got[:], false); err != nil {
+			return err.Error()
+		}
 		if got[0] != expected[k] {
 			return "final private value does not match last write"
 		}
@@ -177,9 +177,10 @@ func TestConcurrentMatchesSerialOracle(t *testing.T) {
 					if int(o.key)%workers != w {
 						continue
 					}
-					p.LocalizePin(o.key, true)
-					p.Write(o.key, 2, []byte{o.val})
-					p.Unpin(o.key)
+					if err := p.Access(o.key, 2, []byte{o.val}, true); err != nil {
+						t.Error(err)
+						return
+					}
 				}
 			}(w)
 		}
@@ -189,10 +190,8 @@ func TestConcurrentMatchesSerialOracle(t *testing.T) {
 		// before comparing, so the comparison covers remote round-trips.
 		p.EvacuateAll()
 		for key := ObjectID(0); key < keys; key++ {
-			p.LocalizePin(key, false)
 			var got [1]byte
-			p.Read(key, 2, got[:])
-			p.Unpin(key)
+			access(t, p, key, 2, got[:], false)
 			if got[0] != oracle[key] {
 				t.Errorf("seed %#x key %d: pool=%d oracle=%d", seed, key, got[0], oracle[key])
 			}
@@ -208,8 +207,8 @@ func TestConcurrentPinsBlockEvacuation(t *testing.T) {
 	p, _, _ := newTestPool(t, 64, 1<<14, 1<<12)
 	t.Cleanup(func() { p.Close() })
 	const id = ObjectID(7)
-	p.LocalizePin(id, true)
-	p.Write(id, 0, []byte{42})
+	win, _ := pin(t, p, id, true)
+	win[0] = 42
 
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -217,12 +216,15 @@ func TestConcurrentPinsBlockEvacuation(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				p.LocalizePin(id, false)
+				win, _, err := p.Pin(id, false)
+				if err != nil {
+					t.Error(err)
+					return
+				}
 				p.EvacuateAll() // must skip the pinned object
-				var got [1]byte
-				p.Read(id, 0, got[:])
+				got := win[0]
 				p.Unpin(id)
-				if got[0] != 42 {
+				if got != 42 {
 					t.Error("pinned object evacuated or corrupted")
 					return
 				}

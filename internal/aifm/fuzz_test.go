@@ -59,14 +59,12 @@ func FuzzPoolAccessPattern(f *testing.F) {
 			id := ObjectID(b) % ObjectID(p.NumObjects())
 			switch i % 3 {
 			case 0:
-				p.Localize(id, true)
-				p.Write(id, 3, []byte{b})
+				access(t, p, id, 3, []byte{b}, true)
 				shadow[id] = b
 			case 1:
 				if v, ok := shadow[id]; ok {
-					p.Localize(id, false)
 					got := make([]byte, 1)
-					p.Read(id, 3, got)
+					access(t, p, id, 3, got, false)
 					if got[0] != v {
 						t.Fatalf("step %d: object %d = %d, want %d", i, id, got[0], v)
 					}
@@ -112,16 +110,23 @@ func FuzzConcurrentPins(f *testing.F) {
 					id := ObjectID(lo + int(b)%perWorker)
 					switch b % 4 {
 					case 0:
-						p.LocalizePin(id, true)
-						p.Write(id, 5, []byte{b})
+						win, _, err := p.Pin(id, true)
+						if err != nil {
+							fail[w] = err.Error()
+							return
+						}
+						win[5] = b
 						p.Unpin(id)
 						shadow[id] = b
 					case 1:
-						p.LocalizePin(id, false)
-						var got [1]byte
-						p.Read(id, 5, got[:])
+						win, _, err := p.Pin(id, false)
+						if err != nil {
+							fail[w] = err.Error()
+							return
+						}
+						got := win[5]
 						p.Unpin(id)
-						if got[0] != shadow[id] {
+						if got != shadow[id] {
 							fail[w] = "private value lost"
 							return
 						}
@@ -133,10 +138,11 @@ func FuzzConcurrentPins(f *testing.F) {
 					}
 				}
 				for id, v := range shadow {
-					p.LocalizePin(id, false)
 					var got [1]byte
-					p.Read(id, 5, got[:])
-					p.Unpin(id)
+					if err := p.Access(id, 5, got[:], false); err != nil {
+						fail[w] = err.Error()
+						return
+					}
 					if got[0] != v {
 						fail[w] = "final private value lost"
 						return

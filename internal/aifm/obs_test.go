@@ -46,12 +46,10 @@ func TestPoolMetricsTickerRace(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		for id := ObjectID(0); id < 64; id++ { // 4x the slot count
 			buf[0] = byte(round)
-			p.Localize(id, true)
-			p.Write(id, 0, buf)
+			access(t, p, id, 0, buf, true)
 		}
 		for id := ObjectID(0); id < 64; id++ {
-			p.Localize(id, false)
-			p.Read(id, 0, buf)
+			access(t, p, id, 0, buf, false)
 		}
 	}
 	close(stop)

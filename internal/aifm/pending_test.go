@@ -60,23 +60,22 @@ func loopbackPool(t *testing.T, objs, slots int, opts ...func(*Config)) (*Pool, 
 		for i := range fill {
 			fill[i] = byte(id)
 		}
-		p.LocalizePin(ObjectID(id), true)
-		p.Write(ObjectID(id), 0, fill)
-		p.Unpin(ObjectID(id))
+		access(t, p, ObjectID(id), 0, fill, true)
 	}
 	p.EvacuateAll()
 	env.Reset()
 	return p, env, store
 }
 
-// wantObject checks resident, pinned object id against what loopbackPool
-// wrote.
-func wantObject(t *testing.T, p *Pool, id ObjectID) {
+// wantObject checks the window of pinned object id against what
+// loopbackPool wrote.
+func wantObject(t *testing.T, win []byte, id ObjectID) {
 	t.Helper()
-	got := make([]byte, pendObj)
-	p.Read(id, 0, got)
+	if len(win) != pendObj {
+		t.Fatalf("object %d: a %d-byte window, want %d", id, len(win), pendObj)
+	}
 	want := byte(id)
-	for i, b := range got {
+	for i, b := range win {
 		if b != want {
 			t.Fatalf("object %d byte %d = %#x, want %#x", id, i, b, want)
 		}
@@ -126,10 +125,11 @@ func TestDemandTakesOverPendingPrefetch(t *testing.T) {
 		t.Fatalf("object published before its bytes arrived")
 	}
 	p.Prefetch(3) // already claimed: must not start a second fetch
-	if _, missed := p.LocalizePin(3, false); missed {
+	win, missed := pin(t, p, 3, false)
+	if missed {
 		t.Errorf("taking over a pending prefetch reported a blocking fetch")
 	}
-	wantObject(t, p, 3)
+	wantObject(t, win, 3)
 	p.Unpin(3)
 	c := env.Counters.Snapshot()
 	if c.PrefetchHits != 1 || c.CriticalFetches != 0 || c.PrefetchIssued != 1 || c.RemoteFetches != 1 || c.SingleflightShared != 0 {
@@ -166,10 +166,11 @@ func TestFailedPendingPrefetchLeavesObjectRemote(t *testing.T) {
 		runtime.Gosched() // the refusal must be served before the store heals
 	}
 	store.refuse.Store(false)
-	if _, missed := p.LocalizePin(4, false); !missed {
+	win, missed := pin(t, p, 4, false)
+	if !missed {
 		t.Errorf("the demand fetch behind a failed prefetch was not reported as a miss")
 	}
-	wantObject(t, p, 4)
+	wantObject(t, win, 4)
 	p.Unpin(4)
 	c := env.Counters.Snapshot()
 	if c.RemoteFetchFaults != 3 || c.CriticalFetches != 1 || c.PrefetchHits != 0 || c.PrefetchIssued != 0 {
@@ -243,7 +244,7 @@ func TestPendingWindowDrainsBeforeExhaustion(t *testing.T) {
 	const slots = 2 * pendingWindow
 	p, _, _ := loopbackPool(t, 3*slots, slots)
 	for id := ObjectID(0); id < pendingWindow; id++ {
-		p.LocalizePin(id, false)
+		pin(t, p, id, false)
 	}
 	for id := ObjectID(slots); id < slots+pendingWindow; id++ {
 		p.Prefetch(id)
@@ -252,13 +253,14 @@ func TestPendingWindowDrainsBeforeExhaustion(t *testing.T) {
 		t.Fatalf("%d pending, %d free; want a full window holding every unpinned slot", n, free)
 	}
 	id := ObjectID(2 * slots)
-	if _, missed := p.LocalizePin(id, false); !missed {
+	win, missed := pin(t, p, id, false)
+	if !missed {
 		t.Errorf("object %d was not fetched", id)
 	}
 	if free, floor := p.ReserveFree(), p.ReserveFloor(); free != floor {
 		t.Errorf("reserve borrowed (%d of %d free) while landed prefetches could be evicted", free, floor)
 	}
-	wantObject(t, p, id)
+	wantObject(t, win, id)
 	p.Unpin(id)
 	for id := ObjectID(0); id < pendingWindow; id++ {
 		p.Unpin(id)
@@ -293,13 +295,14 @@ func (g *gatedStart) StartFetch(key uint64, dst []byte) (fabric.Ticket, error) {
 // the object.
 func TestClaimedButNotYetParkedPrefetch(t *testing.T) {
 	const id = ObjectID(3)
+	var win []byte // the Pin row's window; nil if Pin failed, which wantObject reports
 	for _, row := range []struct {
 		name  string
 		op    func(p *Pool)
 		check func(t *testing.T, p *Pool, c sim.Counters)
 	}{
-		{"LocalizePin", func(p *Pool) { p.LocalizePin(id, false) }, func(t *testing.T, p *Pool, c sim.Counters) {
-			wantObject(t, p, id)
+		{"Pin", func(p *Pool) { win, _, _ = p.Pin(id, false) }, func(t *testing.T, p *Pool, c sim.Counters) {
+			wantObject(t, win, id)
 			p.Unpin(id)
 			if c.PrefetchHits != 1 || c.CriticalFetches != 0 || c.RemoteFetches != 1 || c.SingleflightShared != 1 {
 				t.Errorf("prefetchHits=%d criticalFetches=%d remoteFetches=%d singleflightShared=%d; want 1 0 1 1",

@@ -176,9 +176,9 @@ func (l *seqMutex) readValid(s uint64) bool {
 // fast path and written only under the owning stripe's lock; a resident
 // read (Access) copies with no lock and validates against the stripe's
 // sequence; concurrent demand fetches of the same object collapse into one
-// fabric round-trip (singleflight). Object data returned by the localize family is only
-// stable while the object is pinned — concurrent callers must use
-// LocalizePin rather than bare Localize.
+// fabric round-trip (singleflight). A client moves an object's bytes one
+// of two ways: Access copies them under the pool's guarantee, and Pin lends
+// the object's window until the matching Unpin.
 type Pool struct {
 	env     *sim.Env
 	lat     *sim.Latencies
@@ -509,41 +509,13 @@ func (p *Pool) Throttled() bool { return p.throttled.Load() }
 // bool result reports whether the call had to perform a blocking remote
 // fetch (a "critical" fetch in the paper's terminology).
 //
-// Localize is the legacy infallible entry point: over the deterministic
-// SimLink a remote fetch cannot fail, and over an error-aware transport a
-// failure the far engine does not re-issue panics with the typed
-// transport error rather than handing the mutator zeroed memory. Callers
-// running over a real network should prefer TryLocalize; concurrent
-// callers should prefer LocalizePin, since an unpinned object's returned
-// offset can be invalidated by a concurrent eviction.
+// Localize exists for benchmarks/fmbench alone, which times it; no other
+// code calls it (make vet enforces this). It neither pins nor copies, so
+// the offset it returns is stale as soon as a concurrent eviction runs,
+// and it panics on a fetch the far engine gives up on. Move bytes with
+// Access or Pin instead.
 func (p *Pool) Localize(id ObjectID, forWrite bool) (uint64, bool) {
 	addr, missed, err := p.tryLocalize(id, forWrite, false)
-	if err != nil {
-		panic(fmt.Sprintf("aifm: unrecoverable remote fetch for object %d: %v", id, err))
-	}
-	return addr, missed
-}
-
-// TryLocalize is Localize with remote-fetch failures surfaced. A failed
-// fetch is re-issued by the far engine: at most RemoteRetries wire
-// attempts in all, each re-issue paid from the engine's retry budget, and
-// none if its error is permanent (see fabric.RemoteConfig.RemoteRetries).
-// Under sustained faults the budget runs dry and a fetch then fails after
-// its first attempt. If the transport still fails, the
-// claimed slot is returned to the free list, the object's metadata is left
-// untouched (still remote), and the typed fabric error is returned — the
-// caller never observes a zero-filled ghost of its data.
-func (p *Pool) TryLocalize(id ObjectID, forWrite bool) (uint64, bool, error) {
-	return p.tryLocalize(id, forWrite, false)
-}
-
-// LocalizePin atomically localizes id and pins it in one stripe-lock
-// critical section, so no concurrent evictor can slip between residency
-// and the pin. This is the localize entry point for concurrent callers;
-// pair it with Unpin. Like Localize, it panics on an unrecoverable
-// transport failure.
-func (p *Pool) LocalizePin(id ObjectID, forWrite bool) (uint64, bool) {
-	addr, missed, err := p.tryLocalize(id, forWrite, true)
 	if err != nil {
 		panic(fmt.Sprintf("aifm: unrecoverable remote fetch for object %d: %v", id, err))
 	}
@@ -840,14 +812,27 @@ func (p *Pool) maybeStridePrefetch(id ObjectID) {
 	}
 }
 
-// Pin increments id's pin count, preventing evacuation. The pin is AIFM's
-// scope: while any application goroutine holds an object pinned, no
-// evictor converges on it.
-func (p *Pool) Pin(id ObjectID) {
-	st := p.stripeFor(id)
-	p.lockStripe(st)
-	p.pinLocked(st, id)
-	st.mu.Unlock()
+// Pin localizes id, pins it and lends its bytes in place: win aliases
+// local memory and stays valid until the matching Unpin. The pin is AIFM's
+// scope: while any goroutine holds an object pinned, no evictor converges
+// on it; residency and the pin are one stripe critical section, so none
+// can slip between them. write marks the object dirty before the caller
+// stores through win. fetched reports whether Pin paid a blocking remote
+// fetch (a "critical" fetch in the paper's terminology).
+//
+// A failed fetch is re-issued by the far engine: at most RemoteRetries
+// wire attempts in all, each re-issue paid from its retry budget, none if
+// the error is permanent (see fabric.RemoteConfig.RemoteRetries). If the
+// fetch still fails, Pin returns the typed fabric error with nothing
+// pinned, the claimed slot back in circulation and the object's metadata
+// untouched (still remote): the caller never sees a zero-filled ghost of
+// its data.
+func (p *Pool) Pin(id ObjectID, write bool) (win []byte, fetched bool, err error) {
+	addr, fetched, err := p.tryLocalize(id, write, true)
+	if err != nil {
+		return nil, false, err
+	}
+	return p.slotBytes(addr), fetched, nil
 }
 
 // pinLocked increments id's pin count under its stripe lock, maintaining
@@ -859,8 +844,8 @@ func (p *Pool) pinLocked(st *stripe, id ObjectID) {
 	st.pins[id]++
 }
 
-// Unpin decrements id's pin count. Unpinning an unpinned object panics:
-// it indicates a pin bookkeeping bug.
+// Unpin drops one pin Pin took on id. Unpinning an unpinned object
+// panics: it indicates a pin bookkeeping bug.
 func (p *Pool) Unpin(id ObjectID) {
 	st := p.stripeFor(id)
 	p.lockStripe(st)
@@ -1049,52 +1034,9 @@ func (p *Pool) zeroSlot(base uint64) {
 	clear(p.arena[base : base+uint64(p.objSize)])
 }
 
-// residentAddr returns the arena offset of resident object id.
-func (p *Pool) residentAddr(id ObjectID, op string) uint64 {
-	m := p.metaAt(id)
-	if !m.Present() {
-		panic("aifm: " + op + " of non-resident object (guard ordering bug)")
-	}
-	return m.DataAddr()
-}
-
-// readAt and writeAt are the pool's one copy primitive: arena bytes at
-// addr to or from the caller's buffer.
-func (p *Pool) readAt(addr uint64, dst []byte) {
-	copy(dst, p.arena[addr:addr+uint64(len(dst))])
-}
-
-func (p *Pool) writeAt(addr uint64, src []byte) {
-	copy(p.arena[addr:addr+uint64(len(src))], src)
-}
-
-// Read copies object bytes [off, off+len(dst)) into dst. The object must
-// be resident (call Localize first) and, under concurrency, pinned for the
-// duration of the copy. The copy holds no lock, so a concurrent Access of
-// the same bytes may change part of it; the TrackFM guard layer uses
-// Access instead.
-func (p *Pool) Read(id ObjectID, off uint64, dst []byte) {
-	p.readAt(p.residentAddr(id, "Read")+off, dst)
-}
-
-// Write copies src into object bytes starting at off and marks the object
-// dirty. The object must be resident and, under concurrency, pinned. Like
-// Read it holds no lock, so a concurrent Access of the same bytes may see
-// part of it; the TrackFM guard layer uses Access instead.
-func (p *Pool) Write(id ObjectID, off uint64, src []byte) {
-	p.writeAt(p.residentAddr(id, "Write")+off, src)
-	atomic.OrUint64((*uint64)(&p.table[id]), uint64(MetaD))
-}
-
-// Window returns resident object id's bytes in place. The slice aliases the arena: it is valid exactly as
-// long as the caller's pin on id, and the caller marks the object dirty
-// (Localize with forWrite) before storing through it.
-func (p *Pool) Window(id ObjectID) []byte {
-	return p.slotBytes(p.residentAddr(id, "Window"))
-}
-
 // Access is the scalar guarded access: it moves len(buf) bytes between buf
-// and object id at byte offset off, localizing the object first.
+// and object id at byte offset off, localizing the object first. A write
+// marks the object dirty.
 //
 // A read of a resident, hot object takes no lock: it notes its stripe's
 // sequence, loads the metadata word, copies, and keeps the bytes if the
@@ -1109,11 +1051,11 @@ func (p *Pool) Window(id ObjectID) []byte {
 // Otherwise, on a resident object the residency check, the metadata update
 // and the copy share one stripe critical section — the lock excludes every
 // evictor for the length of the copy exactly as a pin would, so none is
-// taken. A miss is LocalizePin, then the copy and the unpin in one
-// critical section, so the copy is atomic with respect to every other
-// Access of the object. Like Localize, it panics on an unrecoverable
-// transport failure.
-func (p *Pool) Access(id ObjectID, off uint64, buf []byte, write bool) {
+// taken. A miss is Pin, then the copy and the unpin in one critical
+// section, so the copy is atomic with respect to every other Access of the
+// object. A fetch that fails fails as Pin's does: Access returns the typed
+// fabric error with buf, the object's metadata and its pins as they were.
+func (p *Pool) Access(id ObjectID, off uint64, buf []byte, write bool) error {
 	if off+uint64(len(buf)) > uint64(p.objSize) {
 		panic("aifm: Access beyond the object's end") // before the lock is taken
 	}
@@ -1124,7 +1066,7 @@ func (p *Pool) Access(id ObjectID, off uint64, buf []byte, write bool) {
 				addr := m.DataAddr() + off
 				racyCopy(buf, p.arena[addr:addr+uint64(len(buf))])
 				if st.mu.readValid(s) {
-					return
+					return nil
 				}
 			}
 		}
@@ -1136,22 +1078,27 @@ func (p *Pool) Access(id ObjectID, off uint64, buf []byte, write bool) {
 		p.touchLocked(id, m, write)
 		p.copyLocked(m.DataAddr()+off, buf, write)
 		st.mu.Unlock()
-		return
+		return nil
 	}
 	st.mu.Unlock()
-	addr, _ := p.LocalizePin(id, write) // a write has set D
+	addr, _, err := p.tryLocalize(id, write, true) // a write has set D
+	if err != nil {
+		return err
+	}
 	p.lockStripe(st)
 	p.copyLocked(addr+off, buf, write)
 	p.unpinLocked(st, id)
 	st.mu.Unlock()
+	return nil
 }
 
 // copyLocked is Access's copy between buf and arena bytes at addr.
 func (p *Pool) copyLocked(addr uint64, buf []byte, write bool) {
+	obj := p.arena[addr : addr+uint64(len(buf))]
 	if write {
-		p.writeAt(addr, buf)
+		copy(obj, buf)
 	} else {
-		p.readAt(addr, buf)
+		copy(buf, obj)
 	}
 }
 

@@ -30,6 +30,34 @@ func newTestPool(t testing.TB, objSize int, heap, budget uint64, opts ...func(*C
 	return p, env, link
 }
 
+// touch makes id resident for a test whose transport cannot fail: a pinned
+// scope entered and left at once. It reports whether that paid a blocking
+// remote fetch.
+func touch(tb testing.TB, p *Pool, id ObjectID, write bool) (fetched bool) {
+	tb.Helper()
+	_, fetched = pin(tb, p, id, write)
+	p.Unpin(id)
+	return fetched
+}
+
+// access is Access for a test whose transport cannot fail.
+func access(tb testing.TB, p *Pool, id ObjectID, off uint64, buf []byte, write bool) {
+	tb.Helper()
+	if err := p.Access(id, off, buf, write); err != nil {
+		tb.Fatalf("Access(%d): %v", id, err)
+	}
+}
+
+// pin is Pin for a test whose transport cannot fail. The caller must Unpin.
+func pin(tb testing.TB, p *Pool, id ObjectID, write bool) (win []byte, fetched bool) {
+	tb.Helper()
+	win, fetched, err := p.Pin(id, write)
+	if err != nil {
+		tb.Fatalf("Pin(%d): %v", id, err)
+	}
+	return win, fetched
+}
+
 func TestNewPoolValidation(t *testing.T) {
 	env := sim.NewEnv()
 	link := fabric.NewSimLink(env, fabric.BackendTCP)
@@ -55,15 +83,14 @@ func TestLocalizeMaterializesFirstTouchWithoutNetwork(t *testing.T) {
 	p, env, _ := newTestPool(t, 64, 1<<16, 1<<12)
 	// First touch of a never-evacuated object is a local zero-fill,
 	// not a remote fetch (freshly malloc'd memory).
-	_, fetched := p.Localize(3, true)
-	if fetched {
+	if touch(t, p, 3, true) {
 		t.Fatalf("first touch performed a remote fetch")
 	}
 	if env.Counters.RemoteFetches != 0 || env.Counters.BytesFetched != 0 {
 		t.Fatalf("first touch moved data: %s", env.Counters.String())
 	}
 	got := make([]byte, 4)
-	p.Read(3, 8, got)
+	access(t, p, 3, 8, got, false)
 	if !bytes.Equal(got, []byte{0, 0, 0, 0}) {
 		t.Fatalf("fresh object not zeroed: %v", got)
 	}
@@ -71,13 +98,11 @@ func TestLocalizeMaterializesFirstTouchWithoutNetwork(t *testing.T) {
 
 func TestLocalizeFetchesEvacuatedObjectAndReadsBack(t *testing.T) {
 	p, env, _ := newTestPool(t, 64, 1<<16, 1<<12)
-	p.Localize(3, true)
-	p.Write(3, 8, []byte{0xAA, 0xBB})
+	access(t, p, 3, 8, []byte{0xAA, 0xBB}, true)
 	p.EvacuateAll()
 
-	_, fetched := p.Localize(3, false)
-	if !fetched {
-		t.Fatalf("Localize of evacuated object did not fetch")
+	if !touch(t, p, 3, false) {
+		t.Fatalf("localizing an evacuated object did not fetch")
 	}
 	if env.Counters.RemoteFetches != 1 || env.Counters.CriticalFetches != 1 {
 		t.Fatalf("fetch counters = %d/%d", env.Counters.RemoteFetches, env.Counters.CriticalFetches)
@@ -85,30 +110,28 @@ func TestLocalizeFetchesEvacuatedObjectAndReadsBack(t *testing.T) {
 
 	// Second localize: already present, no fetch, no extra cost.
 	before := env.Clock.Cycles()
-	_, fetched = p.Localize(3, false)
-	if fetched {
-		t.Fatalf("resident Localize fetched")
-	}
-	if env.Clock.Cycles() != before {
-		t.Fatalf("resident Localize charged cycles")
+	if touch(t, p, 3, false) {
+		t.Fatalf("localizing a resident object fetched")
 	}
 	got := make([]byte, 2)
-	p.Read(3, 8, got)
+	access(t, p, 3, 8, got, false)
+	if env.Clock.Cycles() != before {
+		t.Fatalf("resident accesses charged cycles")
+	}
 	if !bytes.Equal(got, []byte{0xAA, 0xBB}) {
-		t.Fatalf("Read = %v", got)
+		t.Fatalf("read %v", got)
 	}
 }
 
 func TestEvictionWritesBackDirtyData(t *testing.T) {
 	// Budget of exactly 2 slots; touching a 3rd object must evict.
 	p, env, link := newTestPool(t, 64, 1<<16, 128)
-	p.Localize(0, true)
-	p.Write(0, 0, []byte{42})
-	p.Localize(1, false)
+	access(t, p, 0, 0, []byte{42}, true)
+	touch(t, p, 1, false)
 	if p.LocalBytes() != 128 {
 		t.Fatalf("LocalBytes = %d", p.LocalBytes())
 	}
-	p.Localize(2, false) // evicts one of {0,1}
+	touch(t, p, 2, false) // evicts one of {0,1}
 	if p.LocalBytes() != 128 {
 		t.Fatalf("LocalBytes after eviction = %d", p.LocalBytes())
 	}
@@ -121,9 +144,8 @@ func TestEvictionWritesBackDirtyData(t *testing.T) {
 		if link.RemoteKeys() != 1 {
 			t.Fatalf("dirty victim not pushed to remote")
 		}
-		p.Localize(0, false)
 		got := make([]byte, 1)
-		p.Read(0, 0, got)
+		access(t, p, 0, 0, got, false)
 		if got[0] != 42 {
 			t.Fatalf("dirty data lost across eviction: %v", got)
 		}
@@ -132,9 +154,9 @@ func TestEvictionWritesBackDirtyData(t *testing.T) {
 
 func TestCleanEvictionSkipsWriteback(t *testing.T) {
 	p, env, _ := newTestPool(t, 64, 1<<16, 64) // one slot
-	p.Localize(0, false)                       // clean
+	touch(t, p, 0, false)                      // clean
 	before := env.Counters.BytesEvicted
-	p.Localize(1, false) // evicts 0
+	touch(t, p, 1, false) // evicts 0
 	if env.Counters.BytesEvicted != before {
 		t.Fatalf("clean eviction pushed %d bytes", env.Counters.BytesEvicted-before)
 	}
@@ -149,10 +171,9 @@ func TestCleanEvictionSkipsWriteback(t *testing.T) {
 
 func TestPinnedObjectsSurviveEviction(t *testing.T) {
 	p, _, _ := newTestPool(t, 64, 1<<16, 128) // two slots
-	p.Localize(0, false)
-	p.Pin(0)
-	p.Localize(1, false)
-	p.Localize(2, false) // must evict 1, not pinned 0
+	pin(t, p, 0, false)
+	touch(t, p, 1, false)
+	touch(t, p, 2, false) // must evict 1, not pinned 0
 	if !p.Meta(0).Present() {
 		t.Fatalf("pinned object was evicted")
 	}
@@ -164,11 +185,10 @@ func TestPinnedObjectsSurviveEviction(t *testing.T) {
 
 func TestAllPinnedUsesReserve(t *testing.T) {
 	p, _, _ := newTestPool(t, 64, 1<<16, 64) // one circulating slot
-	p.Localize(0, false)
-	p.Pin(0)
+	pin(t, p, 0, false)
 	// With every circulating slot pinned, demand localization borrows a
 	// reserve-floor slot instead of stalling forever.
-	p.Localize(1, false)
+	touch(t, p, 1, false)
 	if !p.Meta(1).Present() {
 		t.Fatalf("localization with all circulating slots pinned did not complete")
 	}
@@ -190,17 +210,17 @@ func TestAllPinnedPanicsWithoutReserve(t *testing.T) {
 	p, _, _ := newTestPool(t, 64, 1<<16, 64)
 	n := ObjectID(p.NumSlots() + p.ReserveFloor())
 	for id := ObjectID(0); id < n; id++ {
-		p.LocalizePin(id, false)
+		pin(t, p, id, false)
 	}
 	if p.ReserveFree() != 0 {
 		t.Fatalf("%d reserve slots still free with %d objects pinned", p.ReserveFree(), n)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatalf("Localize with every slot and the reserve pinned did not panic")
+			t.Fatalf("a miss with every slot and the reserve pinned did not panic")
 		}
 	}()
-	p.Localize(n, false)
+	_ = p.Access(n, 0, nil, false) // panics before it can return
 }
 
 func TestUnpinUnpinnedPanics(t *testing.T) {
@@ -215,13 +235,13 @@ func TestUnpinUnpinnedPanics(t *testing.T) {
 
 func TestHotnessSecondChance(t *testing.T) {
 	p, _, _ := newTestPool(t, 64, 1<<16, 128) // two slots
-	p.Localize(0, false)                      // hot
-	p.Localize(1, false)                      // hot
+	touch(t, p, 0, false)                     // hot
+	touch(t, p, 1, false)                     // hot
 	// Make object 0 cold (as a completed clock sweep would); object 1
 	// keeps its H bit. The next eviction must pick the cold object even
 	// though the clock hand reaches the hot one first.
 	p.storeMeta(0, p.Meta(0)&^MetaH)
-	p.Localize(2, false)
+	touch(t, p, 2, false)
 	if !p.Meta(1).Present() {
 		t.Fatalf("hot object evicted before cold object")
 	}
@@ -232,7 +252,7 @@ func TestHotnessSecondChance(t *testing.T) {
 
 func TestPrefetchHitAvoidsCriticalFetch(t *testing.T) {
 	p, env, _ := newTestPool(t, 64, 1<<16, 1<<12)
-	p.Localize(5, true) // touch so the object has remote state after eviction
+	touch(t, p, 5, true) // touch so the object has remote state after eviction
 	p.EvacuateAll()
 	env.Counters.Reset()
 	p.Prefetch(5)
@@ -243,9 +263,8 @@ func TestPrefetchHitAvoidsCriticalFetch(t *testing.T) {
 		t.Fatalf("prefetched object lacks PF bit")
 	}
 	critBefore := env.Counters.CriticalFetches
-	_, fetched := p.Localize(5, false)
-	if fetched {
-		t.Fatalf("Localize after prefetch performed a blocking fetch")
+	if touch(t, p, 5, false) {
+		t.Fatalf("localizing after a prefetch performed a blocking fetch")
 	}
 	if env.Counters.CriticalFetches != critBefore {
 		t.Fatalf("prefetch hit still counted as critical fetch")
@@ -260,14 +279,14 @@ func TestPrefetchHitAvoidsCriticalFetch(t *testing.T) {
 
 func TestPrefetchCheaperThanDemandFetch(t *testing.T) {
 	p, env, _ := newTestPool(t, 4096, 1<<20, 1<<16)
-	p.Localize(1, true)
-	p.Localize(2, true)
+	touch(t, p, 1, true)
+	touch(t, p, 2, true)
 	p.EvacuateAll()
 	env.Clock.Reset()
 	p.Prefetch(1)
 	prefetchCost := env.Clock.Cycles()
 	env.Clock.Reset()
-	p.Localize(2, false)
+	touch(t, p, 2, false)
 	demandCost := env.Clock.Cycles()
 	if prefetchCost*3 > demandCost {
 		t.Fatalf("prefetch (%d cycles) should be far cheaper than demand fetch (%d)", prefetchCost, demandCost)
@@ -282,13 +301,13 @@ func TestAutoStridePrefetcher(t *testing.T) {
 	// Touch a range so it has remote state, evacuate, then three
 	// sequential demand misses arm the stride detector.
 	for id := ObjectID(10); id < 20; id++ {
-		p.Localize(id, true)
+		touch(t, p, id, true)
 	}
 	p.EvacuateAll()
 	env.Counters.Reset()
-	p.Localize(10, false)
-	p.Localize(11, false)
-	p.Localize(12, false)
+	touch(t, p, 10, false)
+	touch(t, p, 11, false)
+	touch(t, p, 12, false)
 	if env.Counters.PrefetchIssued == 0 {
 		t.Fatalf("stride prefetcher never fired")
 	}
@@ -297,7 +316,7 @@ func TestAutoStridePrefetcher(t *testing.T) {
 		t.Fatalf("object 13 not prefetched")
 	}
 	crit := env.Counters.CriticalFetches
-	p.Localize(13, false)
+	touch(t, p, 13, false)
 	if env.Counters.CriticalFetches != crit {
 		t.Fatalf("prefetched object caused a critical fetch")
 	}
@@ -308,13 +327,13 @@ func TestStrideDetectorResetsOnRandomAccess(t *testing.T) {
 		c.AutoPrefetch = true
 	})
 	for _, id := range []ObjectID{10, 50, 90} {
-		p.Localize(id, true)
+		touch(t, p, id, true)
 	}
 	p.EvacuateAll()
 	env.Counters.Reset()
-	p.Localize(10, false)
-	p.Localize(50, false)
-	p.Localize(90, false)
+	touch(t, p, 10, false)
+	touch(t, p, 50, false)
+	touch(t, p, 90, false)
 	if env.Counters.PrefetchIssued != 0 {
 		t.Fatalf("random misses triggered %d prefetches", env.Counters.PrefetchIssued)
 	}
@@ -322,9 +341,8 @@ func TestStrideDetectorResetsOnRandomAccess(t *testing.T) {
 
 func TestFreeReleasesSlotAndRemote(t *testing.T) {
 	p, _, link := newTestPool(t, 64, 1<<16, 64)
-	p.Localize(0, true)
-	p.Write(0, 0, []byte{1})
-	p.Localize(1, false) // evict 0 (dirty -> pushed)
+	access(t, p, 0, 0, []byte{1}, true)
+	touch(t, p, 1, false) // evict 0 (dirty -> pushed)
 	if link.RemoteKeys() != 1 {
 		t.Fatalf("remote keys = %d", link.RemoteKeys())
 	}
@@ -343,8 +361,7 @@ func TestFreeReleasesSlotAndRemote(t *testing.T) {
 
 func TestFreePinnedPanics(t *testing.T) {
 	p, _, _ := newTestPool(t, 64, 1<<16, 64)
-	p.Localize(0, false)
-	p.Pin(0)
+	pin(t, p, 0, false)
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("Free of pinned object did not panic")
@@ -356,9 +373,9 @@ func TestFreePinnedPanics(t *testing.T) {
 func TestEvacuateAll(t *testing.T) {
 	p, _, _ := newTestPool(t, 64, 1<<16, 1<<12)
 	for id := ObjectID(0); id < 8; id++ {
-		p.Localize(id, true)
+		touch(t, p, id, true)
 	}
-	p.Pin(3)
+	pin(t, p, 3, false)
 	p.EvacuateAll()
 	for id := ObjectID(0); id < 8; id++ {
 		if id == 3 {
@@ -380,7 +397,7 @@ func TestLocalBudgetInvariantProperty(t *testing.T) {
 	if err := quick.Check(func(steps []uint16) bool {
 		for _, s := range steps {
 			id := ObjectID(rng.Intn(int(p.NumObjects())))
-			p.Localize(id, s%2 == 0)
+			touch(t, p, id, s%2 == 0)
 			if p.LocalBytes() > 512 {
 				return false
 			}
@@ -401,13 +418,11 @@ func TestDataIntegrityAcrossManyEvictions(t *testing.T) {
 		id := ObjectID(rng.Intn(32))
 		if rng.Intn(2) == 0 {
 			v := byte(rng.Intn(256))
-			p.Localize(id, true)
-			p.Write(id, 5, []byte{v})
+			access(t, p, id, 5, []byte{v}, true)
 			want[id] = v
 		} else if v, ok := want[id]; ok {
-			p.Localize(id, false)
 			got := make([]byte, 1)
-			p.Read(id, 5, got)
+			access(t, p, id, 5, got, false)
 			if got[0] != v {
 				t.Fatalf("step %d: object %d byte = %d, want %d", step, id, got[0], v)
 			}
@@ -415,20 +430,10 @@ func TestDataIntegrityAcrossManyEvictions(t *testing.T) {
 	}
 }
 
-func TestReadNonResidentPanics(t *testing.T) {
-	p, _, _ := newTestPool(t, 64, 1<<16, 64)
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("Read of non-resident object did not panic")
-		}
-	}()
-	p.Read(0, 0, make([]byte, 1))
-}
-
 func TestTableIsSharedStorage(t *testing.T) {
 	p, _, _ := newTestPool(t, 64, 1<<16, 1<<12)
 	tbl := p.Table()
-	p.Localize(9, false)
+	touch(t, p, 9, false)
 	if !tbl[9].Present() {
 		t.Fatalf("external table view not coherent with pool state")
 	}

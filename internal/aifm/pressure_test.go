@@ -21,8 +21,7 @@ func TestResizeValidation(t *testing.T) {
 func TestResizeShrinkEvictsAndGrowReactivates(t *testing.T) {
 	p, _, _ := newTestPool(t, 64, 1<<16, 32*64)
 	for id := ObjectID(0); id < 32; id++ {
-		p.Localize(id, true)
-		p.Write(id, 0, []byte{byte(id) + 1})
+		access(t, p, id, 0, []byte{byte(id) + 1}, true)
 	}
 	if got := p.ResidentSlots(); got != 32 {
 		t.Fatalf("resident = %d, want 32", got)
@@ -56,8 +55,7 @@ func TestResizeShrinkEvictsAndGrowReactivates(t *testing.T) {
 	// and all of them fit again — into the slots the shrink retired.
 	var b [1]byte
 	for id := ObjectID(0); id < 32; id++ {
-		p.Localize(id, false)
-		p.Read(id, 0, b[:])
+		access(t, p, id, 0, b[:], false)
 		if b[0] != byte(id)+1 {
 			t.Fatalf("object %d = %d after resize", id, b[0])
 		}
@@ -73,8 +71,7 @@ func TestResizeShrinkEvictsAndGrowReactivates(t *testing.T) {
 func TestResizeShrinkConvergesLazilyPastPins(t *testing.T) {
 	p, _, _ := newTestPool(t, 64, 1<<16, 4*64)
 	for id := ObjectID(0); id < 4; id++ {
-		p.Localize(id, false)
-		p.Pin(id)
+		pin(t, p, id, false)
 	}
 	// Every slot pinned: the shrink cannot evict anything now, so it
 	// applies what it can and leaves the rest to converge lazily.
@@ -109,14 +106,13 @@ func TestPrefetchSkipsAboveHighWater(t *testing.T) {
 	p, env, _ := newTestPool(t, 64, 1<<16, 8*64)
 	// Seed remote copies so prefetch has real fetches to do.
 	for id := ObjectID(0); id < 16; id++ {
-		p.Localize(id, true)
-		p.Write(id, 0, []byte{1})
+		access(t, p, id, 0, []byte{1}, true)
 	}
 	p.EvacuateAll()
 	p.Throttle(true)
 
 	// Below the mark (1 of 8 slots used) prefetch is admitted.
-	p.Localize(0, false)
+	touch(t, p, 0, false)
 	p.Prefetch(1)
 	if !p.Meta(1).Present() {
 		t.Fatalf("prefetch below the high-water mark not admitted")
@@ -127,7 +123,7 @@ func TestPrefetchSkipsAboveHighWater(t *testing.T) {
 
 	// Above the mark (7 of 8 slots used) prefetch must skip — not evict.
 	for id := ObjectID(2); id < 7; id++ {
-		p.Localize(id, false)
+		touch(t, p, id, false)
 	}
 	evBefore := sim.Load(&env.Counters.Evacuations)
 	p.Prefetch(7)
@@ -157,8 +153,7 @@ func TestThrashDetectorTracksRefaults(t *testing.T) {
 	var b [1]byte
 	for lap := 0; lap < 20; lap++ {
 		for id := ObjectID(0); id < 16; id++ {
-			p.Localize(id, false)
-			p.Read(id, 0, b[:])
+			access(t, p, id, 0, b[:], false)
 		}
 	}
 	if n := sim.Load(&env.Counters.Refaults); n == 0 {
@@ -172,8 +167,7 @@ func TestThrashDetectorTracksRefaults(t *testing.T) {
 	q, qenv, _ := newTestPool(t, 64, 1<<16, 16*64)
 	for lap := 0; lap < 20; lap++ {
 		for id := ObjectID(0); id < 8; id++ {
-			q.Localize(id, false)
-			q.Read(id, 0, b[:])
+			access(t, q, id, 0, b[:], false)
 		}
 	}
 	if n := sim.Load(&qenv.Counters.Refaults); n != 0 {
@@ -192,8 +186,7 @@ func TestDemandMissesRespectReserveUnderPinSaturation(t *testing.T) {
 	p, _, _ := newTestPool(t, 64, 1<<16, 8*64)
 	t.Cleanup(func() { p.Close() })
 	for id := ObjectID(0); id < 8; id++ {
-		p.Localize(id, false)
-		p.Pin(id)
+		pin(t, p, id, false)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -203,12 +196,14 @@ func TestDemandMissesRespectReserveUnderPinSaturation(t *testing.T) {
 			var b [1]byte
 			for i := 0; i < 100; i++ {
 				id := ObjectID(100 + w*100 + i)
-				// Pinned for the access: an unpinned resident may be
-				// evicted by another worker's localization before Write.
-				p.LocalizePin(id, true)
-				p.Write(id, 0, []byte{byte(i)})
-				p.Read(id, 0, b[:])
-				p.Unpin(id)
+				if err := p.Access(id, 0, []byte{byte(i)}, true); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := p.Access(id, 0, b[:], false); err != nil {
+					t.Error(err)
+					return
+				}
 				if b[0] != byte(i) {
 					t.Errorf("worker %d: object %d = %d", w, id, b[0])
 					return
@@ -231,7 +226,7 @@ func TestDemandMissesRespectReserveUnderPinSaturation(t *testing.T) {
 
 func TestGuardFastPathAllocFree(t *testing.T) {
 	p, _, _ := newTestPool(t, 64, 1<<16, 1<<12)
-	p.Localize(5, false)
+	touch(t, p, 5, false)
 	table := p.Table()
 	if n := testing.AllocsPerRun(200, func() {
 		if !MetaAt(table, 5).Safe() {
@@ -240,12 +235,17 @@ func TestGuardFastPathAllocFree(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("guard fast path allocated %v times per run", n)
 	}
-	// The resident-hit localization path (guard slow path on a present,
-	// unpinned object) must also stay allocation-free.
-	if n := testing.AllocsPerRun(200, func() {
-		p.Localize(5, false)
-	}); n != 0 {
-		t.Fatalf("resident localize allocated %v times per run", n)
+	// The resident accesses behind it, a read and a write on a present,
+	// unpinned object, must also stay allocation-free.
+	var buf [8]byte
+	for _, write := range []bool{false, true} {
+		if n := testing.AllocsPerRun(200, func() {
+			if err := p.Access(5, 0, buf[:], write); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Fatalf("resident Access (write %v) allocated %v times per run", write, n)
+		}
 	}
 }
 
@@ -258,7 +258,7 @@ func BenchmarkGuardFastPath(b *testing.B) {
 	if err != nil {
 		b.Fatalf("NewPool: %v", err)
 	}
-	p.Localize(3, false)
+	touch(b, p, 3, false)
 	table := p.Table()
 	b.ReportAllocs()
 	b.ResetTimer()

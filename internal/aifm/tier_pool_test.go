@@ -32,15 +32,11 @@ func runTierTrace(t *testing.T, tierBudget uint64) (heap map[ObjectID][]byte, re
 		case 0, 1, 2, 3:
 			val := byte(rng.Uint64())
 			off := uint64(rng.Intn(objSize))
-			p.LocalizePin(key, true)
-			p.Write(key, off, []byte{val})
-			p.Unpin(key)
+			access(t, p, key, off, []byte{val}, true)
 		case 4, 5, 6:
 			off := uint64(rng.Intn(objSize))
 			var got [1]byte
-			p.LocalizePin(key, false)
-			p.Read(key, off, got[:])
-			p.Unpin(key)
+			access(t, p, key, off, got[:], false)
 		case 7:
 			if rng.Intn(16) == 0 {
 				p.EvacuateAll()
@@ -63,9 +59,7 @@ func runTierTrace(t *testing.T, tierBudget uint64) (heap map[ObjectID][]byte, re
 	heap = make(map[ObjectID][]byte)
 	for key := ObjectID(0); key < keys; key++ {
 		buf := make([]byte, objSize)
-		p.LocalizePin(key, false)
-		p.Read(key, 0, buf)
-		p.Unpin(key)
+		access(t, p, key, 0, buf, false)
 		heap[key] = buf
 	}
 	return heap, remote
@@ -146,14 +140,16 @@ func TestTierConcurrentPoolNoLostUpdates(t *testing.T) {
 				if i%3 == 0 || last[key] == 0 {
 					seq := uint64(i)<<8 | uint64(w) | 1<<63
 					binary.LittleEndian.PutUint64(stamp[:], seq)
-					p.LocalizePin(key, true)
-					p.Write(key, 0, stamp[:])
-					p.Unpin(key)
+					if err := p.Access(key, 0, stamp[:], true); err != nil {
+						errs[w] = err.Error()
+						return
+					}
 					last[key] = seq
 				} else {
-					p.LocalizePin(key, false)
-					p.Read(key, 0, stamp[:])
-					p.Unpin(key)
+					if err := p.Access(key, 0, stamp[:], false); err != nil {
+						errs[w] = err.Error()
+						return
+					}
 					if got := binary.LittleEndian.Uint64(stamp[:]); got != last[key] {
 						errs[w] = "lost update: read a stamp that is not the last write"
 						return
@@ -200,15 +196,17 @@ func TestSteadyStateTierHitAllocFree(t *testing.T) {
 		c.CompressedBudget = 1 << 22
 	})
 	for id := ObjectID(0); id < 64; id++ {
-		p.Localize(id, false)
+		touch(t, p, id, false)
 	}
 	// One full lap to seed the tier with the evicted 48.
 	for id := ObjectID(0); id < 64; id++ {
-		p.Localize(id, false)
+		touch(t, p, id, false)
 	}
 	next := ObjectID(0)
 	if n := testing.AllocsPerRun(300, func() {
-		p.Localize(next, false)
+		if err := p.Access(next, 0, nil, false); err != nil {
+			t.Fatal(err)
+		}
 		next = (next + 1) % 64
 	}); n != 0 {
 		t.Fatalf("steady-state tier hit allocated %v times per run, want 0", n)
@@ -239,9 +237,7 @@ func TestCleanRedemotionReusesEncoding(t *testing.T) {
 	})
 	defer p.Close()
 	for id := ObjectID(0); id < objects; id++ {
-		p.LocalizePin(id, true)
-		p.Write(id, 0, tierPayload(id, 0))
-		p.Unpin(id)
+		access(t, p, id, 0, tierPayload(id, 0), true)
 	}
 	p.EvacuateAll()
 	tier := p.Far().Tier()
@@ -251,7 +247,7 @@ func TestCleanRedemotionReusesEncoding(t *testing.T) {
 	}
 
 	for id := ObjectID(0); id < objects; id++ {
-		p.Localize(id, false)
+		touch(t, p, id, false)
 	}
 	evicted := sim.Load(&env.Counters.TierDemotes) - demotes
 	if got := tier.Stats().Snapshot().Reused; got != evicted || evicted == 0 {
@@ -281,9 +277,7 @@ func TestCleanRedemotionReusesEncoding(t *testing.T) {
 	}
 	buf := make([]byte, objSize)
 	for id := ObjectID(0); id < objects; id++ {
-		p.LocalizePin(id, false)
-		p.Read(id, 0, buf)
-		p.Unpin(id)
+		access(t, p, id, 0, buf, false)
 		if !bytes.Equal(buf, tierPayload(id, 0)) {
 			t.Fatalf("object %d came back changed from its re-admitted copy", id)
 		}
@@ -299,16 +293,12 @@ func TestDirtiedPromotionReencodes(t *testing.T) {
 		c.CompressedBudget = 1 << 20
 	})
 	defer p.Close()
-	buf := make([]byte, objSize)
 	for version := byte(0); version < 3; version++ {
-		p.LocalizePin(5, true)
-		if version > 0 {
-			p.Read(5, 0, buf)
-			if !bytes.Equal(buf, tierPayload(5, version-1)) {
-				t.Fatalf("promotion %d returned stale bytes", version)
-			}
+		win, _ := pin(t, p, 5, true)
+		if version > 0 && !bytes.Equal(win, tierPayload(5, version-1)) {
+			t.Fatalf("promotion %d returned stale bytes", version)
 		}
-		p.Write(5, 0, tierPayload(5, version))
+		copy(win, tierPayload(5, version))
 		p.Unpin(5)
 		p.EvacuateAll()
 	}

@@ -56,9 +56,9 @@ func mtScan(s Scale) *Table {
 	// remote so each phase starts cold.
 	var buf [8]byte
 	for id := aifm.ObjectID(0); id < aifm.ObjectID(nObjects); id++ {
-		pool.LocalizePin(id, true)
-		pool.Write(id, 0, buf[:])
-		pool.Unpin(id)
+		if err := pool.Access(id, 0, buf[:], true); err != nil {
+			panic(fmt.Sprintf("bench: mt populate: %v", err))
+		}
 	}
 
 	t := &Table{
@@ -124,8 +124,11 @@ func mtPhase(env *sim.Env, pool *aifm.Pool, nObjects, objSize, w int, shared boo
 				end := min(start+mtScopeBatch, hi)
 				clock += costs.DerefScopeCost
 				for id := start; id < end; id++ {
-					_, missed := pool.LocalizePin(aifm.ObjectID(id), false)
-					pool.Read(aifm.ObjectID(id), 0, dst[:])
+					win, missed, err := pool.Pin(aifm.ObjectID(id), false)
+					if err != nil {
+						panic(fmt.Sprintf("bench: mt scan: %v", err))
+					}
+					copy(dst[:], win)
 					clock += costs.SmartPointerIndirection + costs.LocalLoadStore
 					if missed {
 						clock += costs.RemoteObjectFetch(objSize)

@@ -27,22 +27,9 @@ type Table struct {
 	Notes   string     `json:"notes,omitempty"`
 
 	// Ops is the deterministic count of workload operations behind the
-	// rows, the denominator for per-op normalisation of externally
-	// measured costs; zero when an experiment has no meaningful op count.
+	// rows, recorded in the checked-in JSON artifacts; zero when an
+	// experiment has no meaningful op count.
 	Ops uint64 `json:"ops,omitempty"`
-
-	// Alloc is attached by the trackfm-bench CLI's -json path, which
-	// measures the heap cost of regenerating the table. It stays nil for
-	// in-process runs: allocation counts are not deterministic, so they
-	// must not leak into output that tests compare run to run.
-	Alloc *AllocStats `json:"alloc,omitempty"`
-}
-
-// AllocStats is the measured heap cost of regenerating a table,
-// normalised by Table.Ops.
-type AllocStats struct {
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
 }
 
 // JSON renders the table as indented JSON, for downstream plotting tools.

@@ -97,9 +97,10 @@ func runThrashPhase(ph thrashPhase, n int) thrashResult {
 	// byte pattern, then start the measured run fully cold.
 	pat := make([]byte, 1)
 	populate := func(id aifm.ObjectID) {
-		p.Localize(id, true)
 		pat[0] = thrashPattern(id)
-		p.Write(id, 0, pat)
+		if err := p.Access(id, 0, pat, true); err != nil {
+			panic(fmt.Sprintf("bench: thrash populate: %v", err))
+		}
 	}
 	for id := 0; id < wsObjects; id++ {
 		populate(aifm.ObjectID(id))
@@ -126,16 +127,19 @@ func runThrashPhase(ph thrashPhase, n int) thrashResult {
 	chase := uint64(thrashSeed)
 	access := func(id aifm.ObjectID) {
 		env.Clock.Advance(env.Costs.LocalLoadStore)
-		_, _, err := p.TryLocalize(id, true)
-		if err != nil {
+		// A read-modify-write, as a guarded program makes it; the store
+		// finds the object the read left resident.
+		if err := p.Access(id, 0, buf[:], false); err != nil {
 			res.lost++
 			return
 		}
-		p.Read(id, 0, buf[:])
 		if buf[0] != thrashPattern(id) {
 			res.corrupt++
 		}
-		p.Write(id, 0, buf[:1])
+		if err := p.Access(id, 0, buf[:], true); err != nil {
+			res.lost++
+			return
+		}
 		res.ops++
 	}
 	for k := 0; k < n; k++ {

@@ -90,15 +90,20 @@ func runTiersPhase(ph tiersPhase, n int) tiersResult {
 	// Populate the working set, spill everything to the fabric, and let a
 	// warm-up pass settle the hot head into the arena and the spill set
 	// into the tier before the measured (cold-counter) run starts.
+	access := func(id aifm.ObjectID, buf []byte, write bool) {
+		if err := p.Access(id, 0, buf, write); err != nil {
+			panic(fmt.Sprintf("bench: tiers access: %v", err))
+		}
+	}
 	buf := make([]byte, tiersObjSize)
 	for id := 0; id < wsObjects; id++ {
-		p.Localize(aifm.ObjectID(id), true)
 		tiersPayload(aifm.ObjectID(id), buf)
-		p.Write(aifm.ObjectID(id), 0, buf)
+		access(aifm.ObjectID(id), buf, true)
 	}
 	p.EvacuateAll()
+	var got [8]byte
 	for k := 0; k < wsObjects*2; k++ {
-		p.Localize(aifm.ObjectID(zipf.Next()), false)
+		access(aifm.ObjectID(zipf.Next()), got[:], false)
 	}
 	env.Reset()
 	tier := p.Far().Tier()
@@ -106,15 +111,11 @@ func runTiersPhase(ph tiersPhase, n int) tiersResult {
 
 	var res tiersResult
 	lat := obs.NewHistogram(nil)
-	var got [8]byte
 	for k := 0; k < n; k++ {
 		id := aifm.ObjectID(zipf.Next())
 		start := env.Clock.Cycles()
 		env.Clock.Advance(env.Costs.LocalLoadStore)
-		if _, _, err := p.TryLocalize(id, false); err != nil {
-			panic(fmt.Sprintf("bench: tiers localize: %v", err))
-		}
-		p.Read(id, 0, got[:])
+		access(id, got[:], false)
 		lat.Observe(env.Clock.Cycles() - start)
 		// The front half of every object is the id-derived pattern byte,
 		// so the first 8 bytes verify the tier round-tripped real data.

@@ -89,18 +89,20 @@ func (c *Cursor) seek(off, size uint64, write bool) (o uint64, ok bool) {
 		}
 	} else if write && !c.dirty {
 		c.meter.Flush()
-		c.rt.pool.Localize(c.obj, true) // set the dirty bit once; still pinned
+		// Set the dirty bit once. The object is pinned, so resident: this
+		// moves no bytes and cannot fail.
+		_ = c.rt.pool.Access(c.obj, 0, nil, true)
 		c.dirty = true
 	}
 	return off - c.lo, true
 }
 
 // cross is the locality-invariant guard: it moves the pin to the object
-// holding [off, off+size) and caches its window. Localize and pin are one
-// critical section so a concurrent evacuator cannot interleave. The
-// crossing element's boundary check goes on the clock here, after the
-// meter's pending charges, ahead of the fetch and prefetches it may
-// trigger, and Consumed deducts it.
+// holding [off, off+size) and caches the window Pool.Pin lends. Residency
+// and the pin are one critical section so a concurrent evacuator cannot
+// interleave. The crossing element's boundary check goes on the clock
+// here, after the meter's pending charges, ahead of the fetch and
+// prefetches it may trigger, and Consumed deducts it.
 func (c *Cursor) cross(off, size uint64, write bool) bool {
 	if c.closed {
 		panic("core: access through closed Cursor")
@@ -120,9 +122,12 @@ func (c *Cursor) cross(off, size uint64, write bool) bool {
 	c.prepaid = costs.BoundaryCheck
 	sim.Inc(&r.counts.LocalityGuards)
 	id := aifm.ObjectID(lo >> r.shift)
-	r.pool.LocalizePin(id, write)
+	win, _, err := r.pool.Pin(id, write)
+	if err != nil {
+		fetchFailed(id, err)
+	}
 	c.obj, c.lo, c.hi = id, lo, lo+uint64(r.objSize)
-	c.win, c.dirty = r.pool.Window(id), write
+	c.win, c.dirty = win, write
 	if c.prefetch {
 		// The pool's depth, read at each crossing: the anti-thrash
 		// governor's throttle (depth 0) reaches a stream already open.

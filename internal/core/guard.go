@@ -54,7 +54,9 @@ func (r *Runtime) guardObject(m *Meter, id aifm.ObjectID, off uint64, buf []byte
 			guard = costs.FastGuardReadCached
 		}
 		m.guard(r, guard+data)
-		r.pool.Access(id, off, buf, write)
+		if err := r.pool.Access(id, off, buf, write); err != nil {
+			fetchFailed(id, err)
+		}
 		return
 	}
 	// Slow path: the runtime call that, in the paper, enters an AIFM
@@ -74,9 +76,22 @@ func (r *Runtime) guardObject(m *Meter, id aifm.ObjectID, off uint64, buf []byte
 	default:
 		r.env.Clock.Advance(costs.SlowGuardReadUncached)
 	}
-	r.pool.Access(id, off, buf, write) // charges the remote fetch when absent
+	// Access charges the remote fetch when the object is absent.
+	if err := r.pool.Access(id, off, buf, write); err != nil {
+		fetchFailed(id, err)
+	}
 	r.lat.GuardSlow.Observe(r.env.Clock.Cycles() - slowStart)
 	r.env.Clock.Advance(data)
+}
+
+// fetchFailed panics with a fetch error the far engine gave up on: a guard
+// or a chunk crossing has no error to return, and the mutator must never
+// run on a zero-filled ghost of its data (the SIGBUS analogue). It stays
+// out of line: inlined, its formatting would grow the guard's frame.
+//
+//go:noinline
+func fetchFailed(id aifm.ObjectID, err error) {
+	panic(fmt.Sprintf("aifm: unrecoverable remote fetch for object %d: %v", id, err))
 }
 
 // checkManaged panics on unmanaged pointers: by construction the compiler

@@ -133,23 +133,23 @@ func TestReplicaFailoverSoak(t *testing.T) {
 		}
 		id := aifm.ObjectID(rng.Intn(nObjects))
 		write := rng.Intn(2) == 0
-		if _, _, err := pool.TryLocalize(id, write); err != nil {
-			t.Fatalf("op %d: TryLocalize(%d) surfaced %v — the replica set should have absorbed this", op, id, err)
+		win, _, err := pool.Pin(id, write)
+		if err != nil {
+			t.Fatalf("op %d: Pin(%d) surfaced %v — the replica set should have absorbed this", op, id, err)
 		}
-		var got [1]byte
-		pool.Read(id, 0, got[:])
-		if got[0] != expected[id] {
+		if win[0] != expected[id] {
 			zeroFills++
-			t.Errorf("op %d: object %d read %d, want %d (silent corruption)", op, id, got[0], expected[id])
+			t.Errorf("op %d: object %d read %d, want %d (silent corruption)", op, id, win[0], expected[id])
 			if zeroFills > 5 {
 				t.FailNow()
 			}
 		}
 		if write {
 			stamp := byte(rng.Intn(255) + 1)
-			pool.Write(id, 0, []byte{stamp})
+			win[0] = stamp
 			expected[id] = stamp
 		}
+		pool.Unpin(id)
 	}
 
 	// Push every surviving local object out, then drain the health

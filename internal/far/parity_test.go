@@ -75,7 +75,11 @@ func TestFaultAccountingParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewPool: %v", err)
 			}
-			return func(u uint64) { p.Localize(aifm.ObjectID(u), true) }
+			return func(u uint64) {
+				if err := p.Access(aifm.ObjectID(u), 0, nil, true); err != nil {
+					panic(err)
+				}
+			}
 		})
 		swap := run(func(env *sim.Env, rc fabric.RemoteConfig) func(uint64) {
 			s, err := fastswap.New(fastswap.Config{Env: env, RemoteConfig: rc,

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -332,10 +333,17 @@ func triadProgram(trips int64) *ir.Program {
 // Two loops: Assign/Var/Bin on local memory, and a chunked, prefetching
 // Triad on a fresh TrackFM runtime whose 64 KiB objects hold each array
 // whole, so the runtime does the same work at any trip count.
+//
+// The collector is off while it counts. AllocsPerRun reads the process's
+// malloc total, and a GC cycle adds mallocs no Run made: each cycle wakes
+// the unique package's map cleanup, a runtime goroutine that allocates.
+// Each Triad run builds a 2 MiB runtime, so cycles land inside the
+// measured runs at varying points and moved the average by one.
 func TestLoopBodyAllocFree(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	backend := NewLocalBackend(sim.NewEnv())
 	arith := func(trips int64) float64 {
 		prog := arithProgram(trips)

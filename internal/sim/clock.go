@@ -14,7 +14,6 @@ package sim
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 )
 
 // Frequency is the simulated CPU clock rate in cycles per second. The
@@ -47,12 +46,6 @@ func (c *Clock) Cycles() uint64 { return atomic.LoadUint64(&c.cycles) }
 
 // Reset returns the clock to cycle zero.
 func (c *Clock) Reset() { atomic.StoreUint64(&c.cycles, 0) }
-
-// Elapsed converts the charged cycles into simulated wall-clock time at the
-// configured CPU frequency.
-func (c *Clock) Elapsed() time.Duration {
-	return time.Duration(float64(c.Cycles()) / Frequency * float64(time.Second))
-}
 
 // Seconds reports the elapsed simulated time in seconds as a float, which
 // is the unit most of the paper's figures use.

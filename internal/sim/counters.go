@@ -65,7 +65,7 @@ type Counters struct {
 	// Concurrency events (multi-goroutine runtimes only; all zero in a
 	// single-goroutine run).
 	StripeContention   uint64 // pool stripe-lock acquisitions that had to wait
-	SingleflightShared uint64 // localize calls served by another caller's in-flight fetch
+	SingleflightShared uint64 // demand localizations served by another caller's in-flight fetch
 
 	// Memory pressure (elastic budget + thrash detection).
 	Refaults                uint64 // fetches of an object evicted within the thrash window

@@ -78,12 +78,8 @@ func TestZipfDeterministic(t *testing.T) {
 
 func TestZipfTrace(t *testing.T) {
 	z, _ := NewZipf(100, 1.02, 5)
-	tr := z.Trace(500)
-	if len(tr) != 500 {
-		t.Fatalf("trace length %d", len(tr))
-	}
-	for _, r := range tr {
-		if r >= 100 {
+	for i := 0; i < 500; i++ {
+		if r := z.Next(); r >= 100 {
 			t.Fatalf("trace rank %d out of range", r)
 		}
 	}

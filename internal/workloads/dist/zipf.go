@@ -81,13 +81,3 @@ func (z *Zipf) Next() uint64 {
 	}
 	return rank
 }
-
-// Trace materializes m samples, the way the paper's workload generator
-// stores its access trace in a heap array before the timed run.
-func (z *Zipf) Trace(m int) []uint64 {
-	out := make([]uint64, m)
-	for i := range out {
-		out[i] = z.Next()
-	}
-	return out
-}
