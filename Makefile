@@ -118,7 +118,8 @@ test-race:
 # (a -race build takes the locked read, see aifm's raceEnabled); then the
 # check that -race still reports a program's own race: a guarded load
 # against a cursor store on the same word, in a child process that must
-# print the detector's report.
+# print the detector's report; then concurrent interp.Runs of one program,
+# which share nothing a lowering could cache in its nodes.
 test-stress:
 	$(GO) test -race -run 'TestConcurrent' -count=2 ./internal/aifm
 	$(GO) test -race -run 'TestWindowLifetimeRace' -count=10 ./farmem
@@ -126,6 +127,7 @@ test-stress:
 	$(GO) test -race -run 'TestAccessNoTornReadsUnderEviction' -count=3 ./internal/aifm
 	$(GO) test -run 'TestAccessNoTornReadsUnderEviction' -count=3 ./internal/aifm
 	$(GO) test -race -run 'TestRaceDetectorSeesGuardedLoads' ./internal/core
+	$(GO) test -race -run 'TestRunLeavesProgramAlone' -count=5 ./internal/interp
 
 # The overload acceptance gates: the deterministic 4x-capacity soak
 # (bounded queue sheds, p99 of admitted ops within 2x uncontended, goodput

@@ -378,6 +378,7 @@ func BenchmarkHashmapGet(b *testing.B) {
 // compiledBenchProg is one compiled program with the runtime sizes
 // compiled-run gives it: heap = working set + 16 objects, 25 % local.
 type compiledBenchProg struct {
+	name        string
 	prog        *ir.Program
 	heap, local uint64
 }
@@ -394,12 +395,13 @@ func compiledBenchProgs(b *testing.B) []compiledBenchProg {
 	}
 	var out []compiledBenchProg
 	for _, p := range []struct {
+		name string
 		prog *ir.Program
 		ws   uint64
 	}{
-		{stream.Program(stream.Triad, 2048), 2048 * 24},
-		{kmeans.Program(km), km.WorkingSetBytes()},
-		{isProg, nas.WorkingSetBytes(nas.IS, is)},
+		{"triad", stream.Program(stream.Triad, 2048), 2048 * 24},
+		{"kmeans", kmeans.Program(km), km.WorkingSetBytes()},
+		{"is", isProg, nas.WorkingSetBytes(nas.IS, is)},
 	} {
 		if _, err := compiler.Compile(p.prog, compiler.Options{Chunking: compiler.ChunkCostModel, ObjectSize: 4096, Prefetch: true}); err != nil {
 			b.Fatal(err)
@@ -408,7 +410,7 @@ func compiledBenchProgs(b *testing.B) []compiledBenchProg {
 		if local < 8*4096 {
 			local = 8 * 4096
 		}
-		out = append(out, compiledBenchProg{p.prog, (p.ws + 16*4096) &^ 4095, local})
+		out = append(out, compiledBenchProg{p.name, p.prog, (p.ws + 16*4096) &^ 4095, local})
 	}
 	return out
 }
@@ -422,19 +424,25 @@ func (p compiledBenchProg) newRuntime(b *testing.B) *core.Runtime {
 }
 
 // BenchmarkCompiledRun is one compiled-run op per iteration: each program
-// on a fresh runtime over SimLink.
+// on a fresh runtime over SimLink; then each program alone, so a change to
+// the interpreter shows which kernel pays.
 func BenchmarkCompiledRun(b *testing.B) {
 	progs := compiledBenchProgs(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, p := range progs {
-			rt := p.newRuntime(b)
-			if _, err := interp.Run(p.prog, interp.NewTrackFMBackend(rt), interp.Options{}); err != nil {
-				b.Fatal(err)
+	run := func(b *testing.B, progs []compiledBenchProg) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, p := range progs {
+				rt := p.newRuntime(b)
+				if _, err := interp.Run(p.prog, interp.NewTrackFMBackend(rt), interp.Options{}); err != nil {
+					b.Fatal(err)
+				}
+				rt.Pool().Close()
 			}
-			rt.Pool().Close()
 		}
+	}
+	b.Run("all", func(b *testing.B) { run(b, progs) })
+	for _, p := range progs {
+		b.Run(p.name, func(b *testing.B) { run(b, []compiledBenchProg{p}) })
 	}
 }
 

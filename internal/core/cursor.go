@@ -161,7 +161,7 @@ func (c *Cursor) Consumed(n int) {
 // write marks the object dirty before the first store. The slice aliases
 // local memory and dies at the next call into the cursor. Span returns nil
 // when element i straddles an object boundary: access that one element
-// with Access.
+// with AccessAt.
 func (c *Cursor) Span(i, max uint64, write bool) []byte {
 	o, ok := c.seek(c.base.HeapOffset()+i*c.elemSize, c.elemSize, write)
 	if !ok {
@@ -174,20 +174,14 @@ func (c *Cursor) Span(i, max uint64, write bool) []byte {
 	return c.win[o : o+n*c.elemSize]
 }
 
-// Access moves len(buf) bytes between buf and element i of the chunked
-// array (byte offset i*elemSize from the cursor base).
-func (c *Cursor) Access(i uint64, buf []byte, write bool) {
-	c.AccessAt(i*c.elemSize, buf, write)
-}
-
-// AccessAt moves len(buf) bytes at byte offset byteOff from the cursor
-// base — the form the compiler emits for records accessed at intra-element
-// offsets (e.g. struct fields within a strided stream). Accesses that
-// straddle an object boundary fall back to a regular guarded access.
+// AccessAt moves len(buf) bytes between buf and byte offset byteOff from
+// the cursor base: element i at i*elemSize, or a record field at its
+// intra-element offset within a strided stream. Accesses that straddle an
+// object boundary fall back to a regular guarded access.
 func (c *Cursor) AccessAt(byteOff uint64, buf []byte, write bool) {
 	o, ok := c.seek(c.base.HeapOffset()+byteOff, uint64(len(buf)), write)
 	if !ok {
-		c.rt.access(c.meter, c.base.Add(byteOff), buf, write, "Cursor.Access")
+		c.rt.access(c.meter, c.base.Add(byteOff), buf, write, "Cursor.AccessAt")
 		return
 	}
 	c.Consumed(1)
@@ -198,19 +192,40 @@ func (c *Cursor) AccessAt(byteOff uint64, buf []byte, write bool) {
 	}
 }
 
-// LoadU64 reads element i as a uint64 (element size must be 8).
-func (c *Cursor) LoadU64(i uint64) uint64 {
+// LoadU64At reads the 8 bytes at byte offset byteOff from the cursor base:
+// AccessAt for a uint64. Inside the pinned chunk it is the boundary check
+// and a read of the window; anything else — a crossing, a straddle, a
+// closed cursor — goes through AccessAt.
+func (c *Cursor) LoadU64At(byteOff uint64) uint64 {
+	if off := c.base.HeapOffset() + byteOff; off >= c.lo && off+8 <= c.hi {
+		c.Consumed(1)
+		return binary.LittleEndian.Uint64(c.win[off-c.lo:])
+	}
 	var buf [8]byte
-	c.Access(i, buf[:], false)
+	c.AccessAt(byteOff, buf[:], false)
 	return binary.LittleEndian.Uint64(buf[:])
 }
 
-// StoreU64 writes element i as a uint64 (element size must be 8).
-func (c *Cursor) StoreU64(i uint64, v uint64) {
+// StoreU64At writes v as the 8 bytes at byte offset byteOff from the cursor
+// base. It takes the window directly only once the chunk is known dirty,
+// so the first store into a chunk still flushes the meter and sets D
+// through seek.
+func (c *Cursor) StoreU64At(byteOff, v uint64) {
+	if off := c.base.HeapOffset() + byteOff; c.dirty && off >= c.lo && off+8 <= c.hi {
+		c.Consumed(1)
+		binary.LittleEndian.PutUint64(c.win[off-c.lo:], v)
+		return
+	}
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], v)
-	c.Access(i, buf[:], true)
+	c.AccessAt(byteOff, buf[:], true)
 }
+
+// LoadU64 reads element i as a uint64 (element size must be 8).
+func (c *Cursor) LoadU64(i uint64) uint64 { return c.LoadU64At(i * c.elemSize) }
+
+// StoreU64 writes element i as a uint64 (element size must be 8).
+func (c *Cursor) StoreU64(i uint64, v uint64) { c.StoreU64At(i*c.elemSize, v) }
 
 // Close releases the pinned chunk. Closing twice is a no-op, matching the
 // compiler emitting Close on every loop exit edge.

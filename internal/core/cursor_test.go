@@ -142,10 +142,10 @@ func TestCursorStraddlingElementFallsBack(t *testing.T) {
 		for j := range buf {
 			buf[j] = byte(i)
 		}
-		cur.Access(i, buf, true)
+		cur.AccessAt(i*12, buf, true)
 	}
 	for i := uint64(0); i < n; i++ {
-		cur.Access(i, buf, false)
+		cur.AccessAt(i*12, buf, false)
 		for j := range buf {
 			if buf[j] != byte(i) {
 				t.Fatalf("element %d byte %d = %d", i, j, buf[j])

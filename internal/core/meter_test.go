@@ -24,6 +24,10 @@ type meterTrace struct {
 	ref, met *Runtime
 	m        Meter
 	allocs   []meterAlloc
+	// words counts the 8-byte cursor accesses by what they took: the
+	// window, the first store into a chunk, a crossing, a straddle, an
+	// address before the stream's base.
+	words map[string]int
 }
 
 type meterAlloc struct {
@@ -139,11 +143,16 @@ func (tr *meterTrace) walk(a meterAlloc, skew uint64, elemSize int, prefetch boo
 		// before the element is charged.
 		crossings, clean := tr.met.counts.LocalityGuards, !cm.dirty
 		flushed := func() bool { return tr.met.counts.LocalityGuards != crossings || clean && cm.dirty }
+		if tr.rng.Intn(3) == 0 {
+			tr.word(cr, cm, a, base, i*es+uint64(tr.rng.Intn(elemSize-7)), write, step)
+			i++
+			continue
+		}
 		if tr.rng.Intn(2) == 0 {
 			tr.rng.Read(x)
 			copy(y, x)
-			cr.Access(i, x, write)
-			cm.Access(i, y, write)
+			cr.AccessAt(i*es, x, write)
+			cm.AccessAt(i*es, y, write)
 			if !bytes.Equal(x, y) {
 				tr.t.Fatalf("%s: cursor reads differ", step)
 			}
@@ -167,8 +176,8 @@ func (tr *meterTrace) walk(a meterAlloc, skew uint64, elemSize int, prefetch boo
 		if sr == nil { // straddles: the caller accesses it alone
 			tr.rng.Read(x)
 			copy(y, x)
-			cr.Access(i, x, write)
-			cm.Access(i, y, write)
+			cr.AccessAt(i*es, x, write)
+			cm.AccessAt(i*es, y, write)
 			if !bytes.Equal(x, y) {
 				tr.t.Fatalf("%s: straddling reads differ", step)
 			}
@@ -190,6 +199,59 @@ func (tr *meterTrace) walk(a meterAlloc, skew uint64, elemSize int, prefetch boo
 	cm.Close()
 	tr.check("Close")
 	tr.checkEmpty("Close")
+}
+
+// word is one 8-byte access at byte offset off from the cursors' base
+// through the cursor's uint64 forms; or, one time in eight when the walk
+// starts past its allocation's first word, a word before the base through
+// the guard, as interp's tfmCursor serves an address that falls off the
+// stream while its cursor stays open.
+func (tr *meterTrace) word(cr, cm *Cursor, a meterAlloc, base Ptr, off uint64, write bool, step string) {
+	tr.t.Helper()
+	if pre := uint64(base - a.p); pre >= 8 && tr.rng.Intn(8) == 0 {
+		tr.scalar(a, uint64(tr.rng.Int63n(int64(pre/8)))*8, write)
+		tr.words["pre-base"]++
+		return
+	}
+	step += fmt.Sprintf(" word at +%d", off)
+	crossings, clean, checks := tr.met.counts.LocalityGuards, !cm.dirty, tr.m.boundaryChecks
+	if write {
+		v := tr.rng.Uint64()
+		cr.StoreU64At(off, v)
+		cm.StoreU64At(off, v)
+	} else if x, y := cr.LoadU64At(off), cm.LoadU64At(off); x != y {
+		tr.t.Fatalf("%s: unmetered %d, metered %d", step, x, y)
+	}
+	tr.check(step)
+	at := base.HeapOffset() + off
+	if at < cm.lo || at+8 > cm.hi { // straddles two objects: the guard served it
+		tr.words["straddle"]++
+		return
+	}
+	if write && (!cm.dirty || !tr.met.pool.Meta(cm.obj).Dirty()) {
+		tr.t.Fatalf("%s: a store into the chunk left its dirty bit clear", step)
+	}
+	switch {
+	case tr.met.counts.LocalityGuards != crossings:
+		tr.words["crossing"]++
+	case write && clean:
+		tr.words["first store"]++
+	case write:
+		tr.words["dirty store"]++
+	default:
+		tr.words["window read"]++
+	}
+	if tr.met.counts.LocalityGuards != crossings || write && clean {
+		// A crossing or the first store into a chunk flushes the meter
+		// before the word is charged.
+		if tr.m.fastGuards != 0 || tr.m.boundaryChecks != 1 {
+			tr.t.Fatalf("%s: meter holds %d fast guards, %d boundary checks after a flush; want only this word's check",
+				step, tr.m.fastGuards, tr.m.boundaryChecks)
+		}
+	} else if tr.m.boundaryChecks != checks+1 {
+		tr.t.Fatalf("%s: %d boundary checks pending before, %d after; the window charges one and flushes nothing",
+			step, checks, tr.m.boundaryChecks)
+	}
 }
 
 func (tr *meterTrace) run(ops int) {
@@ -232,7 +294,8 @@ func histograms(r *Runtime) map[string]obs.HistogramSnapshot {
 
 // TestMeterMatchesUnmetered is the meter's differential oracle: a seeded
 // trace of scalar loads and stores, byte ranges, chunked loops (straddling
-// elements among them) and Malloc/Free, at a budget that forces misses,
+// elements among them, and the cursor's 8-byte forms at any byte of an
+// element) and Malloc/Free, at a budget that forces misses,
 // evictions, prefetches and refaults, leaves a metered runtime exactly
 // where the unmetered one is — after every access, once the pending
 // charges are counted in; the meter is empty after every slow path and
@@ -249,7 +312,7 @@ func TestMeterMatchesUnmetered(t *testing.T) {
 					}
 					return rt
 				}
-				tr := &meterTrace{t: t, rng: rand.New(rand.NewSource(seed)), ref: build(), met: build()}
+				tr := &meterTrace{t: t, rng: rand.New(rand.NewSource(seed)), ref: build(), met: build(), words: map[string]int{}}
 				tr.m = tr.met.NewMeter()
 				tr.run(400)
 				tr.m.Flush()
@@ -268,6 +331,11 @@ func TestMeterMatchesUnmetered(t *testing.T) {
 				} {
 					if v == 0 {
 						t.Errorf("the trace made no %s", name)
+					}
+				}
+				for _, kind := range []string{"window read", "first store", "dirty store", "crossing", "straddle", "pre-base"} {
+					if tr.words[kind] == 0 {
+						t.Errorf("the trace made no %s among its 8-byte cursor accesses (%v)", kind, tr.words)
 					}
 				}
 			})

@@ -62,13 +62,14 @@ func (tc chunkedCase) perElement(rt *Runtime, p Ptr, stop uint64) (sum uint64) {
 	cur := rt.NewCursor(p, tc.elemSize, true)
 	defer cur.Close()
 	elem := make([]byte, tc.elemSize)
+	es := uint64(tc.elemSize)
 	for i := uint64(0); i <= stop; i++ {
 		if tc.write {
 			fillElem(elem, i+1)
-			cur.Access(i, elem, true)
+			cur.AccessAt(i*es, elem, true)
 			continue
 		}
-		cur.Access(i, elem, false)
+		cur.AccessAt(i*es, elem, false)
 		for _, b := range elem {
 			sum += uint64(b)
 		}
@@ -76,7 +77,7 @@ func (tc chunkedCase) perElement(rt *Runtime, p Ptr, stop uint64) (sum uint64) {
 	return sum
 }
 
-// spans walks the same elements a span at a time, falling back to Access
+// spans walks the same elements a span at a time, falling back to AccessAt
 // for an element that straddles an object boundary.
 func (tc chunkedCase) spans(rt *Runtime, p Ptr, stop uint64) (sum uint64) {
 	cur := rt.NewCursor(p, tc.elemSize, true)
@@ -88,9 +89,9 @@ func (tc chunkedCase) spans(rt *Runtime, p Ptr, stop uint64) (sum uint64) {
 		if span == nil {
 			if tc.write {
 				fillElem(elem, i+1)
-				cur.Access(i, elem, true)
+				cur.AccessAt(i*es, elem, true)
 			} else {
-				cur.Access(i, elem, false)
+				cur.AccessAt(i*es, elem, false)
 				for _, b := range elem {
 					sum += uint64(b)
 				}
@@ -278,11 +279,12 @@ func TestCursorEveryAccessorPanicsAfterClose(t *testing.T) {
 	p := rt.MustMalloc(64)
 	buf := make([]byte, 8)
 	for name, use := range map[string]func(*Cursor){
-		"LoadU64":  func(c *Cursor) { c.LoadU64(0) },
-		"StoreU64": func(c *Cursor) { c.StoreU64(0, 1) },
-		"Access":   func(c *Cursor) { c.Access(1, buf, false) },
-		"AccessAt": func(c *Cursor) { c.AccessAt(60, buf, true) }, // straddles, too
-		"Span":     func(c *Cursor) { c.Span(0, 8, false) },
+		"LoadU64":    func(c *Cursor) { c.LoadU64(0) },
+		"StoreU64":   func(c *Cursor) { c.StoreU64(0, 1) },
+		"LoadU64At":  func(c *Cursor) { c.LoadU64At(8) },
+		"StoreU64At": func(c *Cursor) { c.StoreU64At(8, 1) },
+		"AccessAt":   func(c *Cursor) { c.AccessAt(60, buf, true) }, // straddles, too
+		"Span":       func(c *Cursor) { c.Span(0, 8, false) },
 	} {
 		cur := rt.NewCursor(p, 8, false)
 		cur.LoadU64(0)
@@ -359,10 +361,12 @@ func TestCursorLoadAllocFree(t *testing.T) {
 				for k := 0; k < 600; k++ { // more than one object per run
 					sink += cur.LoadU64(i % (1 << 13))
 					cur.StoreU64(i%(1<<13), sink)
+					sink += cur.LoadU64At(i%(1<<13)*8 + 4) // straddles every 512th
+					cur.StoreU64At(i%(1<<13)*8+4, sink)
 					i++
 				}
 			}); n != 0 {
-				t.Fatalf("steady-state Cursor.LoadU64+StoreU64 from %s.NewCursor allocated %v times per run, want 0", name, n)
+				t.Fatalf("steady-state Cursor.LoadU64+StoreU64 and LoadU64At+StoreU64At from %s.NewCursor allocated %v times per run, want 0", name, n)
 			}
 			cur.Close()
 		}

@@ -185,9 +185,7 @@ func (c *tfmCursor) Load(addr uint64) uint64 {
 	if addr < c.base {
 		return c.b.meter.LoadU64(core.Ptr(addr))
 	}
-	var buf [8]byte
-	c.cur.AccessAt(addr-c.base, buf[:], false)
-	return binary.LittleEndian.Uint64(buf[:])
+	return c.cur.LoadU64At(addr - c.base)
 }
 
 // Store implements Cursor.
@@ -196,9 +194,7 @@ func (c *tfmCursor) Store(addr uint64, v uint64) {
 		c.b.meter.StoreU64(core.Ptr(addr), v)
 		return
 	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	c.cur.AccessAt(addr-c.base, buf[:], true)
+	c.cur.StoreU64At(addr-c.base, v)
 }
 
 // Close implements Cursor.

@@ -160,44 +160,18 @@ type costedStmt struct {
 	cost uint64
 }
 
-// expr and stmt are the lowered nodes, names replaced by slots. Each
-// mirrors the ir node it was lowered from, except the fused expressions:
-// one node for an arithmetic shape the compiler and the workloads emit
-// on every access, which evaluates through evalBin exactly as the tree it
-// replaces.
+// expr is a lowered expression: a closure over its slots, constants and
+// subexpressions. An arithmetic node is made for its operator and its
+// shape; see bin.
+type expr func(ex *executor, fr *frame) int64
+
+// stmt is a lowered statement. Each mirrors the ir node it was lowered
+// from, names replaced by slots.
 type (
-	expr interface {
-		eval(ex *executor, fr *frame) int64
-	}
 	stmt interface {
 		exec(ex *executor, fr *frame)
 	}
 
-	constExpr struct{ v int64 }
-	varExpr   struct{ slot int }
-	binExpr   struct {
-		op   ir.BinOp
-		l, r expr
-	}
-	binVarConstExpr struct { // Bin(op, Var, Const)
-		op   ir.BinOp
-		slot int
-		c    int64
-	}
-	binVarVarExpr struct { // Bin(op, Var, Var)
-		op   ir.BinOp
-		l, r int
-	}
-	idxExpr struct { // ir.Idx off a variable: Add(Var, Mul(index, Const))
-		base  int
-		i     expr
-		scale int64
-	}
-	loadExpr struct {
-		addr    expr
-		guarded bool
-		chunk   *chunkStream // nil: not chunked
-	}
 	// chunkStream is a lowered ir.ChunkInfo: the cursor slot of its
 	// stream and how to open the cursor.
 	chunkStream struct {
@@ -225,6 +199,9 @@ type (
 		start, limit expr
 		streams      []int // the cursor slots of src.StreamIDs, closed on exit
 		body         block
+		// flat is flatCost(body): a trip that fits the budget charges it
+		// once. 0: the body is not flat.
+		flat uint64
 	}
 	mallocStmt struct {
 		src  *ir.Malloc // the profile's key; PinLocal
@@ -317,6 +294,7 @@ func (lw *lowerer) stmt(s ir.Stmt) stmt {
 		for _, id := range n.StreamIDs {
 			loop.streams = append(loop.streams, lw.streamSlot(id))
 		}
+		loop.flat = flatCost(loop.body)
 		return loop
 	case *ir.Malloc:
 		return &mallocStmt{src: n, dst: lw.slot(n.Dst), size: lw.expr(n.Size)}
@@ -346,30 +324,153 @@ func (lw *lowerer) stmt(s ir.Stmt) stmt {
 	}
 }
 
+// flatCost is a loop body's total step cost when the body holds only
+// assignments and stores, which cannot end the function; 0 otherwise.
+func flatCost(body block) uint64 {
+	var total uint64
+	for _, s := range body {
+		switch s.s.(type) {
+		case *assignStmt, *storeStmt:
+			total += s.cost
+		default:
+			return 0
+		}
+	}
+	return total
+}
+
 func (lw *lowerer) expr(e ir.Expr) expr {
 	switch n := e.(type) {
 	case *ir.Const:
-		return &constExpr{v: n.V}
+		v := n.V
+		return func(*executor, *frame) int64 { return v }
 	case *ir.Var:
-		return &varExpr{slot: lw.slot(n.Name)}
+		s := lw.slot(n.Name)
+		return func(_ *executor, fr *frame) int64 { return fr.vars[s] }
 	case *ir.Bin:
-		if l, ok := n.L.(*ir.Var); ok {
-			switch r := n.R.(type) {
-			case *ir.Const:
-				return &binVarConstExpr{op: n.Op, slot: lw.slot(l.Name), c: r.V}
-			case *ir.Var:
-				return &binVarVarExpr{op: n.Op, l: lw.slot(l.Name), r: lw.slot(r.Name)}
-			case *ir.Bin:
-				if scale, ok := r.R.(*ir.Const); ok && n.Op == ir.OpAdd && r.Op == ir.OpMul {
-					return &idxExpr{base: lw.slot(l.Name), i: lw.expr(r.L), scale: scale.V}
-				}
-			}
-		}
-		return &binExpr{op: n.Op, l: lw.expr(n.L), r: lw.expr(n.R)}
+		e, _ := lw.bin(n)
+		return e
 	case *ir.Load:
-		return &loadExpr{addr: lw.expr(n.Addr), guarded: n.Guarded, chunk: lw.chunk(n.Chunk)}
+		return lw.load(n)
 	default:
 		panic(fmt.Sprintf("unknown expression %T", e))
+	}
+}
+
+// Shapes of a lowered ir.Bin, the names bin reports.
+const (
+	shapeVarConst = "Bin(op, Var, Const)"
+	shapeVarVar   = "Bin(op, Var, Var)"
+	shapeIdx      = "Idx(Var, index, Const)"
+	shapeIdxVar   = "Idx(Var, Var, Const)"
+	shapeTree     = "Bin(op, expr, expr)"
+)
+
+// bin lowers n to a node made for its operator, in the shape it has: the
+// arithmetic every guarded or chunked access computes — a variable and a
+// constant, two variables, ir.Idx off a variable, Add(Var, Mul(index,
+// Const)) — is one node, not a tree. The operators the suite evaluates
+// most have a node of their own in each shape; every other operator's
+// node calls evalBin, the one definition of each operator, which the
+// tests hold every node to. shape names the shape chosen.
+func (lw *lowerer) bin(n *ir.Bin) (e expr, shape string) {
+	if l, ok := n.L.(*ir.Var); ok {
+		x := lw.slot(l.Name)
+		switch r := n.R.(type) {
+		case *ir.Const:
+			return binVarConst(n.Op, x, r.V), shapeVarConst
+		case *ir.Var:
+			return binVarVar(n.Op, x, lw.slot(r.Name)), shapeVarVar
+		case *ir.Bin:
+			if scale, ok := r.R.(*ir.Const); ok && n.Op == ir.OpAdd && r.Op == ir.OpMul {
+				c := scale.V
+				if iv, ok := r.L.(*ir.Var); ok {
+					i := lw.slot(iv.Name)
+					return func(_ *executor, fr *frame) int64 { return fr.vars[x] + fr.vars[i]*c }, shapeIdxVar
+				}
+				i := lw.expr(r.L)
+				return func(ex *executor, fr *frame) int64 { return fr.vars[x] + i(ex, fr)*c }, shapeIdx
+			}
+		}
+	}
+	return binTree(n.Op, lw.expr(n.L), lw.expr(n.R)), shapeTree
+}
+
+func binVarConst(op ir.BinOp, x int, c int64) expr {
+	switch op {
+	case ir.OpAdd:
+		return func(_ *executor, fr *frame) int64 { return fr.vars[x] + c }
+	case ir.OpSub:
+		return func(_ *executor, fr *frame) int64 { return fr.vars[x] - c }
+	case ir.OpMul:
+		return func(_ *executor, fr *frame) int64 { return fr.vars[x] * c }
+	case ir.OpAnd:
+		return func(_ *executor, fr *frame) int64 { return fr.vars[x] & c }
+	case ir.OpShr:
+		return func(_ *executor, fr *frame) int64 { return int64(uint64(fr.vars[x]) >> (uint64(c) & 63)) }
+	case ir.OpLt:
+		return func(_ *executor, fr *frame) int64 { return b2i(fr.vars[x] < c) }
+	case ir.OpEq:
+		return func(_ *executor, fr *frame) int64 { return b2i(fr.vars[x] == c) }
+	}
+	return func(_ *executor, fr *frame) int64 { return evalBin(op, fr.vars[x], c) }
+}
+
+func binVarVar(op ir.BinOp, x, y int) expr {
+	switch op {
+	case ir.OpAdd:
+		return func(_ *executor, fr *frame) int64 { return fr.vars[x] + fr.vars[y] }
+	case ir.OpSub:
+		return func(_ *executor, fr *frame) int64 { return fr.vars[x] - fr.vars[y] }
+	case ir.OpMul:
+		return func(_ *executor, fr *frame) int64 { return fr.vars[x] * fr.vars[y] }
+	case ir.OpAnd:
+		return func(_ *executor, fr *frame) int64 { return fr.vars[x] & fr.vars[y] }
+	case ir.OpShr:
+		return func(_ *executor, fr *frame) int64 { return int64(uint64(fr.vars[x]) >> (uint64(fr.vars[y]) & 63)) }
+	case ir.OpLt:
+		return func(_ *executor, fr *frame) int64 { return b2i(fr.vars[x] < fr.vars[y]) }
+	case ir.OpEq:
+		return func(_ *executor, fr *frame) int64 { return b2i(fr.vars[x] == fr.vars[y]) }
+	}
+	return func(_ *executor, fr *frame) int64 { return evalBin(op, fr.vars[x], fr.vars[y]) }
+}
+
+// binTree is the general shape: both operands are subexpressions,
+// evaluated left to right.
+func binTree(op ir.BinOp, l, r expr) expr {
+	switch op {
+	case ir.OpAdd:
+		return func(ex *executor, fr *frame) int64 { return l(ex, fr) + r(ex, fr) }
+	case ir.OpSub:
+		return func(ex *executor, fr *frame) int64 { return l(ex, fr) - r(ex, fr) }
+	case ir.OpMul:
+		return func(ex *executor, fr *frame) int64 { return l(ex, fr) * r(ex, fr) }
+	case ir.OpAnd:
+		return func(ex *executor, fr *frame) int64 { return l(ex, fr) & r(ex, fr) }
+	case ir.OpShr:
+		return func(ex *executor, fr *frame) int64 { return int64(uint64(l(ex, fr)) >> (uint64(r(ex, fr)) & 63)) }
+	case ir.OpLt:
+		return func(ex *executor, fr *frame) int64 { return b2i(l(ex, fr) < r(ex, fr)) }
+	case ir.OpEq:
+		return func(ex *executor, fr *frame) int64 { return b2i(l(ex, fr) == r(ex, fr)) }
+	}
+	return func(ex *executor, fr *frame) int64 { return evalBin(op, l(ex, fr), r(ex, fr)) }
+}
+
+// load lowers n: a chunked load goes through its stream's cursor, any
+// other to the backend.
+func (lw *lowerer) load(n *ir.Load) expr {
+	addr, guarded, st := lw.expr(n.Addr), n.Guarded, lw.chunk(n.Chunk)
+	return func(ex *executor, fr *frame) int64 {
+		a := uint64(addr(ex, fr))
+		if ex.opts.Profile != nil {
+			ex.recordAccess(a)
+		}
+		if st != nil {
+			return int64(ex.cursorFor(st, a, fr).Load(a))
+		}
+		return int64(ex.backend.Load(a, guarded))
 	}
 }
 
@@ -388,7 +489,7 @@ func (ex *executor) call(fn *function, args []expr, caller *frame) int64 {
 	}
 	fr := frame{vars: make([]int64, fn.nslots), cursors: make([]Cursor, fn.nstreams)}
 	for i, a := range args {
-		fr.vars[i] = a.eval(ex, caller)
+		fr.vars[i] = a(ex, caller)
 	}
 	ex.execBlock(fn.body, &fr)
 	return fr.ret
@@ -408,11 +509,11 @@ func (ex *executor) execBlock(body block, fr *frame) {
 	}
 }
 
-func (n *assignStmt) exec(ex *executor, fr *frame) { fr.vars[n.slot] = n.e.eval(ex, fr) }
+func (n *assignStmt) exec(ex *executor, fr *frame) { fr.vars[n.slot] = n.e(ex, fr) }
 
 func (n *storeStmt) exec(ex *executor, fr *frame) {
-	v := n.val.eval(ex, fr)
-	addr := uint64(n.addr.eval(ex, fr))
+	v := n.val(ex, fr)
+	addr := uint64(n.addr(ex, fr))
 	if ex.opts.Profile != nil {
 		ex.recordAccess(addr)
 	}
@@ -424,7 +525,7 @@ func (n *storeStmt) exec(ex *executor, fr *frame) {
 }
 
 func (n *ifStmt) exec(ex *executor, fr *frame) {
-	if n.cond.eval(ex, fr) != 0 {
+	if n.cond(ex, fr) != 0 {
 		ex.execBlock(n.then, fr)
 	} else {
 		ex.execBlock(n.orElse, fr)
@@ -432,7 +533,7 @@ func (n *ifStmt) exec(ex *executor, fr *frame) {
 }
 
 func (n *mallocStmt) exec(ex *executor, fr *frame) {
-	size := uint64(n.size.eval(ex, fr))
+	size := uint64(n.size(ex, fr))
 	var addr uint64
 	if n.src.PinLocal {
 		// PGO-pruned site: the allocation lives in non-swappable
@@ -449,11 +550,11 @@ func (n *mallocStmt) exec(ex *executor, fr *frame) {
 }
 
 func (n *freeStmt) exec(ex *executor, fr *frame) {
-	ex.backend.Free(uint64(n.ptr.eval(ex, fr)))
+	ex.backend.Free(uint64(n.ptr(ex, fr)))
 }
 
 func (n *localAllocStmt) exec(ex *executor, fr *frame) {
-	fr.vars[n.dst] = int64(ex.backend.LocalAlloc(uint64(n.size.eval(ex, fr))))
+	fr.vars[n.dst] = int64(ex.backend.LocalAlloc(uint64(n.size(ex, fr))))
 }
 
 func (resetStatsStmt) exec(ex *executor, _ *frame) {
@@ -478,7 +579,7 @@ func (n *callStmt) exec(ex *executor, fr *frame) {
 
 func (n *returnStmt) exec(ex *executor, fr *frame) {
 	if n.e != nil {
-		fr.ret = n.e.eval(ex, fr)
+		fr.ret = n.e(ex, fr)
 	}
 	fr.done = true
 }
@@ -487,8 +588,8 @@ func (n *forStmt) exec(ex *executor, fr *frame) {
 	if n.src.Step <= 0 {
 		panic(fmt.Sprintf("loop %s has non-positive step %d", n.src.IV, n.src.Step))
 	}
-	start := n.start.eval(ex, fr)
-	limit := n.limit.eval(ex, fr)
+	start := n.start(ex, fr)
+	limit := n.limit(ex, fr)
 	if ex.opts.Profile != nil {
 		ex.opts.Profile.RecordEntry(n.src)
 	}
@@ -501,6 +602,15 @@ func (n *forStmt) exec(ex *executor, fr *frame) {
 	for i := start; i < limit; i += n.src.Step {
 		fr.vars[n.iv] = i
 		trips++
+		if n.flat != 0 && n.flat <= ex.opts.MaxSteps-ex.steps {
+			// The whole trip fits the budget: charge it once. No
+			// statement of a flat body can end the function.
+			ex.steps += n.flat
+			for _, s := range n.body {
+				s.s.exec(ex, fr)
+			}
+			continue
+		}
 		ex.execBlock(n.body, fr)
 		if fr.done {
 			break
@@ -527,39 +637,6 @@ func (ex *executor) cursorFor(st *chunkStream, firstAddr uint64, fr *frame) Curs
 		fr.cursors[st.slot] = c
 	}
 	return c
-}
-
-func (n *constExpr) eval(*executor, *frame) int64 { return n.v }
-
-func (n *varExpr) eval(_ *executor, fr *frame) int64 { return fr.vars[n.slot] }
-
-func (n *binExpr) eval(ex *executor, fr *frame) int64 {
-	l := n.l.eval(ex, fr)
-	r := n.r.eval(ex, fr)
-	return evalBin(n.op, l, r)
-}
-
-func (n *binVarConstExpr) eval(_ *executor, fr *frame) int64 {
-	return evalBin(n.op, fr.vars[n.slot], n.c)
-}
-
-func (n *binVarVarExpr) eval(_ *executor, fr *frame) int64 {
-	return evalBin(n.op, fr.vars[n.l], fr.vars[n.r])
-}
-
-func (n *idxExpr) eval(ex *executor, fr *frame) int64 {
-	return evalBin(ir.OpAdd, fr.vars[n.base], evalBin(ir.OpMul, n.i.eval(ex, fr), n.scale))
-}
-
-func (n *loadExpr) eval(ex *executor, fr *frame) int64 {
-	addr := uint64(n.addr.eval(ex, fr))
-	if ex.opts.Profile != nil {
-		ex.recordAccess(addr)
-	}
-	if n.chunk != nil {
-		return int64(ex.cursorFor(n.chunk, addr, fr).Load(addr))
-	}
-	return int64(ex.backend.Load(addr, n.guarded))
 }
 
 func evalBin(op ir.BinOp, l, r int64) int64 {
