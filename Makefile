@@ -25,7 +25,8 @@ smoke_test:
 # must match obs.NamePattern (^trackfm_[a-z0-9_]+$), enforced by
 # registering them all in one registry —
 # plus the escape lint: no scalar accessor's 8-byte scratch may reach the
-# heap (the compiler says so even under -race, where test-allocs skips) —
+# heap, the pool's word entry's among them (the compiler says so even
+# under -race, where test-allocs skips) —
 # plus the far-engine guard: only internal/far may resolve a RemoteConfig or
 # drive a transport's fetch and push — blocking, split-phase (StartFetch,
 # fabric.Ticket; not ".Wait()", which sync.Cond and WaitGroup share) or
@@ -54,7 +55,7 @@ vet:
 	cd benchmarks/fmbench && $(GO) vet ./...
 	$(GO) test -run TestMetricNamesLint ./internal/obs
 	$(GO) test -run 'TestConstructorCensus|TestFieldCensus|TestStmtSwitchCensus|TestDocNamesResolve' .
-	! $(GO) build -gcflags=-m ./internal/core ./internal/fastswap ./internal/interp ./farmem 2>&1 | grep 'moved to heap: buf'
+	! $(GO) build -gcflags=-m ./internal/aifm ./internal/core ./internal/fastswap ./internal/interp ./farmem 2>&1 | grep 'moved to heap: buf'
 	! grep -nE 'TryFetchUntil|TryPushUntil|StartFetch|fabric\.Ticket|TryFetchAfterPushes|TryPushAll|fabric\.Push|\.Connect\(' \
 		$$(ls internal/aifm/*.go internal/fastswap/*.go internal/core/*.go farmem/*.go | grep -v _test.go)
 	! grep -nE '"trackfm/internal/(core|fastswap|aifm)"' $$(find internal/workloads -name '*.go' ! -name '*_test.go')

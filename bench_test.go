@@ -199,6 +199,21 @@ func BenchmarkRuntimeStoreU64(b *testing.B) {
 	}
 }
 
+// BenchmarkMeterStoreU64 is BenchmarkRuntimeStoreU64 charged to a
+// core.Meter.
+func BenchmarkMeterStoreU64(b *testing.B) {
+	rt, p := newFilledArray(b)
+	m := rt.NewMeter()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var j uint64
+	for i := 0; i < b.N; i++ {
+		m.StoreU64(p.Add(j%benchElems*8), j)
+		j += 521
+	}
+	m.Flush()
+}
+
 // BenchmarkCursorLoadU64 opens a cursor per 4096 elements (eight objects),
 // so ChunkInit and the crossings are in the per-element figure.
 func BenchmarkCursorLoadU64(b *testing.B) {

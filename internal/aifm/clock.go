@@ -63,26 +63,27 @@ func (p *Pool) storeMeta(id ObjectID, m Meta) {
 
 // probeVictim advances the clock hand one slot and, if the slot holds a
 // resident, unpinned object whose stripe nobody is working in, returns that
-// object with its stripe locked; st is nil when the slot is no candidate.
+// object with its stripe locked; st is nil when the slot is no candidate,
+// and busy reports that it held a resident whose stripe was locked.
 // Victims are taken with TryLock — an evictor never blocks on a stripe
 // someone else holds (a mutator there means the object is not cold), it
 // just moves the hand on — which also rules out lock-order deadlocks: no
 // goroutine ever waits for a second stripe while holding one.
-func (p *Pool) probeVictim() (st *stripe, slot uint32, id ObjectID, m Meta) {
+func (p *Pool) probeVictim() (st *stripe, slot uint32, id ObjectID, m Meta, busy bool) {
 	slot = uint32((p.hand.Add(1) - 1) % uint64(len(p.slotOwner)))
 	id = p.ownerAt(int(slot))
 	if id == noOwner {
-		return nil, 0, 0, 0
+		return nil, 0, 0, 0, false
 	}
 	st = p.stripeFor(id)
 	if !st.mu.TryLock() {
-		return nil, 0, 0, 0
+		return nil, 0, 0, 0, true
 	}
 	if m = p.metaAt(id); p.ownerAt(int(slot)) != id || st.pins[id] > 0 || !m.Present() {
 		st.mu.Unlock()
-		return nil, 0, 0, 0
+		return nil, 0, 0, 0, false
 	}
-	return st, slot, id, m
+	return st, slot, id, m, false
 }
 
 // tryTakeSlotGentle returns a free slot, or evicts a cold (H-clear,
@@ -100,7 +101,7 @@ func (p *Pool) tryTakeSlotGentle() (uint32, bool) {
 		return 0, false
 	}
 	for i := 0; i < len(p.slotOwner); i++ {
-		st, slot, id, m := p.probeVictim()
+		st, slot, id, m, _ := p.probeVictim()
 		if st == nil {
 			continue
 		}
@@ -123,10 +124,13 @@ func (p *Pool) tryTakeSlotGentle() (uint32, bool) {
 // already paid for before its use arrives). That ranking is reasonable
 // when memory is ample and exactly wrong under pressure — it places
 // speculative fills above the resident working set — which is why pass 0
-// inverts it. Pass 2 evicts any unpinned object regardless.
-func (p *Pool) tryTakeSlot() (uint32, bool) {
+// inverts it. Pass 2 evicts any unpinned object regardless. When it finds
+// no slot, blocked reports that the laps passed over a resident that may
+// be takable a moment later: its stripe was busy, or its eviction was
+// refused (a dirty write-back that did not go through).
+func (p *Pool) tryTakeSlot() (slot uint32, ok, blocked bool) {
 	if slot, ok := p.popFree(); ok {
-		return slot, true
+		return slot, true, false
 	}
 	pass := 1
 	if p.throttled.Load() {
@@ -134,8 +138,9 @@ func (p *Pool) tryTakeSlot() (uint32, bool) {
 	}
 	for ; pass <= 2; pass++ {
 		for i := 0; i < len(p.slotOwner); i++ {
-			st, slot, id, m := p.probeVictim()
+			st, slot, id, m, busy := p.probeVictim()
 			if st == nil {
+				blocked = blocked || busy
 				continue
 			}
 			take := true
@@ -151,11 +156,12 @@ func (p *Pool) tryTakeSlot() (uint32, bool) {
 			ok := take && p.evictLocked(slot, id)
 			st.mu.Unlock()
 			if ok {
-				return slot, true
+				return slot, true, false
 			}
+			blocked = blocked || take
 		}
 	}
-	return 0, false
+	return 0, false, blocked
 }
 
 // evictLocked evacuates the object owning slot to the remote node. The

@@ -1,8 +1,11 @@
 package aifm
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
+	"trackfm/internal/fabric"
 	"trackfm/internal/sim"
 )
 
@@ -164,4 +167,97 @@ func BenchmarkPrefetchNothingCold(b *testing.B) {
 	if p.Meta(remote).Present() {
 		b.Fatalf("prefetch evicted a hot resident")
 	}
+}
+
+// TestDemandMissOutlastsAContendedLap forces the lap a demand miss runs
+// when no slot is free, the reserve floor is spent and every resident is
+// evictable but cannot be taken just then: its stripe is busy, or its
+// dirty write-back is refused. Neither means every slot is pinned, so the
+// miss must wait the contention out and land, not panic.
+func TestDemandMissOutlastsAContendedLap(t *testing.T) {
+	const fresh = ObjectID(3) // its stripe is not 1's or 2's
+	// setup returns a pool whose two circulating slots hold dirty objects 1
+	// and 2, with every reserve slot taken.
+	setup := func(t *testing.T, env *sim.Env, link fabric.ErrorTransport) *Pool {
+		p, err := NewPool(Config{
+			Env:          env,
+			RemoteConfig: fabric.RemoteConfig{Transport: link, RemoteRetries: 1},
+			ObjectSize:   64,
+			HeapSize:     64 * 256,
+			LocalBudget:  64 * 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		touch(t, p, 1, true)
+		touch(t, p, 2, true)
+		for {
+			if _, ok := p.popReserve(); !ok {
+				break
+			}
+		}
+		if p.freeCount() != 0 || p.ReserveFree() != 0 {
+			t.Fatalf("%d free and %d reserve slots left, want none", p.freeCount(), p.ReserveFree())
+		}
+		return p
+	}
+	// miss runs a demand miss of the fresh object, a panic turned into an
+	// error.
+	miss := func(p *Pool) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic: %v", r)
+			}
+		}()
+		var buf [8]byte
+		return p.Access(fresh, 0, buf[:], false)
+	}
+
+	t.Run("busy stripes", func(t *testing.T) {
+		env := sim.NewEnv()
+		p := setup(t, env, fabric.NewSimLink(env, fabric.BackendTCP))
+		busy := []*stripe{p.stripeFor(1), p.stripeFor(2)}
+		for _, st := range busy {
+			st.mu.Lock()
+		}
+		hand := p.hand.Load()
+		done := make(chan error, 1)
+		go func() { done <- miss(p) }()
+		// Two rounds of the clock's two passes: the miss has found only
+		// busy stripes twice, and must still be waiting.
+		for (p.hand.Load()-hand)/uint64(len(p.slotOwner)) < 4 {
+			select {
+			case err := <-done:
+				t.Fatalf("the miss returned (%v) while every resident's stripe was busy", err)
+			default:
+				time.Sleep(time.Millisecond)
+			}
+		}
+		for _, st := range busy {
+			st.mu.Unlock()
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if !p.Meta(fresh).Present() {
+			t.Fatal("the miss returned without installing its object")
+		}
+	})
+
+	t.Run("refused write-backs", func(t *testing.T) {
+		env := sim.NewEnv()
+		link := &faultyLink{SimLink: fabric.NewSimLink(env, fabric.BackendTCP)}
+		p := setup(t, env, link)
+		link.failPush = 5 // more than one lap's two victims
+		if err := miss(p); err != nil {
+			t.Fatal(err)
+		}
+		if !p.Meta(fresh).Present() {
+			t.Fatal("the miss returned without installing its object")
+		}
+		if n := env.Counters.EvictionStalls; n != 5 {
+			t.Fatalf("%d eviction stalls, want the 5 refused write-backs", n)
+		}
+	})
 }

@@ -259,6 +259,11 @@ const (
 	// borrowing before a freed slot repays the floor.
 	reservePerStripe = 2
 
+	// slotWait and slotRetryPause pace claimSlot's retries of a lap that
+	// found every evictable resident busy or its write-back refused.
+	slotWait       = 10 * time.Second
+	slotRetryPause = 50 * time.Microsecond
+
 	// throttleHighWater is the prefetch-admission gate while throttled:
 	// above this occupancy fraction a prefetch is skipped.
 	throttleHighWater = 0.75
@@ -598,19 +603,7 @@ func (p *Pool) abandonFetch(st *stripe, id ObjectID) {
 // claim a slot (evicting if needed), move the bytes, then re-take the
 // stripe lock to publish the object and wake the waiters.
 func (p *Pool) fetchAndInstall(st *stripe, id ObjectID, m Meta, forWrite, pin bool) (uint64, bool, error) {
-	slot, ok := p.tryTakeSlot()
-	if !ok && p.drainPending() {
-		// Slots held by prefetches in flight are invisible to the clock;
-		// landed, they are residents like any other.
-		slot, ok = p.tryTakeSlot()
-	}
-	if !ok {
-		// Every circulating slot is pinned: borrow from the reserve floor
-		// so demand localization keeps making forward progress instead of
-		// stalling forever. The next freed slot repays the floor (giveSlot
-		// refills the reserve before the free stack).
-		slot, ok = p.popReserve()
-	}
+	slot, ok := p.claimSlot()
 	if !ok {
 		p.abandonFetch(st, id)
 		panic("aifm: local memory exhausted: every resident slot and the reserve floor are pinned")
@@ -664,6 +657,44 @@ func (p *Pool) fetchAndInstall(st *stripe, id ObjectID, m Meta, forWrite, pin bo
 	sim.Inc(&p.env.Counters.CriticalFetches)
 	p.maybeStridePrefetch(id)
 	return base, true, nil
+}
+
+// claimSlot finds the slot a demand fetch lands in. A resident the clock
+// passed over because its stripe was busy, or because its write-back was
+// refused — the far engine's write-behind window full of pushes other
+// callers still have in flight, or a push that failed — may be takable a
+// moment later. So when no slot is free, evictable, held by a landed
+// prefetch or left in the reserve floor, a lap that passed over such a
+// resident is run again after a pause, for up to slotWait, while the far
+// engine is not degraded (a degraded engine refuses every dirty
+// write-back until a fetch succeeds). Only a lap that found nothing of the
+// kind, or running out of that time, reports false.
+func (p *Pool) claimSlot() (uint32, bool) {
+	var giveUp time.Time
+	for {
+		slot, ok, blocked := p.tryTakeSlot()
+		if !ok && p.drainPending() {
+			// Slots held by prefetches in flight are invisible to the clock;
+			// landed, they are residents like any other.
+			slot, ok, blocked = p.tryTakeSlot()
+		}
+		if !ok {
+			// Every circulating slot is pinned or busy: borrow from the
+			// reserve floor so demand localization keeps making forward
+			// progress. The next freed slot repays the floor (giveSlot
+			// refills the reserve before the free stack).
+			slot, ok = p.popReserve()
+		}
+		if ok || !blocked || p.far.Degraded() {
+			return slot, ok
+		}
+		if now := time.Now(); giveUp.IsZero() {
+			giveUp = now.Add(slotWait)
+		} else if now.After(giveUp) {
+			return 0, false
+		}
+		time.Sleep(slotRetryPause)
+	}
 }
 
 // Prefetch asynchronously localizes id if it is remote and a slot can be
@@ -974,7 +1005,7 @@ func (p *Pool) Resize(newBudget uint64) error {
 	// stalled) shrinks lazily through giveSlot.
 	for pass := 0; pass < 2 && p.overTarget(); pass++ {
 		for i := 0; i < len(p.slotOwner) && p.overTarget(); i++ {
-			st, slot, id, m := p.probeVictim()
+			st, slot, id, m, _ := p.probeVictim()
 			if st == nil {
 				continue
 			}
@@ -1041,12 +1072,13 @@ func (p *Pool) zeroSlot(base uint64) {
 // A read of a resident, hot object takes no lock: it notes its stripe's
 // sequence, loads the metadata word, copies, and keeps the bytes if the
 // sequence has not moved — no store, eviction or Free ran in the stripe
-// meanwhile. It runs only when the locked path would write nothing (P and
-// H set, E and PF clear), so no metadata bit or counter depends on which
-// path served it. Validating with the sequence rather than the metadata
-// word matters: an object evicted and fetched back into the same slot can
-// restore an identical word. A -race build skips it (raceEnabled): its copy
-// is invisible to the detector, which would hide the program's own races.
+// meanwhile (readBegin). It runs only when the locked path would write
+// nothing (P and H set, E and PF clear), so no metadata bit or counter
+// depends on which path served it. Validating with the sequence rather than
+// the metadata word matters: an object evicted and fetched back into the
+// same slot can restore an identical word. A -race build skips it
+// (raceEnabled): its copy is invisible to the detector, which would hide
+// the program's own races.
 //
 // Otherwise, on a resident object the residency check, the metadata update
 // and the copy share one stripe critical section — the lock excludes every
@@ -1060,27 +1092,101 @@ func (p *Pool) Access(id ObjectID, off uint64, buf []byte, write bool) error {
 		panic("aifm: Access beyond the object's end") // before the lock is taken
 	}
 	st := p.stripeFor(id)
-	if !write && !raceEnabled {
-		if s, ok := st.mu.readBegin(); ok {
-			if m := p.metaAt(id); m&(MetaP|MetaE|MetaH|MetaPF) == MetaP|MetaH {
-				addr := m.DataAddr() + off
-				racyCopy(buf, p.arena[addr:addr+uint64(len(buf))])
-				if st.mu.readValid(s) {
-					return nil
-				}
+	if !write {
+		if addr, s, ok := p.readBegin(st, id); ok {
+			addr += off
+			racyCopy(buf, p.arena[addr:addr+uint64(len(buf))])
+			if st.mu.readValid(s) {
+				return nil
 			}
 		}
 	}
-	if !st.mu.TryLock() { // lockStripe's fast path, inlined in its hottest caller
+	if addr, ok := p.lockResident(st, id, write); ok {
+		p.copyLocked(addr+off, buf, write)
+		st.mu.Unlock()
+		return nil
+	}
+	return p.accessMiss(st, id, off, buf, write)
+}
+
+// Word is Access for the 8 bytes at byte offset off of object id, read or,
+// when write, stored from v, as a little-endian word: it returns the word
+// the object holds after the access. A resident access is one 8-byte load
+// or store — the read lock-free and validated as Access's, the write under
+// the stripe lock after the same metadata update — and every other state
+// goes through Access's miss path, so a failed fetch returns the same typed
+// error with nothing changed.
+func (p *Pool) Word(id ObjectID, off, v uint64, write bool) (uint64, error) {
+	if off+8 > uint64(p.objSize) {
+		panic("aifm: Word beyond the object's end") // before the lock is taken
+	}
+	st := p.stripeFor(id)
+	if !write {
+		if addr, s, ok := p.readBegin(st, id); ok {
+			w := racyWord(p.arena[addr+off : addr+off+8])
+			if st.mu.readValid(s) {
+				return w, nil
+			}
+		}
+	}
+	if addr, ok := p.lockResident(st, id, write); ok {
+		w := p.arena[addr+off : addr+off+8]
+		if write {
+			binary.LittleEndian.PutUint64(w, v)
+		} else {
+			v = binary.LittleEndian.Uint64(w)
+		}
+		st.mu.Unlock()
+		return v, nil
+	}
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], v)
+	if err := p.accessMiss(st, id, off, buf[:], write); err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(buf[:]), nil
+}
+
+// readBegin starts a lock-free read of object id, whose stripe is st: it
+// returns the arena address of the object's first byte and the sequence
+// the read must pass to st.mu.readValid before keeping what it loaded. ok
+// is false when the read must take the lock instead: in a -race build,
+// while a critical section runs, or unless the object is resident and hot
+// with E and PF clear — the one state in which the locked read would write
+// nothing.
+func (p *Pool) readBegin(st *stripe, id ObjectID) (addr, seq uint64, ok bool) {
+	if raceEnabled {
+		return 0, 0, false
+	}
+	if seq, ok = st.mu.readBegin(); !ok {
+		return 0, 0, false
+	}
+	m := p.metaAt(id)
+	if m&(MetaP|MetaE|MetaH|MetaPF) != MetaP|MetaH {
+		return 0, 0, false
+	}
+	return m.DataAddr(), seq, true
+}
+
+// lockResident takes st's lock and, when object id is resident, records
+// the access (touchLocked) and returns the arena address of its first byte
+// with the lock still held; otherwise it releases the lock and reports
+// false.
+func (p *Pool) lockResident(st *stripe, id ObjectID, write bool) (uint64, bool) {
+	if !st.mu.TryLock() { // lockStripe's fast path, inlined on every resident access's path
 		p.lockStripe(st)
 	}
 	if m := p.metaAt(id); m.Present() {
 		p.touchLocked(id, m, write)
-		p.copyLocked(m.DataAddr()+off, buf, write)
-		st.mu.Unlock()
-		return nil
+		return m.DataAddr(), true
 	}
 	st.mu.Unlock()
+	return 0, false
+}
+
+// accessMiss is Access of an object that was not resident: Pin, then the
+// copy and the unpin in one critical section.
+func (p *Pool) accessMiss(st *stripe, id ObjectID, off uint64, buf []byte, write bool) error {
 	addr, _, err := p.tryLocalize(id, write, true) // a write has set D
 	if err != nil {
 		return err
@@ -1123,6 +1229,11 @@ func racyCopy(dst, src []byte) {
 		dst[i] = src[i]
 	}
 }
+
+// racyWord is racyCopy for Word's lock-free read of one word.
+//
+//go:norace
+func racyWord(src []byte) uint64 { return binary.LittleEndian.Uint64(src) }
 
 // Free releases id: drops the local copy, deletes the remote copy, and
 // resets metadata. Freeing a pinned object panics.

@@ -13,8 +13,7 @@ import (
 // between buf and object id at byte offset off. It performs the OST
 // lookup, takes the fast path when the safety bits allow, and otherwise
 // calls into the runtime (slow path), which localizes the object —
-// possibly with a remote fetch. Costs follow Table 1; the cached/uncached
-// split is decided by the OST warm-line model.
+// possibly with a remote fetch (guardEnter charges either).
 // Either way the pool re-checks residency and moves the bytes so that no
 // eviction can interleave (Pool.Access): a resident read copies with no
 // lock and keeps the bytes only if its stripe's sequence shows no
@@ -23,14 +22,28 @@ import (
 // the evacuator cannot delocalize the object unseen (what AIFM's
 // out-of-scope barrier guarantees, §3.3).
 // The guard also charges the access it guards, one load/store per 64
-// bytes touched: on the fast path in the same meter charge as the guard,
-// on the slow path after the slow-guard latency is observed, so that
-// latency stays the guard's alone. Fast-path charges go to m (nil: the
-// shared clock); the slow path flushes m first, since its latency is a
-// reading of the clock.
+// bytes touched.
 func (r *Runtime) guardObject(m *Meter, id aifm.ObjectID, off uint64, buf []byte, write bool) {
+	data := uint64(len(buf)+63) / 64 * r.costs.LocalLoadStore
+	slowStart, slow := r.guardEnter(m, id, write, data)
+	if err := r.pool.Access(id, off, buf, write); err != nil {
+		fetchFailed(id, err)
+	}
+	if slow {
+		r.guardExit(slowStart, data)
+	}
+}
+
+// guardEnter is a guard's charge up to its access, by Table 1: it touches
+// the OST entry of object id once, charges the noOST ablation's
+// indirection, and then either a fast guard plus data, the cycles of the
+// access it guards, to m (nil: the shared clock), or the slow path's
+// entry. The slow path flushes m first, since its latency is a reading of
+// the clock, and reports the cycle it started at: the caller runs the
+// access — the pool charges a remote fetch when the object is absent — and
+// then guardExit.
+func (r *Runtime) guardEnter(m *Meter, id aifm.ObjectID, write bool, data uint64) (slowStart uint64, slow bool) {
 	warm := r.cache.touch(uint64(id))
-	meta := aifm.MetaAt(r.ost, id)
 	costs := r.costs
 	if r.noOST {
 		// Ablation: without the contiguous object state table the guard
@@ -42,8 +55,7 @@ func (r *Runtime) guardObject(m *Meter, id aifm.ObjectID, off uint64, buf []byte
 			m.add(r, costs.MetaIndirectUncached)
 		}
 	}
-	data := uint64(len(buf)+63) / 64 * costs.LocalLoadStore
-	if meta.Safe() {
+	if aifm.MetaAt(r.ost, id).Safe() {
 		guard := costs.FastGuardReadUncached
 		switch {
 		case write && warm:
@@ -54,17 +66,14 @@ func (r *Runtime) guardObject(m *Meter, id aifm.ObjectID, off uint64, buf []byte
 			guard = costs.FastGuardReadCached
 		}
 		m.guard(r, guard+data)
-		if err := r.pool.Access(id, off, buf, write); err != nil {
-			fetchFailed(id, err)
-		}
-		return
+		return 0, false
 	}
 	// Slow path: the runtime call that, in the paper, enters an AIFM
 	// DerefScope. The measured slow-guard constants (Table 1) already
 	// include the scope enter/exit work, so no separate scope cost is
-	// charged here; the pin Pool.Access takes on a miss is the scope.
+	// charged here; the pin the pool takes on a miss is the scope.
 	m.Flush()
-	slowStart := r.env.Clock.Cycles()
+	slowStart = r.env.Clock.Cycles()
 	sim.Inc(&r.counts.SlowPathGuards)
 	switch {
 	case write && warm:
@@ -76,10 +85,13 @@ func (r *Runtime) guardObject(m *Meter, id aifm.ObjectID, off uint64, buf []byte
 	default:
 		r.env.Clock.Advance(costs.SlowGuardReadUncached)
 	}
-	// Access charges the remote fetch when the object is absent.
-	if err := r.pool.Access(id, off, buf, write); err != nil {
-		fetchFailed(id, err)
-	}
+	return slowStart, true
+}
+
+// guardExit ends a slow path guardEnter began at slowStart, once the access
+// is done: it observes the slow guard's latency, then charges the data
+// cycles, so that latency stays the guard's alone.
+func (r *Runtime) guardExit(slowStart, data uint64) {
 	r.lat.GuardSlow.Observe(r.env.Clock.Cycles() - slowStart)
 	r.env.Clock.Advance(data)
 }
@@ -113,18 +125,10 @@ func (r *Runtime) CustodyReject() {
 }
 
 // LoadU64 performs a guarded 8-byte load at p.
-func (r *Runtime) LoadU64(p Ptr) uint64 {
-	var buf [8]byte
-	r.access(nil, p, buf[:], false, "LoadU64")
-	return binary.LittleEndian.Uint64(buf[:])
-}
+func (r *Runtime) LoadU64(p Ptr) uint64 { return r.word(nil, p, 0, false, "LoadU64") }
 
 // StoreU64 performs a guarded 8-byte store at p.
-func (r *Runtime) StoreU64(p Ptr, v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	r.access(nil, p, buf[:], true, "StoreU64")
-}
+func (r *Runtime) StoreU64(p Ptr, v uint64) { r.word(nil, p, v, true, "StoreU64") }
 
 // Load performs a guarded read of len(dst) bytes starting at p. Reads
 // spanning multiple objects are guarded once per object, matching the
@@ -161,4 +165,32 @@ func (r *Runtime) access(m *Meter, p Ptr, buf []byte, write bool, op string) {
 		r.guardObject(m, id, inObj, buf[done:done+n], write)
 		done += n
 	}
+}
+
+// word is access for the 8 bytes at p, stored from v when write, returning
+// the word after the access. A word inside one object decodes the pointer
+// once and is guardObject's guard around one Pool.Word, the pool's
+// one-load or one-store access; a word that straddles two objects — or
+// runs past the heap's end, which access reports — takes access's byte
+// path, which guards each object it touches.
+func (r *Runtime) word(m *Meter, p Ptr, v uint64, write bool, op string) uint64 {
+	checkManaged(p, op)
+	off := p.HeapOffset()
+	if inObj := off & uint64(r.objSize-1); inObj <= uint64(r.objSize)-8 && off+8 <= r.heapSize {
+		id := aifm.ObjectID(off >> r.shift)
+		data := r.costs.LocalLoadStore
+		slowStart, slow := r.guardEnter(m, id, write, data)
+		w, err := r.pool.Word(id, inObj, v, write)
+		if err != nil {
+			fetchFailed(id, err)
+		}
+		if slow {
+			r.guardExit(slowStart, data)
+		}
+		return w
+	}
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], v)
+	r.access(m, p, buf[:], write, op)
+	return binary.LittleEndian.Uint64(buf[:])
 }

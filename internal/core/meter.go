@@ -1,10 +1,6 @@
 package core
 
-import (
-	"encoding/binary"
-
-	"trackfm/internal/sim"
-)
+import "trackfm/internal/sim"
 
 // Meter holds one goroutine's pending fast-path charges as plain integers:
 // the cycles, fast-path guards and chunked boundary checks its guards and
@@ -95,18 +91,10 @@ func (m *Meter) checks(r *Runtime, k, n uint64) {
 }
 
 // LoadU64 is Runtime.LoadU64 charged to m.
-func (m *Meter) LoadU64(p Ptr) uint64 {
-	var buf [8]byte
-	m.rt.access(m, p, buf[:], false, "LoadU64")
-	return binary.LittleEndian.Uint64(buf[:])
-}
+func (m *Meter) LoadU64(p Ptr) uint64 { return m.rt.word(m, p, 0, false, "LoadU64") }
 
 // StoreU64 is Runtime.StoreU64 charged to m.
-func (m *Meter) StoreU64(p Ptr, v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	m.rt.access(m, p, buf[:], true, "StoreU64")
-}
+func (m *Meter) StoreU64(p Ptr, v uint64) { m.rt.word(m, p, v, true, "StoreU64") }
 
 // NewCursor is Runtime.NewCursor charged to m: the cursor's boundary checks
 // go to m until its Close.

@@ -254,6 +254,27 @@ func (tr *meterTrace) word(cr, cm *Cursor, a meterAlloc, base Ptr, off uint64, w
 	}
 }
 
+// straddle loads or stores the 8 bytes 4 before the first object boundary
+// inside allocation a, reporting false when a holds none: a word across
+// two objects takes the byte path, which guards each object, so both
+// runtimes charge two guards for it.
+func (tr *meterTrace) straddle(a meterAlloc, write bool) bool {
+	objSize := uint64(tr.met.objSize)
+	start := a.p.HeapOffset()
+	b := (start/objSize + 1) * objSize
+	if b-4 < start || b+4 > start+a.size {
+		return false
+	}
+	guards := func(r *Runtime) uint64 { return r.counts.FastPathGuards + r.counts.SlowPathGuards }
+	ref, met := guards(tr.ref), guards(tr.met)+tr.m.fastGuards
+	tr.scalar(a, b-4-start, write)
+	if r, m := guards(tr.ref)-ref, guards(tr.met)+tr.m.fastGuards-met; r != 2 || m != 2 {
+		tr.t.Fatalf("8 bytes across the boundary at %#x: %d guards unmetered, %d metered; want 2 each", b, r, m)
+	}
+	tr.words["scalar straddle"]++
+	return true
+}
+
 func (tr *meterTrace) run(ops int) {
 	for len(tr.allocs) < 4 {
 		tr.malloc(uint64(64 + tr.rng.Intn(8<<10)))
@@ -262,6 +283,9 @@ func (tr *meterTrace) run(ops int) {
 		a := tr.allocs[tr.rng.Intn(len(tr.allocs))]
 		switch k := tr.rng.Intn(20); {
 		case k < 10:
+			if k == 9 && tr.straddle(a, tr.rng.Intn(2) == 0) {
+				continue
+			}
 			tr.scalar(a, uint64(tr.rng.Int63n(int64(a.size/8)))*8, k < 4)
 		case k < 13:
 			off := uint64(tr.rng.Int63n(int64(a.size)))
@@ -293,7 +317,7 @@ func histograms(r *Runtime) map[string]obs.HistogramSnapshot {
 }
 
 // TestMeterMatchesUnmetered is the meter's differential oracle: a seeded
-// trace of scalar loads and stores, byte ranges, chunked loops (straddling
+// trace of scalar loads and stores (some across two objects), byte ranges, chunked loops (straddling
 // elements among them, and the cursor's 8-byte forms at any byte of an
 // element) and Malloc/Free, at a budget that forces misses,
 // evictions, prefetches and refaults, leaves a metered runtime exactly
@@ -333,9 +357,9 @@ func TestMeterMatchesUnmetered(t *testing.T) {
 						t.Errorf("the trace made no %s", name)
 					}
 				}
-				for _, kind := range []string{"window read", "first store", "dirty store", "crossing", "straddle", "pre-base"} {
+				for _, kind := range []string{"window read", "first store", "dirty store", "crossing", "straddle", "pre-base", "scalar straddle"} {
 					if tr.words[kind] == 0 {
-						t.Errorf("the trace made no %s among its 8-byte cursor accesses (%v)", kind, tr.words)
+						t.Errorf("the trace made no %s among its 8-byte accesses (%v)", kind, tr.words)
 					}
 				}
 			})

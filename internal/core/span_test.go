@@ -306,8 +306,9 @@ func TestCursorEveryAccessorPanicsAfterClose(t *testing.T) {
 // TestScalarGuardAllocFree and TestCursorLoadAllocFree gate the layer that
 // compiled programs and farmem call, on TrackFM's runtime and on the
 // library runtime the AIFM comparator runs on: a guarded access to a
-// resident object and a chunked access in steady state allocate nothing,
-// through the Runtime's own methods and through a Meter alike.
+// resident object — a word inside one object, or across two — and a
+// chunked access in steady state allocate nothing, through the Runtime's
+// own methods and through a Meter alike.
 func TestScalarGuardAllocFree(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -336,6 +337,22 @@ func TestScalarGuardAllocFree(t *testing.T) {
 			i += 521
 		}); n != 0 {
 			t.Fatalf("resident Meter.LoadU64+StoreU64 allocated %v times per run, want 0", n)
+		}
+		// 8 bytes across two objects take the byte path, not the word guard.
+		straddle := func() Ptr { return p.Add((1+i%15)*4096 - 4) }
+		if n := testing.AllocsPerRun(1000, func() {
+			sink += rt.LoadU64(straddle())
+			rt.StoreU64(straddle(), sink)
+			i++
+		}); n != 0 {
+			t.Fatalf("resident LoadU64+StoreU64 across two objects allocated %v times per run, want 0", n)
+		}
+		if n := testing.AllocsPerRun(1000, func() {
+			sink += m.LoadU64(straddle())
+			m.StoreU64(straddle(), sink)
+			i++
+		}); n != 0 {
+			t.Fatalf("resident Meter.LoadU64+StoreU64 across two objects allocated %v times per run, want 0", n)
 		}
 		m.Flush()
 	})
