@@ -142,11 +142,11 @@ test-overload:
 # kills at randomized WAL offsets, recovered state byte-identical to the
 # acked-write oracle, torn tails exercised, deterministic JSON) plus the
 # durability unit tests (among them the durable × compressed composition
-# and the fsync-policy table), the durable-replica rejoin tests (a
-# plain member, and a compressing one restarted plain) and the server
-# killed under an exchange that carries pushes (all re-sent, none lost).
+# and the fsync-policy table), the server's graceful drain, the hello
+# that advertises a recovered node's generation, and the server killed
+# under an exchange that carries pushes (all re-sent, none lost).
 test-crash:
-	$(GO) test -run 'TestCrashSoak|TestDurable|TestWAL|TestReplayWAL|TestReplicaSetDurable|TestServerShutdown|TestHelloAdvertisesIdentity|TestCarryServerKilledMidExchange' ./internal/bench ./internal/remote ./internal/fabric
+	$(GO) test -run 'TestCrashSoak|TestDurable|TestWAL|TestReplayWAL|TestServerShutdown|TestHelloAdvertisesIdentity|TestCarryServerKilledMidExchange' ./internal/bench ./internal/remote ./internal/fabric
 
 # The memory-pressure gates: the thrash soak (governed 2x overcommit >=
 # 3x ungoverned throughput, zero lost localizations across a mid-run
@@ -198,11 +198,11 @@ test-allocs:
 	$(GO) test -run 'TestWireLeasesNetZero|TestTCPRoundTripAllocFree|TestStreamAllocFree' ./internal/fabric
 	$(GO) test -run 'TestNewRuntimeFootprint|TestLoopBodyAllocFree' ./internal/core ./internal/interp
 
-# The replica-failover soak: 10k ops over three TCP replicas with seeded
-# drops and corruption on every link and one replica killed/restarted
-# (empty) mid-run, under the race detector.
+# The fault soak: 10k ops over one TCP server with seeded drops and
+# detected corruption on its link, the server closed for 1000 ops and
+# listening again on the same store, under the race detector.
 test-soak:
-	$(GO) test -race -run TestReplicaFailoverSoak -v ./internal/fabric
+	$(GO) test -race -run TestFaultSoak -v ./internal/fabric
 
 # Short fixed-budget runs of the fuzzers, the fabric's one frame decoder
 # first and the compiler/interpreter differential last (go test accepts

@@ -17,34 +17,6 @@
 //
 //	fmserver -addr 127.0.0.1:7070
 //
-// # Running as a replica-set member
-//
-// A replicated deployment runs one fmserver per replica; the client dials
-// one TCPTransport per address (fabric.Dial) and lists them in the
-// Replicas of its aifm.Pool or fastswap.Swap Config, and the runtime's far
-// engine builds the fabric.ReplicaSet over them:
-//
-//	fmserver -addr 10.0.0.1:7070 -replica r0
-//	fmserver -addr 10.0.0.2:7070 -replica r1
-//	fmserver -addr 10.0.0.3:7070 -replica r2
-//
-//	            client (aifm.Pool / fastswap.Swap)
-//	                     fabric.ReplicaSet
-//	          writes: fan-out, quorum-acked  reads: preferred + failover
-//	           ┌───────────────┼───────────────┐
-//	           ▼               ▼               ▼
-//	      TCPTransport    TCPTransport    TCPTransport
-//	           │               │               │
-//	      fmserver r0     fmserver r1     fmserver r2
-//	      (preferred)      (failover)      (failover)
-//
-// Replication is client-driven: the servers do not talk to each other. A
-// member that crashes is quarantined by its circuit breaker, and when it
-// comes back (same address, even with an empty store) the client resyncs
-// the writes it missed before reads land on it again. The -replica flag
-// only labels the node's log output so interleaved replica logs stay
-// readable.
-//
 // # Durability
 //
 // With -data-dir set the node keeps its store across restarts: every
@@ -52,9 +24,9 @@
 // before the ack, compacting snapshots bound replay work, and on startup
 // the node recovers the latest valid snapshot plus the WAL (truncating a
 // torn or corrupt tail). A recovered node advertises a fresh restart
-// generation with the durable bit set in its hello reply, so replica-set
-// clients rejoin it by replaying only the writes it missed while down,
-// instead of a full resync:
+// generation with the durable bit set in its hello reply, so a client
+// (TCPTransport.PeerIdentity) can tell a node that came back with its data
+// from one that came back empty:
 //
 //	fmserver -addr 127.0.0.1:7070 -data-dir /var/lib/fm0 -fsync always
 //
@@ -75,10 +47,9 @@
 // effective memory multiplier reported as the
 // trackfm_store_compression_ratio gauge. The wire contract is unchanged
 // — clients see raw bytes and the same CRC32-C identity — so the flag
-// composes with replica sets (members may mix it) and with -data-dir: the
-// WAL and the snapshot record raw payloads whatever the memory holds, so a
-// data directory written under one setting of -compress recovers under
-// the other:
+// composes with -data-dir: the WAL and the snapshot record raw payloads
+// whatever the memory holds, so a data directory written under one setting
+// of -compress recovers under the other:
 //
 //	fmserver -addr 127.0.0.1:7070 -compress -data-dir /var/lib/fm0
 package main
@@ -100,10 +71,12 @@ import (
 	"trackfm/internal/remote"
 )
 
+// tag prefixes every line the node prints.
+const tag = "fmserver"
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7070", "listen address")
 	stats := flag.Duration("stats", 10*time.Second, "stats reporting interval (0 disables)")
-	replica := flag.String("replica", "", "replica label for log lines when running as a replica-set member")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus metrics over HTTP at this address under /metrics (empty disables)")
 	maxQueue := flag.Int("max-queue", 256, "admission control: max requests in flight before shedding (0 disables admission control)")
 	codelTarget := flag.Duration("codel-target", 5*time.Millisecond, "admission control: queue-delay target; sustained delay above it sheds")
@@ -114,11 +87,6 @@ func main() {
 	snapshotEvery := flag.Int64("snapshot-every", 4<<20, "floor of the WAL bytes that trigger a compacting snapshot; the trigger is the larger of this and the store's live bytes (<0 disables)")
 	drain := flag.Duration("drain", 5*time.Second, "graceful-shutdown grace: how long in-flight requests get to finish on SIGINT/SIGTERM")
 	flag.Parse()
-
-	tag := "fmserver"
-	if *replica != "" {
-		tag = fmt.Sprintf("fmserver[%s]", *replica)
-	}
 
 	policy, err := remote.ParseFsyncPolicy(*fsync)
 	if err != nil {
@@ -159,21 +127,15 @@ func main() {
 
 	if *metricsAddr != "" {
 		reg := obs.NewRegistry()
-		// The replica label carries through to every series, so one
-		// Prometheus job can scrape a whole replica set apart.
-		var labels []obs.Label
-		if *replica != "" {
-			labels = append(labels, obs.L("replica", *replica))
-		}
-		srv.Stats().Register(reg, labels...)
-		node.Register(reg, labels...) // store gauges; around a data dir also the WAL/snapshot/recovery series
+		srv.Stats().Register(reg)
+		node.Register(reg) // store gauges; around a data dir also the WAL/snapshot/recovery series
 		if adm != nil {
-			adm.Stats().Register(reg, labels...)
+			adm.Stats().Register(reg)
 		}
 		// The shared wire buffer pool backs the server's frame payloads
 		// and the store's blobs; its hit/miss counters tell an operator
 		// whether the allocation-free hot path is actually alloc-free.
-		bufpool.Wire.Register(reg, labels...)
+		bufpool.Wire.Register(reg)
 		ln, err := net.Listen("tcp", *metricsAddr)
 		if err != nil {
 			log.Fatal(err)

@@ -41,8 +41,7 @@ type Config struct {
 	// Figs. 9-10, or use the autotuner).
 	ObjectBytes int
 	// RemoteConfig selects the remote side: RemoteAddr dials a real
-	// remote-memory node (cmd/fmserver), Replicas spreads the keyspace
-	// over a fault-tolerant replica set, Transport injects one directly;
+	// remote-memory node (cmd/fmserver), Transport injects one directly;
 	// RemoteRetries and OpDeadline bound each remote operation. The zero
 	// value keeps the in-process simulated link.
 	fabric.RemoteConfig
@@ -85,8 +84,8 @@ func New(cfg Config) (*Heap, error) {
 		return nil, fmt.Errorf("farmem: %w", err)
 	}
 	// Everything this heap built reports through the heap's one registry:
-	// the pool, its far engine and tier, and the transport or replica set
-	// the engine resolved.
+	// the pool, its far engine and tier, and the transport the engine
+	// resolved.
 	rt.Pool().RegisterObs(env.Metrics())
 	return &Heap{rt: rt, env: env}, nil
 }
@@ -171,15 +170,13 @@ func (h *Heap) Snapshot() HeapSnapshot {
 // everything the heap is built from: the pool (trackfm_pool_*,
 // trackfm_thrash_ratio), the compressed tier when enabled
 // (trackfm_ctier_*), the far engine's retry budget
-// (trackfm_retry_budget_*), and the remote side — a dialed transport's
-// trackfm_fabric_* and trackfm_transport_*, or a replica set's
-// trackfm_replica_*.
+// (trackfm_retry_budget_*), and a dialed transport's trackfm_fabric_*
+// and trackfm_transport_*.
 func (h *Heap) Metrics() *obs.Registry { return h.env.Metrics() }
 
 // ResetStats zeroes the counters and latency histograms and starts a new
 // epoch for SimulatedSeconds. The simulated clock itself is not rewound:
-// replica breakers, in-flight operation deadlines and eviction ages keep
-// time by it.
+// in-flight operation deadlines and eviction ages keep time by it.
 func (h *Heap) ResetStats() {
 	h.epoch.Store(h.env.Clock.Cycles())
 	h.env.ResetStats()

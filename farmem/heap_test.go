@@ -1,58 +1,23 @@
 package farmem
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"trackfm/internal/fabric"
 	"trackfm/internal/remote"
-	"trackfm/internal/sim"
 )
 
-// gateLink is a replica's link that can be taken down and brought back.
-type gateLink struct {
-	*fabric.SimLink // storage; charges a private env
-	down            atomic.Bool
-}
-
-func newGateLink() *gateLink {
-	return &gateLink{SimLink: fabric.NewSimLink(sim.NewEnv(), fabric.BackendTCP)}
-}
-
-func (g *gateLink) TryFetchUntil(key uint64, dst []byte, dl fabric.Deadline) (bool, error) {
-	if g.down.Load() {
-		return false, fabric.ErrRemoteUnavailable
-	}
-	return g.SimLink.TryFetchUntil(key, dst, dl)
-}
-
-func (g *gateLink) TryPushUntil(key uint64, src []byte, dl fabric.Deadline) error {
-	if g.down.Load() {
-		return fabric.ErrRemoteUnavailable
-	}
-	return g.SimLink.TryPushUntil(key, src, dl)
-}
-
-func (g *gateLink) TryDeleteUntil(key uint64, dl fabric.Deadline) error {
-	if g.down.Load() {
-		return fabric.ErrRemoteUnavailable
-	}
-	return g.SimLink.TryDeleteUntil(key, dl)
-}
-
-// TestResetStatsKeepsBreakerTime: a replica's breaker keeps time by the
-// heap's clock — an open one carries an absolute retry deadline — so
-// ResetStats must not rewind it. A replica quarantined before the reset and
-// healed after it is probed and rejoins within a few OpenTimeouts, however
-// long the program had already run.
+// TestResetStatsKeepsBreakerTime: the far engine's deadlines, and the
+// deadline-miss breaker they feed, keep time by the heap's clock — a
+// deadline in flight is an absolute reading of it — so ResetStats between
+// ops must neither rewind the clock nor book a deadline miss. A deadline
+// stamped before the reset has the same budget left after it, however long
+// the program had already run, and the misses that follow still meet
+// their OpDeadline.
 func TestResetStatsKeepsBreakerTime(t *testing.T) {
-	const openTimeout = 1_000_000
-	a, b := newGateLink(), newGateLink()
+	const opDeadline = 1 << 24 // cycles: ~7 ms, far above one simulated round trip
 	h, err := New(Config{HeapBytes: 1 << 20, LocalBytes: 1 << 14, ObjectBytes: 256,
-		RemoteConfig: fabric.RemoteConfig{
-			Replicas:    []fabric.ErrorTransport{a, b},
-			Replication: fabric.ReplicaConfig{OpenTimeout: openTimeout},
-		}})
+		RemoteConfig: fabric.RemoteConfig{OpDeadline: opDeadline}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,39 +28,36 @@ func TestResetStatsKeepsBreakerTime(t *testing.T) {
 		s.Set(i, uint64(i))
 	}
 	h.env.Clock.Advance(1 << 40) // the program has been running for a while
-	state := func() fabric.BreakerState { return h.rt.Pool().Far().ReplicaSet().Health()[1].State }
 
-	// Every 32nd element is another object: each access misses, evicts a
-	// dirty object (a push to both replicas) and fetches.
-	next := 0
-	touch := func() {
-		s.Set(next, uint64(next))
-		next = (next + 32) % n
-	}
-	b.down.Store(true)
-	for i := 0; i < 1000 && state() != fabric.BreakerOpen; i++ {
-		touch()
-	}
-	if state() != fabric.BreakerOpen {
-		t.Fatalf("replica 1's breaker is %v after its link went down, want open", state())
-	}
-
+	before := h.env.Clock.Cycles()
+	inFlight := fabric.DeadlineAfter(&h.env.Clock, opDeadline)
 	h.ResetStats()
+	if now := h.env.Clock.Cycles(); now < before {
+		t.Fatalf("ResetStats moved the clock back from %d to %d", before, now)
+	}
+	if left := inFlight.Remaining(); left != opDeadline {
+		t.Fatalf("a deadline stamped before ResetStats has %d cycles left after it, want %d", left, opDeadline)
+	}
 	if secs := h.Stats().SimulatedSeconds; secs != 0 {
 		t.Errorf("SimulatedSeconds = %v right after ResetStats, want 0", secs)
 	}
-	b.down.Store(false)
-	for round := 0; round < 8 && state() != fabric.BreakerClosed; round++ {
-		h.env.Clock.Advance(openTimeout)
-		touch() // every replica-set operation first moves the health state machine on
-	}
-	if state() != fabric.BreakerClosed {
-		t.Fatalf("replica 1 is still %v eight OpenTimeouts after its link healed: its retry deadline is a reading of a clock ResetStats rewound", state())
-	}
+
+	// Every 32nd element is another object: each access misses, evicts a
+	// dirty object (a push) and fetches, each under a fresh deadline.
 	for i := 0; i < n; i += 32 {
 		if got := s.At(i); got != uint64(i) {
-			t.Fatalf("s[%d] = %d after the outage, want %d", i, got, i)
+			t.Fatalf("s[%d] = %d after ResetStats, want %d", i, got, i)
 		}
+	}
+	snap := h.Snapshot()
+	if snap.Counters.RemoteFetches == 0 {
+		t.Fatalf("no remote fetch after ResetStats: the check below is vacuous")
+	}
+	if got := snap.Counters.DeadlineMisses; got != 0 {
+		t.Fatalf("DeadlineMisses = %d after ResetStats, want 0", got)
+	}
+	if h.rt.Pool().Far().Degraded() {
+		t.Fatalf("the deadline-miss breaker tripped after ResetStats")
 	}
 }
 

@@ -136,21 +136,15 @@ var fieldAllow = map[string]string{
 	"interp.Options.MaxSteps": "safety bound FuzzDifferential and the interpreter's runaway-loop tests run under",
 
 	// The deployment surface: what a farmem user reaches through the
-	// embedded RemoteConfig, exercised by the soak, failover and overload
+	// embedded RemoteConfig, exercised by the fault soak and the overload
 	// suites rather than by a binary's flag.
-	"fabric.RemoteConfig.Replicas":          "farmem deployment surface: the failover soak and the durable-rejoin tests run on it",
-	"fabric.RemoteConfig.Replication":       "farmem deployment surface: carries the ReplicaConfig rows below",
-	"fabric.RemoteConfig.RemoteRetries":     "farmem deployment surface: the retry-budget and fault-parity tests sweep it",
-	"fabric.RemoteConfig.OpDeadline":        "farmem deployment surface: the deadline and degraded-mode tests set it",
-	"fabric.ReplicaConfig.Quorum":           "deployment surface: durability against availability, swept by the quorum tests",
-	"fabric.ReplicaConfig.FailureThreshold": "deployment surface: breaker sensitivity, set by the failover soak",
-	"fabric.ReplicaConfig.OpenTimeout":      "deployment surface: quarantine length, in the deployment's clock units",
-	"fabric.ReplicaConfig.Seed":             "deployment surface: de-correlates breaker jitter between clients",
+	"fabric.RemoteConfig.RemoteRetries": "farmem deployment surface: the fault soak, retry-budget and fault-parity tests sweep it",
+	"fabric.RemoteConfig.OpDeadline":    "farmem deployment surface: the deadline and degraded-mode tests set it",
 }
 
 // fieldAllowCap is the length of the allowlist as it last shrank; it may
 // shrink further.
-const fieldAllowCap = 10
+const fieldAllowCap = 4
 
 // TestFieldCensus holds config fields to the rule TestConstructorCensus
 // holds constructors to: a settable value is set by non-test code or it is

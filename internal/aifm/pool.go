@@ -20,16 +20,13 @@ import (
 type Config struct {
 	// Env supplies the clock, counters and cost model. Required.
 	Env *sim.Env
-	// RemoteConfig locates the pool's far memory: an explicit Transport,
-	// a Replicas set (the far engine builds a fabric.ReplicaSet over them
-	// with Replication.Clock defaulting to Env.Clock), or a RemoteAddr to
-	// dial. Leaving it zero selects an in-process SimLink over the TCP
-	// cost model (AIFM's backend). With a positive OpDeadline, eight
+	// RemoteConfig locates the pool's far memory: an explicit Transport or a
+	// RemoteAddr to dial. Leaving it zero selects an in-process SimLink over
+	// the TCP cost model (AIFM's backend). With a positive OpDeadline, eight
 	// consecutive deadline-missing remote operations flip the pool into
-	// degraded mode: remote fetches fail fast with far.ErrDegraded
-	// (except a 1-in-16 probe trickle), dirty evictions stall, and
-	// prefetching pauses; the first successful remote operation restores
-	// normal service.
+	// degraded mode: remote fetches fail fast with far.ErrDegraded (except a
+	// 1-in-16 probe trickle), dirty evictions stall, and prefetching pauses;
+	// the first successful remote operation restores normal service.
 	fabric.RemoteConfig
 	// ObjectSize is the fixed object (chunk) size in bytes. Must be a
 	// power of two in [64, 65536]. The paper argues only powers of two
@@ -381,8 +378,8 @@ func (p *Pool) NumSlots() int { return int(p.targetSlots.Load()) }
 // budget's.
 func (p *Pool) MaxSlots() int { return len(p.slotOwner) - p.reserveFloor }
 
-// Far exposes the pool's far engine: the replica set and compressed tier
-// it owns (health counters, governor resizing) and the degraded-mode
+// Far exposes the pool's far engine: the compressed tier it owns
+// (governor resizing) and the degraded-mode
 // breaker the anti-thrash governor forces as its last resort.
 func (p *Pool) Far() *far.Engine { return p.far }
 

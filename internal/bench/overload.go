@@ -16,7 +16,7 @@ import (
 // questions the paper's steady-state figures do not: when offered load
 // exceeds capacity, does the server shed instead of queueing unboundedly,
 // what latency do the admitted requests see, and how much does the retry
-// budget damp retry amplification during a replica brownout?
+// budget damp retry amplification during a memory-node brownout?
 //
 // The model is a single-server queue: one remote node serving fixed-size
 // (4 KB) object fetches at the calibrated cost S =
@@ -159,8 +159,8 @@ func runOverloadPhase(ph overloadPhase, n int, svc uint64) overloadResult {
 	return res
 }
 
-// runBrownout models a replica brownout: each op's sends fail with a 30%
-// probability and are retried (up to 4 attempts) — gated by the real
+// runBrownout models a memory-node brownout: each op's sends fail with a
+// 30% probability and are retried (up to 4 attempts) — gated by the real
 // RetryBudget when budgeted, unboundedly otherwise. It reports completed
 // ops and total sends, the retry-amplification numerator the acceptance
 // gate bounds at 1.15x.

@@ -7,16 +7,15 @@ import (
 	"trackfm/internal/sim"
 )
 
-// Deadline is an absolute per-operation deadline. Like the breaker timing
-// in ReplicaSet it is clock-dual: when built over a sim.Clock it is a
+// Deadline is an absolute per-operation deadline. Like admission control's
+// timing it is clock-dual: when built over a sim.Clock it is a
 // cycle count on the deterministic timeline (experiments replay
 // bit-identically); when built over the wall clock it is a UnixNano
 // instant. The zero Deadline means "no deadline" and is accepted
 // everywhere a Deadline is.
 //
 // Deadlines propagate end to end: the runtime (aifm.Pool, fastswap.Swap)
-// stamps one per remote operation, the ReplicaSet fits its failover
-// walk inside the remaining budget, the TCPTransport bounds each
+// stamps one per remote operation, the TCPTransport bounds each
 // attempt's socket deadline and backoff by it and carries the remaining
 // budget to the server in the request header, and the server's admission
 // control sheds requests it cannot finish in time.
@@ -40,8 +39,8 @@ func WallDeadlineAfter(budget time.Duration) Deadline {
 // IsZero reports whether d is the no-deadline zero value.
 func (d Deadline) IsZero() bool { return !d.set }
 
-// clockNow reads a clock-dual timeline — a Deadline's, the admission
-// controller's, a ReplicaSet's breakers': simulated cycles when clk is
+// clockNow reads a clock-dual timeline — a Deadline's or the admission
+// controller's: simulated cycles when clk is
 // set, wall-clock nanoseconds otherwise.
 func clockNow(clk *sim.Clock) uint64 {
 	if clk != nil {

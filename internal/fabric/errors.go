@@ -37,32 +37,29 @@ var (
 	ErrClosed = errors.New("fabric: transport closed")
 
 	// ErrIntegrity is an end-to-end integrity failure: a payload whose
-	// CRC32-C did not survive the wire, a stored blob the remote node
-	// reports as corrupt or truncated, or a replica whose data disagrees
-	// with the checksum recorded at push time. Whether it is retryable
-	// depends on where the corruption lives: in-flight corruption heals on
-	// retry (the transport retries it), corruption at rest on one node
-	// does not (the server answers it as a permanent error frame and a
-	// ReplicaSet repairs from another replica instead).
+	// CRC32-C did not survive the wire, or a stored blob the remote node
+	// reports as corrupt or truncated. Whether it is retryable depends on
+	// where the corruption lives: in-flight corruption heals on retry (the
+	// far engine re-issues it), corruption at rest does not (the server
+	// answers it as an error frame the transport marks Permanent).
 	ErrIntegrity = errors.New("fabric: integrity check failed")
 
 	// ErrDeadlineExceeded is a per-operation deadline expiry: the caller's
-	// end-to-end budget (carried in the request header and enforced at
-	// every layer — transport attempts, replica failover, runtime retry
-	// loops) ran out before the operation produced a usable result. It is
-	// distinct from ErrTimeout, which is one attempt's socket deadline:
-	// a timed-out attempt may be retried, a deadline-exceeded operation
-	// may not. An operation whose result arrives after the deadline is
-	// also reported as ErrDeadlineExceeded — callers never consume a
-	// result that missed its budget.
+	// end-to-end budget (carried in the request header and enforced at every
+	// layer — transport attempts, runtime retry loops) ran out before the
+	// operation produced a usable result. It is distinct from ErrTimeout, which
+	// is one attempt's socket deadline: a timed-out attempt may be retried, a
+	// deadline-exceeded operation may not. An operation whose result arrives
+	// after the deadline is also reported as ErrDeadlineExceeded — callers
+	// never consume a result that missed its budget.
 	ErrDeadlineExceeded = errors.New("fabric: operation deadline exceeded")
 
 	// ErrOverloaded is the server's admission-control reject: the request
 	// was shed before service (bounded queue full, queue delay past the
 	// CoDel target, or infeasible within the carried deadline). It is
 	// backpressure, not failure — the connection stays healthy, the retry
-	// budget is not charged, and circuit breakers must not count it
-	// toward quarantine.
+	// budget is not charged, and the far engine re-issues it paced by the
+	// transport.
 	ErrOverloaded = errors.New("fabric: server overloaded, request shed")
 )
 
@@ -91,14 +88,6 @@ func isIntegrity(err error) bool  { return errors.Is(err, ErrIntegrity) }
 func isOverloaded(err error) bool { return errors.Is(err, ErrOverloaded) }
 func isDeadline(err error) bool   { return errors.Is(err, ErrDeadlineExceeded) }
 
-// corruptAtRest tells the two integrity failures apart. A node that answers
-// ackCorrupt is alive and says its own copy of the blob is bad: retrying it
-// cannot help (hence permanent), and a ReplicaSet reads another replica and
-// repairs this one. Any other ErrIntegrity is a payload damaged on the wire
-// that outlived the transport's retries — a fault of the path to the node,
-// and to a breaker a failure like a timeout or a hang-up.
-func corruptAtRest(err error) bool { return isIntegrity(err) && Permanent(err) }
-
 // classify maps a raw network error onto the typed taxonomy, preserving the
 // original error in the wrap chain for diagnostics.
 func classify(err error) error {
@@ -111,8 +100,7 @@ func classify(err error) error {
 	if isOverloaded(err) || isDeadline(err) || isIntegrity(err) {
 		// Already typed by the overload-control layer or the checksum
 		// check; re-wrapping as ErrRemoteUnavailable would hide the class
-		// the retry loop and Stats branch on. (A ReplicaSet's breaker still
-		// counts a wire ErrIntegrity as a failure: see corruptAtRest.)
+		// the retry loop and Stats branch on.
 		return err
 	}
 	var ne net.Error

@@ -1,9 +1,11 @@
 package fabric
 
 import (
+	"fmt"
 	"net"
 	"slices"
 	"testing"
+	"time"
 
 	"trackfm/internal/remote"
 )
@@ -117,5 +119,62 @@ func TestTransportReconnectSemantics(t *testing.T) {
 	dst := make([]byte, 2)
 	if !mustFetch(t, tr2, 100, dst) || dst[0] != 7 {
 		t.Fatalf("data lost across reconnect")
+	}
+}
+
+// TestServerShutdownDrains pins the graceful half of crash consistency: a
+// draining server finishes and acks in-flight requests before hanging up,
+// refuses new connections, and Shutdown returns once the drain completes.
+// Every push the client saw acked must be in the store afterwards.
+func TestServerShutdownDrains(t *testing.T) {
+	store := remote.NewStore()
+	srv := NewServer(store)
+	addr, err := srv.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("ListenAndServe: %v", err)
+	}
+	tr, err := DialWith(addr, fastRetry())
+	if err != nil {
+		t.Fatalf("DialWith: %v", err)
+	}
+	defer tr.Close()
+
+	// A concurrent pusher: once the drain starts its connection is hung up
+	// after the current frame and reconnects are refused, so it stops with
+	// a transport error — but every ack it collected must be durable in
+	// the store.
+	acked := make(chan uint64, 1024)
+	pushErr := make(chan error, 1)
+	go func() {
+		defer close(acked)
+		for k := uint64(0); ; k++ {
+			if err := tr.TryPushUntil(k, []byte(fmt.Sprintf("payload-%d", k)), Deadline{}); err != nil {
+				pushErr <- err
+				return
+			}
+			acked <- k
+		}
+	}()
+	<-acked // at least one op in flight before the drain begins
+
+	if err := srv.Shutdown(2 * time.Second); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if err := <-pushErr; err == nil {
+		t.Fatalf("pusher kept succeeding after drain")
+	}
+	for k := range acked {
+		dst := make([]byte, len(fmt.Sprintf("payload-%d", k)))
+		if found, err := store.Get(k, dst); err != nil || !found {
+			t.Fatalf("acked key %d lost across drain: found=%v err=%v", k, found, err)
+		}
+	}
+
+	// The drained server refuses new work entirely.
+	if _, err := Dial(addr); err == nil {
+		t.Fatalf("dial succeeded after shutdown")
+	}
+	if err := srv.Shutdown(time.Second); err != ErrClosed {
+		t.Fatalf("second Shutdown: err=%v, want ErrClosed", err)
 	}
 }

@@ -19,8 +19,11 @@ type FaultConfig struct {
 	// ErrRemoteUnavailable before reaching the inner transport.
 	DropRate float64
 	// CorruptRate is the probability a successful fetch has one payload
-	// byte flipped after the inner transport fills it — modelling a
-	// link-level integrity failure the transport cannot see.
+	// byte flipped after the inner transport fills it and then fails the
+	// way TCPTransport's wire check fails it: with a retryable
+	// ErrIntegrity. It models a payload damaged in flight — a fault the
+	// system sees and heals by re-issuing the fetch, never bytes handed
+	// to the caller as good.
 	CorruptRate float64
 	// DelayRate is the probability an operation is delayed by
 	// DelayCycles on the simulated clock (requires Env).
@@ -44,14 +47,14 @@ type FaultConfig struct {
 // transport- and runtime-level counters in tests and experiments.
 type FaultStats struct {
 	Drops       uint64 // ops failed with an injected ErrRemoteUnavailable
-	Corruptions uint64 // fetch payloads bit-flipped
+	Corruptions uint64 // fetch payloads bit-flipped and failed with ErrIntegrity
 	Delays      uint64 // delays charged to the sim clock
 	OutageFails uint64 // ops failed inside an outage window (subset semantics: counted separately from Drops)
 	Ops         uint64 // total operations observed
 }
 
-// FaultLink is an ErrorTransport decorator that injects faults
-// against any inner transport: probabilistic drops, payload corruption,
+// FaultLink is an ErrorTransport decorator that injects faults against any
+// inner transport: probabilistic drops, detected payload corruption,
 // simulated-clock delays, and periodic outage windows. Wrap a SimLink to
 // fault-test the deterministic runtimes, or a TCPTransport to stress the
 // retry machinery over a real socket. It is safe for concurrent use (the
@@ -124,18 +127,22 @@ func (f *FaultLink) inject() error {
 	return nil
 }
 
-// maybeCorrupt flips one byte of a fetched payload with CorruptRate
-// probability.
-func (f *FaultLink) maybeCorrupt(dst []byte) {
+// corrupt flips one byte of a fetched payload with CorruptRate probability
+// and then reports what a payload damaged on the wire becomes: the error
+// TCPTransport's CRC check raises, classified the same way, so a caller
+// never takes the flipped bytes for data.
+func (f *FaultLink) corrupt(dst []byte) error {
 	if f.cfg.CorruptRate <= 0 || len(dst) == 0 {
-		return
+		return nil
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.rng.Float64() < f.cfg.CorruptRate {
-		f.stats.Corruptions++
-		dst[f.rng.Intn(len(dst))] ^= 0xFF
+	if f.rng.Float64() >= f.cfg.CorruptRate {
+		return nil
 	}
+	f.stats.Corruptions++
+	dst[f.rng.Intn(len(dst))] ^= 0xFF
+	return classify(fmt.Errorf("%w: injected fetch payload corruption", ErrIntegrity))
 }
 
 // TryFetchUntil implements ErrorTransport: injection happens before the
@@ -148,7 +155,9 @@ func (f *FaultLink) TryFetchUntil(key uint64, dst []byte, dl Deadline) (bool, er
 	}
 	found, err := f.inner.TryFetchUntil(key, dst, dl)
 	if err == nil && found {
-		f.maybeCorrupt(dst)
+		if err := f.corrupt(dst); err != nil {
+			return false, err
+		}
 	}
 	return found, err
 }
@@ -184,22 +193,12 @@ func (f *FaultLink) StartFetch(key uint64, dst []byte) (Ticket, error) {
 	}
 	found, err := tk.Wait()
 	if err == nil && found {
-		f.maybeCorrupt(dst)
+		if err := f.corrupt(dst); err != nil {
+			return Ticket{}, err
+		}
 	}
 	return Ticket{found: found}, err
 }
 
-// PeerIdentity delegates to the inner transport when it reports identity
-// (a wrapped TCPTransport does), so fault-injected replica-set members
-// still see restart generations. An inner transport without identity
-// reports (0, false), the same as "never advertised".
-func (f *FaultLink) PeerIdentity() (uint64, bool) {
-	if ir, ok := f.inner.(IdentityReporter); ok {
-		return ir.PeerIdentity()
-	}
-	return 0, false
-}
-
 var _ ErrorTransport = (*FaultLink)(nil)
 var _ AsyncFetcher = (*FaultLink)(nil)
-var _ IdentityReporter = (*FaultLink)(nil)

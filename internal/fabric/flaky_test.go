@@ -320,6 +320,10 @@ func TestFaultLinkDelayChargesClock(t *testing.T) {
 	}
 }
 
+// TestFaultLinkCorruption: an injected corruption is a fault the system
+// sees — the retryable ErrIntegrity TCPTransport's wire check raises, on
+// the blocking and the split-phase fetch alike — never a payload handed
+// over as good.
 func TestFaultLinkCorruption(t *testing.T) {
 	env := sim.NewEnv()
 	inner := NewSimLink(env, BackendTCP)
@@ -327,13 +331,17 @@ func TestFaultLinkCorruption(t *testing.T) {
 	mustPush(t, fl, 3, []byte{7, 7, 7, 7})
 	dst := make([]byte, 4)
 	found, err := fl.TryFetchUntil(3, dst, Deadline{})
-	if err != nil || !found {
-		t.Fatalf("TryFetch = %v %v", found, err)
+	if found || !errors.Is(err, ErrIntegrity) || Permanent(err) {
+		t.Fatalf("TryFetchUntil = (%v, %v), want (false, a retryable ErrIntegrity)", found, err)
 	}
-	if bytes.Equal(dst, []byte{7, 7, 7, 7}) {
-		t.Fatalf("CorruptRate=1 returned pristine payload")
+	tk, err := fl.StartFetch(3, dst)
+	if tk.Pending() || !errors.Is(err, ErrIntegrity) || Permanent(err) {
+		t.Fatalf("StartFetch = (pending %v, %v), want a retryable ErrIntegrity", tk.Pending(), err)
 	}
-	if fl.Stats().Corruptions != 1 {
-		t.Fatalf("Corruptions = %d, want 1", fl.Stats().Corruptions)
+	if found, err := fl.TryFetchUntil(4, dst, Deadline{}); found || err != nil {
+		t.Fatalf("fetch of an absent key = (%v, %v), want (false, nil): there is no payload to damage", found, err)
+	}
+	if got := fl.Stats().Corruptions; got != 2 {
+		t.Fatalf("Corruptions = %d, want 2", got)
 	}
 }

@@ -42,18 +42,16 @@ func (b Backend) String() string {
 }
 
 // ErrorTransport is the interface the runtimes consume to move object or
-// page data to and from the remote node. Implementations charge their
-// cost model as a side effect and surface failures as the typed errors in
-// errors.go, so callers can distinguish "key absent" from "network
-// failed" and retry, fail over, or stall instead of silently corrupting
-// the mutator's data.
+// page data to and from the remote node. Implementations charge their cost
+// model as a side effect and surface failures as the typed errors in
+// errors.go, so callers can distinguish "key absent" from "network failed"
+// and retry or stall instead of silently corrupting the mutator's data.
 //
 // Every operation takes a Deadline; the zero Deadline means "no deadline".
 // Implementations enforce the deadline natively where they can
-// (TCPTransport bounds socket deadlines, ReplicaSet fits failover and
-// hedging inside the remaining budget) and otherwise refuse to start an
-// expired operation and report ErrDeadlineExceeded for one that completes
-// late.
+// (TCPTransport bounds socket deadlines and carries the remaining budget to
+// the server) and otherwise refuse to start an expired operation and report
+// ErrDeadlineExceeded for one that completes late.
 //
 // Buffer ownership follows one rule — the callee copies. dst and src are
 // caller-owned scratch valid only for the duration of the call: a fetch
@@ -115,9 +113,9 @@ type Push struct {
 // pushes — and a fetch behind them — cost one round trip instead of one
 // each: a write-behind window (far.Engine's) hands over the dirty units it
 // has parked when the next miss goes to the wire. TCPTransport writes the
-// lot into one buffer and flushes once. SimLink, FaultLink, ReplicaSet and
-// decorators that forward only the blocking triple are not carriers, and
-// over them every push stays a TryPushUntil of its own.
+// lot into one buffer and flushes once. SimLink, FaultLink and decorators
+// that forward only the blocking triple are not carriers, and over them
+// every push stays a TryPushUntil of its own.
 //
 // Each call is all or nothing to its caller: nil means every push was
 // acknowledged (and the fetch answered); on error any of the pushes may or
@@ -168,9 +166,8 @@ func (t Ticket) Wait() (found bool, err error) {
 // StartFetch starts a speculative fetch on t: split-phase when t is an
 // AsyncFetcher, otherwise an ordinary blocking undeadlined fetch whose
 // ticket is born complete. Prefetchers call this so they work — merely
-// without overlap — over transports with no async path (ReplicaSet, for
-// which none is built yet, and decorators that forward only the blocking
-// methods).
+// without overlap — over transports with no async path (decorators that
+// forward only the blocking methods, such as fmbench's tracer).
 func StartFetch(t ErrorTransport, key uint64, dst []byte) (Ticket, error) {
 	if af, ok := t.(AsyncFetcher); ok {
 		return af.StartFetch(key, dst)

@@ -1,10 +1,6 @@
 package fabric
 
-import (
-	"fmt"
-
-	"trackfm/internal/obs"
-)
+import "trackfm/internal/obs"
 
 // This file adapts the fabric's counter blocks onto the obs registry.
 // Registration is read-only plumbing: the counters keep their atomic
@@ -12,7 +8,7 @@ import (
 // closures, so registering has no effect on the hot paths.
 
 // Register exposes the transport-level counters on reg. Labels distinguish
-// multiple transports sharing a registry (e.g. obs.L("transport", "tcp")).
+// multiple transports sharing a registry (e.g. obs.Label{Key: "transport", Value: "tcp"}).
 func (s *Stats) Register(reg *obs.Registry, labels ...obs.Label) {
 	reg.CounterFunc("trackfm_fabric_retries_total",
 		"Operations resent once because the peer had closed their idle socket (server restart).", s.Retries, labels...)
@@ -25,7 +21,7 @@ func (s *Stats) Register(reg *obs.Registry, labels ...obs.Label) {
 	reg.CounterFunc("trackfm_fabric_unavailable_total",
 		"Connection-level failures (refused, reset, dial errors).", s.Unavailable, labels...)
 	reg.CounterFunc("trackfm_fabric_checksum_faults_total",
-		"Integrity failures detected (wire CRC, corrupt server blob, replica mismatch).", s.ChecksumFaults, labels...)
+		"Integrity failures detected (wire CRC, corrupt server blob).", s.ChecksumFaults, labels...)
 	reg.CounterFunc("trackfm_fabric_overloads_total",
 		"Overload rejects received from server-side admission control (backpressure).", s.Overloads, labels...)
 	reg.CounterFunc("trackfm_fabric_deadline_misses_total",
@@ -79,71 +75,4 @@ func (s *ServerStats) Register(reg *obs.Registry, labels ...obs.Label) {
 		"Writes the backing store refused (e.g. WAL append failure); answered with an error frame, never acked.", s.StoreFails, labels...)
 	reg.CounterFunc("trackfm_server_flushes_total",
 		"Writes of buffered replies to a socket (frames / flushes = replies per write; 1 for clients with one request in flight).", s.Flushes, labels...)
-}
-
-// Register exposes the replication-level counters on reg.
-func (s *ReplicaSetStats) Register(reg *obs.Registry, labels ...obs.Label) {
-	reg.CounterFunc("trackfm_replica_breaker_opens_total",
-		"Closed-to-open circuit-breaker transitions.", s.BreakerOpens, labels...)
-	reg.CounterFunc("trackfm_replica_probes_total",
-		"Half-open probe attempts.", s.Probes, labels...)
-	reg.CounterFunc("trackfm_replica_probe_fails_total",
-		"Probes that sent the breaker back to open.", s.ProbeFails, labels...)
-	reg.CounterFunc("trackfm_replica_resynced_keys_total",
-		"Missed writes replayed onto returning replicas.", s.ResyncedKeys, labels...)
-	reg.CounterFunc("trackfm_replica_read_repairs_total",
-		"Stale, corrupt, or absent replica blobs overwritten from a healthy peer.", s.ReadRepairs, labels...)
-	reg.CounterFunc("trackfm_replica_failovers_total",
-		"Reads served only after at least one replica failed the operation.", s.Failovers, labels...)
-	reg.CounterFunc("trackfm_replica_quorum_fails_total",
-		"Writes that could not gather the configured ack quorum.", s.QuorumFails, labels...)
-	reg.CounterFunc("trackfm_replica_restarts_total",
-		"Replica restarts detected via a changed hello restart generation.", s.Restarts, labels...)
-	reg.CounterFunc("trackfm_replica_delta_rejoins_total",
-		"Restarts of durable replicas rejoined by replaying only the writes missed during downtime.", s.DeltaRejoins, labels...)
-	reg.CounterFunc("trackfm_replica_full_resyncs_total",
-		"Restarts of non-durable (came back empty) replicas: all tracked keys re-marked missed.", s.FullResyncs, labels...)
-}
-
-// Register exposes the set's transport counters, replication counters, and a
-// per-replica breaker view (trackfm_replica_up{replica="rN"}, 1 when the
-// breaker is closed, 0.5 half-open, 0 open; trackfm_replica_missed_keys,
-// writes the replica has not yet acknowledged). Reads take the set's mutex,
-// so a scrape observes a consistent breaker state.
-func (rs *ReplicaSet) Register(reg *obs.Registry, labels ...obs.Label) {
-	rs.stats.Register(reg, labels...)
-	rs.rstats.Register(reg, labels...)
-	for i := range rs.members {
-		lbls := append([]obs.Label{obs.L("replica", fmt.Sprintf("r%d", i))}, labels...)
-		i := i
-		reg.GaugeFunc("trackfm_replica_up",
-			"Replica breaker state: 1 closed (serving), 0.5 half-open (probing), 0 open (quarantined).",
-			func() float64 {
-				switch rs.breakerState(i) {
-				case BreakerClosed:
-					return 1
-				case BreakerHalfOpen:
-					return 0.5
-				default:
-					return 0
-				}
-			}, lbls...)
-		reg.GaugeFunc("trackfm_replica_missed_keys",
-			"Writes this replica has not yet acknowledged or been resynced to.",
-			func() float64 { return float64(rs.missedKeys(i)) }, lbls...)
-	}
-}
-
-// breakerState reads replica i's breaker state under the set's mutex.
-func (rs *ReplicaSet) breakerState(i int) BreakerState {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.brk[i].state
-}
-
-// missedKeys reads replica i's missed-write backlog under the set's mutex.
-func (rs *ReplicaSet) missedKeys(i int) int {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return len(rs.missed[i])
 }

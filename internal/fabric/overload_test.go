@@ -3,7 +3,6 @@ package fabric
 import (
 	"bytes"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -370,156 +369,6 @@ func TestDeadlineExpiredFailsFastNoFrame(t *testing.T) {
 	}
 	if got := srv.Stats().Frames(); got != frames {
 		t.Fatalf("server frames went %d -> %d; expired op must not hit the wire", frames, got)
-	}
-}
-
-// blockLink is an ErrorTransport whose operations can be held on a gate
-// channel, for freezing a half-open probe mid-flight.
-type blockLink struct {
-	inner ErrorTransport
-
-	mu   sync.Mutex
-	down bool
-	gate chan struct{} // when non-nil, every op blocks until it is closed
-}
-
-func (b *blockLink) op() error {
-	b.mu.Lock()
-	gate := b.gate
-	down := b.down
-	b.mu.Unlock()
-	if gate != nil {
-		<-gate
-	}
-	if down {
-		return ErrRemoteUnavailable
-	}
-	return nil
-}
-
-func (b *blockLink) TryFetchUntil(key uint64, dst []byte, dl Deadline) (bool, error) {
-	if err := b.op(); err != nil {
-		return false, err
-	}
-	return b.inner.TryFetchUntil(key, dst, dl)
-}
-func (b *blockLink) TryPushUntil(key uint64, src []byte, dl Deadline) error {
-	if err := b.op(); err != nil {
-		return err
-	}
-	return b.inner.TryPushUntil(key, src, dl)
-}
-func (b *blockLink) TryDeleteUntil(key uint64, dl Deadline) error {
-	if err := b.op(); err != nil {
-		return err
-	}
-	return b.inner.TryDeleteUntil(key, dl)
-}
-
-func (b *blockLink) set(down bool, gate chan struct{}) {
-	b.mu.Lock()
-	b.down, b.gate = down, gate
-	b.mu.Unlock()
-}
-
-// TestReplicaSetHalfOpenProbeSingleFlight pins the probe singleflight rule:
-// exactly one caller runs a due half-open probe, with the set's mutex
-// released around the probe I/O, while concurrent callers skip the claimed
-// probe and serve their reads from healthy replicas instead of queueing
-// behind it.
-func TestReplicaSetHalfOpenProbeSingleFlight(t *testing.T) {
-	env := sim.NewEnv()
-	m0 := &blockLink{inner: NewSimLink(env, BackendTCP)}
-	m1 := NewSimLink(env, BackendTCP)
-	var clk sim.Clock
-	rs, err := NewReplicaSet(ReplicaConfig{
-		Quorum:           1,
-		FailureThreshold: 1,
-		OpenTimeout:      1000,
-		Clock:            &clk,
-	}, m0, m1)
-	if err != nil {
-		t.Fatalf("NewReplicaSet: %v", err)
-	}
-	rstats := rs.ReplicaStats()
-
-	blob := []byte("probe singleflight payload")
-	if err := rs.TryPushUntil(9, blob, Deadline{}); err != nil {
-		t.Fatalf("TryPush: %v", err)
-	}
-
-	// Fail replica 0 once: threshold 1 opens its breaker.
-	m0.set(true, nil)
-	dst := make([]byte, len(blob))
-	if found, err := rs.TryFetchUntil(9, dst, Deadline{}); err != nil || !found {
-		t.Fatalf("fetch during outage = %v, %v", found, err)
-	}
-	if got := rstats.BreakerOpens(); got != 1 {
-		t.Fatalf("BreakerOpens = %d, want 1", got)
-	}
-
-	// Heal the replica but freeze its transport: the recovery probe will
-	// block in its liveness I/O until we release the gate.
-	gate := make(chan struct{})
-	m0.set(false, gate)
-	clk.Advance(1251) // past the jittered open timeout, worst case 5/4 x 1000
-
-	probeDone := make(chan error, 1)
-	go func() {
-		d := make([]byte, len(blob))
-		_, err := rs.TryFetchUntil(9, d, Deadline{}) // claims the due probe, blocks on the gate
-		probeDone <- err
-	}()
-	waitFor(t, "probe claimed", func() bool { return rstats.Probes() == 1 })
-
-	// Concurrent readers must not queue behind the in-flight probe: they
-	// see the probing flag, skip the claim, and serve from replica 1.
-	for i := 0; i < 3; i++ {
-		got := make([]byte, len(blob))
-		done := make(chan struct{})
-		go func() {
-			if found, err := rs.TryFetchUntil(9, got, Deadline{}); err != nil || !found {
-				t.Errorf("concurrent fetch during probe = %v, %v", found, err)
-			}
-			close(done)
-		}()
-		select {
-		case <-done:
-		case <-time.After(2 * time.Second):
-			t.Fatalf("concurrent fetch %d blocked behind the half-open probe", i)
-		}
-		if !bytes.Equal(got, blob) {
-			t.Fatalf("concurrent fetch %d payload = %q", i, got)
-		}
-	}
-	if got := rstats.Probes(); got != 1 {
-		t.Fatalf("Probes = %d while one probe is in flight, want 1 (singleflight)", got)
-	}
-	select {
-	case err := <-probeDone:
-		t.Fatalf("probing fetch returned (%v) before the gate opened", err)
-	default:
-	}
-
-	// Release the probe: it completes, the breaker closes, and replica 0
-	// rejoins without a second probe ever having started.
-	close(gate)
-	select {
-	case err := <-probeDone:
-		if err != nil {
-			t.Fatalf("probing fetch: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatalf("probing fetch did not return after gate release")
-	}
-	if got := rstats.Probes(); got != 1 {
-		t.Fatalf("Probes = %d after recovery, want 1", got)
-	}
-	if got := rstats.ProbeFails(); got != 0 {
-		t.Fatalf("ProbeFails = %d, want 0", got)
-	}
-	if h := rs.Health(); h[0].State != BreakerClosed {
-		t.Fatalf("replica 0 state = %v after successful probe, want closed", h[0].State)
 	}
 }
 

@@ -1,38 +1,20 @@
 package fabric
 
-import (
-	"fmt"
-
-	"trackfm/internal/sim"
-)
+import "fmt"
 
 // RemoteConfig is the shared remote-memory configuration block embedded by
 // every runtime config (aifm.Config, fastswap.Config, farmem.Config): one
 // definition of where far memory lives and how hard to retry, instead of
-// three drifting copies. At most one of RemoteAddr, Transport, and
-// Replicas may be set; leaving all three empty selects the runtime's
-// default in-process SimLink.
+// three drifting copies. At most one of RemoteAddr and Transport may be
+// set; leaving both empty selects the runtime's default in-process SimLink.
 type RemoteConfig struct {
 	// RemoteAddr, when non-empty, dials a fabric.TCPTransport to a real
 	// remote-memory server (cmd/fmserver) at this address.
 	RemoteAddr string
 
 	// Transport, when non-nil, is used directly — an in-process SimLink,
-	// an already-dialed TCPTransport, a FaultLink, or a ReplicaSet built
-	// by the caller.
+	// an already-dialed TCPTransport, or a FaultLink built by the caller.
 	Transport ErrorTransport
-
-	// Replicas, when non-empty, replicates the runtime's remote keyspace:
-	// a ReplicaSet is built over these transports (write-all with quorum
-	// acks, health-checked read failover, end-to-end checksums) and used
-	// in place of Transport.
-	Replicas []ErrorTransport
-
-	// Replication parameterizes the ReplicaSet built from Replicas
-	// (ignored when Replicas is empty). Zero values select the documented
-	// ReplicaConfig defaults; Replication.Clock defaults to the clock
-	// passed to Connect so breaker timing follows the simulation.
-	Replication ReplicaConfig
 
 	// RemoteRetries is the wire attempts per remote operation (default
 	// 4): the runtime's far engine, the one place that re-issues a failed
@@ -63,47 +45,25 @@ func (c *RemoteConfig) Retries() int {
 	return c.RemoteRetries
 }
 
-// Connect resolves the config into the transport a runtime should use:
-// the explicit Transport, a ReplicaSet over Replicas (breaker clock
-// defaulting to clk), or a freshly dialed TCPTransport for RemoteAddr. It
+// Connect resolves the config into the transport a runtime should use: the
+// explicit Transport or a freshly dialed TCPTransport for RemoteAddr. It
 // returns a nil transport when no source is configured — the caller picks
-// its default SimLink. The returned ReplicaSet is non-nil only on the
-// Replicas path, and close is non-nil only when Connect itself opened a
-// connection (the RemoteAddr path) — the runtime's Close method calls it.
-func (c *RemoteConfig) Connect(clk *sim.Clock) (t ErrorTransport, rs *ReplicaSet, close func() error, err error) {
-	sources := 0
-	if c.RemoteAddr != "" {
-		sources++
-	}
-	if c.Transport != nil {
-		sources++
-	}
-	if len(c.Replicas) > 0 {
-		sources++
-	}
-	if sources > 1 {
-		return nil, nil, nil, fmt.Errorf("fabric: RemoteConfig: RemoteAddr, Transport, and Replicas are mutually exclusive")
-	}
+// its default SimLink — and close is non-nil only when Connect itself
+// opened a connection (the RemoteAddr path): the runtime's Close method
+// calls it.
+func (c *RemoteConfig) Connect() (t ErrorTransport, close func() error, err error) {
 	switch {
+	case c.RemoteAddr != "" && c.Transport != nil:
+		return nil, nil, fmt.Errorf("fabric: RemoteConfig: RemoteAddr and Transport are mutually exclusive")
 	case c.Transport != nil:
-		return c.Transport, nil, nil, nil
-	case len(c.Replicas) > 0:
-		rcfg := c.Replication
-		if rcfg.Clock == nil {
-			rcfg.Clock = clk
-		}
-		rs, err := NewReplicaSet(rcfg, c.Replicas...)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return rs, rs, nil, nil
+		return c.Transport, nil, nil
 	case c.RemoteAddr != "":
 		tr, err := Dial(c.RemoteAddr)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("fabric: dial %s: %w", c.RemoteAddr, err)
+			return nil, nil, fmt.Errorf("fabric: dial %s: %w", c.RemoteAddr, err)
 		}
-		return tr, nil, tr.Close, nil
+		return tr, tr.Close, nil
 	default:
-		return nil, nil, nil, nil
+		return nil, nil, nil
 	}
 }

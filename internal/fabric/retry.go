@@ -48,15 +48,6 @@ func expClamp(base, max time.Duration, retry int) time.Duration {
 	return d
 }
 
-// jitterWindow scales nominal into [lo, hi) of itself using one draw from
-// rng. It is the single jitter rule for the package: retry backoff uses
-// the window [1/2, 1), the breaker's reopen timeout uses [3/4, 5/4).
-// Consuming exactly one rng value keeps every schedule deterministic for
-// a fixed seed.
-func jitterWindow(nominal uint64, lo, hi float64, rng *sim.RNG) uint64 {
-	return uint64(float64(nominal) * (lo + rng.Float64()*(hi-lo)))
-}
-
 // backoff returns the jittered sleep after a streak of fails failed
 // attempts (1-based). It consumes one value from rng, which makes the
 // schedule deterministic for a fixed seed.
@@ -64,5 +55,5 @@ func (p retryPolicy) backoff(fails int, rng *sim.RNG) time.Duration {
 	d := expClamp(p.BaseBackoff, p.MaxBackoff, fails)
 	// Jitter into [d/2, d): decorrelates competing clients while staying
 	// deterministic per seed.
-	return time.Duration(jitterWindow(uint64(d), 0.5, 1.0, rng))
+	return time.Duration(uint64(float64(d) * (0.5 + rng.Float64()*0.5)))
 }

@@ -8,8 +8,8 @@ import (
 // Retry-budget defaults: a bucket of 16 tokens refilled at one tenth of a
 // token per request means bursts of failures retry freely (a restarting
 // server, a dropped connection) while a sustained brownout converges to
-// at most ~10% of traffic being retries — load on a struggling replica
-// shrinks instead of multiplying. The shape follows the classic
+// at most ~10% of traffic being retries — load on a struggling memory
+// node shrinks instead of multiplying. The shape follows the classic
 // client-side retry-budget design (a fraction of recent requests may be
 // retries), adapted to a plain token bucket so it stays deterministic.
 const (

@@ -15,7 +15,7 @@ type Stats struct {
 	reconnects  atomic.Uint64 // successful re-dials after a dead connection
 	shortReads  atomic.Uint64 // responses truncated mid-frame
 	unavailable atomic.Uint64 // connection-level failures (refused/reset/dial)
-	checksum    atomic.Uint64 // integrity failures detected (wire CRC, server corrupt frame, replica blob mismatch)
+	checksum    atomic.Uint64 // integrity failures detected (wire CRC, server corrupt frame)
 
 	overloads      atomic.Uint64 // overload rejects received (server shed the request)
 	deadlineMisses atomic.Uint64 // operations that failed with ErrDeadlineExceeded
@@ -49,16 +49,14 @@ func (s *Stats) ShortReads() uint64 { return s.shortReads.Load() }
 func (s *Stats) Unavailable() uint64 { return s.unavailable.Load() }
 
 // ChecksumFaults reports detected integrity failures: a wire CRC32-C
-// trailer that did not verify, a corrupt/truncated-blob error frame from
-// the server, or (on a ReplicaSet) a fetched payload disagreeing with the
-// checksum recorded when it was pushed. Every event here is corruption
-// that was caught instead of being handed to the mutator.
+// trailer that did not verify, or a corrupt/truncated-blob error frame
+// from the server. Every event here is corruption that was caught instead
+// of being handed to the mutator.
 func (s *Stats) ChecksumFaults() uint64 { return s.checksum.Load() }
 
 // Overloads reports overload rejects received from the server's admission
 // control: attempts that were shed before service — backpressure, which
-// the far engine re-issues without a retry-budget token and a breaker
-// does not count.
+// the far engine re-issues without a retry-budget token.
 func (s *Stats) Overloads() uint64 { return s.overloads.Load() }
 
 // DeadlineMisses reports operations that failed with ErrDeadlineExceeded:

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -12,6 +13,7 @@ import (
 
 	"trackfm/internal/mem/bufpool"
 	"trackfm/internal/remote"
+	"trackfm/internal/sim"
 )
 
 // keyedStore returns a store holding objs 4 KiB objects with key-encoding
@@ -723,4 +725,90 @@ func BenchmarkTCPFetchPipelined8(b *testing.B) {
 	for i := range tickets {
 		tickets[i].Wait()
 	}
+}
+
+// TestFetchAsyncHelperFallback pins the canonical prefetch entry point,
+// fabric.StartFetch: over a transport with no StartFetch of its own (a
+// decorator that forwards only the blocking methods, as fmbench's tracer
+// does) it is an ordinary undeadlined fetch — same result, same payload —
+// behind a ticket born complete; TCPTransport's tickets are pending until
+// waited on; SimLink's are born complete and charge the overlapped cost
+// model.
+func TestFetchAsyncHelperFallback(t *testing.T) {
+	check := func(t *testing.T, tr ErrorTransport, wantPending bool) {
+		t.Helper()
+		blob := []byte("helper contract")
+		if err := tr.TryPushUntil(6, blob, Deadline{}); err != nil {
+			t.Fatalf("TryPushUntil: %v", err)
+		}
+		a := make([]byte, len(blob))
+		b := make([]byte, len(blob))
+		fs, errS := tr.TryFetchUntil(6, a, Deadline{})
+		tk, err := StartFetch(tr, 6, b)
+		if err != nil {
+			t.Fatalf("StartFetch: %v", err)
+		}
+		if tk.Pending() != wantPending {
+			t.Fatalf("ticket pending = %v, want %v", tk.Pending(), wantPending)
+		}
+		fa, errA := tk.Wait()
+		if fs != fa || (errS == nil) != (errA == nil) || !bytes.Equal(a, b) {
+			t.Fatalf("StartFetch + Wait diverged from TryFetchUntil: (%v,%v) vs (%v,%v)", fs, errS, fa, errA)
+		}
+		if !fs || errS != nil {
+			t.Fatalf("pushed key not served: (%v, %v)", fs, errS)
+		}
+	}
+	t.Run("BlockingOnly", func(t *testing.T) {
+		// Embedding the interface hides SimLink's StartFetch: only the
+		// blocking triple is forwarded.
+		blocking := struct{ ErrorTransport }{NewSimLink(sim.NewEnv(), BackendTCP)}
+		if _, ok := interface{}(blocking).(AsyncFetcher); ok {
+			t.Fatalf("the blocking-only decorator exposes StartFetch: this subtest pins the fallback, which needs a transport that has none")
+		}
+		check(t, blocking, false)
+	})
+	t.Run("TCPTransport", func(t *testing.T) {
+		srv := NewServer(remote.NewStore())
+		addr, err := srv.ListenAndServe("127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("ListenAndServe: %v", err)
+		}
+		defer srv.Close()
+		tr, err := Dial(addr)
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		defer tr.Close()
+		check(t, tr, true)
+	})
+	t.Run("SimLinkUsesAsyncCostModel", func(t *testing.T) {
+		env := sim.NewEnv()
+		link := NewSimLink(env, BackendTCP)
+		blob := make([]byte, 4096)
+		if err := link.TryPushUntil(7, blob, Deadline{}); err != nil {
+			t.Fatalf("TryPushUntil: %v", err)
+		}
+		dst := make([]byte, len(blob))
+		before := env.Clock.Cycles()
+		tk, err := StartFetch(link, 7, dst)
+		if err != nil || tk.Pending() {
+			t.Fatalf("StartFetch = pending %v, %v; a SimLink ticket is born complete", tk.Pending(), err)
+		}
+		asyncCost := env.Clock.Cycles() - before
+		if found, err := tk.Wait(); !found || err != nil {
+			t.Fatalf("Wait = (%v, %v)", found, err)
+		}
+		if env.Clock.Cycles()-before != asyncCost {
+			t.Fatalf("Wait on a ticket born complete charged the clock")
+		}
+		before = env.Clock.Cycles()
+		if _, err := link.TryFetchUntil(7, dst, Deadline{}); err != nil {
+			t.Fatalf("TryFetchUntil: %v", err)
+		}
+		demandCost := env.Clock.Cycles() - before
+		if asyncCost >= demandCost {
+			t.Fatalf("StartFetch charged %d cycles, demand fetch %d; overlap model lost", asyncCost, demandCost)
+		}
+	})
 }

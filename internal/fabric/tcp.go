@@ -70,8 +70,7 @@ const (
 	// ackOverloaded doubles as the fetch flag and the push/delete ack for
 	// a request shed by server-side admission control before service. The
 	// stream stays in sync; clients treat it as backpressure — re-issued
-	// after backoff, never charged to the retry budget, never counted
-	// against circuit breakers.
+	// after backoff, never charged to the retry budget.
 	ackOverloaded = byte(0xB7)
 
 	protoVersion = 4
@@ -664,21 +663,11 @@ type wireConn struct {
 	crc [crcLen]byte
 }
 
-// IdentityReporter is implemented by transports that learn the peer's
-// restart generation from the hello exchange. A ReplicaSet uses it to
-// tell a restarted replica (generation changed) from a flaky link, and the
-// durable bit to choose between a delta rejoin (repair only the keys
-// written during its downtime) and a full resync.
-type IdentityReporter interface {
-	// PeerIdentity reports the restart generation the peer advertised in
-	// its last hello (0 when the peer never advertised one) and whether it
-	// declared its store durable.
-	PeerIdentity() (gen uint64, durable bool)
-}
-
-// PeerIdentity implements IdentityReporter. The values persist across
-// reconnects: they describe the peer as of the most recent completed
-// hello on any connection. It never waits on I/O.
+// PeerIdentity reports the restart generation the peer advertised in its
+// last hello (0 when it never advertised one) and whether it declared its
+// store durable. The values persist across reconnects: they describe the
+// peer as of the most recent completed hello on any connection. It never
+// waits on I/O.
 func (t *TCPTransport) PeerIdentity() (uint64, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -1061,9 +1050,8 @@ func (c *wireConn) readFetchReply(dst []byte) (found, inSync bool, err error) {
 	case ackErr:
 		return false, true, permanent(fmt.Errorf("%w: server rejected fetch", ErrProtocol))
 	case ackCorrupt:
-		// The blob is corrupt at rest on this node: retrying the
-		// same node cannot help, so the error is permanent here —
-		// a ReplicaSet recovers by reading another replica.
+		// The blob is corrupt at rest on the node: retrying cannot
+		// help, so the error is permanent.
 		return false, true, permanent(fmt.Errorf("%w: server reports blob corrupt or truncated", ErrIntegrity))
 	default:
 		return false, false, permanent(fmt.Errorf("%w: fetch flag %#x", ErrProtocol, flag))
@@ -1213,6 +1201,5 @@ func (t *TCPTransport) Close() error {
 var _ ErrorTransport = (*TCPTransport)(nil)
 var _ AsyncFetcher = (*TCPTransport)(nil)
 var _ PushCarrier = (*TCPTransport)(nil)
-var _ IdentityReporter = (*TCPTransport)(nil)
 var _ BlobStore = (*remote.Store)(nil)
 var _ BlobStore = (*remote.DurableStore)(nil)

@@ -261,3 +261,50 @@ func TestClientRefusesOtherVersion(t *testing.T) {
 		t.Fatalf("Retries = %d: a permanent error was retried", got)
 	}
 }
+
+// TestHelloAdvertisesIdentity pins the hello exchange: a server with a
+// generation installed hands it (and the durable bit) to the client, and a
+// server without one advertises nothing, in a reply of the same length.
+func TestHelloAdvertisesIdentity(t *testing.T) {
+	srv := NewServer(remote.NewStore())
+	srv.SetGeneration(7, true)
+	addr, err := srv.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("ListenAndServe: %v", err)
+	}
+	defer srv.Close()
+
+	tr, err := DialWith(addr, fastRetry())
+	if err != nil {
+		t.Fatalf("DialWith: %v", err)
+	}
+	defer tr.Close()
+	if err := tr.TryPushUntil(1, []byte("x"), Deadline{}); err != nil {
+		t.Fatalf("TryPush: %v", err)
+	}
+	if got := srv.Stats().Hellos(); got != 1 {
+		t.Fatalf("server Hellos = %d after one connection's first op, want 1", got)
+	}
+	gen, durable := tr.PeerIdentity()
+	if gen != 7 || !durable {
+		t.Fatalf("PeerIdentity = (%d, %v), want (7, true)", gen, durable)
+	}
+
+	srv2 := NewServer(remote.NewStore()) // no SetGeneration: nothing advertised
+	addr2, err := srv2.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("ListenAndServe: %v", err)
+	}
+	defer srv2.Close()
+	tr2, err := DialWith(addr2, fastRetry())
+	if err != nil {
+		t.Fatalf("DialWith: %v", err)
+	}
+	defer tr2.Close()
+	if err := tr2.TryPushUntil(1, []byte("x"), Deadline{}); err != nil {
+		t.Fatalf("TryPush: %v", err)
+	}
+	if gen, durable := tr2.PeerIdentity(); gen != 0 || durable {
+		t.Fatalf("PeerIdentity = (%d, %v), want (0, false)", gen, durable)
+	}
+}

@@ -72,9 +72,8 @@ type Engine struct {
 	env       *sim.Env
 	lat       *sim.Latencies
 	transport fabric.ErrorTransport
-	replicas  *fabric.ReplicaSet // non-nil only when Config.Replicas was set
-	closer    func() error       // non-nil only when the engine dialed RemoteAddr
-	retries   int                // wire attempts per operation
+	closer    func() error // non-nil only when the engine dialed RemoteAddr
+	retries   int          // wire attempts per operation
 	budget    *fabric.RetryBudget
 	unit      int
 	tier      *ctier.Tier // nil when disabled
@@ -91,21 +90,17 @@ type Engine struct {
 
 // New resolves cfg into a connected engine.
 func New(cfg Config) (*Engine, error) {
-	transport, replicas, closer, err := cfg.Connect(&cfg.Env.Clock)
+	transport, closer, err := cfg.Connect()
 	if err != nil {
 		return nil, err
 	}
 	if transport == nil {
 		transport = fabric.NewSimLink(cfg.Env, cfg.Backend)
 	}
-	if replicas != nil {
-		replicas.ObserveFailovers(cfg.Env.Lat().Failover)
-	}
 	e := &Engine{
 		env:       cfg.Env,
 		lat:       cfg.Env.Lat(),
 		transport: transport,
-		replicas:  replicas,
 		closer:    closer,
 		retries:   cfg.Retries(),
 		budget:    fabric.NewRetryBudget(0, 0),
@@ -142,10 +137,6 @@ func (e *Engine) Close() error {
 	return e.closer()
 }
 
-// ReplicaSet exposes the replica set serving the remote keyspace, or nil
-// when the engine runs on a single transport.
-func (e *Engine) ReplicaSet() *fabric.ReplicaSet { return e.replicas }
-
 // Tier exposes the compressed middle tier, or nil when disabled. The
 // governor resizes it under pressure; tests and benchmarks inspect it.
 func (e *Engine) Tier() *ctier.Tier { return e.tier }
@@ -169,14 +160,11 @@ func (e *Engine) ForceDegrade(on bool) {
 }
 
 // RegisterObs exposes the breaker state, the retry budget, the tier's
-// counters and the remote side the engine resolved — a replica set's
-// series, or a TCP transport's counters — on reg. The Env-wide counters
-// (deadline misses, fetch faults) are already on Env.Metrics.
+// counters and, when the engine runs over a TCP transport, that
+// transport's counters on reg. The Env-wide counters (deadline misses,
+// fetch faults) are already on Env.Metrics.
 func (e *Engine) RegisterObs(reg *obs.Registry, labels ...obs.Label) {
-	switch t := e.transport.(type) {
-	case *fabric.ReplicaSet:
-		t.Register(reg, labels...)
-	case *fabric.TCPTransport:
+	if t, ok := e.transport.(*fabric.TCPTransport); ok {
 		t.Stats().Register(reg, labels...)
 	}
 	e.budget.Register(reg, labels...)

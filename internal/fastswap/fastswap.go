@@ -53,19 +53,16 @@ type Config struct {
 	// LocalBudget is the cgroup memory limit: resident pages × pageSize
 	// never exceeds it.
 	LocalBudget uint64
-	// RemoteConfig locates the swap device: an explicit Transport, a
-	// Replicas set (page-outs fan to every replica quorum-acked, page-ins
-	// fail over between them, every page-in checksum-verified end to end;
-	// Replication.Clock defaults to Env.Clock), or a RemoteAddr to dial.
-	// Leaving it zero selects an in-process SimLink over the RDMA cost
-	// model (Fastswap's backend). A remote fault whose fetch still fails
-	// after RemoteRetries wire attempts — or sooner, when the far engine's
-	// retry budget refuses a re-issue under sustained faults — panics: the
-	// moral equivalent of the SIGBUS the kernel delivers when swap-in I/O
+	// RemoteConfig locates the swap device: an explicit Transport or a
+	// RemoteAddr to dial. Leaving it zero selects an in-process SimLink over
+	// the RDMA cost model (Fastswap's backend). A remote fault whose fetch
+	// still fails after RemoteRetries wire attempts — or sooner, when the far
+	// engine's retry budget refuses a re-issue under sustained faults — panics:
+	// the moral equivalent of the SIGBUS the kernel delivers when swap-in I/O
 	// fails. Unlike the object pool there is no degraded mode: the kernel
-	// analogue has no application-visible fallback, so a missed
-	// OpDeadline simply ends the attempts and surfaces (that SIGBUS for
-	// swap-in, a stalled reclaim for swap-out).
+	// analogue has no application-visible fallback, so a missed OpDeadline
+	// simply ends the attempts and surfaces (that SIGBUS for swap-in, a stalled
+	// reclaim for swap-out).
 	fabric.RemoteConfig
 }
 

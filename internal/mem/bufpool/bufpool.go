@@ -1,7 +1,7 @@
 // Package bufpool provides the tiered buffer pool behind every hot-path
-// scratch buffer in the tree: wire frames on the fabric server, replica
-// resync scratch, remote blob storage, and the object/page
-// evacuation buffers of the aifm and fastswap runtimes.
+// scratch buffer in the tree: wire frames on the fabric server, remote blob
+// storage, and the object/page evacuation buffers of the aifm and fastswap
+// runtimes.
 //
 // Two tiers serve two allocation patterns. A Pool holds power-of-two size
 // classes from 64 B to 64 KiB for variable-size callers (wire payloads,
@@ -293,8 +293,8 @@ func (s *Slab) Register(reg *obs.Registry, labels ...obs.Label) {
 }
 
 // Wire is the process-wide shared pool for wire frames and blob storage:
-// the fabric server's frame scratch, ReplicaSet resync buffers, and
-// remote.Store blob storage all draw from it, so a payload's storage can
+// the fabric server's frame scratch and remote.Store blob storage both
+// draw from it, so a payload's storage can
 // hand from one layer to the next without changing pools.
 var Wire = New()
 

@@ -458,7 +458,7 @@ func TestTierDeleteReleasesLease(t *testing.T) {
 func TestTierRegisterMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := New(Config{Budget: 1 << 16})
-	tr.Register(reg, obs.L("pool", "test"))
+	tr.Register(reg, obs.Label{Key: "pool", Value: "test"})
 	obj := make([]byte, 1024)
 	fill(obj, 1, true)
 	tr.Put(1, obj)

@@ -8,8 +8,8 @@ import (
 // DefaultCycleBuckets are the histogram upper bounds used for latency
 // metrics measured in simulated clock cycles. They span ~0.4µs to ~7ms at
 // the simulator's 2.4 GHz clock in powers of two — wide enough to cover a
-// local-hit slow path at the bottom and a multi-retry replicated fetch
-// over a degraded fabric at the top. Power-of-two bounds keep quantile
+// local-hit slow path at the bottom and a multi-retry fetch over a
+// degraded fabric at the top. Power-of-two bounds keep quantile
 // interpolation error proportional to the value itself.
 var DefaultCycleBuckets = []uint64{
 	1 << 10, // 1Ki cycles ≈ 0.43 µs

@@ -33,10 +33,9 @@ func TestMetricNamesLint(t *testing.T) {
 	env := sim.NewEnv()
 	envSnap := env.Metrics().Snapshot()
 
-	// Fabric: transport-level, server-side, and replication counters,
-	// including the per-replica gauges.
+	// Fabric: transport-level and server-side counters.
 	var ts fabric.Stats
-	ts.Register(reg, obs.L("transport", "tcp"))
+	ts.Register(reg, obs.Label{Key: "transport", Value: "tcp"})
 	store := remote.NewStore()
 	srv := fabric.NewServer(store)
 	srv.Stats().Register(reg)
@@ -49,19 +48,11 @@ func TestMetricNamesLint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ds.Close()
-	ds.Register(reg, obs.L("node", "durable"))
-	env2 := sim.NewEnv()
-	rs, err := fabric.NewReplicaSet(fabric.ReplicaConfig{Clock: &env2.Clock},
-		fabric.NewSimLink(env2, fabric.BackendTCP),
-		fabric.NewSimLink(env2, fabric.BackendTCP))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs.Register(reg)
+	ds.Register(reg, obs.Label{Key: "node", Value: "durable"})
 
 	// Compressed-at-rest store: same gauge names as the plain store plus
 	// the raw-byte and ratio series, so it needs a distinguishing label.
-	remote.NewCompressedStore().Register(reg, obs.L("node", "compressed"))
+	remote.NewCompressedStore().Register(reg, obs.Label{Key: "node", Value: "compressed"})
 
 	// Pool health (degraded flag, occupancy gauges, thrash ratio, resizes)
 	// and the anti-thrash governor's state/transition series. The
@@ -83,8 +74,8 @@ func TestMetricNamesLint(t *testing.T) {
 
 	// Buffer pools: the shared wire pool and an exact-size slab register
 	// the same counter names, so each carries a distinguishing label.
-	bufpool.Wire.Register(reg, obs.L("pool", "wire"))
-	bufpool.NewSlab(64).Register(reg, obs.L("pool", "slab"))
+	bufpool.Wire.Register(reg, obs.Label{Key: "pool", Value: "wire"})
+	bufpool.NewSlab(64).Register(reg, obs.Label{Key: "pool", Value: "slab"})
 
 	// Every id in both registries must carry a NamePattern-conforming
 	// bare name (registration already panics on violations; this loop is

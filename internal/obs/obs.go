@@ -1,8 +1,8 @@
 // Package obs is the unified observability substrate: one metrics
 // registry that every subsystem registers into, so the scattered counter
-// blocks of the runtimes (sim.Counters), the fabric (Stats, ServerStats,
-// ReplicaSetStats), and the remote node (remote.Store) read out through a
-// single coherent API.
+// blocks of the runtimes (sim.Counters), the fabric (Stats, ServerStats),
+// and the remote node (remote.Store) read out through a single coherent
+// API.
 //
 // Three metric kinds are supported:
 //
@@ -58,14 +58,11 @@ func ValidName(name string) bool {
 }
 
 // Label is one constant key="value" pair attached to a metric at
-// registration time (e.g. a replica index). Labels distinguish multiple
-// registrations of the same name.
+// registration time (e.g. a buffer pool's name). Labels distinguish
+// multiple registrations of the same name.
 type Label struct {
 	Key, Value string
 }
-
-// L is shorthand for constructing a Label.
-func L(key, value string) Label { return Label{Key: key, Value: value} }
 
 // renderLabels renders labels in canonical (sorted-key) order as
 // `{k="v",k2="v2"}`, or "" for none. The rendering is part of the metric's

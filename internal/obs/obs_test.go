@@ -75,7 +75,7 @@ func TestRegisterPanics(t *testing.T) {
 	r.CounterFunc("trackfm_dup_total", "", zero)
 	mustPanic("duplicate id", func() { r.CounterFunc("trackfm_dup_total", "", zero) })
 	// Same name with different labels is a distinct series, not a duplicate.
-	r.CounterFunc("trackfm_dup_total", "", zero, L("replica", "r0"))
+	r.CounterFunc("trackfm_dup_total", "", zero, Label{Key: "replica", Value: "r0"})
 }
 
 func TestSnapshotAndDelta(t *testing.T) {

@@ -16,9 +16,9 @@ func goldenRegistry() *Registry {
 	r := NewRegistry()
 	r.CounterFunc("trackfm_events_total", "Events observed.", func() uint64 { return 7 })
 	r.CounterFunc("trackfm_replica_failovers_total", "Reads that failed over.",
-		func() uint64 { return 2 }, L("replica", "r1"))
+		func() uint64 { return 2 }, Label{Key: "replica", Value: "r1"})
 	r.CounterFunc("trackfm_replica_failovers_total", "Reads that failed over.",
-		func() uint64 { return 9 }, L("replica", "r0"))
+		func() uint64 { return 9 }, Label{Key: "replica", Value: "r0"})
 	r.GaugeFunc("trackfm_store_bytes", "Bytes resident on the node.", func() float64 { return 4096.5 })
 	r.GaugeFunc("trackfm_governor_state", "Anti-thrash governor state (0 normal, 1 throttled, 2 degraded).",
 		func() float64 { return 1 })
@@ -31,9 +31,9 @@ func goldenRegistry() *Registry {
 	// aifm.Pool register them: a depth-8 scan's cork (128/32 requests per
 	// client write) and coalescing factors, read off the exposition.
 	r.CounterFunc("trackfm_transport_pipelined_fetches_total", "Fetches issued on the TCP transport's prefetch stream (requests written ahead of their replies).",
-		func() uint64 { return 128 }, L("transport", "tcp"))
+		func() uint64 { return 128 }, Label{Key: "transport", Value: "tcp"})
 	r.CounterFunc("trackfm_transport_stream_flushes_total", "Writes of corked prefetch-stream requests to the socket (pipelined fetches / flushes = requests per write).",
-		func() uint64 { return 32 }, L("transport", "tcp"))
+		func() uint64 { return 32 }, Label{Key: "transport", Value: "tcp"})
 	r.CounterFunc("trackfm_server_flushes_total", "Writes of buffered replies to a socket (frames / flushes = replies per write; 1 for clients with one request in flight).",
 		func() uint64 { return 33 })
 	r.GaugeFunc("trackfm_pool_pending_prefetches", "Prefetches whose bytes are still in flight (slot claimed, object not yet resident).",
@@ -42,9 +42,9 @@ func goldenRegistry() *Registry {
 	// register them: a 50 %-Set miss mix, nearly every push riding ahead of
 	// the fetch that evicted it.
 	r.CounterFunc("trackfm_transport_carried_pushes_total", "Pushes the TCP transport wrote ahead of another request in the same exchange (no round trip of their own).",
-		func() uint64 { return 430 }, L("transport", "tcp"))
+		func() uint64 { return 430 }, Label{Key: "transport", Value: "tcp"})
 	r.CounterFunc("trackfm_transport_carry_exchanges_total", "Exchanges that carried at least one push ahead of their own request (carried pushes / carry exchanges = pushes per carry).",
-		func() uint64 { return 420 }, L("transport", "tcp"))
+		func() uint64 { return 420 }, Label{Key: "transport", Value: "tcp"})
 	r.GaugeFunc("trackfm_pool_write_behind_parked", "Evicted dirty units whose push has not been acknowledged yet (write-behind window depth; 0 over transports that cannot carry pushes).",
 		func() float64 { return 1 })
 	r.CounterFunc("trackfm_pool_write_behind_forwards_total", "Fetches served from a copy still parked in the write-behind window (no round trip).",

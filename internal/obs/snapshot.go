@@ -2,7 +2,7 @@ package obs
 
 // Snapshot is a point-in-time, race-free copy of every metric in a
 // Registry, keyed by the metric's full identity (name plus rendered
-// labels, e.g. `trackfm_replica_up{replica="r0"}`). It is plain data:
+// labels, e.g. `trackfm_bufpool_gets_total{pool="wire"}`). It is plain data:
 // safe to copy, compare, and subtract.
 type Snapshot struct {
 	Counters   map[string]uint64

@@ -106,8 +106,8 @@ func (s *DurableStats) String() string {
 // log is periodically compacted into an atomically renamed snapshot. Durable
 // recovers the state from disk — latest valid snapshot plus WAL replay,
 // tolerating a torn or corrupt tail — and bumps a restart generation the
-// fabric layer advertises to peers so replica sets can rejoin a recovered
-// node with a delta resync instead of a full-keyspace replay.
+// fabric layer advertises to clients in its hello, with the durable bit
+// that tells them the node came back with its data.
 //
 // Both files record raw payloads and the raw CRC32-C, never what the store
 // holds at rest, so whether the wrapped store compresses is invisible on

@@ -43,18 +43,17 @@ var (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Checksum computes the CRC32-C checksum the store records for a payload.
-// Exported so the fabric layer and replica-set read-repair share one
-// definition of "intact".
+// Exported so the fabric layer's wire trailer shares one definition of
+// "intact".
 func Checksum(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
 
-// blob is one stored payload. data is the bytes at rest in a bufpool
-// lease: the payload itself, or on a compressing store a ctier codec
-// stream (which degrades to a flagged verbatim copy for incompressible
-// input). rawLen is the payload's width and crc the CRC32-C over the RAW
-// bytes recorded at Put — one checksum identity whatever the codec, shared
-// with the wire trailer, the WAL, the snapshot and replica-set read-repair,
-// so corruption of the stored stream or of the decompressor's output is
-// caught before a client sees it.
+// blob is one stored payload. data is the bytes at rest in a bufpool lease:
+// the payload itself, or on a compressing store a ctier codec stream (which
+// degrades to a flagged verbatim copy for incompressible input). rawLen is
+// the payload's width and crc the CRC32-C over the RAW bytes recorded at
+// Put — one checksum identity whatever the codec, shared with the wire
+// trailer, the WAL and the snapshot, so corruption of the stored stream or
+// of the decompressor's output is caught before a client sees it.
 type blob struct {
 	data   []byte
 	rawLen int

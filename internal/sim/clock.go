@@ -24,7 +24,7 @@ const Frequency = 2_400_000_000
 // zero, ready to use. It is one logical timeline that every goroutine of a
 // run charges: Advance is an atomic add, so concurrent chargers (farmem's
 // callers, the pool's) and observers (stats tickers, the metrics registry,
-// breaker deadlines read from probe goroutines) never race.
+// operation deadlines checked by the transport) never race.
 //
 // A charger may also hold cycles back and add them later in one sum — the
 // guard layer's core.Meter does, for the fast-path guards and chunked

@@ -218,8 +218,8 @@ func NewEnv() *Env {
 // Reset clears the clock, counters, and latency histograms but keeps the
 // cost model and the registry (registered metrics simply read zero again).
 // Rewinding the clock is only for an Env nothing else keeps time by: a
-// replica set's breaker deadlines, a fabric.Deadline in flight and the
-// pool's eviction ages are absolute readings of it (see ResetStats).
+// fabric.Deadline in flight and the pool's eviction ages are absolute
+// readings of it (see ResetStats).
 func (e *Env) Reset() {
 	e.Clock.Reset()
 	e.ResetStats()

@@ -16,7 +16,6 @@ type Latencies struct {
 	RemotePush     *obs.Histogram // push one object/page to the remote node
 	Evacuation     *obs.Histogram // full evacuation of one slot (push + bookkeeping)
 	GuardSlow      *obs.Histogram // guard slow path end-to-end (localize incl. fetch)
-	Failover       *obs.Histogram // replicated fetch that needed >=1 failover
 	LockWait       *obs.Histogram // contended pool stripe-lock waits (wall time converted to cycles)
 	DeadlineMiss   *obs.Histogram // how far past its budget a deadline-missing op finished
 	TierDecompress *obs.Histogram // promotion from the compressed tier (decompress into the arena)
@@ -85,8 +84,6 @@ func (e *Env) initObs() {
 				"Slot evacuation latency in simulated cycles.", nil),
 			GuardSlow: reg.Histogram("trackfm_guard_slow_cycles",
 				"Guard slow-path latency in simulated cycles.", nil),
-			Failover: reg.Histogram("trackfm_replica_failover_cycles",
-				"Latency of replicated fetches that needed at least one failover, in clock cycles of the replica set's clock.", nil),
 			LockWait: reg.Histogram("trackfm_lock_wait_cycles",
 				"Contended stripe-lock wait time, wall nanoseconds converted to cycles at the simulated frequency.", nil),
 			DeadlineMiss: reg.Histogram("trackfm_deadline_miss_cycles",
@@ -102,8 +99,8 @@ func (e *Env) initObs() {
 // Metrics returns the Env's metrics registry, creating it on first use.
 // Every Counters field is pre-registered as a trackfm_* counter reading
 // the canonical atomic value, the clock as a gauge, and the Latencies
-// histograms; subsystems wired to this Env (fabric stats, replica sets,
-// stores) add their own metrics via their Register methods.
+// histograms; subsystems wired to this Env (fabric stats, stores) add
+// their own metrics via their Register methods.
 func (e *Env) Metrics() *obs.Registry {
 	e.initObs()
 	return e.obs.registry
@@ -125,7 +122,7 @@ func (e *Env) resetObs() {
 	}
 	for _, h := range []*obs.Histogram{
 		e.obs.lat.RemoteFetch, e.obs.lat.RemotePush,
-		e.obs.lat.Evacuation, e.obs.lat.GuardSlow, e.obs.lat.Failover,
+		e.obs.lat.Evacuation, e.obs.lat.GuardSlow,
 		e.obs.lat.LockWait, e.obs.lat.DeadlineMiss, e.obs.lat.TierDecompress,
 	} {
 		h.Reset()
