@@ -65,7 +65,7 @@ func TestResetStatsKeepsBreakerTime(t *testing.T) {
 // registry, so it carries the series of the pool and of the transport the
 // heap dialed, not only the runtime counters.
 func TestHeapMetricsCoverWhatTheHeapBuilt(t *testing.T) {
-	srv, addr := loopbackServer(t, remote.NewStore(), "127.0.0.1:0")
+	srv, addr := loopbackServer(t, remote.NewStore())
 	defer srv.Close()
 	h, err := New(Config{HeapBytes: 1 << 20, LocalBytes: 32 << 10, ObjectBytes: 1 << 10,
 		RemoteConfig: fabric.RemoteConfig{RemoteAddr: addr}})

@@ -2,6 +2,7 @@ package farmem
 
 import (
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -158,21 +159,63 @@ func TestRangeAllocs(t *testing.T) {
 }
 
 // loopbackServer serves store on loopback as fmserver does, admission on.
-func loopbackServer(t testing.TB, store *remote.Store, addr string) (*fabric.Server, string) {
+func loopbackServer(t testing.TB, store *remote.Store) (*fabric.Server, string) {
 	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return serveOn(store, ln), ln.Addr().String()
+}
+
+// serveOn serves store on ln as fmserver does, admission on.
+func serveOn(store *remote.Store, ln net.Listener) *fabric.Server {
 	srv := fabric.NewServer(store)
 	srv.EnableAdmission(fabric.AdmissionConfig{})
-	var err error
-	for try := 0; ; try++ { // a restart may find the port not yet free
-		if addr, err = srv.ListenAndServe(addr); err == nil || try == 200 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	srv.Serve(ln)
+	return srv
+}
+
+// heldListener lends one listening socket to one server at a time. Close
+// ends that server's accept loop but leaves the socket listening, so a
+// dial that comes while no server is on it waits in the accept backlog
+// until handOver lends the socket to a successor, instead of being
+// refused: a restart is a pause, however long the goroutine that restarts
+// the server is descheduled in the middle of it.
+type heldListener struct {
+	*net.TCPListener
+	done chan struct{} // closed when the server's accept loop has returned
+}
+
+func holdListener(t testing.TB) heldListener {
+	t.Helper()
+	ln, err := net.ListenTCP("tcp", &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
-		t.Fatalf("ListenAndServe: %v", err)
+		t.Fatal(err)
 	}
-	return srv, addr
+	t.Cleanup(func() { ln.Close() })
+	return heldListener{ln, make(chan struct{})}
+}
+
+func (l heldListener) Accept() (net.Conn, error) {
+	conn, err := l.TCPListener.Accept()
+	if err != nil { // the server's accept loop returns on the first error
+		close(l.done)
+	}
+	return conn, err
+}
+
+// Close fails the pending Accept and every later one; the socket stays.
+func (l heldListener) Close() error { return l.SetDeadline(time.Unix(1, 0)) }
+
+// handOver waits for the closed server's accept loop to end, then lends
+// the socket to the next server.
+func (l heldListener) handOver(t testing.TB) heldListener {
+	<-l.done
+	if err := l.SetDeadline(time.Time{}); err != nil {
+		t.Errorf("reopening the held listener: %v", err)
+	}
+	return heldListener{l.TCPListener, make(chan struct{})}
 }
 
 // leasesOut reports the buffer leases outstanding beyond base, once a
@@ -195,7 +238,10 @@ func leasesOut(base int) int {
 // loopback server the prefetches of those passes are in flight while all
 // of that goes on — any goroutine may end up finishing any of them — and
 // in the restart rows the server is killed and replaced mid-run, failing
-// whatever was in flight.
+// whatever was in flight. The successor takes over the listening socket
+// (heldListener), so the reconnects in between wait in its backlog: the
+// rows test what a restart does to in-flight work, not whether a worker's
+// retries outlast a restarting goroutine the scheduler has parked.
 // The write-heavy rows add a phase of random scalar stores and loads to
 // every round: demand misses that evict dirty objects, so that pushes ride
 // ahead of fetches, a reload of an object just evicted is served from the
@@ -222,7 +268,8 @@ func TestWindowLifetimeRace(t *testing.T) {
 			var midway func()
 			if row.loopback {
 				store := remote.NewStore()
-				srv, addr := loopbackServer(t, store, "127.0.0.1:0")
+				ln := holdListener(t)
+				srv := serveOn(store, ln)
 				defer func() {
 					srv.Close()
 					store.Clear()
@@ -230,11 +277,13 @@ func TestWindowLifetimeRace(t *testing.T) {
 						t.Errorf("%d buffer leases outstanding after the server closed", n)
 					}
 				}()
-				cfg.RemoteAddr = addr
+				cfg.RemoteAddr = ln.Addr().String()
 				if row.restart {
 					midway = func() {
-						srv.Close() // the successor serves the same store: nothing acked is lost
-						srv, _ = loopbackServer(t, store, addr)
+						ln.Close()  // stop accepting: dials from here on wait in the backlog
+						srv.Close() // fails every exchange in flight on the old server
+						ln = ln.handOver(t)
+						srv = serveOn(store, ln) // the same store: nothing acked is lost
 					}
 				}
 			}
@@ -369,7 +418,7 @@ func windowLifetimeRace(t *testing.T, cfg Config, midway func(), writeHeavy bool
 // the pool and the slice still reads whole.
 func TestRangeStoppedEarlyStrandsNothing(t *testing.T) {
 	store := remote.NewStore()
-	srv, addr := loopbackServer(t, store, "127.0.0.1:0")
+	srv, addr := loopbackServer(t, store)
 	defer srv.Close()
 	const n, local = 16 << 10, 32 << 10 // 128 KiB of elements over 32 KiB of local memory
 	h, err := New(Config{HeapBytes: 1 << 20, LocalBytes: local, ObjectBytes: 1 << 10,
@@ -422,7 +471,7 @@ func TestRangeLoopbackAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	store := remote.NewStore()
-	srv, addr := loopbackServer(t, store, "127.0.0.1:0")
+	srv, addr := loopbackServer(t, store)
 	const n, local = 64 << 10, 128 << 10 // 512 KiB of elements over 128 KiB of local memory
 	h, err := New(Config{HeapBytes: 1 << 20, LocalBytes: local, ObjectBytes: 4096,
 		RemoteConfig: fabric.RemoteConfig{RemoteAddr: addr}})

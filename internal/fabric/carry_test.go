@@ -83,8 +83,10 @@ func dialThrough(tr *TCPTransport, wrap func(net.Conn) net.Conn) {
 
 // TestCarryIsOneWriteOneFlush: three pushes and the fetch behind them are
 // one write on the client, and four frames answered in one flush on the
-// server; three pushes on their own likewise. That is the whole point of a
-// carried push: it costs the exchange no syscall and no wake-up.
+// server; so is a full write-behind window (far's wbWindow: eight 4 KiB
+// pushes, 33 KB with the fetch behind them), which the wire buffers are
+// sized for; three pushes on their own likewise. That is the whole point
+// of a carried push: it costs the exchange no syscall and no wake-up.
 func TestCarryIsOneWriteOneFlush(t *testing.T) {
 	store := keyedStore(t, 8)
 	srv, tr := serveAndDial(t, store)
@@ -93,25 +95,27 @@ func TestCarryIsOneWriteOneFlush(t *testing.T) {
 	buf := make([]byte, 4096)
 	mustFetch(t, tr, 7, buf) // carries the hello
 
-	pushes := keyedPushes(100, 3, 2)
-	w0, frames, flushes := cw.Load(), srv.Stats().Frames(), srv.Stats().Flushes()
-	found, err := tr.TryFetchAfterPushes(pushes, 5, buf, Deadline{})
-	if err != nil || !found {
-		t.Fatalf("TryFetchAfterPushes = %v, %v", found, err)
-	}
-	if err := checkKeyedPayload(buf, 5, 1); err != nil {
-		t.Error(err)
-	}
-	checkStored(t, store, pushes, 2)
-	if w := cw.Load() - w0; w != 1 {
-		t.Errorf("3 pushes + fetch: %d client writes, want 1", w)
-	}
-	if f, fl := srv.Stats().Frames()-frames, srv.Stats().Flushes()-flushes; f != 4 || fl != 1 {
-		t.Errorf("3 pushes + fetch: server served %d frames in %d flushes, want 4 in 1", f, fl)
+	for i, n := range []int{3, 8} {
+		pushes := keyedPushes(100*(i+1), n, 2)
+		w0, frames, flushes := cw.Load(), srv.Stats().Frames(), srv.Stats().Flushes()
+		found, err := tr.TryFetchAfterPushes(pushes, 5, buf, Deadline{})
+		if err != nil || !found {
+			t.Fatalf("TryFetchAfterPushes = %v, %v", found, err)
+		}
+		if err := checkKeyedPayload(buf, 5, 1); err != nil {
+			t.Error(err)
+		}
+		checkStored(t, store, pushes, 2)
+		if w := cw.Load() - w0; w != 1 {
+			t.Errorf("%d pushes + fetch: %d client writes, want 1", n, w)
+		}
+		if f, fl := srv.Stats().Frames()-frames, srv.Stats().Flushes()-flushes; f != uint64(n+1) || fl != 1 {
+			t.Errorf("%d pushes + fetch: server served %d frames in %d flushes, want %d in 1", n, f, fl, n+1)
+		}
 	}
 
-	pushes = keyedPushes(200, 3, 3)
-	w0, frames, flushes = cw.Load(), srv.Stats().Frames(), srv.Stats().Flushes()
+	pushes := keyedPushes(300, 3, 3)
+	w0, frames, flushes := cw.Load(), srv.Stats().Frames(), srv.Stats().Flushes()
 	if err := tr.TryPushAll(pushes, Deadline{}); err != nil {
 		t.Fatalf("TryPushAll: %v", err)
 	}
@@ -125,10 +129,10 @@ func TestCarryIsOneWriteOneFlush(t *testing.T) {
 	if err := tr.TryPushAll(nil, Deadline{}); err != nil {
 		t.Errorf("TryPushAll of nothing: %v", err)
 	}
-	// Carried = rode ahead of another request: 3 with the fetch, 2 of the 3
-	// pushed together (the last is that exchange's own request).
-	if st := tr.Stats(); st.CarriedPushes() != 5 || st.CarryExchanges() != 2 || st.Retries() != 0 {
-		t.Errorf("carriedPushes = %d, carryExchanges = %d, retries = %d; want 5, 2, 0",
+	// Carried = rode ahead of another request: 3 and 8 with the fetches, 2
+	// of the 3 pushed together (the last is that exchange's own request).
+	if st := tr.Stats(); st.CarriedPushes() != 13 || st.CarryExchanges() != 3 || st.Retries() != 0 {
+		t.Errorf("carriedPushes = %d, carryExchanges = %d, retries = %d; want 13, 3, 0",
 			st.CarriedPushes(), st.CarryExchanges(), st.Retries())
 	}
 }

@@ -376,6 +376,19 @@ func (c countingConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
+// awaitHandlers waits until srv has n connection handlers left. A handler
+// counts its connection's last read — the one that returns the hang-up of
+// a connection the client dropped — before it exits, so a test that
+// counts server reads waits for the dropped connections' handlers first.
+func awaitHandlers(t *testing.T, srv *Server, n int) {
+	t.Helper()
+	waitFor(t, "the dropped connections' handlers to exit", func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.conns) == n
+	})
+}
+
 type countingListener struct {
 	net.Listener
 	reads, writes *atomic.Int64
@@ -400,8 +413,7 @@ func TestTCPOneSyscallPerFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer(remote.NewStore())
-	srv.ln = countingListener{ln, &sr, &sw}
-	go srv.serve()
+	srv.Serve(countingListener{ln, &sr, &sw})
 	defer srv.Close()
 
 	tr, err := Dial(ln.Addr().String())
@@ -411,16 +423,7 @@ func TestTCPOneSyscallPerFrame(t *testing.T) {
 	defer tr.Close()
 	// Dial made the first connection already; drop it so the one under
 	// test comes from the counting dialer.
-	tr.dial = func(network, addr string, timeout time.Duration) (net.Conn, error) {
-		conn, err := net.DialTimeout(network, addr, timeout)
-		if err != nil {
-			return nil, err
-		}
-		return countingConn{conn, &cr, &cw}, nil
-	}
-	tr.mu.Lock()
-	tr.dropIdle()
-	tr.mu.Unlock()
+	dialThrough(tr, func(c net.Conn) net.Conn { return countingConn{c, &cr, &cw} })
 
 	buf := make([]byte, 4096)
 	keyedPayload(buf, 9, 1)
@@ -430,6 +433,7 @@ func TestTCPOneSyscallPerFrame(t *testing.T) {
 	if cw.Load() == 0 {
 		t.Fatal("the counting dialer was not used")
 	}
+	awaitHandlers(t, srv, 1)
 	for _, op := range []struct {
 		name string
 		run  func() error

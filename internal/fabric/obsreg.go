@@ -34,7 +34,7 @@ func (s *Stats) Register(reg *obs.Registry, labels ...obs.Label) {
 	reg.CounterFunc("trackfm_transport_pipelined_fetches_total",
 		"Fetches issued on the TCP transport's prefetch stream (requests written ahead of their replies).", s.PipelinedFetches, labels...)
 	reg.CounterFunc("trackfm_transport_stream_flushes_total",
-		"Writes of corked prefetch-stream requests to the socket (pipelined fetches / flushes = requests per write).", s.StreamFlushes, labels...)
+		"Writes of prefetch-stream requests to the socket, one per window of requests (pipelined fetches / flushes = requests per write).", s.StreamFlushes, labels...)
 	reg.CounterFunc("trackfm_transport_carried_pushes_total",
 		"Pushes the TCP transport wrote ahead of another request in the same exchange (no round trip of their own).", s.CarriedPushes, labels...)
 	reg.CounterFunc("trackfm_transport_carry_exchanges_total",

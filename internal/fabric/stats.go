@@ -24,7 +24,7 @@ type Stats struct {
 	connWaits atomic.Uint64 // callers that found every connection in use at the cap and waited
 
 	pipelined     atomic.Uint64 // fetches issued on a TCPTransport's prefetch stream
-	streamFlushes atomic.Uint64 // writes of corked stream requests to the socket
+	streamFlushes atomic.Uint64 // writes of unsent stream requests to the socket, one per window
 
 	carried atomic.Uint64 // pushes a TCPTransport wrote ahead of another request in one exchange
 	carries atomic.Uint64 // exchanges that carried at least one push ahead
@@ -78,8 +78,10 @@ func (s *Stats) ConnWaits() uint64 { return s.connWaits.Load() }
 func (s *Stats) PipelinedFetches() uint64 { return s.pipelined.Load() }
 
 // StreamFlushes reports how many times the prefetch stream wrote its
-// corked requests to the socket; PipelinedFetches ÷ StreamFlushes is the
-// requests that shared one write.
+// unsent requests to the socket: once per window, when the stream has
+// gone idle, or when a Wait finds its request unsent. PipelinedFetches ÷
+// StreamFlushes is the requests that shared one write — the window depth
+// (8 for a depth-8 loop) in steady state.
 func (s *Stats) StreamFlushes() uint64 { return s.streamFlushes.Load() }
 
 // CarriedPushes reports pushes a TCPTransport wrote ahead of another

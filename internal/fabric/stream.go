@@ -14,19 +14,17 @@ import (
 // belongs to the n-th request and neither a tag on the wire nor a
 // connection per prefetch is needed, and no depth can exhaust the pool.
 // There is no goroutine: a reply is read by whoever waits for it (or for a
-// later one), straight into the dst its StartFetch named.
-const (
-	// StreamRing is how many tickets may be outstanding at once. When the
-	// ring is full StartFetch fetches synchronously on the demand path. It
-	// is exported because it is the one statement of how many fetches may
-	// be in flight: a prefetcher sizes its own window from it (aifm's
-	// pending window), so that window never meets a full ring and never
-	// leaves part of the ring unused.
-	StreamRing = 16
-	// streamCork is how many requests are gathered into one write while
-	// earlier ones are still in flight (see StartFetch for the flush rule).
-	streamCork = 4
-)
+// later one), straight into the dst its StartFetch named. Requests go out
+// a window at a time: one write carries every request started since the
+// stream last went idle (see StartFetch for the flush rule).
+//
+// StreamRing is how many tickets may be outstanding at once. When the ring
+// is full StartFetch fetches synchronously on the demand path. It is
+// exported because it is the one statement of how many fetches may be in
+// flight: a prefetcher sizes its own window from it (aifm's pending
+// window), so that window never meets a full ring and never leaves part of
+// the ring unused.
+const StreamRing = 16
 
 const (
 	slotFree   = uint8(iota)
@@ -63,14 +61,16 @@ type fetchStream struct {
 }
 
 // StartFetch implements AsyncFetcher: the request joins the prefetch
-// stream and the reply is collected by the ticket's Wait. The request is
-// flushed at once when nothing is in flight — there is no reply on its way
-// whose arrival would prompt another — and otherwise corked until
-// streamCork requests share one write; Wait flushes a request it finds
-// still corked, so depth 1 overlaps and no Wait blocks on an unsent
-// request. A pipelined fetch carries no deadline and is never retried: a
-// ticket that fails is the demand path's to recover. Dial and hello
-// failures are returned here; anything later is the ticket's.
+// stream and the reply is collected by the ticket's Wait. The stream is
+// flushed only when nothing is in flight — no reply is on its way whose
+// reading would be the moment to send more — so the requests started
+// while a window's replies are read go out together, as one write, once
+// the last of them has been read: a depth-8 loop sends 8 requests a write.
+// Wait flushes a request it finds still unsent, so depth 1 overlaps and no
+// Wait blocks on an unsent request. A pipelined fetch carries no deadline
+// and is never retried: a ticket that fails is the demand path's to
+// recover. Dial and hello failures are returned here; anything later is
+// the ticket's.
 func (t *TCPTransport) StartFetch(key uint64, dst []byte) (Ticket, error) {
 	if len(dst) > maxPayload {
 		return Ticket{}, fmt.Errorf("%w: fetch of %d bytes", ErrPayloadTooLarge, len(dst))
@@ -88,11 +88,10 @@ func (t *TCPTransport) StartFetch(key uint64, dst []byte) (Ticket, error) {
 		return Ticket{}, err
 	}
 	*slot = streamSlot{dst: dst, seq: s.issued, state: slotIssued}
-	idle := s.sent == s.recvd
 	s.issued++
 	t.stats.pipelined.Add(1)
 	err := s.c.writeHeader(opFetch, key, len(dst))
-	if err == nil && (idle || s.issued-s.sent >= streamCork) {
+	if err == nil && s.sent == s.recvd {
 		err = s.flush()
 	}
 	if err != nil {
@@ -141,7 +140,7 @@ func (s *fetchStream) arm() {
 	}
 }
 
-// flush writes the corked requests to the socket.
+// flush writes the unsent requests to the socket.
 func (s *fetchStream) flush() error {
 	s.arm()
 	if err := s.c.w.Flush(); err != nil {

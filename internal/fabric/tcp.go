@@ -92,12 +92,16 @@ const (
 	crcLen        = 4
 )
 
-// wireBufSize sizes the bufio buffers on both ends of a connection so that
-// a frame with an object-sized payload (objects and pages are at most
-// 16 KiB), its header and its CRC trailer is one write(2) and one read(2)
-// per side; bufio's default 4096 bytes split a 4 KiB object frame into two
-// of each. Larger payloads take bufio's direct path.
-const wireBufSize = 16<<10 + 64
+// wireBufSize sizes the bufio buffers on both ends of a connection for a
+// window of frames, not one: the replies to a prefetch stream's window (8
+// fetches of 4 KiB, 32.8 KB) are one write(2) on the server and one
+// read(2) on the client, and so is a full write-behind window (8 carried
+// 4 KiB pushes and the fetch behind them, 33 KB) on the way out. A single
+// frame with an object-sized payload (objects and pages are at most
+// 16 KiB) fits several times over; bufio's default 4096 bytes split even
+// one 4 KiB object frame into two syscalls per side. Larger payloads take
+// bufio's direct path.
+const wireBufSize = 64<<10 + 64
 
 // payloadCRC is the trailer checksum over a payload frame. It deliberately
 // shares remote.Checksum (CRC32-C), so a blob has one checksum identity
@@ -192,7 +196,8 @@ type BlobStore interface {
 }
 
 // Server serves a BlobStore over TCP. Create with NewServer, then call
-// Serve (blocking) or rely on the background goroutine started by ListenAndServe.
+// ListenAndServe, or Serve on a listener of the caller's own; either one
+// accepts connections in a background goroutine.
 type Server struct {
 	store     BlobStore
 	ln        net.Listener
@@ -242,17 +247,24 @@ func (s *Server) EnableAdmission(cfg AdmissionConfig) *Admission {
 	return a
 }
 
-// ListenAndServe binds addr (e.g. "127.0.0.1:0") and serves in a background
-// goroutine. It returns the bound address so callers using port 0 can find
+// ListenAndServe binds addr (e.g. "127.0.0.1:0") and serves it (see
+// Serve). It returns the bound address so callers using port 0 can find
 // the ephemeral port.
 func (s *Server) ListenAndServe(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("fabric: listen %s: %w", addr, err)
 	}
+	s.Serve(ln)
+	return ln.Addr().String(), nil
+}
+
+// Serve accepts connections on ln in a background goroutine, until the
+// first Accept error. The server owns ln from here: Close and Shutdown
+// close it.
+func (s *Server) Serve(ln net.Listener) {
 	s.ln = ln
 	go s.serve()
-	return ln.Addr().String(), nil
 }
 
 func (s *Server) serve() {

@@ -28,14 +28,14 @@ func goldenRegistry() *Registry {
 		h.Observe(v)
 	}
 	// The prefetch stream's series, as fabric.Stats, fabric.ServerStats and
-	// aifm.Pool register them: a depth-8 scan's cork (128/32 requests per
-	// client write) and coalescing factors, read off the exposition.
+	// aifm.Pool register them: a depth-8 scan's windows (128/16 requests
+	// per client write) and coalescing factors, read off the exposition.
 	r.CounterFunc("trackfm_transport_pipelined_fetches_total", "Fetches issued on the TCP transport's prefetch stream (requests written ahead of their replies).",
 		func() uint64 { return 128 }, Label{Key: "transport", Value: "tcp"})
-	r.CounterFunc("trackfm_transport_stream_flushes_total", "Writes of corked prefetch-stream requests to the socket (pipelined fetches / flushes = requests per write).",
-		func() uint64 { return 32 }, Label{Key: "transport", Value: "tcp"})
+	r.CounterFunc("trackfm_transport_stream_flushes_total", "Writes of prefetch-stream requests to the socket, one per window of requests (pipelined fetches / flushes = requests per write).",
+		func() uint64 { return 16 }, Label{Key: "transport", Value: "tcp"})
 	r.CounterFunc("trackfm_server_flushes_total", "Writes of buffered replies to a socket (frames / flushes = replies per write; 1 for clients with one request in flight).",
-		func() uint64 { return 33 })
+		func() uint64 { return 17 })
 	r.GaugeFunc("trackfm_pool_pending_prefetches", "Prefetches whose bytes are still in flight (slot claimed, object not yet resident).",
 		func() float64 { return 8 })
 	// The write-behind window's series, as fabric.Stats and far.Engine
