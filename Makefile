@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build check vet test test-race test-soak test-stress test-overload test-crash test-thrash test-tiers test-allocs test-artifacts test-examples fuzz-short smoke_test bench bench-wall figs clean \
+.PHONY: all build check vet test test-model test-race test-soak test-stress test-overload test-crash test-thrash test-tiers test-allocs test-artifacts test-examples fuzz-short smoke_test bench bench-wall figs clean \
         trackfm_table1 trackfm_table2 trackfm_table3 trackfm_table4 \
         trackfm_fig6 trackfm_fig7 trackfm_fig8 trackfm_fig9 trackfm_fig10 \
         trackfm_fig11 trackfm_fig12 trackfm_fig13 trackfm_fig14a trackfm_fig15 \
@@ -66,14 +66,15 @@ vet:
 RACE_PIN_SATURATION = $(GO) test -race -run 'TestDemandMissesRespectReserveUnderPinSaturation' ./internal/aifm
 
 # Everything a PR must pass, each gate once: build, vet (incl. the lints,
-# the censuses and the doc test), the tier-1 suite, the concurrency stress
-# suite and the pin-saturation gate under the race detector, the examples,
-# and the refactoring oracle. The overload, crash, thrash, tiers and allocs gates
+# the censuses and the doc test), the tier-1 suite, the pool's model, the
+# concurrency stress suite and the pin-saturation gate under the race
+# detector, the examples, and the refactoring oracle. The overload, crash, thrash, tiers and allocs gates
 # that run without -race or -count are tests `make test` has already run,
 # twice, as part of ./...; their targets stay for running one battery alone.
 check: build
 	$(MAKE) vet
 	$(MAKE) test
+	$(MAKE) test-model
 	$(MAKE) test-stress
 	$(RACE_PIN_SATURATION)
 	$(MAKE) test-examples
@@ -87,6 +88,17 @@ check: build
 test:
 	$(GO) test -shuffle=on -count=2 ./...
 	$(GO) test -race ./internal/fabric/... ./internal/aifm/... ./internal/fastswap/... ./internal/far/... ./internal/mem/... ./internal/remote/... ./internal/core/...
+
+# The pool's model (internal/aifm/model_test.go): seeded op traces on
+# aifm.Pool over SimLink against a flat byte array of what the heap must
+# hold, with the pool's invariants checked after every op and at quiesce —
+# serially with the compressed tier off, small and large, then four
+# workers on disjoint objects at once under the race detector, over a
+# small tier and over a large one. A failing serial trace prints its seed
+# and its shrunk op list; -model.seed replays it.
+test-model:
+	$(GO) test -count=1 -run '^TestModel$$' ./internal/aifm
+	$(GO) test -race -count=1 -run '^TestConcurrentModel$$|^TestTierConcurrentPoolNoLostUpdates$$' ./internal/aifm
 
 # The four examples, run (go build ./... only compiles them) at sizes that
 # take a few seconds together. Each holds its result to a reference — a
@@ -103,8 +115,8 @@ test-race:
 	$(GO) test -race ./...
 
 # The concurrency stress suite: the N-goroutine mixed read/write/
-# evacuate/prefetch workout, the concurrent-vs-serial-oracle differential
-# check, and the pinned-object barrier test, all under -race with the
+# evacuate/prefetch workout, the model's four workers on one pool, and the
+# pinned-object barrier test, all under -race with the
 # short-mode reductions disabled; then the window-lifetime test — chunked
 # Range/Fill over local memory in place against the workers' own demand
 # evictions and a Resize squeeze, over SimLink, over a loopback server (prefetches in
@@ -158,9 +170,9 @@ test-thrash:
 
 # The multi-tier caching gates: the overcommit crossover sweep (warm 1x
 # tier >= 2x tierless throughput at 2x overcommit, zero corrupt reads),
-# the oracle-differential battery
-# (tier sizes {0, small, large} leave byte-identical heap and remote
-# state), the governor's tier-shrinks-first squeeze, and the compressed
+# the model's serial configs
+# (tier off, small and large: every heap and far copy equals the model's
+# bytes, whatever the tier holds), the governor's tier-shrinks-first squeeze, and the compressed
 # tier's and the remote store's unit suites — the store's contract table,
 # run over the plain and the compressed-at-rest constructor, plus what is
 # specific to the latter; the pool's held-copy tests (a clean re-demotion
@@ -168,7 +180,7 @@ test-thrash:
 # again); then the tier, the far engine and the pool under -race, the
 # concurrent no-lost-updates test among them.
 test-tiers:
-	$(GO) test -run 'TestTiers|TestTierOracleDifferential|TestGovernorShrinksTierFirst|TestCleanRedemotionReusesEncoding|TestDirtiedPromotionReencodes' ./internal/bench ./internal/aifm ./internal/autotune
+	$(GO) test -run 'TestTiers|^TestModel$$|TestGovernorShrinksTierFirst|TestCleanRedemotionReusesEncoding|TestDirtiedPromotionReencodes' ./internal/bench ./internal/aifm ./internal/autotune
 	$(GO) test -run 'TestStore|TestCompressedStore' ./internal/remote
 	$(GO) test ./internal/mem/ctier
 	$(GO) test -race ./internal/mem/ctier ./internal/far ./internal/aifm
@@ -180,7 +192,7 @@ test-tiers:
 # TrackFM's runtime and on the library runtime the AIFM comparator runs on; farmem's Range allocates its Cursor
 # and nothing else, whatever the length — resident, or far over loopback
 # with every object riding the prefetch stream), plus the bufpool unit
-# tests (leak/double-release detection, class routing, slab reuse) and
+# tests (leak/double-release detection, class routing, exact-class reuse) and
 # the end-to-end wire-lease leak check and the zero-alloc TCP round trip
 # (fetch and push over loopback, alone and as one exchange of pushes and a
 # fetch, client and server together; a pipelined fetch alone and at depth
@@ -206,10 +218,13 @@ test-soak:
 
 # Short fixed-budget runs of the fuzzers, the fabric's one frame decoder
 # first and the compiler/interpreter differential last (go test accepts
-# one -fuzz pattern per invocation, hence one run each).
+# one -fuzz pattern per invocation, hence one run each). FuzzModel caps
+# the minimizing of each new input at 200 runs: one of its inputs is a
+# whole pool trace, and the default 60 s of minimizing would take the run.
 fuzz-short:
 	$(GO) test -run=^$$ -fuzz=FuzzFrame -fuzztime=30s ./internal/fabric
 	$(GO) test -race -run=^$$ -fuzz=FuzzConcurrentPins -fuzztime=30s ./internal/aifm
+	$(GO) test -run=^$$ -fuzz=FuzzModel -fuzztime=30s -fuzzminimizetime=200x ./internal/aifm
 	$(GO) test -run=^$$ -fuzz=FuzzWALRecord -fuzztime=30s ./internal/remote
 	$(GO) test -run=^$$ -fuzz=FuzzCodec -fuzztime=30s ./internal/mem/ctier
 	$(GO) test -run=^$$ -fuzz=FuzzTierOps -fuzztime=30s ./internal/mem/ctier

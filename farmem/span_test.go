@@ -394,6 +394,24 @@ func windowLifetimeRace(t *testing.T, cfg Config, midway func(), writeHeavy bool
 	close(stop)
 	wg.Wait()
 	if writeHeavy {
+		// Whatever the schedule above did, one load here meets a parked
+		// copy: two objects dirtied alone in two slots, a squeeze to one
+		// that parks one of them in the write-behind window and sends no
+		// exchange, then both read back. The first miss finds its object
+		// parked.
+		h.rt.EvacuateAll()
+		s, last := slices[0], per-1
+		if err := h.Resize(2 * obj); err != nil {
+			t.Fatal(err)
+		}
+		s.Set(0, 1)
+		s.Set(last, 2)
+		if err := h.Resize(obj); err != nil {
+			t.Fatal(err)
+		}
+		if a, b := s.At(0), s.At(last); a != 1 || b != 2 {
+			t.Errorf("after the squeeze to one object: elements 0 and %d read %d and %d, want 1 and 2", last, a, b)
+		}
 		reg := obs.NewRegistry()
 		h.rt.Pool().RegisterObs(reg)
 		if snap := reg.Snapshot(); snap.Counters["trackfm_pool_write_behind_forwards_total"] == 0 {

@@ -38,7 +38,7 @@ func TestSteadyStateFetchAllocFree(t *testing.T) {
 // TestSteadyStateDirtyEvictAllocFree extends the gate to the write-back
 // path: dirty victims are pushed through SimLink (which must reuse its
 // stored blob rather than copying into a fresh one) and the evacuation
-// scratch must come from the arena window or the pool's slab, never make.
+// scratch must come from the arena window or a bufpool lease, never make.
 func TestSteadyStateDirtyEvictAllocFree(t *testing.T) {
 	if bufpool.RaceEnabled {
 		t.Skip("race instrumentation and lease tracking allocate")

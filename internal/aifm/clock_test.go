@@ -21,61 +21,6 @@ func recountCold(p *Pool) int64 {
 	return n
 }
 
-// TestColdCountMatchesTable drives every path that publishes a metadata
-// word — hits, misses, prefetches, frees, both halves of Resize,
-// EvacuateAll, and demand eviction throttled and not — and holds the cold
-// count to a recount of the table after each operation.
-func TestColdCountMatchesTable(t *testing.T) {
-	const slots, objects = 16, 64
-	// Built at twice the working budget, then shrunk to it, so the mix's
-	// resizes both shrink and grow back.
-	p, _, _ := newTestPool(t, 64, objects*64, 2*slots*64)
-	if err := p.Resize(slots * 64); err != nil {
-		t.Fatal(err)
-	}
-	rng := sim.NewRNG(30)
-	var buf [8]byte
-	var sawCold, sawNoneCold bool
-	for step := 0; step < 5000; step++ {
-		id := ObjectID(rng.Intn(objects))
-		var op string
-		switch r := rng.Intn(64); {
-		case r < 20:
-			op = "read"
-			access(t, p, id, 0, buf[:], false)
-		case r < 36:
-			op = "write"
-			access(t, p, id, 0, buf[:], true)
-		case r < 52:
-			op = "prefetch"
-			p.Prefetch(id)
-		case r < 55:
-			op = "free"
-			p.Free(id)
-		case r < 58:
-			op = "resize"
-			if err := p.Resize(uint64(4+rng.Intn(2*slots-3)) * 64); err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
-		case r < 60:
-			op = "throttle"
-			p.Throttle(!p.Throttled())
-		default:
-			op = "evacuate-all"
-			p.EvacuateAll()
-		}
-		got, want := p.cold.Load(), recountCold(p)
-		if got != want {
-			t.Fatalf("step %d (%s of %d): cold count %d, table holds %d", step, op, id, got, want)
-		}
-		sawCold = sawCold || got > 0
-		sawNoneCold = sawNoneCold || got == 0 && p.ResidentSlots() > 0
-	}
-	if !sawCold || !sawNoneCold {
-		t.Fatalf("the mix never reached both states: some cold %v, residents but none cold %v", sawCold, sawNoneCold)
-	}
-}
-
 // allHotPool fills a pool of the given number of slots with hot residents
 // 0..slots-1 and returns it with the id of an object that lives only on the
 // far side.

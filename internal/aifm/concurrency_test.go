@@ -140,66 +140,6 @@ func TestConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestConcurrentMatchesSerialOracle is the differential check: a seeded
-// write trace is applied once by a trivial serial map oracle and once by
-// worker goroutines sharing the pool (keys partitioned by key %% workers,
-// so each key's writes stay in trace order while different keys interleave
-// arbitrarily). The pool's final bytes must match the oracle exactly —
-// demand eviction and singleflight may reorder work but never change what
-// the heap holds.
-func TestConcurrentMatchesSerialOracle(t *testing.T) {
-	const workers, keys = 8, 128
-	nOps := 4096
-	if testing.Short() {
-		nOps = 1024
-	}
-	for _, seed := range []uint64{1, 0xBEEF, 0x5EED5EED} {
-		p, _, _ := newTestPool(t, 64, 1<<14, 1<<12)
-
-		type op struct {
-			key ObjectID
-			val byte
-		}
-		rng := sim.NewRNG(seed)
-		trace := make([]op, nOps)
-		oracle := make(map[ObjectID]byte)
-		for i := range trace {
-			trace[i] = op{key: ObjectID(rng.Intn(keys)), val: byte(rng.Uint64())}
-			oracle[trace[i].key] = trace[i].val
-		}
-
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for _, o := range trace {
-					if int(o.key)%workers != w {
-						continue
-					}
-					if err := p.Access(o.key, 2, []byte{o.val}, true); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-
-		// Force everything through at least one more evict/fetch cycle
-		// before comparing, so the comparison covers remote round-trips.
-		p.EvacuateAll()
-		for key := ObjectID(0); key < keys; key++ {
-			var got [1]byte
-			access(t, p, key, 2, got[:], false)
-			if got[0] != oracle[key] {
-				t.Errorf("seed %#x key %d: pool=%d oracle=%d", seed, key, got[0], oracle[key])
-			}
-		}
-		p.Close()
-	}
-}
-
 // TestConcurrentPinsBlockEvacuation pins one object from several
 // goroutines at once and asserts eviction never steals it while any pin
 // holds it.

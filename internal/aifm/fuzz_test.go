@@ -44,41 +44,6 @@ func FuzzMetaRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzPoolAccessPattern drives a tiny pool with an arbitrary access
-// pattern; invariants: budget never exceeded, data written is data read.
-func FuzzPoolAccessPattern(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5})
-	f.Add([]byte{0, 0, 0, 255, 255})
-	f.Fuzz(func(t *testing.T, script []byte) {
-		if len(script) > 256 {
-			script = script[:256]
-		}
-		p, _, _ := newTestPool(t, 64, 1<<14, 256) // 4 slots, 256 objects
-		shadow := make(map[ObjectID]byte)
-		for i, b := range script {
-			id := ObjectID(b) % ObjectID(p.NumObjects())
-			switch i % 3 {
-			case 0:
-				access(t, p, id, 3, []byte{b}, true)
-				shadow[id] = b
-			case 1:
-				if v, ok := shadow[id]; ok {
-					got := make([]byte, 1)
-					access(t, p, id, 3, got, false)
-					if got[0] != v {
-						t.Fatalf("step %d: object %d = %d, want %d", i, id, got[0], v)
-					}
-				}
-			case 2:
-				p.Prefetch(id)
-			}
-			if p.LocalBytes() > 256 {
-				t.Fatalf("budget exceeded: %d", p.LocalBytes())
-			}
-		}
-	})
-}
-
 // FuzzConcurrentPins interprets the input as per-goroutine op scripts
 // (worker w executes bytes w, w+nWorkers, w+2*nWorkers, ...) against one
 // shared pool whose workers evict each other's objects. Each worker owns a

@@ -3,7 +3,6 @@ package aifm
 import (
 	"bytes"
 	"testing"
-	"testing/quick"
 
 	"trackfm/internal/fabric"
 	"trackfm/internal/sim"
@@ -389,45 +388,6 @@ func TestEvacuateAll(t *testing.T) {
 		}
 	}
 	p.Unpin(3)
-}
-
-func TestLocalBudgetInvariantProperty(t *testing.T) {
-	p, _, _ := newTestPool(t, 64, 1<<20, 512) // 8 slots
-	rng := sim.NewRNG(99)
-	if err := quick.Check(func(steps []uint16) bool {
-		for _, s := range steps {
-			id := ObjectID(rng.Intn(int(p.NumObjects())))
-			touch(t, p, id, s%2 == 0)
-			if p.LocalBytes() > 512 {
-				return false
-			}
-		}
-		return true
-	}, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDataIntegrityAcrossManyEvictions(t *testing.T) {
-	// 4 slots, 32 objects, random writes; every value must survive
-	// eviction round trips.
-	p, _, _ := newTestPool(t, 64, 1<<16, 256)
-	want := make(map[ObjectID]byte)
-	rng := sim.NewRNG(7)
-	for step := 0; step < 2000; step++ {
-		id := ObjectID(rng.Intn(32))
-		if rng.Intn(2) == 0 {
-			v := byte(rng.Intn(256))
-			access(t, p, id, 5, []byte{v}, true)
-			want[id] = v
-		} else if v, ok := want[id]; ok {
-			got := make([]byte, 1)
-			access(t, p, id, 5, got, false)
-			if got[0] != v {
-				t.Fatalf("step %d: object %d byte = %d, want %d", step, id, got[0], v)
-			}
-		}
-	}
 }
 
 func TestTableIsSharedStorage(t *testing.T) {

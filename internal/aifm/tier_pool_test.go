@@ -2,182 +2,19 @@ package aifm
 
 import (
 	"bytes"
-	"encoding/binary"
-	"sync"
 	"testing"
 
-	"trackfm/internal/fabric"
 	"trackfm/internal/mem/bufpool"
 	"trackfm/internal/sim"
 )
 
-// runTierTrace drives one seeded mixed read/write/free/evacuate trace
-// through a pool configured with the given compressed-tier budget, then
-// returns the final heap contents (full read-back of every
-// key) and a snapshot of the remote store taken straight off the
-// transport, before the read-back can disturb it.
-func runTierTrace(t *testing.T, tierBudget uint64) (heap map[ObjectID][]byte, remote map[uint64][]byte) {
-	t.Helper()
-	const objSize = 256
-	const keys = 96
-	p, _, link := newTestPool(t, objSize, keys*objSize, 16*objSize, func(c *Config) {
-		c.CompressedBudget = tierBudget
-	})
-	defer p.Close()
-
-	rng := sim.NewRNG(0xD1FF)
-	for i := 0; i < 6000; i++ {
-		key := ObjectID(rng.Intn(keys))
-		switch rng.Intn(8) {
-		case 0, 1, 2, 3:
-			val := byte(rng.Uint64())
-			off := uint64(rng.Intn(objSize))
-			access(t, p, key, off, []byte{val}, true)
-		case 4, 5, 6:
-			off := uint64(rng.Intn(objSize))
-			var got [1]byte
-			access(t, p, key, off, got[:], false)
-		case 7:
-			if rng.Intn(16) == 0 {
-				p.EvacuateAll()
-			} else {
-				p.Free(key)
-			}
-		}
-	}
-	p.EvacuateAll()
-
-	remote = make(map[uint64][]byte)
-	for key := ObjectID(0); key < keys; key++ {
-		buf := make([]byte, objSize)
-		if ok, err := link.TryFetchUntil(uint64(key), buf, fabric.Deadline{}); err != nil {
-			t.Fatalf("remote snapshot key %d: %v", key, err)
-		} else if ok {
-			remote[uint64(key)] = buf
-		}
-	}
-	heap = make(map[ObjectID][]byte)
-	for key := ObjectID(0); key < keys; key++ {
-		buf := make([]byte, objSize)
-		access(t, p, key, 0, buf, false)
-		heap[key] = buf
-	}
-	return heap, remote
-}
-
-// TestTierOracleDifferential is the tier's semantic gate: because the
-// tier is write-through (a demotion parks a compressed copy alongside —
-// never instead of — the fabric push), the compressed budget is a pure
-// performance knob. The same seeded trace must therefore leave a
-// byte-identical final heap AND a byte-identical remote store whether
-// the tier is disabled, tiny or large.
-func TestTierOracleDifferential(t *testing.T) {
-	baseHeap, baseRemote := runTierTrace(t, 0)
-	for _, tc := range []struct {
-		name   string
-		budget uint64
-	}{
-		{"small", 4 << 10},
-		{"large", 1 << 20},
-	} {
-		heap, remote := runTierTrace(t, tc.budget)
-		if len(remote) != len(baseRemote) {
-			t.Errorf("%s: remote holds %d keys, tier-disabled run holds %d", tc.name, len(remote), len(baseRemote))
-		}
-		for key, want := range baseRemote {
-			if got, ok := remote[key]; !ok {
-				t.Errorf("%s: key %d missing from remote store", tc.name, key)
-			} else if !bytes.Equal(got, want) {
-				t.Errorf("%s: remote bytes for key %d diverge from tier-disabled run", tc.name, key)
-			}
-		}
-		for key, want := range baseHeap {
-			if !bytes.Equal(heap[key], want) {
-				t.Errorf("%s: heap bytes for key %d diverge from tier-disabled run", tc.name, key)
-			}
-		}
-	}
-}
-
-// TestTierConcurrentPoolNoLostUpdates runs eight goroutines over a
-// working set sized to live mostly in the compressed tier (local budget
-// holds 8 of 64 objects; the tier holds the rest) and checks that every
-// read observes the owner's last write — demotion by the workers' demand
-// misses and promotion may move an object between arena, tier, and
-// fabric, but never lose or duplicate an update. Run under -race (make
-// test-stress does); the bufpool ledger must net to zero after Close.
-func TestTierConcurrentPoolNoLostUpdates(t *testing.T) {
-	bufpool.SetDebug(true)
-	defer bufpool.SetDebug(false)
-	start := bufpool.Outstanding()
-
-	const workers, perWorker = 8, 16
-	const objSize = 1024
-	const keys = workers * perWorker
-	iters := 3000
-	if testing.Short() {
-		iters = 600
-	}
-	// Eight circulating slots — one per worker, so eight simultaneous
-	// pins always fit — against a per-worker set of sixteen keys: even a
-	// fully serialized schedule churns every worker's keys through the
-	// tier, so promotion traffic does not depend on interleaving luck.
-	p, _, _ := newTestPool(t, objSize, keys*objSize, workers*objSize, func(c *Config) {
-		c.CompressedBudget = 1 << 20
-	})
-
-	errs := make([]string, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := sim.NewRNG(uint64(w) + 1)
-			last := make(map[ObjectID]uint64, perWorker)
-			for i := 0; i < iters; i++ {
-				key := ObjectID(w*perWorker + rng.Intn(perWorker))
-				var stamp [8]byte
-				if i%3 == 0 || last[key] == 0 {
-					seq := uint64(i)<<8 | uint64(w) | 1<<63
-					binary.LittleEndian.PutUint64(stamp[:], seq)
-					if err := p.Access(key, 0, stamp[:], true); err != nil {
-						errs[w] = err.Error()
-						return
-					}
-					last[key] = seq
-				} else {
-					if err := p.Access(key, 0, stamp[:], false); err != nil {
-						errs[w] = err.Error()
-						return
-					}
-					if got := binary.LittleEndian.Uint64(stamp[:]); got != last[key] {
-						errs[w] = "lost update: read a stamp that is not the last write"
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	// Quiesced: a held copy exists only for a resident object promoted
-	// from the tier (residents first — an eviction drops the copy before
-	// the resident count).
-	if res := p.ResidentSlots(); p.Far().Tier().Held() > res {
-		t.Errorf("%d held copies outlive residency: %d resident", p.Far().Tier().Held(), res)
-	}
-	for w, e := range errs {
-		if e != "" {
-			t.Errorf("worker %d: %s", w, e)
-		}
-	}
-	if hits := p.Far().Tier().Stats().Snapshot().Hits; hits == 0 {
-		t.Errorf("working set never hit the compressed tier; test is not exercising promotion")
-	}
-	p.Close()
-	if got := bufpool.Outstanding(); got != start {
-		t.Errorf("leaked %d buffer leases", got-start)
-	}
-}
+// TestTierConcurrentPoolNoLostUpdates is the model's K-worker run over a
+// tier that holds the whole working set: the workers' demand misses demote
+// objects into the tier and promote them out of it, moving them between
+// arena, tier and fabric, and no read may see anything but its owner's
+// last write. Run under -race (make test does); every buffer lease must be
+// home after Close.
+func TestTierConcurrentPoolNoLostUpdates(t *testing.T) { runWorkers(t, modelConfigs[2].tier) }
 
 // TestSteadyStateTierHitAllocFree extends the allocation gate to the
 // tier round trip: in steady state every demand miss evicts a resident

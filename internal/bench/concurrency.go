@@ -86,12 +86,13 @@ func mtScan(s Scale) *Table {
 	}
 	t.Notes = "Per-worker virtual clocks: each worker charges scope entry, smart-pointer " +
 		"indirection, a local load, and a full remote object fetch per miss to a private " +
-		"cycle counter; phase time = max worker clock (the critical path), so the numbers " +
-		"are scheduler-independent and reproducible on a single-core host. disjoint: " +
-		"workers scan disjoint ranges (striping's best case); shared: all workers scan " +
-		"the same range, where singleflight collapses concurrent misses into one fetch. " +
-		"lockWait = stripe lock acquisitions that blocked; sfShared = fetches satisfied " +
-		"by another goroutine's in-flight fetch."
+		"cycle counter; phase time = max worker clock (the critical path). disjoint: " +
+		"workers scan disjoint ranges (striping's best case), and its rows reproduce run " +
+		"to run but for lockWait; shared: all workers scan the same range, where " +
+		"singleflight collapses concurrent misses into one fetch, and its rows do not: " +
+		"which worker misses, and which joins another's fetch, depends on the wall-clock " +
+		"schedule. lockWait = stripe lock acquisitions that blocked; sfShared = fetches " +
+		"satisfied by another goroutine's in-flight fetch."
 	return t
 }
 

@@ -56,7 +56,7 @@ type wbBatch struct {
 // other transports have none and push synchronously.
 type window struct {
 	carrier fabric.PushCarrier
-	slab    *bufpool.Slab
+	unit    int // the bytes of a parked copy: an exact bufpool class
 
 	mu      sync.Mutex
 	entries [wbWindow]wbEntry
@@ -68,7 +68,7 @@ type window struct {
 }
 
 func newWindow(carrier fabric.PushCarrier, unit int) *window {
-	w := &window{carrier: carrier, slab: bufpool.NewSlab(unit), idle: make([]*wbBatch, 0, wbWindow)}
+	w := &window{carrier: carrier, unit: unit, idle: make([]*wbBatch, 0, wbWindow)}
 	for i := range w.batches {
 		w.idle = append(w.idle, &w.batches[i])
 	}
@@ -117,7 +117,7 @@ func (w *window) park(key uint64, src []byte) bool {
 		if e = w.find(0, wbFree); e == nil { // a free entry is the zero entry
 			return false
 		}
-		*e = wbEntry{key: key, lease: w.slab.Get(), state: wbParked}
+		*e = wbEntry{key: key, lease: bufpool.Get(w.unit), state: wbParked}
 		w.depth.Add(1)
 	}
 	copy(e.lease.Bytes(), src)

@@ -1,12 +1,12 @@
-// Package bufpool provides the tiered buffer pool behind every hot-path
+// Package bufpool provides the size-classed buffer pool behind every hot-path
 // scratch buffer in the tree: wire frames on the fabric server, remote blob
 // storage, and the object/page evacuation buffers of the aifm and fastswap
 // runtimes.
 //
-// Two tiers serve two allocation patterns. A Pool holds power-of-two size
-// classes from 64 B to 64 KiB for variable-size callers (wire payloads,
-// blobs); a Slab holds exactly one size for the fixed objSize/pageSize
-// arenas. Both are built the same way: a sync.Pool per class gives per-P
+// A Pool holds power-of-two size classes from 64 B to 64 KiB. Fixed-size
+// callers — the far engine's write-behind copies, one aifm object or one
+// page each — get an exact class, since every such unit in the tree is a
+// power of two in that range. Each class is a sync.Pool, giving per-P
 // sharded, lock-free reuse, fronting a small bounded free list whose
 // buffers — unlike sync.Pool's, which the collector drops every two GC
 // cycles — survive GC, so a steady-state working set of buffers never
@@ -48,8 +48,8 @@ const (
 	reservoirMin   = 4
 )
 
-// Stats is the pool's counter block, shared by Pool and Slab. All fields
-// are atomic; Register exposes them under the trackfm_bufpool_* namespace.
+// Stats is the pool's counter block. All fields are atomic; Register
+// exposes them under the trackfm_bufpool_* namespace.
 type Stats struct {
 	gets         atomic.Uint64
 	puts         atomic.Uint64
@@ -76,7 +76,7 @@ func (s *Stats) Snapshot() StatsSnapshot {
 }
 
 // Register exposes the counters on reg. The labels distinguish multiple
-// pools (e.g. the shared wire pool vs a runtime's slab) in one registry.
+// pools in one registry.
 func (s *Stats) Register(reg *obs.Registry, labels ...obs.Label) {
 	reg.CounterFunc("trackfm_bufpool_gets_total",
 		"Buffer leases issued by the pool.",
@@ -92,7 +92,7 @@ func (s *Stats) Register(reg *obs.Registry, labels ...obs.Label) {
 		s.foreignFrees.Load, labels...)
 }
 
-// class is one size tier: a per-P sync.Pool fronting a bounded free list.
+// class is one size class: a per-P sync.Pool fronting a bounded free list.
 // Gets drain the sync.Pool first (no lock), then the reservoir, then
 // allocate. Puts prefer the reservoir while it has room and its lock is
 // uncontended — those buffers survive GC — and overflow into the
@@ -213,7 +213,7 @@ func classIndex(n int) int {
 	return bits.Len(uint(n-1)) - minShift
 }
 
-// Pool is the tiered, size-classed tier: eleven power-of-two classes from
+// Pool is the size-classed buffer pool: eleven power-of-two classes from
 // 64 B to 64 KiB. The zero Pool is not ready; use New. Pool is safe for
 // concurrent use.
 type Pool struct {
@@ -221,7 +221,7 @@ type Pool struct {
 	stats   Stats
 }
 
-// New returns an empty tiered pool.
+// New returns an empty pool.
 func New() *Pool {
 	p := &Pool{}
 	for i := range p.classes {
@@ -257,39 +257,6 @@ func (p *Pool) Stats() StatsSnapshot { return p.stats.Snapshot() }
 // Register exposes the pool's counters on reg.
 func (p *Pool) Register(reg *obs.Registry, labels ...obs.Label) {
 	p.stats.Register(reg, labels...)
-}
-
-// Slab is the exact-size tier for fixed-geometry arenas (aifm objSize,
-// fastswap pageSize): one class, no rounding. The zero Slab is not ready;
-// use NewSlab. Slab is safe for concurrent use.
-type Slab struct {
-	cls   class
-	stats Stats
-}
-
-// NewSlab returns a slab issuing buffers of exactly size bytes.
-func NewSlab(size int) *Slab {
-	if size <= 0 {
-		panic(fmt.Sprintf("bufpool: NewSlab(%d)", size))
-	}
-	s := &Slab{}
-	s.cls.init(size, &s.stats)
-	return s
-}
-
-// Get leases one size-byte buffer.
-func (s *Slab) Get() Lease {
-	l := s.cls.lease(s.cls.size)
-	l.dbg = debugTrack(l.buf)
-	return l
-}
-
-// Stats snapshots the slab's counters.
-func (s *Slab) Stats() StatsSnapshot { return s.stats.Snapshot() }
-
-// Register exposes the slab's counters on reg.
-func (s *Slab) Register(reg *obs.Registry, labels ...obs.Label) {
-	s.stats.Register(reg, labels...)
 }
 
 // Wire is the process-wide shared pool for wire frames and blob storage:

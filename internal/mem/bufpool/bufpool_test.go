@@ -105,21 +105,24 @@ func TestOutstandingTracksLeaks(t *testing.T) {
 	}
 }
 
+// TestSlabExactSize: a fixed-size caller's unit (an aifm object, a page) is
+// an exact class, so its lease is exactly that long, with no spare
+// capacity, and a released buffer is the next one that size is served.
 func TestSlabExactSize(t *testing.T) {
-	s := NewSlab(4096)
-	l := s.Get()
+	p := New()
+	l := p.Get(4096)
 	if len(l.Bytes()) != 4096 || cap(l.Bytes()) != 4096 {
-		t.Fatalf("slab buffer len %d cap %d", len(l.Bytes()), cap(l.Bytes()))
+		t.Fatalf("exact-class buffer len %d cap %d", len(l.Bytes()), cap(l.Bytes()))
 	}
 	first := &l.Bytes()[0]
 	l.Release()
-	l2 := s.Get()
+	l2 := p.Get(4096)
 	defer l2.Release()
 	if &l2.Bytes()[0] != first {
-		t.Fatalf("slab buffer not reused")
+		t.Fatalf("exact-class buffer not reused")
 	}
-	if st := s.Stats(); st.Gets != 2 || st.Misses != 1 || st.Puts != 1 {
-		t.Fatalf("slab stats %+v", st)
+	if s := p.Stats(); s.Gets != 2 || s.Misses != 1 || s.Puts != 1 {
+		t.Fatalf("stats %+v, want 2 gets, 1 miss, 1 put", s)
 	}
 }
 
@@ -128,10 +131,10 @@ func TestSlabExactSize(t *testing.T) {
 // emptied a bare sync.Pool (whose victim cache drops everything within two
 // collections).
 func TestReservoirSurvivesGC(t *testing.T) {
-	s := NewSlab(1 << 15)
+	p := New()
 	var leases []Lease
 	for i := 0; i < reservoirMin; i++ {
-		leases = append(leases, s.Get())
+		leases = append(leases, p.Get(1<<15))
 	}
 	for _, l := range leases {
 		l := l
@@ -140,12 +143,12 @@ func TestReservoirSurvivesGC(t *testing.T) {
 	runtime.GC()
 	runtime.GC()
 	runtime.GC()
-	before := s.Stats().Misses
+	before := p.Stats().Misses
 	for i := 0; i < reservoirMin; i++ {
-		l := s.Get()
+		l := p.Get(1 << 15)
 		defer l.Release()
 	}
-	if after := s.Stats().Misses; after != before {
+	if after := p.Stats().Misses; after != before {
 		t.Fatalf("reservoir buffers were collected: %d new misses", after-before)
 	}
 }

@@ -72,10 +72,8 @@ func TestMetricNamesLint(t *testing.T) {
 	}
 	gov.RegisterObs(reg)
 
-	// Buffer pools: the shared wire pool and an exact-size slab register
-	// the same counter names, so each carries a distinguishing label.
+	// The shared wire pool's counters.
 	bufpool.Wire.Register(reg, obs.Label{Key: "pool", Value: "wire"})
-	bufpool.NewSlab(64).Register(reg, obs.Label{Key: "pool", Value: "slab"})
 
 	// Every id in both registries must carry a NamePattern-conforming
 	// bare name (registration already panics on violations; this loop is
