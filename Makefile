@@ -90,12 +90,16 @@ test:
 	$(GO) test -race ./internal/fabric/... ./internal/aifm/... ./internal/fastswap/... ./internal/far/... ./internal/mem/... ./internal/remote/... ./internal/core/...
 
 # The pool's model (internal/aifm/model_test.go): seeded op traces on
-# aifm.Pool over SimLink against a flat byte array of what the heap must
-# hold, with the pool's invariants checked after every op and at quiesce —
-# serially with the compressed tier off, small and large, then four
-# workers on disjoint objects at once under the race detector, over a
-# small tier and over a large one. A failing serial trace prints its seed
-# and its shrunk op list; -model.seed replays it.
+# aifm.Pool over a FaultLink around SimLink against a flat byte array of
+# what the heap must hold, with the pool's invariants checked after every
+# op and at quiesce, and a forced degradation toggled now and then —
+# serially with the compressed tier off, small and large on a fault-free
+# link, then on a link that drops, corrupts and goes out (tier off and
+# small, and tier off with delays past a per-op deadline), where a failed
+# op must leave no trace; then four workers on disjoint objects at once
+# under the race detector, over a small tier fault-free and faulted and
+# over a large one. A failing serial trace prints its seed and its shrunk
+# op list; -model.seed replays it.
 test-model:
 	$(GO) test -count=1 -run '^TestModel$$' ./internal/aifm
 	$(GO) test -race -count=1 -run '^TestConcurrentModel$$|^TestTierConcurrentPoolNoLostUpdates$$' ./internal/aifm
@@ -115,7 +119,8 @@ test-race:
 	$(GO) test -race ./...
 
 # The concurrency stress suite: the N-goroutine mixed read/write/
-# evacuate/prefetch workout, the model's four workers on one pool, and the
+# evacuate/prefetch workout, the model's four workers on one pool (over a
+# fault-free link and a faulty one), and the
 # pinned-object barrier test, all under -race with the
 # short-mode reductions disabled; then the window-lifetime test — chunked
 # Range/Fill over local memory in place against the workers' own demand
@@ -218,9 +223,11 @@ test-soak:
 
 # Short fixed-budget runs of the fuzzers, the fabric's one frame decoder
 # first and the compiler/interpreter differential last (go test accepts
-# one -fuzz pattern per invocation, hence one run each). FuzzModel caps
-# the minimizing of each new input at 200 runs: one of its inputs is a
-# whole pool trace, and the default 60 s of minimizing would take the run.
+# one -fuzz pattern per invocation, hence one run each). FuzzModel's first
+# byte picks the model's config, fault-free or faulty, and the rest draw
+# the trace; it caps the minimizing of each new input at 200 runs: one of
+# its inputs is a whole pool trace, and the default 60 s of minimizing
+# would take the run.
 fuzz-short:
 	$(GO) test -run=^$$ -fuzz=FuzzFrame -fuzztime=30s ./internal/fabric
 	$(GO) test -race -run=^$$ -fuzz=FuzzConcurrentPins -fuzztime=30s ./internal/aifm

@@ -191,10 +191,21 @@ func TestDemandMissOutlastsAContendedLap(t *testing.T) {
 	})
 
 	t.Run("refused write-backs", func(t *testing.T) {
-		env := sim.NewEnv()
-		link := &faultyLink{SimLink: fabric.NewSimLink(env, fabric.BackendTCP)}
+		// The link's outage refuses the miss's first 5 write-backs, more
+		// than one lap's two victims: one delete before the miss puts the
+		// window, which opens every other op past the setup's (a probe run
+		// counts them), at the miss's first push, and the 6th lands.
+		outage := func(every int) (*sim.Env, *fabric.FaultLink) {
+			env := sim.NewEnv()
+			return env, fabric.NewFaultLink(fabric.NewSimLink(env, fabric.BackendTCP), fabric.FaultConfig{OutageEvery: every, OutageLen: 5})
+		}
+		env, probe := outage(0)
+		setup(t, env, probe)
+		env, link := outage(int(probe.Stats().Ops) + 2)
 		p := setup(t, env, link)
-		link.failPush = 5 // more than one lap's two victims
+		if err := link.TryDeleteUntil(uint64(fresh), fabric.Deadline{}); err != nil {
+			t.Fatal(err)
+		}
 		if err := miss(p); err != nil {
 			t.Fatal(err)
 		}

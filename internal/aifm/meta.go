@@ -53,6 +53,13 @@ const (
 	metaDSMask    = Meta(0xFF)
 )
 
+// metaFreed is the word of a freed object whose far copy's delete was not
+// acknowledged: not present, and no remote-format word (those carry the
+// object size). It reads as zeros, as 0 does, but materializes dirty, so
+// the first eviction pushes the zeros over the blob the far node may still
+// hold.
+const metaFreed = MetaD
+
 // Remote-format field layout (P=0).
 const (
 	remoteDSShift   = 48

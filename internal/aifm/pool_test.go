@@ -2,6 +2,8 @@ package aifm
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"trackfm/internal/fabric"
@@ -397,4 +399,28 @@ func TestTableIsSharedStorage(t *testing.T) {
 	if !tbl[9].Present() {
 		t.Fatalf("external table view not coherent with pool state")
 	}
+}
+
+// TestLocalizePanicsOnUnrecoverableFetch: Localize, which has no error to
+// return, panics on a fetch the far engine gives up on. The link's outage
+// opens at the first op past the setup's, as a probe run counts them, and
+// outlasts every attempt.
+func TestLocalizePanicsOnUnrecoverableFetch(t *testing.T) {
+	// setup evacuates object 1 from a two-slot pool over a FaultLink.
+	setup := func(faults fabric.FaultConfig) (*Pool, *fabric.FaultLink) {
+		env := sim.NewEnv()
+		link := fabric.NewFaultLink(fabric.NewSimLink(env, fabric.BackendTCP), faults)
+		p, _, _ := newTestPool(t, 64, 64*16, 64*2, func(c *Config) { c.Env, c.Transport, c.RemoteRetries = env, link, 2 })
+		access(t, p, 1, 0, []byte{9}, true)
+		p.EvacuateAll()
+		return p, link
+	}
+	_, probe := setup(fabric.FaultConfig{})
+	p, _ := setup(fabric.FaultConfig{OutageEvery: int(probe.Stats().Ops) + 1, OutageLen: 1 << 30})
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "unrecoverable remote fetch") {
+			t.Fatalf("Localize over a dead link: panic %v, want an unrecoverable remote fetch", r)
+		}
+	}()
+	p.Localize(1, false)
 }

@@ -558,9 +558,7 @@ func (n *localAllocStmt) exec(ex *executor, fr *frame) {
 }
 
 func (resetStatsStmt) exec(ex *executor, _ *frame) {
-	env := ex.backend.Env()
-	env.Clock.Reset()
-	env.Counters.Reset()
+	ex.backend.Env().Reset()
 }
 
 func (n *callStmt) exec(ex *executor, fr *frame) {

@@ -12,7 +12,9 @@ import (
 	"trackfm/internal/fastswap"
 	"trackfm/internal/ir"
 	"trackfm/internal/mem/bufpool"
+	"trackfm/internal/obs"
 	"trackfm/internal/sim"
+	"trackfm/internal/workloads/stream"
 )
 
 // sumProgram: allocate n u64s, fill with i, sum them.
@@ -440,6 +442,28 @@ func TestObjectSizeMismatchRefused(t *testing.T) {
 			if _, err := Run(compileWith(t, sumProgram(100), opts), be, Options{}); err != nil {
 				t.Errorf("%s refused a compiled program: %v", name, err)
 			}
+		}
+	}
+}
+
+// TestResetStatsClearsHistograms: tfm_reset_stats starts the measured
+// region with the latency histograms empty, as it does the clock and the
+// counters, so a histogram counts the same events as its counter. STREAM
+// Copy at 20% local memory evicts and fetches in both phases.
+func TestResetStatsClearsHistograms(t *testing.T) {
+	const n = 1 << 14
+	ws := stream.WorkingSetBytes(stream.Copy, n)
+	_, env, _, err := RunOn(TrackFM, stream.Program(stream.Copy, n), compiler.Options{ObjectSize: 4096}, ws*2, ws/5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		count uint64
+		hist  *obs.Histogram
+	}{{"evacuations", env.Counters.Evacuations, env.Lat().Evacuation}, {"remote fetches", env.Counters.RemoteFetches, env.Lat().RemoteFetch}} {
+		if got := c.hist.Snapshot().Count(); got != c.count || got == 0 {
+			t.Errorf("%d %s counted, %d observed", c.count, c.name, got)
 		}
 	}
 }

@@ -192,7 +192,7 @@ type LocalAlloc struct {
 }
 
 // ResetStatsCall is the builtin a program calls to reset its backend's
-// clock and counters: the boundary between an untimed setup phase and the
+// clock, counters and latency histograms: the boundary between an untimed setup phase and the
 // measured region (STREAM reports kernel bandwidth only).
 const ResetStatsCall = "tfm_reset_stats"
 

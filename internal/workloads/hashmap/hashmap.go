@@ -152,8 +152,7 @@ func Run(be interp.Backend, cfg Config) (*Result, error) {
 	// untimed but its residual locality carries over: whatever fit in
 	// local memory during construction is still local when the lookups
 	// start (at 100% local memory nothing ever leaves).
-	be.Env().Clock.Reset()
-	be.Env().Counters.Reset()
+	be.Env().Reset()
 
 	res := &Result{}
 	trace := be.OpenCursor(traceBase, 8, true)

@@ -272,8 +272,7 @@ func Run(be interp.Backend, cfg Config) (*Result, error) {
 
 	// The populate phase is untimed; its residual locality carries over,
 	// as in the paper's methodology.
-	be.Env().Clock.Reset()
-	be.Env().Counters.Reset()
+	be.Env().Reset()
 
 	res := &Result{}
 	buf := make([]byte, 1024)
