@@ -361,6 +361,53 @@ func TestOpDeadlineReachesThePool(t *testing.T) {
 	}
 }
 
+// TestBreakerRecoversWithEveryResidentDirty: a pool the deadline breaker
+// degraded while every resident was dirty and the reserve floor was spent
+// serves again once the link heals. Its misses fetch nothing until a
+// write-back frees a slot, so a dirty write-back must go through as the
+// breaker's probe.
+func TestBreakerRecoversWithEveryResidentDirty(t *testing.T) {
+	const budget = 1 << 20
+	link := &stallLink{SimLink: fabric.NewSimLink(sim.NewEnv(), fabric.BackendTCP), delay: 2 * budget}
+	h, err := New(Config{HeapBytes: 1 << 20, LocalBytes: 1 << 13, ObjectBytes: 1 << 10,
+		RemoteConfig: fabric.RemoteConfig{Transport: link, OpDeadline: budget}})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer h.Close()
+	s, _ := NewUint64s(h, 2048) // 16 objects over 8 slots: the head is evicted, the tail dirty
+	for i := 0; i < s.Len(); i++ {
+		s.Set(i, uint64(i))
+	}
+	fresh, _ := NewUint64s(h, 2048) // never written: a write materializes zeros, no fetch
+	ok := func(access func()) (ok bool) {
+		defer func() { ok = recover() == nil }() // a guard cannot return the fetch error
+		access()
+		return
+	}
+	link.clk = &h.env.Clock
+	ok(func() { s.At(1) }) // the lap's write-backs miss their deadlines
+	if !h.rt.Pool().Far().Degraded() {
+		t.Fatalf("pool not degraded after a lap of deadline-missing write-backs")
+	}
+	for i := 0; i < fresh.Len(); i += 128 { // one write an object: spend the reserve floor
+		ok(func() { fresh.Set(i, 1) })
+	}
+	if p := h.rt.Pool(); p.ReserveFree() != 0 {
+		t.Fatalf("%d reserve slots left: the pool is not in the state under test", p.ReserveFree())
+	}
+	link.clk = nil // the link heals
+	for i := 0; i < 64; i++ {
+		if ok(func() { s.At(1) }) {
+			if got := s.At(1); got != 1 || h.rt.Pool().Far().Degraded() {
+				t.Fatalf("s[1] = %d, degraded %v after the link healed", got, h.rt.Pool().Far().Degraded())
+			}
+			return
+		}
+	}
+	t.Fatalf("64 reads after the link healed all failed: the pool stays degraded")
+}
+
 // TestCloseReturnsTierLeases: Close must run the pool's Close, which hands
 // the compressed tier's buffers back.
 func TestCloseReturnsTierLeases(t *testing.T) {

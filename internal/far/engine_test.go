@@ -195,6 +195,29 @@ func TestEngine(t *testing.T) {
 				r.Fatalf("still degraded a full probe window after the link healed")
 			}
 		}},
+		{"a dirty write-back probes the breaker, never a forced degradation", deadline, func(r *rig) {
+			r.l.delay = 2 * budget
+			for i := 0; i < 4; i++ {
+				r.mustFail(7, fabric.ErrDeadlineExceeded)
+			}
+			// Heal the link: of the stalled write-backs, the probe goes
+			// through and lifts the degradation.
+			r.l.delay, r.l.ops = 0, 0
+			for i := 0; i < degradedProbeEvery && r.e.Degraded(); i++ {
+				r.e.Evict(7, r.data, true)
+			}
+			if r.e.Degraded() {
+				r.Fatalf("still degraded a full probe window of write-backs after the link healed")
+			}
+			r.want("pushes on the link", uint64(r.l.ops), 1)
+			r.e.ForceDegrade(true)
+			for i := 0; i < 2*degradedProbeEvery; i++ {
+				if r.e.Evict(7, r.data, true) {
+					r.Fatalf("a dirty Evict went through a forced degradation")
+				}
+			}
+			r.want("pushes on the link", uint64(r.l.ops), 1)
+		}},
 		{"a forced degradation outlives successful probes", deadline, func(r *rig) {
 			r.e.ForceDegrade(true)
 			r.e.ForceDegrade(true)
