@@ -30,7 +30,8 @@ type Config struct {
 	// the first successful remote operation restores normal service.
 	fabric.RemoteConfig
 	// ObjectSize is the fixed object (chunk) size in bytes. Must be a
-	// power of two in [64, 65536]. The paper argues only powers of two
+	// power of two in [64, fabric.MaxPayload], the largest transfer the
+	// wire protocol carries (64 KiB). The paper argues only powers of two
 	// from the cache-line size (64B) to the base page size (4KB) are
 	// sensible (§3.2).
 	ObjectSize int
@@ -272,8 +273,8 @@ func NewPool(cfg Config) (*Pool, error) {
 	if cfg.Env == nil {
 		return nil, fmt.Errorf("aifm: Config.Env is required")
 	}
-	if cfg.ObjectSize < 64 || cfg.ObjectSize > 65536 || bits.OnesCount(uint(cfg.ObjectSize)) != 1 {
-		return nil, fmt.Errorf("aifm: ObjectSize %d must be a power of two in [64, 65536]", cfg.ObjectSize)
+	if cfg.ObjectSize < 64 || cfg.ObjectSize > fabric.MaxPayload || bits.OnesCount(uint(cfg.ObjectSize)) != 1 {
+		return nil, fmt.Errorf("aifm: ObjectSize %d must be a power of two in [64, %d]", cfg.ObjectSize, fabric.MaxPayload)
 	}
 	if cfg.HeapSize == 0 {
 		return nil, fmt.Errorf("aifm: HeapSize is required")

@@ -133,11 +133,7 @@ func (a *Admission) ServiceEstimate() uint64 {
 // server's arrival path, where the true head-of-line delay is not
 // directly observable.
 func (a *Admission) OfferEstimate(budget uint64) Verdict {
-	q := a.inflight.Load()
-	a.mu.Lock()
-	ewma := a.ewma
-	a.mu.Unlock()
-	return a.Offer(uint64(q)*ewma, budget)
+	return a.offer(0, budget, true)
 }
 
 // Offer decides one arrival. queueDelay is the caller's estimate of how
@@ -146,15 +142,26 @@ func (a *Admission) OfferEstimate(budget uint64) Verdict {
 // budget is the request's remaining deadline in the same clock units, 0
 // for no deadline. On Admit the caller must pair with Done.
 func (a *Admission) Offer(queueDelay, budget uint64) Verdict {
-	if a.inflight.Load() >= int64(a.cfg.MaxQueue) {
+	return a.offer(queueDelay, budget, false)
+}
+
+// offer is Offer, with queueDelay replaced by inflight × EWMA when
+// estimate is set; either way the EWMA is read in the one lock hold that
+// tracks the excursion above Target.
+func (a *Admission) offer(queueDelay, budget uint64, estimate bool) Verdict {
+	q := a.inflight.Load()
+	if q >= int64(a.cfg.MaxQueue) {
 		a.stats.shedQueueFull.Add(1)
 		return ShedQueueFull
 	}
 	a.mu.Lock()
 	ewma := a.ewma
-	now := clockNow(a.cfg.Clock)
+	if estimate {
+		queueDelay = uint64(q) * ewma
+	}
 	var codel bool
 	if queueDelay > a.cfg.Target {
+		now := clockNow(a.cfg.Clock)
 		if !a.above {
 			a.above, a.aboveSince = true, now
 		} else if now-a.aboveSince >= a.cfg.Interval {

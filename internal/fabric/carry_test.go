@@ -315,7 +315,7 @@ func TestCarryServerKilledMidExchange(t *testing.T) {
 func TestCarryPayloadTooLarge(t *testing.T) {
 	srv, tr := serveAndDial(t, remote.NewStore())
 	frames := srv.Stats().Frames()
-	pushes := []Push{{Key: 1, Src: make([]byte, 64)}, {Key: 2, Src: make([]byte, maxPayload+1)}}
+	pushes := []Push{{Key: 1, Src: make([]byte, 64)}, {Key: 2, Src: make([]byte, MaxPayload+1)}}
 	if _, err := tr.TryFetchAfterPushes(pushes, 3, make([]byte, 64), Deadline{}); !errors.Is(err, ErrPayloadTooLarge) {
 		t.Errorf("TryFetchAfterPushes = %v, want ErrPayloadTooLarge", err)
 	}

@@ -458,59 +458,59 @@ func TestTCPOneSyscallPerFrame(t *testing.T) {
 }
 
 // TestTCPRoundTripAllocFree: a steady-state fetch or push over loopback —
-// alone, or as one exchange of pushes and a fetch behind them — allocates
-// nothing on either side (client and in-process server share the heap
-// AllocsPerRun watches).
+// alone, as one exchange of pushes and a fetch behind them, or on the
+// prefetch stream — allocates nothing on either side (client and
+// in-process server share the heap AllocsPerRun watches), and the server
+// serves its payload in place: no bufpool.Wire get, the client taking
+// none either. Both for 4 KiB payloads and for MaxPayload, the largest
+// frame, which exactly fits the wire buffers.
 func TestTCPRoundTripAllocFree(t *testing.T) {
-	if bufpool.RaceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
-	}
-	srv := NewServer(remote.NewStore())
-	addr, err := srv.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("ListenAndServe: %v", err)
-	}
-	defer srv.Close()
-	tr, err := Dial(addr)
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer tr.Close()
-	buf := make([]byte, 4096)
-	if err := tr.TryPushUntil(1, buf, Deadline{}); err != nil {
-		t.Fatalf("push: %v", err)
-	}
-	var opErr error
-	if n := testing.AllocsPerRun(200, func() {
-		if _, err := tr.TryFetchUntil(1, buf, Deadline{}); err != nil {
-			opErr = err
-		}
-	}); n != 0 {
-		t.Errorf("fetch round trip: %v allocs, want 0", n)
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		if err := tr.TryPushUntil(1, buf, Deadline{}); err != nil {
-			opErr = err
-		}
-	}); n != 0 {
-		t.Errorf("push round trip: %v allocs, want 0", n)
-	}
-	pushes := []Push{{Key: 2, Src: make([]byte, 4096)}, {Key: 3, Src: make([]byte, 4096)}}
-	if n := testing.AllocsPerRun(200, func() {
-		if _, err := tr.TryFetchAfterPushes(pushes, 1, buf, Deadline{}); err != nil {
-			opErr = err
-		}
-	}); n != 0 {
-		t.Errorf("two pushes and a fetch in one exchange: %v allocs, want 0", n)
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		if err := tr.TryPushAll(pushes, Deadline{}); err != nil {
-			opErr = err
-		}
-	}); n != 0 {
-		t.Errorf("two pushes in one exchange: %v allocs, want 0", n)
-	}
-	if opErr != nil {
-		t.Fatal(opErr)
+	for _, size := range []int{4096, MaxPayload} {
+		t.Run(fmt.Sprint(size), func(t *testing.T) {
+			_, tr := serveAndDial(t, remote.NewStore())
+			buf := make([]byte, size)
+			pushes := []Push{{Key: 2, Src: make([]byte, size)}, {Key: 3, Src: make([]byte, size)}}
+			// Every key is stored at its width first, so the pushes below
+			// overwrite in place and take no lease in the store either.
+			if err := tr.TryPushAll(append(pushes, Push{Key: 1, Src: buf}), Deadline{}); err != nil {
+				t.Fatalf("push: %v", err)
+			}
+			for _, op := range []struct {
+				name string
+				run  func() error
+			}{
+				{"fetch round trip", func() error { _, err := tr.TryFetchUntil(1, buf, Deadline{}); return err }},
+				{"push round trip", func() error { return tr.TryPushUntil(1, buf, Deadline{}) }},
+				{"two pushes and a fetch in one exchange", func() error {
+					_, err := tr.TryFetchAfterPushes(pushes, 1, buf, Deadline{})
+					return err
+				}},
+				{"two pushes in one exchange", func() error { return tr.TryPushAll(pushes, Deadline{}) }},
+				{"StartFetch + Wait", func() error {
+					tk, err := tr.StartFetch(1, buf)
+					if err == nil {
+						_, err = tk.Wait()
+					}
+					return err
+				}},
+			} {
+				var opErr error
+				gets := bufpool.Wire.Stats().Gets
+				n := testing.AllocsPerRun(100, func() {
+					if err := op.run(); err != nil {
+						opErr = err
+					}
+				})
+				if opErr != nil {
+					t.Fatalf("%s: %v", op.name, opErr)
+				}
+				if n != 0 && !bufpool.RaceEnabled { // the race detector's instrumentation allocates
+					t.Errorf("%s: %v allocs, want 0", op.name, n)
+				}
+				if got := bufpool.Wire.Stats().Gets - gets; got != 0 {
+					t.Errorf("%s: %d bufpool.Wire gets, want 0", op.name, got)
+				}
+			}
+		})
 	}
 }

@@ -225,7 +225,7 @@ func TestTCPTransportOversizedPayloadRejected(t *testing.T) {
 	}
 	defer tr.Close()
 	// An operation above the protocol limit must be refused client-side.
-	big := make([]byte, maxPayload+1)
+	big := make([]byte, MaxPayload+1)
 	if err := tr.TryPushUntil(1, big, Deadline{}); !errors.Is(err, ErrPayloadTooLarge) {
 		t.Fatalf("oversized push = %v, want ErrPayloadTooLarge", err)
 	}

@@ -209,7 +209,7 @@ func TestServerAnswersOversizeWithErrorFrame(t *testing.T) {
 	// frame and keep the connection serving (fetch carries no payload,
 	// so the stream stays in sync).
 	conn := dialRaw(t, addr)
-	if ack, err := sendRaw(t, conn, reqFrame(opFetch, 0, maxPayload+1, 0)); err != nil || ack != ackErr {
+	if ack, err := sendRaw(t, conn, reqFrame(opFetch, 0, MaxPayload+1, 0)); err != nil || ack != ackErr {
 		t.Fatalf("oversize fetch answered %#x, %v; want error frame %#x", ack, err, ackErr)
 	}
 	// The same connection still serves well-formed requests.
@@ -223,7 +223,7 @@ func TestServerAnswersOversizeWithErrorFrame(t *testing.T) {
 	// An oversize push is also answered, but its connection closes (the
 	// unread payload cannot be skipped safely).
 	conn2 := dialRaw(t, addr)
-	if ack, err := sendRaw(t, conn2, reqFrame(opPush, 0, maxPayload+1, 0)); err != nil || ack != ackErr {
+	if ack, err := sendRaw(t, conn2, reqFrame(opPush, 0, MaxPayload+1, 0)); err != nil || ack != ackErr {
 		t.Fatalf("oversize push answered %#x, %v; want error frame", ack, err)
 	}
 	if _, err := sendRaw(t, conn2, nil); err != io.EOF {

@@ -36,7 +36,7 @@ func (c *halfDuplex) Close() error                { c.r.Close(); return c.w.Clos
 // shape and length its request calls for, fetch payloads verifying against
 // their trailers — and nothing else. A reply written but never flushed
 // would be missing here. out is read as it comes and never held: 21 bytes
-// of request can ask for 16 MiB of reply.
+// of request can ask for MaxPayload (64 KiB) of reply.
 func checkReplyStream(in []byte, out io.Reader) error {
 	r := bufio.NewReader(out)
 	rest := func() error {
@@ -70,7 +70,7 @@ requests:
 	for len(in) >= hdrLen {
 		op, length := in[0], binary.BigEndian.Uint32(in[9:13])
 		in = in[hdrLen:]
-		if length > maxPayload {
+		if length > MaxPayload {
 			if _, err := oneByte("the answer to an oversize request", ackErr); err != nil {
 				return err
 			}
@@ -177,6 +177,13 @@ func FuzzFrame(f *testing.F) {
 	f.Add(slices.Concat(hello, goodPush, other, goodPush))
 	f.Add(slices.Concat(hello, goodPush, corruptTrailer(other), goodPush, fetch))
 	f.Add(slices.Concat(hello, other, goodPush, other[:len(other)-crcLen-100]))
+	// At the limit: the largest push and a fetch of it, each a whole
+	// wire buffer's worth; then one request per opcode a byte over it.
+	big := bytes.Repeat([]byte{0x5B}, MaxPayload)
+	f.Add(slices.Concat(hello, pushFrame(42, 0, big), reqFrame(opFetch, 42, MaxPayload, 0)))
+	for _, op := range []byte{opFetch, opPush, opDelete, opHello} {
+		f.Add(slices.Concat(hello, fetch, reqFrame(op, 42, MaxPayload+1, 0), fetch))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		store := remote.NewStore()

@@ -10,12 +10,13 @@ import (
 
 // TestWireLeasesNetZero enforces the buffer-ownership contract end to end:
 // with the bufpool leak detector armed, a real TCP server and client are
-// driven through pushes, fetches (blocking and pipelined), overwrites
-// (same-size and resizing), a miss, and a delete, then torn down and the
-// store cleared. Every pooled
-// buffer issued for frame payloads and stored blobs must have been
-// released — a nonzero delta means some path kept a lease past the
-// callee-copies boundary.
+// driven through pushes, fetches (blocking and pipelined), a carried
+// window, overwrites (same-size and resizing), a miss, and a delete, then
+// torn down and the store cleared. Every pooled buffer issued for stored
+// blobs must have been released — a nonzero delta means some path kept a
+// lease past the callee-copies boundary — and once every blob is stored,
+// serving the traffic takes no lease at all: the server serves payloads in
+// its connection buffers.
 func TestWireLeasesNetZero(t *testing.T) {
 	bufpool.SetDebug(true)
 	defer bufpool.SetDebug(bufpool.RaceEnabled)
@@ -32,9 +33,8 @@ func TestWireLeasesNetZero(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 
-	// Varied sizes cover distinct pool classes plus the oversize
-	// (non-pooled) path.
-	sizes := []int{64, 500, 4096, 70_000}
+	// Varied sizes cover distinct pool classes, up to the largest frame.
+	sizes := []int{64, 500, 4096, MaxPayload}
 	for i, n := range sizes {
 		key := uint64(i + 1)
 		payload := make([]byte, n)
@@ -56,8 +56,10 @@ func TestWireLeasesNetZero(t *testing.T) {
 		}
 	}
 
-	// The same fetches written ahead on the prefetch stream: the server
-	// holds one lease per request it is serving, however many are buffered.
+	// The same fetches written ahead on the prefetch stream, and the same
+	// pushes carried ahead of a fetch in one exchange: with every blob
+	// stored at its width, none of it takes a lease.
+	gets := bufpool.Wire.Stats().Gets
 	var tickets []Ticket
 	for i, n := range sizes {
 		tk, err := tc.StartFetch(uint64(i+1), make([]byte, n))
@@ -70,6 +72,16 @@ func TestWireLeasesNetZero(t *testing.T) {
 		if found, err := tk.Wait(); err != nil || !found {
 			t.Fatalf("pipelined fetch key %d = %v, %v", i+1, found, err)
 		}
+	}
+	var window []Push
+	for i, n := range sizes {
+		window = append(window, Push{Key: uint64(i + 1), Src: make([]byte, n)})
+	}
+	if found, err := tc.TryFetchAfterPushes(window, 1, make([]byte, sizes[0]), Deadline{}); err != nil || !found {
+		t.Fatalf("carried window = %v, %v", found, err)
+	}
+	if got := bufpool.Wire.Stats().Gets - gets; got != 0 {
+		t.Errorf("serving stored blobs took %d bufpool.Wire gets, want 0", got)
 	}
 
 	// Same-size overwrite (in-place reuse on the node), a resizing

@@ -72,7 +72,7 @@ type fetchStream struct {
 // recover. Dial and hello failures are returned here; anything later is
 // the ticket's.
 func (t *TCPTransport) StartFetch(key uint64, dst []byte) (Ticket, error) {
-	if len(dst) > maxPayload {
+	if len(dst) > MaxPayload {
 		return Ticket{}, fmt.Errorf("%w: fetch of %d bytes", ErrPayloadTooLarge, len(dst))
 	}
 	s := &t.stream

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"trackfm/internal/mem/bufpool"
 	"trackfm/internal/remote"
 	"trackfm/internal/sim"
 )
@@ -96,11 +95,12 @@ const (
 // window of frames, not one: the replies to a prefetch stream's window (8
 // fetches of 4 KiB, 32.8 KB) are one write(2) on the server and one
 // read(2) on the client, and so is a full write-behind window (8 carried
-// 4 KiB pushes and the fetch behind them, 33 KB) on the way out. A single
-// frame with an object-sized payload (objects and pages are at most
-// 16 KiB) fits several times over; bufio's default 4096 bytes split even
-// one 4 KiB object frame into two syscalls per side. Larger payloads take
-// bufio's direct path.
+// 4 KiB pushes and the fetch behind them, 33 KB) on the way out; bufio's
+// default 4096 bytes split even one 4 KiB object frame into two syscalls
+// per side. It also holds the largest frame whole — a MaxPayload push, 21
+// + 65 536 + 4 = 65 561 B — which is what lets Server.handle serve every
+// payload in place: a push is checked and stored from the reader's
+// buffer, a fetch reply is built in the writer's.
 const wireBufSize = 64<<10 + 64
 
 // payloadCRC is the trailer checksum over a payload frame. It deliberately
@@ -108,10 +108,14 @@ const wireBufSize = 64<<10 + 64
 // from the client's buffer, across the wire, to the store and back.
 func payloadCRC(p []byte) uint32 { return remote.Checksum(p) }
 
-// maxPayload bounds a single transfer; far-memory objects and pages are at
-// most a few KiB, so 16 MiB is generous while still rejecting corrupt
-// length fields before allocation.
-const maxPayload = 16 << 20
+// MaxPayload bounds a single transfer: the largest object aifm.NewPool
+// accepts. A request advertising more is refused at both ends, before
+// anything is allocated for it.
+const MaxPayload = 64 << 10
+
+// Every legal frame fits one wire buffer (see wireBufSize); a larger
+// MaxPayload fails to compile here.
+const _ = uint(wireBufSize - (hdrLen + MaxPayload + crcLen))
 
 // ErrPayloadTooLarge is returned when a request advertises a payload above
 // the protocol limit.
@@ -188,7 +192,9 @@ func (s *ServerStats) String() string {
 // and *remote.DurableStore (a WAL and snapshots around one) are the two
 // things that satisfy it; a store may refuse a write — a durable store
 // whose log append failed must not let the server ack — which the server
-// answers with an error frame.
+// answers with an error frame. Get and Put must not keep dst or src after
+// they return: the server passes slices of a connection's own buffers,
+// which the next frame overwrites.
 type BlobStore interface {
 	Put(key uint64, src []byte) error
 	Get(key uint64, dst []byte) (bool, error)
@@ -321,17 +327,22 @@ func (s *Server) acceptHello(r *bufio.Reader, w *bufio.Writer) bool {
 
 // flushUnless writes the replies buffered in w to the socket, unless the
 // next need bytes of the request stream are already buffered in r. It is
-// the one place the handler flushes, and it is called wherever the handler
-// is about to read: a read that cannot be satisfied from r may park, and
-// nothing already served may wait behind a parked read. Skipping the flush
-// when the next request is already here is what lets a client that writes
-// requests ahead (TCPTransport's prefetch stream) get its replies back in
-// one write; a client with one request in flight never has one buffered,
-// and gets a flush per frame as before.
+// called wherever the handler is about to read: a read that cannot be
+// satisfied from r may park, and nothing already served may wait behind a
+// parked read. Skipping the flush when the next request is already here is
+// what lets a client that writes requests ahead (TCPTransport's prefetch
+// stream) get its replies back in one write; a client with one request in
+// flight never has one buffered, and gets a flush per frame as before. The
+// handler's one other flush makes room for a fetch reply (serveFetch).
 func (s *Server) flushUnless(r *bufio.Reader, w *bufio.Writer, need int) error {
 	if w.Buffered() == 0 || r.Buffered() >= need {
 		return nil
 	}
+	return s.flush(w)
+}
+
+// flush writes the replies buffered in w to the socket.
+func (s *Server) flush(w *bufio.Writer) error {
 	s.stats.flushes.Add(1)
 	return w.Flush()
 }
@@ -365,10 +376,9 @@ func (s *Server) handle(conn net.Conn) {
 	if !s.acceptHello(r, w) {
 		return
 	}
-	// Per-connection scratch: declared per frame, arrays handed to
-	// io.ReadFull and w.Write escape and cost an allocation each.
+	// Per-connection scratch: declared per frame, an array handed to
+	// io.ReadFull escapes and costs an allocation each.
 	var hdr [hdrLen]byte
-	var crc [crcLen]byte
 	// Once Shutdown starts draining, the frame just served (and acked in
 	// full) is the last: hang up instead of reading the next request. The
 	// client's retry machinery treats that like any other connection loss.
@@ -384,7 +394,7 @@ func (s *Server) handle(conn net.Conn) {
 		key := binary.BigEndian.Uint64(hdr[1:9])
 		length := binary.BigEndian.Uint32(hdr[9:13])
 		deadlineNs := binary.BigEndian.Uint64(hdr[13:])
-		if length > maxPayload {
+		if length > MaxPayload {
 			// Answer with an error frame rather than silently
 			// dropping the connection; the client sees a definite
 			// rejection. After an oversize opPush the stream cannot
@@ -410,7 +420,7 @@ func (s *Server) handle(conn net.Conn) {
 				// wire; consume them so the stream stays in sync for the
 				// next request.
 				if op == opPush {
-					if _, err := io.CopyN(io.Discard, r, int64(length)+crcLen); err != nil {
+					if _, err := r.Discard(int(length) + crcLen); err != nil {
 						return
 					}
 				}
@@ -423,98 +433,94 @@ func (s *Server) handle(conn net.Conn) {
 			admPending = true
 			admStart = time.Now()
 		}
+		var err error
 		switch op {
 		case opFetch:
-			lease := bufpool.Get(int(length))
-			buf := lease.Bytes()
-			found, err := s.store.Get(key, buf)
-			if err != nil {
-				// The stored blob is corrupt (bad checksum) or
-				// truncated (shorter than the read): answer an
-				// integrity error frame instead of fabricating a
-				// zero-filled tail. No payload follows, so the
-				// stream stays in sync.
-				if errors.Is(err, remote.ErrSizeMismatch) {
-					s.stats.sizeErrs.Add(1)
-				} else {
-					s.stats.corrupt.Add(1)
-				}
-				lease.Release()
-				if werr := w.WriteByte(ackCorrupt); werr != nil {
-					return
-				}
-				break
-			}
-			flag := flagAbsent
-			if found {
-				flag = flagFound
-			}
-			if err := w.WriteByte(flag); err != nil {
-				lease.Release()
-				return
-			}
-			if _, err := w.Write(buf); err != nil {
-				lease.Release()
-				return
-			}
-			binary.BigEndian.PutUint32(crc[:], payloadCRC(buf))
-			lease.Release()
-			if _, err := w.Write(crc[:]); err != nil {
-				return
-			}
+			err = s.serveFetch(w, key, int(length))
 		case opPush:
-			lease := bufpool.Get(int(length))
-			buf := lease.Bytes()
-			if _, err := io.ReadFull(r, buf); err != nil {
-				lease.Release()
-				return
-			}
-			if _, err := io.ReadFull(r, crc[:]); err != nil {
-				lease.Release()
-				return
-			}
-			if binary.BigEndian.Uint32(crc[:]) != payloadCRC(buf) {
-				// The payload was damaged in flight. Discard it —
-				// storing it would turn transient wire corruption
-				// into durable corruption — and tell the client,
-				// which retries the (idempotent) push.
-				s.stats.wireRejects.Add(1)
-				lease.Release()
-				if err := w.WriteByte(ackCorrupt); err != nil {
-					return
-				}
-				break
-			}
-			ack := ackOK
-			err := s.store.Put(key, buf)
-			lease.Release()
-			if err != nil {
-				// The store refused the write (e.g. a durable store whose
-				// WAL append failed). Never ack what was not made durable:
-				// the client sees a definite error and retries elsewhere.
-				s.stats.storeFails.Add(1)
-				ack = ackErr
-			}
-			if err := w.WriteByte(ack); err != nil {
-				return
-			}
+			err = s.servePush(r, w, key, int(length))
 		case opDelete:
 			ack := ackOK
-			if err := s.store.Delete(key); err != nil {
+			if s.store.Delete(key) != nil {
 				s.stats.storeFails.Add(1)
 				ack = ackErr
 			}
-			if err := w.WriteByte(ack); err != nil {
-				return
-			}
+			err = w.WriteByte(ack)
 		default:
 			// An unknown opcode, or a hello anywhere but at the head of
 			// the connection.
 			s.stats.badFrames.Add(1)
 			return
 		}
+		if err != nil {
+			return
+		}
 		s.stats.frames.Add(1)
 	}
+}
+
+// serveFetch answers one fetch in place: its reply — flag, payload,
+// trailer — is built in w's free space, which is flushed first only when
+// the reply does not fit, and the store copies the blob straight into it.
+// A stored blob that is corrupt (bad checksum) or truncated (shorter than
+// the read) is answered with an integrity error frame instead of a
+// fabricated zero-filled tail; that byte takes the place of the reply
+// never committed, so the stream stays in sync.
+func (s *Server) serveFetch(w *bufio.Writer, key uint64, length int) error {
+	n := 1 + length + crcLen
+	if w.Available() < n {
+		if err := s.flush(w); err != nil {
+			return err
+		}
+	}
+	reply := w.AvailableBuffer()[:n]
+	payload := reply[1 : 1+length : 1+length]
+	found, err := s.store.Get(key, payload)
+	if err != nil {
+		if errors.Is(err, remote.ErrSizeMismatch) {
+			s.stats.sizeErrs.Add(1)
+		} else {
+			s.stats.corrupt.Add(1)
+		}
+		return w.WriteByte(ackCorrupt)
+	}
+	reply[0] = flagAbsent
+	if found {
+		reply[0] = flagFound
+	}
+	binary.BigEndian.PutUint32(reply[1+length:], payloadCRC(payload))
+	_, err = w.Write(reply) // a copy onto itself: it commits the reply
+	return err
+}
+
+// servePush answers one push in place: the whole frame's payload and
+// trailer sit in r's buffer (see wireBufSize), where the payload is
+// checked against its trailer and stored, and only then consumed.
+func (s *Server) servePush(r *bufio.Reader, w *bufio.Writer, key uint64, length int) error {
+	frame, err := r.Peek(length + crcLen)
+	if err != nil {
+		return err
+	}
+	payload := frame[:length:length]
+	ack := ackOK
+	switch {
+	case binary.BigEndian.Uint32(frame[length:]) != payloadCRC(payload):
+		// The payload was damaged in flight. Discard it — storing it
+		// would turn transient wire corruption into durable corruption —
+		// and tell the client, which retries the (idempotent) push.
+		s.stats.wireRejects.Add(1)
+		ack = ackCorrupt
+	case s.store.Put(key, payload) != nil:
+		// The store refused the write (e.g. a durable store whose WAL
+		// append failed). Never ack what was not made durable: the
+		// client sees a definite error and retries elsewhere.
+		s.stats.storeFails.Add(1)
+		ack = ackErr
+	}
+	if _, err := r.Discard(len(frame)); err != nil {
+		return err
+	}
+	return w.WriteByte(ack)
 }
 
 // Close shuts the listener and all live connections.
@@ -1089,7 +1095,7 @@ func (c *wireConn) readFetchReply(dst []byte) (found, inSync bool, err error) {
 // budget runs out — or whose result arrives late — fails with
 // ErrDeadlineExceeded and the late result is discarded.
 func (t *TCPTransport) TryFetchUntil(key uint64, dst []byte, dl Deadline) (bool, error) {
-	if len(dst) > maxPayload {
+	if len(dst) > MaxPayload {
 		return false, fmt.Errorf("%w: fetch of %d bytes", ErrPayloadTooLarge, len(dst))
 	}
 	return t.do(dl, nil, opFetch, key, dst)
@@ -1097,7 +1103,7 @@ func (t *TCPTransport) TryFetchUntil(key uint64, dst []byte, dl Deadline) (bool,
 
 // TryPushUntil implements ErrorTransport (see TryFetchUntil).
 func (t *TCPTransport) TryPushUntil(key uint64, src []byte, dl Deadline) error {
-	if len(src) > maxPayload {
+	if len(src) > MaxPayload {
 		return fmt.Errorf("%w: push of %d bytes", ErrPayloadTooLarge, len(src))
 	}
 	_, err := t.do(dl, nil, opPush, key, src)
@@ -1117,7 +1123,7 @@ func (t *TCPTransport) TryFetchAfterPushes(pushes []Push, key uint64, dst []byte
 	if err := checkPushSizes(pushes); err != nil {
 		return false, err
 	}
-	if len(dst) > maxPayload {
+	if len(dst) > MaxPayload {
 		return false, fmt.Errorf("%w: fetch of %d bytes", ErrPayloadTooLarge, len(dst))
 	}
 	return t.do(dl, pushes, opFetch, key, dst)
@@ -1136,7 +1142,7 @@ func (t *TCPTransport) TryPushAll(pushes []Push, dl Deadline) error {
 
 func checkPushSizes(pushes []Push) error {
 	for i := range pushes {
-		if n := len(pushes[i].Src); n > maxPayload {
+		if n := len(pushes[i].Src); n > MaxPayload {
 			return fmt.Errorf("%w: push of %d bytes", ErrPayloadTooLarge, n)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"slices"
@@ -223,6 +224,59 @@ func TestServerRequiresLeadingHello(t *testing.T) {
 	}
 	if bad, n := srv.Stats().BadFrames(), store.Len(); bad != 2 || n != 0 {
 		t.Fatalf("after a mid-stream hello: badFrames = %d, store holds %d blobs; want 2 and 0", bad, n)
+	}
+}
+
+// TestCorruptBlobKeepsStreamInSync: a fetch of a blob corrupt at rest is
+// answered ackCorrupt, and the fetches written behind it on the same
+// connection still get their own replies, byte for byte. The store copies
+// a blob into the writer's free space before verifying it, so the refused
+// reply's bytes are left there; the one-byte refusal must take the reply's
+// place and leave nothing of it on the wire. Run at 4 KiB and at
+// MaxPayload, where every reply but the first needs a flush to fit.
+func TestCorruptBlobKeepsStreamInSync(t *testing.T) {
+	for _, size := range []int{4096, MaxPayload} {
+		t.Run(fmt.Sprint(size), func(t *testing.T) {
+			store := remote.NewStore()
+			srv := NewServer(store)
+			addr, err := srv.ListenAndServe("127.0.0.1:0")
+			if err != nil {
+				t.Fatalf("ListenAndServe: %v", err)
+			}
+			defer srv.Close()
+			good := make([]byte, size)
+			keyedPayload(good, 1, 1)
+			store.Put(1, good)
+			store.Put(2, good)
+			if !store.FlipByte(2, size/2) {
+				t.Fatal("FlipByte: key 2 not stored")
+			}
+			conn := dialRaw(t, addr)
+			fetch := func(key uint64) []byte { return reqFrame(opFetch, key, uint32(size), 0) }
+			if _, err := conn.Write(slices.Concat(fetch(2), fetch(1), fetch(2), fetch(1))); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			want := binary.BigEndian.AppendUint32(append([]byte{flagFound}, good...), payloadCRC(good))
+			reply := make([]byte, len(want))
+			for i := range 4 {
+				n := 1
+				if i%2 == 1 {
+					n = len(want)
+				}
+				if _, err := io.ReadFull(conn, reply[:n]); err != nil {
+					t.Fatalf("reply %d: %v", i, err)
+				}
+				if i%2 == 0 && reply[0] != ackCorrupt {
+					t.Fatalf("fetch of the corrupt blob answered %#x, want ackCorrupt", reply[0])
+				}
+				if i%2 == 1 && !bytes.Equal(reply, want) {
+					t.Fatalf("reply %d to a fetch of the intact blob differs from the blob", i)
+				}
+			}
+			if got := srv.Stats().CorruptBlobs(); got != 2 {
+				t.Errorf("CorruptBlobs = %d, want 2", got)
+			}
+		})
 	}
 }
 

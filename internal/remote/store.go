@@ -205,17 +205,27 @@ func (s *Store) payload(b blob, buf []byte) ([]byte, error) {
 
 // read verifies b — checksum first, then length — and copies its first
 // len(dst) raw bytes into dst. The caller holds s.mu for reading.
+//
+// A read exactly as wide as the blob — every fetch of a whole object or
+// page — lands in dst first and is verified there: the copy (or, on a
+// compressing store, the decode) is the one pass over the bytes at rest,
+// the checksum runs over warm bytes, and the bytes it checked are the ones
+// served. Any other width verifies the whole blob before copying the
+// prefix: where it rests on a plain store, decoded into pooled scratch on
+// a compressing one.
 func (s *Store) read(b blob, dst []byte) error {
-	// On a compressing store a read exactly as wide as the blob — every
-	// fetch of a whole object or page — decodes straight into dst; any
-	// other width decodes the whole blob into pooled scratch first.
-	buf, inPlace := dst, s.enc != nil && b.rawLen == len(dst)
-	if s.enc != nil && !inPlace {
+	raw, whole := b.data, b.rawLen == len(dst)
+	var err error
+	switch {
+	case whole && s.enc == nil:
+		raw = dst[:copy(dst, raw)]
+	case whole:
+		raw, err = s.payload(b, dst)
+	case s.enc != nil:
 		lease := bufpool.Get(b.rawLen)
 		defer lease.Release()
-		buf = lease.Bytes()
+		raw, err = s.payload(b, lease.Bytes())
 	}
-	raw, err := s.payload(b, buf)
 	switch {
 	case err != nil:
 		return err
@@ -224,7 +234,7 @@ func (s *Store) read(b blob, dst []byte) error {
 	case len(raw) < len(dst):
 		return ErrSizeMismatch
 	}
-	if !inPlace {
+	if !whole {
 		copy(dst, raw)
 	}
 	return nil
