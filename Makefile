@@ -66,7 +66,8 @@ vet:
 RACE_PIN_SATURATION = $(GO) test -race -run 'TestDemandMissesRespectReserveUnderPinSaturation' ./internal/aifm
 
 # Everything a PR must pass, each gate once: build, vet (incl. the lints,
-# the censuses and the doc test), the tier-1 suite, the pool's model, the
+# the censuses and the doc test), the tier-1 suite, the pool's and the
+# swap's models, the
 # concurrency stress suite and the pin-saturation gate under the race
 # detector, the examples, and the refactoring oracle. The overload, crash, thrash, tiers and allocs gates
 # that run without -race or -count are tests `make test` has already run,
@@ -99,10 +100,20 @@ test:
 # op must leave no trace; then four workers on disjoint objects at once
 # under the race detector, over a small tier fault-free and faulted and
 # over a large one. A failing serial trace prints its seed and its shrunk
-# op list; -model.seed replays it.
+# op list; -model.seed replays it. Then the swap's model
+# (internal/fastswap/model_test.go): seeded traces of loads and stores
+# across page boundaries, word accesses, EvacuateAll and stats resets on
+# fastswap.Swap over the same FaultLink, fault-free, with drops,
+# corruption, outages and overload sheds, and with delays past a per-op
+# deadline, against a flat byte array; the frames, dirty and referenced
+# bits, fault counters and wire requests per op are checked after every
+# op, a failed op must have accessed exactly the pages before the one it
+# faulted on, and the far copies and a read-back must equal the model at
+# quiesce. A failure prints its seed, op index and op.
 test-model:
 	$(GO) test -count=1 -run '^TestModel$$' ./internal/aifm
 	$(GO) test -race -count=1 -run '^TestConcurrentModel$$|^TestTierConcurrentPoolNoLostUpdates$$' ./internal/aifm
+	$(GO) test -count=1 -run '^TestModel$$' ./internal/fastswap
 
 # The four examples, run (go build ./... only compiles them) at sizes that
 # take a few seconds together. Each holds its result to a reference — a
@@ -170,12 +181,12 @@ test-crash:
 # budget squeeze, deterministic JSON) and the pool's Resize/detector/
 # admission/reserve-floor tests (the pin-saturation one under -race).
 test-thrash:
-	$(GO) test -run 'TestThrashSoak|TestThrashTable|TestResize|TestPrefetchSkips|TestThrashDetector|TestDemandMisses|TestGuardFastPath|TestHeapResize' ./internal/bench ./internal/aifm ./farmem
+	$(GO) test -run 'TestThrashSoak|TestThrashTable|TestResize|TestPrefetchSkipsAboveHighWater|TestThrashDetector|TestDemandMisses|TestGuardFastPath|TestHeapResize' ./internal/bench ./internal/aifm ./farmem
 	$(RACE_PIN_SATURATION)
 
 # The multi-tier caching gates: the overcommit crossover sweep (warm 1x
 # tier >= 2x tierless throughput at 2x overcommit, zero corrupt reads),
-# the model's serial configs
+# the pool model's serial configs
 # (tier off, small and large: every heap and far copy equals the model's
 # bytes, whatever the tier holds), the governor's tier-shrinks-first squeeze, and the compressed
 # tier's and the remote store's unit suites — the store's contract table,
@@ -225,11 +236,12 @@ test-soak:
 # first and the compiler/interpreter differential last (go test accepts
 # one -fuzz pattern per invocation, hence one run each). FuzzModel's first
 # byte picks the model's config, fault-free or faulty, and the rest draw
-# the trace; it caps the minimizing of each new input at 200 runs: one of
-# its inputs is a whole pool trace, and the default 60 s of minimizing
-# would take the run.
+# the trace. Both FuzzFrame and FuzzModel cap the minimizing of each new
+# input at 200 runs: one of FuzzModel's inputs is a whole pool trace, and
+# FuzzFrame finds new inputs often; at the default 60 s of minimizing,
+# about half of FuzzFrame's run went by at 0 execs/s.
 fuzz-short:
-	$(GO) test -run=^$$ -fuzz=FuzzFrame -fuzztime=30s ./internal/fabric
+	$(GO) test -run=^$$ -fuzz=FuzzFrame -fuzztime=30s -fuzzminimizetime=200x ./internal/fabric
 	$(GO) test -race -run=^$$ -fuzz=FuzzConcurrentPins -fuzztime=30s ./internal/aifm
 	$(GO) test -run=^$$ -fuzz=FuzzModel -fuzztime=30s -fuzzminimizetime=200x ./internal/aifm
 	$(GO) test -run=^$$ -fuzz=FuzzWALRecord -fuzztime=30s ./internal/remote

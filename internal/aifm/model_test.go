@@ -6,12 +6,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"trackfm/internal/fabric"
 	"trackfm/internal/far"
@@ -45,14 +42,13 @@ type modelConfig struct {
 }
 
 var (
-	modelFaults  = fabric.FaultConfig{Seed: 11, DropRate: 0.03, CorruptRate: 0.03, OutageEvery: 101, OutageLen: 3}
+	modelFaults  = fabric.FaultConfig{Seed: 11, DropRate: 0.03, CorruptRate: 0.03, OutageEvery: 101, OutageLen: 3, OverloadEvery: 31}
 	modelDelays  = fabric.FaultConfig{Seed: 11, DropRate: 0.03, CorruptRate: 0.03, OutageEvery: 101, OutageLen: 3, DelayRate: 0.03, DelayCycles: 200_000}
 	modelConfigs = []modelConfig{
 		{name: "tier-off"}, {name: "tier-small", tier: 4 << 10}, {name: "tier-large", tier: 1 << 20},
 		{name: "faults", faults: modelFaults}, {name: "faults-tier-small", tier: 4 << 10, faults: modelFaults},
 		{name: "faults-deadline", faults: modelDelays, deadline: 100_000},
 	}
-	faultFree, faulty = modelCfg("tier-off"), modelCfg("faults")
 )
 
 // modelCfg returns the config named name: tests pick configs by name, so a
@@ -164,7 +160,7 @@ func differ(id ObjectID, got, want []byte) error {
 // typed returns the typed error err wraps, or nil: the errors an op may
 // fail with, any other being a bug.
 func typed(err error) error {
-	for _, t := range []error{fabric.ErrRemoteUnavailable, fabric.ErrIntegrity, fabric.ErrDeadlineExceeded, far.ErrDegraded} {
+	for _, t := range []error{fabric.ErrRemoteUnavailable, fabric.ErrIntegrity, fabric.ErrDeadlineExceeded, fabric.ErrOverloaded, far.ErrDegraded} {
 		if errors.Is(err, t) {
 			return t
 		}
@@ -432,19 +428,17 @@ func runModel(tb testing.TB, cfg modelConfig, cov map[string]bool, traces ...[]m
 			cov[failedState(kind, o.val&1 == 1, typed(failure))] = true
 		}
 		for state, reached := range map[string]bool{
-			"some cold":                   m.p.cold.Load() > 0,
-			"residents but none cold":     m.p.cold.Load() == 0 && m.p.ResidentSlots() > 0,
-			"tier hit":                    sim.Load(&c.TierHits) > 0 || cfg.tier == 0, // a config without a tier owes none
-			"prefetch hit":                sim.Load(&c.PrefetchHits) > 0,
-			"shrink":                      budget < was,
-			"grow":                        budget > was,
-			"free of a resident":          kind == "free" && meta.Present(),
-			"free of an evicted object":   kind == "free" && meta != 0 && !meta.Present(),
-			"failed access left no trace": failure != nil && kind != "pin",
-			"failed pin":                  failure != nil && kind == "pin",
-			"eviction stall":              stalled,
-			"degraded refusal":            errors.Is(failure, far.ErrDegraded) && m.p.lat.RemoteFetch.Snapshot().Count() == fetches, // no slot, so no fetch
-			"prefetch while degraded":     kind == "prefetch" && degraded && !meta.Present(),
+			"some cold":                 m.p.cold.Load() > 0,
+			"residents but none cold":   m.p.cold.Load() == 0 && m.p.ResidentSlots() > 0,
+			"tier hit":                  sim.Load(&c.TierHits) > 0 || cfg.tier == 0, // a config without a tier owes none
+			"prefetch hit":              sim.Load(&c.PrefetchHits) > 0,
+			"shrink":                    budget < was,
+			"grow":                      budget > was,
+			"free of a resident":        kind == "free" && meta.Present(),
+			"free of an evicted object": kind == "free" && meta != 0 && !meta.Present(),
+			"eviction stall":            stalled,
+			"degraded refusal":          errors.Is(failure, far.ErrDegraded) && m.p.lat.RemoteFetch.Snapshot().Count() == fetches, // no slot, so no fetch
+			"prefetch while degraded":   kind == "prefetch" && degraded && !meta.Present(),
 			// A fault-free config owes no failed prefetch and no healed corruption.
 			"failed prefetch":   kind == "prefetch" && sim.Load(&c.RemoteFetchFaults) > fetchFaults && !m.p.Meta(o.id).Present() || cfg.faults == fabric.FaultConfig{},
 			"corruption healed": failure == nil && m.faults.Stats().Corruptions > corrupt || cfg.faults == fabric.FaultConfig{},
@@ -486,9 +480,11 @@ func leaseDebug(tb testing.TB) {
 }
 
 // TestModel runs seeded traces of each config against the model, and
-// asserts they reached every state runModel's coverage names. A failure
-// prints its seed, its config and its trace shrunk to the ops that still
-// fail; -model.seed replays the seed.
+// asserts they reached every state runModel's coverage names, and the
+// failure of both client protocols, Access and Pin, reading and writing,
+// from both sources: a degraded engine, which refuses to fetch, and, on a
+// faulty config, the link. A failure prints its seed, its config and its
+// trace shrunk to the ops that still fail; -model.seed replays the seed.
 func TestModel(t *testing.T) {
 	leaseDebug(t)
 	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
@@ -498,6 +494,12 @@ func TestModel(t *testing.T) {
 	for _, cfg := range modelConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
 			cov := map[string]bool{}
+			for _, kind := range []string{"access", "pin"} {
+				for _, write := range []bool{false, true} {
+					cov[failedState(kind, write, far.ErrDegraded)] = false
+					cov[failedState(kind, write, fabric.ErrRemoteUnavailable)] = cfg.faults == fabric.FaultConfig{} // a fault-free config owes none
+				}
+			}
 			for _, seed := range seeds {
 				ops := genOps(sim.NewRNG(seed), 0, modelObjs, 4000)
 				if err := runModel(t, cfg, cov, ops); err != nil {
@@ -513,115 +515,6 @@ func TestModel(t *testing.T) {
 			}
 		})
 	}
-}
-
-// modelCase runs one seeded trace on a config against the model, fails
-// unless it reached every state named, and returns the states it reached.
-// Each test below is one such case, aimed at one of the invariants step,
-// check and quiesce hold.
-func modelCase(t *testing.T, cfg modelConfig, seed uint64, states ...string) map[string]bool {
-	t.Helper()
-	leaseDebug(t)
-	cov := map[string]bool{}
-	if err := runModel(t, cfg, cov, genOps(sim.NewRNG(seed), 0, modelObjs, 4000)); err != nil {
-		t.Fatalf("seed %d, config %s: %v", seed, cfg.name, err)
-	}
-	for _, state := range states {
-		if !cov[state] {
-			t.Errorf("the trace never reached %q", state)
-		}
-	}
-	return cov
-}
-
-// TestColdCountMatchesTable holds the cold count to a recount of the table
-// after every op of a trace that publishes metadata words down every path
-// (hits, misses, prefetches, frees, both halves of Resize, EvacuateAll,
-// eviction throttled and not), and that reaches both "some cold" and
-// "residents but none cold".
-func TestColdCountMatchesTable(t *testing.T) {
-	modelCase(t, faultFree, 30, "some cold", "residents but none cold", "shrink", "grow")
-}
-
-// TestDataIntegrityAcrossManyEvictions: 96 objects churn through 16 slots,
-// and every read, and the read-back at quiesce, must see the last bytes
-// written, through evictions, frees of evicted objects and shrinks.
-func TestDataIntegrityAcrossManyEvictions(t *testing.T) {
-	modelCase(t, faultFree, 7, "free of an evicted object", "shrink")
-}
-
-// TestTierOracleDifferential is the tier's semantic gate: the tier is
-// write-through (a demotion parks a compressed copy beside, never instead
-// of, the fabric push), so its budget is a pure performance knob. One
-// seeded trace runs with the tier off, small and large; each run's heap and
-// far copies must equal the model, and so each other's.
-func TestTierOracleDifferential(t *testing.T) {
-	for _, name := range []string{"tier-off", "tier-small", "tier-large"} {
-		t.Run(name, func(t *testing.T) { modelCase(t, modelCfg(name), 0xD1FF, "tier hit") })
-	}
-}
-
-// TestLocalBudgetInvariantProperty: whatever the seed, resident bytes stay
-// within the budget in force after every op, across resizes. A failure
-// names the seed: its trace is the first 500 ops of the one TestModel's
-// -model.seed runs.
-func TestLocalBudgetInvariantProperty(t *testing.T) {
-	leaseDebug(t)
-	if err := quick.Check(func(seed uint64) bool {
-		return runModel(t, faultFree, nil, genOps(sim.NewRNG(seed), 0, modelObjs, 500)) == nil
-	}, &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(99))}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestFailedFetchLeavesNoTrace holds both client protocols, Access and
-// Pin, to step's rule for a failed op: the typed error and nothing else —
-// the caller's buffer, the object's metadata word and pins, and the slots
-// all as they were, so the caller never sees a zero-filled ghost of its
-// data. Two failure sources: the link (outages, drops, corruption no retry
-// healed) and a degraded engine, which refuses to fetch. Once the source
-// clears, every object reads back intact at quiesce.
-func TestFailedFetchLeavesNoTrace(t *testing.T) {
-	for _, src := range []struct {
-		name string
-		cfg  modelConfig
-		want error
-	}{{"FaultLink outage", faulty, fabric.ErrRemoteUnavailable}, {"degraded", faultFree, far.ErrDegraded}} {
-		cov := modelCase(t, src.cfg, 4, "failed access left no trace", "failed pin", "corruption healed")
-		for _, op := range []string{"Access read", "Access write", "Pin read", "Pin write"} {
-			t.Run(src.name+"/"+op, func(t *testing.T) {
-				kind, rw, _ := strings.Cut(strings.ToLower(op), " ")
-				if state := failedState(kind, rw == "write", src.want); !cov[state] {
-					t.Errorf("the trace never reached %q", state)
-				}
-			})
-		}
-	}
-}
-
-// TestEvictionStallsKeepDirtyDataResident: a dirty resident whose
-// write-back the link refuses is the only copy of its data, so it stays
-// resident and dirty, and every later read and the read-back at quiesce see
-// its bytes.
-func TestEvictionStallsKeepDirtyDataResident(t *testing.T) {
-	modelCase(t, faulty, 4, "eviction stall")
-}
-
-// TestPrefetchSkipsOnFetchFault: a prefetch whose fetch fails installs
-// nothing — no zero-filled ghost — and leaves the object to its demand
-// access.
-func TestPrefetchSkipsOnFetchFault(t *testing.T) {
-	modelCase(t, faulty, 4, "failed prefetch")
-}
-
-// TestDegradedPoolStallsDirtyEvictionAndPrefetch pins what degraded mode
-// means to the pool (the breaker that enters and leaves it is the far
-// engine's, tested there): a dirty resident is not evicted, prefetch pauses
-// outright, a miss that finds only such residents and a spent reserve
-// floor fails with far.ErrDegraded, and once the degradation lifts the
-// stalled evictions drain with the data intact.
-func TestDegradedPoolStallsDirtyEvictionAndPrefetch(t *testing.T) {
-	modelCase(t, faultFree, 4, "eviction stall", "prefetch while degraded", "degraded refusal")
 }
 
 // runWorkers runs four workers' traces on one pool of cfg, each on its own

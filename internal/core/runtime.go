@@ -183,7 +183,7 @@ func (r *Runtime) Malloc(n uint64) (Ptr, error) {
 	r.allocMu.Lock()
 	defer r.allocMu.Unlock()
 	start := place(r.brk, n, uint64(r.objSize))
-	if start+n > r.heapSize {
+	if start > r.heapSize || n > r.heapSize-start {
 		return 0, fmt.Errorf("core: far heap exhausted (%d of %d bytes in use)", r.brk, r.heapSize)
 	}
 	r.brk = start + n

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"trackfm/internal/sim"
@@ -94,8 +95,11 @@ func TestMallocSmallAllocationNeverStraddles(t *testing.T) {
 
 func TestMallocExhaustion(t *testing.T) {
 	rt := newTestRuntime(t, 64, 1<<10, 1<<10)
-	if _, err := rt.Malloc(1 << 11); err == nil {
-		t.Fatalf("over-heap Malloc succeeded")
+	rt.MustMalloc(1)
+	for _, n := range []uint64{1 << 11, math.MaxUint64 - 15} { // the second wraps past 2^64 from the next 16-byte boundary
+		if _, err := rt.Malloc(n); err == nil {
+			t.Fatalf("over-heap Malloc(%d) succeeded", n)
+		}
 	}
 }
 

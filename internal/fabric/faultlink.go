@@ -38,6 +38,10 @@ type FaultConfig struct {
 	// OutageLen is the length, in operations, of each outage window
 	// (default 1 when OutageEvery is set).
 	OutageLen int
+	// OverloadEvery, when positive, fails every OverloadEvery-th operation
+	// outside an outage window with an injected ErrOverloaded before it
+	// reaches the inner transport: the shed of a node's admission control.
+	OverloadEvery int
 	// Env, when set, is charged DelayCycles per injected delay so slow
 	// links show up on the experiment timeline.
 	Env *sim.Env
@@ -50,12 +54,14 @@ type FaultStats struct {
 	Corruptions uint64 // fetch payloads bit-flipped and failed with ErrIntegrity
 	Delays      uint64 // delays charged to the sim clock
 	OutageFails uint64 // ops failed inside an outage window (subset semantics: counted separately from Drops)
+	Sheds       uint64 // ops failed with an injected ErrOverloaded
 	Ops         uint64 // total operations observed
 }
 
 // FaultLink is an ErrorTransport decorator that injects faults against any
 // inner transport: probabilistic drops, detected payload corruption,
-// simulated-clock delays, and periodic outage windows. Wrap a SimLink to
+// simulated-clock delays, periodic outage windows and periodic overload
+// sheds. Wrap a SimLink to
 // fault-test the deterministic runtimes, or a TCPTransport to stress the
 // retry machinery over a real socket. It is safe for concurrent use (the
 // injector serializes its RNG draws), though the fault schedule is only
@@ -91,8 +97,9 @@ func (f *FaultLink) Stats() FaultStats {
 }
 
 // InjectedFailures reports the total operations failed by injection
-// (independent drops plus outage-window failures).
-func (s FaultStats) InjectedFailures() uint64 { return s.Drops + s.OutageFails }
+// before reaching the inner transport (drops, outage-window failures and
+// sheds).
+func (s FaultStats) InjectedFailures() uint64 { return s.Drops + s.OutageFails + s.Sheds }
 
 // inject advances the fault schedule by one operation and returns a
 // non-nil error if this operation is to fail before reaching the inner
@@ -113,6 +120,10 @@ func (f *FaultLink) inject() error {
 			f.stats.OutageFails++
 			return fmt.Errorf("%w: injected outage", ErrRemoteUnavailable)
 		}
+	}
+	if f.cfg.OverloadEvery > 0 && f.ops%uint64(f.cfg.OverloadEvery) == 0 {
+		f.stats.Sheds++
+		return fmt.Errorf("%w: injected shed", ErrOverloaded)
 	}
 	if f.cfg.DropRate > 0 && f.rng.Float64() < f.cfg.DropRate {
 		f.stats.Drops++

@@ -9,34 +9,6 @@ import (
 	"trackfm/internal/sim"
 )
 
-// overloadEvery sheds every nth operation before it reaches the link, the
-// one fault class FaultLink does not inject.
-type overloadEvery struct {
-	fabric.ErrorTransport
-	n, ops int
-}
-
-func (o *overloadEvery) shed() error {
-	if o.ops++; o.ops%o.n == 0 {
-		return fabric.ErrOverloaded
-	}
-	return nil
-}
-
-func (o *overloadEvery) TryFetchUntil(key uint64, dst []byte, dl fabric.Deadline) (bool, error) {
-	if err := o.shed(); err != nil {
-		return false, err
-	}
-	return o.ErrorTransport.TryFetchUntil(key, dst, dl)
-}
-
-func (o *overloadEvery) TryPushUntil(key uint64, src []byte, dl fabric.Deadline) error {
-	if err := o.shed(); err != nil {
-		return err
-	}
-	return o.ErrorTransport.TryPushUntil(key, src, dl)
-}
-
 // TestFaultAccountingParity runs one seeded fault schedule — drops, delays
 // past the deadline, overload sheds — under an object pool and a swap of
 // equal unit size and unit count, driven by the same dirtying sweep. Both
@@ -49,9 +21,8 @@ func TestFaultAccountingParity(t *testing.T) {
 		run := func(build func(*sim.Env, fabric.RemoteConfig) func(u uint64)) sim.Counters {
 			env := sim.NewEnv()
 			budget := 4 * env.Costs.RemoteObjectFetch(unit)
-			link := &overloadEvery{n: 11, ErrorTransport: fabric.NewFaultLink(
-				fabric.NewSimLink(env, fabric.BackendTCP),
-				fabric.FaultConfig{Seed: seed, DropRate: 0.15, DelayRate: 0.05, DelayCycles: 2 * budget, Env: env})}
+			link := fabric.NewFaultLink(fabric.NewSimLink(env, fabric.BackendTCP), fabric.FaultConfig{
+				Seed: seed, DropRate: 0.15, DelayRate: 0.05, DelayCycles: 2 * budget, OverloadEvery: 11, Env: env})
 			touch := build(env, fabric.RemoteConfig{Transport: link, RemoteRetries: 8, OpDeadline: budget})
 			for i := uint64(0); i < sweeps*units; i++ {
 				// A fetch that missed its deadline fails the access (an error

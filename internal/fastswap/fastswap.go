@@ -171,7 +171,7 @@ func (s *Swap) Malloc(n uint64) (uint64, error) {
 	defer s.mu.Unlock()
 	const align = 16
 	start := (s.brk + align - 1) &^ (align - 1)
-	if start+n > s.heapSize {
+	if start > s.heapSize || n > s.heapSize-start {
 		return 0, fmt.Errorf("fastswap: heap exhausted")
 	}
 	s.brk = start + n
@@ -291,7 +291,7 @@ func (s *Swap) evict(f uint32, pg uint64) bool {
 	if !s.far.Evict(pg, s.frameBuf(uint64(f)*pageSize), s.dirty[pg]) {
 		return false
 	}
-	s.dirty[pg] = false
+	s.dirty[pg], s.refd[pg] = false, false
 	s.states[pg] = PageRemote
 	s.frameOwner[f] = noPage
 	sim.Inc(&s.env.Counters.PageEvictions)
@@ -318,7 +318,7 @@ func (s *Swap) EvacuateAll() {
 // access moves len(buf) bytes at heap offset off, faulting as needed.
 // The whole access, fault included, runs under the mmap_lock-like mutex.
 func (s *Swap) access(off uint64, buf []byte, write bool) {
-	if off+uint64(len(buf)) > s.heapSize {
+	if off > s.heapSize || uint64(len(buf)) > s.heapSize-off {
 		panic(fmt.Sprintf("fastswap: access at %#x+%d beyond heap end", off, len(buf)))
 	}
 	s.mu.Lock()
