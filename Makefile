@@ -43,6 +43,9 @@ smoke_test:
 # statement's shape once) —
 # plus the doc test: every backticked pkg.Name in README.md, DESIGN.md and
 # EXPERIMENTS.md resolves to a declaration in that package —
+# plus the -run test: every alternative of every quoted -run pattern in
+# this Makefile and the verify skill matches a Test, Fuzz or Benchmark
+# func, for go test passes silently when a pattern matches nothing —
 # plus go vet over benchmarks/fmbench, its own module (replace trackfm =>
 # ../.., no other dependency), so an API change that breaks the wall-clock
 # benchmark fails here rather than when the benchmark runs —
@@ -54,7 +57,7 @@ vet:
 	$(GO) vet ./...
 	cd benchmarks/fmbench && $(GO) vet ./...
 	$(GO) test -run TestMetricNamesLint ./internal/obs
-	$(GO) test -run 'TestConstructorCensus|TestFieldCensus|TestStmtSwitchCensus|TestDocNamesResolve' .
+	$(GO) test -run 'TestConstructorCensus|TestFieldCensus|TestStmtSwitchCensus|TestDocNamesResolve|TestRunPatternsMatch' .
 	! $(GO) build -gcflags=-m ./internal/aifm ./internal/core ./internal/fastswap ./internal/interp ./farmem 2>&1 | grep 'moved to heap: buf'
 	! grep -nE 'TryFetchUntil|TryPushUntil|StartFetch|fabric\.Ticket|TryFetchAfterPushes|TryPushAll|fabric\.Push|\.Connect\(' \
 		$$(ls internal/aifm/*.go internal/fastswap/*.go internal/core/*.go farmem/*.go | grep -v _test.go)
@@ -93,13 +96,17 @@ test:
 # The pool's model (internal/aifm/model_test.go): seeded op traces on
 # aifm.Pool over a FaultLink around SimLink against a flat byte array of
 # what the heap must hold, with the pool's invariants checked after every
-# op and at quiesce, and a forced degradation toggled now and then —
+# op and at quiesce, a forced degradation toggled now and then, and the
+# anti-thrash governor ticked against a reference governor —
 # serially with the compressed tier off, small and large on a fault-free
 # link, then on a link that drops, corrupts and goes out (tier off and
 # small, and tier off with delays past a per-op deadline), where a failed
 # op must leave no trace; then four workers on disjoint objects at once
 # under the race detector, over a small tier fault-free and faulted and
-# over a large one. A failing serial trace prints its seed and its shrunk
+# over a large one. Each serial config also runs two hand-built traces: a
+# write sweep that throttles the governor and rounds of computing and
+# refetching that recover it, and a degraded pool that runs out of slots.
+# A failing serial trace prints its seed and its shrunk
 # op list; -model.seed replays it. Then the swap's model
 # (internal/fastswap/model_test.go): seeded traces of loads and stores
 # across page boundaries, word accesses, EvacuateAll and stats resets on
@@ -178,17 +185,22 @@ test-crash:
 
 # The memory-pressure gates: the thrash soak (governed 2x overcommit >=
 # 3x ungoverned throughput, zero lost localizations across a mid-run
-# budget squeeze, deterministic JSON) and the pool's Resize/detector/
-# admission/reserve-floor tests (the pin-saturation one under -race).
+# budget squeeze, deterministic JSON), the pool's model (Govern against a
+# reference governor, Resize, the thrash detector and the throttled
+# prefetch admission gate), Govern's threshold, rate and tier tests, the
+# pool's Resize/detector/admission tests, the lazy shrink past pins and the
+# reserve floor under pin saturation (again under -race).
 test-thrash:
-	$(GO) test -run 'TestThrashSoak|TestThrashTable|TestResize|TestPrefetchSkipsAboveHighWater|TestThrashDetector|TestDemandMisses|TestGuardFastPath|TestHeapResize' ./internal/bench ./internal/aifm ./farmem
+	$(GO) test -run 'TestThrashSoak|TestThrashTable|TestResize|^TestModel$$|TestGovernor|TestPrefetchSkipsAboveHighWater|TestThrashDetector|TestDemandMisses|TestGuardFastPath|TestHeapResize' ./internal/bench ./internal/aifm ./farmem
 	$(RACE_PIN_SATURATION)
 
 # The multi-tier caching gates: the overcommit crossover sweep (warm 1x
 # tier >= 2x tierless throughput at 2x overcommit, zero corrupt reads),
 # the pool model's serial configs
 # (tier off, small and large: every heap and far copy equals the model's
-# bytes, whatever the tier holds), the governor's tier-shrinks-first squeeze, and the compressed
+# bytes, whatever the tier holds; a throttled governor holds the tier at
+# half its budget and recovery restores it), Govern's tier-shrinks-first
+# squeeze, and the compressed
 # tier's and the remote store's unit suites — the store's contract table,
 # run over the plain and the compressed-at-rest constructor, plus what is
 # specific to the latter; the pool's held-copy tests (a clean re-demotion
@@ -196,7 +208,7 @@ test-thrash:
 # again); then the tier, the far engine and the pool under -race, the
 # concurrent no-lost-updates test among them.
 test-tiers:
-	$(GO) test -run 'TestTiers|^TestModel$$|TestGovernorShrinksTierFirst|TestCleanRedemotionReusesEncoding|TestDirtiedPromotionReencodes' ./internal/bench ./internal/aifm ./internal/autotune
+	$(GO) test -run 'TestTiers|^TestModel$$|TestGovernorShrinksTierFirst|TestCleanRedemotionReusesEncoding|TestDirtiedPromotionReencodes' ./internal/bench ./internal/aifm
 	$(GO) test -run 'TestStore|TestCompressedStore' ./internal/remote
 	$(GO) test ./internal/mem/ctier
 	$(GO) test -race ./internal/mem/ctier ./internal/far ./internal/aifm

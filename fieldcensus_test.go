@@ -444,3 +444,68 @@ func TestDocNamesResolve(t *testing.T) {
 		}
 	}
 }
+
+// runPattern is a quoted -run pattern on a command line; testDecl is the
+// declaration of a func go test runs.
+var (
+	runPattern = regexp.MustCompile(`-run[ =]'([^']*)'`)
+	testDecl   = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+)
+
+// TestRunPatternsMatch keeps the named test batteries honest about the
+// tests: go test -run passes silently when its pattern matches nothing, so
+// a deleted or renamed test would drop out of a make target unnoticed.
+// Every alternative of the top level (before the first '/') of every quoted
+// -run pattern in the Makefile and the verify skill must match a Test, Fuzz
+// or Benchmark func somewhere in the tree; '^$', which runs no test on
+// purpose, is the exception. make vet runs it.
+func TestRunPatternsMatch(t *testing.T) {
+	var funcs []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range testDecl.FindAllSubmatch(src, -1) {
+			funcs = append(funcs, string(m[1]))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range []string{"Makefile", ".claude/skills/verify/SKILL.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n, line := range strings.Split(string(text), "\n") {
+			for _, m := range runPattern.FindAllStringSubmatch(line, -1) {
+				pat := strings.ReplaceAll(m[1], "$$", "$") // make's escape
+				if pat == "^$" {
+					continue
+				}
+				top, _, _ := strings.Cut(pat, "/")
+				for _, alt := range strings.Split(top, "|") {
+					re, err := regexp.Compile(alt)
+					if err != nil {
+						t.Errorf("%s:%d: -run alternative %q: %v", doc, n+1, alt, err)
+						continue
+					}
+					matched := false
+					for _, f := range funcs {
+						matched = matched || re.MatchString(f)
+					}
+					if !matched {
+						t.Errorf("%s:%d: -run alternative %q matches no Test, Fuzz or Benchmark func", doc, n+1, alt)
+					}
+				}
+			}
+		}
+	}
+}

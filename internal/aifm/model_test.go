@@ -32,7 +32,7 @@ var modelSeed = flag.Uint64("model.seed", 0, "run TestModel's configs on this on
 // an op. The configs differ in the compressed tier's starting budget and in
 // the faults the link injects: drops, detected corruption and outage
 // windows, and in one, delays past a per-op deadline.
-const modelObjSize, modelObjs, modelSlots = 256, 96, 16
+const modelObjSize, modelObjs, modelSlots, modelRetries = 256, 96, 16, 2
 
 type modelConfig struct {
 	name     string
@@ -60,11 +60,14 @@ func modelCfg(name string) modelConfig {
 // modelOps are the ops a trace draws from, with their weights out of 64.
 // The first three move bytes, and bit 0 of val makes them writes: an
 // access, a word access, and a pin that reads or writes its window in
-// place and unpins it. Bit 0 of val also says whether throttle and degrade
-// (Far().ForceDegrade) turn their mode on or off.
+// place and unpins it. Bit 0 of val also says whether degrade
+// (Far().ForceDegrade) turns its mode on or off. idle advances the clock
+// past the thrash window, as an application computing does; random traces
+// never draw it, for after it no refetch is a re-fault and the governor
+// would hardly ever throttle.
 var (
-	modelOps     = []string{"access", "word", "pin", "prefetch", "free", "resize", "throttle", "evacuate-all", "tier-budget", "reset-stats", "degrade"}
-	modelWeights = []int{23, 12, 8, 8, 4, 2, 2, 1, 2, 1, 1}
+	modelOps     = []string{"access", "word", "pin", "prefetch", "free", "resize", "govern", "evacuate-all", "reset-stats", "degrade", "idle"}
+	modelWeights = []int{23, 12, 8, 8, 4, 2, 4, 1, 1, 1, 0}
 )
 
 // modelOp is one op with every parameter drawn up front, so a trace with
@@ -116,10 +119,40 @@ type model struct {
 	leases int    // bufpool.Outstanding() before the pool was built
 
 	// A serial trace's record: the injected faults at the last
-	// reset-stats, and whether any op stalled an eviction.
+	// reset-stats, whether any op stalled an eviction, and the governor's
+	// state as refGov predicts it.
 	serial      bool
 	faultBase   fabric.FaultStats
 	everStalled bool
+	gov         refGov
+}
+
+// refGov is the governor Pool.Govern must be, written out again with its
+// own constants, so a changed constant in the pool shows: a decision at
+// most every eighth of the thrash window; a reading of 0.35 or more
+// throttles, and three in a row at or below a third of that recover.
+type refGov struct {
+	last      uint64
+	calm      int
+	throttled bool
+}
+
+// tick is one Govern call at cycle now that reads ratio.
+func (g *refGov) tick(now uint64, ratio float64, window uint64) {
+	if now-g.last < window/8 {
+		return
+	}
+	g.last = now
+	switch {
+	case !g.throttled:
+		g.throttled = ratio >= 0.35
+	case ratio > 0.35/3:
+		g.calm = 0
+	default:
+		if g.calm++; g.calm == 3 {
+			g.throttled, g.calm = false, 0
+		}
+	}
 }
 
 func newModel(tb testing.TB, cfg modelConfig) *model {
@@ -129,7 +162,7 @@ func newModel(tb testing.TB, cfg modelConfig) *model {
 	m.faults = fabric.NewFaultLink(m.link, faults)
 	p, err := NewPool(Config{
 		Env:              env,
-		RemoteConfig:     fabric.RemoteConfig{Transport: m.faults, RemoteRetries: 2, OpDeadline: cfg.deadline},
+		RemoteConfig:     fabric.RemoteConfig{Transport: m.faults, RemoteRetries: modelRetries, OpDeadline: cfg.deadline},
 		ObjectSize:       modelObjSize,
 		HeapSize:         modelObjs * modelObjSize,
 		LocalBudget:      modelSlots * modelObjSize,
@@ -144,7 +177,9 @@ func newModel(tb testing.TB, cfg modelConfig) *model {
 
 func (m *model) obj(id ObjectID) []byte { return m.mem[int(id)*modelObjSize : int(id+1)*modelObjSize] }
 
-func resizeSlots(o modelOp) int { return 1 + int(o.val)%modelSlots }
+// resizeSlots is the budget a resize asks for: up to the starting one, or
+// 0 or one slot past it, which Resize must refuse.
+func resizeSlots(o modelOp) int { return int(o.val) % (modelSlots + 2) }
 
 // differ reports the first byte where what was read of object id is not
 // what the model holds.
@@ -212,13 +247,16 @@ func (m *model) step(o modelOp) (failure, err error) {
 		p.Free(o.id)
 		clear(obj)
 	case "resize":
-		return nil, p.Resize(uint64(resizeSlots(o) * modelObjSize))
-	case "throttle":
-		p.Throttle(o.val&1 == 1)
+		n := resizeSlots(o)
+		if err := p.Resize(uint64(n * modelObjSize)); (err == nil) != (n >= 1 && n <= modelSlots) {
+			return nil, fmt.Errorf("a resize to %d slots returned %v", n, err)
+		}
+	case "govern":
+		p.Govern()
 	case "evacuate-all":
 		p.EvacuateAll()
-	case "tier-budget":
-		p.Far().Tier().Resize(m.tier >> (o.val % 4))
+	case "idle":
+		p.env.Clock.Advance(p.thrashWindow + 1)
 	case "reset-stats":
 		p.env.ResetStats()
 	case "degrade":
@@ -244,9 +282,12 @@ func (m *model) step(o modelOp) (failure, err error) {
 // the resident count, within bound slots plus those borrowed from the
 // reserve floor, which only a lap that stalled on every resident borrows;
 // and a serial trace's fault counters since its last reset-stats are the
-// faults the link injected plus the deadlines missed. The bound is the
-// budget, but a resize that stalled on a refused write-back keeps the
-// bound before it, if larger: the shrink converges lazily.
+// faults the link injected plus the deadlines missed. The governor's state
+// is refGov's in a serial trace; throttled, the pool prefetches nothing of
+// its own and its tier has half its budget. No more fetches re-fault than
+// there are, and the thrash ratio is a fraction. The bound is the budget,
+// but a resize that stalled on a refused write-back keeps the bound before
+// it, if larger: the shrink converges lazily.
 func (m *model) check(bound int) error {
 	p, tier := m.p, m.p.Far().Tier()
 	res, owned, present := p.ResidentSlots(), 0, 0 // res before Held: an eviction drops the held copy first
@@ -294,6 +335,16 @@ func (m *model) check(bound int) error {
 		return fmt.Errorf("%d held tier copies over %d residents", tier.Held(), res)
 	case tier.HeldBytes() > tier.Budget():
 		return fmt.Errorf("held tier copies of %d bytes over a budget of %d", tier.HeldBytes(), tier.Budget())
+	case m.serial && p.Throttled() != m.gov.throttled:
+		return fmt.Errorf("throttled %t, the reference governor says %t", p.Throttled(), m.gov.throttled)
+	case p.Throttled() == (p.PrefetchDepth() > 0):
+		return fmt.Errorf("throttled %t with prefetch depth %d", p.Throttled(), p.PrefetchDepth())
+	case p.Throttled() && tier.Budget() != m.tier/2 || !p.Throttled() && tier.Budget() != m.tier:
+		return fmt.Errorf("throttled %t with a tier budget of %d, configured %d", p.Throttled(), tier.Budget(), m.tier)
+	case sim.Load(&c.Refaults) > sim.Load(&c.RemoteFetches):
+		return fmt.Errorf("%d re-faults in %d remote fetches", sim.Load(&c.Refaults), sim.Load(&c.RemoteFetches))
+	case !(p.ThrashRatio() >= 0 && p.ThrashRatio() <= 1):
+		return fmt.Errorf("thrash ratio %v", p.ThrashRatio())
 	}
 	return nil
 }
@@ -396,27 +447,61 @@ func runModel(tb testing.TB, cfg modelConfig, cov map[string]bool, traces ...[]m
 		}
 	}()
 	m.serial = true
-	c := &m.p.env.Counters
+	p, c := m.p, &m.p.env.Counters
+	// A tier that holds every object serves every refetch: no remote
+	// fetch, so no thrash sample, and the governor never throttles.
+	absorbs := cfg.tier >= modelObjs*modelObjSize
 	bound := budget
 	for i, o := range traces[0] {
-		meta, was, degraded := m.p.Meta(o.id), budget, m.p.Far().Degraded()
+		kind := modelOps[o.kind]
+		meta, was, degraded, throttled := p.Meta(o.id), budget, p.Far().Degraded(), p.Throttled()
 		stalls, fetchFaults, corrupt := sim.Load(&c.EvictionStalls), sim.Load(&c.RemoteFetchFaults), m.faults.Stats().Corruptions
-		fetches := m.p.lat.RemoteFetch.Snapshot().Count() // a fetch, refused or not, is timed
+		evictions, skipped, resizes := sim.Load(&c.Evacuations), sim.Load(&c.PrefetchSkippedPressure), p.Resizes()
+		fetches, pushes, wire := p.lat.RemoteFetch.Snapshot().Count(), p.lat.RemotePush.Snapshot().Count(), m.faults.Stats().Ops // a fetch, refused or not, is timed
+		cycles, ratio := p.env.Clock.Cycles(), p.ThrashRatio()
+		// The throttled pool's admission gate: a prefetch that finds more
+		// than 0.75 of the budget in use is skipped (a degraded engine's,
+		// before it gets there).
+		gated := kind == "prefetch" && throttled && !degraded && 1-float64(p.freeCount())/float64(p.NumSlots()) > 0.75
 		failure, err := m.step(o)
-		stalled, kind := sim.Load(&c.EvictionStalls) > stalls, modelOps[o.kind]
+		stalled := sim.Load(&c.EvictionStalls) > stalls
 		m.everStalled = m.everStalled || stalled
+		// A far-engine call — a fetch, a push, or a free's delete — makes
+		// at most modelRetries wire requests.
+		calls := p.lat.RemoteFetch.Snapshot().Count() - fetches + p.lat.RemotePush.Snapshot().Count() - pushes
+		if kind == "free" {
+			calls++
+		}
+		if reqs := m.faults.Stats().Ops - wire; kind != "reset-stats" && reqs > modelRetries*calls {
+			err = errors.Join(err, fmt.Errorf("%d wire requests for %d far-engine calls", reqs, calls))
+		}
 		switch kind {
 		case "resize":
-			if budget = resizeSlots(o); !stalled || budget > bound {
-				bound = budget
+			accepted := uint64(0)
+			if n := resizeSlots(o); n >= 1 && n <= modelSlots {
+				budget, accepted = n, 1
+				if !stalled || budget > bound {
+					bound = budget
+				}
 			}
+			if p.NumSlots() != budget || p.Resizes() != resizes+accepted {
+				err = errors.Join(err, fmt.Errorf("a budget of %d slots after %d resizes, want %d after %d", p.NumSlots(), p.Resizes(), budget, resizes+accepted))
+			} else if accepted == 1 && !stalled && p.CurrentSlots() != budget {
+				err = errors.Join(err, fmt.Errorf("%d slots circulate after a resize to %d that did not stall", p.CurrentSlots(), budget))
+			}
+		case "govern":
+			m.gov.tick(cycles, ratio, p.thrashWindow)
 		case "reset-stats":
 			m.faultBase = m.faults.Stats()
 		}
-		if now := m.p.Meta(o.id); failure != nil && now != meta {
+		if now := p.Meta(o.id); failure != nil && now != meta {
 			err = errors.Join(err, fmt.Errorf("the failure left metadata %#x, was %#x", uint64(now), uint64(meta)))
 		} else if kind == "prefetch" && degraded && !meta.Present() && now.Present() {
 			err = errors.Join(err, fmt.Errorf("object %d prefetched while degraded", o.id))
+		} else if gated && (now != meta || sim.Load(&c.Evacuations) != evictions || sim.Load(&c.PrefetchSkippedPressure) != skipped+1) {
+			err = errors.Join(err, fmt.Errorf("a prefetch of object %d past the throttled pool's high-water mark was not skipped", o.id))
+		} else if !gated && sim.Load(&c.PrefetchSkippedPressure) > skipped {
+			err = errors.Join(err, fmt.Errorf("a %s counted a prefetch skipped under pressure", kind))
 		}
 		if err := errors.Join(err, m.check(bound)); err != nil {
 			return fmt.Errorf("op %d %v: %w", i, o, err)
@@ -428,8 +513,8 @@ func runModel(tb testing.TB, cfg modelConfig, cov map[string]bool, traces ...[]m
 			cov[failedState(kind, o.val&1 == 1, typed(failure))] = true
 		}
 		for state, reached := range map[string]bool{
-			"some cold":                 m.p.cold.Load() > 0,
-			"residents but none cold":   m.p.cold.Load() == 0 && m.p.ResidentSlots() > 0,
+			"some cold":                 p.cold.Load() > 0,
+			"residents but none cold":   p.cold.Load() == 0 && p.ResidentSlots() > 0,
 			"tier hit":                  sim.Load(&c.TierHits) > 0 || cfg.tier == 0, // a config without a tier owes none
 			"prefetch hit":              sim.Load(&c.PrefetchHits) > 0,
 			"shrink":                    budget < was,
@@ -437,11 +522,16 @@ func runModel(tb testing.TB, cfg modelConfig, cov map[string]bool, traces ...[]m
 			"free of a resident":        kind == "free" && meta.Present(),
 			"free of an evicted object": kind == "free" && meta != 0 && !meta.Present(),
 			"eviction stall":            stalled,
-			"degraded refusal":          errors.Is(failure, far.ErrDegraded) && m.p.lat.RemoteFetch.Snapshot().Count() == fetches, // no slot, so no fetch
+			"degraded refusal":          errors.Is(failure, far.ErrDegraded) && p.lat.RemoteFetch.Snapshot().Count() == fetches, // no slot, so no fetch
 			"prefetch while degraded":   kind == "prefetch" && degraded && !meta.Present(),
 			// A fault-free config owes no failed prefetch and no healed corruption.
-			"failed prefetch":   kind == "prefetch" && sim.Load(&c.RemoteFetchFaults) > fetchFaults && !m.p.Meta(o.id).Present() || cfg.faults == fabric.FaultConfig{},
+			"failed prefetch":   kind == "prefetch" && sim.Load(&c.RemoteFetchFaults) > fetchFaults && !p.Meta(o.id).Present() || cfg.faults == fabric.FaultConfig{},
 			"corruption healed": failure == nil && m.faults.Stats().Corruptions > corrupt || cfg.faults == fabric.FaultConfig{},
+			// A config whose tier absorbs every refetch owes no throttle.
+			"governor throttled":                p.Throttled() || absorbs,
+			"governor recovered":                kind == "govern" && throttled && !p.Throttled() || absorbs,
+			"prefetch skipped under pressure":   gated || absorbs,
+			"prefetch admitted while throttled": kind == "prefetch" && throttled && !meta.Present() && p.Meta(o.id).Present() || absorbs,
 		} {
 			cov[state] = cov[state] || reached
 		}
@@ -479,12 +569,52 @@ func leaseDebug(tb testing.TB) {
 	tb.Cleanup(func() { bufpool.SetDebug(bufpool.RaceEnabled) })
 }
 
-// TestModel runs seeded traces of each config against the model, and
-// asserts they reached every state runModel's coverage names, and the
-// failure of both client protocols, Access and Pin, reading and writing,
-// from both sources: a degraded engine, which refuses to fetch, and, on a
-// faulty config, the link. A failure prints its seed, its config and its
-// trace shrunk to the ops that still fail; -model.seed replays the seed.
+// op is a directed trace's op on object id: 8 bytes at offset 0, written
+// when val is odd.
+func op(kind string, id ObjectID, val uint64) modelOp {
+	return modelOp{kind: slices.Index(modelOps, kind), id: id, n: 8, val: val}
+}
+
+// directedTraces are the hand-built traces of TestModel, for the states a
+// random trace reaches only by luck.
+func directedTraces() map[string][]modelOp {
+	// Laps of writes over twice as many objects as there are slots, the
+	// governor ticked after each, refetch what was evicted moments ago:
+	// the governor throttles. Whole objects are written, with a pattern LZ
+	// cannot shrink, so a small tier holds few. Full, the throttled pool
+	// skips a prefetch; emptied, it admits one. Then each round computes
+	// past the thrash window, refetches and ticks, until calm readings
+	// recover it.
+	var gov []modelOp
+	for lap := range 8 {
+		for id := range ObjectID(2 * modelSlots) {
+			w := op("access", id, uint64(id)<<9|uint64(lap)<<8|1)
+			w.n = modelObjSize
+			gov = append(gov, w, op("govern", 0, 0))
+		}
+	}
+	gov = append(gov, op("prefetch", 0, 0), op("evacuate-all", 0, 0), op("prefetch", 1, 0))
+	for r := range 300 {
+		gov = append(gov, op("idle", 0, 0), op("access", ObjectID(r%(2*modelSlots)), 0), op("govern", 0, 0))
+	}
+	// Forced degraded, writes to fresh objects fill the 16 slots, then the
+	// 16-slot reserve floor (every dirty write-back refused), and the 33rd
+	// finds no slot; so does a pin.
+	degrade := []modelOp{op("degrade", 0, 1)}
+	for id := range ObjectID(2*modelSlots + 1) {
+		degrade = append(degrade, op("access", id, 1))
+	}
+	degrade = append(degrade, op("pin", 2*modelSlots+1, 0), op("degrade", 0, 0))
+	return map[string][]modelOp{"governor": gov, "degraded refusal": degrade}
+}
+
+// TestModel runs seeded traces of each config against the model, then the
+// directed ones, and asserts they reached every state runModel's coverage
+// names, and the failure of both client protocols, Access and Pin, reading
+// and writing, from both sources: a degraded engine, which refuses to
+// fetch, and, on a faulty config, the link. A failure prints its seed (or
+// its directed trace), its config and its trace shrunk to the ops that
+// still fail; -model.seed replays the seed, and skips the directed traces.
 func TestModel(t *testing.T) {
 	leaseDebug(t)
 	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
@@ -500,12 +630,23 @@ func TestModel(t *testing.T) {
 					cov[failedState(kind, write, fabric.ErrRemoteUnavailable)] = cfg.faults == fabric.FaultConfig{} // a fault-free config owes none
 				}
 			}
+			fails := func(ops []modelOp) bool { return runModel(t, cfg, nil, ops) != nil }
 			for _, seed := range seeds {
 				ops := genOps(sim.NewRNG(seed), 0, modelObjs, 4000)
 				if err := runModel(t, cfg, cov, ops); err != nil {
-					min := shrink(ops, func(ops []modelOp) bool { return runModel(t, cfg, nil, ops) != nil })
+					min := shrink(ops, fails)
 					t.Fatalf("seed %d, config %+v: %v\nreplay: go test ./internal/aifm -run 'TestModel/%s$' -model.seed=%d\nshrunk to %d ops: %v\n%v",
 						seed, cfg, err, cfg.name, seed, len(min), min, runModel(t, cfg, nil, min))
+				}
+			}
+			directed := directedTraces()
+			if *modelSeed != 0 {
+				directed = nil
+			}
+			for name, ops := range directed {
+				if err := runModel(t, cfg, cov, ops); err != nil {
+					min := shrink(ops, fails)
+					t.Fatalf("the %s trace, config %+v: %v\nshrunk to %d ops: %v\n%v", name, cfg, err, len(min), min, runModel(t, cfg, nil, min))
 				}
 			}
 			for state, reached := range cov {

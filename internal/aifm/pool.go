@@ -220,10 +220,10 @@ type Pool struct {
 	lastMiss      ObjectID
 	missStreak    int
 
-	// Memory-pressure state: the governor's throttle (see Throttle) and
-	// the windowed re-fault (thrash) detector. thrashEWMA holds float64
-	// bits; thrashMu guards only the window accumulators and is taken on
-	// the remote-fetch slow path, never on a hit.
+	// Memory-pressure state: the throttle (see Throttle) and the windowed
+	// re-fault (thrash) detector. thrashEWMA holds float64 bits; thrashMu
+	// guards only the window accumulators and is taken on the remote-fetch
+	// slow path, never on a hit.
 	throttled    atomic.Bool
 	protectPF    bool
 	thrashWindow uint64
@@ -236,6 +236,19 @@ type Pool struct {
 	// a leaf lock and is never held across a wait for bytes.
 	pendMu  sync.Mutex
 	pending []pendingPrefetch
+
+	gov governor // Govern's state beside throttled; off every hot path
+}
+
+// governor is what the anti-thrash governor (Govern) keeps besides the
+// throttle it switches: the clock reading of its last decision, the calm
+// streak, the tier budget a throttle halved, and how often it throttled.
+type governor struct {
+	mu        sync.Mutex // serializes decisions
+	lastTick  uint64
+	calm      int
+	savedTier uint64
+	throttles atomic.Uint64
 }
 
 const (
@@ -266,6 +279,14 @@ const (
 	// throttleHighWater is the prefetch-admission gate while throttled:
 	// above this occupancy fraction a prefetch is skipped.
 	throttleHighWater = 0.75
+
+	// govHigh is the thrash ratio at or above which Govern throttles; a
+	// reading at or below govLow counts as calm, and govHold consecutive
+	// calm readings lift the throttle. Every run of -exp thrash has used
+	// these values, and BENCH_thrash.json is what they were judged by.
+	govHigh = 0.35
+	govLow  = govHigh / 3
+	govHold = 3
 )
 
 // NewPool validates cfg and builds a pool.
@@ -380,9 +401,9 @@ func (p *Pool) NumSlots() int { return int(p.targetSlots.Load()) }
 // budget's.
 func (p *Pool) MaxSlots() int { return len(p.slotOwner) - p.reserveFloor }
 
-// Far exposes the pool's far engine: the compressed tier it owns
-// (governor resizing) and the degraded-mode
-// breaker the anti-thrash governor forces as its last resort.
+// Far exposes the pool's far engine: its compressed tier, which Govern
+// resizes, and its degraded-mode breaker, which the deadline misses alone
+// trip (ForceDegrade is for tests).
 func (p *Pool) Far() *far.Engine { return p.far }
 
 // Close closes the far engine: the tier's buffer leases go home and a
@@ -478,9 +499,6 @@ func (p *Pool) CurrentSlots() int {
 // Resizes reports how many Resize calls the pool has absorbed.
 func (p *Pool) Resizes() uint64 { return p.resizes.Load() }
 
-// ThrashWindow reports the re-fault window in sim cycles.
-func (p *Pool) ThrashWindow() uint64 { return p.thrashWindow }
-
 // ThrashRatio reports the EWMA fraction of remote fetches that were
 // re-faults (fetches of an object evicted within the thrash window), the
 // pool's thrash signal in [0, 1].
@@ -498,15 +516,58 @@ func (p *Pool) PrefetchDepth() int {
 }
 
 // Throttle switches the pool into (or out of) its answer to memory
-// pressure, the anti-thrash governor's one lever on it. While throttled,
-// stride prefetch pauses (PrefetchDepth reads 0), a prefetch above
-// throttleHighWater occupancy is skipped rather than allowed to evict,
-// and eviction reclaims prefetched-but-unused residents first, so
+// pressure, Govern's lever on it; tests also switch it directly. While
+// throttled, stride prefetch pauses (PrefetchDepth reads 0), a prefetch
+// above throttleHighWater occupancy is skipped rather than allowed to
+// evict, and eviction reclaims prefetched-but-unused residents first, so
 // speculation already in memory goes before anything demand-loaded.
 func (p *Pool) Throttle(on bool) { p.throttled.Store(on) }
 
 // Throttled reports whether the pool is throttled.
 func (p *Pool) Throttled() bool { return p.throttled.Load() }
+
+// Govern runs the anti-thrash governor, a control loop on the pool's
+// simulated clock over ThrashRatio with two states, normal and throttled
+// (Throttled). It makes at most one decision per eighth of the thrash
+// window, so several samples fold into the ratio between readings; between
+// decisions a call is a clock read and a compare under a mutex. One
+// reading at or above govHigh throttles the pool and halves the compressed
+// tier, the most expendable consumer of local bytes; recovery takes govHold
+// consecutive calm readings, so the governor does not flap while the ratio
+// decays, and restores the tier's budget. Nothing schedules it: a caller
+// invokes Govern from its access loop, so a deterministic workload yields a
+// deterministic control trace, and a pool nobody calls it on is
+// ungoverned. Govern is safe for concurrent use.
+func (p *Pool) Govern() {
+	now, g, tier := p.env.Clock.Cycles(), &p.gov, p.far.Tier()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if now-g.lastTick < max(p.thrashWindow/8, 1) {
+		return
+	}
+	g.lastTick = now
+	ratio := p.ThrashRatio()
+	switch {
+	case !p.Throttled():
+		if ratio >= govHigh {
+			p.Throttle(true)
+			g.savedTier = tier.Budget() // 0 without a tier
+			tier.Resize(g.savedTier / 2)
+			g.calm = 0
+			g.throttles.Add(1)
+		}
+	case ratio > govLow:
+		g.calm = 0
+	default:
+		if g.calm++; g.calm >= govHold {
+			p.Throttle(false)
+			if g.savedTier > 0 { // not a throttle someone else switched on
+				tier.Resize(g.savedTier)
+			}
+			g.calm = 0
+		}
+	}
+}
 
 // Localize ensures object id is resident in local memory and returns the
 // arena offset of its first byte. forWrite marks the object dirty. The
@@ -806,8 +867,9 @@ func (p *Pool) installPrefetched(st *stripe, id ObjectID, slot uint32, fresh, fr
 
 // RegisterObs exposes pool-level health on reg: the far engine's breaker
 // and tier, and the memory-pressure gauges (residency, pins, reserve,
-// thrash ratio, resizes). The Env-wide counters (deadline misses,
-// re-faults, skipped prefetches) are already on Env.Metrics.
+// thrash ratio, resizes, the governor's state and throttles). The
+// Env-wide counters (deadline misses, re-faults, skipped prefetches) are
+// already on Env.Metrics.
 func (p *Pool) RegisterObs(reg *obs.Registry, labels ...obs.Label) {
 	p.far.RegisterObs(reg, labels...)
 	reg.GaugeFunc("trackfm_pool_resident_slots",
@@ -828,6 +890,17 @@ func (p *Pool) RegisterObs(reg *obs.Registry, labels ...obs.Label) {
 	reg.CounterFunc("trackfm_pool_resizes_total",
 		"Runtime budget Resize calls absorbed by the pool.",
 		func() uint64 { return p.resizes.Load() }, labels...)
+	reg.GaugeFunc("trackfm_governor_state",
+		"Anti-thrash governor state: 0 normal, 1 throttled.",
+		func() float64 {
+			if p.Throttled() {
+				return 1
+			}
+			return 0
+		}, labels...)
+	reg.CounterFunc("trackfm_governor_throttles_total",
+		"Times the governor throttled the pool.",
+		p.gov.throttles.Load, labels...)
 }
 
 func (p *Pool) maybeStridePrefetch(id ObjectID) {

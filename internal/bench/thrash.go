@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"trackfm/internal/aifm"
-	"trackfm/internal/autotune"
 	"trackfm/internal/sim"
 	"trackfm/internal/workloads/dist"
 )
@@ -58,7 +57,7 @@ type thrashResult struct {
 	refaults  uint64
 	pfSkipped uint64
 	resizes   uint64
-	govState  autotune.GovernorState
+	throttled bool   // the governor's state at the end
 	lost      uint64 // localizations that failed or deadlocked (gate: 0)
 	corrupt   uint64 // byte-pattern mismatches after refetch (gate: 0)
 }
@@ -111,17 +110,6 @@ func runThrashPhase(ph thrashPhase, n int) thrashResult {
 	p.EvacuateAll()
 	env.Reset()
 
-	var gov *autotune.Governor
-	if ph.governed {
-		gov, err = autotune.NewGovernor(autotune.GovernorConfig{
-			Pool:  p,
-			Clock: &env.Clock,
-		})
-		if err != nil {
-			panic(fmt.Sprintf("bench: thrash governor: %v", err))
-		}
-	}
-
 	var res thrashResult
 	var buf [1]byte
 	chase := uint64(thrashSeed)
@@ -171,8 +159,8 @@ func runThrashPhase(ph thrashPhase, n int) thrashResult {
 		} else {
 			access(aifm.ObjectID(zipf.Next()))
 		}
-		if gov != nil {
-			gov.Tick()
+		if ph.governed {
+			p.Govern()
 		}
 	}
 
@@ -187,9 +175,7 @@ func runThrashPhase(ph thrashPhase, n int) thrashResult {
 	res.refaults = c.Refaults
 	res.pfSkipped = c.PrefetchSkippedPressure
 	res.resizes = p.Resizes()
-	if gov != nil {
-		res.govState = gov.State()
-	}
+	res.throttled = p.Throttled()
 	return res
 }
 
@@ -227,8 +213,11 @@ func thrashTable(s Scale) *Table {
 	for _, ph := range phases {
 		r := runThrashPhase(ph, n)
 		gov := "-"
-		if ph.governed {
-			gov = r.govState.String()
+		switch {
+		case ph.governed && r.throttled:
+			gov = "throttled"
+		case ph.governed:
+			gov = "normal"
 		}
 		t.AddRow(ph.name, f1(ph.mult), f1(r.opsPerSec), f1(100*r.hitRate),
 			f3(r.ratio), d(r.refaults), d(r.pfSkipped), d(r.resizes), gov,

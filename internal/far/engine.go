@@ -141,7 +141,8 @@ func (e *Engine) Close() error {
 }
 
 // Tier exposes the compressed middle tier, or nil when disabled. The
-// governor resizes it under pressure; tests and benchmarks inspect it.
+// pool's anti-thrash governor (aifm.Pool.Govern) halves it under pressure;
+// tests and benchmarks inspect it.
 func (e *Engine) Tier() *ctier.Tier { return e.tier }
 
 // Degraded reports whether remote fetches currently fail fast, for either

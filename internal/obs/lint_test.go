@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"trackfm/internal/aifm"
-	"trackfm/internal/autotune"
 	"trackfm/internal/fabric"
 	"trackfm/internal/mem/bufpool"
 	"trackfm/internal/obs"
@@ -55,7 +54,7 @@ func TestMetricNamesLint(t *testing.T) {
 	remote.NewCompressedStore().Register(reg, obs.Label{Key: "node", Value: "compressed"})
 
 	// Pool health (degraded flag, occupancy gauges, thrash ratio, resizes)
-	// and the anti-thrash governor's state/transition series. The
+	// and the anti-thrash governor's state and throttle series. The
 	// CompressedBudget pulls the tier's trackfm_ctier_* block into the
 	// pool's RegisterObs, so those names are linted too.
 	pool, err := aifm.NewPool(aifm.Config{
@@ -66,11 +65,6 @@ func TestMetricNamesLint(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool.RegisterObs(reg)
-	gov, err := autotune.NewGovernor(autotune.GovernorConfig{Pool: pool, Clock: &env.Clock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gov.RegisterObs(reg)
 
 	// The shared wire pool's counters.
 	bufpool.Wire.Register(reg, obs.Label{Key: "pool", Value: "wire"})
