@@ -51,7 +51,10 @@ smoke_test:
 # benchmark fails here rather than when the benchmark runs —
 # plus a grep that no non-test code under internal/, farmem/, cmd/ or
 # examples/ calls aifm.Pool.Localize, kept for benchmarks/fmbench alone: the
-# tree moves an object's bytes with Access or Pin.
+# tree moves an object's bytes with Access or Pin —
+# plus the model-harness fence: no non-test file outside internal/modeltest
+# imports it. The censuses count what the harness names or sets as test
+# code's, which holds only while test files alone import it.
 vet:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	$(GO) vet ./...
@@ -63,14 +66,15 @@ vet:
 		$$(ls internal/aifm/*.go internal/fastswap/*.go internal/core/*.go farmem/*.go | grep -v _test.go)
 	! grep -nE '"trackfm/internal/(core|fastswap|aifm)"' $$(find internal/workloads -name '*.go' ! -name '*_test.go')
 	! grep -nE '\.Localize\(' $$(find internal farmem cmd examples -name '*.go' ! -name '*_test.go')
+	! grep -nE '"trackfm/internal/modeltest"' $$(find internal farmem cmd examples benchmarks -name '*.go' ! -name '*_test.go' ! -path 'internal/modeltest/*')
 
 # The gate of test-thrash that runs under -race. test-tiers' race run is
 # a subset of the one in test.
 RACE_PIN_SATURATION = $(GO) test -race -run 'TestDemandMissesRespectReserveUnderPinSaturation' ./internal/aifm
 
 # Everything a PR must pass, each gate once: build, vet (incl. the lints,
-# the censuses and the doc test), the tier-1 suite, the pool's and the
-# swap's models, the
+# the censuses and the doc test), the tier-1 suite, the models (the pool's,
+# the swap's, the runtime's and the two runtimes side by side), the
 # concurrency stress suite and the pin-saturation gate under the race
 # detector, the examples, and the refactoring oracle. The overload, crash, thrash, tiers and allocs gates
 # that run without -race or -count are tests `make test` has already run,
@@ -93,34 +97,35 @@ test:
 	$(GO) test -shuffle=on -count=2 ./...
 	$(GO) test -race ./internal/fabric/... ./internal/aifm/... ./internal/fastswap/... ./internal/far/... ./internal/mem/... ./internal/remote/... ./internal/core/...
 
-# The pool's model (internal/aifm/model_test.go): seeded op traces on
-# aifm.Pool over a FaultLink around SimLink against a flat byte array of
-# what the heap must hold, with the pool's invariants checked after every
-# op and at quiesce, a forced degradation toggled now and then, and the
-# anti-thrash governor ticked against a reference governor —
-# serially with the compressed tier off, small and large on a fault-free
-# link, then on a link that drops, corrupts and goes out (tier off and
-# small, and tier off with delays past a per-op deadline), where a failed
-# op must leave no trace; then four workers on disjoint objects at once
-# under the race detector, over a small tier fault-free and faulted and
-# over a large one. Each serial config also runs two hand-built traces: a
-# write sweep that throttles the governor and rounds of computing and
-# refetching that recover it, and a degraded pool that runs out of slots.
-# A failing serial trace prints its seed and its shrunk
-# op list; -model.seed replays it. Then the swap's model
-# (internal/fastswap/model_test.go): seeded traces of loads and stores
-# across page boundaries, word accesses, EvacuateAll and stats resets on
-# fastswap.Swap over the same FaultLink, fault-free, with drops,
-# corruption, outages and overload sheds, and with delays past a per-op
-# deadline, against a flat byte array; the frames, dirty and referenced
-# bits, fault counters and wire requests per op are checked after every
-# op, a failed op must have accessed exactly the pages before the one it
-# faulted on, and the far copies and a read-back must equal the model at
-# quiesce. A failure prints its seed, op index and op.
+# The models (internal/modeltest, the one harness, and an adapter per
+# runtime): seeded op traces run on a runtime over a FaultLink around
+# SimLink and on a flat byte array of what its heap must hold, fault-free,
+# with drops, corruption, outages and overload sheds, and with delays past
+# a per-op deadline. After every op the fault counters must reconcile with
+# the injected faults, the op's wire requests stay within RemoteRetries per
+# far-engine call, and the runtime's own check holds; a failed access must
+# have moved exactly the bytes of the units before the one it faulted on;
+# at quiesce the heap reads back and the far copies equal it. A failure
+# prints its seed, its op, a replay line (-model.seed) and the trace shrunk
+# to the ops that still fail. The pool's model (aifm) also runs with the
+# compressed tier small and large, toggles a forced degradation, ticks the
+# anti-thrash governor against a reference governor and runs two hand-built
+# traces (a write sweep that throttles the governor and recovers it, a
+# degraded pool out of slots); then four workers on disjoint objects at
+# once under the race detector, over a small tier fault-free and faulted
+# and over a large one. The swap's model (fastswap) checks frames, dirty
+# and referenced bits. The runtime's model (core) runs TrackFM's runtime
+# and the library one through mallocs, frees, guarded words and byte ranges
+# and chunked walks, holds the allocator, the guards and the cursors to
+# their rules, and on a fault-free link runs every op again on a metered
+# twin that must charge exactly the same. Last, TrackFM's runtime and the
+# swap read the same bytes through one fault-free trace.
 test-model:
 	$(GO) test -count=1 -run '^TestModel$$' ./internal/aifm
 	$(GO) test -race -count=1 -run '^TestConcurrentModel$$|^TestTierConcurrentPoolNoLostUpdates$$' ./internal/aifm
 	$(GO) test -count=1 -run '^TestModel$$' ./internal/fastswap
+	$(GO) test -count=1 -run '^TestModel$$' ./internal/core
+	$(GO) test -count=1 -run '^TestRuntimesAgree$$' ./internal/modeltest
 
 # The four examples, run (go build ./... only compiles them) at sizes that
 # take a few seconds together. Each holds its result to a reference — a
@@ -186,9 +191,12 @@ test-crash:
 # The memory-pressure gates: the thrash soak (governed 2x overcommit >=
 # 3x ungoverned throughput, zero lost localizations across a mid-run
 # budget squeeze, deterministic JSON), the pool's model (Govern against a
-# reference governor, Resize, the thrash detector and the throttled
-# prefetch admission gate), Govern's threshold, rate and tier tests, the
-# pool's Resize/detector/admission tests, the lazy shrink past pins and the
+# reference governor; Resize, which must refuse 0 slots and one past the
+# pool, and whose shrinks and regrowths leave every slot in circulation
+# unless one stalled; the thrash detector and the throttled prefetch
+# admission gate), Govern's threshold, rate and tier tests, the
+# admission and detector tests (directed traces on the model), the pool's
+# Resize tests, the lazy shrink past pins and the
 # reserve floor under pin saturation (again under -race).
 test-thrash:
 	$(GO) test -run 'TestThrashSoak|TestThrashTable|TestResize|^TestModel$$|TestGovernor|TestPrefetchSkipsAboveHighWater|TestThrashDetector|TestDemandMisses|TestGuardFastPath|TestHeapResize' ./internal/bench ./internal/aifm ./farmem
@@ -246,16 +254,19 @@ test-soak:
 
 # Short fixed-budget runs of the fuzzers, the fabric's one frame decoder
 # first and the compiler/interpreter differential last (go test accepts
-# one -fuzz pattern per invocation, hence one run each). FuzzModel's first
-# byte picks the model's config, fault-free or faulty, and the rest draw
-# the trace. Both FuzzFrame and FuzzModel cap the minimizing of each new
-# input at 200 runs: one of FuzzModel's inputs is a whole pool trace, and
-# FuzzFrame finds new inputs often; at the default 60 s of minimizing,
-# about half of FuzzFrame's run went by at 0 execs/s.
+# one -fuzz pattern per invocation, hence one run each). Each model's
+# FuzzModel — the pool's, the swap's and the runtime's — takes its first
+# byte as the config, fault-free or faulty, and draws its trace from the
+# rest. FuzzFrame and the three FuzzModels cap the minimizing of each new
+# input at 200 runs: a FuzzModel input is a whole trace, and FuzzFrame
+# finds new inputs often; at the default 60 s of minimizing, about half of
+# FuzzFrame's run went by at 0 execs/s.
 fuzz-short:
 	$(GO) test -run=^$$ -fuzz=FuzzFrame -fuzztime=30s -fuzzminimizetime=200x ./internal/fabric
 	$(GO) test -race -run=^$$ -fuzz=FuzzConcurrentPins -fuzztime=30s ./internal/aifm
 	$(GO) test -run=^$$ -fuzz=FuzzModel -fuzztime=30s -fuzzminimizetime=200x ./internal/aifm
+	$(GO) test -run=^$$ -fuzz=FuzzModel -fuzztime=30s -fuzzminimizetime=200x ./internal/fastswap
+	$(GO) test -run=^$$ -fuzz=FuzzModel -fuzztime=30s -fuzzminimizetime=200x ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzWALRecord -fuzztime=30s ./internal/remote
 	$(GO) test -run=^$$ -fuzz=FuzzCodec -fuzztime=30s ./internal/mem/ctier
 	$(GO) test -run=^$$ -fuzz=FuzzTierOps -fuzztime=30s ./internal/mem/ctier

@@ -21,6 +21,7 @@ import (
 var censusAllow = map[string]string{
 	"fabric.NewFaultLink":      "cross-package fault fixture: far, aifm, fastswap, bench and farmem tests inject drops and corruption through it",
 	"bufpool.Outstanding":      "leak detector: tests assert every lease went home",
+	"modeltest.Model":          "the model harness's one entry point: the runtimes' TestModel and FuzzModel and the cross-runtime test run through it; make vet holds every importer of internal/modeltest to a test file",
 	"irgen.Generate":           "differential-test program generator (interp difftests, FuzzDifferential)",
 	"irgen.HeapBytes":          "sizes the heap those generated programs run in",
 	"fabric.CompleteTicket":    "how a test transport with nothing to overlap answers StartFetch",
@@ -31,6 +32,11 @@ var censusAllow = map[string]string{
 	"core.ChunkedLoopCost":     "§3.4 Eq. 2, asserted against the paper's numbers",
 	"core.DensityThreshold":    "§3.4 Eq. 3, asserted against the paper's numbers",
 }
+
+// testSupport is the directory of the package only tests import (make vet
+// holds it to that). Both censuses count what its files name or set as
+// test code's, except for its own declarations.
+const testSupport = "internal/modeltest"
 
 // TestConstructorCensus keeps dead surface from growing back: every
 // exported top-level func and type declared in a non-test file under
@@ -55,6 +61,9 @@ func TestConstructorCensus(t *testing.T) {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 				return err
 			}
+			// What the test-support package names keeps only its own
+			// declarations alive: only test files import it.
+			support := strings.HasPrefix(filepath.ToSlash(path), testSupport+"/")
 			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 			if err != nil {
 				return err
@@ -87,8 +96,9 @@ func TestConstructorCensus(t *testing.T) {
 						// pkg.Name names Name in pkg; x.Name names a field or
 						// a method, which is no package-level declaration.
 						if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-							pkgName := name{imports[x.Name], n.Sel.Name}
-							mentions[pkgName] = append(mentions[pkgName], site{path, owner})
+							if pkgName := (name{imports[x.Name], n.Sel.Name}); !support {
+								mentions[pkgName] = append(mentions[pkgName], site{path, owner})
+							}
 						} else {
 							ast.Inspect(n.X, visit)
 						}

@@ -220,7 +220,7 @@ func TestFieldCensus(t *testing.T) {
 		return false
 	}
 	for dir, files := range tr.files {
-		pkg := tr.pkgs[dir]
+		pkg, support := tr.pkgs[dir], dir == testSupport
 		for _, file := range files {
 			for _, d := range file.Decls {
 				var sig *types.Signature
@@ -240,7 +240,7 @@ func TestFieldCensus(t *testing.T) {
 				// nil when the write is not a plain copy of one value.
 				write := func(f *types.Var, val ast.Expr) {
 					o, ok := owners[f]
-					if !ok || (sig != nil && o.pkg == pkg && mentions(sig, o.typ)) {
+					if !ok || support && o.pkg != pkg || (sig != nil && o.pkg == pkg && mentions(sig, o.typ)) {
 						return
 					}
 					if src := field(val); src != nil {

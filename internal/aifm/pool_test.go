@@ -80,21 +80,10 @@ func TestNewPoolValidation(t *testing.T) {
 	}
 }
 
+// The first touch of a never-evacuated object, or a freed one, is a local
+// zero-fill, not a remote fetch (Step), and reads as zeros.
 func TestLocalizeMaterializesFirstTouchWithoutNetwork(t *testing.T) {
-	p, env, _ := newTestPool(t, 64, 1<<16, 1<<12)
-	// First touch of a never-evacuated object is a local zero-fill,
-	// not a remote fetch (freshly malloc'd memory).
-	if touch(t, p, 3, true) {
-		t.Fatalf("first touch performed a remote fetch")
-	}
-	if env.Counters.RemoteFetches != 0 || env.Counters.BytesFetched != 0 {
-		t.Fatalf("first touch moved data: %s", env.Counters.String())
-	}
-	got := make([]byte, 4)
-	access(t, p, 3, 8, got, false)
-	if !bytes.Equal(got, []byte{0, 0, 0, 0}) {
-		t.Fatalf("fresh object not zeroed: %v", got)
-	}
+	poolCase(t, "tier-off", poolModel.Trace(sim.NewRNG(11), poolModel.Len), "first touch")
 }
 
 func TestLocalizeFetchesEvacuatedObjectAndReadsBack(t *testing.T) {

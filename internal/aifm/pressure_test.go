@@ -4,69 +4,9 @@ import (
 	"sync"
 	"testing"
 
+	"trackfm/internal/modeltest"
 	"trackfm/internal/sim"
 )
-
-func TestResizeValidation(t *testing.T) {
-	p, _, _ := newTestPool(t, 64, 1<<16, 1<<12)
-	if err := p.Resize(0); err == nil {
-		t.Fatalf("zero-slot budget accepted")
-	}
-	// The pool cannot grow past its starting size.
-	if err := p.Resize(1<<12 + 64); err == nil {
-		t.Fatalf("grow past capacity accepted")
-	}
-}
-
-func TestResizeShrinkEvictsAndGrowReactivates(t *testing.T) {
-	p, _, _ := newTestPool(t, 64, 1<<16, 32*64)
-	for id := ObjectID(0); id < 32; id++ {
-		access(t, p, id, 0, []byte{byte(id) + 1}, true)
-	}
-	if got := p.ResidentSlots(); got != 32 {
-		t.Fatalf("resident = %d, want 32", got)
-	}
-	// Shrink to half: the coldest unpinned residents are evicted and their
-	// slots retired synchronously (nothing is pinned here).
-	if err := p.Resize(8 * 64); err != nil {
-		t.Fatalf("shrink: %v", err)
-	}
-	if got := p.NumSlots(); got != 8 {
-		t.Fatalf("NumSlots = %d, want 8", got)
-	}
-	if got := p.CurrentSlots(); got != 8 {
-		t.Fatalf("CurrentSlots = %d, want 8 (unpinned shrink completes inline)", got)
-	}
-	if got := p.ResidentSlots(); got > 8 {
-		t.Fatalf("resident %d exceeds shrunk budget", got)
-	}
-	// Grow back to the starting budget; retired slots come back into
-	// circulation.
-	if err := p.Resize(32 * 64); err != nil {
-		t.Fatalf("grow: %v", err)
-	}
-	if got := p.NumSlots(); got != 32 {
-		t.Fatalf("NumSlots = %d, want 32", got)
-	}
-	if err := p.Resize(33 * 64); err == nil {
-		t.Fatalf("grow past the starting budget accepted")
-	}
-	// No data lost across the squeeze: evicted objects re-fetch intact,
-	// and all of them fit again — into the slots the shrink retired.
-	var b [1]byte
-	for id := ObjectID(0); id < 32; id++ {
-		access(t, p, id, 0, b[:], false)
-		if b[0] != byte(id)+1 {
-			t.Fatalf("object %d = %d after resize", id, b[0])
-		}
-	}
-	if got := p.ResidentSlots(); got != 32 {
-		t.Fatalf("resident = %d after regrow, want 32", got)
-	}
-	if got := p.Resizes(); got != 2 {
-		t.Fatalf("resizes = %d, want 2", got)
-	}
-}
 
 func TestResizeShrinkConvergesLazilyPastPins(t *testing.T) {
 	p, _, _ := newTestPool(t, 64, 1<<16, 4*64)
@@ -100,82 +40,42 @@ func TestResizeShrinkConvergesLazilyPastPins(t *testing.T) {
 	p.Unpin(3)
 }
 
+// TestPrefetchSkipsAboveHighWater: throttled, the pool admits a prefetch
+// below its 0.75 high-water mark and skips one above it rather than evict
+// (Step: metadata unchanged, no eviction, one skip counted); unthrottled,
+// it admits that prefetch again (Step: a prefetch the gate admits takes a
+// free slot).
 func TestPrefetchSkipsAboveHighWater(t *testing.T) {
-	// 8 slots, so occupancy can sit on either side of the throttled
-	// pool's 0.75 admission gate.
-	p, env, _ := newTestPool(t, 64, 1<<16, 8*64)
-	// Seed remote copies so prefetch has real fetches to do.
-	for id := ObjectID(0); id < 16; id++ {
-		access(t, p, id, 0, []byte{1}, true)
+	var ops []modeltest.Op
+	for id := range ObjectID(2 * modelSlots) { // far copies for the prefetches to fetch
+		ops = append(ops, op("access", id, 1))
 	}
-	p.EvacuateAll()
-	p.Throttle(true)
-
-	// Below the mark (1 of 8 slots used) prefetch is admitted.
-	touch(t, p, 0, false)
-	p.Prefetch(1)
-	if !p.Meta(1).Present() {
-		t.Fatalf("prefetch below the high-water mark not admitted")
+	ops = append(append(ops, op("evacuate-all", 0, 0)), readings(0.9)...)
+	ops = append(ops, op("access", 0, 0), op("prefetch", 1, 0)) // 2 of 16 slots used
+	for id := range ObjectID(11) {
+		ops = append(ops, op("access", 2+id, 0)) // 13 of 16
 	}
-	if n := sim.Load(&env.Counters.PrefetchSkippedPressure); n != 0 {
-		t.Fatalf("admitted prefetch counted as skipped: %d", n)
-	}
-
-	// Above the mark (7 of 8 slots used) prefetch must skip — not evict.
-	for id := ObjectID(2); id < 7; id++ {
-		touch(t, p, id, false)
-	}
-	evBefore := sim.Load(&env.Counters.Evacuations)
-	p.Prefetch(7)
-	if p.Meta(7).Present() {
-		t.Fatalf("prefetch above the high-water mark installed an object")
-	}
-	if n := sim.Load(&env.Counters.PrefetchSkippedPressure); n != 1 {
-		t.Fatalf("PrefetchSkippedPressure = %d, want 1", n)
-	}
-	if ev := sim.Load(&env.Counters.Evacuations); ev != evBefore {
-		t.Fatalf("pressured prefetch evicted a resident")
-	}
-
-	// The gate holds only while throttled: lifted, the same prefetch is
-	// admitted.
-	p.Throttle(false)
-	p.Prefetch(7)
-	if !p.Meta(7).Present() {
-		t.Fatalf("prefetch on an unthrottled pool not admitted")
-	}
+	ops = append(append(append(ops, op("prefetch", 13, 0)), readings(0.05, 0.05, 0.05)...), op("prefetch", 13, 0))
+	poolCase(t, "tier-off", ops, "prefetch admitted while throttled", "prefetch skipped under pressure", "governor recovered")
 }
 
+// TestThrashDetectorTracksRefaults: a cyclic sweep over 4x the slots
+// refetches what it evicted moments ago, so the thrash ratio climbs to 0.5
+// and past; a working set that fits evicts nothing (Step: an op evicts
+// only with no slot free), so it re-faults nothing and reads a ratio of 0
+// (Check).
 func TestThrashDetectorTracksRefaults(t *testing.T) {
-	// 4 slots, 16-object cyclic sweep: after the first lap every fetch
-	// re-localizes something evicted moments ago.
-	p, env, _ := newTestPool(t, 64, 1<<16, 4*64)
-	var b [1]byte
-	for lap := 0; lap < 20; lap++ {
-		for id := ObjectID(0); id < 16; id++ {
-			access(t, p, id, 0, b[:], false)
+	var thrash, calm []modeltest.Op
+	for range 20 {
+		for id := range ObjectID(4 * modelSlots) {
+			thrash = append(thrash, op("access", id, 0))
+		}
+		for id := range ObjectID(modelSlots / 2) {
+			calm = append(calm, op("access", id, 0))
 		}
 	}
-	if n := sim.Load(&env.Counters.Refaults); n == 0 {
-		t.Fatalf("cyclic sweep at 4x overcommit produced no refaults")
-	}
-	if r := p.ThrashRatio(); r < 0.5 {
-		t.Fatalf("thrash ratio = %v under a pure thrash loop, want >= 0.5", r)
-	}
-
-	// A fitting working set reads as calm.
-	q, qenv, _ := newTestPool(t, 64, 1<<16, 16*64)
-	for lap := 0; lap < 20; lap++ {
-		for id := ObjectID(0); id < 8; id++ {
-			access(t, q, id, 0, b[:], false)
-		}
-	}
-	if n := sim.Load(&qenv.Counters.Refaults); n != 0 {
-		t.Fatalf("fitting working set refaulted %d times", n)
-	}
-	if r := q.ThrashRatio(); r != 0 {
-		t.Fatalf("thrash ratio = %v for a fitting working set", r)
-	}
+	poolCase(t, "tier-off", thrash, "thrash ratio at least 0.5")
+	poolCase(t, "tier-off", calm)
 }
 
 func TestDemandMissesRespectReserveUnderPinSaturation(t *testing.T) {

@@ -44,55 +44,6 @@ func TestNewRuntimeValidation(t *testing.T) {
 	}
 }
 
-func TestMallocReturnsManagedPointers(t *testing.T) {
-	rt := newTestRuntime(t, 64, 1<<16, 1<<12)
-	p, err := rt.Malloc(128)
-	if err != nil {
-		t.Fatalf("Malloc: %v", err)
-	}
-	if !p.Managed() {
-		t.Fatalf("Malloc returned canonical pointer %#x", uint64(p))
-	}
-	if rt.Env().Counters.Mallocs != 1 {
-		t.Fatalf("Mallocs counter = %d", rt.Env().Counters.Mallocs)
-	}
-	if rt.HeapBytesInUse() != 128 {
-		t.Fatalf("HeapBytesInUse = %d", rt.HeapBytesInUse())
-	}
-}
-
-func TestMallocZeroBytes(t *testing.T) {
-	rt := newTestRuntime(t, 64, 1<<16, 1<<12)
-	p, err := rt.Malloc(0)
-	if err != nil {
-		t.Fatalf("Malloc(0): %v", err)
-	}
-	rt.Free(p) // must be a valid, freeable pointer
-}
-
-func TestMallocSmallAllocationsShareObjects(t *testing.T) {
-	rt := newTestRuntime(t, 4096, 1<<20, 1<<16)
-	a := rt.MustMalloc(16)
-	b := rt.MustMalloc(16)
-	idA, _ := a.object(12)
-	idB, _ := b.object(12)
-	if idA != idB {
-		t.Fatalf("small allocations not grouped: objects %d and %d", idA, idB)
-	}
-}
-
-func TestMallocSmallAllocationNeverStraddles(t *testing.T) {
-	rt := newTestRuntime(t, 64, 1<<20, 1<<14)
-	for i := 0; i < 200; i++ {
-		n := uint64(8 + (i%7)*8) // 8..56 bytes
-		p := rt.MustMalloc(n)
-		start, end := p.HeapOffset(), p.HeapOffset()+n-1
-		if start>>6 != end>>6 {
-			t.Fatalf("allocation %d of %dB straddles objects: [%#x,%#x]", i, n, start, end)
-		}
-	}
-}
-
 func TestMallocExhaustion(t *testing.T) {
 	rt := newTestRuntime(t, 64, 1<<10, 1<<10)
 	rt.MustMalloc(1)
@@ -100,54 +51,6 @@ func TestMallocExhaustion(t *testing.T) {
 		if _, err := rt.Malloc(n); err == nil {
 			t.Fatalf("over-heap Malloc(%d) succeeded", n)
 		}
-	}
-}
-
-func TestLoadStoreRoundTrip(t *testing.T) {
-	rt := newTestRuntime(t, 64, 1<<16, 1<<12)
-	p := rt.MustMalloc(64)
-	rt.StoreU64(p, 0xDEAD_BEEF)
-	if got := rt.LoadU64(p); got != 0xDEAD_BEEF {
-		t.Fatalf("LoadU64 = %#x", got)
-	}
-}
-
-func TestLoadStoreSurvivesEviction(t *testing.T) {
-	// One local slot: every alternate access evicts the other object.
-	rt := newTestRuntime(t, 64, 1<<16, 64)
-	a := rt.MustMalloc(8)
-	b := rt.MustMalloc(64) // lands in the next object
-	rt.StoreU64(a, 111)
-	rt.StoreU64(b, 222)
-	if rt.LoadU64(a) != 111 {
-		t.Fatalf("a lost across eviction")
-	}
-	if rt.LoadU64(b) != 222 {
-		t.Fatalf("b lost across eviction")
-	}
-	if rt.Env().Counters.Evacuations == 0 {
-		t.Fatalf("no evictions happened; test is vacuous")
-	}
-}
-
-func TestBulkAccessSpansObjects(t *testing.T) {
-	rt := newTestRuntime(t, 64, 1<<16, 1<<12)
-	p := rt.MustMalloc(256) // 4 objects
-	src := make([]byte, 256)
-	for i := range src {
-		src[i] = byte(i)
-	}
-	rt.Store(p, src)
-	dst := make([]byte, 256)
-	rt.Load(p, dst)
-	for i := range dst {
-		if dst[i] != byte(i) {
-			t.Fatalf("byte %d = %d", i, dst[i])
-		}
-	}
-	// 4 objects written + 4 read = at least 8 guards.
-	if g := rt.Env().Counters.Guards(); g < 8 {
-		t.Fatalf("Guards = %d, want >= 8", g)
 	}
 }
 
@@ -261,19 +164,6 @@ func TestOutOfHeapAccessPanics(t *testing.T) {
 	rt.LoadU64(ptrBase + Ptr(1<<10))
 }
 
-func TestFreeReleasesObjects(t *testing.T) {
-	rt := newTestRuntime(t, 64, 1<<16, 1<<12)
-	p := rt.MustMalloc(256) // 4 whole objects
-	rt.StoreU64(p, 7)
-	rt.Free(p)
-	if rt.HeapBytesInUse() != 0 {
-		t.Fatalf("HeapBytesInUse = %d after Free", rt.HeapBytesInUse())
-	}
-	if rt.Env().Counters.Frees != 1 {
-		t.Fatalf("Frees = %d", rt.Env().Counters.Frees)
-	}
-}
-
 func TestFreeUnknownPanics(t *testing.T) {
 	rt := newTestRuntime(t, 64, 1<<16, 1<<12)
 	defer func() {
@@ -282,33 +172,4 @@ func TestFreeUnknownPanics(t *testing.T) {
 		}
 	}()
 	rt.Free(ptrBase + 123)
-}
-
-// TestCursorPrefetchFlag: whether a stream prefetches is the compiler's
-// decision, carried by NewCursor's argument and by nothing else — a cursor
-// opened without it issues no prefetch, the same walk with it does.
-func TestCursorPrefetchFlag(t *testing.T) {
-	for _, prefetch := range []bool{false, true} {
-		rt, err := NewRuntime(Config{
-			Env: sim.NewEnv(), ObjectSize: 64,
-			HeapSize: 1 << 16, LocalBudget: 1 << 12,
-		})
-		if err != nil {
-			t.Fatalf("NewRuntime: %v", err)
-		}
-		const n = 64 // 8 objects of 8 elements
-		p := rt.MustMalloc(n * 8)
-		for i := uint64(0); i < n; i++ {
-			rt.StoreU64(p.Add(i*8), 1)
-		}
-		rt.EvacuateAll()
-		cur := rt.NewCursor(p, 8, prefetch)
-		for i := uint64(0); i < n; i++ {
-			cur.LoadU64(i)
-		}
-		cur.Close()
-		if issued := rt.Env().Counters.PrefetchIssued; (issued != 0) != prefetch {
-			t.Fatalf("prefetch=%v: cursor issued %d prefetches", prefetch, issued)
-		}
-	}
 }

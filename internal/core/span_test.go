@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -219,58 +218,6 @@ func TestChunkedLoopCostModel(t *testing.T) {
 		if got := env.Counters.LocalityGuards; got != objs {
 			t.Errorf("%s: LocalityGuards = %d, want %d", name, got, objs)
 		}
-	}
-}
-
-// TestSpanWriteMarksDirtyFirst: the dirty bit is set before Span hands the
-// bytes out, including when the chunk was entered by a read, and stores
-// through the span survive eviction.
-func TestSpanWriteMarksDirtyFirst(t *testing.T) {
-	rt := newTestRuntime(t, 64, 1<<16, 1<<12)
-	p := rt.MustMalloc(64)
-	rt.StoreU64(p, 1)
-	rt.EvacuateAll()
-	id, _ := p.object(6)
-
-	cur := rt.NewCursor(p, 8, false)
-	cur.LoadU64(0) // enters the chunk clean
-	if rt.Pool().Meta(id).Dirty() {
-		t.Fatalf("object dirty after a read")
-	}
-	span := cur.Span(1, 7, true)
-	if !rt.Pool().Meta(id).Dirty() {
-		t.Fatalf("Span(write) returned bytes of a clean object")
-	}
-	if len(span) != 7*8 {
-		t.Fatalf("Span(1, 7) = %d bytes, want %d", len(span), 7*8)
-	}
-	for o := 0; o < len(span); o += 8 {
-		binary.LittleEndian.PutUint64(span[o:], 40+uint64(o/8))
-	}
-	cur.Consumed(7)
-	cur.Close()
-	rt.EvacuateAll()
-	for i := uint64(1); i < 8; i++ {
-		if got := rt.LoadU64(p.Add(i * 8)); got != 39+i {
-			t.Fatalf("element %d = %d after eviction, want %d", i, got, 39+i)
-		}
-	}
-}
-
-// TestSpanStopsAtMaxAndObjectEnd covers the two bounds on a span's length.
-func TestSpanStopsAtMaxAndObjectEnd(t *testing.T) {
-	rt := newTestRuntime(t, 64, 1<<16, 1<<12)
-	p := rt.MustMalloc(256)
-	cur := rt.NewCursor(p, 8, false)
-	defer cur.Close()
-	if got := len(cur.Span(0, 100, false)); got != 64 {
-		t.Errorf("Span to the object's end = %d bytes, want 64", got)
-	}
-	if got := len(cur.Span(3, 2, false)); got != 16 {
-		t.Errorf("Span capped by max = %d bytes, want 16", got)
-	}
-	if got := len(cur.Span(15, 100, false)); got != 8 {
-		t.Errorf("Span from an object's last element = %d bytes, want 8", got)
 	}
 }
 
