@@ -98,11 +98,19 @@ test:
 	$(GO) test -race ./internal/fabric/... ./internal/aifm/... ./internal/fastswap/... ./internal/far/... ./internal/mem/... ./internal/remote/... ./internal/core/...
 
 # The models (internal/modeltest, the one harness, and an adapter per
-# runtime): seeded op traces run on a runtime over a FaultLink around
-# SimLink and on a flat byte array of what its heap must hold, fault-free,
-# with drops, corruption, outages and overload sheds, and with delays past
-# a per-op deadline. After every op the fault counters must reconcile with
-# the injected faults, the op's wire requests stay within RemoteRetries per
+# runtime): seeded op traces run on a runtime and on a flat byte array of
+# what its heap must hold, in one of two worlds. In the first the far node
+# is a SimLink behind a FaultLink: fault-free, with drops, corruption,
+# outages and overload sheds, and with delays past a per-op deadline. In
+# the second (the pool's three loopback configs) it is a real fabric.Server
+# on 127.0.0.1 over a remote.Store or a DurableStore, reached through an
+# unwrapped TCPTransport, window and prefetch stream and all; the same
+# schedules cut its connections inside and after request frames, corrupt
+# payloads in flight, split frames, restart it between ops, crash it at
+# drawn WAL offsets and recover it compressed every other boot, and after
+# every recovery the store must equal the replay of the mutations it
+# accepted. After every op the fault counters must reconcile with the
+# injected faults, the op's wire requests stay within RemoteRetries per
 # far-engine call, and the runtime's own check holds; a failed access must
 # have moved exactly the bytes of the units before the one it faulted on;
 # at quiesce the heap reads back and the far copies equal it. A failure
@@ -112,8 +120,10 @@ test:
 # anti-thrash governor against a reference governor and runs two hand-built
 # traces (a write sweep that throttles the governor and recovers it, a
 # degraded pool out of slots); then four workers on disjoint objects at
-# once under the race detector, over a small tier fault-free and faulted
-# and over a large one. The swap's model (fastswap) checks frames, dirty
+# once under the race detector, over a small tier fault-free and faulted,
+# over a large one, and over a faulty loopback server on a durable store,
+# where several demand connections and the prefetch stream run at once.
+# The swap's model (fastswap) checks frames, dirty
 # and referenced bits. The runtime's model (core) runs TrackFM's runtime
 # and the library one through mallocs, frees, guarded words and byte ranges
 # and chunked walks, holds the allocator, the guards and the cursors to
@@ -182,11 +192,16 @@ test-overload:
 # kills at randomized WAL offsets, recovered state byte-identical to the
 # acked-write oracle, torn tails exercised, deterministic JSON) plus the
 # durability unit tests (among them the durable × compressed composition
-# and the fsync-policy table), the server's graceful drain, the hello
-# that advertises a recovered node's generation, and the server killed
-# under an exchange that carries pushes (all re-sent, none lost).
+# and the fsync-policy table), the server's graceful drain and the hello
+# that advertises a recovered node's generation; then the pool's model over
+# a durable loopback node that crashes between ops and at drawn WAL
+# offsets, its connections cut mid-exchange: after every recovery the
+# store holds every acknowledged push and nothing else, a torn tail is
+# reported exactly when a crash point fell inside a record, and the
+# generation the transport sees goes up by one.
 test-crash:
-	$(GO) test -run 'TestCrashSoak|TestDurable|TestWAL|TestReplayWAL|TestServerShutdown|TestHelloAdvertisesIdentity|TestCarryServerKilledMidExchange' ./internal/bench ./internal/remote ./internal/fabric
+	$(GO) test -run 'TestCrashSoak|TestDurable|TestWAL|TestReplayWAL|TestServerShutdown|TestHelloAdvertisesIdentity' ./internal/bench ./internal/remote ./internal/fabric
+	$(GO) test -run '^TestModel$$/^loopback-faults-durable$$' ./internal/aifm
 
 # The memory-pressure gates: the thrash soak (governed 2x overcommit >=
 # 3x ungoverned throughput, zero lost localizations across a mid-run
@@ -246,18 +261,23 @@ test-allocs:
 	$(GO) test -run 'TestWireLeasesNetZero|TestTCPRoundTripAllocFree|TestStreamAllocFree' ./internal/fabric
 	$(GO) test -run 'TestNewRuntimeFootprint|TestLoopBodyAllocFree' ./internal/core ./internal/interp
 
-# The fault soak: 10k ops over one TCP server with seeded drops and
+# The fault soaks: 10k ops over one TCP server with seeded drops and
 # detected corruption on its link, the server closed for 1000 ops and
-# listening again on the same store, under the race detector.
+# listening again on the same store, under the race detector; then the
+# pool's model over a loopback server whose connections are cut and
+# corrupted and which restarts on the same store every 97 ops, also under
+# the race detector.
 test-soak:
 	$(GO) test -race -run TestFaultSoak -v ./internal/fabric
+	$(GO) test -race -run '^TestModel$$/^loopback-faults$$' ./internal/aifm
 
 # Short fixed-budget runs of the fuzzers, the fabric's one frame decoder
 # first and the compiler/interpreter differential last (go test accepts
 # one -fuzz pattern per invocation, hence one run each). Each model's
 # FuzzModel — the pool's, the swap's and the runtime's — takes its first
 # byte as the config, fault-free or faulty, and draws its trace from the
-# rest. FuzzFrame and the three FuzzModels cap the minimizing of each new
+# rest; the pool's picks among its SimLink configs only, for a loopback
+# config would build a server, and a data directory, for every input. FuzzFrame and the three FuzzModels cap the minimizing of each new
 # input at 200 runs: a FuzzModel input is a whole trace, and FuzzFrame
 # finds new inputs often; at the default 60 s of minimizing, about half of
 # FuzzFrame's run went by at 0 execs/s.

@@ -68,11 +68,18 @@ func (p *Pool) storeMeta(id ObjectID, m Meta) {
 // Victims are taken with TryLock — an evictor never blocks on a stripe
 // someone else holds (a mutator there means the object is not cold), it
 // just moves the hand on — which also rules out lock-order deadlocks: no
-// goroutine ever waits for a second stripe while holding one.
-func (p *Pool) probeVictim() (st *stripe, slot uint32, id ObjectID, m Meta, busy bool) {
+// goroutine ever waits for a second stripe while holding one. A resident
+// whose metadata word, read before the lock, says pass (tryTakeSlot's)
+// would neither take nor touch it is no candidate, and its stripe is not
+// locked at all; any other pass probes every resident.
+func (p *Pool) probeVictim(pass int) (st *stripe, slot uint32, id ObjectID, m Meta, busy bool) {
 	slot = uint32((p.hand.Add(1) - 1) % uint64(len(p.slotOwner)))
 	id = p.ownerAt(int(slot))
 	if id == noOwner {
+		return nil, 0, 0, 0, false
+	}
+	switch m = p.metaAt(id); {
+	case pass == 0 && !m.Prefetched(), pass == 1 && p.protectPF && m.Prefetched() && !m.Hot():
 		return nil, 0, 0, 0, false
 	}
 	st = p.stripeFor(id)
@@ -101,7 +108,7 @@ func (p *Pool) tryTakeSlotGentle() (uint32, bool) {
 		return 0, false
 	}
 	for i := 0; i < len(p.slotOwner); i++ {
-		st, slot, id, m, _ := p.probeVictim()
+		st, slot, id, m, _ := p.probeVictim(-1)
 		if st == nil {
 			continue
 		}
@@ -138,7 +145,7 @@ func (p *Pool) tryTakeSlot() (slot uint32, ok, blocked bool) {
 	}
 	for ; pass <= 2; pass++ {
 		for i := 0; i < len(p.slotOwner); i++ {
-			st, slot, id, m, busy := p.probeVictim()
+			st, slot, id, m, busy := p.probeVictim(pass)
 			if st == nil {
 				blocked = blocked || busy
 				continue

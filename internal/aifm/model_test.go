@@ -25,8 +25,10 @@ import (
 // adds its op to poolModel and its invariant to check or quiesce.
 
 // Every config's pool: 96 objects of 256 B over 16 slots, two wire attempts
-// an op. The configs differ in the compressed tier's starting budget and in
-// the harness's fault schedule.
+// an op. The configs differ in the compressed tier's starting budget, in
+// the harness's fault schedule and in its world: the last three run over a
+// real server on loopback, fault-free, faulty over a plain store kept across
+// restarts, and faulty over a durable store that crashes and recovers.
 const modelObjSize, modelObjs, modelSlots = 256, 96, 16
 
 type modelConfig struct {
@@ -42,7 +44,14 @@ var modelConfigs = []modelConfig{
 	{"faults", 0, modeltest.Schedules["faults"]},
 	{"faults-tier-small", 4 << 10, modeltest.Schedules["faults"]},
 	{"faults-deadline", 0, modeltest.Schedules["faults-deadline"]},
+	{"loopback", 0, modeltest.Schedules["fault-free"].OverLoopback(false)},
+	{"loopback-faults", 0, modeltest.Schedules["faults"].OverLoopback(false)},
+	{"loopback-faults-durable", 0, modeltest.Schedules["faults"].OverLoopback(true)},
 }
+
+// simConfigs are the configs over a SimLink, the ones FuzzModel runs: a
+// loopback trace builds a server for each input.
+var simConfigs = modelConfigs[:6]
 
 // modelCfg returns the config named name: tests pick configs by name, so a
 // config added or moved changes what no test covers.
@@ -127,7 +136,10 @@ func (g *refGov) tick(now uint64, ratio float64, window uint64) {
 
 // newModel builds a pool of cfg over r, and notes the failures every
 // config owes: both client protocols, Access and Pin, reading and writing,
-// refused by a degraded engine, and on a faulty config failed by the link.
+// refused by a degraded engine, and on a faulty SimLink config failed by
+// the link. Over loopback a cut of an idle connection is the transport's
+// to resend, so one fault seldom fails an op, and a prefetch's fetch fails
+// ops after it started: the loopback world owes those states instead.
 func newModel(r *modeltest.Rig, cfg modelConfig) (*model, error) {
 	p, err := NewPool(Config{
 		Env:              r.Env,
@@ -140,7 +152,7 @@ func newModel(r *modeltest.Rig, cfg modelConfig) (*model, error) {
 	for _, kind := range []string{"access", "pin"} {
 		for _, write := range []bool{false, true} {
 			r.Note(failedState(kind, write, far.ErrDegraded), false, true)
-			r.Note(failedState(kind, write, fabric.ErrRemoteUnavailable), false, r.Faulty())
+			r.Note(failedState(kind, write, fabric.ErrRemoteUnavailable), false, r.Faulty() && r.Far != nil)
 		}
 	}
 	return &model{r: r, p: p, tier: cfg.tier, budget: modelSlots, bound: modelSlots}, err
@@ -155,9 +167,10 @@ func (m *model) obj(id ObjectID) []byte {
 func resizeSlots(o modeltest.Op) int { return int(o.Val) % (modelSlots + 2) }
 
 // typed returns the typed error err wraps, or nil: the errors an op may
-// fail with, any other being a bug.
+// fail with, any other being a bug. A crashed memory node refuses a carried
+// push with a protocol error, which fails the exchange it rode in.
 func typed(err error) error {
-	for _, t := range []error{fabric.ErrRemoteUnavailable, fabric.ErrIntegrity, fabric.ErrDeadlineExceeded, fabric.ErrOverloaded, far.ErrDegraded} {
+	for _, t := range []error{fabric.ErrRemoteUnavailable, fabric.ErrIntegrity, fabric.ErrDeadlineExceeded, fabric.ErrOverloaded, fabric.ErrProtocol, far.ErrDegraded} {
 		if errors.Is(err, t) {
 			return t
 		}
@@ -241,7 +254,8 @@ func (m *model) step(o modeltest.Op) (failure, err error) {
 }
 
 // Check holds the pool's bookkeeping to what it summarizes, between ops:
-// every slot is owned, free, in the reserve or retired, exactly once; the
+// every slot is owned, free, in the reserve, retired or awaiting a
+// prefetch still in flight, exactly once; the
 // slot owners and the metadata table name the same residents, as many as
 // the resident count, within bound slots plus those borrowed from the
 // reserve floor, which only a lap that stalled on every resident borrows.
@@ -271,8 +285,17 @@ func (m *model) Check() error {
 	}
 	borrowed := p.reserveFloor - len(p.reserveFree)
 	p.freeMu.Unlock()
+	p.pendMu.Lock()
+	for _, pp := range p.pending {
+		seen[pp.slot]++
+		if p.Meta(pp.id).Present() {
+			p.pendMu.Unlock()
+			return fmt.Errorf("object %d is present while its prefetch is in flight", pp.id)
+		}
+	}
+	p.pendMu.Unlock()
 	if slot := slices.IndexFunc(seen, func(n int) bool { return n != 1 }); slot >= 0 {
-		return fmt.Errorf("slot %d is owned, free, in the reserve or retired %d times", slot, seen[slot])
+		return fmt.Errorf("slot %d is owned, free, in the reserve, retired or awaiting a prefetch %d times", slot, seen[slot])
 	}
 	for id := range p.table {
 		if p.Meta(ObjectID(id)).Present() {
@@ -352,11 +375,13 @@ func (m *model) Quiesce() error {
 // reached.
 func (m *model) Step(o modeltest.Op) error {
 	p, c, r, id := m.p, &m.p.env.Counters, m.r, ObjectID(o.ID)
-	meta, was, degraded, throttled := p.Meta(id), m.budget, p.Far().Degraded(), p.Throttled()
-	stalls, fetchFaults, corrupt := sim.Load(&c.EvictionStalls), sim.Load(&c.RemoteFetchFaults), r.Link.Stats().Corruptions
+	meta, was, degraded, throttled, inflight := p.Meta(id), m.budget, p.Far().Degraded(), p.Throttled(), prefetched(p, id) && !p.Meta(id).Present()
+	stalls, fetchFaults, corrupt := sim.Load(&c.EvictionStalls), sim.Load(&c.RemoteFetchFaults), r.Corruptions()
 	evictions, skipped, resizes, free := sim.Load(&c.Evacuations), sim.Load(&c.PrefetchSkippedPressure), p.Resizes(), p.freeCount()
-	// A fetch, refused or not, is timed.
+	// A fetch, refused or not, is timed; so is each prefetch still in flight
+	// that the op finishes.
 	fetches, cycles, ratio := p.lat.RemoteFetch.Snapshot().Count(), p.env.Clock.Cycles(), p.ThrashRatio()
+	critical, inWindow, hits, shared := sim.Load(&c.CriticalFetches), uint64(p.PendingPrefetches()), sim.Load(&c.PrefetchHits), sim.Load(&c.SingleflightShared)
 	// The throttled pool's admission gate: a prefetch that finds more
 	// than 0.75 of the budget in use is skipped (a degraded engine's,
 	// before it gets there). One the gate admits, of an object neither
@@ -382,9 +407,10 @@ func (m *model) Step(o modeltest.Op) error {
 	case "govern":
 		m.gov.tick(cycles, ratio, p.thrashWindow)
 	}
-	if now := p.Meta(id); failure != nil && now != meta {
+	now, landed := p.Meta(id), prefetched(p, id)
+	if failure != nil && now != meta {
 		err = errors.Join(err, fmt.Errorf("the failure left metadata %#x, was %#x", uint64(now), uint64(meta)))
-	} else if o.Kind == "prefetch" && degraded && !meta.Present() && now.Present() {
+	} else if o.Kind == "prefetch" && degraded && !meta.Present() && !inflight && landed {
 		err = errors.Join(err, fmt.Errorf("object %d prefetched while degraded", id))
 	} else if gated && (now != meta || sim.Load(&c.Evacuations) != evictions || sim.Load(&c.PrefetchSkippedPressure) != skipped+1) {
 		err = errors.Join(err, fmt.Errorf("a prefetch of object %d past the throttled pool's high-water mark was not skipped", id))
@@ -392,10 +418,34 @@ func (m *model) Step(o modeltest.Op) error {
 		err = errors.Join(err, fmt.Errorf("a %s counted a prefetch skipped under pressure", o.Kind))
 	} else if (movesBytes(o) || o.Kind == "prefetch") && free > 0 && sim.Load(&c.Evacuations) > evictions {
 		err = errors.Join(err, fmt.Errorf("%s evicted with %d slots free", o.Kind, free))
-	} else if movesBytes(o) && (meta == 0 || meta == metaFreed) && p.lat.RemoteFetch.Snapshot().Count() > fetches {
+	} else if movesBytes(o) && (meta == 0 || meta == metaFreed) && (sim.Load(&c.CriticalFetches) > critical || p.lat.RemoteFetch.Snapshot().Count() > fetches+inWindow) {
 		err = errors.Join(err, fmt.Errorf("the first touch of object %d, metadata %#x, fetched it", id, uint64(meta)))
-	} else if o.Kind == "prefetch" && !gated && !degraded && free > 0 && !meta.Present() && meta != metaFreed && !now.Present() && sim.Load(&c.RemoteFetchFaults) == fetchFaults {
+	} else if o.Kind == "prefetch" && !gated && !degraded && free > 0 && !meta.Present() && meta != metaFreed && !landed && sim.Load(&c.RemoteFetchFaults) == fetchFaults {
 		err = errors.Join(err, fmt.Errorf("a prefetch of object %d, with %d slots free and no fetch failed, installed nothing", id, free))
+	}
+	// A demand access that finds its object's prefetch in flight takes it
+	// over, a prefetch hit, or, if that fetch failed, fetches the object
+	// itself; a resize, an evacuation or a free settles every prefetch it
+	// meets first.
+	tookOver := movesBytes(o) && inflight && failure == nil
+	switch faulted := sim.Load(&c.RemoteFetchFaults) > fetchFaults; {
+	case tookOver && !faulted && (sim.Load(&c.CriticalFetches) != critical || sim.Load(&c.PrefetchHits) == hits || sim.Load(&c.SingleflightShared) != shared):
+		err = errors.Join(err, fmt.Errorf("a %s of object %d took over its prefetch in flight as %d critical fetches and %d prefetch hits", o.Kind, id, sim.Load(&c.CriticalFetches)-critical, sim.Load(&c.PrefetchHits)-hits))
+	case tookOver && faulted && sim.Load(&c.CriticalFetches) == critical && !slices.Contains(pendingIDs(p), id):
+		err = errors.Join(err, fmt.Errorf("a %s of object %d behind its failed prefetch fetched nothing", o.Kind, id))
+	case (o.Kind == "resize" && p.Resizes() > resizes || o.Kind == "evacuate-all") && p.PendingPrefetches() != 0:
+		err = errors.Join(err, fmt.Errorf("a %s left %d prefetches in flight", o.Kind, p.PendingPrefetches()))
+	case o.Kind == "free" && (landed || now != 0 && now != metaFreed):
+		err = errors.Join(err, fmt.Errorf("freed object %d has metadata %#x, in flight %t", id, uint64(now), landed))
+	}
+	r.Note("demand took over a prefetch in flight", tookOver && sim.Load(&c.RemoteFetchFaults) == fetchFaults, false) // for a Case
+	r.Note("demand fetched behind a failed prefetch", tookOver && sim.Load(&c.RemoteFetchFaults) > fetchFaults, false)
+	r.Note("settled prefetches in flight", inWindow > 0 && (o.Kind == "resize" && p.Resizes() > resizes || o.Kind == "evacuate-all" || o.Kind == "free" && inflight), false)
+	// A free whose delete the far node acknowledged leaves it no copy.
+	if o.Kind == "free" && now == 0 {
+		if found, perr := r.Peek(uint64(id), make([]byte, modelObjSize)); found || perr != nil {
+			err = errors.Join(err, perr, fmt.Errorf("object %d freed, its delete acknowledged, and the far node holds it (%t)", id, found))
+		}
 	}
 	if failure != nil {
 		r.Note(failedState(o.Kind, o.Val&1 == 1, typed(failure)), true, true)
@@ -424,14 +474,31 @@ func (m *model) Step(o modeltest.Op) error {
 		r.Note(state, reached, true)
 	}
 	r.Note("tier hit", sim.Load(&c.TierHits) > 0, m.tier > 0)
-	r.Note("failed prefetch", o.Kind == "prefetch" && sim.Load(&c.RemoteFetchFaults) > fetchFaults && !p.Meta(id).Present(), r.Faulty())
-	r.Note("corruption healed", failure == nil && r.Link.Stats().Corruptions > corrupt, r.Faulty())
+	r.Note("failed prefetch", o.Kind == "prefetch" && sim.Load(&c.RemoteFetchFaults) > fetchFaults && !prefetched(p, id), r.Faulty() && r.Far != nil)
+	r.Note("corruption healed", failure == nil && r.Corruptions() > corrupt, r.Faulty())
 	r.Note("thrash ratio at least 0.5", p.ThrashRatio() >= 0.5, false) // for a Case
 	r.Note("governor throttled", p.Throttled(), !absorbs)
 	r.Note("governor recovered", o.Kind == "govern" && throttled && !p.Throttled(), !absorbs)
 	r.Note("prefetch skipped under pressure", gated, !absorbs)
-	r.Note("prefetch admitted while throttled", o.Kind == "prefetch" && throttled && !meta.Present() && p.Meta(id).Present(), !absorbs)
+	r.Note("prefetch admitted while throttled", o.Kind == "prefetch" && throttled && !meta.Present() && !inflight && landed, !absorbs)
 	return err
+}
+
+// prefetched reports whether object id is resident, or on its way in: a
+// prefetch over a pipelined stream waits in the pending window.
+func prefetched(p *Pool, id ObjectID) bool {
+	return p.Meta(id).Present() || slices.Contains(pendingIDs(p), id)
+}
+
+// pendingIDs lists the objects whose prefetches are in flight, oldest first.
+func pendingIDs(p *Pool) []ObjectID {
+	p.pendMu.Lock()
+	defer p.pendMu.Unlock()
+	ids := make([]ObjectID, 0, len(p.pending))
+	for _, pp := range p.pending {
+		ids = append(ids, pp.id)
+	}
+	return ids
 }
 
 // failedState names the state an op of kind reached by failing with class.
@@ -516,9 +583,35 @@ func TestResizeShrinkEvictsAndGrowReactivates(t *testing.T) {
 	poolCase(t, "tier-off", poolModel.Trace(sim.NewRNG(10), poolModel.Len), "shrink", "grow", "a regrown budget filled")
 }
 
+// A free gives its slot back (Check's slot census), the object reads as
+// zeros after it (every read), and once the far node acknowledged the
+// delete it holds no copy (Step, over a SimLink and over loopback).
+func TestFreeReleasesSlotAndRemote(t *testing.T) {
+	for _, cfg := range []string{"tier-off", "loopback"} {
+		t.Run(cfg, func(t *testing.T) {
+			poolCase(t, cfg, poolModel.Trace(sim.NewRNG(11), poolModel.Len), "free of a resident", "free of an evicted object")
+		})
+	}
+}
+
+// Over loopback a demand access to an object whose prefetch is in flight
+// takes it over, a prefetch hit and no critical fetch (Step), and the
+// object is not present before its bytes arrive (Check).
+func TestDemandTakesOverPendingPrefetch(t *testing.T) {
+	poolCase(t, "loopback", []modeltest.Op{op("access", 3, 1), op("evacuate-all", 0, 0), op("prefetch", 3, 0), op("prefetch", 3, 0), op("pin", 3, 0)},
+		"demand took over a prefetch in flight")
+}
+
+// A prefetch whose fetch fails after it started (a restart cuts the
+// stream) installs nothing and gives its slot back (Check), and the demand
+// access that finds it fetches the object itself (Step).
+func TestFailedPendingPrefetchLeavesObjectRemote(t *testing.T) {
+	poolCase(t, "loopback-faults", poolModel.Trace(sim.NewRNG(14), poolModel.Len), "demand fetched behind a failed prefetch")
+}
+
 // runWorkers runs four workers' traces at once on one pool of cfg, each on
 // its own stripe of objects, so each read has one right answer; the checks
-// between ops wait for quiesce. It asserts the tier was hit.
+// between ops wait for quiesce. It asserts a tier, if any, was hit.
 func runWorkers(t *testing.T, cfg modelConfig) {
 	r := poolModel.Rig(t, cfg.sched)
 	m, err := newModel(r, cfg)
@@ -551,27 +644,29 @@ func runWorkers(t *testing.T, cfg modelConfig) {
 	m.bound = m.p.NumSlots()
 	if err := errors.Join(err, m.p.Resize(uint64(m.bound*modelObjSize)), m.Quiesce()); err != nil {
 		t.Fatal(err)
-	} else if !hit {
+	} else if !hit && cfg.tier > 0 {
 		t.Error("the workers never hit the compressed tier")
 	}
 }
 
 // TestConcurrentModel is the model's K-worker run over a small tier, with
-// a fault-free link and a faulty one. make test-stress runs it under -race.
+// a fault-free link and a faulty one, and over a faulty loopback server on a
+// durable store, where several demand connections and the prefetch stream
+// run at once. make test-model and make test-stress run it under -race.
 func TestConcurrentModel(t *testing.T) {
-	for _, name := range []string{"tier-small", "faults-tier-small"} {
+	for _, name := range []string{"tier-small", "faults-tier-small", "loopback-faults-durable"} {
 		t.Run(name, func(t *testing.T) { runWorkers(t, modelCfg(name)) })
 	}
 }
 
-// FuzzModel runs a trace drawn from the fuzzer's bytes on the config its
-// first argument picks, fault-free or faulty.
+// FuzzModel runs a trace drawn from the fuzzer's bytes on the SimLink
+// config its first argument picks, fault-free or faulty.
 func FuzzModel(f *testing.F) {
 	f.Add(uint8(0), []byte("a pool with no tier: ascii text draws a trace as well as anything"))
 	f.Add(uint8(1), bytes.Repeat([]byte{7, 200, 3, 90, 17, 250, 1, 64, 33, 128}, 40))
 	f.Add(uint8(3), bytes.Repeat([]byte{41, 9, 180, 77, 2, 240, 63, 5, 128, 99}, 40))
 	f.Fuzz(func(t *testing.T, c uint8, script []byte) {
-		cfg := modelConfigs[int(c)%len(modelConfigs)]
+		cfg := simConfigs[int(c)%len(simConfigs)]
 		poolModel.Fuzz(t, cfg.sched, serial(cfg), script)
 	})
 }

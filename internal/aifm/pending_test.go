@@ -1,7 +1,6 @@
 package aifm
 
 import (
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -110,74 +109,6 @@ func checkSettled(t *testing.T, p *Pool) {
 	if owned != p.ResidentSlots() || idle+owned != len(p.slotOwner) {
 		t.Errorf("slots: %d owned, %d resident, %d idle of %d", owned, p.ResidentSlots(), idle, len(p.slotOwner))
 	}
-}
-
-// TestDemandTakesOverPendingPrefetch: a demand access to an object whose
-// prefetch is still in flight finishes that prefetch itself. The access is
-// a prefetch hit, not a critical fetch, and one remote fetch is counted.
-func TestDemandTakesOverPendingPrefetch(t *testing.T) {
-	p, env, _ := loopbackPool(t, 32, 16)
-	p.Prefetch(3)
-	if n := p.PendingPrefetches(); n != 1 {
-		t.Fatalf("PendingPrefetches = %d after a prefetch over TCP, want 1", n)
-	}
-	if p.Meta(3).Present() {
-		t.Fatalf("object published before its bytes arrived")
-	}
-	p.Prefetch(3) // already claimed: must not start a second fetch
-	win, missed := pin(t, p, 3, false)
-	if missed {
-		t.Errorf("taking over a pending prefetch reported a blocking fetch")
-	}
-	wantObject(t, win, 3)
-	p.Unpin(3)
-	c := env.Counters.Snapshot()
-	if c.PrefetchHits != 1 || c.CriticalFetches != 0 || c.PrefetchIssued != 1 || c.RemoteFetches != 1 || c.SingleflightShared != 0 {
-		t.Errorf("prefetchHits=%d criticalFetches=%d prefetchIssued=%d remoteFetches=%d singleflightShared=%d; want 1 0 1 1 0",
-			c.PrefetchHits, c.CriticalFetches, c.PrefetchIssued, c.RemoteFetches, c.SingleflightShared)
-	}
-	checkSettled(t, p)
-}
-
-// TestFailedPendingPrefetchLeavesObjectRemote: a prefetch that fails after
-// it started installs nothing. The object stays remote, the slot goes back,
-// and the demand access that found the claim fetches the object itself.
-func TestFailedPendingPrefetchLeavesObjectRemote(t *testing.T) {
-	p, env, store := loopbackPool(t, 32, 16)
-	free := p.freeCount()
-	store.refuse.Store(true)
-	p.Prefetch(4)
-	p.Prefetch(5)
-	if n := p.PendingPrefetches(); n != 2 {
-		t.Fatalf("PendingPrefetches = %d, want 2", n)
-	}
-	p.drainPending() // both replies are refusals
-	if p.Meta(4).Present() || p.Meta(5).Present() {
-		t.Fatalf("a failed prefetch installed its object")
-	}
-	if got := p.freeCount(); got != free {
-		t.Errorf("%d free slots after two failed prefetches, want %d back", got, free)
-	}
-	checkSettled(t, p)
-
-	gets := store.gets.Load()
-	p.Prefetch(4) // pending again, and refused again — found by the demand access this time
-	for store.gets.Load() == gets {
-		runtime.Gosched() // the refusal must be served before the store heals
-	}
-	store.refuse.Store(false)
-	win, missed := pin(t, p, 4, false)
-	if !missed {
-		t.Errorf("the demand fetch behind a failed prefetch was not reported as a miss")
-	}
-	wantObject(t, win, 4)
-	p.Unpin(4)
-	c := env.Counters.Snapshot()
-	if c.RemoteFetchFaults != 3 || c.CriticalFetches != 1 || c.PrefetchHits != 0 || c.PrefetchIssued != 0 {
-		t.Errorf("remoteFetchFaults=%d criticalFetches=%d prefetchHits=%d prefetchIssued=%d; want 3 1 0 0",
-			c.RemoteFetchFaults, c.CriticalFetches, c.PrefetchHits, c.PrefetchIssued)
-	}
-	checkSettled(t, p)
 }
 
 // TestPendingWindowDrains: with the window full, each of the operations

@@ -1086,7 +1086,7 @@ func (p *Pool) Resize(newBudget uint64) error {
 	// stalled) shrinks lazily through giveSlot.
 	for pass := 0; pass < 2 && p.overTarget(); pass++ {
 		for i := 0; i < len(p.slotOwner) && p.overTarget(); i++ {
-			st, slot, id, m, _ := p.probeVictim()
+			st, slot, id, m, _ := p.probeVictim(-1)
 			if st == nil {
 				continue
 			}
@@ -1150,10 +1150,12 @@ func (p *Pool) zeroSlot(base uint64) {
 // and object id at byte offset off, localizing the object first. A write
 // marks the object dirty.
 //
-// A read of a resident, hot object takes no lock: it notes its stripe's
-// sequence, loads the metadata word, copies, and keeps the bytes if the
-// sequence has not moved — no store, eviction or Free ran in the stripe
-// meanwhile (readBegin). It runs only when the locked path would write
+// A read of at most racyMax bytes of a resident, hot object takes no lock:
+// it notes its stripe's sequence, loads the metadata word, copies into a
+// scratch of its own, and hands the bytes to buf if the sequence has not
+// moved — no store, eviction or Free ran in the stripe meanwhile
+// (readBegin). A copy it discards never touched buf, so a read that then
+// misses and fails leaves buf as it was. It runs only when the locked path would write
 // nothing (P and H set, E and PF clear), so no metadata bit or counter
 // depends on which path served it. Validating with the sequence rather than
 // the metadata word matters: an object evicted and fetched back into the
@@ -1173,11 +1175,13 @@ func (p *Pool) Access(id ObjectID, off uint64, buf []byte, write bool) error {
 		panic("aifm: Access beyond the object's end") // before the lock is taken
 	}
 	st := p.stripeFor(id)
-	if !write {
+	if n := len(buf); !write && n <= racyMax {
 		if addr, s, ok := p.readBegin(st, id); ok {
 			addr += off
-			racyCopy(buf, p.arena[addr:addr+uint64(len(buf))])
+			var scratch [racyMax]byte
+			racyCopy(scratch[:n], p.arena[addr:addr+uint64(n)])
 			if st.mu.readValid(s) {
+				copy(buf, scratch[:n])
 				return nil
 			}
 		}
@@ -1288,6 +1292,10 @@ func (p *Pool) copyLocked(addr uint64, buf []byte, write bool) {
 		copy(buf, obj)
 	}
 }
+
+// racyMax bounds the reads Access serves without a lock, whose bytes wait
+// in a scratch on the stack until they are known good.
+const racyMax = 256
 
 // racyCopy copies src to dst for Access's lock-free read, which may race
 // a store into src; the caller discards the bytes unless its sequence

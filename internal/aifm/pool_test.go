@@ -329,26 +329,6 @@ func TestStrideDetectorResetsOnRandomAccess(t *testing.T) {
 	}
 }
 
-func TestFreeReleasesSlotAndRemote(t *testing.T) {
-	p, _, link := newTestPool(t, 64, 1<<16, 64)
-	access(t, p, 0, 0, []byte{1}, true)
-	touch(t, p, 1, false) // evict 0 (dirty -> pushed)
-	if link.RemoteKeys() != 1 {
-		t.Fatalf("remote keys = %d", link.RemoteKeys())
-	}
-	p.Free(0)
-	if link.RemoteKeys() != 0 {
-		t.Fatalf("Free left remote copy")
-	}
-	p.Free(1)
-	if p.LocalBytes() != 0 {
-		t.Fatalf("Free left local copy")
-	}
-	if p.Meta(1) != 0 {
-		t.Fatalf("Free left metadata %v", p.Meta(1))
-	}
-}
-
 func TestFreePinnedPanics(t *testing.T) {
 	p, _, _ := newTestPool(t, 64, 1<<16, 64)
 	pin(t, p, 0, false)

@@ -319,7 +319,10 @@ func (m *model) guarded(o modeltest.Op) error {
 // from v: a word through the word guard, the twin's charging its meter; a
 // byte range through Load or Store once the twin has flushed, as a
 // backend's LoadBytes and StoreBytes do. Either guards each object it
-// spans once, and a single slow path flushes the meter.
+// spans once, and a single slow path flushes the meter. A word takes the
+// slow path on every object it spans that was not resident before it ran,
+// and only there when every one was; a straddler's slow path on its first
+// object may evict the second, whose guard is then slow too.
 func (m *model) guard(p Ptr, n int, write, word bool, v uint64) (failure string, err error) {
 	off := int(p.HeapOffset())
 	objs := uint64((off+n-1)/coreObj - off/coreObj + 1)
@@ -331,7 +334,12 @@ func (m *model) guard(p Ptr, n int, write, word bool, v uint64) (failure string,
 		for i := 0; write && i < n; i++ {
 			buf[i] = byte(v>>(i%8*8)) ^ byte(i>>3)
 		}
-		guards, slow := s.guards(), s.rt.counts.SlowPathGuards
+		guards, slow, resident := s.guards(), s.rt.counts.SlowPathGuards, uint64(0)
+		for o := off / coreObj; o <= (off+n-1)/coreObj; o++ {
+			if s.rt.pool.Meta(aifm.ObjectID(o)).Present() {
+				resident++
+			}
+		}
 		if failure, _, err = m.r.Access(off, coreObj, buf, write, word, coreEnds, m.peek, func() {
 			switch {
 			case word:
@@ -345,8 +353,13 @@ func (m *model) guard(p Ptr, n int, write, word bool, v uint64) (failure string,
 			m.r.Note("failed guard", failure != "", true)
 			return failure, err
 		}
+		slowed := s.rt.counts.SlowPathGuards - slow
+		m.r.Note("word on resident objects", word && resident == objs, false) // for a Case
+		m.r.Note("word on a far object", word && resident == 0, false)
 		if s.guards()-guards != objs {
 			return "", fmt.Errorf("%d bytes at %#x over %d objects: %d guards", n, off, objs, s.guards()-guards)
+		} else if word && (slowed < objs-resident || resident == objs && slowed != 0) {
+			return "", fmt.Errorf("a word at %#x over %d objects, %d resident: %d slow guards", off, objs, resident, slowed)
 		} else if s.meter != nil && (!word || objs == 1 && s.rt.counts.SlowPathGuards != slow) {
 			err = m.flushed()
 		}
@@ -679,6 +692,12 @@ func TestLoadStoreRoundTrip(t *testing.T) { coreCase(t, 13, "fast guard") }
 // and the far copies.
 func TestLoadStoreSurvivesEviction(t *testing.T) {
 	coreCase(t, 14, "evacuation", "remote fetch", "refault")
+}
+
+// guard: a word on objects resident before it takes no slow path, and one
+// on a far object takes it there.
+func TestGuardFastVsSlowPaths(t *testing.T) {
+	coreCase(t, 26, "word on resident objects", "word on a far object")
 }
 
 // guard: a byte range guards each object it spans once.

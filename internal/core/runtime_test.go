@@ -54,20 +54,6 @@ func TestMallocExhaustion(t *testing.T) {
 	}
 }
 
-func TestGuardFastVsSlowPaths(t *testing.T) {
-	rt := newTestRuntime(t, 64, 1<<16, 1<<12)
-	p := rt.MustMalloc(8)
-	rt.StoreU64(p, 1) // first touch: slow path (object not yet local)
-	c := &rt.Env().Counters
-	if c.SlowPathGuards != 1 || c.FastPathGuards != 0 {
-		t.Fatalf("first access: fast=%d slow=%d", c.FastPathGuards, c.SlowPathGuards)
-	}
-	rt.LoadU64(p) // resident now: fast path
-	if c.FastPathGuards != 1 {
-		t.Fatalf("second access: fast=%d", c.FastPathGuards)
-	}
-}
-
 func TestGuardCostsChargedPerTable1(t *testing.T) {
 	rt := newTestRuntime(t, 64, 1<<16, 1<<12)
 	env := rt.Env()

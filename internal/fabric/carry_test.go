@@ -250,66 +250,6 @@ func TestCarryReplyCorruptionTearsDown(t *testing.T) {
 	}
 }
 
-// TestCarryServerKilledMidExchange: the server dies with an exchange's
-// pushes stored and its fetch being served, and an empty successor takes
-// its place. The socket died inside the exchange, so the transport does not
-// resend it: the attempt fails with a typed connection error, and the
-// caller's re-issue goes out on a fresh socket and sends the pushes again —
-// the successor ends up with every one of them.
-func TestCarryServerKilledMidExchange(t *testing.T) {
-	old := &gateStore{Store: keyedStore(t, 8), open: make(chan struct{})}
-	srv := NewServer(old)
-	addr, err := srv.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("ListenAndServe: %v", err)
-	}
-	tr, err := DialWith(addr, fastRetry())
-	if err != nil {
-		t.Fatalf("DialWith: %v", err)
-	}
-	defer tr.Close()
-
-	old.armed.Store(true)
-	pushes := keyedPushes(100, 5, 2)
-	type result struct {
-		found bool
-		err   error
-	}
-	done := make(chan result, 1)
-	buf := make([]byte, 4096)
-	go func() {
-		found, err := tr.TryFetchAfterPushes(pushes, 5, buf, Deadline{})
-		done <- result{found, err}
-	}()
-	waitFor(t, "the exchange's fetch to reach the store", func() bool { return old.parked.Load() > 0 })
-	checkStored(t, old.Store, pushes, 2) // the pushes went in ahead of it
-	srv.Close()
-	close(old.open)
-	fresh := remote.NewStore()
-	srv2 := NewServer(fresh)
-	if _, err := srv2.ListenAndServe(addr); err != nil {
-		t.Fatalf("restart ListenAndServe: %v", err)
-	}
-	defer srv2.Close()
-
-	select {
-	case r := <-done:
-		if !errors.Is(r.err, ErrRemoteUnavailable) && !errors.Is(r.err, ErrShortRead) {
-			t.Fatalf("exchange cut by the kill = found %v, %v; want a connection error", r.found, r.err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("exchange still blocked 5s after the restart")
-	}
-	found, err := tr.TryFetchAfterPushes(pushes, 5, buf, Deadline{})
-	if err != nil || found {
-		t.Fatalf("re-issued exchange = found %v, %v; want key 5 absent on the empty successor", found, err)
-	}
-	checkStored(t, fresh, pushes, 2)
-	if st := tr.Stats(); st.Reconnects() < 1 || st.Retries() != 0 {
-		t.Errorf("reconnects = %d, resends = %d; want at least 1 and 0", st.Reconnects(), st.Retries())
-	}
-}
-
 // TestCarryPayloadTooLarge: an oversize push anywhere in a batch is refused
 // before anything is written.
 func TestCarryPayloadTooLarge(t *testing.T) {

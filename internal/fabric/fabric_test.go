@@ -3,7 +3,6 @@ package fabric
 import (
 	"bytes"
 	"errors"
-	"sync"
 	"testing"
 
 	"trackfm/internal/remote"
@@ -121,93 +120,6 @@ func TestBackendString(t *testing.T) {
 	}
 	if Backend(99).String() != "unknown" {
 		t.Fatalf("unknown backend string")
-	}
-}
-
-func TestTCPTransportRoundTrip(t *testing.T) {
-	store := remote.NewStore()
-	srv := NewServer(store)
-	addr, err := srv.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("ListenAndServe: %v", err)
-	}
-	defer srv.Close()
-
-	tr, err := Dial(addr)
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer tr.Close()
-
-	payload := []byte("far memory object payload")
-	mustPush(t, tr, 1234, payload)
-	dst := make([]byte, len(payload))
-	if !mustFetch(t, tr, 1234, dst) {
-		t.Fatalf("Fetch missed after Push")
-	}
-	if !bytes.Equal(dst, payload) {
-		t.Fatalf("Fetch = %q", dst)
-	}
-
-	// Miss returns found=false and zeros.
-	miss := make([]byte, 8)
-	if mustFetch(t, tr, 999, miss) {
-		t.Fatalf("Fetch of absent key reported found")
-	}
-	for _, b := range miss {
-		if b != 0 {
-			t.Fatalf("absent fetch not zero-filled: %v", miss)
-		}
-	}
-
-	mustDelete(t, tr, 1234)
-	if mustFetch(t, tr, 1234, dst) {
-		t.Fatalf("Fetch after Delete reported found")
-	}
-}
-
-func TestTCPTransportConcurrentClients(t *testing.T) {
-	store := remote.NewStore()
-	srv := NewServer(store)
-	addr, err := srv.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("ListenAndServe: %v", err)
-	}
-	defer srv.Close()
-
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			tr, err := Dial(addr)
-			if err != nil {
-				t.Errorf("Dial: %v", err)
-				return
-			}
-			defer tr.Close()
-			buf := make([]byte, 16)
-			for i := 0; i < 100; i++ {
-				key := uint64(g<<32 | i)
-				payload := bytes.Repeat([]byte{byte(g + 1)}, 16)
-				if err := tr.TryPushUntil(key, payload, Deadline{}); err != nil {
-					t.Errorf("client %d: push %d: %v", g, key, err)
-					return
-				}
-				if found, err := tr.TryFetchUntil(key, buf, Deadline{}); err != nil || !found {
-					t.Errorf("client %d: fetch %d = %v, %v", g, key, found, err)
-					return
-				}
-				if buf[0] != byte(g+1) {
-					t.Errorf("client %d: cross-talk, got %d", g, buf[0])
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if store.Len() != 400 {
-		t.Fatalf("store has %d blobs, want 400", store.Len())
 	}
 }
 

@@ -528,15 +528,17 @@ func (e *Engine) settle(b *wbBatch, err error, sent uint64) {
 // re-issued like any operation's (see again) and tallied with the push
 // faults. A delete that was not acknowledged may have left the last blob
 // pushed under key on the far node, where the next fetch of key finds it:
-// the caller must push over it before it fetches key again.
+// the caller must push over it before it fetches key again. So may one
+// acknowledged while another caller's exchange was carrying a push of key,
+// which can land after it; Delete reports that one unacknowledged too.
 func (e *Engine) Delete(key uint64) bool {
 	e.tier.Delete(key) // a freed unit must not be revivable
-	e.wb.drop(key)
+	sending := e.wb.drop(key)
 	start := e.env.Clock.Cycles()
 	for attempt := 1; ; attempt++ {
 		err := e.transport.TryDeleteUntil(key, fabric.Deadline{})
 		if !e.again(attempt, err, start, &e.env.Counters.RemotePushFaults) {
-			return err == nil
+			return err == nil && !sending
 		}
 	}
 }

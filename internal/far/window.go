@@ -189,17 +189,18 @@ func (w *window) settle(b *wbBatch, acked bool) {
 }
 
 // drop discards the copies of key nobody is sending: the unit was freed.
-// (One on the wire may land after the delete: the far blob it leaves is
-// unreachable, as after a lost delete.)
-func (w *window) drop(key uint64) {
+// It reports whether a copy is on the wire, which may land after the
+// delete: the caller must then treat the delete as lost.
+func (w *window) drop(key uint64) (sending bool) {
 	if w == nil {
-		return
+		return false
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if e := w.find(key, wbParked); e != nil {
 		w.release(e)
 	}
+	return w.find(key, wbInFlight) != nil
 }
 
 // clear sends every lease home. The engine is closing: nothing is in

@@ -432,13 +432,32 @@ func TestWindow(t *testing.T) {
 		r := newWrig(t, nil)
 		r.evict(1, 1)
 		r.evict(2, 1)
-		r.e.Delete(1)
+		if !r.e.Delete(1) {
+			t.Fatalf("Delete of a key with nothing in flight reported unacknowledged")
+		}
 		r.want("parked", r.depth(), 1)
 		r.miss(9)
 		if !slices.Equal(r.l.exchanges[0], []uint64{2}) {
 			t.Fatalf("exchange carried %v, want key 2 alone: key 1 was freed", r.l.exchanges[0])
 		}
 		r.want("key 1 on the server", r.far(1), 0)
+	})
+
+	t.Run("Delete behind its key's push in flight reports itself lost: the push may land after it", func(t *testing.T) {
+		r := newWrig(t, nil)
+		r.l.gate, r.l.entered = make(chan struct{}), make(chan struct{})
+		r.evict(1, 1)
+		flushed := make(chan error, 1)
+		go func() { flushed <- r.e.Flush() }()
+		<-r.l.entered // key 1 is on the wire
+		if r.e.Delete(1) {
+			t.Fatalf("Delete acknowledged while a push of its key was in flight")
+		}
+		r.l.open()
+		if err := <-flushed; err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+		r.want("key 1 on the server", r.far(1), 1)
 	})
 
 	t.Run("Close drains, and every lease comes home", func(t *testing.T) {

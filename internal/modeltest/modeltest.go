@@ -2,12 +2,13 @@
 // seeded trace of ops, drawn up front, runs on a runtime and on one flat
 // byte heap side by side: the heap holds the last bytes written at each
 // offset, zeros where none were, and every read must match it. The runtime
-// talks to a far node (a SimLink) through a FaultLink that runs one of the
-// named fault schedules. After every op the harness reconciles the fault
-// counters with the injected faults, bounds the op's wire requests by its
-// far-engine calls and runs the runtime's own check; at quiesce the runtime
-// reads its heap back. A failing trace is shrunk and reported with a replay
-// line.
+// talks to a far node that runs one of the named fault schedules, in one of
+// two worlds: a SimLink behind a FaultLink, or a real fabric.Server on
+// loopback over a remote store (loopback.go). After every op the harness
+// reconciles the fault counters with the injected faults, bounds the op's
+// wire requests by its far-engine calls and runs the runtime's own check;
+// at quiesce the runtime reads its heap back. A failing trace is shrunk and
+// reported with a replay line.
 //
 // A runtime joins through an adapter in its own _test.go files, which
 // supplies only its ops (Model), its check and its failure rule (Runtime).
@@ -34,10 +35,32 @@ import (
 var seed = flag.Uint64("model.seed", 0, "run TestModel's configs on this one seed (a failure prints it)")
 
 // Schedule is a fault schedule: what the FaultLink injects, and the per-op
-// deadline (RemoteConfig.OpDeadline, in cycles).
+// deadline (RemoteConfig.OpDeadline, in cycles); and the world it runs in.
 type Schedule struct {
 	Faults   fabric.FaultConfig
 	Deadline uint64
+	node     node
+}
+
+// node is the memory node a schedule's traces run against.
+type node int
+
+const (
+	simNode     node = iota // a SimLink behind a FaultLink
+	plainNode               // a fabric.Server on loopback over a remote.Store
+	durableNode             // ... over a remote.DurableStore
+)
+
+// OverLoopback is s run against a real fabric.Server on loopback, over a
+// plain remote.Store kept across restarts or over a DurableStore that
+// crashes and recovers: the loopback world, which reads s's faults in its
+// own terms (see loopback).
+func (s Schedule) OverLoopback(durable bool) Schedule {
+	s.node = plainNode
+	if durable {
+		s.node = durableNode
+	}
+	return s
 }
 
 // Schedules are the fault schedules every model runs under, by name: none;
@@ -115,23 +138,80 @@ type Runtime interface {
 	Quiesce() error
 }
 
-// Rig is the world one trace runs in: a simulated env, the far node behind
-// a FaultLink that runs the schedule, and the flat heap.
+// Rig is one trace's setting: a simulated env, the world the far node
+// lives in, and the flat heap.
 type Rig struct {
-	Env  *sim.Env
-	Far  *fabric.SimLink   // the far node
-	Link *fabric.FaultLink // what the runtime talks to
-	Mem  []byte            // what the runtime's heap must hold
+	Env *sim.Env
+	Far *fabric.SimLink // the far node of the SimLink world; nil over loopback
+	Mem []byte          // what the runtime's heap must hold
 
+	world   world
 	sched   Schedule
 	retries int
 	leases  int             // bufpool.Outstanding() before the runtime was built
 	cov     map[string]bool // nil: coverage is not kept
 
 	mu      sync.Mutex
-	base    fabric.FaultStats // the injected faults at the last ResetStats
-	reset   bool              // ResetStats ran during the current op
+	counted uint64 // fault counts the env held at the ResetStats before the current ones
+	reset   bool   // ResetStats ran during the current op
 	deletes atomic.Uint64
+}
+
+// world is where the far node lives, as the harness reads it. The SimLink
+// world keeps everything in process; the loopback world runs a real server
+// (loopback.go).
+type world interface {
+	// transport is what the runtime talks to.
+	transport() fabric.ErrorTransport
+	// faults reports how many fault counts the runtime's far engine owes
+	// the faults injected so far: exactly lo once nothing is in flight,
+	// and never more than hi (a fetch started on a pipelined stream is
+	// counted when it finishes).
+	faults() (lo, hi uint64)
+	// requests reports the wire requests the runtime has made.
+	requests() uint64
+	// corruptions reports the corrupted payloads injected so far.
+	corruptions() uint64
+	// peek reads the far copy of key into dst without charging a cycle.
+	peek(key uint64, dst []byte) (bool, error)
+	// between runs before op i, or before quiesce (i < 0): restarts and
+	// recoveries, and their checks.
+	between(i int) error
+	// check holds the world's own books after an op.
+	check() error
+	// close shuts the node down and releases what it holds.
+	close() error
+}
+
+// simWorld is a SimLink behind a FaultLink that runs the schedule.
+type simWorld struct {
+	far  *fabric.SimLink
+	link *fabric.FaultLink
+	env  *sim.Env
+}
+
+func (w *simWorld) transport() fabric.ErrorTransport { return w.link }
+
+func (w *simWorld) faults() (lo, hi uint64) {
+	fs := w.link.Stats()
+	return fs.InjectedFailures() + fs.Corruptions, fs.InjectedFailures() + fs.Corruptions
+}
+
+func (w *simWorld) requests() uint64    { return w.link.Stats().Ops }
+func (w *simWorld) corruptions() uint64 { return w.link.Stats().Corruptions }
+func (w *simWorld) between(int) error   { return nil }
+func (w *simWorld) check() error        { return nil }
+func (w *simWorld) close() error        { return nil }
+
+// peek fetches over the SimLink and hands back the cycles and bytes it
+// charged.
+func (w *simWorld) peek(key uint64, dst []byte) (bool, error) {
+	c := &w.env.Counters
+	cycles, fetched := w.env.Clock.Cycles(), sim.Load(&c.BytesFetched)
+	found, err := w.far.TryFetchUntil(key, dst, fabric.Deadline{})
+	w.env.Clock.Advance(cycles - w.env.Clock.Cycles()) // wraps around: takes the charge back
+	sim.Add(&c.BytesFetched, fetched-sim.Load(&c.BytesFetched))
+	return found, err
 }
 
 // Trace draws n ops from src: each op's kind by weight, then its
@@ -155,25 +235,46 @@ func (m Model) Trace(src Source, n int) []Op {
 
 // Rig builds a fresh world under sched for a test of the runtime's own that
 // drives its Runtime directly, with every buffer lease tracked for the rest
-// of tb so that LeasesHome can count them.
+// of tb so that LeasesHome can count them. The world closes with tb, if
+// LeasesHome has not closed it.
 func (m Model) Rig(tb testing.TB, sched Schedule) *Rig {
 	leaseDebug(tb)
-	return m.rig(sched, nil)
+	r, err := m.rig(sched, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { r.world.close() })
+	return r
 }
 
 // rig builds a fresh world under sched whose notes go to cov.
-func (m Model) rig(sched Schedule, cov map[string]bool) *Rig {
-	env, faults := sim.NewEnv(), sched.Faults
-	faults.Env = env
-	r := &Rig{Env: env, Far: fabric.NewSimLink(env, m.Backend), Mem: make([]byte, m.Heap), sched: sched,
-		retries: m.Retries, leases: bufpool.Outstanding(), cov: cov}
-	r.Link = fabric.NewFaultLink(r.Far, faults)
-	return r
+func (m Model) rig(sched Schedule, cov map[string]bool) (*Rig, error) {
+	r := &Rig{Env: sim.NewEnv(), Mem: make([]byte, m.Heap), sched: sched, retries: m.Retries, leases: bufpool.Outstanding(), cov: cov}
+	if sched.node != simNode {
+		w, err := newLoopback(r)
+		r.world = w
+		return r, err
+	}
+	faults := sched.Faults
+	faults.Env = r.Env
+	r.Far = fabric.NewSimLink(r.Env, m.Backend)
+	r.world = &simWorld{far: r.Far, link: fabric.NewFaultLink(r.Far, faults), env: r.Env}
+	return r, nil
 }
 
 // Remote is the RemoteConfig a runtime on r is built with.
 func (r *Rig) Remote() fabric.RemoteConfig {
-	return fabric.RemoteConfig{Transport: r.Link, RemoteRetries: r.retries, OpDeadline: r.sched.Deadline}
+	return fabric.RemoteConfig{Transport: r.world.transport(), RemoteRetries: r.retries, OpDeadline: r.sched.Deadline}
+}
+
+// Corruptions reports the payloads the world has corrupted in flight so far.
+func (r *Rig) Corruptions() uint64 { return r.world.corruptions() }
+
+// Peek reads the far node's copy of key into dst, charging nothing: an
+// absent key reads as zeros and reports false.
+func (r *Rig) Peek(key uint64, dst []byte) (bool, error) {
+	clear(dst)
+	return r.world.peek(key, dst)
 }
 
 // Faulty reports whether the schedule injects faults.
@@ -184,8 +285,9 @@ func (r *Rig) Faulty() bool { return r.sched.Faults != fabric.FaultConfig{} }
 func (r *Rig) ResetStats() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.counted = r.countedLocked()
 	r.Env.ResetStats()
-	r.base, r.reset = r.Link.Stats(), true
+	r.reset = true
 }
 
 // Deleted notes n far-engine deletes the current op made: the far engine
@@ -212,26 +314,27 @@ func (r *Rig) Differ(off int, got, want []byte) error {
 	return nil
 }
 
-// FarCopies fetches every unit of the heap straight from the far node and
-// compares it with the heap: once the runtime has written everything back,
-// the far node holds the heap (an absent key reads as zeros).
+// FarCopies peeks at every unit of the heap on the far node and compares it
+// with the heap: once the runtime has written everything back, the far node
+// holds the heap (an absent key reads as zeros).
 func (r *Rig) FarCopies(unit int) error {
 	var err error
 	buf := make([]byte, unit)
 	for k := 0; k < len(r.Mem)/unit; k++ {
-		clear(buf)
-		_, ferr := r.Far.TryFetchUntil(uint64(k), buf, fabric.Deadline{})
+		_, ferr := r.Peek(uint64(k), buf)
 		err = errors.Join(err, ferr, r.Differ(k*unit, buf, r.Mem[k*unit:(k+1)*unit]))
 	}
 	return err
 }
 
-// LeasesHome reports buffer leases the runtime took and did not return.
+// LeasesHome shuts the far node down, which releases the blobs it holds,
+// and reports buffer leases the runtime took and did not return.
 func (r *Rig) LeasesHome() error {
+	err := r.world.close()
 	if n := bufpool.Outstanding() - r.leases; n != 0 {
-		return fmt.Errorf("%d buffer leases outstanding", n)
+		err = errors.Join(err, fmt.Errorf("%d buffer leases outstanding", n))
 	}
-	return nil
+	return err
 }
 
 // Retry runs f until it neither fails nor panics, up to 1000 times, and
@@ -301,15 +404,27 @@ func (r *Rig) Access(off, unit int, buf []byte, write, word bool, ends []string,
 	return failure, 0, fmt.Errorf("failed with %q, having moved bytes up to no unit boundary before the unit it faulted on", failure)
 }
 
-// reconcile checks that the fault counters since the last ResetStats are
-// the faults the link injected plus the deadlines missed.
-func (r *Rig) reconcile() error {
+// countedLocked is the fetch and push faults the runtime has counted, less
+// the deadlines it missed, since the rig was built.
+func (r *Rig) countedLocked() uint64 {
+	c := r.Env.Counters.Snapshot()
+	return r.counted + c.RemoteFetchFaults + c.RemotePushFaults - c.DeadlineMisses
+}
+
+// reconcile checks that the fault counters are the faults the world
+// injected plus the deadlines missed: as many as the world owes, or, while
+// the world has fetches in flight that may yet fail, no more than that;
+// once quiet, exactly that.
+func (r *Rig) reconcile(quiet bool) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, fs := r.Env.Counters.Snapshot(), r.Link.Stats()
-	counted := c.RemoteFetchFaults + c.RemotePushFaults
-	if injected := fs.InjectedFailures() + fs.Corruptions - r.base.InjectedFailures() - r.base.Corruptions + c.DeadlineMisses; counted != injected {
-		return fmt.Errorf("%d fetch and push faults counted, %d injected or past their deadline", counted, injected)
+	counted := r.countedLocked()
+	lo, hi := r.world.faults()
+	if quiet {
+		lo = hi
+	}
+	if counted < lo || counted > hi {
+		return fmt.Errorf("%d fetch and push faults counted past the deadlines missed, the world injected %d (%d with what is in flight)", counted, lo, hi)
 	}
 	return nil
 }
@@ -344,24 +459,34 @@ func catch(f func() error) (err error) {
 // checked after every op, then quiesces it. cov, if not nil, collects the
 // states the trace reached.
 func (m Model) run(sched Schedule, build func(*Rig) (Runtime, error), cov map[string]bool, ops []Op) error {
-	r := m.rig(sched, cov)
+	r, err := m.rig(sched, cov)
+	defer func() { r.world.close() }()
+	if err != nil {
+		return err
+	}
 	rt, err := build(r)
 	if err != nil {
 		return err
 	}
 	for i, o := range ops {
-		wire, calls := r.Link.Stats().Ops, r.calls()
+		if err := r.world.between(i); err != nil {
+			return fmt.Errorf("before op %d %v: %w", i, o, err)
+		}
+		wire, calls := r.world.requests(), r.calls()
 		r.reset = false
 		err := catch(func() error { return rt.Step(o) })
 		// A far-engine call makes at most Retries wire requests.
-		if reqs, calls := r.Link.Stats().Ops-wire, r.calls()-calls; !r.reset && reqs > uint64(m.Retries)*calls {
+		if reqs, calls := r.world.requests()-wire, r.calls()-calls; !r.reset && reqs > uint64(m.Retries)*calls {
 			err = errors.Join(err, fmt.Errorf("%d wire requests for %d far-engine calls", reqs, calls))
 		}
-		if err := errors.Join(err, r.reconcile(), catch(rt.Check)); err != nil {
+		if err := errors.Join(err, r.reconcile(false), r.world.check(), catch(rt.Check)); err != nil {
 			return fmt.Errorf("op %d %v: %w", i, o, err)
 		}
 	}
-	if err := errors.Join(catch(rt.Quiesce), r.reconcile()); err != nil {
+	if err := r.world.between(-1); err != nil {
+		return fmt.Errorf("before quiesce: %w", err)
+	}
+	if err := errors.Join(catch(rt.Quiesce), r.reconcile(true), r.world.check()); err != nil {
 		return fmt.Errorf("quiesce: %w", err)
 	}
 	return nil

@@ -33,112 +33,6 @@ func mustDurableGet(t *testing.T, ds *DurableStore, key uint64, want []byte) {
 	}
 }
 
-func TestDurableRecoverFromWAL(t *testing.T) {
-	dir := t.TempDir()
-	ds := openTestDurable(t, dir, DurableConfig{Fsync: FsyncNever, SnapshotEvery: -1})
-	if err := ds.Put(1, []byte("one")); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	if err := ds.Put(2, []byte("two")); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	if err := ds.Put(1, []byte("ONE")); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	if err := ds.Delete(2); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	ds.Crash() // no snapshot, recovery is WAL-only
-
-	ds2 := openTestDurable(t, dir, DurableConfig{SnapshotEvery: -1})
-	rep := ds2.Recovery()
-	if rep.SnapshotLoaded {
-		t.Fatalf("recovery loaded a snapshot that was never written: %+v", rep)
-	}
-	if rep.ReplayedRecords == 0 || rep.TruncatedTail != 0 {
-		t.Fatalf("recovery replayed=%d truncated=%d", rep.ReplayedRecords, rep.TruncatedTail)
-	}
-	if ds2.Len() != 1 {
-		t.Fatalf("recovered %d blobs, want 1", ds2.Len())
-	}
-	mustDurableGet(t, ds2, 1, []byte("ONE"))
-	ds2.Close()
-}
-
-func TestDurableRecoverFromSnapshotPlusWAL(t *testing.T) {
-	dir := t.TempDir()
-	ds := openTestDurable(t, dir, DurableConfig{SnapshotEvery: -1})
-	for k := uint64(0); k < 8; k++ {
-		if err := ds.Put(k, []byte{byte(k), byte(k + 1)}); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-	}
-	if err := ds.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	if got := ds.WALSize(); got != 0 {
-		t.Fatalf("WAL size after Compact = %d, want 0", got)
-	}
-	// Post-snapshot mutations land in the fresh WAL and must replay on top.
-	if err := ds.Put(3, []byte("replaced")); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	if err := ds.Delete(7); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	ds.Crash()
-
-	ds2 := openTestDurable(t, dir, DurableConfig{SnapshotEvery: -1})
-	rep := ds2.Recovery()
-	if !rep.SnapshotLoaded || rep.SnapshotBlobs != 8 {
-		t.Fatalf("recovery: %+v, want snapshot with 8 blobs", rep)
-	}
-	if ds2.Len() != 7 {
-		t.Fatalf("recovered %d blobs, want 7", ds2.Len())
-	}
-	mustDurableGet(t, ds2, 3, []byte("replaced"))
-	if found, err := ds2.Get(7, make([]byte, 2)); err != nil || found {
-		t.Fatalf("deleted key recovered: found=%v err=%v", found, err)
-	}
-	mustDurableGet(t, ds2, 5, []byte{5, 6})
-	ds2.Close()
-}
-
-func TestDurableRecoveryTruncatesTornTail(t *testing.T) {
-	dir := t.TempDir()
-	ds := openTestDurable(t, dir, DurableConfig{SnapshotEvery: -1})
-	if err := ds.Put(1, []byte("acknowledged")); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	// Arm the crash point mid-way through the next record: the append
-	// tears exactly like a process kill mid-write.
-	ds.SetCrashPoint(ds.WALWritten() + 10)
-	if err := ds.Put(2, []byte("never acked")); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("Put past crash point: err=%v, want ErrCrashed", err)
-	}
-	if err := ds.Put(3, []byte("after crash")); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("Put after crash: err=%v, want ErrCrashed", err)
-	}
-	ds.Crash()
-
-	ds2 := openTestDurable(t, dir, DurableConfig{SnapshotEvery: -1})
-	rep := ds2.Recovery()
-	if !rep.TornTail || rep.TruncatedTail == 0 {
-		t.Fatalf("recovery did not report a torn tail: %+v", rep)
-	}
-	if ds2.Len() != 1 {
-		t.Fatalf("recovered %d blobs, want only the acknowledged one", ds2.Len())
-	}
-	mustDurableGet(t, ds2, 1, []byte("acknowledged"))
-	// The tail was physically truncated: a third boot sees a clean log.
-	ds2.Crash()
-	ds3 := openTestDurable(t, dir, DurableConfig{SnapshotEvery: -1})
-	if rep := ds3.Recovery(); rep.TruncatedTail != 0 {
-		t.Fatalf("second recovery still dropped %d bytes", rep.TruncatedTail)
-	}
-	ds3.Close()
-}
-
 func TestDurableRecoveryCorruptSnapshotFallsBackToWAL(t *testing.T) {
 	dir := t.TempDir()
 	ds := openTestDurable(t, dir, DurableConfig{SnapshotEvery: -1})
