@@ -106,14 +106,22 @@ test:
 # on 127.0.0.1 over a remote.Store or a DurableStore, reached through an
 # unwrapped TCPTransport, window and prefetch stream and all; the same
 # schedules cut its connections inside and after request frames, corrupt
-# payloads in flight, split frames, restart it between ops, crash it at
-# drawn WAL offsets and recover it compressed every other boot, and after
-# every recovery the store must equal the replay of the mutations it
-# accepted. After every op the fault counters must reconcile with the
-# injected faults, the op's wire requests stay within RemoteRetries per
-# far-engine call, and the runtime's own check holds; a failed access must
-# have moved exactly the bytes of the units before the one it faulted on;
-# at quiesce the heap reads back and the far copies equal it. A failure
+# payloads in flight, split frames, and take the node out of service for
+# several ops — down, hanging up on every connection, or, durable, up but
+# crashed at a drawn WAL offset and refusing every write — until the
+# runtime has failed eight attempts against it; then it restarts and
+# recovers, compressed every other boot, and the store must equal the
+# replay of the mutations it accepted. While the node is down a resident
+# op must succeed and a miss fail typed, never read zeros; while it
+# refuses writes a miss must be served. After every op the fault counters
+# must reconcile with the injected faults, the op's wire requests stay
+# within RemoteRetries per far-engine call, an op that failed outside an
+# outage must be one the retry budget denied a re-issue, whose error was
+# permanent, or that paid a token for each re-issue, and the runtime's own
+# check holds; a failed access must have moved exactly the bytes of the
+# units before the one it faulted on; at quiesce the heap reads back and
+# the far copies equal it. A config's seeded and directed traces run at
+# once, and their buffer leases are counted when all are done. A failure
 # prints its seed, its op, a replay line (-model.seed) and the trace shrunk
 # to the ops that still fail. The pool's model (aifm) also runs with the
 # compressed tier small and large, toggles a forced degradation, ticks the
@@ -122,7 +130,8 @@ test:
 # degraded pool out of slots); then four workers on disjoint objects at
 # once under the race detector, over a small tier fault-free and faulted,
 # over a large one, and over a faulty loopback server on a durable store,
-# where several demand connections and the prefetch stream run at once.
+# where several demand connections and the prefetch stream run at once
+# and the node goes out of service every 97 of the workers' ops.
 # The swap's model (fastswap) checks frames, dirty
 # and referenced bits. The runtime's model (core) runs TrackFM's runtime
 # and the library one through mallocs, frees, guarded words and byte ranges
@@ -194,11 +203,12 @@ test-overload:
 # durability unit tests (among them the durable × compressed composition
 # and the fsync-policy table), the server's graceful drain and the hello
 # that advertises a recovered node's generation; then the pool's model over
-# a durable loopback node that crashes between ops and at drawn WAL
-# offsets, its connections cut mid-exchange: after every recovery the
-# store holds every acknowledged push and nothing else, a torn tail is
-# reported exactly when a crash point fell inside a record, and the
-# generation the transport sees goes up by one.
+# a durable loopback node that goes down, or crashes at drawn WAL offsets
+# and keeps serving reads while it refuses writes, its connections cut
+# mid-exchange: after every recovery the store holds every acknowledged
+# push and nothing else, a torn tail is reported exactly when a crash
+# point fell inside a record, and the generation the transport sees goes
+# up by one.
 test-crash:
 	$(GO) test -run 'TestCrashSoak|TestDurable|TestWAL|TestReplayWAL|TestServerShutdown|TestHelloAdvertisesIdentity' ./internal/bench ./internal/remote ./internal/fabric
 	$(GO) test -run '^TestModel$$/^loopback-faults-durable$$' ./internal/aifm
@@ -261,15 +271,13 @@ test-allocs:
 	$(GO) test -run 'TestWireLeasesNetZero|TestTCPRoundTripAllocFree|TestStreamAllocFree' ./internal/fabric
 	$(GO) test -run 'TestNewRuntimeFootprint|TestLoopBodyAllocFree' ./internal/core ./internal/interp
 
-# The fault soaks: 10k ops over one TCP server with seeded drops and
-# detected corruption on its link, the server closed for 1000 ops and
-# listening again on the same store, under the race detector; then the
-# pool's model over a loopback server whose connections are cut and
-# corrupted and which restarts on the same store every 97 ops, also under
-# the race detector.
+# The fault soak: the pool's model, under the race detector, over a
+# loopback server whose connections are cut and corrupted and which goes
+# out of service every 97 ops until eight attempts against it have
+# failed — down, on the plain store it comes back with; down or crashed
+# and refusing writes, on the durable one.
 test-soak:
-	$(GO) test -race -run TestFaultSoak -v ./internal/fabric
-	$(GO) test -race -run '^TestModel$$/^loopback-faults$$' ./internal/aifm
+	$(GO) test -race -run '^TestModel$$/^loopback-faults' ./internal/aifm
 
 # Short fixed-budget runs of the fuzzers, the fabric's one frame decoder
 # first and the compiler/interpreter differential last (go test accepts

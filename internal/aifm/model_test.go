@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"trackfm/internal/fabric"
 	"trackfm/internal/far"
@@ -149,6 +151,9 @@ func newModel(r *modeltest.Rig, cfg modelConfig) (*model, error) {
 		LocalBudget:      modelSlots * modelObjSize,
 		CompressedBudget: cfg.tier,
 	})
+	if err == nil {
+		p.Far().RegisterObs(r.Obs)
+	}
 	for _, kind := range []string{"access", "pin"} {
 		for _, write := range []bool{false, true} {
 			r.Note(failedState(kind, write, far.ErrDegraded), false, true)
@@ -167,10 +172,10 @@ func (m *model) obj(id ObjectID) []byte {
 func resizeSlots(o modeltest.Op) int { return int(o.Val) % (modelSlots + 2) }
 
 // typed returns the typed error err wraps, or nil: the errors an op may
-// fail with, any other being a bug. A crashed memory node refuses a carried
-// push with a protocol error, which fails the exchange it rode in.
+// fail with, any other being a bug. A memory node that refuses writes
+// fails the pushes a fetch carries, never the fetch.
 func typed(err error) error {
-	for _, t := range []error{fabric.ErrRemoteUnavailable, fabric.ErrIntegrity, fabric.ErrDeadlineExceeded, fabric.ErrOverloaded, fabric.ErrProtocol, far.ErrDegraded} {
+	for _, t := range []error{fabric.ErrRemoteUnavailable, fabric.ErrIntegrity, fabric.ErrDeadlineExceeded, fabric.ErrOverloaded, far.ErrDegraded} {
 		if errors.Is(err, t) {
 			return t
 		}
@@ -388,6 +393,9 @@ func (m *model) Step(o modeltest.Op) error {
 	// resident nor freed, takes a free slot if there is one.
 	gated := o.Kind == "prefetch" && throttled && !degraded && 1-float64(free)/float64(p.NumSlots()) > 0.75
 	failure, err := m.step(o)
+	if movesBytes(o) {
+		err = errors.Join(err, r.Served(failure, meta.Present(), !meta.Present() && meta != 0 && meta != metaFreed && !inflight))
+	}
 	stalled := sim.Load(&c.EvictionStalls) > stalls
 	m.everStalled = m.everStalled || stalled
 	switch o.Kind {
@@ -619,8 +627,9 @@ func runWorkers(t *testing.T, cfg modelConfig) {
 		t.Fatal(err)
 	}
 	const workers = 4
-	errs := make([]error, workers)
+	errs := make([]error, workers+1)
 	var wg sync.WaitGroup
+	var stepped atomic.Int64
 	for w := range workers {
 		ops := poolModel.Trace(sim.NewRNG(uint64(w)+1), 4000)
 		wg.Add(1)
@@ -631,10 +640,35 @@ func runWorkers(t *testing.T, cfg modelConfig) {
 				if _, err := m.step(ops[i]); err != nil {
 					errs[w] = fmt.Errorf("worker %d op %d %v: %w", w, i, ops[i], err)
 				}
+				stepped.Add(1)
 			}
 		}()
 	}
+	// The world's events run between the workers' ops counted together,
+	// on a goroutine of their own: a worker may wait in a miss until the
+	// node is back.
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for i := 1; errs[workers] == nil; {
+			n := int(stepped.Load())
+			for ; i < n && errs[workers] == nil; i++ {
+				errs[workers] = r.Between(i)
+			}
+			errs[workers] = errors.Join(errs[workers], r.Between(i))
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+		}
+	}()
 	wg.Wait()
+	close(stop)
+	<-stopped
+	errs[workers] = errors.Join(errs[workers], r.Between(-1))
 	hit := m.p.Far().Tier().Stats().Snapshot().Hits > 0
 	// Check the pool the workers left: a lap that found every stripe busy
 	// borrows too, and any budget the workers set may be stalled. A shrink

@@ -753,7 +753,7 @@ func (p *Pool) claimSlot() (uint32, error) {
 		case ok:
 			return slot, nil
 		case !blocked:
-			return 0, errors.New("aifm: local memory exhausted: every resident slot and the reserve floor are pinned")
+			return 0, p.exhausted()
 		case p.far.Degraded():
 			return 0, fmt.Errorf("aifm: no slot: every resident is dirty and the reserve floor is spent: %w", far.ErrDegraded)
 		}
@@ -764,6 +764,27 @@ func (p *Pool) claimSlot() (uint32, error) {
 		}
 		time.Sleep(slotRetryPause)
 	}
+}
+
+// exhausted is claimSlot's failure when a lap found nothing to take and
+// nothing worth waiting for, with what the pool held just after it: the
+// residents and how many are pinned, the slots owned by nobody that are
+// neither free nor awaiting a prefetch (claims in flight), the prefetches
+// pending, the free and reserve slots, and the budget.
+func (p *Pool) exhausted() error {
+	unowned := 0
+	for slot := range p.slotOwner {
+		if p.ownerAt(slot) == noOwner {
+			unowned++
+		}
+	}
+	pending := p.PendingPrefetches()
+	p.freeMu.Lock()
+	free, retired, reserve := len(p.freeSlots), len(p.retired), len(p.reserveFree)
+	p.freeMu.Unlock()
+	return fmt.Errorf("aifm: local memory exhausted: every resident slot and the reserve floor are pinned "+
+		"(%d residents, %d pinned; %d slots claimed in flight, %d prefetches pending; %d free, %d of %d reserve slots free; target %d slots)",
+		p.resident.Load(), p.PinnedObjects(), unowned-free-retired-reserve-pending, pending, free, reserve, p.reserveFloor, p.targetSlots.Load())
 }
 
 // Prefetch asynchronously localizes id if it is remote and a slot can be

@@ -98,9 +98,9 @@ func TestCarryIsOneWriteOneFlush(t *testing.T) {
 	for i, n := range []int{3, 8} {
 		pushes := keyedPushes(100*(i+1), n, 2)
 		w0, frames, flushes := cw.Load(), srv.Stats().Frames(), srv.Stats().Flushes()
-		found, err := tr.TryFetchAfterPushes(pushes, 5, buf, Deadline{})
-		if err != nil || !found {
-			t.Fatalf("TryFetchAfterPushes = %v, %v", found, err)
+		found, pushed, err := tr.TryFetchAfterPushes(pushes, 5, buf, Deadline{})
+		if err != nil || pushed != nil || !found {
+			t.Fatalf("TryFetchAfterPushes = %v, pushes %v, fetch %v", found, pushed, err)
 		}
 		if err := checkKeyedPayload(buf, 5, 1); err != nil {
 			t.Error(err)
@@ -137,13 +137,14 @@ func TestCarryIsOneWriteOneFlush(t *testing.T) {
 	}
 }
 
-// TestCarryRefusalMidExchange: frame k of an exchange is refused with one
-// byte — shed by admission control, or its CRC trailer rejected — at the
-// head, in the middle, and as the last push before the fetch. The client
-// reads the other acks and the reply behind the refusal in order, keeps
-// the connection, and reports the refusal after its one attempt; the
-// caller's re-issue of the whole exchange (the far engine's) goes through
-// on the same connection. Nothing is lost and nothing is delivered to the
+// TestCarryRefusalMidExchange: push k of the three carried ahead of a
+// fetch is refused with one byte — shed by admission control, or its CRC
+// trailer rejected — at the head, in the middle, and as the last push
+// before the fetch. The client reads the other acks and the reply behind
+// the refusal in order and keeps the connection; the refusal fails the
+// pushes alone, after one attempt, and the fetch is served. The caller's
+// re-issue of the pushes (the far engine's next exchange) goes through on
+// the same connection. Nothing is lost and nothing is delivered to the
 // wrong place.
 func TestCarryRefusalMidExchange(t *testing.T) {
 	for _, tc := range []struct {
@@ -175,18 +176,18 @@ func TestCarryRefusalMidExchange(t *testing.T) {
 
 				armed.Store(true)
 				pushes := keyedPushes(100, 3, 2) // with the fetch, one Write
-				if _, err := tr.TryFetchAfterPushes(pushes, 5, buf, Deadline{}); !errors.Is(err, tc.want) {
-					t.Fatalf("refused TryFetchAfterPushes = %v, want %v", err, tc.want)
+				found, pushed, err := tr.TryFetchAfterPushes(pushes, 5, buf, Deadline{})
+				if err != nil || !found || !errors.Is(pushed, tc.want) {
+					t.Fatalf("refused TryFetchAfterPushes = %v, pushes %v, fetch %v; want the fetch served, the pushes %v", found, pushed, err, tc.want)
 				}
 				if armed.Load() {
 					t.Fatal("no exchange went through the editing dialer")
 				}
-				found, err := tr.TryFetchAfterPushes(pushes, 5, buf, Deadline{})
-				if err != nil || !found {
-					t.Fatalf("re-issued TryFetchAfterPushes = %v, %v", found, err)
-				}
 				if err := checkKeyedPayload(buf, 5, 1); err != nil {
 					t.Error(err)
+				}
+				if err := tr.TryPushAll(pushes, Deadline{}); err != nil {
+					t.Fatalf("re-issued TryPushAll = %v", err)
 				}
 				checkStored(t, store, pushes, 2)
 				st := tr.Stats()
@@ -227,15 +228,15 @@ func TestCarryReplyCorruptionTearsDown(t *testing.T) {
 	buf := make([]byte, 4096)
 	mustFetch(t, tr, 7, buf) // the corrupting dialer's connection, one whole reply in
 	frames, re := srv.Stats().Frames(), tr.Stats().Reconnects()
-	if _, err := tr.TryFetchAfterPushes(pushes, 5, buf, Deadline{}); !errors.Is(err, ErrIntegrity) {
-		t.Fatalf("TryFetchAfterPushes with a corrupted reply = %v, want ErrIntegrity", err)
+	if _, pushed, err := tr.TryFetchAfterPushes(pushes, 5, buf, Deadline{}); !errors.Is(err, ErrIntegrity) || !errors.Is(pushed, ErrIntegrity) {
+		t.Fatalf("TryFetchAfterPushes with a corrupted reply = pushes %v, fetch %v; want ErrIntegrity for both", pushed, err)
 	}
 	if armed.Load() {
 		t.Fatal("no reply went through the corrupting dialer")
 	}
-	found, err := tr.TryFetchAfterPushes(pushes, 5, buf, Deadline{})
-	if err != nil || !found {
-		t.Fatalf("re-issued TryFetchAfterPushes = %v, %v", found, err)
+	found, pushed, err := tr.TryFetchAfterPushes(pushes, 5, buf, Deadline{})
+	if err != nil || pushed != nil || !found {
+		t.Fatalf("re-issued TryFetchAfterPushes = %v, pushes %v, fetch %v", found, pushed, err)
 	}
 	if err := checkKeyedPayload(buf, 5, 1); err != nil {
 		t.Error(err)
@@ -256,7 +257,7 @@ func TestCarryPayloadTooLarge(t *testing.T) {
 	srv, tr := serveAndDial(t, remote.NewStore())
 	frames := srv.Stats().Frames()
 	pushes := []Push{{Key: 1, Src: make([]byte, 64)}, {Key: 2, Src: make([]byte, MaxPayload+1)}}
-	if _, err := tr.TryFetchAfterPushes(pushes, 3, make([]byte, 64), Deadline{}); !errors.Is(err, ErrPayloadTooLarge) {
+	if _, _, err := tr.TryFetchAfterPushes(pushes, 3, make([]byte, 64), Deadline{}); !errors.Is(err, ErrPayloadTooLarge) {
 		t.Errorf("TryFetchAfterPushes = %v, want ErrPayloadTooLarge", err)
 	}
 	if err := tr.TryPushAll(pushes, Deadline{}); !errors.Is(err, ErrPayloadTooLarge) {

@@ -135,9 +135,9 @@ func TestTCPConcurrentCallersNoCrossTalk(t *testing.T) {
 		t.Fatalf("ListenAndServe: %v", err)
 	}
 	defer srv.Close()
-	tr, err := DialWith(addr, fastRetry())
+	tr, err := Dial(addr)
 	if err != nil {
-		t.Fatalf("DialWith: %v", err)
+		t.Fatalf("Dial: %v", err)
 	}
 	defer tr.Close()
 
@@ -171,9 +171,9 @@ func TestTCPConcurrentCallersSurviveRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ListenAndServe: %v", err)
 	}
-	tr, err := DialWith(addr, fastRetry())
+	tr, err := Dial(addr)
 	if err != nil {
-		t.Fatalf("DialWith: %v", err)
+		t.Fatalf("Dial: %v", err)
 	}
 	defer tr.Close()
 
@@ -316,9 +316,9 @@ func TestTCPCloseDuringStalledOp(t *testing.T) {
 		}
 	}()
 
-	tr, err := DialWith(ln.Addr().String(), DialOptions{OpTimeout: 30 * time.Second})
+	tr, err := Dial(ln.Addr().String())
 	if err != nil {
-		t.Fatalf("DialWith: %v", err)
+		t.Fatalf("Dial: %v", err)
 	}
 	opErr := make(chan error, 1)
 	go func() {
@@ -482,8 +482,8 @@ func TestTCPRoundTripAllocFree(t *testing.T) {
 				{"fetch round trip", func() error { _, err := tr.TryFetchUntil(1, buf, Deadline{}); return err }},
 				{"push round trip", func() error { return tr.TryPushUntil(1, buf, Deadline{}) }},
 				{"two pushes and a fetch in one exchange", func() error {
-					_, err := tr.TryFetchAfterPushes(pushes, 1, buf, Deadline{})
-					return err
+					_, pushed, err := tr.TryFetchAfterPushes(pushes, 1, buf, Deadline{})
+					return errors.Join(pushed, err)
 				}},
 				{"two pushes in one exchange", func() error { return tr.TryPushAll(pushes, Deadline{}) }},
 				{"StartFetch + Wait", func() error {

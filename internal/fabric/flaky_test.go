@@ -12,68 +12,6 @@ import (
 	"trackfm/internal/sim"
 )
 
-// fastRetry is tight pacing so failure-path tests don't sit in backoff.
-func fastRetry() DialOptions {
-	return DialOptions{
-		Retry: RetryPolicy{
-			BaseBackoff: time.Millisecond,
-			MaxBackoff:  5 * time.Millisecond,
-		},
-		OpTimeout: 2 * time.Second,
-	}
-}
-
-func TestReconnectAfterServerRestart(t *testing.T) {
-	store := remote.NewStore()
-	srv := NewServer(store)
-	addr, err := srv.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("ListenAndServe: %v", err)
-	}
-	tr, err := DialWith(addr, fastRetry())
-	if err != nil {
-		t.Fatalf("DialWith: %v", err)
-	}
-	defer tr.Close()
-	payload := []byte{0xDE, 0xAD, 0xBE, 0xEF}
-	if err := tr.TryPushUntil(7, payload, Deadline{}); err != nil {
-		t.Fatalf("TryPush: %v", err)
-	}
-
-	// Kill the server. The store (the remote node's memory) survives the
-	// crash; a restarted server process re-exposes it.
-	srv.Close()
-
-	// While down, an error-aware fetch surfaces a typed error — never a
-	// silent zero-fill — after at most two wire attempts: its own, and the
-	// one resend a socket the peer closed while it sat idle gets. Trying
-	// again is the far engine's decision, not the transport's.
-	dst := make([]byte, 4)
-	if _, err := tr.TryFetchUntil(7, dst, Deadline{}); !errors.Is(err, ErrRemoteUnavailable) {
-		t.Fatalf("TryFetch while down = %v, want ErrRemoteUnavailable", err)
-	}
-	if got := tr.Stats().Retries(); got > 1 {
-		t.Fatalf("resends while down = %d, want at most 1", got)
-	}
-
-	srv2 := NewServer(store)
-	if _, err := srv2.ListenAndServe(addr); err != nil {
-		t.Fatalf("restart ListenAndServe: %v", err)
-	}
-	defer srv2.Close()
-
-	found, err := tr.TryFetchUntil(7, dst, Deadline{})
-	if err != nil {
-		t.Fatalf("TryFetch after restart: %v", err)
-	}
-	if !found || !bytes.Equal(dst, payload) {
-		t.Fatalf("fetch after restart = %v %v, want payload back", found, dst)
-	}
-	if got := tr.Stats().Reconnects(); got < 1 {
-		t.Fatalf("Reconnects = %d, want >= 1", got)
-	}
-}
-
 // TestMidResponseErrorMarksConnDead is the desync regression test: a
 // server that truncates a response mid-frame must not leave the transport
 // misparsing the stream — the attempt fails with ErrShortRead, the
@@ -118,9 +56,9 @@ func TestMidResponseErrorMarksConnDead(t *testing.T) {
 		}
 	}()
 
-	tr, err := DialWith(ln.Addr().String(), fastRetry())
+	tr, err := Dial(ln.Addr().String())
 	if err != nil {
-		t.Fatalf("DialWith: %v", err)
+		t.Fatalf("Dial: %v", err)
 	}
 	defer tr.Close()
 	dst := make([]byte, 8)
@@ -143,8 +81,10 @@ func TestMidResponseErrorMarksConnDead(t *testing.T) {
 	}
 }
 
+// TestTryFetchTimeout: against a server that says hello and then nothing,
+// a fetch under a short wall deadline fails with ErrTimeout once its socket
+// deadline, clamped to the budget, runs out.
 func TestTryFetchTimeout(t *testing.T) {
-	// A listener that accepts and then never answers.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -156,18 +96,20 @@ func TestTryFetchTimeout(t *testing.T) {
 			if err != nil {
 				return
 			}
-			go io.Copy(io.Discard, c) // swallow requests, answer nothing
+			go func() { // answer the hello, swallow requests, answer nothing
+				if _, err := io.ReadFull(c, make([]byte, helloLen)); err == nil {
+					c.Write(helloReply(0, false))
+				}
+				io.Copy(io.Discard, c)
+			}()
 		}
 	}()
-	tr, err := DialWith(ln.Addr().String(), DialOptions{
-		Retry:     RetryPolicy{BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
-		OpTimeout: 30 * time.Millisecond,
-	})
+	tr, err := Dial(ln.Addr().String())
 	if err != nil {
-		t.Fatalf("DialWith: %v", err)
+		t.Fatalf("Dial: %v", err)
 	}
 	defer tr.Close()
-	if _, err := tr.TryFetchUntil(1, make([]byte, 8), Deadline{}); !errors.Is(err, ErrTimeout) {
+	if _, err := tr.TryFetchUntil(1, make([]byte, 8), WallDeadlineAfter(30*time.Millisecond)); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("TryFetch against mute server = %v, want ErrTimeout", err)
 	}
 	if got := tr.Stats().Timeouts(); got < 1 {
@@ -232,17 +174,13 @@ func TestServerAnswersOversizeWithErrorFrame(t *testing.T) {
 }
 
 func TestBackoffDeterministicJitter(t *testing.T) {
-	p := RetryPolicy{}.withDefaults()
 	a, b := sim.NewRNG(123), sim.NewRNG(123)
-	for retry := 1; retry <= 6; retry++ {
-		da, db := p.backoff(retry, a), p.backoff(retry, b)
+	for retry := 1; retry <= 8; retry++ {
+		da, db := backoff(retry, a), backoff(retry, b)
 		if da != db {
 			t.Fatalf("retry %d: jitter diverged with equal seeds: %v vs %v", retry, da, db)
 		}
-		nominal := p.BaseBackoff << (retry - 1)
-		if nominal > p.MaxBackoff {
-			nominal = p.MaxBackoff
-		}
+		nominal := min(baseBackoff<<(retry-1), maxBackoff)
 		if da < nominal/2 || da >= nominal {
 			t.Fatalf("retry %d: backoff %v outside [%v, %v)", retry, da, nominal/2, nominal)
 		}

@@ -77,8 +77,8 @@ func TestWireLeasesNetZero(t *testing.T) {
 	for i, n := range sizes {
 		window = append(window, Push{Key: uint64(i + 1), Src: make([]byte, n)})
 	}
-	if found, err := tc.TryFetchAfterPushes(window, 1, make([]byte, sizes[0]), Deadline{}); err != nil || !found {
-		t.Fatalf("carried window = %v, %v", found, err)
+	if found, pushed, err := tc.TryFetchAfterPushes(window, 1, make([]byte, sizes[0]), Deadline{}); err != nil || pushed != nil || !found {
+		t.Fatalf("carried window = %v, pushes %v, fetch %v", found, pushed, err)
 	}
 	if got := bufpool.Wire.Stats().Gets - gets; got != 0 {
 		t.Errorf("serving stored blobs took %d bufpool.Wire gets, want 0", got)

@@ -117,16 +117,21 @@ type Push struct {
 // that forward only the blocking triple are not carriers, and over them
 // every push stays a TryPushUntil of its own.
 //
-// Each call is all or nothing to its caller: nil means every push was
-// acknowledged (and the fetch answered); on error any of the pushes may or
-// may not have been stored — pushes are idempotent last-writer-wins, so the
-// caller keeps its copies and sends them again. dl bounds the whole call,
-// retries included, as it bounds TryPushUntil. The pushes slice and every
-// Src in it are the caller's again when the call returns.
+// The pushes of a call are all or nothing among themselves: a nil error
+// for them means every one was acknowledged; on error any of them may or
+// may not have been stored — pushes are idempotent last-writer-wins, so
+// the caller keeps its copies and sends them again. A fetch carried behind
+// them is decided by its own reply: a node that refuses a push (it has
+// stopped taking writes, or the push's trailer failed) and then answers
+// the fetch has served the fetch. A cut connection or an unframed stream
+// fails both. dl bounds the whole call, retries included, as it bounds
+// TryPushUntil. The pushes slice and every Src in it are the caller's
+// again when the call returns.
 type PushCarrier interface {
 	// TryFetchAfterPushes stores every push, then fetches key into dst as
 	// TryFetchUntil does; the server sees the pushes before the fetch.
-	TryFetchAfterPushes(pushes []Push, key uint64, dst []byte, dl Deadline) (found bool, err error)
+	// pushed is the pushes' outcome and err the fetch's.
+	TryFetchAfterPushes(pushes []Push, key uint64, dst []byte, dl Deadline) (found bool, pushed, err error)
 
 	// TryPushAll stores every push.
 	TryPushAll(pushes []Push, dl Deadline) error

@@ -269,11 +269,9 @@ func TestOverloadShedBackpressureE2E(t *testing.T) {
 	}
 	defer srv.Close()
 
-	tr, err := DialWith(addr, DialOptions{
-		Retry: RetryPolicy{BaseBackoff: 200 * time.Microsecond, MaxBackoff: time.Millisecond},
-	})
+	tr, err := Dial(addr)
 	if err != nil {
-		t.Fatalf("DialWith: %v", err)
+		t.Fatalf("Dial: %v", err)
 	}
 	defer tr.Close()
 

@@ -130,12 +130,12 @@ func (s *fetchStream) connect() error {
 	return nil
 }
 
-// arm pushes the socket deadline out to a full OpTimeout from now, at most
-// once per half OpTimeout: every read and write of the stream then has at
-// least half an OpTimeout to finish, without a deadline update per frame.
+// arm pushes the socket deadline out to a full opTimeout from now, at most
+// once per half opTimeout: every read and write of the stream then has at
+// least half an opTimeout to finish, without a deadline update per frame.
 func (s *fetchStream) arm() {
-	if now := time.Now(); now.Sub(s.armed) > s.t.opTimeout/2 {
-		s.c.conn.SetDeadline(now.Add(s.t.opTimeout))
+	if now := time.Now(); now.Sub(s.armed) > opTimeout/2 {
+		s.c.conn.SetDeadline(now.Add(opTimeout))
 		s.armed = now
 	}
 }

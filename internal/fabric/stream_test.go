@@ -42,9 +42,9 @@ func serveAndDial(tb testing.TB, backing BlobStore) (*Server, *TCPTransport) {
 		tb.Fatalf("ListenAndServe: %v", err)
 	}
 	tb.Cleanup(func() { srv.Close() })
-	tr, err := DialWith(addr, fastRetry())
+	tr, err := Dial(addr)
 	if err != nil {
-		tb.Fatalf("DialWith: %v", err)
+		tb.Fatalf("Dial: %v", err)
 	}
 	tb.Cleanup(func() { tr.Close() })
 	return srv, tr
@@ -302,9 +302,9 @@ func TestStreamServerRestartMidBurst(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ListenAndServe: %v", err)
 	}
-	tr, err := DialWith(addr, fastRetry())
+	tr, err := Dial(addr)
 	if err != nil {
-		t.Fatalf("DialWith: %v", err)
+		t.Fatalf("Dial: %v", err)
 	}
 	defer tr.Close()
 	startBurst(t, tr, 30).wait(t, 0) // the stream's connection
@@ -393,9 +393,9 @@ func TestStreamCloseDuringOutstandingWait(t *testing.T) {
 			}()
 		}
 	}()
-	tr, err := DialWith(ln.Addr().String(), DialOptions{OpTimeout: 30 * time.Second})
+	tr, err := Dial(ln.Addr().String())
 	if err != nil {
-		t.Fatalf("DialWith: %v", err)
+		t.Fatalf("Dial: %v", err)
 	}
 	tk, err := tr.StartFetch(1, make([]byte, 64))
 	if err != nil || !tk.Pending() {

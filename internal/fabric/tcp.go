@@ -600,22 +600,6 @@ func (s *Server) Shutdown(grace time.Duration) error {
 	}
 }
 
-// dialOptions tunes a TCPTransport's fault handling. Dial runs every
-// transport a binary makes on the zero value; the tests that time safety
-// properties shorten the backoffs through export_test.go.
-type dialOptions struct {
-	// Retry paces a connection's attempts after a failure; zero fields
-	// take the defaults (1ms base backoff, 50ms cap).
-	Retry retryPolicy
-	// OpTimeout is the per-operation deadline covering the request write
-	// and response read of one attempt (default 2s).
-	OpTimeout time.Duration
-	// Seed seeds the deterministic backoff jitter (see retryPolicy). The
-	// zero seed selects sim.NewRNG's fixed default, so the schedule is
-	// reproducible even when unset.
-	Seed uint64
-}
-
 // TCPTransport is an ErrorTransport backed by real TCP connections to a
 // Server: its methods make one attempt each (see do), surface typed errors,
 // apply per-operation deadlines, pace a failing connection with
@@ -638,11 +622,9 @@ type dialOptions struct {
 // transport that prefetches keeps checked out for good — such a transport
 // serves 15 concurrent demand callers without waiting, not 16.
 type TCPTransport struct {
-	addr      string
-	policy    retryPolicy
-	opTimeout time.Duration
-	stats     Stats
-	dial      func(network, addr string, timeout time.Duration) (net.Conn, error) // net.DialTimeout, or a test's counting dialer
+	addr  string
+	stats Stats
+	dial  func(network, addr string, timeout time.Duration) (net.Conn, error) // net.DialTimeout, or a test's counting dialer
 
 	closed atomic.Bool // set under mu (so cond waiters see it), read anywhere
 
@@ -692,29 +674,15 @@ func (t *TCPTransport) PeerIdentity() (uint64, bool) {
 	return t.peerGen, t.peerDurable
 }
 
-// Dial connects to a Server at addr with default fault-handling options.
+// Dial connects to a Server at addr. The initial dial is not retried: an
+// unreachable server at construction time is a configuration error the
+// caller should see immediately. Once constructed, the transport survives
+// server restarts by reconnecting on demand (each new socket opens with its
+// own hello).
 func Dial(addr string) (*TCPTransport, error) {
-	return dialWith(addr, dialOptions{})
-}
-
-// dialWith connects to a Server at addr with explicit fault-handling
-// options. The initial dial is not retried: an unreachable server at
-// construction time is a configuration error the caller should see
-// immediately. Once constructed, the transport survives server restarts by
-// reconnecting on demand (each new socket opens with its own hello).
-func dialWith(addr string, opts dialOptions) (*TCPTransport, error) {
-	t := &TCPTransport{
-		addr:      addr,
-		policy:    opts.Retry.withDefaults(),
-		opTimeout: opts.OpTimeout,
-		dial:      net.DialTimeout,
-		rng:       sim.NewRNG(opts.Seed),
-	}
+	t := &TCPTransport{addr: addr, dial: net.DialTimeout, rng: sim.NewRNG(0)}
 	t.cond.L = &t.mu
 	t.stream.t = t
-	if t.opTimeout <= 0 {
-		t.opTimeout = 2 * time.Second
-	}
 	c, err := t.checkout()
 	if err == nil {
 		err = t.ensureConn(c)
@@ -795,7 +763,7 @@ func (t *TCPTransport) ensureConn(c *wireConn) error {
 	if c.conn != nil {
 		return nil
 	}
-	conn, err := t.dial("tcp", t.addr, t.opTimeout)
+	conn, err := t.dial("tcp", t.addr, opTimeout)
 	if err != nil {
 		return err
 	}
@@ -819,7 +787,7 @@ func (t *TCPTransport) ensureConn(c *wireConn) error {
 
 // ensureHello opens a freshly dialed connection with the hello exchange. It
 // runs lazily on the first operation over each socket (not at dial time), so
-// dialWith stays a pure reachability check and handshake failures flow
+// Dial stays a pure reachability check and handshake failures flow
 // through the per-operation attempt and typed-error machinery: a peer that
 // hangs up mid-hello is an ordinary retryable connection error, one that
 // answers anything but this version's hello ack a permanent ErrProtocol.
@@ -827,7 +795,7 @@ func (t *TCPTransport) ensureHello(c *wireConn) error {
 	if c.helloed {
 		return nil
 	}
-	c.conn.SetDeadline(time.Now().Add(t.opTimeout))
+	c.conn.SetDeadline(time.Now().Add(opTimeout))
 	c.hdr[0] = opHello
 	binary.BigEndian.PutUint64(c.hdr[1:9], helloMagic)
 	binary.BigEndian.PutUint32(c.hdr[9:13], protoVersion)
@@ -860,21 +828,22 @@ func (t *TCPTransport) ensureHello(c *wireConn) error {
 }
 
 // do runs one operation (ahead, code, key, buf: see exchange) on a
-// checked-out connection, bounded by the operation deadline. It makes one
-// attempt: whether a failed operation is tried again is the caller's
-// decision (far.Engine's, under its retry budget). The one exception is a
-// socket that came off the idle stack live and helloed and then failed at
-// the connection level: the peer closed it while it sat idle (a server
-// restart), so the operation never reached a live peer, and it is sent once
-// more on a fresh socket. That resend draws no retry-budget token and is
-// counted in Stats.Retries; a socket that dies inside the operation that
-// used it gets none. No transport-wide lock is held across the attempt, so
-// one caller's pacing or redial delays nobody else, and Close interrupts it
-// by closing its socket.
-func (t *TCPTransport) do(dl Deadline, ahead []Push, code byte, key uint64, buf []byte) (bool, error) {
+// checked-out connection, bounded by the operation deadline, and reports
+// the carried pushes' outcome (refused) apart from the operation's own
+// (err). It makes one attempt: whether a failed operation is tried again
+// is the caller's decision (far.Engine's, under its retry budget). The one
+// exception is a socket that came off the idle stack live and helloed and
+// then failed at the connection level: the peer closed it while it sat
+// idle (a server restart), so the operation never reached a live peer, and
+// it is sent once more on a fresh socket. That resend draws no
+// retry-budget token and is counted in Stats.Retries; a socket that dies
+// inside the operation that used it gets none. No transport-wide lock is
+// held across the attempt, so one caller's pacing or redial delays nobody
+// else, and Close interrupts it by closing its socket.
+func (t *TCPTransport) do(dl Deadline, ahead []Push, code byte, key uint64, buf []byte) (bool, error, error) {
 	c, err := t.checkout()
 	if err != nil {
-		return false, err
+		return false, err, err
 	}
 	defer t.release(c)
 	c.dl = dl
@@ -883,39 +852,42 @@ func (t *TCPTransport) do(dl Deadline, ahead []Push, code byte, key uint64, buf 
 		t.stats.carries.Add(1)
 	}
 	idle := c.helloed
-	found, err := t.attempt(c, ahead, code, key, buf)
+	found, refused, err := t.attempt(c, ahead, code, key, buf)
 	if idle && errors.Is(err, ErrRemoteUnavailable) && !t.closed.Load() {
 		t.stats.retries.Add(1)
-		found, err = t.attempt(c, ahead, code, key, buf)
+		found, refused, err = t.attempt(c, ahead, code, key, buf)
 	}
 	if err != nil && t.closed.Load() {
 		// Whatever the interrupted attempt reported, the cause is Close.
-		return false, permanent(ErrClosed)
+		err = permanent(ErrClosed)
+		return false, err, err
 	}
-	return found, err
+	return found, refused, err
 }
 
 // attempt is one try of an operation on c: a re-dial and hello if c has no
-// live socket, then the exchange. Pushes written ahead belong to the
-// operation: the attempt succeeds only when every frame of it did, and a
-// re-issue re-sends every one of them (pushes are idempotent
-// last-writer-wins). Every error is classified into the typed taxonomy,
-// and one that leaves the stream unframed marks the connection dead
-// (forcing a clean reconnect); a one-byte refusal is a whole reply, and the
-// connection that delivered it is kept.
+// live socket, then the exchange. The pushes written ahead of a fetch are
+// all or nothing among themselves, and the fetch's own reply decides the
+// fetch: a one-byte refusal of a carried push fails the pushes (refused)
+// and not the fetch. Anything that leaves the stream unframed, and any
+// failure before the exchange, fails both; a re-issue re-sends every push
+// (pushes are idempotent last-writer-wins). Every error is classified into
+// the typed taxonomy, and one that leaves the stream unframed marks the
+// connection dead (forcing a clean reconnect); a one-byte refusal is a
+// whole reply, and the connection that delivered it is kept.
 //
 // Pacing lives here, on the socket, because this is where wall time
 // passes: an attempt on a connection whose last attempt failed first
-// sleeps the retry policy's backoff for its failure streak — an overload
-// reject and a dead peer alike — clamped to the remaining deadline; a
-// success resets the streak. An expired deadline fails the attempt with
+// sleeps the backoff for its failure streak — an overload reject and a
+// dead peer alike — clamped to the remaining deadline; a success resets
+// the streak. An expired deadline fails the attempt with
 // ErrDeadlineExceeded before it starts, each socket deadline is clamped to
 // the remaining budget, and a result that arrives past the deadline is
 // reported the same way (the caller never consumes it).
-func (t *TCPTransport) attempt(c *wireConn, ahead []Push, code byte, key uint64, buf []byte) (found bool, err error) {
+func (t *TCPTransport) attempt(c *wireConn, ahead []Push, code byte, key uint64, buf []byte) (found bool, refused, err error) {
 	if c.fails > 0 {
 		t.rngMu.Lock()
-		d := t.policy.backoff(c.fails, t.rng)
+		d := backoff(c.fails, t.rng)
 		t.rngMu.Unlock()
 		if !c.dl.IsZero() {
 			if rem := time.Duration(c.dl.RemainingNanos()); d > rem {
@@ -924,24 +896,25 @@ func (t *TCPTransport) attempt(c *wireConn, ahead []Push, code byte, key uint64,
 		}
 		time.Sleep(d)
 	}
+	var inSync bool
 	if c.dl.Expired() {
 		err = errDeadline("budget exhausted before attempt")
 	} else if err = t.ensureConn(c); err == nil {
 		err = t.ensureHello(c)
 	}
 	if err == nil {
-		to := t.opTimeout
+		to := opTimeout
 		if !c.dl.IsZero() {
 			if rem := time.Duration(c.dl.RemainingNanos()); rem < to {
 				to = rem
 			}
 		}
 		c.conn.SetDeadline(time.Now().Add(to))
-		var inSync bool
-		if found, inSync, err = c.exchange(ahead, code, key, buf); err == nil {
+		if found, inSync, refused, err = c.exchange(ahead, code, key, buf); err == nil {
 			if !c.dl.Expired() {
 				c.fails = 0
-				return found, nil
+				t.stats.record(refused)
+				return found, refused, nil
 			}
 			// The exchange succeeded but past its budget: the result
 			// must not be consumed. The connection itself is healthy.
@@ -958,7 +931,10 @@ func (t *TCPTransport) attempt(c *wireConn, ahead []Push, code byte, key uint64,
 		t.dropIdle()
 		t.mu.Unlock()
 	}
-	return false, err
+	if !inSync {
+		refused = err
+	}
+	return false, refused, err
 }
 
 // writeHeader appends one request header to c's write buffer. It carries
@@ -995,19 +971,20 @@ func (c *wireConn) writePush(key uint64, src []byte) error {
 // order (and holds an ack back while the next request is already in its
 // buffer), so their acks are read first, in order, and then the reply.
 //
-// The exchange fails as a whole — the caller re-sends all of it — and after
-// an error inSync reports whether c is still framed. A one-byte refusal of
-// one frame leaves the rest readable, and they are read: a shed frame in
-// the middle must not cost the connection. The first refusal is then the
-// error. One that leaves the stream untrustworthy (readFetchReply) ends
-// the exchange at once and is the one reported.
+// After an error inSync reports whether c is still framed. A one-byte
+// refusal of one frame leaves the rest readable, and they are read: a shed
+// frame in the middle must not cost the connection. The first refusal of a
+// push ahead is refused, and err the own request's outcome, except that an
+// own push shares the fate of the pushes ahead of it. One that leaves the
+// stream untrustworthy (readFetchReply) ends the exchange at once and is
+// both.
 //
 // Passing the operation as plain values (not a closure over the caller's
 // buffers) keeps a round trip free of heap allocations.
-func (c *wireConn) exchange(ahead []Push, code byte, key uint64, buf []byte) (found, inSync bool, err error) {
+func (c *wireConn) exchange(ahead []Push, code byte, key uint64, buf []byte) (found, inSync bool, refused, err error) {
 	for i := range ahead {
 		if err := c.writePush(ahead[i].Key, ahead[i].Src); err != nil {
-			return false, false, err
+			return false, false, err, err
 		}
 	}
 	if code == opPush {
@@ -1019,13 +996,12 @@ func (c *wireConn) exchange(ahead []Push, code byte, key uint64, buf []byte) (fo
 		err = c.w.Flush()
 	}
 	if err != nil {
-		return false, false, err
+		return false, false, err, err
 	}
-	var refused error
 	for range ahead {
 		if inSync, err := c.readAck("push"); err != nil {
 			if !inSync {
-				return false, false, err
+				return false, false, err, err
 			}
 			if refused == nil {
 				refused = err
@@ -1035,15 +1011,18 @@ func (c *wireConn) exchange(ahead []Push, code byte, key uint64, buf []byte) (fo
 	switch code {
 	case opPush:
 		inSync, err = c.readAck("push")
+		if refused != nil && inSync {
+			err = refused
+		}
 	case opDelete:
 		inSync, err = c.readAck("delete")
 	default:
 		found, inSync, err = c.readFetchReply(buf)
 	}
-	if refused != nil && inSync {
-		return false, true, refused
+	if !inSync {
+		return false, false, err, err
 	}
-	return found, inSync, err
+	return found, true, refused, err
 }
 
 // readFetchReply reads the reply to one fetch request into dst. It is the
@@ -1098,7 +1077,8 @@ func (t *TCPTransport) TryFetchUntil(key uint64, dst []byte, dl Deadline) (bool,
 	if len(dst) > MaxPayload {
 		return false, fmt.Errorf("%w: fetch of %d bytes", ErrPayloadTooLarge, len(dst))
 	}
-	return t.do(dl, nil, opFetch, key, dst)
+	found, _, err := t.do(dl, nil, opFetch, key, dst)
+	return found, err
 }
 
 // TryPushUntil implements ErrorTransport (see TryFetchUntil).
@@ -1106,25 +1086,26 @@ func (t *TCPTransport) TryPushUntil(key uint64, src []byte, dl Deadline) error {
 	if len(src) > MaxPayload {
 		return fmt.Errorf("%w: push of %d bytes", ErrPayloadTooLarge, len(src))
 	}
-	_, err := t.do(dl, nil, opPush, key, src)
+	_, _, err := t.do(dl, nil, opPush, key, src)
 	return err
 }
 
 // TryDeleteUntil implements ErrorTransport (see TryFetchUntil).
 func (t *TCPTransport) TryDeleteUntil(key uint64, dl Deadline) error {
-	_, err := t.do(dl, nil, opDelete, key, nil)
+	_, _, err := t.do(dl, nil, opDelete, key, nil)
 	return err
 }
 
 // TryFetchAfterPushes implements PushCarrier: the pushes and the fetch are
 // one exchange on one connection — one write, their acks and the reply read
 // in order — one attempt under dl (see do and exchange).
-func (t *TCPTransport) TryFetchAfterPushes(pushes []Push, key uint64, dst []byte, dl Deadline) (bool, error) {
-	if err := checkPushSizes(pushes); err != nil {
-		return false, err
+func (t *TCPTransport) TryFetchAfterPushes(pushes []Push, key uint64, dst []byte, dl Deadline) (bool, error, error) {
+	err := checkPushSizes(pushes)
+	if err == nil && len(dst) > MaxPayload {
+		err = fmt.Errorf("%w: fetch of %d bytes", ErrPayloadTooLarge, len(dst))
 	}
-	if len(dst) > MaxPayload {
-		return false, fmt.Errorf("%w: fetch of %d bytes", ErrPayloadTooLarge, len(dst))
+	if err != nil {
+		return false, err, err
 	}
 	return t.do(dl, pushes, opFetch, key, dst)
 }
@@ -1136,7 +1117,7 @@ func (t *TCPTransport) TryPushAll(pushes []Push, dl Deadline) error {
 		return err
 	}
 	last := pushes[len(pushes)-1]
-	_, err := t.do(dl, pushes[:len(pushes)-1], opPush, last.Key, last.Src)
+	_, _, err := t.do(dl, pushes[:len(pushes)-1], opPush, last.Key, last.Src)
 	return err
 }
 

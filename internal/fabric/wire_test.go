@@ -120,9 +120,9 @@ func TestTCPFirstHelloCutOff(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ListenAndServe: %v", err)
 	}
-	tr, err := DialWith(addr, fastRetry())
+	tr, err := Dial(addr)
 	if err != nil {
-		t.Fatalf("DialWith: %v", err)
+		t.Fatalf("Dial: %v", err)
 	}
 	defer tr.Close()
 	var flip atomic.Bool
@@ -303,9 +303,9 @@ func TestClientRefusesOtherVersion(t *testing.T) {
 			}()
 		}
 	}()
-	tr, err := DialWith(ln.Addr().String(), fastRetry())
+	tr, err := Dial(ln.Addr().String())
 	if err != nil {
-		t.Fatalf("DialWith: %v", err)
+		t.Fatalf("Dial: %v", err)
 	}
 	defer tr.Close()
 	if err := tr.TryPushUntil(1, []byte{1}, Deadline{}); !errors.Is(err, ErrProtocol) {
@@ -328,9 +328,9 @@ func TestHelloAdvertisesIdentity(t *testing.T) {
 	}
 	defer srv.Close()
 
-	tr, err := DialWith(addr, fastRetry())
+	tr, err := Dial(addr)
 	if err != nil {
-		t.Fatalf("DialWith: %v", err)
+		t.Fatalf("Dial: %v", err)
 	}
 	defer tr.Close()
 	if err := tr.TryPushUntil(1, []byte("x"), Deadline{}); err != nil {
@@ -350,9 +350,9 @@ func TestHelloAdvertisesIdentity(t *testing.T) {
 		t.Fatalf("ListenAndServe: %v", err)
 	}
 	defer srv2.Close()
-	tr2, err := DialWith(addr2, fastRetry())
+	tr2, err := Dial(addr2)
 	if err != nil {
-		t.Fatalf("DialWith: %v", err)
+		t.Fatalf("Dial: %v", err)
 	}
 	defer tr2.Close()
 	if err := tr2.TryPushUntil(1, []byte("x"), Deadline{}); err != nil {

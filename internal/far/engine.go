@@ -282,11 +282,13 @@ func (e *Engine) again(attempt int, err error, start uint64, faults *uint64) boo
 // (likewise no fabric), then over the transport: up to RemoteRetries wire
 // attempts inside one deadline, each re-issue paid from the engine's retry
 // budget, none after an error the transport marks fabric.Permanent (see
-// again). Over a fabric.PushCarrier that exchange
-// carries ahead of the fetch every dirty unit parked since the last one.
-// Every failed attempt is tallied in Counters.RemoteFetchFaults (and once in
-// RemotePushFaults for each push it carried), so injected fault counts
-// reconcile exactly with what the runtime observed. dst must not be visible
+// again). Over a fabric.PushCarrier that exchange carries ahead of the
+// fetch every dirty unit parked since the last one, and the fetch's own
+// reply decides the fetch: pushes the node refuses (it has stopped taking
+// writes) stay parked and the fetch is served all the same. Every failed
+// attempt is tallied in Counters.RemoteFetchFaults, and every carried push
+// that failed once in RemotePushFaults, so injected fault counts reconcile
+// exactly with what the runtime observed. dst must not be visible
 // to anyone else: a failed attempt may scribble on it. The bool reports that
 // the bytes never left local memory — a tier hit or a parked copy — so
 // callers keep their remote-fetch accounting honest.
@@ -382,8 +384,9 @@ func (e *Engine) start(key uint64, dst []byte, speculative bool) (Prefetch, erro
 			ticket, err = fabric.StartFetch(e.transport, key, dst)
 		} else if b := e.wb.claim(); b != nil {
 			sent := e.env.Clock.Cycles()
-			_, err = e.wb.carrier.TryFetchAfterPushes(b.pushes[:b.n], key, dst, dl)
-			e.settle(b, err, sent)
+			var pushed error
+			_, pushed, err = e.wb.carrier.TryFetchAfterPushes(b.pushes[:b.n], key, dst, dl)
+			e.settle(b, pushed, sent)
 		} else {
 			_, err = e.transport.TryFetchUntil(key, dst, dl)
 		}
@@ -508,10 +511,10 @@ func (e *Engine) Flush() error {
 }
 
 // settle ends the exchange that carried b, begun at cycle sent: every push
-// in it was acknowledged, or every one is a push fault. The exchange's own
-// request, and noteOK/noteErr for the exchange as a whole, are the
-// caller's: one failed exchange is one deadline miss or overload reject,
-// however many pushes rode in it.
+// in it was acknowledged, or every one is a push fault (err, the pushes'
+// outcome) and stays parked. The exchange's own request, and
+// noteOK/noteErr for it, are the caller's: one failed exchange is one
+// deadline miss or overload reject, however many pushes rode in it.
 func (e *Engine) settle(b *wbBatch, err error, sent uint64) {
 	elapsed := e.env.Clock.Cycles() - sent
 	for i := 0; i < b.n; i++ {

@@ -457,3 +457,55 @@ func TestPermanentErrorsEndTheRetryLoop(t *testing.T) {
 		t.Errorf("RemotePushFaults = %d after a delete over a closed transport, want 3", got)
 	}
 }
+
+// crashedStore takes no writes and serves every read, as a durable node
+// does once a crash point has fired or its log has failed: the server
+// answers every push with a one-byte refusal.
+type crashedStore struct{ *remote.Store }
+
+func (crashedStore) Put(uint64, []byte) error { return remote.ErrCrashed }
+
+// TestCarriedRefusalServesTheFetch: over a node that takes no writes, a
+// fetch of a clean key that carries a parked push is served from the node,
+// every time. The refused push stays parked and forwardable, one push
+// fault per exchange that carried it, and no fetch fault is counted: the
+// fetch's own reply decides the fetch.
+func TestCarriedRefusalServesTheFetch(t *testing.T) {
+	store := remote.NewStore()
+	store.Put(1, bytes.Repeat([]byte{0x5a}, unit))
+	srv := fabric.NewServer(crashedStore{store})
+	addr, err := srv.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("ListenAndServe: %v", err)
+	}
+	defer srv.Close()
+	tr, err := fabric.Dial(addr)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer tr.Close()
+	env := sim.NewEnv()
+	e, err := New(Config{Env: env, RemoteConfig: fabric.RemoteConfig{Transport: tr, RemoteRetries: retries},
+		Backend: fabric.BackendTCP, UnitSize: unit})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer e.Close()
+	dirty := bytes.Repeat([]byte{0xd1}, unit)
+	if !e.Evict(2, dirty, true) {
+		t.Fatalf("a dirty eviction was not parked in the write-behind window")
+	}
+	for i := range 3 {
+		buf := make([]byte, unit)
+		if local, err := e.Fetch(1, buf); err != nil || local || buf[0] != 0x5a {
+			t.Fatalf("fetch %d of a clean key behind a refused push = local %v, %#x…, %v; want the node's 0x5a", i, local, buf[0], err)
+		}
+	}
+	if c := env.Counters; c.RemoteFetchFaults != 0 || c.RemotePushFaults != 3 {
+		t.Errorf("RemoteFetchFaults = %d, RemotePushFaults = %d; want 0, 3: one refused push per exchange", c.RemoteFetchFaults, c.RemotePushFaults)
+	}
+	buf := make([]byte, unit)
+	if local, err := e.Fetch(2, buf); err != nil || !local || !bytes.Equal(buf, dirty) || e.wb.parked() != 1 {
+		t.Errorf("fetch of the refused key = local %v, %v, parked %d; want its parked copy", local, err, e.wb.parked())
+	}
+}

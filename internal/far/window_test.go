@@ -20,7 +20,9 @@ import (
 // carryLink is a scripted far node that can carry pushes: exchanges fail on
 // command (having stored only the first few of their pushes, as a refusal
 // in the middle of a batch leaves things), or stop inside the "wire" until
-// released. It checks what only the server end can see: that two pushes of
+// released. A failure with ErrRemoteUnavailable is a cut, which fails a
+// fetch with the pushes ahead of it; any other is a refusal of those
+// pushes, and the fetch behind them is served. It checks what only the server end can see: that two pushes of
 // one key are never on the wire at once, and that a key's versions (the
 // first 8 bytes of a payload, where a test puts them) only ever go up.
 type carryLink struct {
@@ -42,7 +44,7 @@ func newCarryLink() *carryLink {
 	return &carryLink{store: map[uint64][]byte{}, onWire: map[uint64]bool{}, err: fabric.ErrRemoteUnavailable}
 }
 
-func (l *carryLink) exchange(pushes []fabric.Push, fetch bool, key uint64, dst []byte) (bool, error) {
+func (l *carryLink) exchange(pushes []fabric.Push, fetch bool, key uint64, dst []byte) (bool, error, error) {
 	l.mu.Lock()
 	keys := make([]uint64, len(pushes))
 	for i, p := range pushes {
@@ -86,14 +88,18 @@ func (l *carryLink) exchange(pushes []fabric.Push, fetch bool, key uint64, dst [
 	for _, p := range pushes {
 		delete(l.onWire, p.Key)
 	}
+	pushed := err
+	if fetch && len(pushes) > 0 && !errors.Is(err, fabric.ErrRemoteUnavailable) {
+		err = nil
+	}
 	if err != nil || !fetch {
-		return false, err
+		return false, pushed, err
 	}
 	l.fetches++
 	blob, ok := l.store[key]
 	clear(dst)
 	copy(dst, blob)
-	return ok, nil
+	return ok, pushed, nil
 }
 
 // open lets the exchanges waiting at the gate through; later ones pass freely.
@@ -105,21 +111,22 @@ func (l *carryLink) open() {
 	close(gate)
 }
 
-func (l *carryLink) TryFetchAfterPushes(pushes []fabric.Push, key uint64, dst []byte, _ fabric.Deadline) (bool, error) {
+func (l *carryLink) TryFetchAfterPushes(pushes []fabric.Push, key uint64, dst []byte, _ fabric.Deadline) (bool, error, error) {
 	return l.exchange(pushes, true, key, dst)
 }
 
 func (l *carryLink) TryPushAll(pushes []fabric.Push, _ fabric.Deadline) error {
-	_, err := l.exchange(pushes, false, 0, nil)
+	_, _, err := l.exchange(pushes, false, 0, nil)
 	return err
 }
 
 func (l *carryLink) TryFetchUntil(key uint64, dst []byte, _ fabric.Deadline) (bool, error) {
-	return l.exchange(nil, true, key, dst)
+	found, _, err := l.exchange(nil, true, key, dst)
+	return found, err
 }
 
 func (l *carryLink) TryPushUntil(key uint64, src []byte, _ fabric.Deadline) error {
-	_, err := l.exchange([]fabric.Push{{Key: key, Src: src}}, false, 0, nil)
+	_, _, err := l.exchange([]fabric.Push{{Key: key, Src: src}}, false, 0, nil)
 	return err
 }
 
@@ -293,16 +300,39 @@ func TestWindow(t *testing.T) {
 		r.want("RemotePushFaults after heal", r.c.RemotePushFaults, 2*retries)
 	})
 
+	t.Run("a refused carried push fails the pushes alone: the fetch is served, the entries stay parked", func(t *testing.T) {
+		r := newWrig(t, nil)
+		r.evict(1, 1)
+		r.evict(2, 1)
+		r.l.fail, r.l.err = forever, fmt.Errorf("%w: server rejected push", fabric.ErrProtocol)
+		for range 3 {
+			r.miss(9)
+		}
+		r.want("RemoteFetchFaults", r.c.RemoteFetchFaults, 0)
+		r.want("RemotePushFaults", r.c.RemotePushFaults, 3*2)
+		r.want("parked", r.depth(), 2)
+		if !r.fetched(1, 1) {
+			t.Fatalf("Fetch of a refused entry's key went to the fabric")
+		}
+		r.l.fail = 0
+		r.miss(9)
+		r.want("parked once the node takes writes", r.depth(), 0)
+		r.want("key 2 on the server", r.far(2), 1)
+	})
+
 	t.Run("a shed in the middle of a batch: the whole batch is sent again", func(t *testing.T) {
 		r := newWrig(t, func(c *Config) { c.OpDeadline = 1 << 40 })
 		for k := uint64(1); k <= 4; k++ {
 			r.evict(k, 1)
 		}
 		r.l.fail, r.l.partial, r.l.err = 1, 2, fabric.ErrOverloaded
-		r.miss(9)
-		r.want("OverloadRejects", r.c.OverloadRejects, 1) // one exchange shed, not four pushes
-		r.want("RemoteFetchFaults", r.c.RemoteFetchFaults, 1)
+		r.miss(9) // the fetch behind the batch is served
+		r.want("RemoteFetchFaults", r.c.RemoteFetchFaults, 0)
 		r.want("RemotePushFaults", r.c.RemotePushFaults, 4)
+		r.want("parked", r.depth(), 4)
+		if err := r.e.Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
 		if len(r.l.exchanges) != 2 || !slices.Equal(r.l.exchanges[1], []uint64{1, 2, 3, 4}) {
 			t.Fatalf("exchanges = %v, want the four entries twice", r.l.exchanges)
 		}

@@ -38,12 +38,18 @@ import (
 //   - CorruptRate flips one payload byte in flight: of a push, whose
 //     trailer the server then refuses with one byte, or of a fetch's reply,
 //     which the client refuses by tearing the connection down.
-//   - Every OutageEvery-th op the node restarts between ops. A plain store
-//     comes back with its memory. A durable one goes down through Crash, or
-//     a crash point armed at a drawn WAL offset (then it goes down after the
-//     op in which the point fires), and recovers from its directory,
-//     compressed at rest on every other boot. The node is never down
-//     across an op: fabric.Dial's backoff would cost seconds an outage.
+//   - Every OutageEvery-th op takes the node out of service, and it stays
+//     out until the runtime has made OutageLen failed wire attempts against
+//     it, or until quiesce; then it restarts between ops on the same
+//     address. Out of service, a plain node is down: the server is shut
+//     down, and the world, which keeps the listener, hangs up on every new
+//     connection before its hello, so no dial waits in a backlog. A durable
+//     node is down likewise, or (a coin per outage) a crash point is armed
+//     at a drawn WAL offset, and once it fires the node stays up crashed: it
+//     refuses every mutation with one byte, serves every read, and draws no
+//     cut or corruption. A plain node comes back with its memory; a durable
+//     one goes down through Crash and recovers from its directory,
+//     compressed at rest on every other boot.
 //   - One frame in eight arrives in pieces. That is no fault: a split
 //     frame must be served as if it had arrived whole.
 //   - OverloadEvery is not injected: a shed cannot be forced through a real
@@ -54,47 +60,59 @@ import (
 // an exchange — the pushes its write-behind window carries and its own
 // request — in one write, and reads every reply before it writes again; on
 // loopback one such write arrives whole, so one read at the server's end
-// is one exchange. An exchange that meets a cut, a refusal (a CRC, or a
-// crashed store's ackErr) or a corrupted reply is one failed attempt, and
-// the engine counts every request in it. But a cut exchange that is not the
-// first on its connection found a socket that sat idle and helloed: the
-// transport sends it once more on a fresh connection, counted in
-// Stats.Retries and never by the engine. The prefetch stream — the
-// connection whose first request is the world's stream probe — is never
-// cut or corrupted, but a restart cuts it and fails every ticket
-// outstanding on it; each counts when the runtime collects it, so until the
-// runtime is quiet the count lies between the exchanges' and that plus the
-// stream tickets no whole reply answered. A restart's own cuts are
-// absorbed by the world's probes right after it, a demand fetch (the
-// transport's one resend) and a stream fetch. The bound on wire requests
-// counts the requests of every exchange but the stream's and a resent one.
+// is one exchange. An exchange that meets a cut or a corrupted reply is one
+// failed attempt, and the engine counts every request in it. A refusal (a
+// CRC, or a crashed store's) of a push carried ahead of a fetch fails the
+// carried pushes alone, each counted, and the fetch is served; any other
+// refusal fails its own request. A cut exchange that is not the first on
+// its connection found a socket that sat idle and helloed: the transport
+// sends it once more on a fresh connection, counted in Stats.Retries and
+// never by the engine. While the node is down, each connection it hangs up
+// on is one failed attempt, which the engine counts with the pushes the
+// attempt carried; the first attempt on an idle socket the shutdown closed
+// may be resent once. The prefetch stream — the connection whose first
+// request is the world's stream probe — is never cut or corrupted, but an
+// outage cuts it and fails every ticket outstanding on it; each counts
+// when the runtime collects it, so until the runtime is quiet the count
+// lies between the exchanges' and that plus the stream tickets no whole
+// reply answered. A restart's own cuts are absorbed by the world's probes
+// right after it, a demand fetch (the transport's one resend) and a stream
+// fetch. The bound on wire requests counts the requests of every exchange
+// but the stream's and a resent one.
 //
 // Between the server and the store sits the history (a BlobStore): it
 // records, in order, every Put and Delete the store accepted, as the blobs
 // their replay leaves, which is what the node must hold after a recovery.
 type loopback struct {
 	r     *Rig
-	rng   *sim.RNG // restarts and crash points
+	rng   *sim.RNG // outages and crash points
+	ln    net.Listener
 	addr  string
 	dir   string // the durable store's data directory
 	t     *fabric.TCPTransport
 	srv   *fabric.Server
 	mem   *remote.Store
 	ds    *remote.DurableStore
-	pumps sync.WaitGroup
+	pumps sync.WaitGroup // the accept loop and every connection's pump
 
 	gen        uint64 // the generation the node advertises
 	compressed bool   // the store holds blobs compressed at rest
 	compacted  bool   // a durable store ever wrote a snapshot
-	down       bool   // closed for good
+	closed     bool   // shut down for good
 
 	mu       sync.Mutex // everything below, which the server's goroutines keep
+	l        *listener  // the server's
 	blobs    map[uint64][]byte
 	damaged  map[uint64][]byte // the last payload of each key damaged in flight
 	stored   error             // the store accepted a damaged payload, or compacted badly
 	armed    int64             // the armed crash point, in WAL bytes; -1 for none
 	crashed  bool              // a durable store refused a mutation with ErrCrashed ...
 	torn     bool              // ... at a crash point inside its log record
+	down     bool              // the node is down: every new connection is hung up on
+	seen     int               // the last op between ran before
+	attempts int               // failed wire attempts against the node out of service
+	fails    uint64            // ... ever
+	carried  uint64            // the transport's carried pushes when the node went down
 	conns    uint64
 	owed     uint64 // fault counts the far engine owes the exchanges
 	resends  uint64 // resends the transport owes them
@@ -102,8 +120,8 @@ type loopback struct {
 	corrupt  uint64
 	answered uint64 // the runtime's stream tickets a whole reply answered
 	probes   uint64 // stream tickets of the world's own
-	retried  uint64 // transport resends the world's probes caused
-	failed   uint64 // the runtime's stream tickets failed by restarts so far
+	retried  uint64 // transport resends the world's probes, or an outage, caused
+	failed   uint64 // the runtime's stream tickets failed by outages so far
 	reached  map[string]bool
 }
 
@@ -114,12 +132,13 @@ const (
 )
 
 // The loopback world's states: every config owes the first two, a faulty
-// one the next six, a durable one the last four.
+// one the next eight, a durable one the last five (the harness notes the
+// outages' own, see Served).
 var loopbackStates = []string{
 	"push carried ahead of a request", "stream ticket completed",
 	"stream ticket failed by a cut", "push applied, its ack cut", "push cut before the server applied it",
-	"push refused for its CRC", "fetch reply refused for its CRC", "reconnect",
-	"recovery from snapshot plus WAL", "torn WAL tail dropped", "compression flipped across a recovery", "generation advanced",
+	"push refused for its CRC", "fetch reply refused for its CRC", "reconnect", "op failed while the node was down", "reconnect after an outage",
+	"recovery from snapshot plus WAL", "torn WAL tail dropped", "compression flipped across a recovery", "generation advanced", "miss served while the node refused writes",
 }
 
 // newLoopback starts the node of r's schedule, dials it and finds the
@@ -133,16 +152,17 @@ func newLoopback(r *Rig) (*loopback, error) {
 			err = w.recover()
 		}
 	}
-	var ln net.Listener
 	if err == nil {
-		ln, err = net.Listen("tcp", "127.0.0.1:0")
+		w.ln, err = net.Listen("tcp", "127.0.0.1:0")
 	}
 	if err != nil {
-		w.down = true
+		w.closed = true
 		return w, err
 	}
-	w.addr = ln.Addr().String()
-	w.serve(ln)
+	w.addr = w.ln.Addr().String()
+	w.pumps.Add(1)
+	go w.accept()
+	w.serve()
 	if w.t, err = fabric.Dial(w.addr); err != nil {
 		return w, err
 	}
@@ -164,14 +184,53 @@ func (w *loopback) recover() (err error) {
 	return err
 }
 
-// serve serves the store, through the history, on ln.
-func (w *loopback) serve(ln net.Listener) {
-	w.srv = fabric.NewServer(history{w})
+// serve brings up a server of the store, through the history, behind the
+// world's listener.
+func (w *loopback) serve() {
+	srv := fabric.NewServer(history{w})
 	if w.ds != nil {
-		w.srv.SetGeneration(w.ds.Generation(), true)
+		srv.SetGeneration(w.ds.Generation(), true)
 	}
-	w.srv.EnableAdmission(fabric.AdmissionConfig{})
-	w.srv.Serve(listener{ln, w})
+	srv.EnableAdmission(fabric.AdmissionConfig{})
+	l := &listener{ch: make(chan net.Conn), done: make(chan struct{}), addr: w.ln.Addr()}
+	w.mu.Lock()
+	w.srv, w.l, w.down = srv, l, false
+	w.mu.Unlock()
+	srv.Serve(l)
+}
+
+// accept hands every connection the listener accepts to the server as a
+// conn, or, while the node is down, hangs up on it: one failed attempt of
+// the runtime's, which the engine counts.
+func (w *loopback) accept() {
+	defer w.pumps.Done()
+	for {
+		tcp, err := w.ln.Accept()
+		if err != nil {
+			return
+		}
+		w.mu.Lock()
+		if w.down {
+			w.attempts++
+			w.fails++
+			w.owed++
+			w.mu.Unlock()
+			tcp.Close()
+			continue
+		}
+		w.conns++
+		c := &conn{Conn: tcp, w: w, rng: sim.NewRNG(w.r.sched.Faults.Seed<<20 + w.conns)}
+		l := w.l
+		w.mu.Unlock()
+		c.cond.L = &c.mu
+		w.pumps.Add(1)
+		go c.pump()
+		select {
+		case l.ch <- c:
+		case <-l.done:
+			c.Close()
+		}
+	}
 }
 
 func (w *loopback) transport() fabric.ErrorTransport { return w.t }
@@ -179,7 +238,11 @@ func (w *loopback) transport() fabric.ErrorTransport { return w.t }
 func (w *loopback) faults() (lo, hi uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.owed, w.owed + w.t.Stats().PipelinedFetches() - w.probes - w.answered
+	lo = w.owed
+	if w.down {
+		lo += w.t.Stats().CarriedPushes() - w.carried
+	}
+	return lo, lo + w.t.Stats().PipelinedFetches() - w.probes - w.answered
 }
 
 func (w *loopback) requests() uint64 {
@@ -192,6 +255,12 @@ func (w *loopback) corruptions() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.corrupt
+}
+
+func (w *loopback) outage() (down, crashed bool, fails uint64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.down, w.crashed, w.fails
 }
 
 // peek reads key's blob from the store, which must be what the history of
@@ -207,8 +276,10 @@ func (w *loopback) peek(key uint64, dst []byte) (bool, error) {
 	return found, err
 }
 
-// check holds the transport's resends to the cuts that owe them and the
-// store to the pushes damaged in flight, and notes the states reached.
+// check holds the transport's resends to the cuts that owe them — while
+// the node is down, one more may be the first use of an idle socket the
+// shutdown closed — and the store to the pushes damaged in flight, and
+// notes the states reached.
 func (w *loopback) check() error {
 	s := w.t.Stats()
 	w.mu.Lock()
@@ -217,51 +288,78 @@ func (w *loopback) check() error {
 	w.reached["stream ticket completed"] = w.answered > 0
 	w.reached["reconnect"] = s.Reconnects() > 0
 	for i, state := range loopbackStates {
-		w.r.Note(state, w.reached[state], i < 2 || i < 8 && w.r.Faulty() || i >= 8 && w.ds != nil)
+		w.r.Note(state, w.reached[state], i < 2 || i < 10 && w.r.Faulty() || i >= 10 && w.ds != nil && w.r.Faulty())
 	}
-	if got, want := s.Retries(), w.resends+w.retried; got != want {
+	if got, want := s.Retries(), w.resends+w.retried; got != want && !(w.down && got == want+1) {
 		return errors.Join(w.stored, fmt.Errorf("the transport resent %d times, %d cuts of an idle connection and the world's probes owe %d", got, w.resends, want))
 	}
 	return w.stored
 }
 
-// between restarts the node when the schedule says so, or after the op in
-// which an armed crash point fired. A durable node due to restart may
-// instead arm a crash point somewhere in the next few KiB of its log. Before
-// quiesce (i < 0) the node only comes back if it crashed, and stays up.
+// between takes the node out of service when the schedule says so, and
+// brings it back once the runtime has made OutageLen failed attempts
+// against it, or before quiesce (i < 0), which also disarms a crash point.
+// A durable node going out of service may instead arm a crash point
+// somewhere in the next few KiB of its log, and stay up crashed once it
+// fires. Run again for the same op, between only brings the node back.
 func (w *loopback) between(i int) error {
-	every := w.r.sched.Faults.OutageEvery
-	due := every > 0 && i > 0 && i%every == 0
+	if w.closed {
+		return nil
+	}
+	f := w.r.sched.Faults
 	w.mu.Lock()
-	crashed := w.crashed
+	due := f.OutageEvery > 0 && i > w.seen && i%f.OutageEvery == 0 && !w.down && !w.crashed && w.armed < 0
+	back := (w.down || w.crashed) && (i < 0 || w.attempts >= f.OutageLen)
+	w.seen = max(w.seen, i)
 	if i < 0 && w.ds != nil {
 		w.armed = -1
 		w.ds.SetCrashPoint(-1)
-	} else if due && !crashed && w.ds != nil && w.rng.Intn(2) == 0 {
+	} else if due && w.ds != nil && w.rng.Intn(2) == 0 {
 		w.armed = w.ds.WALWritten() + 1 + int64(w.rng.Intn(4<<10))
 		w.ds.SetCrashPoint(w.armed)
-		due = false
+		w.attempts, due = 0, false
+	}
+	if due {
+		w.down, w.attempts, w.carried = true, 0, w.t.Stats().CarriedPushes()
 	}
 	w.mu.Unlock()
-	if w.down || !due && !crashed {
-		return nil
+	switch {
+	case back:
+		return w.restart()
+	case due:
+		w.srv.Shutdown(0)
 	}
-	return w.restart()
+	return nil
 }
 
-// restart takes the node down and brings it back on the same address, with
-// its memory (plain) or what its directory recovers (durable), checks what
-// it holds, and probes the transport back onto it. A stream probe started
-// first tells whether the stream's ring has a place for the probe after
-// the restart; if not, the restart waits for the next op.
+// restart brings the node back on the same address, with its memory
+// (plain) or what its directory recovers (durable), checks what it holds,
+// and probes the transport back onto it. A node still up (crashed) goes
+// down first; then a stream probe started before tells whether the
+// stream's ring has a place for the probe after the restart; if not, the
+// restart waits for the next op.
 func (w *loopback) restart() error {
 	buf, first := make([]byte, 8), make([]byte, 8)
-	before := w.t.Stats().PipelinedFetches()
-	ticket, err := w.t.StartFetch(streamProbe, first)
-	if err != nil || w.t.Stats().PipelinedFetches() == before {
-		return err // the ring is full: the fallback fetched on the demand path
+	var ticket fabric.Ticket
+	w.mu.Lock()
+	outage := w.down && w.attempts > 0 // the runtime found the node down
+	if !w.down {
+		w.mu.Unlock()
+		before := w.t.Stats().PipelinedFetches()
+		var err error
+		if ticket, err = w.t.StartFetch(streamProbe, first); err != nil || w.t.Stats().PipelinedFetches() == before {
+			return err // the ring is full: the fallback fetched on the demand path
+		}
+		w.srv.Shutdown(0) // every handler has returned
+		w.mu.Lock()
+		w.probes++
+	} else {
+		// The attempts the node hung up on carried these pushes, and an
+		// idle socket's resend, if any, is the outage's.
+		w.owed += w.t.Stats().CarriedPushes() - w.carried
+		w.retried = w.t.Stats().Retries() - w.resends
 	}
-	w.srv.Shutdown(0) // every handler has returned
+	w.mu.Unlock()
 	gen := w.gen
 	if w.ds != nil {
 		w.compacted = w.compacted || w.ds.DurableStats().Snapshots() > 0
@@ -272,13 +370,9 @@ func (w *loopback) restart() error {
 		}
 		old.Clear() // its blobs are buffer leases
 	}
-	err = w.recovered(gen)
-	ln, lerr := net.Listen("tcp", w.addr)
-	if lerr != nil {
-		return errors.Join(err, lerr)
-	}
-	w.serve(ln)
-	retries := w.t.Stats().Retries()
+	err := w.recovered(gen)
+	w.serve()
+	retries, reconnects := w.t.Stats().Retries(), w.t.Stats().Reconnects()
 	buf[0] = 1
 	if found, perr := w.t.TryFetchUntil(demandProbe, buf, fabric.Deadline{}); perr != nil || found || buf[0] != 0 {
 		err = errors.Join(err, fmt.Errorf("the demand probe after a restart: found %t, % x, %v; want an absent key's zeros", found, buf, perr))
@@ -287,8 +381,8 @@ func (w *loopback) restart() error {
 		err = errors.Join(err, fmt.Errorf("the transport saw generation %d (durable %t) after a restart to %d", g, durable, w.gen))
 	}
 	w.mu.Lock()
-	w.probes++
 	w.retried += w.t.Stats().Retries() - retries
+	w.reached["reconnect after an outage"] = w.reached["reconnect after an outage"] || outage && w.t.Stats().Reconnects() > reconnects
 	w.reached["generation advanced"] = w.reached["generation advanced"] || w.gen > gen
 	w.mu.Unlock()
 	ticket.Wait() // collects every ticket before it, failed or not
@@ -298,7 +392,7 @@ func (w *loopback) restart() error {
 // probeStream fetches the stream probe on the prefetch stream until one
 // succeeds, which it does on a fresh connection: the stream's, from then
 // on. Every runtime ticket outstanding before it is then collected, so the
-// ones the last restart failed are known.
+// ones the last outage failed are known.
 func (w *loopback) probeStream() error {
 	buf := make([]byte, 8)
 	for range 3 {
@@ -364,14 +458,15 @@ func (w *loopback) recovered(gen uint64) error {
 // close shuts the node down for good, and releases its blobs and its
 // directory.
 func (w *loopback) close() error {
-	if w.down {
+	if w.closed {
 		return nil
 	}
-	w.down = true
+	w.closed = true
 	if w.t != nil {
 		w.t.Close()
 	}
 	w.srv.Shutdown(0)
+	w.ln.Close()
 	w.pumps.Wait()
 	if w.ds != nil {
 		w.ds.Crash()
@@ -433,27 +528,30 @@ func (h history) mutate(key uint64, src []byte, f func() error) error {
 	return err
 }
 
-// listener hands the server each connection it accepts as a conn.
+// listener is one server's listener: the world's accept loop hands it the
+// connections, and closing it leaves the world's listener open.
 type listener struct {
-	net.Listener
-	w *loopback
+	ch   chan net.Conn
+	done chan struct{}
+	once sync.Once
+	addr net.Addr
 }
 
-func (l listener) Accept() (net.Conn, error) {
-	tcp, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
+func (l *listener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.ch:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
 	}
-	w := l.w
-	w.mu.Lock()
-	w.conns++
-	c := &conn{Conn: tcp, w: w, rng: sim.NewRNG(w.r.sched.Faults.Seed<<20 + w.conns)}
-	w.mu.Unlock()
-	c.cond.L = &c.mu
-	w.pumps.Add(1)
-	go c.pump()
-	return c, nil
 }
+
+func (l *listener) Close() error {
+	l.once.Do(func() { close(l.done) })
+	return nil
+}
+
+func (l *listener) Addr() net.Addr { return l.addr }
 
 // conn is the server's end of one connection. A pump reads what the client
 // sends, frame by frame, and decides each frame's fault; the server reads
@@ -481,19 +579,36 @@ type conn struct {
 }
 
 // reply is one reply the server owes: to a frame of op with an n-byte
-// payload, in exchange ex (nil: the world's own, or the stream's).
+// payload, in exchange ex (nil: the world's own, or the stream's), and
+// whether the frame is a push carried ahead of the exchange's fetch.
 type reply struct {
-	op      byte
-	n       int
-	key     uint64
-	corrupt bool
-	ex      *exchange
+	op             byte
+	n              int
+	key            uint64
+	corrupt, ahead bool
+	ex             *exchange
 }
 
-// exchange is one client write on a connection other than the stream.
+// exchange is one client write on a connection other than the stream: its
+// frames, the first ahead of them pushes carried ahead of a fetch, which
+// fail apart from it; and which of the two parts have had their faults
+// counted, and whether the exchange met a refusal.
 type exchange struct {
-	frames int
-	failed bool // its faults are counted
+	frames, ahead        int
+	pushes, own, refused bool
+}
+
+// fail counts the faults of the pushes carried ahead, of the rest of the
+// exchange (own), or of both: each part once.
+func (ex *exchange) fail(w *loopback, pushes, own bool) {
+	if pushes && !ex.pushes {
+		ex.pushes = true
+		w.owed += uint64(ex.ahead)
+	}
+	if own && !ex.own {
+		ex.own = true
+		w.owed += uint64(ex.frames - ex.ahead)
+	}
 }
 
 // Frame layout, as fabric's wire has it: the hello, a request header with
@@ -563,6 +678,9 @@ func (c *conn) arrive(b []byte) {
 	var ex *exchange
 	if !c.stream && key < demandProbe {
 		ex = &exchange{frames: len(frames)}
+		if frames[len(frames)-1][0] == opFetch {
+			ex.ahead = len(frames) - 1
+		}
 	}
 	first := c.batches == 0
 	c.batches++
@@ -570,11 +688,13 @@ func (c *conn) arrive(b []byte) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var out []byte
-	for _, f := range frames {
+	for k, f := range frames {
 		r := reply{op: f[0], n: int(binary.BigEndian.Uint32(f[9:13])), key: binary.BigEndian.Uint64(f[1:9]), ex: ex}
 		u := 1.0
-		if ex != nil {
-			u = c.rng.Float64()
+		if ex != nil && !w.crashed {
+			u, r.ahead = c.rng.Float64(), k < ex.ahead
+		} else if ex != nil {
+			r.ahead = k < ex.ahead
 		}
 		switch {
 		case u < sched.DropRate: // a cut
@@ -585,7 +705,7 @@ func (c *conn) arrive(b []byte) {
 				w.reached["push applied, its ack cut"] = w.reached["push applied, its ack cut"] || r.op == opPush
 			}
 			c.in = append(c.in, append(out, f...))
-			c.cut, c.eof, ex.failed = true, true, true
+			c.cut, c.eof, ex.pushes, ex.own = true, true, true, true
 			if first {
 				w.owed += uint64(ex.frames)
 				w.reqs += uint64(ex.frames)
@@ -641,9 +761,10 @@ func (c *conn) Read(p []byte) (int, error) {
 }
 
 // Write parses the server's replies against the requests that owe them:
-// it corrupts a fetch reply drawn for it, and counts a refusal or a
-// corruption as its exchange's failure, and a stream reply written whole as
-// a ticket answered — before the client can read any of them.
+// it corrupts a fetch reply drawn for it, counts a corruption as its
+// exchange's failure and a refusal as its part's (and, while the node is
+// crashed, as a failed attempt against it), and a stream reply written
+// whole as a ticket answered — before the client can read any of them.
 func (c *conn) Write(b []byte) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -666,19 +787,23 @@ func (c *conn) Write(b []byte) (int, error) {
 		case r.op == opFetch && (b[off] == flagAbsent || b[off] == flagFound):
 			n, whole = 1+r.n+crcLen, true
 		}
-		failed := !whole && r.op != 0 && (r.op == opFetch || b[off] != ackOK)
-		if r.corrupt && whole {
+		refused := !whole && r.op != 0 && (r.op == opFetch || b[off] != ackOK)
+		switch {
+		case r.corrupt && whole:
 			if &out[0] == &b[0] {
 				out = bytes.Clone(b)
 			}
 			out[off+1+c.rng.Intn(r.n)] ^= 0xFF
-			failed = true
 			w.corrupt++
 			w.reached["fetch reply refused for its CRC"] = true
-		}
-		if failed && r.ex != nil && !r.ex.failed {
-			r.ex.failed = true
-			w.owed += uint64(r.ex.frames)
+			r.ex.fail(w, true, true)
+		case refused && r.ex != nil:
+			r.ex.fail(w, r.ahead, !r.ahead)
+			if w.crashed && !r.ex.refused {
+				w.attempts++
+				w.fails++
+			}
+			r.ex.refused = true
 		}
 		if c.stream && whole && r.key != streamProbe {
 			w.answered++

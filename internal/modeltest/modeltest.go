@@ -28,7 +28,9 @@ import (
 	"testing"
 
 	"trackfm/internal/fabric"
+	"trackfm/internal/far"
 	"trackfm/internal/mem/bufpool"
+	"trackfm/internal/obs"
 	"trackfm/internal/sim"
 )
 
@@ -144,17 +146,27 @@ type Rig struct {
 	Env *sim.Env
 	Far *fabric.SimLink // the far node of the SimLink world; nil over loopback
 	Mem []byte          // what the runtime's heap must hold
+	Obs *obs.Registry   // the runtime's far engine registers here: run reads its retry budget
 
 	world   world
 	sched   Schedule
 	retries int
-	leases  int             // bufpool.Outstanding() before the runtime was built
+	leases  int             // bufpool.Outstanding() before the runtime was built; -1 if not alone
 	cov     map[string]bool // nil: coverage is not kept
 
 	mu      sync.Mutex
 	counted uint64 // fault counts the env held at the ResetStats before the current ones
 	reset   bool   // ResetStats ran during the current op
 	deletes atomic.Uint64
+	op      opState
+}
+
+// opState is what run knows of the current op: the node's state when it
+// began, the demand fetches by then, and the failure the runtime reported.
+type opState struct {
+	down, crashed bool
+	critical      uint64
+	failure       error
 }
 
 // world is where the far node lives, as the harness reads it. The SimLink
@@ -174,9 +186,13 @@ type world interface {
 	corruptions() uint64
 	// peek reads the far copy of key into dst without charging a cycle.
 	peek(key uint64, dst []byte) (bool, error)
-	// between runs before op i, or before quiesce (i < 0): restarts and
-	// recoveries, and their checks.
+	// between runs before op i, or before quiesce (i < 0): outages,
+	// restarts and recoveries, and their checks.
 	between(i int) error
+	// outage reports whether the node is out of service: down, refusing
+	// every connection, or up but crashed, refusing every write; and how
+	// many attempts an outage has failed so far.
+	outage() (down, crashed bool, fails uint64)
 	// check holds the world's own books after an op.
 	check() error
 	// close shuts the node down and releases what it holds.
@@ -197,7 +213,15 @@ func (w *simWorld) faults() (lo, hi uint64) {
 	return fs.InjectedFailures() + fs.Corruptions, fs.InjectedFailures() + fs.Corruptions
 }
 
-func (w *simWorld) requests() uint64    { return w.link.Stats().Ops }
+func (w *simWorld) requests() uint64 { return w.link.Stats().Ops }
+
+// outage reports the FaultLink's outage windows, which run for a number of
+// link operations rather than across ops: the node is never out of
+// service for a whole op.
+func (w *simWorld) outage() (down, crashed bool, fails uint64) {
+	return false, false, w.link.Stats().OutageFails
+}
+
 func (w *simWorld) corruptions() uint64 { return w.link.Stats().Corruptions }
 func (w *simWorld) between(int) error   { return nil }
 func (w *simWorld) check() error        { return nil }
@@ -239,7 +263,7 @@ func (m Model) Trace(src Source, n int) []Op {
 // LeasesHome has not closed it.
 func (m Model) Rig(tb testing.TB, sched Schedule) *Rig {
 	leaseDebug(tb)
-	r, err := m.rig(sched, nil)
+	r, err := m.rig(sched, nil, true)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -247,9 +271,14 @@ func (m Model) Rig(tb testing.TB, sched Schedule) *Rig {
 	return r
 }
 
-// rig builds a fresh world under sched whose notes go to cov.
-func (m Model) rig(sched Schedule, cov map[string]bool) (*Rig, error) {
-	r := &Rig{Env: sim.NewEnv(), Mem: make([]byte, m.Heap), sched: sched, retries: m.Retries, leases: bufpool.Outstanding(), cov: cov}
+// rig builds a fresh world under sched whose notes go to cov. A rig not
+// alone shares the buffer pool with other traces running at once, so its
+// LeasesHome leaves the leases to whoever waits for them all.
+func (m Model) rig(sched Schedule, cov map[string]bool, alone bool) (*Rig, error) {
+	r := &Rig{Env: sim.NewEnv(), Mem: make([]byte, m.Heap), Obs: obs.NewRegistry(), sched: sched, retries: m.Retries, leases: -1, cov: cov}
+	if alone {
+		r.leases = bufpool.Outstanding()
+	}
 	if sched.node != simNode {
 		w, err := newLoopback(r)
 		r.world = w
@@ -288,6 +317,37 @@ func (r *Rig) ResetStats() {
 	r.counted = r.countedLocked()
 	r.Env.ResetStats()
 	r.reset = true
+}
+
+// Between runs the world's events due before op i of a trace the runtime's
+// test drives itself, or before its quiesce (i < 0): an outage begins or
+// ends, and the node restarts and is checked. Run again for the same op, it
+// only ends an outage that is due to end.
+func (r *Rig) Between(i int) error { return r.world.between(i) }
+
+// Served holds an op that moved bytes to the node's state while it ran,
+// given the failure it reported (nil for none), whether its object was
+// resident and whether it missed, needing the far node's copy. While the
+// node is down, an op on a resident object succeeds, and a miss fails with
+// ErrRemoteUnavailable (or a degraded engine's refusal) and is never
+// served by the node: a hung-up connection is no absent key. While the node
+// is up but refusing writes, a miss is served. run holds the failure to
+// the retry budget.
+func (r *Rig) Served(failure error, resident, missed bool) error {
+	r.op.failure = failure
+	fetched := sim.Load(&r.Env.Counters.CriticalFetches) > r.op.critical
+	typed := failure == nil || errors.Is(failure, fabric.ErrRemoteUnavailable) || errors.Is(failure, far.ErrDegraded)
+	switch {
+	case r.op.down && (resident && failure != nil || !typed):
+		return fmt.Errorf("failed with %v while the node was down (resident %t); want a resident object served and a miss ErrRemoteUnavailable", failure, resident)
+	case r.op.down && fetched:
+		return errors.New("a miss was served by the node while it was down")
+	case r.op.crashed && missed && failure != nil && !errors.Is(failure, far.ErrDegraded):
+		return fmt.Errorf("a miss failed with %v while the node refused writes; want it served", failure)
+	}
+	r.Note("op failed while the node was down", r.op.down && failure != nil, false)
+	r.Note("miss served while the node refused writes", r.op.crashed && missed && fetched, false)
+	return nil
 }
 
 // Deleted notes n far-engine deletes the current op made: the far engine
@@ -331,7 +391,7 @@ func (r *Rig) FarCopies(unit int) error {
 // and reports buffer leases the runtime took and did not return.
 func (r *Rig) LeasesHome() error {
 	err := r.world.close()
-	if n := bufpool.Outstanding() - r.leases; n != 0 {
+	if n := bufpool.Outstanding() - r.leases; r.leases >= 0 && n != 0 {
 		err = errors.Join(err, fmt.Errorf("%d buffer leases outstanding", n))
 	}
 	return err
@@ -429,6 +489,14 @@ func (r *Rig) reconcile(quiet bool) error {
 	return nil
 }
 
+// budget reads the retry budget of the far engine registered on Obs: its
+// tokens and the re-issues it denied, if one is registered.
+func (r *Rig) budget() (tokens float64, denied uint64, ok bool) {
+	s := r.Obs.Snapshot()
+	tokens, ok = s.Gauges["trackfm_retry_budget_tokens"]
+	return tokens, s.Counter("trackfm_retry_budget_denied_total"), ok
+}
+
 // calls counts the far-engine calls so far: the timed fetches and pushes,
 // and the deletes noted.
 func (r *Rig) calls() uint64 {
@@ -457,9 +525,9 @@ func catch(f func() error) (err error) {
 
 // run runs ops on a runtime build makes over a fresh rig under sched,
 // checked after every op, then quiesces it. cov, if not nil, collects the
-// states the trace reached.
-func (m Model) run(sched Schedule, build func(*Rig) (Runtime, error), cov map[string]bool, ops []Op) error {
-	r, err := m.rig(sched, cov)
+// states the trace reached. alone says no other trace runs at once.
+func (m Model) run(sched Schedule, build func(*Rig) (Runtime, error), cov map[string]bool, ops []Op, alone bool) error {
+	r, err := m.rig(sched, cov, alone)
 	defer func() { r.world.close() }()
 	if err != nil {
 		return err
@@ -473,11 +541,29 @@ func (m Model) run(sched Schedule, build func(*Rig) (Runtime, error), cov map[st
 			return fmt.Errorf("before op %d %v: %w", i, o, err)
 		}
 		wire, calls := r.world.requests(), r.calls()
-		r.reset = false
+		down, crashed, fails := r.world.outage()
+		tokens, denied, budgeted := r.budget()
+		r.reset, r.op = false, opState{down: down, crashed: crashed, critical: sim.Load(&r.Env.Counters.CriticalFetches)}
+		overloads := sim.Load(&r.Env.Counters.OverloadRejects)
 		err := catch(func() error { return rt.Step(o) })
 		// A far-engine call makes at most Retries wire requests.
 		if reqs, calls := r.world.requests()-wire, r.calls()-calls; !r.reset && reqs > uint64(m.Retries)*calls {
 			err = errors.Join(err, fmt.Errorf("%d wire requests for %d far-engine calls", reqs, calls))
+		}
+		// Outside an outage, a failed op is one whose re-issue the retry
+		// budget denied, or whose error was permanent (or no wire fault:
+		// a deadline, a shed, a degraded engine's refusal), or that spent
+		// its RemoteRetries attempts, each re-issue paid from the budget:
+		// it earns a tenth of a token per far-engine call and a re-issue
+		// costs one, unless the call was shed (backpressure is re-issued
+		// free).
+		f := r.op.failure
+		wireFault := f != nil && !fabric.Permanent(f) && (errors.Is(f, fabric.ErrRemoteUnavailable) || errors.Is(f, fabric.ErrIntegrity))
+		if down2, crashed2, fails2 := r.world.outage(); wireFault && budgeted && !r.reset && !down && !crashed && !down2 && !crashed2 && fails2 == fails {
+			after, denied2, _ := r.budget()
+			if denied2 == denied && sim.Load(&r.Env.Counters.OverloadRejects) == overloads && after > tokens+float64(r.calls()-calls)/10-1+1e-9 {
+				err = errors.Join(err, fmt.Errorf("failed with %v outside an outage, the retry budget denying nothing and going from %.2f to %.2f tokens in %d far-engine calls: a re-issue went unpaid", f, tokens, after, r.calls()-calls))
+			}
 		}
 		if err := errors.Join(err, r.reconcile(false), r.world.check(), catch(rt.Check)); err != nil {
 			return fmt.Errorf("op %d %v: %w", i, o, err)
@@ -492,22 +578,58 @@ func (m Model) run(sched Schedule, build func(*Rig) (Runtime, error), cov map[st
 	return nil
 }
 
-// Test runs the seeded traces of one config, and then its directed ones,
-// and asserts they reached every state the runtime noted. t is the
-// config's subtest of TestModel. -model.seed replays a seed, and skips the
-// directed traces and the coverage.
+// Test runs the seeded traces of one config and its directed ones, and
+// asserts they reached every state the runtime noted. t is the config's
+// subtest of TestModel. -model.seed replays a seed, and skips the directed
+// traces and the coverage. The traces run at once, each on its own rig —
+// over loopback most of a trace's wall time is the transport's backoff
+// against a node that is down — so their buffer leases are counted once
+// all have quiesced; if any is left, each runs again alone to find it.
 func (m Model) Test(t *testing.T, sched Schedule, build func(*Rig) (Runtime, error), directed map[string][]Op) {
 	leaseDebug(t)
-	cov := map[string]bool{}
+	type job struct {
+		ops          []Op
+		what, replay string
+		cov          map[string]bool
+		err          error
+	}
+	var jobs []*job
 	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
 	if *seed != 0 {
 		seeds, directed = []uint64{*seed}, nil
 	}
 	for _, s := range seeds {
-		m.trace(t, sched, build, cov, m.Trace(sim.NewRNG(s), m.Len), fmt.Sprintf("seed %d", s), fmt.Sprintf("'%s$' -model.seed=%d", t.Name(), s))
+		jobs = append(jobs, &job{ops: m.Trace(sim.NewRNG(s), m.Len), what: fmt.Sprintf("seed %d", s), replay: fmt.Sprintf("'%s$' -model.seed=%d", t.Name(), s)})
 	}
 	for name, ops := range directed {
-		m.trace(t, sched, build, cov, ops, "the "+name+" trace", fmt.Sprintf("'%s$'", t.Name()))
+		jobs = append(jobs, &job{ops: ops, what: "the " + name + " trace", replay: fmt.Sprintf("'%s$'", t.Name())})
+	}
+	leases := bufpool.Outstanding()
+	var wg sync.WaitGroup
+	for _, j := range jobs {
+		j.cov = map[string]bool{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			j.err = m.run(sched, build, j.cov, j.ops, false)
+		}()
+	}
+	wg.Wait()
+	leaked := bufpool.Outstanding() - leases
+	cov := map[string]bool{}
+	for _, j := range jobs {
+		if j.err != nil {
+			m.report(t, sched, build, j.ops, j.what, j.replay, j.err)
+		}
+		for state, reached := range j.cov {
+			cov[state] = cov[state] || reached
+		}
+	}
+	if leaked != 0 {
+		for _, j := range jobs {
+			m.trace(t, sched, build, nil, j.ops, j.what, j.replay)
+		}
+		t.Fatalf("%d buffer leases outstanding after the traces ran at once, and none alone", leaked)
 	}
 	for state, reached := range cov {
 		if !reached && *seed == 0 {
@@ -531,20 +653,25 @@ func (m Model) Case(t *testing.T, sched Schedule, build func(*Rig) (Runtime, err
 	}
 }
 
-// trace runs ops, and fails t with what failed, the op, a replay line (go
-// test's -run and flags) and the trace shrunk to the ops that still fail.
+// trace runs ops alone, and fails t as report does if they fail.
 func (m Model) trace(t *testing.T, sched Schedule, build func(*Rig) (Runtime, error), cov map[string]bool, ops []Op, what, replay string) {
-	if err := m.run(sched, build, cov, ops); err != nil {
-		min := shrink(ops, func(ops []Op) bool { return m.run(sched, build, nil, ops) != nil })
-		t.Fatalf("%s: %v\nreplay: go test ./%s -run %s\nshrunk to %d ops: %v\n%v", what, err, m.Pkg, replay, len(min), min, m.run(sched, build, nil, min))
+	if err := m.run(sched, build, cov, ops, true); err != nil {
+		m.report(t, sched, build, ops, what, replay, err)
 	}
+}
+
+// report fails t with what failed (err), the op, a replay line (go test's
+// -run and flags) and the trace shrunk, alone, to the ops that still fail.
+func (m Model) report(t *testing.T, sched Schedule, build func(*Rig) (Runtime, error), ops []Op, what, replay string, err error) {
+	min := shrink(ops, func(ops []Op) bool { return m.run(sched, build, nil, ops, true) != nil })
+	t.Fatalf("%s: %v\nreplay: go test ./%s -run %s\nshrunk to %d ops: %v\n%v", what, err, m.Pkg, replay, len(min), min, m.run(sched, build, nil, min, true))
 }
 
 // Fuzz runs a trace drawn from a fuzzer's bytes, up to five an op.
 func (m Model) Fuzz(t *testing.T, sched Schedule, build func(*Rig) (Runtime, error), script []byte) {
 	leaseDebug(t)
 	src := byteSource(script)
-	if err := m.run(sched, build, nil, m.Trace(&src, len(script)/5)); err != nil {
+	if err := m.run(sched, build, nil, m.Trace(&src, len(script)/5), true); err != nil {
 		t.Fatal(err)
 	}
 }
