@@ -686,7 +686,8 @@ func runWorkers(t *testing.T, cfg modelConfig) {
 // TestConcurrentModel is the model's K-worker run over a small tier, with
 // a fault-free link and a faulty one, and over a faulty loopback server on a
 // durable store, where several demand connections and the prefetch stream
-// run at once. make test-model and make test-stress run it under -race.
+// run at once and the node goes out of service every 97 ops of the four.
+// make test-model and make test-stress run it under -race.
 func TestConcurrentModel(t *testing.T) {
 	for _, name := range []string{"tier-small", "faults-tier-small", "loopback-faults-durable"} {
 		t.Run(name, func(t *testing.T) { runWorkers(t, modelCfg(name)) })

@@ -111,7 +111,6 @@ type loopback struct {
 	down     bool              // the node is down: every new connection is hung up on
 	seen     int               // the last op between ran before
 	attempts int               // failed wire attempts against the node out of service
-	fails    uint64            // ... ever
 	carried  uint64            // the transport's carried pushes when the node went down
 	conns    uint64
 	owed     uint64 // fault counts the far engine owes the exchanges
@@ -212,7 +211,6 @@ func (w *loopback) accept() {
 		w.mu.Lock()
 		if w.down {
 			w.attempts++
-			w.fails++
 			w.owed++
 			w.mu.Unlock()
 			tcp.Close()
@@ -257,10 +255,13 @@ func (w *loopback) corruptions() uint64 {
 	return w.corrupt
 }
 
+// outage reports the node's state: it goes out of service only between
+// ops, but for a crash point that fires, so an outage that begins inside
+// an op shows as crashed after it.
 func (w *loopback) outage() (down, crashed bool, fails uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.down, w.crashed, w.fails
+	return w.down, w.crashed, 0
 }
 
 // peek reads key's blob from the store, which must be what the history of
@@ -689,12 +690,10 @@ func (c *conn) arrive(b []byte) {
 	defer w.mu.Unlock()
 	var out []byte
 	for k, f := range frames {
-		r := reply{op: f[0], n: int(binary.BigEndian.Uint32(f[9:13])), key: binary.BigEndian.Uint64(f[1:9]), ex: ex}
+		r := reply{op: f[0], n: int(binary.BigEndian.Uint32(f[9:13])), key: binary.BigEndian.Uint64(f[1:9]), ex: ex, ahead: ex != nil && k < ex.ahead}
 		u := 1.0
 		if ex != nil && !w.crashed {
-			u, r.ahead = c.rng.Float64(), k < ex.ahead
-		} else if ex != nil {
-			r.ahead = k < ex.ahead
+			u = c.rng.Float64()
 		}
 		switch {
 		case u < sched.DropRate: // a cut
@@ -801,7 +800,6 @@ func (c *conn) Write(b []byte) (int, error) {
 			r.ex.fail(w, r.ahead, !r.ahead)
 			if w.crashed && !r.ex.refused {
 				w.attempts++
-				w.fails++
 			}
 			r.ex.refused = true
 		}

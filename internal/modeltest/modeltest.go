@@ -190,8 +190,9 @@ type world interface {
 	// restarts and recoveries, and their checks.
 	between(i int) error
 	// outage reports whether the node is out of service: down, refusing
-	// every connection, or up but crashed, refusing every write; and how
-	// many attempts an outage has failed so far.
+	// every connection, or up but crashed, refusing every write; and, for
+	// outages that begin and end inside an op, how many operations they
+	// have failed so far.
 	outage() (down, crashed bool, fails uint64)
 	// check holds the world's own books after an op.
 	check() error
