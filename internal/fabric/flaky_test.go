@@ -81,39 +81,46 @@ func TestMidResponseErrorMarksConnDead(t *testing.T) {
 	}
 }
 
-// TestTryFetchTimeout: against a server that says hello and then nothing,
-// a fetch under a short wall deadline fails with ErrTimeout once its socket
-// deadline, clamped to the budget, runs out.
+// TestTryFetchTimeout: against a server that answers nothing, or only the
+// hello, a fetch under a 30 ms wall deadline fails with ErrTimeout within
+// that budget, not after opTimeout: the hello's socket deadline is clamped
+// to the budget as the exchange's is.
 func TestTryFetchTimeout(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() { // answer the hello, swallow requests, answer nothing
-				if _, err := io.ReadFull(c, make([]byte, helloLen)); err == nil {
-					c.Write(helloReply(0, false))
-				}
-				io.Copy(io.Discard, c)
-			}()
+	for _, hello := range []bool{false, true} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
 		}
-	}()
-	tr, err := Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer tr.Close()
-	if _, err := tr.TryFetchUntil(1, make([]byte, 8), WallDeadlineAfter(30*time.Millisecond)); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("TryFetch against mute server = %v, want ErrTimeout", err)
-	}
-	if got := tr.Stats().Timeouts(); got < 1 {
-		t.Fatalf("Timeouts = %d, want >= 1", got)
+		defer ln.Close()
+		go func() {
+			for {
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				go func() { // answer the hello (if asked to), then nothing
+					if _, err := io.ReadFull(c, make([]byte, helloLen)); err == nil && hello {
+						c.Write(helloReply(0, false))
+					}
+					io.Copy(io.Discard, c)
+				}()
+			}
+		}()
+		tr, err := Dial(ln.Addr().String())
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		defer tr.Close()
+		start := time.Now()
+		if _, err := tr.TryFetchUntil(1, make([]byte, 8), WallDeadlineAfter(30*time.Millisecond)); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("hello answered %v: TryFetch against mute server = %v, want ErrTimeout", hello, err)
+		}
+		if d := time.Since(start); d > opTimeout/4 {
+			t.Errorf("hello answered %v: TryFetch took %v under a 30ms deadline", hello, d)
+		}
+		if got := tr.Stats().Timeouts(); got < 1 {
+			t.Fatalf("hello answered %v: Timeouts = %d, want >= 1", hello, got)
+		}
 	}
 }
 

@@ -756,6 +756,16 @@ func (t *TCPTransport) markDead(c *wireConn) {
 	t.mu.Unlock()
 }
 
+// timeout is how long the next dial, hello or exchange on c may take:
+// opTimeout, clamped to what is left of the holder's deadline, and never 0
+// (a dial timeout of 0 means none).
+func (c *wireConn) timeout() time.Duration {
+	if c.dl.IsZero() {
+		return opTimeout
+	}
+	return min(opTimeout, max(time.Duration(c.dl.RemainingNanos()), 1))
+}
+
 // ensureConn re-dials if c has no live socket; the new socket's hello is
 // still to be sent. The first dial of a wireConn grows the pool; every
 // later one replaces a socket that died and counts as a reconnect.
@@ -763,7 +773,7 @@ func (t *TCPTransport) ensureConn(c *wireConn) error {
 	if c.conn != nil {
 		return nil
 	}
-	conn, err := t.dial("tcp", t.addr, opTimeout)
+	conn, err := t.dial("tcp", t.addr, c.timeout())
 	if err != nil {
 		return err
 	}
@@ -795,7 +805,7 @@ func (t *TCPTransport) ensureHello(c *wireConn) error {
 	if c.helloed {
 		return nil
 	}
-	c.conn.SetDeadline(time.Now().Add(opTimeout))
+	c.conn.SetDeadline(time.Now().Add(c.timeout()))
 	c.hdr[0] = opHello
 	binary.BigEndian.PutUint64(c.hdr[1:9], helloMagic)
 	binary.BigEndian.PutUint32(c.hdr[9:13], protoVersion)
@@ -881,20 +891,15 @@ func (t *TCPTransport) do(dl Deadline, ahead []Push, code byte, key uint64, buf 
 // sleeps the backoff for its failure streak — an overload reject and a
 // dead peer alike — clamped to the remaining deadline; a success resets
 // the streak. An expired deadline fails the attempt with
-// ErrDeadlineExceeded before it starts, each socket deadline is clamped to
-// the remaining budget, and a result that arrives past the deadline is
+// ErrDeadlineExceeded before it starts, its dial, hello and exchange are
+// each bounded by the remaining budget (timeout), and a result that arrives past the deadline is
 // reported the same way (the caller never consumes it).
 func (t *TCPTransport) attempt(c *wireConn, ahead []Push, code byte, key uint64, buf []byte) (found bool, refused, err error) {
 	if c.fails > 0 {
 		t.rngMu.Lock()
 		d := backoff(c.fails, t.rng)
 		t.rngMu.Unlock()
-		if !c.dl.IsZero() {
-			if rem := time.Duration(c.dl.RemainingNanos()); d > rem {
-				d = rem
-			}
-		}
-		time.Sleep(d)
+		time.Sleep(min(d, c.timeout()))
 	}
 	var inSync bool
 	if c.dl.Expired() {
@@ -903,13 +908,7 @@ func (t *TCPTransport) attempt(c *wireConn, ahead []Push, code byte, key uint64,
 		err = t.ensureHello(c)
 	}
 	if err == nil {
-		to := opTimeout
-		if !c.dl.IsZero() {
-			if rem := time.Duration(c.dl.RemainingNanos()); rem < to {
-				to = rem
-			}
-		}
-		c.conn.SetDeadline(time.Now().Add(to))
+		c.conn.SetDeadline(time.Now().Add(c.timeout()))
 		if found, inSync, refused, err = c.exchange(ahead, code, key, buf); err == nil {
 			if !c.dl.Expired() {
 				c.fails = 0

@@ -387,6 +387,9 @@ func (e *Engine) start(key uint64, dst []byte, speculative bool) (Prefetch, erro
 			var pushed error
 			_, pushed, err = e.wb.carrier.TryFetchAfterPushes(b.pushes[:b.n], key, dst, dl)
 			e.settle(b, pushed, sent)
+			if err == nil && pushed != nil {
+				e.noteErr(pushed, start) // a shed the served fetch does not report
+			}
 		} else {
 			_, err = e.transport.TryFetchUntil(key, dst, dl)
 		}

@@ -328,6 +328,7 @@ func TestWindow(t *testing.T) {
 		r.l.fail, r.l.partial, r.l.err = 1, 2, fabric.ErrOverloaded
 		r.miss(9) // the fetch behind the batch is served
 		r.want("RemoteFetchFaults", r.c.RemoteFetchFaults, 0)
+		r.want("OverloadRejects", r.c.OverloadRejects, 1) // one exchange shed, not four pushes
 		r.want("RemotePushFaults", r.c.RemotePushFaults, 4)
 		r.want("parked", r.depth(), 4)
 		if err := r.e.Flush(); err != nil {

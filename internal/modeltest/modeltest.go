@@ -151,7 +151,6 @@ type Rig struct {
 	world   world
 	sched   Schedule
 	retries int
-	leases  int             // bufpool.Outstanding() before the runtime was built; -1 if not alone
 	cov     map[string]bool // nil: coverage is not kept
 
 	mu      sync.Mutex
@@ -259,12 +258,11 @@ func (m Model) Trace(src Source, n int) []Op {
 }
 
 // Rig builds a fresh world under sched for a test of the runtime's own that
-// drives its Runtime directly, with every buffer lease tracked for the rest
-// of tb so that LeasesHome can count them. The world closes with tb, if
-// LeasesHome has not closed it.
+// drives its Runtime directly, with its buffer leases counted as leaseCheck
+// says. The world closes with tb, if LeasesHome has not closed it.
 func (m Model) Rig(tb testing.TB, sched Schedule) *Rig {
-	leaseDebug(tb)
-	r, err := m.rig(sched, nil, true)
+	leaseCheck(tb)
+	r, err := m.rig(sched, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -272,14 +270,9 @@ func (m Model) Rig(tb testing.TB, sched Schedule) *Rig {
 	return r
 }
 
-// rig builds a fresh world under sched whose notes go to cov. A rig not
-// alone shares the buffer pool with other traces running at once, so its
-// LeasesHome leaves the leases to whoever waits for them all.
-func (m Model) rig(sched Schedule, cov map[string]bool, alone bool) (*Rig, error) {
-	r := &Rig{Env: sim.NewEnv(), Mem: make([]byte, m.Heap), Obs: obs.NewRegistry(), sched: sched, retries: m.Retries, leases: -1, cov: cov}
-	if alone {
-		r.leases = bufpool.Outstanding()
-	}
+// rig builds a fresh world under sched whose notes go to cov.
+func (m Model) rig(sched Schedule, cov map[string]bool) (*Rig, error) {
+	r := &Rig{Env: sim.NewEnv(), Mem: make([]byte, m.Heap), Obs: obs.NewRegistry(), sched: sched, retries: m.Retries, cov: cov}
 	if sched.node != simNode {
 		w, err := newLoopback(r)
 		r.world = w
@@ -388,15 +381,10 @@ func (r *Rig) FarCopies(unit int) error {
 	return err
 }
 
-// LeasesHome shuts the far node down, which releases the blobs it holds,
-// and reports buffer leases the runtime took and did not return.
-func (r *Rig) LeasesHome() error {
-	err := r.world.close()
-	if n := bufpool.Outstanding() - r.leases; r.leases >= 0 && n != 0 {
-		err = errors.Join(err, fmt.Errorf("%d buffer leases outstanding", n))
-	}
-	return err
-}
+// LeasesHome shuts the far node down, which releases the blobs it holds:
+// once the runtime is closed too, every buffer lease it took is home, and
+// leaseCheck counts what is not.
+func (r *Rig) LeasesHome() error { return r.world.close() }
 
 // Retry runs f until it neither fails nor panics, up to 1000 times, and
 // returns its last failure: a read-back that must outlast the faults the
@@ -526,9 +514,9 @@ func catch(f func() error) (err error) {
 
 // run runs ops on a runtime build makes over a fresh rig under sched,
 // checked after every op, then quiesces it. cov, if not nil, collects the
-// states the trace reached. alone says no other trace runs at once.
-func (m Model) run(sched Schedule, build func(*Rig) (Runtime, error), cov map[string]bool, ops []Op, alone bool) error {
-	r, err := m.rig(sched, cov, alone)
+// states the trace reached.
+func (m Model) run(sched Schedule, build func(*Rig) (Runtime, error), cov map[string]bool, ops []Op) error {
+	r, err := m.rig(sched, cov)
 	defer func() { r.world.close() }()
 	if err != nil {
 		return err
@@ -582,55 +570,51 @@ func (m Model) run(sched Schedule, build func(*Rig) (Runtime, error), cov map[st
 // Test runs the seeded traces of one config and its directed ones, and
 // asserts they reached every state the runtime noted. t is the config's
 // subtest of TestModel. -model.seed replays a seed, and skips the directed
-// traces and the coverage. The traces run at once, each on its own rig —
-// over loopback most of a trace's wall time is the transport's backoff
-// against a node that is down — so their buffer leases are counted once
-// all have quiesced; if any is left, each runs again alone to find it.
+// traces and the coverage. Over loopback most of a trace's wall time is the
+// transport's backoff against a node that is down, so there the traces run
+// at once, each on its own rig; a failing one is reported, and shrunk, as
+// it runs alone.
 func (m Model) Test(t *testing.T, sched Schedule, build func(*Rig) (Runtime, error), directed map[string][]Op) {
-	leaseDebug(t)
-	type job struct {
+	leaseCheck(t)
+	type trace struct {
 		ops          []Op
 		what, replay string
 		cov          map[string]bool
 		err          error
 	}
-	var jobs []*job
+	var traces []*trace
 	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
 	if *seed != 0 {
 		seeds, directed = []uint64{*seed}, nil
 	}
 	for _, s := range seeds {
-		jobs = append(jobs, &job{ops: m.Trace(sim.NewRNG(s), m.Len), what: fmt.Sprintf("seed %d", s), replay: fmt.Sprintf("'%s$' -model.seed=%d", t.Name(), s)})
+		traces = append(traces, &trace{ops: m.Trace(sim.NewRNG(s), m.Len), what: fmt.Sprintf("seed %d", s), replay: fmt.Sprintf("'%s$' -model.seed=%d", t.Name(), s)})
 	}
 	for name, ops := range directed {
-		jobs = append(jobs, &job{ops: ops, what: "the " + name + " trace", replay: fmt.Sprintf("'%s$'", t.Name())})
+		traces = append(traces, &trace{ops: ops, what: "the " + name + " trace", replay: fmt.Sprintf("'%s$'", t.Name())})
 	}
-	leases := bufpool.Outstanding()
 	var wg sync.WaitGroup
-	for _, j := range jobs {
-		j.cov = map[string]bool{}
+	for _, tr := range traces {
+		tr.cov = map[string]bool{}
+		if sched.node == simNode {
+			tr.err = m.run(sched, build, tr.cov, tr.ops)
+			continue
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			j.err = m.run(sched, build, j.cov, j.ops, false)
+			tr.err = m.run(sched, build, tr.cov, tr.ops)
 		}()
 	}
 	wg.Wait()
-	leaked := bufpool.Outstanding() - leases
 	cov := map[string]bool{}
-	for _, j := range jobs {
-		if j.err != nil {
-			m.report(t, sched, build, j.ops, j.what, j.replay, j.err)
+	for _, tr := range traces {
+		if tr.err != nil {
+			m.report(t, sched, build, tr.ops, tr.what, tr.replay, tr.err)
 		}
-		for state, reached := range j.cov {
+		for state, reached := range tr.cov {
 			cov[state] = cov[state] || reached
 		}
-	}
-	if leaked != 0 {
-		for _, j := range jobs {
-			m.trace(t, sched, build, nil, j.ops, j.what, j.replay)
-		}
-		t.Fatalf("%d buffer leases outstanding after the traces ran at once, and none alone", leaked)
 	}
 	for state, reached := range cov {
 		if !reached && *seed == 0 {
@@ -644,7 +628,7 @@ func (m Model) Test(t *testing.T, sched Schedule, build func(*Rig) (Runtime, err
 // runtime's checks make, kept under its name so that a failure names the
 // feature.
 func (m Model) Case(t *testing.T, sched Schedule, build func(*Rig) (Runtime, error), ops []Op, states ...string) {
-	leaseDebug(t)
+	leaseCheck(t)
 	cov := map[string]bool{}
 	m.trace(t, sched, build, cov, ops, "the trace", fmt.Sprintf("'^%s$'", t.Name()))
 	for _, state := range states {
@@ -654,9 +638,9 @@ func (m Model) Case(t *testing.T, sched Schedule, build func(*Rig) (Runtime, err
 	}
 }
 
-// trace runs ops alone, and fails t as report does if they fail.
+// trace runs ops, and fails t as report does if they fail.
 func (m Model) trace(t *testing.T, sched Schedule, build func(*Rig) (Runtime, error), cov map[string]bool, ops []Op, what, replay string) {
-	if err := m.run(sched, build, cov, ops, true); err != nil {
+	if err := m.run(sched, build, cov, ops); err != nil {
 		m.report(t, sched, build, ops, what, replay, err)
 	}
 }
@@ -664,15 +648,15 @@ func (m Model) trace(t *testing.T, sched Schedule, build func(*Rig) (Runtime, er
 // report fails t with what failed (err), the op, a replay line (go test's
 // -run and flags) and the trace shrunk, alone, to the ops that still fail.
 func (m Model) report(t *testing.T, sched Schedule, build func(*Rig) (Runtime, error), ops []Op, what, replay string, err error) {
-	min := shrink(ops, func(ops []Op) bool { return m.run(sched, build, nil, ops, true) != nil })
-	t.Fatalf("%s: %v\nreplay: go test ./%s -run %s\nshrunk to %d ops: %v\n%v", what, err, m.Pkg, replay, len(min), min, m.run(sched, build, nil, min, true))
+	min := shrink(ops, func(ops []Op) bool { return m.run(sched, build, nil, ops) != nil })
+	t.Fatalf("%s: %v\nreplay: go test ./%s -run %s\nshrunk to %d ops: %v\n%v", what, err, m.Pkg, replay, len(min), min, m.run(sched, build, nil, min))
 }
 
 // Fuzz runs a trace drawn from a fuzzer's bytes, up to five an op.
 func (m Model) Fuzz(t *testing.T, sched Schedule, build func(*Rig) (Runtime, error), script []byte) {
-	leaseDebug(t)
+	leaseCheck(t)
 	src := byteSource(script)
-	if err := m.run(sched, build, nil, m.Trace(&src, len(script)/5), true); err != nil {
+	if err := m.run(sched, build, nil, m.Trace(&src, len(script)/5)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -695,9 +679,16 @@ func shrink(ops []Op, fails func([]Op) bool) []Op {
 	return ops
 }
 
-// leaseDebug tracks every buffer lease for the rest of tb, so LeasesHome
-// can count them.
-func leaseDebug(tb testing.TB) {
+// leaseCheck tracks every buffer lease for the rest of tb, and fails tb, if
+// nothing else did, with the leases its runtimes took and did not return:
+// counted once, after every trace has quiesced and every rig's world is
+// closed, however many traces ran at once.
+func leaseCheck(tb testing.TB) {
 	bufpool.SetDebug(true)
-	tb.Cleanup(func() { bufpool.SetDebug(bufpool.RaceEnabled) })
+	tb.Cleanup(func() {
+		if n := bufpool.Outstanding(); n != 0 && !tb.Failed() {
+			tb.Errorf("%d buffer leases outstanding once every trace had quiesced", n)
+		}
+		bufpool.SetDebug(bufpool.RaceEnabled)
+	})
 }
